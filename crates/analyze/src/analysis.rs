@@ -815,6 +815,22 @@ mod tests {
     }
 
     #[test]
+    fn module_qualified_free_fn_resolves_across_crates() {
+        let r = analyze(&[
+            (
+                "crates/core/src/a.rs",
+                "// ANALYZE: hot\nfn root(d: &[u8]) { other_format::sum(d); std::mem::drop(d); }\n",
+            ),
+            (
+                "crates/format/src/sum.rs",
+                "pub fn sum(d: &[u8]) -> u8 { d[0] }\n",
+            ),
+        ]);
+        assert_eq!(rules(&r), vec!["hot-panic"]);
+        assert_eq!(r.findings[0].path, vec!["root", "sum"]);
+    }
+
+    #[test]
     fn atomic_pairing_ignores_out_of_scope_crates() {
         let r = analyze(&[(
             "crates/sim/src/a.rs",

@@ -62,8 +62,8 @@ pub enum Callee {
     /// `local.method(…)` — resolved only if the method name is defined on
     /// exactly one known type (and is not a common std name).
     Method(String),
-    /// `free_fn(…)` — resolved by unique name (file, then crate, then
-    /// whole scan).
+    /// `free_fn(…)` or `some_module::free_fn(…)` — resolved by unique name
+    /// (file, then crate, then whole scan).
     Bare(String),
 }
 
@@ -838,13 +838,20 @@ impl Parser<'_> {
                 what: format!("{ty}::{m} blocks"),
             });
         }
-        if ty.chars().next().is_some_and(char::is_uppercase) {
-            item.calls.push(CallSite {
-                callee: Callee::Qualified(ty, m.to_string()),
-                line,
-                pos: k,
-            });
-        }
+        // Uppercase segment = associated fn of a type; lowercase = a free
+        // fn behind a module or crate path (`damaris_format::crc32(…)`),
+        // which resolves like a bare call — std paths fall out as
+        // external because no scanned free fn carries their name.
+        let callee = if ty.chars().next().is_some_and(char::is_uppercase) {
+            Callee::Qualified(ty, m.to_string())
+        } else {
+            Callee::Bare(m.to_string())
+        };
+        item.calls.push(CallSite {
+            callee,
+            line,
+            pos: k,
+        });
     }
 
     /// Matches explicit `drop(<guard>)` statements against held lock
@@ -1069,6 +1076,7 @@ mod tests {
                  Other::build(1);\n\
                  local.push_wait(x);\n\
                  free_fn(2);\n\
+                 other_crate::checksum::free_fn(3);\n\
                }\n\
              }\n",
         );
@@ -1080,6 +1088,8 @@ mod tests {
         assert!(matches!(&calls[2].callee, Callee::Qualified(t, m) if t == "Other" && m == "build"));
         assert!(matches!(&calls[3].callee, Callee::Method(m) if m == "push_wait"));
         assert!(matches!(&calls[4].callee, Callee::Bare(f) if f == "free_fn"));
+        // A module path in front of a free fn does not hide it.
+        assert!(matches!(&calls[5].callee, Callee::Bare(f) if f == "free_fn"));
     }
 
     #[test]

@@ -67,13 +67,15 @@ fn bogus_and_unused_waivers_fire() {
     );
 }
 
-fn repo_report() -> damaris_analyze::Report {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn repo_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("workspace root")
-        .to_path_buf();
-    damaris_analyze::analyze_root(&root).expect("scan repo")
+}
+
+fn repo_report() -> damaris_analyze::Report {
+    damaris_analyze::analyze_root(repo_root()).expect("scan repo")
 }
 
 /// The repo-wide waiver population, pinned exactly. A new waiver in
@@ -106,4 +108,38 @@ fn client_write_closure_is_strict_and_waiver_free() {
         "closure suspiciously small ({} fns) — call resolution regressed?",
         c.fns
     );
+}
+
+/// The client write path reaches the checksum kernels across the crate
+/// boundary (`damaris_format::crc32(data)`): with the table lookup's
+/// `in-bounds` proof taken away, the lookup is a panic edge on it.
+#[test]
+fn checksum_kernels_are_inside_the_write_closure() {
+    let read = |rel: &str| {
+        let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
+        (rel.to_string(), src)
+    };
+    let client = read("crates/core/src/client.rs");
+    let (path, checksum) = read("crates/format/src/checksum.rs");
+    assert!(checksum.contains("// ANALYZE: in-bounds("));
+    let stripped = checksum.replace("// ANALYZE: in-bounds(", "// (");
+    let r = analyze_sources(&[client, (path.clone(), stripped)]);
+    let f: Vec<_> = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == "hot-panic" && f.file == path)
+        .collect();
+    assert_eq!(f.len(), 1, "findings: {:?}", r.findings);
+    // Findings are reported once, under the first hot root that reaches
+    // them: the tail `write` calls straight into.
+    assert_eq!(
+        f[0].path.first().map(String::as_str),
+        Some("DamarisClient::copy_and_notify_static")
+    );
+    assert!(
+        f[0].path.iter().any(|hop| hop == "crc32"),
+        "path: {:?}",
+        f[0].path
+    );
+    assert_eq!(f[0].path.last().map(String::as_str), Some("lut"));
 }

@@ -414,12 +414,12 @@ impl DamarisClient {
             .map_err(|_| self.fenced_err())
     }
 
-    /// Tail of the static-layout write path — memcpy into the segment,
-    /// lock-free journal append ([`crate::journal::EventJournal::append_write`]),
-    /// queue notification — each under its trace span. The spans chain:
-    /// `t` is the previous span's end timestamp, and the return value is
-    /// the last span's end, so the whole tail costs three clock reads
-    /// instead of six.
+    /// Tail of the static-layout write path — checksum of the source,
+    /// memcpy into the segment, lock-free journal append
+    /// ([`crate::journal::EventJournal::append_write`]), queue notification
+    /// — each under its trace span. The spans chain: `t` is the previous
+    /// span's end timestamp, and the return value is the last span's end,
+    /// so the whole tail costs four clock reads instead of eight.
     // ANALYZE: hot
     fn copy_and_notify_static(
         &self,
@@ -433,6 +433,9 @@ impl DamarisClient {
         // killed mid-`memcpy`), the journaled checksum still describes the
         // intended payload, so the torn segment can never match it.
         let data_crc = damaris_format::crc32(data);
+        let t = self
+            .rec
+            .end(EventKind::Checksum, iteration, data.len() as u64, t);
         segment.copy_from_slice(data);
         let t = self
             .rec
@@ -483,6 +486,9 @@ impl DamarisClient {
     ) -> Result<u64, DamarisError> {
         // See copy_and_notify_static: checksum the source, then copy.
         let data_crc = damaris_format::crc32(data);
+        let t = self
+            .rec
+            .end(EventKind::Checksum, iteration, data.len() as u64, t);
         segment.copy_from_slice(data);
         let t = self
             .rec
@@ -526,8 +532,8 @@ impl DamarisClient {
         self.renew_lease()?;
         // One timestamp opens both the WriteCall and AllocWait spans (the
         // nanoscale name lookup rides inside AllocWait); the inner spans
-        // chain end-to-start from here, so a fully traced write costs six
-        // clock reads, not ten.
+        // chain end-to-start from here, so a fully traced write costs seven
+        // clock reads, not twelve.
         let t_call = self.rec.begin();
         let (variable_id, expected) = self.lookup(variable)?;
         if data.len() as u64 != expected {

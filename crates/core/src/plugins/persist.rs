@@ -142,9 +142,13 @@ impl Plugin for PersistPlugin {
         // copy tore (rank killed mid-`memcpy`) or the segment was
         // corrupted in flight — quarantine it (skip persisting, count it,
         // still release the memory) instead of writing garbage to storage.
+        let t_verify = ctx.rec.begin();
+        let verified: u64 = all.iter().map(|var| var.segment.len() as u64).sum();
         let (drained, torn): (Vec<_>, Vec<_>) = all
             .into_iter()
             .partition(|var| damaris_format::crc32(var.data()) == var.data_crc);
+        ctx.rec
+            .end(EventKind::Checksum, iteration, verified, t_verify);
         for var in torn {
             FaultStats::bump(&ctx.stats.crc_quarantined);
             eprintln!(

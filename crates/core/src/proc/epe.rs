@@ -599,9 +599,10 @@ fn persist_iteration(
         .map_err(sdf_err)?;
     for rec in commits {
         let view = buffer.adopt_segment(rec.offset as usize, rec.len as usize);
-        let bytes = view.as_slice().to_vec();
-        drop(view);
-        if crc32(&bytes) != rec.data_crc {
+        // Checksum and write straight from the mapping: the segment stays
+        // reserved until the WAL marks the record released, after commit.
+        let bytes = view.as_slice();
+        if crc32(bytes) != rec.data_crc {
             // End-to-end CRC failure: the mapping bytes are not what the
             // client stamped. Quarantine (exclude), never persist.
             report.crc_rejected += 1;
@@ -611,7 +612,7 @@ fn persist_iteration(
             .write_dataset_bytes(
                 &format!("/rank{}/var{}", rec.rank, rec.variable),
                 &Layout::new(DataType::U8, &[rec.len]),
-                &bytes,
+                bytes,
                 &DatasetOptions::plain(),
             )
             .map_err(sdf_err)?;

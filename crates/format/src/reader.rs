@@ -8,6 +8,7 @@ use crate::query::QuerySection;
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
 use damaris_compress::{varint, Pipeline};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -212,7 +213,10 @@ impl SdfReader {
         Ok(stored)
     }
 
-    fn decode_payload(entry: &IndexEntry, stored: &[u8]) -> Result<Vec<u8>> {
+    /// Reverses chunking and filters. Takes the stored bytes by value so an
+    /// unfiltered contiguous dataset is handed back in the buffer
+    /// `read_stored` filled, not copied out of it.
+    fn decode_payload(entry: &IndexEntry, stored: Vec<u8>) -> Result<Vec<u8>> {
         let pipeline = if entry.filter.is_empty() {
             None
         } else {
@@ -223,11 +227,11 @@ impl SdfReader {
         };
         let logical = if entry.chunk_dim0 > 0 {
             let mut off = 0usize;
-            let n_chunks = read_chunk_count(stored, &mut off)?;
+            let n_chunks = read_chunk_count(&stored, &mut off)?;
             let mut lens = Vec::with_capacity(n_chunks);
             for _ in 0..n_chunks {
                 lens.push(
-                    varint::read_u64(stored, &mut off)
+                    varint::read_u64(&stored, &mut off)
                         .ok_or_else(|| SdfError::Format("truncated chunk table".into()))?
                         as usize,
                 );
@@ -254,9 +258,9 @@ impl SdfReader {
         } else {
             match &pipeline {
                 Some(p) => p
-                    .decode(stored)
+                    .decode(&stored)
                     .map_err(|e| SdfError::Filter(e.to_string()))?,
-                None => stored.to_vec(),
+                None => stored,
             }
         };
         if logical.len() as u64 != entry.layout.byte_size() {
@@ -287,7 +291,7 @@ impl SdfReader {
     pub fn read_bytes(&self, path: &str) -> Result<Vec<u8>> {
         let entry = self.entry(path)?;
         let stored = self.read_stored(entry)?;
-        Self::decode_payload(entry, &stored)
+        Self::decode_payload(entry, stored)
     }
 
     /// Reads and decodes the dataset at position `ordinal` in the index —
@@ -298,7 +302,7 @@ impl SdfReader {
             SdfError::Usage(format!("ordinal {ordinal} out of range"))
         })?;
         let stored = self.read_stored(entry)?;
-        Self::decode_payload(entry, &stored)
+        Self::decode_payload(entry, stored)
     }
 
     /// Metadata for the dataset at position `ordinal` in the index.
@@ -379,10 +383,11 @@ impl SdfReader {
                 .ok_or_else(|| SdfError::Format("chunk out of bounds".into()))?;
             let chunk_bytes = &stored[data_off..end];
             let logical = match &pipeline {
-                Some(p) => p
-                    .decode(chunk_bytes)
-                    .map_err(|e| SdfError::Filter(e.to_string()))?,
-                None => chunk_bytes.to_vec(),
+                Some(p) => Cow::Owned(
+                    p.decode(chunk_bytes)
+                        .map_err(|e| SdfError::Filter(e.to_string()))?,
+                ),
+                None => Cow::Borrowed(chunk_bytes),
             };
             // Slice the requested rows out of this chunk.
             let chunk_first_row = ci as u64 * chunk_rows;

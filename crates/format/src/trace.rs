@@ -92,11 +92,15 @@ pub enum EventKind {
     /// (Normal → Degraded → ReadOnly and back). `bytes` encodes the new
     /// state's discriminant.
     PressureTransition = 20,
+    /// A CRC-32 pass over payload bytes: on a client, the checksum of the
+    /// source bytes inside a `WriteCall`; on the dedicated core, the
+    /// persist plugin's re-verification of one iteration's segments.
+    Checksum = 21,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order (for analyzer iteration).
-    pub const ALL: [EventKind; 21] = [
+    pub const ALL: [EventKind; 22] = [
         EventKind::Iteration,
         EventKind::WriteCall,
         EventKind::AllocWait,
@@ -118,6 +122,7 @@ impl EventKind {
         EventKind::BlockRead,
         EventKind::CacheHit,
         EventKind::PressureTransition,
+        EventKind::Checksum,
     ];
 
     /// Short stable label used in analyzer output.
@@ -144,6 +149,7 @@ impl EventKind {
             EventKind::BlockRead => "block_read",
             EventKind::CacheHit => "cache_hit",
             EventKind::PressureTransition => "pressure_transition",
+            EventKind::Checksum => "checksum",
         }
     }
 }

@@ -6,11 +6,12 @@
 //! writes from many clients into one large file without coordination — the
 //! paper's "gathering data into large files" (§III).
 
-use crate::checksum::crc32;
+use crate::checksum::{crc32, crc32_update};
 use crate::header::{self, IndexEntry};
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
 use damaris_compress::Pipeline;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -76,6 +77,18 @@ pub enum WriteFault {
 /// inject. May sleep internally to model a stall.
 pub type WriteFaultHook = Box<dyn FnMut() -> Option<WriteFault> + Send>;
 
+/// Runs `bytes` through the dataset's filter pipeline; without one the
+/// stored form *is* the caller's bytes, borrowed.
+fn encode<'a>(pipeline: Option<&Pipeline>, bytes: &'a [u8]) -> Result<Cow<'a, [u8]>> {
+    match pipeline {
+        Some(p) => p
+            .encode(bytes)
+            .map(|(encoded, _)| Cow::Owned(encoded))
+            .map_err(|e| SdfError::Filter(e.to_string())),
+        None => Ok(Cow::Borrowed(bytes)),
+    }
+}
+
 /// Streaming writer for a new SDF file.
 pub struct SdfWriter {
     file: BufWriter<File>,
@@ -92,6 +105,12 @@ impl SdfWriter {
     pub fn create(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
+        Self::from_file(file, path)
+    }
+
+    /// Starts a file on `file`, which is empty, open for writing and
+    /// lives at `path` — for a caller that opened it ahead of time.
+    pub fn from_file(file: File, path: PathBuf) -> Result<Self> {
         let mut w = SdfWriter {
             file: BufWriter::new(file),
             path,
@@ -159,10 +178,13 @@ impl SdfWriter {
             )
         };
 
-        // Chunked datasets carry a small per-chunk length table so each
-        // chunk can be located and decoded independently.
+        // What goes to disk, in order, as borrowed or encoded parts: an
+        // unfiltered payload is written (and checksummed) where it lies.
+        // Chunked datasets carry a small per-chunk length table first so
+        // each chunk can be located and decoded independently.
         let chunk_rows = options.chunk_dim0;
-        let payload: Vec<u8> = if chunk_rows > 0 && layout.rank() > 0 && layout.dims[0] > 0 {
+        let mut parts: Vec<Cow<'_, [u8]>> = Vec::new();
+        if chunk_rows > 0 && layout.rank() > 0 && layout.dims[0] > 0 {
             let row_bytes = (layout.byte_size() / layout.dims[0]) as usize;
             let chunk_bytes = row_bytes
                 .checked_mul(chunk_rows as usize)
@@ -170,56 +192,46 @@ impl SdfWriter {
             if chunk_bytes == 0 {
                 return Err(SdfError::Usage("chunk size must be positive".into()));
             }
-            let mut chunks: Vec<Vec<u8>> = Vec::new();
-            for chunk in data.chunks(chunk_bytes) {
-                let encoded = match &pipeline {
-                    Some(p) => {
-                        p.encode(chunk)
-                            .map_err(|e| SdfError::Filter(e.to_string()))?
-                            .0
-                    }
-                    None => chunk.to_vec(),
-                };
-                chunks.push(encoded);
-            }
-            let mut payload = Vec::new();
-            damaris_compress::varint::write_u64(chunks.len() as u64, &mut payload);
+            let chunks = data
+                .chunks(chunk_bytes)
+                .map(|chunk| encode(pipeline.as_ref(), chunk))
+                .collect::<Result<Vec<_>>>()?;
+            let mut table = Vec::new();
+            damaris_compress::varint::write_u64(chunks.len() as u64, &mut table);
             for c in &chunks {
-                damaris_compress::varint::write_u64(c.len() as u64, &mut payload);
+                damaris_compress::varint::write_u64(c.len() as u64, &mut table);
             }
-            for c in chunks {
-                payload.extend_from_slice(&c);
-            }
-            payload
+            parts.push(Cow::Owned(table));
+            parts.extend(chunks);
         } else {
-            match &pipeline {
-                Some(p) => {
-                    p.encode(data)
-                        .map_err(|e| SdfError::Filter(e.to_string()))?
-                        .0
-                }
-                None => data.to_vec(),
-            }
-        };
+            parts.push(encode(pipeline.as_ref(), data)?);
+        }
 
+        let crc_state = parts
+            .iter()
+            .fold(0xFFFF_FFFF, |state, part| crc32_update(state, part));
         let entry = IndexEntry {
             path: path.to_string(),
             layout: layout.clone(),
             offset: self.offset,
-            stored_len: payload.len() as u64,
-            crc: crc32(&payload),
+            stored_len: parts.iter().map(|p| p.len() as u64).sum(),
+            crc: crc_state ^ 0xFFFF_FFFF,
             filter: filter_spec,
             chunk_dim0: chunk_rows,
             attrs: options.attrs.clone(),
         };
-        let mut payload = payload;
-        if corrupt && !payload.is_empty() {
+        if corrupt {
             // Torn-copy injection: the index keeps the checksum of the
             // intended bytes while the stored payload differs, so readers
-            // hit a CRC mismatch exactly as after a real torn write.
-            payload[0] ^= 0xFF;
+            // hit a CRC mismatch exactly as after a real torn write. The
+            // one place an unfiltered payload is copied.
+            if let Some(first) = parts.iter_mut().find(|p| !p.is_empty()) {
+                first.to_mut()[0] ^= 0xFF;
+            }
         }
-        self.raw_write(&payload)?;
+        for part in &parts {
+            self.raw_write(part)?;
+        }
         self.index.push(entry);
         Ok(())
     }

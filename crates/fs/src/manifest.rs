@@ -5,16 +5,19 @@
 //! still race a rename or observe a file the writer is about to replace
 //! with a compacted run. The manifest closes that gap: a single
 //! `MANIFEST` file at the output root lists every *sealed* file, and is
-//! itself replaced atomically (tmp + fsync + rename), so a reader that
-//! loads it sees a consistent set of fully-published files — never a
+//! itself replaced atomically (write `MANIFEST.next` + fsync + swap the two
+//! names), so the name always points at a complete generation — never a
 //! half-written one.
 //!
 //! Writers (EPE persist hooks, the compactor, recovery) serialize through
 //! a kernel `flock` on `MANIFEST.lock`; the kernel releases the lock when
 //! the holder's fd closes, so a crashed holder cannot wedge anyone and
-//! there is no stale-lock-breaking race. Readers never lock: they just
-//! read the current `MANIFEST`, which the atomic rename keeps internally
-//! consistent.
+//! there is no stale-lock-breaking race. Readers never lock: they read
+//! the current `MANIFEST` and check its CRC. The file a publish replaces is
+//! emptied and written again by the publish after it (so publishing creates
+//! and deletes no file: see [`Manifest::store`]); a reader that opened it
+//! just before the swap can therefore read it cut short, fails the CRC and
+//! reads the name again — an optimistic read, validated and retried.
 //!
 //! Format (text, CRC-guarded, one entry per line):
 //!
@@ -33,8 +36,15 @@ use std::time::{Duration, Instant};
 
 /// Manifest file name at the output root.
 pub const MANIFEST_NAME: &str = "MANIFEST";
+/// The file the next generation is written into; between publishes it is
+/// the emptied file of the generation before the current one.
+pub const MANIFEST_NEXT: &str = "MANIFEST.next";
 /// Lock file guarding manifest writers.
 pub const MANIFEST_LOCK: &str = "MANIFEST.lock";
+/// Times [`Manifest::load`] reads a manifest that fails its checks before
+/// it calls the file corrupt. A read torn by a publish succeeds on the
+/// next attempt unless another publish tears that one too.
+const LOAD_ATTEMPTS: u32 = 4;
 /// First line of every manifest.
 const HEADER: &str = "damaris-manifest v1";
 /// How long a writer waits for the lock before giving up.
@@ -47,6 +57,39 @@ const FLOCK_NB: i32 = 4;
 
 extern "C" {
     fn flock(fd: i32, operation: i32) -> i32;
+}
+
+/// Makes each of two existing names point at the other's file, atomically
+/// (`renameat2(RENAME_EXCHANGE)`, Linux 3.15). False when nothing moved:
+/// one of the names does not exist, or the file system cannot.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn swap_names(a: &Path, b: &Path) -> bool {
+    use std::ffi::CString;
+    use std::os::raw::c_char;
+    use std::os::unix::ffi::OsStrExt;
+    const AT_FDCWD: i32 = -100;
+    const RENAME_EXCHANGE: u32 = 2;
+    extern "C" {
+        fn renameat2(
+            olddirfd: i32,
+            oldpath: *const c_char,
+            newdirfd: i32,
+            newpath: *const c_char,
+            flags: u32,
+        ) -> i32;
+    }
+    let c_path = |p: &Path| CString::new(p.as_os_str().as_bytes());
+    let (Ok(a), Ok(b)) = (c_path(a), c_path(b)) else {
+        return false;
+    };
+    // SAFETY: both pointers come from `CString`s that outlive the call,
+    // so each is a NUL-terminated path; the call keeps neither.
+    unsafe { renameat2(AT_FDCWD, a.as_ptr(), AT_FDCWD, b.as_ptr(), RENAME_EXCHANGE) == 0 }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn swap_names(_: &Path, _: &Path) -> bool {
+    false
 }
 
 /// Errors from manifest operations.
@@ -143,13 +186,33 @@ impl Manifest {
     /// none exists yet. Corrupt bytes fail typed; allocation is bounded
     /// by the actual file size.
     pub fn load(root: &Path) -> Result<Manifest> {
-        let path = root.join(MANIFEST_NAME);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Manifest::default()),
-            Err(e) => return Err(e.into()),
-        };
-        Self::parse(&text)
+        Self::load_with(&root.join(MANIFEST_NAME), |path| std::fs::read(path))
+    }
+
+    /// [`load`](Self::load) over the function that reads the file (tests
+    /// hand it the bytes a reader racing a publish would get).
+    fn load_with(
+        path: &Path,
+        mut read: impl FnMut(&Path) -> io::Result<Vec<u8>>,
+    ) -> Result<Manifest> {
+        let mut attempt = 1;
+        loop {
+            let parsed = match read(path) {
+                // A torn read can end inside a character, so the bytes
+                // are checked like the rest: by `parse`.
+                Ok(bytes) => String::from_utf8(bytes)
+                    .map_err(|_| ManifestError::Corrupt("not UTF-8".into()))
+                    .and_then(|text| Self::parse(&text)),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Manifest::default()),
+                Err(e) => return Err(e.into()),
+            };
+            match parsed {
+                // The file this read opened may since have been replaced
+                // and emptied; the name points at a whole one again.
+                Err(ManifestError::Corrupt(_)) if attempt < LOAD_ATTEMPTS => attempt += 1,
+                done => return done,
+            }
+        }
     }
 
     /// Parses manifest text (exposed for corruption tests).
@@ -247,23 +310,49 @@ impl Manifest {
         out
     }
 
-    /// Atomically replaces the manifest at `root`: write `MANIFEST.tmp`,
-    /// fsync, rename into place, best-effort sync the directory — the
-    /// same discipline the SDF commit path uses. Callers must hold the
+    /// Atomically replaces the manifest at `root`: write `MANIFEST.next`,
+    /// fsync, swap it with `MANIFEST`, best-effort sync the directory,
+    /// empty the file that was replaced. Callers must hold the
     /// [`ManifestLock`] (readers are lock-free; this serializes writers).
+    ///
+    /// Swapping instead of renaming over keeps both files, so a publish
+    /// per iteration allocates and frees no inode. That matters on ext4
+    /// without a journal, where every inode freed in the last 5–35 s is
+    /// one more that each file creation in the block group steps over: a
+    /// node freeing one per publish, 400 times a second, pays 550 µs
+    /// instead of 30 µs for each file it creates, or not, depending on
+    /// what else was deleted lately. The first store at a root, and any
+    /// store where the swap is not to be had, renames.
     pub fn store(&self, root: &Path) -> Result<()> {
-        let tmp = root.join(format!("{MANIFEST_NAME}.tmp"));
+        use std::io::Write;
+        let next = root.join(MANIFEST_NEXT);
         let final_path = root.join(MANIFEST_NAME);
         std::fs::create_dir_all(root)?;
+        let open_emptied = || {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&next)
+        };
         {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
+            let mut f = open_emptied()?;
             f.write_all(self.render().as_bytes())?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, &final_path)?;
+        let swapped = swap_names(&next, &final_path);
+        if !swapped {
+            std::fs::rename(&next, &final_path)?;
+        }
         if let Ok(dir) = std::fs::File::open(root) {
             let _ = dir.sync_all();
+        }
+        if swapped {
+            // `next` now names the generation just replaced: emptied, it
+            // holds no blocks until the next store fills it. Not before
+            // the directory sync — an emptying that reached the disk
+            // ahead of the swap would leave `MANIFEST` empty after a crash.
+            let _ = open_emptied();
         }
         Ok(())
     }
@@ -582,6 +671,79 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn publishing_creates_no_file_after_the_second() {
+        use std::os::unix::fs::MetadataExt;
+        let root = temp_root("recycle");
+        let ino = |name: &str| std::fs::metadata(root.join(name)).expect(name).ino();
+        publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
+        // The first store has nothing to swap with: it renames.
+        assert!(!root.join(MANIFEST_NEXT).exists());
+        publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 100).unwrap();
+        let pair = [ino(MANIFEST_NAME), ino(MANIFEST_NEXT)];
+        for it in 2..8u32 {
+            publish_iteration(&root, 0, it, &format!("node-0/iter-{it:06}.sdf"), 100).unwrap();
+            // The same two files, trading names; the one not current holds
+            // nothing.
+            assert_eq!(ino(MANIFEST_NAME), pair[((it + 1) % 2) as usize]);
+            assert_eq!(ino(MANIFEST_NEXT), pair[(it % 2) as usize]);
+            assert_eq!(std::fs::metadata(root.join(MANIFEST_NEXT)).unwrap().len(), 0);
+            assert_eq!(Manifest::load(&root).unwrap().generation, u64::from(it) + 1);
+        }
+        // A shorter manifest leaves no tail of the longer one it replaces.
+        Manifest::default().store(&root).unwrap();
+        assert_eq!(Manifest::load(&root).unwrap(), Manifest::default());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_read_torn_by_a_publish_is_read_again() {
+        let whole = sample().render().into_bytes();
+        let cut = whole[..whole.len() / 2].to_vec();
+        // Emptied, then cut short, then whole: what a reader gets that
+        // opened the replaced file twice in a row.
+        let mut reads = vec![whole.clone(), cut.clone(), Vec::new()];
+        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| Ok(reads.pop().unwrap()));
+        assert_eq!(loaded.unwrap(), sample());
+        assert!(reads.is_empty());
+        // A file that stays bad is corrupt, after a bounded number of reads.
+        let mut count = 0;
+        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| {
+            count += 1;
+            Ok(cut.clone())
+        });
+        assert!(matches!(loaded, Err(ManifestError::Corrupt(_))), "{loaded:?}");
+        assert_eq!(count, LOAD_ATTEMPTS);
+    }
+
+    #[test]
+    fn readers_racing_publishes_see_whole_generations() {
+        let root = temp_root("race");
+        publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut loads, mut last) = (0u64, 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let m = Manifest::load(&root).expect("a whole manifest");
+                    assert_eq!(m.entries.len() as u64, m.generation);
+                    assert!(m.generation >= last, "{} after {last}", m.generation);
+                    last = m.generation;
+                    loads += 1;
+                }
+                loads
+            });
+            for it in 1..400u32 {
+                publish_iteration(&root, 0, it, &format!("node-0/iter-{it:06}.sdf"), 100).unwrap();
+            }
+            done.store(true, Ordering::Release);
+            assert!(reader.join().expect("reader") > 0);
+        });
+        assert_eq!(Manifest::load(&root).unwrap().generation, 400);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn lock_excludes_and_releases_on_drop() {
         let root = temp_root("lock");
@@ -632,16 +794,16 @@ mod tests {
     #[test]
     fn publish_fails_midway_under_enospc_then_recovers() {
         // Satellite: a full disk must not corrupt the manifest protocol.
-        // Simulate the tmp-file write failing mid-publish by planting a
-        // directory where `MANIFEST.tmp` goes — `File::create` fails just
-        // like it would on a full file system, after the lock is taken
-        // but before anything replaced the published manifest.
+        // Simulate the write of the next generation failing mid-publish
+        // by planting a directory where `MANIFEST.next` goes — opening it
+        // fails just like it would on a full file system, after the lock
+        // is taken but before anything replaced the published manifest.
         let root = temp_root("publish-enospc");
         publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
         let before = Manifest::load(&root).unwrap();
         assert_eq!(before.generation, 1);
 
-        let tmp_blocker = root.join(format!("{MANIFEST_NAME}.tmp"));
+        let tmp_blocker = root.join(MANIFEST_NEXT);
         std::fs::create_dir(&tmp_blocker).unwrap();
         let err = publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 100).unwrap_err();
         assert!(matches!(err, ManifestError::Io(_)), "{err}");

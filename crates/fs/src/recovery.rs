@@ -99,7 +99,12 @@ pub fn recover_dir(root: &Path) -> std::io::Result<RecoveryReport> {
     for path in files {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         let name = path.to_string_lossy();
-        if name.ends_with(TMP_SUFFIX) {
+        if crate::local::is_spare(&path) {
+            // An empty file no commit ever named (see
+            // `LocalDirBackend::commit_sdf`): nothing to report, and an
+            // owner still alive creates its next file itself.
+            let _ = std::fs::remove_file(&path);
+        } else if name.ends_with(TMP_SUFFIX) {
             match std::fs::remove_file(&path) {
                 Ok(()) => report.removed_tmp.push(rel),
                 Err(e) => report.failed.push((rel, format!("remove tmp: {e}"))),
