@@ -25,16 +25,14 @@ use damaris_mpi::ClientKillPhase;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// The CM1 node configuration: file-backed shared memory and a UDS
-/// control plane, a handful of prognostic variables per iteration, and
-/// the partial-iteration policy so one dead rank cannot stall output.
-/// Parsed through [`damaris_core::Config`] like every other deployment
-/// knob, so `<shm>`/`<transport>` validation applies.
+/// The CM1 node configuration: a handful of prognostic variables per
+/// iteration, and the partial-iteration policy so one dead rank cannot
+/// stall output. Parsed through [`damaris_core::Config`] like every other
+/// deployment knob. (The process topology — file-backed mapping, UDS
+/// control plane — is what this binary *is*, not something it selects.)
 const CM1_PROC_XML: &str = r#"
 <damaris>
   <buffer size="262144" allocator="partition"/>
-  <shm backing="file"/>
-  <transport kind="uds"/>
   <layout name="slab" type="real" dimensions="24,24,8"/>
   <variable name="theta" layout="slab"/>
   <variable name="qv" layout="slab"/>
@@ -191,6 +189,10 @@ fn main() -> ExitCode {
                 Ok(_) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("cm1_proc[client {}]: {e}", opts.rank);
+                    // Stderr is inherited and interleaves with the
+                    // launcher's; the file is what `launch` collects.
+                    let path = opts.dir.join(format!("client-error-{}.txt", opts.rank));
+                    let _ = std::fs::write(path, e.to_string());
                     ExitCode::FAILURE
                 }
             }

@@ -73,7 +73,8 @@ fn assert_core_invariants(report: &LaunchReport) {
     assert_eq!(report.leaked_bytes, 0, "ring bytes leaked: {report:?}");
     assert!(
         report.failed_ranks.is_empty(),
-        "ranks failed (not killed): {report:?}"
+        "ranks failed (not killed), saying {:?}: {report:?}",
+        report.client_errors
     );
 }
 

@@ -252,56 +252,6 @@ impl Default for ObservabilityConfig {
     }
 }
 
-/// Where the node's shared buffer (and its protocol words) live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShmBacking {
-    /// One heap allocation shared between threads of one process — the
-    /// threads-as-cores topology, and the default.
-    #[default]
-    Heap,
-    /// A file-backed `MAP_SHARED` mapping (typically under `/dev/shm`)
-    /// shared by *separate OS processes* — the paper's real topology.
-    /// The mapping survives any one process being `kill -9`'d.
-    File,
-}
-
-/// How the control plane travels between the node's cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// In-process channels between threads (the default).
-    #[default]
-    InProcess,
-    /// Unix-domain sockets between real processes (`damaris_mpi::uds`):
-    /// commits, barriers, and epoch announcements cross process
-    /// boundaries; the data plane stays in the shared mapping.
-    Uds,
-}
-
-/// Process-topology settings, set by the `<shm>` and `<transport>`
-/// elements:
-///
-/// ```xml
-/// <shm backing="file" dir="/dev/shm"/>
-/// <transport kind="uds" dir="/tmp/damaris"/>
-/// ```
-///
-/// Both default to the single-process topology; `backing="file"` +
-/// `kind="uds"` is the cross-process CM1 deployment the `cm1_proc`
-/// launcher runs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProcessConfig {
-    /// Shared-buffer placement.
-    pub backing: ShmBacking,
-    /// Directory for mapping files (`backing="file"` only); defaults to
-    /// `/dev/shm` at runtime when unset.
-    pub shm_dir: Option<String>,
-    /// Control-plane transport.
-    pub transport: TransportKind,
-    /// Directory for control sockets (`kind="uds"` only); defaults to
-    /// the mapping directory at runtime when unset.
-    pub socket_dir: Option<String>,
-}
-
 /// Parsed configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -321,9 +271,6 @@ pub struct Config {
     pub resilience: ResilienceConfig,
     /// Tracing/metrics settings (see [`ObservabilityConfig`]).
     pub observability: ObservabilityConfig,
-    /// Process topology — shm backing + control-plane transport (see
-    /// [`ProcessConfig`]).
-    pub process: ProcessConfig,
 }
 
 impl Config {
@@ -352,7 +299,6 @@ impl Config {
             actions: Vec::new(),
             resilience: ResilienceConfig::default(),
             observability: ObservabilityConfig::default(),
-            process: ProcessConfig::default(),
         };
 
         // Elements may sit at the root or inside grouping elements.
@@ -605,38 +551,6 @@ impl Config {
                         o.trace_dir = Some(dir.to_string());
                     }
                 }
-                "shm" => {
-                    let p = &mut config.process;
-                    match e.attr("backing") {
-                        None | Some("heap") => p.backing = ShmBacking::Heap,
-                        Some("file") | Some("mmap") => p.backing = ShmBacking::File,
-                        Some(other) => {
-                            return Err(DamarisError::Config(format!(
-                                "unknown shm backing '{other}' (expected heap or file)"
-                            )))
-                        }
-                    }
-                    if let Some(dir) = e.attr("dir") {
-                        p.shm_dir = Some(dir.to_string());
-                    }
-                }
-                "transport" => {
-                    let p = &mut config.process;
-                    match e.attr("kind") {
-                        None | Some("inproc") | Some("in-process") => {
-                            p.transport = TransportKind::InProcess
-                        }
-                        Some("uds") | Some("socket") => p.transport = TransportKind::Uds,
-                        Some(other) => {
-                            return Err(DamarisError::Config(format!(
-                                "unknown transport kind '{other}' (expected inproc or uds)"
-                            )))
-                        }
-                    }
-                    if let Some(dir) = e.attr("dir") {
-                        p.socket_dir = Some(dir.to_string());
-                    }
-                }
                 // Grouping elements: descend (children keep their order
                 // relative to each other).
                 "data" | "actions" | "architecture" => {
@@ -650,17 +564,6 @@ impl Config {
             }
         }
 
-        // A socket control plane only makes sense between real processes,
-        // which cannot share a heap buffer.
-        if config.process.transport == TransportKind::Uds
-            && config.process.backing != ShmBacking::File
-        {
-            return Err(DamarisError::Config(
-                "transport kind=\"uds\" requires shm backing=\"file\" \
-                 (separate processes cannot share a heap buffer)"
-                    .into(),
-            ));
-        }
         // Cross-check variable → layout references.
         for v in &config.variables {
             if !config.layouts.contains_key(&v.layout) {
@@ -819,31 +722,6 @@ impl Config {
             obs.set_attr("trace_dir", dir.clone());
         }
         root.children.push(damaris_xml::Node::Element(obs));
-        let p = &self.process;
-        if *p != ProcessConfig::default() {
-            let mut shm = Element::new("shm").with_attr(
-                "backing",
-                match p.backing {
-                    ShmBacking::Heap => "heap",
-                    ShmBacking::File => "file",
-                },
-            );
-            if let Some(dir) = &p.shm_dir {
-                shm.set_attr("dir", dir.clone());
-            }
-            root.children.push(damaris_xml::Node::Element(shm));
-            let mut tr = Element::new("transport").with_attr(
-                "kind",
-                match p.transport {
-                    TransportKind::InProcess => "inproc",
-                    TransportKind::Uds => "uds",
-                },
-            );
-            if let Some(dir) = &p.socket_dir {
-                tr.set_attr("dir", dir.clone());
-            }
-            root.children.push(damaris_xml::Node::Element(tr));
-        }
         let mut names: Vec<&String> = self.layouts.keys().collect();
         names.sort();
         for name in names {
@@ -1216,47 +1094,6 @@ mod tests {
             r#"<damaris><observability ring_capacity="3"/></damaris>"#,
             r#"<damaris><observability ring_capacity="100"/></damaris>"#,
             r#"<damaris><observability ring_capacity="many"/></damaris>"#,
-        ] {
-            assert!(Config::from_xml(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn process_topology_defaults_overrides_and_roundtrip() {
-        let c = Config::from_xml("<damaris/>").unwrap();
-        assert_eq!(c.process, ProcessConfig::default());
-        assert_eq!(c.process.backing, ShmBacking::Heap);
-        assert_eq!(c.process.transport, TransportKind::InProcess);
-
-        let c = Config::from_xml(
-            r#"<damaris>
-                 <shm backing="file" dir="/dev/shm"/>
-                 <transport kind="uds" dir="/tmp/damaris"/>
-               </damaris>"#,
-        )
-        .unwrap();
-        assert_eq!(c.process.backing, ShmBacking::File);
-        assert_eq!(c.process.shm_dir.as_deref(), Some("/dev/shm"));
-        assert_eq!(c.process.transport, TransportKind::Uds);
-        assert_eq!(c.process.socket_dir.as_deref(), Some("/tmp/damaris"));
-
-        let c2 = Config::from_xml(&c.to_xml()).unwrap();
-        assert_eq!(c2.process, c.process);
-
-        // File backing with in-process transport is valid (the bench
-        // comparison topology); heap + uds is not.
-        let c = Config::from_xml(r#"<damaris><shm backing="file"/></damaris>"#).unwrap();
-        assert_eq!(c.process.backing, ShmBacking::File);
-        assert_eq!(c.process.transport, TransportKind::InProcess);
-    }
-
-    #[test]
-    fn process_topology_rejects_bad_values() {
-        for bad in [
-            r#"<damaris><shm backing="cloud"/></damaris>"#,
-            r#"<damaris><transport kind="pigeon"/></damaris>"#,
-            // uds needs a file-backed buffer.
-            r#"<damaris><transport kind="uds"/></damaris>"#,
         ] {
             assert!(Config::from_xml(bad).is_err(), "{bad}");
         }

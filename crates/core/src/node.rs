@@ -157,6 +157,33 @@ impl FaultStats {
         }
     }
 
+    /// Copies every counter into its [`NodeReport`] field (the report's
+    /// `metric: node.*` tags name the pairing).
+    pub(crate) fn copy_into(&self, report: &mut NodeReport) {
+        report.persist_retries = self.persist_retries.get();
+        report.iterations_degraded = self.iterations_degraded.get();
+        report.writes_dropped = self.writes_dropped.get();
+        report.sync_fallback_writes = self.sync_fallback_writes.get();
+        report.plugin_failures = self.plugin_failures.get();
+        report.plugins_quarantined = self.plugins_quarantined.get();
+        report.recovery_actions = self.recovery_actions.get();
+        report.epe_respawns = self.epe_respawns.get();
+        report.events_replayed = self.events_replayed.get();
+        report.stale_events_rejected = self.stale_events_rejected.get();
+        report.heartbeat_stale_observed = self.heartbeat_stale_observed.get();
+        report.client_leases_expired = self.client_leases_expired.get();
+        report.segments_reclaimed = self.segments_reclaimed.get();
+        report.crc_quarantined = self.crc_quarantined.get();
+        report.partial_iterations = self.partial_iterations.get();
+        report.shm_orphans_removed = self.shm_orphans_removed.get();
+        report.shm_orphans_quarantined = self.shm_orphans_quarantined.get();
+        report.storage_pressure_degraded = self.storage_pressure_degraded.get();
+        report.storage_pressure_readonly = self.storage_pressure_readonly.get();
+        report.storage_pressure_recovered = self.storage_pressure_recovered.get();
+        report.storage_pressure_sheds = self.storage_pressure_sheds.get();
+        report.storage_pressure_gc_bytes = self.storage_pressure_gc_bytes.get();
+    }
+
     pub(crate) fn bump(counter: &Counter) {
         counter.inc();
     }
@@ -260,6 +287,42 @@ pub(crate) struct NodeShared {
     /// a [`damaris_fs::DiskSentinel`]); polled by the dedicated core,
     /// observed by embedders via [`NodeRuntime::pressure_state`].
     pub pressure: crate::pressure::PressureMachine,
+}
+
+impl NodeShared {
+    /// A node's shared state with nothing running on it yet: buffer and
+    /// queue sized from `config`, fresh journal, heartbeat and leases.
+    pub(crate) fn new(
+        config: Config,
+        n_clients: usize,
+        backend: Arc<dyn StorageBackend>,
+        node_id: u32,
+    ) -> NodeShared {
+        let buffer = match config.allocator {
+            AllocatorKind::Mutex => {
+                BufferManager::Mutex(MutexAllocator::with_capacity(config.buffer_size))
+            }
+            AllocatorKind::Partition => BufferManager::Partition(
+                PartitionAllocator::with_capacity(config.buffer_size, n_clients),
+            ),
+        };
+        let metrics = Arc::new(Registry::new());
+        NodeShared {
+            buffer,
+            queue: MpscQueue::new(config.queue_capacity),
+            clients: n_clients,
+            node_id,
+            backend,
+            stats: FaultStats::new(&metrics),
+            metrics,
+            obs: NodeObs::new(&config.observability, n_clients),
+            journal: EventJournal::new(),
+            heartbeat: HeartbeatWord::new(),
+            leases: LeaseTable::new(n_clients),
+            pressure: crate::pressure::PressureMachine::new(),
+            config,
+        }
+    }
 }
 
 /// Final accounting returned by [`NodeRuntime::finish`].
@@ -431,26 +494,15 @@ impl NodeRuntime {
         if n_clients == 0 {
             return Err(DamarisError::Config("need at least one client".into()));
         }
-        let buffer = match config.allocator {
-            AllocatorKind::Mutex => {
-                BufferManager::Mutex(MutexAllocator::with_capacity(config.buffer_size))
-            }
-            AllocatorKind::Partition => BufferManager::Partition(
-                PartitionAllocator::with_capacity(config.buffer_size, n_clients),
-            ),
-        };
-        let queue = MpscQueue::new(config.queue_capacity);
-
         // Built synchronously so configuration errors surface at start, not
         // from inside the supervisor.
         let epe = EventProcessingEngine::build(&config, &extra_plugins)?;
-        let metrics = Arc::new(Registry::new());
-        let stats = FaultStats::new(&metrics);
-        if config.resilience.recovery_scan {
+        let shared = Arc::new(NodeShared::new(config, n_clients, backend, node_id));
+        if shared.config.resilience.recovery_scan {
             // Crash recovery before serving: anything a previous run (or a
             // previous fault) left half-written is removed or quarantined
             // so this run starts from a consistent directory.
-            let scan = damaris_fs::recover(backend.as_ref())
+            let scan = damaris_fs::recover(shared.backend.as_ref())
                 .map_err(|e| DamarisError::Storage(damaris_format::SdfError::Io(e)))?;
             if !scan.is_clean() {
                 eprintln!(
@@ -460,24 +512,8 @@ impl NodeRuntime {
                     scan.quarantined.len()
                 );
             }
-            stats.recovery_actions.add(scan.actions());
+            shared.stats.recovery_actions.add(scan.actions());
         }
-        let obs = NodeObs::new(&config.observability, n_clients);
-        let shared = Arc::new(NodeShared {
-            config,
-            buffer,
-            queue,
-            clients: n_clients,
-            node_id,
-            backend,
-            stats,
-            metrics,
-            obs,
-            journal: EventJournal::new(),
-            heartbeat: HeartbeatWord::new(),
-            leases: LeaseTable::new(n_clients),
-            pressure: crate::pressure::PressureMachine::new(),
-        });
 
         let clients = (0..n_clients as u32)
             .map(|id| DamarisClient::new(id, Arc::clone(&shared)))
@@ -648,7 +684,7 @@ fn supervise(
         let srv_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name(format!("damaris-ded-{node_id}"))
-            .spawn(move || server::run(srv_shared, epe, node_id, epoch))
+            .spawn(move || server::run(srv_shared, epe, epoch))
             // invariant: thread spawn only fails on resource exhaustion at
             // process scale.
             .expect("spawn dedicated-core thread");

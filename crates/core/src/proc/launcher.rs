@@ -93,6 +93,9 @@ pub struct LaunchReport {
     pub killed_ranks: Vec<u32>,
     /// Ranks that exited nonzero without a signal (real failures).
     pub failed_ranks: Vec<u32>,
+    /// What each failed rank said went wrong (`client-error-<rank>.txt`
+    /// in the run directory), as `(rank, message)`.
+    pub client_errors: Vec<(u32, String)>,
     /// Whether the final EPE incarnation exited cleanly.
     pub epe_ok: bool,
     /// Per-incarnation EPE reports, in epoch order.
@@ -248,6 +251,13 @@ pub fn launch(plan: &LaunchPlan) -> io::Result<LaunchReport> {
         if let Ok(r) = EpeReport::read_from(&path) {
             report.epe_reports.push(r);
         }
+    }
+
+    for &rank in &report.failed_ranks {
+        let path = plan.dir.join(format!("client-error-{rank}.txt"));
+        let reason = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| format!("no {}: {e}", path.display()));
+        report.client_errors.push((rank, reason));
     }
 
     let out = plan.dir.join(super::OUT_DIR);

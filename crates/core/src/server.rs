@@ -1,10 +1,18 @@
-//! The dedicated-core server loop.
+//! The dedicated core.
 //!
 //! Runs on the node's dedicated core (a thread here): pulls events from
 //! the shared queue, maintains the metadata store, tracks per-iteration
 //! completion across the node's clients, and hands events to the EPE.
 //! Actual I/O happens inside plugins — asynchronously with respect to the
 //! compute cores, which is the whole point (§III).
+//!
+//! The core is one value, [`DedicatedCore`], with four entry points:
+//! [`replay`](DedicatedCore::replay) rebuilds a dead predecessor's state
+//! from the journal, [`handle`](DedicatedCore::handle) applies one event,
+//! [`idle`](DedicatedCore::idle) is the pressure → sweep → fire → reclaim →
+//! beat pass that runs after every event and whenever the queue is quiet,
+//! and [`finish`](DedicatedCore::finish) closes the books. [`run`] is the
+//! event source that feeds it from the in-process queue.
 //!
 //! # Crash recovery
 //!
@@ -25,14 +33,15 @@ use crate::config::{OnClientFailure, OnDiskFull};
 use crate::epe::{EventProcessingEngine, END_OF_ITERATION};
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::{Claim, JournalPayload, RecordState};
+use crate::journal::{Claim, JournalPayload, RecordState, ReplayEntry};
 use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::plugin::{ActionContext, EventInfo};
-use damaris_obs::{EventKind, Histogram, TraceRecord, TraceWriter};
+use damaris_obs::{EventKind, Histogram, Recorder, TraceRecord, TraceWriter};
 use damaris_shm::{LeaseSnapshot, Segment};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::BufWriter;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,532 +70,21 @@ fn presence_bits(counted: &[(u32, u64)], clients: usize) -> Option<u64> {
 /// epoch — nonzero means a predecessor crashed and the journal replays.
 pub(crate) fn run(
     shared: Arc<NodeShared>,
-    mut epe: EventProcessingEngine,
-    node_id: u32,
+    epe: EventProcessingEngine,
     epoch: u32,
 ) -> Result<NodeReport, DamarisError> {
-    let mut store = MetadataStore::new();
-    let mut report = NodeReport::default();
-    let mut pending_release = Vec::new();
-    // Segments displaced by a same-(iteration, variable, source) rewrite,
-    // held until that iteration fires. Releasing them on the spot is NOT
-    // safe: the partitioned allocator requires per-client FIFO release,
-    // and a client that ran ahead still has retained segments from
-    // *earlier* iterations that were allocated first. Deferring to the
-    // fire lets `flush_releases`'s (source, seq) sort restore allocation
-    // order. (Found by the obs-overhead gate: the out-of-order release
-    // corrupted a region's tail counter and wedged the client on `Full`.)
-    let mut held_rewrites: BTreeMap<u32, Vec<(u32, u64, Segment)>> = BTreeMap::new();
-    // End-notifications counted per iteration, as `(source, seq)` pairs:
-    // the sources decide completion against the fenced set, and the seqnos
-    // are marked applied when the iteration fires.
-    let mut end_counts: HashMap<u32, Vec<(u32, u64)>> = HashMap::new();
-    let backend = Arc::clone(&shared.backend);
-    let rec = shared.obs.server_recorder();
-    let mut obs_flush = ObsFlush::new(&shared, node_id, epoch);
-    // Iteration spans run fire-end to fire-end; the first one starts now.
-    let mut last_fire_end = rec.begin();
-    let mut last_fired: u32 = 0;
-
-    // === Storage-pressure state ===
-    // The machine only has a signal to run on when the backend reports
-    // disk usage; without a sentinel it stays dormant and the loop below
-    // is byte-for-byte the pre-pressure behavior.
-    let pressure_on = backend.sentinel().is_some();
-    let disk_policy = shared.config.resilience.on_disk_full;
-
-    // === Client-failure containment state ===
-    let policy = shared.config.resilience.on_client_failure;
-    // Under the default `wait` policy the sweeper never runs and the loop
-    // below is byte-for-byte the pre-lease behavior: a silent client
-    // stalls its iterations forever (the original Damaris contract).
-    let sweeper_on = policy != OnClientFailure::Wait && shared.clients > 0;
-    let lease_timeout = shared.config.resilience.client_lease_timeout;
-    // Fencing survives server crashes via the journal: a respawned epoch
-    // starts from its predecessor's fenced set.
-    let mut fenced: BTreeSet<u32> = (0..shared.clients as u32)
-        .filter(|c| shared.journal.is_fenced(*c))
-        .collect();
-    // Per-client `(last observation, expiry deadline)` on the backend's
-    // clock (virtual under test). The deadline refreshes whenever the
-    // observation changes; an unchanged lease past its deadline is swept.
-    let mut lease_track: Vec<(LeaseSnapshot, Duration)> = (0..shared.clients)
-        .map(|c| {
-            // invariant: the lease table is sized for the node's clients.
-            let lease = shared.leases.lease(c).expect("lease table covers every client");
-            (lease.snapshot(), backend.clock().now() + lease_timeout)
-        })
-        .collect();
-
-    macro_rules! ctx {
-        () => {
-            ActionContext {
-                node_id,
-                config: &shared.config,
-                store: &mut store,
-                backend: backend.as_ref(),
-                buffer: &shared.buffer,
-                stats: &shared.stats,
-                journal: &shared.journal,
-                pressure: &shared.pressure,
-                pending_release: &mut pending_release,
-                rec: rec.clone(),
-                presence: None,
-            }
-        };
-    }
-
-    // Fires `end_of_iteration`. The counted end-notification records are
-    // retired *before* the plugins run: plugin side effects are
-    // at-most-once across crashes (a crash mid-fire does not re-fire the
-    // iteration on replay — its data is still flushed at `Terminate`).
-    macro_rules! fire_iteration {
-        ($iteration:expr, $counted:expr, $presence:expr) => {{
-            for (_, seq) in $counted {
-                shared.journal.mark_applied(seq);
-            }
-            let info = EventInfo {
-                name: END_OF_ITERATION.to_string(),
-                iteration: $iteration,
-                source: SERVER_SOURCE,
-            };
-            let t_epe = rec.begin();
-            let mut ctx = ctx!();
-            let presence: Option<u64> = $presence;
-            if presence.is_some() {
-                // Firing without every client: the persisted datasets are
-                // stamped with the presence bitmap for the recovery scan.
-                FaultStats::bump(&shared.stats.partial_iterations);
-            }
-            ctx.presence = presence;
-            // Rewritten duplicates of this iteration join the flush, where
-            // the (source, seq) sort merges them back into FIFO order with
-            // the segments the plugins drain.
-            for (source, seq, segment) in
-                held_rewrites.remove(&$iteration).unwrap_or_default()
-            {
-                ctx.release_segment(source, seq, segment);
-            }
-            epe.fire(&mut ctx, &info)?;
-            ctx.flush_releases();
-            rec.end(EventKind::EpeDispatch, $iteration, 0, t_epe);
-            // The iteration span covers everything since the previous fire
-            // completed (idle + dispatch), so per-phase sums can be checked
-            // against it for coverage.
-            let now = rec.begin();
-            rec.event(
-                EventKind::Iteration,
-                $iteration,
-                0,
-                now.saturating_sub(last_fire_end),
-            );
-            last_fire_end = now;
-            last_fired = $iteration;
-            report.iterations_persisted += 1;
-            // Between-iteration drain: telemetry I/O rides the dedicated
-            // core, never the compute ranks.
-            obs_flush.drain(&shared, node_id);
-        }};
-    }
-
-    // Under `on_client_failure="drop-iteration"`, an iteration missing a
-    // fenced client is discarded whole: nothing persists, every resident
-    // segment (and held rewrite) releases in FIFO order, and the counted
-    // end records retire. The loss is counted in `iterations_degraded`.
-    macro_rules! drop_iteration {
-        ($iteration:expr, $counted:expr) => {{
-            for (_, seq) in $counted {
-                shared.journal.mark_applied(seq);
-            }
-            let mut ctx = ctx!();
-            let drained = ctx.store.drain_iteration($iteration);
-            ctx.release_all(drained);
-            for (source, seq, segment) in
-                held_rewrites.remove(&$iteration).unwrap_or_default()
-            {
-                ctx.release_segment(source, seq, segment);
-            }
-            ctx.flush_releases();
-            FaultStats::bump(&shared.stats.iterations_degraded);
-            eprintln!(
-                "[damaris node {node_id}] iteration {} dropped: client(s) fenced \
-                 under on_client_failure=\"drop-iteration\"",
-                $iteration
-            );
-        }};
-    }
-
-    // Advances the storage-pressure machine against the backend's
-    // sentinel. Runs on every loop pass (and while idle) so transitions —
-    // including the re-ascent to Normal when a chaos scenario lifts the
-    // quota — are observed even when no events flow.
-    macro_rules! poll_pressure {
-        () => {
-            if pressure_on {
-                shared
-                    .pressure
-                    .poll(node_id, backend.as_ref(), &shared.stats, &rec, last_fired);
-            }
-        };
-    }
-
-    // Under `on_disk_full="drop-iteration"`, an iteration that becomes
-    // ready while the node is read-only is discarded whole — same release
-    // mechanics as `drop_iteration!`, its own cause and counter.
-    macro_rules! shed_iteration {
-        ($iteration:expr, $counted:expr) => {{
-            for (_, seq) in $counted {
-                shared.journal.mark_applied(seq);
-            }
-            let mut ctx = ctx!();
-            let drained = ctx.store.drain_iteration($iteration);
-            ctx.release_all(drained);
-            for (source, seq, segment) in
-                held_rewrites.remove(&$iteration).unwrap_or_default()
-            {
-                ctx.release_segment(source, seq, segment);
-            }
-            ctx.flush_releases();
-            FaultStats::bump(&shared.stats.iterations_degraded);
-            FaultStats::bump(&shared.stats.storage_pressure_sheds);
-            eprintln!(
-                "[damaris node {node_id}] iteration {} shed: storage read-only \
-                 under on_disk_full=\"drop-iteration\"",
-                $iteration
-            );
-        }};
-    }
-
-    // Fires (or drops) every iteration whose clients are all counted or
-    // fenced, in ascending order. Complete iterations fire exactly as
-    // before; incomplete ones only become eligible through fencing, and
-    // the policy decides between a partial fire (presence-stamped) and a
-    // drop. While the storage-pressure machine is read-only, ready
-    // iterations are shed per `on_disk_full` instead: `block` holds them
-    // resident until space returns, `drop-iteration` discards them,
-    // `partial` falls through and lets persist fail fast.
-    macro_rules! fire_ready {
-        () => {{
-            let mut ready: Vec<u32> = end_counts
-                .iter()
-                .filter(|(_, counted)| iteration_complete(counted, &fenced, shared.clients))
-                .map(|(it, _)| *it)
-                .collect();
-            ready.sort_unstable();
-            let read_only = pressure_on && shared.pressure.is_read_only();
-            for iteration in ready {
-                let counted = end_counts.remove(&iteration).unwrap_or_default();
-                if read_only {
-                    match disk_policy {
-                        OnDiskFull::Block => {
-                            // Keep the iteration pending (data resident,
-                            // notifications counted); re-examined on every
-                            // pass until the quota relieves.
-                            end_counts.insert(iteration, counted);
-                            continue;
-                        }
-                        OnDiskFull::DropIteration => {
-                            shed_iteration!(iteration, counted);
-                            continue;
-                        }
-                        OnDiskFull::Partial => {}
-                    }
-                }
-                if counted.len() == shared.clients {
-                    fire_iteration!(iteration, counted, None);
-                } else if policy == OnClientFailure::DropIteration {
-                    drop_iteration!(iteration, counted);
-                } else {
-                    let presence = presence_bits(&counted, shared.clients);
-                    fire_iteration!(iteration, counted, presence);
-                }
-            }
-        }};
-    }
-
-    // One sweeper pass: revoke-or-refresh every live client's lease. A
-    // lease unchanged past its deadline is revoked via compare-exchange
-    // against our stale observation — the CAS is the arbiter of the
-    // revoke-vs-late-renew race, so exactly one side wins. A successful
-    // revoke fences the client's journal source and cancels its pending
-    // notifications through the claim lattice; cancelled segments are held
-    // until their iteration's flush so per-client FIFO release survives.
-    macro_rules! sweep_leases {
-        () => {
-            if sweeper_on {
-                let now = backend.clock().now();
-                for c in 0..shared.clients {
-                    let cu = c as u32;
-                    if fenced.contains(&cu) {
-                        continue;
-                    }
-                    // invariant: the lease table is sized for the node's clients.
-                    let lease = shared.leases.lease(c).expect("lease table covers every client");
-                    let snap = lease.snapshot();
-                    if snap != lease_track[c].0 {
-                        // The client renewed since we last looked: refresh.
-                        lease_track[c] = (snap, now + lease_timeout);
-                        continue;
-                    }
-                    if now < lease_track[c].1 {
-                        continue;
-                    }
-                    if !lease.try_revoke(snap) {
-                        // A renew won the race — the client is alive.
-                        lease_track[c] = (lease.snapshot(), now + lease_timeout);
-                        continue;
-                    }
-                    let t_sweep = rec.begin();
-                    FaultStats::bump(&shared.stats.client_leases_expired);
-                    fenced.insert(cu);
-                    for (seq, payload) in shared.journal.fence(cu) {
-                        if shared.journal.claim(seq) != Claim::Fresh {
-                            continue;
-                        }
-                        match payload {
-                            JournalPayload::Write {
-                                iteration,
-                                source,
-                                offset,
-                                len,
-                                ..
-                            }
-                            | JournalPayload::Abandon {
-                                iteration,
-                                source,
-                                offset,
-                                len,
-                            } => {
-                                // Cancelled data never persists, but the
-                                // segment must still release in seq order
-                                // at its iteration's flush.
-                                match shared.buffer.adopt(source, offset, len) {
-                                    Some(segment) => held_rewrites
-                                        .entry(iteration)
-                                        .or_default()
-                                        .push((source, seq, segment)),
-                                    None => shared.journal.mark_applied(seq),
-                                }
-                            }
-                            JournalPayload::User { .. }
-                            | JournalPayload::EndIteration { .. } => {
-                                shared.journal.mark_applied(seq);
-                            }
-                        }
-                    }
-                    eprintln!(
-                        "[damaris node {node_id}] client {cu} lease expired after \
-                         {lease_timeout:?}; fenced and cancelled"
-                    );
-                    rec.end(EventKind::LeaseSweep, last_fired, 0, t_sweep);
-                }
-            }
-        };
-    }
-
-    // Reclaims fenced clients' outstanding shared memory once no live
-    // handle of theirs remains on the server (store, held rewrites,
-    // pending releases): `revoke_remaining` swallows *everything* the
-    // client has outstanding, so a held handle released afterwards would
-    // double-free. Re-run at every opportunity — a zombie (fenced but
-    // still scheduled) client can keep allocating until it observes its
-    // revoked lease.
-    macro_rules! reclaim_fenced {
-        () => {
-            for &cu in fenced.iter() {
-                if store.has_source(cu)
-                    || held_rewrites
-                        .values()
-                        .any(|v| v.iter().any(|(s, _, _)| *s == cu))
-                    || pending_release.iter().any(|(s, _, _)| *s == cu)
-                {
-                    continue;
-                }
-                let reclaimed = shared.buffer.revoke_remaining(cu);
-                if reclaimed > 0 {
-                    shared.stats.segments_reclaimed.add(reclaimed as u64);
-                    eprintln!(
-                        "[damaris node {node_id}] reclaimed {reclaimed}B of abandoned \
-                         shared memory from fenced client {cu}"
-                    );
-                }
-            }
-        };
-    }
-
+    let mut core = DedicatedCore::new(Arc::clone(&shared), epe, epoch);
     if epoch > 0 {
-        // === Journal replay: rebuild the dead incarnation's state. ===
-        let (entries, corrupt) = shared.journal.replay_snapshot();
-        if corrupt > 0 {
-            eprintln!(
-                "[damaris node {node_id}] replay (epoch {epoch}): skipped {corrupt} \
-                 CRC-corrupt journal record(s)"
-            );
-        }
-        for entry in entries {
-            match entry.payload {
-                JournalPayload::Write {
-                    variable_id,
-                    iteration,
-                    source,
-                    offset,
-                    len,
-                    dynamic_layout,
-                    data_crc,
-                } => {
-                    // Claim pending records so the stale queue copy is
-                    // rejected when it eventually pops.
-                    if entry.state == RecordState::Pending {
-                        let _ = shared.journal.claim(entry.seq);
-                    }
-                    if fenced.contains(&source) {
-                        // The dead epoch's sweeper fenced this client but
-                        // may have crashed mid-cancel: finish the job. The
-                        // segment is never persisted — it releases at its
-                        // iteration's flush.
-                        match shared.buffer.adopt(source, offset, len) {
-                            Some(segment) => held_rewrites
-                                .entry(iteration)
-                                .or_default()
-                                .push((source, entry.seq, segment)),
-                            None => shared.journal.mark_applied(entry.seq),
-                        }
-                        continue;
-                    }
-                    let Some(def) = shared.config.variable(variable_id) else {
-                        shared.journal.mark_applied(entry.seq);
-                        eprintln!(
-                            "[damaris node {node_id}] replay: unknown variable id \
-                             {variable_id} (seq {}); skipped",
-                            entry.seq
-                        );
-                        continue;
-                    };
-                    match shared.buffer.adopt(source, offset, len) {
-                        Some(segment) => {
-                            FaultStats::bump(&shared.stats.events_replayed);
-                            report.variables_received += 1;
-                            report.bytes_received += segment.len() as u64;
-                            let layout = match dynamic_layout {
-                                Some(layout) => layout,
-                                None => shared.config.layout_of(def).storage_layout(),
-                            };
-                            let var = StoredVariable {
-                                key: VariableKey {
-                                    iteration,
-                                    variable_id,
-                                    source,
-                                },
-                                name: def.name.clone(),
-                                layout,
-                                segment,
-                                seq: entry.seq,
-                                data_crc,
-                            };
-                            report.peak_resident_bytes = report
-                                .peak_resident_bytes
-                                .max(store.bytes_resident() as u64 + var.segment.len() as u64);
-                            if let Some(replaced) = store.insert(var) {
-                                held_rewrites
-                                    .entry(iteration)
-                                    .or_default()
-                                    .push((source, replaced.seq, replaced.segment));
-                            }
-                        }
-                        None => {
-                            // Not adoptable: the dead server released it
-                            // between persisting and marking the record
-                            // applied. The data is already safe (or was
-                            // deliberately degraded) — retire the record.
-                            shared.journal.mark_applied(entry.seq);
-                            eprintln!(
-                                "[damaris node {node_id}] replay: write seq {} \
-                                 (src {source}, {len}B@{offset}) not adoptable; skipped",
-                                entry.seq
-                            );
-                        }
-                    }
-                }
-                JournalPayload::EndIteration { iteration, source } => {
-                    if entry.state == RecordState::Pending {
-                        let _ = shared.journal.claim(entry.seq);
-                    }
-                    if fenced.contains(&source) {
-                        // Cancelled by the fence: completion comes from the
-                        // fenced set, not the count.
-                        shared.journal.mark_applied(entry.seq);
-                        continue;
-                    }
-                    FaultStats::bump(&shared.stats.events_replayed);
-                    end_counts
-                        .entry(iteration)
-                        .or_default()
-                        .push((source, entry.seq));
-                }
-                JournalPayload::Abandon {
-                    iteration,
-                    source,
-                    offset,
-                    len,
-                } => {
-                    if entry.state == RecordState::Pending {
-                        let _ = shared.journal.claim(entry.seq);
-                    }
-                    FaultStats::bump(&shared.stats.events_replayed);
-                    match shared.buffer.adopt(source, offset, len) {
-                        Some(segment) => held_rewrites
-                            .entry(iteration)
-                            .or_default()
-                            .push((source, entry.seq, segment)),
-                        // Already released before the crash: just retire.
-                        None => shared.journal.mark_applied(entry.seq),
-                    }
-                }
-                JournalPayload::User {
-                    name,
-                    iteration,
-                    source,
-                } => {
-                    if entry.state != RecordState::Pending {
-                        // The dead epoch claimed it and may have run its
-                        // plugins: at-most-once forbids re-firing.
-                        shared.journal.mark_applied(entry.seq);
-                        continue;
-                    }
-                    let _ = shared.journal.claim(entry.seq);
-                    shared.journal.mark_applied(entry.seq);
-                    if fenced.contains(&source) {
-                        // A dead client's signal does not fire.
-                        continue;
-                    }
-                    FaultStats::bump(&shared.stats.events_replayed);
-                    report.user_events += 1;
-                    let info = EventInfo {
-                        name,
-                        iteration,
-                        source,
-                    };
-                    let mut ctx = ctx!();
-                    epe.fire(&mut ctx, &info)?;
-                    ctx.flush_releases();
-                }
-            }
-        }
-        // Fire iterations the replayed notifications (or pre-crash
-        // fencing) completed.
-        fire_ready!();
-        shared.journal.compact();
+        core.replay()?;
     }
     // Publish this epoch only after replay: clients parked on a stale
     // heartbeat resume against fully-rebuilt state (the Release store
     // makes everything above visible to their Acquire observe).
     shared.heartbeat.begin_epoch(epoch);
-
-    poll_pressure!();
-
+    core.poll_pressure();
     loop {
-        let t_idle = rec.begin();
-        let event = if sweeper_on || pressure_on {
+        let t_idle = core.rec.begin();
+        let event = if core.sweeper_on || core.pressure_on {
             // Manual poll instead of `pop_wait_with`: the sweeper must run
             // precisely when the queue goes quiet — a dead client stops
             // producing events, which is exactly what starves a blocking
@@ -594,23 +92,18 @@ pub(crate) fn run(
             // quota lift (space returning) produces no event, yet held
             // iterations must fire and the node must re-ascend to Normal.
             loop {
-                match shared.queue.pop() {
-                    Some(event) => break event,
-                    None => {
-                        shared.heartbeat.beat();
-                        poll_pressure!();
-                        sweep_leases!();
-                        fire_ready!();
-                        reclaim_fenced!();
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
+                if let Some(event) = shared.queue.pop() {
+                    break event;
                 }
+                core.idle()?;
+                std::thread::sleep(Duration::from_micros(100));
             }
         } else {
             shared.queue.pop_wait_with(|| shared.heartbeat.beat())
         };
         // Tagged with the iteration we are presumably waiting to complete.
-        rec.end(EventKind::QueueIdle, last_fired.wrapping_add(1), 0, t_idle);
+        let waiting_for = core.last_fired.wrapping_add(1);
+        core.rec.end(EventKind::QueueIdle, waiting_for, 0, t_idle);
         // Claim arbitration: an event whose journal record was already
         // processed (by a previous epoch's replay) is dropped. The segment
         // handle in a stale Write is inert — the replay's adopted handle
@@ -621,6 +114,236 @@ pub(crate) fn run(
                 continue;
             }
         }
+        if core.handle(event)?.is_break() {
+            return Ok(core.finish());
+        }
+        core.idle()?;
+    }
+}
+
+/// A segment the core must release without handing it to a plugin, as
+/// `(source, seq, segment)`.
+type Held = (u32, u64, Segment);
+
+/// How an iteration leaves the core (see [`DedicatedCore::retire`]).
+enum Outcome {
+    /// `end_of_iteration` fires. `presence` is set when it fires without
+    /// every client: the persisted datasets are stamped with the bitmap
+    /// for the recovery scan.
+    Fire { presence: Option<u64> },
+    /// The iteration is discarded whole: nothing persists.
+    Drop { cause: DropCause },
+}
+
+/// Why an iteration was discarded.
+enum DropCause {
+    /// A fenced client is missing under `on_client_failure="drop-iteration"`.
+    ClientFenced,
+    /// The node is read-only under `on_disk_full="drop-iteration"`.
+    DiskFull,
+}
+
+/// One incarnation of the dedicated core: everything the server knows
+/// that dies with it (the journal, queue and buffer in [`NodeShared`]
+/// outlive it and let the next incarnation [`replay`](Self::replay)).
+pub(crate) struct DedicatedCore {
+    shared: Arc<NodeShared>,
+    epe: EventProcessingEngine,
+    epoch: u32,
+    store: MetadataStore,
+    /// End-notifications counted per iteration, as `(source, seq)` pairs:
+    /// the sources decide completion against the fenced set, and the seqnos
+    /// are marked applied when the iteration retires.
+    end_counts: HashMap<u32, Vec<(u32, u64)>>,
+    /// Fencing survives server crashes via the journal: a respawned epoch
+    /// starts from its predecessor's fenced set.
+    fenced: BTreeSet<u32>,
+    /// Per-client `(last observation, expiry deadline)` on the backend's
+    /// clock (virtual under test). The deadline refreshes whenever the
+    /// observation changes; an unchanged lease past its deadline is swept.
+    lease_track: Vec<(LeaseSnapshot, Duration)>,
+    /// Segments that release without persisting — displaced by a
+    /// same-(iteration, variable, source) rewrite, abandoned by their
+    /// client, or cancelled by a fence — held until their iteration
+    /// retires. Releasing them on the spot is NOT safe: the partitioned
+    /// allocator requires per-client FIFO release, and a client that ran
+    /// ahead still has retained segments from *earlier* iterations that
+    /// were allocated first. Deferring lets `flush_releases`'s
+    /// (source, seq) sort restore allocation order. (Found by the
+    /// obs-overhead gate: the out-of-order release corrupted a region's
+    /// tail counter and wedged the client on `Full`.)
+    held: BTreeMap<u32, Vec<Held>>,
+    pending_release: Vec<Held>,
+    rec: Recorder,
+    obs_flush: ObsFlush,
+    /// Iteration spans run fire-end to fire-end; the first starts at `new`.
+    last_fire_end: u64,
+    last_fired: u32,
+    /// The pressure machine only has a signal to run on when the backend
+    /// reports disk usage; without a sentinel it stays dormant.
+    pressure_on: bool,
+    disk_policy: OnDiskFull,
+    policy: OnClientFailure,
+    /// Under the default `wait` policy the sweeper never runs: a silent
+    /// client stalls its iterations forever (the original Damaris contract).
+    sweeper_on: bool,
+    lease_timeout: Duration,
+    report: NodeReport,
+}
+
+impl DedicatedCore {
+    pub(crate) fn new(
+        shared: Arc<NodeShared>,
+        epe: EventProcessingEngine,
+        epoch: u32,
+    ) -> DedicatedCore {
+        let resilience = &shared.config.resilience;
+        let policy = resilience.on_client_failure;
+        let lease_timeout = resilience.client_lease_timeout;
+        let deadline = shared.backend.clock().now() + lease_timeout;
+        let rec = shared.obs.server_recorder();
+        DedicatedCore {
+            epoch,
+            store: MetadataStore::new(),
+            end_counts: HashMap::new(),
+            fenced: (0..shared.clients as u32)
+                .filter(|c| shared.journal.is_fenced(*c))
+                .collect(),
+            lease_track: shared
+                .leases
+                .iter()
+                .map(|(_, lease)| (lease.snapshot(), deadline))
+                .collect(),
+            held: BTreeMap::new(),
+            pending_release: Vec::new(),
+            obs_flush: ObsFlush::new(&shared, epoch),
+            last_fire_end: rec.begin(),
+            last_fired: 0,
+            rec,
+            pressure_on: shared.backend.sentinel().is_some(),
+            disk_policy: resilience.on_disk_full,
+            policy,
+            sweeper_on: policy != OnClientFailure::Wait && shared.clients > 0,
+            lease_timeout,
+            report: NodeReport::default(),
+            epe,
+            shared,
+        }
+    }
+
+    /// Journal replay: rebuilds the dead incarnation's state, then fires
+    /// the iterations the replayed notifications (or pre-crash fencing)
+    /// completed. Runs before the new epoch is published.
+    pub(crate) fn replay(&mut self) -> Result<(), DamarisError> {
+        let node_id = self.shared.node_id;
+        let (entries, corrupt) = self.shared.journal.replay_snapshot();
+        if corrupt > 0 {
+            eprintln!(
+                "[damaris node {node_id}] replay (epoch {}): skipped {corrupt} \
+                 CRC-corrupt journal record(s)",
+                self.epoch
+            );
+        }
+        for ReplayEntry {
+            seq,
+            state,
+            payload,
+        } in entries
+        {
+            // Claim pending records so the stale queue copy is rejected
+            // when it eventually pops.
+            let pending = state == RecordState::Pending;
+            if pending {
+                let _ = self.shared.journal.claim(seq);
+            }
+            // The dead epoch's sweeper fenced this client but may have
+            // crashed mid-cancel: finish the job. (An `Abandon` is already
+            // a cancellation and replays the same either way.)
+            if !matches!(payload, JournalPayload::Abandon { .. })
+                && self.fenced.contains(&payload.source())
+            {
+                self.cancel_fenced(seq, &payload);
+                continue;
+            }
+            match payload {
+                JournalPayload::Write {
+                    variable_id,
+                    iteration,
+                    source,
+                    offset,
+                    len,
+                    dynamic_layout,
+                    data_crc,
+                } => {
+                    if self.shared.config.variable(variable_id).is_none() {
+                        self.shared.journal.mark_applied(seq);
+                        eprintln!(
+                            "[damaris node {node_id}] replay: unknown variable id \
+                             {variable_id} (seq {seq}); skipped"
+                        );
+                        continue;
+                    }
+                    let Some(segment) = self.shared.buffer.adopt(source, offset, len) else {
+                        // Not adoptable: the dead server released it
+                        // between persisting and marking the record
+                        // applied. The data is already safe (or was
+                        // deliberately degraded) — retire the record.
+                        self.shared.journal.mark_applied(seq);
+                        eprintln!(
+                            "[damaris node {node_id}] replay: write seq {seq} \
+                             (src {source}, {len}B@{offset}) not adoptable; skipped"
+                        );
+                        continue;
+                    };
+                    FaultStats::bump(&self.shared.stats.events_replayed);
+                    let key = VariableKey {
+                        iteration,
+                        variable_id,
+                        source,
+                    };
+                    self.ingest_write(key, segment, dynamic_layout, seq, data_crc)?;
+                }
+                JournalPayload::EndIteration { iteration, source } => {
+                    FaultStats::bump(&self.shared.stats.events_replayed);
+                    self.end_counts
+                        .entry(iteration)
+                        .or_default()
+                        .push((source, seq));
+                }
+                JournalPayload::Abandon {
+                    iteration,
+                    source,
+                    offset,
+                    len,
+                } => {
+                    FaultStats::bump(&self.shared.stats.events_replayed);
+                    self.hold_journaled(iteration, source, seq, offset, len);
+                }
+                JournalPayload::User {
+                    name,
+                    iteration,
+                    source,
+                } => {
+                    self.shared.journal.mark_applied(seq);
+                    if !pending {
+                        // The dead epoch claimed it and may have run its
+                        // plugins: at-most-once forbids re-firing.
+                        continue;
+                    }
+                    FaultStats::bump(&self.shared.stats.events_replayed);
+                    self.report.user_events += 1;
+                    self.dispatch(name, iteration, source)?;
+                }
+            }
+        }
+        self.fire_ready()?;
+        self.shared.journal.compact();
+        Ok(())
+    }
+
+    /// Applies one claimed event. `Break` means `Terminate` was handled
+    /// and only [`finish`](Self::finish) remains.
+    pub(crate) fn handle(&mut self, event: Event) -> Result<ControlFlow<()>, DamarisError> {
         match event {
             Event::Write {
                 variable_id,
@@ -631,41 +354,12 @@ pub(crate) fn run(
                 seq,
                 data_crc,
             } => {
-                let def = shared
-                    .config
-                    .variable(variable_id)
-                    .ok_or_else(|| DamarisError::UnknownVariable(format!("id {variable_id}")))?;
-                report.variables_received += 1;
-                report.bytes_received += segment.len() as u64;
-                let layout = match dynamic_layout {
-                    Some(layout) => layout,
-                    None => shared.config.layout_of(def).storage_layout(),
+                let key = VariableKey {
+                    iteration,
+                    variable_id,
+                    source,
                 };
-                let var = StoredVariable {
-                    key: VariableKey {
-                        iteration,
-                        variable_id,
-                        source,
-                    },
-                    name: def.name.clone(),
-                    layout,
-                    segment,
-                    seq,
-                    data_crc,
-                };
-                report.peak_resident_bytes = report
-                    .peak_resident_bytes
-                    .max(store.bytes_resident() as u64 + var.segment.len() as u64);
-                if let Some(replaced) = store.insert(var) {
-                    // Duplicate tuple: hold the displaced segment until the
-                    // iteration fires — an immediate release here can jump
-                    // ahead of still-retained older segments and break the
-                    // allocator's per-client FIFO contract.
-                    held_rewrites
-                        .entry(iteration)
-                        .or_default()
-                        .push((source, replaced.seq, replaced.segment));
-                }
+                self.ingest_write(key, segment, dynamic_layout, seq, data_crc)?;
             }
             Event::User {
                 name,
@@ -675,30 +369,23 @@ pub(crate) fn run(
             } => {
                 // At-most-once: retire the record before firing, so a
                 // crash mid-plugin does not re-fire it on replay.
-                shared.journal.mark_applied(seq);
-                report.user_events += 1;
-                let info = EventInfo {
-                    name,
-                    iteration,
-                    source,
-                };
-                let t_epe = rec.begin();
-                let mut ctx = ctx!();
-                epe.fire(&mut ctx, &info)?;
-                ctx.flush_releases();
-                rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
+                self.shared.journal.mark_applied(seq);
+                self.report.user_events += 1;
+                let t_epe = self.rec.begin();
+                self.dispatch(name, iteration, source)?;
+                self.rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
             }
             Event::EndIteration {
                 iteration,
                 source,
                 seq,
             } => {
-                end_counts
+                // The fire itself happens in `idle`'s `fire_ready` pass,
+                // which also covers iterations completed by fencing.
+                self.end_counts
                     .entry(iteration)
                     .or_default()
                     .push((source, seq));
-                // The fire itself happens in the `fire_ready!` pass below,
-                // which also covers iterations completed by fencing.
             }
             Event::Abandon {
                 iteration,
@@ -708,99 +395,397 @@ pub(crate) fn run(
             } => {
                 // A client handed back an uncommitted region. It may not
                 // release the segment itself (per-client FIFO, single
-                // consumer) — hold it until the iteration's flush, where
-                // the (source, seq) sort restores allocation order.
-                held_rewrites
-                    .entry(iteration)
-                    .or_default()
-                    .push((source, seq, segment));
+                // consumer) — hold it until the iteration retires.
+                self.hold(iteration, (source, seq, segment));
             }
             Event::Terminate => {
-                // Flush any iterations that never completed (e.g. a client
-                // crashed between write and end_iteration): persist what we
-                // have rather than lose it. Incomplete flushes get the
-                // presence stamp under the `partial` policy so recovery can
-                // tell which ranks made it.
-                for iteration in store.pending_iterations() {
-                    let counted = end_counts.remove(&iteration).unwrap_or_default();
-                    let presence = if counted.len() == shared.clients
-                        || policy != OnClientFailure::Partial
-                    {
-                        None
-                    } else {
-                        presence_bits(&counted, shared.clients)
-                    };
-                    fire_iteration!(iteration, counted, presence);
-                }
-                // End-notifications for iterations with no resident data
-                // have no further effect; retire their records.
-                for (_, counted) in end_counts.drain() {
-                    for (_, seq) in counted {
-                        shared.journal.mark_applied(seq);
-                    }
-                }
-                {
-                    // Shutdown pass: stateful plugins flush their residuals.
-                    let mut ctx = ctx!();
-                    // Belt and braces: every held rewrite belongs to an
-                    // iteration whose replacement was resident, so the
-                    // flush-out above should have drained the map — but
-                    // never leak a segment on the way out.
-                    for (_, seqs) in std::mem::take(&mut held_rewrites) {
-                        for (source, seq, segment) in seqs {
-                            ctx.release_segment(source, seq, segment);
-                        }
-                    }
-                    epe.finalize_all(&mut ctx)?;
-                    ctx.flush_releases();
-                }
-                // Last zombie reclamation: nothing of the fenced clients'
-                // is held any more, so their partitions drain completely.
-                reclaim_fenced!();
-                // The loop exits here, so the trackers' final updates from
-                // the flush-out fires above are intentionally unread.
-                let _ = (last_fired, last_fire_end);
-                break;
+                self.shutdown()?;
+                return Ok(ControlFlow::Break(()));
             }
         }
-        poll_pressure!();
-        sweep_leases!();
-        fire_ready!();
-        reclaim_fenced!();
-        shared.heartbeat.beat();
+        Ok(ControlFlow::Continue(()))
     }
-    shared.journal.compact();
-    // Final drain so records from the tail of the run (and the shutdown
-    // pass itself) reach the histograms and the trace file.
-    obs_flush.drain(&shared, node_id);
-    obs_flush.finish(node_id);
 
-    report.files_created = backend.files_created();
-    report.bytes_stored = backend.bytes_written();
-    let stats = &shared.stats;
-    report.persist_retries = FaultStats::get(&stats.persist_retries);
-    report.iterations_degraded = FaultStats::get(&stats.iterations_degraded);
-    report.writes_dropped = FaultStats::get(&stats.writes_dropped);
-    report.sync_fallback_writes = FaultStats::get(&stats.sync_fallback_writes);
-    report.plugin_failures = FaultStats::get(&stats.plugin_failures);
-    report.plugins_quarantined = FaultStats::get(&stats.plugins_quarantined);
-    report.recovery_actions = FaultStats::get(&stats.recovery_actions);
-    report.epe_respawns = FaultStats::get(&stats.epe_respawns);
-    report.events_replayed = FaultStats::get(&stats.events_replayed);
-    report.stale_events_rejected = FaultStats::get(&stats.stale_events_rejected);
-    report.heartbeat_stale_observed = FaultStats::get(&stats.heartbeat_stale_observed);
-    report.client_leases_expired = FaultStats::get(&stats.client_leases_expired);
-    report.segments_reclaimed = FaultStats::get(&stats.segments_reclaimed);
-    report.crc_quarantined = FaultStats::get(&stats.crc_quarantined);
-    report.partial_iterations = FaultStats::get(&stats.partial_iterations);
-    report.shm_orphans_removed = FaultStats::get(&stats.shm_orphans_removed);
-    report.shm_orphans_quarantined = FaultStats::get(&stats.shm_orphans_quarantined);
-    report.storage_pressure_degraded = FaultStats::get(&stats.storage_pressure_degraded);
-    report.storage_pressure_readonly = FaultStats::get(&stats.storage_pressure_readonly);
-    report.storage_pressure_recovered = FaultStats::get(&stats.storage_pressure_recovered);
-    report.storage_pressure_sheds = FaultStats::get(&stats.storage_pressure_sheds);
-    report.storage_pressure_gc_bytes = FaultStats::get(&stats.storage_pressure_gc_bytes);
-    Ok(report)
+    /// The between-events pass, in one order everywhere it runs: advance
+    /// the pressure machine, sweep leases, retire whatever became ready,
+    /// reclaim fenced clients' memory, beat the heartbeat.
+    pub(crate) fn idle(&mut self) -> Result<(), DamarisError> {
+        self.poll_pressure();
+        self.sweep_leases();
+        self.fire_ready()?;
+        self.reclaim_fenced();
+        self.shared.heartbeat.beat();
+        Ok(())
+    }
+
+    /// Closes the books after `Terminate`: compacts the journal, drains
+    /// the trace rings one last time (so records from the tail of the run
+    /// and the shutdown pass reach the histograms and the trace file) and
+    /// returns the node's accounting.
+    pub(crate) fn finish(mut self) -> NodeReport {
+        self.shared.journal.compact();
+        self.obs_flush.drain(&self.shared);
+        self.obs_flush.finish(self.shared.node_id);
+        self.report.files_created = self.shared.backend.files_created();
+        self.report.bytes_stored = self.shared.backend.bytes_written();
+        self.shared.stats.copy_into(&mut self.report);
+        self.report
+    }
+
+    /// Records a received variable, live or replayed. A duplicate tuple
+    /// displaces the earlier entry, whose segment is held (see `held`).
+    fn ingest_write(
+        &mut self,
+        key: VariableKey,
+        segment: Segment,
+        dynamic_layout: Option<damaris_format::Layout>,
+        seq: u64,
+        data_crc: u32,
+    ) -> Result<(), DamarisError> {
+        let config = &self.shared.config;
+        let def = config
+            .variable(key.variable_id)
+            .ok_or_else(|| DamarisError::UnknownVariable(format!("id {}", key.variable_id)))?;
+        let var = StoredVariable {
+            key,
+            name: def.name.clone(),
+            layout: match dynamic_layout {
+                Some(layout) => layout,
+                None => config.layout_of(def).storage_layout(),
+            },
+            segment,
+            seq,
+            data_crc,
+        };
+        let len = var.segment.len() as u64;
+        self.report.variables_received += 1;
+        self.report.bytes_received += len;
+        self.report.peak_resident_bytes = self
+            .report
+            .peak_resident_bytes
+            .max(self.store.bytes_resident() as u64 + len);
+        if let Some(replaced) = self.store.insert(var) {
+            self.hold(key.iteration, (key.source, replaced.seq, replaced.segment));
+        }
+        Ok(())
+    }
+
+    fn hold(&mut self, iteration: u32, segment: Held) {
+        self.held.entry(iteration).or_default().push(segment);
+    }
+
+    /// Holds a segment known only by its journaled coordinates. A range
+    /// that is no longer a live allocation was already released before the
+    /// crash (or the fence): its record just retires.
+    fn hold_journaled(&mut self, iteration: u32, source: u32, seq: u64, offset: usize, len: usize) {
+        match self.shared.buffer.adopt(source, offset, len) {
+            Some(segment) => self.hold(iteration, (source, seq, segment)),
+            None => self.shared.journal.mark_applied(seq),
+        }
+    }
+
+    /// Cancels one claimed notification of a fenced client. Its data never
+    /// persists, but a segment must still release in seq order when its
+    /// iteration retires; a signal or end-notification just retires
+    /// (completion comes from the fenced set, not the count).
+    fn cancel_fenced(&mut self, seq: u64, payload: &JournalPayload) {
+        match *payload {
+            JournalPayload::Write {
+                iteration,
+                source,
+                offset,
+                len,
+                ..
+            }
+            | JournalPayload::Abandon {
+                iteration,
+                source,
+                offset,
+                len,
+            } => self.hold_journaled(iteration, source, seq, offset, len),
+            JournalPayload::User { .. } | JournalPayload::EndIteration { .. } => {
+                self.shared.journal.mark_applied(seq);
+            }
+        }
+    }
+
+    /// Runs `f` over the engine and a plugin context, then releases — in
+    /// one (source, seq)-sorted flush, which is what keeps release FIFO per
+    /// client — the `held` segments and whatever `f` consumed. Borrows are
+    /// split by field so the engine stays usable beside the context.
+    fn with_plugins(
+        &mut self,
+        held: Vec<Held>,
+        f: impl FnOnce(&mut EventProcessingEngine, &mut ActionContext<'_>) -> Result<(), DamarisError>,
+    ) -> Result<(), DamarisError> {
+        let shared = &*self.shared;
+        self.pending_release.extend(held);
+        let mut ctx = ActionContext {
+            node_id: shared.node_id,
+            config: &shared.config,
+            store: &mut self.store,
+            backend: shared.backend.as_ref(),
+            buffer: &shared.buffer,
+            stats: &shared.stats,
+            journal: &shared.journal,
+            pressure: &shared.pressure,
+            pending_release: &mut self.pending_release,
+            rec: self.rec.clone(),
+            presence: None,
+        };
+        f(&mut self.epe, &mut ctx)?;
+        ctx.flush_releases();
+        Ok(())
+    }
+
+    /// Fires one user event's bound actions.
+    fn dispatch(&mut self, name: String, iteration: u32, source: u32) -> Result<(), DamarisError> {
+        let info = EventInfo {
+            name,
+            iteration,
+            source,
+        };
+        self.with_plugins(Vec::new(), |epe, ctx| epe.fire(ctx, &info))
+    }
+
+    /// Takes one iteration out of the core. The counted end-notification
+    /// records are retired *before* anything else: plugin side effects are
+    /// at-most-once across crashes (a crash mid-fire does not re-fire the
+    /// iteration on replay — its data is still flushed at `Terminate`).
+    /// Either way every resident and held segment of the iteration
+    /// releases in one flush; the outcomes differ in whether the plugins
+    /// see the data first, and in what is counted.
+    fn retire(
+        &mut self,
+        iteration: u32,
+        counted: Vec<(u32, u64)>,
+        outcome: Outcome,
+    ) -> Result<(), DamarisError> {
+        for (_, seq) in counted {
+            self.shared.journal.mark_applied(seq);
+        }
+        let held = self.held.remove(&iteration).unwrap_or_default();
+        match outcome {
+            Outcome::Fire { presence } => {
+                let t_epe = self.rec.begin();
+                if presence.is_some() {
+                    FaultStats::bump(&self.shared.stats.partial_iterations);
+                }
+                let info = EventInfo {
+                    name: END_OF_ITERATION.to_string(),
+                    iteration,
+                    source: SERVER_SOURCE,
+                };
+                self.with_plugins(held, |epe, ctx| {
+                    ctx.presence = presence;
+                    epe.fire(ctx, &info)
+                })?;
+                self.rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
+                // The iteration span covers everything since the previous
+                // fire completed (idle + dispatch), so per-phase sums can
+                // be checked against it for coverage.
+                let now = self.rec.begin();
+                let since = now.saturating_sub(self.last_fire_end);
+                self.rec.event(EventKind::Iteration, iteration, 0, since);
+                self.last_fire_end = now;
+                self.last_fired = iteration;
+                self.report.iterations_persisted += 1;
+                // Between-iteration drain: telemetry I/O rides the
+                // dedicated core, never the compute ranks.
+                self.obs_flush.drain(&self.shared);
+            }
+            Outcome::Drop { cause } => {
+                self.with_plugins(held, |_, ctx| {
+                    let drained = ctx.store.drain_iteration(iteration);
+                    ctx.release_all(drained);
+                    Ok(())
+                })?;
+                let stats = &self.shared.stats;
+                FaultStats::bump(&stats.iterations_degraded);
+                let why = match cause {
+                    DropCause::ClientFenced => "dropped: client(s) fenced under on_client_failure",
+                    DropCause::DiskFull => {
+                        FaultStats::bump(&stats.storage_pressure_sheds);
+                        "shed: storage read-only under on_disk_full"
+                    }
+                };
+                eprintln!(
+                    "[damaris node {}] iteration {iteration} {why}=\"drop-iteration\"",
+                    self.shared.node_id
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Retires every iteration whose clients are all counted or fenced, in
+    /// ascending order. Complete iterations fire; incomplete ones only
+    /// become eligible through fencing, and the policy decides between a
+    /// partial fire (presence-stamped) and a drop. While the pressure
+    /// machine is read-only, `on_disk_full` decides instead: `block` keeps
+    /// ready iterations pending (data resident, notifications counted)
+    /// until space returns, `drop-iteration` discards them, `partial`
+    /// falls through and lets persist fail fast.
+    fn fire_ready(&mut self) -> Result<(), DamarisError> {
+        let read_only = self.pressure_on && self.shared.pressure.is_read_only();
+        if read_only && self.disk_policy == OnDiskFull::Block {
+            return Ok(());
+        }
+        let clients = self.shared.clients;
+        let mut ready: Vec<u32> = self
+            .end_counts
+            .iter()
+            .filter(|(_, counted)| iteration_complete(counted, &self.fenced, clients))
+            .map(|(it, _)| *it)
+            .collect();
+        ready.sort_unstable();
+        for iteration in ready {
+            let counted = self.end_counts.remove(&iteration).unwrap_or_default();
+            let outcome = if read_only && self.disk_policy == OnDiskFull::DropIteration {
+                Outcome::Drop {
+                    cause: DropCause::DiskFull,
+                }
+            } else if counted.len() == clients {
+                Outcome::Fire { presence: None }
+            } else if self.policy == OnClientFailure::DropIteration {
+                Outcome::Drop {
+                    cause: DropCause::ClientFenced,
+                }
+            } else {
+                Outcome::Fire {
+                    presence: presence_bits(&counted, clients),
+                }
+            };
+            self.retire(iteration, counted, outcome)?;
+        }
+        Ok(())
+    }
+
+    /// `Terminate`: flushes what never completed, lets stateful plugins
+    /// write their residuals, and leaves no segment behind.
+    fn shutdown(&mut self) -> Result<(), DamarisError> {
+        // Iterations that never completed (e.g. a client crashed between
+        // write and end_iteration): persist what we have rather than lose
+        // it. Incomplete flushes get the presence stamp under the
+        // `partial` policy so recovery can tell which ranks made it.
+        let clients = self.shared.clients;
+        for iteration in self.store.pending_iterations() {
+            let counted = self.end_counts.remove(&iteration).unwrap_or_default();
+            let presence = if counted.len() == clients || self.policy != OnClientFailure::Partial {
+                None
+            } else {
+                presence_bits(&counted, clients)
+            };
+            self.retire(iteration, counted, Outcome::Fire { presence })?;
+        }
+        // End-notifications for iterations with no resident data have no
+        // further effect; retire their records.
+        for (_, seq) in self.end_counts.drain().flat_map(|(_, counted)| counted) {
+            self.shared.journal.mark_applied(seq);
+        }
+        // Belt and braces: every held segment belongs to an iteration the
+        // flush-out above retired, so the map should be empty — but never
+        // leak a segment on the way out.
+        let held = std::mem::take(&mut self.held).into_values().flatten();
+        self.with_plugins(held.collect(), |epe, ctx| epe.finalize_all(ctx))?;
+        // Last zombie reclamation: nothing of the fenced clients' is held
+        // any more, so their partitions drain completely.
+        self.reclaim_fenced();
+        Ok(())
+    }
+
+    /// Advances the storage-pressure machine against the backend's
+    /// sentinel. Part of every pass so transitions — including the
+    /// re-ascent to Normal when a chaos scenario lifts the quota — are
+    /// observed even when no events flow.
+    fn poll_pressure(&self) {
+        if self.pressure_on {
+            let shared = &self.shared;
+            shared.pressure.poll(
+                shared.node_id,
+                shared.backend.as_ref(),
+                &shared.stats,
+                &self.rec,
+                self.last_fired,
+            );
+        }
+    }
+
+    /// One sweeper pass: revoke-or-refresh every live client's lease. A
+    /// lease unchanged past its deadline is revoked via compare-exchange
+    /// against our stale observation — the CAS is the arbiter of the
+    /// revoke-vs-late-renew race, so exactly one side wins. A successful
+    /// revoke fences the client's journal source and cancels its pending
+    /// notifications through the claim lattice.
+    fn sweep_leases(&mut self) {
+        if !self.sweeper_on {
+            return;
+        }
+        // Own handle on the node: the loop cancels through `&mut self`.
+        let shared = Arc::clone(&self.shared);
+        let now = shared.backend.clock().now();
+        for (c, lease) in shared.leases.iter() {
+            let cu = c as u32;
+            if self.fenced.contains(&cu) {
+                continue;
+            }
+            let snap = lease.snapshot();
+            if snap != self.lease_track[c].0 {
+                // The client renewed since we last looked: refresh.
+                self.lease_track[c] = (snap, now + self.lease_timeout);
+                continue;
+            }
+            if now < self.lease_track[c].1 {
+                continue;
+            }
+            if !lease.try_revoke(snap) {
+                // A renew won the race — the client is alive.
+                self.lease_track[c] = (lease.snapshot(), now + self.lease_timeout);
+                continue;
+            }
+            let t_sweep = self.rec.begin();
+            FaultStats::bump(&shared.stats.client_leases_expired);
+            self.fenced.insert(cu);
+            for (seq, payload) in shared.journal.fence(cu) {
+                if shared.journal.claim(seq) == Claim::Fresh {
+                    self.cancel_fenced(seq, &payload);
+                }
+            }
+            eprintln!(
+                "[damaris node {}] client {cu} lease expired after {:?}; fenced and cancelled",
+                shared.node_id, self.lease_timeout
+            );
+            self.rec
+                .end(EventKind::LeaseSweep, self.last_fired, 0, t_sweep);
+        }
+    }
+
+    /// Reclaims fenced clients' outstanding shared memory once no live
+    /// handle of theirs remains on the server (store, held segments,
+    /// pending releases): `revoke_remaining` swallows *everything* the
+    /// client has outstanding, so a held handle released afterwards would
+    /// double-free. Re-run on every pass — a zombie (fenced but still
+    /// scheduled) client can keep allocating until it observes its
+    /// revoked lease.
+    fn reclaim_fenced(&self) {
+        for &cu in &self.fenced {
+            if self.store.has_source(cu)
+                || self.held.values().flatten().any(|(s, _, _)| *s == cu)
+                || self.pending_release.iter().any(|(s, _, _)| *s == cu)
+            {
+                continue;
+            }
+            let reclaimed = self.shared.buffer.revoke_remaining(cu);
+            if reclaimed > 0 {
+                self.shared.stats.segments_reclaimed.add(reclaimed as u64);
+                eprintln!(
+                    "[damaris node {}] reclaimed {reclaimed}B of abandoned \
+                     shared memory from fenced client {cu}",
+                    self.shared.node_id
+                );
+            }
+        }
+    }
 }
 
 /// The dedicated core's between-iteration trace drain: the single
@@ -819,7 +804,8 @@ struct ObsFlush {
 }
 
 impl ObsFlush {
-    fn new(shared: &NodeShared, node_id: u32, epoch: u32) -> ObsFlush {
+    fn new(shared: &NodeShared, epoch: u32) -> ObsFlush {
+        let node_id = shared.node_id;
         let hists = EventKind::ALL
             .iter()
             .map(|k| shared.metrics.histogram(&format!("phase.{}_ns", k.label())))
@@ -858,7 +844,7 @@ impl ObsFlush {
         }
     }
 
-    fn drain(&mut self, shared: &NodeShared, node_id: u32) {
+    fn drain(&mut self, shared: &NodeShared) {
         self.scratch.clear();
         let mut dropped = 0;
         for ring in shared.obs.rings() {
@@ -876,7 +862,10 @@ impl ObsFlush {
             }
             if !self.scratch.is_empty() {
                 if let Err(e) = w.write_block(&self.scratch) {
-                    eprintln!("[damaris node {node_id}] trace write failed, disabling: {e}");
+                    eprintln!(
+                        "[damaris node {}] trace write failed, disabling: {e}",
+                        shared.node_id
+                    );
                     self.writer = None;
                 }
             }
@@ -890,5 +879,228 @@ impl ObsFlush {
                 eprintln!("[damaris node {node_id}] trace file close failed: {e}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The core driven directly on the test thread: the test plays every
+    //! client (a `DamarisClient` call journals and queues without needing a
+    //! server) and feeds the queue to `handle` the way `run` does.
+
+    use super::*;
+    use crate::client::DamarisClient;
+    use crate::config::Config;
+    use damaris_fs::LocalDirBackend;
+
+    const XML: &str = r#"<damaris>
+        <buffer size="65536" allocator="partition"/>
+        <layout name="v" type="real" dimensions="16"/>
+        <variable name="a" layout="v"/>
+        <variable name="b" layout="v"/>
+    </damaris>"#;
+    const CLIENTS: usize = 2;
+
+    fn node(tag: &str) -> (Arc<NodeShared>, Vec<DamarisClient>) {
+        let dir = std::env::temp_dir().join(format!("damaris-core-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
+        let config = Config::from_xml(XML).unwrap();
+        let shared = Arc::new(NodeShared::new(config, CLIENTS, backend, 0));
+        let clients = (0..CLIENTS as u32)
+            .map(|id| DamarisClient::new(id, Arc::clone(&shared)))
+            .collect();
+        (shared, clients)
+    }
+
+    fn core(shared: &Arc<NodeShared>, epoch: u32) -> DedicatedCore {
+        let epe = EventProcessingEngine::build(&shared.config, &[]).unwrap();
+        DedicatedCore::new(Arc::clone(shared), epe, epoch)
+    }
+
+    /// Claims and handles up to `limit` queued events, as `run` would.
+    fn pump(shared: &NodeShared, core: &mut DedicatedCore, limit: usize) {
+        for _ in 0..limit {
+            let Some(event) = shared.queue.pop() else {
+                return;
+            };
+            let seq = event.seq().expect("clients only queue journaled events");
+            assert_eq!(shared.journal.claim(seq), Claim::Fresh);
+            assert!(core.handle(event).unwrap().is_continue());
+        }
+    }
+
+    /// Everything a replay has to rebuild, in comparable form: resident
+    /// variables, held segments, counted end-notifications, accumulators.
+    fn state(core: &DedicatedCore) -> impl PartialEq + std::fmt::Debug {
+        let resident: Vec<_> = core
+            .store
+            .pending_iterations()
+            .into_iter()
+            .flat_map(|it| core.store.iteration_entries(it))
+            .map(|v| {
+                (
+                    v.key,
+                    v.seq,
+                    v.data_crc,
+                    v.segment.offset(),
+                    v.data().to_vec(),
+                )
+            })
+            .collect();
+        let held: Vec<_> = core
+            .held
+            .iter()
+            .flat_map(|(it, segments)| segments.iter().map(move |s| (*it, s)))
+            .map(|(it, (source, seq, segment))| {
+                (it, *source, *seq, segment.offset(), segment.len())
+            })
+            .collect();
+        let mut ends: Vec<_> = core.end_counts.clone().into_iter().collect();
+        ends.sort();
+        let r = &core.report;
+        let totals = (
+            r.variables_received,
+            r.bytes_received,
+            r.peak_resident_bytes,
+        );
+        (resident, held, ends, totals)
+    }
+
+    fn files(shared: &NodeShared) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let names = shared.backend.list_sdf_files().unwrap();
+        names
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(shared.backend.root().join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect()
+    }
+
+    /// Three writes, a same-tuple rewrite, an `Abandon` and two
+    /// `EndIteration`s — seven notifications that leave both iterations
+    /// one client short, so a replay retires nothing by itself and the
+    /// rebuilt state can be looked at.
+    fn prefix(clients: &[DamarisClient]) {
+        let (c0, c1) = (&clients[0], &clients[1]);
+        c0.write("a", 0, &[1; 64]).unwrap();
+        c1.write("a", 0, &[2; 64]).unwrap();
+        c0.write("a", 0, &[3; 64]).unwrap();
+        drop(c1.alloc("b", 0).unwrap());
+        c0.end_iteration(0).unwrap();
+        c0.write("b", 1, &[4; 64]).unwrap();
+        c0.end_iteration(1).unwrap();
+    }
+
+    #[test]
+    fn replay_rebuilds_what_live_handling_built() {
+        let (live_shared, live_clients) = node("replay-live");
+        prefix(&live_clients);
+        let mut live = core(&live_shared, 0);
+        pump(&live_shared, &mut live, usize::MAX);
+
+        // The same notifications, but epoch 0 dies after handling three of
+        // them (those records are Resident, the rest Pending and still
+        // queued) and epoch 1 rebuilds from the journal alone.
+        let (shared, clients) = node("replay-respawned");
+        prefix(&clients);
+        let mut dead = core(&shared, 0);
+        pump(&shared, &mut dead, 3);
+        drop(dead);
+        let mut replayed = core(&shared, 1);
+        replayed.replay().unwrap();
+        while let Some(stale) = shared.queue.pop() {
+            assert_eq!(shared.journal.claim(stale.seq().unwrap()), Claim::Stale);
+        }
+
+        assert_eq!(state(&replayed), state(&live));
+        assert_eq!((replayed.store.len(), replayed.held[&0].len()), (3, 2));
+        assert_eq!(FaultStats::get(&shared.stats.events_replayed), 7);
+
+        // Both carry on alike: the missing client ends both iterations.
+        for (shared, clients, core) in [
+            (&live_shared, &live_clients, &mut live),
+            (&shared, &clients, &mut replayed),
+        ] {
+            clients[1].end_iteration(0).unwrap();
+            clients[1].end_iteration(1).unwrap();
+            pump(shared, core, usize::MAX);
+            core.idle().unwrap();
+            assert_eq!(core.report.iterations_persisted, 2);
+            assert!(core.store.is_empty() && core.held.is_empty());
+            assert_eq!(shared.buffer.in_use(CLIENTS), 0);
+        }
+        let written = files(&shared);
+        assert_eq!(written.len(), 2);
+        assert_eq!(written, files(&live_shared));
+    }
+
+    #[test]
+    fn retire_outcomes_release_alike_and_count_apart() {
+        use DropCause::{ClientFenced, DiskFull};
+        let presence = Some(0b01);
+        // (tag, outcome, does client 1 end the iteration,
+        //  [persisted, partial, degraded, sheds])
+        let table = [
+            ("fire", Outcome::Fire { presence: None }, true, [1, 0, 0, 0]),
+            ("partial", Outcome::Fire { presence }, false, [1, 1, 0, 0]),
+            (
+                "dropped",
+                Outcome::Drop {
+                    cause: ClientFenced,
+                },
+                false,
+                [0, 0, 1, 0],
+            ),
+            (
+                "shed",
+                Outcome::Drop { cause: DiskFull },
+                true,
+                [0, 0, 1, 1],
+            ),
+        ];
+        let mut left_behind = Vec::new();
+        for (tag, outcome, everyone_ends, expect) in table {
+            let (shared, clients) = node(&format!("retire-{tag}"));
+            let (c0, c1) = (&clients[0], &clients[1]);
+            // Client 0's ring holds, in allocation order: a displaced
+            // segment (held), its replacement (resident) and one of the
+            // next iteration (stays). The partition allocator asserts FIFO
+            // release in debug builds, so retiring iteration 0 only gets
+            // through if held and resident segments merge back in order.
+            c0.write("a", 0, &[1; 64]).unwrap();
+            c1.write("a", 0, &[2; 64]).unwrap();
+            c0.write("a", 0, &[3; 64]).unwrap();
+            c0.write("b", 1, &[4; 64]).unwrap();
+            c0.end_iteration(0).unwrap();
+            if everyone_ends {
+                c1.end_iteration(0).unwrap();
+            }
+            let mut core = core(&shared, 0);
+            pump(&shared, &mut core, usize::MAX);
+            let counted = core.end_counts.remove(&0).unwrap();
+            core.retire(0, counted, outcome).unwrap();
+
+            assert_eq!(core.store.pending_iterations(), [1], "{tag}");
+            assert!(
+                core.held.is_empty() && core.pending_release.is_empty(),
+                "{tag}"
+            );
+            shared.journal.compact();
+            left_behind.push((shared.buffer.in_use(CLIENTS), shared.journal.len()));
+            let stats = &shared.stats;
+            let counts = [
+                core.report.iterations_persisted,
+                FaultStats::get(&stats.partial_iterations),
+                FaultStats::get(&stats.iterations_degraded),
+                FaultStats::get(&stats.storage_pressure_sheds),
+            ];
+            assert_eq!(counts, expect, "{tag}");
+            assert_eq!(files(&shared).len() as u64, expect[0], "{tag}");
+        }
+        // One segment and one journal record (iteration 1's) survive,
+        // whichever way iteration 0 left.
+        assert_eq!(left_behind, [(64, 1); 4]);
     }
 }
