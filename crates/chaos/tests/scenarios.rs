@@ -136,8 +136,10 @@ fn pressure_pauses_compactor_gc_runs_and_queries_survive() {
     for it in 0..8 {
         write_iteration(it);
     }
-    wait_for("phase-1 files", || {
-        backend.list_sdf_files().unwrap().len() == 8
+    // Published, not merely renamed into place: the compactor reads the
+    // manifest, and a batch's files all exist before its one publish.
+    wait_for("phase-1 manifest", || {
+        damaris_fs::Manifest::load(&dir).is_ok_and(|m| m.entries.len() == 8)
     });
     let compactor = Compactor::new(&dir, CompactorConfig::default())
         .with_sentinel(Arc::clone(&sentinel));

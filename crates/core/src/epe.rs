@@ -113,6 +113,31 @@ impl EventProcessingEngine {
     /// Quarantined plugins stay disabled; failures here follow the same
     /// fail-fast/degrade policy as [`EventProcessingEngine::fire`].
     pub fn finalize_all(&mut self, ctx: &mut ActionContext<'_>) -> Result<(), DamarisError> {
+        self.each_plugin(ctx, |plugin, ctx| plugin.finalize(ctx))
+    }
+
+    /// The queue went quiet with work parked: lets every plugin finish
+    /// what it deferred ([`Plugin::quiet`]), under the same rules. Each
+    /// call is a `PluginRun` span tagged with `iteration`, the last fired.
+    pub(crate) fn quiet_all(
+        &mut self,
+        ctx: &mut ActionContext<'_>,
+        iteration: u32,
+    ) -> Result<(), DamarisError> {
+        self.each_plugin(ctx, |plugin, ctx| {
+            let t = ctx.rec.begin();
+            let outcome = plugin.quiet(ctx);
+            ctx.rec.end(EventKind::PluginRun, iteration, 0, t);
+            outcome
+        })
+    }
+
+    /// Runs `call` on every plugin not quarantined, in binding order.
+    fn each_plugin(
+        &mut self,
+        ctx: &mut ActionContext<'_>,
+        call: impl Fn(&mut dyn Plugin, &mut ActionContext<'_>) -> Result<(), DamarisError>,
+    ) -> Result<(), DamarisError> {
         let threshold = ctx.config.resilience.plugin_quarantine;
         for i in 0..self.bindings.len() {
             if self.bindings[i].quarantined.is_some() {
@@ -120,7 +145,7 @@ impl EventProcessingEngine {
             }
             let outcome = {
                 let b = &mut self.bindings[i];
-                catch_unwind(AssertUnwindSafe(|| b.plugin.finalize(ctx)))
+                catch_unwind(AssertUnwindSafe(|| call(b.plugin.as_mut(), ctx)))
             };
             self.settle(i, outcome, ctx, threshold)?;
         }

@@ -92,9 +92,10 @@ impl BufferManager {
     }
 }
 
-/// Failure/degradation counters shared across the node: clients bump the
-/// backpressure ones, the dedicated core bumps the persist/plugin ones, and
-/// the final [`NodeReport`] copies them out.
+/// Failure/degradation counters shared across the node (and the persist
+/// path's two batch counters): clients bump the backpressure ones, the
+/// dedicated core bumps the persist/plugin ones, and the final
+/// [`NodeReport`] copies them out.
 ///
 /// The fields are named handles into the node's metrics [`Registry`] (one
 /// `node.*` counter each) rather than raw atomics, so the same totals are
@@ -127,6 +128,8 @@ pub(crate) struct FaultStats {
     pub storage_pressure_recovered: Counter,
     pub storage_pressure_sheds: Counter,
     pub storage_pressure_gc_bytes: Counter,
+    pub commit_batches: Counter,
+    pub manifest_publishes: Counter,
 }
 
 impl FaultStats {
@@ -154,6 +157,8 @@ impl FaultStats {
             storage_pressure_recovered: metrics.counter("node.storage_pressure_recovered"),
             storage_pressure_sheds: metrics.counter("node.storage_pressure_sheds"),
             storage_pressure_gc_bytes: metrics.counter("node.storage_pressure_gc_bytes"),
+            commit_batches: metrics.counter("node.commit_batches"),
+            manifest_publishes: metrics.counter("node.manifest_publishes"),
         }
     }
 
@@ -182,6 +187,8 @@ impl FaultStats {
         report.storage_pressure_recovered = self.storage_pressure_recovered.get();
         report.storage_pressure_sheds = self.storage_pressure_sheds.get();
         report.storage_pressure_gc_bytes = self.storage_pressure_gc_bytes.get();
+        report.commit_batches = self.commit_batches.get();
+        report.manifest_publishes = self.manifest_publishes.get();
     }
 
     pub(crate) fn bump(counter: &Counter) {
@@ -437,6 +444,16 @@ pub struct NodeReport {
     /// entry into `Degraded`.
     /// metric: node.storage_pressure_gc_bytes
     pub storage_pressure_gc_bytes: u64,
+    /// Commit batches the persist path ran: each syncs and renames the
+    /// files of every iteration parked since the queue last went quiet
+    /// (retries of a failed file count too).
+    /// metric: node.commit_batches
+    pub commit_batches: u64,
+    /// Manifest publishes, one per batch that committed anything: equal
+    /// to the iterations persisted while the dedicated core keeps up,
+    /// fewer when it committed backlogs.
+    /// metric: node.manifest_publishes
+    pub manifest_publishes: u64,
 }
 
 /// One running Damaris node: a supervised dedicated-core server thread

@@ -13,10 +13,15 @@ use crate::config::{ActionBinding, Config};
 use crate::error::DamarisError;
 use crate::journal::EventJournal;
 use crate::metadata::MetadataStore;
+use crate::metadata::StoredVariable;
 use crate::node::{BufferManager, FaultStats};
+use crate::retry::Backoff;
+use damaris_format::SdfWriter;
 use damaris_fs::StorageBackend;
 use damaris_obs::Recorder;
 use damaris_shm::Segment;
+use std::collections::VecDeque;
+use std::time::Duration;
 
 /// The event being dispatched, as plugins see it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +31,29 @@ pub struct EventInfo {
     pub iteration: u32,
     /// Client that sent it; `u32::MAX` for server-originated events.
     pub source: u32,
+}
+
+/// An iteration whose file is written under its temporary name but not
+/// yet committed: the open writer, and the variables it was written from.
+/// Their segments and journal records are held until the rename is
+/// durable — a core that dies with iterations parked leaves only `.tmp`
+/// files behind, and its successor re-adopts the segments and persists
+/// them again. Dropping one releases nothing and publishes nothing.
+pub(crate) struct Parked {
+    pub iteration: u32,
+    /// Final name, relative to the backend's root.
+    pub file_name: String,
+    /// `None` once a commit took it: after a failure the file is written
+    /// again (see `plugins::persist`).
+    pub writer: Option<SdfWriter>,
+    pub variables: Vec<StoredVariable>,
+    /// What the file is written with, kept for writing it again.
+    pub presence: Option<u64>,
+    pub filter: Option<String>,
+    /// The iteration's retry budget, counted from when it fired.
+    pub attempt: u32,
+    pub backoff: Backoff,
+    pub deadline: Duration,
 }
 
 /// What a plugin may touch while handling an event: the node's metadata
@@ -54,6 +82,11 @@ pub struct ActionContext<'a> {
     /// flushed by the server after the action completes, in FIFO order per
     /// source (required by the partitioned allocator).
     pub(crate) pending_release: &'a mut Vec<(u32, u64, Segment)>,
+    /// Iterations written but not committed, in fire order; the persist
+    /// plugin parks them here and commits them when the queue goes quiet
+    /// ([`Plugin::quiet`]). The core owns the queue because it owns the
+    /// order of release: nothing is flushed while anything is parked.
+    pub(crate) parked: &'a mut VecDeque<Parked>,
     /// The dedicated core's trace recorder — plugins time their backend
     /// phases (write / fsync / retry backoff) on the server's timeline.
     pub(crate) rec: Recorder,
@@ -101,6 +134,14 @@ pub trait Plugin: Send {
     /// Handles one event occurrence.
     fn handle(&mut self, ctx: &mut ActionContext<'_>, event: &EventInfo)
         -> Result<(), DamarisError>;
+
+    /// Called when the event queue went quiet with work parked: the
+    /// dedicated core would otherwise idle, and under backpressure the
+    /// clients are blocked on exactly the memory that work holds. Plugins
+    /// that defer part of an event's handling finish it here.
+    fn quiet(&mut self, _ctx: &mut ActionContext<'_>) -> Result<(), DamarisError> {
+        Ok(())
+    }
 
     /// Called once at runtime shutdown, after all pending iterations have
     /// fired their events: stateful plugins (e.g. multi-iteration

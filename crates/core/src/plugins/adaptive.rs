@@ -3,11 +3,12 @@
 //! reduce write time or storage space."
 //!
 //! [`AdaptiveCompressPlugin`] wraps the persistency layer and chooses per
-//! iteration: if the previous persist (including compression) finished
-//! well within the spare-time budget, it keeps (or enables) compression;
-//! if persisting starts to eat into the budget, it drops to a cheaper
-//! pipeline or to raw writes. The budget is the estimated compute window
-//! between write phases, the same quantity the slot scheduler uses.
+//! iteration: if the previous persist (compression, write, and whatever
+//! commit ran since) finished well within the spare-time budget, it keeps
+//! (or enables) compression; if persisting starts to eat into the budget,
+//! it drops to a cheaper pipeline or to raw writes. The budget is the
+//! estimated compute window between write phases, the same quantity the
+//! slot scheduler uses.
 
 use crate::error::DamarisError;
 use crate::plugin::{ActionContext, EventInfo, Plugin};
@@ -29,6 +30,10 @@ pub struct AdaptiveCompressPlugin {
     window: Duration,
     /// Current rung on [`LADDER`] (0 = strongest).
     rung: usize,
+    /// The wrapped persistency layer; its pipeline is set per iteration.
+    persist: PersistPlugin,
+    /// Time spent persisting since the last decision.
+    spent: Duration,
     /// Decisions taken, for reports/tests: (iteration, pipeline).
     pub history: Vec<(u32, &'static str)>,
 }
@@ -40,6 +45,8 @@ impl AdaptiveCompressPlugin {
         AdaptiveCompressPlugin {
             window,
             rung: 0,
+            persist: PersistPlugin::new(None),
+            spent: Duration::ZERO,
             history: Vec::new(),
         }
     }
@@ -70,24 +77,33 @@ impl Plugin for AdaptiveCompressPlugin {
         ctx: &mut ActionContext<'_>,
         event: &EventInfo,
     ) -> Result<(), DamarisError> {
-        let spec = LADDER[self.rung];
-        self.history.push((event.iteration, spec));
-        let mut persist = PersistPlugin::new(if spec.is_empty() {
-            None
-        } else {
-            Some(spec.to_string())
-        });
-        let t0 = Instant::now();
-        persist.handle(ctx, event)?;
-        let took = t0.elapsed();
-
-        let share = took.as_secs_f64() / self.window.as_secs_f64().max(1e-9);
+        // Decide on what the previous iteration cost, its share of any
+        // commit included (commits run when the queue goes quiet).
+        let share = self.spent.as_secs_f64() / self.window.as_secs_f64().max(1e-9);
+        self.spent = Duration::ZERO;
         if share > HIGH_WATER && self.rung + 1 < LADDER.len() {
-            self.rung += 1; // too slow: cheaper pipeline next time
+            self.rung += 1; // too slow: cheaper pipeline this time
         } else if share < LOW_WATER && self.rung > 0 {
             self.rung -= 1; // plenty of slack: compress harder
         }
-        Ok(())
+        let spec = LADDER[self.rung];
+        self.history.push((event.iteration, spec));
+        self.persist.set_filter(Some(spec.to_string()));
+        let t0 = Instant::now();
+        let outcome = self.persist.handle(ctx, event);
+        self.spent += t0.elapsed();
+        outcome
+    }
+
+    fn quiet(&mut self, ctx: &mut ActionContext<'_>) -> Result<(), DamarisError> {
+        let t0 = Instant::now();
+        let outcome = self.persist.quiet(ctx);
+        self.spent += t0.elapsed();
+        outcome
+    }
+
+    fn finalize(&mut self, ctx: &mut ActionContext<'_>) -> Result<(), DamarisError> {
+        self.persist.finalize(ctx)
     }
 }
 

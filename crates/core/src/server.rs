@@ -11,8 +11,10 @@
 //! from the journal, [`handle`](DedicatedCore::handle) applies one event,
 //! [`idle`](DedicatedCore::idle) is the pressure → sweep → fire → reclaim →
 //! beat pass that runs after every event and whenever the queue is quiet,
-//! and [`finish`](DedicatedCore::finish) closes the books. [`run`] is the
-//! event source that feeds it from the in-process queue.
+//! [`quiet`](DedicatedCore::quiet) commits what the fired iterations parked
+//! (the event source calls it when a poll comes back empty, before it
+//! blocks), and [`finish`](DedicatedCore::finish) closes the books. [`run`]
+//! is the event source that feeds it from the in-process queue.
 //!
 //! # Crash recovery
 //!
@@ -36,10 +38,10 @@ use crate::event::Event;
 use crate::journal::{Claim, JournalPayload, RecordState, ReplayEntry};
 use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
-use crate::plugin::{ActionContext, EventInfo};
+use crate::plugin::{ActionContext, EventInfo, Parked};
 use damaris_obs::{EventKind, Histogram, Recorder, TraceRecord, TraceWriter};
 use damaris_shm::{LeaseSnapshot, Segment};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::BufWriter;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -83,23 +85,32 @@ pub(crate) fn run(
     shared.heartbeat.begin_epoch(epoch);
     core.poll_pressure();
     loop {
+        let ready = shared.queue.pop();
+        if ready.is_none() {
+            // The queue went quiet — the moment the core would idle, and
+            // under backpressure the moment clients are blocked on memory
+            // the parked iterations hold: commit them before blocking.
+            core.quiet()?;
+        }
         let t_idle = core.rec.begin();
-        let event = if core.sweeper_on || core.pressure_on {
+        let event = match ready {
+            Some(event) => event,
             // Manual poll instead of `pop_wait_with`: the sweeper must run
             // precisely when the queue goes quiet — a dead client stops
             // producing events, which is exactly what starves a blocking
             // pop. The pressure machine polls here for the same reason: a
             // quota lift (space returning) produces no event, yet held
             // iterations must fire and the node must re-ascend to Normal.
-            loop {
+            None if core.sweeper_on || core.pressure_on => loop {
                 if let Some(event) = shared.queue.pop() {
                     break event;
                 }
                 core.idle()?;
+                // `idle` may have fired an iteration nobody will follow.
+                core.quiet()?;
                 std::thread::sleep(Duration::from_micros(100));
-            }
-        } else {
-            shared.queue.pop_wait_with(|| shared.heartbeat.beat())
+            },
+            None => shared.queue.pop_wait_with(|| shared.heartbeat.beat()),
         };
         // Tagged with the iteration we are presumably waiting to complete.
         let waiting_for = core.last_fired.wrapping_add(1);
@@ -174,11 +185,23 @@ pub(crate) struct DedicatedCore {
     /// tail counter and wedged the client on `Full`.)
     held: BTreeMap<u32, Vec<Held>>,
     pending_release: Vec<Held>,
+    /// Fired iterations whose files are written but not committed, oldest
+    /// first (see [`Parked`]); [`quiet`](Self::quiet) empties it. Their
+    /// segments are live handles of their clients, and while any is here
+    /// nothing in `pending_release` is flushed: what waits there was
+    /// allocated after them.
+    parked: VecDeque<Parked>,
     rec: Recorder,
     obs_flush: ObsFlush,
-    /// Iteration spans run fire-end to fire-end; the first starts at `new`.
+    /// Iteration spans run from where the previous one ended; the first
+    /// starts at `new`.
     last_fire_end: u64,
     last_fired: u32,
+    /// The fired iteration whose span is still open, with the time its
+    /// fire ended: it parked work, so its span ends with the quiet pass
+    /// that commits it — or at that fire's end, if another iteration
+    /// fires first and the commit is that one's to account for.
+    open_span: Option<(u32, u64)>,
     /// The pressure machine only has a signal to run on when the backend
     /// reports disk usage; without a sentinel it stays dormant.
     pressure_on: bool,
@@ -216,6 +239,8 @@ impl DedicatedCore {
                 .collect(),
             held: BTreeMap::new(),
             pending_release: Vec::new(),
+            parked: VecDeque::new(),
+            open_span: None,
             obs_flush: ObsFlush::new(&shared, epoch),
             last_fire_end: rec.begin(),
             last_fired: 0,
@@ -418,6 +443,39 @@ impl DedicatedCore {
         Ok(())
     }
 
+    /// The queue went quiet: commits what the fired iterations parked, as
+    /// one batch, and releases their memory. Nothing parked, nothing done —
+    /// the event source calls this on every empty poll.
+    pub(crate) fn quiet(&mut self) -> Result<(), DamarisError> {
+        if self.parked.is_empty() {
+            return Ok(());
+        }
+        let last = self.last_fired;
+        let t_epe = self.rec.begin();
+        self.with_plugins(Vec::new(), |epe, ctx| epe.quiet_all(ctx, last))?;
+        self.rec.end(EventKind::EpeDispatch, last, 0, t_epe);
+        self.close_open_span();
+        self.obs_flush.drain(&self.shared);
+        Ok(())
+    }
+
+    /// Ends the span left open by the last fire, if one is, here and now.
+    fn close_open_span(&mut self) {
+        if let Some((iteration, _)) = self.open_span.take() {
+            let now = self.rec.begin();
+            self.close_span(iteration, now);
+        }
+    }
+
+    /// Records `iteration`'s span as ending at `end`: everything since the
+    /// previous span ended (idle + dispatch), so per-phase sums can be
+    /// checked against it for coverage.
+    fn close_span(&mut self, iteration: u32, end: u64) {
+        let since = end.saturating_sub(self.last_fire_end);
+        self.rec.event(EventKind::Iteration, iteration, 0, since);
+        self.last_fire_end = end;
+    }
+
     /// Closes the books after `Terminate`: compacts the journal, drains
     /// the trace rings one last time (so records from the tail of the run
     /// and the shutdown pass reach the histograms and the trace file) and
@@ -530,11 +588,19 @@ impl DedicatedCore {
             journal: &shared.journal,
             pressure: &shared.pressure,
             pending_release: &mut self.pending_release,
+            parked: &mut self.parked,
             rec: self.rec.clone(),
             presence: None,
         };
         f(&mut self.epe, &mut ctx)?;
-        ctx.flush_releases();
+        // Release stays FIFO per client: a parked iteration's segments
+        // were allocated before anything a later event put in
+        // `pending_release` (its displaced or abandoned `held` segments, a
+        // dropped iteration's data), so nothing goes back until the
+        // commit has moved them there too — then all of it in one flush.
+        if ctx.parked.is_empty() {
+            ctx.flush_releases();
+        }
         Ok(())
     }
 
@@ -581,13 +647,15 @@ impl DedicatedCore {
                     epe.fire(ctx, &info)
                 })?;
                 self.rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
-                // The iteration span covers everything since the previous
-                // fire completed (idle + dispatch), so per-phase sums can
-                // be checked against it for coverage.
                 let now = self.rec.begin();
-                let since = now.saturating_sub(self.last_fire_end);
-                self.rec.event(EventKind::Iteration, iteration, 0, since);
-                self.last_fire_end = now;
+                if let Some((earlier, fire_end)) = self.open_span.take() {
+                    self.close_span(earlier, fire_end);
+                }
+                if self.parked.is_empty() {
+                    self.close_span(iteration, now);
+                } else {
+                    self.open_span = Some((iteration, now));
+                }
                 self.last_fired = iteration;
                 self.report.iterations_persisted += 1;
                 // Between-iteration drain: telemetry I/O rides the
@@ -687,7 +755,9 @@ impl DedicatedCore {
         // flush-out above retired, so the map should be empty — but never
         // leak a segment on the way out.
         let held = std::mem::take(&mut self.held).into_values().flatten();
+        // `finalize` also commits whatever the flush-out above parked.
         self.with_plugins(held.collect(), |epe, ctx| epe.finalize_all(ctx))?;
+        self.close_open_span();
         // Last zombie reclamation: nothing of the fenced clients' is held
         // any more, so their partitions drain completely.
         self.reclaim_fenced();
@@ -762,7 +832,8 @@ impl DedicatedCore {
 
     /// Reclaims fenced clients' outstanding shared memory once no live
     /// handle of theirs remains on the server (store, held segments,
-    /// pending releases): `revoke_remaining` swallows *everything* the
+    /// parked iterations, pending releases): `revoke_remaining` swallows
+    /// *everything* the
     /// client has outstanding, so a held handle released afterwards would
     /// double-free. Re-run on every pass — a zombie (fenced but still
     /// scheduled) client can keep allocating until it observes its
@@ -771,6 +842,10 @@ impl DedicatedCore {
         for &cu in &self.fenced {
             if self.store.has_source(cu)
                 || self.held.values().flatten().any(|(s, _, _)| *s == cu)
+                || self
+                    .parked
+                    .iter()
+                    .any(|it| it.variables.iter().any(|v| v.key.source == cu))
                 || self.pending_release.iter().any(|(s, _, _)| *s == cu)
             {
                 continue;
@@ -1027,6 +1102,7 @@ mod tests {
             clients[1].end_iteration(1).unwrap();
             pump(shared, core, usize::MAX);
             core.idle().unwrap();
+            core.quiet().unwrap();
             assert_eq!(core.report.iterations_persisted, 2);
             assert!(core.store.is_empty() && core.held.is_empty());
             assert_eq!(shared.buffer.in_use(CLIENTS), 0);
@@ -1034,6 +1110,83 @@ mod tests {
         let written = files(&shared);
         assert_eq!(written.len(), 2);
         assert_eq!(written, files(&live_shared));
+    }
+
+    #[test]
+    fn fired_iterations_commit_as_one_batch_when_the_queue_goes_quiet() {
+        let (shared, clients) = node("group-commit");
+        for it in 0..3u32 {
+            for (client, fill) in clients.iter().zip([1u8, 2]) {
+                client.write("a", it, &[fill; 64]).unwrap();
+                client.end_iteration(it).unwrap();
+            }
+        }
+        let mut core = core(&shared, 0);
+        pump(&shared, &mut core, usize::MAX);
+        core.idle().unwrap();
+
+        // All three fired; nothing is committed, published or released.
+        let root = shared.backend.root();
+        assert_eq!(core.report.iterations_persisted, 3);
+        assert_eq!(core.parked.len(), 3);
+        assert!(files(&shared).is_empty());
+        assert_eq!(damaris_fs::Manifest::load(root).unwrap().generation, 0);
+        assert_eq!(shared.buffer.in_use(CLIENTS), 3 * 2 * 64);
+        shared.journal.compact();
+        assert_eq!(shared.journal.len(), 6, "the write records, still resident");
+
+        core.quiet().unwrap();
+        assert!(core.parked.is_empty() && core.pending_release.is_empty());
+        assert_eq!(files(&shared).len(), 3);
+        let manifest = damaris_fs::Manifest::load(root).unwrap();
+        assert_eq!((manifest.generation, manifest.entries.len()), (3, 3));
+        let stats = &shared.stats;
+        assert_eq!(FaultStats::get(&stats.commit_batches), 1);
+        assert_eq!(FaultStats::get(&stats.manifest_publishes), 1);
+        assert_eq!(shared.buffer.in_use(CLIENTS), 0);
+        shared.journal.compact();
+        assert_eq!(shared.journal.len(), 0);
+        // A second quiet call finds nothing to do.
+        core.quiet().unwrap();
+        assert_eq!(FaultStats::get(&stats.commit_batches), 1);
+    }
+
+    #[test]
+    fn a_later_iterations_held_segments_release_after_the_parked_one() {
+        let (shared, clients) = node("parked-fifo");
+        let (c0, c1) = (&clients[0], &clients[1]);
+        // Client 0's ring, in allocation order: iteration 0's segment
+        // (parked once it fires), then a segment of iteration 1 that its
+        // rewrite displaces (held), then the rewrite. Firing iteration 1
+        // hands the held segment to the release queue while iteration 0
+        // is still parked: flushed there and then it would go back ahead
+        // of iteration 0's — the partition allocator asserts FIFO release
+        // in debug builds, and in release builds the tail counter breaks.
+        c0.write("a", 0, &[1; 64]).unwrap();
+        c0.write("a", 1, &[2; 64]).unwrap();
+        c0.write("a", 1, &[3; 64]).unwrap();
+        c1.write("a", 0, &[4; 64]).unwrap();
+        let mut core = core(&shared, 0);
+        for it in 0..2u32 {
+            c0.end_iteration(it).unwrap();
+            c1.end_iteration(it).unwrap();
+            pump(&shared, &mut core, usize::MAX);
+            core.idle().unwrap();
+            assert_eq!(core.parked.len() as u32, it + 1);
+            assert_eq!(
+                shared.buffer.in_use(CLIENTS),
+                4 * 64,
+                "nothing released yet"
+            );
+        }
+        assert_eq!(core.pending_release.len(), 1, "the displaced segment waits");
+        core.quiet().unwrap();
+        assert_eq!(shared.buffer.in_use(CLIENTS), 0);
+        assert_eq!(files(&shared).len(), 2);
+        // The ring is intact: client 0 can fill its whole partition again.
+        for _ in 0..(65536 / CLIENTS / 64) {
+            c0.write("b", 2, &[5; 64]).unwrap();
+        }
     }
 
     #[test]
@@ -1081,6 +1234,7 @@ mod tests {
             pump(&shared, &mut core, usize::MAX);
             let counted = core.end_counts.remove(&0).unwrap();
             core.retire(0, counted, outcome).unwrap();
+            core.quiet().unwrap();
 
             assert_eq!(core.store.pending_iterations(), [1], "{tag}");
             assert!(

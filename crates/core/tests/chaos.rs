@@ -179,6 +179,113 @@ fn exhausted_retries_degrade_not_abort() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Holds the dedicated core until the test lets go (and succeeds):
+/// everything the client pushes meanwhile is in the queue when it returns,
+/// so the core fires those iterations back to back and commits them as
+/// one batch.
+struct HoldPlugin {
+    gate: Arc<std::sync::Barrier>,
+}
+
+impl Plugin for HoldPlugin {
+    fn name(&self) -> &str {
+        "hold"
+    }
+    fn handle(
+        &mut self,
+        _ctx: &mut ActionContext<'_>,
+        _event: &EventInfo,
+    ) -> Result<(), DamarisError> {
+        self.gate.wait();
+        Ok(())
+    }
+}
+
+/// A transient failure at the head of a batch: the failed iteration is
+/// written and committed again in place, the iterations parked behind it
+/// commit after it, in order, and every segment goes back in allocation
+/// order (the partition allocator asserts that in debug builds).
+#[test]
+fn commit_failure_at_the_head_of_a_batch_is_retried_in_place() {
+    let cfg = Config::from_xml(
+        r#"<damaris>
+             <buffer size="262144" allocator="partition" queue="64"/>
+             <layout name="grid" type="real" dimensions="64"/>
+             <variable name="v" layout="grid"/>
+             <event name="hold" action="hold"/>
+             <resilience persist_retries="2" retry_base_ms="1"
+                         persist_deadline_ms="5000"/>
+           </damaris>"#,
+    )
+    .unwrap();
+    let dir = scratch("batch-retry");
+    // Three iterations fire while the core is held: begins 0, 1, 2. The
+    // batch's first commit (ordinal 0, iteration 0) fails and stops it;
+    // iteration 0 is written again (begin 3) and committed alone (commit
+    // 1); iterations 1 and 2 follow as a batch of two (commits 2 and 3,
+    // the second of which tears its file, to show which file it was).
+    let plan = FaultPlan::new()
+        .fail_nth(FaultOp::Commit, 0)
+        .tear_nth_commit(3, 1, 2);
+    let backend = Arc::new(FaultyBackend::new(
+        LocalDirBackend::new(&dir).unwrap(),
+        plan,
+    ));
+    let gate = Arc::new(std::sync::Barrier::new(2));
+    let held = Arc::clone(&gate);
+    let hold: PluginFactory = Box::new(move |_| {
+        Ok(Box::new(HoldPlugin {
+            gate: Arc::clone(&held),
+        }) as Box<dyn Plugin>)
+    });
+    let runtime = NodeRuntime::start_with_backend(
+        cfg,
+        1,
+        Arc::clone(&backend) as Arc<dyn damaris_fs::StorageBackend>,
+        0,
+        vec![("hold".to_string(), hold)],
+    )
+    .unwrap();
+    let client = &runtime.clients()[0];
+    client.signal("hold", 0).unwrap();
+    for it in 0..3u32 {
+        client.write_f32("v", it, &[it as f32; 64]).unwrap();
+        client.end_iteration(it).unwrap();
+    }
+    gate.wait();
+    let report = runtime.finish().unwrap();
+
+    assert_eq!(report.iterations_persisted, 3);
+    assert_eq!(report.persist_retries, 1);
+    assert_eq!(report.iterations_degraded, 0);
+    assert_eq!(report.files_created, 3);
+    // The batch that failed, iteration 0 alone, then the other two; the
+    // first published nothing.
+    assert_eq!(report.commit_batches, 3);
+    assert_eq!(report.manifest_publishes, 2);
+    assert_eq!(
+        backend.injected().transient_errors.load(Ordering::SeqCst),
+        1
+    );
+    assert_eq!(client.buffer_in_use(), 0);
+    for it in 0..2u32 {
+        let reader = SdfReader::open(dir.join(format!("node-0/iter-{it:06}.sdf"))).unwrap();
+        reader.validate().unwrap();
+        assert_eq!(
+            reader.read_f32(&format!("/iter-{it}/rank-0/v")).unwrap(),
+            [it as f32; 64]
+        );
+    }
+    // Commit ordinal 3 was iteration 2's: commits kept their order.
+    assert!(SdfReader::open(dir.join("node-0/iter-000002.sdf"))
+        .and_then(|r| r.validate())
+        .is_err());
+    let manifest = damaris_fs::Manifest::load(&dir).unwrap();
+    let listed: Vec<_> = manifest.entries.iter().map(|e| e.kind.range().0).collect();
+    assert_eq!(listed, [0, 1, 2]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `block` policy's hard timeout: a write that can never be satisfied
 /// (the iteration holding the space is never ended) surfaces as
 /// [`DamarisError::Buffer`] instead of hanging forever.

@@ -169,6 +169,130 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
     std::fs::remove_dir_all(&control_dir).ok();
 }
 
+/// Holds the dedicated core until the test lets go (and succeeds):
+/// everything the clients push meanwhile is in the queue when it returns,
+/// so the core handles it back to back, without the queue going quiet in
+/// between.
+struct Hold {
+    gate: Arc<std::sync::Barrier>,
+}
+
+impl Plugin for Hold {
+    fn name(&self) -> &str {
+        "hold"
+    }
+    fn handle(
+        &mut self,
+        _ctx: &mut ActionContext<'_>,
+        _event: &EventInfo,
+    ) -> Result<(), DamarisError> {
+        self.gate.wait();
+        Ok(())
+    }
+}
+
+/// The dedicated core dies with two iterations *parked*: fired, their
+/// files written under temporary names, nothing committed, published or
+/// released. All that is left of them is two `.tmp` files, the journal's
+/// write records and the segments — the respawned core re-adopts those,
+/// persists both iterations again at shutdown (same names, over the stale
+/// temporaries) and leaks nothing.
+#[test]
+fn epe_killed_with_iterations_parked_replays_and_persists_them_again() {
+    let dir = scratch("parked-kill");
+    let cfg = Config::from_xml(
+        r#"<damaris>
+             <buffer size="1048576" allocator="partition" queue="64"/>
+             <layout name="grid" type="real" dimensions="256"/>
+             <variable name="theta" layout="grid" unit="K"/>
+             <event name="hold" action="hold"/>
+             <event name="kill" action="kill-once"/>
+             <resilience epe_respawn="1"/>
+           </damaris>"#,
+    )
+    .unwrap();
+    let fired = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(std::sync::Barrier::new(2));
+    let held = Arc::clone(&gate);
+    let hold: PluginFactory = Box::new(move |_| {
+        Ok(Box::new(Hold {
+            gate: Arc::clone(&held),
+        }) as Box<dyn Plugin>)
+    });
+    let runtime = NodeRuntime::start_with_backend(
+        cfg,
+        4,
+        Arc::new(LocalDirBackend::new(&dir).unwrap()),
+        0,
+        vec![
+            ("hold".to_string(), hold),
+            ("kill-once".to_string(), kill_once_factory(&fired)),
+        ],
+    )
+    .unwrap();
+    let clients = runtime.clients();
+    let payload = |it: u32, rank: u32| -> Vec<f32> {
+        (0..256)
+            .map(|i| (it * 10_000 + rank * 1000 + i) as f32)
+            .collect()
+    };
+    // Queue order: H (core held until the rest has landed), then both
+    // iterations whole, then K — handled without a quiet poll between
+    // them, so the core dies with iterations 0 and 1 parked.
+    clients[0].signal("hold", 0).unwrap();
+    for it in 0..2u32 {
+        for client in &clients {
+            client
+                .write_f32("theta", it, &payload(it, client.id()))
+                .unwrap();
+        }
+        for client in &clients {
+            client.end_iteration(it).unwrap();
+        }
+    }
+    clients[0].signal("kill", 1).unwrap();
+    gate.wait();
+    let report = runtime
+        .finish()
+        .expect("respawned server completes the run");
+
+    assert_eq!(fired.load(Ordering::SeqCst), 1);
+    assert_eq!(report.epe_respawns, 1);
+    // The eight writes were resident when the core died and are adopted
+    // again; every end-of-iteration had been counted and retired (a fired
+    // iteration does not fire again on replay — `Terminate` flushes it).
+    assert_eq!(report.events_replayed, 8);
+    assert_eq!(report.stale_events_rejected, 0);
+    // The dead core committed nothing: the only batch, and the only
+    // manifest publish, is the respawned core's — of both iterations.
+    assert_eq!(report.commit_batches, 1);
+    assert_eq!(report.manifest_publishes, 1);
+    assert_eq!(report.iterations_degraded, 0);
+    assert_eq!(clients[0].buffer_in_use(), 0, "leaked shared memory");
+
+    for it in 0..2u32 {
+        let reader =
+            damaris_format::SdfReader::open(dir.join(format!("node-0/iter-{it:06}.sdf"))).unwrap();
+        reader.validate().unwrap();
+        for rank in 0..4u32 {
+            let path = format!("/iter-{it}/rank-{rank}/theta");
+            assert_eq!(reader.read_f32(&path).unwrap(), payload(it, rank));
+        }
+    }
+    let manifest = damaris_fs::Manifest::load(&dir).unwrap();
+    assert_eq!((manifest.generation, manifest.entries.len()), (2, 2));
+    let scan = damaris_fs::recover_dir(&dir).unwrap();
+    assert_eq!(scan.valid.len(), 2);
+    assert!(scan.quarantined.is_empty(), "{scan:?}");
+    let left: Vec<_> = std::fs::read_dir(dir.join("node-0"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(left.is_empty(), "temporary files left behind: {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Heartbeat staleness under the `block` policy: when the dedicated core
 /// dies and no respawn budget remains, a blocked client surfaces
 /// [`DamarisError::EpeUnavailable`] with the node and last epoch attached

@@ -96,11 +96,16 @@ pub enum EventKind {
     /// source bytes inside a `WriteCall`; on the dedicated core, the
     /// persist plugin's re-verification of one iteration's segments.
     Checksum = 21,
+    /// One manifest publish on the dedicated core (lock, load, upsert,
+    /// write + fsync + swap + directory sync). `bytes` is the number of
+    /// entries it published: 1 when the core keeps up, the size of the
+    /// committed batch when it does not.
+    ManifestPublish = 22,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order (for analyzer iteration).
-    pub const ALL: [EventKind; 22] = [
+    pub const ALL: [EventKind; 23] = [
         EventKind::Iteration,
         EventKind::WriteCall,
         EventKind::AllocWait,
@@ -123,6 +128,7 @@ impl EventKind {
         EventKind::CacheHit,
         EventKind::PressureTransition,
         EventKind::Checksum,
+        EventKind::ManifestPublish,
     ];
 
     /// Short stable label used in analyzer output.
@@ -150,6 +156,7 @@ impl EventKind {
             EventKind::CacheHit => "cache_hit",
             EventKind::PressureTransition => "pressure_transition",
             EventKind::Checksum => "checksum",
+            EventKind::ManifestPublish => "manifest_publish",
         }
     }
 }

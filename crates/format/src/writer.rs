@@ -97,6 +97,7 @@ pub struct SdfWriter {
     index: Vec<IndexEntry>,
     seen_paths: HashSet<String>,
     finished: bool,
+    writeback_started: bool,
     fault_hook: Option<WriteFaultHook>,
 }
 
@@ -118,6 +119,7 @@ impl SdfWriter {
             index: Vec::new(),
             seen_paths: HashSet::new(),
             finished: false,
+            writeback_started: false,
             fault_hook: None,
         };
         let mut sb = Vec::new();
@@ -298,19 +300,45 @@ impl SdfWriter {
     }
 
     /// Writes the index and footer, flushes, and consumes the writer.
-    pub fn finish(self) -> Result<u64> {
-        self.finish_inner(false)
+    pub fn finish(mut self) -> Result<u64> {
+        self.seal()
     }
 
     /// Like [`SdfWriter::finish`], but also fsyncs the file to disk before
     /// returning. Crash-consistent commit protocols (write to a temporary
     /// name, sync, rename into place) need the sync to happen *before* the
     /// rename publishes the file.
-    pub fn finish_synced(self) -> Result<u64> {
-        self.finish_inner(true)
+    pub fn finish_synced(mut self) -> Result<u64> {
+        let total = self.seal()?;
+        self.file.get_ref().sync_all()?;
+        Ok(total)
     }
 
-    fn finish_inner(mut self, sync: bool) -> Result<u64> {
+    /// Asks the kernel to start writing a [`seal`](Self::seal)ed file's
+    /// pages to the device, without waiting for them (once; repeating the
+    /// call does nothing). A caller that keeps the writer and calls
+    /// [`finish_synced`](Self::finish_synced) later finds most of that
+    /// sync's work already done. Only a hint: durability still rests on
+    /// the `sync_all` in `finish_synced`, and where the hint is not to be
+    /// had nothing happens here.
+    pub fn start_writeback(&mut self) {
+        if self.finished && !self.writeback_started {
+            start_writeback(self.file.get_ref());
+            self.writeback_started = true;
+        }
+    }
+
+    /// Completes the file — index, query section and footer written, every
+    /// byte handed to the kernel — without consuming the writer, which
+    /// takes no more datasets; [`finish`](Self::finish) and
+    /// [`finish_synced`](Self::finish_synced) then have only the sync left
+    /// to do. Does nothing the second time. Returns the file's length.
+    /// (After an error the writer is good for nothing but dropping, as
+    /// after a failed dataset write.)
+    pub fn seal(&mut self) -> Result<u64> {
+        if self.finished {
+            return Ok(self.offset);
+        }
         let index_offset = self.offset;
         let mut index_bytes = Vec::new();
         damaris_compress::varint::write_u64(self.index.len() as u64, &mut index_bytes);
@@ -330,13 +358,29 @@ impl SdfWriter {
         header::write_footer(index_offset, index_len, index_crc, &mut footer);
         self.raw_write(&footer)?;
         self.file.flush()?;
-        if sync {
-            self.file.get_ref().sync_all()?;
-        }
         self.finished = true;
         Ok(self.offset)
     }
 }
+
+/// `sync_file_range(fd, 0, 0, SYNC_FILE_RANGE_WRITE)`: queue every dirty
+/// page of the file for writing and return. The result is ignored — a
+/// file system that cannot take the hint loses nothing but the head start.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn start_writeback(file: &File) {
+    use std::os::fd::AsRawFd;
+    const SYNC_FILE_RANGE_WRITE: u32 = 2;
+    extern "C" {
+        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+    }
+    // SAFETY: `file` is open for the duration of the call, so the fd is
+    // valid; the call takes no pointer and touches only the kernel's
+    // page-cache state for that file (offset 0, length 0 = to the end).
+    let _ = unsafe { sync_file_range(file.as_raw_fd(), 0, 0, SYNC_FILE_RANGE_WRITE) };
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn start_writeback(_: &File) {}
 
 #[cfg(test)]
 mod tests {
@@ -360,6 +404,34 @@ mod tests {
         assert_eq!(w.dataset_count(), 1);
         let total = w.finish().unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), total);
+    }
+
+    #[test]
+    fn sealing_early_changes_no_byte() {
+        let layout = Layout::new(DataType::F32, &[8]);
+        let (plain, early) = (temp_path("seal-plain"), temp_path("seal-early"));
+        let mut w = SdfWriter::create(&plain).unwrap();
+        w.write_dataset_f32("/a", &layout, &[1.0; 8]).unwrap();
+        let total = w.finish_synced().unwrap();
+
+        let mut w = SdfWriter::create(&early).unwrap();
+        w.write_dataset_f32("/a", &layout, &[1.0; 8]).unwrap();
+        assert_eq!(w.seal().unwrap(), total);
+        // The file is whole from here on and takes nothing more.
+        assert_eq!(
+            std::fs::read(&early).unwrap(),
+            std::fs::read(&plain).unwrap()
+        );
+        let err = w.write_dataset_f32("/b", &layout, &[2.0; 8]).unwrap_err();
+        assert!(matches!(err, SdfError::Usage(_)), "{err}");
+        w.start_writeback();
+        w.start_writeback();
+        assert_eq!(w.seal().unwrap(), total);
+        assert_eq!(w.finish_synced().unwrap(), total);
+        assert_eq!(
+            std::fs::read(&early).unwrap(),
+            std::fs::read(&plain).unwrap()
+        );
     }
 
     #[test]

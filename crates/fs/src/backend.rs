@@ -10,10 +10,11 @@
 //!
 //! [`StorageBackend::begin_sdf`] opens the writer on a temporary name
 //! (`<name>.tmp`); [`StorageBackend::commit_sdf`] finishes the writer,
-//! fsyncs, and atomically renames it to its final name. A crash (or an
-//! injected fault) between the two leaves either a `*.tmp` orphan or
-//! nothing — never a half-written `*.sdf` that readers could mistake for
-//! output. The recovery scan ([`crate::recovery::recover`]) deletes
+//! fsyncs, and atomically renames it to its final name
+//! ([`StorageBackend::commit_batch`] does it for several writers at once).
+//! A crash (or an injected fault) between the two leaves either a `*.tmp`
+//! orphan or nothing — never a half-written `*.sdf` that readers could
+//! mistake for output. The recovery scan ([`crate::recovery::recover`]) deletes
 //! orphans and quarantines any `*.sdf` whose checksums don't verify.
 
 use crate::clock::{IoClock, WallClock};
@@ -36,6 +37,30 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Finishes + fsyncs `writer` and atomically publishes it under its
     /// final name. Returns total bytes in the file.
     fn commit_sdf(&self, writer: SdfWriter) -> Result<u64>;
+
+    /// Commits the writers `writers` yields, in order, and stops at the
+    /// first that fails: returns the bytes of each file committed and the
+    /// error that ended the batch, if one did. Writers are *pulled*: one
+    /// the call never asked for stays with the caller, untouched; one it
+    /// took and did not commit is gone, and its file must be written again.
+    ///
+    /// The default commits one file at a time. A backend that can share
+    /// work across the batch (one directory sync for all of it) overrides
+    /// this; what holds either way is that a file is synced before it is
+    /// renamed, and that on return every committed file's name is durable.
+    fn commit_batch(
+        &self,
+        writers: &mut dyn ExactSizeIterator<Item = SdfWriter>,
+    ) -> (Vec<u64>, Option<SdfError>) {
+        let mut stored = Vec::with_capacity(writers.len());
+        for writer in writers {
+            match self.commit_sdf(writer) {
+                Ok(bytes) => stored.push(bytes),
+                Err(e) => return (stored, Some(e)),
+            }
+        }
+        (stored, None)
+    }
 
     /// Legacy non-atomic create: writes directly to the final name.
     /// Baselines (file-per-process) and tools that don't need crash
@@ -93,10 +118,10 @@ pub fn final_path_of(tmp_path: &Path) -> Option<PathBuf> {
     s.strip_suffix(TMP_SUFFIX).map(PathBuf::from)
 }
 
-/// Shared rename-into-place step: fsync is the *caller's* job (via
-/// [`SdfWriter::finish_synced`]); this publishes and then best-effort syncs
-/// the parent directory so the rename itself survives a crash.
-pub(crate) fn publish(tmp: &Path) -> Result<PathBuf> {
+/// Renames a synced temporary file to its final name. The fsync before is
+/// the *caller's* job (via [`SdfWriter::finish_synced`]), and so is the
+/// [`sync_dir`] after, which makes the rename itself survive a crash.
+pub(crate) fn rename_into_place(tmp: &Path) -> Result<PathBuf> {
     let final_path = final_path_of(tmp).ok_or_else(|| {
         SdfError::Usage(format!(
             "commit_sdf: writer path {} does not end in {TMP_SUFFIX}",
@@ -104,14 +129,15 @@ pub(crate) fn publish(tmp: &Path) -> Result<PathBuf> {
         ))
     })?;
     std::fs::rename(tmp, &final_path).map_err(SdfError::Io)?;
-    if let Some(parent) = final_path.parent() {
-        // Directory fsync is not supported everywhere; the rename is still
-        // atomic without it, so failures here are not fatal.
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
     Ok(final_path)
+}
+
+/// Best-effort directory fsync: not supported everywhere, and a rename is
+/// atomic without it, so failures here are not fatal.
+pub(crate) fn sync_dir(dir: &Path) {
+    if let Ok(dir) = std::fs::File::open(dir) {
+        let _ = dir.sync_all();
+    }
 }
 
 #[cfg(test)]

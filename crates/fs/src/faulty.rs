@@ -499,6 +499,34 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_takes_one_commit_ordinal_per_file_and_stops_at_a_failure() {
+        let inner = LocalDirBackend::scratch("faulty-batch").unwrap();
+        let plan = FaultPlan::new().fail_nth(FaultOp::Commit, 1);
+        let b = FaultyBackend::new(inner, plan);
+        let layout = Layout::new(DataType::F32, &[16]);
+        let mut writers = ["a.sdf", "b.sdf", "c.sdf"].map(|name| {
+            let mut w = b.begin_sdf(name).unwrap();
+            w.write_dataset_f32("/v", &layout, &[1.5; 16]).unwrap();
+            Some(w)
+        });
+        // Ordinal 0 commits `a`, ordinal 1 fails `b`; `c` is never asked
+        // for and stays with the caller, who commits it with ordinal 2.
+        let mut pulled = writers.iter_mut().map(|w| w.take().unwrap());
+        let (stored, failed) = b.commit_batch(&mut pulled);
+        assert_eq!(stored.len(), 1);
+        assert!(failed.is_some());
+        assert!(writers[1].is_none() && writers[2].is_some());
+        assert_eq!(b.list_sdf_files().unwrap(), [PathBuf::from("a.sdf")]);
+        let (stored, failed) = b.commit_batch(&mut writers[2].take().into_iter());
+        assert!(stored.len() == 1 && failed.is_none(), "{failed:?}");
+        assert_eq!(b.injected().transient_errors.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            b.list_sdf_files().unwrap(),
+            [PathBuf::from("a.sdf"), PathBuf::from("c.sdf")]
+        );
+    }
+
+    #[test]
     fn fail_first_then_succeed() {
         let inner = LocalDirBackend::scratch("faulty-failfirst").unwrap();
         let plan = FaultPlan::new().fail_first(FaultOp::Begin, 2);

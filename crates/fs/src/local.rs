@@ -5,16 +5,16 @@
 //! output through this backend. It also keeps simple counters so examples
 //! can report achieved throughput.
 
-use crate::backend::{publish, tmp_path_of, StorageBackend};
+use crate::backend::{rename_into_place, sync_dir, tmp_path_of, StorageBackend};
 use crate::sentinel::{no_space_error, DiskSentinel, PressureLevel};
-use damaris_format::{Result, SdfWriter};
+use damaris_format::{Result, SdfError, SdfWriter};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// An empty file `commit_sdf` opened for the `begin_sdf` that follows.
+/// An empty file a commit opened for a `begin_sdf` that follows.
 type Spare = (PathBuf, File);
 
 const SPARE_PREFIX: &str = ".spare-";
@@ -37,13 +37,15 @@ pub struct LocalDirBackend {
     /// Optional quota accounting; commits are refused with a real
     /// `ENOSPC` once the quota is exhausted.
     sentinel: Option<Arc<DiskSentinel>>,
-    /// File name of this backend's spare; no other backend uses it, in
-    /// this process or another. The recovery scan removes one a crash
-    /// left behind.
-    spare_name: String,
-    /// The next temporary file, opened while the last commit waited for
-    /// the disk (see [`LocalDirBackend::commit_sdf`]).
-    spare: Mutex<Option<Spare>>,
+    /// What this backend's spares are called, up to the serial number
+    /// that tells them apart; no other backend uses it, in this process
+    /// or another. The recovery scan removes those a crash left behind.
+    spare_stem: String,
+    spare_serial: AtomicU64,
+    /// The next temporary files, opened while the last commit waited for
+    /// the disk (see [`LocalDirBackend::commit_batch`]): as many as that
+    /// commit had files, all in its directory.
+    spares: Mutex<Vec<Spare>>,
 }
 
 impl LocalDirBackend {
@@ -58,30 +60,51 @@ impl LocalDirBackend {
             bytes_written: AtomicU64::new(0),
             created_at: Instant::now(),
             sentinel: None,
-            spare_name: format!(
-                "{SPARE_PREFIX}{}-{}{SPARE_SUFFIX}",
+            spare_stem: format!(
+                "{SPARE_PREFIX}{}-{}",
                 std::process::id(),
                 BACKENDS.fetch_add(1, Ordering::Relaxed)
             ),
-            spare: Mutex::new(None),
+            spare_serial: AtomicU64::new(0),
+            spares: Mutex::new(Vec::new()),
         })
     }
 
-    fn spare_slot(&self) -> std::sync::MutexGuard<'_, Option<Spare>> {
-        // The slot holds no invariant a panic could break.
-        self.spare.lock().unwrap_or_else(PoisonError::into_inner)
+    fn spare_pool(&self) -> std::sync::MutexGuard<'_, Vec<Spare>> {
+        // The pool holds no invariant a panic could break.
+        self.spares.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Puts `spare` in the slot and deletes the file it displaces, unless
-    /// that is the same file opened again.
-    fn keep_spare(&self, spare: Option<Spare>) {
-        let mut slot = self.spare_slot();
-        let displaced = std::mem::replace(&mut *slot, spare);
-        if let Some((path, _)) = displaced {
-            if slot.as_ref().is_none_or(|(kept, _)| *kept != path) {
+    /// Opens what the pool lacks of `want` spares in `dir`. Runs beside a
+    /// commit's syncs; a file that cannot be created is one the next
+    /// `begin_sdf` creates itself.
+    fn open_spares(&self, dir: &Path, want: usize) -> Vec<Spare> {
+        let have = self
+            .spare_pool()
+            .iter()
+            .filter(|(path, _)| path.parent() == Some(dir))
+            .count();
+        (have..want)
+            .filter_map(|_| {
+                let serial = self.spare_serial.fetch_add(1, Ordering::Relaxed);
+                let path = dir.join(format!("{}-{serial}{SPARE_SUFFIX}", self.spare_stem));
+                File::create(&path).ok().map(|file| (path, file))
+            })
+            .collect()
+    }
+
+    /// Adds `opened` to the pool and deletes the spares of any directory
+    /// but `dir`: the pool serves the directory last committed to.
+    fn keep_spares(&self, dir: Option<&Path>, opened: Vec<Spare>) {
+        let mut pool = self.spare_pool();
+        pool.extend(opened);
+        pool.retain(|(path, _)| {
+            let keep = dir.is_some() && path.parent() == dir;
+            if !keep {
                 let _ = std::fs::remove_file(path);
             }
-        }
+            keep
+        });
     }
 
     /// Attaches a [`DiskSentinel`]: every commit reserves its bytes
@@ -140,11 +163,11 @@ impl LocalDirBackend {
         }
         let tmp = tmp_path_of(&final_path);
         let spare = {
-            let mut slot = self.spare_slot();
-            match &*slot {
-                Some((path, _)) if path.parent() == tmp.parent() => slot.take(),
-                _ => None,
-            }
+            let mut pool = self.spare_pool();
+            let at = pool
+                .iter()
+                .position(|(path, _)| path.parent() == tmp.parent());
+            at.map(|i| pool.swap_remove(i))
         };
         match spare {
             // A rename replaces whatever an earlier attempt left at `tmp`,
@@ -157,44 +180,110 @@ impl LocalDirBackend {
         }
     }
 
-    /// Finishes + fsyncs `writer` and atomically renames it into place.
-    ///
-    /// While the sync waits for the disk, a scoped thread creates the
-    /// file the next [`begin_sdf`](Self::begin_sdf) in this directory
-    /// will write. Creating a file is the one step here whose cost
-    /// depends on what *other* programs did: ext4 without a journal
-    /// skips every inode freed in the last 5–35 s one at a time, so
-    /// `open(O_CREAT)` takes 20 µs in a quiet directory tree and 550 µs
-    /// after a few thousand deletions nearby — a third of an iteration
-    /// of 1 MiB, on a thread that otherwise sleeps through the sync.
+    /// Finishes + fsyncs `writer` and atomically renames it into place:
+    /// [`commit_batch`](Self::commit_batch) of one.
     pub fn commit_sdf(&self, writer: SdfWriter) -> Result<u64> {
+        match self.commit_batch(&mut std::iter::once(writer)) {
+            (_, Some(error)) => Err(error),
+            (stored, None) => Ok(stored[0]),
+        }
+    }
+
+    /// Commits a batch of writers as one: every file is finished and
+    /// fsynced, then every file renamed into place, then every directory
+    /// a rename happened in synced, once — so a crash leaves each file whole
+    /// under its final name or under its temporary one, and the batch
+    /// pays one directory sync instead of one per file. Stops at the
+    /// first failure as [`StorageBackend::commit_batch`] says.
+    ///
+    /// While the syncs wait for the disk, a scoped thread creates the
+    /// files the next [`begin_sdf`](Self::begin_sdf)s in this directory
+    /// will write, one per file of this batch. Creating a file is the
+    /// one step here whose cost depends on what *other* programs did:
+    /// ext4 without a journal skips every inode freed in the last 5–35 s
+    /// one at a time, so `open(O_CREAT)` takes 20 µs in a quiet directory
+    /// tree and 550 µs after a few thousand deletions nearby — a third of
+    /// an iteration of 1 MiB, on a thread that otherwise sleeps through
+    /// the sync.
+    pub fn commit_batch(
+        &self,
+        writers: &mut dyn ExactSizeIterator<Item = SdfWriter>,
+    ) -> (Vec<u64>, Option<SdfError>) {
+        let Some(first) = writers.next() else {
+            return (Vec::new(), None);
+        };
+        let dir = first.path().parent().map(Path::to_path_buf);
+        let want = 1 + writers.len();
+        let mut failed = None;
+        let mut synced: Vec<(PathBuf, u64)> = Vec::with_capacity(want);
+        let opened = std::thread::scope(|s| {
+            let opener = dir.as_deref().and_then(|dir| {
+                std::thread::Builder::new()
+                    .spawn_scoped(s, move || self.open_spares(dir, want))
+                    .ok()
+            });
+            // Bytes of this batch the sentinel has not been charged yet.
+            let mut uncharged = 0u64;
+            for writer in std::iter::once(first).chain(writers) {
+                match self.sync_one(writer, uncharged) {
+                    Ok((tmp, total)) => {
+                        uncharged += total;
+                        synced.push((tmp, total));
+                    }
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
+            }
+            // No thread: the next `begin_sdf`s create their own files.
+            opener.and_then(|o| o.join().ok()).unwrap_or_default()
+        });
+        self.keep_spares(dir.as_deref(), opened);
+        // Every data sync above comes before any rename below; every
+        // rename before the sync of the directory it happened in.
+        let mut stored = Vec::with_capacity(synced.len());
+        let mut parents: Vec<PathBuf> = Vec::new();
+        for (tmp, total) in synced {
+            match rename_into_place(&tmp) {
+                Ok(final_path) => {
+                    let parent = final_path.parent().map(Path::to_path_buf);
+                    parents.extend(parent.filter(|p| !parents.contains(p)));
+                    stored.push(total);
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        for parent in &parents {
+            sync_dir(parent);
+        }
+        self.files_created
+            .fetch_add(stored.len() as u64, Ordering::Relaxed);
+        if let Some(sentinel) = &self.sentinel {
+            sentinel.charge(stored.iter().sum());
+        }
+        (stored, failed)
+    }
+
+    /// Finishes and fsyncs one file of a batch; returns its temporary
+    /// path and length.
+    fn sync_one(&self, writer: SdfWriter, uncharged: u64) -> Result<(PathBuf, u64)> {
         if let Some(sentinel) = &self.sentinel {
             // Reserve against what has streamed out so far (index/footer
-            // add a little more; close enough — the charge below records
-            // the exact total). Failing here models fsync hitting ENOSPC:
-            // the tmp file stays behind for recovery to sweep.
-            if !sentinel.try_reserve(writer.bytes_written()) {
-                return Err(damaris_format::SdfError::Io(no_space_error()));
+            // add a little more; close enough — the charge after the
+            // renames records the exact total). Failing here models fsync
+            // hitting ENOSPC: the tmp file stays behind for recovery to
+            // sweep.
+            if !sentinel.try_reserve(uncharged + writer.bytes_written()) {
+                return Err(SdfError::Io(no_space_error()));
             }
         }
         let tmp = writer.path().to_path_buf();
-        let spare_path = tmp.with_file_name(&self.spare_name);
-        let (total, spare) = std::thread::scope(|s| {
-            let opener = std::thread::Builder::new()
-                .spawn_scoped(s, || File::create(&spare_path).map(|f| (spare_path.clone(), f)));
-            let total = writer.finish_synced();
-            // No thread or no file: the next `begin_sdf` creates its own.
-            let spare = opener.ok().and_then(|o| o.join().ok()).and_then(|f| f.ok());
-            (total, spare)
-        });
-        self.keep_spare(spare);
-        let total = total?;
-        publish(&tmp)?;
-        self.files_created.fetch_add(1, Ordering::Relaxed);
-        if let Some(sentinel) = &self.sentinel {
-            sentinel.charge(total);
-        }
-        Ok(total)
+        let total = writer.finish_synced()?;
+        Ok((tmp, total))
     }
 
     /// Deletes a published file and returns its space to the sentinel.
@@ -264,7 +353,7 @@ impl LocalDirBackend {
 
 impl Drop for LocalDirBackend {
     fn drop(&mut self) {
-        self.keep_spare(None);
+        self.keep_spares(None, Vec::new());
     }
 }
 
@@ -275,6 +364,13 @@ impl StorageBackend for LocalDirBackend {
 
     fn commit_sdf(&self, writer: SdfWriter) -> Result<u64> {
         LocalDirBackend::commit_sdf(self, writer)
+    }
+
+    fn commit_batch(
+        &self,
+        writers: &mut dyn ExactSizeIterator<Item = SdfWriter>,
+    ) -> (Vec<u64>, Option<SdfError>) {
+        LocalDirBackend::commit_batch(self, writers)
     }
 
     fn create_sdf(&self, name: &str) -> Result<SdfWriter> {
@@ -396,6 +492,74 @@ mod tests {
         assert_eq!(spares_in(&root).len(), 1);
         drop(backend);
         assert!(spares_in(&root).is_empty());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_batch_commits_every_file_and_opens_as_many_spares() {
+        let backend = LocalDirBackend::scratch("batch").unwrap();
+        let layout = Layout::new(DataType::F32, &[4]);
+        let begin = |name: &str, v: f32| {
+            let mut w = backend.begin_sdf(name).unwrap();
+            w.write_dataset_f32("/x", &layout, &[v; 4]).unwrap();
+            w.seal().unwrap();
+            w.start_writeback();
+            w
+        };
+        let names = ["n/a.sdf", "n/b.sdf", "n/c.sdf"];
+        let dir = backend.path_of("n");
+        let mut writers: Vec<_> = names
+            .iter()
+            .zip([1.0, 2.0, 3.0])
+            .map(|(n, v)| begin(n, v))
+            .collect();
+        let (stored, failed) = backend.commit_batch(&mut writers.drain(..));
+        assert!(failed.is_none(), "{failed:?}");
+        assert_eq!(stored.len(), 3);
+        assert_eq!(backend.files_created(), 3);
+        for ((name, v), bytes) in names.iter().zip([1.0, 2.0, 3.0]).zip(&stored) {
+            let r = SdfReader::open(backend.path_of(name)).unwrap();
+            r.validate().unwrap();
+            assert_eq!(r.read_f32("/x").unwrap(), vec![v; 4]);
+            assert_eq!(
+                std::fs::metadata(backend.path_of(name)).unwrap().len(),
+                *bytes
+            );
+        }
+        // A spare per file of the batch, each the file a later writer
+        // writes; a smaller batch after finds enough and opens none.
+        use std::os::unix::fs::MetadataExt;
+        let inodes = |paths: &[PathBuf]| {
+            let mut inodes: Vec<u64> = paths
+                .iter()
+                .map(|p| std::fs::metadata(p).unwrap().ino())
+                .collect();
+            inodes.sort_unstable();
+            inodes
+        };
+        let spares = inodes(&spares_in(&dir));
+        assert_eq!(spares.len(), 3, "{spares:?}");
+        let writers = [begin("n/d.sdf", 4.0), begin("n/e.sdf", 5.0)];
+        let taken: Vec<PathBuf> = writers.iter().map(|w| w.path().to_path_buf()).collect();
+        let left = spares_in(&dir);
+        assert_eq!(left.len(), 1);
+        let mut recycled = inodes(&taken);
+        recycled.extend(inodes(&left));
+        recycled.sort_unstable();
+        assert_eq!(recycled, spares);
+        let (stored, failed) = backend.commit_batch(&mut writers.into_iter());
+        assert!(failed.is_none() && stored.len() == 2, "{failed:?}");
+        assert_eq!(spares_in(&dir).len(), 2);
+
+        // A writer dropped uncommitted leaves a `.tmp` and nothing else;
+        // dropping the backend leaves no spare.
+        drop(begin("n/f.sdf", 6.0));
+        let root = backend.root().to_path_buf();
+        drop(backend);
+        assert!(spares_in(&root.join("n")).is_empty());
+        let scan = crate::recovery::recover_dir(&root).unwrap();
+        assert_eq!(scan.removed_tmp, [PathBuf::from("n/f.sdf.tmp")]);
+        assert_eq!(scan.valid.len(), 5);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -17,7 +17,10 @@
 //! emptied and written again by the publish after it (so publishing creates
 //! and deletes no file: see [`Manifest::store`]); a reader that opened it
 //! just before the swap can therefore read it cut short, fails the CRC and
-//! reads the name again — an optimistic read, validated and retried.
+//! reads the name again; one that opened it a publish earlier can read it
+//! whole, refilled with a generation not published yet, and so checks that
+//! the name still points at the file it read — an optimistic read,
+//! validated and retried.
 //!
 //! Format (text, CRC-guarded, one entry per line):
 //!
@@ -29,6 +32,7 @@
 //! crc 1a2b3c4d
 //! ```
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -186,29 +190,37 @@ impl Manifest {
     /// none exists yet. Corrupt bytes fail typed; allocation is bounded
     /// by the actual file size.
     pub fn load(root: &Path) -> Result<Manifest> {
-        Self::load_with(&root.join(MANIFEST_NAME), |path| std::fs::read(path))
+        Self::load_with(&root.join(MANIFEST_NAME), read_named)
     }
 
     /// [`load`](Self::load) over the function that reads the file (tests
-    /// hand it the bytes a reader racing a publish would get).
+    /// hand it what a reader racing a publish would get): the bytes, and
+    /// whether the name still pointed at the file they came from once
+    /// they were read.
     fn load_with(
         path: &Path,
-        mut read: impl FnMut(&Path) -> io::Result<Vec<u8>>,
+        mut read: impl FnMut(&Path) -> io::Result<(Vec<u8>, bool)>,
     ) -> Result<Manifest> {
         let mut attempt = 1;
         loop {
             let parsed = match read(path) {
+                // The file this read opened has since been replaced. It
+                // is emptied then and *filled again* by the publish after,
+                // so its bytes can be a whole generation that is not
+                // published yet (and the next load would see an older
+                // one): whatever they say, they are not what the name
+                // says now.
+                Ok((_, false)) => Err(ManifestError::Corrupt("replaced while it was read".into())),
                 // A torn read can end inside a character, so the bytes
                 // are checked like the rest: by `parse`.
-                Ok(bytes) => String::from_utf8(bytes)
+                Ok((bytes, true)) => String::from_utf8(bytes)
                     .map_err(|_| ManifestError::Corrupt("not UTF-8".into()))
                     .and_then(|text| Self::parse(&text)),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Manifest::default()),
                 Err(e) => return Err(e.into()),
             };
             match parsed {
-                // The file this read opened may since have been replaced
-                // and emptied; the name points at a whole one again.
+                // The name points at a whole, current file again.
                 Err(ManifestError::Corrupt(_)) if attempt < LOAD_ATTEMPTS => attempt += 1,
                 done => return done,
             }
@@ -288,25 +300,25 @@ impl Manifest {
 
     /// Serializes to the text format.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("generation {}\n", self.generation));
+        use std::fmt::Write;
+        // One buffer, sized for the lines it will hold (tag, four numbers
+        // and separators fit in 48 bytes beside the file name).
+        let lines: usize = self.entries.iter().map(|e| e.file.len() + 48).sum();
+        let mut out = String::with_capacity(HEADER.len() + 48 + lines);
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(out, "{HEADER}\ngeneration {}", self.generation);
         for e in &self.entries {
-            match e.kind {
+            let _ = match e.kind {
                 EntryKind::Iteration(it) => {
-                    out.push_str(&format!("iter {} {} {} {}\n", e.node, it, e.bytes, e.file));
+                    writeln!(out, "iter {} {} {} {}", e.node, it, e.bytes, e.file)
                 }
                 EntryKind::Compacted { lo, hi } => {
-                    out.push_str(&format!(
-                        "span {} {} {} {} {}\n",
-                        e.node, lo, hi, e.bytes, e.file
-                    ));
+                    writeln!(out, "span {} {} {} {} {}", e.node, lo, hi, e.bytes, e.file)
                 }
-            }
+            };
         }
         let crc = damaris_format::crc32(out.as_bytes());
-        out.push_str(&format!("crc {crc:08x}\n"));
+        let _ = writeln!(out, "crc {crc:08x}");
         out
     }
 
@@ -380,12 +392,55 @@ impl Manifest {
 
     /// Adds or replaces (same `file`) an entry and bumps the generation.
     pub fn upsert(&mut self, entry: ManifestEntry) {
-        match self.entries.iter_mut().find(|e| e.file == entry.file) {
-            Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
-        }
-        self.generation += 1;
+        self.upsert_all(vec![entry]);
     }
+
+    /// [`upsert`](Self::upsert) for each entry of `batch`, in order, the
+    /// generation bumped once per entry — in one pass over what is
+    /// already listed, whatever the batch's size.
+    pub fn upsert_all(&mut self, batch: Vec<ManifestEntry>) {
+        self.generation += batch.len() as u64;
+        let by_file: HashMap<&str, usize> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.file.as_str(), i))
+            .collect();
+        let mut listed = vec![false; batch.len()];
+        for slot in &mut self.entries {
+            if let Some(&i) = by_file.get(slot.file.as_str()) {
+                *slot = batch[i].clone();
+                listed[i] = true;
+            }
+        }
+        let fresh = batch.into_iter().zip(listed).filter(|(_, listed)| !listed);
+        self.entries.extend(fresh.map(|(entry, _)| entry));
+    }
+}
+
+/// Reads the file `path` names, and tells whether `path` still named that
+/// file afterwards (see [`Manifest::load_with`]).
+fn read_named(path: &Path) -> io::Result<(Vec<u8>, bool)> {
+    use std::io::Read;
+    let mut file = std::fs::File::open(path)?;
+    let opened = file.metadata()?;
+    let mut bytes = Vec::with_capacity(opened.len() as usize);
+    file.read_to_end(&mut bytes)?;
+    // A manifest is replaced, never removed: a name that cannot be looked
+    // at again is reported like one that cannot be opened.
+    let current = same_file(&opened, &std::fs::metadata(path)?);
+    Ok((bytes, current))
+}
+
+#[cfg(unix)]
+fn same_file(a: &std::fs::Metadata, b: &std::fs::Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    (a.dev(), a.ino()) == (b.dev(), b.ino())
+}
+
+/// Where files have no number to compare, names are not swapped either.
+#[cfg(not(unix))]
+fn same_file(_: &std::fs::Metadata, _: &std::fs::Metadata) -> bool {
+    true
 }
 
 /// Exclusive writer lock on a root's manifest: a kernel `flock` on a
@@ -449,8 +504,7 @@ impl ManifestLock {
     }
 }
 
-/// Publishes one sealed iteration file: lock, load, upsert, store. The
-/// EPE calls this right after `commit_sdf` renames the file into place.
+/// Publishes one sealed iteration file: [`publish_iterations`] of one.
 pub fn publish_iteration(
     root: &Path,
     node: u32,
@@ -458,14 +512,24 @@ pub fn publish_iteration(
     file: &str,
     bytes: u64,
 ) -> Result<u64> {
+    publish_iterations(root, node, &[(iteration, file, bytes)])
+}
+
+/// Publishes `node`'s sealed iteration files, given as `(iteration, file,
+/// bytes)`, in one generation swap: lock, load, upsert each, store once.
+/// The EPE calls this after a commit renamed the files into place and
+/// synced their directory. Returns the new generation, which counts one
+/// per file; publishing the same files again lists nothing twice.
+pub fn publish_iterations(root: &Path, node: u32, sealed: &[(u32, &str, u64)]) -> Result<u64> {
     let _lock = ManifestLock::acquire(root)?;
     let mut m = Manifest::load(root)?;
-    m.upsert(ManifestEntry {
+    let entry = |&(iteration, file, bytes): &(u32, &str, u64)| ManifestEntry {
         file: file.to_string(),
         node,
         kind: EntryKind::Iteration(iteration),
         bytes,
-    });
+    };
+    m.upsert_all(sealed.iter().map(entry).collect());
     m.store(root)?;
     Ok(m.generation)
 }
@@ -704,17 +768,86 @@ mod tests {
         // Emptied, then cut short, then whole: what a reader gets that
         // opened the replaced file twice in a row.
         let mut reads = vec![whole.clone(), cut.clone(), Vec::new()];
-        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| Ok(reads.pop().unwrap()));
+        let loaded =
+            Manifest::load_with(Path::new("MANIFEST"), |_| Ok((reads.pop().unwrap(), true)));
         assert_eq!(loaded.unwrap(), sample());
         assert!(reads.is_empty());
         // A file that stays bad is corrupt, after a bounded number of reads.
         let mut count = 0;
         let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| {
             count += 1;
-            Ok(cut.clone())
+            Ok((cut.clone(), true))
+        });
+        assert!(
+            matches!(loaded, Err(ManifestError::Corrupt(_))),
+            "{loaded:?}"
+        );
+        assert_eq!(count, LOAD_ATTEMPTS);
+    }
+
+    #[test]
+    fn a_generation_read_before_its_swap_is_not_returned() {
+        // The reader opened `MANIFEST` at generation 7; a publish replaced
+        // that file and the publish after refilled it as `MANIFEST.next`
+        // with generation 9, whole and CRC-valid, before swapping it in.
+        // Those bytes are not the published manifest (8 is): the reader
+        // must read the name again, and gets 8 — never 9 and then 8.
+        let at = |generation| {
+            Manifest {
+                generation,
+                ..sample()
+            }
+            .render()
+            .into_bytes()
+        };
+        let mut reads = vec![(at(8), true), (at(9), false)];
+        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| Ok(reads.pop().unwrap()));
+        assert_eq!(loaded.unwrap().generation, 8);
+        assert!(reads.is_empty());
+        // Replaced under every read: an error, after the same bounded
+        // number of reads a torn file gets.
+        let mut count = 0;
+        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| {
+            count += 1;
+            Ok((at(9), false))
         });
         assert!(matches!(loaded, Err(ManifestError::Corrupt(_))), "{loaded:?}");
         assert_eq!(count, LOAD_ATTEMPTS);
+    }
+
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    #[test]
+    fn a_batch_is_one_store_and_counts_every_file() {
+        use std::os::unix::fs::MetadataExt;
+        let root = temp_root("batch");
+        let name = |it: u32| format!("node-0/iter-{it:06}.sdf");
+        publish_iteration(&root, 0, 0, &name(0), 100).unwrap();
+        publish_iteration(&root, 0, 1, &name(1), 100).unwrap();
+        let current = || std::fs::metadata(root.join(MANIFEST_NAME)).unwrap().ino();
+        let before = current();
+        let names: Vec<String> = (2..5).map(name).collect();
+        let sealed: Vec<(u32, &str, u64)> = (2..5)
+            .zip(&names)
+            .map(|(it, n)| (it, n.as_str(), 200))
+            .collect();
+        assert_eq!(publish_iterations(&root, 0, &sealed).unwrap(), 5);
+        // One swap: the name points at the other file of the pair.
+        assert_ne!(current(), before);
+        assert_eq!(
+            std::fs::metadata(root.join(MANIFEST_NEXT)).unwrap().ino(),
+            before
+        );
+        let m = Manifest::load(&root).unwrap();
+        assert_eq!(m.generation, 5);
+        let listed: Vec<_> = m.entries.iter().map(|e| (e.kind, e.bytes)).collect();
+        let expected: Vec<_> = (0..5)
+            .map(|it| (EntryKind::Iteration(it), if it < 2 { 100 } else { 200 }))
+            .collect();
+        assert_eq!(listed, expected);
+        // Publishing them again (a replayed commit) lists nothing twice.
+        assert_eq!(publish_iterations(&root, 0, &sealed).unwrap(), 8);
+        assert_eq!(Manifest::load(&root).unwrap().entries, m.entries);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -27,10 +27,18 @@ fn config(xml: &str) -> Config {
 }
 
 /// Drives `clients` through `iterations`, `writes` calls per iteration of
-/// `len` doubles each, from one thread per client.
-fn drive(clients: Vec<damaris_core::DamarisClient>, iterations: u32, writes: u32, len: usize) {
+/// `len` doubles each, from one thread per client; each calls `ended`
+/// after it ended an iteration, before it starts the next.
+fn drive(
+    clients: Vec<damaris_core::DamarisClient>,
+    iterations: u32,
+    writes: u32,
+    len: usize,
+    ended: impl Fn(u32) + Sync,
+) {
     std::thread::scope(|s| {
         for client in clients {
+            let ended = &ended;
             s.spawn(move || {
                 let data = vec![1.5f64; len];
                 for it in 0..iterations {
@@ -38,6 +46,7 @@ fn drive(clients: Vec<damaris_core::DamarisClient>, iterations: u32, writes: u32
                         client.write_f64("field", it, &data).expect("write");
                     }
                     client.end_iteration(it).expect("end iteration");
+                    ended(it);
                 }
             });
         }
@@ -82,7 +91,26 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
     )
     .expect("start node");
 
-    drive(runtime.clients(), ITERATIONS, WRITES_PER_ITER, ELEMS);
+    // A paced simulation: nobody starts an iteration before the last one
+    // is on disk, so the dedicated core commits iterations one at a time
+    // and "the nth commit" below is "iteration n". (Clients that run ahead
+    // get their backlog committed as one batch — one fsync span and one
+    // iteration span for all of it, however many that turns out to be.)
+    let persisted = |it: u32| {
+        let file = out.join(format!("node-0/iter-{it:06}.sdf"));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !file.exists() {
+            assert!(Instant::now() < deadline, "iteration {it} never persisted");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    };
+    drive(
+        runtime.clients(),
+        ITERATIONS,
+        WRITES_PER_ITER,
+        ELEMS,
+        persisted,
+    );
 
     // The dedicated core feeds the phase histograms from the same flushed
     // records that land in the trace file; wait until it has digested
@@ -231,7 +259,7 @@ fn ring_overflow_is_accounted_in_the_trailer() {
         traces.display()
     ));
     let runtime = NodeRuntime::start(cfg, DROP_CLIENTS, &out).expect("start node");
-    drive(runtime.clients(), DROP_ITERS, DROP_WRITES, 32);
+    drive(runtime.clients(), DROP_ITERS, DROP_WRITES, 32, |_| {});
     let report = runtime.finish().expect("clean shutdown");
     assert_eq!(report.iterations_persisted, u64::from(DROP_ITERS));
 
@@ -286,7 +314,7 @@ fn disabled_observability_writes_no_trace_file() {
         traces.display()
     ));
     let runtime = NodeRuntime::start(cfg, 2, &out).expect("start node");
-    drive(runtime.clients(), 3, 2, 64);
+    drive(runtime.clients(), 3, 2, 64, |_| {});
     let report = runtime.finish().expect("clean shutdown");
     assert_eq!(report.iterations_persisted, 3);
 
