@@ -5,9 +5,9 @@
 //!
 //! One binary, three roles, selected by `DAMARIS_PROC_ROLE`:
 //!
-//! * unset — **launcher**: parses the CM1 process config, spawns the EPE
-//!   and the clients as children of this binary, optionally delivers the
-//!   `kill -9` matrix, and prints the run report.
+//! * unset — **launcher**: spawns the EPE and the clients as children of
+//!   this binary, optionally delivers the `kill -9` matrix, and prints
+//!   the run report.
 //! * `epe` — the dedicated-core process ([`damaris_core::proc::run_epe`]).
 //! * `client` — one compute-core process ([`damaris_core::proc::run_client`]).
 //!
@@ -20,24 +20,9 @@
 use damaris_core::proc::{
     launch, run_client, run_epe, ClientKillSpec, ClientOptions, EpeOptions, LaunchPlan,
 };
-use damaris_core::Config;
 use damaris_mpi::ClientKillPhase;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// The CM1 node configuration: a handful of prognostic variables per
-/// iteration, and the partial-iteration policy so one dead rank cannot
-/// stall output. Parsed through [`damaris_core::Config`] like every other
-/// deployment knob. (The process topology — file-backed mapping, UDS
-/// control plane — is what this binary *is*, not something it selects.)
-const CM1_PROC_XML: &str = r#"
-<damaris>
-  <buffer size="262144" allocator="partition"/>
-  <layout name="slab" type="real" dimensions="24,24,8"/>
-  <variable name="theta" layout="slab"/>
-  <variable name="qv" layout="slab"/>
-  <resilience on_client_failure="partial" client_lease_timeout_ms="800"/>
-</damaris>"#;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -50,18 +35,10 @@ fn usage() -> ExitCode {
 }
 
 fn run_launcher() -> ExitCode {
-    let config = match Config::from_xml(CM1_PROC_XML) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cm1_proc: bad embedded config: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     let mut dir: Option<PathBuf> = None;
     let mut n_clients = 4usize;
     let mut iterations = 3u32;
-    let mut policy = config.resilience.on_client_failure;
+    let mut policy = None;
     let mut kill_rank: Option<u32> = None;
     let mut kill_phase: Option<ClientKillPhase> = None;
     let mut kill_iter = 0u32;
@@ -77,7 +54,7 @@ fn run_launcher() -> ExitCode {
                 val().and_then(|v| v.parse().map(|n| iterations = n).map_err(|_| ()))
             }
             "--policy" => val().map(|v| {
-                policy = damaris_core::proc::launcher::policy_from_str(&v);
+                policy = Some(damaris_core::proc::policy_from_str(&v));
             }),
             "--kill-rank" => {
                 val().and_then(|v| v.parse().map(|n| kill_rank = Some(n)).map_err(|_| ()))
@@ -117,8 +94,8 @@ fn run_launcher() -> ExitCode {
 
     let mut plan = LaunchPlan::new(exe, dir, n_clients);
     plan.iterations = iterations;
-    plan.policy = policy;
-    plan.lease_timeout = config.resilience.client_lease_timeout;
+    // The plan's own default is `partial`: one dead rank cannot stall output.
+    plan.policy = policy.unwrap_or(plan.policy);
     plan.client_kill = match (kill_rank, kill_phase) {
         (Some(rank), Some(phase)) => Some(ClientKillSpec {
             rank,
@@ -140,10 +117,10 @@ fn run_launcher() -> ExitCode {
                 report.killed_ranks, report.failed_ranks
             );
             println!(
-                "iterations_persisted={} partial={} dropped={}",
+                "iterations_persisted={} partial_iterations={} iterations_degraded={}",
                 report.total(|r| r.iterations_persisted),
                 report.total(|r| r.partial_iterations),
-                report.total(|r| r.iterations_dropped),
+                report.total(|r| r.iterations_degraded),
             );
             println!("sdf_files={}", report.sdf_files.len());
             if report.epe_ok && report.leaked_bytes == 0 && report.failed_ranks.is_empty() {

@@ -21,6 +21,7 @@ use damaris_core::proc::client::payload_for;
 use damaris_core::proc::{ClientKillSpec, LaunchPlan, LaunchReport};
 use damaris_format::SdfReader;
 use damaris_mpi::ClientKillPhase;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -41,8 +42,8 @@ fn plan(name: &str) -> LaunchPlan {
     )
 }
 
-/// Checks every `/rank<r>/var<v>` dataset in `file` against the
-/// deterministic payload the client generated — end-to-end: what the
+/// Checks every `/iter-<it>/rank-<r>/var<v>` dataset in `file` against
+/// the deterministic payload the client generated — end-to-end: what the
 /// client memcpy'd into shared memory is byte-identical to what the EPE
 /// persisted, across process boundaries, kills, and respawns.
 fn assert_sdf_contents(file: &Path, it: u32, present: &[u32], absent: &[u32], p: &LaunchPlan) {
@@ -51,7 +52,7 @@ fn assert_sdf_contents(file: &Path, it: u32, present: &[u32], absent: &[u32], p:
     let names = reader.dataset_names();
     for &rank in present {
         for var in 0..p.variables {
-            let path = format!("/rank{rank}/var{var}");
+            let path = format!("/iter-{it}/rank-{rank}/var{var}");
             let bytes = reader.read_bytes(&path).unwrap();
             assert_eq!(
                 bytes,
@@ -62,7 +63,9 @@ fn assert_sdf_contents(file: &Path, it: u32, present: &[u32], absent: &[u32], p:
     }
     for &rank in absent {
         assert!(
-            !names.iter().any(|n| n.starts_with(&format!("/rank{rank}/"))),
+            !names
+                .iter()
+                .any(|n| n.starts_with(&format!("/iter-{it}/rank-{rank}/"))),
             "fenced rank {rank} leaked data into {file:?}"
         );
     }
@@ -78,6 +81,22 @@ fn assert_core_invariants(report: &LaunchReport) {
     );
 }
 
+/// The recovery scan over the run's output: it finds nothing to repair
+/// and leaves nothing temporary behind. Returns the presence bitmap of
+/// every file that claims to be partial, by path relative to `out/`.
+fn partial_files(p: &LaunchPlan) -> BTreeMap<PathBuf, u64> {
+    let out = p.dir.join("out");
+    let scan = damaris_fs::recover_dir(&out).unwrap();
+    assert!(scan.is_clean(), "recovery had work to do: {scan:?}");
+    let left: Vec<_> = std::fs::read_dir(out.join("node-0"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(left.is_empty(), "temporary files left behind: {left:?}");
+    scan.partial.into_iter().collect()
+}
+
 #[test]
 fn clean_run_four_processes_persist_every_iteration() {
     let p = plan("clean");
@@ -91,10 +110,9 @@ fn clean_run_four_processes_persist_every_iteration() {
     assert_eq!(report.sdf_files.len(), 3);
     for (it, file) in report.sdf_files.iter().enumerate() {
         assert_sdf_contents(file, it as u32, &[0, 1, 2, 3], &[], &p);
-        // A full iteration carries no presence bitmap.
-        let reader = SdfReader::open(file).unwrap();
-        assert!(!reader.dataset_names().iter().any(|n| n == "/presence"));
     }
+    // A full iteration carries no presence bitmap.
+    assert!(partial_files(&p).is_empty());
     let _ = std::fs::remove_dir_all(&p.dir);
 }
 
@@ -117,23 +135,31 @@ fn killed_client_is_fenced_at_every_phase() {
         assert_core_invariants(&report);
         assert_eq!(report.killed_ranks, vec![1], "phase {phase:?}");
         assert!(
-            report.total(|r| r.leases_revoked) >= 1,
+            report.total(|r| r.client_leases_expired) >= 1,
             "rank 1 was not fenced at phase {phase:?}: {report:?}"
         );
         // Partial policy: every iteration still persists; the ones the
         // victim missed carry a presence bitmap instead of its data.
         assert_eq!(report.total(|r| r.iterations_persisted), 3);
         assert_eq!(report.total(|r| r.partial_iterations), 2);
-        assert_eq!(report.total(|r| r.crc_rejected), 0);
+        assert_eq!(report.total(|r| r.crc_quarantined), 0);
         assert_eq!(report.sdf_files.len(), 3);
         assert_sdf_contents(&report.sdf_files[0], 0, &[0, 1, 2, 3], &[], &p);
+        let partial = partial_files(&p);
         for it in [1u32, 2] {
             let file = &report.sdf_files[it as usize];
-            assert_sdf_contents(file, it, &[0, 2, 3], &[1], &p);
-            let reader = SdfReader::open(file).unwrap();
-            let presence = reader.read_bytes("/presence").unwrap();
-            assert_eq!(presence, vec![1, 0, 1, 1], "presence bitmap at {it}");
+            // The one commit a post-commit victim got out before it died
+            // is whole, journalled data: it persists with its iteration,
+            // as on the threaded node. Nothing else of the victim does.
+            let committed = phase == ClientKillPhase::PostCommit && it == 1;
+            assert_sdf_contents(file, it, &[0, 2, 3], if committed { &[] } else { &[1] }, &p);
+            let names = SdfReader::open(file).unwrap().dataset_names();
+            let of_victim = names.iter().filter(|n| n.contains("/rank-1/")).count();
+            assert_eq!(of_victim, usize::from(committed), "{names:?}");
+            let name = PathBuf::from(format!("node-0/iter-{it:06}.sdf"));
+            assert_eq!(partial.get(&name), Some(&0b1101), "presence bitmap at {it}");
         }
+        assert_eq!(partial.len(), 2);
         let _ = std::fs::remove_dir_all(&p.dir);
     }
 }
@@ -141,8 +167,8 @@ fn killed_client_is_fenced_at_every_phase() {
 #[test]
 fn killed_epe_respawns_replays_the_wal_and_finishes() {
     let mut p = plan("epe-kill");
-    // Die right after the 5th commit's pending record is durable —
-    // mid-drain, with journalled-but-unapplied state to recover.
+    // Die right after the 5th commit's record is durable — mid-drain,
+    // with journalled-but-unapplied state to recover.
     p.epe_kill_after = Some(5);
     let report = damaris_core::proc::launch(&p).unwrap();
 
@@ -150,24 +176,25 @@ fn killed_epe_respawns_replays_the_wal_and_finishes() {
     assert_eq!(report.epe_respawns, 1);
     assert!(report.killed_ranks.is_empty());
     assert_eq!(report.epe_reports.len(), 2, "one report per incarnation");
-    let second = &report.epe_reports[1];
+    let second = &report.epe_reports[1].node;
     assert!(
         second.events_replayed >= 1,
-        "respawn recovered nothing from the WAL: {report:?}"
+        "respawn recovered nothing from the journal: {report:?}"
     );
     assert!(
-        second.stale_commits_rejected >= 1,
+        second.stale_events_rejected >= 1,
         "client re-sends were not deduplicated: {report:?}"
     );
     // No client died, so after recovery nothing may be partial and
     // every byte of every rank must come out intact.
     assert_eq!(report.total(|r| r.iterations_persisted), 3);
     assert_eq!(report.total(|r| r.partial_iterations), 0);
-    assert_eq!(report.total(|r| r.crc_rejected), 0);
+    assert_eq!(report.total(|r| r.crc_quarantined), 0);
     assert_eq!(report.sdf_files.len(), 3);
     for (it, file) in report.sdf_files.iter().enumerate() {
         assert_sdf_contents(file, it as u32, &[0, 1, 2, 3], &[], &p);
     }
+    assert!(partial_files(&p).is_empty());
     let _ = std::fs::remove_dir_all(&p.dir);
 }
 
@@ -185,15 +212,22 @@ fn drop_iteration_policy_discards_the_whole_iteration() {
     assert_core_invariants(&report);
     assert_eq!(report.killed_ranks, vec![2]);
     assert_eq!(report.total(|r| r.iterations_persisted), 1);
-    assert_eq!(report.total(|r| r.iterations_dropped), 2);
+    assert_eq!(report.total(|r| r.iterations_degraded), 2);
     // Only the pre-kill iteration reached disk, and it is complete.
     assert_eq!(report.sdf_files.len(), 1);
     assert_sdf_contents(&report.sdf_files[0], 0, &[0, 1, 2, 3], &[], &p);
+    assert!(partial_files(&p).is_empty());
     let _ = std::fs::remove_dir_all(&p.dir);
 }
 
+/// `wait` is the paper's contract and the threaded node's: no failure
+/// detector. Nobody fences the dead rank, the iterations it never ended
+/// stall, the survivors run to their end without it, and when everyone is
+/// accounted for — the survivors finished, the victim's connection closed
+/// and its lease still — `Terminate` flushes what never completed,
+/// unmarked.
 #[test]
-fn wait_policy_never_publishes_partial_data() {
+fn wait_policy_stalls_on_the_dead_rank_and_flushes_at_terminate() {
     let mut p = plan("wait");
     p.policy = OnClientFailure::Wait;
     p.client_kill = Some(ClientKillSpec {
@@ -203,15 +237,30 @@ fn wait_policy_never_publishes_partial_data() {
     });
     let report = damaris_core::proc::launch(&p).unwrap();
 
+    // Zero leaked bytes holds for this kill phase: the victim's one
+    // reservation was committed, so the flush releases it. (A reservation
+    // it had died holding un-journalled would stay leaked: the documented
+    // cost of `wait`.)
     assert_core_invariants(&report);
     assert_eq!(report.killed_ranks, vec![0]);
-    // `wait` refuses partial output: the affected iterations degrade
-    // (nothing published) once the victim's death is proven by fencing.
-    assert_eq!(report.total(|r| r.iterations_persisted), 1);
+    assert_eq!(report.total(|r| r.client_leases_expired), 0);
+    assert_eq!(report.total(|r| r.iterations_persisted), 3);
     assert_eq!(report.total(|r| r.partial_iterations), 0);
-    assert_eq!(report.total(|r| r.iterations_degraded), 2);
-    assert_eq!(report.sdf_files.len(), 1);
+    assert_eq!(report.total(|r| r.iterations_degraded), 0);
+    assert_eq!(report.sdf_files.len(), 3);
     assert_sdf_contents(&report.sdf_files[0], 0, &[0, 1, 2, 3], &[], &p);
+    // Iteration 1 holds the survivors' data and the one variable the
+    // victim committed; iteration 2 the survivors' alone.
+    assert_sdf_contents(&report.sdf_files[1], 1, &[1, 2, 3], &[], &p);
+    let it1 = SdfReader::open(&report.sdf_files[1]).unwrap();
+    assert_eq!(
+        it1.read_bytes("/iter-1/rank-0/var0").unwrap(),
+        payload_for(0, 1, 0, p.payload_len)
+    );
+    assert!(it1.read_bytes("/iter-1/rank-0/var1").is_err());
+    assert_sdf_contents(&report.sdf_files[2], 2, &[1, 2, 3], &[0], &p);
+    // No file claims partiality.
+    assert!(partial_files(&p).is_empty());
     let _ = std::fs::remove_dir_all(&p.dir);
 }
 
@@ -236,8 +285,8 @@ fn orphaned_mappings_are_swept_and_counted_at_startup() {
     let report = damaris_core::proc::launch(&p).unwrap();
 
     assert_core_invariants(&report);
-    assert_eq!(report.total(|r| r.orphans_removed), 1, "{report:?}");
-    assert_eq!(report.total(|r| r.orphans_quarantined), 1, "{report:?}");
+    assert_eq!(report.total(|r| r.shm_orphans_removed), 1, "{report:?}");
+    assert_eq!(report.total(|r| r.shm_orphans_quarantined), 1, "{report:?}");
     assert!(!stale.exists(), "dead-pid orphan was not unlinked");
     assert!(
         p.dir.join("damaris-node-junk.shm.quarantine").exists(),

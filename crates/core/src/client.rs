@@ -87,7 +87,7 @@ fn pack_word((epoch, beat): (u32, u32)) -> u64 {
 
 impl DamarisClient {
     pub(crate) fn new(id: u32, shared: Arc<NodeShared>) -> Self {
-        let hb_word = AtomicU64::new(pack_word(shared.heartbeat.observe()));
+        let hb_word = AtomicU64::new(pack_word(shared.heartbeat().observe()));
         let rec = shared.obs.client_recorder(id);
         DamarisClient {
             id,
@@ -113,7 +113,7 @@ impl DamarisClient {
     /// lease sweeper has revoked the lease — the rank was declared dead,
     /// its resources were reclaimed, and it must stop using the node.
     pub fn renew_lease(&self) -> Result<(), DamarisError> {
-        match self.shared.leases.lease(self.id as usize) {
+        match self.shared.lease(self.id as usize) {
             Some(lease) if lease.renew() => Ok(()),
             _ => Err(self.fenced_err()),
         }
@@ -154,7 +154,7 @@ impl DamarisClient {
     /// the configuration must keep `heartbeat_timeout` above the longest
     /// expected action.
     fn heartbeat_stale(&self) -> bool {
-        let word = pack_word(self.shared.heartbeat.observe());
+        let word = pack_word(self.shared.heartbeat().observe());
         let elapsed_ns = self.hb_anchor.elapsed().as_nanos() as u64;
         if word != self.hb_word.load(Ordering::Relaxed) {
             self.hb_word.store(word, Ordering::Relaxed);
@@ -167,7 +167,7 @@ impl DamarisClient {
 
     /// Resets staleness tracking (after observing recovery).
     fn reset_heartbeat_tracking(&self) {
-        let word = pack_word(self.shared.heartbeat.observe());
+        let word = pack_word(self.shared.heartbeat().observe());
         self.hb_word.store(word, Ordering::Relaxed);
         self.hb_changed_ns
             .store(self.hb_anchor.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -181,19 +181,19 @@ impl DamarisClient {
     #[cold]
     fn await_heartbeat(&self, deadline: Instant) -> Result<(), DamarisError> {
         FaultStats::bump(&self.shared.stats.heartbeat_stale_observed);
-        let word = self.shared.heartbeat.observe();
+        let word = self.shared.heartbeat().observe();
         loop {
             // Keep the lease warm while parked: waiting out a respawn must
             // not get this rank declared dead in its own right.
             self.renew_lease()?;
-            if self.shared.heartbeat.observe() != word {
+            if self.shared.heartbeat().observe() != word {
                 self.reset_heartbeat_tracking();
                 return Ok(());
             }
             if Instant::now() >= deadline {
                 return Err(DamarisError::EpeUnavailable {
                     node_id: self.shared.node_id,
-                    epoch: self.shared.heartbeat.epoch(),
+                    epoch: self.shared.heartbeat().epoch(),
                 });
             }
             std::thread::sleep(Duration::from_micros(200));
@@ -400,7 +400,7 @@ impl DamarisClient {
         self.shared
             .journal
             .append(
-                self.shared.heartbeat.epoch(),
+                self.shared.heartbeat().epoch(),
                 JournalPayload::Write {
                     variable_id,
                     iteration,
@@ -441,7 +441,7 @@ impl DamarisClient {
             .rec
             .end(EventKind::Memcpy, iteration, data.len() as u64, t);
         let seq = match self.shared.journal.append_write(
-            self.shared.heartbeat.epoch(),
+            self.shared.heartbeat().epoch(),
             variable_id,
             iteration,
             self.id,
@@ -667,7 +667,7 @@ impl DamarisClient {
             .shared
             .journal
             .append(
-                self.shared.heartbeat.epoch(),
+                self.shared.heartbeat().epoch(),
                 JournalPayload::User {
                     name: event.to_string(),
                     iteration,
@@ -693,7 +693,7 @@ impl DamarisClient {
             .shared
             .journal
             .append(
-                self.shared.heartbeat.epoch(),
+                self.shared.heartbeat().epoch(),
                 JournalPayload::EndIteration {
                     iteration,
                     source: self.id,
@@ -818,7 +818,7 @@ impl AllocatedRegion {
         // Zero-copy commits are static-layout by construction: take the
         // same lock-free journal path as `write`.
         let seq = match self.client.shared.journal.append_write(
-            self.client.shared.heartbeat.epoch(),
+            self.client.shared.heartbeat().epoch(),
             self.variable_id,
             self.iteration,
             self.client.id,
@@ -863,7 +863,7 @@ impl Drop for AllocatedRegion {
         // at this iteration's flush.
         let client = &self.client;
         match client.shared.journal.append(
-            client.shared.heartbeat.epoch(),
+            client.shared.heartbeat().epoch(),
             JournalPayload::Abandon {
                 iteration: self.iteration,
                 source: client.id,

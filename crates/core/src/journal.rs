@@ -1,14 +1,16 @@
-//! Write-ahead journal for the node's shared event queue.
+//! Write-ahead journal of a node's client notifications.
 //!
-//! The dedicated core (EPE) runs as a thread; if it dies, the queue, the
-//! shared buffer, and this journal all survive in [`crate::node::NodeShared`],
-//! but the server's in-flight state — its metadata store, its
-//! end-of-iteration counts — dies with its stack. The journal is what lets
-//! a respawned server reconstruct that state:
+//! When the dedicated core dies, the shared buffer and this journal
+//! survive it — in [`crate::node::NodeShared`] when the core is a thread,
+//! in the mapping and the journal's file when it is a process — but the
+//! core's in-flight state — its metadata store, its end-of-iteration
+//! counts — dies with its stack. The journal is what lets the next
+//! incarnation reconstruct that state:
 //!
 //! * every client-originated event (`Write`, `User`, `EndIteration`) is
-//!   appended here **before** it is pushed onto the queue, carrying the
-//!   assigned sequence number in the event itself;
+//!   appended here **before** the core hears of it (before the queue push
+//!   on the threaded node, before `handle` in the process node's pump),
+//!   carrying the assigned sequence number in the event itself;
 //! * the server *claims* each sequence number as it pops the event
 //!   ([`EventJournal::claim`]), and marks it *applied* once its side
 //!   effects are durable (segment released, iteration fired);
@@ -31,7 +33,35 @@
 //!   `claim` performs `Pending → Resident` and it succeeds exactly once.
 //! * `Applied` records are dead weight; [`EventJournal::compact`] drops
 //!   them (a missing record claims as `Stale`, preserving at-most-once).
-
+//!
+//! # The file store
+//!
+//! A journal made with [`EventJournal::open`] also appends every record
+//! to a file, under the same mutex, so that a dedicated core that is a
+//! *process* can be `kill -9`'d and its successor rebuild from the file
+//! and the mapping alone. One frame per entry, `[u32 len][u32 crc][body]`
+//! little-endian, `crc` over the body:
+//!
+//! ```text
+//! a notification:  the bytes of `encode_header` (u64 seq, u8 tag 0..=3, fields)
+//! applied marker:  u64 seq, u8 4
+//! fence marker:    u64 0,   u8 5, u32 source
+//! ```
+//!
+//! Every frame is followed by `sync_data`. Two states are all a file
+//! needs: `Resident` only arbitrates between a replay and a stale queue
+//! copy inside one process, and a reopened journal has no queue — what is
+//! not applied is pending. There is no third, "released" state either:
+//! [`crate::plugin::ActionContext::flush_releases`] marks a record
+//! applied *before* it releases the segment, so a kill between the two
+//! strands that one range (the client's next FIFO release swallows it as
+//! padding) and can never release it twice. A torn tail — a frame cut
+//! short, or one whose CRC fails — ends the scan and is truncated away,
+//! so appends resume on a frame boundary; a frame with a valid CRC and an
+//! unknown tag is version skew and is skipped. A frame that cannot be
+//! written is fatal to the process: acting on a notification the journal
+//! does not hold is exactly what the journal exists to prevent.
+//!
 //! # Fast path
 //!
 //! The overwhelmingly common record — a static-layout `Write` from a
@@ -44,14 +74,17 @@
 //! source's staged record is either collected by the fence or cancelled
 //! by the appender — never silently retained.
 
-use damaris_format::Layout;
+use damaris_format::{DataType, Layout};
 use damaris_shm::sync::{AtomicU64, Mutex, Ordering, ShmCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::path::Path;
 
 /// What a journaled notification said, minus the live [`damaris_shm::Segment`]
 /// handle (the journal stores the segment's coordinates so a new server
 /// can re-adopt it from the allocator).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalPayload {
     /// A write-notification: `offset`/`len` locate the payload in the
     /// shared buffer for re-adoption after a crash; `data_crc` is the
@@ -160,6 +193,9 @@ struct JournalInner {
     /// collection of a dead client's pending seqnos are one atomic step —
     /// no append can slip in between.
     fenced: BTreeSet<u32>,
+    /// The file every record, applied marker and fence is also appended
+    /// to; `None` on the threaded node.
+    store: Option<File>,
 }
 
 /// Slot states, packed into the low 2 bits of the state word; the upper
@@ -219,6 +255,9 @@ pub struct EventJournal {
     /// `JournalInner::fenced` (which remains authoritative for all
     /// sources). Written only by [`fence`](Self::fence).
     fenced_mask: AtomicU64,
+    /// Whether `inner.store` is set, readable without the lock: a stored
+    /// journal has no lock-free path (every record goes to the file).
+    stored: bool,
 }
 
 impl Default for EventJournal {
@@ -234,6 +273,7 @@ impl Default for EventJournal {
             inner: Mutex::default(),
             staging: staging.into_boxed_slice(),
             fenced_mask: AtomicU64::new(0),
+            stored: false,
         }
     }
 }
@@ -271,7 +311,13 @@ pub fn encode_fixed_write_header(seq: u64, r: &FixedWriteRecord) -> [u8; 41] {
     buf
 }
 
-/// Encodes the integrity-protected header fields of a record.
+/// Tags of the two file-store frames that are not notifications (the
+/// notifications' own tags, 0..=3, are in [`encode_header`]).
+const TAG_APPLIED: u8 = 4;
+const TAG_FENCE: u8 = 5;
+
+/// Encodes a record: the bytes its CRC covers, and — with a file store —
+/// the body of its frame ([`decode`] is the inverse).
 fn encode_header(seq: u64, payload: &JournalPayload) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(&seq.to_le_bytes());
@@ -282,8 +328,8 @@ fn encode_header(seq: u64, payload: &JournalPayload) -> Vec<u8> {
             source,
             offset,
             len,
+            dynamic_layout,
             data_crc,
-            ..
         } => {
             buf.push(0);
             buf.extend_from_slice(&variable_id.to_le_bytes());
@@ -292,6 +338,14 @@ fn encode_header(seq: u64, payload: &JournalPayload) -> Vec<u8> {
             buf.extend_from_slice(&(*offset as u64).to_le_bytes());
             buf.extend_from_slice(&(*len as u64).to_le_bytes());
             buf.extend_from_slice(&data_crc.to_le_bytes());
+            // A static write ends here (41 bytes, see
+            // `encode_fixed_write_header`); a dynamic one carries its shape.
+            if let Some(layout) = dynamic_layout {
+                buf.push(layout.dtype.tag());
+                for dim in &layout.dims {
+                    buf.extend_from_slice(&dim.to_le_bytes());
+                }
+            }
         }
         JournalPayload::User {
             name,
@@ -324,9 +378,202 @@ fn encode_header(seq: u64, payload: &JournalPayload) -> Vec<u8> {
     buf
 }
 
+/// What one frame of the file store says.
+#[derive(Debug, PartialEq)]
+enum Stored {
+    Record(u64, JournalPayload),
+    Applied(u64),
+    Fence(u32),
+}
+
+/// A cursor over a frame body; every read is bounds-checked.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take(4)?.try_into().ok().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take(8)?.try_into().ok().map(u64::from_le_bytes)
+    }
+
+    fn usize(&mut self) -> Option<usize> {
+        self.u64()?.try_into().ok()
+    }
+}
+
+/// Decodes a frame body; `None` for a tag this version does not know or a
+/// body that does not parse to its end.
+fn decode(body: &[u8]) -> Option<Stored> {
+    let mut r = Fields(body);
+    let seq = r.u64()?;
+    let stored = match r.u8()? {
+        0 => Stored::Record(seq, JournalPayload::Write {
+            variable_id: r.u32()?,
+            iteration: r.u32()?,
+            source: r.u32()?,
+            offset: r.usize()?,
+            len: r.usize()?,
+            data_crc: r.u32()?,
+            dynamic_layout: match r.u8() {
+                None => None,
+                Some(tag) => {
+                    let dims = r.0.chunks_exact(8);
+                    r.0 = dims.remainder();
+                    Some(Layout {
+                        dtype: DataType::from_tag(tag)?,
+                        dims: dims.map(|d| Fields(d).u64()).collect::<Option<_>>()?,
+                    })
+                }
+            },
+        }),
+        1 => {
+            // The name has no length of its own: it is what precedes the
+            // two trailing words.
+            let name = r.take(r.0.len().checked_sub(8)?)?;
+            Stored::Record(seq, JournalPayload::User {
+                name: String::from_utf8(name.to_vec()).ok()?,
+                iteration: r.u32()?,
+                source: r.u32()?,
+            })
+        }
+        2 => Stored::Record(seq, JournalPayload::EndIteration {
+            iteration: r.u32()?,
+            source: r.u32()?,
+        }),
+        3 => Stored::Record(seq, JournalPayload::Abandon {
+            iteration: r.u32()?,
+            source: r.u32()?,
+            offset: r.usize()?,
+            len: r.usize()?,
+        }),
+        TAG_APPLIED => Stored::Applied(seq),
+        TAG_FENCE => Stored::Fence(r.u32()?),
+        _ => return None,
+    };
+    r.0.is_empty().then_some(stored)
+}
+
+/// Appends one frame to the file store and syncs it. Fail-stop (see the
+/// module docs): the caller is about to act on what the frame records.
+fn store_frame(file: &mut File, body: &[u8]) {
+    let mut frame = Vec::with_capacity(body.len() + 8);
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&damaris_format::crc32(body).to_le_bytes());
+    frame.extend_from_slice(body);
+    if let Err(e) = file.write_all(&frame).and_then(|()| file.sync_data()) {
+        panic!("event journal: cannot append to the file store: {e}");
+    }
+}
+
+fn marker(seq: u64, tag: u8) -> Vec<u8> {
+    let mut body = seq.to_le_bytes().to_vec();
+    body.push(tag);
+    body
+}
+
 impl EventJournal {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Opens (creating it if absent) the journal kept in the file at
+    /// `path` — the process node's journal, see the module docs — and
+    /// returns it with the file's history: every notification ever
+    /// journalled there, in sequence order, each `Applied` or `Pending`.
+    /// The journal itself retains the pending ones, the fences, and the
+    /// next sequence number; a torn tail is truncated away.
+    pub fn open(path: &Path) -> io::Result<(EventJournal, Vec<ReplayEntry>)> {
+        let mut file = File::options()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+
+        let mut history: BTreeMap<u64, ReplayEntry> = BTreeMap::new();
+        let mut fenced = BTreeSet::new();
+        let mut next_seq = 0;
+        let mut rest = Fields(&bytes);
+        let mut intact = 0;
+        while let Some((len, crc)) = rest.u32().zip(rest.u32()) {
+            let Some(body) = rest.take(len as usize) else {
+                break;
+            };
+            if damaris_format::crc32(body) != crc {
+                break;
+            }
+            intact = bytes.len() - rest.0.len();
+            match decode(body) {
+                Some(Stored::Record(seq, payload)) => {
+                    next_seq = next_seq.max(seq + 1);
+                    let state = RecordState::Pending;
+                    history.insert(seq, ReplayEntry {
+                        seq,
+                        state,
+                        payload,
+                    });
+                }
+                Some(Stored::Applied(seq)) => {
+                    if let Some(entry) = history.get_mut(&seq) {
+                        entry.state = RecordState::Applied;
+                    }
+                }
+                Some(Stored::Fence(source)) => {
+                    fenced.insert(source);
+                }
+                // Version skew, not corruption: the CRC held.
+                None => {}
+            }
+        }
+        if intact < bytes.len() {
+            // Append mode writes at the end, wherever that now is.
+            file.set_len(intact as u64)?;
+        }
+
+        let records = history
+            .values()
+            .filter(|entry| entry.state == RecordState::Pending)
+            .map(|entry| {
+                let crc = damaris_format::crc32(&encode_header(entry.seq, &entry.payload));
+                let record = JournalRecord {
+                    seq: entry.seq,
+                    epoch: 0,
+                    crc,
+                    payload: entry.payload.clone(),
+                    state: RecordState::Pending,
+                };
+                (entry.seq, record)
+            })
+            .collect();
+        let fenced_mask = fenced
+            .iter()
+            .filter(|source| **source < FAST_SOURCES)
+            .fold(0, |mask, source| mask | 1u64 << source);
+        let journal = EventJournal {
+            next_seq: AtomicU64::new(next_seq),
+            inner: Mutex::new(JournalInner {
+                records,
+                fenced,
+                store: Some(file),
+            }),
+            fenced_mask: AtomicU64::new(fenced_mask),
+            stored: true,
+            ..EventJournal::default()
+        };
+        Ok((journal, history.into_values().collect()))
     }
 
     /// Journals a notification and returns its sequence number. Called by
@@ -345,11 +592,11 @@ impl EventJournal {
 
     fn append_with_seq(&self, seq: u64, epoch: u32, payload: JournalPayload) -> Result<u64, Fenced> {
         let source = payload.source();
-        let crc = damaris_format::crc32(&encode_header(seq, &payload));
+        let header = encode_header(seq, &payload);
         let record = JournalRecord {
             seq,
             epoch,
-            crc,
+            crc: damaris_format::crc32(&header),
             payload,
             state: RecordState::Pending,
         };
@@ -357,6 +604,9 @@ impl EventJournal {
         self.drain_staged(&mut inner);
         if inner.fenced.contains(&source) {
             return Err(Fenced { source });
+        }
+        if let Some(file) = &mut inner.store {
+            store_frame(file, &header);
         }
         inner.records.insert(seq, record);
         Ok(seq)
@@ -381,8 +631,9 @@ impl EventJournal {
     ///    record is cancelled through the claim lattice, exactly like a
     ///    mutex-path append that lost to the fence.
     ///
-    /// Slab exhaustion and sources above the fence-bit range fall back to
-    /// the mutex path — correctness is identical, only latency differs.
+    /// Slab exhaustion, sources above the fence-bit range and a journal
+    /// with a file store fall back to the mutex path — correctness is
+    /// identical, only latency differs.
     // ANALYZE: hot
     #[allow(clippy::too_many_arguments)]
     pub fn append_write(
@@ -398,7 +649,7 @@ impl EventJournal {
         // Relaxed: the counter only hands out unique tickets; record
         // visibility is ordered by the slot state below (or the mutex).
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        if source >= FAST_SOURCES {
+        if self.stored || source >= FAST_SOURCES {
             return self.append_write_slow(seq, epoch, variable_id, iteration, source, offset, len, data_crc);
         }
         let bit = 1u64 << source;
@@ -463,8 +714,8 @@ impl EventJournal {
         self.append_write_slow(seq, epoch, variable_id, iteration, source, offset, len, data_crc)
     }
 
-    /// Mutex fallback for [`append_write`](Self::append_write): slab full
-    /// or source outside the fence-bit range.
+    /// Mutex fallback for [`append_write`](Self::append_write): slab full,
+    /// source outside the fence-bit range, or a file store to write to.
     // ANALYZE: cold — overflow fallback takes the mutex by design; bounded jitter, correctness identical
     #[cold]
     #[allow(clippy::too_many_arguments)]
@@ -569,7 +820,13 @@ impl EventJournal {
         }
         let mut inner = self.inner.lock();
         self.drain_staged(&mut inner);
-        inner.fenced.insert(source);
+        if inner.fenced.insert(source) {
+            if let Some(file) = &mut inner.store {
+                let mut body = marker(0, TAG_FENCE);
+                body.extend_from_slice(&source.to_le_bytes());
+                store_frame(file, &body);
+            }
+        }
         inner
             .records
             .values()
@@ -604,7 +861,13 @@ impl EventJournal {
     pub fn mark_applied(&self, seq: u64) {
         let mut inner = self.inner.lock();
         self.drain_staged(&mut inner);
-        if let Some(rec) = inner.records.get_mut(&seq) {
+        let JournalInner { records, store, .. } = &mut *inner;
+        if let Some(rec) = records.get_mut(&seq) {
+            if rec.state != RecordState::Applied {
+                if let Some(file) = store {
+                    store_frame(file, &marker(seq, TAG_APPLIED));
+                }
+            }
             rec.state = RecordState::Applied;
         }
     }
@@ -912,6 +1175,182 @@ mod tests {
                 e.seq
             );
         }
+    }
+
+    fn store_path(tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("damaris-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn end(iteration: u32, source: u32) -> JournalPayload {
+        JournalPayload::EndIteration { iteration, source }
+    }
+
+    #[test]
+    fn reopen_restores_pending_applied_and_fenced_state_and_the_next_seq() {
+        let path = store_path("reopen");
+        let (j, history) = EventJournal::open(&path).unwrap();
+        assert!(history.is_empty());
+        let a = j.append(0, write_payload(0)).unwrap();
+        let b = j.append(0, write_payload(1)).unwrap();
+        let c = j.append(0, end(0, 2)).unwrap();
+        // a: done. b: claimed, which a file does not record. c: untouched.
+        j.claim(a);
+        j.mark_applied(a);
+        j.mark_applied(a); // idempotent: one marker
+        j.claim(b);
+        j.fence(2);
+        drop(j);
+
+        let (j, history) = EventJournal::open(&path).unwrap();
+        let states: Vec<_> = history.iter().map(|e| (e.seq, e.state)).collect();
+        use RecordState::{Applied, Pending};
+        assert_eq!(states, [(a, Applied), (b, Pending), (c, Pending)]);
+        assert_eq!(history[2].payload, end(0, 2));
+        // The journal holds what is left to do, and claims start over.
+        let (entries, corrupt) = j.replay_snapshot();
+        assert_eq!(corrupt, 0);
+        assert_eq!(entries.iter().map(|e| e.seq).collect::<Vec<_>>(), [b, c]);
+        assert_eq!(j.claim(a), Claim::Stale);
+        assert_eq!(j.claim(b), Claim::Fresh);
+        // The fence holds on both append paths; seqs go on from the file's.
+        assert!(j.is_fenced(2) && !j.is_fenced(1));
+        assert_eq!(j.append(1, end(1, 2)), Err(Fenced { source: 2 }));
+        assert_eq!(j.append_write(1, 1, 0, 2, 0, 8, 0), Err(Fenced { source: 2 }));
+        assert_eq!(j.append(1, end(1, 0)), Ok(c + 3));
+        j.mark_applied(b);
+        drop(j);
+
+        let (_, history) = EventJournal::open(&path).unwrap();
+        let states: Vec<_> = history.iter().map(|e| (e.seq, e.state)).collect();
+        assert_eq!(
+            states,
+            [(a, Applied), (b, Applied), (c, Pending), (c + 3, Pending)]
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_is_truncated_and_appends_resume_on_a_frame_boundary() {
+        let path = store_path("torn");
+        let (j, _) = EventJournal::open(&path).unwrap();
+        j.append(0, write_payload(0)).unwrap();
+        let intact = std::fs::metadata(&path).unwrap().len();
+        j.append(0, write_payload(1)).unwrap();
+        drop(j);
+        // A crash mid-append: the last frame is cut short.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let file = File::options().write(true).open(&path).unwrap();
+        file.set_len(len - 5).unwrap();
+
+        let (j, history) = EventJournal::open(&path).unwrap();
+        assert_eq!(history.len(), 1, "the intact prefix survives");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
+        let c = j.append(0, write_payload(2)).unwrap();
+        drop(j);
+        let (_, history) = EventJournal::open(&path).unwrap();
+        let sources: Vec<_> = history.iter().map(|e| e.payload.source()).collect();
+        assert_eq!(sources, [0, 2]);
+        assert_eq!(history[1].seq, c);
+
+        // A frame whose CRC fails ends the scan the same way.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[intact as usize + 12] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, history) = EventJournal::open(&path).unwrap();
+        assert_eq!(history.len(), 1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_unknown_frame_kind_with_a_valid_crc_is_skipped_not_fatal() {
+        let path = store_path("skew");
+        let (j, _) = EventJournal::open(&path).unwrap();
+        j.append(0, write_payload(0)).unwrap();
+        store_frame(
+            j.inner.lock().store.as_mut().unwrap(),
+            &marker(77, 200), // a kind some later version writes
+        );
+        let b = j.append(0, write_payload(1)).unwrap();
+        drop(j);
+        let (j, history) = EventJournal::open(&path).unwrap();
+        assert_eq!(history.len(), 2, "the scan went on past the unknown frame");
+        assert_eq!(history[1].seq, b);
+        assert_eq!(j.len(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn decode_inverts_encode_header_for_every_payload_kind() {
+        let dynamic = JournalPayload::Write {
+            variable_id: 3,
+            iteration: 9,
+            source: 70,
+            offset: 1 << 33,
+            len: 24,
+            dynamic_layout: Some(Layout::new(DataType::F64, &[3, 1])),
+            data_crc: 0xfeed_f00d,
+        };
+        let scalar = JournalPayload::Write {
+            variable_id: 0,
+            iteration: 0,
+            source: 0,
+            offset: 0,
+            len: 4,
+            dynamic_layout: Some(Layout::scalar(DataType::I32)),
+            data_crc: 1,
+        };
+        let user = JournalPayload::User {
+            name: "snapshot".into(),
+            iteration: 4,
+            source: u32::MAX,
+        };
+        let abandon = JournalPayload::Abandon {
+            iteration: 2,
+            source: 1,
+            offset: 4096,
+            len: 100,
+        };
+        for payload in [write_payload(5), dynamic, scalar, user, end(7, 3), abandon] {
+            let body = encode_header(0x0123_4567_89ab, &payload);
+            assert_eq!(
+                decode(&body),
+                Some(Stored::Record(0x0123_4567_89ab, payload))
+            );
+        }
+        // A fixed-size body cut short or run long is refused whole (the
+        // frame's CRC, not the decoder, is what vouches for a name).
+        let body = encode_header(1, &end(7, 3));
+        assert_eq!(decode(&body[..body.len() - 1]), None);
+        assert_eq!(decode(&[&body[..], &[0]].concat()), None);
+    }
+
+    #[test]
+    fn with_a_store_append_write_takes_the_journalled_path() {
+        let path = store_path("append-write");
+        let (j, _) = EventJournal::open(&path).unwrap();
+        let seq = j.append_write(5, 7, 3, 2, 4096, 1024, 0xabcd).unwrap();
+        // Not staged for a later drain: in the file before the call returns.
+        assert!(j
+            .staging
+            .iter()
+            .all(|slot| slot.state.load(Ordering::Relaxed) & STATE_TAG_MASK == SLOT_FREE));
+        let (_, history) = EventJournal::open(&path).unwrap();
+        assert_eq!(history.len(), 1);
+        assert_eq!(history[0].seq, seq);
+        assert_eq!(history[0].payload, JournalPayload::Write {
+            variable_id: 7,
+            iteration: 3,
+            source: 2,
+            offset: 4096,
+            len: 1024,
+            dynamic_layout: None,
+            data_crc: 0xabcd,
+        });
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -23,16 +23,24 @@ use crate::server;
 use damaris_fs::{LocalDirBackend, StorageBackend};
 use damaris_obs::{Counter, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_SERVER};
 use damaris_shm::sync::Arc;
+#[cfg(unix)]
+use damaris_shm::{MappedNode, SharedBuffer};
 use damaris_shm::{
-    AllocError, HeartbeatWord, LeaseTable, MpscQueue, MutexAllocator, PartitionAllocator, Segment,
+    AllocError, ClientLease, HeartbeatWord, LeaseTable, MpscQueue, MutexAllocator,
+    PartitionAllocator, Segment,
 };
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Either of the paper's two reservation schemes, behind one interface.
+/// Either of the paper's two reservation schemes, behind one interface —
+/// the partitioned one over heap counters or, when the node's cores are
+/// processes, over the counters of the shared mapping.
 pub(crate) enum BufferManager {
     Mutex(MutexAllocator),
     Partition(PartitionAllocator),
+    /// The mapping, and its data window as the buffer segments point into.
+    #[cfg(unix)]
+    Mapped(MappedNode, Arc<SharedBuffer>),
 }
 
 impl BufferManager {
@@ -42,6 +50,8 @@ impl BufferManager {
             // swept back (`revoke_client`); the tag drops on release.
             BufferManager::Mutex(a) => a.allocate_owned(client, len),
             BufferManager::Partition(a) => a.allocate(client as usize, len),
+            #[cfg(unix)]
+            BufferManager::Mapped(node, data) => node.reserve(data, client as usize, len),
         }
     }
 
@@ -49,16 +59,23 @@ impl BufferManager {
         match self {
             BufferManager::Mutex(a) => a.release(segment),
             BufferManager::Partition(a) => a.release(client as usize, segment),
+            #[cfg(unix)]
+            BufferManager::Mapped(node, _) => {
+                node.release(client as usize, segment.offset(), segment.len())
+            }
         }
     }
 
-    /// Re-adopts a still-allocated range after a dedicated-core crash: the
-    /// journal records the coordinates, the allocator validates them and
-    /// reissues the handle. `None` if the range is not a live allocation.
+    /// Reissues the handle of a still-allocated range known only by its
+    /// coordinates — from the journal after a dedicated-core crash, or
+    /// from a client process's `Commit` frame. The allocator validates
+    /// them; `None` if the range is not a live allocation of `client`.
     pub(crate) fn adopt(&self, client: u32, offset: usize, len: usize) -> Option<Segment> {
         match self {
             BufferManager::Mutex(a) => a.adopt_owned(client, offset, len),
             BufferManager::Partition(a) => a.adopt(client as usize, offset, len),
+            #[cfg(unix)]
+            BufferManager::Mapped(node, data) => node.adopt(data, client as usize, offset, len),
         }
     }
 
@@ -72,6 +89,8 @@ impl BufferManager {
         match self {
             BufferManager::Mutex(a) => a.revoke_client(client),
             BufferManager::Partition(a) => a.revoke_remaining(client as usize),
+            #[cfg(unix)]
+            BufferManager::Mapped(node, _) => node.revoke_remaining(client as usize) as usize,
         }
     }
 
@@ -79,6 +98,8 @@ impl BufferManager {
         match self {
             BufferManager::Mutex(a) => a.capacity(),
             BufferManager::Partition(a) => a.buffer().capacity(),
+            #[cfg(unix)]
+            BufferManager::Mapped(_, data) => data.capacity(),
         }
     }
 
@@ -88,6 +109,8 @@ impl BufferManager {
         match self {
             BufferManager::Mutex(a) => a.in_use(),
             BufferManager::Partition(a) => (0..n_clients).map(|c| a.in_use(c)).sum(),
+            #[cfg(unix)]
+            BufferManager::Mapped(node, _) => node.total_in_use() as usize,
         }
     }
 }
@@ -160,35 +183,6 @@ impl FaultStats {
             commit_batches: metrics.counter("node.commit_batches"),
             manifest_publishes: metrics.counter("node.manifest_publishes"),
         }
-    }
-
-    /// Copies every counter into its [`NodeReport`] field (the report's
-    /// `metric: node.*` tags name the pairing).
-    pub(crate) fn copy_into(&self, report: &mut NodeReport) {
-        report.persist_retries = self.persist_retries.get();
-        report.iterations_degraded = self.iterations_degraded.get();
-        report.writes_dropped = self.writes_dropped.get();
-        report.sync_fallback_writes = self.sync_fallback_writes.get();
-        report.plugin_failures = self.plugin_failures.get();
-        report.plugins_quarantined = self.plugins_quarantined.get();
-        report.recovery_actions = self.recovery_actions.get();
-        report.epe_respawns = self.epe_respawns.get();
-        report.events_replayed = self.events_replayed.get();
-        report.stale_events_rejected = self.stale_events_rejected.get();
-        report.heartbeat_stale_observed = self.heartbeat_stale_observed.get();
-        report.client_leases_expired = self.client_leases_expired.get();
-        report.segments_reclaimed = self.segments_reclaimed.get();
-        report.crc_quarantined = self.crc_quarantined.get();
-        report.partial_iterations = self.partial_iterations.get();
-        report.shm_orphans_removed = self.shm_orphans_removed.get();
-        report.shm_orphans_quarantined = self.shm_orphans_quarantined.get();
-        report.storage_pressure_degraded = self.storage_pressure_degraded.get();
-        report.storage_pressure_readonly = self.storage_pressure_readonly.get();
-        report.storage_pressure_recovered = self.storage_pressure_recovered.get();
-        report.storage_pressure_sheds = self.storage_pressure_sheds.get();
-        report.storage_pressure_gc_bytes = self.storage_pressure_gc_bytes.get();
-        report.commit_batches = self.commit_batches.get();
-        report.manifest_publishes = self.manifest_publishes.get();
     }
 
     pub(crate) fn bump(counter: &Counter) {
@@ -284,12 +278,15 @@ pub(crate) struct NodeShared {
     /// Write-ahead journal of every client notification; outlives server
     /// incarnations, driving replay after a crash.
     pub journal: EventJournal,
-    /// Liveness word the dedicated core beats and clients observe.
-    pub heartbeat: HeartbeatWord,
+    /// Liveness word the dedicated core beats and clients observe — read
+    /// through [`heartbeat`](Self::heartbeat): over a mapping the word
+    /// that counts is the mapped one.
+    heartbeat: HeartbeatWord,
     /// Per-client liveness leases: each client renews its lease on every
     /// API call; the dedicated core's sweeper revokes leases that stall
     /// past `client_lease_timeout` and reclaims the client's resources.
-    pub leases: LeaseTable,
+    /// Read through [`lease`](Self::lease), for the same reason.
+    leases: LeaseTable,
     /// The storage-pressure state machine (dormant unless the backend has
     /// a [`damaris_fs::DiskSentinel`]); polled by the dedicated core,
     /// observed by embedders via [`NodeRuntime::pressure_state`].
@@ -313,6 +310,36 @@ impl NodeShared {
                 PartitionAllocator::with_capacity(config.buffer_size, n_clients),
             ),
         };
+        Self::over(config, n_clients, backend, node_id, buffer, EventJournal::new())
+    }
+
+    /// The shared state of a node whose cores are processes: buffer,
+    /// leases and heartbeat are `node`'s mapped words (so its geometry
+    /// overrides `config`'s buffer element), and `journal` comes from
+    /// [`EventJournal::open`]. What a dedicated core built over it needs
+    /// to survive its own death is then all outside the process.
+    #[cfg(unix)]
+    pub(crate) fn over_mapping(
+        config: Config,
+        node: MappedNode,
+        backend: Arc<dyn StorageBackend>,
+        node_id: u32,
+        journal: EventJournal,
+    ) -> NodeShared {
+        let n_clients = node.n_clients();
+        let data = node.buffer();
+        let buffer = BufferManager::Mapped(node, data);
+        Self::over(config, n_clients, backend, node_id, buffer, journal)
+    }
+
+    fn over(
+        config: Config,
+        n_clients: usize,
+        backend: Arc<dyn StorageBackend>,
+        node_id: u32,
+        buffer: BufferManager,
+        journal: EventJournal,
+    ) -> NodeShared {
         let metrics = Arc::new(Registry::new());
         NodeShared {
             buffer,
@@ -323,11 +350,29 @@ impl NodeShared {
             stats: FaultStats::new(&metrics),
             metrics,
             obs: NodeObs::new(&config.observability, n_clients),
-            journal: EventJournal::new(),
+            journal,
             heartbeat: HeartbeatWord::new(),
             leases: LeaseTable::new(n_clients),
             pressure: crate::pressure::PressureMachine::new(),
             config,
+        }
+    }
+
+    /// The dedicated core's liveness word.
+    pub(crate) fn heartbeat(&self) -> &HeartbeatWord {
+        match &self.buffer {
+            #[cfg(unix)]
+            BufferManager::Mapped(node, _) => node.heartbeat(),
+            _ => &self.heartbeat,
+        }
+    }
+
+    /// The liveness lease of one client, if the id is in range.
+    pub(crate) fn lease(&self, client: usize) -> Option<&ClientLease> {
+        match &self.buffer {
+            #[cfg(unix)]
+            BufferManager::Mapped(node, _) => (client < self.clients).then(|| node.lease(client)),
+            _ => self.leases.lease(client),
         }
     }
 }
@@ -454,6 +499,78 @@ pub struct NodeReport {
     /// fewer when it committed backlogs.
     /// metric: node.manifest_publishes
     pub manifest_publishes: u64,
+}
+
+impl NodeReport {
+    /// Every counter by name — the one table behind the copy out of the
+    /// registry and the text form below.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 31] {
+        [
+            ("iterations_persisted", &mut self.iterations_persisted),
+            ("variables_received", &mut self.variables_received),
+            ("bytes_received", &mut self.bytes_received),
+            ("user_events", &mut self.user_events),
+            ("files_created", &mut self.files_created),
+            ("bytes_stored", &mut self.bytes_stored),
+            ("peak_resident_bytes", &mut self.peak_resident_bytes),
+            ("persist_retries", &mut self.persist_retries),
+            ("iterations_degraded", &mut self.iterations_degraded),
+            ("writes_dropped", &mut self.writes_dropped),
+            ("sync_fallback_writes", &mut self.sync_fallback_writes),
+            ("plugin_failures", &mut self.plugin_failures),
+            ("plugins_quarantined", &mut self.plugins_quarantined),
+            ("recovery_actions", &mut self.recovery_actions),
+            ("epe_respawns", &mut self.epe_respawns),
+            ("events_replayed", &mut self.events_replayed),
+            ("stale_events_rejected", &mut self.stale_events_rejected),
+            ("heartbeat_stale_observed", &mut self.heartbeat_stale_observed),
+            ("client_leases_expired", &mut self.client_leases_expired),
+            ("segments_reclaimed", &mut self.segments_reclaimed),
+            ("crc_quarantined", &mut self.crc_quarantined),
+            ("partial_iterations", &mut self.partial_iterations),
+            ("shm_orphans_removed", &mut self.shm_orphans_removed),
+            ("shm_orphans_quarantined", &mut self.shm_orphans_quarantined),
+            ("storage_pressure_degraded", &mut self.storage_pressure_degraded),
+            ("storage_pressure_readonly", &mut self.storage_pressure_readonly),
+            ("storage_pressure_recovered", &mut self.storage_pressure_recovered),
+            ("storage_pressure_sheds", &mut self.storage_pressure_sheds),
+            ("storage_pressure_gc_bytes", &mut self.storage_pressure_gc_bytes),
+            ("commit_batches", &mut self.commit_batches),
+            ("manifest_publishes", &mut self.manifest_publishes),
+        ]
+    }
+
+    /// Copies every `node.<field>` counter of `metrics` into the field of
+    /// that name (the `metric:` tags above name the pairing); a field
+    /// without a counter is report-only and stays as it is.
+    pub(crate) fn copy_counters(&mut self, metrics: &Registry) {
+        let snapshot = metrics.snapshot();
+        for (name, slot) in self.fields() {
+            if let Some(value) = snapshot.counters.get(&format!("node.{name}")) {
+                *slot = *value;
+            }
+        }
+    }
+
+    /// The report as `key=value` lines — how a dedicated core that is a
+    /// process hands its accounting to whoever launched it.
+    pub fn to_key_values(&self) -> String {
+        let mut copy = self.clone();
+        let lines = copy.fields().map(|(key, value)| format!("{key}={value}\n"));
+        lines.concat()
+    }
+
+    /// Reads [`to_key_values`](Self::to_key_values) back; a key that is
+    /// missing or does not parse leaves its counter at 0, unknown keys are
+    /// skipped.
+    pub fn from_key_values(text: &str) -> NodeReport {
+        let mut report = NodeReport::default();
+        for (key, slot) in report.fields() {
+            let line = text.lines().find_map(|l| l.strip_prefix(key)?.strip_prefix('='));
+            *slot = line.and_then(|v| v.trim().parse().ok()).unwrap_or(0);
+        }
+        report
+    }
 }
 
 /// One running Damaris node: a supervised dedicated-core server thread
@@ -587,7 +704,7 @@ impl NodeRuntime {
 
     /// The current heartbeat epoch (0 until the first respawn).
     pub fn heartbeat_epoch(&self) -> u32 {
-        self.shared.heartbeat.epoch()
+        self.shared.heartbeat().epoch()
     }
 
     /// The node's current storage-pressure state (always `Normal` when
@@ -632,7 +749,7 @@ impl NodeRuntime {
             .shared
             .journal
             .append(
-                self.shared.heartbeat.epoch(),
+                self.shared.heartbeat().epoch(),
                 JournalPayload::User {
                     name: event.to_string(),
                     iteration,
@@ -737,5 +854,52 @@ impl Drop for NodeRuntime {
             terminate(&self.shared, &handle);
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_report_survives_its_text_form_counter_by_counter() {
+        let mut report = NodeReport::default();
+        for (n, (_, slot)) in report.fields().into_iter().enumerate() {
+            *slot = n as u64 + 1;
+        }
+        // A counter the table forgot would still read 0 here.
+        assert!(!format!("{report:?}").contains(": 0"), "{report:?}");
+        let text = report.to_key_values();
+        assert_eq!(text.lines().count(), 31);
+        assert_eq!(NodeReport::from_key_values(&text), report);
+        let sparse = NodeReport::from_key_values("bytes_stored=7\nnot_a_counter=1\ncommit_batches=x\n");
+        let expected = NodeReport {
+            bytes_stored: 7,
+            ..NodeReport::default()
+        };
+        assert_eq!(sparse, expected);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_mapped_buffer_adopts_only_what_that_client_has_outstanding() {
+        let path = std::env::temp_dir().join(format!("damaris-node-adopt-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let node = MappedNode::create(&path, 2, 2048).unwrap();
+        let data = node.buffer();
+        let buffer = BufferManager::Mapped(node, data);
+        let segment = buffer.allocate(1, 100).unwrap();
+        let (offset, len) = (segment.offset(), segment.len());
+        assert!(buffer.adopt(1, offset, len).is_some());
+        // What a forged `Commit` frame can say.
+        assert!(buffer.adopt(1, usize::MAX - 1, 2).is_none(), "overflow");
+        assert!(buffer.adopt(0, offset, len).is_none(), "another rank's ring");
+        assert!(buffer.adopt(1, offset, 1032).is_none(), "longer than a ring");
+        assert!(buffer.adopt(1, offset + 104, 100).is_none(), "beyond head");
+        assert_eq!(buffer.in_use(2), 104);
+        buffer.release(1, segment);
+        assert_eq!(buffer.in_use(2), 0);
+        assert!(buffer.adopt(1, offset, len).is_none(), "released");
+        std::fs::remove_file(&path).unwrap();
     }
 }

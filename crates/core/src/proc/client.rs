@@ -4,8 +4,11 @@
 //! Per iteration the client reserves a ring segment per variable (the
 //! lock-free partitioned scheme — a handful of atomics on mapped words),
 //! memcpys its data, stamps a CRC, sends `Commit` (shm coordinates only:
-//! the data plane never touches the socket), then fences the iteration
-//! with `EndIteration` and waits for the EPE's `Ack`.
+//! the data plane never touches the socket), fences the iteration with
+//! `EndIteration` — and goes on to the next one. It never waits for the
+//! dedicated core's disk: its only backpressure is a full ring, as for
+//! [`crate::DamarisClient`]. The one wait is at the end, after its last
+//! `EndIteration`, for the acknowledgements still outstanding.
 //!
 //! ## Surviving the EPE
 //!
@@ -13,9 +16,11 @@
 //! two signals — the socket erroring and the mapped heartbeat's
 //! `beat_at_ns` going stale on the machine-wide monotonic clock — then
 //! reconnects to the respawned incarnation (same socket path, bumped
-//! epoch in the `Welcome`) and re-sends every commit of the
-//! unacknowledged iteration plus its `EndIteration`. The respawned EPE
-//! deduplicates against its WAL, so re-sends are safe.
+//! epoch in the `Welcome`), renewing its lease while it tries, and
+//! re-sends every frame not yet acknowledged, oldest first: an `Ack
+//! { iteration }` says that iteration is durable and its memory released,
+//! and is what prunes the list. The dedicated core rejects what its
+//! journal already holds, so re-sends are safe.
 //!
 //! ## Dying itself
 //!
@@ -24,7 +29,7 @@
 //! (`alloc`), halfway through the memcpy (`memcpy`), or right after the
 //! commit frame is written (`postcommit`) — a real uncatchable death at
 //! a deterministic protocol point, whose cleanup burden falls entirely
-//! on the EPE's lease sweep.
+//! on the dedicated core.
 
 use super::ClientKillSpec;
 use damaris_mpi::{connect_client, ClientKillPhase, CtrlMsg, FaultPlan, UdsConn};
@@ -95,32 +100,56 @@ pub fn payload_for(rank: u32, iteration: u32, variable: u32, len: usize) -> Vec<
     (0..len).map(|i| seed.wrapping_add(i as u8)).collect()
 }
 
-/// One in-flight commit, kept client-side until its iteration is acked
-/// so it can be re-sent to a respawned EPE.
-#[derive(Debug, Clone, Copy)]
-struct Inflight {
-    variable: u32,
-    offset: u64,
-    len: u64,
-    crc: u32,
-}
-
-struct Ctl {
+/// The client's end of the control plane, with what it would have to
+/// say again to a respawned EPE.
+struct Ctl<'a> {
+    opts: &'a ClientOptions,
+    node: &'a MappedNode,
     conn: UdsConn,
     epoch: u32,
+    /// Every `Commit` and `EndIteration` of an iteration not yet
+    /// acknowledged, oldest first.
+    unacked: Vec<CtrlMsg>,
+    /// The EPE said `Shutdown`: nothing further will be acknowledged.
+    shut_down: bool,
+    report: ClientReport,
 }
 
-fn connect(opts: &ClientOptions, deadline: Duration) -> io::Result<Ctl> {
-    let (conn, epoch) = connect_client(
-        &opts.dir.join(super::SOCKET_FILE),
-        opts.rank as usize,
-        damaris_shm::this_pid(),
-        opts.n_clients,
-        &FaultPlan::new(),
-        deadline,
-    )?;
-    conn.set_recv_timeout(Some(Duration::from_millis(20)))?;
-    Ok(Ctl { conn, epoch })
+fn iteration_of(msg: &CtrlMsg) -> Option<u32> {
+    match msg {
+        CtrlMsg::Commit { iteration, .. } | CtrlMsg::EndIteration { iteration, .. } => {
+            Some(*iteration)
+        }
+        _ => None,
+    }
+}
+
+/// Joins the control plane, for up to 20 s: generous, because after an
+/// EPE death the supervisor has to notice and respawn, and the new EPE
+/// replays its journal first. A rank waiting for the core is not a dead
+/// rank, so the lease is renewed between attempts.
+fn connect(opts: &ClientOptions, node: &MappedNode) -> io::Result<(UdsConn, u32)> {
+    let start = Instant::now();
+    loop {
+        renew(opts, node)?;
+        let joined = connect_client(
+            &opts.dir.join(super::SOCKET_FILE),
+            opts.rank as usize,
+            damaris_shm::this_pid(),
+            opts.n_clients,
+            &FaultPlan::new(),
+            Duration::from_millis(100),
+        );
+        match joined {
+            Ok((conn, epoch)) => {
+                // Acks are picked up in passing, never waited for.
+                conn.set_nonblocking(true)?;
+                return Ok((conn, epoch));
+            }
+            Err(e) if start.elapsed() > Duration::from_secs(20) => return Err(e),
+            Err(_) => {}
+        }
+    }
 }
 
 /// True when the EPE's heartbeat stamp is stale on the machine-wide
@@ -131,9 +160,69 @@ fn heartbeat_stale(node: &MappedNode, timeout: Duration) -> bool {
     monotonic_now_ns().saturating_sub(beat_at) > timeout.as_nanos() as u64
 }
 
+impl Ctl<'_> {
+    /// Sends `msg` and keeps it for re-sending until its iteration is
+    /// acknowledged. A send that fails is made good by the reconnect,
+    /// which says everything kept — `msg` included — again.
+    fn send(&mut self, msg: CtrlMsg) -> io::Result<()> {
+        let sent = self.conn.send(&msg);
+        self.unacked.push(msg);
+        match sent {
+            Ok(()) => Ok(()),
+            Err(_) => self.reconnect(),
+        }
+    }
+
+    /// Reconnects after an EPE death and re-sends everything
+    /// unacknowledged, in order (the journal dedups on the other side).
+    fn reconnect(&mut self) -> io::Result<()> {
+        let (mut conn, epoch) = connect(self.opts, self.node)?;
+        if epoch != self.epoch {
+            self.report.epochs_seen.push(epoch);
+        }
+        for msg in &self.unacked {
+            conn.send(msg)?;
+            if matches!(msg, CtrlMsg::Commit { .. }) {
+                self.report.commits_resent += 1;
+            }
+        }
+        (self.conn, self.epoch) = (conn, epoch);
+        Ok(())
+    }
+
+    /// Takes in what the EPE has said so far, without waiting for more,
+    /// and reconnects if it turns out to be gone (the socket says so, or
+    /// the heartbeat went stale).
+    fn poll(&mut self) -> io::Result<()> {
+        loop {
+            match self.conn.recv() {
+                Ok(CtrlMsg::Ack { iteration }) => {
+                    let before = self.unacked.len();
+                    self.unacked.retain(|msg| iteration_of(msg) != Some(iteration));
+                    if self.unacked.len() < before {
+                        self.report.iterations_acked += 1;
+                    }
+                }
+                Ok(CtrlMsg::Shutdown) => self.shut_down = true,
+                // Epoch announcements, anything else: not ours to act on.
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                // After a `Shutdown` the EPE closes its end: not a death.
+                Err(_) if self.shut_down => return Ok(()),
+                Err(_) => return self.reconnect(),
+            }
+        }
+        if !self.shut_down && heartbeat_stale(self.node, self.opts.lease_timeout) {
+            // The EPE looks dead: this blocks until the supervisor has
+            // respawned it.
+            self.reconnect()?;
+        }
+        Ok(())
+    }
+}
+
 /// Runs one client process to completion.
 pub fn run_client(opts: &ClientOptions) -> io::Result<ClientReport> {
-    let mut report = ClientReport::default();
     let mapping_path = opts.dir.join(super::MAPPING_FILE);
 
     // The EPE creates the mapping; wait for a valid header to appear.
@@ -149,27 +238,39 @@ pub fn run_client(opts: &ClientOptions) -> io::Result<ClientReport> {
     };
     let buffer = node.buffer();
     let rank = opts.rank as usize;
-    let mut ctl = connect(opts, Duration::from_secs(20))?;
-    report.epochs_seen.push(ctl.epoch);
+    let (conn, epoch) = connect(opts, &node)?;
+    let mut ctl = Ctl {
+        opts,
+        node: &node,
+        conn,
+        epoch,
+        unacked: Vec::new(),
+        shut_down: false,
+        report: ClientReport {
+            epochs_seen: vec![epoch],
+            ..ClientReport::default()
+        },
+    };
 
     for it in 0..opts.iterations {
-        let mut inflight: Vec<Inflight> = Vec::new();
+        ctl.poll()?;
         for var in 0..opts.variables {
             renew(opts, &node)?;
             let payload = payload_for(opts.rank, it, var, opts.payload_len);
 
             // Reserve, spinning on Full like the paper's clients block on
-            // a full buffer. The EPE frees space as it persists.
+            // a full buffer. The EPE frees space as it persists — a
+            // respawned one only once it has heard again what the dead
+            // one took with it, hence the poll.
             let reserve_start = Instant::now();
             let mut seg = loop {
                 match node.reserve(&buffer, rank, payload.len()) {
                     Ok(seg) => break seg,
                     Err(AllocError::Full) => {
                         renew(opts, &node)?;
-                        if heartbeat_stale(&node, opts.lease_timeout)
-                            && reserve_start.elapsed() > Duration::from_secs(20)
-                        {
-                            return Err(io::Error::other("buffer full and EPE dead"));
+                        ctl.poll()?;
+                        if ctl.shut_down || reserve_start.elapsed() > Duration::from_secs(60) {
+                            return Err(io::Error::other("buffer full and nobody draining it"));
                         }
                         std::thread::sleep(Duration::from_millis(1));
                     }
@@ -193,34 +294,17 @@ pub fn run_client(opts: &ClientOptions) -> io::Result<ClientReport> {
                 damaris_shm::kill_self_hard();
             }
             seg.copy_from_slice(&payload);
-            let crc = damaris_format::crc32(&payload);
-            let commit = Inflight {
+            ctl.send(CtrlMsg::Commit {
+                rank: opts.rank,
+                iteration: it,
                 variable: var,
                 offset: seg.offset() as u64,
                 len: seg.len() as u64,
-                crc,
-            };
+                crc: damaris_format::crc32(&payload),
+            })?;
             // The client-side mirror of the segment can go now — ring
             // accounting lives in the mapping and is released by the EPE.
             drop(seg);
-
-            send_with_reconnect(
-                opts,
-                &node,
-                &mut ctl,
-                &mut report,
-                &inflight,
-                it,
-                &CtrlMsg::Commit {
-                    rank: opts.rank,
-                    iteration: it,
-                    variable: commit.variable,
-                    offset: commit.offset,
-                    len: commit.len,
-                    crc: commit.crc,
-                },
-            )?;
-            inflight.push(commit);
 
             if kill.is_some_and(|k| k.phase == ClientKillPhase::PostCommit) {
                 // Die with the commit on the wire (or in the dead EPE's
@@ -228,137 +312,37 @@ pub fn run_client(opts: &ClientOptions) -> io::Result<ClientReport> {
                 damaris_shm::kill_self_hard();
             }
         }
-
-        send_with_reconnect(
-            opts,
-            &node,
-            &mut ctl,
-            &mut report,
-            &inflight,
-            it,
-            &CtrlMsg::EndIteration {
-                rank: opts.rank,
-                iteration: it,
-            },
-        )?;
-        if wait_for_ack(opts, &node, &mut ctl, &mut report, &inflight, it)? {
-            report.iterations_acked += 1;
-        } else {
-            break; // Shutdown before the Ack (e.g. wait-policy drain)
-        }
-    }
-    Ok(report)
-}
-
-/// Sends `msg`, transparently reconnecting to a respawned EPE (and
-/// re-sending this iteration's in-flight state) on failure.
-fn send_with_reconnect(
-    opts: &ClientOptions,
-    node: &MappedNode,
-    ctl: &mut Ctl,
-    report: &mut ClientReport,
-    inflight: &[Inflight],
-    it: u32,
-    msg: &CtrlMsg,
-) -> io::Result<()> {
-    if ctl.conn.send(msg).is_ok() {
-        return Ok(());
-    }
-    reconnect_and_resend(opts, node, ctl, report, inflight, it)?;
-    ctl.conn.send(msg)
-}
-
-/// Reconnects after an EPE death and re-sends every unacknowledged
-/// commit of iteration `it` (the WAL dedups on the other side).
-fn reconnect_and_resend(
-    opts: &ClientOptions,
-    node: &MappedNode,
-    ctl: &mut Ctl,
-    report: &mut ClientReport,
-    inflight: &[Inflight],
-    it: u32,
-) -> io::Result<()> {
-    // Reconnect budget: generous, because the supervisor needs to notice
-    // the death and respawn, and the new EPE replays its WAL first.
-    let mut fresh = connect(opts, Duration::from_secs(20))?;
-    if fresh.epoch != ctl.epoch {
-        report.epochs_seen.push(fresh.epoch);
-    }
-    for c in inflight {
-        fresh.conn.send(&CtrlMsg::Commit {
+        ctl.send(CtrlMsg::EndIteration {
             rank: opts.rank,
             iteration: it,
-            variable: c.variable,
-            offset: c.offset,
-            len: c.len,
-            crc: c.crc,
         })?;
-        report.commits_resent += 1;
     }
-    let _ = node; // liveness is implied by the successful reconnect
-    *ctl = fresh;
-    Ok(())
-}
 
-/// Waits for `Ack { it }`, riding out EPE deaths. Returns `false` if the
-/// EPE shut down without acknowledging (wait-policy drain).
-fn wait_for_ack(
-    opts: &ClientOptions,
-    node: &MappedNode,
-    ctl: &mut Ctl,
-    report: &mut ClientReport,
-    inflight: &[Inflight],
-    it: u32,
-) -> io::Result<bool> {
+    // The one wait: for what is still unacknowledged, riding out EPE
+    // deaths. A `Shutdown` ends it too — the EPE has flushed what it had
+    // and will acknowledge nothing further (e.g. under `wait`, iterations
+    // a dead rank never completed).
     let start = Instant::now();
-    loop {
-        match ctl.conn.recv() {
-            Ok(CtrlMsg::Ack { iteration }) if iteration == it => return Ok(true),
-            Ok(CtrlMsg::Shutdown) => return Ok(false),
-            // Older acks, epoch announcements, anything else: keep waiting.
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                renew(opts, node)?;
-                if heartbeat_stale(node, opts.lease_timeout) {
-                    // EPE looks dead: reconnect (blocks until the
-                    // supervisor respawns it) and re-send the iteration.
-                    reconnect_and_resend(opts, node, ctl, report, inflight, it)?;
-                    ctl.conn.send(&CtrlMsg::EndIteration {
-                        rank: opts.rank,
-                        iteration: it,
-                    })?;
-                }
-                if start.elapsed() > Duration::from_secs(60) {
-                    return Err(io::Error::other(format!("no ack for iteration {it}")));
-                }
-            }
-            Err(_) => {
-                // Socket died under us: same recovery as staleness.
-                reconnect_and_resend(opts, node, ctl, report, inflight, it)?;
-                ctl.conn.send(&CtrlMsg::EndIteration {
-                    rank: opts.rank,
-                    iteration: it,
-                })?;
-            }
+    while !ctl.unacked.is_empty() && !ctl.shut_down {
+        renew(opts, &node)?;
+        ctl.poll()?;
+        if start.elapsed() > Duration::from_secs(60) {
+            let oldest = ctl.unacked.first().and_then(iteration_of);
+            return Err(io::Error::other(format!("no ack for iteration {oldest:?}")));
         }
+        std::thread::sleep(Duration::from_millis(1));
     }
+    Ok(ctl.report)
 }
 
-/// Lease renew + stamp: every client API touchpoint renews, and the
-/// stamp is on the machine-wide clock the sweeper reads.
+/// Lease renew: every client API touchpoint and every wait loop renews;
+/// the dedicated core's sweeper watches the word for movement.
 fn renew(opts: &ClientOptions, node: &MappedNode) -> io::Result<()> {
-    let rank = opts.rank as usize;
-    if !node.lease(rank).renew() {
+    if !node.lease(opts.rank as usize).renew() {
         // Revoked: the sweeper fenced us (a false positive on a very
         // slow rank). Per protocol we must stop touching the buffer.
         return Err(io::Error::other("lease revoked: this rank is fenced"));
     }
-    // Release pairs with the sweeper's Acquire staleness load.
-    node.renewed_at_ns(rank)
-        .store(monotonic_now_ns(), Ordering::Release);
     Ok(())
 }
 

@@ -1,63 +1,88 @@
-//! The dedicated-core process: Damaris's event processing engine running
-//! as its own OS process over the file-backed mapping.
+//! The dedicated-core process: the node's one dedicated core
+//! ([`crate::server`]) fed from the UDS control plane instead of the
+//! in-process queue.
 //!
-//! Lifecycle of one incarnation:
+//! [`run_epe`] is bootstrap, a pump, and a report:
 //!
-//! 1. Sweep the run directory for orphaned mappings from dead prior runs
-//!    ([`damaris_shm::scan_orphans`]).
-//! 2. Create the mapping (first incarnation) or re-adopt it (respawn):
-//!    re-stamp the creator pid, bump the heartbeat epoch, and restart
-//!    every live lease's staleness clock so clients are not fenced for
-//!    *our* downtime.
-//! 3. Replay the WAL: applied-but-unreleased records get their ring
-//!    bytes returned; pending records are re-adopted into their
-//!    iteration as if the commit just arrived.
-//! 4. Serve: drain `Commit`/`EndIteration` frames, WAL-append each
-//!    commit pending *before* acting on it, resolve iterations in order
-//!    (full, partial with a presence bitmap, or dropped, per the
-//!    configured [`OnClientFailure`] policy), verify each segment's
-//!    end-to-end CRC at persist time, release ring bytes, acknowledge.
-//! 5. Sweep leases on the machine-wide monotonic clock: a rank whose
-//!    `renewed_at_ns` stalls past the lease timeout is revoked (the
-//!    model-checked CAS arbitration — a concurrent renew wins), its
-//!    unpersisted commits discarded, and its whole ring reclaimed.
+//! 1. **Bootstrap.** Sweep the run directory for orphaned mappings of
+//!    dead prior runs ([`damaris_shm::scan_orphans`]); create the mapping
+//!    (first incarnation) or re-adopt it (respawn); publish the heartbeat
+//!    epoch; open the journal's file ([`EventJournal::open`]) and fence in
+//!    it every rank whose lease reads revoked; build the node's shared
+//!    state over the mapping; bind the socket (first boot: wait for every
+//!    rank to register); build the core over the shared state; replay
+//!    (respawn).
+//! 2. **The pump.** Each pass beats and stamps the mapped heartbeat,
+//!    accepts whoever registered, drains `Commit`/`EndIteration` frames —
+//!    validate by *adopting* the range from the sender's ring, journal,
+//!    `handle` — runs the core's `idle` pass, and on a pass that read no
+//!    frame its `quiet` pass (the rule [`crate::server::run`] follows on
+//!    an empty pop), after which what retired is acknowledged.
+//! 3. `Terminate`, `finish`, and the report file the launcher reads.
+//!
+//! Everything a payload byte meets between a client's `Commit` and the
+//! disk — iteration completion, the lease sweep, failure policies, CRC
+//! verification, persist retry, group commit, `MANIFEST` publish, the
+//! plugin pipeline, spans — is the core's and is not repeated here. What
+//! the pump owns is what is transport:
+//!
+//! * **Validation.** A frame's coordinates come from another process;
+//!   [`Pump::commit`] says what it takes for one to be believed.
+//! * **Acknowledgement.** `Ack { iteration }` means durable and
+//!   released: it goes out after the `quiet` pass that committed the
+//!   iteration. Clients never wait for it between iterations; it only
+//!   prunes what they would re-send.
+//! * **Re-sends.** A reconnecting client re-sends everything
+//!   unacknowledged; what the journal's history (or this incarnation)
+//!   already holds is rejected *before* it is journalled, because the same
+//!   range adopted twice would be released twice.
+//! * **Termination.** There is no `Terminate` on the wire: the pump
+//!   decides ([`Pump::settled`]).
 //!
 //! The mid-drain kill (`DAMARIS_KILL_EPE_AFTER`) raises `SIGKILL` right
-//! after a commit's pending record is durable and before anything is
-//! applied — the worst spot: the next incarnation must recover the
-//! commit from the WAL + mapping alone.
+//! after a commit's record is durable and before the core hears of it —
+//! the worst spot: the next incarnation must recover the commit from the
+//! journal file and the mapping alone.
 
 use crate::config::OnClientFailure;
-use crate::proc::wal::{ProcWal, WalRecord, WalState};
-use damaris_format::{crc32, DataType, DatasetOptions, Layout};
+use crate::epe::EventProcessingEngine;
+use crate::error::DamarisError;
+use crate::event::Event;
+use crate::journal::{EventJournal, JournalPayload, RecordState, ReplayEntry};
+use crate::node::{FaultStats, NodeReport, NodeShared};
+use crate::server::DedicatedCore;
 use damaris_fs::LocalDirBackend;
 use damaris_mpi::{CtrlMsg, FaultPlan, UdsConn, UdsHub};
-use damaris_shm::sync::Ordering;
-use damaris_shm::{monotonic_now_ns, scan_orphans, MappedNode};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use damaris_shm::sync::{Arc, Ordering};
+use damaris_shm::{monotonic_now_ns, scan_orphans, LeaseSnapshot, MappedNode};
+use std::collections::{BTreeSet, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything one EPE incarnation needs to run.
 #[derive(Debug, Clone)]
 pub struct EpeOptions {
-    /// Run directory: mapping, socket, WAL, reports, and `out/` live here.
+    /// Run directory: mapping, socket, journal, reports, and `out/` live here.
     pub dir: PathBuf,
     /// Number of client ranks.
     pub n_clients: usize,
     /// Iterations the run executes.
     pub iterations: u32,
+    /// Variables each client writes per iteration.
+    pub variables: u32,
+    /// Payload bytes per variable.
+    pub payload_len: usize,
     /// Data-window bytes of the mapping (split into per-client rings).
     pub data_capacity: usize,
     /// Incarnation number: 0 creates the mapping, >0 re-adopts it.
     pub epoch: u32,
     /// What to do when a client dies mid-iteration.
     pub policy: OnClientFailure,
-    /// Lease staleness bound on the machine-wide monotonic clock.
+    /// Lease staleness bound.
     pub lease_timeout: Duration,
     /// Chaos: raise `SIGKILL` on ourselves after draining this many
-    /// commits (mid-drain, pending record durable, nothing applied).
+    /// commits (mid-drain, record durable, nothing applied).
     pub kill_after_commits: Option<u64>,
 }
 
@@ -70,159 +95,49 @@ impl EpeOptions {
             dir: PathBuf::from(dir),
             n_clients: super::env_parse(super::ENV_CLIENTS)?,
             iterations: super::env_parse(super::ENV_ITERS)?,
+            variables: super::env_parse(super::ENV_VARS)?,
+            payload_len: super::env_parse(super::ENV_PAYLOAD)?,
             data_capacity: super::env_parse(super::ENV_CAPACITY)?,
             epoch: super::env_parse(super::ENV_EPOCH)?,
-            policy: super::launcher::policy_from_str(
-                &std::env::var(super::ENV_POLICY).unwrap_or_default(),
-            ),
+            policy: super::policy_from_str(&std::env::var(super::ENV_POLICY).unwrap_or_default()),
             lease_timeout: Duration::from_millis(super::env_parse(super::ENV_LEASE_MS)?),
             kill_after_commits: super::epe_kill_after_from_env(),
         })
     }
+
+    fn report_path(&self) -> PathBuf {
+        self.dir.join(format!("epe-report-{}.txt", self.epoch))
+    }
 }
 
-/// One incarnation's accounting, also written to
-/// `epe-report-<epoch>.txt` as `key=value` lines for the launcher.
+/// One incarnation's accounting: which one, and the report its dedicated
+/// core returned. Written to `epe-report-<epoch>.txt` as `key=value`
+/// lines for the launcher.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpeReport {
     /// Incarnation number this report belongs to.
     pub epoch: u32,
-    /// Iterations persisted (full or partial).
-    pub iterations_persisted: u64,
-    /// Iterations persisted with a presence bitmap (some ranks fenced).
-    pub partial_iterations: u64,
-    /// Iterations discarded whole under the `drop-iteration` policy.
-    pub iterations_dropped: u64,
-    /// Iterations abandoned unresolved at shutdown (`wait` policy).
-    pub iterations_degraded: u64,
-    /// Commit frames accepted and WAL-journalled.
-    pub commits_drained: u64,
-    /// Segments excluded from persist because the mapping bytes no
-    /// longer matched the client's CRC.
-    pub crc_rejected: u64,
-    /// Client leases revoked by the sweeper.
-    pub leases_revoked: u64,
-    /// Ring bytes reclaimed from fenced clients (incl. padding).
-    pub bytes_reclaimed: u64,
-    /// WAL records recovered by this incarnation (replayed or released).
-    pub events_replayed: u64,
-    /// Re-sent commits deduplicated against the WAL history.
-    pub stale_commits_rejected: u64,
-    /// Orphaned mapping files unlinked by the startup sweep.
-    pub orphans_removed: u64,
-    /// Unrecognizable mapping files quarantined by the startup sweep.
-    pub orphans_quarantined: u64,
+    /// The core's report, as [`crate::NodeRuntime::finish`] returns it.
+    pub node: NodeReport,
 }
 
 impl EpeReport {
-    fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("epoch", u64::from(self.epoch)),
-            ("iterations_persisted", self.iterations_persisted),
-            ("partial_iterations", self.partial_iterations),
-            ("iterations_dropped", self.iterations_dropped),
-            ("iterations_degraded", self.iterations_degraded),
-            ("commits_drained", self.commits_drained),
-            ("crc_rejected", self.crc_rejected),
-            ("leases_revoked", self.leases_revoked),
-            ("bytes_reclaimed", self.bytes_reclaimed),
-            ("events_replayed", self.events_replayed),
-            ("stale_commits_rejected", self.stale_commits_rejected),
-            ("orphans_removed", self.orphans_removed),
-            ("orphans_quarantined", self.orphans_quarantined),
-        ]
-    }
-
     /// Writes the report as `key=value` lines.
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        let mut out = String::new();
-        for (k, v) in self.fields() {
-            out.push_str(&format!("{k}={v}\n"));
-        }
-        std::fs::write(path, out)
+        let text = format!("epoch={}\n{}", self.epoch, self.node.to_key_values());
+        std::fs::write(path, text)
     }
 
     /// Parses a report written by [`EpeReport::write_to`].
     pub fn read_from(path: &Path) -> io::Result<EpeReport> {
         let text = std::fs::read_to_string(path)?;
-        let mut map = BTreeMap::new();
-        for line in text.lines() {
-            if let Some((k, v)) = line.split_once('=') {
-                if let Ok(n) = v.trim().parse::<u64>() {
-                    map.insert(k.trim().to_string(), n);
-                }
-            }
-        }
-        let get = |k: &str| map.get(k).copied().unwrap_or(0);
+        let epoch = text
+            .lines()
+            .find_map(|l| l.strip_prefix("epoch=")?.parse().ok());
         Ok(EpeReport {
-            epoch: get("epoch") as u32,
-            iterations_persisted: get("iterations_persisted"),
-            partial_iterations: get("partial_iterations"),
-            iterations_dropped: get("iterations_dropped"),
-            iterations_degraded: get("iterations_degraded"),
-            commits_drained: get("commits_drained"),
-            crc_rejected: get("crc_rejected"),
-            leases_revoked: get("leases_revoked"),
-            bytes_reclaimed: get("bytes_reclaimed"),
-            events_replayed: get("events_replayed"),
-            stale_commits_rejected: get("stale_commits_rejected"),
-            orphans_removed: get("orphans_removed"),
-            orphans_quarantined: get("orphans_quarantined"),
+            epoch: epoch.unwrap_or(0),
+            node: NodeReport::from_key_values(&text),
         })
-    }
-}
-
-/// Per-iteration accumulation: commits keyed `(rank, variable)` (sorted,
-/// so SDF dataset order is deterministic) plus the set of ranks that
-/// fenced the iteration with `EndIteration`.
-#[derive(Debug, Default)]
-struct IterState {
-    commits: BTreeMap<(u32, u32), WalRecord>,
-    ended: BTreeSet<u32>,
-}
-
-/// The EPE's in-memory mirror of the run — rebuilt from the WAL on every
-/// incarnation; nothing here is load-bearing across a crash.
-#[derive(Debug, Default)]
-struct RunState {
-    iters: BTreeMap<u32, IterState>,
-    /// Every commit key ever journalled — dedups client re-sends.
-    seen: HashSet<(u32, u32, u32)>,
-    /// Iterations fully resolved (persisted/partial/dropped).
-    done: BTreeSet<u32>,
-    /// Ranks fenced (lease revoked, ring reclaimed).
-    fenced: BTreeSet<usize>,
-    /// Ranks that sent `EndIteration` for the final iteration.
-    complete: BTreeSet<usize>,
-}
-
-impl RunState {
-    fn adopt(&mut self, rec: WalRecord) {
-        self.seen.insert((rec.rank, rec.iteration, rec.variable));
-        self.iters
-            .entry(rec.iteration)
-            .or_default()
-            .commits
-            .insert((rec.rank, rec.variable), rec);
-    }
-
-    /// Removes and returns every unresolved commit of `rank`.
-    fn remove_rank_commits(&mut self, rank: u32) -> Vec<WalRecord> {
-        let mut out = Vec::new();
-        for iter in self.iters.values_mut() {
-            let keys: Vec<(u32, u32)> = iter
-                .commits
-                .keys()
-                .filter(|(r, _)| *r == rank)
-                .copied()
-                .collect();
-            for k in keys {
-                if let Some(rec) = iter.commits.remove(&k) {
-                    out.push(rec);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -234,406 +149,535 @@ fn beat(node: &MappedNode) {
         .store(monotonic_now_ns(), Ordering::Release);
 }
 
+fn core_err(e: DamarisError) -> io::Error {
+    io::Error::other(format!("dedicated core: {e}"))
+}
+
 /// Runs one EPE incarnation to completion. Returns the incarnation's
 /// report (also written to `epe-report-<epoch>.txt` in the run dir).
 pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
-    let mut report = EpeReport {
-        epoch: opts.epoch,
-        ..EpeReport::default()
-    };
     std::fs::create_dir_all(&opts.dir)?;
     let mapping_path = opts.dir.join(super::MAPPING_FILE);
+    let journal_path = opts.dir.join(super::JOURNAL_FILE);
 
-    // 1. Orphan sweep. A mapping is stale once its heartbeat stamp is
+    // Orphan sweep. A mapping is stale once its heartbeat stamp is
     // several lease windows old; our own file (respawn) is kept.
     let stale_ns = (opts.lease_timeout.as_nanos() as u64).saturating_mul(4);
     let keep = (opts.epoch > 0).then_some(mapping_path.as_path());
     let gc = scan_orphans(&opts.dir, "damaris-node", keep, Some(stale_ns))?;
-    report.orphans_removed = gc.removed as u64;
-    report.orphans_quarantined = gc.quarantined as u64;
 
-    // 2. Create or re-adopt the mapping.
-    let node = if opts.epoch == 0 {
-        MappedNode::create(&mapping_path, opts.n_clients, opts.data_capacity)?
-    } else {
-        match MappedNode::open(&mapping_path) {
-            Ok(n) => {
-                n.restamp_creator();
-                n
+    // Create or re-adopt the mapping.
+    let adopted = (opts.epoch > 0).then(|| MappedNode::open(&mapping_path).ok());
+    let node = match adopted.flatten() {
+        Some(node) => {
+            node.restamp_creator();
+            node
+        }
+        // First boot — or the mapping vanished with the machine state
+        // (tmpfs cleared under us). A fresh mapping has nothing a journal
+        // could describe: the two begin together.
+        None => {
+            match std::fs::remove_file(&journal_path) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
             }
-            // The mapping vanished with the machine state (tmpfs cleared
-            // under us): start fresh; WAL replay will quarantine.
-            Err(_) => MappedNode::create(&mapping_path, opts.n_clients, opts.data_capacity)?,
+            MappedNode::create(&mapping_path, opts.n_clients, opts.data_capacity)?
         }
     };
-    let buffer = node.buffer();
-
     // Heartbeat epoch = incarnation + 1 so even the first incarnation is
     // distinguishable from an all-zero fresh mapping.
     node.heartbeat().begin_epoch(opts.epoch + 1);
     beat(&node);
 
-    // Takeover grace: every live lease's staleness clock restarts now.
-    let now = monotonic_now_ns();
-    let mut state = RunState::default();
-    for c in 0..opts.n_clients {
-        if node.lease(c).is_revoked() {
-            // Fenced by a previous incarnation; keep it fenced and make
-            // sure nothing lingers in its ring (reclaim is idempotent).
-            report.bytes_reclaimed += node.revoke_remaining(c);
-            state.fenced.insert(c);
-        } else {
-            node.renewed_at_ns(c).store(now, Ordering::Release);
-        }
+    // Fences survive the core: a predecessor killed between revoking a
+    // lease and fencing its source left a rank the sweeper can neither
+    // renew nor revoke. Fenced here, replay cancels what it journalled.
+    let (journal, history) = EventJournal::open(&journal_path)?;
+    for rank in (0..opts.n_clients).filter(|&c| node.lease(c).is_revoked()) {
+        journal.fence(rank as u32);
     }
 
-    // 3. WAL replay.
-    let (mut wal, replay) = ProcWal::open(&opts.dir.join(super::WAL_FILE))?;
-    for it in &replay.done_iterations {
-        state.done.insert(*it);
-    }
-    for key in &replay.seen_commits {
-        state.seen.insert(*key);
-    }
-    for (rec, wal_state) in replay.records {
-        report.events_replayed += 1;
-        match wal_state {
-            // Persisted by the previous incarnation; only the ring
-            // release is outstanding (seq order = per-client FIFO).
-            WalState::Applied => {
-                node.release(rec.rank as usize, rec.offset as usize, rec.len as usize);
-                wal.mark_released(rec.seq)?;
-            }
-            // Still owns its segment: re-adopt as if it just arrived.
-            // (Fenced ranks' records are discarded just below.)
-            WalState::Pending => state.adopt(rec),
-        }
-    }
-    // Records of already-fenced ranks were reclaimed wholesale.
-    let fenced_now: Vec<usize> = state.fenced.iter().copied().collect();
-    for rank in fenced_now {
-        for rec in state.remove_rank_commits(rank as u32) {
-            wal.mark_applied(rec.seq)?;
-            wal.mark_released(rec.seq)?;
-        }
-    }
+    let backend = Arc::new(LocalDirBackend::new(opts.dir.join(super::OUT_DIR))?);
+    let config = super::node_config(
+        opts.variables,
+        opts.payload_len,
+        opts.data_capacity,
+        opts.policy,
+        opts.lease_timeout,
+    );
+    let engine = EventProcessingEngine::build(&config, &[]).map_err(core_err)?;
+    let shared = NodeShared::over_mapping(config, node.clone(), backend, 0, journal);
+    let shared = Arc::new(shared);
+    // What the dead incarnation left half-written goes before anything
+    // new is written beside it (as `NodeRuntime` does at start).
+    let scan = damaris_fs::recover(shared.backend.as_ref())?;
+    shared.stats.recovery_actions.add(scan.actions());
+    shared.stats.shm_orphans_removed.add(gc.removed as u64);
+    shared
+        .stats
+        .shm_orphans_quarantined
+        .add(gc.quarantined as u64);
 
-    // 4. Control plane.
     let hub = UdsHub::bind(&opts.dir.join(super::SOCKET_FILE))?;
-    let plan = FaultPlan::new();
-    let epe_rank = opts.n_clients;
-    let mut conns: Vec<Option<UdsConn>> = if opts.epoch == 0 {
-        hub.accept_clients(
-            opts.n_clients,
-            opts.epoch + 1,
-            epe_rank,
-            &plan,
-            Duration::from_secs(20),
-        )?
-        .into_iter()
-        .map(Some)
-        .collect()
-    } else {
-        let expected: Vec<usize> = (0..opts.n_clients)
-            .filter(|c| !state.fenced.contains(c))
-            .collect();
-        hub.accept_available(
-            opts.n_clients,
-            &expected,
-            opts.epoch + 1,
-            epe_rank,
-            &plan,
-            opts.lease_timeout.max(Duration::from_millis(500)),
-        )?
-    };
-    for conn in conns.iter().flatten() {
-        let _ = conn.set_recv_timeout(Some(Duration::from_millis(2)));
+    let mut pump = Pump::new(opts, &shared, &node, hub, &history);
+    if opts.epoch == 0 {
+        // The run begins when every rank has joined: a process still being
+        // exec'd is not a dead rank, and the core's lease deadlines start
+        // when it is built. (A respawn has the lease words to go by.)
+        let joined_by = Instant::now() + Duration::from_secs(20);
+        while pump.conns.iter().any(Option::is_none) && Instant::now() < joined_by {
+            beat(&node);
+            pump.accept()?;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let mut core = DedicatedCore::new(Arc::clone(&shared), engine, opts.epoch);
+    if opts.epoch > 0 {
+        core.replay().map_err(core_err)?;
     }
 
-    let lease_ns = opts.lease_timeout.as_nanos() as u64;
-    let last_iter = opts.iterations.saturating_sub(1);
-    let mut drained_this_incarnation = 0u64;
-
-    // 5. Serve.
     loop {
         beat(&node);
+        pump.accept()?;
+        let read_any = pump.drain(&mut core)?;
+        core.idle().map_err(core_err)?;
+        if read_any {
+            continue;
+        }
+        core.quiet().map_err(core_err)?;
+        pump.acknowledge(core.retired());
+        if pump.done() {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    // The wire has no `Terminate`; the core needs one to flush what never
+    // completed and let its plugins finish.
+    let _ = core.handle(Event::Terminate).map_err(core_err)?;
+    let report = EpeReport {
+        epoch: opts.epoch,
+        node: core.finish(),
+    };
+    // Coordinated shutdown; send errors just mean the rank already left.
+    for conn in pump.conns.iter_mut().flatten() {
+        let _ = conn.send(&CtrlMsg::Shutdown);
+    }
+    beat(&node);
+    report.write_to(&opts.report_path())?;
+    Ok(report)
+}
 
-        // Drain frames from every live connection.
-        for (rank, slot) in conns.iter_mut().enumerate() {
-            let Some(conn) = slot.as_mut() else {
-                continue;
-            };
-            let mut conn_died = false;
-            loop {
-                match conn.recv() {
-                    Ok(CtrlMsg::Commit {
+/// The transport half of the process node: connections, and what has to
+/// be remembered about the frames that came over them.
+struct Pump<'a> {
+    opts: &'a EpeOptions,
+    shared: &'a NodeShared,
+    node: &'a MappedNode,
+    hub: UdsHub,
+    conns: Vec<Option<UdsConn>>,
+    /// Every `(rank, iteration, variable)` ever journalled — a re-sent
+    /// commit adopted again would release its range twice.
+    commits_seen: HashSet<(u32, u32, u32)>,
+    /// Every `(rank, iteration)` whose `EndIteration` was journalled — a
+    /// re-sent one counted again would make the iteration look partial.
+    ends_seen: HashSet<(u32, u32)>,
+    /// Iterations retired and acknowledged, by a predecessor or by us.
+    retired: BTreeSet<u32>,
+    /// How many of the core's retired iterations have been acknowledged.
+    acknowledged: usize,
+    /// Ranks that sent their last `EndIteration`.
+    finished: Vec<bool>,
+    /// Per rank, the lease word as last seen to move and when: without a
+    /// sweeper, stillness is how a rank whose connection closed is told
+    /// from one that is on its way back.
+    lease_seen: Vec<(LeaseSnapshot, Instant)>,
+    /// Commits accepted by this incarnation (the chaos kill counts them).
+    commits: u64,
+}
+
+impl<'a> Pump<'a> {
+    fn new(
+        opts: &'a EpeOptions,
+        shared: &'a NodeShared,
+        node: &'a MappedNode,
+        hub: UdsHub,
+        history: &[ReplayEntry],
+    ) -> Pump<'a> {
+        let now = Instant::now();
+        let mut pump = Pump {
+            opts,
+            shared,
+            node,
+            hub,
+            conns: (0..opts.n_clients).map(|_| None).collect(),
+            commits_seen: HashSet::new(),
+            ends_seen: HashSet::new(),
+            retired: BTreeSet::new(),
+            acknowledged: 0,
+            finished: vec![false; opts.n_clients],
+            lease_seen: (0..opts.n_clients)
+                .map(|c| (node.lease(c).snapshot(), now))
+                .collect(),
+            commits: 0,
+        };
+        for entry in history {
+            match entry.payload {
+                JournalPayload::Write {
+                    variable_id,
+                    iteration,
+                    source,
+                    ..
+                } => {
+                    pump.commits_seen.insert((source, iteration, variable_id));
+                }
+                JournalPayload::EndIteration { iteration, source } => {
+                    pump.note_end(source, iteration);
+                    // The core retires an iteration by applying the
+                    // end-notifications it counted, first of all; a fenced
+                    // rank's are also applied when they are cancelled.
+                    if entry.state == RecordState::Applied && !shared.journal.is_fenced(source) {
+                        pump.retired.insert(iteration);
+                    }
+                }
+                JournalPayload::User { .. } | JournalPayload::Abandon { .. } => {}
+            }
+        }
+        pump
+    }
+
+    fn note_end(&mut self, rank: u32, iteration: u32) {
+        if iteration + 1 == self.opts.iterations {
+            self.finished[rank as usize] = true;
+        }
+        self.ends_seen.insert((rank, iteration));
+    }
+
+    /// Whether the run has nothing more to expect of `rank`: it sent its
+    /// last `EndIteration`, or it is fenced, or — only when no sweeper
+    /// runs to fence it — its connection is closed and its lease word,
+    /// which a rank renews even while it reconnects, has been still for
+    /// one lease timeout (a word that never moved is a rank not started).
+    fn settled(&self, rank: usize) -> bool {
+        let lease = self.node.lease(rank);
+        let (seen, since) = self.lease_seen[rank];
+        self.finished[rank]
+            || lease.is_revoked()
+            || (self.opts.policy == OnClientFailure::Wait
+                && self.conns[rank].is_none()
+                && seen.beat() > 0
+                && since.elapsed() >= self.opts.lease_timeout)
+    }
+
+    /// All `iterations` retired and acknowledged, or every rank settled.
+    fn done(&self) -> bool {
+        (0..self.opts.iterations).all(|it| self.retired.contains(&it))
+            || (0..self.opts.n_clients).all(|rank| self.settled(rank))
+    }
+
+    /// Notes which lease words moved since the last pass (what `settled`
+    /// goes by), then takes in whoever registered, for as long as a rank
+    /// is neither settled nor connected: at first boot that is everyone,
+    /// after a respawn whoever survived, whenever they get here.
+    fn accept(&mut self) -> io::Result<()> {
+        let now = Instant::now();
+        for (rank, seen) in self.lease_seen.iter_mut().enumerate() {
+            let snapshot = self.node.lease(rank).snapshot();
+            if snapshot != seen.0 {
+                *seen = (snapshot, now);
+            }
+        }
+        let expected = |rank: usize| self.conns[rank].is_none() && !self.settled(rank);
+        if !(0..self.opts.n_clients).any(expected) {
+            return Ok(());
+        }
+        let n = self.opts.n_clients;
+        for conn in self
+            .hub
+            .poll_accept(n, self.opts.epoch + 1, n, &FaultPlan::new())?
+        {
+            conn.set_nonblocking(true)?;
+            let rank = conn.peer();
+            // A rank registering again has given up on its old stream.
+            self.conns[rank] = Some(conn);
+        }
+        Ok(())
+    }
+
+    /// Reads every frame waiting on every connection and hands what is
+    /// believed to the core; true if there was any frame at all.
+    fn drain(&mut self, core: &mut DedicatedCore) -> io::Result<bool> {
+        let mut read_any = false;
+        for rank in 0..self.conns.len() {
+            while let Some(conn) = self.conns[rank].as_mut() {
+                let msg = match conn.recv() {
+                    Ok(msg) => msg,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    // Closed or corrupt stream: the rank reconnects, or
+                    // it is the sweeper's (`settled`'s) to deal with.
+                    Err(_) => {
+                        self.conns[rank] = None;
+                        break;
+                    }
+                };
+                read_any = true;
+                let event = match msg {
+                    CtrlMsg::Commit {
                         rank: r,
                         iteration,
                         variable,
                         offset,
                         len,
                         crc,
-                    }) => {
-                        let key = (r, iteration, variable);
-                        let ring_base = (rank * node.region_capacity()) as u64;
-                        let ring_ok = r as usize == rank
-                            && offset >= ring_base
-                            && len <= node.region_capacity() as u64
-                            && offset + len <= ring_base + node.region_capacity() as u64;
-                        if state.done.contains(&iteration) || state.seen.contains(&key) || !ring_ok
-                        {
-                            // A re-send of something the WAL already
-                            // knows (or a frame that fails validation):
-                            // the journal seq layer's dedup.
-                            report.stale_commits_rejected += 1;
-                            continue;
-                        }
-                        let mut rec = WalRecord {
-                            seq: 0,
-                            rank: r,
-                            iteration,
-                            variable,
-                            offset,
-                            len,
-                            data_crc: crc,
-                        };
-                        rec.seq = wal.append_pending(rec)?;
-                        state.adopt(rec);
-                        report.commits_drained += 1;
-                        drained_this_incarnation += 1;
-                        if Some(drained_this_incarnation) == opts.kill_after_commits {
-                            // Chaos: die mid-drain. The pending record is
-                            // durable; nothing was applied or released.
-                            let _ = report
-                                .write_to(&opts.dir.join(format!("epe-report-{}.txt", opts.epoch)));
-                            damaris_shm::kill_self_hard();
-                        }
+                    } if r as usize == rank => {
+                        self.commit(r, iteration, variable, offset, len, crc, core)
                     }
-                    Ok(CtrlMsg::EndIteration { rank: r, iteration }) => {
-                        if state.done.contains(&iteration) {
-                            // Resolved by a previous incarnation whose Ack
-                            // the client never saw: re-acknowledge.
-                            let _ = conn.send(&CtrlMsg::Ack { iteration });
-                        } else if r as usize == rank {
-                            state.iters.entry(iteration).or_default().ended.insert(r);
-                            if iteration == last_iter {
-                                state.complete.insert(rank);
-                            }
-                        }
+                    CtrlMsg::EndIteration { rank: r, iteration } if r as usize == rank => {
+                        self.end_iteration(r, iteration)
                     }
+                    // A frame that names another rank is forged.
+                    CtrlMsg::Commit { .. } | CtrlMsg::EndIteration { .. } => None,
                     // User events and barriers are not part of the proxy
                     // app's protocol; ignore anything else well-formed.
-                    Ok(_) => {}
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        break;
+                    _ => continue,
+                };
+                match event {
+                    Some(event) => {
+                        let _ = core.handle(event).map_err(core_err)?;
                     }
-                    Err(_) => {
-                        // Closed or corrupt stream. A complete rank just
-                        // exited; anything else is for the lease sweep.
-                        conn_died = true;
-                        break;
-                    }
+                    None => FaultStats::bump(&self.shared.stats.stale_events_rejected),
                 }
-            }
-            if conn_died {
-                *slot = None;
             }
         }
+        Ok(read_any)
+    }
 
-        // Lease sweep on the shared monotonic clock.
-        let now = monotonic_now_ns();
-        for (rank, slot) in conns.iter_mut().enumerate() {
-            if state.fenced.contains(&rank) || state.complete.contains(&rank) {
-                continue;
-            }
-            // Acquire pairs with the client's Release renew stamp.
-            let renewed = node.renewed_at_ns(rank).load(Ordering::Acquire);
-            if now.saturating_sub(renewed) <= lease_ns {
-                continue;
-            }
-            let lease = node.lease(rank);
-            let snap = lease.snapshot();
-            // Model-checked arbitration: a concurrent renew beats the
-            // revoke and the rank survives until the next sweep.
-            if !lease.try_revoke(snap) {
-                continue;
-            }
-            report.leases_revoked += 1;
-            for rec in state.remove_rank_commits(rank as u32) {
-                wal.mark_applied(rec.seq)?;
-                wal.mark_released(rec.seq)?;
-            }
-            report.bytes_reclaimed += node.revoke_remaining(rank);
-            state.fenced.insert(rank);
-            *slot = None;
+    /// A `Commit` frame of `rank`'s own connection becomes a journalled
+    /// `Write` only if it is news (not of a retired iteration, not seen
+    /// before), names a configured variable with that variable's size,
+    /// and [`crate::node::BufferManager::adopt`] finds the range live in
+    /// that rank's ring. `None`: rejected, nothing journalled.
+    #[allow(clippy::too_many_arguments)]
+    fn commit(
+        &mut self,
+        rank: u32,
+        iteration: u32,
+        variable: u32,
+        offset: u64,
+        len: u64,
+        crc: u32,
+        core: &DedicatedCore,
+    ) -> Option<Event> {
+        let shared = self.shared;
+        let key = (rank, iteration, variable);
+        if self.retired.contains(&iteration) || self.commits_seen.contains(&key) {
+            return None;
         }
+        let config = &shared.config;
+        let declared = config.variable(variable).map(|def| config.layout_of(def));
+        if declared.map(|layout| layout.byte_size()) != Some(len) {
+            return None;
+        }
+        let (offset, len) = (usize::try_from(offset).ok()?, usize::try_from(len).ok()?);
+        let segment = shared.buffer.adopt(rank, offset, len)?;
+        let epoch = shared.heartbeat().epoch();
+        // A zombie — fenced, still sending — is refused by the journal.
+        let journalled = shared
+            .journal
+            .append_write(epoch, variable, iteration, rank, offset, len, crc);
+        let seq = journalled.ok()?;
+        // Claimed as the queue's consumer claims what it pops: a fence
+        // hands the sweeper pending records only, and this one is the
+        // core's from here on.
+        let _ = shared.journal.claim(seq);
+        self.commits_seen.insert(key);
+        self.commits += 1;
+        if Some(self.commits) == self.opts.kill_after_commits {
+            // Chaos: die mid-drain. The record is durable; the core has
+            // not heard of it. The report is what it would have returned.
+            let dying = EpeReport {
+                epoch: self.opts.epoch,
+                node: core.report(),
+            };
+            let _ = dying.write_to(&self.opts.report_path());
+            damaris_shm::kill_self_hard();
+        }
+        Some(Event::Write {
+            variable_id: variable,
+            iteration,
+            source: rank,
+            segment,
+            dynamic_layout: None,
+            seq,
+            data_crc: crc,
+        })
+    }
 
-        // Resolve iterations in order.
-        loop {
-            let next = (0..opts.iterations).find(|it| !state.done.contains(it));
-            let Some(it) = next else {
-                break;
-            };
-            let live: Vec<u32> = (0..opts.n_clients as u32)
-                .filter(|r| !state.fenced.contains(&(*r as usize)))
-                .collect();
-            let iter = state.iters.entry(it).or_default();
-            if live.is_empty() && iter.commits.is_empty() {
-                // Nobody left and nothing buffered: nothing to resolve.
-                break;
+    /// An `EndIteration` frame: answered with its `Ack` again if the
+    /// iteration is retired (the client never saw the first), `None` if it
+    /// was counted before, journalled otherwise.
+    fn end_iteration(&mut self, rank: u32, iteration: u32) -> Option<Event> {
+        let shared = self.shared;
+        if self.retired.contains(&iteration) {
+            if let Some(conn) = self.conns[rank as usize].as_mut() {
+                let _ = conn.send(&CtrlMsg::Ack { iteration });
             }
-            if !live.iter().all(|r| iter.ended.contains(r)) {
-                break; // still in flight
-            }
-            let missing: Vec<u32> = (0..opts.n_clients as u32)
-                .filter(|r| !iter.ended.contains(r))
-                .collect();
-            let commits: Vec<WalRecord> = {
-                // invariant: `it` was just found in or inserted into the map.
-                let iter = state.iters.get(&it).expect("iteration state exists");
-                iter.commits.values().copied().collect()
-            };
-            // `wait` stalls while a silent rank might still come back (the
-            // all-live-ranks-ended gate above); a rank in `missing` here is
-            // provably fenced and never will. `wait` still refuses to
-            // publish partial data, so the iteration degrades — commits
-            // discarded, segments released, survivors acknowledged.
-            let drop_whole = !missing.is_empty()
-                && matches!(
-                    opts.policy,
-                    OnClientFailure::DropIteration | OnClientFailure::Wait
-                );
-            if drop_whole {
-                if opts.policy == OnClientFailure::Wait {
-                    report.iterations_degraded += 1;
-                } else {
-                    report.iterations_dropped += 1;
-                }
-            } else {
-                persist_iteration(&opts.dir, &node, &buffer, it, &commits, &missing, &mut report)?;
-                report.iterations_persisted += 1;
-                if !missing.is_empty() {
-                    report.partial_iterations += 1;
-                }
-            }
-            // Applied (persisted or policy-dropped) → release → released,
-            // in per-client FIFO (= seq) order.
-            let mut by_seq = commits;
-            by_seq.sort_by_key(|r| r.seq);
-            for rec in &by_seq {
-                wal.mark_applied(rec.seq)?;
-                node.release(rec.rank as usize, rec.offset as usize, rec.len as usize);
-                wal.mark_released(rec.seq)?;
-            }
-            wal.mark_iteration_done(it)?;
-            state.done.insert(it);
-            state.iters.remove(&it);
-            for slot in conns.iter_mut() {
-                let died = slot
+            return None;
+        }
+        if self.ends_seen.contains(&(rank, iteration)) {
+            return None;
+        }
+        let payload = JournalPayload::EndIteration {
+            iteration,
+            source: rank,
+        };
+        let seq = shared
+            .journal
+            .append(shared.heartbeat().epoch(), payload)
+            .ok()?;
+        let _ = shared.journal.claim(seq);
+        self.note_end(rank, iteration);
+        Some(Event::EndIteration {
+            iteration,
+            source: rank,
+            seq,
+        })
+    }
+
+    /// Called after a `quiet` pass, when nothing the core retired is still
+    /// parked: every iteration in `retired` not yet acknowledged — fired
+    /// or dropped alike — is, to every rank that is connected.
+    fn acknowledge(&mut self, retired: &[u32]) {
+        for &iteration in &retired[self.acknowledged..] {
+            self.retired.insert(iteration);
+            for slot in self.conns.iter_mut() {
+                let lost = slot
                     .as_mut()
-                    .is_some_and(|conn| conn.send(&CtrlMsg::Ack { iteration: it }).is_err());
-                if died {
+                    .is_some_and(|conn| conn.send(&CtrlMsg::Ack { iteration }).is_err());
+                if lost {
                     *slot = None;
                 }
             }
         }
-
-        // Termination: every iteration resolved, or every rank finished
-        // or fenced with nothing left to wait for.
-        let all_done = (0..opts.iterations).all(|it| state.done.contains(&it));
-        let everyone_settled = (0..opts.n_clients)
-            .all(|r| state.complete.contains(&r) || state.fenced.contains(&r));
-        if all_done || everyone_settled {
-            if all_done {
-                break;
-            }
-            // `wait`-policy shutdown drain: abandon unresolved iterations,
-            // releasing their segments so nothing leaks.
-            let leftovers: Vec<u32> = state.iters.keys().copied().collect();
-            for it in leftovers {
-                // invariant: key came from the map we are iterating.
-                let iter = state.iters.remove(&it).expect("iteration state exists");
-                if !iter.commits.is_empty() || !iter.ended.is_empty() {
-                    report.iterations_degraded += 1;
-                }
-                let mut by_seq: Vec<WalRecord> = iter.commits.into_values().collect();
-                by_seq.sort_by_key(|r| r.seq);
-                for rec in by_seq {
-                    wal.mark_applied(rec.seq)?;
-                    node.release(rec.rank as usize, rec.offset as usize, rec.len as usize);
-                    wal.mark_released(rec.seq)?;
-                }
-            }
-            break;
-        }
+        self.acknowledged = retired.len();
     }
-
-    // Coordinated shutdown; send errors just mean the rank already left.
-    for conn in conns.iter_mut().flatten() {
-        let _ = conn.send(&CtrlMsg::Shutdown);
-    }
-    beat(&node);
-    report.write_to(&opts.dir.join(format!("epe-report-{}.txt", opts.epoch)))?;
-    Ok(report)
 }
 
-/// Persists one iteration to `out/iter-<it>.sdf` through the
-/// crash-consistent begin/commit path: datasets `/rank<r>/var<v>` for
-/// every CRC-valid commit, plus a `/presence` bitmap when ranks are
-/// missing (the `partial` policy's marker for downstream readers).
-fn persist_iteration(
-    dir: &Path,
-    node: &MappedNode,
-    buffer: &damaris_shm::sync::Arc<damaris_shm::SharedBuffer>,
-    it: u32,
-    commits: &[WalRecord],
-    missing: &[u32],
-    report: &mut EpeReport,
-) -> io::Result<()> {
-    let backend = LocalDirBackend::new(dir.join(super::OUT_DIR))?;
-    let mut writer = backend
-        .begin_sdf(&format!("iter-{it:05}.sdf"))
-        .map_err(sdf_err)?;
-    for rec in commits {
-        let view = buffer.adopt_segment(rec.offset as usize, rec.len as usize);
-        // Checksum and write straight from the mapping: the segment stays
-        // reserved until the WAL marks the record released, after commit.
-        let bytes = view.as_slice();
-        if crc32(bytes) != rec.data_crc {
-            // End-to-end CRC failure: the mapping bytes are not what the
-            // client stamped. Quarantine (exclude), never persist.
-            report.crc_rejected += 1;
-            continue;
-        }
-        writer
-            .write_dataset_bytes(
-                &format!("/rank{}/var{}", rec.rank, rec.variable),
-                &Layout::new(DataType::U8, &[rec.len]),
-                bytes,
-                &DatasetOptions::plain(),
-            )
-            .map_err(sdf_err)?;
-    }
-    if !missing.is_empty() {
-        let presence: Vec<u8> = (0..node.n_clients() as u32)
-            .map(|r| u8::from(!missing.contains(&r)))
-            .collect();
-        writer
-            .write_dataset_bytes(
-                "/presence",
-                &Layout::new(DataType::U8, &[presence.len() as u64]),
-                &presence,
-                &DatasetOptions::plain(),
-            )
-            .map_err(sdf_err)?;
-    }
-    backend.commit_sdf(writer).map_err(sdf_err)?;
-    Ok(())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proc::client::payload_for;
+    use damaris_mpi::connect_client;
 
-fn sdf_err(e: damaris_format::SdfError) -> io::Error {
-    io::Error::other(format!("sdf: {e}"))
+    /// One rank as the test plays it: its view of the mapping, its
+    /// connection, and the `Commit` of a payload it really wrote.
+    fn join(dir: &Path, rank: u32) -> (MappedNode, UdsConn, CtrlMsg) {
+        let joined_by = Instant::now() + Duration::from_secs(20);
+        let node = loop {
+            match MappedNode::open(&dir.join(crate::proc::MAPPING_FILE)) {
+                Ok(node) => break node,
+                Err(e) if Instant::now() > joined_by => panic!("no mapping: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        };
+        assert!(node.lease(rank as usize).renew());
+        let socket = dir.join(crate::proc::SOCKET_FILE);
+        let wait = Duration::from_secs(20);
+        let (conn, epoch) =
+            connect_client(&socket, rank as usize, 1, 2, &FaultPlan::new(), wait).unwrap();
+        assert_eq!(epoch, 1);
+        let payload = payload_for(rank, 0, 0, 64);
+        let mut segment = node.reserve(&node.buffer(), rank as usize, 64).unwrap();
+        segment.copy_from_slice(&payload);
+        let commit = CtrlMsg::Commit {
+            rank,
+            iteration: 0,
+            variable: 0,
+            offset: segment.offset() as u64,
+            len: 64,
+            crc: damaris_format::crc32(&payload),
+        };
+        (node, conn, commit)
+    }
+
+    #[test]
+    fn forged_commits_are_rejected_counted_and_never_journalled() {
+        let dir = std::env::temp_dir().join(format!("damaris-pump-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = EpeOptions {
+            dir: dir.clone(),
+            n_clients: 2,
+            iterations: 1,
+            variables: 1,
+            payload_len: 64,
+            data_capacity: 4096,
+            epoch: 0,
+            policy: OnClientFailure::Wait,
+            lease_timeout: Duration::from_millis(800),
+            kill_after_commits: None,
+        };
+        let epe = std::thread::spawn(move || run_epe(&opts));
+        let (node, mut conn0, commit0) = join(&dir, 0);
+        let (_, mut conn1, commit1) = join(&dir, 1);
+        let CtrlMsg::Commit { offset: mine, .. } = commit0 else {
+            unreachable!()
+        };
+        let CtrlMsg::Commit { offset: theirs, .. } = commit1 else {
+            unreachable!()
+        };
+
+        // Rank 0 lies about where its data is, every way a frame can.
+        let forged = |rank, offset, len| CtrlMsg::Commit {
+            rank,
+            iteration: 0,
+            variable: 0,
+            offset,
+            len,
+            crc: 0,
+        };
+        let ring = node.region_capacity() as u64;
+        let lies = [
+            forged(0, u64::MAX - 1, 2),  // the sum overflows
+            forged(0, u64::MAX - 1, 64), // and with the right length
+            forged(0, theirs, 64),       // rank 1's ring, and live there
+            forged(0, mine, ring + 8),   // longer than a ring
+            forged(0, mine + 64, 64),    // beyond what rank 0 reserved
+            forged(1, theirs, 64),       // rank 1's frame, not its connection
+        ];
+        for lie in &lies {
+            conn0.send(lie).unwrap();
+        }
+        // The pump keeps serving: the truth, behind the lies on the same
+        // connection, is taken, and the iteration completes.
+        conn0.send(&commit0).unwrap();
+        conn1.send(&commit1).unwrap();
+        for (rank, conn) in [&mut conn0, &mut conn1].into_iter().enumerate() {
+            let end = CtrlMsg::EndIteration {
+                rank: rank as u32,
+                iteration: 0,
+            };
+            conn.send(&end).unwrap();
+        }
+        for conn in [&mut conn0, &mut conn1] {
+            assert_eq!(conn.recv().unwrap(), CtrlMsg::Ack { iteration: 0 });
+            assert_eq!(conn.recv().unwrap(), CtrlMsg::Shutdown);
+        }
+
+        let report = epe.join().unwrap().unwrap().node;
+        assert_eq!(report.stale_events_rejected, lies.len() as u64);
+        assert_eq!(report.variables_received, 2);
+        assert_eq!(report.iterations_persisted, 1);
+        assert_eq!(node.total_in_use(), 0);
+        // Nothing of the lies reached the journal.
+        let (_, history) = EventJournal::open(&dir.join(crate::proc::JOURNAL_FILE)).unwrap();
+        let writes = history.iter().filter_map(|entry| match entry.payload {
+            JournalPayload::Write { source, offset, .. } => Some((source, offset as u64)),
+            _ => None,
+        });
+        assert_eq!(
+            writes.collect::<BTreeSet<_>>(),
+            BTreeSet::from([(0, mine), (1, theirs)])
+        );
+        assert_eq!(history.len(), 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -12,15 +12,17 @@
 //! When the EPE exits on a signal, the supervisor respawns it with a
 //! bumped epoch (and without the kill environment, so one configured
 //! kill fires once). The respawned process re-opens the mapping, replays
-//! the WAL, re-accepts the surviving clients, and finishes the run.
+//! the journal, takes the surviving clients back in as they reconnect,
+//! and finishes the run.
 //!
 //! After every child has exited the launcher opens the mapping one last
 //! time and sums the per-client rings: **zero bytes still reserved** is
 //! the leak-freedom acceptance criterion the kill matrix asserts.
 
 use super::epe::EpeReport;
-use super::ClientKillSpec;
-use crate::config::OnClientFailure;
+use super::{policy_str, ClientKillSpec};
+use crate::config::{Config, OnClientFailure};
+use crate::node::NodeReport;
 use damaris_shm::MappedNode;
 use std::io;
 use std::os::unix::process::ExitStatusExt;
@@ -34,7 +36,7 @@ pub struct LaunchPlan {
     /// The role-dispatching binary to re-exec (usually
     /// `std::env::current_exe()`).
     pub exe: PathBuf,
-    /// Run directory (mapping, socket, WAL, reports, `out/`).
+    /// Run directory (mapping, socket, journal, reports, `out/`).
     pub dir: PathBuf,
     /// Client process count (total processes = this + 1 EPE).
     pub n_clients: usize,
@@ -79,6 +81,18 @@ impl LaunchPlan {
             timeout: Duration::from_secs(90),
         }
     }
+
+    /// The configuration the run's dedicated core is built from (see
+    /// [`super::node_config`]).
+    pub fn config(&self) -> Config {
+        super::node_config(
+            self.variables,
+            self.payload_len,
+            self.data_capacity,
+            self.policy,
+            self.lease_timeout,
+        )
+    }
 }
 
 /// What the supervised run produced.
@@ -100,31 +114,14 @@ pub struct LaunchReport {
     pub epe_ok: bool,
     /// Per-incarnation EPE reports, in epoch order.
     pub epe_reports: Vec<EpeReport>,
-    /// Published SDF files under `out/`, sorted.
+    /// Published SDF files under `out/node-0/`, sorted.
     pub sdf_files: Vec<PathBuf>,
 }
 
 impl LaunchReport {
     /// Sum of a counter across incarnations.
-    pub fn total(&self, f: impl Fn(&EpeReport) -> u64) -> u64 {
-        self.epe_reports.iter().map(f).sum()
-    }
-}
-
-fn policy_str(p: OnClientFailure) -> &'static str {
-    match p {
-        OnClientFailure::Wait => "wait",
-        OnClientFailure::Partial => "partial",
-        OnClientFailure::DropIteration => "drop-iteration",
-    }
-}
-
-/// Parses the policy string the launcher exported.
-pub fn policy_from_str(s: &str) -> OnClientFailure {
-    match s {
-        "partial" => OnClientFailure::Partial,
-        "drop-iteration" => OnClientFailure::DropIteration,
-        _ => OnClientFailure::Wait,
+    pub fn total(&self, f: impl Fn(&NodeReport) -> u64) -> u64 {
+        self.epe_reports.iter().map(|r| f(&r.node)).sum()
     }
 }
 
@@ -196,7 +193,7 @@ pub fn launch(plan: &LaunchPlan) -> io::Result<LaunchReport> {
                     epe = None;
                 } else if status.signal().is_some() && report.epe_respawns < plan.max_epe_respawns {
                     // The dedicated core died hard. Its memory is gone;
-                    // the mapping, WAL, and leases are not. Respawn.
+                    // the mapping, journal, and leases are not. Respawn.
                     report.epe_respawns += 1;
                     epoch += 1;
                     epe = Some(spawn_epe(plan, epoch)?);
@@ -260,7 +257,7 @@ pub fn launch(plan: &LaunchPlan) -> io::Result<LaunchReport> {
         report.client_errors.push((rank, reason));
     }
 
-    let out = plan.dir.join(super::OUT_DIR);
+    let out = plan.dir.join(super::OUT_DIR).join("node-0");
     if let Ok(entries) = std::fs::read_dir(&out) {
         for entry in entries.flatten() {
             let path = entry.path();
@@ -271,7 +268,7 @@ pub fn launch(plan: &LaunchPlan) -> io::Result<LaunchReport> {
         report.sdf_files.sort();
     }
 
-    // The socket and mapping are per-run artifacts; the WAL, reports,
+    // The socket and mapping are per-run artifacts; the journal, reports,
     // and SDF output stay for inspection.
     let _ = std::fs::remove_file(plan.dir.join(super::SOCKET_FILE));
     let _ = std::fs::remove_file(&mapping_path);

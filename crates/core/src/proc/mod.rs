@@ -1,15 +1,17 @@
 //! The cross-process Damaris node: real OS processes over a file-backed
 //! shared mapping.
 //!
-//! The threaded node ([`crate::NodeRuntime`]) simulates the paper's
-//! dedicated core as a thread; this module runs it the way the original
-//! Damaris did — as **separate processes** sharing POSIX shared memory:
+//! The threaded node ([`crate::NodeRuntime`]) runs the paper's dedicated
+//! core as a thread; this module runs **the same core** the way the
+//! original Damaris did — as a separate process sharing POSIX shared
+//! memory with the compute processes. There is one dedicated core
+//! ([`crate::server`]) and two event sources: the in-process queue, and
+//! the socket pump in [`epe`].
 //!
 //! * [`run_epe`] — the dedicated-core process: creates (or, respawned,
-//!   re-adopts) the `/dev/shm` mapping, sweeps orphans, binds the UDS
-//!   control plane, drains commits through a file-backed WAL, verifies
-//!   end-to-end CRCs, persists SDF iterations, sweeps client leases on
-//!   the machine-wide monotonic clock, and releases ring segments.
+//!   re-adopts) the `/dev/shm` mapping, sweeps orphans, opens the
+//!   journal's file, binds the UDS control plane, and feeds the frames
+//!   it reads to a [`crate::server`] core built over the mapping.
 //! * [`run_client`] — a compute-core process: maps the file, reserves
 //!   ring segments, memcpys, commits over the socket, and survives EPE
 //!   death by reconnecting to the respawned incarnation and re-sending
@@ -30,15 +32,15 @@
 pub mod client;
 pub mod epe;
 pub mod launcher;
-pub mod wal;
 
 pub use client::{run_client, ClientOptions, ClientReport};
 pub use epe::{run_epe, EpeOptions, EpeReport};
 pub use launcher::{launch, LaunchPlan, LaunchReport};
-pub use wal::{ProcWal, WalRecord};
 
+use crate::config::{Config, OnClientFailure};
 use damaris_mpi::ClientKillPhase;
 use std::io;
+use std::time::Duration;
 
 /// Environment variable selecting a process role when the launcher
 /// re-execs itself (`epe` or `client`).
@@ -138,10 +140,57 @@ pub fn epe_kill_after_from_env() -> Option<u64> {
 pub const MAPPING_FILE: &str = "damaris-node.shm";
 /// Name of the control-plane socket inside the run directory.
 pub const SOCKET_FILE: &str = "damaris-ctrl.sock";
-/// Name of the EPE's write-ahead journal inside the run directory.
-pub const WAL_FILE: &str = "epe.wal";
-/// Subdirectory SDF output lands in.
+/// Name of the event journal's file inside the run directory.
+pub const JOURNAL_FILE: &str = "epe.journal";
+/// Subdirectory the node's output (`MANIFEST`, `node-0/iter-*.sdf`)
+/// lands in.
 pub const OUT_DIR: &str = "out";
+
+/// The `on_client_failure` attribute value for `policy`.
+pub fn policy_str(policy: OnClientFailure) -> &'static str {
+    match policy {
+        OnClientFailure::Wait => "wait",
+        OnClientFailure::Partial => "partial",
+        OnClientFailure::DropIteration => "drop-iteration",
+    }
+}
+
+/// Parses [`policy_str`]'s output (anything else is `wait`, the default).
+pub fn policy_from_str(s: &str) -> OnClientFailure {
+    match s {
+        "partial" => OnClientFailure::Partial,
+        "drop-iteration" => OnClientFailure::DropIteration,
+        _ => OnClientFailure::Wait,
+    }
+}
+
+/// The configuration a process node of this shape runs under — what
+/// [`run_epe`] builds its dedicated core from, and what a threaded node
+/// must be given to produce the same files: `variables` byte arrays
+/// `var0..` of `payload_len` each, persisted at every end of iteration.
+pub fn node_config(
+    variables: u32,
+    payload_len: usize,
+    data_capacity: usize,
+    policy: OnClientFailure,
+    lease_timeout: Duration,
+) -> Config {
+    let declared: String = (0..variables)
+        .map(|v| format!(r#"<variable name="var{v}" layout="payload"/>"#))
+        .collect();
+    let xml = format!(
+        r#"<damaris>
+             <buffer size="{data_capacity}" allocator="partition"/>
+             <layout name="payload" type="byte" dimensions="{payload_len}"/>
+             {declared}
+             <resilience on_client_failure="{}" client_lease_timeout_ms="{}"/>
+           </damaris>"#,
+        policy_str(policy),
+        lease_timeout.as_millis().max(1),
+    );
+    // invariant: every attribute above is generated from a typed value.
+    Config::from_xml(&xml).expect("generated configuration parses")
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,24 +1,27 @@
 //! The dedicated core.
 //!
-//! Runs on the node's dedicated core (a thread here): pulls events from
-//! the shared queue, maintains the metadata store, tracks per-iteration
-//! completion across the node's clients, and hands events to the EPE.
-//! Actual I/O happens inside plugins — asynchronously with respect to the
-//! compute cores, which is the whole point (§III).
+//! Runs on the node's dedicated core — a thread of the threaded node, a
+//! process of its own in the process node: takes the node's events one at
+//! a time, maintains the metadata store, tracks per-iteration completion
+//! across the node's clients, and hands events to the EPE. Actual I/O
+//! happens inside plugins — asynchronously with respect to the compute
+//! cores, which is the whole point (§III).
 //!
-//! The core is one value, [`DedicatedCore`], with four entry points:
+//! The core is one value, [`DedicatedCore`], with five entry points:
 //! [`replay`](DedicatedCore::replay) rebuilds a dead predecessor's state
 //! from the journal, [`handle`](DedicatedCore::handle) applies one event,
 //! [`idle`](DedicatedCore::idle) is the pressure → sweep → fire → reclaim →
 //! beat pass that runs after every event and whenever the queue is quiet,
 //! [`quiet`](DedicatedCore::quiet) commits what the fired iterations parked
 //! (the event source calls it when a poll comes back empty, before it
-//! blocks), and [`finish`](DedicatedCore::finish) closes the books. [`run`]
-//! is the event source that feeds it from the in-process queue.
+//! blocks), and [`finish`](DedicatedCore::finish) closes the books. It has
+//! no notion of where events come from: [`run`] is the event source that
+//! feeds it from the in-process queue, and whoever else builds one over a
+//! [`NodeShared`] and calls the same five is another.
 //!
 //! # Crash recovery
 //!
-//! The loop runs under the node supervisor (see [`crate::node`]): each
+//! [`run`] runs under the node supervisor (see [`crate::node`]): each
 //! incarnation gets a heartbeat *epoch*. Epoch 0 starts clean; a respawned
 //! epoch first **replays** the write-ahead journal — re-adopting the
 //! shared-memory segments the dead incarnation had resident, re-counting
@@ -82,7 +85,7 @@ pub(crate) fn run(
     // Publish this epoch only after replay: clients parked on a stale
     // heartbeat resume against fully-rebuilt state (the Release store
     // makes everything above visible to their Acquire observe).
-    shared.heartbeat.begin_epoch(epoch);
+    shared.heartbeat().begin_epoch(epoch);
     core.poll_pressure();
     loop {
         let ready = shared.queue.pop();
@@ -110,7 +113,7 @@ pub(crate) fn run(
                 core.quiet()?;
                 std::thread::sleep(Duration::from_micros(100));
             },
-            None => shared.queue.pop_wait_with(|| shared.heartbeat.beat()),
+            None => shared.queue.pop_wait_with(|| shared.heartbeat().beat()),
         };
         // Tagged with the iteration we are presumably waiting to complete.
         let waiting_for = core.last_fired.wrapping_add(1);
@@ -211,6 +214,9 @@ pub(crate) struct DedicatedCore {
     /// client stalls its iterations forever (the original Damaris contract).
     sweeper_on: bool,
     lease_timeout: Duration,
+    /// Iterations this incarnation took out of the core, fired or
+    /// dropped, in the order they left (see [`retired`](Self::retired)).
+    retired: Vec<u32>,
     report: NodeReport,
 }
 
@@ -232,10 +238,9 @@ impl DedicatedCore {
             fenced: (0..shared.clients as u32)
                 .filter(|c| shared.journal.is_fenced(*c))
                 .collect(),
-            lease_track: shared
-                .leases
-                .iter()
-                .map(|(_, lease)| (lease.snapshot(), deadline))
+            lease_track: (0..shared.clients)
+                .filter_map(|c| shared.lease(c))
+                .map(|lease| (lease.snapshot(), deadline))
                 .collect(),
             held: BTreeMap::new(),
             pending_release: Vec::new(),
@@ -250,6 +255,7 @@ impl DedicatedCore {
             policy,
             sweeper_on: policy != OnClientFailure::Wait && shared.clients > 0,
             lease_timeout,
+            retired: Vec::new(),
             report: NodeReport::default(),
             epe,
             shared,
@@ -439,7 +445,7 @@ impl DedicatedCore {
         self.sweep_leases();
         self.fire_ready()?;
         self.reclaim_fenced();
-        self.shared.heartbeat.beat();
+        self.shared.heartbeat().beat();
         Ok(())
     }
 
@@ -484,10 +490,24 @@ impl DedicatedCore {
         self.shared.journal.compact();
         self.obs_flush.drain(&self.shared);
         self.obs_flush.finish(self.shared.node_id);
-        self.report.files_created = self.shared.backend.files_created();
-        self.report.bytes_stored = self.shared.backend.bytes_written();
-        self.shared.stats.copy_into(&mut self.report);
-        self.report
+        self.report()
+    }
+
+    /// The node's accounting as it stands.
+    pub(crate) fn report(&self) -> NodeReport {
+        let mut report = self.report.clone();
+        report.files_created = self.shared.backend.files_created();
+        report.bytes_stored = self.shared.backend.bytes_written();
+        report.copy_counters(&self.shared.metrics);
+        report
+    }
+
+    /// The iterations retired so far, oldest first, for an event source
+    /// whose clients want to hear of it. One that is still parked is in
+    /// here already: it is durable, and its memory released, only after
+    /// the next [`quiet`](Self::quiet).
+    pub(crate) fn retired(&self) -> &[u32] {
+        &self.retired
     }
 
     /// Records a received variable, live or replayed. A duplicate tuple
@@ -630,6 +650,7 @@ impl DedicatedCore {
         for (_, seq) in counted {
             self.shared.journal.mark_applied(seq);
         }
+        self.retired.push(iteration);
         let held = self.held.remove(&iteration).unwrap_or_default();
         match outcome {
             Outcome::Fire { presence } => {
@@ -794,7 +815,10 @@ impl DedicatedCore {
         // Own handle on the node: the loop cancels through `&mut self`.
         let shared = Arc::clone(&self.shared);
         let now = shared.backend.clock().now();
-        for (c, lease) in shared.leases.iter() {
+        for c in 0..shared.clients {
+            let Some(lease) = shared.lease(c) else {
+                continue;
+            };
             let cu = c as u32;
             if self.fenced.contains(&cu) {
                 continue;
@@ -966,6 +990,7 @@ mod tests {
     use super::*;
     use crate::client::DamarisClient;
     use crate::config::Config;
+    use crate::journal::EventJournal;
     use damaris_fs::LocalDirBackend;
 
     const XML: &str = r#"<damaris>
@@ -976,12 +1001,46 @@ mod tests {
     </damaris>"#;
     const CLIENTS: usize = 2;
 
-    fn node(tag: &str) -> (Arc<NodeShared>, Vec<DamarisClient>) {
-        let dir = std::env::temp_dir().join(format!("damaris-core-{tag}-{}", std::process::id()));
+    /// Where the node's shared state lives: on the heap, as in the
+    /// threaded node, or — the process node's — in a mapping and a journal
+    /// file, from which [`reopen`] builds a successor that shares no
+    /// memory with its predecessor. The core cannot tell them apart, and
+    /// every test here runs over both.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fixture {
+        Heap,
+        Mapped,
+    }
+    const FIXTURES: [Fixture; 2] = [Fixture::Heap, Fixture::Mapped];
+
+    fn dir(tag: &str, fixture: Fixture) -> std::path::PathBuf {
+        let name = format!("damaris-core-{tag}-{fixture:?}-{}", std::process::id());
+        std::env::temp_dir().join(name)
+    }
+
+    fn node(tag: &str, fixture: Fixture) -> (Arc<NodeShared>, Vec<DamarisClient>) {
+        let dir = dir(tag, fixture);
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        if fixture == Fixture::Mapped {
+            damaris_shm::MappedNode::create(&dir.join("node.shm"), CLIENTS, 65536).unwrap();
+        }
+        reopen(tag, fixture)
+    }
+
+    /// The node over what `tag`'s directory holds.
+    fn reopen(tag: &str, fixture: Fixture) -> (Arc<NodeShared>, Vec<DamarisClient>) {
+        let dir = dir(tag, fixture);
         let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
         let config = Config::from_xml(XML).unwrap();
-        let shared = Arc::new(NodeShared::new(config, CLIENTS, backend, 0));
+        let shared = Arc::new(match fixture {
+            Fixture::Heap => NodeShared::new(config, CLIENTS, backend, 0),
+            Fixture::Mapped => {
+                let mapping = damaris_shm::MappedNode::open(&dir.join("node.shm")).unwrap();
+                let (journal, _) = EventJournal::open(&dir.join("journal")).unwrap();
+                NodeShared::over_mapping(config, mapping, backend, 0, journal)
+            }
+        });
         let clients = (0..CLIENTS as u32)
             .map(|id| DamarisClient::new(id, Arc::clone(&shared)))
             .collect();
@@ -1070,19 +1129,28 @@ mod tests {
 
     #[test]
     fn replay_rebuilds_what_live_handling_built() {
-        let (live_shared, live_clients) = node("replay-live");
+        FIXTURES.into_iter().for_each(replay_rebuilds);
+    }
+
+    fn replay_rebuilds(fixture: Fixture) {
+        let (live_shared, live_clients) = node("replay-live", fixture);
         prefix(&live_clients);
         let mut live = core(&live_shared, 0);
         pump(&live_shared, &mut live, usize::MAX);
 
         // The same notifications, but epoch 0 dies after handling three of
         // them (those records are Resident, the rest Pending and still
-        // queued) and epoch 1 rebuilds from the journal alone.
-        let (shared, clients) = node("replay-respawned");
+        // queued) and epoch 1 rebuilds from the journal alone — over the
+        // mapping, from the journal's file in a node built anew, as a
+        // process that shares nothing with the dead one would.
+        let (mut shared, mut clients) = node("replay-respawned", fixture);
         prefix(&clients);
         let mut dead = core(&shared, 0);
         pump(&shared, &mut dead, 3);
         drop(dead);
+        if fixture == Fixture::Mapped {
+            (shared, clients) = reopen("replay-respawned", fixture);
+        }
         let mut replayed = core(&shared, 1);
         replayed.replay().unwrap();
         while let Some(stale) = shared.queue.pop() {
@@ -1114,7 +1182,11 @@ mod tests {
 
     #[test]
     fn fired_iterations_commit_as_one_batch_when_the_queue_goes_quiet() {
-        let (shared, clients) = node("group-commit");
+        FIXTURES.into_iter().for_each(batch_commits);
+    }
+
+    fn batch_commits(fixture: Fixture) {
+        let (shared, clients) = node("group-commit", fixture);
         for it in 0..3u32 {
             for (client, fill) in clients.iter().zip([1u8, 2]) {
                 client.write("a", it, &[fill; 64]).unwrap();
@@ -1153,7 +1225,11 @@ mod tests {
 
     #[test]
     fn a_later_iterations_held_segments_release_after_the_parked_one() {
-        let (shared, clients) = node("parked-fifo");
+        FIXTURES.into_iter().for_each(held_after_parked);
+    }
+
+    fn held_after_parked(fixture: Fixture) {
+        let (shared, clients) = node("parked-fifo", fixture);
         let (c0, c1) = (&clients[0], &clients[1]);
         // Client 0's ring, in allocation order: iteration 0's segment
         // (parked once it fires), then a segment of iteration 1 that its
@@ -1191,6 +1267,10 @@ mod tests {
 
     #[test]
     fn retire_outcomes_release_alike_and_count_apart() {
+        FIXTURES.into_iter().for_each(retire_outcomes);
+    }
+
+    fn retire_outcomes(fixture: Fixture) {
         use DropCause::{ClientFenced, DiskFull};
         let presence = Some(0b01);
         // (tag, outcome, does client 1 end the iteration,
@@ -1215,7 +1295,7 @@ mod tests {
         ];
         let mut left_behind = Vec::new();
         for (tag, outcome, everyone_ends, expect) in table {
-            let (shared, clients) = node(&format!("retire-{tag}"));
+            let (shared, clients) = node(&format!("retire-{tag}"), fixture);
             let (c0, c1) = (&clients[0], &clients[1]);
             // Client 0's ring holds, in allocation order: a displaced
             // segment (held), its replacement (resident) and one of the

@@ -25,7 +25,7 @@
 //! `(src, dst)` ordinal counting with `Drop` (frame never written),
 //! `Delay` (sender sleeps first — a congested eager channel), and
 //! `Duplicate` (frame written twice; receivers must deduplicate by
-//! content, which the EPE's journal seqno layer does).
+//! content, which the EPE does against its journal's history).
 
 use crate::fault::{FaultPlan, MsgFault};
 use std::io::{self, Read, Write};
@@ -255,6 +255,14 @@ impl UdsConn {
         self.stream.set_read_timeout(timeout)
     }
 
+    /// Makes [`UdsConn::recv`] return `WouldBlock` at once when no frame
+    /// is waiting (or wait again, per the read timeout). A frame is one
+    /// small write, which a Unix stream socket queues whole or not at all,
+    /// so a reader that does not wait never finds part of one.
+    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.stream.set_nonblocking(nonblocking)
+    }
+
     /// Sends a control message, applying any planned fault for this
     /// ordinal on the `(src, dst)` pair — the socket-layer reimplementation
     /// of the channel transport's drop/delay/duplicate semantics.
@@ -296,8 +304,8 @@ impl std::fmt::Debug for UdsConn {
     }
 }
 
-/// The EPE's listening side: binds the socket, accepts and registers the
-/// expected clients.
+/// The EPE's listening side: binds the socket, accepts and registers
+/// clients as they come.
 pub struct UdsHub {
     listener: UnixListener,
 }
@@ -305,112 +313,57 @@ pub struct UdsHub {
 impl UdsHub {
     /// Binds `path`, replacing any stale socket file from a previous
     /// crashed run (the socket, unlike the shm mapping, carries no state
-    /// worth keeping).
+    /// worth keeping). The listener never blocks: see
+    /// [`poll_accept`](Self::poll_accept).
     pub fn bind(path: &Path) -> io::Result<UdsHub> {
         if let Err(e) = std::fs::remove_file(path) {
             if e.kind() != io::ErrorKind::NotFound {
                 return Err(e);
             }
         }
-        Ok(UdsHub { listener: UnixListener::bind(path)? })
+        let listener = UnixListener::bind(path)?;
+        listener.set_nonblocking(true)?;
+        Ok(UdsHub { listener })
     }
 
-    /// Accepts until every rank in `0..n_clients` has registered, answers
-    /// each with `Welcome { epoch }`, and returns the connections indexed
-    /// by rank. `epe_rank` keys the EPE's side of the fault-plan ordinal
-    /// space. Duplicate or out-of-range registrations are rejected by
-    /// dropping the connection.
-    pub fn accept_clients(
+    /// Accepts every registration waiting in the listener's backlog,
+    /// answers each with `Welcome { epoch }`, and returns the new
+    /// connections ([`UdsConn::peer`] says whose) — without ever waiting
+    /// for one, so the EPE calls it from its serve loop on every pass and
+    /// a rank can join, or come back after a respawn, whenever it gets
+    /// there. `epe_rank` keys the EPE's side of the fault-plan ordinal
+    /// space. A stream that does not open with a `Register` for a rank in
+    /// `0..n_clients`, or whose peer is gone before the `Welcome`, is
+    /// dropped: the client retries or dies, both of which the lease layer
+    /// handles. Whether a rank that is already connected may register
+    /// again is the caller's decision.
+    pub fn poll_accept(
         &self,
         n_clients: usize,
         epoch: u32,
         epe_rank: usize,
         plan: &FaultPlan,
-        deadline: Duration,
     ) -> io::Result<Vec<UdsConn>> {
-        let start = Instant::now();
-        let mut conns: Vec<Option<UdsConn>> = (0..n_clients).map(|_| None).collect();
-        let mut registered = 0;
-        while registered < n_clients {
-            if start.elapsed() > deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("only {registered}/{n_clients} clients registered"),
-                ));
-            }
-            let (mut stream, _) = self.listener.accept()?;
+        let mut joined = Vec::new();
+        loop {
+            let mut stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(joined),
+                Err(e) => return Err(e),
+            };
+            // The handshake blocks: a client writes its `Register` right
+            // behind the connect.
+            stream.set_nonblocking(false)?;
             stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-            match read_frame(&mut stream) {
-                Ok(CtrlMsg::Register { rank, .. })
-                    if (rank as usize) < n_clients && conns[rank as usize].is_none() =>
-                {
+            if let Ok(CtrlMsg::Register { rank, .. }) = read_frame(&mut stream) {
+                if (rank as usize) < n_clients {
                     let mut conn = UdsConn::new(stream, epe_rank, rank as usize, plan.clone());
-                    conn.send(&CtrlMsg::Welcome { epoch })?;
-                    conns[rank as usize] = Some(conn);
-                    registered += 1;
-                }
-                // Anything else: drop the stream; the client will retry
-                // or die, both of which the lease layer handles.
-                _ => {}
-            }
-        }
-        // invariant: the loop above exits only once every slot is filled.
-        Ok(conns.into_iter().map(|c| c.expect("slot filled")).collect())
-    }
-
-    /// Accepts registrations until every rank in `expected` has joined or
-    /// `deadline` passes — the respawn-side counterpart of
-    /// [`UdsHub::accept_clients`]. A respawned EPE cannot block forever on
-    /// clients that died with the previous incarnation, so missing ranks
-    /// are tolerated: their slots come back `None` and the caller's lease
-    /// sweep decides their fate.
-    pub fn accept_available(
-        &self,
-        n_clients: usize,
-        expected: &[usize],
-        epoch: u32,
-        epe_rank: usize,
-        plan: &FaultPlan,
-        deadline: Duration,
-    ) -> io::Result<Vec<Option<UdsConn>>> {
-        let start = Instant::now();
-        let mut conns: Vec<Option<UdsConn>> = (0..n_clients).map(|_| None).collect();
-        self.listener.set_nonblocking(true)?;
-        let result = loop {
-            if expected
-                .iter()
-                .all(|&r| r < n_clients && conns[r].is_some())
-            {
-                break Ok(());
-            }
-            if start.elapsed() > deadline {
-                break Ok(()); // partial set: the caller fences the rest
-            }
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    // Back to blocking for the handshake on this stream.
-                    stream.set_nonblocking(false)?;
-                    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-                    match read_frame(&mut stream) {
-                        Ok(CtrlMsg::Register { rank, .. })
-                            if (rank as usize) < n_clients && conns[rank as usize].is_none() =>
-                        {
-                            let mut conn =
-                                UdsConn::new(stream, epe_rank, rank as usize, plan.clone());
-                            conn.send(&CtrlMsg::Welcome { epoch })?;
-                            conns[rank as usize] = Some(conn);
-                        }
-                        _ => {}
+                    if conn.send(&CtrlMsg::Welcome { epoch }).is_ok() {
+                        joined.push(conn);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => break Err(e),
             }
-        };
-        self.listener.set_nonblocking(false)?;
-        result.map(|()| conns)
+        }
     }
 }
 
@@ -431,12 +384,17 @@ pub fn connect_client(
             Ok(mut stream) => {
                 stream.set_read_timeout(Some(Duration::from_secs(5)))?;
                 // Registration bypasses the fault plan: it models the MPI
-                // runtime's bootstrap, not an application message.
-                write_frame(&mut stream, &CtrlMsg::Register { rank: rank as u32, pid })?;
-                // Anything but a Welcome means we were rejected or the
-                // hub died mid-handshake: retry on a fresh stream.
-                if let Ok(CtrlMsg::Welcome { epoch }) = read_frame(&mut stream) {
-                    return Ok((UdsConn::new(stream, rank, epe_rank, plan.clone()), epoch));
+                // runtime's bootstrap, not an application message. A
+                // `Register` that cannot be written (`EPIPE`/`ECONNRESET`:
+                // the stream landed in the backlog of a listener that was
+                // closing) or that is answered by anything but a `Welcome`
+                // means the hub died mid-handshake or rejected us: retry
+                // on a fresh stream.
+                let register = CtrlMsg::Register { rank: rank as u32, pid };
+                if write_frame(&mut stream, &register).is_ok() {
+                    if let Ok(CtrlMsg::Welcome { epoch }) = read_frame(&mut stream) {
+                        return Ok((UdsConn::new(stream, rank, epe_rank, plan.clone()), epoch));
+                    }
                 }
             }
             Err(_) if start.elapsed() < deadline => {}
@@ -489,6 +447,27 @@ mod tests {
         let dir = std::env::temp_dir().join("damaris-uds-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}.sock", std::process::id()))
+    }
+
+    /// Polls `hub` until `want` ranks have joined or `within` has passed;
+    /// what joined comes back indexed by rank.
+    fn poll_until(hub: &UdsHub, n: usize, want: usize, epoch: u32, within: Duration) -> Vec<Option<UdsConn>> {
+        let start = Instant::now();
+        let mut conns: Vec<Option<UdsConn>> = (0..n).map(|_| None).collect();
+        while conns.iter().flatten().count() < want && start.elapsed() < within {
+            for conn in hub.poll_accept(n, epoch, n, &FaultPlan::new()).unwrap() {
+                let rank = conn.peer();
+                conns[rank] = Some(conn);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        conns
+    }
+
+    /// [`poll_until`] for tests in which every rank joins.
+    fn accept_all(hub: &UdsHub, n: usize, epoch: u32) -> Vec<UdsConn> {
+        let conns = poll_until(hub, n, n, epoch, Duration::from_secs(5));
+        conns.into_iter().map(|c| c.expect("every rank joined")).collect()
     }
 
     fn roundtrip(msg: CtrlMsg) {
@@ -561,9 +540,7 @@ mod tests {
                 assert_eq!(conn.recv().unwrap(), CtrlMsg::BarrierRelease);
             }));
         }
-        let mut conns = hub
-            .accept_clients(n, 42, n, &FaultPlan::new(), Duration::from_secs(5))
-            .unwrap();
+        let mut conns = accept_all(&hub, n, 42);
         assert_eq!(conns.len(), n);
         let failed = hub_barrier(&mut conns, Duration::from_secs(5));
         assert!(failed.is_empty());
@@ -574,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn accept_available_tolerates_missing_ranks() {
+    fn poll_accept_tolerates_missing_ranks() {
         let path = sock("partial");
         let _ = std::fs::remove_file(&path);
         let hub = UdsHub::bind(&path).unwrap();
@@ -598,13 +575,64 @@ mod tests {
                 drop(conn);
             })
         };
-        let conns = hub
-            .accept_available(2, &[0, 1], 2, 2, &FaultPlan::new(), Duration::from_millis(600))
-            .unwrap();
+        let conns = poll_until(&hub, 2, 2, 2, Duration::from_millis(600));
         assert!(conns[0].is_some());
         assert!(conns[1].is_none());
         t.join().unwrap();
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_rank_that_registers_long_after_polling_began_is_accepted() {
+        let path = sock("late");
+        let _ = std::fs::remove_file(&path);
+        let hub = UdsHub::bind(&path).unwrap();
+        let t = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                // Longer than any one-shot accept window this hub ever had.
+                std::thread::sleep(Duration::from_millis(1500));
+                let plan = FaultPlan::new();
+                let (_, epoch) =
+                    connect_client(&path, 1, 7, 2, &plan, Duration::from_secs(5)).unwrap();
+                assert_eq!(epoch, 3);
+            })
+        };
+        let started = Instant::now();
+        let conns = poll_until(&hub, 2, 1, 3, Duration::from_secs(10));
+        assert!(started.elapsed() >= Duration::from_millis(1500));
+        assert!(conns[0].is_none());
+        assert_eq!(conns[1].as_ref().map(UdsConn::peer), Some(1));
+        t.join().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_closes_the_first_stream_before_reading_register_is_retried() {
+        // Which of the client's two calls meets the closed stream is a
+        // race — the write (`EPIPE`) or the read behind it (`ECONNRESET`,
+        // end of stream) — so the scene is played often enough to see both.
+        for round in 0..40 {
+            let path = sock(&format!("closing-{round}"));
+            let _ = std::fs::remove_file(&path);
+            let listener = UnixListener::bind(&path).unwrap();
+            let t = std::thread::spawn(move || {
+                // A listener on its way out: the stream is closed unread.
+                drop(listener.accept().unwrap());
+                // Its successor answers.
+                let (mut stream, _) = listener.accept().unwrap();
+                assert_eq!(
+                    read_frame(&mut stream).unwrap(),
+                    CtrlMsg::Register { rank: 0, pid: 9 }
+                );
+                write_frame(&mut stream, &CtrlMsg::Welcome { epoch: 5 }).unwrap();
+            });
+            let joined = connect_client(&path, 0, 9, 1, &FaultPlan::new(), Duration::from_secs(5));
+            let (_, epoch) = joined.unwrap_or_else(|e| panic!("round {round}: {e}"));
+            assert_eq!(epoch, 5);
+            t.join().unwrap();
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -632,9 +660,7 @@ mod tests {
                 conn.send(&CtrlMsg::Ack { iteration: 2 }).unwrap(); // delivered
             })
         };
-        let mut conns = hub
-            .accept_clients(1, 0, 1, &FaultPlan::new(), Duration::from_secs(5))
-            .unwrap();
+        let mut conns = accept_all(&hub, 1, 0);
         let conn = &mut conns[0];
         let _ = conn.set_recv_timeout(Some(Duration::from_secs(5)));
         let got: Vec<CtrlMsg> = (0..3).map(|_| conn.recv().unwrap()).collect();
@@ -666,9 +692,7 @@ mod tests {
                 start.elapsed()
             })
         };
-        let mut conns = hub
-            .accept_clients(1, 0, 1, &FaultPlan::new(), Duration::from_secs(5))
-            .unwrap();
+        let mut conns = accept_all(&hub, 1, 0);
         let _ = conns[0].set_recv_timeout(Some(Duration::from_secs(5)));
         assert_eq!(conns[0].recv().unwrap(), CtrlMsg::Ack { iteration: 0 });
         let sender_elapsed = t.join().unwrap();
@@ -715,9 +739,7 @@ mod tests {
                 drop(conn);
             })
         };
-        let mut conns = hub
-            .accept_clients(2, 0, 2, &FaultPlan::new(), Duration::from_secs(5))
-            .unwrap();
+        let mut conns = accept_all(&hub, 2, 0);
         t1.join().unwrap();
         let failed = hub_barrier(&mut conns, Duration::from_millis(500));
         assert_eq!(failed, vec![1]);

@@ -133,15 +133,6 @@ impl SharedBuffer {
             len,
         }
     }
-
-    /// Re-adopts a segment whose reservation is recorded *outside* this
-    /// process — in a file-backed ring header plus a write-ahead journal —
-    /// after the owning process died or restarted. The caller vouches that
-    /// `[offset, offset+len)` is still reserved in that external record;
-    /// disjointness comes from the original allocator, not from this call.
-    pub fn adopt_segment(self: &Arc<Self>, offset: usize, len: usize) -> Segment {
-        self.segment(offset, len)
-    }
 }
 
 impl std::fmt::Debug for SharedBuffer {

@@ -15,7 +15,7 @@
 //! 64   region_capacity  per-client ring capacity in bytes
 //! 128  client slots, 32 bytes each:
 //!        +0  lease          a `ClientLease` word
-//!        +8  renewed_at_ns  CLOCK_MONOTONIC stamp of the last renew
+//!        +8  (reserved; layout 1 kept a renew stamp here)
 //!        +16 ring head      monotonic reserved-bytes counter
 //!        +24 ring tail      monotonic released-bytes counter
 //! data_offset  buffer data, n_clients × region_capacity bytes
@@ -64,11 +64,10 @@ const OFF_BEAT_AT_NS: usize = 56;
 const OFF_REGION_CAPACITY: usize = 64;
 /// First per-client slot; the gap up to here is reserved for growth.
 const CLIENT_BASE: usize = 128;
-/// Bytes per client slot (lease, renewed_at, head, tail).
+/// Bytes per client slot (lease, a reserved word, head, tail).
 const CLIENT_SLOT: usize = 32;
 
 const SLOT_LEASE: usize = 0;
-const SLOT_RENEWED_AT: usize = 8;
 const SLOT_HEAD: usize = 16;
 const SLOT_TAIL: usize = 24;
 
@@ -78,6 +77,8 @@ pub const HEADER_BYTES: usize = CLIENT_BASE;
 /// One process's view of the shared node mapping — the per-process
 /// mirror: the `Arc`s and cached immutable geometry live here (private
 /// to this process); every mutable protocol word lives in the mapping.
+/// A clone is a second handle on the same view.
+#[derive(Clone)]
 pub struct MappedNode {
     region: Arc<MapRegion>,
     n_clients: usize,
@@ -234,13 +235,6 @@ impl MappedNode {
         ClientLease::from_word(self.client_word(client, SLOT_LEASE))
     }
 
-    /// CLOCK_MONOTONIC stamp of the client's last renew (client stores
-    /// Release after renewing; the sweeper loads Acquire to compute
-    /// staleness on the shared clock).
-    pub fn renewed_at_ns(&self, client: usize) -> &AtomicU64 {
-        self.client_word(client, SLOT_RENEWED_AT)
-    }
-
     /// The client's ring `head` (reserved-bytes) counter.
     pub fn ring_head(&self, client: usize) -> &AtomicU64 {
         self.client_word(client, SLOT_HEAD)
@@ -282,6 +276,43 @@ impl MappedNode {
             len as u64,
         )?;
         Ok(buffer.segment(client * self.region_capacity + pos as usize, len))
+    }
+
+    /// Re-creates the handle of a range still reserved in `client`'s ring
+    /// — [`crate::PartitionAllocator::adopt`]'s check over the mapped
+    /// counters (consumer side: the caller owns `tail`). The coordinates
+    /// come from a journal record or from a `Commit` frame, that is from
+    /// outside this process, so nothing about them is assumed: `None`
+    /// unless `[offset, offset + len)` lies inside that client's ring,
+    /// does not straddle its end, and sits — rounded, with the padding
+    /// that leads up to it — within the bytes outstanding between `tail`
+    /// and `head`.
+    pub fn adopt(
+        &self,
+        buffer: &Arc<SharedBuffer>,
+        client: usize,
+        offset: usize,
+        len: usize,
+    ) -> Option<Segment> {
+        if client >= self.n_clients {
+            return None;
+        }
+        let cap = self.region_capacity;
+        let base = client.checked_mul(cap)?;
+        let pos = offset.checked_sub(base).filter(|&p| p < cap)?;
+        if pos.checked_add(len)? > cap {
+            return None;
+        }
+        // Relaxed: only this (consumer) side writes `tail`. Acquire on
+        // `head`: pairs with the client's Release in `ring_reserve`.
+        let tail = self.ring_tail(client).load(Ordering::Relaxed);
+        let head = self.ring_head(client).load(Ordering::Acquire);
+        let ahead = (pos + cap - (tail % cap as u64) as usize) % cap;
+        let end = (ahead as u64).checked_add(ring::ring_rounded(len as u64))?;
+        if end > head.checked_sub(tail)? {
+            return None;
+        }
+        Some(buffer.segment(offset, len))
     }
 
     /// Releases the oldest live reservation of `client` (EPE side, FIFO;
@@ -399,8 +430,8 @@ mod tests {
         assert!(epe.lease(1).try_revoke(snap));
         assert!(!client.lease(1).renew());
 
-        client.renewed_at_ns(0).store(42, Ordering::Release);
-        assert_eq!(epe.renewed_at_ns(0).load(Ordering::Acquire), 42);
+        epe.beat_at_ns().store(42, Ordering::Release);
+        assert_eq!(client.beat_at_ns().load(Ordering::Acquire), 42);
         epe.region().unlink().unwrap();
     }
 
@@ -426,6 +457,40 @@ mod tests {
         epe.release(1, off, len);
         assert_eq!(epe.total_in_use(), 0);
         epe.region().unlink().unwrap();
+    }
+
+    #[test]
+    fn adopt_takes_only_a_live_range_of_that_clients_ring() {
+        let path = tmp("adopt");
+        let node = MappedNode::create(&path, 2, 2048).unwrap();
+        let buf = node.buffer();
+        let mut seg = node.reserve(&buf, 1, 100).unwrap();
+        seg.copy_from_slice(&[0xCD; 100]);
+        let (off, len) = (seg.offset(), seg.len());
+        drop(seg);
+        let adopted = node.adopt(&buf, 1, off, len).expect("range is reserved");
+        assert!(adopted.as_slice().iter().all(|&b| b == 0xCD));
+
+        // What a forged or stale record can say, case by case.
+        assert!(node.adopt(&buf, 1, usize::MAX - 1, 2).is_none(), "overflow");
+        assert!(node.adopt(&buf, 0, off, len).is_none(), "another ring");
+        assert!(node.adopt(&buf, 2, off, len).is_none(), "no such client");
+        assert!(node.adopt(&buf, 1, off, 1025).is_none(), "longer than a ring");
+        assert!(node.adopt(&buf, 1, off + 1000, 100).is_none(), "straddles");
+        assert!(node.adopt(&buf, 1, off + 104, 100).is_none(), "beyond head");
+        node.release(1, off, len);
+        assert!(node.adopt(&buf, 1, off, len).is_none(), "released");
+
+        // A reservation that wrapped is adopted behind its padding: the
+        // ring (1024 bytes) holds 104 released, then 800, then 200 that
+        // no longer fit before the end and start over at 0.
+        let long = node.reserve(&buf, 1, 800).unwrap();
+        node.release(1, long.offset(), long.len());
+        let wrapped = node.reserve(&buf, 1, 200).unwrap();
+        assert_eq!(wrapped.offset(), off);
+        assert!(node.adopt(&buf, 1, off, 200).is_some());
+        assert!(node.adopt(&buf, 1, off + 200, 8).is_none(), "beyond head");
+        node.region().unlink().unwrap();
     }
 
     #[test]
