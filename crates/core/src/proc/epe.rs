@@ -244,8 +244,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         if read_any {
             continue;
         }
-        core.quiet().map_err(core_err)?;
-        pump.acknowledge(core.retired());
+        pump.acknowledge(core.quiet().map_err(core_err)?);
         if pump.done() {
             break;
         }
@@ -283,8 +282,6 @@ struct Pump<'a> {
     ends_seen: HashSet<(u32, u32)>,
     /// Iterations retired and acknowledged, by a predecessor or by us.
     retired: BTreeSet<u32>,
-    /// How many of the core's retired iterations have been acknowledged.
-    acknowledged: usize,
     /// Ranks that sent their last `EndIteration`.
     finished: Vec<bool>,
     /// Per rank, the lease word as last seen to move and when: without a
@@ -313,7 +310,6 @@ impl<'a> Pump<'a> {
             commits_seen: HashSet::new(),
             ends_seen: HashSet::new(),
             retired: BTreeSet::new(),
-            acknowledged: 0,
             finished: vec![false; opts.n_clients],
             lease_seen: (0..opts.n_clients)
                 .map(|c| (node.lease(c).snapshot(), now))
@@ -543,11 +539,11 @@ impl<'a> Pump<'a> {
         })
     }
 
-    /// Called after a `quiet` pass, when nothing the core retired is still
-    /// parked: every iteration in `retired` not yet acknowledged — fired
-    /// or dropped alike — is, to every rank that is connected.
-    fn acknowledge(&mut self, retired: &[u32]) {
-        for &iteration in &retired[self.acknowledged..] {
+    /// Called with what a `quiet` pass returned, when nothing the core
+    /// retired is still parked: every one of those iterations — fired or
+    /// dropped alike — is acknowledged to every rank that is connected.
+    fn acknowledge(&mut self, retired: Vec<u32>) {
+        for iteration in retired {
             self.retired.insert(iteration);
             for slot in self.conns.iter_mut() {
                 let lost = slot
@@ -558,7 +554,6 @@ impl<'a> Pump<'a> {
                 }
             }
         }
-        self.acknowledged = retired.len();
     }
 }
 

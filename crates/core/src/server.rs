@@ -87,52 +87,8 @@ pub(crate) fn run(
     // makes everything above visible to their Acquire observe).
     shared.heartbeat().begin_epoch(epoch);
     core.poll_pressure();
-    loop {
-        let ready = shared.queue.pop();
-        if ready.is_none() {
-            // The queue went quiet — the moment the core would idle, and
-            // under backpressure the moment clients are blocked on memory
-            // the parked iterations hold: commit them before blocking.
-            core.quiet()?;
-        }
-        let t_idle = core.rec.begin();
-        let event = match ready {
-            Some(event) => event,
-            // Manual poll instead of `pop_wait_with`: the sweeper must run
-            // precisely when the queue goes quiet — a dead client stops
-            // producing events, which is exactly what starves a blocking
-            // pop. The pressure machine polls here for the same reason: a
-            // quota lift (space returning) produces no event, yet held
-            // iterations must fire and the node must re-ascend to Normal.
-            None if core.sweeper_on || core.pressure_on => loop {
-                if let Some(event) = shared.queue.pop() {
-                    break event;
-                }
-                core.idle()?;
-                // `idle` may have fired an iteration nobody will follow.
-                core.quiet()?;
-                std::thread::sleep(Duration::from_micros(100));
-            },
-            None => shared.queue.pop_wait_with(|| shared.heartbeat().beat()),
-        };
-        // Tagged with the iteration we are presumably waiting to complete.
-        let waiting_for = core.last_fired.wrapping_add(1);
-        core.rec.end(EventKind::QueueIdle, waiting_for, 0, t_idle);
-        // Claim arbitration: an event whose journal record was already
-        // processed (by a previous epoch's replay) is dropped. The segment
-        // handle in a stale Write is inert — the replay's adopted handle
-        // owns the allocation.
-        if let Some(seq) = event.seq() {
-            if shared.journal.claim(seq) == Claim::Stale {
-                FaultStats::bump(&shared.stats.stale_events_rejected);
-                continue;
-            }
-        }
-        if core.handle(event)?.is_break() {
-            return Ok(core.finish());
-        }
-        core.idle()?;
-    }
+    core.serve()?;
+    Ok(core.finish())
 }
 
 /// A segment the core must release without handing it to a plugin, as
@@ -214,8 +170,8 @@ pub(crate) struct DedicatedCore {
     /// client stalls its iterations forever (the original Damaris contract).
     sweeper_on: bool,
     lease_timeout: Duration,
-    /// Iterations this incarnation took out of the core, fired or
-    /// dropped, in the order they left (see [`retired`](Self::retired)).
+    /// Iterations taken out of the core, fired or dropped, in the order
+    /// they left, since the last [`quiet`](Self::quiet) handed them out.
     retired: Vec<u32>,
     report: NodeReport,
 }
@@ -437,6 +393,58 @@ impl DedicatedCore {
         Ok(ControlFlow::Continue(()))
     }
 
+    /// The threaded node's event source: pops the shared queue until a
+    /// `Terminate` event has been handled.
+    fn serve(&mut self) -> Result<(), DamarisError> {
+        let shared = Arc::clone(&self.shared);
+        loop {
+            let ready = shared.queue.pop();
+            if ready.is_none() {
+                // The queue went quiet — the moment the core would idle, and
+                // under backpressure the moment clients are blocked on memory
+                // the parked iterations hold: commit them before blocking.
+                self.quiet()?;
+            }
+            let t_idle = self.rec.begin();
+            let event = match ready {
+                Some(event) => event,
+                // Manual poll instead of `pop_wait_with`: the sweeper must run
+                // precisely when the queue goes quiet — a dead client stops
+                // producing events, which is exactly what starves a blocking
+                // pop. The pressure machine polls here for the same reason: a
+                // quota lift (space returning) produces no event, yet held
+                // iterations must fire and the node must re-ascend to Normal.
+                None if self.sweeper_on || self.pressure_on => loop {
+                    if let Some(event) = shared.queue.pop() {
+                        break event;
+                    }
+                    self.idle()?;
+                    // `idle` may have fired an iteration nobody will follow.
+                    self.quiet()?;
+                    std::thread::sleep(Duration::from_micros(100));
+                },
+                None => shared.queue.pop_wait_with(|| shared.heartbeat().beat()),
+            };
+            // Tagged with the iteration we are presumably waiting to complete.
+            let waiting_for = self.last_fired.wrapping_add(1);
+            self.rec.end(EventKind::QueueIdle, waiting_for, 0, t_idle);
+            // Claim arbitration: an event whose journal record was already
+            // processed (by a previous epoch's replay) is dropped. The segment
+            // handle in a stale Write is inert — the replay's adopted handle
+            // owns the allocation.
+            if let Some(seq) = event.seq() {
+                if shared.journal.claim(seq) == Claim::Stale {
+                    FaultStats::bump(&shared.stats.stale_events_rejected);
+                    continue;
+                }
+            }
+            if self.handle(event)?.is_break() {
+                return Ok(());
+            }
+            self.idle()?;
+        }
+    }
+
     /// The between-events pass, in one order everywhere it runs: advance
     /// the pressure machine, sweep leases, retire whatever became ready,
     /// reclaim fenced clients' memory, beat the heartbeat.
@@ -451,18 +459,21 @@ impl DedicatedCore {
 
     /// The queue went quiet: commits what the fired iterations parked, as
     /// one batch, and releases their memory. Nothing parked, nothing done —
-    /// the event source calls this on every empty poll.
-    pub(crate) fn quiet(&mut self) -> Result<(), DamarisError> {
-        if self.parked.is_empty() {
-            return Ok(());
+    /// the event source calls this on every empty poll. Returns, oldest
+    /// first, the iterations retired since the last call, for an event
+    /// source whose clients want to hear of it: with this pass they are
+    /// durable and their memory is released. Handing the list out empties
+    /// it, so it is as long as a backlog, not as the run.
+    pub(crate) fn quiet(&mut self) -> Result<Vec<u32>, DamarisError> {
+        if !self.parked.is_empty() {
+            let last = self.last_fired;
+            let t_epe = self.rec.begin();
+            self.with_plugins(Vec::new(), |epe, ctx| epe.quiet_all(ctx, last))?;
+            self.rec.end(EventKind::EpeDispatch, last, 0, t_epe);
+            self.close_open_span();
+            self.obs_flush.drain(&self.shared);
         }
-        let last = self.last_fired;
-        let t_epe = self.rec.begin();
-        self.with_plugins(Vec::new(), |epe, ctx| epe.quiet_all(ctx, last))?;
-        self.rec.end(EventKind::EpeDispatch, last, 0, t_epe);
-        self.close_open_span();
-        self.obs_flush.drain(&self.shared);
-        Ok(())
+        Ok(std::mem::take(&mut self.retired))
     }
 
     /// Ends the span left open by the last fire, if one is, here and now.
@@ -500,14 +511,6 @@ impl DedicatedCore {
         report.bytes_stored = self.shared.backend.bytes_written();
         report.copy_counters(&self.shared.metrics);
         report
-    }
-
-    /// The iterations retired so far, oldest first, for an event source
-    /// whose clients want to hear of it. One that is still parked is in
-    /// here already: it is durable, and its memory released, only after
-    /// the next [`quiet`](Self::quiet).
-    pub(crate) fn retired(&self) -> &[u32] {
-        &self.retired
     }
 
     /// Records a received variable, live or replayed. A duplicate tuple
@@ -1336,5 +1339,37 @@ mod tests {
         // One segment and one journal record (iteration 1's) survive,
         // whichever way iteration 0 left.
         assert_eq!(left_behind, [(64, 1); 4]);
+    }
+
+    /// The list of retired iterations exists for an event source that
+    /// acknowledges them; the threaded one does not, and must not keep it
+    /// either: `quiet` hands it out, so after 1 000 iterations through
+    /// `serve` — the loop `run` runs — nothing of it is left. (It used to
+    /// grow by four bytes an iteration for the life of the incarnation.)
+    #[test]
+    fn retired_list_does_not_outlive_the_quiet_that_hands_it_out() {
+        const ITERATIONS: u32 = 1000;
+        let (shared, clients) = node("retired-drains", Fixture::Heap);
+        let mut core = core(&shared, 0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for it in 0..ITERATIONS {
+                    for client in &clients {
+                        client.write("a", it, &[it as u8; 64]).unwrap();
+                        client.end_iteration(it).unwrap();
+                    }
+                }
+                // The last release is the last thing a `quiet` pass does
+                // before it hands the list out, and the core pops its next
+                // event only after that.
+                while shared.buffer.in_use(CLIENTS) != 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert!(shared.queue.push(Event::Terminate).is_ok());
+            });
+            core.serve().unwrap();
+        });
+        assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
+        assert!(core.retired.is_empty(), "{} kept", core.retired.len());
     }
 }

@@ -643,3 +643,116 @@ fn rewrites_across_iterations_respect_fifo_release() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_ring_that_drains_between_iterations_does_not_walk_its_region() {
+    // The `steady` shape, scaled down: every client writes its variables,
+    // ends the iteration, and the next one starts after the dedicated core
+    // has released everything. An empty ring starts over at offset 0, so
+    // each iteration's segments land where the previous one's did — on
+    // bytes still in cache — and a region of 64 iterations' worth is
+    // touched only at its start. (The ring used to carry on from where it
+    // stopped, and reach its far end on the 64th iteration.)
+    use damaris_core::{ActionContext, EventInfo, Plugin, PluginFactory};
+    use std::sync::{Arc, Mutex};
+
+    const CLIENTS: usize = 4;
+    const VARIABLES: [&str; 4] = ["u", "v", "w", "theta"];
+    const BLOCK: usize = 4096;
+    const ITERATIONS: u32 = 64;
+    const REGION: usize = ITERATIONS as usize * VARIABLES.len() * BLOCK;
+
+    /// Where iteration, by iteration, the segments were: `(source,
+    /// variable, offset within the source's region)`, sorted.
+    type Placements = Arc<Mutex<Vec<Vec<(u32, String, usize)>>>>;
+
+    struct Offsets(Placements);
+    impl Plugin for Offsets {
+        fn name(&self) -> &str {
+            "offsets"
+        }
+        fn handle(
+            &mut self,
+            ctx: &mut ActionContext<'_>,
+            event: &EventInfo,
+        ) -> Result<(), DamarisError> {
+            let mut placed: Vec<_> = ctx
+                .store
+                .iteration_entries(event.iteration)
+                .map(|v| {
+                    let region = v.key.source as usize * REGION;
+                    (v.key.source, v.name.clone(), v.segment.offset() - region)
+                })
+                .collect();
+            placed.sort();
+            self.0.lock().unwrap().push(placed);
+            Ok(())
+        }
+    }
+
+    let variables: String = VARIABLES
+        .iter()
+        .map(|name| format!(r#"<variable name="{name}" layout="block"/>"#))
+        .collect();
+    let cfg = Config::from_xml(&format!(
+        r#"<damaris>
+             <buffer size="{}" allocator="partition" queue="64"/>
+             <layout name="block" type="real" dimensions="{}"/>
+             {variables}
+             <event name="end_of_iteration" action="offsets"/>
+             <event name="end_of_iteration" action="persist"/>
+           </damaris>"#,
+        CLIENTS * REGION,
+        BLOCK / 4
+    ))
+    .unwrap();
+    let dir = scratch("steady-ring");
+    let placements = Placements::default();
+    let recorded = Arc::clone(&placements);
+    let factory: PluginFactory =
+        Box::new(move |_| Ok(Box::new(Offsets(Arc::clone(&recorded))) as Box<dyn Plugin>));
+    let runtime = NodeRuntime::start_with(
+        cfg,
+        CLIENTS,
+        &dir,
+        0,
+        vec![("offsets".to_string(), factory)],
+    )
+    .unwrap();
+    let clients = runtime.clients();
+    for it in 0..ITERATIONS {
+        for client in &clients {
+            for name in VARIABLES {
+                client.write_f32(name, it, &[it as f32; BLOCK / 4]).unwrap();
+            }
+            client.end_iteration(it).unwrap();
+        }
+        while runtime.buffer_in_use() != 0 {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+    }
+    let report = runtime.finish().unwrap();
+    assert_eq!(report.iterations_persisted, u64::from(ITERATIONS));
+
+    let placements = placements.lock().unwrap();
+    assert_eq!(placements.len(), ITERATIONS as usize);
+    // Written in `VARIABLES` order from an empty ring: one behind another.
+    let mut first: Vec<_> = (0..CLIENTS as u32)
+        .flat_map(|c| {
+            VARIABLES
+                .iter()
+                .enumerate()
+                .map(move |(i, name)| (c, name.to_string(), i * BLOCK))
+        })
+        .collect();
+    first.sort();
+    for (it, placed) in placements.iter().enumerate() {
+        assert_eq!(placed, &first, "iteration {it}: segments elsewhere");
+    }
+    let highest = placements.iter().flatten().map(|p| p.2 + BLOCK).max();
+    assert!(
+        highest.unwrap() <= 2 * VARIABLES.len() * BLOCK,
+        "ring walked to {highest:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

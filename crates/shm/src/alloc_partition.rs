@@ -2,63 +2,52 @@
 //!
 //! "When all clients are expected to write the same amount of data, the
 //! shared-memory buffer is split in as many parts as clients and each client
-//! uses its own region" (§III-B). Each region is a byte ring with two
-//! monotonic counters:
+//! uses its own region" (§III-B). Each region is a byte ring run by the
+//! protocol in [`crate::ring`] — counters, padding, rewind, and the
+//! memory-ordering argument are documented (and model-checked) there; this
+//! type adds the regions' placement in one [`SharedBuffer`] and the
+//! [`Segment`] handles.
 //!
-//! * `head` — bytes ever reserved; advanced only by the owning client.
-//! * `tail` — bytes ever released; advanced only by the consumer (the
-//!   dedicated core), **in FIFO order per client**.
-//!
-//! Reservation is a couple of atomic loads and one release-store — no locks,
-//! no CAS loops — which is exactly why the paper prefers it on the hot path.
-//! When a reservation would straddle the end of the region it skips the
-//! remaining bytes (wrap padding); the padding is recovered at release time
-//! from the segment's position, which the FIFO discipline makes unambiguous.
+//! Reservation is a few atomic loads and one release-store — no locks, no
+//! CAS loops — which is exactly why the paper prefers it on the hot path.
 //!
 //! Contract (checked with `debug_assert`s, property tests, and the model
 //! tests in `tests/model.rs`):
 //! * at most one thread calls [`PartitionAllocator::allocate`] per client id
 //!   at a time;
 //! * segments of one client are released in allocation order.
-//!
-//! ## Memory-ordering argument (verified under `--features check`)
-//!
-//! Each counter has a single writer, so its owner may load it `Relaxed`
-//! (it always sees its own latest value) while the *other* side loads it
-//! `Acquire` against the owner's `Release` store. The Acquire on `tail` in
-//! `allocate` is what makes recycling sound: observing `tail = t` means the
-//! consumer finished reading every byte below `t`, so overwriting them
-//! cannot race. Third-party observers (`in_use`) must load `tail` **before**
-//! `head`: both counters are monotonic and `tail <= head` holds at every
-//! instant, so `tail_read <= head_read` follows — loading them in the other
-//! order allowed `tail` to overtake a stale `head` snapshot and the
-//! subtraction to underflow (the bug fixed here, pinned by a model test).
 
 use crate::buffer::{Segment, SharedBuffer};
-use crate::sync::{Arc, AtomicUsize, Ordering};
+use crate::ring::{self, Ring, RingWords};
+use crate::sync::Arc;
 use crate::AllocError;
 
 /// Alignment granted to every segment (shared with the mutex allocator).
-pub const ALIGN: usize = 8;
+const ALIGN: usize = ring::RING_ALIGN as usize;
 
 #[derive(Debug)]
 struct Region {
     offset: usize,
     len: usize,
-    /// Monotonic reserved-bytes counter (owned by the client).
-    head: AtomicUsize,
-    /// Monotonic released-bytes counter (owned by the consumer).
-    tail: AtomicUsize,
+    words: RingWords,
+}
+
+impl Region {
+    fn ring(&self) -> Ring<'_> {
+        self.words.ring(self.len as u64)
+    }
+
+    /// In-region position of a buffer offset, if it falls in this region.
+    fn pos(&self, offset: usize) -> Option<u64> {
+        let pos = offset.checked_sub(self.offset)?;
+        (pos < self.len).then_some(pos as u64)
+    }
 }
 
 /// Lock-free per-client partitioned allocator.
 pub struct PartitionAllocator {
     buffer: Arc<SharedBuffer>,
     regions: Vec<Region>,
-}
-
-fn rounded(len: usize) -> usize {
-    len.div_ceil(ALIGN).max(1) * ALIGN
 }
 
 impl PartitionAllocator {
@@ -72,8 +61,7 @@ impl PartitionAllocator {
             .map(|i| Region {
                 offset: i * region_len,
                 len: region_len,
-                head: AtomicUsize::new(0),
-                tail: AtomicUsize::new(0),
+                words: RingWords::default(),
             })
             .collect();
         PartitionAllocator { buffer, regions }
@@ -102,73 +90,19 @@ impl PartitionAllocator {
     /// Bytes currently reserved by `client` (including wrap padding).
     ///
     /// Callable from any thread; returns a consistent instantaneous value
-    /// in `[0, region_capacity()]`.
+    /// in `[0, region_capacity()]` ([`ring::ring_in_use`]).
     pub fn in_use(&self, client: usize) -> usize {
-        let r = &self.regions[client];
-        // Seqlock-style consistent snapshot. The original implementation
-        // loaded `head` then `tail` independently, which had TWO races with
-        // a concurrent allocate+release pair: `tail` could overtake a stale
-        // `head` snapshot and the subtraction wrapped to ~usize::MAX, and
-        // symmetrically a fresh `head` against a stale `tail` over-reported
-        // past the region size. Re-reading `tail` around the `head` load
-        // fixes both: `tail` is monotonic, so an unchanged re-read proves
-        // `tail` held that value at the instant `head` was loaded, making
-        // the pair a consistent snapshot where `tail <= head <= tail + len`
-        // holds by the region invariants. Each retry requires the consumer
-        // to have advanced `tail`, so the loop is bounded by the releases
-        // in flight. Regression model test: `in_use_is_always_consistent`
-        // in tests/model.rs.
-        //
-        // Acquire on all three: pairs with the owners' Release stores so
-        // the snapshot is also ordered after the work it covers.
-        let mut tail = r.tail.load(Ordering::Acquire);
-        loop {
-            let head = r.head.load(Ordering::Acquire);
-            let tail_after = r.tail.load(Ordering::Acquire);
-            if tail_after == tail {
-                // Belt and braces: the snapshot argument above rules out
-                // underflow, but saturate so even a future regression
-                // cannot return a garbage count.
-                return head.saturating_sub(tail);
-            }
-            tail = tail_after;
-        }
+        ring::ring_in_use(&self.regions[client].ring()) as usize
     }
 
-    /// Reserves `len` bytes in `client`'s region.
+    /// Reserves `len` bytes in `client`'s region ([`ring::ring_reserve`]).
     ///
-    /// Lock-free: two atomic loads + one store on success. Must only be
-    /// called by the single thread owning `client`.
+    /// Lock-free. Must only be called by the single thread owning `client`.
     // ANALYZE: hot
     pub fn allocate(&self, client: usize, len: usize) -> Result<Segment, AllocError> {
         let region = self.regions.get(client).ok_or(AllocError::BadClient)?;
-        let need = rounded(len);
-        if need > region.len {
-            return Err(AllocError::TooLarge);
-        }
-        // Relaxed: only this thread writes `head`, so we always see our own
-        // latest value. Acquire on `tail`: pairs with the consumer's Release
-        // in `release`, ordering its reads of the freed bytes before our
-        // overwrite of them.
-        let head = region.head.load(Ordering::Relaxed);
-        let tail = region.tail.load(Ordering::Acquire);
-        // Cannot underflow: the consumer only releases what we allocated,
-        // so tail <= head always holds from the owner's view of head.
-        let used = head - tail;
-        let pos = head % region.len;
-        let (pad, start) = if pos + need <= region.len {
-            (0, pos)
-        } else {
-            (region.len - pos, 0)
-        };
-        if used + pad + need > region.len {
-            return Err(AllocError::Full);
-        }
-        // Release: publishes the reservation to `in_use` observers and the
-        // consumer's debug checks; the segment *data* is published by the
-        // event queue's release/acquire pair when the handle is sent.
-        region.head.store(head + pad + need, Ordering::Release);
-        Ok(self.buffer.segment(region.offset + start, len))
+        let start = ring::ring_reserve(&region.ring(), len as u64)?;
+        Ok(self.buffer.segment(region.offset + start as usize, len))
     }
 
     /// Re-creates the handle of a segment that is still reserved in
@@ -176,64 +110,37 @@ impl PartitionAllocator {
     /// handle, the ring counters survived (they live here, not in the
     /// consumer), and the journal's `(offset, len)` record is enough to
     /// re-adopt the bytes so they can later be released in FIFO order.
-    /// Returns `None` for an out-of-range client/offset or a length that
-    /// exceeds the bytes currently reserved (a stale or corrupt record).
+    /// Returns `None` for an out-of-range client/offset or a range outside
+    /// the bytes currently reserved (a stale or corrupt record;
+    /// [`ring::ring_holds`]).
     pub fn adopt(&self, client: usize, offset: usize, len: usize) -> Option<Segment> {
         let region = self.regions.get(client)?;
-        let pos = offset
-            .checked_sub(region.offset)
-            .filter(|&p| p < region.len)?;
-        // A real segment never straddles the region end (wrap padding
-        // guarantees it), so the whole range must fit from `pos`.
-        if pos.checked_add(len)? > region.len {
-            return None;
-        }
-        // Sanity: at least this many bytes must still be outstanding.
-        if rounded(len) > self.in_use(client) {
-            return None;
-        }
-        Some(self.buffer.segment(offset, len))
+        ring::ring_holds(&region.ring(), region.pos(offset)?, len as u64)
+            .then(|| self.buffer.segment(offset, len))
     }
 
     /// Releases the **oldest** live segment of `client`.
     ///
     /// Must be called in allocation order (FIFO per client) and only by the
-    /// single consumer thread. Wrap padding between the current tail and the
-    /// segment start is reclaimed automatically.
+    /// single consumer thread ([`ring::ring_release`]).
     pub fn release(&self, client: usize, segment: Segment) {
         assert!(
             Arc::ptr_eq(segment.buffer(), &self.buffer),
             "segment released to the wrong allocator"
         );
         let region = &self.regions[client];
-        let seg_pos = segment
-            .offset()
-            .checked_sub(region.offset)
-            .filter(|&p| p < region.len)
+        let pos = region
+            .pos(segment.offset())
             // invariant: segments carry the offset the allocator assigned;
             // a mismatch is caller misuse, not a runtime condition.
             .expect("segment does not belong to this client's region");
-        let need = rounded(segment.len());
+        let len = segment.len() as u64;
         drop(segment);
-        // Relaxed: only this (consumer) thread writes `tail`.
-        let tail = region.tail.load(Ordering::Relaxed);
-        let tail_pos = tail % region.len;
-        let pad = (seg_pos + region.len - tail_pos) % region.len;
-        // Acquire: pairs with the client's Release store of `head` so the
-        // FIFO debug check below sees the reservation being released.
-        let head = region.head.load(Ordering::Acquire);
-        debug_assert!(
-            tail + pad + need <= head,
-            "FIFO release violated: tail {tail} pad {pad} need {need} head {head}"
-        );
-        // Release: hands the freed bytes back to the client — pairs with
-        // the Acquire on `tail` in `allocate`, ordering our reads of the
-        // segment data before the client's next overwrite.
-        region.tail.store(tail + pad + need, Ordering::Release);
+        ring::ring_release(&region.ring(), pos, len);
     }
 
-    /// Reclaims **everything** still reserved in `client`'s region by
-    /// advancing `tail` to `head`. Returns the number of bytes reclaimed
+    /// Reclaims **everything** still reserved in `client`'s region
+    /// ([`ring::ring_reclaim`]). Returns the number of bytes reclaimed
     /// (including wrap padding); 0 means the region was already empty.
     ///
     /// This is the sweeper's terminal reclamation step for a client whose
@@ -244,30 +151,13 @@ impl PartitionAllocator {
     ///   metadata store, or held for deferred release) must have been
     ///   released in FIFO order first — this call then swallows whatever
     ///   untracked remainder the dead client reserved but never committed;
-    /// * the client's lease must already be revoked so it cannot *begin*
-    ///   new reservations. A reservation already in flight at revoke time
-    ///   may still store `head` once after this sweep (the lease grace
-    ///   window) — which is safe (head and tail never share a writer, and
-    ///   a fenced client can never commit the bytes) but leaves them
-    ///   unreclaimed, so the sweeper calls this again on later fires until
-    ///   it returns 0 with `in_use` agreeing.
+    /// * the client's lease must already be revoked, and the sweeper calls
+    ///   this again on later fires until it returns 0 with `in_use`
+    ///   agreeing (the lease grace window; see `ring_reclaim`).
     pub fn revoke_remaining(&self, client: usize) -> usize {
-        let Some(region) = self.regions.get(client) else {
-            return 0;
-        };
-        // Acquire: pairs with the client's Release store of `head` in
-        // `allocate` — the bytes below `head` we are about to recycle were
-        // fully reserved before we read it.
-        let head = region.head.load(Ordering::Acquire);
-        // Relaxed: only this (consumer) thread writes `tail`.
-        let tail = region.tail.load(Ordering::Relaxed);
-        if head == tail {
-            return 0;
-        }
-        // Release: same pairing as `release` — hands the recycled bytes
-        // back to any future reservation over this region.
-        region.tail.store(head, Ordering::Release);
-        head - tail
+        self.regions
+            .get(client)
+            .map_or(0, |region| ring::ring_reclaim(&region.ring()) as usize)
     }
 }
 
@@ -288,6 +178,10 @@ impl std::fmt::Debug for PartitionAllocator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn rounded(len: usize) -> usize {
+        ring::ring_rounded(len as u64) as usize
+    }
 
     #[test]
     fn regions_are_disjoint_and_equal() {
@@ -331,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn wrap_padding_reclaimed() {
+    fn wrap_padding_reclaimed_and_an_empty_ring_rewinds() {
         let a = PartitionAllocator::with_capacity(256, 1); // one 256-byte ring
         let s1 = a.allocate(0, 100).unwrap(); // rounds to 104 @ pos 0
         let s2 = a.allocate(0, 100).unwrap(); // 104 @ pos 104
@@ -339,17 +233,28 @@ mod tests {
         // pos = 208; 104 doesn't fit in the 48 remaining → pad 48, start 0.
         let s3 = a.allocate(0, 100).unwrap();
         assert_eq!(s3.offset(), 0);
+        assert_eq!(a.in_use(0), 104 + 48 + 104, "wrap padding counts as in use");
         a.release(0, s2); // tail = 208
         a.release(0, s3); // pad 48 reclaimed, tail = 360
         assert_eq!(a.in_use(0), 0);
-        // Ring position is 104 now; both the remaining 152 bytes and a
-        // wrapped allocation must still be reachable.
-        let s4 = a.allocate(0, 152).unwrap();
-        assert_eq!(s4.offset(), 104);
-        let s5 = a.allocate(0, 96).unwrap();
-        assert_eq!(s5.offset(), 0);
+        // The ring is empty at position 104. The rule: the next segment
+        // starts at 0 again, and the whole region is reservable at once —
+        // from 104 a 256-byte segment would never have fit.
+        let s4 = a.allocate(0, 256).unwrap();
+        assert_eq!(s4.offset(), 0);
+        assert_eq!(a.in_use(0), 256, "the bytes a rewind skips are not in use");
+        assert_eq!(a.allocate(0, 8).unwrap_err(), AllocError::Full);
         a.release(0, s4);
+        assert_eq!(a.in_use(0), 0);
+        // A ring that is not empty does not rewind: it wraps as before.
+        let s5 = a.allocate(0, 96).unwrap();
+        let s6 = a.allocate(0, 96).unwrap();
         a.release(0, s5);
+        let s7 = a.allocate(0, 96).unwrap(); // 192 + 96 > 256 → pad 64
+        assert_eq!((s6.offset(), s7.offset()), (96, 0));
+        assert_eq!(a.in_use(0), 96 + 64 + 96);
+        a.release(0, s6);
+        a.release(0, s7);
         assert_eq!(a.in_use(0), 0);
     }
 
@@ -408,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn revoke_remaining_reclaims_wrap_padding() {
+    fn revoke_remaining_reclaims_wrap_padding_and_works_across_a_rewind() {
         let a = PartitionAllocator::with_capacity(256, 1);
         let s1 = a.allocate(0, 100).unwrap(); // 104 @ 0
         let _abandoned = a.allocate(0, 100).unwrap(); // 104 @ 104
@@ -417,15 +322,20 @@ mod tests {
         let _abandoned2 = a.allocate(0, 100).unwrap();
         assert_eq!(a.revoke_remaining(0), 104 + 48 + 104);
         assert_eq!(a.in_use(0), 0);
-        // The region is fully usable again: ring position is 104, so the
-        // 152 bytes up to the end fit exactly...
-        let s = a.allocate(0, 150).unwrap();
-        assert_eq!(s.offset(), 104);
-        // ...and a wrapped allocation behind the tail works too.
-        let s2 = a.allocate(0, 96).unwrap();
-        assert_eq!(s2.offset(), 0);
+        // The swept ring is empty, so whoever registers next on this
+        // region starts at 0 with all of it.
+        let s = a.allocate(0, 250).unwrap();
+        assert_eq!(s.offset(), 0);
+        // Swept again behind that rewind, with the consumer's tail still
+        // before it: what was live is reclaimed, the skipped bytes are not
+        // counted, and the region is whole again.
+        drop(s);
+        assert_eq!(a.in_use(0), 256);
+        assert_eq!(a.revoke_remaining(0), 256);
+        assert_eq!(a.in_use(0), 0);
+        let s = a.allocate(0, 256).unwrap();
+        assert_eq!(s.offset(), 0);
         a.release(0, s);
-        a.release(0, s2);
         assert_eq!(a.in_use(0), 0);
     }
 
@@ -474,57 +384,45 @@ mod tests {
     }
 
     #[test]
-    fn in_use_stays_sane_under_concurrent_observation() {
-        // Regression (observable half of the underflow bug): a third
-        // thread hammering `in_use` while one client allocates and the
-        // consumer releases must never see a value above the region size
-        // — an underflow would wrap to ~usize::MAX.
+    fn in_use_counts_only_live_bytes_under_concurrent_observation() {
+        // A third thread hammering `in_use` while one client allocates
+        // and the consumer releases. At most six 64-byte segments exist at
+        // once (four in the channel, one in each hand), so that is all
+        // `in_use` may ever report — although the ring empties and rewinds
+        // all the time, and across a rewind `head - tail` alone spans up
+        // to two regions (and, read in the wrong order, wraps to
+        // ~usize::MAX: the observable half of the old underflow bug).
+        const LIVE_MAX: usize = 6 * 64;
         let a = Arc::new(PartitionAllocator::with_capacity(1024, 1));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::channel::<Segment>();
-            {
-                let a = Arc::clone(&a);
-                scope.spawn(move || {
-                    for _ in 0..20_000usize {
-                        loop {
-                            match a.allocate(0, 64) {
-                                Ok(seg) => {
-                                    tx.send(seg).unwrap();
-                                    break;
-                                }
-                                Err(_) => std::thread::yield_now(),
-                            }
-                        }
-                    }
-                });
-            }
-            {
-                let a = Arc::clone(&a);
-                scope.spawn(move || {
-                    while let Ok(seg) = rx.recv() {
-                        a.release(0, seg);
-                    }
-                });
-            }
-            let cap = a.region_capacity();
-            let a = Arc::clone(&a);
-            let stop2 = Arc::clone(&stop);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Segment>(4);
+            let (a, stop) = (&a, &stop);
             scope.spawn(move || {
-                while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                    let used = a.in_use(0);
-                    assert!(used <= cap, "in_use reported {used} (> region {cap})");
+                for _ in 0..20_000usize {
+                    let seg = loop {
+                        match a.allocate(0, 64) {
+                            Ok(seg) => break seg,
+                            Err(_) => std::thread::yield_now(),
+                        }
+                    };
+                    tx.send(seg).unwrap();
                 }
             });
-            // Scoped threads: the producer/consumer pair finishes, then we
-            // stop the observer.
             scope.spawn(move || {
-                // Give the data path a moment, then stop the observer; the
-                // assertion above does the real work on every iteration.
-                std::thread::sleep(std::time::Duration::from_millis(200));
+                while let Ok(seg) = rx.recv() {
+                    a.release(0, seg);
+                }
                 stop.store(true, std::sync::atomic::Ordering::Relaxed);
             });
+            scope.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let used = a.in_use(0);
+                    assert!(used <= LIVE_MAX, "in_use reported {used}");
+                }
+            });
         });
+        assert_eq!(a.in_use(0), 0);
     }
 
     proptest! {

@@ -65,10 +65,16 @@ unsafe impl Sync for SharedBuffer {}
 unsafe impl Send for SharedBuffer {}
 
 impl SharedBuffer {
-    /// Allocates a zero-initialized heap buffer of `capacity` bytes.
+    /// Allocates a zero-initialized heap buffer of `capacity` bytes. The
+    /// zeroes come from the allocator (`vec![0; n]` is `alloc_zeroed`, for
+    /// a large buffer fresh pages from the OS) and are never written here,
+    /// so capacity is committed on first touch, not at start.
     pub fn new(capacity: usize) -> Arc<Self> {
-        let words = capacity.div_ceil(8);
-        let data: Box<[UnsafeCell<u64>]> = (0..words).map(|_| UnsafeCell::new(0)).collect();
+        let zeroed: Box<[u64]> = vec![0u64; capacity.div_ceil(8)].into_boxed_slice();
+        // SAFETY: `UnsafeCell<u64>` is `repr(transparent)` over `u64` —
+        // same size, alignment and validity — so the allocation keeps its
+        // layout under the new type and the box frees it as it was made.
+        let data = unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [UnsafeCell<u64>]) };
         Arc::new(SharedBuffer {
             backing: Backing::Heap(data),
             capacity,

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! 0    magic        "DAMRSHM1" (0x44414D52_53484D31)
-//! 8    version      layout version (1)
+//! 8    version      layout version (2)
 //! 16   n_clients
 //! 24   data_capacity    bytes of buffer data after the header
 //! 32   data_offset      where the data starts (from the region base)
@@ -15,7 +15,7 @@
 //! 64   region_capacity  per-client ring capacity in bytes
 //! 128  client slots, 32 bytes each:
 //!        +0  lease          a `ClientLease` word
-//!        +8  (reserved; layout 1 kept a renew stamp here)
+//!        +8  ring floor     `head` at the client's last rewind
 //!        +16 ring head      monotonic reserved-bytes counter
 //!        +24 ring tail      monotonic released-bytes counter
 //! data_offset  buffer data, n_clients × region_capacity bytes
@@ -42,7 +42,7 @@
 
 use crate::backing::MapRegion;
 use crate::buffer::SharedBuffer;
-use crate::ring;
+use crate::ring::{self, Ring};
 use crate::sync::{Arc, AtomicU64, Ordering};
 use crate::{AllocError, ClientLease, HeartbeatWord, Segment};
 use std::io;
@@ -50,8 +50,9 @@ use std::path::Path;
 
 /// "DAMRSHM1" in big-endian bytes — identifies a Damaris node mapping.
 pub const MAGIC: u64 = 0x44414D52_53484D31;
-/// Bump on any layout change; `open` rejects mismatches.
-pub const VERSION: u64 = 1;
+/// Bump on any layout change; `open` rejects mismatches. (2: the slot
+/// word at `+8`, unused in layout 1, is the ring's `floor`.)
+pub const VERSION: u64 = 2;
 
 const OFF_MAGIC: usize = 0;
 const OFF_VERSION: usize = 8;
@@ -64,10 +65,11 @@ const OFF_BEAT_AT_NS: usize = 56;
 const OFF_REGION_CAPACITY: usize = 64;
 /// First per-client slot; the gap up to here is reserved for growth.
 const CLIENT_BASE: usize = 128;
-/// Bytes per client slot (lease, a reserved word, head, tail).
+/// Bytes per client slot (lease, then the ring's floor, head, tail).
 const CLIENT_SLOT: usize = 32;
 
 const SLOT_LEASE: usize = 0;
+const SLOT_FLOOR: usize = 8;
 const SLOT_HEAD: usize = 16;
 const SLOT_TAIL: usize = 24;
 
@@ -235,14 +237,22 @@ impl MappedNode {
         ClientLease::from_word(self.client_word(client, SLOT_LEASE))
     }
 
-    /// The client's ring `head` (reserved-bytes) counter.
-    pub fn ring_head(&self, client: usize) -> &AtomicU64 {
-        self.client_word(client, SLOT_HEAD)
+    /// The client's ring: the [`crate::ring`] protocol's words, in the
+    /// mapping. Panics if `client` is out of range.
+    pub fn ring(&self, client: usize) -> Ring<'_> {
+        Ring {
+            head: self.client_word(client, SLOT_HEAD),
+            tail: self.client_word(client, SLOT_TAIL),
+            floor: self.client_word(client, SLOT_FLOOR),
+            cap: self.region_capacity as u64,
+        }
     }
 
-    /// The client's ring `tail` (released-bytes) counter.
-    pub fn ring_tail(&self, client: usize) -> &AtomicU64 {
-        self.client_word(client, SLOT_TAIL)
+    /// In-ring position of a buffer offset, if it falls in `client`'s ring.
+    fn pos(&self, client: usize, offset: usize) -> Option<u64> {
+        let base = client.checked_mul(self.region_capacity)?;
+        let pos = offset.checked_sub(base)?;
+        (pos < self.region_capacity).then_some(pos as u64)
     }
 
     /// Views the data window as a [`SharedBuffer`] so the existing
@@ -269,24 +279,15 @@ impl MappedNode {
         if client >= self.n_clients {
             return Err(AllocError::BadClient);
         }
-        let pos = ring::ring_reserve(
-            self.ring_head(client),
-            self.ring_tail(client),
-            self.region_capacity as u64,
-            len as u64,
-        )?;
+        let pos = ring::ring_reserve(&self.ring(client), len as u64)?;
         Ok(buffer.segment(client * self.region_capacity + pos as usize, len))
     }
 
     /// Re-creates the handle of a range still reserved in `client`'s ring
-    /// — [`crate::PartitionAllocator::adopt`]'s check over the mapped
-    /// counters (consumer side: the caller owns `tail`). The coordinates
-    /// come from a journal record or from a `Commit` frame, that is from
-    /// outside this process, so nothing about them is assumed: `None`
-    /// unless `[offset, offset + len)` lies inside that client's ring,
-    /// does not straddle its end, and sits — rounded, with the padding
-    /// that leads up to it — within the bytes outstanding between `tail`
-    /// and `head`.
+    /// — [`crate::PartitionAllocator::adopt`] over the mapped counters
+    /// (consumer side: the caller owns `tail`). The coordinates come from
+    /// a journal record or from a `Commit` frame, that is from outside
+    /// this process: `None` unless [`ring::ring_holds`] finds them live.
     pub fn adopt(
         &self,
         buffer: &Arc<SharedBuffer>,
@@ -297,57 +298,32 @@ impl MappedNode {
         if client >= self.n_clients {
             return None;
         }
-        let cap = self.region_capacity;
-        let base = client.checked_mul(cap)?;
-        let pos = offset.checked_sub(base).filter(|&p| p < cap)?;
-        if pos.checked_add(len)? > cap {
-            return None;
-        }
-        // Relaxed: only this (consumer) side writes `tail`. Acquire on
-        // `head`: pairs with the client's Release in `ring_reserve`.
-        let tail = self.ring_tail(client).load(Ordering::Relaxed);
-        let head = self.ring_head(client).load(Ordering::Acquire);
-        let ahead = (pos + cap - (tail % cap as u64) as usize) % cap;
-        let end = (ahead as u64).checked_add(ring::ring_rounded(len as u64))?;
-        if end > head.checked_sub(tail)? {
-            return None;
-        }
-        Some(buffer.segment(offset, len))
+        ring::ring_holds(&self.ring(client), self.pos(client, offset)?, len as u64)
+            .then(|| buffer.segment(offset, len))
     }
 
     /// Releases the oldest live reservation of `client` (EPE side, FIFO;
     /// [`ring::ring_release`] over the mapped counters). `offset` is the
     /// segment's offset within the shared buffer.
     pub fn release(&self, client: usize, offset: usize, len: usize) {
-        assert!(client < self.n_clients, "client {client} out of range");
-        let base = client * self.region_capacity;
-        let pos = offset
-            .checked_sub(base)
-            .filter(|&p| p < self.region_capacity)
+        let pos = self
+            .pos(client, offset)
             // invariant: offsets come from `reserve`, which places them
             // inside the client's ring; a mismatch is caller misuse.
             .expect("segment does not belong to this client's ring");
-        ring::ring_release(
-            self.ring_head(client),
-            self.ring_tail(client),
-            self.region_capacity as u64,
-            pos as u64,
-            len as u64,
-        );
+        ring::ring_release(&self.ring(client), pos, len as u64);
     }
 
     /// Reclaims everything still reserved in `client`'s ring (the
     /// sweeper's terminal step for a fenced client). Returns bytes
     /// reclaimed including padding.
     pub fn revoke_remaining(&self, client: usize) -> u64 {
-        assert!(client < self.n_clients, "client {client} out of range");
-        ring::ring_reclaim(self.ring_head(client), self.ring_tail(client))
+        ring::ring_reclaim(&self.ring(client))
     }
 
     /// Bytes currently reserved in `client`'s ring, from any process.
     pub fn in_use(&self, client: usize) -> u64 {
-        assert!(client < self.n_clients, "client {client} out of range");
-        ring::ring_in_use(self.ring_head(client), self.ring_tail(client))
+        ring::ring_in_use(&self.ring(client))
     }
 
     /// Sum of [`MappedNode::in_use`] over all clients — the leak check
@@ -481,13 +457,22 @@ mod tests {
         node.release(1, off, len);
         assert!(node.adopt(&buf, 1, off, len).is_none(), "released");
 
-        // A reservation that wrapped is adopted behind its padding: the
-        // ring (1024 bytes) holds 104 released, then 800, then 200 that
-        // no longer fit before the end and start over at 0.
+        // The ring (1024 bytes) is empty at position 104, so the next
+        // reservation rewinds to 0 while the consumer's tail stays at 104
+        // until it releases. A segment behind that padding is adopted; a
+        // forged record inside the bytes the rewind skipped — between
+        // `tail` and `head` as counters go — is not.
         let long = node.reserve(&buf, 1, 800).unwrap();
+        assert_eq!(long.offset(), off);
+        assert!(node.adopt(&buf, 1, off, 800).is_some());
+        assert!(node.adopt(&buf, 1, off + 900, 100).is_none(), "skipped");
+        assert!(node.adopt(&buf, 1, off + 104, 100).is_some(), "in the 800");
+        // Wrap padding, the other kind: 100 more at 800, the 800 released,
+        // then 200 that no longer fit before the end and start over at 0.
+        let short = node.reserve(&buf, 1, 100).unwrap();
         node.release(1, long.offset(), long.len());
         let wrapped = node.reserve(&buf, 1, 200).unwrap();
-        assert_eq!(wrapped.offset(), off);
+        assert_eq!((short.offset(), wrapped.offset()), (off + 800, off));
         assert!(node.adopt(&buf, 1, off, 200).is_some());
         assert!(node.adopt(&buf, 1, off + 200, 8).is_none(), "beyond head");
         node.region().unlink().unwrap();

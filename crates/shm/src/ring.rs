@@ -1,23 +1,47 @@
-//! The partition-ring protocol over *bare words* — the cross-process twin
-//! of [`crate::PartitionAllocator`].
+//! The partition-ring protocol over *bare words* — the one implementation
+//! behind [`crate::PartitionAllocator`] (words in a process-private
+//! `Vec`) and [`crate::mapped`] (words **inside the shared mapping**, so a
+//! client's reservation survives the EPE being `kill -9`'d and vice
+//! versa). The model tests (`tests/model.rs`, `--features check`) run it
+//! over heap-allocated facade [`AtomicU64`]s.
 //!
-//! `PartitionAllocator` keeps each region's `head`/`tail` counters in a
-//! process-private `Vec<Region>`; that is fine while all cores are threads
-//! of one process, but the cross-process node needs the counters to live
-//! **inside the shared mapping** so that a client's reservation survives
-//! the EPE being `kill -9`'d (and vice versa). These free functions are
-//! that protocol, factored out of the allocator so it can run over any
-//! pair of facade [`AtomicU64`]s — heap-allocated in the model tests
-//! (`tests/model.rs`, `--features check`), mapped words in the real
-//! cross-process node ([`crate::mapped`]).
+//! A ring is `cap` bytes and three monotonic counters, each with a single
+//! writer:
 //!
-//! Semantics are identical to `PartitionAllocator` (same rounding, same
-//! wrap padding recovered at release from FIFO position, same monotonic
-//! counters) and the memory-ordering argument is the same single-writer
-//! discipline documented there: `head` is written only by the owning
-//! client, `tail` only by the consumer; each owner loads its own counter
-//! `Relaxed` and the other side's `Acquire` against the owner's `Release`
-//! store.
+//! * `head` — bytes ever reserved, wrap and rewind padding included;
+//!   written by the owning client.
+//! * `tail` — bytes ever released; written by the consumer, **in FIFO
+//!   order**.
+//! * `floor` — the value of `head` at the last *rewind*; written by the
+//!   owning client.
+//!
+//! A reservation sits at `head % cap`. One that would straddle the end of
+//! the region skips the remaining bytes (wrap padding), and **one made
+//! while the ring is empty starts over at offset 0** (a rewind: `head`
+//! skips to the next multiple of `cap`, remembered in `floor`), so a
+//! client that drains between bursts keeps writing the same, cache- and
+//! TLB-warm bytes instead of walking the whole region. Either padding is
+//! recovered at release from the segment's position, which the FIFO
+//! discipline makes unambiguous. The bytes a rewind skips are not live —
+//! nothing was ever reserved in them — so the live window is
+//! `[max(tail, floor), head)`: `Full` stays exact and a rewound ring has
+//! its whole capacity.
+//!
+//! ## Memory-ordering argument (verified under `--features check`)
+//!
+//! Each owner loads its own counters `Relaxed` (it always sees its own
+//! latest value) and the other side's `Acquire` against the owner's
+//! `Release` store. The Acquire on `tail` in `ring_reserve` is what makes
+//! recycling sound: observing `tail = t` means the consumer finished
+//! reading every byte below `t`, so overwriting them cannot race. The same
+//! load makes a rewind sound: `tail == head` says every reservation ever
+//! made was released, and only the owner can end that state, so emptiness
+//! it observes is stable until its own next store. `floor` publishes no
+//! data and needs no stronger ordering than `head` has: it is stored,
+//! `Release` like `head`, *before* the store of `head` that goes with it,
+//! so whoever Acquire-loads a `head` past a rewind then loads that
+//! rewind's `floor` or a later one. A later one exceeds the `head` it is
+//! read with, which says the ring was empty at that `head`.
 
 use crate::sync::{AtomicU64, Ordering};
 use crate::AllocError;
@@ -30,162 +54,261 @@ pub fn ring_rounded(len: u64) -> u64 {
     len.div_ceil(RING_ALIGN).max(1) * RING_ALIGN
 }
 
-/// Reserves `len` bytes in a ring of `cap` bytes. Returns the byte offset
-/// of the reservation **within the region** (the caller adds the region's
-/// base offset). Must only be called by the single owner of `head`.
+/// One ring's words, wherever they live, and its capacity in bytes.
+#[derive(Clone, Copy)]
+pub struct Ring<'a> {
+    pub head: &'a AtomicU64,
+    pub tail: &'a AtomicU64,
+    pub floor: &'a AtomicU64,
+    pub cap: u64,
+}
+
+/// The three words as one value, for a ring that is not laid out in a
+/// mapping (`PartitionAllocator`'s regions, the tests).
+#[derive(Debug, Default)]
+pub struct RingWords {
+    pub head: AtomicU64,
+    pub tail: AtomicU64,
+    pub floor: AtomicU64,
+}
+
+impl RingWords {
+    /// These words as a ring of `cap` bytes.
+    pub fn ring(&self, cap: u64) -> Ring<'_> {
+        Ring {
+            head: &self.head,
+            tail: &self.tail,
+            floor: &self.floor,
+            cap,
+        }
+    }
+}
+
+/// Reserves `len` bytes. Returns the byte offset of the reservation
+/// **within the region** (the caller adds the region's base offset). Must
+/// only be called by the single owner of `head` and `floor`.
 ///
-/// Lock-free: two loads + one store, like `PartitionAllocator::allocate`.
+/// Lock-free: three loads and one store, two stores on a rewind.
 // ANALYZE: hot
-pub fn ring_reserve(
-    head: &AtomicU64,
-    tail: &AtomicU64,
-    cap: u64,
-    len: u64,
-) -> Result<u64, AllocError> {
+pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<u64, AllocError> {
+    let cap = ring.cap;
     let need = ring_rounded(len);
     if need > cap {
         return Err(AllocError::TooLarge);
     }
-    // Relaxed: only the calling client writes `head`, so it always sees
-    // its own latest value. Acquire on `tail`: pairs with the consumer's
-    // Release in `ring_release`/`ring_reclaim`, ordering its reads of the
-    // freed bytes before our overwrite of them.
-    let h = head.load(Ordering::Relaxed);
-    let t = tail.load(Ordering::Acquire);
-    // Cannot underflow: the consumer only releases what we reserved, so
-    // tail <= head always holds from the owner's view of head.
-    let used = h - t;
+    // Relaxed: only the calling client writes `head`. Acquire on `tail`:
+    // pairs with the consumer's Release in `ring_release`/`ring_reclaim`,
+    // ordering its reads of the freed bytes before our overwrite of them.
+    let h = ring.head.load(Ordering::Relaxed);
+    let t = ring.tail.load(Ordering::Acquire);
     let pos = h % cap;
+    if t == h {
+        // Empty, and it stays empty until we store: rewind to offset 0.
+        let base = if pos == 0 { h } else { h + cap - pos };
+        // Release, `floor` first: whoever Acquire-loads this `head` and
+        // then `floor` finds this floor (or a later one) with it.
+        ring.floor.store(base, Ordering::Release);
+        ring.head.store(base + need, Ordering::Release);
+        return Ok(0);
+    }
+    // Cannot underflow: the consumer only releases what we reserved, and
+    // `floor` was a value of `head`, so both are below `h`.
+    let used = h - t.max(ring.floor.load(Ordering::Relaxed));
     let (pad, start) = if pos + need <= cap { (0, pos) } else { (cap - pos, 0) };
     if used + pad + need > cap {
         return Err(AllocError::Full);
     }
-    // Release: publishes the reservation to `ring_in_use` observers; the
-    // data itself is published by the control-plane message (Commit over
-    // the socket) that hands the range to the consumer.
-    head.store(h + pad + need, Ordering::Release);
+    // Release: publishes the reservation to `ring_in_use` observers and
+    // the consumer's checks; the data itself is published by whatever
+    // hands the range to the consumer (event queue, `Commit` frame).
+    ring.head.store(h + pad + need, Ordering::Release);
     Ok(start)
 }
 
 /// Releases the **oldest** live reservation: `seg_pos` is the in-region
 /// byte offset `ring_reserve` returned, `len` the requested length. Must
 /// be called in reservation order (FIFO) and only by the single owner of
-/// `tail`. Wrap padding between the current tail and the reservation
-/// start is reclaimed automatically, exactly like
-/// `PartitionAllocator::release`.
-pub fn ring_release(head: &AtomicU64, tail: &AtomicU64, cap: u64, seg_pos: u64, len: u64) {
+/// `tail`. Padding between the current tail and the reservation start —
+/// a wrap's or a rewind's — is reclaimed with it.
+pub fn ring_release(ring: &Ring<'_>, seg_pos: u64, len: u64) {
+    let cap = ring.cap;
     let need = ring_rounded(len);
     // Relaxed: only this (consumer) side writes `tail`.
-    let t = tail.load(Ordering::Relaxed);
-    let tail_pos = t % cap;
-    let pad = (seg_pos + cap - tail_pos) % cap;
+    let t = ring.tail.load(Ordering::Relaxed);
+    let pad = (seg_pos + cap - t % cap) % cap;
     // Acquire: pairs with the client's Release store of `head` so the
     // FIFO debug check below sees the reservation being released.
-    let h = head.load(Ordering::Acquire);
+    let h = ring.head.load(Ordering::Acquire);
     debug_assert!(
         t + pad + need <= h,
-        "FIFO ring release violated: tail {t} pad {pad} need {need} head {h}"
+        "FIFO release violated: tail {t} pad {pad} need {need} head {h}"
     );
     // Release: hands the freed bytes back to the client — pairs with the
-    // Acquire on `tail` in `ring_reserve`.
-    tail.store(t + pad + need, Ordering::Release);
+    // Acquire on `tail` in `ring_reserve`, ordering our reads of the
+    // segment data before the client's next overwrite.
+    ring.tail.store(t + pad + need, Ordering::Release);
 }
 
 /// Reclaims everything still reserved by advancing `tail` to `head`;
-/// returns the bytes reclaimed (including wrap padding). The consumer's
-/// terminal sweep for a fenced client — same contract as
-/// `PartitionAllocator::revoke_remaining`: the owner's lease must already
-/// be revoked, and the sweeper re-runs this until it returns 0.
-pub fn ring_reclaim(head: &AtomicU64, tail: &AtomicU64) -> u64 {
+/// returns the live bytes reclaimed (wrap padding included) — 0 means the
+/// ring was already empty. The consumer's terminal sweep for a fenced
+/// client: the owner's lease must already be revoked so it cannot *begin*
+/// new reservations. One already in flight may still store `head` once
+/// after this sweep — safe (no word has two writers, and a fenced client
+/// can never commit the bytes) but unreclaimed, so the sweeper re-runs
+/// this until it returns 0 with `ring_in_use` agreeing.
+pub fn ring_reclaim(ring: &Ring<'_>) -> u64 {
     // Acquire: the bytes below `head` were fully reserved before we read it.
-    let h = head.load(Ordering::Acquire);
+    let h = ring.head.load(Ordering::Acquire);
     // Relaxed: only this (consumer) side writes `tail`.
-    let t = tail.load(Ordering::Relaxed);
+    let t = ring.tail.load(Ordering::Relaxed);
     if h == t {
         return 0;
     }
+    let f = ring.floor.load(Ordering::Acquire);
     // Release: hands the recycled bytes to any future reservation.
-    tail.store(h, Ordering::Release);
-    h - t
+    ring.tail.store(h, Ordering::Release);
+    h.saturating_sub(t.max(f))
 }
 
-/// Bytes currently reserved (including wrap padding), observable from any
-/// process. Seqlock-style consistent snapshot — same two-race argument as
-/// `PartitionAllocator::in_use` (re-reading the monotonic `tail` around
-/// the `head` load proves the pair consistent, so the subtraction can
-/// neither underflow nor over-report).
-pub fn ring_in_use(head: &AtomicU64, tail: &AtomicU64) -> u64 {
-    // Acquire on all three: pairs with the owners' Release stores so the
-    // snapshot is ordered after the work it covers.
-    let mut t = tail.load(Ordering::Acquire);
+/// Bytes currently reserved (wrap padding included, rewind padding not),
+/// observable from any thread or process: a consistent instantaneous
+/// value in `[0, cap]`.
+///
+/// Seqlock-style snapshot. `tail` is monotonic, so an unchanged re-read
+/// proves it held that value at the instant `head` was loaded; loading
+/// the two independently let `tail` overtake a stale `head` (underflow)
+/// or a fresh `head` meet a stale `tail` (over-report) — pinned by
+/// `in_use_is_always_consistent` in tests/model.rs. `floor` is loaded
+/// after `head`, inside the same window, so it is the floor `head` was
+/// stored under or a later one; a later one is above `head` and the ring
+/// was empty, which is what the saturating subtraction returns. Each
+/// retry requires the consumer to have advanced `tail`, so the loop is
+/// bounded by the releases in flight.
+pub fn ring_in_use(ring: &Ring<'_>) -> u64 {
+    // Acquire on all four: pairs with the owners' Release stores, and
+    // keeps the loads in program order, which the argument above needs.
+    let mut t = ring.tail.load(Ordering::Acquire);
     loop {
-        let h = head.load(Ordering::Acquire);
-        let t_after = tail.load(Ordering::Acquire);
+        let h = ring.head.load(Ordering::Acquire);
+        let f = ring.floor.load(Ordering::Acquire);
+        let t_after = ring.tail.load(Ordering::Acquire);
         if t_after == t {
-            return h.saturating_sub(t);
+            return h.saturating_sub(t.max(f));
         }
         t = t_after;
     }
 }
 
+/// Whether `[pos, pos + len)` — coordinates from a journal record or a
+/// `Commit` frame, so nothing about them is assumed — can be a live
+/// reservation: inside the ring without straddling its end, and, rounded
+/// and with the padding that leads up to it, within the live window.
+/// Consumer side (the window's lower edge must not move meanwhile).
+pub fn ring_holds(ring: &Ring<'_>, pos: u64, len: u64) -> bool {
+    let cap = ring.cap;
+    if pos >= cap || pos.checked_add(len).is_none_or(|end| end > cap) {
+        return false;
+    }
+    // Acquire, `head` before `floor`: as in `ring_in_use`.
+    let t = ring.tail.load(Ordering::Acquire);
+    let h = ring.head.load(Ordering::Acquire);
+    let base = t.max(ring.floor.load(Ordering::Acquire));
+    let end = (pos + cap - base % cap) % cap + ring_rounded(len);
+    h.checked_sub(base).is_some_and(|live| end <= live)
+}
+
 // Sequential semantics; the concurrent interleavings are explored by the
-// model tests in tests/model.rs under `--features check`.
+// model tests in tests/model.rs under `--features check`, random
+// sequences against a reference model by tests/rewind.rs.
 #[cfg(all(test, not(feature = "check")))]
 mod tests {
     use super::*;
 
-    fn ring() -> (AtomicU64, AtomicU64) {
-        (AtomicU64::new(0), AtomicU64::new(0))
-    }
-
     #[test]
     fn reserve_release_drains_to_empty() {
-        let (head, tail) = ring();
+        let words = RingWords::default();
+        let ring = words.ring(256);
         for _ in 0..50 {
-            let p1 = ring_reserve(&head, &tail, 256, 64).unwrap();
-            let p2 = ring_reserve(&head, &tail, 256, 64).unwrap();
-            ring_release(&head, &tail, 256, p1, 64);
-            ring_release(&head, &tail, 256, p2, 64);
-            assert_eq!(ring_in_use(&head, &tail), 0);
+            let p1 = ring_reserve(&ring, 64).unwrap();
+            let p2 = ring_reserve(&ring, 64).unwrap();
+            assert_eq!((p1, p2), (0, 64), "an empty ring starts over at 0");
+            ring_release(&ring, p1, 64);
+            ring_release(&ring, p2, 64);
+            assert_eq!(ring_in_use(&ring), 0);
         }
     }
 
     #[test]
     fn too_large_vs_full() {
-        let (head, tail) = ring();
-        assert_eq!(ring_reserve(&head, &tail, 128, 129).unwrap_err(), AllocError::TooLarge);
-        let _ = ring_reserve(&head, &tail, 128, 128).unwrap();
-        assert_eq!(ring_reserve(&head, &tail, 128, 8).unwrap_err(), AllocError::Full);
+        let words = RingWords::default();
+        let ring = words.ring(128);
+        assert_eq!(ring_reserve(&ring, 129).unwrap_err(), AllocError::TooLarge);
+        let _ = ring_reserve(&ring, 128).unwrap();
+        assert_eq!(ring_reserve(&ring, 8).unwrap_err(), AllocError::Full);
     }
 
     #[test]
-    fn wrap_padding_matches_partition_allocator() {
-        // Mirrors `wrap_padding_reclaimed` in alloc_partition.rs.
-        let (head, tail) = ring();
-        let p1 = ring_reserve(&head, &tail, 256, 100).unwrap(); // 104 @ 0
-        let p2 = ring_reserve(&head, &tail, 256, 100).unwrap(); // 104 @ 104
-        ring_release(&head, &tail, 256, p1, 100); // tail = 104
-        let p3 = ring_reserve(&head, &tail, 256, 100).unwrap(); // pad 48, wraps to 0
+    fn wrap_padding_then_rewind() {
+        let words = RingWords::default();
+        let ring = words.ring(256);
+        let p1 = ring_reserve(&ring, 100).unwrap(); // 104 @ 0
+        let p2 = ring_reserve(&ring, 100).unwrap(); // 104 @ 104
+        ring_release(&ring, p1, 100); // tail = 104
+
+        // Not empty: 104 bytes do not fit the 48 left, pad 48, wrap to 0.
+        let p3 = ring_reserve(&ring, 100).unwrap();
         assert_eq!(p3, 0);
-        ring_release(&head, &tail, 256, p2, 100);
-        ring_release(&head, &tail, 256, p3, 100);
-        assert_eq!(ring_in_use(&head, &tail), 0);
-        let p4 = ring_reserve(&head, &tail, 256, 152).unwrap();
-        assert_eq!(p4, 104);
-        let p5 = ring_reserve(&head, &tail, 256, 96).unwrap();
-        assert_eq!(p5, 0);
+        assert_eq!(ring_in_use(&ring), 104 + 48 + 104, "wrap padding is live");
+        ring_release(&ring, p2, 100);
+        ring_release(&ring, p3, 100); // pad 48 reclaimed, tail = head = 360
+        assert_eq!(ring_in_use(&ring), 0);
+        // Empty at position 104: the next reservation rewinds to 0 and has
+        // the whole ring, which from 104 it would not have had.
+        let p4 = ring_reserve(&ring, 256).unwrap();
+        assert_eq!(p4, 0);
+        assert_eq!(ring_in_use(&ring), 256, "rewind padding is not live");
+        assert_eq!(ring_reserve(&ring, 8).unwrap_err(), AllocError::Full);
+        ring_release(&ring, p4, 256); // skips the 152 bytes the rewind did
+        assert_eq!(ring_in_use(&ring), 0);
+        assert_eq!(words.head.load(Ordering::Relaxed), 512 + 256);
+        assert_eq!(words.tail.load(Ordering::Relaxed), 512 + 256);
+    }
+
+    #[test]
+    fn holds_follows_the_live_window_across_a_rewind() {
+        let words = RingWords::default();
+        let ring = words.ring(256);
+        let p1 = ring_reserve(&ring, 100).unwrap();
+        ring_release(&ring, p1, 100); // empty at position 104
+        let p2 = ring_reserve(&ring, 64).unwrap(); // rewinds; tail stays 104
+        let p3 = ring_reserve(&ring, 64).unwrap();
+        assert_eq!((p2, p3), (0, 64));
+        assert!(ring_holds(&ring, 0, 64) && ring_holds(&ring, 64, 64));
+        assert!(!ring_holds(&ring, 128, 8), "beyond head");
+        assert!(!ring_holds(&ring, 104, 64), "in the bytes the rewind left");
+        assert!(!ring_holds(&ring, 200, 64), "straddles the end");
+        assert!(!ring_holds(&ring, 256, 0) && !ring_holds(&ring, 8, u64::MAX));
+        ring_release(&ring, p2, 64);
+        assert!(!ring_holds(&ring, 0, 64), "released");
+        assert!(ring_holds(&ring, 64, 64));
     }
 
     #[test]
     fn reclaim_swallows_abandoned_reservations() {
-        let (head, tail) = ring();
-        let p1 = ring_reserve(&head, &tail, 512, 64).unwrap();
-        let _abandoned = ring_reserve(&head, &tail, 512, 100).unwrap(); // 104
-        ring_release(&head, &tail, 512, p1, 64);
-        assert_eq!(ring_in_use(&head, &tail), 104);
-        assert_eq!(ring_reclaim(&head, &tail), 104);
-        assert_eq!(ring_in_use(&head, &tail), 0);
-        assert_eq!(ring_reclaim(&head, &tail), 0);
+        let words = RingWords::default();
+        let ring = words.ring(512);
+        let p1 = ring_reserve(&ring, 64).unwrap();
+        let _abandoned = ring_reserve(&ring, 100).unwrap(); // 104
+        ring_release(&ring, p1, 64);
+        assert_eq!(ring_in_use(&ring), 104);
+        assert_eq!(ring_reclaim(&ring), 104);
+        assert_eq!(ring_in_use(&ring), 0);
+        assert_eq!(ring_reclaim(&ring), 0);
+        // Behind a rewind the sweep reports what was live, not the skip.
+        let _abandoned = ring_reserve(&ring, 8).unwrap();
+        assert_eq!(ring_reclaim(&ring), 8);
+        assert_eq!(ring_in_use(&ring), 0);
     }
 
     #[test]

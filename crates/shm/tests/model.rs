@@ -25,9 +25,10 @@
 
 use damaris_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use damaris_check::{model, thread, Builder, FailureKind};
+use damaris_shm::ring::{ring_in_use, ring_reclaim, ring_release, ring_reserve, RingWords};
 use damaris_shm::sync::{Arc, ShmCell};
 use damaris_shm::{
-    AllocError, ClientLease, HeartbeatWord, MpscQueue, MutexAllocator, PartitionAllocator,
+    AllocError, ClientLease, HeartbeatWord, MpscQueue, MutexAllocator, PartitionAllocator, Segment,
 };
 
 // ---------------------------------------------------------------------------
@@ -219,35 +220,76 @@ fn partition_recycling_is_race_free() {
     });
 }
 
-/// Regression for the `in_use` underflow (satellite fix): a third-party
-/// observer snapshotting `in_use` concurrently with an allocate + release
-/// pair must always see a value in `[0, region_capacity]`. Before the fix
-/// (head loaded before tail, unchecked subtraction) schedules existed
-/// where the result wrapped to ~`usize::MAX`.
+/// Regression for the `in_use` underflow, extended over a rewind: a
+/// third-party observer snapshotting `in_use` concurrently with an
+/// allocate + release pair must always see a value the region could hold
+/// at that instant — 0 or the one 8-byte segment. Before the fix (head
+/// loaded before tail, unchecked subtraction) schedules existed where the
+/// result wrapped to ~`usize::MAX`; and the pair finds the 16-byte ring
+/// empty at position 8 and rewinds, after which `head - tail` alone is 16
+/// — `floor`, read after `head` in the same snapshot, keeps it exact.
 #[test]
 fn in_use_is_always_consistent() {
     model(|| {
-        let alloc = Arc::new(PartitionAllocator::with_capacity(8, 1));
-        let q = Arc::new(MpscQueue::new(2));
-        let (a2, q2) = (Arc::clone(&alloc), Arc::clone(&q));
+        let alloc = Arc::new(PartitionAllocator::with_capacity(16, 1));
+        let first = alloc.allocate(0, 8).expect("region is empty");
+        alloc.release(0, first);
+        let a2 = Arc::clone(&alloc);
         let worker = thread::spawn(move || {
             let seg = a2.allocate(0, 8).expect("region is empty");
-            q2.push(seg).expect("ring cannot be full");
-            // Consume our own notification and release (alloc+release
-            // racing against the observer below).
-            let seg = loop {
-                if let Some(ev) = q2.pop() {
-                    break ev;
-                }
-                thread::yield_now();
-            };
+            assert_eq!(seg.offset(), 0, "an empty ring starts over at 0");
             a2.release(0, seg);
         });
-        let cap = alloc.region_capacity();
         let used = alloc.in_use(0);
-        assert!(used <= cap, "in_use reported {used} (> region {cap})");
+        assert!(used <= 8, "in_use {used} with at most 8 bytes live");
         worker.join();
         assert_eq!(alloc.in_use(0), 0);
+    });
+}
+
+/// The rewind racing the release that empties the ring. Whether the
+/// client's next `allocate` sees the consumer's `tail` store decides where
+/// the segment goes — back at 0 (the ring was empty: rewind) or right
+/// behind the previous one — and both are explored. Either way the bytes
+/// it reuses were read before the `tail` it Acquire-loaded was stored
+/// (the `RangeTracker` flags any schedule where that is not so), FIFO
+/// release skips whatever padding the rewind left, and the ring drains.
+#[test]
+fn rewind_races_the_release_that_empties_the_ring() {
+    model(|| {
+        let alloc = Arc::new(PartitionAllocator::with_capacity(24, 1));
+        let q = Arc::new(MpscQueue::<Segment>::new(4));
+        let (a2, q2) = (Arc::clone(&alloc), Arc::clone(&q));
+        let consumer = thread::spawn(move || {
+            for round in 0..3u8 {
+                let seg = loop {
+                    if let Some(ev) = q2.pop() {
+                        break ev;
+                    }
+                    thread::yield_now();
+                };
+                assert!(seg.as_slice().iter().all(|&b| b == round));
+                a2.release(0, seg);
+            }
+        });
+        let mut next = 0;
+        for round in 0..3u8 {
+            // Three 8-byte segments never fill 24 bytes.
+            let mut seg = alloc.allocate(0, 8).expect("ring cannot be full");
+            assert!(
+                seg.offset() == 0 || seg.offset() == next,
+                "segment at {} is neither a rewind nor behind the last (next {next})",
+                seg.offset()
+            );
+            next = seg.offset() + 8;
+            seg.as_mut_slice().fill(round);
+            q.push(seg).expect("queue cannot be full");
+        }
+        consumer.join();
+        assert_eq!(alloc.in_use(0), 0);
+        // Drained, so whatever the interleaving was: all of it, from 0.
+        let whole = alloc.allocate(0, 24).expect("an empty ring has it all");
+        assert_eq!(whole.offset(), 0);
     });
 }
 
@@ -772,35 +814,28 @@ fn backpressure_block_policy_unblocks_on_release() {
 // ---------------------------------------------------------------------------
 
 /// The bare-word ring protocol that backs the cross-process node
-/// (`MappedNode`): one client reserving, one consumer releasing FIFO,
-/// over two plain `AtomicU64` counters. Exactly the allocator scenario
-/// above, but through the free functions the mapped node calls on words
-/// living in a file mapping — verifying here verifies those.
+/// (`MappedNode`) and `PartitionAllocator` alike: one client reserving,
+/// one consumer releasing FIFO, over plain `AtomicU64` counters — the
+/// free functions the mapped node calls on words living in a file
+/// mapping, so verifying here verifies those.
 #[test]
 fn mapped_ring_reserve_release_cycle() {
-    use damaris_shm::ring::{ring_in_use, ring_release, ring_reserve};
     model(|| {
-        let head = Arc::new(AtomicU64::new(0));
-        let tail = Arc::new(AtomicU64::new(0));
+        let words = Arc::new(RingWords::default());
         let q = Arc::new(MpscQueue::new(2));
         const CAP: u64 = 16;
 
-        let (h2, t2, q2) = (Arc::clone(&head), Arc::clone(&tail), Arc::clone(&q));
+        let (w2, q2) = (Arc::clone(&words), Arc::clone(&q));
         let client = thread::spawn(move || {
             // Two 8-byte reservations through a 16-byte ring: the second
-            // may have to wait for the consumer's release.
+            // lands behind the first, or at 0 again if that was released.
             for i in 0..2u64 {
-                let pos = loop {
-                    match ring_reserve(&h2, &t2, CAP, 8) {
-                        Ok(pos) => break pos,
-                        Err(AllocError::Full) => thread::yield_now(),
-                        Err(e) => panic!("unexpected {e}"),
-                    }
-                };
+                let pos = ring_reserve(&w2.ring(CAP), 8).expect("ring cannot be full");
                 q2.push((i, pos)).expect("ring cannot be full");
             }
         });
 
+        let ring = words.ring(CAP);
         for want in 0..2u64 {
             let (i, pos) = loop {
                 if let Some(ev) = q.pop() {
@@ -809,40 +844,103 @@ fn mapped_ring_reserve_release_cycle() {
                 thread::yield_now();
             };
             assert_eq!(i, want, "FIFO order preserved");
-            ring_release(&head, &tail, CAP, pos, 8);
+            ring_release(&ring, pos, 8);
         }
         client.join();
-        assert_eq!(ring_in_use(&head, &tail), 0);
+        assert_eq!(ring_in_use(&ring), 0);
+        assert_eq!(
+            words.head.load(Ordering::Relaxed),
+            words.tail.load(Ordering::Relaxed),
+            "FIFO release reclaimed every pad"
+        );
     });
 }
 
 /// The fenced-client sweep: a reservation already in flight when the
-/// sweeper reclaims (the lease grace window) may land its `head` store
-/// after the reclaim. The protocol guarantee is exactly the allocator's:
-/// counters never corrupt, `in_use` stays within the ring, and one more
-/// reclaim pass drains whatever the late store left behind.
+/// sweeper reclaims (the lease grace window) may land its `head` store —
+/// and, the ring being empty at position 8, its rewind — after the
+/// reclaim. The protocol guarantee is exactly the allocator's: counters
+/// never corrupt, `in_use` stays within what is live, one more reclaim
+/// pass drains whatever the late store left behind, and whoever registers
+/// on the ring next starts at 0 with all of it.
 #[test]
 fn mapped_ring_reclaim_vs_inflight_reserve() {
-    use damaris_shm::ring::{ring_in_use, ring_reclaim, ring_reserve};
     model(|| {
-        let head = Arc::new(AtomicU64::new(0));
-        let tail = Arc::new(AtomicU64::new(0));
+        let words = Arc::new(RingWords::default());
         const CAP: u64 = 32;
+        let ring = words.ring(CAP);
+        // Committed and released before the client's lease ran out.
+        let first = ring_reserve(&ring, 8).expect("ring is empty");
+        ring_release(&ring, first, 8);
 
-        let (h2, t2) = (Arc::clone(&head), Arc::clone(&tail));
+        let w2 = Arc::clone(&words);
         let dying_client = thread::spawn(move || {
             // The client raced past its entry renew before the revoke; its
             // reserve may interleave anywhere around the sweep.
-            let _ = ring_reserve(&h2, &t2, CAP, 8);
+            let _ = ring_reserve(&w2.ring(CAP), 8);
         });
 
-        let _ = ring_reclaim(&head, &tail);
-        let used = ring_in_use(&head, &tail);
-        assert!(used <= CAP, "in_use {used} exceeds ring capacity");
+        let _ = ring_reclaim(&ring);
+        let used = ring_in_use(&ring);
+        assert!(used <= 8, "in_use {used} with at most 8 bytes live");
         dying_client.join();
         // The sweeper's repeated fire: after the client is gone, one more
         // pass always leaves the ring empty for re-registration.
-        let _ = ring_reclaim(&head, &tail);
-        assert_eq!(ring_in_use(&head, &tail), 0);
+        let _ = ring_reclaim(&ring);
+        assert_eq!(ring_in_use(&ring), 0);
+        assert_eq!(ring_reserve(&ring, CAP), Ok(0));
+        assert_eq!(ring_in_use(&ring), CAP);
     });
+}
+
+/// Seeded bug: a replica in which the *consumer* rewinds the ring when its
+/// release empties it. Emptiness is stable only for the side that can end
+/// it: between the consumer's look at `head` and its stores the client
+/// may reserve, and the rewind then happens with that segment live — its
+/// bytes fall below `floor`, out of the live window, and the next
+/// reservation is placed on top of them. The checker must find it.
+#[test]
+fn seeded_consumer_side_rewind_overlaps_a_live_segment() {
+    let failure = Builder::new()
+        .check_result(|| {
+            let words = Arc::new(RingWords::default());
+            const CAP: u64 = 24;
+            let ring = words.ring(CAP);
+            let first = ring_reserve(&ring, 8).expect("ring is empty");
+
+            let w2 = Arc::clone(&words);
+            let consumer = thread::spawn(move || {
+                ring_release(&w2.ring(CAP), first, 8);
+                // seeded bug: the rewind belongs to the owner of `head`.
+                let h = w2.head.load(Ordering::Acquire);
+                if w2.tail.load(Ordering::Relaxed) == h {
+                    let base = h.next_multiple_of(CAP);
+                    w2.floor.store(base, Ordering::Release);
+                    w2.head.store(base, Ordering::Release);
+                }
+            });
+
+            // The client's next write comes after the release (so its
+            // own arithmetic never meets a `floor` from the future, which
+            // would trip first) and stays live: a whole-ring reservation
+            // must not fit beside it.
+            while words.tail.load(Ordering::Acquire) != 8 {
+                thread::yield_now();
+            }
+            let kept = ring_reserve(&ring, 8).expect("ring cannot be full");
+            consumer.join();
+            if let Ok(pos) = ring_reserve(&ring, CAP) {
+                assert!(
+                    pos >= kept + 8 || pos + CAP <= kept,
+                    "reservation overlaps a live segment"
+                );
+            }
+        })
+        .expect_err("a rewind with a segment live must be caught");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains("overlaps a live segment"),
+        "unexpected message: {}",
+        failure.message
+    );
 }
