@@ -173,13 +173,28 @@ impl Codec for Huffman {
         out.len() - start_len
     }
 
-    fn decode(&self, input: &[u8], out: &mut Vec<u8>) -> Result<usize, CodecError> {
+    fn decode_into(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<usize, CodecError> {
         let start_len = out.len();
         let mut off = 0usize;
         let n = varint::read_u64(input, &mut off)
-            .ok_or_else(|| CodecError::new("huff", "truncated length"))? as usize;
+            .ok_or_else(|| CodecError::new("huff", "truncated length"))?;
         if off + 256 > input.len() {
             return Err(CodecError::new("huff", "truncated length table"));
+        }
+        // The declared length sizes the output, so it is checked against
+        // the caller's limit and against what the bitstream can hold (a
+        // symbol takes at least one bit) before anything is reserved.
+        let n = usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= limit)
+            .ok_or_else(|| CodecError::over_limit("huff"))?;
+        if n > (input.len() - off - 256).saturating_mul(8) {
+            return Err(CodecError::new("huff", "truncated bitstream"));
         }
         let mut lengths = [0u8; 256];
         lengths.copy_from_slice(&input[off..off + 256]);
@@ -316,6 +331,26 @@ mod tests {
         let mut bad = enc.clone();
         bad[1] = 99; // lengths start after the varint(1 byte here)
         assert!(Huffman.decode_vec(&bad).is_err());
+    }
+
+    #[test]
+    fn a_declared_length_is_checked_before_it_is_reserved() {
+        // 2^62 symbols of a one-bit code, 64 bytes of bitstream.
+        let mut forged = Vec::new();
+        varint::write_u64(1 << 62, &mut forged);
+        let mut lengths = [0u8; 256];
+        lengths[0] = 1;
+        forged.extend_from_slice(&lengths);
+        forged.extend_from_slice(&[0; 64]);
+        let mut out = Vec::new();
+        let err = Huffman.decode_into(&forged, &mut out, 1 << 20).unwrap_err();
+        assert_eq!(err, CodecError::over_limit("huff"));
+        // Without a limit the bitstream itself is one: 512 bits, 512 symbols.
+        assert!(Huffman.decode_into(&forged, &mut out, usize::MAX).is_err());
+        assert_eq!(out.capacity(), 0);
+        let enc = Huffman.encode_vec(b"hello world");
+        assert_eq!(Huffman.decode_into(&enc, &mut out, 11), Ok(11));
+        assert!(Huffman.decode_into(&enc, &mut Vec::new(), 10).is_err());
     }
 
     #[test]

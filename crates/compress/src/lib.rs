@@ -47,6 +47,12 @@ impl CodecError {
             message: message.into(),
         }
     }
+
+    /// The error every bounded decode returns the moment its output would
+    /// pass the caller's limit.
+    pub fn over_limit(codec: &'static str) -> Self {
+        CodecError::new(codec, "decoded output exceeds the caller's limit")
+    }
 }
 
 impl fmt::Display for CodecError {
@@ -70,8 +76,28 @@ pub trait Codec: Send + Sync {
     /// appended.
     fn encode(&self, input: &[u8], out: &mut Vec<u8>) -> usize;
 
-    /// Decompresses `input`, appending to `out`.
-    fn decode(&self, input: &[u8], out: &mut Vec<u8>) -> Result<usize, CodecError>;
+    /// Decompresses `input`, appending at most `limit` bytes to `out`, and
+    /// returns how many. The stream is untrusted: a decoder fails the moment
+    /// its output would pass `limit`, before allocating for it, so a few
+    /// forged bytes cannot demand more memory than the caller offered.
+    /// Callers that know the decoded length pass exactly that; `usize::MAX`
+    /// leaves only what the stream itself can justify.
+    fn decode_into(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<usize, CodecError>;
+
+    /// The most `encode` appends for `input_len` bytes — what lets a
+    /// [`Pipeline`] turn a limit on its output into one on the stream
+    /// between two stages. The default, twice the input and a table, holds
+    /// for every codec here (a literal block never doubles, a match or run
+    /// never grows, a Huffman code is at most 15 bits); a codec that can
+    /// expand more overrides it.
+    fn max_encoded_len(&self, input_len: usize) -> usize {
+        input_len.saturating_mul(2).saturating_add(512)
+    }
 
     /// Convenience wrapper returning a fresh buffer.
     fn encode_vec(&self, input: &[u8]) -> Vec<u8> {
@@ -80,10 +106,11 @@ pub trait Codec: Send + Sync {
         out
     }
 
-    /// Convenience wrapper returning a fresh buffer.
+    /// Convenience wrapper returning a fresh buffer, for input the caller
+    /// trusts: no limit but the stream's own.
     fn decode_vec(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(input.len() * 2 + 16);
-        self.decode(input, &mut out)?;
+        let mut out = Vec::new();
+        self.decode_into(input, &mut out, usize::MAX)?;
         Ok(out)
     }
 }
@@ -115,10 +142,19 @@ impl Codec for Identity {
         input.len()
     }
 
-    fn decode(&self, input: &[u8], out: &mut Vec<u8>) -> Result<usize, CodecError> {
+    fn decode_into(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<usize, CodecError> {
+        if input.len() > limit {
+            return Err(CodecError::over_limit("identity"));
+        }
         out.extend_from_slice(input);
         Ok(input.len())
     }
+
 }
 
 /// Compression ratio expressed the way the paper does: original size as a

@@ -12,6 +12,7 @@
 
 use crate::precision;
 use crate::{codec_by_name, Codec, CodecError};
+use std::borrow::Cow;
 
 /// One stage of a pipeline.
 pub enum Stage {
@@ -135,9 +136,10 @@ impl Pipeline {
 
     /// Runs all stages forward. Returns the encoded bytes and stats.
     pub fn encode(&self, input: &[u8]) -> Result<(Vec<u8>, CompressionStats), CodecError> {
-        let mut current = input.to_vec();
+        // The first stage reads the caller's bytes where they lie.
+        let mut current = Cow::Borrowed(input);
         for stage in &self.stages {
-            current = match stage {
+            current = Cow::Owned(match stage {
                 Stage::Codec(c) => c.encode_vec(&current),
                 Stage::Precision16 => precision::reduce_f32_bytes(&current).ok_or_else(|| {
                     CodecError::new(
@@ -145,38 +147,72 @@ impl Pipeline {
                         format!("input length {} is not a multiple of 4", current.len()),
                     )
                 })?,
-            };
+            });
         }
         let stats = CompressionStats {
             input_bytes: input.len(),
             output_bytes: current.len(),
         };
-        Ok((current, stats))
+        Ok((current.into_owned(), stats))
     }
 
-    /// Runs all stages backward. For lossy pipelines the result is the
-    /// re-expanded (precision-reduced) data, not the original bytes.
+    /// Runs all stages backward, for input the caller trusts. For lossy
+    /// pipelines the result is the re-expanded (precision-reduced) data,
+    /// not the original bytes.
     pub fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut current = input.to_vec();
-        for stage in self.stages.iter().rev() {
-            current = match stage {
-                Stage::Codec(c) => c.decode_vec(&current)?,
+        self.decode_bounded(input, usize::MAX)
+    }
+
+    /// [`decode`](Self::decode) for input that is not trusted: fails the
+    /// moment the result would be longer than `limit` — the length the
+    /// caller expects — having allocated no more than that for it. The
+    /// stream between two stages is held to what the later one could have
+    /// been given: half the limit under `precision16`, and under a codec
+    /// its [`Codec::max_encoded_len`] of the limit.
+    pub fn decode_bounded(&self, input: &[u8], limit: usize) -> Result<Vec<u8>, CodecError> {
+        // limits[i]: the most stage i can have been given to encode.
+        let mut limits = Vec::with_capacity(self.stages.len());
+        let mut bound = limit;
+        for stage in &self.stages {
+            limits.push(bound);
+            bound = match stage {
+                Stage::Codec(c) => c.max_encoded_len(bound),
+                Stage::Precision16 => bound / 2,
+            };
+        }
+        let mut current = Cow::Borrowed(input);
+        for (stage, &limit) in self.stages.iter().zip(&limits).rev() {
+            current = Cow::Owned(match stage {
+                Stage::Codec(c) => {
+                    let mut decoded = Vec::new();
+                    c.decode_into(&current, &mut decoded, limit)?;
+                    decoded
+                }
                 Stage::Precision16 => {
-                    let values = precision::expand_to_f32(&current).ok_or_else(|| {
+                    if current.len() > limit / 2 {
+                        return Err(CodecError::over_limit("precision16"));
+                    }
+                    precision::expand_f32_bytes(&current).ok_or_else(|| {
                         CodecError::new(
                             "precision16",
                             format!("encoded length {} is not a multiple of 2", current.len()),
                         )
-                    })?;
-                    let mut bytes = Vec::with_capacity(values.len() * 4);
-                    for v in values {
-                        bytes.extend_from_slice(&v.to_le_bytes());
-                    }
-                    bytes
+                    })?
                 }
-            };
+            });
         }
-        Ok(current)
+        if current.len() > limit {
+            // Only a pipeline without stages gets here: its input is its output.
+            return Err(CodecError::over_limit("pipeline"));
+        }
+        Ok(current.into_owned())
+    }
+}
+
+/// Shown as its spec, e.g. `Pipeline(precision16|lzss)`.
+impl std::fmt::Debug for Pipeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Pipeline({})", self.spec())
     }
 }
 
@@ -257,6 +293,53 @@ mod tests {
         let p = Pipeline::from_spec("precision16").unwrap();
         assert!(p.encode(&[1, 2, 3]).is_err());
         assert!(p.decode(&[1]).is_err());
+    }
+
+    #[test]
+    fn bounded_decode_takes_the_expected_length_and_nothing_less() {
+        let data = field_bytes(2048);
+        for spec in ["lzss", "rle", "huff", "lzss|huff", "rle|lzss", "precision16|lzss|huff", ""] {
+            let p = Pipeline::from_spec(spec).unwrap();
+            let (enc, _) = p.encode(&data).unwrap();
+            let back = p.decode_bounded(&enc, data.len()).unwrap();
+            assert_eq!(back, p.decode(&enc).unwrap(), "spec '{spec}'");
+            assert_eq!(back.len(), data.len());
+            assert!(p.decode_bounded(&enc, data.len() - 1).is_err(), "spec '{spec}'");
+        }
+    }
+
+    #[test]
+    fn no_codec_expands_past_its_declared_bound() {
+        // What each codec does worst on: nothing repeats (literals only,
+        // flat histogram); a four-byte match three varint bytes back after
+        // every literal; runs of MIN_RUN between single literals.
+        let mut far_matches = Vec::new();
+        for i in 0..6000u32 {
+            far_matches.extend_from_slice(&i.wrapping_mul(2_654_435_761).to_le_bytes());
+        }
+        let again = far_matches.clone();
+        for (i, word) in again.chunks_exact(4).enumerate() {
+            far_matches.extend_from_slice(word);
+            far_matches.push(i as u8 ^ 0x5a);
+        }
+        let short_runs: Vec<u8> = (0..4000u32)
+            .flat_map(|i| [i as u8; 4].into_iter().chain([!(i as u8)]))
+            .collect();
+        let inputs = [
+            (0..=255u8).cycle().take(5000).collect::<Vec<u8>>(),
+            far_matches,
+            short_runs,
+            vec![9u8; 3],
+            Vec::new(),
+        ];
+        for name in ["identity", "rle", "lzss", "huff"] {
+            let codec = codec_by_name(name).unwrap();
+            for input in &inputs {
+                let encoded = codec.encode_vec(input).len();
+                let bound = codec.max_encoded_len(input.len());
+                assert!(encoded <= bound, "{name}: {} -> {encoded} > {bound}", input.len());
+            }
+        }
     }
 
     #[test]

@@ -129,6 +129,21 @@ pub fn reduce_f32_bytes(bytes: &[u8]) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// The inverse of [`reduce_f32_bytes`]: little-endian binary16 bytes
+/// re-expanded to f32 bytes, doubling the size. Returns `None` if the length
+/// is odd.
+pub fn expand_f32_bytes(bytes: &[u8]) -> Option<Vec<u8>> {
+    if !bytes.len().is_multiple_of(2) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for c in bytes.chunks_exact(2) {
+        let v = f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]));
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    Some(out)
+}
+
 /// Maximum relative error introduced by one f32→f16→f32 round trip for
 /// normal binary16 values: half the spacing at 10 mantissa bits.
 pub const MAX_RELATIVE_ERROR: f32 = 1.0 / 2048.0;
@@ -228,6 +243,8 @@ mod tests {
         let halves = reduce_f32_bytes(&bytes).unwrap();
         assert_eq!(halves.len(), 4);
         assert_eq!(expand_to_f32(&halves).unwrap(), vec![1.0, 2.0]);
+        assert_eq!(expand_f32_bytes(&halves).unwrap(), bytes);
+        assert!(expand_f32_bytes(&[0]).is_none());
     }
 
     proptest! {

@@ -57,23 +57,28 @@ impl Codec for Rle {
         out.len() - start_len
     }
 
-    fn decode(&self, input: &[u8], out: &mut Vec<u8>) -> Result<usize, CodecError> {
+    fn decode_into(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<usize, CodecError> {
         let start_len = out.len();
         let mut off = 0;
         while off < input.len() {
             let header = varint::read_u64(input, &mut off)
                 .ok_or_else(|| CodecError::new("rle", "truncated packet header"))?;
             let len = (header >> 1) as usize;
+            // Checked before either packet kind allocates: a run is four
+            // bytes on the wire whatever length it claims.
+            if len > limit - (out.len() - start_len) {
+                return Err(CodecError::over_limit("rle"));
+            }
             if header & 1 == 1 {
                 let byte = *input
                     .get(off)
                     .ok_or_else(|| CodecError::new("rle", "truncated run byte"))?;
                 off += 1;
-                // Guard against absurd lengths from corrupt streams before
-                // attempting an allocation.
-                if len > (1 << 40) {
-                    return Err(CodecError::new("rle", format!("run too long: {len}")));
-                }
                 out.resize(out.len() + len, byte);
             } else {
                 let end = off
@@ -149,6 +154,26 @@ mod tests {
         assert!(Rle.decode_vec(&[0x08, b'a']).is_err()); // literal of 4, 1 present
         // Truncated varint.
         assert!(Rle.decode_vec(&[0x80]).is_err());
+    }
+
+    #[test]
+    fn a_run_past_the_limit_is_refused_before_it_is_allocated() {
+        // Four bytes on the wire, half a terabyte claimed.
+        let mut forged = Vec::new();
+        varint::write_u64((1 << 39 << 1) | 1, &mut forged);
+        forged.push(0);
+        let mut out = Vec::new();
+        let err = Rle.decode_into(&forged, &mut out, 1 << 20).unwrap_err();
+        assert_eq!(err, CodecError::over_limit("rle"));
+        assert_eq!(out.capacity(), 0);
+        // The limit is on what this call appends, and exact.
+        let enc = Rle.encode_vec(&[5u8; 1000]);
+        let mut out = b"kept".to_vec();
+        assert_eq!(Rle.decode_into(&enc, &mut out, 1000), Ok(1000));
+        assert_eq!(out.len(), 1004);
+        assert!(Rle.decode_into(&enc, &mut Vec::new(), 999).is_err());
+        let literals = Rle.encode_vec(b"abcdefgh");
+        assert!(Rle.decode_into(&literals, &mut Vec::new(), 7).is_err());
     }
 
     #[test]

@@ -72,6 +72,9 @@ pub struct ActionContext<'a> {
     pub(crate) buffer: &'a BufferManager,
     /// Failure counters (persist retries, degraded iterations, …).
     pub(crate) stats: &'a FaultStats,
+    /// The node's metrics registry, for what a plugin measures itself
+    /// rather than through a trace span (`phase.filter_encode_ns`).
+    pub(crate) metrics: &'a damaris_obs::Registry,
     /// Write-ahead journal; releases retire the matching records.
     pub(crate) journal: &'a EventJournal,
     /// The node's storage-pressure machine: persisting plugins flag

@@ -119,6 +119,13 @@ impl PersistPlugin {
         writer.seal()?;
         ctx.rec
             .end(EventKind::BackendWrite, iteration, total_bytes, t_write);
+        if it.filter.is_some() {
+            // The codec's share of the span just closed, by the writer's
+            // own clock: once per iteration, so looked up by name.
+            ctx.metrics
+                .histogram("phase.filter_encode_ns")
+                .observe(writer.filter_encode_ns());
+        }
         Ok(writer)
     }
 

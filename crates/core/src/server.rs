@@ -608,6 +608,7 @@ impl DedicatedCore {
             backend: shared.backend.as_ref(),
             buffer: &shared.buffer,
             stats: &shared.stats,
+            metrics: &shared.metrics,
             journal: &shared.journal,
             pressure: &shared.pressure,
             pending_release: &mut self.pending_release,

@@ -254,6 +254,44 @@ fn compression_via_persist_filter() {
 }
 
 #[test]
+fn codec_time_shows_in_the_nodes_own_numbers() {
+    // `phase.filter_encode_ns`: one observation per persisted iteration
+    // when the persist binding has a filter, none (and no clock read) when
+    // it has not.
+    for (using, observed) in [(r#" using="lzss""#, 3), ("", 0)] {
+        let cfg = Config::from_xml(&format!(
+            r#"<damaris>
+                 <buffer size="4194304"/>
+                 <layout name="grid" type="real" dimensions="4096"/>
+                 <variable name="field" layout="grid"/>
+                 <event name="end_of_iteration" action="persist"{using}/>
+               </damaris>"#
+        ))
+        .unwrap();
+        let dir = scratch("codec-time");
+        let runtime = NodeRuntime::start(cfg, 1, &dir).unwrap();
+        let client = &runtime.clients()[0];
+        let field: Vec<f32> = (0..4096).map(|i| (i % 97) as f32).collect();
+        for it in 0..3 {
+            client.write_f32("field", it, &field).unwrap();
+            client.end_iteration(it).unwrap();
+        }
+        let last = dir.join("node-0/iter-000002.sdf");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !last.exists() {
+            assert!(std::time::Instant::now() < deadline, "never persisted");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let snap = runtime.metrics_snapshot();
+        let codec = snap.histograms.get("phase.filter_encode_ns");
+        assert_eq!(codec.map_or(0, |h| h.count), observed, "filter '{using}'");
+        assert_eq!(codec.is_some_and(|h| h.sum > 0), observed > 0);
+        runtime.finish().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn stats_plugin_via_signal() {
     let cfg = Config::from_xml(
         r#"<damaris>

@@ -7,12 +7,11 @@ use crate::header::{self, IndexEntry, FOOTER_LEN, SUPERBLOCK_LEN};
 use crate::query::QuerySection;
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
-use damaris_compress::{varint, Pipeline};
+use damaris_compress::{varint, CodecError, Pipeline};
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Public, read-only view of a dataset's index entry.
 #[derive(Debug, Clone)]
@@ -39,14 +38,17 @@ impl DatasetInfo {
 
 /// Reader over a finished SDF file.
 ///
-/// `Sync`: the file handle sits behind a mutex so many query threads can
-/// share one reader (reads on the same file serialize; different files
-/// proceed in parallel).
+/// `Sync`: every read is positional (`pread`), so many query threads share
+/// one reader — and one file handle — without taking turns.
 #[derive(Debug)]
 pub struct SdfReader {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     entries: Vec<IndexEntry>,
+    /// Each distinct filter spec of the index, parsed once at open. A spec
+    /// this build cannot parse fails the datasets that carry it, when they
+    /// are read, not the file.
+    pipelines: Vec<(String, std::result::Result<Pipeline, CodecError>)>,
     /// Start of the index — the exclusive upper bound of the data region
     /// every payload read is clamped against.
     index_offset: u64,
@@ -59,7 +61,7 @@ impl SdfReader {
     /// Opens and validates `path`, loading the full index.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
+        let file = File::open(&path)?;
         let file_len = file.metadata()?.len();
         if file_len < SUPERBLOCK_LEN + FOOTER_LEN {
             return Err(SdfError::Format(format!(
@@ -68,12 +70,11 @@ impl SdfReader {
         }
 
         let mut sb = vec![0u8; SUPERBLOCK_LEN as usize];
-        file.read_exact(&mut sb)?;
+        file.read_exact_at(&mut sb, 0)?;
         header::check_superblock(&sb)?;
 
-        file.seek(SeekFrom::Start(file_len - FOOTER_LEN))?;
         let mut footer = vec![0u8; FOOTER_LEN as usize];
-        file.read_exact(&mut footer)?;
+        file.read_exact_at(&mut footer, file_len - FOOTER_LEN)?;
         let (index_offset, index_len, index_crc) = header::read_footer(&footer)?;
         if index_offset
             .checked_add(index_len)
@@ -83,9 +84,8 @@ impl SdfReader {
             return Err(SdfError::Format("index range out of bounds".into()));
         }
 
-        file.seek(SeekFrom::Start(index_offset))?;
         let mut index_bytes = vec![0u8; index_len as usize];
-        file.read_exact(&mut index_bytes)?;
+        file.read_exact_at(&mut index_bytes, index_offset)?;
         if crc32(&index_bytes) != index_crc {
             return Err(SdfError::Corrupt("index checksum mismatch".into()));
         }
@@ -102,10 +102,18 @@ impl SdfReader {
             return Err(SdfError::Format("trailing garbage in index".into()));
         }
 
+        let mut pipelines: Vec<(String, _)> = Vec::new();
+        for entry in entries.iter().filter(|e| !e.filter.is_empty()) {
+            if !pipelines.iter().any(|(spec, _)| *spec == entry.filter) {
+                pipelines.push((entry.filter.clone(), Pipeline::from_spec(&entry.filter)));
+            }
+        }
+
         Ok(SdfReader {
-            file: Mutex::new(file),
+            file,
             path,
             entries,
+            pipelines,
             index_offset,
             query_range: (index_offset + index_len, file_len - FOOTER_LEN),
         })
@@ -122,11 +130,7 @@ impl SdfReader {
         }
         let len = (end - start) as usize;
         let mut bytes = vec![0u8; len];
-        {
-            let mut file = lock_file(&self.file);
-            file.seek(SeekFrom::Start(start))?;
-            file.read_exact(&mut bytes)?;
-        }
+        self.file.read_exact_at(&mut bytes, start)?;
         QuerySection::decode(&bytes).map(Some)
     }
 
@@ -200,10 +204,9 @@ impl SdfReader {
                 entry.offset, entry.stored_len, entry.path
             )));
         }
-        let mut file = lock_file(&self.file);
-        file.seek(SeekFrom::Start(entry.offset))?;
+        // One `pread`: no lock, no seek, and the zeroed buffer is a `calloc`.
         let mut stored = vec![0u8; entry.stored_len as usize];
-        file.read_exact(&mut stored)?;
+        self.file.read_exact_at(&mut stored, entry.offset)?;
         if crc32(&stored) != entry.crc {
             return Err(SdfError::Corrupt(format!(
                 "payload checksum mismatch for '{}'",
@@ -213,18 +216,32 @@ impl SdfReader {
         Ok(stored)
     }
 
+    /// The parsed pipeline of `entry`'s filter; `None` when it has none.
+    fn pipeline(&self, entry: &IndexEntry) -> Result<Option<&Pipeline>> {
+        if entry.filter.is_empty() {
+            return Ok(None);
+        }
+        let (_, parsed) = self
+            .pipelines
+            .iter()
+            .find(|(spec, _)| *spec == entry.filter)
+            // invariant: `open` parsed every distinct spec of the index.
+            .expect("filter spec parsed at open");
+        match parsed {
+            Ok(pipeline) => Ok(Some(pipeline)),
+            Err(e) => Err(SdfError::Filter(e.to_string())),
+        }
+    }
+
     /// Reverses chunking and filters. Takes the stored bytes by value so an
     /// unfiltered contiguous dataset is handed back in the buffer
-    /// `read_stored` filled, not copied out of it.
-    fn decode_payload(entry: &IndexEntry, stored: Vec<u8>) -> Result<Vec<u8>> {
-        let pipeline = if entry.filter.is_empty() {
-            None
-        } else {
-            Some(
-                Pipeline::from_spec(&entry.filter)
-                    .map_err(|e| SdfError::Filter(e.to_string()))?,
-            )
-        };
+    /// `read_stored` filled, not copied out of it. Every decode is bounded
+    /// by the layout — the dataset's size, a chunk's share of it — so the
+    /// output is allocated once at that size and a forged stream cannot ask
+    /// for more.
+    fn decode_payload(&self, entry: &IndexEntry, stored: Vec<u8>) -> Result<Vec<u8>> {
+        let pipeline = self.pipeline(entry)?;
+        let expected = logical_len(entry)?;
         let logical = if entry.chunk_dim0 > 0 {
             let mut off = 0usize;
             let n_chunks = read_chunk_count(&stored, &mut off)?;
@@ -236,6 +253,7 @@ impl SdfReader {
                         as usize,
                 );
             }
+            let chunk_bytes = chunk_len(entry, expected);
             let mut logical = Vec::new();
             for len in lens {
                 let end = off
@@ -243,10 +261,14 @@ impl SdfReader {
                     .filter(|&e| e <= stored.len())
                     .ok_or_else(|| SdfError::Format("chunk out of bounds".into()))?;
                 let chunk = &stored[off..end];
-                match &pipeline {
-                    Some(p) => logical.extend_from_slice(
-                        &p.decode(chunk).map_err(|e| SdfError::Filter(e.to_string()))?,
-                    ),
+                match pipeline {
+                    Some(p) => {
+                        let limit = chunk_bytes.min(expected.saturating_sub(logical.len()));
+                        let decoded = p
+                            .decode_bounded(chunk, limit)
+                            .map_err(|e| SdfError::Filter(e.to_string()))?;
+                        logical.extend_from_slice(&decoded);
+                    }
                     None => logical.extend_from_slice(chunk),
                 }
                 off = end;
@@ -256,19 +278,18 @@ impl SdfReader {
             }
             logical
         } else {
-            match &pipeline {
+            match pipeline {
                 Some(p) => p
-                    .decode(&stored)
+                    .decode_bounded(&stored, expected)
                     .map_err(|e| SdfError::Filter(e.to_string()))?,
                 None => stored,
             }
         };
-        if logical.len() as u64 != entry.layout.byte_size() {
+        if logical.len() != expected {
             return Err(SdfError::Corrupt(format!(
-                "decoded '{}' to {} bytes, layout expects {}",
+                "decoded '{}' to {} bytes, layout expects {expected}",
                 entry.path,
                 logical.len(),
-                entry.layout.byte_size()
             )));
         }
         Ok(logical)
@@ -291,7 +312,7 @@ impl SdfReader {
     pub fn read_bytes(&self, path: &str) -> Result<Vec<u8>> {
         let entry = self.entry(path)?;
         let stored = self.read_stored(entry)?;
-        Self::decode_payload(entry, stored)
+        self.decode_payload(entry, stored)
     }
 
     /// Reads and decodes the dataset at position `ordinal` in the index —
@@ -302,7 +323,7 @@ impl SdfReader {
             SdfError::Usage(format!("ordinal {ordinal} out of range"))
         })?;
         let stored = self.read_stored(entry)?;
-        Self::decode_payload(entry, stored)
+        self.decode_payload(entry, stored)
     }
 
     /// Metadata for the dataset at position `ordinal` in the index.
@@ -357,14 +378,8 @@ impl SdfReader {
                     as usize,
             );
         }
-        let pipeline = if entry.filter.is_empty() {
-            None
-        } else {
-            Some(
-                Pipeline::from_spec(&entry.filter)
-                    .map_err(|e| SdfError::Filter(e.to_string()))?,
-            )
-        };
+        let pipeline = self.pipeline(entry)?;
+        let chunk_limit = chunk_len(entry, logical_len(entry)?);
 
         let first_chunk = (first / chunk_rows) as usize;
         let last_chunk = ((first + count - 1) / chunk_rows) as usize;
@@ -382,9 +397,9 @@ impl SdfReader {
                 .filter(|&e| e <= stored.len())
                 .ok_or_else(|| SdfError::Format("chunk out of bounds".into()))?;
             let chunk_bytes = &stored[data_off..end];
-            let logical = match &pipeline {
+            let logical = match pipeline {
                 Some(p) => Cow::Owned(
-                    p.decode(chunk_bytes)
+                    p.decode_bounded(chunk_bytes, chunk_limit)
                         .map_err(|e| SdfError::Filter(e.to_string()))?,
                 ),
                 None => Cow::Borrowed(chunk_bytes),
@@ -455,13 +470,25 @@ impl SdfReader {
     }
 }
 
-/// Locks the reader's file handle. A poisoned mutex only means another
-/// thread panicked mid-read; the `File` itself holds no invariant beyond
-/// its seek position, which every user re-seeks, so recover the guard.
-fn lock_file(file: &Mutex<File>) -> std::sync::MutexGuard<'_, File> {
-    match file.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+/// The layout's size in bytes: what a dataset decodes to, and the limit
+/// every decode of it is given.
+fn logical_len(entry: &IndexEntry) -> Result<usize> {
+    usize::try_from(entry.layout.byte_size()).map_err(|_| {
+        SdfError::Corrupt(format!(
+            "layout of '{}' is larger than this platform can address",
+            entry.path
+        ))
+    })
+}
+
+/// What one chunk of a chunked dataset of `total` bytes decodes to at most:
+/// `chunk_dim0` rows (the last chunk may hold fewer).
+fn chunk_len(entry: &IndexEntry, total: usize) -> usize {
+    match entry.layout.dims.first() {
+        Some(&dim0) if dim0 > 0 => (total as u64 / dim0)
+            .saturating_mul(entry.chunk_dim0)
+            .min(total as u64) as usize,
+        _ => total,
     }
 }
 
@@ -775,6 +802,22 @@ mod tests {
             r.read_rows_bytes("/v", 0, 2).unwrap_err(),
             SdfError::Corrupt(_)
         ));
+    }
+
+    #[test]
+    fn unknown_filter_fails_the_dataset_not_the_file() {
+        // Specs are parsed once, at open; one this build does not know must
+        // still surface where it always did — reading that dataset.
+        let path = temp_path("badspec");
+        let payload = [7u8; 16];
+        let mut entry = forged_entry(&payload);
+        entry.filter = "lzss|nope".into();
+        forge_file(&path, &payload, entry);
+        let r = SdfReader::open(&path).unwrap();
+        assert_eq!(r.info("/v").unwrap().filter, "lzss|nope");
+        assert!(r.validate().is_ok(), "checksums do not need the filter");
+        let err = r.read_bytes("/v").unwrap_err();
+        assert!(matches!(&err, SdfError::Filter(m) if m.contains("nope")), "{err}");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Per-dataset write options.
 #[derive(Debug, Clone, Default)]
@@ -77,15 +78,23 @@ pub enum WriteFault {
 /// inject. May sleep internally to model a stall.
 pub type WriteFaultHook = Box<dyn FnMut() -> Option<WriteFault> + Send>;
 
-/// Runs `bytes` through the dataset's filter pipeline; without one the
-/// stored form *is* the caller's bytes, borrowed.
-fn encode<'a>(pipeline: Option<&Pipeline>, bytes: &'a [u8]) -> Result<Cow<'a, [u8]>> {
-    match pipeline {
-        Some(p) => p
-            .encode(bytes)
-            .map(|(encoded, _)| Cow::Owned(encoded))
-            .map_err(|e| SdfError::Filter(e.to_string())),
-        None => Ok(Cow::Borrowed(bytes)),
+/// Runs `bytes` through the dataset's filter pipeline, adding the time it
+/// took to `spent_ns`; without one the stored form *is* the caller's bytes,
+/// borrowed, and no clock is read.
+fn encode<'a>(
+    pipeline: Option<&Pipeline>,
+    bytes: &'a [u8],
+    spent_ns: &mut u64,
+) -> Result<Cow<'a, [u8]>> {
+    let Some(pipeline) = pipeline else {
+        return Ok(Cow::Borrowed(bytes));
+    };
+    let started = Instant::now();
+    let encoded = pipeline.encode(bytes);
+    *spent_ns += started.elapsed().as_nanos() as u64;
+    match encoded {
+        Ok((encoded, _)) => Ok(Cow::Owned(encoded)),
+        Err(e) => Err(SdfError::Filter(e.to_string())),
     }
 }
 
@@ -99,6 +108,10 @@ pub struct SdfWriter {
     finished: bool,
     writeback_started: bool,
     fault_hook: Option<WriteFaultHook>,
+    /// The filter spec last written with, parsed: a file's datasets nearly
+    /// always share one.
+    filter: Option<(String, Pipeline)>,
+    filter_encode_ns: u64,
 }
 
 impl SdfWriter {
@@ -121,6 +134,8 @@ impl SdfWriter {
             finished: false,
             writeback_started: false,
             fault_hook: None,
+            filter: None,
+            filter_encode_ns: 0,
         };
         let mut sb = Vec::new();
         header::write_superblock(&mut sb);
@@ -174,11 +189,14 @@ impl SdfWriter {
         let pipeline = if filter_spec.is_empty() {
             None
         } else {
-            Some(
-                Pipeline::from_spec(&filter_spec)
-                    .map_err(|e| SdfError::Filter(e.to_string()))?,
-            )
+            if self.filter.as_ref().is_none_or(|(spec, _)| *spec != filter_spec) {
+                let parsed = Pipeline::from_spec(&filter_spec)
+                    .map_err(|e| SdfError::Filter(e.to_string()))?;
+                self.filter = Some((filter_spec.clone(), parsed));
+            }
+            self.filter.as_ref().map(|(_, parsed)| parsed)
         };
+        let spent_ns = &mut self.filter_encode_ns;
 
         // What goes to disk, in order, as borrowed or encoded parts: an
         // unfiltered payload is written (and checksummed) where it lies.
@@ -196,7 +214,7 @@ impl SdfWriter {
             }
             let chunks = data
                 .chunks(chunk_bytes)
-                .map(|chunk| encode(pipeline.as_ref(), chunk))
+                .map(|chunk| encode(pipeline, chunk, spent_ns))
                 .collect::<Result<Vec<_>>>()?;
             let mut table = Vec::new();
             damaris_compress::varint::write_u64(chunks.len() as u64, &mut table);
@@ -206,7 +224,7 @@ impl SdfWriter {
             parts.push(Cow::Owned(table));
             parts.extend(chunks);
         } else {
-            parts.push(encode(pipeline.as_ref(), data)?);
+            parts.push(encode(pipeline, data, spent_ns)?);
         }
 
         let crc_state = parts
@@ -287,6 +305,12 @@ impl SdfWriter {
     /// Bytes written so far (including the superblock).
     pub fn bytes_written(&self) -> u64 {
         self.offset
+    }
+
+    /// Nanoseconds spent so far inside the filter pipeline's `encode` — the
+    /// codec's share of writing this file; 0 while no dataset had a filter.
+    pub fn filter_encode_ns(&self) -> u64 {
+        self.filter_encode_ns
     }
 
     /// Number of datasets recorded.
@@ -465,6 +489,24 @@ mod tests {
         assert!(w.write_dataset_f32("/a", &layout, &[1.0; 3]).is_err());
         let f64_layout = Layout::new(DataType::F64, &[2]);
         assert!(w.write_dataset_f32("/b", &f64_layout, &[1.0; 2]).is_err());
+    }
+
+    #[test]
+    fn encode_time_is_counted_only_under_a_filter() {
+        let path = temp_path("encode-ns");
+        let mut w = SdfWriter::create(&path).unwrap();
+        let layout = Layout::new(DataType::U8, &[4096]);
+        let data = vec![3u8; 4096];
+        w.write_dataset_bytes("/plain", &layout, &data, &DatasetOptions::plain())
+            .unwrap();
+        assert_eq!(w.filter_encode_ns(), 0);
+        let filtered = DatasetOptions::plain().with_filter("lzss");
+        w.write_dataset_bytes("/a", &layout, &data, &filtered).unwrap();
+        let one = w.filter_encode_ns();
+        assert!(one > 0);
+        w.write_dataset_bytes("/b", &layout, &data, &filtered.with_chunk_dim0(1024))
+            .unwrap();
+        assert!(w.filter_encode_ns() > one, "accumulates, chunks included");
     }
 
     #[test]

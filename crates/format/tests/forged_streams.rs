@@ -1,0 +1,150 @@
+//! A few stored bytes must not be able to demand unbounded memory: for
+//! each codec, a dataset whose index entry is CRC-valid but whose filtered
+//! payload decodes to far more than its layout says. The reader must come
+//! back with a typed error having allocated no more than the layout's
+//! bytes for the output — measured, with a counting allocator, not assumed.
+//! (One `#[test]`: the counter is process-wide.)
+
+use damaris_compress::varint;
+use damaris_format::header::{self, IndexEntry};
+use damaris_format::{crc32, DataType, Layout, SdfError, SdfReader};
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every request goes to `System` unchanged; the counters beside it
+// are statistics and touch no memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: `GlobalAlloc::alloc`'s contract, unchanged.
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc`, passed on as it came.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK.fetch_max(live, Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    // SAFETY: `GlobalAlloc::dealloc`'s contract, unchanged.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        // SAFETY: `ptr` came from `alloc` above, so from `System`, with
+        // this layout.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The most `f` had allocated at once, beyond what was live when it began.
+fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let result = f();
+    (result, PEAK.load(Ordering::Relaxed) - before)
+}
+
+/// One dataset `/v` with a correct checksum over whatever `payload` is.
+fn forge(tag: &str, payload: &[u8], layout: Layout, filter: &str, chunk_dim0: u64) -> SdfReader {
+    let mut bytes = Vec::new();
+    header::write_superblock(&mut bytes);
+    let entry = IndexEntry {
+        path: "/v".into(),
+        layout,
+        offset: bytes.len() as u64,
+        stored_len: payload.len() as u64,
+        crc: crc32(payload),
+        filter: filter.into(),
+        chunk_dim0,
+        attrs: Vec::new(),
+    };
+    bytes.extend_from_slice(payload);
+    let index_offset = bytes.len() as u64;
+    let mut index = Vec::new();
+    varint::write_u64(1, &mut index);
+    entry.encode(&mut index);
+    bytes.extend_from_slice(&index);
+    header::write_footer(index_offset, index.len() as u64, crc32(&index), &mut bytes);
+    let dir = std::env::temp_dir().join("damaris-format-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("forged-{tag}-{}.sdf", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    SdfReader::open(&path).unwrap()
+}
+
+/// 8 KB of LZSS asking for 131 MB: one literal, then 64 KiB matches.
+fn lzss_storm() -> Vec<u8> {
+    let mut stream = vec![1 << 1, b'x'];
+    for _ in 0..2000 {
+        varint::write_u64((65_536 << 1) | 1, &mut stream);
+        varint::write_u64(1, &mut stream);
+    }
+    stream
+}
+
+/// A four-byte run packet for half a terabyte.
+fn rle_storm() -> Vec<u8> {
+    let mut stream = Vec::new();
+    varint::write_u64((1 << 39 << 1) | 1, &mut stream);
+    stream.push(0);
+    stream
+}
+
+/// A Huffman stream declaring 2⁶² symbols of a one-bit code.
+fn huff_storm() -> Vec<u8> {
+    let mut stream = Vec::new();
+    varint::write_u64(1 << 62, &mut stream);
+    let mut lengths = [0u8; 256];
+    lengths[0] = 1;
+    stream.extend_from_slice(&lengths);
+    stream.extend_from_slice(&[0; 64]);
+    stream
+}
+
+#[test]
+fn forged_streams_fail_typed_within_the_layouts_bytes() {
+    const LOGICAL: usize = 4096;
+    let bytes = Layout::new(DataType::U8, &[LOGICAL as u64]);
+    let floats = Layout::new(DataType::F32, &[LOGICAL as u64 / 4]);
+    let rows = Layout::new(DataType::U8, &[64, 64]);
+    let mut chunked = Vec::new();
+    varint::write_u64(1, &mut chunked);
+    varint::write_u64(lzss_storm().len() as u64, &mut chunked);
+    chunked.extend_from_slice(&lzss_storm());
+
+    let cases: Vec<(&str, Vec<u8>, &Layout, &str, u64)> = vec![
+        ("lzss", lzss_storm(), &bytes, "lzss", 0),
+        ("rle", rle_storm(), &bytes, "rle", 0),
+        ("huff", huff_storm(), &bytes, "huff", 0),
+        // Behind other stages: the storm is what the last decoder sees.
+        ("p16-lzss", lzss_storm(), &floats, "precision16|lzss", 0),
+        ("rle-then-huff", huff_storm(), &bytes, "rle|huff", 0),
+        // A chunk is held to its share of the layout: 8 rows of 64.
+        ("chunked", chunked, &rows, "lzss", 8),
+    ];
+    for (tag, payload, layout, filter, chunk_dim0) in cases {
+        let reader = forge(tag, &payload, layout.clone(), filter, chunk_dim0);
+        let (result, grown) = peak_growth(|| reader.read_bytes("/v"));
+        let err = result.expect_err(tag);
+        assert!(
+            matches!(err, SdfError::Filter(_) | SdfError::Corrupt(_)),
+            "{tag}: {err}"
+        );
+        // The stored bytes are read whole, then the output may take up to
+        // the layout's size; the rest is error text and bookkeeping.
+        let allowance = payload.len() + LOGICAL + 1024;
+        assert!(grown <= allowance, "{tag}: allocated {grown} bytes for a {LOGICAL}-byte layout");
+        if chunk_dim0 > 0 {
+            let (result, grown) = peak_growth(|| reader.read_rows_bytes("/v", 0, 8));
+            assert!(matches!(result, Err(SdfError::Filter(_))), "{tag} rows");
+            assert!(grown <= allowance, "{tag} rows: allocated {grown}");
+        }
+        std::fs::remove_file(reader.path()).unwrap();
+    }
+}
