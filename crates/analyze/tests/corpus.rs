@@ -143,3 +143,32 @@ fn checksum_kernels_are_inside_the_write_closure() {
     );
     assert_eq!(f[0].path.last().map(String::as_str), Some("lut"));
 }
+
+/// `write` resolves its variable through the node's name index
+/// (`self.shared.names.get(…)`, typed through `NodeShared`): a panic edge
+/// planted in the lookup is a finding of the strict write closure.
+#[test]
+fn the_name_lookup_is_inside_the_write_closure() {
+    let read = |rel: &str| {
+        let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
+        (rel.to_string(), src)
+    };
+    let client = read("crates/core/src/client.rs");
+    let node = read("crates/core/src/node.rs");
+    let (path, names) = read("crates/core/src/names.rs");
+    let needle = "let slot = (*self.slots.get(i)?)?;";
+    assert!(names.contains(needle));
+    let planted = names.replace(needle, "let slot = self.slots.get(i).unwrap().unwrap();");
+    let r = analyze_sources(&[client, node, (path.clone(), planted)]);
+    let f: Vec<_> = r.findings.iter().filter(|f| f.file == path).collect();
+    assert_eq!(f.len(), 1, "findings: {:?}", r.findings);
+    assert_eq!(f[0].rule, "hot-panic");
+    assert_eq!(
+        f[0].path,
+        [
+            "DamarisClient::write",
+            "DamarisClient::lookup",
+            "NameIndex::get"
+        ]
+    );
+}

@@ -1,5 +1,7 @@
-//! Observability overhead smoke test: the always-on trace ring must cost
-//! the client write path less than 5 % of mean write-call time.
+//! Observability overhead gate: what the always-on trace ring adds to a
+//! client write call, against a budget stated two ways — **100 ns per
+//! span** and **5 % of the call** (the same budget on the reference host,
+//! where a call is ≈ 11.5 µs and records six spans).
 //!
 //! Runs the same 4-client single-node write workload with tracing enabled
 //! and disabled (`<observability enabled="false"/>` — the runtime branch,
@@ -7,41 +9,52 @@
 //! the recorder away entirely and can only be cheaper).
 //!
 //! Measurement design, tuned so the verdict reflects the hot path and not
-//! the host's scheduler (CI runners can be single-core):
+//! the host's scheduler or clock state (CI runners can be single-core; the
+//! reference host's clock drifts by −9 … +16 % between attempts):
 //!
 //! * The queue and buffer are sized so a client **never blocks on the
 //!   dedicated core** — otherwise "write time" silently measures server
-//!   throughput, not the client path the budget is about.
+//!   throughput, not the client path the budget is about — and each
+//!   iteration is followed by a short compute phase, in which the core
+//!   drains, so a client's ring is empty at the next iteration and starts
+//!   over in warm memory (without it every 64 KiB write faulted in fresh
+//!   buffer pages, and a call was ≈ 32 µs of page faults).
 //! * Every call is sampled individually and each round is summarized by
 //!   its **median** call time: a timed call that absorbs a scheduler
 //!   preemption (milliseconds on a busy core) would dominate a
 //!   microsecond-scale mean, while the median tracks the typical call —
 //!   which the always-on instrumentation shifts wholesale, so the cost
 //!   under test is fully visible in it.
-//! * Rounds are interleaved off/on and the *minimum* round median across
-//!   rounds is compared: contention only ever inflates a round, never
-//!   deflates it below the true cost, so the per-configuration minimum
-//!   estimates the uncontended write path (the `timeit` rationale) and a
-//!   background hiccup in one round does not decide the verdict.
-//! * A measurement over budget is retried once from scratch before the
-//!   gate fails: the per-attempt false-positive tail (a contended run
-//!   inflating every "on" round together) squares away, while a real
-//!   regression fails both attempts.
+//! * Rounds come in **pairs**, off and on back to back (the order
+//!   alternating from pair to pair), and the overhead is the **median of
+//!   the per-pair differences**: a slow minute inflates both rounds of a
+//!   pair and cancels in their difference, where comparing the best round
+//!   of each side compared two different minutes of the host.
+//! * The budget is per span first: tracing costs a fixed amount per
+//!   recorded span, so making the write cheaper must not fail the gate
+//!   when no span got slower, as a per-cent budget alone would. A
+//!   measurement fails only when it is over **both** budgets, and then is
+//!   retried once from scratch before the gate fails.
 //!
-//! Prints the comparison always; exits nonzero on a >5 % regression only
-//! when `OBS_GATE=1` is set (the CI `obs` job sets it), so local figure
+//! Prints the comparison always; exits nonzero on a failed gate only when
+//! `OBS_GATE=1` is set (the CI `obs` job sets it), so local figure
 //! regeneration never fails on a loaded laptop.
 
 use damaris_core::{Config, NodeRuntime};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
 const ITERATIONS: u32 = 60;
 const WRITES_PER_ITER: u32 = 4;
-const ROUNDS: usize = 9;
-const BUDGET: f64 = 0.05;
+const COMPUTE_PHASE: Duration = Duration::from_millis(2);
+const PAIRS: usize = 15;
+/// Spans one traced `write` records: `AllocWait`, `Checksum`, `Memcpy`,
+/// `JournalAppend`, `QueuePush` and the enclosing `WriteCall`.
+const SPANS_PER_WRITE: f64 = 6.0;
+const BUDGET_NS_PER_SPAN: f64 = 100.0;
+const BUDGET_SHARE: f64 = 0.05;
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("damaris-obs-overhead-{tag}-{}", std::process::id()))
@@ -79,6 +92,7 @@ fn run_once(enabled: bool, dir: &Path) -> Vec<u64> {
                         local.push(t.elapsed().as_nanos() as u64);
                     }
                     client.end_iteration(it).expect("end iteration");
+                    std::thread::sleep(COMPUTE_PHASE);
                 }
                 samples.lock().expect("samples lock").append(&mut local);
             });
@@ -96,34 +110,71 @@ fn round_median(samples: &mut [u64]) -> f64 {
     samples[samples.len() / 2] as f64
 }
 
-fn min(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_unstable_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
-/// One full measurement: interleaved rounds, min of round medians.
-fn measure(attempt: usize) -> f64 {
-    let mut off = Vec::with_capacity(ROUNDS);
-    let mut on = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        off.push(round_median(&mut run_once(
-            false,
-            &scratch(&format!("off-{attempt}-{round}")),
-        )));
-        on.push(round_median(&mut run_once(
-            true,
-            &scratch(&format!("on-{attempt}-{round}")),
-        )));
+/// What tracing added to the median write call.
+struct Overhead {
+    /// Median of the per-pair differences, ns per call.
+    ns_per_call: f64,
+    /// Median disabled-round call time, ns: the share's denominator.
+    off_ns: f64,
+}
+
+impl Overhead {
+    fn ns_per_span(&self) -> f64 {
+        self.ns_per_call / SPANS_PER_WRITE
     }
-    let m_off = min(&off);
-    let m_on = min(&on);
-    let overhead = (m_on - m_off) / m_off;
+
+    fn share(&self) -> f64 {
+        self.ns_per_call / self.off_ns
+    }
+
+    fn within_budget(&self) -> bool {
+        self.ns_per_span() <= BUDGET_NS_PER_SPAN || self.share() <= BUDGET_SHARE
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "{:.1} ns per span (budget {BUDGET_NS_PER_SPAN:.0}), {:+.2}% of a {:.0} ns call \
+             (budget {:.0}%)",
+            self.ns_per_span(),
+            self.share() * 100.0,
+            self.off_ns,
+            BUDGET_SHARE * 100.0
+        )
+    }
+}
+
+/// One full measurement: `PAIRS` off/on pairs, the median difference.
+fn measure(attempt: usize) -> Overhead {
+    let mut diffs = Vec::with_capacity(PAIRS);
+    let mut offs = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        let round = |enabled: bool| {
+            let tag = format!("{}-{attempt}-{pair}", if enabled { "on" } else { "off" });
+            round_median(&mut run_once(enabled, &scratch(&tag)))
+        };
+        let (off, on) = if pair % 2 == 0 {
+            let off = round(false);
+            (off, round(true))
+        } else {
+            let on = round(true);
+            (round(false), on)
+        };
+        diffs.push(on - off);
+        offs.push(off);
+    }
+    let overhead = Overhead {
+        ns_per_call: median(&mut diffs),
+        off_ns: median(&mut offs),
+    };
     println!(
-        "obs overhead: median write call {:.0} ns disabled vs {:.0} ns enabled ({:+.2}% \
-         — best of {ROUNDS} interleaved rounds, {CLIENTS} clients x {ITERATIONS} \
-         iterations x {WRITES_PER_ITER} writes, per-round median)",
-        m_off,
-        m_on,
-        overhead * 100.0
+        "obs overhead: {} — median of {PAIRS} paired off/on rounds, {CLIENTS} clients x \
+         {ITERATIONS} iterations x {WRITES_PER_ITER} writes, per-round median call",
+        overhead.describe()
     );
     overhead
 }
@@ -134,29 +185,25 @@ fn main() {
     run_once(true, &scratch("warm-on"));
 
     let mut overhead = measure(0);
-    if overhead > BUDGET {
-        eprintln!(
-            "note: {:.2}% exceeds the {:.0}% budget; re-measuring once to rule out \
-             a contended run",
-            overhead * 100.0,
-            BUDGET * 100.0
-        );
-        overhead = overhead.min(measure(1));
+    if !overhead.within_budget() {
+        eprintln!("note: over both budgets; re-measuring once to rule out a contended run");
+        let again = measure(1);
+        if again.ns_per_call < overhead.ns_per_call {
+            overhead = again;
+        }
     }
-    if overhead > BUDGET {
+    if !overhead.within_budget() {
         let gate = std::env::var("OBS_GATE").is_ok_and(|v| v == "1");
         if gate {
             eprintln!(
-                "FAIL: tracing overhead {:.2}% exceeds the {:.0}% budget",
-                overhead * 100.0,
-                BUDGET * 100.0
+                "FAIL: tracing overhead {} is over both budgets",
+                overhead.describe()
             );
             std::process::exit(1);
         }
         eprintln!(
-            "note: overhead {:.2}% exceeds {:.0}% but OBS_GATE is unset; not failing",
-            overhead * 100.0,
-            BUDGET * 100.0
+            "note: tracing overhead {} is over both budgets but OBS_GATE is unset; not failing",
+            overhead.describe()
         );
     }
 }

@@ -28,6 +28,7 @@ use crate::config::BackpressurePolicy;
 use crate::error::DamarisError;
 use crate::event::Event;
 use crate::journal::JournalPayload;
+use crate::names::Resolved;
 use crate::node::{FaultStats, NodeShared};
 use crate::retry::Backoff;
 use damaris_obs::{EventKind, Recorder};
@@ -133,19 +134,29 @@ impl DamarisClient {
         self.shared.buffer.in_use(self.shared.clients)
     }
 
+    /// A static variable's id and byte size, through the node's name
+    /// index (one hash, one name compare).
     fn lookup(&self, variable: &str) -> Result<(u32, u64), DamarisError> {
-        let (id, layout) = self.lookup_def(variable)?;
-        if layout.dynamic {
-            return Err(DamarisError::wrong_layout_kind(variable, true));
-        }
-        Ok((id, layout.byte_size()))
-    }
-
-    fn lookup_def(&self, variable: &str) -> Result<(u32, &crate::LayoutDef), DamarisError> {
-        match self.shared.config.variable_by_name(variable) {
-            Some((id, def)) => Ok((id, self.shared.config.layout_of(def))),
+        match self.shared.names.get(variable) {
+            Some(Resolved {
+                id,
+                bytes: Some(bytes),
+            }) => Ok((id, bytes)),
+            Some(_) => Err(DamarisError::wrong_layout_kind(variable, true)),
             None => Err(DamarisError::unknown_variable(variable)),
         }
+    }
+
+    /// Any variable's id and layout definition — for the paths that need
+    /// more of the layout than its size (a dynamic shape's element type,
+    /// a write-through's storage layout).
+    fn lookup_def(&self, variable: &str) -> Result<(u32, &crate::LayoutDef), DamarisError> {
+        let config = &self.shared.config;
+        let found = self.shared.names.get(variable).and_then(|var| {
+            let def = config.variable(var.id)?;
+            Some((var.id, config.layout_of(def)))
+        });
+        found.ok_or_else(|| DamarisError::unknown_variable(variable))
     }
 
     /// Samples the heartbeat word; true once it has been unchanged for the

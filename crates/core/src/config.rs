@@ -589,8 +589,9 @@ impl Config {
         self.variables.get(id as usize)
     }
 
-    /// Variable id and definition in one scan — the `write()` fast path's
-    /// single name lookup (no id → definition round trip).
+    /// Variable id and definition in one scan. A running node's clients
+    /// do not scan: they resolve names through an index the node builds
+    /// from its configuration when it starts.
     pub fn variable_by_name(&self, name: &str) -> Option<(u32, &VariableDef)> {
         self.variables
             .iter()

@@ -75,7 +75,7 @@
 //! by the appender — never silently retained.
 
 use damaris_format::{DataType, Layout};
-use damaris_shm::sync::{AtomicU64, Mutex, Ordering, ShmCell};
+use damaris_shm::sync::{AtomicU64, CachePadded, Mutex, Ordering, ShmCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -247,14 +247,21 @@ struct StagingSlot {
 
 /// The write-ahead journal shared by a node's clients and its (current)
 /// dedicated-core thread.
+///
+/// Every word below is on a block of its own, grouped by who writes it:
+/// clients bump `next_seq` on every append, the dedicated core takes
+/// `inner` on every pop, a staging slot is written by the appender that
+/// claims it and the drain that frees it, and `fenced_mask`, which every
+/// fast append reads twice, is written only by a fence. Packed together,
+/// each side's writes cost the other side a miss per call.
 pub struct EventJournal {
-    next_seq: AtomicU64,
-    inner: Mutex<JournalInner>,
-    staging: Box<[StagingSlot]>,
+    next_seq: CachePadded<AtomicU64>,
+    inner: CachePadded<Mutex<JournalInner>>,
+    staging: Box<[CachePadded<StagingSlot>]>,
     /// One fence bit per fast-path source; the lock-free counterpart of
     /// `JournalInner::fenced` (which remains authoritative for all
     /// sources). Written only by [`fence`](Self::fence).
-    fenced_mask: AtomicU64,
+    fenced_mask: CachePadded<AtomicU64>,
     /// Whether `inner.store` is set, readable without the lock: a stored
     /// journal has no lock-free path (every record goes to the file).
     stored: bool,
@@ -262,17 +269,19 @@ pub struct EventJournal {
 
 impl Default for EventJournal {
     fn default() -> Self {
-        let staging: Vec<StagingSlot> = (0..STAGING_SLOTS)
-            .map(|_| StagingSlot {
-                state: AtomicU64::new(pack(SLOT_FREE, 0)),
-                rec: ShmCell::new(FixedWriteRecord::default()),
+        let staging: Vec<CachePadded<StagingSlot>> = (0..STAGING_SLOTS)
+            .map(|_| {
+                CachePadded::new(StagingSlot {
+                    state: AtomicU64::new(pack(SLOT_FREE, 0)),
+                    rec: ShmCell::new(FixedWriteRecord::default()),
+                })
             })
             .collect();
         EventJournal {
-            next_seq: AtomicU64::new(0),
-            inner: Mutex::default(),
+            next_seq: CachePadded::default(),
+            inner: CachePadded::default(),
             staging: staging.into_boxed_slice(),
-            fenced_mask: AtomicU64::new(0),
+            fenced_mask: CachePadded::default(),
             stored: false,
         }
     }
@@ -563,13 +572,13 @@ impl EventJournal {
             .filter(|source| **source < FAST_SOURCES)
             .fold(0, |mask, source| mask | 1u64 << source);
         let journal = EventJournal {
-            next_seq: AtomicU64::new(next_seq),
-            inner: Mutex::new(JournalInner {
+            next_seq: CachePadded::new(AtomicU64::new(next_seq)),
+            inner: CachePadded::new(Mutex::new(JournalInner {
                 records,
                 fenced,
                 store: Some(file),
-            }),
-            fenced_mask: AtomicU64::new(fenced_mask),
+            })),
+            fenced_mask: CachePadded::new(AtomicU64::new(fenced_mask)),
             stored: true,
             ..EventJournal::default()
         };
@@ -915,6 +924,16 @@ impl EventJournal {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Addresses of `[next_seq, inner]`: the word clients write per append
+    /// and the lock the dedicated core takes per event.
+    #[cfg(test)]
+    pub(crate) fn word_addrs(&self) -> [usize; 2] {
+        [
+            &*self.next_seq as *const AtomicU64 as usize,
+            &*self.inner as *const Mutex<JournalInner> as usize,
+        ]
     }
 
     /// Test hook: flip a record's stored CRC so replay sees corruption.

@@ -61,6 +61,7 @@ pub mod journal;
 pub mod layout;
 pub mod metadata;
 pub mod multinode;
+pub(crate) mod names;
 pub mod node;
 pub mod plugin;
 pub mod plugins;

@@ -18,17 +18,18 @@ use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
 use crate::journal::{EventJournal, JournalPayload};
+use crate::names::NameIndex;
 use crate::plugin::PluginFactory;
 use crate::server;
 use damaris_fs::{LocalDirBackend, StorageBackend};
 use damaris_obs::{Counter, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_SERVER};
-use damaris_shm::sync::Arc;
-#[cfg(unix)]
-use damaris_shm::{MappedNode, SharedBuffer};
+use damaris_shm::sync::{Arc, CachePadded};
 use damaris_shm::{
     AllocError, ClientLease, HeartbeatWord, LeaseTable, MpscQueue, MutexAllocator,
     PartitionAllocator, Segment,
 };
+#[cfg(unix)]
+use damaris_shm::{MappedNode, SharedBuffer};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -259,8 +260,17 @@ impl NodeObs {
 }
 
 /// State shared between the clients and the server of one node.
+///
+/// Mostly read-mostly words. The ones written per call or per event are
+/// padded where they live — the queue's tickets, the journal's counter,
+/// lock and slots, the leases, the ring words, and `heartbeat` here — so
+/// that no write of one side shares a line with anything the other side
+/// reads on its own path (DESIGN.md §8, "Who writes which line").
 pub(crate) struct NodeShared {
     pub config: Config,
+    /// `config`'s variables by name, built once at start: what a by-name
+    /// client call resolves its variable through.
+    pub names: NameIndex,
     pub buffer: BufferManager,
     pub queue: MpscQueue<Event>,
     pub clients: usize,
@@ -280,8 +290,9 @@ pub(crate) struct NodeShared {
     pub journal: EventJournal,
     /// Liveness word the dedicated core beats and clients observe — read
     /// through [`heartbeat`](Self::heartbeat): over a mapping the word
-    /// that counts is the mapped one.
-    heartbeat: HeartbeatWord,
+    /// that counts is the mapped one. The idle core beats it on every
+    /// empty poll, so it has a block of its own.
+    heartbeat: CachePadded<HeartbeatWord>,
     /// Per-client liveness leases: each client renews its lease on every
     /// API call; the dedicated core's sweeper revokes leases that stall
     /// past `client_lease_timeout` and reclaims the client's resources.
@@ -342,6 +353,7 @@ impl NodeShared {
     ) -> NodeShared {
         let metrics = Arc::new(Registry::new());
         NodeShared {
+            names: NameIndex::new(&config),
             buffer,
             queue: MpscQueue::new(config.queue_capacity),
             clients: n_clients,
@@ -351,7 +363,7 @@ impl NodeShared {
             metrics,
             obs: NodeObs::new(&config.observability, n_clients),
             journal,
-            heartbeat: HeartbeatWord::new(),
+            heartbeat: CachePadded::default(),
             leases: LeaseTable::new(n_clients),
             pressure: crate::pressure::PressureMachine::new(),
             config,
@@ -878,6 +890,99 @@ mod tests {
             ..NodeReport::default()
         };
         assert_eq!(sparse, expected);
+    }
+
+    const CLIENTS: usize = 4;
+
+    /// A threaded node's shared state, nothing running on it.
+    fn threaded(tag: &str) -> (Arc<NodeShared>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("damaris-node-{tag}-{}", std::process::id()));
+        let config = Config::from_xml(
+            r#"<damaris>
+                 <buffer size="65536" allocator="partition"/>
+                 <layout name="cell" type="double" dimensions="32"/>
+                 <layout name="particles" type="real" dimensions="?"/>
+                 <variable name="theta" layout="cell"/>
+                 <variable name="swarm" layout="particles"/>
+               </damaris>"#,
+        )
+        .unwrap();
+        let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
+        (Arc::new(NodeShared::new(config, CLIENTS, backend, 0)), dir)
+    }
+
+    #[test]
+    fn no_word_a_client_writes_per_call_shares_a_block_with_one_the_core_writes_per_event() {
+        let (shared, dir) = threaded("lines");
+        let BufferManager::Partition(rings) = &shared.buffer else {
+            panic!("the configuration asks for the partitioned allocator");
+        };
+        fn addr<T>(word: &T) -> usize {
+            word as *const T as usize
+        }
+        let [enqueue_pos, dequeue_pos] = shared.queue.ticket_addrs();
+        let [next_seq, journal_mutex] = shared.journal.word_addrs();
+        // (word, writer): `None` for the words every client writes.
+        let mut client = vec![
+            ("enqueue_pos", None, enqueue_pos),
+            ("next_seq", None, next_seq),
+        ];
+        let mut core = vec![
+            ("dequeue_pos", dequeue_pos),
+            ("journal mutex", journal_mutex),
+            ("heartbeat", addr(shared.heartbeat())),
+        ];
+        for c in 0..CLIENTS {
+            let [head, tail] = rings.ring_addrs(c).unwrap();
+            client.push(("lease", Some(c), addr(shared.lease(c).unwrap())));
+            client.push(("ring head", Some(c), head));
+            core.push(("ring tail", tail));
+        }
+        let block = |addr: usize| addr / 128;
+        for &(word, writer, at) in &client {
+            for &(other, at_other) in &core {
+                assert_ne!(
+                    block(at),
+                    block(at_other),
+                    "client-written {word} ({writer:?}) shares a block with core-written {other}"
+                );
+            }
+            // And one rank's words are not another's neighbours either.
+            for &(other, other_writer, at_other) in &client {
+                if writer.is_some() && other_writer.is_some() && writer != other_writer {
+                    assert_ne!(
+                        block(at),
+                        block(at_other),
+                        "{word} {writer:?} beside {other} {other_writer:?}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn by_name_calls_resolve_through_the_index_and_fail_typed() {
+        let (shared, dir) = threaded("names");
+        let client = DamarisClient::new(0, Arc::clone(&shared));
+        client.write_f64("theta", 0, &[1.0; 32]).unwrap();
+        assert!(matches!(
+            client.write("thet", 0, &[0; 256]),
+            Err(DamarisError::UnknownVariable(name)) if name == "thet"
+        ));
+        let wrong_kind = client.write("swarm", 0, &[0; 8]).unwrap_err();
+        let wrong_kind = wrong_kind.to_string();
+        assert!(wrong_kind.contains("dynamic layout; use write_dynamic"), "{wrong_kind}");
+        let swarm = client.write_dynamic_f32("swarm", 0, &[2], &[1.0, 2.0]);
+        assert!(swarm.is_ok(), "{swarm:?}");
+        let static_kind = client.write_dynamic("theta", 0, &[32], &[0; 256]);
+        let static_kind = static_kind.unwrap_err().to_string();
+        assert!(static_kind.contains("static layout; use write"), "{static_kind}");
+        let unknown = client.alloc("nope", 0).map(|_| ());
+        assert!(matches!(unknown, Err(DamarisError::UnknownVariable(_))));
+        let unknown = client.die_during_alloc("nope");
+        assert!(matches!(unknown, Err(DamarisError::UnknownVariable(_))));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[cfg(unix)]

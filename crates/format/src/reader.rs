@@ -354,10 +354,12 @@ impl SdfReader {
         let dim0 = *entry.layout.dims.first().ok_or_else(|| {
             SdfError::Usage(format!("dataset '{path}' is scalar; has no rows"))
         })?;
-        if first + count > dim0 {
+        let end_row = first.checked_add(count).ok_or_else(|| {
+            SdfError::Usage(format!("rows [{first}, +{count}) overflow a row index"))
+        })?;
+        if end_row > dim0 {
             return Err(SdfError::Usage(format!(
-                "rows [{first}, {}) out of range for dimension 0 = {dim0}",
-                first + count
+                "rows [{first}, {end_row}) out of range for dimension 0 = {dim0}"
             )));
         }
         if count == 0 {
@@ -365,6 +367,17 @@ impl SdfReader {
         }
         let row_bytes = (entry.layout.byte_size() / dim0) as usize;
         let chunk_rows = entry.chunk_dim0;
+        // What the rows should come to. The layout and `chunk_dim0` are
+        // CRC-valid but untrusted, so this only checks the result: the
+        // output grows with the chunks actually decoded or borrowed.
+        let expected = usize::try_from(count)
+            .ok()
+            .and_then(|rows| rows.checked_mul(row_bytes))
+            .ok_or_else(|| {
+                SdfError::Corrupt(format!(
+                    "dataset '{path}': {count} rows are not addressable"
+                ))
+            })?;
 
         // Parse the chunk table without decoding anything.
         let stored = self.read_stored(entry)?;
@@ -382,15 +395,18 @@ impl SdfReader {
         let chunk_limit = chunk_len(entry, logical_len(entry)?);
 
         let first_chunk = (first / chunk_rows) as usize;
-        let last_chunk = ((first + count - 1) / chunk_rows) as usize;
+        let last_chunk = ((end_row - 1) / chunk_rows) as usize;
         if last_chunk >= n_chunks {
             return Err(SdfError::Corrupt(format!(
                 "dataset '{path}': chunk table has {n_chunks} chunks, need {}",
                 last_chunk + 1
             )));
         }
-        let mut out = Vec::with_capacity(count as usize * row_bytes);
-        let mut data_off = off + lens[..first_chunk].iter().sum::<usize>();
+        let mut out = Vec::new();
+        let mut data_off = lens[..first_chunk]
+            .iter()
+            .try_fold(off, |at, &len| at.checked_add(len))
+            .ok_or_else(|| SdfError::Format("chunk out of bounds".into()))?;
         for (ci, &len) in lens.iter().enumerate().take(last_chunk + 1).skip(first_chunk) {
             let end = data_off
                 .checked_add(len)
@@ -407,9 +423,9 @@ impl SdfReader {
             // Slice the requested rows out of this chunk.
             let chunk_first_row = ci as u64 * chunk_rows;
             let lo = first.max(chunk_first_row) - chunk_first_row;
-            let hi = (first + count).min(chunk_first_row + chunk_rows) - chunk_first_row;
-            let lo_b = lo as usize * row_bytes;
-            let hi_b = (hi as usize * row_bytes).min(logical.len());
+            let hi = end_row.min(chunk_first_row.saturating_add(chunk_rows)) - chunk_first_row;
+            let lo_b = (lo as usize).saturating_mul(row_bytes);
+            let hi_b = (hi as usize).saturating_mul(row_bytes).min(logical.len());
             if lo_b > hi_b {
                 return Err(SdfError::Corrupt(format!(
                     "dataset '{path}': chunk {ci} shorter than expected"
@@ -417,6 +433,12 @@ impl SdfReader {
             }
             out.extend_from_slice(&logical[lo_b..hi_b]);
             data_off = end;
+        }
+        if out.len() != expected {
+            return Err(SdfError::Corrupt(format!(
+                "dataset '{path}': rows [{first}, {end_row}) decoded to {} bytes, layout expects {expected}",
+                out.len()
+            )));
         }
         Ok(out)
     }

@@ -147,4 +147,28 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         }
         std::fs::remove_file(reader.path()).unwrap();
     }
+
+    // A forged row range: one unfiltered 4 KiB chunk, under a layout and a
+    // `chunk_dim0` of 2^40 rows. Asking for all of them passes the
+    // chunk-count check (one chunk covers them); the output must grow with
+    // the bytes that chunk holds, not be sized for the 64 TiB the layout
+    // claims, and the shortfall is corruption.
+    let rows = 1u64 << 40;
+    let mut one_chunk = Vec::new();
+    varint::write_u64(1, &mut one_chunk);
+    varint::write_u64(LOGICAL as u64, &mut one_chunk);
+    one_chunk.extend_from_slice(&[7; LOGICAL]);
+    let claimed = Layout::new(DataType::U8, &[rows, 64]);
+    let reader = forge("rows", &one_chunk, claimed, "", rows);
+    let (result, grown) = peak_growth(|| reader.read_rows_bytes("/v", 0, rows).map(|v| v.len()));
+    assert!(matches!(result, Err(SdfError::Corrupt(_))), "{result:?}");
+    let allowance = one_chunk.len() + LOGICAL + 1024;
+    assert!(
+        grown <= allowance,
+        "rows: allocated {grown} bytes for a {LOGICAL}-byte chunk"
+    );
+    // A range whose end does not fit a u64 is the caller's mistake.
+    let result = reader.read_rows_bytes("/v", u64::MAX, 2).map(|v| v.len());
+    assert!(matches!(result, Err(SdfError::Usage(_))), "{result:?}");
+    std::fs::remove_file(reader.path()).unwrap();
 }

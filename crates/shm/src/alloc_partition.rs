@@ -19,7 +19,7 @@
 
 use crate::buffer::{Segment, SharedBuffer};
 use crate::ring::{self, Ring, RingWords};
-use crate::sync::Arc;
+use crate::sync::{Arc, AtomicU64};
 use crate::AllocError;
 
 /// Alignment granted to every segment (shared with the mutex allocator).
@@ -85,6 +85,14 @@ impl PartitionAllocator {
     /// The underlying shared buffer.
     pub fn buffer(&self) -> &Arc<SharedBuffer> {
         &self.buffer
+    }
+
+    /// Addresses of `client`'s ring `[head, tail]`, for tests that pin
+    /// which cache lines the client and the consumer write.
+    #[doc(hidden)]
+    pub fn ring_addrs(&self, client: usize) -> Option<[usize; 2]> {
+        let ring = self.regions.get(client)?.ring();
+        Some([ring.head, ring.tail].map(|word| word as *const AtomicU64 as usize))
     }
 
     /// Bytes currently reserved by `client` (including wrap padding).

@@ -45,7 +45,7 @@
 //! pair and the mutual exclusion, and the seeded-bug twins prove the
 //! checker rejects a Relaxed renew and a blind (non-CAS) revoke.
 
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, CachePadded, Ordering};
 
 /// Top bit of the lease word: set exactly once, by a successful revoke.
 const REVOKED: u64 = 1 << 63;
@@ -200,23 +200,27 @@ impl ClientLease {
     }
 }
 
-/// The node's lease words, one per client id.
+/// The node's lease words, one per client id, each on a block of its
+/// own: a client renews its lease on every call, and packed together one
+/// client's renewal cost the next client's a miss.
 #[derive(Debug, Default)]
 pub struct LeaseTable {
-    leases: Vec<ClientLease>,
+    leases: Vec<CachePadded<ClientLease>>,
 }
 
 impl LeaseTable {
     /// One fresh lease per client.
     pub fn new(clients: usize) -> Self {
         LeaseTable {
-            leases: (0..clients).map(|_| ClientLease::new()).collect(),
+            leases: (0..clients)
+                .map(|_| CachePadded::new(ClientLease::new()))
+                .collect(),
         }
     }
 
     /// The lease of one client, if the id is in range.
     pub fn lease(&self, client: usize) -> Option<&ClientLease> {
-        self.leases.get(client)
+        self.leases.get(client).map(|lease| &**lease)
     }
 
     /// Number of leases (== number of clients).
@@ -230,7 +234,7 @@ impl LeaseTable {
 
     /// Iterate `(client, lease)` pairs — the sweeper's scan.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &ClientLease)> {
-        self.leases.iter().enumerate()
+        self.leases.iter().map(|lease| &**lease).enumerate()
     }
 }
 

@@ -28,7 +28,7 @@
 //! configuration, and the seeded-bug test shows the checker rejects this
 //! algorithm if the `seq` publication store is weakened to `Relaxed`.
 
-use crate::sync::{spin_loop, yield_now, AtomicUsize, Ordering, ShmCell};
+use crate::sync::{spin_loop, yield_now, AtomicUsize, CachePadded, Ordering, ShmCell};
 use std::mem::MaybeUninit;
 
 /// Error returned by [`MpscQueue::push`] when the ring is full; gives the
@@ -44,11 +44,15 @@ struct Slot<T> {
 }
 
 /// Bounded lock-free multi-producer queue.
+///
+/// The two tickets sit on blocks of their own: producers write
+/// `enqueue_pos` on every push, the consumer writes `dequeue_pos` on every
+/// pop, and beside each other each write cost the other side a miss.
 pub struct MpscQueue<T> {
     slots: Box<[Slot<T>]>,
     mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
+    enqueue_pos: CachePadded<AtomicUsize>,
+    dequeue_pos: CachePadded<AtomicUsize>,
 }
 
 // SAFETY: slots are handed between threads with acquire/release on `seq`
@@ -73,14 +77,24 @@ impl<T> MpscQueue<T> {
         MpscQueue {
             slots,
             mask: cap - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
+            enqueue_pos: CachePadded::new(AtomicUsize::new(0)),
+            dequeue_pos: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Addresses of `[enqueue_pos, dequeue_pos]`, for tests that pin which
+    /// cache lines the producers and the consumer write.
+    #[doc(hidden)]
+    pub fn ticket_addrs(&self) -> [usize; 2] {
+        [
+            &*self.enqueue_pos as *const AtomicUsize as usize,
+            &*self.dequeue_pos as *const AtomicUsize as usize,
+        ]
     }
 
     /// Approximate number of queued items (racy by nature).

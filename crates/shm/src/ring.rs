@@ -43,7 +43,7 @@
 //! rewind's `floor` or a later one. A later one exceeds the `head` it is
 //! read with, which says the ring was empty at that `head`.
 
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, CachePadded, Ordering};
 use crate::AllocError;
 
 /// Alignment granted to every reservation (shared with the allocators).
@@ -64,11 +64,15 @@ pub struct Ring<'a> {
 }
 
 /// The three words as one value, for a ring that is not laid out in a
-/// mapping (`PartitionAllocator`'s regions, the tests).
+/// mapping (`PartitionAllocator`'s regions, the tests). `head` and `tail`
+/// each have a block of their own: the client writes `head` on every
+/// reservation and the consumer `tail` on every release, and with ranks on
+/// separate cores neither should cost the other a miss. `floor` changes
+/// only on a rewind.
 #[derive(Debug, Default)]
 pub struct RingWords {
-    pub head: AtomicU64,
-    pub tail: AtomicU64,
+    pub head: CachePadded<AtomicU64>,
+    pub tail: CachePadded<AtomicU64>,
     pub floor: AtomicU64,
 }
 

@@ -10,7 +10,8 @@
 //!   `tests/model.rs` exhaustively verify the queue and allocators.
 //!
 //! The `cargo run -p xtask -- lint` pass enforces the import rule; CI runs
-//! both builds.
+//! both builds. [`CachePadded`], the one padding type, lives here too, so
+//! every padded word is a facade word in either build.
 
 #[cfg(feature = "check")]
 pub use damaris_check::{
@@ -75,6 +76,31 @@ impl<T> ShmCell<T> {
     #[inline(always)]
     pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
         f(self.0.get())
+    }
+}
+
+/// A value on a 128-byte block of its own: aligned to it, and padded to
+/// it, so no other value shares a cache line — or the adjacent line
+/// Intel's spatial prefetcher fetches in pairs — with it. Wrap a word one
+/// side of the client↔core handoff writes often so that the other side's
+/// reads of its neighbours stop missing (DESIGN.md §8, "Who writes which
+/// line"). The same type in both builds: padding is layout, not protocol.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    pub const fn new(value: T) -> Self {
+        CachePadded(value)
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    #[inline(always)]
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 
