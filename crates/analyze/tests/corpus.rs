@@ -172,3 +172,63 @@ fn the_name_lookup_is_inside_the_write_closure() {
         ]
     );
 }
+
+/// Clients only post; the dedicated core journals what it takes. No
+/// `EventJournal` function is inside `write`'s strict closure: panic edges
+/// planted in the journal's two appends are findings of no client root —
+/// and are as soon as an append is a hot root itself.
+#[test]
+fn the_journal_is_outside_the_write_closure() {
+    let read = |rel: &str| {
+        let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
+        (rel.to_string(), src)
+    };
+    let client = read("crates/core/src/client.rs");
+    let node = read("crates/core/src/node.rs");
+    let event = read("crates/core/src/event.rs");
+    let (path, journal) = read("crates/core/src/journal.rs");
+    let (append, append_write) = (
+        "let source = payload.source();",
+        "        self.append(epoch, JournalPayload::Write {",
+    );
+    assert!(journal.contains(append) && journal.contains(append_write));
+    let planted = journal
+        .replace(append, "let source = Some(payload.source()).unwrap();")
+        .replace(
+            append_write,
+            &format!("        None::<()>.unwrap();\n{append_write}"),
+        );
+    let panics_in_journal = |journal: String| {
+        let sources = [
+            client.clone(),
+            node.clone(),
+            event.clone(),
+            (path.clone(), journal),
+        ];
+        let r = analyze_sources(&sources);
+        let f = r.findings.into_iter();
+        f.filter(|f| f.file == path && f.rule == "hot-panic")
+            .count()
+    };
+    assert_eq!(panics_in_journal(planted.clone()), 0);
+    let root = |src: &str| {
+        src.replace(
+            "    pub fn append(",
+            "    // ANALYZE: hot\n    pub fn append(",
+        )
+    };
+    assert_eq!(
+        panics_in_journal(root(&planted)),
+        panics_in_journal(root(&journal)) + 1
+    );
+    let root = |src: &str| {
+        src.replace(
+            "    pub fn append_write(",
+            "    // ANALYZE: hot\n    pub fn append_write(",
+        )
+    };
+    assert_eq!(
+        panics_in_journal(root(&planted)),
+        panics_in_journal(root(&journal)) + 2
+    );
+}

@@ -9,9 +9,10 @@
 //! | `df_signal(event, step)`       | [`DamarisClient::signal`]           |
 //! | `dc_alloc`/`dc_commit`         | [`DamarisClient::alloc`]/[`AllocatedRegion::commit`] |
 //!
-//! A `write` is one shared-memory reservation, one `memcpy`, one journal
-//! append, one queue push — nothing else; the client returns to
-//! computation immediately.
+//! A `write` is one shared-memory reservation, one checksum, one `memcpy`,
+//! one queue push — nothing else; the client returns to computation
+//! immediately. The dedicated core journals the event when it takes it
+//! ([`crate::server::DedicatedCore::admit`]).
 //!
 //! # Dedicated-core failure
 //!
@@ -27,7 +28,6 @@
 use crate::config::BackpressurePolicy;
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::JournalPayload;
 use crate::names::Resolved;
 use crate::node::{FaultStats, NodeShared};
 use crate::retry::Backoff;
@@ -394,43 +394,11 @@ impl DamarisClient {
         Ok(())
     }
 
-    /// Journals a write-notification (before the queue push) and returns
-    /// its sequence number. `data_crc` is the CRC-32 over the payload's
-    /// source bytes — the end-to-end checksum the persist plugin verifies
-    /// against the segment before anything reaches a backend. Fails with
-    /// [`DamarisError::ClientFenced`] once the sweeper has fenced this
-    /// client; the caller must abandon the segment without releasing it.
-    fn journal_write(
-        &self,
-        variable_id: u32,
-        iteration: u32,
-        segment: &Segment,
-        dynamic_layout: Option<&damaris_format::Layout>,
-        data_crc: u32,
-    ) -> Result<u64, DamarisError> {
-        self.shared
-            .journal
-            .append(
-                self.shared.heartbeat().epoch(),
-                JournalPayload::Write {
-                    variable_id,
-                    iteration,
-                    source: self.id,
-                    offset: segment.offset(),
-                    len: segment.len(),
-                    dynamic_layout: dynamic_layout.cloned(),
-                    data_crc,
-                },
-            )
-            .map_err(|_| self.fenced_err())
-    }
-
     /// Tail of the static-layout write path — checksum of the source,
-    /// memcpy into the segment, lock-free journal append
-    /// ([`crate::journal::EventJournal::append_write`]), queue notification
-    /// — each under its trace span. The spans chain: `t` is the previous
-    /// span's end timestamp, and the return value is the last span's end,
-    /// so the whole tail costs four clock reads instead of eight.
+    /// memcpy into the segment, queue notification — each under its trace
+    /// span. The spans chain: `t` is the previous span's end timestamp,
+    /// and the return value is the last span's end, so the whole tail
+    /// costs three clock reads instead of six.
     // ANALYZE: hot
     fn copy_and_notify_static(
         &self,
@@ -439,10 +407,10 @@ impl DamarisClient {
         mut segment: Segment,
         data: &[u8],
         t: u64,
-    ) -> Result<u64, DamarisError> {
+    ) -> u64 {
         // CRC the *source* bytes before the copy: if the copy tears (rank
-        // killed mid-`memcpy`), the journaled checksum still describes the
-        // intended payload, so the torn segment can never match it.
+        // killed mid-`memcpy`), the checksum still describes the intended
+        // payload, so the torn segment can never match it.
         let data_crc = damaris_format::crc32(data);
         let t = self
             .rec
@@ -451,41 +419,20 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::Memcpy, iteration, data.len() as u64, t);
-        let seq = match self.shared.journal.append_write(
-            self.shared.heartbeat().epoch(),
-            variable_id,
-            iteration,
-            self.id,
-            segment.offset(),
-            segment.len(),
-            data_crc,
-        ) {
-            Ok(seq) => seq,
-            Err(_) => {
-                // Fenced mid-write: this client may neither notify nor
-                // release. Dropping the handle leaves the bytes reserved;
-                // the sweeper's `revoke_remaining` reclaims them.
-                drop(segment);
-                return Err(self.fenced_err());
-            }
-        };
-        let t = self.rec.end(EventKind::JournalAppend, iteration, 0, t);
         self.shared.queue.push_wait(Event::Write {
             variable_id,
             iteration,
             source: self.id,
             segment,
             dynamic_layout: None,
-            seq,
             data_crc,
         });
-        Ok(self.rec.end(EventKind::QueuePush, iteration, 0, t))
+        self.rec.end(EventKind::QueuePush, iteration, 0, t)
     }
 
     /// Tail of the dynamic-shape write path: same steps as
-    /// [`copy_and_notify_static`](Self::copy_and_notify_static), but the
-    /// per-write layout travels with the record, which makes the journal
-    /// append take the mutex path (it allocates regardless).
+    /// [`copy_and_notify_static`](Self::copy_and_notify_static), with the
+    /// per-write layout riding in the event.
     fn copy_and_notify_dynamic(
         &self,
         variable_id: u32,
@@ -494,7 +441,7 @@ impl DamarisClient {
         dynamic_layout: damaris_format::Layout,
         data: &[u8],
         t: u64,
-    ) -> Result<u64, DamarisError> {
+    ) -> u64 {
         // See copy_and_notify_static: checksum the source, then copy.
         let data_crc = damaris_format::crc32(data);
         let t = self
@@ -504,31 +451,15 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::Memcpy, iteration, data.len() as u64, t);
-        let seq = match self.journal_write(
-            variable_id,
-            iteration,
-            &segment,
-            Some(&dynamic_layout),
-            data_crc,
-        ) {
-            Ok(seq) => seq,
-            Err(e) => {
-                // Fenced mid-write: abandon the segment for the sweeper.
-                drop(segment);
-                return Err(e);
-            }
-        };
-        let t = self.rec.end(EventKind::JournalAppend, iteration, 0, t);
         self.shared.queue.push_wait(Event::Write {
             variable_id,
             iteration,
             source: self.id,
             segment,
             dynamic_layout: Some(dynamic_layout),
-            seq,
             data_crc,
         });
-        Ok(self.rec.end(EventKind::QueuePush, iteration, 0, t))
+        self.rec.end(EventKind::QueuePush, iteration, 0, t)
     }
 
     /// `df_write`: copies `data` into shared memory and notifies the
@@ -543,8 +474,8 @@ impl DamarisClient {
         self.renew_lease()?;
         // One timestamp opens both the WriteCall and AllocWait spans (the
         // nanoscale name lookup rides inside AllocWait); the inner spans
-        // chain end-to-start from here, so a fully traced write costs seven
-        // clock reads, not twelve.
+        // chain end-to-start from here, so a fully traced write costs five
+        // clock reads, not ten.
         let t_call = self.rec.begin();
         let (variable_id, expected) = self.lookup(variable)?;
         if data.len() as u64 != expected {
@@ -567,7 +498,7 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify_static(variable_id, iteration, segment, data, t)?;
+        let t_end = self.copy_and_notify_static(variable_id, iteration, segment, data, t);
         self.rec
             .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
         Ok(())
@@ -609,7 +540,7 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify_dynamic(variable_id, iteration, segment, layout, data, t)?;
+        let t_end = self.copy_and_notify_dynamic(variable_id, iteration, segment, layout, data, t);
         self.rec
             .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
         Ok(())
@@ -674,23 +605,10 @@ impl DamarisClient {
         if self.shared.config.bindings_for(event).is_empty() {
             return Err(DamarisError::UnknownEvent(event.to_string()));
         }
-        let seq = self
-            .shared
-            .journal
-            .append(
-                self.shared.heartbeat().epoch(),
-                JournalPayload::User {
-                    name: event.to_string(),
-                    iteration,
-                    source: self.id,
-                },
-            )
-            .map_err(|_| self.fenced_err())?;
         self.shared.queue.push_wait(Event::User {
             name: event.to_string(),
             iteration,
             source: self.id,
-            seq,
         });
         Ok(())
     }
@@ -700,28 +618,16 @@ impl DamarisClient {
     /// default) fire on the dedicated core.
     pub fn end_iteration(&self, iteration: u32) -> Result<(), DamarisError> {
         self.renew_lease()?;
-        let seq = self
-            .shared
-            .journal
-            .append(
-                self.shared.heartbeat().epoch(),
-                JournalPayload::EndIteration {
-                    iteration,
-                    source: self.id,
-                },
-            )
-            .map_err(|_| self.fenced_err())?;
         self.shared.queue.push_wait(Event::EndIteration {
             iteration,
             source: self.id,
-            seq,
         });
         Ok(())
     }
 
     /// Chaos hook: models this rank dying right after `dc_alloc` — the
-    /// reservation is abandoned *un-journaled*, exactly what a kill
-    /// between the reserve and the first journal append leaves behind. The
+    /// reservation is abandoned without a notification, exactly what a
+    /// kill between the reserve and the queue push leaves behind. The
     /// bytes stay reserved until the lease sweeper fences the rank and
     /// reclaims its partition. Returns the number of bytes leaked, for
     /// tests to assert against `segments_reclaimed`.
@@ -736,9 +642,9 @@ impl DamarisClient {
     }
 
     /// Chaos hook: models this rank dying mid-`memcpy` with the
-    /// write-notification already issued — the journal entry and queue
-    /// event carry the CRC-32 of the *intended* payload, but only the
-    /// first half of the bytes landed in shared memory. However the torn
+    /// write-notification already issued — the queue event carries the
+    /// CRC-32 of the *intended* payload, but only the first half of the
+    /// bytes landed in shared memory. However the torn
     /// window arises (killed DMA, unflushed stores, plain corruption),
     /// the persist plugin's end-to-end CRC check must quarantine the
     /// segment instead of writing it to storage.
@@ -761,14 +667,12 @@ impl DamarisClient {
         // Only the first half of the payload lands before the "kill".
         let torn = data.len() / 2;
         segment.as_mut_slice()[..torn].copy_from_slice(&data[..torn]);
-        let seq = self.journal_write(variable_id, iteration, &segment, None, data_crc)?;
         self.shared.queue.push_wait(Event::Write {
             variable_id,
             iteration,
             source: self.id,
             segment,
             dynamic_layout: None,
-            seq,
             data_crc,
         });
         Ok(())
@@ -821,38 +725,22 @@ impl AllocatedRegion {
     pub fn commit(mut self) -> Result<(), DamarisError> {
         // invariant: `commit` consumes self, so the segment is present.
         let segment = self.segment.take().expect("commit called once");
+        // Fenced: may neither notify nor release — dropping the handle
+        // leaves the bytes to the sweeper's `revoke_remaining`.
+        self.client.renew_lease()?;
         let rec = &self.client.rec;
         let t = rec.begin();
         // The zero-copy path produced directly in shared memory, so the
         // segment *is* the source: checksum what was actually committed.
         let data_crc = damaris_format::crc32(segment.as_slice());
-        // Zero-copy commits are static-layout by construction: take the
-        // same lock-free journal path as `write`.
-        let seq = match self.client.shared.journal.append_write(
-            self.client.shared.heartbeat().epoch(),
-            self.variable_id,
-            self.iteration,
-            self.client.id,
-            segment.offset(),
-            segment.len(),
-            data_crc,
-        ) {
-            Ok(seq) => seq,
-            Err(_) => {
-                // Fenced: may neither notify nor release — the sweeper's
-                // `revoke_remaining` reclaims the bytes.
-                drop(segment);
-                return Err(self.client.fenced_err());
-            }
-        };
-        let t = rec.end(EventKind::JournalAppend, self.iteration, 0, t);
+        let len = segment.len() as u64;
+        let t = rec.end(EventKind::Checksum, self.iteration, len, t);
         self.client.shared.queue.push_wait(Event::Write {
             variable_id: self.variable_id,
             iteration: self.iteration,
             source: self.client.id,
             segment,
             dynamic_layout: None,
-            seq,
             data_crc,
         });
         rec.end(EventKind::QueuePush, self.iteration, 0, t);
@@ -869,28 +757,17 @@ impl Drop for AllocatedRegion {
         // partition-mode reclamation is FIFO in allocation order and owned
         // by the dedicated core, and an earlier write of this client may
         // still be server-resident — releasing out of order from this
-        // thread would corrupt the ring. Journal the abandonment and ship
-        // the segment to the server, which releases it in sequence order
-        // at this iteration's flush.
+        // thread would corrupt the ring. Ship the segment to the server,
+        // which releases it in allocation order at this iteration's flush.
+        // Fenced while holding the region: drop the handle and let the
+        // sweeper's `revoke_remaining` reclaim the bytes.
         let client = &self.client;
-        match client.shared.journal.append(
-            client.shared.heartbeat().epoch(),
-            JournalPayload::Abandon {
-                iteration: self.iteration,
-                source: client.id,
-                offset: segment.offset(),
-                len: segment.len(),
-            },
-        ) {
-            Ok(seq) => client.shared.queue.push_wait(Event::Abandon {
+        if client.renew_lease().is_ok() {
+            client.shared.queue.push_wait(Event::Abandon {
                 iteration: self.iteration,
                 source: client.id,
                 segment,
-                seq,
-            }),
-            // Fenced while holding the region: drop the handle and let the
-            // sweeper's `revoke_remaining` reclaim the bytes.
-            Err(_) => drop(segment),
+            });
         }
     }
 }

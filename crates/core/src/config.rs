@@ -633,14 +633,17 @@ impl Config {
         let per_iteration = static_bytes * n_clients as u64;
         if per_iteration > 0 && (self.buffer_size as u64) < 2 * per_iteration {
             warnings.push(format!(
-                "buffer ({} bytes) holds fewer than two in-flight iterations                  ({} bytes each for {n_clients} clients); clients may stall                  waiting for the dedicated core",
+                "buffer ({} bytes) holds fewer than two in-flight iterations \
+                 ({} bytes each for {n_clients} clients); clients may stall \
+                 waiting for the dedicated core",
                 self.buffer_size, per_iteration
             ));
         }
         let events_per_iteration = (self.variables.len() + 1) * n_clients;
         if self.queue_capacity < 2 * events_per_iteration {
             warnings.push(format!(
-                "event queue ({}) holds fewer than two iterations of                  notifications ({events_per_iteration} per iteration)",
+                "event queue ({}) holds fewer than two iterations of \
+                 notifications ({events_per_iteration} per iteration)",
                 self.queue_capacity
             ));
         }
@@ -648,7 +651,8 @@ impl Config {
             && self.variables.iter().any(|v| self.layout_of(v).dynamic)
         {
             warnings.push(
-                "dynamic-shape variables with the partitioned allocator: size                  each client's region for the worst-case shape"
+                "dynamic-shape variables with the partitioned allocator: size \
+                 each client's region for the worst-case shape"
                     .to_string(),
             );
         }
@@ -904,6 +908,8 @@ mod tests {
         assert_eq!(warnings.len(), 2, "{warnings:?}");
         assert!(warnings[0].contains("buffer"));
         assert!(warnings[1].contains("queue"));
+        // One sentence each, wrapped in the source, not in the text.
+        assert!(warnings.iter().all(|w| !w.contains("  ")), "{warnings:?}");
         // Generous sizing: no warnings.
         let c = Config::from_xml(
             r#"<damaris>
@@ -929,6 +935,7 @@ mod tests {
         let warnings = c.diagnostics(2);
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("dynamic"));
+        assert!(!warnings[0].contains("  "), "{warnings:?}");
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! queue's release/acquire handoff is exactly what makes the zero-copy
 //! transfer sound (the client's writes happen-before the server's reads).
 //!
-//! Every client-originated event also carries the sequence number assigned
-//! by the node's write-ahead [`crate::journal::EventJournal`]. The journal
-//! entry is appended *before* the queue push, so a restarted dedicated
-//! core can replay events the dead one never finished, and reject the
-//! stale queue copies when they eventually pop (`claim` arbitration).
+//! A client only posts its event. The dedicated core journals it as it
+//! takes it ([`crate::server::DedicatedCore::admit`], which journals the
+//! event's [`record`](Event::record)), so a restarted core can replay what
+//! the dead one took and never finished.
 
+use crate::journal::JournalPayload;
 use damaris_shm::Segment;
 
 /// One message from a client to the dedicated core.
@@ -28,8 +28,6 @@ pub enum Event {
         /// Per-write shape for dynamic variables (particle arrays, §III-D);
         /// `None` for statically-declared layouts.
         dynamic_layout: Option<damaris_format::Layout>,
-        /// Write-ahead journal sequence number.
-        seq: u64,
         /// CRC-32 the client computed over its source bytes before the
         /// `memcpy`; the persist plugin re-computes it over the segment to
         /// quarantine torn shm writes end-to-end.
@@ -42,17 +40,10 @@ pub enum Event {
         name: String,
         iteration: u32,
         source: u32,
-        /// Write-ahead journal sequence number.
-        seq: u64,
     },
     /// The client finished an iteration; when every client of the node has
     /// sent this, iteration-scoped actions fire.
-    EndIteration {
-        iteration: u32,
-        source: u32,
-        /// Write-ahead journal sequence number.
-        seq: u64,
-    },
+    EndIteration { iteration: u32, source: u32 },
     /// A client abandoned an allocated-but-never-committed region: the
     /// segment travels to the dedicated core, which releases it in FIFO
     /// order at the owning iteration's flush (clients must never release
@@ -61,23 +52,56 @@ pub enum Event {
         iteration: u32,
         source: u32,
         segment: Segment,
-        /// Write-ahead journal sequence number.
-        seq: u64,
     },
     /// The runtime is shutting down; the server drains and exits.
     Terminate,
 }
 
 impl Event {
-    /// The journal sequence number, if this event kind is journaled.
-    pub fn seq(&self) -> Option<u64> {
-        match self {
-            Event::Write { seq, .. }
-            | Event::User { seq, .. }
-            | Event::EndIteration { seq, .. }
-            | Event::Abandon { seq, .. } => Some(*seq),
-            Event::Terminate => None,
-        }
+    /// The journal record of this event — its segment by coordinates;
+    /// `None` for `Terminate`, which is not journalled.
+    pub(crate) fn record(&self) -> Option<JournalPayload> {
+        Some(match self {
+            Event::Write {
+                variable_id,
+                iteration,
+                source,
+                segment,
+                dynamic_layout,
+                data_crc,
+            } => JournalPayload::Write {
+                variable_id: *variable_id,
+                iteration: *iteration,
+                source: *source,
+                offset: segment.offset(),
+                len: segment.len(),
+                dynamic_layout: dynamic_layout.clone(),
+                data_crc: *data_crc,
+            },
+            Event::User {
+                name,
+                iteration,
+                source,
+            } => JournalPayload::User {
+                name: name.clone(),
+                iteration: *iteration,
+                source: *source,
+            },
+            &Event::EndIteration { iteration, source } => {
+                JournalPayload::EndIteration { iteration, source }
+            }
+            Event::Abandon {
+                iteration,
+                source,
+                segment,
+            } => JournalPayload::Abandon {
+                iteration: *iteration,
+                source: *source,
+                offset: segment.offset(),
+                len: segment.len(),
+            },
+            Event::Terminate => return None,
+        })
     }
 }
 
@@ -89,34 +113,24 @@ impl std::fmt::Debug for Event {
                 iteration,
                 source,
                 segment,
-                seq,
                 ..
             } => write!(
                 f,
-                "Write{{var={variable_id}, it={iteration}, src={source}, seq={seq}, {segment:?}}}"
+                "Write{{var={variable_id}, it={iteration}, src={source}, {segment:?}}}"
             ),
             Event::User {
                 name,
                 iteration,
                 source,
-                seq,
-            } => write!(f, "User{{'{name}', it={iteration}, src={source}, seq={seq}}}"),
-            Event::EndIteration {
-                iteration,
-                source,
-                seq,
-            } => {
-                write!(f, "EndIteration{{it={iteration}, src={source}, seq={seq}}}")
+            } => write!(f, "User{{'{name}', it={iteration}, src={source}}}"),
+            Event::EndIteration { iteration, source } => {
+                write!(f, "EndIteration{{it={iteration}, src={source}}}")
             }
             Event::Abandon {
                 iteration,
                 source,
                 segment,
-                seq,
-            } => write!(
-                f,
-                "Abandon{{it={iteration}, src={source}, seq={seq}, {segment:?}}}"
-            ),
+            } => write!(f, "Abandon{{it={iteration}, src={source}, {segment:?}}}"),
             Event::Terminate => write!(f, "Terminate"),
         }
     }
@@ -140,7 +154,6 @@ mod tests {
                 source: 0,
                 segment: seg,
                 dynamic_layout: None,
-                seq: 0,
                 data_crc: damaris_format::crc32(&[7u8; 16]),
             })
             .ok()
@@ -150,7 +163,6 @@ mod tests {
                 name: "snapshot".into(),
                 iteration: 1,
                 source: 0,
-                seq: 1,
             })
             .ok()
             .unwrap();
@@ -170,15 +182,20 @@ mod tests {
     }
 
     #[test]
-    fn debug_formatting() {
+    fn debug_formatting_and_records() {
         let e = Event::EndIteration {
             iteration: 4,
             source: 2,
-            seq: 9,
         };
-        assert_eq!(format!("{e:?}"), "EndIteration{it=4, src=2, seq=9}");
+        assert_eq!(format!("{e:?}"), "EndIteration{it=4, src=2}");
         assert_eq!(format!("{:?}", Event::Terminate), "Terminate");
-        assert_eq!(e.seq(), Some(9));
-        assert_eq!(Event::Terminate.seq(), None);
+        assert_eq!(
+            e.record(),
+            Some(JournalPayload::EndIteration {
+                iteration: 4,
+                source: 2
+            })
+        );
+        assert_eq!(Event::Terminate.record(), None);
     }
 }

@@ -25,10 +25,10 @@ pub struct StoredVariable {
     pub name: String,
     pub layout: Layout,
     pub segment: Segment,
-    /// The write-notification's journal sequence number. Per client it
-    /// matches allocation order, so segment release can stay FIFO per
-    /// client (a requirement of the partitioned allocator), and it keys
-    /// the journal record to mark applied when the segment is released.
+    /// The write-notification's journal sequence number: the record to
+    /// mark applied when the segment is released. (Release order is the
+    /// segment's ring position, not this: a zero-copy region may be
+    /// committed out of allocation order.)
     pub seq: u64,
     /// End-to-end checksum: CRC-32 of the client's *source* bytes,
     /// verified against the segment contents at persist time.

@@ -17,7 +17,7 @@ use crate::config::{AllocatorKind, Config};
 use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::{EventJournal, JournalPayload};
+use crate::journal::EventJournal;
 use crate::names::NameIndex;
 use crate::plugin::PluginFactory;
 use crate::server;
@@ -262,8 +262,8 @@ impl NodeObs {
 /// State shared between the clients and the server of one node.
 ///
 /// Mostly read-mostly words. The ones written per call or per event are
-/// padded where they live — the queue's tickets, the journal's counter,
-/// lock and slots, the leases, the ring words, and `heartbeat` here — so
+/// padded where they live — the queue's tickets, the journal's lock, the
+/// leases, the ring words, and `heartbeat` here — so
 /// that no write of one side shares a line with anything the other side
 /// reads on its own path (DESIGN.md §8, "Who writes which line").
 pub(crate) struct NodeShared {
@@ -285,8 +285,9 @@ pub(crate) struct NodeShared {
     pub metrics: Arc<Registry>,
     /// Trace rings + recorder plumbing (see [`NodeObs`]).
     pub obs: NodeObs,
-    /// Write-ahead journal of every client notification; outlives server
-    /// incarnations, driving replay after a crash.
+    /// Write-ahead journal of every client notification, written by the
+    /// dedicated core as it takes each one; outlives server incarnations,
+    /// driving replay after a crash.
     pub journal: EventJournal,
     /// Liveness word the dedicated core beats and clients observe — read
     /// through [`heartbeat`](Self::heartbeat): over a mapping the word
@@ -757,25 +758,10 @@ impl NodeRuntime {
         if self.shared.config.bindings_for(event).is_empty() {
             return Err(DamarisError::UnknownEvent(event.to_string()));
         }
-        let seq = self
-            .shared
-            .journal
-            .append(
-                self.shared.heartbeat().epoch(),
-                JournalPayload::User {
-                    name: event.to_string(),
-                    iteration,
-                    source: crate::server::SERVER_SOURCE,
-                },
-            )
-            // invariant: the sweeper only ever fences client sources; the
-            // server's own source id is never in the fenced set.
-            .expect("server source is never fenced");
         self.shared.queue.push_wait(Event::User {
             name: event.to_string(),
             iteration,
             source: crate::server::SERVER_SOURCE,
-            seq,
         });
         Ok(())
     }
@@ -921,15 +907,12 @@ mod tests {
             word as *const T as usize
         }
         let [enqueue_pos, dequeue_pos] = shared.queue.ticket_addrs();
-        let [next_seq, journal_mutex] = shared.journal.word_addrs();
-        // (word, writer): `None` for the words every client writes.
-        let mut client = vec![
-            ("enqueue_pos", None, enqueue_pos),
-            ("next_seq", None, next_seq),
-        ];
+        // (word, writer): `None` for the words every client writes. No
+        // journal word is among them: the core journals what it pops.
+        let mut client = vec![("enqueue_pos", None, enqueue_pos)];
         let mut core = vec![
             ("dequeue_pos", dequeue_pos),
-            ("journal mutex", journal_mutex),
+            ("journal", addr(&shared.journal)),
             ("heartbeat", addr(shared.heartbeat())),
         ];
         for c in 0..CLIENTS {

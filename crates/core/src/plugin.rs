@@ -81,9 +81,9 @@ pub struct ActionContext<'a> {
     /// permanent out-of-space errors here so the next loop pass escalates
     /// instead of the retry loop spinning on `ENOSPC`.
     pub(crate) pressure: &'a crate::pressure::PressureMachine,
-    /// Monotonically increasing per-source sequence of pending releases;
-    /// flushed by the server after the action completes, in FIFO order per
-    /// source (required by the partitioned allocator).
+    /// Segments to release, as `(source, seq, segment)`; flushed by the
+    /// server after the action completes, in allocation order per source
+    /// (required by the partitioned allocator).
     pub(crate) pending_release: &'a mut Vec<(u32, u64, Segment)>,
     /// Iterations written but not committed, in fire order; the persist
     /// plugin parks them here and commits them when the queue goes quiet
@@ -102,8 +102,8 @@ pub struct ActionContext<'a> {
 }
 
 impl ActionContext<'_> {
-    /// Schedules a consumed segment for release. `seq` is the arrival
-    /// sequence recorded on the stored variable (preserves per-client FIFO).
+    /// Schedules a consumed segment for release. `seq` is the journal
+    /// record of the stored variable, marked applied with the release.
     pub fn release_segment(&mut self, source: u32, seq: u64, segment: Segment) {
         self.pending_release.push((source, seq, segment));
     }
@@ -116,12 +116,16 @@ impl ActionContext<'_> {
     }
 
     pub(crate) fn flush_releases(&mut self) {
-        // FIFO per source: sort by (source, seq) then release in order.
-        // The journal record is marked applied *before* the segment goes
-        // back to the allocator: a crash between the two strands one
-        // segment's bytes (bounded loss), while the reverse order would
-        // let a replay re-adopt a segment the allocator already reissued.
-        self.pending_release.sort_by_key(|(src, seq, _)| (*src, *seq));
+        // FIFO per source: sort by (source, ring position) then release in
+        // order. Not by seq — that is notification order, and a client
+        // may commit or drop its zero-copy regions in another order than
+        // it allocated them. The journal record is marked applied *before*
+        // the segment goes back to the allocator: a crash between the two
+        // strands one segment's bytes (bounded loss), while the reverse
+        // order would let a replay re-adopt a segment the allocator
+        // already reissued.
+        self.pending_release
+            .sort_by_key(|(src, _, segment)| (*src, segment.position()));
         for (source, seq, segment) in self.pending_release.drain(..) {
             self.journal.mark_applied(seq);
             self.buffer.release(source, segment);

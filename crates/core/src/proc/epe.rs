@@ -14,7 +14,7 @@
 //!    (respawn).
 //! 2. **The pump.** Each pass beats and stamps the mapped heartbeat,
 //!    accepts whoever registered, drains `Commit`/`EndIteration` frames —
-//!    validate by *adopting* the range from the sender's ring, journal,
+//!    validate by *adopting* the range from the sender's ring, `admit`,
 //!    `handle` — runs the core's `idle` pass, and on a pass that read no
 //!    frame its `quiet` pass (the rule [`crate::server::run`] follows on
 //!    an empty pop), after which what retired is acknowledged.
@@ -40,9 +40,9 @@
 //!   decides ([`Pump::settled`]).
 //!
 //! The mid-drain kill (`DAMARIS_KILL_EPE_AFTER`) raises `SIGKILL` right
-//! after a commit's record is durable and before the core hears of it —
-//! the worst spot: the next incarnation must recover the commit from the
-//! journal file and the mapping alone.
+//! after the core admitted a commit — its record durable — and before it
+//! handles it: the worst spot, the next incarnation must recover the
+//! commit from the journal file and the mapping alone.
 
 use crate::config::OnClientFailure;
 use crate::epe::EventProcessingEngine;
@@ -252,7 +252,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     }
     // The wire has no `Terminate`; the core needs one to flush what never
     // completed and let its plugins finish.
-    let _ = core.handle(Event::Terminate).map_err(core_err)?;
+    let _ = core.handle(0, Event::Terminate).map_err(core_err)?;
     let report = EpeReport {
         epoch: opts.epoch,
         node: core.finish(),
@@ -428,7 +428,7 @@ impl<'a> Pump<'a> {
                         self.commit(r, iteration, variable, offset, len, crc, core)
                     }
                     CtrlMsg::EndIteration { rank: r, iteration } if r as usize == rank => {
-                        self.end_iteration(r, iteration)
+                        self.end_iteration(r, iteration, core)
                     }
                     // A frame that names another rank is forged.
                     CtrlMsg::Commit { .. } | CtrlMsg::EndIteration { .. } => None,
@@ -437,8 +437,8 @@ impl<'a> Pump<'a> {
                     _ => continue,
                 };
                 match event {
-                    Some(event) => {
-                        let _ = core.handle(event).map_err(core_err)?;
+                    Some((seq, event)) => {
+                        let _ = core.handle(seq, event).map_err(core_err)?;
                     }
                     None => FaultStats::bump(&self.shared.stats.stale_events_rejected),
                 }
@@ -447,11 +447,11 @@ impl<'a> Pump<'a> {
         Ok(read_any)
     }
 
-    /// A `Commit` frame of `rank`'s own connection becomes a journalled
-    /// `Write` only if it is news (not of a retired iteration, not seen
-    /// before), names a configured variable with that variable's size,
-    /// and [`crate::node::BufferManager::adopt`] finds the range live in
-    /// that rank's ring. `None`: rejected, nothing journalled.
+    /// A `Commit` frame of `rank`'s own connection becomes a `Write` the
+    /// core admits only if it is news (not of a retired iteration, not
+    /// seen before), names a configured variable with that variable's
+    /// size, and [`crate::node::BufferManager::adopt`] finds the range
+    /// live in that rank's ring. `None`: rejected, nothing journalled.
     #[allow(clippy::too_many_arguments)]
     fn commit(
         &mut self,
@@ -462,7 +462,7 @@ impl<'a> Pump<'a> {
         len: u64,
         crc: u32,
         core: &DedicatedCore,
-    ) -> Option<Event> {
+    ) -> Option<(u64, Event)> {
         let shared = self.shared;
         let key = (rank, iteration, variable);
         if self.retired.contains(&iteration) || self.commits_seen.contains(&key) {
@@ -474,17 +474,16 @@ impl<'a> Pump<'a> {
             return None;
         }
         let (offset, len) = (usize::try_from(offset).ok()?, usize::try_from(len).ok()?);
-        let segment = shared.buffer.adopt(rank, offset, len)?;
-        let epoch = shared.heartbeat().epoch();
-        // A zombie — fenced, still sending — is refused by the journal.
-        let journalled = shared
-            .journal
-            .append_write(epoch, variable, iteration, rank, offset, len, crc);
-        let seq = journalled.ok()?;
-        // Claimed as the queue's consumer claims what it pops: a fence
-        // hands the sweeper pending records only, and this one is the
-        // core's from here on.
-        let _ = shared.journal.claim(seq);
+        let event = Event::Write {
+            variable_id: variable,
+            iteration,
+            source: rank,
+            segment: shared.buffer.adopt(rank, offset, len)?,
+            dynamic_layout: None,
+            data_crc: crc,
+        };
+        // A zombie — fenced, still sending — is refused here.
+        let seq = core.admit(&event)?;
         self.commits_seen.insert(key);
         self.commits += 1;
         if Some(self.commits) == self.opts.kill_after_commits {
@@ -497,22 +496,18 @@ impl<'a> Pump<'a> {
             let _ = dying.write_to(&self.opts.report_path());
             damaris_shm::kill_self_hard();
         }
-        Some(Event::Write {
-            variable_id: variable,
-            iteration,
-            source: rank,
-            segment,
-            dynamic_layout: None,
-            seq,
-            data_crc: crc,
-        })
+        Some((seq, event))
     }
 
     /// An `EndIteration` frame: answered with its `Ack` again if the
     /// iteration is retired (the client never saw the first), `None` if it
-    /// was counted before, journalled otherwise.
-    fn end_iteration(&mut self, rank: u32, iteration: u32) -> Option<Event> {
-        let shared = self.shared;
+    /// was counted before, admitted otherwise.
+    fn end_iteration(
+        &mut self,
+        rank: u32,
+        iteration: u32,
+        core: &DedicatedCore,
+    ) -> Option<(u64, Event)> {
         if self.retired.contains(&iteration) {
             if let Some(conn) = self.conns[rank as usize].as_mut() {
                 let _ = conn.send(&CtrlMsg::Ack { iteration });
@@ -522,21 +517,13 @@ impl<'a> Pump<'a> {
         if self.ends_seen.contains(&(rank, iteration)) {
             return None;
         }
-        let payload = JournalPayload::EndIteration {
+        let event = Event::EndIteration {
             iteration,
             source: rank,
         };
-        let seq = shared
-            .journal
-            .append(shared.heartbeat().epoch(), payload)
-            .ok()?;
-        let _ = shared.journal.claim(seq);
+        let seq = core.admit(&event)?;
         self.note_end(rank, iteration);
-        Some(Event::EndIteration {
-            iteration,
-            source: rank,
-            seq,
-        })
+        Some((seq, event))
     }
 
     /// Called with what a `quiet` pass returned, when nothing the core

@@ -7,17 +7,19 @@
 //! happens inside plugins — asynchronously with respect to the compute
 //! cores, which is the whole point (§III).
 //!
-//! The core is one value, [`DedicatedCore`], with five entry points:
+//! The core is one value, [`DedicatedCore`], with six entry points:
 //! [`replay`](DedicatedCore::replay) rebuilds a dead predecessor's state
-//! from the journal, [`handle`](DedicatedCore::handle) applies one event,
-//! [`idle`](DedicatedCore::idle) is the pressure → sweep → fire → reclaim →
-//! beat pass that runs after every event and whenever the queue is quiet,
-//! [`quiet`](DedicatedCore::quiet) commits what the fired iterations parked
-//! (the event source calls it when a poll comes back empty, before it
-//! blocks), and [`finish`](DedicatedCore::finish) closes the books. It has
+//! from the journal, [`admit`](DedicatedCore::admit) journals one event
+//! as it is taken from its source, [`handle`](DedicatedCore::handle)
+//! applies it, [`idle`](DedicatedCore::idle) is the pressure → sweep →
+//! fire → reclaim → beat pass that runs after every event and whenever
+//! the queue is quiet, [`quiet`](DedicatedCore::quiet) commits what the
+//! fired iterations parked (the event source calls it when a poll comes
+//! back empty, before it blocks), and [`finish`](DedicatedCore::finish)
+//! closes the books. It has
 //! no notion of where events come from: [`run`] is the event source that
 //! feeds it from the in-process queue, and whoever else builds one over a
-//! [`NodeShared`] and calls the same five is another.
+//! [`NodeShared`] and calls the same six is another.
 //!
 //! # Crash recovery
 //!
@@ -29,16 +31,16 @@
 //! only then publishes its epoch on the heartbeat word, so clients parked
 //! on a stale heartbeat resume against a consistent allocator and store.
 //!
-//! Exactly-once processing hinges on [`crate::journal::EventJournal::claim`]:
-//! both the replay and the normal pop path claim an event's sequence
-//! number, and only the first claim wins — a replayed event's stale queue
-//! copy is counted in `stale_events_rejected` and dropped.
+//! Exactly-once processing needs no arbitration: a queue entry is popped
+//! once. `admit` journals and claims an event before `handle` applies it,
+//! so replay covers what a dead incarnation took and had not applied, and
+//! what it never took is still in the queue for its successor.
 
 use crate::config::{OnClientFailure, OnDiskFull};
 use crate::epe::{EventProcessingEngine, END_OF_ITERATION};
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::{Claim, JournalPayload, RecordState, ReplayEntry};
+use crate::journal::{JournalPayload, RecordState, ReplayEntry};
 use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::plugin::{ActionContext, EventInfo, Parked};
@@ -92,7 +94,7 @@ pub(crate) fn run(
 }
 
 /// A segment the core must release without handing it to a plugin, as
-/// `(source, seq, segment)`.
+/// `(source, seq, segment)`: `seq` is the record to mark applied.
 type Held = (u32, u64, Segment);
 
 /// How an iteration leaves the core (see [`DedicatedCore::retire`]).
@@ -139,7 +141,7 @@ pub(crate) struct DedicatedCore {
     /// allocator requires per-client FIFO release, and a client that ran
     /// ahead still has retained segments from *earlier* iterations that
     /// were allocated first. Deferring lets `flush_releases`'s
-    /// (source, seq) sort restore allocation order. (Found by the
+    /// (source, position) sort restore allocation order. (Found by the
     /// obs-overhead gate: the out-of-order release corrupted a region's
     /// tail counter and wedged the client on `Full`.)
     held: BTreeMap<u32, Vec<Held>>,
@@ -237,8 +239,8 @@ impl DedicatedCore {
             payload,
         } in entries
         {
-            // Claim pending records so the stale queue copy is rejected
-            // when it eventually pops.
+            // A reopened journal's records are all pending: claim them,
+            // as `admit` claims what it journals.
             let pending = state == RecordState::Pending;
             if pending {
                 let _ = self.shared.journal.claim(seq);
@@ -328,9 +330,38 @@ impl DedicatedCore {
         Ok(())
     }
 
-    /// Applies one claimed event. `Break` means `Terminate` was handled
-    /// and only [`finish`](Self::finish) remains.
-    pub(crate) fn handle(&mut self, event: Event) -> Result<ControlFlow<()>, DamarisError> {
+    /// Journals one event as the core takes it from its source and claims
+    /// the record: the sequence number to [`handle`](Self::handle) it
+    /// under. `None` refuses it — the journal says its source is fenced —
+    /// and the caller drops it and counts it in `stale_events_rejected`: a
+    /// refused `Write` or `Abandon` leaves its segment unreleased, for
+    /// `reclaim_fenced`'s `revoke_remaining`. `Terminate` is not
+    /// journalled; `handle` ignores the 0 it gets.
+    pub(crate) fn admit(&self, event: &Event) -> Option<u64> {
+        let Some(record) = event.record() else {
+            return Some(0);
+        };
+        let t = self.rec.begin();
+        let iteration = record.iteration();
+        let journal = &self.shared.journal;
+        let seq = journal
+            .append(self.shared.heartbeat().epoch(), record)
+            .ok()?;
+        // Nobody else sees it pending: a fence between the two is this
+        // core's own sweep, which runs between events.
+        let _ = journal.claim(seq);
+        self.rec.end(EventKind::JournalAppend, iteration, 0, t);
+        Some(seq)
+    }
+
+    /// Applies one event [`admit`](Self::admit) journalled as `seq`.
+    /// `Break` means `Terminate` was handled and only
+    /// [`finish`](Self::finish) remains.
+    pub(crate) fn handle(
+        &mut self,
+        seq: u64,
+        event: Event,
+    ) -> Result<ControlFlow<()>, DamarisError> {
         match event {
             Event::Write {
                 variable_id,
@@ -338,7 +369,6 @@ impl DedicatedCore {
                 source,
                 segment,
                 dynamic_layout,
-                seq,
                 data_crc,
             } => {
                 let key = VariableKey {
@@ -352,7 +382,6 @@ impl DedicatedCore {
                 name,
                 iteration,
                 source,
-                seq,
             } => {
                 // At-most-once: retire the record before firing, so a
                 // crash mid-plugin does not re-fire it on replay.
@@ -362,11 +391,7 @@ impl DedicatedCore {
                 self.dispatch(name, iteration, source)?;
                 self.rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
             }
-            Event::EndIteration {
-                iteration,
-                source,
-                seq,
-            } => {
+            Event::EndIteration { iteration, source } => {
                 // The fire itself happens in `idle`'s `fire_ready` pass,
                 // which also covers iterations completed by fencing.
                 self.end_counts
@@ -378,7 +403,6 @@ impl DedicatedCore {
                 iteration,
                 source,
                 segment,
-                seq,
             } => {
                 // A client handed back an uncommitted region. It may not
                 // release the segment itself (per-client FIFO, single
@@ -428,17 +452,11 @@ impl DedicatedCore {
             // Tagged with the iteration we are presumably waiting to complete.
             let waiting_for = self.last_fired.wrapping_add(1);
             self.rec.end(EventKind::QueueIdle, waiting_for, 0, t_idle);
-            // Claim arbitration: an event whose journal record was already
-            // processed (by a previous epoch's replay) is dropped. The segment
-            // handle in a stale Write is inert — the replay's adopted handle
-            // owns the allocation.
-            if let Some(seq) = event.seq() {
-                if shared.journal.claim(seq) == Claim::Stale {
-                    FaultStats::bump(&shared.stats.stale_events_rejected);
-                    continue;
-                }
-            }
-            if self.handle(event)?.is_break() {
+            let Some(seq) = self.admit(&event) else {
+                FaultStats::bump(&shared.stats.stale_events_rejected);
+                continue;
+            };
+            if self.handle(seq, event)?.is_break() {
                 return Ok(());
             }
             self.idle()?;
@@ -591,9 +609,10 @@ impl DedicatedCore {
     }
 
     /// Runs `f` over the engine and a plugin context, then releases — in
-    /// one (source, seq)-sorted flush, which is what keeps release FIFO per
-    /// client — the `held` segments and whatever `f` consumed. Borrows are
-    /// split by field so the engine stays usable beside the context.
+    /// one (source, position)-sorted flush, which is what keeps release
+    /// FIFO per client — the `held` segments and whatever `f` consumed.
+    /// Borrows are split by field so the engine stays usable beside the
+    /// context.
     fn with_plugins(
         &mut self,
         held: Vec<Held>,
@@ -810,8 +829,9 @@ impl DedicatedCore {
     /// lease unchanged past its deadline is revoked via compare-exchange
     /// against our stale observation — the CAS is the arbiter of the
     /// revoke-vs-late-renew race, so exactly one side wins. A successful
-    /// revoke fences the client's journal source and cancels its pending
-    /// notifications through the claim lattice.
+    /// revoke fences the client's journal source: what it journalled
+    /// before stays the core's, what it posts after is refused by
+    /// [`admit`](Self::admit).
     fn sweep_leases(&mut self) {
         if !self.sweeper_on {
             return;
@@ -844,13 +864,9 @@ impl DedicatedCore {
             let t_sweep = self.rec.begin();
             FaultStats::bump(&shared.stats.client_leases_expired);
             self.fenced.insert(cu);
-            for (seq, payload) in shared.journal.fence(cu) {
-                if shared.journal.claim(seq) == Claim::Fresh {
-                    self.cancel_fenced(seq, &payload);
-                }
-            }
+            shared.journal.fence(cu);
             eprintln!(
-                "[damaris node {}] client {cu} lease expired after {:?}; fenced and cancelled",
+                "[damaris node {}] client {cu} lease expired after {:?}; fenced",
                 shared.node_id, self.lease_timeout
             );
             self.rec
@@ -988,8 +1004,8 @@ impl ObsFlush {
 #[cfg(test)]
 mod tests {
     //! The core driven directly on the test thread: the test plays every
-    //! client (a `DamarisClient` call journals and queues without needing a
-    //! server) and feeds the queue to `handle` the way `run` does.
+    //! client (a `DamarisClient` call queues without needing a server) and
+    //! feeds the queue to `admit` and `handle` the way `run` does.
 
     use super::*;
     use crate::client::DamarisClient;
@@ -1056,15 +1072,14 @@ mod tests {
         DedicatedCore::new(Arc::clone(shared), epe, epoch)
     }
 
-    /// Claims and handles up to `limit` queued events, as `run` would.
+    /// Admits and handles up to `limit` queued events, as `run` would.
     fn pump(shared: &NodeShared, core: &mut DedicatedCore, limit: usize) {
         for _ in 0..limit {
             let Some(event) = shared.queue.pop() else {
                 return;
             };
-            let seq = event.seq().expect("clients only queue journaled events");
-            assert_eq!(shared.journal.claim(seq), Claim::Fresh);
-            assert!(core.handle(event).unwrap().is_continue());
+            let seq = core.admit(&event).expect("no client is fenced");
+            assert!(core.handle(seq, event).unwrap().is_continue());
         }
     }
 
@@ -1143,27 +1158,31 @@ mod tests {
         pump(&live_shared, &mut live, usize::MAX);
 
         // The same notifications, but epoch 0 dies after handling three of
-        // them (those records are Resident, the rest Pending and still
-        // queued) and epoch 1 rebuilds from the journal alone — over the
-        // mapping, from the journal's file in a node built anew, as a
-        // process that shares nothing with the dead one would.
+        // them (those records are Resident; the rest were never journalled
+        // and are still queued) and epoch 1 rebuilds from the journal alone
+        // — over the mapping, from the journal's file in a node built anew,
+        // as a process that shares nothing with the dead one would. What
+        // the dead core never took is the successor's to take: over the
+        // mapping, that is what its clients send again.
         let (mut shared, mut clients) = node("replay-respawned", fixture);
         prefix(&clients);
         let mut dead = core(&shared, 0);
         pump(&shared, &mut dead, 3);
         drop(dead);
         if fixture == Fixture::Mapped {
+            let untaken: Vec<Event> = std::iter::from_fn(|| shared.queue.pop()).collect();
             (shared, clients) = reopen("replay-respawned", fixture);
+            for event in untaken {
+                assert!(shared.queue.push(event).is_ok());
+            }
         }
         let mut replayed = core(&shared, 1);
         replayed.replay().unwrap();
-        while let Some(stale) = shared.queue.pop() {
-            assert_eq!(shared.journal.claim(stale.seq().unwrap()), Claim::Stale);
-        }
+        assert_eq!(FaultStats::get(&shared.stats.events_replayed), 3);
+        pump(&shared, &mut replayed, usize::MAX);
 
         assert_eq!(state(&replayed), state(&live));
         assert_eq!((replayed.store.len(), replayed.held[&0].len()), (3, 2));
-        assert_eq!(FaultStats::get(&shared.stats.events_replayed), 7);
 
         // Both carry on alike: the missing client ends both iterations.
         for (shared, clients, core) in [
@@ -1266,6 +1285,47 @@ mod tests {
         // The ring is intact: client 0 can fill its whole partition again.
         for _ in 0..(65536 / CLIENTS / 64) {
             c0.write("b", 2, &[5; 64]).unwrap();
+        }
+    }
+
+    /// A client may commit or drop its zero-copy regions in another order
+    /// than it allocated them. The core gives the ring back in allocation
+    /// order regardless: released in notification order, B before A, the
+    /// ring's tail ran past its head (a FIFO assertion in debug builds, a
+    /// ring wedged on `Full` in release builds).
+    #[test]
+    fn regions_given_back_out_of_order_release_in_allocation_order() {
+        FIXTURES.into_iter().for_each(out_of_order_regions);
+    }
+
+    fn out_of_order_regions(fixture: Fixture) {
+        for drop_a in [false, true] {
+            let (shared, clients) = node(&format!("out-of-order-{drop_a}"), fixture);
+            let (c0, c1) = (&clients[0], &clients[1]);
+            let mut core = core(&shared, 0);
+            for it in 0..3u32 {
+                let mut a = c0.alloc("a", it).unwrap();
+                a.as_mut_slice().fill(1);
+                let mut b = c0.alloc("b", it).unwrap();
+                b.as_mut_slice().fill(2);
+                b.commit().unwrap();
+                if drop_a {
+                    drop(a);
+                } else {
+                    a.commit().unwrap();
+                }
+                c0.end_iteration(it).unwrap();
+                c1.end_iteration(it).unwrap();
+                pump(&shared, &mut core, usize::MAX);
+                core.idle().unwrap();
+                core.quiet().unwrap();
+                assert_eq!(shared.buffer.in_use(CLIENTS), 0, "drop_a={drop_a}");
+            }
+            assert_eq!(core.report.iterations_persisted, 3);
+            // The ring is intact: client 0 can fill all of it again.
+            for _ in 0..(65536 / CLIENTS / 64) {
+                c0.write("b", 3, &[5; 64]).unwrap();
+            }
         }
     }
 

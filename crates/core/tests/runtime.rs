@@ -794,3 +794,57 @@ fn a_ring_that_drains_between_iterations_does_not_walk_its_region() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Zero-copy regions given back out of allocation order: every iteration
+/// the client allocates A, then B, and commits B before it commits — or
+/// drops — A. The dedicated core releases the ring in allocation order
+/// regardless. Releasing in notification order (B, then A) ran a
+/// partitioned ring's tail past its head: a FIFO assertion on the core in
+/// debug builds, and in release builds a ring that answers `Full` for
+/// good. The mutex allocator keeps no order and must simply agree.
+#[test]
+fn regions_given_back_out_of_allocation_order_keep_the_ring_whole() {
+    for allocator in ["mutex", "partition"] {
+        for drop_a in [false, true] {
+            let dir = scratch(&format!("out-of-order-{allocator}-{drop_a}"));
+            let cfg = Config::from_xml(&format!(
+                r#"<damaris>
+                     <buffer size="4096" allocator="{allocator}"/>
+                     <layout name="v" type="real" dimensions="64"/>
+                     <variable name="a" layout="v"/>
+                     <variable name="b" layout="v"/>
+                     <resilience backpressure="block" timeout_ms="2000"/>
+                   </damaris>"#
+            ))
+            .unwrap();
+            let runtime = NodeRuntime::start(cfg, 1, &dir).unwrap();
+            let client = &runtime.clients()[0];
+            for it in 0..40u32 {
+                let mut a = client.alloc("a", it).unwrap();
+                a.as_mut_f32().fill(it as f32);
+                let mut b = client.alloc("b", it).unwrap();
+                b.as_mut_f32().fill(-(it as f32));
+                b.commit().unwrap();
+                if drop_a {
+                    drop(a);
+                } else {
+                    a.commit().unwrap();
+                }
+                client.end_iteration(it).unwrap();
+            }
+            let report = runtime.finish().unwrap();
+            let case = format!("{allocator}, drop_a={drop_a}");
+            assert_eq!(report.iterations_persisted, 40, "{case}");
+            assert_eq!(client.buffer_in_use(), 0, "{case}");
+            let reader = SdfReader::open(dir.join("node-0/iter-000039.sdf")).unwrap();
+            assert_eq!(
+                reader.read_f32("/iter-39/rank-0/b").unwrap(),
+                [-39.0; 64],
+                "{case}"
+            );
+            let a = reader.read_f32("/iter-39/rank-0/a");
+            assert_eq!(a.ok(), (!drop_a).then_some(vec![39.0; 64]), "{case}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}

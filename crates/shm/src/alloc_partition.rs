@@ -109,8 +109,9 @@ impl PartitionAllocator {
     // ANALYZE: hot
     pub fn allocate(&self, client: usize, len: usize) -> Result<Segment, AllocError> {
         let region = self.regions.get(client).ok_or(AllocError::BadClient)?;
-        let start = ring::ring_reserve(&region.ring(), len as u64)?;
-        Ok(self.buffer.segment(region.offset + start as usize, len))
+        let at = ring::ring_reserve(&region.ring(), len as u64)?;
+        let offset = region.offset + at.start as usize;
+        Ok(self.buffer.segment_at(offset, len, at.position))
     }
 
     /// Re-creates the handle of a segment that is still reserved in
@@ -120,11 +121,11 @@ impl PartitionAllocator {
     /// re-adopt the bytes so they can later be released in FIFO order.
     /// Returns `None` for an out-of-range client/offset or a range outside
     /// the bytes currently reserved (a stale or corrupt record;
-    /// [`ring::ring_holds`]).
+    /// [`ring::ring_locate`]).
     pub fn adopt(&self, client: usize, offset: usize, len: usize) -> Option<Segment> {
         let region = self.regions.get(client)?;
-        ring::ring_holds(&region.ring(), region.pos(offset)?, len as u64)
-            .then(|| self.buffer.segment(offset, len))
+        let position = ring::ring_locate(&region.ring(), region.pos(offset)?, len as u64)?;
+        Some(self.buffer.segment_at(offset, len, position))
     }
 
     /// Releases the **oldest** live segment of `client`.

@@ -124,9 +124,16 @@ impl SharedBuffer {
         }
     }
 
-    /// Builds a segment view. Callers must come through an allocator that
-    /// guarantees disjointness; hence the crate-private visibility.
+    /// Builds a segment view whose position is its offset. Callers must
+    /// come through an allocator that guarantees disjointness; hence the
+    /// crate-private visibility.
     pub(crate) fn segment(self: &Arc<Self>, offset: usize, len: usize) -> Segment {
+        self.segment_at(offset, len, offset as u64)
+    }
+
+    /// [`segment`](Self::segment) for a ring's reservation made at
+    /// `position` ([`crate::ring::ring_reserve`]).
+    pub(crate) fn segment_at(self: &Arc<Self>, offset: usize, len: usize, position: u64) -> Segment {
         // ANALYZE: in-bounds(callers are allocators handing out ranges inside their region, which sits inside capacity; the assert is the contract check)
         assert!(
             offset.checked_add(len).is_some_and(|end| end <= self.capacity),
@@ -137,6 +144,7 @@ impl SharedBuffer {
             buffer: Arc::clone(self),
             offset,
             len,
+            position,
         }
     }
 }
@@ -167,12 +175,22 @@ pub struct Segment {
     buffer: Arc<SharedBuffer>,
     offset: usize,
     len: usize,
+    position: u64,
 }
 
 impl Segment {
     /// Offset of this segment within the buffer.
     pub fn offset(&self) -> usize {
         self.offset
+    }
+
+    /// Where the reservation stands in its client's allocation order: the
+    /// ring position [`crate::ring::ring_reserve`] returned, for the
+    /// partitioned and mapped allocators — releasing one client's segments
+    /// by ascending position is releasing them FIFO. The mutex allocator
+    /// keeps no order; its segments' position is their offset.
+    pub fn position(&self) -> u64 {
+        self.position
     }
 
     /// Length in bytes.
@@ -244,6 +262,7 @@ impl Segment {
             buffer: Arc::clone(&self.buffer),
             offset: self.offset + at,
             len: self.len - at,
+            position: self.position + at as u64,
         };
         self.len = at;
         tail

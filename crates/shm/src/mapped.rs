@@ -279,15 +279,16 @@ impl MappedNode {
         if client >= self.n_clients {
             return Err(AllocError::BadClient);
         }
-        let pos = ring::ring_reserve(&self.ring(client), len as u64)?;
-        Ok(buffer.segment(client * self.region_capacity + pos as usize, len))
+        let at = ring::ring_reserve(&self.ring(client), len as u64)?;
+        let offset = client * self.region_capacity + at.start as usize;
+        Ok(buffer.segment_at(offset, len, at.position))
     }
 
     /// Re-creates the handle of a range still reserved in `client`'s ring
     /// — [`crate::PartitionAllocator::adopt`] over the mapped counters
     /// (consumer side: the caller owns `tail`). The coordinates come from
     /// a journal record or from a `Commit` frame, that is from outside
-    /// this process: `None` unless [`ring::ring_holds`] finds them live.
+    /// this process: `None` unless [`ring::ring_locate`] finds them live.
     pub fn adopt(
         &self,
         buffer: &Arc<SharedBuffer>,
@@ -298,8 +299,9 @@ impl MappedNode {
         if client >= self.n_clients {
             return None;
         }
-        ring::ring_holds(&self.ring(client), self.pos(client, offset)?, len as u64)
-            .then(|| buffer.segment(offset, len))
+        let position =
+            ring::ring_locate(&self.ring(client), self.pos(client, offset)?, len as u64)?;
+        Some(buffer.segment_at(offset, len, position))
     }
 
     /// Releases the oldest live reservation of `client` (EPE side, FIFO;

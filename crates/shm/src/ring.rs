@@ -88,13 +88,25 @@ impl RingWords {
     }
 }
 
-/// Reserves `len` bytes. Returns the byte offset of the reservation
-/// **within the region** (the caller adds the region's base offset). Must
-/// only be called by the single owner of `head` and `floor`.
+/// Where [`ring_reserve`] put a reservation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reserved {
+    /// Byte offset within the region (the caller adds the region's base
+    /// offset).
+    pub start: u64,
+    /// Where it starts in the ring's monotonic byte count: `head` before
+    /// it, plus the padding it skipped; `start` is this modulo `cap`.
+    /// Positions order a ring's reservations as they were made — the
+    /// order [`ring_release`] must follow.
+    pub position: u64,
+}
+
+/// Reserves `len` bytes. Must only be called by the single owner of
+/// `head` and `floor`.
 ///
 /// Lock-free: three loads and one store, two stores on a rewind.
 // ANALYZE: hot
-pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<u64, AllocError> {
+pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<Reserved, AllocError> {
     let cap = ring.cap;
     let need = ring_rounded(len);
     if need > cap {
@@ -113,7 +125,10 @@ pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<u64, AllocError> {
         // then `floor` finds this floor (or a later one) with it.
         ring.floor.store(base, Ordering::Release);
         ring.head.store(base + need, Ordering::Release);
-        return Ok(0);
+        return Ok(Reserved {
+            start: 0,
+            position: base,
+        });
     }
     // Cannot underflow: the consumer only releases what we reserved, and
     // `floor` was a value of `head`, so both are below `h`.
@@ -126,14 +141,17 @@ pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<u64, AllocError> {
     // the consumer's checks; the data itself is published by whatever
     // hands the range to the consumer (event queue, `Commit` frame).
     ring.head.store(h + pad + need, Ordering::Release);
-    Ok(start)
+    Ok(Reserved {
+        start,
+        position: h + pad,
+    })
 }
 
-/// Releases the **oldest** live reservation: `seg_pos` is the in-region
-/// byte offset `ring_reserve` returned, `len` the requested length. Must
-/// be called in reservation order (FIFO) and only by the single owner of
-/// `tail`. Padding between the current tail and the reservation start —
-/// a wrap's or a rewind's — is reclaimed with it.
+/// Releases the **oldest** live reservation: `seg_pos` is its in-region
+/// offset (or its position: the same modulo `cap`), `len` the requested
+/// length. Must be called in reservation order (FIFO) and only by the
+/// single owner of `tail`. Padding between the current tail and the
+/// reservation start — a wrap's or a rewind's — is reclaimed with it.
 pub fn ring_release(ring: &Ring<'_>, seg_pos: u64, len: u64) {
     let cap = ring.cap;
     let need = ring_rounded(len);
@@ -204,22 +222,26 @@ pub fn ring_in_use(ring: &Ring<'_>) -> u64 {
     }
 }
 
-/// Whether `[pos, pos + len)` — coordinates from a journal record or a
-/// `Commit` frame, so nothing about them is assumed — can be a live
-/// reservation: inside the ring without straddling its end, and, rounded
-/// and with the padding that leads up to it, within the live window.
-/// Consumer side (the window's lower edge must not move meanwhile).
-pub fn ring_holds(ring: &Ring<'_>, pos: u64, len: u64) -> bool {
+/// Where `[pos, pos + len)` — an in-region offset and a length from a
+/// journal record or a `Commit` frame, so nothing about them is assumed —
+/// sits if it can be a live reservation: inside the ring without
+/// straddling its end, and, rounded and with the padding that leads up to
+/// it, within the live window. Returns the reservation's
+/// [`Reserved::position`]: the live window spans at most one lap, so the
+/// offset names one position in it. Consumer side (the window's lower
+/// edge must not move meanwhile).
+pub fn ring_locate(ring: &Ring<'_>, pos: u64, len: u64) -> Option<u64> {
     let cap = ring.cap;
     if pos >= cap || pos.checked_add(len).is_none_or(|end| end > cap) {
-        return false;
+        return None;
     }
     // Acquire, `head` before `floor`: as in `ring_in_use`.
     let t = ring.tail.load(Ordering::Acquire);
     let h = ring.head.load(Ordering::Acquire);
     let base = t.max(ring.floor.load(Ordering::Acquire));
-    let end = (pos + cap - base % cap) % cap + ring_rounded(len);
-    h.checked_sub(base).is_some_and(|live| end <= live)
+    let start = (pos + cap - base % cap) % cap;
+    let live = h.checked_sub(base)?;
+    (start + ring_rounded(len) <= live).then_some(base + start)
 }
 
 // Sequential semantics; the concurrent interleavings are explored by the
@@ -234,8 +256,8 @@ mod tests {
         let words = RingWords::default();
         let ring = words.ring(256);
         for _ in 0..50 {
-            let p1 = ring_reserve(&ring, 64).unwrap();
-            let p2 = ring_reserve(&ring, 64).unwrap();
+            let p1 = ring_reserve(&ring, 64).unwrap().start;
+            let p2 = ring_reserve(&ring, 64).unwrap().start;
             assert_eq!((p1, p2), (0, 64), "an empty ring starts over at 0");
             ring_release(&ring, p1, 64);
             ring_release(&ring, p2, 64);
@@ -256,12 +278,12 @@ mod tests {
     fn wrap_padding_then_rewind() {
         let words = RingWords::default();
         let ring = words.ring(256);
-        let p1 = ring_reserve(&ring, 100).unwrap(); // 104 @ 0
-        let p2 = ring_reserve(&ring, 100).unwrap(); // 104 @ 104
+        let p1 = ring_reserve(&ring, 100).unwrap().start; // 104 @ 0
+        let p2 = ring_reserve(&ring, 100).unwrap().start; // 104 @ 104
         ring_release(&ring, p1, 100); // tail = 104
 
         // Not empty: 104 bytes do not fit the 48 left, pad 48, wrap to 0.
-        let p3 = ring_reserve(&ring, 100).unwrap();
+        let p3 = ring_reserve(&ring, 100).unwrap().start;
         assert_eq!(p3, 0);
         assert_eq!(ring_in_use(&ring), 104 + 48 + 104, "wrap padding is live");
         ring_release(&ring, p2, 100);
@@ -269,7 +291,7 @@ mod tests {
         assert_eq!(ring_in_use(&ring), 0);
         // Empty at position 104: the next reservation rewinds to 0 and has
         // the whole ring, which from 104 it would not have had.
-        let p4 = ring_reserve(&ring, 256).unwrap();
+        let p4 = ring_reserve(&ring, 256).unwrap().start;
         assert_eq!(p4, 0);
         assert_eq!(ring_in_use(&ring), 256, "rewind padding is not live");
         assert_eq!(ring_reserve(&ring, 8).unwrap_err(), AllocError::Full);
@@ -280,29 +302,52 @@ mod tests {
     }
 
     #[test]
-    fn holds_follows_the_live_window_across_a_rewind() {
+    fn locate_follows_the_live_window_across_a_rewind() {
         let words = RingWords::default();
         let ring = words.ring(256);
         let p1 = ring_reserve(&ring, 100).unwrap();
-        ring_release(&ring, p1, 100); // empty at position 104
+        ring_release(&ring, p1.start, 100); // empty at position 104
         let p2 = ring_reserve(&ring, 64).unwrap(); // rewinds; tail stays 104
         let p3 = ring_reserve(&ring, 64).unwrap();
-        assert_eq!((p2, p3), (0, 64));
-        assert!(ring_holds(&ring, 0, 64) && ring_holds(&ring, 64, 64));
-        assert!(!ring_holds(&ring, 128, 8), "beyond head");
-        assert!(!ring_holds(&ring, 104, 64), "in the bytes the rewind left");
-        assert!(!ring_holds(&ring, 200, 64), "straddles the end");
-        assert!(!ring_holds(&ring, 256, 0) && !ring_holds(&ring, 8, u64::MAX));
-        ring_release(&ring, p2, 64);
-        assert!(!ring_holds(&ring, 0, 64), "released");
-        assert!(ring_holds(&ring, 64, 64));
+        assert_eq!((p2.start, p3.start), (0, 64));
+        assert_eq!((p2.position, p3.position), (256, 320));
+        // An in-region offset names the position it was reserved at.
+        assert_eq!(ring_locate(&ring, 0, 64), Some(p2.position));
+        assert_eq!(ring_locate(&ring, 64, 64), Some(p3.position));
+        assert_eq!(ring_locate(&ring, 128, 8), None, "beyond head");
+        assert_eq!(
+            ring_locate(&ring, 104, 64),
+            None,
+            "in the bytes the rewind left"
+        );
+        assert_eq!(ring_locate(&ring, 200, 64), None, "straddles the end");
+        assert_eq!(ring_locate(&ring, 256, 0), None);
+        assert_eq!(ring_locate(&ring, 8, u64::MAX), None);
+        ring_release(&ring, p2.start, 64);
+        assert_eq!(ring_locate(&ring, 0, 64), None, "released");
+        assert_eq!(ring_locate(&ring, 64, 64), Some(p3.position));
+    }
+
+    #[test]
+    fn positions_order_reservations_across_a_wrap() {
+        let words = RingWords::default();
+        let ring = words.ring(256);
+        let p1 = ring_reserve(&ring, 100).unwrap(); // 104 @ 0
+        let p2 = ring_reserve(&ring, 100).unwrap(); // 104 @ 104
+        ring_release(&ring, p1.start, 100);
+        // Offset 0 again, but after p2: the wrap pads 48 bytes.
+        let p3 = ring_reserve(&ring, 100).unwrap();
+        assert_eq!((p1.position, p2.position, p3.position), (0, 104, 256));
+        assert_eq!((p2.start, p3.start), (104, 0));
+        assert_eq!(ring_locate(&ring, 0, 100), Some(p3.position));
+        assert_eq!(ring_locate(&ring, 104, 100), Some(p2.position));
     }
 
     #[test]
     fn reclaim_swallows_abandoned_reservations() {
         let words = RingWords::default();
         let ring = words.ring(512);
-        let p1 = ring_reserve(&ring, 64).unwrap();
+        let p1 = ring_reserve(&ring, 64).unwrap().start;
         let _abandoned = ring_reserve(&ring, 100).unwrap(); // 104
         ring_release(&ring, p1, 64);
         assert_eq!(ring_in_use(&ring), 104);

@@ -439,9 +439,9 @@ fn seeded_relaxed_epoch_store_is_a_data_race() {
 
 /// Replica of the event journal's exactly-once claim: a record's state
 /// word goes Pending(0) → Resident(1) by a single compare-exchange, and
-/// the *replay* path races the *queue pop* path for it. In every schedule
-/// exactly one side must win, and the winner must see the payload the
-/// appender wrote before publishing the seqno.
+/// two claimers race for it. In every schedule exactly one must win, and
+/// the winner must see the payload the appender wrote before publishing
+/// the seqno.
 #[test]
 fn journal_claim_is_exactly_once_under_race() {
     model(|| {
@@ -450,7 +450,7 @@ fn journal_claim_is_exactly_once_under_race() {
         let payload = Arc::new(ShmCell::new(0usize));
         let wins = Arc::new(AtomicUsize::new(0));
 
-        // Appender (client): record the payload, then hand the seq over.
+        // Appender: record the payload, then hand the seq over.
         let (p2, pub2) = (Arc::clone(&payload), Arc::clone(&published));
         let appender = thread::spawn(move || {
             // SAFETY: written before the Release publication below.
@@ -458,8 +458,7 @@ fn journal_claim_is_exactly_once_under_race() {
             pub2.store(1, Ordering::Release);
         });
 
-        // Two claimers: the respawned server's replay and the stale queue
-        // copy's pop. Exactly one CAS may succeed.
+        // Two claimers: exactly one CAS may succeed.
         let mut claimers = Vec::new();
         for _ in 0..2 {
             let (st, pb, pl, w) = (
@@ -496,8 +495,8 @@ fn journal_claim_is_exactly_once_under_race() {
 }
 
 /// Seeded bug: claim implemented as load-then-store instead of one RMW.
-/// The checker must find the schedule where both the replay and the pop
-/// observe Pending and both "win" — the double-processing the journal's
+/// The checker must find the schedule where both claimers observe
+/// Pending and both "win" — the double-processing the journal's
 /// compare-exchange exists to prevent.
 #[test]
 fn seeded_load_store_claim_double_processes() {
@@ -629,118 +628,76 @@ fn lease_revoke_vs_renew_exactly_one_wins() {
     });
 }
 
-/// The acceptance-criterion race: the sweeper cancelling a dead client's
-/// `Pending` journal record races a stale queue pop claiming the same
-/// record (late commit). The claim CAS arbitrates exactly-once: whoever
-/// wins disposes of the segment, the loser walks away, and the region
-/// always drains to empty with no double release.
+/// The fence rule the dedicated core's `admit` follows. A client passed
+/// its lease check, then died or stalled; the sweeper revokes the lease
+/// and fences the client's source while the client's reserve → write →
+/// push is still in flight, and sweeps the region (`revoke_remaining`).
+/// The core admits what it pops before the fence — it releases that
+/// segment in order — and refuses what it pops after: the segment is
+/// dropped unreleased, and a further sweep takes its bytes. Every
+/// interleaving drains the region with each byte given back once.
 #[test]
-fn revoke_vs_late_commit_claims_exactly_once() {
+fn late_push_after_revoke_is_dropped_unreleased() {
     model(|| {
         let alloc = Arc::new(PartitionAllocator::with_capacity(8, 1));
         let lease = Arc::new(ClientLease::new());
-        let record = Arc::new(AtomicUsize::new(0)); // 0 Pending, 1 claimed
-        let published = Arc::new(AtomicUsize::new(0));
-        let wins = Arc::new(AtomicUsize::new(0));
+        let queue = Arc::new(MpscQueue::new(2));
 
-        // Dying client: reserve, write, publish the journal record, die
-        // without ever renewing again. The handle dies with it; the
-        // reservation stays.
-        let (a2, p2) = (Arc::clone(&alloc), Arc::clone(&published));
+        // The client, past its lease check: never renews again.
+        let (a2, q2) = (Arc::clone(&alloc), Arc::clone(&queue));
         let client = thread::spawn(move || {
             let mut seg = a2.allocate(0, 8).expect("region is empty");
             seg.as_mut_slice().fill(0xAB);
-            drop(seg);
-            p2.store(1, Ordering::Release);
+            q2.push(seg).expect("queue has room");
         });
 
-        // Late pop path: the stale queue event claims the record; if it
-        // wins it adopts and releases the segment (the normal commit).
-        let (a3, r3, p3, w3) = (
-            Arc::clone(&alloc),
-            Arc::clone(&record),
-            Arc::clone(&published),
-            Arc::clone(&wins),
-        );
-        let pop = thread::spawn(move || {
-            while p3.load(Ordering::Acquire) == 0 {
-                thread::yield_now();
-            }
-            if r3
-                .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let seg = a3.adopt(0, 0, 8).expect("range is reserved");
-                assert!(seg.as_slice().iter().all(|&b| b == 0xAB));
-                a3.release(0, seg);
-                w3.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-
-        // Sweeper path: revoke the lease (uncontended: the client is
-        // dead), then cancel the Pending record; only if the cancel wins
-        // may it sweep the region. (In the real system both claimers run
-        // on the one EPE thread; the model splits them to explore the
-        // claim race itself, so the losing sweeper must not also sweep.)
-        while published.load(Ordering::Acquire) == 0 {
-            thread::yield_now();
+        // The dedicated core. A pop before the sweep is admitted: the
+        // segment is handled and released.
+        let mut released = 0;
+        if let Some(seg) = queue.pop() {
+            assert!(seg.as_slice().iter().all(|&b| b == 0xAB));
+            alloc.release(0, seg);
+            released += 8;
         }
+        // The sweep: revoke, fence, reclaim what nothing admitted holds.
         assert!(lease.try_revoke(lease.snapshot()), "client never renews");
-        if record
-            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            assert_eq!(alloc.revoke_remaining(0), 8);
-            wins.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut reclaimed = alloc.revoke_remaining(0);
         client.join();
-        pop.join();
-        assert_eq!(
-            wins.load(Ordering::Relaxed),
-            1,
-            "exactly one of sweep/late-commit may dispose of the record"
-        );
+        // A push that landed after the fence is refused at admit: dropped,
+        // not released. The next sweep takes whatever is still reserved.
+        while let Some(seg) = queue.pop() {
+            drop(seg);
+        }
+        reclaimed += alloc.revoke_remaining(0);
+        assert_eq!(released + reclaimed, 8, "every byte comes back once");
         assert_eq!(alloc.in_use(0), 0);
     });
 }
 
-/// Seeded bug: a sweeper that skips the claim arbitration and blindly
-/// sweeps the region while the late commit is still in flight. The
-/// checker must find the schedule where the pop releases a segment the
-/// sweep already reclaimed — the FIFO-release violation the claim CAS
-/// exists to prevent.
+/// Seeded bug: a core that releases a segment popped after the fence, as
+/// if it had been admitted. The sweep may already have reclaimed its
+/// bytes; the checker must find the schedule where the release then runs
+/// behind the ring's tail — a double release.
 #[test]
-fn seeded_blind_sweep_double_releases() {
+fn seeded_release_after_revoke_double_releases() {
     let failure = Builder::new()
         .check_result(|| {
             let alloc = Arc::new(PartitionAllocator::with_capacity(8, 1));
-            let published = Arc::new(AtomicUsize::new(0));
-            let (a2, p2) = (Arc::clone(&alloc), Arc::clone(&published));
+            let queue = Arc::new(MpscQueue::new(2));
+            let (a2, q2) = (Arc::clone(&alloc), Arc::clone(&queue));
             let client = thread::spawn(move || {
                 let mut seg = a2.allocate(0, 8).expect("region is empty");
                 seg.as_mut_slice().fill(0xAB);
-                drop(seg);
-                p2.store(1, Ordering::Release);
+                q2.push(seg).expect("queue has room");
             });
-            // seeded bug: the sweeper reclaims without claiming first...
-            let (a3, p3) = (Arc::clone(&alloc), Arc::clone(&published));
-            let sweeper = thread::spawn(move || {
-                while p3.load(Ordering::Acquire) == 0 {
-                    thread::yield_now();
-                }
-                a3.revoke_remaining(0);
-            });
-            // ...while the late commit also disposes of the segment.
-            while published.load(Ordering::Acquire) == 0 {
-                thread::yield_now();
-            }
-            if let Some(seg) = alloc.adopt(0, 0, 8) {
+            alloc.revoke_remaining(0);
+            client.join();
+            // seeded bug: the late segment is released, not dropped.
+            while let Some(seg) = queue.pop() {
                 alloc.release(0, seg);
             }
-            client.join();
-            sweeper.join();
         })
-        .expect_err("blind sweep must double-release in some schedule");
+        .expect_err("releasing a refused segment must double-release in some schedule");
     assert_eq!(failure.kind, FailureKind::Panic);
     assert!(
         failure.message.contains("FIFO release violated"),
@@ -830,7 +787,9 @@ fn mapped_ring_reserve_release_cycle() {
             // Two 8-byte reservations through a 16-byte ring: the second
             // lands behind the first, or at 0 again if that was released.
             for i in 0..2u64 {
-                let pos = ring_reserve(&w2.ring(CAP), 8).expect("ring cannot be full");
+                let pos = ring_reserve(&w2.ring(CAP), 8)
+                    .expect("ring cannot be full")
+                    .start;
                 q2.push((i, pos)).expect("ring cannot be full");
             }
         });
@@ -870,7 +829,7 @@ fn mapped_ring_reclaim_vs_inflight_reserve() {
         const CAP: u64 = 32;
         let ring = words.ring(CAP);
         // Committed and released before the client's lease ran out.
-        let first = ring_reserve(&ring, 8).expect("ring is empty");
+        let first = ring_reserve(&ring, 8).expect("ring is empty").start;
         ring_release(&ring, first, 8);
 
         let w2 = Arc::clone(&words);
@@ -888,7 +847,7 @@ fn mapped_ring_reclaim_vs_inflight_reserve() {
         // pass always leaves the ring empty for re-registration.
         let _ = ring_reclaim(&ring);
         assert_eq!(ring_in_use(&ring), 0);
-        assert_eq!(ring_reserve(&ring, CAP), Ok(0));
+        assert_eq!(ring_reserve(&ring, CAP).map(|at| at.start), Ok(0));
         assert_eq!(ring_in_use(&ring), CAP);
     });
 }
@@ -906,7 +865,7 @@ fn seeded_consumer_side_rewind_overlaps_a_live_segment() {
             let words = Arc::new(RingWords::default());
             const CAP: u64 = 24;
             let ring = words.ring(CAP);
-            let first = ring_reserve(&ring, 8).expect("ring is empty");
+            let first = ring_reserve(&ring, 8).expect("ring is empty").start;
 
             let w2 = Arc::clone(&words);
             let consumer = thread::spawn(move || {
@@ -927,9 +886,9 @@ fn seeded_consumer_side_rewind_overlaps_a_live_segment() {
             while words.tail.load(Ordering::Acquire) != 8 {
                 thread::yield_now();
             }
-            let kept = ring_reserve(&ring, 8).expect("ring cannot be full");
+            let kept = ring_reserve(&ring, 8).expect("ring cannot be full").start;
             consumer.join();
-            if let Ok(pos) = ring_reserve(&ring, CAP) {
+            if let Ok(pos) = ring_reserve(&ring, CAP).map(|at| at.start) {
                 assert!(
                     pos >= kept + 8 || pos + CAP <= kept,
                     "reservation overlaps a live segment"

@@ -119,7 +119,7 @@ impl Bare {
 
 impl Subject for Bare {
     fn reserve(&mut self, len: u64) -> Result<u64, AllocError> {
-        ring_reserve(&self.ring(), len)
+        ring_reserve(&self.ring(), len).map(|at| at.start)
     }
     fn release(&mut self, pos: u64, len: u64) {
         ring_release(&self.ring(), pos, len);
