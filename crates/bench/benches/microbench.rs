@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks over the *real* components (no simulation):
 //!
-//! * the Damaris hot path — segment reservation + memcpy + event push for
-//!   both allocators (the paper's claim that a client write costs a
-//!   memcpy lives or dies here);
+//! * the Damaris hot path — ring reservation + memcpy + release against a
+//!   plain memcpy (the paper's claim that a client write costs a memcpy
+//!   lives or dies here);
 //! * the shared event queue;
 //! * the codecs (§IV-D);
 //! * SDF dataset writes;
@@ -10,7 +10,7 @@
 //! * one mini-CM1 physics step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use damaris_shm::{MpscQueue, MutexAllocator, PartitionAllocator};
+use damaris_shm::{MpscQueue, PartitionAllocator};
 use std::hint::black_box;
 
 /// CM1-like payload: smooth field with noisy low bits.
@@ -29,15 +29,6 @@ fn bench_shm_write(c: &mut Criterion) {
     let mut group = c.benchmark_group("shm_write_path");
     let payload = field_bytes(64 * 1024); // 256 KiB
     group.throughput(Throughput::Bytes(payload.len() as u64));
-
-    group.bench_function("mutex_allocator", |b| {
-        let alloc = MutexAllocator::with_capacity(4 << 20);
-        b.iter(|| {
-            let mut seg = alloc.allocate(payload.len()).expect("fits");
-            seg.copy_from_slice(black_box(&payload));
-            alloc.release(seg);
-        });
-    });
 
     group.bench_function("partition_allocator", |b| {
         let alloc = PartitionAllocator::with_capacity(4 << 20, 1);

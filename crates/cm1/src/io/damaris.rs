@@ -168,7 +168,7 @@ impl DamarisDeployment {
         let bytes_per_iter = nx * ny * nz * 4 * n_variables * clients_per_node;
         let buffer = (bytes_per_iter * 2 + (1 << 20)).next_power_of_two();
         let xml = crate::variables::damaris_config_xml_full(
-            nx, ny, nz, n_variables, buffer, "partition", events_xml, resilience_xml,
+            nx, ny, nz, n_variables, buffer, events_xml, resilience_xml,
         );
         let config = Config::from_xml(&xml)?;
 

@@ -18,51 +18,36 @@ pub fn variable_names(count: usize) -> &'static [&'static str] {
 
 /// Generates the Damaris XML configuration for a run whose subdomains are
 /// `nx × ny × nz`, with `count` variables enabled and the given buffer
-/// size/allocator — the file `df_initialize` would receive.
+/// size (split between the node's clients) — the file `df_initialize`
+/// would receive.
 pub fn damaris_config_xml(
     nx: usize,
     ny: usize,
     nz: usize,
     count: usize,
     buffer_size: usize,
-    allocator: &str,
 ) -> String {
-    damaris_config_xml_with_events(nx, ny, nz, count, buffer_size, allocator, "")
+    damaris_config_xml_full(nx, ny, nz, count, buffer_size, "", "")
 }
 
-/// Like [`damaris_config_xml`], with extra `<event …/>` bindings appended —
-/// e.g. a `scope="global"` action every dedicated core should react to.
-pub fn damaris_config_xml_with_events(
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    count: usize,
-    buffer_size: usize,
-    allocator: &str,
-    events_xml: &str,
-) -> String {
-    damaris_config_xml_full(nx, ny, nz, count, buffer_size, allocator, events_xml, "")
-}
-
-/// The fully general generator: event bindings plus a `<resilience …/>`
-/// element (e.g. `on_client_failure="partial" client_lease_timeout_ms=…`)
-/// — how a deployment opts its dedicated cores into client-failure
-/// containment.
-#[allow(clippy::too_many_arguments)]
+/// The fully general generator: extra `<event …/>` bindings (e.g. a
+/// `scope="global"` action every dedicated core should react to) plus a
+/// `<resilience …/>` element (e.g. `on_client_failure="partial"
+/// client_lease_timeout_ms=…`) — how a deployment opts its dedicated cores
+/// into client-failure containment.
 pub fn damaris_config_xml_full(
     nx: usize,
     ny: usize,
     nz: usize,
     count: usize,
     buffer_size: usize,
-    allocator: &str,
     events_xml: &str,
     resilience_xml: &str,
 ) -> String {
     let mut xml = String::new();
     xml.push_str("<damaris>\n");
     xml.push_str(&format!(
-        "  <buffer size=\"{buffer_size}\" allocator=\"{allocator}\" queue=\"1024\"/>\n"
+        "  <buffer size=\"{buffer_size}\" queue=\"1024\"/>\n"
     ));
     xml.push_str(&format!(
         "  <layout name=\"subdomain\" type=\"real\" dimensions=\"{nx},{ny},{nz}\"/>\n"
@@ -114,7 +99,6 @@ mod tests {
             4,
             2,
             1 << 20,
-            "partition",
             "",
             r#"<resilience on_client_failure="partial" client_lease_timeout_ms="250"/>"#,
         );
@@ -131,11 +115,10 @@ mod tests {
 
     #[test]
     fn generated_config_parses() {
-        let xml = damaris_config_xml(44, 44, 200, 6, 64 << 20, "partition");
+        let xml = damaris_config_xml(44, 44, 200, 6, 64 << 20);
         let config = damaris_core::Config::from_xml(&xml).unwrap();
         assert_eq!(config.variables.len(), 6);
         assert_eq!(config.buffer_size, 64 << 20);
-        assert_eq!(config.allocator, damaris_core::AllocatorKind::Partition);
         let theta = config.variable(config.variable_id("theta").unwrap()).unwrap();
         assert_eq!(config.layout_of(theta).byte_size(), 44 * 44 * 200 * 4);
         assert_eq!(

@@ -32,7 +32,7 @@ use crate::names::Resolved;
 use crate::node::{FaultStats, NodeShared};
 use crate::retry::Backoff;
 use damaris_obs::{EventKind, Recorder};
-use damaris_shm::sync::{Arc, AtomicU64, Ordering};
+use damaris_shm::sync::{Arc, AtomicU64, CachePadded, Ordering};
 use damaris_shm::{AllocError, Segment};
 use std::time::{Duration, Instant};
 
@@ -66,6 +66,12 @@ pub struct DamarisClient {
     /// individual wait is short.
     hb_word: AtomicU64,
     hb_changed_ns: AtomicU64,
+    /// Regions from [`alloc`](Self::alloc) this rank has neither
+    /// committed nor dropped, one count for every clone of the handle:
+    /// [`end_iteration`](Self::end_iteration) refuses while it is nonzero.
+    /// Relaxed throughout: a rank's own calls are ordered by its thread,
+    /// and a region moved to another thread by whatever moved it.
+    held: Arc<CachePadded<AtomicU64>>,
 }
 
 impl Clone for DamarisClient {
@@ -77,6 +83,7 @@ impl Clone for DamarisClient {
             hb_anchor: self.hb_anchor,
             hb_word: AtomicU64::new(self.hb_word.load(Ordering::Relaxed)),
             hb_changed_ns: AtomicU64::new(self.hb_changed_ns.load(Ordering::Relaxed)),
+            held: Arc::clone(&self.held),
         }
     }
 }
@@ -97,6 +104,7 @@ impl DamarisClient {
             hb_anchor: Instant::now(),
             hb_word,
             hb_changed_ns: AtomicU64::new(0),
+            held: Arc::default(),
         }
     }
 
@@ -590,6 +598,7 @@ impl DamarisClient {
         let t_alloc = self.rec.begin();
         let segment = self.reserve(bytes as usize)?;
         self.rec.end(EventKind::AllocWait, iteration, bytes, t_alloc);
+        self.held.fetch_add(1, Ordering::Relaxed);
         Ok(AllocatedRegion {
             client: self.clone(),
             variable_id,
@@ -616,8 +625,21 @@ impl DamarisClient {
     /// Declares this client done with `iteration`. When every client of
     /// the node has done so, iteration-scoped actions (persistence by
     /// default) fire on the dedicated core.
+    ///
+    /// Fails with [`DamarisError::RegionHeld`] while this rank holds a
+    /// region from [`alloc`](Self::alloc) it has neither committed nor
+    /// dropped: the iteration's flush releases the rank's segments in ring
+    /// order, and releasing later ones past a held region would hand the
+    /// region's bytes to the next reservation.
     pub fn end_iteration(&self, iteration: u32) -> Result<(), DamarisError> {
         self.renew_lease()?;
+        let held = self.held.load(Ordering::Relaxed);
+        if held != 0 {
+            return Err(DamarisError::RegionHeld {
+                client: self.id,
+                held,
+            });
+        }
         self.shared.queue.push_wait(Event::EndIteration {
             iteration,
             source: self.id,
@@ -724,7 +746,7 @@ impl AllocatedRegion {
     /// abandoned for the sweeper to reclaim.
     pub fn commit(mut self) -> Result<(), DamarisError> {
         // invariant: `commit` consumes self, so the segment is present.
-        let segment = self.segment.take().expect("commit called once");
+        let segment = self.take_segment().expect("commit called once");
         // Fenced: may neither notify nor release — dropping the handle
         // leaves the bytes to the sweeper's `revoke_remaining`.
         self.client.renew_lease()?;
@@ -746,16 +768,24 @@ impl AllocatedRegion {
         rec.end(EventKind::QueuePush, self.iteration, 0, t);
         Ok(())
     }
+
+    /// Takes the segment out: from here on the client no longer holds the
+    /// region ([`DamarisClient::end_iteration`]).
+    fn take_segment(&mut self) -> Option<Segment> {
+        let segment = self.segment.take()?;
+        self.client.held.fetch_sub(1, Ordering::Relaxed);
+        Some(segment)
+    }
 }
 
 impl Drop for AllocatedRegion {
     fn drop(&mut self) {
-        let Some(segment) = self.segment.take() else {
+        let Some(segment) = self.take_segment() else {
             return;
         };
         // Not committed. The client must NOT release the segment itself:
-        // partition-mode reclamation is FIFO in allocation order and owned
-        // by the dedicated core, and an earlier write of this client may
+        // its ring's reclamation is FIFO in allocation order and owned by
+        // the dedicated core, and an earlier write of this client may
         // still be server-resident — releasing out of order from this
         // thread would corrupt the ring. Ship the segment to the server,
         // which releases it in allocation order at this iteration's flush.

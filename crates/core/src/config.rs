@@ -24,16 +24,6 @@ use damaris_xml::Element;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Which reservation algorithm the node's shared buffer uses (§III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocatorKind {
-    /// First-fit free list under a mutex (the "Boost default").
-    #[default]
-    Mutex,
-    /// The lock-free per-client partitioned rings.
-    Partition,
-}
-
 /// A variable declaration: which layout it uses plus free-form attributes
 /// (unit, description, …) that the persistency layer stores alongside.
 #[derive(Debug, Clone, PartialEq)]
@@ -255,10 +245,9 @@ impl Default for ObservabilityConfig {
 /// Parsed configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Shared-memory buffer size in bytes.
+    /// Shared-memory buffer size in bytes, split evenly between the
+    /// node's clients: each reserves through a ring of its own (§III-B).
     pub buffer_size: usize,
-    /// Reservation algorithm.
-    pub allocator: AllocatorKind,
     /// Event-queue capacity.
     pub queue_capacity: usize,
     /// Layout definitions by name.
@@ -292,7 +281,6 @@ impl Config {
 
         let mut config = Config {
             buffer_size: 64 << 20,
-            allocator: AllocatorKind::default(),
             queue_capacity: 1024,
             layouts: HashMap::new(),
             variables: Vec::new(),
@@ -320,14 +308,13 @@ impl Config {
                     {
                         config.queue_capacity = q;
                     }
+                    // The per-client ring is the one scheme; its two names
+                    // still parse, so configurations that spell it out do.
                     match e.attr("allocator") {
-                        None | Some("mutex") => config.allocator = AllocatorKind::Mutex,
-                        Some("partition") | Some("lockfree") => {
-                            config.allocator = AllocatorKind::Partition
-                        }
+                        None | Some("partition") | Some("lockfree") => {}
                         Some(other) => {
                             return Err(DamarisError::Config(format!(
-                                "unknown allocator '{other}'"
+                                "unknown allocator '{other}' (expected partition)"
                             )))
                         }
                     }
@@ -618,9 +605,11 @@ impl Config {
     /// Sizing diagnostics for a deployment with `n_clients` compute cores
     /// per node. Returns human-readable warnings (empty = no concerns):
     /// the buffer must hold at least ~2 in-flight iterations (the server
-    /// reclaims an iteration only once every client ends it), and the
-    /// event queue should absorb a full iteration of notifications.
+    /// reclaims an iteration only once every client ends it), every
+    /// static variable must fit one client's share of it, and the event
+    /// queue should absorb a full iteration of notifications.
     pub fn diagnostics(&self, n_clients: usize) -> Vec<String> {
+        use damaris_shm::ring::{ring_rounded, RING_ALIGN};
         let mut warnings = Vec::new();
         let static_bytes: u64 = self
             .variables
@@ -639,6 +628,20 @@ impl Config {
                 self.buffer_size, per_iteration
             ));
         }
+        // The share `PartitionAllocator` gives each client's ring.
+        let region = (self.buffer_size / n_clients.max(1)) as u64 / RING_ALIGN * RING_ALIGN;
+        for v in &self.variables {
+            let l = self.layout_of(v);
+            if !l.dynamic && ring_rounded(l.byte_size()) > region {
+                warnings.push(format!(
+                    "variable '{}' ({} bytes) does not fit a client's share of the \
+                     buffer ({region} bytes for {n_clients} clients); its first write \
+                     fails",
+                    v.name,
+                    l.byte_size()
+                ));
+            }
+        }
         let events_per_iteration = (self.variables.len() + 1) * n_clients;
         if self.queue_capacity < 2 * events_per_iteration {
             warnings.push(format!(
@@ -647,14 +650,11 @@ impl Config {
                 self.queue_capacity
             ));
         }
-        if self.allocator == AllocatorKind::Partition
-            && self.variables.iter().any(|v| self.layout_of(v).dynamic)
-        {
-            warnings.push(
-                "dynamic-shape variables with the partitioned allocator: size \
-                 each client's region for the worst-case shape"
-                    .to_string(),
-            );
+        if self.variables.iter().any(|v| self.layout_of(v).dynamic) {
+            warnings.push(format!(
+                "dynamic-shape variables: size each client's share of the buffer \
+                 ({region} bytes) for the worst-case shape"
+            ));
         }
         warnings
     }
@@ -664,13 +664,6 @@ impl Config {
         let mut root = Element::new("damaris").with_child(
             Element::new("buffer")
                 .with_attr("size", self.buffer_size.to_string())
-                .with_attr(
-                    "allocator",
-                    match self.allocator {
-                        AllocatorKind::Mutex => "mutex",
-                        AllocatorKind::Partition => "partition",
-                    },
-                )
                 .with_attr("queue", self.queue_capacity.to_string()),
         );
         let r = &self.resilience;
@@ -794,7 +787,6 @@ mod tests {
     fn parses_paper_schema() {
         let c = Config::from_xml(PAPER_CONFIG).unwrap();
         assert_eq!(c.buffer_size, 8 << 20);
-        assert_eq!(c.allocator, AllocatorKind::Partition);
         assert_eq!(c.queue_capacity, 128);
         assert_eq!(c.variables.len(), 1);
         assert_eq!(c.variable_id("my_variable"), Some(0));
@@ -831,7 +823,6 @@ mod tests {
         let c = Config::from_xml(r#"<damaris><layout name="l" type="real" dimensions="1"/></damaris>"#)
             .unwrap();
         assert_eq!(c.buffer_size, 64 << 20);
-        assert_eq!(c.allocator, AllocatorKind::Mutex);
     }
 
     #[test]
@@ -840,7 +831,6 @@ mod tests {
             "<nope/>",
             r#"<damaris><variable name="v" layout="missing"/></damaris>"#,
             r#"<damaris><mystery/></damaris>"#,
-            r#"<damaris><buffer allocator="slab"/></damaris>"#,
             r#"<damaris><layout name="l" type="real" dimensions="1"/>
                        <layout name="l" type="real" dimensions="2"/></damaris>"#,
             r#"<damaris><layout name="l" type="real" dimensions="1"/>
@@ -851,15 +841,30 @@ mod tests {
         ] {
             assert!(Config::from_xml(bad).is_err(), "{bad}");
         }
+        // The per-client ring is the only reservation scheme, under either
+        // of its names; the mutex free list is gone.
+        let buffer = |name: &str| {
+            Config::from_xml(&format!(
+                r#"<damaris><buffer allocator="{name}"/></damaris>"#
+            ))
+        };
+        assert!(buffer("partition").is_ok() && buffer("lockfree").is_ok());
+        for name in ["mutex", "slab"] {
+            let refused = buffer(name);
+            assert!(
+                matches!(&refused, Err(DamarisError::Config(m)) if m.contains(name)),
+                "{refused:?}"
+            );
+        }
     }
 
     #[test]
     fn xml_roundtrip() {
         let c = Config::from_xml(PAPER_CONFIG).unwrap();
         let xml = c.to_xml();
+        assert!(!xml.contains("allocator"), "{xml}");
         let c2 = Config::from_xml(&xml).unwrap();
         assert_eq!(c2.buffer_size, c.buffer_size);
-        assert_eq!(c2.allocator, c.allocator);
         assert_eq!(c2.variables, c.variables);
         assert_eq!(c2.actions, c.actions);
         assert_eq!(c2.layouts.len(), c.layouts.len());
@@ -905,9 +910,16 @@ mod tests {
         )
         .unwrap();
         let warnings = c.diagnostics(4);
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
         assert!(warnings[0].contains("buffer"));
-        assert!(warnings[1].contains("queue"));
+        // 1000 / 4 clients, rounded down to the ring's 8 bytes: 248, and
+        // `v` is 1024.
+        assert!(warnings[1].contains("'v' (1024 bytes)"), "{warnings:?}");
+        assert!(
+            warnings[1].contains("248 bytes for 4 clients"),
+            "{warnings:?}"
+        );
+        assert!(warnings[2].contains("queue"));
         // One sentence each, wrapped in the source, not in the text.
         assert!(warnings.iter().all(|w| !w.contains("  ")), "{warnings:?}");
         // Generous sizing: no warnings.
@@ -924,18 +936,22 @@ mod tests {
 
     #[test]
     fn diagnostics_flag_dynamic_with_partition() {
-        let c = Config::from_xml(
-            r#"<damaris>
-                 <buffer size="1048576" allocator="partition" queue="1024"/>
-                 <layout name="p" type="real" dimensions="?"/>
-                 <variable name="pos" layout="p"/>
-               </damaris>"#,
-        )
-        .unwrap();
-        let warnings = c.diagnostics(2);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("dynamic"));
-        assert!(!warnings[0].contains("  "), "{warnings:?}");
+        // Every buffer is partitioned now, whether or not it says so.
+        for allocator in ["", r#" allocator="partition""#] {
+            let c = Config::from_xml(&format!(
+                r#"<damaris>
+                     <buffer size="1048576"{allocator} queue="1024"/>
+                     <layout name="p" type="real" dimensions="?"/>
+                     <variable name="pos" layout="p"/>
+                   </damaris>"#
+            ))
+            .unwrap();
+            let warnings = c.diagnostics(2);
+            assert_eq!(warnings.len(), 1, "{allocator}");
+            assert!(warnings[0].contains("dynamic"));
+            assert!(warnings[0].contains("(524288 bytes)"), "{warnings:?}");
+            assert!(!warnings[0].contains("  "), "{warnings:?}");
+        }
     }
 
     #[test]

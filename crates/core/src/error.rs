@@ -38,6 +38,11 @@ pub enum DamarisError {
     /// sweeper (the client stalled past the lease window and its resources
     /// were reclaimed); the handle is permanently fenced off the node.
     ClientFenced { client: u32, node_id: u32 },
+    /// `end_iteration` while the client holds `held` zero-copy regions it
+    /// has neither committed nor dropped: retiring the iteration would
+    /// release the client's later segments past them, and its ring would
+    /// hand their bytes out again. Commit or drop them first.
+    RegionHeld { client: u32, held: u64 },
 }
 
 /// Out-of-line constructors for the variants raised on hot paths. The
@@ -127,6 +132,11 @@ impl fmt::Display for DamarisError {
                 f,
                 "node {node_id}: client {client} was fenced (liveness lease revoked, \
                  resources reclaimed)"
+            ),
+            DamarisError::RegionHeld { client, held } => write!(
+                f,
+                "client {client} holds {held} uncommitted region(s) from alloc; \
+                 commit or drop them before ending the iteration"
             ),
         }
     }
@@ -219,5 +229,7 @@ mod tests {
         }
         .to_string();
         assert!(s.contains("client 3") && s.contains("node 1") && s.contains("fenced"));
+        let s = DamarisError::RegionHeld { client: 2, held: 1 }.to_string();
+        assert!(s.contains("client 2") && s.contains("1 uncommitted region"));
     }
 }

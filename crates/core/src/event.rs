@@ -139,13 +139,13 @@ impl std::fmt::Debug for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use damaris_shm::MutexAllocator;
+    use damaris_shm::PartitionAllocator;
 
     #[test]
     fn events_traverse_the_shared_queue() {
-        let alloc = MutexAllocator::with_capacity(1024);
+        let alloc = PartitionAllocator::with_capacity(1024, 1);
         let queue = damaris_shm::MpscQueue::<Event>::new(8);
-        let mut seg = alloc.allocate(16).unwrap();
+        let mut seg = alloc.allocate(0, 16).unwrap();
         seg.copy_from_slice(&[7u8; 16]);
         queue
             .push(Event::Write {
@@ -174,7 +174,7 @@ mod tests {
             } => {
                 assert_eq!(variable_id, 3);
                 assert_eq!(segment.as_slice(), &[7u8; 16]);
-                alloc.release(segment);
+                alloc.release(0, segment);
             }
             other => panic!("unexpected {other:?}"),
         }

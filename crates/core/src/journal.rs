@@ -99,7 +99,7 @@ pub enum JournalPayload {
     EndIteration { iteration: u32, source: u32 },
     /// A client abandoned an allocated-but-never-committed region
     /// (`dc_alloc` handle dropped without `commit`). The owning client may
-    /// not release shared memory itself — partition-mode reclamation is
+    /// not release shared memory itself — its ring's reclamation is
     /// FIFO and single-consumer — so it posts the segment, and the
     /// dedicated core releases it in order at the iteration's flush.
     Abandon {

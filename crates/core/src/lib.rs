@@ -34,7 +34,7 @@
 //!
 //! let xml = r#"
 //! <damaris>
-//!   <buffer size="1048576" allocator="mutex"/>
+//!   <buffer size="1048576"/>
 //!   <layout name="grid" type="real" dimensions="16,4"/>
 //!   <variable name="temperature" layout="grid"/>
 //! </damaris>"#;
@@ -73,7 +73,7 @@ pub mod server;
 
 pub use client::{AllocatedRegion, DamarisClient};
 pub use config::{
-    ActionBinding, AllocatorKind, BackpressurePolicy, Config, ObservabilityConfig,
+    ActionBinding, BackpressurePolicy, Config, ObservabilityConfig,
     OnClientFailure, OnDiskFull, ResilienceConfig, VariableDef,
 };
 pub use error::DamarisError;

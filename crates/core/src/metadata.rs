@@ -158,10 +158,11 @@ impl std::fmt::Debug for MetadataStore {
 mod tests {
     use super::*;
     use damaris_format::DataType;
-    use damaris_shm::MutexAllocator;
+    use damaris_shm::PartitionAllocator;
 
-    fn stored(alloc: &MutexAllocator, it: u32, var: u32, src: u32, fill: u8) -> StoredVariable {
-        let mut seg = alloc.allocate(8).unwrap();
+    /// One ring stands in for every source: releases follow allocation.
+    fn stored(alloc: &PartitionAllocator, it: u32, var: u32, src: u32, fill: u8) -> StoredVariable {
+        let mut seg = alloc.allocate(0, 8).unwrap();
         seg.copy_from_slice(&[fill; 8]);
         StoredVariable {
             key: VariableKey {
@@ -179,7 +180,7 @@ mod tests {
 
     #[test]
     fn insert_and_drain_by_iteration() {
-        let alloc = MutexAllocator::with_capacity(4096);
+        let alloc = PartitionAllocator::with_capacity(4096, 1);
         let mut store = MetadataStore::new();
         for it in 0..3 {
             for src in 0..2 {
@@ -196,19 +197,23 @@ mod tests {
         assert!(drained.iter().all(|v| v.data() == [1u8; 8]));
         assert_eq!(store.len(), 4);
         assert_eq!(store.pending_iterations(), vec![0, 2]);
-        for v in drained {
-            alloc.release(v.segment);
+        // In allocation order: iteration 0's segments went in first.
+        for v in store.drain_iteration(0).into_iter().chain(drained) {
+            alloc.release(0, v.segment);
         }
+        assert_eq!(alloc.in_use(0), 2 * 8);
     }
 
     #[test]
     fn duplicate_tuple_replaces() {
-        let alloc = MutexAllocator::with_capacity(4096);
+        let alloc = PartitionAllocator::with_capacity(4096, 1);
         let mut store = MetadataStore::new();
         assert!(store.insert(stored(&alloc, 5, 1, 0, 0xAA)).is_none());
-        let old = store.insert(stored(&alloc, 5, 1, 0, 0xBB)).expect("replaced");
+        let old = store
+            .insert(stored(&alloc, 5, 1, 0, 0xBB))
+            .expect("replaced");
         assert_eq!(old.data(), [0xAA; 8]);
-        alloc.release(old.segment);
+        alloc.release(0, old.segment);
         assert_eq!(store.len(), 1);
         let v = store.iteration_entries(5).next().unwrap();
         assert_eq!(v.data(), [0xBB; 8]);
@@ -217,7 +222,7 @@ mod tests {
 
     #[test]
     fn entries_ordered_by_variable_then_source() {
-        let alloc = MutexAllocator::with_capacity(4096);
+        let alloc = PartitionAllocator::with_capacity(4096, 1);
         let mut store = MetadataStore::new();
         store.insert(stored(&alloc, 0, 1, 1, 0));
         store.insert(stored(&alloc, 0, 0, 1, 0));

@@ -13,7 +13,7 @@
 //! [`NodeRuntime::finish`], as before.
 
 use crate::client::DamarisClient;
-use crate::config::{AllocatorKind, Config};
+use crate::config::Config;
 use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
@@ -25,19 +25,17 @@ use damaris_fs::{LocalDirBackend, StorageBackend};
 use damaris_obs::{Counter, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_SERVER};
 use damaris_shm::sync::{Arc, CachePadded};
 use damaris_shm::{
-    AllocError, ClientLease, HeartbeatWord, LeaseTable, MpscQueue, MutexAllocator,
-    PartitionAllocator, Segment,
+    AllocError, ClientLease, HeartbeatWord, LeaseTable, MpscQueue, PartitionAllocator, Segment,
 };
 #[cfg(unix)]
 use damaris_shm::{MappedNode, SharedBuffer};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Either of the paper's two reservation schemes, behind one interface —
-/// the partitioned one over heap counters or, when the node's cores are
-/// processes, over the counters of the shared mapping.
+/// The node's shared buffer: one ring per client (the paper's lock-free
+/// scheme, [`damaris_shm::ring`]), its words on the heap or, when the
+/// node's cores are processes, in the shared mapping.
 pub(crate) enum BufferManager {
-    Mutex(MutexAllocator),
     Partition(PartitionAllocator),
     /// The mapping, and its data window as the buffer segments point into.
     #[cfg(unix)]
@@ -47,9 +45,6 @@ pub(crate) enum BufferManager {
 impl BufferManager {
     pub(crate) fn allocate(&self, client: u32, len: usize) -> Result<Segment, AllocError> {
         match self {
-            // Owner-tagged so an expired client's reservations can be
-            // swept back (`revoke_client`); the tag drops on release.
-            BufferManager::Mutex(a) => a.allocate_owned(client, len),
             BufferManager::Partition(a) => a.allocate(client as usize, len),
             #[cfg(unix)]
             BufferManager::Mapped(node, data) => node.reserve(data, client as usize, len),
@@ -58,7 +53,6 @@ impl BufferManager {
 
     pub(crate) fn release(&self, client: u32, segment: Segment) {
         match self {
-            BufferManager::Mutex(a) => a.release(segment),
             BufferManager::Partition(a) => a.release(client as usize, segment),
             #[cfg(unix)]
             BufferManager::Mapped(node, _) => {
@@ -73,22 +67,19 @@ impl BufferManager {
     /// them; `None` if the range is not a live allocation of `client`.
     pub(crate) fn adopt(&self, client: u32, offset: usize, len: usize) -> Option<Segment> {
         match self {
-            BufferManager::Mutex(a) => a.adopt_owned(client, offset, len),
             BufferManager::Partition(a) => a.adopt(client as usize, offset, len),
             #[cfg(unix)]
             BufferManager::Mapped(node, data) => node.adopt(data, client as usize, offset, len),
         }
     }
 
-    /// Terminal reclamation for a revoked client: sweeps back everything
-    /// it still has reserved. Partition mode advances the region's tail to
-    /// its head (the region simply goes idle); mutex mode releases every
-    /// still-tagged range back to the global free list. Returns the bytes
-    /// reclaimed. Every *known* segment of the client must have been
-    /// released (FIFO, in partition mode) before this call.
+    /// Terminal reclamation for a revoked client: advances its ring's tail
+    /// to its head, so everything it still has reserved comes back and the
+    /// ring simply goes idle — no other client can be handed those bytes.
+    /// Returns the bytes reclaimed. Every *known* segment of the client
+    /// must have been released, FIFO, before this call.
     pub(crate) fn revoke_remaining(&self, client: u32) -> usize {
         match self {
-            BufferManager::Mutex(a) => a.revoke_client(client),
             BufferManager::Partition(a) => a.revoke_remaining(client as usize),
             #[cfg(unix)]
             BufferManager::Mapped(node, _) => node.revoke_remaining(client as usize) as usize,
@@ -97,7 +88,6 @@ impl BufferManager {
 
     pub(crate) fn capacity(&self) -> usize {
         match self {
-            BufferManager::Mutex(a) => a.capacity(),
             BufferManager::Partition(a) => a.buffer().capacity(),
             #[cfg(unix)]
             BufferManager::Mapped(_, data) => data.capacity(),
@@ -108,7 +98,6 @@ impl BufferManager {
     /// zero once every segment of a finished run was released).
     pub(crate) fn in_use(&self, n_clients: usize) -> usize {
         match self {
-            BufferManager::Mutex(a) => a.in_use(),
             BufferManager::Partition(a) => (0..n_clients).map(|c| a.in_use(c)).sum(),
             #[cfg(unix)]
             BufferManager::Mapped(node, _) => node.total_in_use() as usize,
@@ -314,14 +303,8 @@ impl NodeShared {
         backend: Arc<dyn StorageBackend>,
         node_id: u32,
     ) -> NodeShared {
-        let buffer = match config.allocator {
-            AllocatorKind::Mutex => {
-                BufferManager::Mutex(MutexAllocator::with_capacity(config.buffer_size))
-            }
-            AllocatorKind::Partition => BufferManager::Partition(
-                PartitionAllocator::with_capacity(config.buffer_size, n_clients),
-            ),
-        };
+        let rings = PartitionAllocator::with_capacity(config.buffer_size, n_clients);
+        let buffer = BufferManager::Partition(rings);
         Self::over(config, n_clients, backend, node_id, buffer, EventJournal::new())
     }
 
@@ -901,7 +884,7 @@ mod tests {
     fn no_word_a_client_writes_per_call_shares_a_block_with_one_the_core_writes_per_event() {
         let (shared, dir) = threaded("lines");
         let BufferManager::Partition(rings) = &shared.buffer else {
-            panic!("the configuration asks for the partitioned allocator");
+            panic!("a threaded node's rings are on the heap");
         };
         fn addr<T>(word: &T) -> usize {
             word as *const T as usize

@@ -83,7 +83,7 @@ pub struct ActionContext<'a> {
     pub(crate) pressure: &'a crate::pressure::PressureMachine,
     /// Segments to release, as `(source, seq, segment)`; flushed by the
     /// server after the action completes, in allocation order per source
-    /// (required by the partitioned allocator).
+    /// (each source's ring releases FIFO).
     pub(crate) pending_release: &'a mut Vec<(u32, u64, Segment)>,
     /// Iterations written but not committed, in fire order; the persist
     /// plugin parks them here and commits them when the queue goes quiet

@@ -135,7 +135,7 @@ mod tests {
         // down the ladder within a few iterations.
         let cfg = Config::from_xml(
             r#"<damaris>
-                 <buffer size="33554432" allocator="mutex"/>
+                 <buffer size="33554432"/>
                  <layout name="grid" type="real" dimensions="262144"/>
                  <variable name="field" layout="grid"/>
                  <event name="end_of_iteration" action="adaptive-compress" using="1"/>
@@ -162,7 +162,7 @@ mod tests {
     fn generous_window_keeps_compressing() {
         let cfg = Config::from_xml(
             r#"<damaris>
-                 <buffer size="8388608" allocator="mutex"/>
+                 <buffer size="8388608"/>
                  <layout name="grid" type="real" dimensions="4096"/>
                  <variable name="field" layout="grid"/>
                  <event name="end_of_iteration" action="adaptive-compress" using="60000"/>

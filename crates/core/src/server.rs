@@ -481,12 +481,15 @@ impl DedicatedCore {
     /// first, the iterations retired since the last call, for an event
     /// source whose clients want to hear of it: with this pass they are
     /// durable and their memory is released. Handing the list out empties
-    /// it, so it is as long as a backlog, not as the run.
+    /// it, so it is as long as a backlog, not as the run — and the journal
+    /// drops what the pass applied, so its record map is as long as what
+    /// is still parked or unfired.
     pub(crate) fn quiet(&mut self) -> Result<Vec<u32>, DamarisError> {
         if !self.parked.is_empty() {
             let last = self.last_fired;
             let t_epe = self.rec.begin();
             self.with_plugins(Vec::new(), |epe, ctx| epe.quiet_all(ctx, last))?;
+            self.shared.journal.compact();
             self.rec.end(EventKind::EpeDispatch, last, 0, t_epe);
             self.close_open_span();
             self.obs_flush.drain(&self.shared);
@@ -1432,5 +1435,47 @@ mod tests {
         });
         assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
         assert!(core.retired.is_empty(), "{} kept", core.retired.len());
+    }
+
+    /// The same harness, paced: each iteration is written, ended and
+    /// committed before the next starts. After each committing pass the
+    /// journal holds at most that iteration's records — applied, and gone
+    /// the moment the pass compacts — not one per event of the run.
+    #[test]
+    fn the_journal_holds_what_is_not_committed_not_the_whole_run() {
+        const ITERATIONS: u32 = 200;
+        // One write and one end-notification per client.
+        const PER_ITERATION: usize = 2 * CLIENTS;
+        let (shared, clients) = node("journal-bound", Fixture::Heap);
+        let mut core = core(&shared, 0);
+        // The most records seen after a pass, and the iteration it was.
+        let most = std::thread::scope(|scope| {
+            let ranks = scope.spawn(|| {
+                let mut most = (0, 0);
+                for it in 0..ITERATIONS {
+                    for client in &clients {
+                        client.write("a", it, &[it as u8; 64]).unwrap();
+                        client.end_iteration(it).unwrap();
+                    }
+                    // Released means committed: the pass that did it has
+                    // applied every record of the iteration.
+                    while shared.buffer.in_use(CLIENTS) != 0 {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    most = most.max((shared.journal.len(), it));
+                }
+                assert!(shared.queue.push(Event::Terminate).is_ok());
+                most
+            });
+            core.serve().unwrap();
+            ranks.join().unwrap()
+        });
+        let (kept, after) = most;
+        assert!(
+            kept <= PER_ITERATION,
+            "{kept} records after iteration {after}"
+        );
+        assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
+        assert_eq!(shared.journal.len(), 0);
     }
 }

@@ -141,7 +141,7 @@ fn cm1_workload_survives_fault_plan() {
 fn exhausted_retries_degrade_not_abort() {
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="65536" allocator="mutex"/>
+             <buffer size="65536"/>
              <layout name="grid" type="real" dimensions="64"/>
              <variable name="v" layout="grid"/>
              <resilience persist_retries="2" retry_base_ms="1"
@@ -293,7 +293,7 @@ fn commit_failure_at_the_head_of_a_batch_is_retried_in_place() {
 fn block_policy_times_out_with_buffer_error() {
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="4096" allocator="mutex"/>
+             <buffer size="4096"/>
              <layout name="big" type="real" dimensions="768"/>
              <variable name="a" layout="big"/>
              <variable name="b" layout="big"/>
@@ -321,7 +321,7 @@ fn block_policy_times_out_with_buffer_error() {
 fn drop_policy_sheds_writes_under_pressure() {
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="4096" allocator="mutex"/>
+             <buffer size="4096"/>
              <layout name="big" type="real" dimensions="768"/>
              <variable name="a" layout="big"/>
              <variable name="b" layout="big"/>
@@ -350,7 +350,7 @@ fn drop_policy_sheds_writes_under_pressure() {
 fn sync_fallback_writes_through_to_storage() {
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="4096" allocator="mutex"/>
+             <buffer size="4096"/>
              <layout name="big" type="real" dimensions="768"/>
              <variable name="a" layout="big"/>
              <variable name="b" layout="big"/>

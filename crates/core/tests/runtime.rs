@@ -1,5 +1,5 @@
 //! End-to-end tests of the node runtime: clients on real threads, the
-//! dedicated-core server, both allocators, plugins, and SDF output.
+//! dedicated-core server, the per-client rings, plugins, and SDF output.
 
 use damaris_core::{Config, DamarisError, NodeRuntime};
 use damaris_format::SdfReader;
@@ -12,24 +12,25 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("damaris-core-test-{tag}-{}-{n}", std::process::id()))
 }
 
-fn config(allocator: &str) -> Config {
-    Config::from_xml(&format!(
+/// 4 MiB split between the clients: 1 MiB each for up to four.
+fn config() -> Config {
+    Config::from_xml(
         r#"<damaris>
-             <buffer size="4194304" allocator="{allocator}" queue="64"/>
+             <buffer size="4194304" queue="64"/>
              <layout name="grid3d" type="real" dimensions="8,4,2"/>
              <layout name="scalars" type="double" dimensions="4"/>
              <variable name="theta" layout="grid3d" unit="K"/>
              <variable name="wind" layout="grid3d" unit="m/s"/>
              <variable name="diag" layout="scalars"/>
-           </damaris>"#
-    ))
+           </damaris>"#,
+    )
     .expect("valid config")
 }
 
 #[test]
 fn single_client_roundtrip() {
     let dir = scratch("single");
-    let runtime = NodeRuntime::start(config("mutex"), 1, &dir).unwrap();
+    let runtime = NodeRuntime::start(config(), 1, &dir).unwrap();
     let client = &runtime.clients()[0];
 
     let theta: Vec<f32> = (0..64).map(|i| 250.0 + i as f32).collect();
@@ -54,60 +55,58 @@ fn single_client_roundtrip() {
 }
 
 #[test]
-fn multi_client_multi_iteration_both_allocators() {
-    for allocator in ["mutex", "partition"] {
-        let dir = scratch(&format!("multi-{allocator}"));
-        let clients_n = 4;
-        let iterations = 5u32;
-        let runtime = NodeRuntime::start(config(allocator), clients_n, &dir).unwrap();
-        let clients = runtime.clients();
+fn multi_client_multi_iteration() {
+    let dir = scratch("multi");
+    let clients_n = 4;
+    let iterations = 5u32;
+    let runtime = NodeRuntime::start(config(), clients_n, &dir).unwrap();
+    let clients = runtime.clients();
 
-        std::thread::scope(|s| {
-            for client in clients {
-                s.spawn(move || {
-                    for it in 0..iterations {
-                        let value = (client.id() * 1000 + it) as f32;
-                        client.write_f32("theta", it, &vec![value; 64]).unwrap();
-                        client.write_f32("wind", it, &vec![-value; 64]).unwrap();
-                        client.end_iteration(it).unwrap();
-                    }
-                });
-            }
-        });
-
-        let report = runtime.finish().unwrap();
-        assert_eq!(report.iterations_persisted, u64::from(iterations), "{allocator}");
-        assert_eq!(
-            report.variables_received,
-            u64::from(iterations) * clients_n as u64 * 2
-        );
-        assert_eq!(report.files_created, u64::from(iterations));
-
-        // Every (iteration, rank, variable) persisted with correct content.
-        for it in 0..iterations {
-            let path = dir.join(format!("node-0/iter-{it:06}.sdf"));
-            let reader = SdfReader::open(&path).unwrap();
-            assert_eq!(reader.len(), clients_n * 2);
-            for rank in 0..clients_n {
-                let value = (rank as u32 * 1000 + it) as f32;
-                let theta = reader
-                    .read_f32(&format!("/iter-{it}/rank-{rank}/theta"))
-                    .unwrap();
-                assert!(theta.iter().all(|&v| v == value));
-                let wind = reader
-                    .read_f32(&format!("/iter-{it}/rank-{rank}/wind"))
-                    .unwrap();
-                assert!(wind.iter().all(|&v| v == -value));
-            }
+    std::thread::scope(|s| {
+        for client in clients {
+            s.spawn(move || {
+                for it in 0..iterations {
+                    let value = (client.id() * 1000 + it) as f32;
+                    client.write_f32("theta", it, &vec![value; 64]).unwrap();
+                    client.write_f32("wind", it, &vec![-value; 64]).unwrap();
+                    client.end_iteration(it).unwrap();
+                }
+            });
         }
-        std::fs::remove_dir_all(&dir).ok();
+    });
+
+    let report = runtime.finish().unwrap();
+    assert_eq!(report.iterations_persisted, u64::from(iterations));
+    assert_eq!(
+        report.variables_received,
+        u64::from(iterations) * clients_n as u64 * 2
+    );
+    assert_eq!(report.files_created, u64::from(iterations));
+
+    // Every (iteration, rank, variable) persisted with correct content.
+    for it in 0..iterations {
+        let path = dir.join(format!("node-0/iter-{it:06}.sdf"));
+        let reader = SdfReader::open(&path).unwrap();
+        assert_eq!(reader.len(), clients_n * 2);
+        for rank in 0..clients_n {
+            let value = (rank as u32 * 1000 + it) as f32;
+            let theta = reader
+                .read_f32(&format!("/iter-{it}/rank-{rank}/theta"))
+                .unwrap();
+            assert!(theta.iter().all(|&v| v == value));
+            let wind = reader
+                .read_f32(&format!("/iter-{it}/rank-{rank}/wind"))
+                .unwrap();
+            assert!(wind.iter().all(|&v| v == -value));
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn zero_copy_alloc_commit() {
     let dir = scratch("alloc");
-    let runtime = NodeRuntime::start(config("mutex"), 1, &dir).unwrap();
+    let runtime = NodeRuntime::start(config(), 1, &dir).unwrap();
     let client = &runtime.clients()[0];
 
     let mut region = client.alloc("theta", 3).unwrap();
@@ -128,7 +127,7 @@ fn zero_copy_alloc_commit() {
 #[test]
 fn dropped_region_releases_without_writing() {
     let dir = scratch("drop");
-    let runtime = NodeRuntime::start(config("mutex"), 1, &dir).unwrap();
+    let runtime = NodeRuntime::start(config(), 1, &dir).unwrap();
     let client = &runtime.clients()[0];
     drop(client.alloc("theta", 0).unwrap());
     client.end_iteration(0).unwrap();
@@ -143,7 +142,7 @@ fn dropped_region_releases_without_writing() {
 #[test]
 fn api_errors() {
     let dir = scratch("errors");
-    let runtime = NodeRuntime::start(config("mutex"), 1, &dir).unwrap();
+    let runtime = NodeRuntime::start(config(), 1, &dir).unwrap();
     let client = &runtime.clients()[0];
 
     assert!(matches!(
@@ -164,32 +163,39 @@ fn api_errors() {
 
 #[test]
 fn oversized_variable_rejected_not_deadlocked() {
-    // A variable bigger than the whole buffer must error (TooLarge), not
-    // spin forever waiting for space.
+    // A variable bigger than its client's share of the buffer must error
+    // (TooLarge), not spin forever waiting for space — even though the
+    // whole buffer would hold it. The diagnostics say so up front.
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="1024" allocator="mutex"/>
+             <buffer size="6144"/>
              <layout name="big" type="real" dimensions="1024"/>
              <variable name="v" layout="big"/>
            </damaris>"#,
     )
     .unwrap();
+    let warnings = cfg.diagnostics(2);
+    assert!(warnings.iter().any(|w| w.contains("'v' (4096 bytes)")));
     let dir = scratch("oversize");
-    let runtime = NodeRuntime::start(cfg, 1, &dir).unwrap();
+    let runtime = NodeRuntime::start(cfg, 2, &dir).unwrap();
     let client = &runtime.clients()[0];
     let err = client.write_f32("v", 0, &[0.0; 1024]).unwrap_err();
-    assert!(matches!(err, DamarisError::Buffer(_)));
+    assert!(matches!(
+        err,
+        DamarisError::Buffer(damaris_shm::AllocError::TooLarge)
+    ));
     runtime.finish().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn buffer_pressure_resolves_by_draining() {
-    // Buffer fits ~4 variables; write 40 per client: clients must block on
-    // Full and make progress as the server persists and releases.
+    // Each client's half of the buffer fits 4 variables; write 40 per
+    // client: clients must block on Full and make progress as the server
+    // persists and releases.
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="8192" allocator="mutex" queue="8"/>
+             <buffer size="8192" queue="8"/>
              <layout name="chunk" type="real" dimensions="256"/>
              <variable name="v" layout="chunk"/>
            </damaris>"#,
@@ -324,7 +330,7 @@ fn stats_plugin_via_signal() {
 #[test]
 fn unfinished_iteration_flushed_on_terminate() {
     let dir = scratch("flush");
-    let runtime = NodeRuntime::start(config("mutex"), 2, &dir).unwrap();
+    let runtime = NodeRuntime::start(config(), 2, &dir).unwrap();
     let clients = runtime.clients();
     clients[0].write_f32("theta", 0, &[1.0; 64]).unwrap();
     clients[0].end_iteration(0).unwrap();
@@ -432,7 +438,7 @@ fn dynamic_shape_particle_writes() {
     // counts vary; the shape travels with each write (§III-D).
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="1048576" allocator="mutex"/>
+             <buffer size="1048576"/>
              <layout name="particles" type="real" dimensions="?"/>
              <variable name="pos" layout="particles"/>
            </damaris>"#,
@@ -650,7 +656,7 @@ fn rewrites_across_iterations_respect_fifo_release() {
     // "full". Displaced segments are now held until their iteration
     // fires. (Found by the obs_overhead gate in crates/bench.)
     let dir = scratch("fifo-rewrite");
-    let runtime = NodeRuntime::start(config("partition"), 2, &dir).unwrap();
+    let runtime = NodeRuntime::start(config(), 2, &dir).unwrap();
     let clients = runtime.clients();
     let (fast, slow) = (&clients[0], &clients[1]);
     let iterations = 8u32;
@@ -798,53 +804,96 @@ fn a_ring_that_drains_between_iterations_does_not_walk_its_region() {
 /// Zero-copy regions given back out of allocation order: every iteration
 /// the client allocates A, then B, and commits B before it commits — or
 /// drops — A. The dedicated core releases the ring in allocation order
-/// regardless. Releasing in notification order (B, then A) ran a
-/// partitioned ring's tail past its head: a FIFO assertion on the core in
-/// debug builds, and in release builds a ring that answers `Full` for
-/// good. The mutex allocator keeps no order and must simply agree.
+/// regardless. Releasing in notification order (B, then A) ran the ring's
+/// tail past its head: a FIFO assertion on the core in debug builds, and
+/// in release builds a ring that answers `Full` for good.
 #[test]
 fn regions_given_back_out_of_allocation_order_keep_the_ring_whole() {
-    for allocator in ["mutex", "partition"] {
-        for drop_a in [false, true] {
-            let dir = scratch(&format!("out-of-order-{allocator}-{drop_a}"));
-            let cfg = Config::from_xml(&format!(
-                r#"<damaris>
-                     <buffer size="4096" allocator="{allocator}"/>
-                     <layout name="v" type="real" dimensions="64"/>
-                     <variable name="a" layout="v"/>
-                     <variable name="b" layout="v"/>
-                     <resilience backpressure="block" timeout_ms="2000"/>
-                   </damaris>"#
-            ))
-            .unwrap();
-            let runtime = NodeRuntime::start(cfg, 1, &dir).unwrap();
-            let client = &runtime.clients()[0];
-            for it in 0..40u32 {
-                let mut a = client.alloc("a", it).unwrap();
-                a.as_mut_f32().fill(it as f32);
-                let mut b = client.alloc("b", it).unwrap();
-                b.as_mut_f32().fill(-(it as f32));
-                b.commit().unwrap();
-                if drop_a {
-                    drop(a);
-                } else {
-                    a.commit().unwrap();
-                }
-                client.end_iteration(it).unwrap();
+    for drop_a in [false, true] {
+        let dir = scratch(&format!("out-of-order-{drop_a}"));
+        let cfg = Config::from_xml(
+            r#"<damaris>
+                 <buffer size="4096"/>
+                 <layout name="v" type="real" dimensions="64"/>
+                 <variable name="a" layout="v"/>
+                 <variable name="b" layout="v"/>
+                 <resilience backpressure="block" timeout_ms="2000"/>
+               </damaris>"#,
+        )
+        .unwrap();
+        let runtime = NodeRuntime::start(cfg, 1, &dir).unwrap();
+        let client = &runtime.clients()[0];
+        for it in 0..40u32 {
+            let mut a = client.alloc("a", it).unwrap();
+            a.as_mut_f32().fill(it as f32);
+            let mut b = client.alloc("b", it).unwrap();
+            b.as_mut_f32().fill(-(it as f32));
+            b.commit().unwrap();
+            if drop_a {
+                drop(a);
+            } else {
+                a.commit().unwrap();
             }
-            let report = runtime.finish().unwrap();
-            let case = format!("{allocator}, drop_a={drop_a}");
-            assert_eq!(report.iterations_persisted, 40, "{case}");
-            assert_eq!(client.buffer_in_use(), 0, "{case}");
-            let reader = SdfReader::open(dir.join("node-0/iter-000039.sdf")).unwrap();
-            assert_eq!(
-                reader.read_f32("/iter-39/rank-0/b").unwrap(),
-                [-39.0; 64],
-                "{case}"
-            );
-            let a = reader.read_f32("/iter-39/rank-0/a");
-            assert_eq!(a.ok(), (!drop_a).then_some(vec![39.0; 64]), "{case}");
-            std::fs::remove_dir_all(&dir).ok();
+            client.end_iteration(it).unwrap();
         }
+        let report = runtime.finish().unwrap();
+        assert_eq!(report.iterations_persisted, 40, "drop_a={drop_a}");
+        assert_eq!(client.buffer_in_use(), 0, "drop_a={drop_a}");
+        let reader = SdfReader::open(dir.join("node-0/iter-000039.sdf")).unwrap();
+        assert_eq!(
+            reader.read_f32("/iter-39/rank-0/b").unwrap(),
+            [-39.0; 64],
+            "drop_a={drop_a}"
+        );
+        let a = reader.read_f32("/iter-39/rank-0/a");
+        assert_eq!(
+            a.ok(),
+            (!drop_a).then_some(vec![39.0; 64]),
+            "drop_a={drop_a}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A client may not end an iteration while it holds a region it has
+/// neither committed nor dropped. If it could, the iteration's flush would
+/// release the segment it wrote after the region, the ring would read
+/// empty and rewind, and the next reservation would land on the region's
+/// bytes (in debug builds the core would panic on the region's release).
+/// Refused — through any clone of the handle — then committed and ended,
+/// both variables read back as written.
+#[test]
+fn end_iteration_is_refused_while_a_region_is_held() {
+    let dir = scratch("held-region");
+    let runtime = NodeRuntime::start(config(), 1, &dir).unwrap();
+    let client = &runtime.clients()[0];
+    let theta: Vec<f32> = (0..64).map(|i| i as f32 + 0.5).collect();
+    let wind: Vec<f32> = (0..64).map(|i| -(i as f32)).collect();
+
+    let mut region = client.alloc("theta", 0).unwrap();
+    region.as_mut_f32().copy_from_slice(&theta);
+    client.write_f32("wind", 0, &wind).unwrap();
+    for handle in [client.clone(), runtime.clients()[0].clone()] {
+        let refused = handle.end_iteration(0);
+        assert!(
+            matches!(
+                refused,
+                Err(DamarisError::RegionHeld { client: 0, held: 1 })
+            ),
+            "{refused:?}"
+        );
+    }
+    region.commit().unwrap();
+    client.end_iteration(0).unwrap();
+    // The ring goes on from behind both segments.
+    client.write_f32("wind", 1, &[7.0; 64]).unwrap();
+    client.end_iteration(1).unwrap();
+
+    let report = runtime.finish().unwrap();
+    assert_eq!(report.iterations_persisted, 2);
+    assert_eq!(client.buffer_in_use(), 0);
+    let reader = SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
+    assert_eq!(reader.read_f32("/iter-0/rank-0/theta").unwrap(), theta);
+    assert_eq!(reader.read_f32("/iter-0/rank-0/wind").unwrap(), wind);
+    std::fs::remove_dir_all(&dir).ok();
 }

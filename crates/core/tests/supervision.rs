@@ -302,7 +302,7 @@ fn epe_killed_with_iterations_parked_replays_and_persists_them_again() {
 fn stale_heartbeat_block_policy_reports_epe_unavailable() {
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="4096" allocator="mutex"/>
+             <buffer size="4096"/>
              <layout name="big" type="real" dimensions="768"/>
              <variable name="a" layout="big"/>
              <variable name="b" layout="big"/>
@@ -353,7 +353,7 @@ fn stale_heartbeat_block_policy_reports_epe_unavailable() {
 fn stale_heartbeat_sync_fallback_diverts_and_counts() {
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="4096" allocator="mutex"/>
+             <buffer size="4096"/>
              <layout name="big" type="real" dimensions="768"/>
              <variable name="a" layout="big"/>
              <variable name="b" layout="big"/>
@@ -422,7 +422,7 @@ fn stale_heartbeat_sync_fallback_diverts_and_counts() {
 fn panicked_epe_is_respawned_within_budget() {
     let cfg = Config::from_xml(
         r#"<damaris>
-             <buffer size="262144" allocator="mutex"/>
+             <buffer size="262144"/>
              <layout name="grid" type="real" dimensions="64"/>
              <variable name="v" layout="grid"/>
              <event name="panic" action="panic-once"/>

@@ -22,7 +22,7 @@ use crate::ring::{self, Ring, RingWords};
 use crate::sync::{Arc, AtomicU64};
 use crate::AllocError;
 
-/// Alignment granted to every segment (shared with the mutex allocator).
+/// Alignment granted to every segment.
 const ALIGN: usize = ring::RING_ALIGN as usize;
 
 #[derive(Debug)]

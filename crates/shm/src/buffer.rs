@@ -124,15 +124,17 @@ impl SharedBuffer {
         }
     }
 
-    /// Builds a segment view whose position is its offset. Callers must
-    /// come through an allocator that guarantees disjointness; hence the
-    /// crate-private visibility.
+    /// A segment view with no ring position (it is its offset), for tests
+    /// that look at the bytes without an allocator.
+    #[cfg(all(test, not(feature = "check")))]
     pub(crate) fn segment(self: &Arc<Self>, offset: usize, len: usize) -> Segment {
         self.segment_at(offset, len, offset as u64)
     }
 
-    /// [`segment`](Self::segment) for a ring's reservation made at
-    /// `position` ([`crate::ring::ring_reserve`]).
+    /// Builds the segment view of a ring's reservation made at `position`
+    /// ([`crate::ring::ring_reserve`]). Callers must come through an
+    /// allocator that guarantees disjointness; hence the crate-private
+    /// visibility.
     pub(crate) fn segment_at(self: &Arc<Self>, offset: usize, len: usize, position: u64) -> Segment {
         // ANALYZE: in-bounds(callers are allocators handing out ranges inside their region, which sits inside capacity; the assert is the contract check)
         assert!(
@@ -185,10 +187,8 @@ impl Segment {
     }
 
     /// Where the reservation stands in its client's allocation order: the
-    /// ring position [`crate::ring::ring_reserve`] returned, for the
-    /// partitioned and mapped allocators — releasing one client's segments
-    /// by ascending position is releasing them FIFO. The mutex allocator
-    /// keeps no order; its segments' position is their offset.
+    /// ring position [`crate::ring::ring_reserve`] returned — releasing one
+    /// client's segments by ascending position is releasing them FIFO.
     pub fn position(&self) -> u64 {
         self.position
     }

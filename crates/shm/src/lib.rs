@@ -6,16 +6,14 @@
 //! single `memcpy`, and notify the dedicated core through a shared event
 //! queue.
 //!
-//! The paper describes two reservation schemes, both implemented here:
-//!
-//! * [`MutexAllocator`] — "the default mutex-based allocation algorithm of
-//!   the Boost library": a first-fit free list guarded by a mutex, allowing
-//!   arbitrary concurrent reserve/release patterns.
-//! * [`PartitionAllocator`] — "another lock-free reservation algorithm: when
-//!   all clients are expected to write the same amount of data, the
-//!   shared-memory buffer is split in as many parts as clients and each
-//!   client uses its own region." Each region is a single-producer ring;
-//!   reservation is a handful of atomic operations.
+//! Reservation is the paper's lock-free scheme: "the shared-memory buffer
+//! is split in as many parts as clients and each client uses its own
+//! region." Each region is a single-producer ring run by the protocol in
+//! [`ring`]; reservation is a handful of atomic operations. The rings'
+//! words live in [`PartitionAllocator`] on the heap, or in a
+//! [`MappedNode`] when the cores are processes. (The paper's other scheme,
+//! Boost's mutex-guarded free list, is deliberately not reproduced; see
+//! `DESIGN.md` §8.)
 //!
 //! In the original, the buffer lives in a POSIX shared-memory region mapped
 //! by separate MPI processes on the node. This reproduction supports both
@@ -39,11 +37,10 @@
 //! All synchronization primitives are imported from the [`sync`] facade.
 //! Building with `--features check` swaps them onto the `damaris-check`
 //! model checker, and `tests/model.rs` exhaustively explores bounded
-//! interleavings of the queue, both allocators, and the backpressure
+//! interleavings of the queue, the ring, and the backpressure
 //! protocol — including seeded-bug tests proving the checker rejects
 //! weakened orderings. See `DESIGN.md` § "Memory model & verification".
 
-mod alloc_mutex;
 mod alloc_partition;
 #[cfg(all(unix, not(feature = "check")))]
 pub mod backing;
@@ -58,7 +55,6 @@ mod queue;
 pub mod ring;
 pub mod sync;
 
-pub use alloc_mutex::MutexAllocator;
 pub use alloc_partition::PartitionAllocator;
 #[cfg(all(unix, not(feature = "check")))]
 pub use backing::{kill_hard, kill_self_hard, monotonic_now_ns, pid_alive, this_pid, MapRegion};
@@ -81,7 +77,7 @@ pub enum AllocError {
     Full,
     /// The request can never succeed (larger than the region/buffer).
     TooLarge,
-    /// Client id out of range (partitioned allocator only).
+    /// Client id out of range.
     BadClient,
 }
 

@@ -14,8 +14,8 @@
 //!
 //! Two kinds of tests live here:
 //!
-//! * **Verification** — the real `MpscQueue` / `PartitionAllocator` /
-//!   `MutexAllocator` code paths pass every explored schedule;
+//! * **Verification** — the real `MpscQueue` / `PartitionAllocator` code
+//!   paths pass every explored schedule;
 //! * **Seeded bugs** — replicas of the same protocols with one ordering
 //!   deliberately weakened (or the pre-fix `in_use` load order restored)
 //!   must make the checker FAIL, proving the tool actually distinguishes
@@ -27,9 +27,7 @@ use damaris_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use damaris_check::{model, thread, Builder, FailureKind};
 use damaris_shm::ring::{ring_in_use, ring_reclaim, ring_release, ring_reserve, RingWords};
 use damaris_shm::sync::{Arc, ShmCell};
-use damaris_shm::{
-    AllocError, ClientLease, HeartbeatWord, MpscQueue, MutexAllocator, PartitionAllocator, Segment,
-};
+use damaris_shm::{AllocError, ClientLease, HeartbeatWord, MpscQueue, PartitionAllocator, Segment};
 
 // ---------------------------------------------------------------------------
 // MPMC queue
@@ -327,44 +325,6 @@ fn seeded_stale_head_snapshot_underflows() {
         "unexpected message: {}",
         failure.message
     );
-}
-
-// ---------------------------------------------------------------------------
-// Mutex allocator
-// ---------------------------------------------------------------------------
-
-/// Two threads allocate, write, and release through the mutex allocator;
-/// the lock must order every pair of accesses (no canary, no race).
-#[test]
-fn mutex_allocator_cycle_is_race_free() {
-    model(|| {
-        let alloc = Arc::new(MutexAllocator::with_capacity(16));
-        let a2 = Arc::clone(&alloc);
-        let t = thread::spawn(move || {
-            let mut seg = loop {
-                match a2.allocate(8) {
-                    Ok(seg) => break seg,
-                    Err(AllocError::Full) => thread::yield_now(),
-                    Err(e) => panic!("unexpected {e}"),
-                }
-            };
-            seg.as_mut_slice().fill(1);
-            assert!(seg.as_slice().iter().all(|&b| b == 1));
-            a2.release(seg);
-        });
-        let mut seg = loop {
-            match alloc.allocate(8) {
-                Ok(seg) => break seg,
-                Err(AllocError::Full) => thread::yield_now(),
-                Err(e) => panic!("unexpected {e}"),
-            }
-        };
-        seg.as_mut_slice().fill(2);
-        assert!(seg.as_slice().iter().all(|&b| b == 2));
-        alloc.release(seg);
-        t.join();
-        assert_eq!(alloc.in_use(), 0);
-    });
 }
 
 // ---------------------------------------------------------------------------

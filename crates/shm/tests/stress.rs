@@ -10,7 +10,7 @@
 
 #![cfg(not(feature = "check"))]
 
-use damaris_shm::{MpscQueue, MutexAllocator, PartitionAllocator};
+use damaris_shm::{MpscQueue, PartitionAllocator};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -192,62 +192,4 @@ fn partition_allocator_churn_keeps_in_use_sane() {
     for c in 0..CLIENTS {
         assert_eq!(alloc.in_use(c), 0, "client {c} leaked bytes");
     }
-}
-
-/// Mutex-allocator fragmentation churn: threads allocate mixed sizes and
-/// release in a different order than they allocated (first-fit free-list
-/// coalescing under contention). Accounting must return to zero and a
-/// full-capacity allocation must succeed again afterwards (perfect
-/// coalescing of the free list).
-#[test]
-fn mutex_allocator_fragmentation_churn() {
-    const THREADS: usize = 4;
-    const ROUNDS: usize = 1_500;
-    let alloc = Arc::new(MutexAllocator::with_capacity(8192));
-    let mut handles = Vec::new();
-    for t in 0..THREADS {
-        let alloc = Arc::clone(&alloc);
-        handles.push(thread::spawn(move || {
-            // Deterministic per-thread LCG: varied but reproducible sizes.
-            let mut rng = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut live = Vec::new();
-            for _ in 0..ROUNDS {
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let len = 1 + (rng >> 33) as usize % 96;
-                match alloc.allocate(len) {
-                    Ok(mut seg) => {
-                        seg.as_mut_slice().fill(t as u8);
-                        // Release out of allocation order: swap-remove from
-                        // the middle to exercise coalescing on both sides.
-                        if live.len() >= 8 {
-                            let idx = (rng as usize) % live.len();
-                            let seg: damaris_shm::Segment = live.swap_remove(idx);
-                            alloc.release(seg);
-                        }
-                        live.push(seg);
-                    }
-                    Err(_) => {
-                        for seg in live.drain(..) {
-                            assert!(seg.as_slice().iter().all(|&b| b == t as u8));
-                            alloc.release(seg);
-                        }
-                    }
-                }
-            }
-            for seg in live.drain(..) {
-                alloc.release(seg);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(alloc.in_use(), 0, "allocator leaked bytes");
-    assert_eq!(
-        alloc.largest_free(),
-        alloc.capacity(),
-        "free list failed to coalesce back to one run"
-    );
-    let seg = alloc.allocate(alloc.capacity()).expect("full-size alloc after churn");
-    alloc.release(seg);
 }

@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn parking_lot_bypass_flagged() {
         let src = "use parking_lot::Mutex;\n";
-        assert_eq!(rules("crates/shm/src/alloc_mutex.rs", src), ["raw-sync-primitives"]);
+        assert_eq!(rules("crates/shm/src/alloc_partition.rs", src), ["raw-sync-primitives"]);
     }
 
     // -- rule 2: undocumented unsafe --------------------------------------

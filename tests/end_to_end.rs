@@ -160,7 +160,7 @@ fn xml_config_drives_the_whole_stack() {
     use damaris_repro::cm1::damaris_config_xml;
     use damaris_repro::core::{Config, NodeRuntime};
 
-    let xml = damaris_config_xml(8, 8, 4, 3, 1 << 20, "mutex");
+    let xml = damaris_config_xml(8, 8, 4, 3, 1 << 20);
     let config = Config::from_xml(&xml).unwrap();
     let dir = scratch("xmlstack");
     let runtime = NodeRuntime::start(config, 1, &dir).unwrap();
