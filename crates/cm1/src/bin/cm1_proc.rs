@@ -1,7 +1,7 @@
 //! Multi-process CM1: the proxy model running the way the original
 //! Damaris deployed — compute cores and the dedicated I/O core as
-//! **separate OS processes** over a file-backed shared mapping, with a
-//! Unix-socket control plane.
+//! **separate OS processes** over a file-backed shared mapping, which
+//! carries the notifications too: the processes share nothing else.
 //!
 //! One binary, three roles, selected by `DAMARIS_PROC_ROLE`:
 //!
@@ -53,9 +53,7 @@ fn run_launcher() -> ExitCode {
             "--iterations" => {
                 val().and_then(|v| v.parse().map(|n| iterations = n).map_err(|_| ()))
             }
-            "--policy" => val().map(|v| {
-                policy = Some(damaris_core::proc::policy_from_str(&v));
-            }),
+            "--policy" => val().and_then(|v| v.parse().map(|p| policy = Some(p)).map_err(|_| ())),
             "--kill-rank" => {
                 val().and_then(|v| v.parse().map(|n| kill_rank = Some(n)).map_err(|_| ()))
             }

@@ -1,7 +1,8 @@
 //! One dedicated core, two event sources, one oracle: the same writes
-//! through the process node (OS processes, `/dev/shm`-style mapping, UDS
-//! control plane) and through the threaded node (`NodeRuntime`, in-process
-//! queue) must leave the same files, byte for byte, and the same counts —
+//! through the process node (OS processes, a `/dev/shm`-style mapping
+//! carrying data and notice rings) and through the threaded node
+//! (`NodeRuntime`, in-process queue) must leave the same files, byte for
+//! byte, and the same counts —
 //! and what the process node leaves is the read tier's to query.
 
 #![cfg(unix)]

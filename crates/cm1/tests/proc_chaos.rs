@@ -181,9 +181,10 @@ fn killed_epe_respawns_replays_the_wal_and_finishes() {
         second.events_replayed >= 1,
         "respawn recovered nothing from the journal: {report:?}"
     );
-    assert!(
-        second.stale_events_rejected >= 1,
-        "client re-sends were not deduplicated: {report:?}"
+    assert_eq!(
+        second.stale_events_rejected, 1,
+        "exactly the notice in flight at the kill — journalled, still on its \
+         ring — is read again and refused: {report:?}"
     );
     // No client died, so after recovery nothing may be partial and
     // every byte of every rank must come out intact.
@@ -223,8 +224,8 @@ fn drop_iteration_policy_discards_the_whole_iteration() {
 /// `wait` is the paper's contract and the threaded node's: no failure
 /// detector. Nobody fences the dead rank, the iterations it never ended
 /// stall, the survivors run to their end without it, and when everyone is
-/// accounted for — the survivors finished, the victim's connection closed
-/// and its lease still — `Terminate` flushes what never completed,
+/// accounted for — the survivors finished, the victim's process gone and
+/// its lease still — `Terminate` flushes what never completed,
 /// unmarked.
 #[test]
 fn wait_policy_stalls_on_the_dead_rank_and_flushes_at_terminate() {
@@ -272,7 +273,7 @@ fn orphaned_mappings_are_swept_and_counted_at_startup() {
     // a valid header stamped with a pid beyond Linux's pid_max.
     let stale = p.dir.join("damaris-node-stale.shm");
     {
-        let node = damaris_shm::MappedNode::create(&stale, 2, 4096).unwrap();
+        let node = damaris_shm::MappedNode::create(&stale, 2, 4096, 4).unwrap();
         drop(node);
         let mut bytes = std::fs::read(&stale).unwrap();
         bytes[40..48].copy_from_slice(&(i32::MAX as u64).to_ne_bytes());

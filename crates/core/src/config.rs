@@ -97,6 +97,36 @@ pub enum OnClientFailure {
     DropIteration,
 }
 
+impl OnClientFailure {
+    /// The `on_client_failure` attribute value, which
+    /// [`FromStr`](std::str::FromStr) reads back.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            OnClientFailure::Wait => "wait",
+            OnClientFailure::Partial => "partial",
+            OnClientFailure::DropIteration => "drop-iteration",
+        }
+    }
+}
+
+impl std::str::FromStr for OnClientFailure {
+    type Err = DamarisError;
+
+    /// The one parser of a policy name — the XML attribute's, the process
+    /// node's environment's and `cm1_proc --policy`'s.
+    fn from_str(s: &str) -> Result<OnClientFailure, DamarisError> {
+        match s {
+            "wait" => Ok(OnClientFailure::Wait),
+            "partial" => Ok(OnClientFailure::Partial),
+            "drop-iteration" | "drop_iteration" => Ok(OnClientFailure::DropIteration),
+            other => Err(DamarisError::Config(format!(
+                "unknown on_client_failure policy '{other}' \
+                 (expected wait, partial, or drop-iteration)"
+            ))),
+        }
+    }
+}
+
 /// What the dedicated core does with iterations that become ready while
 /// the storage-pressure machine is in `ReadOnly` (disk quota exhausted;
 /// see [`crate::pressure::PressureMachine`]).
@@ -433,19 +463,10 @@ impl Config {
                         }
                         r.heartbeat_timeout = Duration::from_millis(ms);
                     }
-                    match e.attr("on_client_failure") {
-                        None | Some("wait") => r.on_client_failure = OnClientFailure::Wait,
-                        Some("partial") => r.on_client_failure = OnClientFailure::Partial,
-                        Some("drop-iteration") | Some("drop_iteration") => {
-                            r.on_client_failure = OnClientFailure::DropIteration
-                        }
-                        Some(other) => {
-                            return Err(DamarisError::Config(format!(
-                                "unknown on_client_failure policy '{other}' \
-                                 (expected wait, partial, or drop-iteration)"
-                            )))
-                        }
-                    }
+                    r.on_client_failure = match e.attr("on_client_failure") {
+                        None => OnClientFailure::Wait,
+                        Some(policy) => policy.parse()?,
+                    };
                     if let Some(ms) = e
                         .attr_parse::<u64>("client_lease_timeout_ms")
                         .map_err(DamarisError::Config)?
@@ -686,14 +707,7 @@ impl Config {
             "heartbeat_timeout_ms",
             r.heartbeat_timeout.as_millis().to_string(),
         );
-        res.set_attr(
-            "on_client_failure",
-            match r.on_client_failure {
-                OnClientFailure::Wait => "wait",
-                OnClientFailure::Partial => "partial",
-                OnClientFailure::DropIteration => "drop-iteration",
-            },
-        );
+        res.set_attr("on_client_failure", r.on_client_failure.as_str());
         res.set_attr(
             "client_lease_timeout_ms",
             r.client_lease_timeout.as_millis().to_string(),
@@ -1040,6 +1054,27 @@ mod tests {
         ] {
             assert!(Config::from_xml(bad).is_err(), "{bad}");
         }
+    }
+
+    /// One parser for every place a policy name arrives: each name reads
+    /// back as what it says, and a misspelt one is refused, not taken for
+    /// the default.
+    #[test]
+    fn a_misspelt_client_failure_policy_is_refused() {
+        for policy in [
+            OnClientFailure::Wait,
+            OnClientFailure::Partial,
+            OnClientFailure::DropIteration,
+        ] {
+            assert_eq!(policy.as_str().parse::<OnClientFailure>().unwrap(), policy);
+        }
+        let misspelt = "parital".parse::<OnClientFailure>().unwrap_err();
+        assert!(misspelt.to_string().contains("'parital'"), "{misspelt}");
+        let xml = r#"<damaris><resilience on_client_failure="parital"/></damaris>"#;
+        assert!(matches!(
+            Config::from_xml(xml),
+            Err(DamarisError::Config(_))
+        ));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * clients only post; the dedicated core journals each client-originated
 //!   event (`Write`, `User`, `EndIteration`, `Abandon`) as it takes it from
-//!   its source — the queue's pop, or a frame of the process node's pump —
+//!   its source — the queue's pop, or a client's notice ring in the
+//!   process node's mapping —
 //!   and *claims* the record at once, before it applies the event
 //!   ([`crate::server::DedicatedCore::admit`]); it marks the record
 //!   *applied* once the side effects are durable (segment released,

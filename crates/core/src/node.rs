@@ -63,7 +63,7 @@ impl BufferManager {
 
     /// Reissues the handle of a still-allocated range known only by its
     /// coordinates — from the journal after a dedicated-core crash, or
-    /// from a client process's `Commit` frame. The allocator validates
+    /// from a client process's write notice. The allocator validates
     /// them; `None` if the range is not a live allocation of `client`.
     pub(crate) fn adopt(&self, client: u32, offset: usize, len: usize) -> Option<Segment> {
         match self {
@@ -956,13 +956,13 @@ mod tests {
     fn a_mapped_buffer_adopts_only_what_that_client_has_outstanding() {
         let path = std::env::temp_dir().join(format!("damaris-node-adopt-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let node = MappedNode::create(&path, 2, 2048).unwrap();
+        let node = MappedNode::create(&path, 2, 2048, 4).unwrap();
         let data = node.buffer();
         let buffer = BufferManager::Mapped(node, data);
         let segment = buffer.allocate(1, 100).unwrap();
         let (offset, len) = (segment.offset(), segment.len());
         assert!(buffer.adopt(1, offset, len).is_some());
-        // What a forged `Commit` frame can say.
+        // What a forged write notice can say.
         assert!(buffer.adopt(1, usize::MAX - 1, 2).is_none(), "overflow");
         assert!(buffer.adopt(0, offset, len).is_none(), "another rank's ring");
         assert!(buffer.adopt(1, offset, 1032).is_none(), "longer than a ring");

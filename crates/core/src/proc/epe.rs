@@ -1,48 +1,48 @@
 //! The dedicated-core process: the node's one dedicated core
-//! ([`crate::server`]) fed from the UDS control plane instead of the
-//! in-process queue.
+//! ([`crate::server`]) fed from its clients' notice rings in the mapping
+//! instead of the in-process queue.
 //!
 //! [`run_epe`] is bootstrap, a pump, and a report:
 //!
 //! 1. **Bootstrap.** Sweep the run directory for orphaned mappings of
-//!    dead prior runs ([`damaris_shm::scan_orphans`]); create the mapping
-//!    (first incarnation) or re-adopt it (respawn); publish the heartbeat
-//!    epoch; open the journal's file ([`EventJournal::open`]) and fence in
-//!    it every rank whose lease reads revoked; build the node's shared
-//!    state over the mapping; bind the socket (first boot: wait for every
-//!    rank to register); build the core over the shared state; replay
-//!    (respawn).
+//!    dead prior runs ([`damaris_shm::scan_orphans`]); build the node's
+//!    configuration; create the mapping (first incarnation, a notice ring
+//!    per client sized from the configuration's event queue) or re-adopt
+//!    it (respawn); publish the heartbeat epoch; open the journal's file
+//!    ([`EventJournal::open`]) and fence in it every rank whose lease reads
+//!    revoked; build the node's shared state over the mapping (first
+//!    boot: wait for every rank to register its pid); build the core over
+//!    the shared state; replay (respawn).
 //! 2. **The pump.** Each pass beats and stamps the mapped heartbeat,
-//!    accepts whoever registered, drains `Commit`/`EndIteration` frames —
-//!    validate by *adopting* the range from the sender's ring, `admit`,
-//!    `handle` — runs the core's `idle` pass, and on a pass that read no
-//!    frame its `quiet` pass (the rule [`crate::server::run`] follows on
-//!    an empty pop), after which what retired is acknowledged.
-//! 3. `Terminate`, `finish`, and the report file the launcher reads.
+//!    drains every client's notice ring, runs the core's `idle` pass, and
+//!    on a pass that read no notice its `quiet` pass (the rule
+//!    [`crate::server::run`] follows on an empty pop).
+//! 3. `Terminate`, `finish`, the `done` word the clients wait for, and the
+//!    report file the launcher reads.
 //!
-//! Everything a payload byte meets between a client's `Commit` and the
+//! Everything a payload byte meets between a client's notice and the
 //! disk — iteration completion, the lease sweep, failure policies, CRC
 //! verification, persist retry, group commit, `MANIFEST` publish, the
 //! plugin pipeline, spans — is the core's and is not repeated here. What
 //! the pump owns is what is transport:
 //!
-//! * **Validation.** A frame's coordinates come from another process;
-//!   [`Pump::commit`] says what it takes for one to be believed.
-//! * **Acknowledgement.** `Ack { iteration }` means durable and
-//!   released: it goes out after the `quiet` pass that committed the
-//!   iteration. Clients never wait for it between iterations; it only
-//!   prunes what they would re-send.
-//! * **Re-sends.** A reconnecting client re-sends everything
-//!   unacknowledged; what the journal's history (or this incarnation)
-//!   already holds is rejected *before* it is journalled, because the same
-//!   range adopted twice would be released twice.
-//! * **Termination.** There is no `Terminate` on the wire: the pump
-//!   decides ([`Pump::settled`]).
+//! * **Order.** Each notice is validated, admitted (its journal record
+//!   durable), taken off its ring, then handled. No notice leaves a ring
+//!   before its record is durable, so a kill loses none; the one a kill
+//!   catches between the two is read again by the next incarnation and
+//!   refused as already seen, because the same range adopted twice would
+//!   be released twice.
+//! * **Validation.** A notice's words come from another process;
+//!   [`Pump::commit`] says what it takes for one to be believed. The ring
+//!   it sits in names its rank.
+//! * **Termination.** There is no `Terminate` notice: the pump decides
+//!   ([`Pump::settled`]).
 //!
 //! The mid-drain kill (`DAMARIS_KILL_EPE_AFTER`) raises `SIGKILL` right
-//! after the core admitted a commit — its record durable — and before it
-//! handles it: the worst spot, the next incarnation must recover the
-//! commit from the journal file and the mapping alone.
+//! after the core admitted a write — its record durable — and before the
+//! notice leaves its ring and the core handles it: the worst spot, the
+//! next incarnation must recover the write from the journal file and the
+//! mapping alone.
 
 use crate::config::OnClientFailure;
 use crate::epe::EventProcessingEngine;
@@ -52,9 +52,8 @@ use crate::journal::{EventJournal, JournalPayload, RecordState, ReplayEntry};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::server::DedicatedCore;
 use damaris_fs::LocalDirBackend;
-use damaris_mpi::{CtrlMsg, FaultPlan, UdsConn, UdsHub};
 use damaris_shm::sync::{Arc, Ordering};
-use damaris_shm::{monotonic_now_ns, scan_orphans, LeaseSnapshot, MappedNode};
+use damaris_shm::{monotonic_now_ns, pid_alive, scan_orphans, LeaseSnapshot, MappedNode, Notice};
 use std::collections::{BTreeSet, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -63,7 +62,7 @@ use std::time::{Duration, Instant};
 /// Everything one EPE incarnation needs to run.
 #[derive(Debug, Clone)]
 pub struct EpeOptions {
-    /// Run directory: mapping, socket, journal, reports, and `out/` live here.
+    /// Run directory: mapping, journal, reports, and `out/` live here.
     pub dir: PathBuf,
     /// Number of client ranks.
     pub n_clients: usize,
@@ -99,7 +98,7 @@ impl EpeOptions {
             payload_len: super::env_parse(super::ENV_PAYLOAD)?,
             data_capacity: super::env_parse(super::ENV_CAPACITY)?,
             epoch: super::env_parse(super::ENV_EPOCH)?,
-            policy: super::policy_from_str(&std::env::var(super::ENV_POLICY).unwrap_or_default()),
+            policy: super::env_parse(super::ENV_POLICY)?,
             lease_timeout: Duration::from_millis(super::env_parse(super::ENV_LEASE_MS)?),
             kill_after_commits: super::epe_kill_after_from_env(),
         })
@@ -143,8 +142,8 @@ impl EpeReport {
 
 fn beat(node: &MappedNode) {
     node.heartbeat().beat();
-    // Release: dates the beat on the shared clock; clients Acquire-load
-    // it to compute staleness without a process-private anchor.
+    // Release: dates the beat on the shared clock, which the orphan sweep
+    // of another run Acquire-loads to tell a live mapping from a dead one.
     node.beat_at_ns()
         .store(monotonic_now_ns(), Ordering::Release);
 }
@@ -166,6 +165,13 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     let keep = (opts.epoch > 0).then_some(mapping_path.as_path());
     let gc = scan_orphans(&opts.dir, "damaris-node", keep, Some(stale_ns))?;
 
+    let config = super::node_config(
+        opts.variables,
+        opts.payload_len,
+        opts.data_capacity,
+        opts.policy,
+        opts.lease_timeout,
+    );
     // Create or re-adopt the mapping.
     let adopted = (opts.epoch > 0).then(|| MappedNode::open(&mapping_path).ok());
     let node = match adopted.flatten() {
@@ -181,7 +187,8 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
                 Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
                 _ => {}
             }
-            MappedNode::create(&mapping_path, opts.n_clients, opts.data_capacity)?
+            let (clients, queue) = (opts.n_clients, config.queue_capacity);
+            MappedNode::create(&mapping_path, clients, opts.data_capacity, queue)?
         }
     };
     // Heartbeat epoch = incarnation + 1 so even the first incarnation is
@@ -198,13 +205,6 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     }
 
     let backend = Arc::new(LocalDirBackend::new(opts.dir.join(super::OUT_DIR))?);
-    let config = super::node_config(
-        opts.variables,
-        opts.payload_len,
-        opts.data_capacity,
-        opts.policy,
-        opts.lease_timeout,
-    );
     let engine = EventProcessingEngine::build(&config, &[]).map_err(core_err)?;
     let shared = NodeShared::over_mapping(config, node.clone(), backend, 0, journal);
     let shared = Arc::new(shared);
@@ -218,16 +218,14 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         .shm_orphans_quarantined
         .add(gc.quarantined as u64);
 
-    let hub = UdsHub::bind(&opts.dir.join(super::SOCKET_FILE))?;
-    let mut pump = Pump::new(opts, &shared, &node, hub, &history);
+    let mut pump = Pump::new(opts, &shared, &node, &history);
     if opts.epoch == 0 {
-        // The run begins when every rank has joined: a process still being
-        // exec'd is not a dead rank, and the core's lease deadlines start
-        // when it is built. (A respawn has the lease words to go by.)
+        // The run begins when every rank has registered: a process still
+        // being exec'd is not a dead rank, and the core's lease deadlines
+        // start when it is built. (A respawn has the lease words to go by.)
         let joined_by = Instant::now() + Duration::from_secs(20);
-        while pump.conns.iter().any(Option::is_none) && Instant::now() < joined_by {
+        while (0..opts.n_clients).any(|c| node.client_pid(c) == 0) && Instant::now() < joined_by {
             beat(&node);
-            pump.accept()?;
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -238,55 +236,50 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
 
     loop {
         beat(&node);
-        pump.accept()?;
         let read_any = pump.drain(&mut core)?;
         core.idle().map_err(core_err)?;
         if read_any {
             continue;
         }
-        pump.acknowledge(core.quiet().map_err(core_err)?);
+        pump.retired.extend(core.quiet().map_err(core_err)?);
         if pump.done() {
             break;
         }
         std::thread::sleep(Duration::from_micros(200));
     }
-    // The wire has no `Terminate`; the core needs one to flush what never
+    // No notice says `Terminate`; the core needs one to flush what never
     // completed and let its plugins finish.
     let _ = core.handle(0, Event::Terminate).map_err(core_err)?;
     let report = EpeReport {
         epoch: opts.epoch,
         node: core.finish(),
     };
-    // Coordinated shutdown; send errors just mean the rank already left.
-    for conn in pump.conns.iter_mut().flatten() {
-        let _ = conn.send(&CtrlMsg::Shutdown);
-    }
+    node.mark_done();
     beat(&node);
     report.write_to(&opts.report_path())?;
     Ok(report)
 }
 
-/// The transport half of the process node: connections, and what has to
-/// be remembered about the frames that came over them.
+/// The transport half of the process node: what has to be remembered
+/// about the notices taken off the rings, by this incarnation or — through
+/// the journal's history — by the ones before it.
 struct Pump<'a> {
     opts: &'a EpeOptions,
     shared: &'a NodeShared,
     node: &'a MappedNode,
-    hub: UdsHub,
-    conns: Vec<Option<UdsConn>>,
-    /// Every `(rank, iteration, variable)` ever journalled — a re-sent
-    /// commit adopted again would release its range twice.
+    /// Every `(rank, iteration, variable)` ever journalled — a write
+    /// notice read again after a kill would release its range twice.
     commits_seen: HashSet<(u32, u32, u32)>,
-    /// Every `(rank, iteration)` whose `EndIteration` was journalled — a
-    /// re-sent one counted again would make the iteration look partial.
+    /// Every `(rank, iteration)` whose end was journalled — read again, it
+    /// would make the iteration look partial.
     ends_seen: HashSet<(u32, u32)>,
-    /// Iterations retired and acknowledged, by a predecessor or by us.
+    /// Iterations retired, by a predecessor or by us.
     retired: BTreeSet<u32>,
-    /// Ranks that sent their last `EndIteration`.
+    /// Ranks whose last end of iteration was taken.
     finished: Vec<bool>,
     /// Per rank, the lease word as last seen to move and when: without a
-    /// sweeper, stillness is how a rank whose connection closed is told
-    /// from one that is on its way back.
+    /// sweeper, a rank whose process is gone is settled only once its word
+    /// has been still for a lease timeout, as a sweeper would require.
     lease_seen: Vec<(LeaseSnapshot, Instant)>,
     /// Commits accepted by this incarnation (the chaos kill counts them).
     commits: u64,
@@ -297,7 +290,6 @@ impl<'a> Pump<'a> {
         opts: &'a EpeOptions,
         shared: &'a NodeShared,
         node: &'a MappedNode,
-        hub: UdsHub,
         history: &[ReplayEntry],
     ) -> Pump<'a> {
         let now = Instant::now();
@@ -305,8 +297,6 @@ impl<'a> Pump<'a> {
             opts,
             shared,
             node,
-            hub,
-            conns: (0..opts.n_clients).map(|_| None).collect(),
             commits_seen: HashSet::new(),
             ends_seen: HashSet::new(),
             retired: BTreeSet::new(),
@@ -348,33 +338,25 @@ impl<'a> Pump<'a> {
         self.ends_seen.insert((rank, iteration));
     }
 
-    /// Whether the run has nothing more to expect of `rank`: it sent its
-    /// last `EndIteration`, or it is fenced, or — only when no sweeper
-    /// runs to fence it — its connection is closed and its lease word,
-    /// which a rank renews even while it reconnects, has been still for
-    /// one lease timeout (a word that never moved is a rank not started).
+    /// Whether the run has nothing more to expect of `rank`: its last end
+    /// of iteration was taken, or it is fenced, or — only when no sweeper
+    /// runs to fence it — its process is gone and its lease word has been
+    /// still for one lease timeout (a word that never moved is a rank not
+    /// started).
     fn settled(&self, rank: usize) -> bool {
-        let lease = self.node.lease(rank);
         let (seen, since) = self.lease_seen[rank];
         self.finished[rank]
-            || lease.is_revoked()
+            || self.node.lease(rank).is_revoked()
             || (self.opts.policy == OnClientFailure::Wait
-                && self.conns[rank].is_none()
+                && !pid_alive(self.node.client_pid(rank))
                 && seen.beat() > 0
                 && since.elapsed() >= self.opts.lease_timeout)
     }
 
-    /// All `iterations` retired and acknowledged, or every rank settled.
-    fn done(&self) -> bool {
-        (0..self.opts.iterations).all(|it| self.retired.contains(&it))
-            || (0..self.opts.n_clients).all(|rank| self.settled(rank))
-    }
-
-    /// Notes which lease words moved since the last pass (what `settled`
-    /// goes by), then takes in whoever registered, for as long as a rank
-    /// is neither settled nor connected: at first boot that is everyone,
-    /// after a respawn whoever survived, whenever they get here.
-    fn accept(&mut self) -> io::Result<()> {
+    /// Notes which lease words moved since the last look (what `settled`
+    /// goes by); then, whether all `iterations` are retired, or every rank
+    /// is settled.
+    fn done(&mut self) -> bool {
         let now = Instant::now();
         for (rank, seen) in self.lease_seen.iter_mut().enumerate() {
             let snapshot = self.node.lease(rank).snapshot();
@@ -382,61 +364,37 @@ impl<'a> Pump<'a> {
                 *seen = (snapshot, now);
             }
         }
-        let expected = |rank: usize| self.conns[rank].is_none() && !self.settled(rank);
-        if !(0..self.opts.n_clients).any(expected) {
-            return Ok(());
-        }
-        let n = self.opts.n_clients;
-        for conn in self
-            .hub
-            .poll_accept(n, self.opts.epoch + 1, n, &FaultPlan::new())?
-        {
-            conn.set_nonblocking(true)?;
-            let rank = conn.peer();
-            // A rank registering again has given up on its old stream.
-            self.conns[rank] = Some(conn);
-        }
-        Ok(())
+        (0..self.opts.iterations).all(|it| self.retired.contains(&it))
+            || (0..self.opts.n_clients).all(|rank| self.settled(rank))
     }
 
-    /// Reads every frame waiting on every connection and hands what is
-    /// believed to the core; true if there was any frame at all.
+    /// Takes every notice waiting in every ring and hands what is believed
+    /// to the core; true if there was any notice at all.
     fn drain(&mut self, core: &mut DedicatedCore) -> io::Result<bool> {
+        let node = self.node;
         let mut read_any = false;
-        for rank in 0..self.conns.len() {
-            while let Some(conn) = self.conns[rank].as_mut() {
-                let msg = match conn.recv() {
-                    Ok(msg) => msg,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    // Closed or corrupt stream: the rank reconnects, or
-                    // it is the sweeper's (`settled`'s) to deal with.
-                    Err(_) => {
-                        self.conns[rank] = None;
-                        break;
-                    }
-                };
+        for rank in 0..self.opts.n_clients {
+            let ring = node.notices(rank);
+            while let Some(words) = ring.peek() {
                 read_any = true;
-                let event = match msg {
-                    CtrlMsg::Commit {
-                        rank: r,
-                        iteration,
+                let rank = rank as u32;
+                let admitted = match Notice::decode(words) {
+                    Some(Notice::Write {
                         variable,
+                        iteration,
                         offset,
                         len,
                         crc,
-                    } if r as usize == rank => {
-                        self.commit(r, iteration, variable, offset, len, crc, core)
+                    }) => self.commit(rank, iteration, variable, offset, len, crc, core),
+                    Some(Notice::EndIteration { iteration }) => {
+                        self.end_iteration(rank, iteration, core)
                     }
-                    CtrlMsg::EndIteration { rank: r, iteration } if r as usize == rank => {
-                        self.end_iteration(r, iteration, core)
-                    }
-                    // A frame that names another rank is forged.
-                    CtrlMsg::Commit { .. } | CtrlMsg::EndIteration { .. } => None,
-                    // User events and barriers are not part of the proxy
-                    // app's protocol; ignore anything else well-formed.
-                    _ => continue,
+                    // A kind no client posts is forged.
+                    None => None,
                 };
-                match event {
+                // Journalled or refused: the slot is the client's again.
+                ring.advance();
+                match admitted {
                     Some((seq, event)) => {
                         let _ = core.handle(seq, event).map_err(core_err)?;
                     }
@@ -447,11 +405,11 @@ impl<'a> Pump<'a> {
         Ok(read_any)
     }
 
-    /// A `Commit` frame of `rank`'s own connection becomes a `Write` the
-    /// core admits only if it is news (not of a retired iteration, not
-    /// seen before), names a configured variable with that variable's
-    /// size, and [`crate::node::BufferManager::adopt`] finds the range
-    /// live in that rank's ring. `None`: rejected, nothing journalled.
+    /// A write notice from `rank`'s ring becomes a `Write` the core admits
+    /// only if it is news (not of a retired iteration, not seen before),
+    /// names a configured variable with that variable's size, and
+    /// [`crate::node::BufferManager::adopt`] finds the range live in that
+    /// rank's ring. `None`: rejected, nothing journalled.
     #[allow(clippy::too_many_arguments)]
     fn commit(
         &mut self,
@@ -482,13 +440,14 @@ impl<'a> Pump<'a> {
             dynamic_layout: None,
             data_crc: crc,
         };
-        // A zombie — fenced, still sending — is refused here.
+        // A zombie — fenced, still posting — is refused here.
         let seq = core.admit(&event)?;
         self.commits_seen.insert(key);
         self.commits += 1;
         if Some(self.commits) == self.opts.kill_after_commits {
-            // Chaos: die mid-drain. The record is durable; the core has
-            // not heard of it. The report is what it would have returned.
+            // Chaos: die mid-drain. The record is durable; the notice is
+            // still on its ring; the core has not heard of it. The report
+            // is what it would have returned.
             let dying = EpeReport {
                 epoch: self.opts.epoch,
                 node: core.report(),
@@ -499,22 +458,15 @@ impl<'a> Pump<'a> {
         Some((seq, event))
     }
 
-    /// An `EndIteration` frame: answered with its `Ack` again if the
-    /// iteration is retired (the client never saw the first), `None` if it
-    /// was counted before, admitted otherwise.
+    /// An end-of-iteration notice: `None` if its iteration is retired or
+    /// it was counted before, admitted otherwise.
     fn end_iteration(
         &mut self,
         rank: u32,
         iteration: u32,
         core: &DedicatedCore,
     ) -> Option<(u64, Event)> {
-        if self.retired.contains(&iteration) {
-            if let Some(conn) = self.conns[rank as usize].as_mut() {
-                let _ = conn.send(&CtrlMsg::Ack { iteration });
-            }
-            return None;
-        }
-        if self.ends_seen.contains(&(rank, iteration)) {
+        if self.retired.contains(&iteration) || self.ends_seen.contains(&(rank, iteration)) {
             return None;
         }
         let event = Event::EndIteration {
@@ -525,34 +477,16 @@ impl<'a> Pump<'a> {
         self.note_end(rank, iteration);
         Some((seq, event))
     }
-
-    /// Called with what a `quiet` pass returned, when nothing the core
-    /// retired is still parked: every one of those iterations — fired or
-    /// dropped alike — is acknowledged to every rank that is connected.
-    fn acknowledge(&mut self, retired: Vec<u32>) {
-        for iteration in retired {
-            self.retired.insert(iteration);
-            for slot in self.conns.iter_mut() {
-                let lost = slot
-                    .as_mut()
-                    .is_some_and(|conn| conn.send(&CtrlMsg::Ack { iteration }).is_err());
-                if lost {
-                    *slot = None;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proc::client::payload_for;
-    use damaris_mpi::connect_client;
 
-    /// One rank as the test plays it: its view of the mapping, its
-    /// connection, and the `Commit` of a payload it really wrote.
-    fn join(dir: &Path, rank: u32) -> (MappedNode, UdsConn, CtrlMsg) {
+    /// One rank as the test plays it: its view of the mapping, registered,
+    /// and the write notice of a payload it really wrote.
+    fn join(dir: &Path, rank: u32) -> (MappedNode, Notice) {
         let joined_by = Instant::now() + Duration::from_secs(20);
         let node = loop {
             match MappedNode::open(&dir.join(crate::proc::MAPPING_FILE)) {
@@ -561,24 +495,19 @@ mod tests {
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         };
+        node.register(rank as usize, damaris_shm::this_pid());
         assert!(node.lease(rank as usize).renew());
-        let socket = dir.join(crate::proc::SOCKET_FILE);
-        let wait = Duration::from_secs(20);
-        let (conn, epoch) =
-            connect_client(&socket, rank as usize, 1, 2, &FaultPlan::new(), wait).unwrap();
-        assert_eq!(epoch, 1);
         let payload = payload_for(rank, 0, 0, 64);
         let mut segment = node.reserve(&node.buffer(), rank as usize, 64).unwrap();
         segment.copy_from_slice(&payload);
-        let commit = CtrlMsg::Commit {
-            rank,
-            iteration: 0,
+        let write = Notice::Write {
             variable: 0,
+            iteration: 0,
             offset: segment.offset() as u64,
             len: 64,
             crc: damaris_format::crc32(&payload),
         };
-        (node, conn, commit)
+        (node, write)
     }
 
     #[test]
@@ -598,53 +527,53 @@ mod tests {
             kill_after_commits: None,
         };
         let epe = std::thread::spawn(move || run_epe(&opts));
-        let (node, mut conn0, commit0) = join(&dir, 0);
-        let (_, mut conn1, commit1) = join(&dir, 1);
-        let CtrlMsg::Commit { offset: mine, .. } = commit0 else {
+        let (node, write0) = join(&dir, 0);
+        let (_, write1) = join(&dir, 1);
+        let Notice::Write { offset: mine, .. } = write0 else {
             unreachable!()
         };
-        let CtrlMsg::Commit { offset: theirs, .. } = commit1 else {
+        let Notice::Write { offset: theirs, .. } = write1 else {
             unreachable!()
         };
 
-        // Rank 0 lies about where its data is, every way a frame can.
-        let forged = |rank, offset, len| CtrlMsg::Commit {
-            rank,
-            iteration: 0,
-            variable: 0,
-            offset,
-            len,
-            crc: 0,
+        // Rank 0 lies about where its data is, every way a notice can.
+        // What it cannot do is speak for rank 1: the ring a notice sits in
+        // names its rank, and a notice carries no rank of its own to forge.
+        let forged = |offset, len| {
+            let (variable, iteration, crc) = (0, 0, 0);
+            Notice::Write {
+                variable,
+                iteration,
+                offset,
+                len,
+                crc,
+            }
+            .encode()
         };
         let ring = node.region_capacity() as u64;
         let lies = [
-            forged(0, u64::MAX - 1, 2),  // the sum overflows
-            forged(0, u64::MAX - 1, 64), // and with the right length
-            forged(0, theirs, 64),       // rank 1's ring, and live there
-            forged(0, mine, ring + 8),   // longer than a ring
-            forged(0, mine + 64, 64),    // beyond what rank 0 reserved
-            forged(1, theirs, 64),       // rank 1's frame, not its connection
+            forged(u64::MAX - 1, 2),  // the sum overflows
+            forged(u64::MAX - 1, 64), // and with the right length
+            forged(theirs, 64),       // rank 1's ring, and live there
+            forged(mine, ring + 8),   // longer than a ring
+            forged(mine + 64, 64),    // beyond what rank 0 reserved
+            [7, 0, 0, 0],             // a kind no notice has
         ];
-        for lie in &lies {
-            conn0.send(lie).unwrap();
+        let rank0 = node.notices(0);
+        for lie in lies {
+            assert!(rank0.post(lie));
         }
-        // The pump keeps serving: the truth, behind the lies on the same
-        // connection, is taken, and the iteration completes.
-        conn0.send(&commit0).unwrap();
-        conn1.send(&commit1).unwrap();
-        for (rank, conn) in [&mut conn0, &mut conn1].into_iter().enumerate() {
-            let end = CtrlMsg::EndIteration {
-                rank: rank as u32,
-                iteration: 0,
-            };
-            conn.send(&end).unwrap();
-        }
-        for conn in [&mut conn0, &mut conn1] {
-            assert_eq!(conn.recv().unwrap(), CtrlMsg::Ack { iteration: 0 });
-            assert_eq!(conn.recv().unwrap(), CtrlMsg::Shutdown);
+        // The pump keeps serving: the truth, behind the lies in the same
+        // ring, is taken, and the iteration completes.
+        assert!(rank0.post(write0.encode()));
+        assert!(node.notices(1).post(write1.encode()));
+        for rank in 0..2 {
+            let end = Notice::EndIteration { iteration: 0 };
+            assert!(node.notices(rank).post(end.encode()));
         }
 
         let report = epe.join().unwrap().unwrap().node;
+        assert!(node.done(), "the finished EPE says so");
         assert_eq!(report.stale_events_rejected, lies.len() as u64);
         assert_eq!(report.variables_received, 2);
         assert_eq!(report.iterations_persisted, 1);

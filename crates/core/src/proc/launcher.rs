@@ -12,15 +12,15 @@
 //! When the EPE exits on a signal, the supervisor respawns it with a
 //! bumped epoch (and without the kill environment, so one configured
 //! kill fires once). The respawned process re-opens the mapping, replays
-//! the journal, takes the surviving clients back in as they reconnect,
-//! and finishes the run.
+//! the journal, drains the clients' notice rings from where the dead one
+//! stopped, and finishes the run. The clients never notice.
 //!
 //! After every child has exited the launcher opens the mapping one last
 //! time and sums the per-client rings: **zero bytes still reserved** is
 //! the leak-freedom acceptance criterion the kill matrix asserts.
 
 use super::epe::EpeReport;
-use super::{policy_str, ClientKillSpec};
+use super::ClientKillSpec;
 use crate::config::{Config, OnClientFailure};
 use crate::node::NodeReport;
 use damaris_shm::MappedNode;
@@ -36,7 +36,7 @@ pub struct LaunchPlan {
     /// The role-dispatching binary to re-exec (usually
     /// `std::env::current_exe()`).
     pub exe: PathBuf,
-    /// Run directory (mapping, socket, journal, reports, `out/`).
+    /// Run directory (mapping, journal, reports, `out/`).
     pub dir: PathBuf,
     /// Client process count (total processes = this + 1 EPE).
     pub n_clients: usize,
@@ -134,7 +134,7 @@ fn base_cmd(plan: &LaunchPlan, role: &str) -> Command {
         .env(super::ENV_VARS, plan.variables.to_string())
         .env(super::ENV_PAYLOAD, plan.payload_len.to_string())
         .env(super::ENV_CAPACITY, plan.data_capacity.to_string())
-        .env(super::ENV_POLICY, policy_str(plan.policy))
+        .env(super::ENV_POLICY, plan.policy.as_str())
         .env(
             super::ENV_LEASE_MS,
             plan.lease_timeout.as_millis().to_string(),
@@ -268,9 +268,8 @@ pub fn launch(plan: &LaunchPlan) -> io::Result<LaunchReport> {
         report.sdf_files.sort();
     }
 
-    // The socket and mapping are per-run artifacts; the journal, reports,
-    // and SDF output stay for inspection.
-    let _ = std::fs::remove_file(plan.dir.join(super::SOCKET_FILE));
+    // The mapping is a per-run artifact; the journal, reports, and SDF
+    // output stay for inspection.
     let _ = std::fs::remove_file(&mapping_path);
 
     outcome.map(|()| report)

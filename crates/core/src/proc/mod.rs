@@ -6,16 +6,17 @@
 //! original Damaris did — as a separate process sharing POSIX shared
 //! memory with the compute processes. There is one dedicated core
 //! ([`crate::server`]) and two event sources: the in-process queue, and
-//! the socket pump in [`epe`].
+//! the pump in [`epe`] over the mapping's per-client notice rings. The
+//! processes share the mapping and nothing else: no socket, no pipe.
 //!
 //! * [`run_epe`] — the dedicated-core process: creates (or, respawned,
 //!   re-adopts) the `/dev/shm` mapping, sweeps orphans, opens the
-//!   journal's file, binds the UDS control plane, and feeds the frames
-//!   it reads to a [`crate::server`] core built over the mapping.
-//! * [`run_client`] — a compute-core process: maps the file, reserves
-//!   ring segments, memcpys, commits over the socket, and survives EPE
-//!   death by reconnecting to the respawned incarnation and re-sending
-//!   its unacknowledged state.
+//!   journal's file, and feeds the notices its clients post to a
+//!   [`crate::server`] core built over the mapping.
+//! * [`run_client`] — a compute-core process: maps the file, registers
+//!   its pid, reserves ring segments, memcpys, and posts a notice per
+//!   write and per iteration into its own ring — which outlives an EPE
+//!   death, so a client has nothing to say again to the next incarnation.
 //! * [`launcher`] — the supervisor: spawns both as children of one
 //!   launcher binary, delivers `kill -9` chaos at configured phases,
 //!   respawns a dead EPE with a bumped epoch, and audits the mapping for
@@ -33,7 +34,7 @@ pub mod client;
 pub mod epe;
 pub mod launcher;
 
-pub use client::{run_client, ClientOptions, ClientReport};
+pub use client::{run_client, ClientOptions};
 pub use epe::{run_epe, EpeOptions, EpeReport};
 pub use launcher::{launch, LaunchPlan, LaunchReport};
 
@@ -138,31 +139,11 @@ pub fn epe_kill_after_from_env() -> Option<u64> {
 /// Name of the node's mapping file inside the run directory. The GC
 /// sweep matches on the `damaris-node` prefix.
 pub const MAPPING_FILE: &str = "damaris-node.shm";
-/// Name of the control-plane socket inside the run directory.
-pub const SOCKET_FILE: &str = "damaris-ctrl.sock";
 /// Name of the event journal's file inside the run directory.
 pub const JOURNAL_FILE: &str = "epe.journal";
 /// Subdirectory the node's output (`MANIFEST`, `node-0/iter-*.sdf`)
 /// lands in.
 pub const OUT_DIR: &str = "out";
-
-/// The `on_client_failure` attribute value for `policy`.
-pub fn policy_str(policy: OnClientFailure) -> &'static str {
-    match policy {
-        OnClientFailure::Wait => "wait",
-        OnClientFailure::Partial => "partial",
-        OnClientFailure::DropIteration => "drop-iteration",
-    }
-}
-
-/// Parses [`policy_str`]'s output (anything else is `wait`, the default).
-pub fn policy_from_str(s: &str) -> OnClientFailure {
-    match s {
-        "partial" => OnClientFailure::Partial,
-        "drop-iteration" => OnClientFailure::DropIteration,
-        _ => OnClientFailure::Wait,
-    }
-}
 
 /// The configuration a process node of this shape runs under — what
 /// [`run_epe`] builds its dedicated core from, and what a threaded node
@@ -185,7 +166,7 @@ pub fn node_config(
              {declared}
              <resilience on_client_failure="{}" client_lease_timeout_ms="{}"/>
            </damaris>"#,
-        policy_str(policy),
+        policy.as_str(),
         lease_timeout.as_millis().max(1),
     );
     // invariant: every attribute above is generated from a typed value.

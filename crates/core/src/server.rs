@@ -479,8 +479,8 @@ impl DedicatedCore {
     /// one batch, and releases their memory. Nothing parked, nothing done —
     /// the event source calls this on every empty poll. Returns, oldest
     /// first, the iterations retired since the last call, for an event
-    /// source whose clients want to hear of it: with this pass they are
-    /// durable and their memory is released. Handing the list out empties
+    /// source that ends the run once every iteration has: with this pass
+    /// they are durable and their memory is released. Handing the list out empties
     /// it, so it is as long as a backlog, not as the run — and the journal
     /// drops what the pass applied, so its record map is as long as what
     /// is still parked or unfired.
@@ -1046,7 +1046,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         if fixture == Fixture::Mapped {
-            damaris_shm::MappedNode::create(&dir.join("node.shm"), CLIENTS, 65536).unwrap();
+            damaris_shm::MappedNode::create(&dir.join("node.shm"), CLIENTS, 65536, 1024).unwrap();
         }
         reopen(tag, fixture)
     }
@@ -1166,7 +1166,7 @@ mod tests {
         // — over the mapping, from the journal's file in a node built anew,
         // as a process that shares nothing with the dead one would. What
         // the dead core never took is the successor's to take: over the
-        // mapping, that is what its clients send again.
+        // mapping, that is what the clients' notice rings still hold.
         let (mut shared, mut clients) = node("replay-respawned", fixture);
         prefix(&clients);
         let mut dead = core(&shared, 0);
@@ -1406,7 +1406,7 @@ mod tests {
     }
 
     /// The list of retired iterations exists for an event source that
-    /// acknowledges them; the threaded one does not, and must not keep it
+    /// counts them; the threaded one does not, and must not keep it
     /// either: `quiet` hands it out, so after 1 000 iterations through
     /// `serve` — the loop `run` runs — nothing of it is left. (It used to
     /// grow by four bytes an iteration for the life of the incarnation.)

@@ -39,15 +39,11 @@ mod comm;
 mod datatypes;
 mod fault;
 mod transport;
-#[cfg(unix)]
-pub mod uds;
 
 pub use comm::{Communicator, RecvError, ANY_SOURCE, ANY_TAG};
 pub use datatypes::Message;
 pub use fault::{ClientKillPhase, FaultPlan, MsgFault};
 pub use transport::World;
-#[cfg(unix)]
-pub use uds::{connect_client, hub_barrier, CtrlMsg, UdsConn, UdsHub};
 
 /// Message payload type, re-exported so callers need no direct `bytes`
 /// dependency to build payloads.

@@ -164,8 +164,8 @@ mod tests {
         let dir = tmpdir("deadpid");
         let live = dir.join("node-live");
         let dead = dir.join("node-dead");
-        let _live_node = MappedNode::create(&live, 2, 1024).unwrap();
-        MappedNode::create(&dead, 2, 1024).unwrap();
+        let _live_node = MappedNode::create(&live, 2, 1024, 4).unwrap();
+        MappedNode::create(&dead, 2, 1024, 4).unwrap();
         poison_pid(&dead);
         let report = scan_orphans(&dir, "node-", None, None).unwrap();
         assert_eq!(report.removed, 1);
@@ -180,7 +180,7 @@ mod tests {
     fn own_mapping_is_skipped_even_if_dead() {
         let dir = tmpdir("keep");
         let own = dir.join("node-own");
-        MappedNode::create(&own, 1, 512).unwrap();
+        MappedNode::create(&own, 1, 512, 2).unwrap();
         poison_pid(&own);
         let report = scan_orphans(&dir, "node-", Some(&own), None).unwrap();
         assert_eq!(report.removed, 0);
@@ -212,7 +212,7 @@ mod tests {
         // the heartbeat stamp is ancient.
         let dir = tmpdir("expired");
         let path = dir.join("node-stale");
-        let node = MappedNode::create(&path, 1, 512).unwrap();
+        let node = MappedNode::create(&path, 1, 512, 2).unwrap();
         node.beat_at_ns().store(1, Ordering::Relaxed); // ~boot time
         drop(node);
         // Pid probe alone keeps it...

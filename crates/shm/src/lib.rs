@@ -22,7 +22,9 @@
 //! and — on unix — real separate processes over a file-backed `MAP_SHARED`
 //! mapping ([`MapRegion`]/[`MappedNode`]) whose bytes survive any one
 //! process being `kill -9`'d. The data path (reserve → memcpy → notify →
-//! process → release) and all of its concurrency hazards are identical.
+//! process → release) and all of its concurrency hazards are identical;
+//! only the notification's carrier differs — the [`MpscQueue`] between
+//! threads, a per-client [`NoticeRing`] in the mapping between processes.
 //!
 //! ## Safety model
 //!
@@ -51,6 +53,7 @@ mod heartbeat;
 mod lease;
 #[cfg(all(unix, not(feature = "check")))]
 pub mod mapped;
+pub mod notice;
 mod queue;
 pub mod ring;
 pub mod sync;
@@ -65,6 +68,7 @@ pub use heartbeat::HeartbeatWord;
 pub use lease::{ClientLease, LeaseSnapshot, LeaseTable};
 #[cfg(all(unix, not(feature = "check")))]
 pub use mapped::MappedNode;
+pub use notice::{Notice, NoticeRing};
 pub use queue::{MpscQueue, PushError};
 
 use std::fmt;

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! 0    magic        "DAMRSHM1" (0x44414D52_53484D31)
-//! 8    version      layout version (2)
+//! 8    version      layout version (3)
 //! 16   n_clients
 //! 24   data_capacity    bytes of buffer data after the header
 //! 32   data_offset      where the data starts (from the region base)
@@ -13,35 +13,43 @@
 //! 48   heartbeat        a `HeartbeatWord` (epoch<<32 | beat)
 //! 56   beat_at_ns       CLOCK_MONOTONIC stamp of the last beat
 //! 64   region_capacity  per-client ring capacity in bytes
-//! 128  client slots, 32 bytes each:
-//!        +0  lease          a `ClientLease` word
-//!        +8  ring floor     `head` at the client's last rewind
-//!        +16 ring head      monotonic reserved-bytes counter
-//!        +24 ring tail      monotonic released-bytes counter
+//! 72   notice_capacity  per-client notice slots (a power of two)
+//! 80   done             non-zero once the EPE that finished the run says so
+//! 128  client blocks, one per client, each on 128-byte lines:
+//!        +0   the client's line: lease | ring floor | ring head
+//!                                | notice head | pid
+//!        +128 the core's line:   ring tail | notice tail
+//!        +256 notice_capacity notice slots of 32 bytes, padded to a line
 //! data_offset  buffer data, n_clients × region_capacity bytes
 //! ```
+//!
+//! A word is grouped only with words of the same writer (DESIGN.md §8,
+//! "Who writes which line"): the client's per-call words and the core's
+//! per-event words never share a line.
 //!
 //! ## The offset-only invariant
 //!
 //! The mapping lands at a different virtual address in every process, so
 //! **nothing in it may be a pointer** — only offsets, counters, and
 //! packed protocol words. Process-private state (the `Arc`s, journal
-//! handles, socket fds, the base address itself) lives in per-process
-//! mirrors like [`MappedNode`]. `xtask lint`'s `offset-only` rule guards
-//! the `#[repr(C)]` structs that describe mapped memory.
+//! handles, the base address itself) lives in per-process mirrors like
+//! [`MappedNode`]. `xtask lint`'s `offset-only` rule guards the
+//! `#[repr(C)]` structs that describe mapped memory.
 //!
 //! ## Why the protocol is still the model-checked one
 //!
 //! Every stateful word above is operated on through the same facade
 //! types the threaded node uses: the heartbeat slot is viewed as
 //! [`HeartbeatWord`] via `from_word` (repr(transparent) cast), the lease
-//! slots as [`ClientLease`], and the ring counters run the free-function
-//! protocol in [`crate::ring`] whose interleavings `tests/model.rs`
-//! explores under `--features check`. This module adds *placement*, not
-//! new concurrency.
+//! slots as [`ClientLease`], the ring counters run the free-function
+//! protocol in [`crate::ring`], and the notice words the one in
+//! [`crate::notice`] — whose interleavings `tests/model.rs` explores
+//! under `--features check`. This module adds *placement*, not new
+//! concurrency.
 
 use crate::backing::MapRegion;
 use crate::buffer::SharedBuffer;
+use crate::notice::{NoticeRing, NOTICE_BYTES, NOTICE_WORDS};
 use crate::ring::{self, Ring};
 use crate::sync::{Arc, AtomicU64, Ordering};
 use crate::{AllocError, ClientLease, HeartbeatWord, Segment};
@@ -51,8 +59,9 @@ use std::path::Path;
 /// "DAMRSHM1" in big-endian bytes — identifies a Damaris node mapping.
 pub const MAGIC: u64 = 0x44414D52_53484D31;
 /// Bump on any layout change; `open` rejects mismatches. (2: the slot
-/// word at `+8`, unused in layout 1, is the ring's `floor`.)
-pub const VERSION: u64 = 2;
+/// word at `+8` is the ring's `floor`. 3: per-client notice rings, the
+/// `done` word, a pid per client, and each block on two lines by writer.)
+pub const VERSION: u64 = 3;
 
 const OFF_MAGIC: usize = 0;
 const OFF_VERSION: usize = 8;
@@ -63,18 +72,33 @@ const OFF_CREATOR_PID: usize = 40;
 const OFF_HEARTBEAT: usize = 48;
 const OFF_BEAT_AT_NS: usize = 56;
 const OFF_REGION_CAPACITY: usize = 64;
-/// First per-client slot; the gap up to here is reserved for growth.
+const OFF_NOTICE_CAPACITY: usize = 72;
+const OFF_DONE: usize = 80;
+/// First client block; the gap up to here is reserved for growth.
 const CLIENT_BASE: usize = 128;
-/// Bytes per client slot (lease, then the ring's floor, head, tail).
-const CLIENT_SLOT: usize = 32;
+/// The placement unit: one `CachePadded` block.
+const LINE: usize = 128;
 
 const SLOT_LEASE: usize = 0;
 const SLOT_FLOOR: usize = 8;
 const SLOT_HEAD: usize = 16;
-const SLOT_TAIL: usize = 24;
+const SLOT_NOTICE_HEAD: usize = 24;
+const SLOT_PID: usize = 32;
+const SLOT_TAIL: usize = LINE;
+const SLOT_NOTICE_TAIL: usize = LINE + 8;
+const SLOT_NOTICES: usize = 2 * LINE;
 
 /// Size of the header region GC needs to inspect (see [`crate::gc`]).
 pub const HEADER_BYTES: usize = CLIENT_BASE;
+
+/// Bytes of one client block with `notice_capacity` slots, if that fits
+/// a `usize`.
+fn client_block(notice_capacity: usize) -> Option<usize> {
+    notice_capacity
+        .checked_mul(NOTICE_BYTES)?
+        .checked_next_multiple_of(LINE)?
+        .checked_add(SLOT_NOTICES)
+}
 
 /// One process's view of the shared node mapping — the per-process
 /// mirror: the `Arc`s and cached immutable geometry live here (private
@@ -87,14 +111,23 @@ pub struct MappedNode {
     data_capacity: usize,
     data_offset: usize,
     region_capacity: usize,
+    notice_capacity: usize,
+    client_block: usize,
 }
 
 impl MappedNode {
     /// Creates the mapping file (EPE only — creation is exclusive),
-    /// writes the header, and stamps this process as the creator.
-    /// The per-client ring capacity is `data_capacity / n_clients`
-    /// rounded down to the ring alignment, like `PartitionAllocator`.
-    pub fn create(path: &Path, n_clients: usize, data_capacity: usize) -> io::Result<MappedNode> {
+    /// writes the header, and stamps this process as the creator. Each
+    /// client gets `data_capacity / n_clients` bytes of ring, rounded down
+    /// to the ring alignment like `PartitionAllocator`, and
+    /// `queue_capacity / n_clients` notice slots, rounded down to a power
+    /// of two, at least 2.
+    pub fn create(
+        path: &Path,
+        n_clients: usize,
+        data_capacity: usize,
+        queue_capacity: usize,
+    ) -> io::Result<MappedNode> {
         assert!(n_clients > 0, "need at least one client");
         let align = ring::RING_ALIGN as usize;
         let region_capacity = (data_capacity / n_clients) / align * align;
@@ -104,8 +137,18 @@ impl MappedNode {
                 "data capacity too small for the client count",
             ));
         }
-        let data_offset = (CLIENT_BASE + n_clients * CLIENT_SLOT).div_ceil(64) * 64;
-        let total = data_offset + data_capacity;
+        let per_client = (queue_capacity / n_clients).max(2);
+        let notice_capacity = 1 << per_client.ilog2();
+        let geometry = client_block(notice_capacity).and_then(|block| {
+            let data_offset = n_clients.checked_mul(block)?.checked_add(CLIENT_BASE)?;
+            Some((block, data_offset, data_offset.checked_add(data_capacity)?))
+        });
+        let Some((client_block, data_offset, total)) = geometry else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "mapping size overflows",
+            ));
+        };
         let region = Arc::new(MapRegion::create(path, total)?);
         let node = MappedNode {
             region,
@@ -113,17 +156,20 @@ impl MappedNode {
             data_capacity,
             data_offset,
             region_capacity,
+            notice_capacity,
+            client_block,
         };
         // A fresh mapping is all zeroes (ftruncate guarantees it), so the
-        // leases, heartbeat, and ring counters start in their natural
-        // initial state; only the geometry needs writing. Relaxed stores:
-        // nobody else can map the file yet (create_new is exclusive and
-        // the magic is published last).
+        // leases, heartbeat, ring and notice counters, pids and `done`
+        // start in their natural initial state; only the geometry needs
+        // writing. Relaxed stores: nobody else can map the file yet
+        // (create_new is exclusive and the magic is published last).
         node.word(OFF_VERSION).store(VERSION, Ordering::Relaxed);
         node.word(OFF_N_CLIENTS).store(n_clients as u64, Ordering::Relaxed);
         node.word(OFF_DATA_CAPACITY).store(data_capacity as u64, Ordering::Relaxed);
         node.word(OFF_DATA_OFFSET).store(data_offset as u64, Ordering::Relaxed);
         node.word(OFF_REGION_CAPACITY).store(region_capacity as u64, Ordering::Relaxed);
+        node.word(OFF_NOTICE_CAPACITY).store(notice_capacity as u64, Ordering::Relaxed);
         node.word(OFF_CREATOR_PID)
             .store(u64::from(crate::backing::this_pid()), Ordering::Relaxed);
         node.word(OFF_BEAT_AT_NS)
@@ -135,7 +181,9 @@ impl MappedNode {
     }
 
     /// Maps an existing node file (clients; a respawned EPE). Validates
-    /// magic + version and reads the geometry.
+    /// magic + version and reads the geometry, which comes from a file and
+    /// is believed only if every product and sum of it fits and lands
+    /// inside the mapping: anything else is `InvalidData`.
     pub fn open(path: &Path) -> io::Result<MappedNode> {
         let region = Arc::new(MapRegion::open(path)?);
         if region.len() < CLIENT_BASE {
@@ -151,27 +199,34 @@ impl MappedNode {
         if version != VERSION {
             return Err(bad_mapping("unsupported mapping layout version"));
         }
-        let n_clients = word_at(&region, OFF_N_CLIENTS).load(Ordering::Relaxed) as usize;
-        let data_capacity = word_at(&region, OFF_DATA_CAPACITY).load(Ordering::Relaxed) as usize;
-        let data_offset = word_at(&region, OFF_DATA_OFFSET).load(Ordering::Relaxed) as usize;
-        let region_capacity = word_at(&region, OFF_REGION_CAPACITY).load(Ordering::Relaxed) as usize;
-        let slots_end = CLIENT_BASE + n_clients * CLIENT_SLOT;
-        if n_clients == 0
-            || region_capacity == 0
-            || slots_end > data_offset
-            || !data_offset.is_multiple_of(8)
-            || data_offset + data_capacity > region.len()
-            || n_clients * region_capacity > data_capacity
-        {
-            return Err(bad_mapping("inconsistent mapping geometry"));
-        }
-        Ok(MappedNode {
-            region,
-            n_clients,
-            data_capacity,
-            data_offset,
-            region_capacity,
-        })
+        let read = |off| usize::try_from(word_at(&region, off).load(Ordering::Relaxed)).ok();
+        let geometry = (|| {
+            let notice_capacity = read(OFF_NOTICE_CAPACITY)?;
+            let node = MappedNode {
+                region: Arc::clone(&region),
+                n_clients: read(OFF_N_CLIENTS)?,
+                data_capacity: read(OFF_DATA_CAPACITY)?,
+                data_offset: read(OFF_DATA_OFFSET)?,
+                region_capacity: read(OFF_REGION_CAPACITY)?,
+                notice_capacity,
+                client_block: client_block(notice_capacity)?,
+            };
+            let slots_end = node
+                .n_clients
+                .checked_mul(node.client_block)?
+                .checked_add(CLIENT_BASE)?;
+            let data_end = node.data_offset.checked_add(node.data_capacity)?;
+            let rings = node.n_clients.checked_mul(node.region_capacity)?;
+            let consistent = node.n_clients > 0
+                && node.region_capacity > 0
+                && node.notice_capacity.is_power_of_two()
+                && slots_end <= node.data_offset
+                && node.data_offset.is_multiple_of(LINE)
+                && data_end <= region.len()
+                && rings <= node.data_capacity;
+            consistent.then_some(node)
+        })();
+        geometry.ok_or_else(|| bad_mapping("inconsistent mapping geometry"))
     }
 
     fn word(&self, off: usize) -> &AtomicU64 {
@@ -180,7 +235,7 @@ impl MappedNode {
 
     fn client_word(&self, client: usize, slot: usize) -> &AtomicU64 {
         assert!(client < self.n_clients, "client {client} out of range");
-        self.word(CLIENT_BASE + client * CLIENT_SLOT + slot)
+        self.word(CLIENT_BASE + client * self.client_block + slot)
     }
 
     /// Number of client slots.
@@ -196,6 +251,11 @@ impl MappedNode {
     /// Per-client ring capacity in bytes.
     pub fn region_capacity(&self) -> usize {
         self.region_capacity
+    }
+
+    /// Per-client notice slots.
+    pub fn notice_capacity(&self) -> usize {
+        self.notice_capacity
     }
 
     /// The underlying mapping.
@@ -224,11 +284,37 @@ impl MappedNode {
     }
 
     /// CLOCK_MONOTONIC stamp of the EPE's last beat. The EPE stores it
-    /// (Release) right after each `heartbeat().beat()`; clients load it
-    /// (Acquire) to date the beat on the machine-wide clock — this is the
-    /// cross-process replacement for a process-private `Instant` anchor.
+    /// (Release) right after each `heartbeat().beat()`; the orphan sweep
+    /// of another run reads it to date the mapping on the machine-wide
+    /// clock, where a process-private `Instant` would mean nothing.
     pub fn beat_at_ns(&self) -> &AtomicU64 {
         self.word(OFF_BEAT_AT_NS)
+    }
+
+    /// Says the run is over: the EPE that finished it calls this once,
+    /// after its core's `finish`.
+    pub fn mark_done(&self) {
+        // Release: pairs with the Acquire in `done`; a client that sees
+        // the word set sees everything the core did before it.
+        self.word(OFF_DONE).store(1, Ordering::Release);
+    }
+
+    /// Whether the EPE that finished the run said so.
+    pub fn done(&self) -> bool {
+        self.word(OFF_DONE).load(Ordering::Acquire) != 0
+    }
+
+    /// Registers `pid` as the process that runs `client` — its first act
+    /// after mapping the file.
+    pub fn register(&self, client: usize, pid: u32) {
+        // Release: pairs with the Acquire in `client_pid`.
+        self.client_word(client, SLOT_PID)
+            .store(u64::from(pid), Ordering::Release);
+    }
+
+    /// The pid `client` registered, 0 before it did.
+    pub fn client_pid(&self, client: usize) -> u32 {
+        self.client_word(client, SLOT_PID).load(Ordering::Acquire) as u32
     }
 
     /// One client's lease word — the model-checked [`ClientLease`]
@@ -245,6 +331,25 @@ impl MappedNode {
             tail: self.client_word(client, SLOT_TAIL),
             floor: self.client_word(client, SLOT_FLOOR),
             cap: self.region_capacity as u64,
+        }
+    }
+
+    /// The client's notice ring: the [`crate::notice`] protocol's words,
+    /// in the mapping. Panics if `client` is out of range.
+    pub fn notices(&self, client: usize) -> NoticeRing<'_> {
+        let first = self.client_word(client, SLOT_NOTICES);
+        let len = self.notice_capacity * NOTICE_WORDS;
+        // SAFETY: `first` is the first of `len` consecutive 8-aligned
+        // words of this client's block, which `open`/`create` checked lies
+        // inside the mapping; the facade `AtomicU64` is the std atomic in
+        // this build (size 8, align 8, any bit pattern valid), and the
+        // slice cannot outlive the borrow of `self`, which holds the
+        // mapping.
+        let slots = unsafe { std::slice::from_raw_parts(first as *const AtomicU64, len) };
+        NoticeRing {
+            head: self.client_word(client, SLOT_NOTICE_HEAD),
+            tail: self.client_word(client, SLOT_NOTICE_TAIL),
+            slots,
         }
     }
 
@@ -287,8 +392,8 @@ impl MappedNode {
     /// Re-creates the handle of a range still reserved in `client`'s ring
     /// — [`crate::PartitionAllocator::adopt`] over the mapped counters
     /// (consumer side: the caller owns `tail`). The coordinates come from
-    /// a journal record or from a `Commit` frame, that is from outside
-    /// this process: `None` unless [`ring::ring_locate`] finds them live.
+    /// a journal record or from a notice, that is from outside this
+    /// process: `None` unless [`ring::ring_locate`] finds them live.
     pub fn adopt(
         &self,
         buffer: &Arc<SharedBuffer>,
@@ -339,9 +444,10 @@ impl std::fmt::Debug for MappedNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "MappedNode({} clients × {} bytes at {})",
+            "MappedNode({} clients × {} bytes, {} notices at {})",
             self.n_clients,
             self.region_capacity,
+            self.notice_capacity,
             self.region.path().display()
         )
     }
@@ -365,6 +471,7 @@ fn bad_mapping(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Notice;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -378,15 +485,46 @@ mod tests {
     #[test]
     fn create_then_open_sees_same_geometry() {
         let path = tmp("geometry");
-        let created = MappedNode::create(&path, 4, 4096).unwrap();
+        let created = MappedNode::create(&path, 4, 4096, 100).unwrap();
         assert_eq!(created.n_clients(), 4);
         assert_eq!(created.region_capacity(), 1024);
+        assert_eq!(created.notice_capacity(), 16, "100 / 4 rounded down");
         assert_eq!(created.creator_pid(), crate::backing::this_pid());
         let opened = MappedNode::open(&path).unwrap();
         assert_eq!(opened.n_clients(), 4);
         assert_eq!(opened.data_capacity(), 4096);
         assert_eq!(opened.region_capacity(), 1024);
+        assert_eq!(opened.notice_capacity(), 16);
         created.region().unlink().unwrap();
+        // A queue smaller than the client count still gives each two.
+        let path = tmp("geometry-small");
+        let small = MappedNode::create(&path, 4, 4096, 3).unwrap();
+        assert_eq!(small.notice_capacity(), 2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn each_block_keeps_the_clients_words_off_the_cores_line() {
+        let path = tmp("lines");
+        let node = MappedNode::create(&path, 3, 3072, 6).unwrap();
+        let base = node.region().base() as usize;
+        let line = |word: &AtomicU64| (word as *const AtomicU64 as usize - base) / LINE;
+        for c in 0..3 {
+            let client = [
+                line(node.client_word(c, SLOT_LEASE)),
+                line(node.ring(c).floor),
+                line(node.ring(c).head),
+                line(node.notices(c).head),
+                line(node.client_word(c, SLOT_PID)),
+            ];
+            let core = [line(node.ring(c).tail), line(node.notices(c).tail)];
+            assert!(client.iter().all(|&l| l == client[0]), "{client:?}");
+            assert!(core.iter().all(|&l| l == client[0] + 1), "{core:?}");
+            let slots = node.notices(c).slots;
+            assert_eq!(line(&slots[0]), client[0] + 2);
+            assert_eq!(slots.len(), 2 * NOTICE_WORDS);
+        }
+        node.region().unlink().unwrap();
     }
 
     #[test]
@@ -395,7 +533,7 @@ mod tests {
         // processes: every protocol word written through one view must
         // be visible through the other.
         let path = tmp("words");
-        let epe = MappedNode::create(&path, 2, 2048).unwrap();
+        let epe = MappedNode::create(&path, 2, 2048, 8).unwrap();
         let client = MappedNode::open(&path).unwrap();
 
         epe.heartbeat().begin_epoch(3);
@@ -408,6 +546,21 @@ mod tests {
         assert!(epe.lease(1).try_revoke(snap));
         assert!(!client.lease(1).renew());
 
+        assert_eq!(epe.client_pid(1), 0);
+        client.register(1, 4242);
+        assert_eq!((epe.client_pid(0), epe.client_pid(1)), (0, 4242));
+
+        let end = Notice::EndIteration { iteration: 5 };
+        assert!(client.notices(1).post(end.encode()));
+        assert_eq!(epe.notices(0).peek(), None, "rank 0's ring is its own");
+        assert_eq!(epe.notices(1).peek().and_then(Notice::decode), Some(end));
+        epe.notices(1).advance();
+        assert_eq!(client.notices(1).peek(), None);
+
+        assert!(!client.done());
+        epe.mark_done();
+        assert!(client.done());
+
         epe.beat_at_ns().store(42, Ordering::Release);
         assert_eq!(client.beat_at_ns().load(Ordering::Acquire), 42);
         epe.region().unlink().unwrap();
@@ -416,7 +569,7 @@ mod tests {
     #[test]
     fn reserve_copy_release_across_views() {
         let path = tmp("data");
-        let epe = MappedNode::create(&path, 2, 2048).unwrap();
+        let epe = MappedNode::create(&path, 2, 2048, 8).unwrap();
         let client = MappedNode::open(&path).unwrap();
 
         let client_buf = client.buffer();
@@ -440,7 +593,7 @@ mod tests {
     #[test]
     fn adopt_takes_only_a_live_range_of_that_clients_ring() {
         let path = tmp("adopt");
-        let node = MappedNode::create(&path, 2, 2048).unwrap();
+        let node = MappedNode::create(&path, 2, 2048, 8).unwrap();
         let buf = node.buffer();
         let mut seg = node.reserve(&buf, 1, 100).unwrap();
         seg.copy_from_slice(&[0xCD; 100]);
@@ -483,7 +636,7 @@ mod tests {
     #[test]
     fn reclaim_fences_a_dead_clients_ring() {
         let path = tmp("reclaim");
-        let node = MappedNode::create(&path, 1, 1024).unwrap();
+        let node = MappedNode::create(&path, 1, 1024, 2).unwrap();
         let buf = node.buffer();
         let _abandoned = node.reserve(&buf, 0, 200).unwrap();
         assert_eq!(node.in_use(0), 200);
@@ -502,10 +655,75 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A header's geometry comes from a file. Whatever its words say —
+    /// products and sums that overflow, a notice count that is not a
+    /// power of two, a data window past the end — `open` says
+    /// `InvalidData`, never panics, and never hands out a view whose
+    /// accessors would read past the mapping.
+    #[test]
+    fn open_refuses_a_forged_geometry() {
+        let path = tmp("forged");
+        let word = |off: usize, value: u64, bytes: &mut Vec<u8>| {
+            bytes[off..off + 8].copy_from_slice(&value.to_ne_bytes());
+        };
+        let valid = |bytes: &mut Vec<u8>| {
+            word(OFF_MAGIC, MAGIC, bytes);
+            word(OFF_VERSION, VERSION, bytes);
+            word(OFF_N_CLIENTS, 2, bytes);
+            word(OFF_DATA_CAPACITY, 1024, bytes);
+            word(OFF_DATA_OFFSET, 1024, bytes);
+            word(OFF_REGION_CAPACITY, 512, bytes);
+            word(OFF_NOTICE_CAPACITY, 4, bytes);
+        };
+        let mut bytes = vec![0u8; 4096];
+        valid(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let node = MappedNode::open(&path).expect("the unforged header opens");
+        assert_eq!((node.n_clients(), node.notice_capacity()), (2, 4));
+        drop(node);
+
+        let forgeries: [(&str, &[(usize, u64)]); 9] = [
+            (
+                "client count times block overflows",
+                &[(OFF_N_CLIENTS, 1 << 59), (OFF_REGION_CAPACITY, 32)],
+            ),
+            ("client count is zero", &[(OFF_N_CLIENTS, 0)]),
+            (
+                "notice count times slot overflows",
+                &[(OFF_NOTICE_CAPACITY, 1 << 62)],
+            ),
+            ("notice count is zero", &[(OFF_NOTICE_CAPACITY, 0)]),
+            (
+                "notice count is not a power of two",
+                &[(OFF_NOTICE_CAPACITY, 3)],
+            ),
+            (
+                "data window end overflows",
+                &[(OFF_DATA_OFFSET, u64::MAX - 127)],
+            ),
+            ("data window past the file", &[(OFF_DATA_CAPACITY, 4096)]),
+            (
+                "client rings overflow",
+                &[(OFF_REGION_CAPACITY, u64::MAX / 2 + 1)],
+            ),
+            ("blocks run into the data", &[(OFF_NOTICE_CAPACITY, 16)]),
+        ];
+        for (what, words) in forgeries {
+            let mut forged = bytes.clone();
+            for &(off, value) in words {
+                word(off, value, &mut forged);
+            }
+            std::fs::write(&path, &forged).unwrap();
+            let err = MappedNode::open(&path).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn create_rejects_tiny_capacity() {
         let path = tmp("tiny");
-        assert!(MappedNode::create(&path, 64, 8).is_err());
+        assert!(MappedNode::create(&path, 64, 8, 1024).is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! Two kinds of tests live here:
 //!
-//! * **Verification** — the real `MpscQueue` / `PartitionAllocator` code
-//!   paths pass every explored schedule;
+//! * **Verification** — the real `MpscQueue` / `PartitionAllocator` /
+//!   `NoticeRing` code paths pass every explored schedule;
 //! * **Seeded bugs** — replicas of the same protocols with one ordering
 //!   deliberately weakened (or the pre-fix `in_use` load order restored)
 //!   must make the checker FAIL, proving the tool actually distinguishes
@@ -25,9 +25,13 @@
 
 use damaris_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use damaris_check::{model, thread, Builder, FailureKind};
+use damaris_shm::notice::NOTICE_WORDS;
 use damaris_shm::ring::{ring_in_use, ring_reclaim, ring_release, ring_reserve, RingWords};
 use damaris_shm::sync::{Arc, ShmCell};
-use damaris_shm::{AllocError, ClientLease, HeartbeatWord, MpscQueue, PartitionAllocator, Segment};
+use damaris_shm::{
+    AllocError, ClientLease, HeartbeatWord, MpscQueue, Notice, NoticeRing, PartitionAllocator,
+    Segment,
+};
 
 // ---------------------------------------------------------------------------
 // MPMC queue
@@ -862,4 +866,132 @@ fn seeded_consumer_side_rewind_overlaps_a_live_segment() {
         "unexpected message: {}",
         failure.message
     );
+}
+
+// ---------------------------------------------------------------------------
+// Notice ring (crate::notice) — the process node's per-client event ring
+// ---------------------------------------------------------------------------
+
+/// One notice ring's words on the heap — in a process node they sit in
+/// the client's block of the mapping, and `MappedNode::notices` views them
+/// the same way.
+struct NoticeWords {
+    head: AtomicU64,
+    tail: AtomicU64,
+    slots: Vec<AtomicU64>,
+}
+
+impl NoticeWords {
+    fn new(capacity: usize) -> NoticeWords {
+        NoticeWords {
+            head: AtomicU64::new(0),
+            tail: AtomicU64::new(0),
+            slots: (0..capacity * NOTICE_WORDS)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        }
+    }
+
+    fn ring(&self) -> NoticeRing<'_> {
+        NoticeRing {
+            head: &self.head,
+            tail: &self.tail,
+            slots: &self.slots,
+        }
+    }
+}
+
+fn nth_notice(i: u64) -> Notice {
+    Notice::Write {
+        variable: i as u32,
+        iteration: 10 + i as u32,
+        offset: 8 * i,
+        len: 8,
+        crc: 0xC0 + i as u32,
+    }
+}
+
+/// One client posting three notices through a ring of two slots — so the
+/// third reuses the first's slot — against the dedicated core taking them
+/// as the pump does: peek, read what the notice points at, advance. In
+/// every schedule the core sees each notice's words whole and in order,
+/// and the payload byte the client wrote before posting it; the client
+/// never overwrites a slot the core is still reading (the words would
+/// differ), and the payload read is ordered after its write (the cell
+/// would report a race).
+#[test]
+fn notice_ring_delivers_every_notice_across_a_wrap() {
+    let stats = Builder::new().check(|| {
+        let words = Arc::new(NoticeWords::new(2));
+        let payload = Arc::new([ShmCell::new(0u8), ShmCell::new(0u8), ShmCell::new(0u8)]);
+        let (w2, p2) = (Arc::clone(&words), Arc::clone(&payload));
+        let client = thread::spawn(move || {
+            for i in 0..3u64 {
+                // SAFETY: written before the post; its Release store of
+                // `head` publishes it to the core's Acquire in `peek`.
+                p2[i as usize].with_mut(|p| unsafe { *p = 0xA0 + i as u8 });
+                while !w2.ring().post(nth_notice(i).encode()) {
+                    thread::yield_now(); // full: wait for the core
+                }
+            }
+        });
+        let ring = words.ring();
+        for i in 0..3u64 {
+            let got = loop {
+                if let Some(got) = ring.peek() {
+                    break got;
+                }
+                thread::yield_now();
+            };
+            assert_eq!(Notice::decode(got), Some(nth_notice(i)), "notice {i}");
+            // SAFETY: ordered after the client's write by the Acquire
+            // load of `head` in `peek`.
+            assert_eq!(payload[i as usize].with(|p| unsafe { *p }), 0xA0 + i as u8);
+            ring.advance();
+        }
+        client.join();
+        assert_eq!(ring.peek(), None);
+        assert_eq!(words.head.load(Ordering::Relaxed), 3);
+    });
+    // The full ring, the wrap and the race for each slot all branch.
+    assert!(
+        stats.executions > 10,
+        "only {} executions",
+        stats.executions
+    );
+}
+
+/// Seeded bug: a replica of `NoticeRing::post` that publishes `head`
+/// `Relaxed`. The core's Acquire in `peek` then pairs with nothing, and
+/// the checker must report its read of the payload as a data race.
+#[test]
+fn seeded_relaxed_notice_head_is_a_data_race() {
+    let failure = Builder::new()
+        .check_result(|| {
+            let words = Arc::new(NoticeWords::new(2));
+            let payload = Arc::new(ShmCell::new(0u8));
+            let (w2, p2) = (Arc::clone(&words), Arc::clone(&payload));
+            let client = thread::spawn(move || {
+                // SAFETY: deliberately unsound replica — the Relaxed store
+                // below publishes nothing; the model must object.
+                p2.with_mut(|p| unsafe { *p = 0xA0 });
+                let h = w2.head.load(Ordering::Relaxed);
+                assert!(h - w2.tail.load(Ordering::Acquire) < 2, "room for one");
+                for (word, value) in w2.slots.iter().zip(nth_notice(0).encode()) {
+                    word.store(value, Ordering::Relaxed);
+                }
+                w2.head.store(h + 1, Ordering::Relaxed); // seeded bug: was Release
+            });
+            let ring = words.ring();
+            while ring.peek().is_none() {
+                thread::yield_now();
+            }
+            // SAFETY: intentionally racy — no release pairs with the
+            // Acquire in `peek`.
+            let _ = payload.with(|p| unsafe { *p });
+            ring.advance();
+            client.join();
+        })
+        .expect_err("a Relaxed head must be reported");
+    assert_eq!(failure.kind, FailureKind::DataRace);
 }
