@@ -134,7 +134,7 @@ fn checksum_kernels_are_inside_the_write_closure() {
     // them: the tail `write` calls straight into.
     assert_eq!(
         f[0].path.first().map(String::as_str),
-        Some("DamarisClient::copy_and_notify_static")
+        Some("DamarisClient::copy_and_notify")
     );
     assert!(
         f[0].path.iter().any(|hop| hop == "crc32"),

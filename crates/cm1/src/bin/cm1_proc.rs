@@ -9,7 +9,14 @@
 //!   this binary, optionally delivers the `kill -9` matrix, and prints
 //!   the run report.
 //! * `epe` — the dedicated-core process ([`damaris_core::proc::run_epe`]).
-//! * `client` — one compute-core process ([`damaris_core::proc::run_client`]).
+//! * `client` — one compute-core process: a [`DamarisClient`] over the
+//!   mapping ([`DamarisClient::over_mapping`]), driven through the public
+//!   API as a threaded rank drives its own. Per iteration it writes `var0`
+//!   zero-copy (`alloc`, fill, `commit`) and every other variable with
+//!   `write`, then ends the iteration; at the end it waits, renewing its
+//!   lease, for the EPE to mark the run done. A configured kill fires
+//!   through the same calls: after `alloc` (`alloc`), halfway through
+//!   filling the region (`memcpy`), or after its commit (`postcommit`).
 //!
 //! ```text
 //! cm1_proc --dir /tmp/cm1-run --clients 4
@@ -18,11 +25,17 @@
 //! ```
 
 use damaris_core::proc::{
-    launch, run_client, run_epe, ClientKillSpec, ClientOptions, EpeOptions, LaunchPlan,
+    env_parse, launch, node_config, payload_for, run_epe, ClientKillSpec, EpeOptions, LaunchPlan,
+    ENV_CAPACITY, ENV_DIR, ENV_ITERS, ENV_LEASE_MS, ENV_PAYLOAD, ENV_POLICY, ENV_RANK, ENV_VARS,
+    MAPPING_FILE, OUT_DIR,
 };
+use damaris_core::DamarisClient;
 use damaris_mpi::ClientKillPhase;
-use std::path::PathBuf;
+use damaris_shm::{kill_self_hard, MappedNode};
+use std::error::Error;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -57,16 +70,9 @@ fn run_launcher() -> ExitCode {
             "--kill-rank" => {
                 val().and_then(|v| v.parse().map(|n| kill_rank = Some(n)).map_err(|_| ()))
             }
-            "--kill-phase" => val().and_then(|v| {
-                let phase = match v.as_str() {
-                    "alloc" => ClientKillPhase::Alloc,
-                    "memcpy" => ClientKillPhase::Memcpy,
-                    "postcommit" => ClientKillPhase::PostCommit,
-                    _ => return Err(()),
-                };
-                kill_phase = Some(phase);
-                Ok(())
-            }),
+            "--kill-phase" => {
+                val().and_then(|v| v.parse().map(|p| kill_phase = Some(p)).map_err(|_| ()))
+            }
             "--kill-iter" => {
                 val().and_then(|v| v.parse().map(|n| kill_iter = n).map_err(|_| ()))
             }
@@ -134,39 +140,92 @@ fn run_launcher() -> ExitCode {
     }
 }
 
-fn main() -> ExitCode {
-    match std::env::var(damaris_core::proc::ENV_ROLE).as_deref() {
-        Ok("epe") => {
-            let opts = match EpeOptions::from_env() {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("cm1_proc[epe]: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match run_epe(&opts) {
-                Ok(_) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("cm1_proc[epe]: {e}");
-                    ExitCode::FAILURE
-                }
+/// One compute-core process, rank `rank` of the run in `dir`.
+fn run_rank(dir: &Path, rank: u32) -> Result<(), Box<dyn Error>> {
+    let kill = ClientKillSpec::from_env()?.filter(|k| k.rank == rank);
+    let (iterations, variables): (u32, u32) = (env_parse(ENV_ITERS)?, env_parse(ENV_VARS)?);
+    let (capacity, policy) = (env_parse(ENV_CAPACITY)?, env_parse(ENV_POLICY)?);
+    let lease_timeout = Duration::from_millis(env_parse(ENV_LEASE_MS)?);
+    let payload_len: usize = env_parse(ENV_PAYLOAD)?;
+    let config = node_config(variables, payload_len, capacity, policy, lease_timeout);
+
+    // The EPE creates the mapping; wait for a valid header to appear.
+    let attach_by = Instant::now() + Duration::from_secs(20);
+    let node = loop {
+        match MappedNode::open(&dir.join(MAPPING_FILE)) {
+            Ok(node) => break node,
+            Err(_) if Instant::now() < attach_by => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) => return Err(e.into()),
+        }
+    };
+    let client = DamarisClient::over_mapping(config, node.clone(), rank, dir.join(OUT_DIR))?;
+
+    for it in 0..iterations {
+        // A kill strikes this iteration's `var0`.
+        let dies = kill.filter(|k| k.iteration == it).map(|k| k.phase);
+        for var in 0..variables {
+            let name = format!("var{var}");
+            let payload = payload_for(rank, it, var, payload_len);
+            if var > 0 {
+                client.write(&name, it, &payload)?;
+                continue;
+            }
+            let mut region = client.alloc(&name, it)?;
+            if dies == Some(ClientKillPhase::Alloc) {
+                kill_self_hard();
+            }
+            let (first, second) = payload.split_at(payload_len / 2);
+            region.as_mut_slice()[..first.len()].copy_from_slice(first);
+            if dies == Some(ClientKillPhase::Memcpy) {
+                kill_self_hard();
+            }
+            region.as_mut_slice()[first.len()..].copy_from_slice(second);
+            region.commit()?;
+            if dies == Some(ClientKillPhase::PostCommit) {
+                kill_self_hard();
             }
         }
+        client.end_iteration(it)?;
+    }
+
+    // The one wait: for the EPE that finishes the run — after however
+    // many respawns and journal replays — to say so. Until then this rank
+    // is alive, not done.
+    let done_by = Instant::now() + Duration::from_secs(60);
+    while !node.done() {
+        client.renew_lease()?;
+        if Instant::now() > done_by {
+            return Err("the dedicated core never finished the run".into());
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match std::env::var(damaris_core::proc::ENV_ROLE).as_deref() {
+        Ok("epe") => match EpeOptions::from_env().and_then(|opts| run_epe(&opts)) {
+            Ok(_) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("cm1_proc[epe]: {e}");
+                ExitCode::FAILURE
+            }
+        },
         Ok("client") => {
-            let opts = match ClientOptions::from_env() {
-                Ok(o) => o,
-                Err(e) => {
+            let (dir, rank) = match (env_parse::<PathBuf>(ENV_DIR), env_parse::<u32>(ENV_RANK)) {
+                (Ok(dir), Ok(rank)) => (dir, rank),
+                (Err(e), _) | (_, Err(e)) => {
                     eprintln!("cm1_proc[client]: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            match run_client(&opts) {
-                Ok(_) => ExitCode::SUCCESS,
+            match run_rank(&dir, rank) {
+                Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
-                    eprintln!("cm1_proc[client {}]: {e}", opts.rank);
+                    eprintln!("cm1_proc[client {rank}]: {e}");
                     // Stderr is inherited and interleaves with the
                     // launcher's; the file is what `launch` collects.
-                    let path = opts.dir.join(format!("client-error-{}.txt", opts.rank));
+                    let path = dir.join(format!("client-error-{rank}.txt"));
                     let _ = std::fs::write(path, e.to_string());
                     ExitCode::FAILURE
                 }

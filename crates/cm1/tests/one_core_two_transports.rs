@@ -7,8 +7,7 @@
 
 #![cfg(unix)]
 
-use damaris_core::proc::client::payload_for;
-use damaris_core::proc::{launch, LaunchPlan};
+use damaris_core::proc::{launch, payload_for, LaunchPlan};
 use damaris_core::NodeRuntime;
 use damaris_fs::Manifest;
 use damaris_query::{QueryConfig, QueryEngine};

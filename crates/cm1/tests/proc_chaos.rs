@@ -17,8 +17,7 @@
 #![cfg(unix)]
 
 use damaris_core::config::OnClientFailure;
-use damaris_core::proc::client::payload_for;
-use damaris_core::proc::{ClientKillSpec, LaunchPlan, LaunchReport};
+use damaris_core::proc::{payload_for, ClientKillSpec, LaunchPlan, LaunchReport};
 use damaris_format::SdfReader;
 use damaris_mpi::ClientKillPhase;
 use std::collections::BTreeMap;
@@ -123,7 +122,7 @@ fn killed_client_is_fenced_at_every_phase() {
         ClientKillPhase::Memcpy,
         ClientKillPhase::PostCommit,
     ] {
-        let mut p = plan(&format!("client-kill-{}", ClientKillSpec::phase_str(phase)));
+        let mut p = plan(&format!("client-kill-{}", phase.as_str()));
         p.policy = OnClientFailure::Partial;
         p.client_kill = Some(ClientKillSpec {
             rank: 1,
@@ -188,6 +187,36 @@ fn killed_epe_respawns_replays_the_wal_and_finishes() {
     );
     // No client died, so after recovery nothing may be partial and
     // every byte of every rank must come out intact.
+    assert_eq!(report.total(|r| r.iterations_persisted), 3);
+    assert_eq!(report.total(|r| r.partial_iterations), 0);
+    assert_eq!(report.total(|r| r.crc_quarantined), 0);
+    assert_eq!(report.sdf_files.len(), 3);
+    for (it, file) in report.sdf_files.iter().enumerate() {
+        assert_sdf_contents(file, it as u32, &[0, 1, 2, 3], &[], &p);
+    }
+    assert!(partial_files(&p).is_empty());
+    let _ = std::fs::remove_dir_all(&p.dir);
+}
+
+/// The EPE dies while the ranks are blocked on a full data ring: the
+/// buffer holds about one iteration, so every rank waits in `reserve` —
+/// renewing its lease, watching the mapped heartbeat — across the kill,
+/// and the respawned EPE must free the rings for them. The invariants are
+/// the EPE-kill cell's.
+#[test]
+fn killed_epe_while_ranks_block_on_a_full_ring_loses_nothing() {
+    let mut p = plan("epe-kill-full-ring");
+    p.data_capacity = p.n_clients * p.variables as usize * p.payload_len;
+    p.epe_kill_after = Some(3);
+    let report = damaris_core::proc::launch(&p).unwrap();
+
+    assert_core_invariants(&report);
+    assert_eq!(report.epe_respawns, 1);
+    assert!(report.killed_ranks.is_empty());
+    assert_eq!(report.epe_reports.len(), 2, "one report per incarnation");
+    let second = &report.epe_reports[1].node;
+    assert!(second.events_replayed >= 1, "{report:?}");
+    assert_eq!(second.stale_events_rejected, 1, "{report:?}");
     assert_eq!(report.total(|r| r.iterations_persisted), 3);
     assert_eq!(report.total(|r| r.partial_iterations), 0);
     assert_eq!(report.total(|r| r.crc_quarantined), 0);
@@ -296,4 +325,36 @@ fn orphaned_mappings_are_swept_and_counted_at_startup() {
     // The sweep never touches the run that is starting: output intact.
     assert_eq!(report.total(|r| r.iterations_persisted), 3);
     let _ = std::fs::remove_dir_all(&p.dir);
+}
+
+/// One parser for a kill phase: a misspelt one is refused on the command
+/// line, and a malformed kill variable fails the rank that reads it,
+/// naming the variable, instead of running without its kill.
+#[test]
+fn a_misspelt_kill_phase_is_refused_wherever_it_is_given() {
+    let exe = env!("CARGO_BIN_EXE_cm1_proc");
+    let dir = tmpdir("misspelt-phase");
+    let launched = std::process::Command::new(exe)
+        .arg("--dir")
+        .arg(&dir)
+        .args(["--kill-rank", "1", "--kill-phase", "memcopy"])
+        .output()
+        .unwrap();
+    assert_eq!(launched.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&launched.stderr);
+    assert!(stderr.starts_with("usage: cm1_proc"), "{stderr}");
+
+    let rank = std::process::Command::new(exe)
+        .env("DAMARIS_PROC_ROLE", "client")
+        .env("DAMARIS_PROC_DIR", &dir)
+        .env("DAMARIS_PROC_RANK", "0")
+        .env("DAMARIS_KILL_RANK", "0")
+        .env("DAMARIS_KILL_PHASE", "memcopy")
+        .env("DAMARIS_KILL_ITER", "1")
+        .output()
+        .unwrap();
+    assert_eq!(rank.status.code(), Some(1));
+    let said = std::fs::read_to_string(dir.join("client-error-0.txt")).unwrap();
+    assert_eq!(said, "DAMARIS_KILL_PHASE malformed");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,9 +10,16 @@
 //! | `dc_alloc`/`dc_commit`         | [`DamarisClient::alloc`]/[`AllocatedRegion::commit`] |
 //!
 //! A `write` is one shared-memory reservation, one checksum, one `memcpy`,
-//! one queue push — nothing else; the client returns to computation
+//! one notification — nothing else; the client returns to computation
 //! immediately. The dedicated core journals the event when it takes it
 //! ([`crate::server::DedicatedCore::admit`]).
+//!
+//! The same client serves both nodes. A threaded rank's notification is a
+//! queue push; a process rank's ([`DamarisClient::over_mapping`]) is a
+//! notice posted into its own ring in the node's mapping, which a full
+//! ring makes wait like a full buffer. No notice kind carries a user event
+//! or a dynamic shape yet, so over a mapping `signal` and `write_dynamic`
+//! fail with [`DamarisError::NoNoticeKind`].
 //!
 //! # Dedicated-core failure
 //!
@@ -35,6 +42,8 @@ use damaris_obs::{EventKind, Recorder};
 use damaris_shm::sync::{Arc, AtomicU64, CachePadded, Ordering};
 use damaris_shm::{AllocError, Segment};
 use std::time::{Duration, Instant};
+#[cfg(unix)]
+use {crate::config::Config, crate::journal::EventJournal, damaris_shm::MappedNode};
 
 /// How long the lossy policies (`drop`, `sync-fallback`) still wait for
 /// space before giving up on shared memory — long enough to ride out a
@@ -42,13 +51,30 @@ use std::time::{Duration, Instant};
 /// never visibly stalls.
 const LOSSY_GRACE: Duration = Duration::from_millis(2);
 
-/// Outcome of a bounded reservation wait.
-enum ReserveOutcome {
-    Got(Segment),
+/// Why a wait on a full ring stopped short of space.
+enum Stop {
     /// Deadline passed while the server was (still) heartbeating.
     TimedOut,
     /// The heartbeat word went stale: the dedicated core is presumed dead.
     Stale,
+}
+
+/// A wait on a full ring — the data ring or, over a mapping, the notice
+/// ring — from its first refusal on.
+struct FullWait {
+    deadline: Instant,
+    spins: u32,
+    backoff: Backoff,
+}
+
+impl FullWait {
+    fn until(deadline: Instant) -> FullWait {
+        FullWait {
+            deadline,
+            spins: 0,
+            backoff: Backoff::new(Duration::from_micros(20), Duration::from_millis(2)),
+        }
+    }
 }
 
 /// Handle held by one compute core.
@@ -106,6 +132,31 @@ impl DamarisClient {
             hb_changed_ns: AtomicU64::new(0),
             held: Arc::default(),
         }
+    }
+
+    /// The client of process rank `rank` on a process node ([`crate::proc`]),
+    /// over the mapping `node`; it first registers this process's pid
+    /// there. `config` is the one the dedicated core runs under, and
+    /// `output_dir` the node's output, where `sync-fallback` writes go.
+    #[cfg(unix)]
+    pub fn over_mapping(
+        config: Config,
+        node: MappedNode,
+        rank: u32,
+        output_dir: impl AsRef<std::path::Path>,
+    ) -> Result<DamarisClient, DamarisError> {
+        if rank as usize >= node.n_clients() {
+            return Err(DamarisError::Config(format!(
+                "rank {rank} is not one of the mapping's {} clients",
+                node.n_clients()
+            )));
+        }
+        let backend = damaris_fs::LocalDirBackend::new(output_dir)
+            .map_err(|e| DamarisError::Storage(damaris_format::SdfError::Io(e)))?;
+        node.register(rank as usize, damaris_shm::this_pid());
+        let journal = EventJournal::new();
+        let shared = NodeShared::over_mapping(config, node, Arc::new(backend), 0, journal);
+        Ok(DamarisClient::new(rank, Arc::new(shared)))
     }
 
     /// This client's id within its node (the `source` of its tuples).
@@ -219,48 +270,29 @@ impl DamarisClient {
         }
     }
 
-    /// Reserves a segment, waiting out a full buffer with bounded
-    /// exponential backoff until `deadline`. [`ReserveOutcome::TimedOut`]
-    /// leaves the policy decision to the caller; [`ReserveOutcome::Stale`]
-    /// reports a dead-looking dedicated core; non-transient allocation
-    /// errors (`TooLarge`, `BadClient`) return immediately.
-    ///
-    /// Deadlock note: the server reclaims an iteration's segments once
-    /// *every* client of the node has ended that iteration. Clients must
-    /// therefore stay loosely synchronized (as halo-exchanging simulations
-    /// naturally are) or the buffer must be sized for the maximum
-    /// iteration skew — the same constraint the original Damaris has. The
-    /// deadline turns that failure mode from a silent hang into an error.
-    fn try_reserve(&self, len: usize, deadline: Instant) -> Result<ReserveOutcome, DamarisError> {
-        let mut spins = 0u32;
-        let mut backoff = Backoff::new(Duration::from_micros(20), Duration::from_millis(2));
-        loop {
-            match self.shared.buffer.allocate(self.id, len) {
-                Ok(seg) => return Ok(ReserveOutcome::Got(seg)),
-                Err(AllocError::Full) => {
-                    // A rank stuck behind backpressure is alive: renew so
-                    // the sweeper distinguishes "waiting" from "dead", and
-                    // stop waiting the moment we learn we were fenced.
-                    self.renew_lease()?;
-                    if self.heartbeat_stale() {
-                        return Ok(ReserveOutcome::Stale);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Ok(ReserveOutcome::TimedOut);
-                    }
-                    if spins < 64 {
-                        // The common case: the dedicated core is mid-drain
-                        // and space appears within microseconds.
-                        spins += 1;
-                        std::thread::yield_now();
-                    } else {
-                        self.backpressure_pause(&mut backoff, deadline - now);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
+    /// One step of a wait on a full ring, data or notice. A rank stuck
+    /// behind backpressure is alive: renew so the sweeper distinguishes
+    /// "waiting" from "dead", and stop waiting the moment we learn we were
+    /// fenced. Then yield or back off — unless the heartbeat went stale or
+    /// the deadline passed, which is the caller's to act on.
+    fn wait_full(&self, wait: &mut FullWait) -> Result<Option<Stop>, DamarisError> {
+        self.renew_lease()?;
+        if self.heartbeat_stale() {
+            return Ok(Some(Stop::Stale));
         }
+        let now = Instant::now();
+        if now >= wait.deadline {
+            return Ok(Some(Stop::TimedOut));
+        }
+        if wait.spins < 64 {
+            // The common case: the dedicated core is mid-drain and space
+            // appears within microseconds.
+            wait.spins += 1;
+            std::thread::yield_now();
+        } else {
+            self.backpressure_pause(&mut wait.backoff, wait.deadline - now);
+        }
+        Ok(None)
     }
 
     /// One bounded backoff sleep while the buffer is full. Out-of-line:
@@ -276,24 +308,51 @@ impl DamarisClient {
     /// [`DamarisError::Buffer`] with [`AllocError::Full`]; a stale
     /// heartbeat parks for a respawn and surfaces
     /// [`DamarisError::EpeUnavailable`] if none arrives in time.
+    ///
+    /// Deadlock note: the server reclaims an iteration's segments once
+    /// *every* client of the node has ended that iteration. Clients must
+    /// therefore stay loosely synchronized (as halo-exchanging simulations
+    /// naturally are) or the buffer must be sized for the maximum
+    /// iteration skew — the same constraint the original Damaris has. The
+    /// deadline turns that failure mode from a silent hang into an error.
     fn reserve(&self, len: usize) -> Result<Segment, DamarisError> {
-        let timeout = match self.shared.config.resilience.backpressure {
-            BackpressurePolicy::Block { timeout } => timeout,
-            // The zero-copy path (alloc/commit) has no payload to drop or
-            // divert, so lossy policies fall back to a bounded block.
-            BackpressurePolicy::DropIteration | BackpressurePolicy::SyncFallback => {
-                Duration::from_secs(30)
-            }
-        };
-        let deadline = Instant::now() + timeout;
+        let mut wait = None;
         loop {
-            match self.try_reserve(len, deadline)? {
-                ReserveOutcome::Got(seg) => return Ok(seg),
-                ReserveOutcome::TimedOut => {
-                    return Err(DamarisError::Buffer(AllocError::Full))
-                }
-                ReserveOutcome::Stale => self.await_heartbeat(deadline)?,
+            match self.shared.buffer.allocate(self.id, len) {
+                Ok(seg) => return Ok(seg),
+                Err(AllocError::Full) => self.await_room(&mut wait)?,
+                Err(e) => return Err(e.into()),
             }
+        }
+    }
+
+    /// Hands `event` to the dedicated core ([`NodeShared::notify`]),
+    /// waiting out a full notice ring as [`reserve`](Self::reserve) waits
+    /// out a full data ring.
+    fn notify(&self, event: Event) -> Result<(), DamarisError> {
+        let mut wait = None;
+        self.shared
+            .notify(self.id, event, || self.await_room(&mut wait))
+    }
+
+    /// One blocking wait on a full ring, data or notice: the `block`
+    /// policy's timeout from the first refusal (the zero-copy path and a
+    /// notice have no payload to drop or divert, so lossy policies block
+    /// too), parking for a new epoch on a stale heartbeat.
+    // ANALYZE: cold — backpressure wait; the client is already stalled on a full ring
+    #[cold]
+    fn await_room(&self, wait: &mut Option<FullWait>) -> Result<(), DamarisError> {
+        let wait = wait.get_or_insert_with(|| {
+            let timeout = match self.shared.config.resilience.backpressure {
+                BackpressurePolicy::Block { timeout } => timeout,
+                _ => Duration::from_secs(30),
+            };
+            FullWait::until(Instant::now() + timeout)
+        });
+        match self.wait_full(wait)? {
+            None => Ok(()),
+            Some(Stop::TimedOut) => Err(DamarisError::Buffer(AllocError::Full)),
+            Some(Stop::Stale) => self.await_heartbeat(wait.deadline),
         }
     }
 
@@ -311,49 +370,33 @@ impl DamarisClient {
         data: &[u8],
     ) -> Result<Option<Segment>, DamarisError> {
         match self.shared.config.resilience.backpressure {
-            BackpressurePolicy::Block { timeout } => {
-                let deadline = Instant::now() + timeout;
-                loop {
-                    match self.try_reserve(data.len(), deadline)? {
-                        ReserveOutcome::Got(seg) => return Ok(Some(seg)),
-                        ReserveOutcome::TimedOut => {
-                            return Err(DamarisError::Buffer(AllocError::Full))
+            BackpressurePolicy::Block { .. } => self.reserve(data.len()).map(Some),
+            policy => {
+                let mut wait = FullWait::until(Instant::now() + LOSSY_GRACE);
+                let stop = loop {
+                    match self.shared.buffer.allocate(self.id, data.len()) {
+                        Ok(seg) => return Ok(Some(seg)),
+                        Err(AllocError::Full) => {
+                            if let Some(stop) = self.wait_full(&mut wait)? {
+                                break stop;
+                            }
                         }
-                        ReserveOutcome::Stale => self.await_heartbeat(deadline)?,
+                        Err(e) => return Err(e.into()),
                     }
+                };
+                let stats = &self.shared.stats;
+                if matches!(stop, Stop::Stale) {
+                    // Dead server: divert immediately, and separately
+                    // count that the loss was liveness-driven.
+                    FaultStats::bump(&stats.heartbeat_stale_observed);
                 }
-            }
-            BackpressurePolicy::DropIteration => {
-                match self.try_reserve(data.len(), Instant::now() + LOSSY_GRACE)? {
-                    ReserveOutcome::Got(seg) => Ok(Some(seg)),
-                    ReserveOutcome::TimedOut => {
-                        FaultStats::bump(&self.shared.stats.writes_dropped);
-                        Ok(None)
-                    }
-                    ReserveOutcome::Stale => {
-                        // Dead server: shed immediately, and separately
-                        // count that the loss was liveness-driven.
-                        FaultStats::bump(&self.shared.stats.heartbeat_stale_observed);
-                        FaultStats::bump(&self.shared.stats.writes_dropped);
-                        Ok(None)
-                    }
+                if policy == BackpressurePolicy::SyncFallback {
+                    self.write_through(variable, iteration, layout, data)?;
+                    FaultStats::bump(&stats.sync_fallback_writes);
+                } else {
+                    FaultStats::bump(&stats.writes_dropped);
                 }
-            }
-            BackpressurePolicy::SyncFallback => {
-                match self.try_reserve(data.len(), Instant::now() + LOSSY_GRACE)? {
-                    ReserveOutcome::Got(seg) => Ok(Some(seg)),
-                    ReserveOutcome::TimedOut => {
-                        self.write_through(variable, iteration, layout, data)?;
-                        FaultStats::bump(&self.shared.stats.sync_fallback_writes);
-                        Ok(None)
-                    }
-                    ReserveOutcome::Stale => {
-                        FaultStats::bump(&self.shared.stats.heartbeat_stale_observed);
-                        self.write_through(variable, iteration, layout, data)?;
-                        FaultStats::bump(&self.shared.stats.sync_fallback_writes);
-                        Ok(None)
-                    }
-                }
+                Ok(None)
             }
         }
     }
@@ -402,20 +445,21 @@ impl DamarisClient {
         Ok(())
     }
 
-    /// Tail of the static-layout write path — checksum of the source,
-    /// memcpy into the segment, queue notification — each under its trace
-    /// span. The spans chain: `t` is the previous span's end timestamp,
-    /// and the return value is the last span's end, so the whole tail
-    /// costs three clock reads instead of six.
+    /// Tail of the write paths — checksum of the source, memcpy into the
+    /// segment, notification — each under its trace span; a dynamic-shape
+    /// write's layout rides in the event. The spans chain: `t` is the
+    /// previous span's end timestamp, and the return value is the last
+    /// span's end, so the whole tail costs three clock reads instead of six.
     // ANALYZE: hot
-    fn copy_and_notify_static(
+    fn copy_and_notify(
         &self,
         variable_id: u32,
         iteration: u32,
         mut segment: Segment,
+        dynamic_layout: Option<damaris_format::Layout>,
         data: &[u8],
         t: u64,
-    ) -> u64 {
+    ) -> Result<u64, DamarisError> {
         // CRC the *source* bytes before the copy: if the copy tears (rank
         // killed mid-`memcpy`), the checksum still describes the intended
         // payload, so the torn segment can never match it.
@@ -427,47 +471,15 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::Memcpy, iteration, data.len() as u64, t);
-        self.shared.queue.push_wait(Event::Write {
+        self.notify(Event::Write {
             variable_id,
             iteration,
             source: self.id,
             segment,
-            dynamic_layout: None,
+            dynamic_layout,
             data_crc,
-        });
-        self.rec.end(EventKind::QueuePush, iteration, 0, t)
-    }
-
-    /// Tail of the dynamic-shape write path: same steps as
-    /// [`copy_and_notify_static`](Self::copy_and_notify_static), with the
-    /// per-write layout riding in the event.
-    fn copy_and_notify_dynamic(
-        &self,
-        variable_id: u32,
-        iteration: u32,
-        mut segment: Segment,
-        dynamic_layout: damaris_format::Layout,
-        data: &[u8],
-        t: u64,
-    ) -> u64 {
-        // See copy_and_notify_static: checksum the source, then copy.
-        let data_crc = damaris_format::crc32(data);
-        let t = self
-            .rec
-            .end(EventKind::Checksum, iteration, data.len() as u64, t);
-        segment.copy_from_slice(data);
-        let t = self
-            .rec
-            .end(EventKind::Memcpy, iteration, data.len() as u64, t);
-        self.shared.queue.push_wait(Event::Write {
-            variable_id,
-            iteration,
-            source: self.id,
-            segment,
-            dynamic_layout: Some(dynamic_layout),
-            data_crc,
-        });
-        self.rec.end(EventKind::QueuePush, iteration, 0, t)
+        })?;
+        Ok(self.rec.end(EventKind::QueuePush, iteration, 0, t))
     }
 
     /// `df_write`: copies `data` into shared memory and notifies the
@@ -506,7 +518,7 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify_static(variable_id, iteration, segment, data, t);
+        let t_end = self.copy_and_notify(variable_id, iteration, segment, None, data, t)?;
         self.rec
             .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
         Ok(())
@@ -523,6 +535,7 @@ impl DamarisClient {
         data: &[u8],
     ) -> Result<(), DamarisError> {
         self.renew_lease()?;
+        self.shared.require_queue("write_dynamic")?;
         let (variable_id, layout_def) = self.lookup_def(variable)?;
         if !layout_def.dynamic {
             return Err(DamarisError::wrong_layout_kind(variable, false));
@@ -548,7 +561,7 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify_dynamic(variable_id, iteration, segment, layout, data, t);
+        let t_end = self.copy_and_notify(variable_id, iteration, segment, Some(layout), data, t)?;
         self.rec
             .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
         Ok(())
@@ -611,15 +624,15 @@ impl DamarisClient {
     /// actions bound to it in the configuration.
     pub fn signal(&self, event: &str, iteration: u32) -> Result<(), DamarisError> {
         self.renew_lease()?;
+        self.shared.require_queue("signal")?;
         if self.shared.config.bindings_for(event).is_empty() {
             return Err(DamarisError::UnknownEvent(event.to_string()));
         }
-        self.shared.queue.push_wait(Event::User {
+        self.notify(Event::User {
             name: event.to_string(),
             iteration,
             source: self.id,
-        });
-        Ok(())
+        })
     }
 
     /// Declares this client done with `iteration`. When every client of
@@ -640,16 +653,15 @@ impl DamarisClient {
                 held,
             });
         }
-        self.shared.queue.push_wait(Event::EndIteration {
+        self.notify(Event::EndIteration {
             iteration,
             source: self.id,
-        });
-        Ok(())
+        })
     }
 
     /// Chaos hook: models this rank dying right after `dc_alloc` — the
     /// reservation is abandoned without a notification, exactly what a
-    /// kill between the reserve and the queue push leaves behind. The
+    /// kill between the reserve and the notification leaves behind. The
     /// bytes stay reserved until the lease sweeper fences the rank and
     /// reclaims its partition. Returns the number of bytes leaked, for
     /// tests to assert against `segments_reclaimed`.
@@ -664,7 +676,7 @@ impl DamarisClient {
     }
 
     /// Chaos hook: models this rank dying mid-`memcpy` with the
-    /// write-notification already issued — the queue event carries the
+    /// write-notification already issued — the event carries the
     /// CRC-32 of the *intended* payload, but only the first half of the
     /// bytes landed in shared memory. However the torn
     /// window arises (killed DMA, unflushed stores, plain corruption),
@@ -689,15 +701,14 @@ impl DamarisClient {
         // Only the first half of the payload lands before the "kill".
         let torn = data.len() / 2;
         segment.as_mut_slice()[..torn].copy_from_slice(&data[..torn]);
-        self.shared.queue.push_wait(Event::Write {
+        self.notify(Event::Write {
             variable_id,
             iteration,
             source: self.id,
             segment,
             dynamic_layout: None,
             data_crc,
-        });
-        Ok(())
+        })
     }
 }
 
@@ -743,7 +754,8 @@ impl AllocatedRegion {
     ///
     /// Fails with [`DamarisError::ClientFenced`] if the lease sweeper
     /// fenced this client while it was producing; the segment is then
-    /// abandoned for the sweeper to reclaim.
+    /// abandoned for the sweeper to reclaim. Over a mapping it fails as a
+    /// `write` does if the notice ring stays full.
     pub fn commit(mut self) -> Result<(), DamarisError> {
         // invariant: `commit` consumes self, so the segment is present.
         let segment = self.take_segment().expect("commit called once");
@@ -757,14 +769,14 @@ impl AllocatedRegion {
         let data_crc = damaris_format::crc32(segment.as_slice());
         let len = segment.len() as u64;
         let t = rec.end(EventKind::Checksum, self.iteration, len, t);
-        self.client.shared.queue.push_wait(Event::Write {
+        self.client.notify(Event::Write {
             variable_id: self.variable_id,
             iteration: self.iteration,
             source: self.client.id,
             segment,
             dynamic_layout: None,
             data_crc,
-        });
+        })?;
         rec.end(EventKind::QueuePush, self.iteration, 0, t);
         Ok(())
     }
@@ -793,7 +805,9 @@ impl Drop for AllocatedRegion {
         // sweeper's `revoke_remaining` reclaim the bytes.
         let client = &self.client;
         if client.renew_lease().is_ok() {
-            client.shared.queue.push_wait(Event::Abandon {
+            // A notice that cannot get out (its ring full past the block
+            // timeout) strands the bytes as a dead rank's would be.
+            let _ = client.notify(Event::Abandon {
                 iteration: self.iteration,
                 source: client.id,
                 segment,

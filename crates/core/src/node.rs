@@ -28,7 +28,7 @@ use damaris_shm::{
     AllocError, ClientLease, HeartbeatWord, LeaseTable, MpscQueue, PartitionAllocator, Segment,
 };
 #[cfg(unix)]
-use damaris_shm::{MappedNode, SharedBuffer};
+use damaris_shm::{MappedNode, Notice, SharedBuffer};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -369,6 +369,119 @@ impl NodeShared {
             #[cfg(unix)]
             BufferManager::Mapped(node, _) => (client < self.clients).then(|| node.lease(client)),
             _ => self.leases.lease(client),
+        }
+    }
+
+    /// Hands one of `client`'s events to the dedicated core, resolved like
+    /// [`heartbeat`](Self::heartbeat): onto the queue on the heap; over a
+    /// mapping, as a [`Notice`] into `client`'s own ring, calling `on_full`
+    /// each time the ring refuses it, to wait before the next try or give up.
+    // ANALYZE: hot
+    pub(crate) fn notify(
+        &self,
+        client: u32,
+        event: Event,
+        mut on_full: impl FnMut() -> Result<(), DamarisError>,
+    ) -> Result<(), DamarisError> {
+        match &self.buffer {
+            #[cfg(unix)]
+            BufferManager::Mapped(node, _) => {
+                let notice = match event {
+                    Event::Write {
+                        variable_id,
+                        iteration,
+                        segment,
+                        dynamic_layout: None,
+                        data_crc,
+                        ..
+                    } => Notice::Write {
+                        variable: variable_id,
+                        iteration,
+                        offset: segment.offset() as u64,
+                        len: segment.len() as u64,
+                        crc: data_crc,
+                    },
+                    Event::EndIteration { iteration, .. } => Notice::EndIteration { iteration },
+                    Event::Abandon {
+                        iteration, segment, ..
+                    } => Notice::Abandon {
+                        iteration,
+                        offset: segment.offset() as u64,
+                        len: segment.len() as u64,
+                    },
+                    // Refused up front (`require_queue`), or not a client's.
+                    Event::User { .. } | Event::Write { .. } | Event::Terminate => {
+                        return Err(DamarisError::NoNoticeKind { call: "notify" })
+                    }
+                };
+                let words = notice.encode();
+                let ring = node.notices(client as usize);
+                while !ring.post(words) {
+                    on_full()?;
+                }
+                Ok(())
+            }
+            _ => {
+                self.queue.push_wait(event);
+                Ok(())
+            }
+        }
+    }
+
+    /// The event a notice from `client`'s ring stands for, if it is
+    /// believable — its words come from another process: a write names a
+    /// configured variable and its size, and a range is live in `client`'s
+    /// ring ([`BufferManager::adopt`], checked arithmetic throughout).
+    #[cfg(unix)]
+    pub(crate) fn event_of(&self, client: u32, notice: Notice) -> Option<Event> {
+        let adopt = |offset: u64, len: u64| {
+            let (offset, len) = (usize::try_from(offset).ok()?, usize::try_from(len).ok()?);
+            self.buffer.adopt(client, offset, len)
+        };
+        Some(match notice {
+            Notice::Write {
+                variable,
+                iteration,
+                offset,
+                len,
+                crc,
+            } => {
+                let def = self.config.variable(variable)?;
+                if self.config.layout_of(def).byte_size() != len {
+                    return None;
+                }
+                Event::Write {
+                    variable_id: variable,
+                    iteration,
+                    source: client,
+                    segment: adopt(offset, len)?,
+                    dynamic_layout: None,
+                    data_crc: crc,
+                }
+            }
+            Notice::EndIteration { iteration } => Event::EndIteration {
+                iteration,
+                source: client,
+            },
+            Notice::Abandon {
+                iteration,
+                offset,
+                len,
+            } => Event::Abandon {
+                iteration,
+                source: client,
+                segment: adopt(offset, len)?,
+            },
+        })
+    }
+
+    /// Refuses, over a mapping, a `call` whose event no notice kind
+    /// carries yet — before the call reserves or posts anything.
+    pub(crate) fn require_queue(&self, call: &'static str) -> Result<(), DamarisError> {
+        match self.buffer {
+            #[cfg(unix)]
+            BufferManager::Mapped(..) => Err(DamarisError::NoNoticeKind { call }),
+            _ => Ok(()),
         }
     }
 }
@@ -841,6 +954,7 @@ impl Drop for NodeRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn a_report_survives_its_text_form_counter_by_counter() {
@@ -863,21 +977,57 @@ mod tests {
 
     const CLIENTS: usize = 4;
 
-    /// A threaded node's shared state, nothing running on it.
-    fn threaded(tag: &str) -> (Arc<NodeShared>, PathBuf) {
-        let dir = std::env::temp_dir().join(format!("damaris-node-{tag}-{}", std::process::id()));
-        let config = Config::from_xml(
+    /// Both fixtures' configuration: a static and a dynamic variable; a
+    /// full ring is waited on for a second, a heartbeat still for 20 ms is
+    /// stale.
+    fn config() -> Config {
+        Config::from_xml(
             r#"<damaris>
                  <buffer size="65536" allocator="partition"/>
                  <layout name="cell" type="double" dimensions="32"/>
                  <layout name="particles" type="real" dimensions="?"/>
                  <variable name="theta" layout="cell"/>
                  <variable name="swarm" layout="particles"/>
+                 <resilience timeout_ms="1000" heartbeat_timeout_ms="20"/>
                </damaris>"#,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// A threaded node's shared state, nothing running on it.
+    fn threaded(tag: &str) -> (Arc<NodeShared>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("damaris-node-{tag}-{}", std::process::id()));
         let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
-        (Arc::new(NodeShared::new(config, CLIENTS, backend, 0)), dir)
+        let shared = NodeShared::new(config(), CLIENTS, backend, 0);
+        (Arc::new(shared), dir)
+    }
+
+    /// A fresh mapping of two clients, 1 KiB of data ring and four notice
+    /// slots each, at a path of its own.
+    #[cfg(unix)]
+    fn mapping(tag: &str) -> (MappedNode, PathBuf) {
+        let path = std::env::temp_dir().join(format!("damaris-node-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        (MappedNode::create(&path, 2, 2048, 8).unwrap(), path)
+    }
+
+    /// A process node's shared state over [`mapping`], as a rank process
+    /// builds it, and the client of rank 1.
+    #[cfg(unix)]
+    fn rank_over_mapping(tag: &str) -> (Arc<NodeShared>, DamarisClient, MappedNode, PathBuf) {
+        let (node, path) = mapping(tag);
+        let backend = Arc::new(LocalDirBackend::new(path.with_extension("out")).unwrap());
+        let journal = EventJournal::new();
+        let shared = NodeShared::over_mapping(config(), node.clone(), backend, 0, journal);
+        let shared = Arc::new(shared);
+        let client = DamarisClient::new(1, Arc::clone(&shared));
+        (shared, client, node, path)
+    }
+
+    #[cfg(unix)]
+    fn remove_mapping(path: &Path) {
+        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path.with_extension("out")).ok();
     }
 
     #[test]
@@ -954,9 +1104,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn a_mapped_buffer_adopts_only_what_that_client_has_outstanding() {
-        let path = std::env::temp_dir().join(format!("damaris-node-adopt-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let node = MappedNode::create(&path, 2, 2048, 4).unwrap();
+        let (node, path) = mapping("adopt");
         let data = node.buffer();
         let buffer = BufferManager::Mapped(node, data);
         let segment = buffer.allocate(1, 100).unwrap();
@@ -972,5 +1120,125 @@ mod tests {
         assert_eq!(buffer.in_use(2), 0);
         assert!(buffer.adopt(1, offset, len).is_none(), "released");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_client_over_a_mapping_posts_exactly_the_notice_of_each_call() {
+        let (shared, client, node, path) = rank_over_mapping("notices");
+        let ring = node.notices(1);
+        let take = || {
+            let words = ring.peek()?;
+            ring.advance();
+            Notice::decode(words)
+        };
+        // Where a notice says the bytes are, they are.
+        let bytes_at = |offset: u64, len: u64| {
+            let segment = shared.buffer.adopt(1, offset as usize, len as usize);
+            segment.map(|segment| segment.as_slice().to_vec())
+        };
+
+        let written = [7u8; 256];
+        client.write("theta", 0, &written).unwrap();
+        let Some(Notice::Write {
+            variable: 0,
+            iteration: 0,
+            offset,
+            len: 256,
+            crc,
+        }) = take()
+        else {
+            panic!("write posts a Write");
+        };
+        assert_eq!(crc, damaris_format::crc32(&written));
+        assert_eq!(bytes_at(offset, 256).as_deref(), Some(&written[..]));
+
+        let mut region = client.alloc("theta", 0).unwrap();
+        region.as_mut_slice().fill(9);
+        let held = client.end_iteration(0);
+        assert!(matches!(
+            held,
+            Err(DamarisError::RegionHeld { client: 1, held: 1 })
+        ));
+        region.commit().unwrap();
+        let Some(Notice::Write {
+            variable: 0,
+            iteration: 0,
+            offset,
+            len: 256,
+            crc,
+        }) = take()
+        else {
+            panic!("commit posts a Write");
+        };
+        assert_eq!(crc, damaris_format::crc32(&[9; 256]));
+        assert_eq!(bytes_at(offset, 256).as_deref(), Some(&[9; 256][..]));
+
+        drop(client.alloc("theta", 0).unwrap());
+        let Some(Notice::Abandon {
+            iteration: 0,
+            offset,
+            len: 256,
+        }) = take()
+        else {
+            panic!("a dropped region posts an Abandon");
+        };
+        assert!(bytes_at(offset, 256).is_some(), "reserved, for the core");
+
+        // No notice kind carries these: refused before anything is
+        // reserved, posted or queued.
+        let refused = [
+            client.signal("snapshot", 0),
+            client.write_dynamic_f32("swarm", 0, &[2], &[1.0, 2.0]),
+        ];
+        assert!(matches!(
+            refused,
+            [
+                Err(DamarisError::NoNoticeKind { call: "signal" }),
+                Err(DamarisError::NoNoticeKind {
+                    call: "write_dynamic"
+                }),
+            ]
+        ));
+        assert_eq!(shared.buffer.in_use(2), 3 * 256);
+
+        client.end_iteration(0).unwrap();
+        assert_eq!(take(), Some(Notice::EndIteration { iteration: 0 }));
+        assert_eq!(take(), None, "one notice per call, nothing for a refusal");
+        assert!(shared.queue.pop().is_none(), "nothing goes onto the queue");
+        remove_mapping(&path);
+    }
+
+    /// A full notice ring is a full buffer to the client: it waits, parks
+    /// on a stale mapped heartbeat until a new epoch, goes on once the core
+    /// takes a notice — and gives up, typed, when no core ever comes back.
+    #[cfg(unix)]
+    #[test]
+    fn a_full_notice_ring_is_waited_out_like_a_full_buffer() {
+        let (shared, client, node, path) = rank_over_mapping("full-ring");
+        for it in 0..4 {
+            client.end_iteration(it).unwrap();
+        }
+        let core = node.clone();
+        let respawn = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            core.notices(1).advance();
+            core.heartbeat().begin_epoch(1);
+        });
+        client.end_iteration(4).unwrap();
+        respawn.join().unwrap();
+        let stale = FaultStats::get(&shared.stats.heartbeat_stale_observed);
+        assert_eq!(stale, 1, "parked once, across the respawn");
+        let ring = node.notices(1);
+        let end = |iteration| Some(Notice::EndIteration { iteration }.encode());
+        assert_eq!(ring.peek(), end(1));
+
+        let gone = client.end_iteration(5);
+        assert!(matches!(
+            gone,
+            Err(DamarisError::EpeUnavailable { epoch: 1, .. })
+        ));
+        assert!(node.lease(1).renew(), "the wait kept the lease");
+        remove_mapping(&path);
     }
 }

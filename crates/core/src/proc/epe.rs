@@ -33,8 +33,8 @@
 //!   refused as already seen, because the same range adopted twice would
 //!   be released twice.
 //! * **Validation.** A notice's words come from another process;
-//!   [`Pump::commit`] says what it takes for one to be believed. The ring
-//!   it sits in names its rank.
+//!   [`NodeShared::event_of`] says what it takes for one to be believed.
+//!   The ring it sits in names its rank.
 //! * **Termination.** There is no `Terminate` notice: the pump decides
 //!   ([`Pump::settled`]).
 //!
@@ -88,10 +88,8 @@ pub struct EpeOptions {
 impl EpeOptions {
     /// Rebuilds the options a launcher exported into the environment.
     pub fn from_env() -> io::Result<EpeOptions> {
-        let dir = std::env::var_os(super::ENV_DIR)
-            .ok_or_else(|| io::Error::other("DAMARIS_PROC_DIR not set"))?;
         Ok(EpeOptions {
-            dir: PathBuf::from(dir),
+            dir: super::env_parse(super::ENV_DIR)?,
             n_clients: super::env_parse(super::ENV_CLIENTS)?,
             iterations: super::env_parse(super::ENV_ITERS)?,
             variables: super::env_parse(super::ENV_VARS)?,
@@ -100,7 +98,10 @@ impl EpeOptions {
             epoch: super::env_parse(super::ENV_EPOCH)?,
             policy: super::env_parse(super::ENV_POLICY)?,
             lease_timeout: Duration::from_millis(super::env_parse(super::ENV_LEASE_MS)?),
-            kill_after_commits: super::epe_kill_after_from_env(),
+            kill_after_commits: match std::env::var_os(super::ENV_KILL_EPE_AFTER) {
+                None => None,
+                Some(_) => Some(super::env_parse(super::ENV_KILL_EPE_AFTER)?),
+            },
         })
     }
 
@@ -260,6 +261,45 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     Ok(report)
 }
 
+/// What tells a notice read again after an EPE kill (journalled, still on
+/// its ring) from news.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Seen {
+    /// A write's or an abandoned region's range, as `(rank, iteration,
+    /// offset)`: taken twice, it would be released twice. A rewrite of a
+    /// variable in its iteration is news, and lands elsewhere: the earlier
+    /// range is not released before the iteration flushes. Neither the
+    /// variable nor the kind is in the key, so a forged notice that names
+    /// a taken range as another variable's, or as abandoned, is refused.
+    Range(u32, u32, usize),
+    /// An end of iteration, as `(rank, iteration)`: counted twice, it
+    /// would make the iteration look partial.
+    End(u32, u32),
+}
+
+impl Seen {
+    /// What identifies the notice `record` was journalled from; `None` for
+    /// a user event, which no notice carries.
+    fn of(record: &JournalPayload) -> Option<Seen> {
+        Some(match *record {
+            JournalPayload::Write {
+                iteration,
+                source,
+                offset,
+                ..
+            }
+            | JournalPayload::Abandon {
+                iteration,
+                source,
+                offset,
+                ..
+            } => Seen::Range(source, iteration, offset),
+            JournalPayload::EndIteration { iteration, source } => Seen::End(source, iteration),
+            JournalPayload::User { .. } => return None,
+        })
+    }
+}
+
 /// The transport half of the process node: what has to be remembered
 /// about the notices taken off the rings, by this incarnation or — through
 /// the journal's history — by the ones before it.
@@ -267,12 +307,8 @@ struct Pump<'a> {
     opts: &'a EpeOptions,
     shared: &'a NodeShared,
     node: &'a MappedNode,
-    /// Every `(rank, iteration, variable)` ever journalled — a write
-    /// notice read again after a kill would release its range twice.
-    commits_seen: HashSet<(u32, u32, u32)>,
-    /// Every `(rank, iteration)` whose end was journalled — read again, it
-    /// would make the iteration look partial.
-    ends_seen: HashSet<(u32, u32)>,
+    /// Every notice ever journalled.
+    seen: HashSet<Seen>,
     /// Iterations retired, by a predecessor or by us.
     retired: BTreeSet<u32>,
     /// Ranks whose last end of iteration was taken.
@@ -293,12 +329,12 @@ impl<'a> Pump<'a> {
         history: &[ReplayEntry],
     ) -> Pump<'a> {
         let now = Instant::now();
+        let seen = history.iter().filter_map(|e| Seen::of(&e.payload));
         let mut pump = Pump {
             opts,
             shared,
             node,
-            commits_seen: HashSet::new(),
-            ends_seen: HashSet::new(),
+            seen: seen.collect(),
             retired: BTreeSet::new(),
             finished: vec![false; opts.n_clients],
             lease_seen: (0..opts.n_clients)
@@ -307,25 +343,14 @@ impl<'a> Pump<'a> {
             commits: 0,
         };
         for entry in history {
-            match entry.payload {
-                JournalPayload::Write {
-                    variable_id,
-                    iteration,
-                    source,
-                    ..
-                } => {
-                    pump.commits_seen.insert((source, iteration, variable_id));
+            if let JournalPayload::EndIteration { iteration, source } = entry.payload {
+                pump.note_end(source, iteration);
+                // The core retires an iteration by applying the
+                // end-notifications it counted, first of all; a fenced
+                // rank's are also applied when they are cancelled.
+                if entry.state == RecordState::Applied && !shared.journal.is_fenced(source) {
+                    pump.retired.insert(iteration);
                 }
-                JournalPayload::EndIteration { iteration, source } => {
-                    pump.note_end(source, iteration);
-                    // The core retires an iteration by applying the
-                    // end-notifications it counted, first of all; a fenced
-                    // rank's are also applied when they are cancelled.
-                    if entry.state == RecordState::Applied && !shared.journal.is_fenced(source) {
-                        pump.retired.insert(iteration);
-                    }
-                }
-                JournalPayload::User { .. } | JournalPayload::Abandon { .. } => {}
             }
         }
         pump
@@ -335,7 +360,6 @@ impl<'a> Pump<'a> {
         if iteration + 1 == self.opts.iterations {
             self.finished[rank as usize] = true;
         }
-        self.ends_seen.insert((rank, iteration));
     }
 
     /// Whether the run has nothing more to expect of `rank`: its last end
@@ -377,21 +401,9 @@ impl<'a> Pump<'a> {
             let ring = node.notices(rank);
             while let Some(words) = ring.peek() {
                 read_any = true;
-                let rank = rank as u32;
-                let admitted = match Notice::decode(words) {
-                    Some(Notice::Write {
-                        variable,
-                        iteration,
-                        offset,
-                        len,
-                        crc,
-                    }) => self.commit(rank, iteration, variable, offset, len, crc, core),
-                    Some(Notice::EndIteration { iteration }) => {
-                        self.end_iteration(rank, iteration, core)
-                    }
-                    // A kind no client posts is forged.
-                    None => None,
-                };
+                // A kind no client posts is forged.
+                let notice = Notice::decode(words);
+                let admitted = notice.and_then(|notice| self.take(rank as u32, notice, core));
                 // Journalled or refused: the slot is the client's again.
                 ring.advance();
                 match admitted {
@@ -405,76 +417,38 @@ impl<'a> Pump<'a> {
         Ok(read_any)
     }
 
-    /// A write notice from `rank`'s ring becomes a `Write` the core admits
-    /// only if it is news (not of a retired iteration, not seen before),
-    /// names a configured variable with that variable's size, and
-    /// [`crate::node::BufferManager::adopt`] finds the range live in that
-    /// rank's ring. `None`: rejected, nothing journalled.
-    #[allow(clippy::too_many_arguments)]
-    fn commit(
-        &mut self,
-        rank: u32,
-        iteration: u32,
-        variable: u32,
-        offset: u64,
-        len: u64,
-        crc: u32,
-        core: &DedicatedCore,
-    ) -> Option<(u64, Event)> {
-        let shared = self.shared;
-        let key = (rank, iteration, variable);
-        if self.retired.contains(&iteration) || self.commits_seen.contains(&key) {
+    /// A notice from `rank`'s ring becomes the event the core admits only
+    /// if [`NodeShared::event_of`] believes it and it is news: not of a
+    /// retired iteration, not [`Seen`] before. `None`: rejected, nothing
+    /// journalled.
+    fn take(&mut self, rank: u32, notice: Notice, core: &DedicatedCore) -> Option<(u64, Event)> {
+        let event = self.shared.event_of(rank, notice)?;
+        let record = event.record()?;
+        let seen = Seen::of(&record)?;
+        if self.retired.contains(&record.iteration()) || self.seen.contains(&seen) {
             return None;
         }
-        let config = &shared.config;
-        let declared = config.variable(variable).map(|def| config.layout_of(def));
-        if declared.map(|layout| layout.byte_size()) != Some(len) {
-            return None;
-        }
-        let (offset, len) = (usize::try_from(offset).ok()?, usize::try_from(len).ok()?);
-        let event = Event::Write {
-            variable_id: variable,
-            iteration,
-            source: rank,
-            segment: shared.buffer.adopt(rank, offset, len)?,
-            dynamic_layout: None,
-            data_crc: crc,
-        };
         // A zombie — fenced, still posting — is refused here.
         let seq = core.admit(&event)?;
-        self.commits_seen.insert(key);
-        self.commits += 1;
-        if Some(self.commits) == self.opts.kill_after_commits {
-            // Chaos: die mid-drain. The record is durable; the notice is
-            // still on its ring; the core has not heard of it. The report
-            // is what it would have returned.
-            let dying = EpeReport {
-                epoch: self.opts.epoch,
-                node: core.report(),
-            };
-            let _ = dying.write_to(&self.opts.report_path());
-            damaris_shm::kill_self_hard();
+        self.seen.insert(seen);
+        match event {
+            Event::EndIteration { iteration, .. } => self.note_end(rank, iteration),
+            Event::Write { .. } => {
+                self.commits += 1;
+                if Some(self.commits) == self.opts.kill_after_commits {
+                    // Chaos: die mid-drain. The record is durable; the
+                    // notice is still on its ring; the core has not heard
+                    // of it. The report is what it would have returned.
+                    let dying = EpeReport {
+                        epoch: self.opts.epoch,
+                        node: core.report(),
+                    };
+                    let _ = dying.write_to(&self.opts.report_path());
+                    damaris_shm::kill_self_hard();
+                }
+            }
+            _ => {}
         }
-        Some((seq, event))
-    }
-
-    /// An end-of-iteration notice: `None` if its iteration is retired or
-    /// it was counted before, admitted otherwise.
-    fn end_iteration(
-        &mut self,
-        rank: u32,
-        iteration: u32,
-        core: &DedicatedCore,
-    ) -> Option<(u64, Event)> {
-        if self.retired.contains(&iteration) || self.ends_seen.contains(&(rank, iteration)) {
-            return None;
-        }
-        let event = Event::EndIteration {
-            iteration,
-            source: rank,
-        };
-        let seq = core.admit(&event)?;
-        self.note_end(rank, iteration);
         Some((seq, event))
     }
 }
@@ -482,19 +456,43 @@ impl<'a> Pump<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proc::client::payload_for;
+    use crate::proc::{node_config, payload_for};
+    use crate::DamarisClient;
+
+    /// The options of a one-iteration run of one 64-byte variable by two
+    /// ranks in `dir`, under `wait`.
+    fn small_run(dir: &Path) -> EpeOptions {
+        let _ = std::fs::remove_dir_all(dir);
+        EpeOptions {
+            dir: dir.to_path_buf(),
+            n_clients: 2,
+            iterations: 1,
+            variables: 1,
+            payload_len: 64,
+            data_capacity: 4096,
+            epoch: 0,
+            policy: OnClientFailure::Wait,
+            lease_timeout: Duration::from_millis(800),
+            kill_after_commits: None,
+        }
+    }
+
+    /// The mapping the EPE in `dir` creates, once it has.
+    fn attach(dir: &Path) -> MappedNode {
+        let joined_by = Instant::now() + Duration::from_secs(20);
+        loop {
+            match MappedNode::open(&dir.join(crate::proc::MAPPING_FILE)) {
+                Ok(node) => return node,
+                Err(e) if Instant::now() > joined_by => panic!("no mapping: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    }
 
     /// One rank as the test plays it: its view of the mapping, registered,
     /// and the write notice of a payload it really wrote.
     fn join(dir: &Path, rank: u32) -> (MappedNode, Notice) {
-        let joined_by = Instant::now() + Duration::from_secs(20);
-        let node = loop {
-            match MappedNode::open(&dir.join(crate::proc::MAPPING_FILE)) {
-                Ok(node) => break node,
-                Err(e) if Instant::now() > joined_by => panic!("no mapping: {e}"),
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        };
+        let node = attach(dir);
         node.register(rank as usize, damaris_shm::this_pid());
         assert!(node.lease(rank as usize).renew());
         let payload = payload_for(rank, 0, 0, 64);
@@ -513,19 +511,7 @@ mod tests {
     #[test]
     fn forged_commits_are_rejected_counted_and_never_journalled() {
         let dir = std::env::temp_dir().join(format!("damaris-pump-forged-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = EpeOptions {
-            dir: dir.clone(),
-            n_clients: 2,
-            iterations: 1,
-            variables: 1,
-            payload_len: 64,
-            data_capacity: 4096,
-            epoch: 0,
-            policy: OnClientFailure::Wait,
-            lease_timeout: Duration::from_millis(800),
-            kill_after_commits: None,
-        };
+        let opts = small_run(&dir);
         let epe = std::thread::spawn(move || run_epe(&opts));
         let (node, write0) = join(&dir, 0);
         let (_, write1) = join(&dir, 1);
@@ -589,6 +575,52 @@ mod tests {
             BTreeSet::from([(0, mine), (1, theirs)])
         );
         assert_eq!(history.len(), 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Ranks that are `DamarisClient`s: a rewrite of a variable in its
+    /// iteration is a new range, so news, and the later bytes persist; a
+    /// dropped region is released in ring order; an abandon of a range
+    /// nobody reserved, or of one already written, is refused and counted.
+    #[test]
+    fn rewrites_and_dropped_regions_are_news_and_a_forged_abandon_is_not() {
+        let dir = std::env::temp_dir().join(format!("damaris-pump-rewrite-{}", std::process::id()));
+        let opts = small_run(&dir);
+        let config = node_config(1, 64, opts.data_capacity, opts.policy, opts.lease_timeout);
+        let epe = std::thread::spawn(move || run_epe(&opts));
+        let node = attach(&dir);
+        let out = dir.join(crate::proc::OUT_DIR);
+        let rank = |r| DamarisClient::over_mapping(config.clone(), node.clone(), r, &out).unwrap();
+        let (rank0, rank1) = (rank(0), rank(1));
+
+        let (first, second) = (payload_for(0, 0, 0, 64), payload_for(0, 1, 0, 64));
+        rank0.write("var0", 0, &first).unwrap();
+        drop(rank0.alloc("var0", 0).unwrap());
+        rank0.write("var0", 0, &second).unwrap();
+        // Rank 0's ring starts the data window: its three 64-byte ranges
+        // are at 0, 64 and 128. One forged abandon is past them, one names
+        // the first write's range, which would then be released twice.
+        for offset in [512, 0] {
+            let len = 64;
+            let forged = Notice::Abandon {
+                iteration: 0,
+                offset,
+                len,
+            };
+            assert!(node.notices(0).post(forged.encode()));
+        }
+        rank1.write("var0", 0, &payload_for(1, 0, 0, 64)).unwrap();
+        rank0.end_iteration(0).unwrap();
+        rank1.end_iteration(0).unwrap();
+
+        let report = epe.join().unwrap().unwrap().node;
+        assert_eq!(report.stale_events_rejected, 2, "the forged abandons");
+        assert_eq!(report.variables_received, 3, "the rewrite is not refused");
+        assert_eq!(report.iterations_persisted, 1);
+        assert_eq!(node.total_in_use(), 0);
+        let file = out.join("node-0").join("iter-000000.sdf");
+        let reader = damaris_format::SdfReader::open(file).unwrap();
+        assert_eq!(reader.read_bytes("/iter-0/rank-0/var0").unwrap(), second);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

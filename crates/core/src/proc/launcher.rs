@@ -160,7 +160,7 @@ fn spawn_client(plan: &LaunchPlan, rank: u32) -> io::Result<Child> {
     cmd.env(super::ENV_RANK, rank.to_string());
     if let Some(kill) = plan.client_kill {
         cmd.env(super::ENV_KILL_RANK, kill.rank.to_string())
-            .env(super::ENV_KILL_PHASE, ClientKillSpec::phase_str(kill.phase))
+            .env(super::ENV_KILL_PHASE, kill.phase.as_str())
             .env(super::ENV_KILL_ITER, kill.iteration.to_string());
     }
     cmd.spawn()

@@ -13,10 +13,12 @@
 //!   re-adopts) the `/dev/shm` mapping, sweeps orphans, opens the
 //!   journal's file, and feeds the notices its clients post to a
 //!   [`crate::server`] core built over the mapping.
-//! * [`run_client`] — a compute-core process: maps the file, registers
-//!   its pid, reserves ring segments, memcpys, and posts a notice per
-//!   write and per iteration into its own ring — which outlives an EPE
-//!   death, so a client has nothing to say again to the next incarnation.
+//! * A compute-core process holds the one client API,
+//!   [`crate::DamarisClient::over_mapping`]: the threaded rank's client,
+//!   whose notifications are notices in its own ring — which outlives an
+//!   EPE death, so a client has nothing to say again to the next
+//!   incarnation. The rank's program is the embedder's (`cm1_proc`'s
+//!   `client` role is one), as a threaded rank's is.
 //! * [`launcher`] — the supervisor: spawns both as children of one
 //!   launcher binary, delivers `kill -9` chaos at configured phases,
 //!   respawns a dead EPE with a bumped epoch, and audits the mapping for
@@ -24,17 +26,16 @@
 //!
 //! The kill matrix is configured through environment variables so the
 //! *victim process itself* raises `SIGKILL` at the exact protocol phase
-//! under test (after reserve, mid-memcpy, after commit) — a real
-//! uncatchable kill, placed deterministically. `DAMARIS_KILL_RANK`,
-//! `DAMARIS_KILL_PHASE` (`alloc|memcpy|postcommit`), `DAMARIS_KILL_ITER`
-//! select the client kill; `DAMARIS_KILL_EPE_AFTER` kills the EPE after
-//! draining that many commits (mid-drain).
+//! under test (after `alloc`, halfway through filling the region, after a
+//! commit) — a real uncatchable kill, placed deterministically.
+//! `DAMARIS_KILL_RANK`, `DAMARIS_KILL_PHASE` (`alloc|memcpy|postcommit`),
+//! `DAMARIS_KILL_ITER` select the client kill; `DAMARIS_KILL_EPE_AFTER`
+//! kills the EPE after draining that many commits (mid-drain). A kill
+//! variable that is set but malformed fails the process that reads it.
 
-pub mod client;
 pub mod epe;
 pub mod launcher;
 
-pub use client::{run_client, ClientOptions};
 pub use epe::{run_epe, EpeOptions, EpeReport};
 pub use launcher::{launch, LaunchPlan, LaunchReport};
 
@@ -75,7 +76,9 @@ pub const ENV_LEASE_MS: &str = "DAMARIS_PROC_LEASE_MS";
 /// EPE incarnation number (0 = first boot, >0 = respawn).
 pub const ENV_EPOCH: &str = "DAMARIS_PROC_EPOCH";
 
-fn env_parse<T: std::str::FromStr>(key: &str) -> io::Result<T> {
+/// Reads `key` from the environment a launcher set up: an error naming
+/// the variable if it is unset or does not parse.
+pub fn env_parse<T: std::str::FromStr>(key: &str) -> io::Result<T> {
     std::env::var(key)
         .map_err(|_| io::Error::other(format!("{key} not set")))?
         .parse()
@@ -96,44 +99,20 @@ pub struct ClientKillSpec {
 }
 
 impl ClientKillSpec {
-    /// Reads the kill spec from the environment; `None` when no kill is
-    /// configured (or the spec is malformed — chaos config errors must
-    /// not take down a production client).
-    pub fn from_env() -> Option<ClientKillSpec> {
-        let rank: u32 = std::env::var(ENV_KILL_RANK).ok()?.parse().ok()?;
-        let phase = match std::env::var(ENV_KILL_PHASE).ok()?.as_str() {
-            "alloc" => ClientKillPhase::Alloc,
-            "memcpy" => ClientKillPhase::Memcpy,
-            "postcommit" => ClientKillPhase::PostCommit,
-            _ => return None,
-        };
-        let iteration: u32 = std::env::var(ENV_KILL_ITER).ok()?.parse().ok()?;
-        Some(ClientKillSpec {
-            rank,
-            phase,
-            iteration,
-        })
-    }
-
-    /// True when this process (`rank`) should die at `phase` of
-    /// `iteration`.
-    pub fn fires(&self, rank: u32, iteration: u32, phase: ClientKillPhase) -> bool {
-        self.rank == rank && self.iteration == iteration && self.phase == phase
-    }
-
-    /// The `DAMARIS_KILL_PHASE` value for `phase` (launcher side).
-    pub fn phase_str(phase: ClientKillPhase) -> &'static str {
-        match phase {
-            ClientKillPhase::Alloc => "alloc",
-            ClientKillPhase::Memcpy => "memcpy",
-            ClientKillPhase::PostCommit => "postcommit",
+    /// Reads the kill spec from the environment; `None` when no kill
+    /// variable is set. Once one is, a missing or malformed one is an error
+    /// naming it: a chaos run without its kill would pass for a clean one.
+    pub fn from_env() -> io::Result<Option<ClientKillSpec>> {
+        let keys = [ENV_KILL_RANK, ENV_KILL_PHASE, ENV_KILL_ITER];
+        if keys.iter().all(|key| std::env::var_os(key).is_none()) {
+            return Ok(None);
         }
+        Ok(Some(ClientKillSpec {
+            rank: env_parse(ENV_KILL_RANK)?,
+            phase: env_parse(ENV_KILL_PHASE)?,
+            iteration: env_parse(ENV_KILL_ITER)?,
+        }))
     }
-}
-
-/// Reads the EPE mid-drain kill counter from the environment.
-pub fn epe_kill_after_from_env() -> Option<u64> {
-    std::env::var(ENV_KILL_EPE_AFTER).ok()?.parse().ok()
 }
 
 /// Name of the node's mapping file inside the run directory. The GC
@@ -173,31 +152,28 @@ pub fn node_config(
     Config::from_xml(&xml).expect("generated configuration parses")
 }
 
+/// The bytes `rank` writes to variable `variable` at `iteration` in a run
+/// of this shape — deterministic, so the tests reading a node's output
+/// check it byte for byte without a side channel.
+pub fn payload_for(rank: u32, iteration: u32, variable: u32, len: usize) -> Vec<u8> {
+    let seed = rank
+        .wrapping_mul(31)
+        .wrapping_add(iteration.wrapping_mul(7))
+        .wrapping_add(variable.wrapping_mul(131)) as u8;
+    (0..len).map(|i| seed.wrapping_add(i as u8)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn kill_spec_fires_only_on_exact_match() {
-        let spec = ClientKillSpec {
-            rank: 1,
-            phase: ClientKillPhase::Memcpy,
-            iteration: 2,
-        };
-        assert!(spec.fires(1, 2, ClientKillPhase::Memcpy));
-        assert!(!spec.fires(0, 2, ClientKillPhase::Memcpy));
-        assert!(!spec.fires(1, 1, ClientKillPhase::Memcpy));
-        assert!(!spec.fires(1, 2, ClientKillPhase::Alloc));
-    }
-
-    #[test]
-    fn phase_strings_cover_every_phase() {
-        for (phase, s) in [
-            (ClientKillPhase::Alloc, "alloc"),
-            (ClientKillPhase::Memcpy, "memcpy"),
-            (ClientKillPhase::PostCommit, "postcommit"),
-        ] {
-            assert_eq!(ClientKillSpec::phase_str(phase), s);
-        }
+    fn payloads_are_deterministic_and_distinct() {
+        let a = payload_for(0, 1, 2, 64);
+        let b = payload_for(0, 1, 2, 64);
+        assert_eq!(a, b);
+        assert_ne!(a, payload_for(1, 1, 2, 64));
+        assert_ne!(a, payload_for(0, 2, 2, 64));
+        assert_ne!(a, payload_for(0, 1, 3, 64));
     }
 }

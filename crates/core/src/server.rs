@@ -1007,8 +1007,9 @@ impl ObsFlush {
 #[cfg(test)]
 mod tests {
     //! The core driven directly on the test thread: the test plays every
-    //! client (a `DamarisClient` call queues without needing a server) and
-    //! feeds the queue to `admit` and `handle` the way `run` does.
+    //! client (a `DamarisClient` call queues, or posts a notice, without
+    //! needing a server) and feeds what it made to `admit` and `handle` the
+    //! way the node's event source does.
 
     use super::*;
     use crate::client::DamarisClient;
@@ -1075,10 +1076,26 @@ mod tests {
         DedicatedCore::new(Arc::clone(shared), epe, epoch)
     }
 
-    /// Admits and handles up to `limit` queued events, as `run` would.
+    /// The oldest event a client made and no core took: off the queue on
+    /// the heap; over a mapping, the oldest notice of the first client's
+    /// ring that holds one, taken as the process pump takes it.
+    fn take(shared: &NodeShared) -> Option<Event> {
+        let crate::node::BufferManager::Mapped(node, _) = &shared.buffer else {
+            return shared.queue.pop();
+        };
+        (0..shared.clients).find_map(|client| {
+            let ring = node.notices(client);
+            let notice = damaris_shm::Notice::decode(ring.peek()?).unwrap();
+            ring.advance();
+            Some(shared.event_of(client as u32, notice).unwrap())
+        })
+    }
+
+    /// Admits and handles up to `limit` client events, as the node's event
+    /// source would.
     fn pump(shared: &NodeShared, core: &mut DedicatedCore, limit: usize) {
         for _ in 0..limit {
-            let Some(event) = shared.queue.pop() else {
+            let Some(event) = take(shared) else {
                 return;
             };
             let seq = core.admit(&event).expect("no client is fenced");
@@ -1166,18 +1183,14 @@ mod tests {
         // — over the mapping, from the journal's file in a node built anew,
         // as a process that shares nothing with the dead one would. What
         // the dead core never took is the successor's to take: over the
-        // mapping, that is what the clients' notice rings still hold.
+        // mapping, the clients' notice rings still hold it.
         let (mut shared, mut clients) = node("replay-respawned", fixture);
         prefix(&clients);
         let mut dead = core(&shared, 0);
         pump(&shared, &mut dead, 3);
         drop(dead);
         if fixture == Fixture::Mapped {
-            let untaken: Vec<Event> = std::iter::from_fn(|| shared.queue.pop()).collect();
             (shared, clients) = reopen("replay-respawned", fixture);
-            for event in untaken {
-                assert!(shared.queue.push(event).is_ok());
-            }
         }
         let mut replayed = core(&shared, 1);
         replayed.replay().unwrap();

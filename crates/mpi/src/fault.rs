@@ -47,6 +47,32 @@ pub enum ClientKillPhase {
     PostCommit,
 }
 
+impl ClientKillPhase {
+    /// The phase's name, which [`FromStr`](std::str::FromStr) reads back.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ClientKillPhase::Alloc => "alloc",
+            ClientKillPhase::Memcpy => "memcpy",
+            ClientKillPhase::PostCommit => "postcommit",
+        }
+    }
+}
+
+impl std::str::FromStr for ClientKillPhase {
+    type Err = String;
+
+    /// The one parser of a phase name — `cm1_proc --kill-phase`'s and the
+    /// process node's environment's.
+    fn from_str(s: &str) -> Result<ClientKillPhase, String> {
+        match s {
+            "alloc" => Ok(ClientKillPhase::Alloc),
+            "memcpy" => Ok(ClientKillPhase::Memcpy),
+            "postcommit" => Ok(ClientKillPhase::PostCommit),
+            other => Err(format!("unknown client kill phase '{other}'")),
+        }
+    }
+}
+
 /// A deterministic schedule of transport faults.
 ///
 /// Built with the chained constructors and handed to
@@ -181,5 +207,18 @@ mod tests {
         assert_eq!(plan.client_kill_at(0), None);
         // Independent of the whole-rank schedule.
         assert_eq!(plan.kill_at(1), None);
+    }
+
+    #[test]
+    fn kill_phases_parse_back_from_their_names_and_nothing_else() {
+        for phase in [
+            ClientKillPhase::Alloc,
+            ClientKillPhase::Memcpy,
+            ClientKillPhase::PostCommit,
+        ] {
+            assert_eq!(phase.as_str().parse(), Ok(phase));
+        }
+        let misspelt = "memcopy".parse::<ClientKillPhase>().unwrap_err();
+        assert!(misspelt.contains("'memcopy'"), "{misspelt}");
     }
 }

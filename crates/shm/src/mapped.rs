@@ -234,6 +234,7 @@ impl MappedNode {
     }
 
     fn client_word(&self, client: usize, slot: usize) -> &AtomicU64 {
+        // ANALYZE: in-bounds(a client id reaching the mapping is below n_clients: a DamarisClient over it checks its rank when built, the core loops over 0..n_clients; the assert is the contract check)
         assert!(client < self.n_clients, "client {client} out of range");
         self.word(CLIENT_BASE + client * self.client_block + slot)
     }

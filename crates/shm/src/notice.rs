@@ -1,9 +1,9 @@
 //! The notice ring: how a compute process tells the dedicated core that a
-//! write landed or an iteration ended, without a system call — the
-//! process node's twin of the threaded node's event queue, one ring per
-//! client, its words wherever the caller lays them out ([`crate::mapped`]
-//! puts them in the shared mapping; `tests/model.rs` on the heap under
-//! `--features check`).
+//! write landed, a region was abandoned or an iteration ended, without a
+//! system call — the process node's twin of the threaded node's event
+//! queue, one ring per client, its words wherever the caller lays them out
+//! ([`crate::mapped`] puts them in the shared mapping; `tests/model.rs` on
+//! the heap under `--features check`).
 //!
 //! A ring is `capacity` fixed-size slots of [`NOTICE_WORDS`] words and two
 //! monotonic counters, each with a single writer:
@@ -36,6 +36,7 @@ pub const NOTICE_BYTES: usize = NOTICE_WORDS * 8;
 
 const KIND_WRITE: u64 = 1;
 const KIND_END_ITERATION: u64 = 2;
+const KIND_ABANDON: u64 = 3;
 
 /// What a client tells the dedicated core. Its words come from another
 /// process: [`Notice::decode`] refuses an unknown kind, and what a known
@@ -53,11 +54,19 @@ pub enum Notice {
     },
     /// The client finished `iteration`.
     EndIteration { iteration: u32 },
+    /// The client dropped the uncommitted region of `len` bytes at
+    /// `offset` it reserved for `iteration`: the core releases it in ring
+    /// order with the iteration's other segments.
+    Abandon {
+        iteration: u32,
+        offset: u64,
+        len: u64,
+    },
 }
 
 impl Notice {
     /// The slot words: `kind | iteration << 32`, `variable | crc << 32`,
-    /// `offset`, `len`.
+    /// `offset`, `len` (the second word 0 for an `Abandon`).
     pub fn encode(&self) -> [u64; NOTICE_WORDS] {
         match *self {
             Notice::Write {
@@ -75,6 +84,11 @@ impl Notice {
             Notice::EndIteration { iteration } => {
                 [KIND_END_ITERATION | u64::from(iteration) << 32, 0, 0, 0]
             }
+            Notice::Abandon {
+                iteration,
+                offset,
+                len,
+            } => [KIND_ABANDON | u64::from(iteration) << 32, 0, offset, len],
         }
     }
 
@@ -91,6 +105,11 @@ impl Notice {
                 crc: (words[1] >> 32) as u32,
             }),
             KIND_END_ITERATION => Some(Notice::EndIteration { iteration }),
+            KIND_ABANDON => Some(Notice::Abandon {
+                iteration,
+                offset: words[2],
+                len: words[3],
+            }),
             _ => None,
         }
     }
@@ -109,6 +128,7 @@ impl<'a> NoticeRing<'a> {
     fn slot(&self, position: u64) -> &'a [AtomicU64] {
         let capacity = (self.slots.len() / NOTICE_WORDS) as u64;
         let at = (position & (capacity - 1)) as usize * NOTICE_WORDS;
+        // ANALYZE: in-bounds(capacity = slots.len() / NOTICE_WORDS is a power of two, so at + NOTICE_WORDS <= capacity * NOTICE_WORDS = slots.len())
         &self.slots[at..at + NOTICE_WORDS]
     }
 
@@ -176,11 +196,16 @@ mod tests {
                 crc: 0xDEAD_BEEF,
             },
             Notice::EndIteration { iteration: 99 },
+            Notice::Abandon {
+                iteration: 3,
+                offset: 4096,
+                len: 512,
+            },
         ] {
             assert_eq!(Notice::decode(notice.encode()), Some(notice));
         }
         assert_eq!(Notice::decode([0, 0, 0, 0]), None);
-        assert_eq!(Notice::decode([3 | 1 << 32, 0, 0, 0]), None);
+        assert_eq!(Notice::decode([4 | 1 << 32, 0, 0, 0]), None);
     }
 
     #[test]
