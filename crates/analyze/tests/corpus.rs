@@ -74,6 +74,12 @@ fn repo_root() -> &'static Path {
         .expect("workspace root")
 }
 
+/// A repo file as `analyze_sources` takes it: (path, source).
+fn read(rel: &str) -> (String, String) {
+    let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
+    (rel.to_string(), src)
+}
+
 fn repo_report() -> damaris_analyze::Report {
     damaris_analyze::analyze_root(repo_root()).expect("scan repo")
 }
@@ -115,10 +121,6 @@ fn client_write_closure_is_strict_and_waiver_free() {
 /// `in-bounds` proof taken away, the lookup is a panic edge on it.
 #[test]
 fn checksum_kernels_are_inside_the_write_closure() {
-    let read = |rel: &str| {
-        let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
-        (rel.to_string(), src)
-    };
     let client = read("crates/core/src/client.rs");
     let (path, checksum) = read("crates/format/src/checksum.rs");
     assert!(checksum.contains("// ANALYZE: in-bounds("));
@@ -144,15 +146,40 @@ fn checksum_kernels_are_inside_the_write_closure() {
     assert_eq!(f[0].path.last().map(String::as_str), Some("lut"));
 }
 
+/// The wide kernel is inside the same closure: a panic edge planted in
+/// its main loop is a finding of `write`, reached through the dispatch
+/// (`crc32_update` → `update_wide` → the `#[target_feature]` kernel).
+#[test]
+fn the_wide_checksum_kernel_is_inside_the_write_closure() {
+    let client = read("crates/core/src/client.rs");
+    let (path, checksum) = read("crates/format/src/checksum.rs");
+    let needle = "let k6k7 = _mm256_set_epi64x(K7, K6, K7, K6);";
+    assert!(checksum.contains(needle));
+    let planted = checksum.replace(
+        needle,
+        "let k6k7 = Some(_mm256_set_epi64x(K7, K6, K7, K6)).unwrap();",
+    );
+    let r = analyze_sources(&[client, (path.clone(), planted)]);
+    let f: Vec<_> = r.findings.iter().filter(|f| f.file == path).collect();
+    assert_eq!(f.len(), 1, "findings: {:?}", r.findings);
+    assert_eq!(f[0].rule, "hot-panic");
+    assert_eq!(
+        f[0].path.first().map(String::as_str),
+        Some("DamarisClient::copy_and_notify")
+    );
+    assert!(
+        f[0].path.iter().any(|hop| hop == "update_wide"),
+        "path: {:?}",
+        f[0].path
+    );
+    assert_eq!(f[0].path.last().map(String::as_str), Some("update_256"));
+}
+
 /// `write` resolves its variable through the node's name index
 /// (`self.shared.names.get(…)`, typed through `NodeShared`): a panic edge
 /// planted in the lookup is a finding of the strict write closure.
 #[test]
 fn the_name_lookup_is_inside_the_write_closure() {
-    let read = |rel: &str| {
-        let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
-        (rel.to_string(), src)
-    };
     let client = read("crates/core/src/client.rs");
     let node = read("crates/core/src/node.rs");
     let (path, names) = read("crates/core/src/names.rs");
@@ -179,10 +206,6 @@ fn the_name_lookup_is_inside_the_write_closure() {
 /// and are as soon as an append is a hot root itself.
 #[test]
 fn the_journal_is_outside_the_write_closure() {
-    let read = |rel: &str| {
-        let src = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
-        (rel.to_string(), src)
-    };
     let client = read("crates/core/src/client.rs");
     let node = read("crates/core/src/node.rs");
     let event = read("crates/core/src/event.rs");

@@ -3,6 +3,8 @@
 //! * the Damaris hot path — ring reservation + memcpy + release against a
 //!   plain memcpy (the paper's claim that a client write costs a memcpy
 //!   lives or dies here);
+//! * the CRC-32 kernels, each alone at the sizes around the dispatch's
+//!   thresholds (DESIGN §3 quotes the table);
 //! * the shared event queue;
 //! * the codecs (§IV-D);
 //! * SDF dataset writes;
@@ -46,6 +48,22 @@ fn bench_shm_write(c: &mut Criterion) {
             black_box(&dst);
         });
     });
+    group.finish();
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    use damaris_format::Crc32Kernel;
+    let mut group = c.benchmark_group("crc32");
+    let data = field_bytes(16 * 1024); // 64 KiB
+    for len in [64, 128, 256, 1 << 10, 16 << 10, 64 << 10] {
+        let data = &data[..len];
+        group.throughput(Throughput::Bytes(len as u64));
+        for kernel in Crc32Kernel::ALL.into_iter().filter(|k| k.is_available()) {
+            group.bench_with_input(BenchmarkId::new(kernel.name(), len), data, |b, data| {
+                b.iter(|| kernel.update(0xFFFF_FFFF, black_box(data)));
+            });
+        }
+    }
     group.finish();
 }
 
@@ -156,6 +174,7 @@ fn bench_cm1_step(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_shm_write,
+    bench_crc32,
     bench_event_queue,
     bench_codecs,
     bench_sdf,

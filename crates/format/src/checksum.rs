@@ -3,21 +3,27 @@
 //! checksum in an SDF, DTRC, journal, WAL or MANIFEST file stays checkable
 //! with outside tools.
 //!
-//! Two kernels compute the same function:
+//! Three kernels ([`Crc32Kernel`]) compute the same function:
 //!
+//! * **wide carry-less multiply** (x86_64 with `avx2` and `vpclmulqdq`,
+//!   inputs of at least 128 bytes): four 256-bit accumulators — eight
+//!   128-bit lanes — are folded 128 bytes at a time, then folded into one
+//!   128-bit lane, which the next kernel's 16-byte loop and reduction
+//!   finish;
 //! * **carry-less multiply** (x86_64 with `pclmulqdq`, inputs of at least
 //!   64 bytes): four 128-bit lanes are folded 64 bytes at a
 //!   time, the lanes are folded into one, and a Barrett reduction brings
 //!   the 128-bit remainder down to 32 bits;
 //! * **portable slice-by-16** everywhere else — other architectures, CPUs
 //!   without the instruction, short inputs (the 41-byte journal header)
-//!   and the sub-16-byte tail the first kernel leaves.
+//!   and the sub-16-byte tail the other two leave.
 //!
 //! [`crc32_update`] picks between them from what it can observe: the CPU
-//! (`is_x86_feature_detected!`, one cached load) and the input length.
+//! (`is_x86_feature_detected!`, one cached load per feature) and the input
+//! length ([`Crc32Kernel::for_len`]).
 //! Tables and fold constants are evaluated at compile time from the
 //! polynomial; the bit-at-a-time definition they are built from is also
-//! what the tests compare both kernels against.
+//! what the tests compare every kernel against.
 
 /// The generator polynomial, reflected (bit 31 = coefficient of x^0).
 const POLY: u32 = 0xEDB8_8320;
@@ -105,23 +111,33 @@ fn update_portable(state: u32, data: &[u8]) -> u32 {
 /// 64-byte round of its four lanes.
 const CLMUL_MIN: usize = 64;
 
+/// Shortest input worth handing to the wide kernel: one 128-byte round of
+/// its four accumulators. From there up the `crc32` group of
+/// `crates/bench/benches/microbench.rs` has it ahead of the 128-bit
+/// kernel; below, it has nothing to fold (DESIGN §3 has the table).
+const WIDE_MIN: usize = 128;
+
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     //! The PCLMULQDQ kernel, after Gopal et al., "Fast CRC Computation for
     //! Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in
-    //! its bit-reflected form.
+    //! its bit-reflected form, and its VPCLMULQDQ widening.
     //!
     //! A 128-bit lane `x` that sits `d` bits ahead of the data it is
     //! folded into is congruent to `x.lo · (x^(d+32) mod P) ^ x.hi ·
     //! (x^(d-32) mod P)`: two carry-less multiplies by constants. In the
     //! reflected domain a product of two reflected operands comes out one
     //! bit low, which the constants absorb by being stored shifted left by
-    //! one.
+    //! one. `VPCLMULQDQ` does the same multiply in both 128-bit halves of a
+    //! 256-bit register, so the wide kernel is this fold two lanes at a
+    //! time, with the constant pair repeated in both halves.
 
     use super::{times_x, POLY};
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
-        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, __m256i, _mm256_castsi256_si128, _mm256_clmulepi64_epi128,
+        _mm256_extracti128_si256, _mm256_set_epi64x, _mm256_set_m128i, _mm256_xor_si256,
+        _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
     };
 
     /// `x^n mod P`, reflected and shifted left by one (see module docs).
@@ -157,7 +173,8 @@ mod clmul {
     /// Fold distance 4 lanes (the 64-byte main loop): lo · K1 ^ hi · K2.
     pub(super) const K1: i64 = fold_constant(4 * 128 + 32);
     pub(super) const K2: i64 = fold_constant(4 * 128 - 32);
-    /// Fold distance 1 lane (4 → 1 and the 16-byte loop): lo · K3 ^ hi · K4.
+    /// Fold distance 1 lane (4 → 1, 2 → 1 and the 16-byte loop):
+    /// lo · K3 ^ hi · K4.
     pub(super) const K3: i64 = fold_constant(128 + 32);
     pub(super) const K4: i64 = fold_constant(128 - 32);
     /// 96 → 64 bits.
@@ -165,6 +182,14 @@ mod clmul {
     /// The polynomial with its x^32 term, reflected over 33 bits.
     pub(super) const P_X: i64 = ((POLY as i64) << 1) | 1;
     pub(super) const MU: i64 = barrett_mu();
+    /// Fold distance 8 lanes (the wide kernel's 128-byte main loop):
+    /// lo · K6 ^ hi · K7.
+    pub(super) const K6: i64 = fold_constant(8 * 128 + 32);
+    pub(super) const K7: i64 = fold_constant(8 * 128 - 32);
+    /// Fold distance 2 lanes (one 256-bit accumulator onto the next):
+    /// lo · K8 ^ hi · K9.
+    pub(super) const K8: i64 = fold_constant(2 * 128 + 32);
+    pub(super) const K9: i64 = fold_constant(2 * 128 - 32);
 
     #[inline]
     #[target_feature(enable = "pclmulqdq")]
@@ -213,7 +238,16 @@ mod clmul {
         let mut x = fold(x0, k3k4, x1);
         x = fold(x, k3k4, x2);
         x = fold(x, k3k4, x3);
-        for block in singles {
+        (finish(x, singles), tail)
+    }
+
+    /// Folds the 16-byte `blocks` that follow lane `x` into it, one at a
+    /// time, and reduces the lane to the 32-bit state. Both widths end
+    /// here.
+    #[target_feature(enable = "pclmulqdq")]
+    fn finish(mut x: __m128i, blocks: &[[u8; 16]]) -> u32 {
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        for block in blocks {
             x = fold(x, k3k4, load(block));
         }
 
@@ -236,7 +270,86 @@ mod clmul {
             x,
             _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), p_mu),
         );
-        (_mm_cvtsi128_si32(_mm_srli_si128::<4>(x)) as u32, tail)
+        _mm_cvtsi128_si32(_mm_srli_si128::<4>(x)) as u32
+    }
+
+    /// Two consecutive 16-byte blocks as one 256-bit value, the first in
+    /// the low half.
+    #[inline]
+    #[target_feature(enable = "avx2,vpclmulqdq")]
+    fn load256(first: &[u8; 16], second: &[u8; 16]) -> __m256i {
+        _mm256_set_m128i(load(second), load(first))
+    }
+
+    /// [`fold`] in both halves at once.
+    #[inline]
+    #[target_feature(enable = "avx2,vpclmulqdq")]
+    fn fold256(y: __m256i, k: __m256i, onto: __m256i) -> __m256i {
+        let lo = _mm256_clmulepi64_epi128::<0x00>(y, k);
+        let hi = _mm256_clmulepi64_epi128::<0x11>(y, k);
+        _mm256_xor_si256(_mm256_xor_si256(lo, hi), onto)
+    }
+
+    /// [`update`] at twice the width: four 256-bit accumulators fold 128
+    /// bytes a round, are folded into one, whose two lanes are folded
+    /// into one for [`finish`]. With fewer than 128 bytes it consumes
+    /// nothing.
+    ///
+    /// Safe to define, unsafe to call from code compiled without the
+    /// features: the CPU must support `avx2` and `vpclmulqdq` (which
+    /// implies `pclmulqdq`). Loads go through slices, as in [`update`].
+    #[target_feature(enable = "avx2,vpclmulqdq")]
+    pub(super) fn update_256(state: u32, data: &[u8]) -> (u32, &[u8]) {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (rounds, singles) = blocks.as_chunks::<8>();
+        let Some(([a0, a1, b0, b1, c0, c1, d0, d1], rounds)) = rounds.split_first() else {
+            return (state, data);
+        };
+        let mut y0 = _mm256_xor_si256(load256(a0, a1), _mm256_set_epi64x(0, 0, 0, state.into()));
+        let mut y1 = load256(b0, b1);
+        let mut y2 = load256(c0, c1);
+        let mut y3 = load256(d0, d1);
+        let k6k7 = _mm256_set_epi64x(K7, K6, K7, K6);
+        for [a0, a1, b0, b1, c0, c1, d0, d1] in rounds {
+            y0 = fold256(y0, k6k7, load256(a0, a1));
+            y1 = fold256(y1, k6k7, load256(b0, b1));
+            y2 = fold256(y2, k6k7, load256(c0, c1));
+            y3 = fold256(y3, k6k7, load256(d0, d1));
+        }
+        let k8k9 = _mm256_set_epi64x(K9, K8, K9, K8);
+        let mut y = fold256(y0, k8k9, y1);
+        y = fold256(y, k8k9, y2);
+        y = fold256(y, k8k9, y3);
+        let x = fold(
+            _mm256_castsi256_si128(y),
+            _mm_set_epi64x(K4, K3),
+            _mm256_extracti128_si256::<1>(y),
+        );
+        (finish(x, singles), tail)
+    }
+}
+
+/// Whether this CPU runs the carry-less-multiply kernel.
+fn has_clmul() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("pclmulqdq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this CPU runs the wide kernel.
+fn has_wide() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("vpclmulqdq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
@@ -245,7 +358,7 @@ mod clmul {
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn update_clmul(state: u32, data: &[u8]) -> Option<u32> {
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("pclmulqdq") {
+    if has_clmul() {
         // SAFETY: `pclmulqdq`, the one target feature `clmul::update`
         // enables, was detected on this CPU just above. The input length
         // is a matter of speed only: the kernel reads through slices and
@@ -256,6 +369,80 @@ fn update_clmul(state: u32, data: &[u8]) -> Option<u32> {
     None
 }
 
+/// The wide kernel, finished by the portable one over the tail it leaves;
+/// `None` where the CPU (or the architecture) lacks it.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn update_wide(state: u32, data: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if has_wide() {
+        // SAFETY: `avx2` and `vpclmulqdq`, the target features
+        // `clmul::update_256` enables, were detected on this CPU just
+        // above. As with `update_clmul`, the length is not a condition.
+        let (state, tail) = unsafe { clmul::update_256(state, data) };
+        return Some(update_portable(state, tail));
+    }
+    None
+}
+
+/// One of the three kernels. [`crc32_update`] picks one per call with
+/// [`Crc32Kernel::for_len`]; tests and benchmarks run each alone with
+/// [`Crc32Kernel::update`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Crc32Kernel {
+    /// 256-bit `VPCLMULQDQ` (x86_64 with `avx2` and `vpclmulqdq`).
+    Wide,
+    /// 128-bit `PCLMULQDQ` (x86_64 with `pclmulqdq`).
+    Clmul,
+    /// Slice-by-16 tables, on every CPU.
+    Portable,
+}
+
+impl Crc32Kernel {
+    /// Every kernel, widest first.
+    pub const ALL: [Crc32Kernel; 3] = [Self::Wide, Self::Clmul, Self::Portable];
+
+    /// The kernel's name in test output and benchmark rows.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Wide => "wide",
+            Self::Clmul => "clmul",
+            Self::Portable => "portable",
+        }
+    }
+
+    /// Whether this CPU runs the kernel.
+    pub fn is_available(self) -> bool {
+        match self {
+            Self::Wide => has_wide(),
+            Self::Clmul => has_clmul(),
+            Self::Portable => true,
+        }
+    }
+
+    /// The kernel [`crc32_update`] runs over `len` bytes on this CPU: the
+    /// widest one it has whose shortest input `len` reaches.
+    pub fn for_len(len: usize) -> Crc32Kernel {
+        if len >= WIDE_MIN && has_wide() {
+            Self::Wide
+        } else if len >= CLMUL_MIN && has_clmul() {
+            Self::Clmul
+        } else {
+            Self::Portable
+        }
+    }
+
+    /// Advances `state` over `data` with this kernel, whatever the length
+    /// (the portable kernel takes the last < 16 bytes, and all of an input
+    /// shorter than one round); `None` where this CPU lacks the kernel.
+    pub fn update(self, state: u32, data: &[u8]) -> Option<u32> {
+        match self {
+            Self::Wide => update_wide(state, data),
+            Self::Clmul => update_clmul(state, data),
+            Self::Portable => Some(update_portable(state, data)),
+        }
+    }
+}
+
 /// Computes the CRC32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
@@ -264,12 +451,12 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Streaming update: feed `state = 0xFFFF_FFFF`, fold in chunks, then XOR
 /// with `0xFFFF_FFFF` at the end.
 pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    if data.len() >= CLMUL_MIN {
-        if let Some(state) = update_clmul(state, data) {
-            return state;
-        }
-    }
-    update_portable(state, data)
+    let vector = match Crc32Kernel::for_len(data.len()) {
+        Crc32Kernel::Wide => update_wide(state, data),
+        Crc32Kernel::Clmul => update_clmul(state, data),
+        Crc32Kernel::Portable => None,
+    };
+    vector.unwrap_or_else(|| update_portable(state, data))
 }
 
 #[cfg(test)]
@@ -290,6 +477,31 @@ mod tests {
         c
     }
 
+    /// What CPUID itself reports — `(pclmulqdq, avx2, vpclmulqdq)` from
+    /// leaf 1 ECX bit 1, leaf 7 EBX bit 5 and leaf 7 ECX bit 10 — read
+    /// without `is_x86_feature_detected!`, so a misspelt or wrong feature
+    /// name in the dispatch cannot agree with itself here. (It takes the
+    /// OS's saving of the YMM registers for granted, as every x86_64
+    /// Linux, macOS and Windows does.)
+    fn cpuid_reports() -> (bool, bool, bool) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{__cpuid_count, __get_cpuid_max};
+            let bit = |word: u32, n: u32| word >> n & 1 == 1;
+            let leaf1 = __cpuid_count(1, 0);
+            let leaf7 = (__get_cpuid_max(0).0 >= 7).then(|| __cpuid_count(7, 0));
+            (
+                bit(leaf1.ecx, 1),
+                leaf7.is_some_and(|l| bit(l.ebx, 5)),
+                leaf7.is_some_and(|l| bit(l.ecx, 10)),
+            )
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            (false, false, false)
+        }
+    }
+
     #[test]
     fn known_vectors() {
         // Standard test vectors for CRC-32/ISO-HDLC.
@@ -299,7 +511,7 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-        // Long enough for the carry-less-multiply kernel (zlib: crc32 of
+        // Long enough for a carry-less-multiply kernel (zlib: crc32 of
         // 256 bytes 0x00..=0xFF).
         let ramp: Vec<u8> = (0..=255u8).collect();
         assert_eq!(crc32(&ramp), 0x2905_8C73);
@@ -321,28 +533,48 @@ mod tests {
 
     #[test]
     fn kernels_match_the_bitwise_reference() {
-        // Every length across the 16- and 64-byte thresholds and well past
-        // several main-loop rounds, at every start offset within a 16-byte
-        // line (unaligned loads), from a random initial state.
+        // Each kernel called directly, not through the dispatch: every
+        // length up to past the wide threshold (every 16-, 64- and
+        // 128-byte round boundary on the way), then 64 KiB plus every
+        // tail, at 32 start offsets (unaligned loads), from a random
+        // initial state. The reference runs incrementally over each
+        // prefix.
+        let (pclmulqdq, avx2, vpclmulqdq) = cpuid_reports();
+        let covered: Vec<Crc32Kernel> = Crc32Kernel::ALL
+            .into_iter()
+            .filter(|k| k.is_available())
+            .collect();
+        let names: Vec<&str> = covered.iter().map(|k| k.name()).collect();
+        println!(
+            "crc32: cpu pclmulqdq={pclmulqdq} avx2={avx2} vpclmulqdq={vpclmulqdq}; \
+             kernels covered: {}{}",
+            names.join(", "),
+            if covered.contains(&Crc32Kernel::Wide) {
+                ""
+            } else {
+                "; wide kernel not covered"
+            }
+        );
+
         let mut rng = StdRng::seed_from_u64(0xDA4A_2155);
-        let mut buf = vec![0u8; 1100 + 16];
+        let long = 64 << 10;
+        let mut buf = vec![0u8; long + 16 + 32];
         rng.fill_bytes(&mut buf);
-        let have_clmul = update_clmul(0, &[]).is_some();
-        for offset in 0..16 {
+        let lengths = (0..=2100).chain(long..long + 16);
+        for offset in 0..32 {
             let state = rng.next_u32();
-            for len in 0..=1100 {
-                let data = &buf[offset..offset + len];
-                let want = reference_update(state, data);
-                assert_eq!(
-                    update_portable(state, data),
-                    want,
-                    "portable, len {len} offset {offset}"
-                );
-                if have_clmul {
+            let data = &buf[offset..];
+            let (mut want, mut done) = (state, 0);
+            for len in lengths.clone() {
+                want = reference_update(want, &data[done..len]);
+                done = len;
+                let data = &data[..len];
+                for &kernel in &covered {
                     assert_eq!(
-                        update_clmul(state, data),
+                        kernel.update(state, data),
                         Some(want),
-                        "clmul, len {len} offset {offset}"
+                        "{}, len {len} offset {offset}",
+                        kernel.name()
                     );
                 }
                 assert_eq!(
@@ -355,9 +587,33 @@ mod tests {
     }
 
     #[test]
+    fn the_dispatch_takes_the_widest_kernel_the_cpu_reports() {
+        let (pclmulqdq, avx2, vpclmulqdq) = cpuid_reports();
+        let (clmul, wide) = (pclmulqdq, avx2 && vpclmulqdq);
+        assert_eq!(Crc32Kernel::Clmul.is_available(), clmul);
+        assert_eq!(Crc32Kernel::Wide.is_available(), wide);
+        let or_portable = |has: bool, kernel| if has { kernel } else { Crc32Kernel::Portable };
+        let below_wide = or_portable(clmul, Crc32Kernel::Clmul);
+        let from_wide = if wide { Crc32Kernel::Wide } else { below_wide };
+        for (len, want) in [
+            (0, Crc32Kernel::Portable),
+            (41, Crc32Kernel::Portable),
+            (CLMUL_MIN - 1, Crc32Kernel::Portable),
+            (CLMUL_MIN, below_wide),
+            (WIDE_MIN - 1, below_wide),
+            (WIDE_MIN, from_wide),
+            (256, from_wide),
+            (64 << 10, from_wide),
+        ] {
+            assert_eq!(Crc32Kernel::for_len(len), want, "len {len}");
+        }
+    }
+
+    #[test]
     fn split_invariance_at_every_split() {
-        // 300 bytes: both halves cross the 16- and the 64-byte thresholds.
-        let mut data = [0u8; 300];
+        // Both halves cross the 16-, 64- and 128-byte rounds and the wide
+        // threshold.
+        let mut data = vec![0u8; 2 * WIDE_MIN + 300];
         StdRng::seed_from_u64(300).fill_bytes(&mut data);
         let whole = crc32(&data);
         assert_eq!(whole, reference_update(0xFFFF_FFFF, &data) ^ 0xFFFF_FFFF);
@@ -381,7 +637,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn detects_single_bit_flips(data in proptest::collection::vec(any::<u8>(), 1..256), bit in 0usize..8, idx_seed in any::<usize>()) {
+        fn detects_single_bit_flips(data in proptest::collection::vec(any::<u8>(), 1..4096), bit in 0usize..8, idx_seed in any::<usize>()) {
             let idx = idx_seed % data.len();
             let mut corrupted = data.clone();
             corrupted[idx] ^= 1 << bit;
@@ -389,7 +645,7 @@ mod tests {
         }
 
         #[test]
-        fn split_invariance(data in proptest::collection::vec(any::<u8>(), 0..512), split_seed in any::<usize>()) {
+        fn split_invariance(data in proptest::collection::vec(any::<u8>(), 0..4096), split_seed in any::<usize>()) {
             let split = if data.is_empty() { 0 } else { split_seed % (data.len() + 1) };
             let whole = crc32(&data);
             let mut state = 0xFFFF_FFFFu32;

@@ -67,7 +67,7 @@ pub mod trace;
 mod types;
 mod writer;
 
-pub use checksum::{crc32, crc32_update};
+pub use checksum::{crc32, crc32_update, Crc32Kernel};
 pub use header::{FOOTER_LEN, MAGIC, SUPERBLOCK_LEN, VERSION};
 pub use query::{key_hash, BloomFilter, QueryIndexEntry, QuerySection, NO_COORD};
 pub use reader::{DatasetInfo, SdfReader};
