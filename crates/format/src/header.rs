@@ -16,6 +16,15 @@ pub const VERSION: u16 = 1;
 pub const FOOTER_LEN: u64 = 24;
 /// Superblock size: magic (4) + version (2) + flags (2).
 pub const SUPERBLOCK_LEN: u64 = 8;
+/// The fewest bytes an encoded index entry takes: one each for the path
+/// length, dtype, rank, offset, stored length, filter length, chunk extent
+/// and attribute count, and four for the CRC. An index count the bytes
+/// behind it cannot hold at this size is refused before anything is sized
+/// by it.
+pub(crate) const MIN_ENTRY_LEN: usize = 12;
+/// The fewest bytes an encoded attribute takes: name length, tag, and a
+/// one-byte value (an empty string).
+const MIN_ATTR_LEN: usize = 3;
 
 /// Encodes the superblock.
 pub fn write_superblock(out: &mut Vec<u8>) {
@@ -95,18 +104,136 @@ fn write_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn read_str(bytes: &[u8], off: &mut usize) -> Result<String> {
+/// A length-prefixed byte string, borrowed from `bytes`.
+pub(crate) fn read_raw<'a>(bytes: &'a [u8], off: &mut usize) -> Result<&'a [u8]> {
     let len = varint::read_u64(bytes, off)
-        .ok_or_else(|| SdfError::Format("truncated string length".into()))? as usize;
-    let end = off
-        .checked_add(len)
+        .ok_or_else(|| SdfError::Format("truncated string length".into()))?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| off.checked_add(len))
         .filter(|&e| e <= bytes.len())
         .ok_or_else(|| SdfError::Format("truncated string body".into()))?;
-    let s = std::str::from_utf8(&bytes[*off..end])
-        .map_err(|_| SdfError::Format("invalid UTF-8 in string".into()))?
-        .to_string();
+    let raw = &bytes[*off..end];
     *off = end;
-    Ok(s)
+    Ok(raw)
+}
+
+/// A length-prefixed UTF-8 string, borrowed from `bytes`.
+fn read_str<'a>(bytes: &'a [u8], off: &mut usize) -> Result<&'a str> {
+    std::str::from_utf8(read_raw(bytes, off)?)
+        .map_err(|_| SdfError::Format("invalid UTF-8 in string".into()))
+}
+
+fn read_le8(bytes: &[u8], off: &mut usize, what: &str) -> Result<[u8; 8]> {
+    let end = off
+        .checked_add(8)
+        .filter(|&e| e <= bytes.len())
+        .ok_or_else(|| SdfError::Format(format!("truncated {what}")))?;
+    let v = bytes[*off..end].try_into().expect("8 bytes");
+    *off = end;
+    Ok(v)
+}
+
+/// An attribute value as it lies in the index bytes.
+enum RawAttr<'a> {
+    I64(i64),
+    F64(f64),
+    Str(&'a str),
+}
+
+/// An index entry as it lies in the index bytes, every field checked as
+/// [`IndexEntry::decode`] checks it. Nothing is copied but the extents,
+/// which go to the caller's arena, so skimming an index allocates nothing
+/// per entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntryRef<'a> {
+    pub path: &'a str,
+    pub dtype: DataType,
+    pub offset: u64,
+    pub stored_len: u64,
+    pub crc: u32,
+    pub filter: &'a str,
+    pub chunk_dim0: u64,
+}
+
+impl<'a> EntryRef<'a> {
+    /// Checks the entry at `off` and advances past it, appending its
+    /// extents to `dims`; the attributes are checked and skipped.
+    pub(crate) fn skim(bytes: &'a [u8], off: &mut usize, dims: &mut Vec<u64>) -> Result<Self> {
+        Self::parse(bytes, off, dims, |_, _| {})
+    }
+
+    /// Parses the entry at `off`, advancing past it: appends its extents
+    /// to `dims`, hands each attribute to `attr`, and returns the rest.
+    fn parse(
+        bytes: &'a [u8],
+        off: &mut usize,
+        dims: &mut Vec<u64>,
+        mut attr: impl FnMut(&'a str, RawAttr<'a>),
+    ) -> Result<Self> {
+        let path = read_str(bytes, off)?;
+        let dtype_tag = *bytes
+            .get(*off)
+            .ok_or_else(|| SdfError::Format("truncated dtype".into()))?;
+        *off += 1;
+        let dtype = DataType::from_tag(dtype_tag)
+            .ok_or_else(|| SdfError::Format(format!("unknown dtype tag {dtype_tag}")))?;
+        let rank = varint::read_u64(bytes, off)
+            .ok_or_else(|| SdfError::Format("truncated rank".into()))?;
+        if rank > 32 {
+            return Err(SdfError::Format(format!("implausible rank {rank}")));
+        }
+        for _ in 0..rank {
+            dims.push(
+                varint::read_u64(bytes, off)
+                    .ok_or_else(|| SdfError::Format("truncated dims".into()))?,
+            );
+        }
+        let offset = varint::read_u64(bytes, off)
+            .ok_or_else(|| SdfError::Format("truncated offset".into()))?;
+        let stored_len = varint::read_u64(bytes, off)
+            .ok_or_else(|| SdfError::Format("truncated stored_len".into()))?;
+        let crc_end = off
+            .checked_add(4)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| SdfError::Format("truncated crc".into()))?;
+        let crc = u32::from_le_bytes(bytes[*off..crc_end].try_into().expect("4 bytes"));
+        *off = crc_end;
+        let filter = read_str(bytes, off)?;
+        let chunk_dim0 = varint::read_u64(bytes, off)
+            .ok_or_else(|| SdfError::Format("truncated chunk info".into()))?;
+        let n_attrs = varint::read_u64(bytes, off)
+            .ok_or_else(|| SdfError::Format("truncated attr count".into()))?;
+        let left = bytes.len() - *off;
+        if n_attrs > 4096 || n_attrs > (left / MIN_ATTR_LEN) as u64 {
+            return Err(SdfError::Format(format!(
+                "implausible attr count {n_attrs} for {left} index bytes left"
+            )));
+        }
+        for _ in 0..n_attrs {
+            let name = read_str(bytes, off)?;
+            let tag = *bytes
+                .get(*off)
+                .ok_or_else(|| SdfError::Format("truncated attr tag".into()))?;
+            *off += 1;
+            let value = match tag {
+                0 => RawAttr::I64(i64::from_le_bytes(read_le8(bytes, off, "i64 attr")?)),
+                1 => RawAttr::F64(f64::from_le_bytes(read_le8(bytes, off, "f64 attr")?)),
+                2 => RawAttr::Str(read_str(bytes, off)?),
+                _ => return Err(SdfError::Format(format!("unknown attr tag {tag}"))),
+            };
+            attr(name, value);
+        }
+        Ok(EntryRef {
+            path,
+            dtype,
+            offset,
+            stored_len,
+            crc,
+            filter,
+            chunk_dim0,
+        })
+    }
 }
 
 impl IndexEntry {
@@ -137,79 +264,24 @@ impl IndexEntry {
 
     /// Deserializes one entry, advancing `off`.
     pub fn decode(bytes: &[u8], off: &mut usize) -> Result<Self> {
-        let path = read_str(bytes, off)?;
-        let dtype_tag = *bytes
-            .get(*off)
-            .ok_or_else(|| SdfError::Format("truncated dtype".into()))?;
-        *off += 1;
-        let dtype = DataType::from_tag(dtype_tag)
-            .ok_or_else(|| SdfError::Format(format!("unknown dtype tag {dtype_tag}")))?;
-        let rank = varint::read_u64(bytes, off)
-            .ok_or_else(|| SdfError::Format("truncated rank".into()))? as usize;
-        if rank > 32 {
-            return Err(SdfError::Format(format!("implausible rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(
-                varint::read_u64(bytes, off)
-                    .ok_or_else(|| SdfError::Format("truncated dims".into()))?,
-            );
-        }
-        let offset = varint::read_u64(bytes, off)
-            .ok_or_else(|| SdfError::Format("truncated offset".into()))?;
-        let stored_len = varint::read_u64(bytes, off)
-            .ok_or_else(|| SdfError::Format("truncated stored_len".into()))?;
-        if *off + 4 > bytes.len() {
-            return Err(SdfError::Format("truncated crc".into()));
-        }
-        let crc = u32::from_le_bytes(bytes[*off..*off + 4].try_into().expect("4 bytes"));
-        *off += 4;
-        let filter = read_str(bytes, off)?;
-        let chunk_dim0 = varint::read_u64(bytes, off)
-            .ok_or_else(|| SdfError::Format("truncated chunk info".into()))?;
-        let n_attrs = varint::read_u64(bytes, off)
-            .ok_or_else(|| SdfError::Format("truncated attr count".into()))? as usize;
-        if n_attrs > 4096 {
-            return Err(SdfError::Format(format!("implausible attr count {n_attrs}")));
-        }
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let name = read_str(bytes, off)?;
-            let tag = *bytes
-                .get(*off)
-                .ok_or_else(|| SdfError::Format("truncated attr tag".into()))?;
-            *off += 1;
-            let value = match tag {
-                0 => {
-                    if *off + 8 > bytes.len() {
-                        return Err(SdfError::Format("truncated i64 attr".into()));
-                    }
-                    let v = i64::from_le_bytes(bytes[*off..*off + 8].try_into().expect("8"));
-                    *off += 8;
-                    AttrValue::I64(v)
-                }
-                1 => {
-                    if *off + 8 > bytes.len() {
-                        return Err(SdfError::Format("truncated f64 attr".into()));
-                    }
-                    let v = f64::from_le_bytes(bytes[*off..*off + 8].try_into().expect("8"));
-                    *off += 8;
-                    AttrValue::F64(v)
-                }
-                2 => AttrValue::Str(read_str(bytes, off)?),
-                _ => return Err(SdfError::Format(format!("unknown attr tag {tag}"))),
+        let mut dims = Vec::new();
+        let mut attrs = Vec::new();
+        let e = EntryRef::parse(bytes, off, &mut dims, |name, value| {
+            let value = match value {
+                RawAttr::I64(v) => AttrValue::I64(v),
+                RawAttr::F64(v) => AttrValue::F64(v),
+                RawAttr::Str(s) => AttrValue::Str(s.to_string()),
             };
-            attrs.push((name, value));
-        }
+            attrs.push((name.to_string(), value));
+        })?;
         Ok(IndexEntry {
-            path,
-            layout: Layout { dtype, dims },
-            offset,
-            stored_len,
-            crc,
-            filter,
-            chunk_dim0,
+            path: e.path.to_string(),
+            layout: Layout { dtype: e.dtype, dims },
+            offset: e.offset,
+            stored_len: e.stored_len,
+            crc: e.crc,
+            filter: e.filter.to_string(),
+            chunk_dim0: e.chunk_dim0,
             attrs,
         })
     }
@@ -246,6 +318,36 @@ mod tests {
         let back = IndexEntry::decode(&buf, &mut off).unwrap();
         assert_eq!(back, e);
         assert_eq!(off, buf.len());
+    }
+
+    #[test]
+    fn skim_reads_what_decode_reads() {
+        let e = sample_entry();
+        let mut buf = Vec::new();
+        e.encode(&mut buf);
+        let mut off = 0;
+        let mut dims = vec![9];
+        let r = EntryRef::skim(&buf, &mut off, &mut dims).unwrap();
+        assert_eq!(off, buf.len());
+        assert_eq!(dims, [9, 44, 44, 200]);
+        assert_eq!((r.path, r.filter), (e.path.as_str(), e.filter.as_str()));
+        assert_eq!(
+            (r.dtype, r.offset, r.stored_len, r.crc, r.chunk_dim0),
+            (e.layout.dtype, e.offset, e.stored_len, e.crc, e.chunk_dim0)
+        );
+    }
+
+    #[test]
+    fn attr_count_is_held_to_the_bytes_left() {
+        // Three attributes claimed, room for one of the smallest.
+        let mut e = sample_entry();
+        e.attrs.clear();
+        let mut buf = Vec::new();
+        e.encode(&mut buf);
+        buf.pop();
+        buf.extend_from_slice(&[3, 0, 2, 0, 0, 2]);
+        let err = IndexEntry::decode(&buf, &mut 0).unwrap_err();
+        assert!(err.to_string().contains("implausible attr count 3"), "{err}");
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod writer;
 
 pub use checksum::{crc32, crc32_update, Crc32Kernel};
 pub use header::{FOOTER_LEN, MAGIC, SUPERBLOCK_LEN, VERSION};
-pub use query::{key_hash, BloomFilter, QueryIndexEntry, QuerySection, NO_COORD};
+pub use query::{key_hash, BloomFilter, QueryKey, QuerySection, NO_COORD};
 pub use reader::{DatasetInfo, SdfReader};
 pub use types::{AttrValue, DataType, Layout};
 pub use writer::{DatasetOptions, SdfWriter, WriteFault, WriteFaultHook};

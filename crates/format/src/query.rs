@@ -5,8 +5,9 @@
 //! main index and the footer; the footer does not reference it. An old
 //! reader's bounds check (`index_offset + index_len <= file_len - 24`)
 //! tolerates the extra bytes, and a new reader derives the section range
-//! as `[index end, footer start)` — an empty range means an old file and
-//! queries fall back to the linear scan.
+//! as `[index end, footer start)` — an empty range means an old file, for
+//! which [`SdfReader::lookup_section`](crate::SdfReader::lookup_section)
+//! builds the same section in memory from the main index.
 //!
 //! ```text
 //! [superblock][records…][index][query section][footer]
@@ -20,10 +21,16 @@
 //! Every length field is clamped against the bytes actually present
 //! before any allocation, so a corrupt section costs bounded memory and
 //! fails with a typed error.
+//!
+//! In memory a section is the bloom filter, one fixed-size [`QueryKey`]
+//! per dataset and the string table end to end in one buffer. A stored
+//! entry also repeats its dataset's offset, length, layout, filter and
+//! chunk extent; those are checked at decode and left to the main index,
+//! which the reader keeps anyway.
 
 use crate::checksum::crc32;
 use crate::header::IndexEntry;
-use crate::types::{DataType, Layout};
+use crate::types::DataType;
 use crate::{Result, SdfError};
 use damaris_compress::varint;
 
@@ -163,53 +170,94 @@ impl BloomFilter {
     }
 }
 
-/// One sparse-index entry: everything a reader needs to locate and decode
-/// a block without consulting the main index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryIndexEntry {
+/// One row of the sorted key table: a dataset's lookup key and its
+/// position in the main index. Fixed-size and `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryKey {
     /// [`key_hash`] of `⟨variable, iteration, source⟩`.
     pub key_hash: u64,
-    /// Variable name (last path segment), resolved from the string table.
-    pub variable: String,
+    /// Position of the dataset in the main index (and in write order).
+    pub ordinal: u32,
     /// Iteration coordinate ([`NO_COORD`] when absent).
     pub iteration: u32,
     /// Source (client rank) coordinate ([`NO_COORD`] when absent).
     pub source: u32,
-    /// Position of the dataset in the main index (and in write order).
-    pub ordinal: u32,
-    /// Byte offset of the stored payload within the file.
-    pub offset: u64,
-    /// Stored payload length in bytes.
-    pub stored_len: u64,
-    /// Logical layout of the decoded block.
-    pub layout: Layout,
-    /// Filter pipeline spec (`""` = none).
-    pub filter: String,
-    /// Chunk extent along dimension 0 (0 = contiguous).
-    pub chunk_dim0: u64,
+    /// Slot of the variable name in the section's string table
+    /// ([`QuerySection::variable`] reads it).
+    pub variable: u32,
 }
 
-/// Parsed query section: bloom + sorted sparse entries.
+/// Short strings end to end in one buffer: two allocations however many
+/// strings there are.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Strings {
+    text: String,
+    /// End of each string in `text`.
+    ends: Vec<u32>,
+}
+
+impl Strings {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        self.ends.push(self.text.len() as u32);
+    }
+
+    /// The first slot holding `s`.
+    fn position(&self, s: &str) -> Option<u32> {
+        (0..self.len() as u32).find(|&slot| self.get(slot) == s)
+    }
+
+    /// The slot of `s`, appended if new. A file has a handful of distinct
+    /// names, so a linear scan interns.
+    fn intern(&mut self, s: &str) -> u32 {
+        self.position(s).unwrap_or_else(|| {
+            self.push(s);
+            self.len() as u32 - 1
+        })
+    }
+
+    /// The string in `slot`; `""` past the end. Allocation-free.
+    // ANALYZE: hot
+    fn get(&self, slot: u32) -> &str {
+        let slot = slot as usize;
+        let end = match self.ends.get(slot) {
+            Some(&end) => end as usize,
+            None => return "",
+        };
+        let start = match slot.checked_sub(1).and_then(|prev| self.ends.get(prev)) {
+            Some(&start) => start as usize,
+            None => 0,
+        };
+        self.text.get(start..end).unwrap_or("")
+    }
+}
+
+/// Parsed query section: bloom + sorted key table + string table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySection {
     /// Bloom filter over every entry's key hash.
     pub bloom: BloomFilter,
-    /// Entries sorted by `(key_hash, ordinal)`.
-    pub entries: Vec<QueryIndexEntry>,
+    /// One key per dataset, sorted by `(key_hash, ordinal)`.
+    pub keys: Vec<QueryKey>,
+    /// Variable names and filter specs, in stored order.
+    strings: Strings,
 }
 
 /// Derives the lookup key for a main-index entry: the variable is the
 /// last path segment; iteration and source come from the `iteration` /
 /// `source` attributes (stamped by the persist plugin), falling back to
 /// `iter-N` / `rank-N` path components, then [`NO_COORD`].
-pub fn derive_key(entry: &IndexEntry) -> (String, u32, u32) {
+pub fn derive_key(entry: &IndexEntry) -> (&str, u32, u32) {
     let variable = entry
         .path
         .rsplit('/')
         .next()
         .filter(|s| !s.is_empty())
-        .unwrap_or(entry.path.as_str())
-        .to_string();
+        .unwrap_or(entry.path.as_str());
     let from_attr = |name: &str| {
         entry
             .attrs
@@ -238,87 +286,91 @@ impl QuerySection {
     /// Builds the section for a finished file's main index.
     pub fn build(index: &[IndexEntry]) -> QuerySection {
         let mut bloom = BloomFilter::with_capacity(index.len());
-        let mut entries: Vec<QueryIndexEntry> = index
+        let mut keys: Vec<QueryKey> = index
             .iter()
             .enumerate()
             .map(|(ordinal, e)| {
                 let (variable, iteration, source) = derive_key(e);
-                let hash = key_hash(&variable, iteration, source);
+                let hash = key_hash(variable, iteration, source);
                 bloom.insert(hash);
-                QueryIndexEntry {
+                QueryKey {
                     key_hash: hash,
-                    variable,
+                    ordinal: ordinal as u32,
                     iteration,
                     source,
-                    ordinal: ordinal as u32,
-                    offset: e.offset,
-                    stored_len: e.stored_len,
-                    layout: e.layout.clone(),
-                    filter: e.filter.clone(),
-                    chunk_dim0: e.chunk_dim0,
+                    variable: 0,
                 }
             })
             .collect();
-        entries.sort_by_key(|e| (e.key_hash, e.ordinal));
-        QuerySection { bloom, entries }
+        // (key_hash, ordinal) is unique, so the unstable sort is the order.
+        keys.sort_unstable_by_key(|k| (k.key_hash, k.ordinal));
+        // Intern in the order the stored table lists them: per key, its
+        // variable, then its filter spec.
+        let mut strings = Strings::default();
+        for key in &mut keys {
+            let entry = &index[key.ordinal as usize];
+            key.variable = strings.intern(derive_key(entry).0);
+            if !entry.filter.is_empty() {
+                strings.intern(&entry.filter);
+            }
+        }
+        QuerySection { bloom, keys, strings }
     }
 
-    /// All entries whose key hash equals `hash` (usually 0 or 1; more on
-    /// a 64-bit collision). Allocation-free: returns a sub-slice.
+    /// All keys whose hash equals `hash` (usually 0 or 1; more on a 64-bit
+    /// collision). Allocation-free: returns a sub-slice.
     // ANALYZE: hot
-    pub fn candidates(&self, hash: u64) -> &[QueryIndexEntry] {
-        let start = self.entries.partition_point(|e| e.key_hash < hash);
-        let end = self.entries.partition_point(|e| e.key_hash <= hash);
-        match self.entries.get(start..end) {
+    pub fn candidates(&self, hash: u64) -> &[QueryKey] {
+        let start = self.keys.partition_point(|k| k.key_hash < hash);
+        let end = self.keys.partition_point(|k| k.key_hash <= hash);
+        match self.keys.get(start..end) {
             Some(s) => s,
             None => &[],
         }
     }
 
-    /// Serializes the whole section (header + payload + CRC).
-    pub fn encode(&self) -> Vec<u8> {
-        // String table: dedup variable names and filter specs. The table
-        // is tiny (a handful of names per file), so a linear scan interns.
-        let mut table: Vec<String> = Vec::new();
-        let index_of = |table: &mut Vec<String>, s: &str| -> u64 {
-            match table.iter().position(|t| t == s) {
-                Some(i) => i as u64,
-                None => {
-                    table.push(s.to_string());
-                    (table.len() - 1) as u64
-                }
-            }
-        };
+    /// The variable name of `key`. Allocation-free.
+    // ANALYZE: hot
+    pub fn variable(&self, key: &QueryKey) -> &str {
+        self.strings.get(key.variable)
+    }
+
+    /// Serializes the whole section (header + payload + CRC). `index` is
+    /// the main index the section was built from: each stored entry
+    /// repeats its dataset's offset, length, layout, filter and chunk
+    /// extent from there.
+    pub fn encode(&self, index: &[IndexEntry]) -> Vec<u8> {
         let mut body = Vec::new();
         self.bloom.encode(&mut body);
-        let mut entry_bytes = Vec::new();
-        for e in &self.entries {
-            entry_bytes.extend_from_slice(&e.key_hash.to_le_bytes());
-            varint::write_u64(index_of(&mut table, &e.variable), &mut entry_bytes);
-            varint::write_u64(u64::from(e.iteration), &mut entry_bytes);
-            varint::write_u64(u64::from(e.source), &mut entry_bytes);
-            varint::write_u64(u64::from(e.ordinal), &mut entry_bytes);
-            varint::write_u64(e.offset, &mut entry_bytes);
-            varint::write_u64(e.stored_len, &mut entry_bytes);
-            entry_bytes.push(e.layout.dtype.tag());
-            varint::write_u64(e.layout.dims.len() as u64, &mut entry_bytes);
-            for &d in &e.layout.dims {
-                varint::write_u64(d, &mut entry_bytes);
-            }
-            let filter_id = match e.filter.as_str() {
-                "" => 0,
-                f => index_of(&mut table, f) + 1,
-            };
-            varint::write_u64(filter_id, &mut entry_bytes);
-            varint::write_u64(e.chunk_dim0, &mut entry_bytes);
-        }
-        varint::write_u64(table.len() as u64, &mut body);
-        for s in &table {
+        varint::write_u64(self.strings.len() as u64, &mut body);
+        for slot in 0..self.strings.len() as u32 {
+            let s = self.strings.get(slot);
             varint::write_u64(s.len() as u64, &mut body);
             body.extend_from_slice(s.as_bytes());
         }
-        varint::write_u64(self.entries.len() as u64, &mut body);
-        body.extend_from_slice(&entry_bytes);
+        varint::write_u64(self.keys.len() as u64, &mut body);
+        for key in &self.keys {
+            let e = &index[key.ordinal as usize];
+            body.extend_from_slice(&key.key_hash.to_le_bytes());
+            varint::write_u64(u64::from(key.variable), &mut body);
+            varint::write_u64(u64::from(key.iteration), &mut body);
+            varint::write_u64(u64::from(key.source), &mut body);
+            varint::write_u64(u64::from(key.ordinal), &mut body);
+            varint::write_u64(e.offset, &mut body);
+            varint::write_u64(e.stored_len, &mut body);
+            body.push(e.layout.dtype.tag());
+            varint::write_u64(e.layout.dims.len() as u64, &mut body);
+            for &d in &e.layout.dims {
+                varint::write_u64(d, &mut body);
+            }
+            let filter_id = match e.filter.as_str() {
+                "" => 0,
+                // invariant: `build` interned every filter spec of `index`.
+                f => u64::from(self.strings.position(f).expect("filter spec interned")) + 1,
+            };
+            varint::write_u64(filter_id, &mut body);
+            varint::write_u64(e.chunk_dim0, &mut body);
+        }
 
         let mut out = Vec::with_capacity(SECTION_HEADER_LEN + body.len() + 4);
         out.extend_from_slice(QUERY_MAGIC);
@@ -374,20 +426,20 @@ impl QuerySection {
         if n_strings > MAX_STRINGS {
             return Err(SdfError::Format(format!("implausible string count {n_strings}")));
         }
-        let mut table = Vec::with_capacity(n_strings as usize);
+        // Check the table through once, then copy it into buffers sized
+        // to it.
+        let table_at = off;
+        let mut text_len = 0usize;
         for _ in 0..n_strings {
-            let len = read_varint(body, &mut off, "string length")?;
-            if len > MAX_STRING_LEN {
-                return Err(SdfError::Format(format!("implausible string length {len}")));
-            }
-            let end = off
-                .checked_add(len as usize)
-                .filter(|&e| e <= body.len())
-                .ok_or_else(|| SdfError::Format("truncated string body".into()))?;
-            let s = std::str::from_utf8(&body[off..end])
-                .map_err(|_| SdfError::Format("invalid UTF-8 in string table".into()))?;
-            table.push(s.to_string());
-            off = end;
+            text_len += read_string(body, &mut off)?.len();
+        }
+        let mut strings = Strings {
+            text: String::with_capacity(text_len),
+            ends: Vec::with_capacity(n_strings as usize),
+        };
+        let mut at = table_at;
+        for _ in 0..n_strings {
+            strings.push(read_string(body, &mut at)?);
         }
 
         let n_entries = read_varint(body, &mut off, "entry count")?;
@@ -399,7 +451,7 @@ impl QuerySection {
                 body.len().saturating_sub(off)
             )));
         }
-        let mut entries = Vec::with_capacity(n_entries as usize);
+        let mut keys = Vec::with_capacity(n_entries as usize);
         let mut prev: Option<(u64, u32)> = None;
         for _ in 0..n_entries {
             if off + 8 > body.len() {
@@ -408,40 +460,34 @@ impl QuerySection {
             let hash = u64::from_le_bytes(body[off..off + 8].try_into().expect("8 bytes"));
             off += 8;
             let name_id = read_varint(body, &mut off, "name id")?;
-            let variable = table
-                .get(name_id as usize)
-                .ok_or_else(|| SdfError::Format(format!("name id {name_id} out of table")))?
-                .clone();
+            if name_id >= strings.len() as u64 {
+                return Err(SdfError::Format(format!("name id {name_id} out of table")));
+            }
             let iteration = read_coord(body, &mut off, "iteration")?;
             let source = read_coord(body, &mut off, "source")?;
             let ordinal = read_coord(body, &mut off, "ordinal")?;
-            let offset = read_varint(body, &mut off, "offset")?;
-            let stored_len = read_varint(body, &mut off, "stored_len")?;
+            // Offset, length, layout, filter and chunk extent: checked,
+            // and left to the main index.
+            read_varint(body, &mut off, "offset")?;
+            read_varint(body, &mut off, "stored_len")?;
             let dtype_tag = *body
                 .get(off)
                 .ok_or_else(|| SdfError::Format("truncated dtype".into()))?;
             off += 1;
-            let dtype = DataType::from_tag(dtype_tag)
+            DataType::from_tag(dtype_tag)
                 .ok_or_else(|| SdfError::Format(format!("unknown dtype tag {dtype_tag}")))?;
             let rank = read_varint(body, &mut off, "rank")?;
             if rank > MAX_RANK {
                 return Err(SdfError::Format(format!("implausible rank {rank}")));
             }
-            let mut dims = Vec::with_capacity(rank as usize);
             for _ in 0..rank {
-                dims.push(read_varint(body, &mut off, "dims")?);
+                read_varint(body, &mut off, "dims")?;
             }
             let filter_id = read_varint(body, &mut off, "filter id")?;
-            let filter = match filter_id {
-                0 => String::new(),
-                id => table
-                    .get(id as usize - 1)
-                    .ok_or_else(|| {
-                        SdfError::Format(format!("filter id {id} out of table"))
-                    })?
-                    .clone(),
-            };
-            let chunk_dim0 = read_varint(body, &mut off, "chunk info")?;
+            if filter_id > strings.len() as u64 {
+                return Err(SdfError::Format(format!("filter id {filter_id} out of table")));
+            }
+            read_varint(body, &mut off, "chunk info")?;
             // Sorted order is load-bearing for the binary search.
             if let Some(p) = prev {
                 if p > (hash, ordinal) {
@@ -449,23 +495,22 @@ impl QuerySection {
                 }
             }
             prev = Some((hash, ordinal));
-            entries.push(QueryIndexEntry {
+            keys.push(QueryKey {
                 key_hash: hash,
-                variable,
+                ordinal,
                 iteration,
                 source,
-                ordinal,
-                offset,
-                stored_len,
-                layout: Layout { dtype, dims },
-                filter,
-                chunk_dim0,
+                variable: name_id as u32,
             });
         }
         if off != body.len() {
             return Err(SdfError::Format("trailing garbage in query section".into()));
         }
-        Ok(QuerySection { bloom, entries })
+        Ok(QuerySection {
+            bloom,
+            keys,
+            strings,
+        })
     }
 }
 
@@ -477,6 +522,22 @@ fn read_varint(bytes: &[u8], off: &mut usize, what: &str) -> Result<u64> {
 fn read_coord(bytes: &[u8], off: &mut usize, what: &str) -> Result<u32> {
     let v = read_varint(bytes, off, what)?;
     u32::try_from(v).map_err(|_| SdfError::Format(format!("{what} {v} exceeds u32")))
+}
+
+/// One string of the table, length-capped and UTF-8-checked.
+fn read_string<'a>(bytes: &'a [u8], off: &mut usize) -> Result<&'a str> {
+    let len = read_varint(bytes, off, "string length")?;
+    if len > MAX_STRING_LEN {
+        return Err(SdfError::Format(format!("implausible string length {len}")));
+    }
+    let end = off
+        .checked_add(len as usize)
+        .filter(|&e| e <= bytes.len())
+        .ok_or_else(|| SdfError::Format("truncated string body".into()))?;
+    let s = std::str::from_utf8(&bytes[*off..end])
+        .map_err(|_| SdfError::Format("invalid UTF-8 in string table".into()))?;
+    *off = end;
+    Ok(s)
 }
 
 fn read_u64_le(bytes: &[u8], off: &mut usize, what: &str) -> Result<u64> {
@@ -502,7 +563,7 @@ fn read_u32_le(bytes: &[u8], off: &mut usize, what: &str) -> Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::AttrValue;
+    use crate::types::{AttrValue, Layout};
     use proptest::prelude::*;
 
     fn sample_index() -> Vec<IndexEntry> {
@@ -527,9 +588,24 @@ mod tests {
     fn section_roundtrip() {
         let index = sample_index();
         let section = QuerySection::build(&index);
-        let bytes = section.encode();
+        let bytes = section.encode(&index);
         let back = QuerySection::decode(&bytes).unwrap();
         assert_eq!(back, section);
+    }
+
+    #[test]
+    fn string_table_keeps_stored_order_and_slots() {
+        // A variable named like a filter spec shares its slot, as the
+        // stored table always had it.
+        let mut index = sample_index();
+        index[0].path = "/iter-0/rank-0/lzss".into();
+        let section = QuerySection::build(&index);
+        let back = QuerySection::decode(&section.encode(&index)).unwrap();
+        assert_eq!(back, section);
+        let slots: Vec<&str> = (0..back.strings.len() as u32).map(|s| back.strings.get(s)).collect();
+        assert_eq!(slots.len(), 2, "{slots:?}");
+        assert!(slots.contains(&"lzss") && slots.contains(&"theta"), "{slots:?}");
+        assert_eq!(back.strings.get(9), "", "a slot past the table reads as empty");
     }
 
     #[test]
@@ -542,9 +618,9 @@ mod tests {
                 assert!(section.bloom.contains(h));
                 let cands = section.candidates(h);
                 assert!(
-                    cands
-                        .iter()
-                        .any(|e| e.variable == "theta" && e.iteration == it && e.source == src),
+                    cands.iter().any(|k| section.variable(k) == "theta"
+                        && k.iteration == it
+                        && k.source == src),
                     "missing ⟨theta, {it}, {src}⟩"
                 );
             }
@@ -573,18 +649,18 @@ mod tests {
             ("iteration".into(), AttrValue::I64(42)),
             ("source".into(), AttrValue::I64(7)),
         ];
-        assert_eq!(derive_key(&e), ("theta".into(), 42, 7));
+        assert_eq!(derive_key(&e), ("theta", 42, 7));
         e.attrs.clear();
         // Falls back to the /iter-0/rank-0/ path components.
-        assert_eq!(derive_key(&e), ("theta".into(), 0, 0));
+        assert_eq!(derive_key(&e), ("theta", 0, 0));
         e.path = "/just/a/name".into();
-        assert_eq!(derive_key(&e), ("name".into(), NO_COORD, NO_COORD));
+        assert_eq!(derive_key(&e), ("name", NO_COORD, NO_COORD));
     }
 
     #[test]
     fn flipped_byte_is_typed_error() {
-        let section = QuerySection::build(&sample_index());
-        let good = section.encode();
+        let index = sample_index();
+        let good = QuerySection::build(&index).encode(&index);
         for pos in 0..good.len() {
             let mut bad = good.clone();
             bad[pos] ^= 0xff;
@@ -601,8 +677,8 @@ mod tests {
     #[test]
     fn empty_section_roundtrip() {
         let section = QuerySection::build(&[]);
-        let back = QuerySection::decode(&section.encode()).unwrap();
-        assert!(back.entries.is_empty());
+        let back = QuerySection::decode(&section.encode(&[])).unwrap();
+        assert!(back.keys.is_empty());
         // Probing an empty filter must not panic; the verdict itself is
         // unspecified (blooms may false-positive).
         let _ = back.bloom.contains(key_hash("x", 0, 0));
@@ -620,8 +696,8 @@ mod tests {
             flip_pos in 0usize..512,
             flip_mask in 1u8..255,
         ) {
-            let section = QuerySection::build(&sample_index());
-            let good = section.encode();
+            let index = sample_index();
+            let good = QuerySection::build(&index).encode(&index);
             let cut = cut.min(good.len());
             let _ = QuerySection::decode(&good[..cut]);
             let mut flipped = good.clone();

@@ -1,9 +1,25 @@
-//! SDF reader: validates the superblock, loads the index eagerly, reads
-//! dataset payloads lazily, verifies checksums and reverses filter
-//! pipelines.
+//! SDF reader: validates the superblock, checks the index at open and
+//! keeps it as one flat table, reads dataset payloads lazily, verifies
+//! checksums and reverses filter pipelines.
+//!
+//! # What an open file holds
+//!
+//! One fixed-size, `Copy` [`Record`] per dataset — what a block read
+//! needs: payload offset, stored length, CRC, chunk extent, dtype, filter
+//! slot, where its extents and path lie, and where its index entry lies
+//! with the CRC of that entry's bytes — beside per-file arenas for the
+//! paths, the extents and the parsed filter pipelines. Open checks the
+//! whole index (its CRC, then every entry) and keeps nothing else of it.
+//! Attributes and filter specs are needed only by the cold APIs (`info`,
+//! `info_at`, `infos_under`, `infos`): they re-read the entries from the
+//! file and hold them to the CRCs taken at open — one entry for
+//! `info_at`, so a caller walking the index by ordinal pays per entry,
+//! not per index. So a reader costs a few allocations per file and about
+//! 70 bytes per dataset, where an object per dataset cost seven
+//! allocations and 570 bytes.
 
 use crate::checksum::crc32;
-use crate::header::{self, IndexEntry, FOOTER_LEN, SUPERBLOCK_LEN};
+use crate::header::{self, EntryRef, IndexEntry, FOOTER_LEN, MIN_ENTRY_LEN, SUPERBLOCK_LEN};
 use crate::query::QuerySection;
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
@@ -36,6 +52,45 @@ impl DatasetInfo {
     }
 }
 
+impl From<IndexEntry> for DatasetInfo {
+    fn from(e: IndexEntry) -> Self {
+        DatasetInfo {
+            path: e.path,
+            layout: e.layout,
+            stored_len: e.stored_len,
+            filter: e.filter,
+            chunk_dim0: e.chunk_dim0,
+            attrs: e.attrs,
+        }
+    }
+}
+
+/// One dataset as an open reader keeps it: what a block read needs,
+/// fixed-size and `Copy` (48 bytes).
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    offset: u64,
+    stored_len: u64,
+    chunk_dim0: u64,
+    crc: u32,
+    /// Where the dataset's entry starts in the index.
+    entry_at: u32,
+    /// CRC of the entry's bytes, taken at open from the checked index: a
+    /// cold read of the entry is held to it.
+    entry_crc: u32,
+    /// Where its length-prefixed path starts in the paths arena.
+    path_at: u32,
+    /// Where its `rank` extents start in the extents arena.
+    dims_at: u32,
+    rank: u8,
+    dtype: DataType,
+    /// 1 + the slot of its filter spec in `pipelines`; 0 when unfiltered.
+    filter: u16,
+}
+
+/// A filter spec of the index and what parsing it gave.
+type ParsedFilter = (Box<str>, std::result::Result<Pipeline, CodecError>);
+
 /// Reader over a finished SDF file.
 ///
 /// `Sync`: every read is positional (`pread`), so many query threads share
@@ -44,21 +99,32 @@ impl DatasetInfo {
 pub struct SdfReader {
     file: File,
     path: PathBuf,
-    entries: Vec<IndexEntry>,
+    /// One record per dataset, in index order.
+    records: Box<[Record]>,
+    /// Every dataset's path, length-prefixed as the index has it, end to
+    /// end: by-path lookups and error messages read them here.
+    paths: Box<[u8]>,
+    /// Every record's extents. Consecutive datasets of one shape share
+    /// theirs.
+    dims: Box<[u64]>,
     /// Each distinct filter spec of the index, parsed once at open. A spec
     /// this build cannot parse fails the datasets that carry it, when they
     /// are read, not the file.
-    pipelines: Vec<(String, std::result::Result<Pipeline, CodecError>)>,
+    pipelines: Vec<ParsedFilter>,
     /// Start of the index — the exclusive upper bound of the data region
     /// every payload read is clamped against.
     index_offset: u64,
+    /// CRC of the whole index, checked at open; a cold re-read of all of
+    /// it is held to it again.
+    index_crc: u32,
     /// Byte range of the query section, `[start, end)`; empty for files
-    /// written before the section existed.
+    /// written before the section existed. It starts where the index ends.
     query_range: (u64, u64),
 }
 
 impl SdfReader {
-    /// Opens and validates `path`, loading the full index.
+    /// Opens and validates `path`: the superblock, the footer, the index's
+    /// CRC and every entry of it.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
@@ -69,11 +135,11 @@ impl SdfReader {
             )));
         }
 
-        let mut sb = vec![0u8; SUPERBLOCK_LEN as usize];
+        let mut sb = [0u8; SUPERBLOCK_LEN as usize];
         file.read_exact_at(&mut sb, 0)?;
         header::check_superblock(&sb)?;
 
-        let mut footer = vec![0u8; FOOTER_LEN as usize];
+        let mut footer = [0u8; FOOTER_LEN as usize];
         file.read_exact_at(&mut footer, file_len - FOOTER_LEN)?;
         let (index_offset, index_len, index_crc) = header::read_footer(&footer)?;
         if index_offset
@@ -83,38 +149,81 @@ impl SdfReader {
         {
             return Err(SdfError::Format("index range out of bounds".into()));
         }
+        // Records address the index with 32-bit offsets.
+        if index_len > u64::from(u32::MAX) {
+            return Err(SdfError::Format(format!(
+                "index of {index_len} bytes exceeds the 4 GiB a reader addresses"
+            )));
+        }
 
-        let mut index_bytes = vec![0u8; index_len as usize];
-        file.read_exact_at(&mut index_bytes, index_offset)?;
-        if crc32(&index_bytes) != index_crc {
+        let mut index = vec![0u8; index_len as usize];
+        file.read_exact_at(&mut index, index_offset)?;
+        if crc32(&index) != index_crc {
             return Err(SdfError::Corrupt("index checksum mismatch".into()));
         }
 
         let mut off = 0usize;
-        let count = varint::read_u64(&index_bytes, &mut off)
-            .ok_or_else(|| SdfError::Format("truncated index count".into()))?
-            as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            entries.push(IndexEntry::decode(&index_bytes, &mut off)?);
+        let count = varint::read_u64(&index, &mut off)
+            .ok_or_else(|| SdfError::Format("truncated index count".into()))?;
+        let left = index.len() - off;
+        if count > (left / MIN_ENTRY_LEN) as u64 {
+            return Err(SdfError::Format(format!(
+                "index count {count} exceeds what its {left} bytes can hold"
+            )));
         }
-        if off != index_bytes.len() {
+        let mut records: Vec<Record> = Vec::with_capacity(count as usize);
+        let mut dims = Vec::new();
+        let mut pipelines = Vec::new();
+        let mut paths_len = 0usize;
+        for _ in 0..count {
+            let entry_at = off;
+            let first = dims.len();
+            let e = EntryRef::skim(&index, &mut off, &mut dims)?;
+            let path_at = paths_len;
+            paths_len += path_field(&index, entry_at).len();
+            let rank = dims.len() - first;
+            let dims_at = match records.last() {
+                // Consecutive datasets mostly share one shape: keep it once.
+                Some(prev)
+                    if usize::from(prev.rank) == rank
+                        && dims[prev.dims_at as usize..][..rank] == dims[first..] =>
+                {
+                    dims.truncate(first);
+                    prev.dims_at
+                }
+                _ => first as u32,
+            };
+            records.push(Record {
+                offset: e.offset,
+                stored_len: e.stored_len,
+                chunk_dim0: e.chunk_dim0,
+                crc: e.crc,
+                entry_at: entry_at as u32,
+                entry_crc: crc32(&index[entry_at..off]),
+                path_at: path_at as u32,
+                dims_at,
+                rank: rank as u8,
+                dtype: e.dtype,
+                filter: filter_slot(&mut pipelines, e.filter)?,
+            });
+        }
+        if off != index.len() {
             return Err(SdfError::Format("trailing garbage in index".into()));
         }
-
-        let mut pipelines: Vec<(String, _)> = Vec::new();
-        for entry in entries.iter().filter(|e| !e.filter.is_empty()) {
-            if !pipelines.iter().any(|(spec, _)| *spec == entry.filter) {
-                pipelines.push((entry.filter.clone(), Pipeline::from_spec(&entry.filter)));
-            }
+        let mut paths = Vec::with_capacity(paths_len);
+        for record in &records {
+            paths.extend_from_slice(path_field(&index, record.entry_at as usize));
         }
 
         Ok(SdfReader {
             file,
             path,
-            entries,
+            records: records.into_boxed_slice(),
+            paths: paths.into_boxed_slice(),
+            dims: dims.into_boxed_slice(),
             pipelines,
             index_offset,
+            index_crc,
             query_range: (index_offset + index_len, file_len - FOOTER_LEN),
         })
     }
@@ -122,7 +231,7 @@ impl SdfReader {
     /// Parses the query section (sparse block index + bloom filter), if
     /// the file carries one. `Ok(None)` for files written before the
     /// section existed; a typed error if the section bytes are corrupt
-    /// (the datasets themselves stay readable through the scan path).
+    /// (the datasets themselves stay readable).
     pub fn query_section(&self) -> Result<Option<QuerySection>> {
         let (start, end) = self.query_range;
         if start >= end {
@@ -134,6 +243,17 @@ impl SdfReader {
         QuerySection::decode(&bytes).map(Some)
     }
 
+    /// The section point lookups search: the file's own or, for a file
+    /// written before the section existed, the one its writer would have
+    /// written, built in memory from the index by the same
+    /// [`QuerySection::build`]. So every file is looked up one way.
+    pub fn lookup_section(&self) -> Result<QuerySection> {
+        match self.query_section()? {
+            Some(section) => Ok(section),
+            None => Ok(QuerySection::build(&self.entries()?)),
+        }
+    }
+
     /// Path of the underlying file.
     pub fn path(&self) -> &Path {
         &self.path
@@ -141,92 +261,181 @@ impl SdfReader {
 
     /// Number of datasets in the file.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.records.len()
     }
 
     /// True when the file holds no datasets.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.records.is_empty()
     }
 
     /// All dataset paths, in write order.
     pub fn dataset_names(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.path.clone()).collect()
+        self.records.iter().map(|r| self.path_of(r).to_string()).collect()
     }
 
-    /// Metadata for one dataset.
+    /// Metadata for one dataset. `None` too if its index entry can no
+    /// longer be read back as it was at open.
     pub fn info(&self, path: &str) -> Option<DatasetInfo> {
-        self.entries.iter().find(|e| e.path == path).map(|e| DatasetInfo {
-            path: e.path.clone(),
-            layout: e.layout.clone(),
-            stored_len: e.stored_len,
-            filter: e.filter.clone(),
-            chunk_dim0: e.chunk_dim0,
-            attrs: e.attrs.clone(),
-        })
+        let ordinal = self.position(path).ok()?;
+        self.entry(ordinal).ok().map(Into::into)
     }
 
-    /// Metadata for every dataset whose path starts with `prefix`.
+    /// Metadata for every dataset whose path starts with `prefix` (none if
+    /// the index can no longer be read back as it was at open).
     pub fn infos_under(&self, prefix: &str) -> Vec<DatasetInfo> {
-        self.entries
+        if !self.records.iter().any(|r| self.path_of(r).starts_with(prefix)) {
+            return Vec::new();
+        }
+        let Ok(all) = self.infos() else {
+            return Vec::new();
+        };
+        all.into_iter().filter(|i| i.path.starts_with(prefix)).collect()
+    }
+
+    /// Metadata for every dataset, in index order, from one re-read of
+    /// the index held to the CRC open checked.
+    pub fn infos(&self) -> Result<Vec<DatasetInfo>> {
+        Ok(self.entries()?.into_iter().map(Into::into).collect())
+    }
+
+    /// Metadata for the dataset at position `ordinal` in the index. `None`
+    /// too if its entry can no longer be read back as it was at open.
+    pub fn info_at(&self, ordinal: usize) -> Option<DatasetInfo> {
+        self.entry(ordinal).ok().map(Into::into)
+    }
+
+    /// Layout of the dataset at position `ordinal`, without reading its
+    /// path or attributes.
+    pub fn layout_at(&self, ordinal: usize) -> Option<Layout> {
+        self.records.get(ordinal).map(|r| Layout::new(r.dtype, self.dims_of(r)))
+    }
+
+    /// `[at, end)` of the index, read from the file again and held to
+    /// `crc`, the checksum open took of the same bytes.
+    fn reread_index(&self, at: usize, end: usize, crc: u32) -> Result<Vec<u8>> {
+        let mut bytes = vec![0u8; end - at];
+        self.file.read_exact_at(&mut bytes, self.index_offset + at as u64)?;
+        if crc32(&bytes) != crc {
+            return Err(SdfError::Corrupt(format!(
+                "index bytes [{at}, {end}) changed since the file was opened"
+            )));
+        }
+        Ok(bytes)
+    }
+
+    /// The whole entry of the dataset at `ordinal`, re-read on its own.
+    fn entry(&self, ordinal: usize) -> Result<IndexEntry> {
+        let record = self.records.get(ordinal).ok_or_else(|| {
+            SdfError::Usage(format!("ordinal {ordinal} out of range"))
+        })?;
+        let end = match self.records.get(ordinal + 1) {
+            Some(next) => next.entry_at as usize,
+            None => self.index_len(),
+        };
+        let bytes = self.reread_index(record.entry_at as usize, end, record.entry_crc)?;
+        IndexEntry::decode(&bytes, &mut 0)
+    }
+
+    /// Every entry, from one re-read of the whole index.
+    fn entries(&self) -> Result<Vec<IndexEntry>> {
+        let index = self.reread_index(0, self.index_len(), self.index_crc)?;
+        self.records
             .iter()
-            .filter(|e| e.path.starts_with(prefix))
-            .map(|e| DatasetInfo {
-                path: e.path.clone(),
-                layout: e.layout.clone(),
-                stored_len: e.stored_len,
-                filter: e.filter.clone(),
-                chunk_dim0: e.chunk_dim0,
-                attrs: e.attrs.clone(),
-            })
+            .map(|r| IndexEntry::decode(&index, &mut (r.entry_at as usize)))
             .collect()
     }
 
-    fn entry(&self, path: &str) -> Result<&IndexEntry> {
-        self.entries
+    fn index_len(&self) -> usize {
+        (self.query_range.0 - self.index_offset) as usize
+    }
+
+    /// The path of `record`.
+    fn path_of(&self, record: &Record) -> &str {
+        header::read_raw(&self.paths, &mut (record.path_at as usize))
+            .ok()
+            .and_then(|raw| std::str::from_utf8(raw).ok())
+            // invariant: `open` copied each path here from the checked
+            // index, whole and UTF-8, and the arena does not change.
+            .expect("path checked at open")
+    }
+
+    /// The position of the dataset at `path`.
+    fn position(&self, path: &str) -> Result<usize> {
+        self.records
             .iter()
-            .find(|e| e.path == path)
+            .position(|r| self.path_of(r) == path)
             .ok_or_else(|| SdfError::Usage(format!("no dataset at '{path}'")))
     }
 
-    fn read_stored(&self, entry: &IndexEntry) -> Result<Vec<u8>> {
+    /// The record of the dataset at `path`.
+    fn find(&self, path: &str) -> Result<&Record> {
+        Ok(&self.records[self.position(path)?])
+    }
+
+    fn dims_of(&self, record: &Record) -> &[u64] {
+        &self.dims[record.dims_at as usize..][..usize::from(record.rank)]
+    }
+
+    /// The layout's size in bytes: what a dataset decodes to, and the
+    /// limit every decode of it is given.
+    fn logical_len(&self, record: &Record) -> Result<usize> {
+        let bytes = self.dims_of(record).iter().product::<u64>() * record.dtype.size() as u64;
+        usize::try_from(bytes).map_err(|_| {
+            SdfError::Corrupt(format!(
+                "layout of '{}' is larger than this platform can address",
+                self.path_of(record)
+            ))
+        })
+    }
+
+    /// What one chunk of a chunked dataset of `total` bytes decodes to at
+    /// most: `chunk_dim0` rows (the last chunk may hold fewer).
+    fn chunk_len(&self, record: &Record, total: usize) -> usize {
+        match self.dims_of(record).first() {
+            Some(&dim0) if dim0 > 0 => (total as u64 / dim0)
+                .saturating_mul(record.chunk_dim0)
+                .min(total as u64) as usize,
+            _ => total,
+        }
+    }
+
+    fn read_stored(&self, record: &Record) -> Result<Vec<u8>> {
         // The index is CRC-guarded but still untrusted input: clamp the
         // payload range against the data region before sizing the buffer,
         // so a corrupt stored_len cannot demand an unbounded allocation.
-        let in_bounds = entry.offset >= SUPERBLOCK_LEN
-            && entry
+        let in_bounds = record.offset >= SUPERBLOCK_LEN
+            && record
                 .offset
-                .checked_add(entry.stored_len)
+                .checked_add(record.stored_len)
                 .is_some_and(|end| end <= self.index_offset);
         if !in_bounds {
             return Err(SdfError::Corrupt(format!(
                 "payload range [{}, +{}) for '{}' escapes the data region",
-                entry.offset, entry.stored_len, entry.path
+                record.offset,
+                record.stored_len,
+                self.path_of(record)
             )));
         }
         // One `pread`: no lock, no seek, and the zeroed buffer is a `calloc`.
-        let mut stored = vec![0u8; entry.stored_len as usize];
-        self.file.read_exact_at(&mut stored, entry.offset)?;
-        if crc32(&stored) != entry.crc {
+        let mut stored = vec![0u8; record.stored_len as usize];
+        self.file.read_exact_at(&mut stored, record.offset)?;
+        if crc32(&stored) != record.crc {
             return Err(SdfError::Corrupt(format!(
                 "payload checksum mismatch for '{}'",
-                entry.path
+                self.path_of(record)
             )));
         }
         Ok(stored)
     }
 
-    /// The parsed pipeline of `entry`'s filter; `None` when it has none.
-    fn pipeline(&self, entry: &IndexEntry) -> Result<Option<&Pipeline>> {
-        if entry.filter.is_empty() {
+    /// The parsed pipeline of `record`'s filter; `None` when it has none.
+    fn pipeline(&self, record: &Record) -> Result<Option<&Pipeline>> {
+        let Some(slot) = usize::from(record.filter).checked_sub(1) else {
             return Ok(None);
-        }
-        let (_, parsed) = self
-            .pipelines
-            .iter()
-            .find(|(spec, _)| *spec == entry.filter)
-            // invariant: `open` parsed every distinct spec of the index.
-            .expect("filter spec parsed at open");
+        };
+        // invariant: `open` gave every filtered record the slot it parsed.
+        let (_, parsed) = self.pipelines.get(slot).expect("filter spec parsed at open");
         match parsed {
             Ok(pipeline) => Ok(Some(pipeline)),
             Err(e) => Err(SdfError::Filter(e.to_string())),
@@ -239,10 +448,10 @@ impl SdfReader {
     /// by the layout — the dataset's size, a chunk's share of it — so the
     /// output is allocated once at that size and a forged stream cannot ask
     /// for more.
-    fn decode_payload(&self, entry: &IndexEntry, stored: Vec<u8>) -> Result<Vec<u8>> {
-        let pipeline = self.pipeline(entry)?;
-        let expected = logical_len(entry)?;
-        let logical = if entry.chunk_dim0 > 0 {
+    fn decode_payload(&self, record: &Record, stored: Vec<u8>) -> Result<Vec<u8>> {
+        let pipeline = self.pipeline(record)?;
+        let expected = self.logical_len(record)?;
+        let logical = if record.chunk_dim0 > 0 {
             let mut off = 0usize;
             let n_chunks = read_chunk_count(&stored, &mut off)?;
             let mut lens = Vec::with_capacity(n_chunks);
@@ -253,7 +462,7 @@ impl SdfReader {
                         as usize,
                 );
             }
-            let chunk_bytes = chunk_len(entry, expected);
+            let chunk_bytes = self.chunk_len(record, expected);
             let mut logical = Vec::new();
             for len in lens {
                 let end = off
@@ -288,7 +497,7 @@ impl SdfReader {
         if logical.len() != expected {
             return Err(SdfError::Corrupt(format!(
                 "decoded '{}' to {} bytes, layout expects {expected}",
-                entry.path,
+                self.path_of(record),
                 logical.len(),
             )));
         }
@@ -301,8 +510,8 @@ impl SdfReader {
     /// the cheap integrity pass a recovery scan runs over files found
     /// after a crash.
     pub fn validate(&self) -> Result<()> {
-        for entry in &self.entries {
-            self.read_stored(entry)?;
+        for record in self.records.iter() {
+            self.read_stored(record)?;
         }
         self.query_section()?;
         Ok(())
@@ -310,32 +519,20 @@ impl SdfReader {
 
     /// Reads and decodes the full payload of a dataset as raw bytes.
     pub fn read_bytes(&self, path: &str) -> Result<Vec<u8>> {
-        let entry = self.entry(path)?;
-        let stored = self.read_stored(entry)?;
-        self.decode_payload(entry, stored)
+        let record = self.find(path)?;
+        let stored = self.read_stored(record)?;
+        self.decode_payload(record, stored)
     }
 
     /// Reads and decodes the dataset at position `ordinal` in the index —
     /// the block-read path the query tier takes after a sparse-index hit,
     /// skipping the by-path lookup.
     pub fn read_bytes_at(&self, ordinal: usize) -> Result<Vec<u8>> {
-        let entry = self.entries.get(ordinal).ok_or_else(|| {
+        let record = self.records.get(ordinal).ok_or_else(|| {
             SdfError::Usage(format!("ordinal {ordinal} out of range"))
         })?;
-        let stored = self.read_stored(entry)?;
-        self.decode_payload(entry, stored)
-    }
-
-    /// Metadata for the dataset at position `ordinal` in the index.
-    pub fn info_at(&self, ordinal: usize) -> Option<DatasetInfo> {
-        self.entries.get(ordinal).map(|e| DatasetInfo {
-            path: e.path.clone(),
-            layout: e.layout.clone(),
-            stored_len: e.stored_len,
-            filter: e.filter.clone(),
-            chunk_dim0: e.chunk_dim0,
-            attrs: e.attrs.clone(),
-        })
+        let stored = self.read_stored(record)?;
+        self.decode_payload(record, stored)
     }
 
     /// Reads rows `[first, first + count)` along dimension 0 of a *chunked*
@@ -345,13 +542,14 @@ impl SdfReader {
     /// Contiguous datasets (`chunk_dim0 == 0`) are rejected with a usage
     /// error: read them whole (no I/O is saved by slicing them).
     pub fn read_rows_bytes(&self, path: &str, first: u64, count: u64) -> Result<Vec<u8>> {
-        let entry = self.entry(path)?;
-        if entry.chunk_dim0 == 0 {
+        let record = self.find(path)?;
+        if record.chunk_dim0 == 0 {
             return Err(SdfError::Usage(format!(
                 "dataset '{path}' is contiguous; use read_bytes"
             )));
         }
-        let dim0 = *entry.layout.dims.first().ok_or_else(|| {
+        let dims = self.dims_of(record);
+        let dim0 = *dims.first().ok_or_else(|| {
             SdfError::Usage(format!("dataset '{path}' is scalar; has no rows"))
         })?;
         let end_row = first.checked_add(count).ok_or_else(|| {
@@ -365,8 +563,9 @@ impl SdfReader {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let row_bytes = (entry.layout.byte_size() / dim0) as usize;
-        let chunk_rows = entry.chunk_dim0;
+        let byte_size = dims.iter().product::<u64>() * record.dtype.size() as u64;
+        let row_bytes = (byte_size / dim0) as usize;
+        let chunk_rows = record.chunk_dim0;
         // What the rows should come to. The layout and `chunk_dim0` are
         // CRC-valid but untrusted, so this only checks the result: the
         // output grows with the chunks actually decoded or borrowed.
@@ -380,7 +579,7 @@ impl SdfReader {
             })?;
 
         // Parse the chunk table without decoding anything.
-        let stored = self.read_stored(entry)?;
+        let stored = self.read_stored(record)?;
         let mut off = 0usize;
         let n_chunks = read_chunk_count(&stored, &mut off)?;
         let mut lens = Vec::with_capacity(n_chunks);
@@ -391,8 +590,8 @@ impl SdfReader {
                     as usize,
             );
         }
-        let pipeline = self.pipeline(entry)?;
-        let chunk_limit = chunk_len(entry, logical_len(entry)?);
+        let pipeline = self.pipeline(record)?;
+        let chunk_limit = self.chunk_len(record, self.logical_len(record)?);
 
         let first_chunk = (first / chunk_rows) as usize;
         let last_chunk = ((end_row - 1) / chunk_rows) as usize;
@@ -443,15 +642,20 @@ impl SdfReader {
         Ok(out)
     }
 
-    /// Typed wrapper over [`SdfReader::read_rows_bytes`] for f32 datasets.
-    pub fn read_rows_f32(&self, path: &str, first: u64, count: u64) -> Result<Vec<f32>> {
-        let entry = self.entry(path)?;
-        if entry.layout.dtype != DataType::F32 {
+    /// Fails with a usage error unless the dataset at `path` holds `want`.
+    fn check_dtype(&self, path: &str, want: DataType) -> Result<()> {
+        let dtype = self.find(path)?.dtype;
+        if dtype != want {
             return Err(SdfError::Usage(format!(
-                "dataset '{path}' has dtype {:?}, not F32",
-                entry.layout.dtype
+                "dataset '{path}' has dtype {dtype:?}, not {want:?}"
             )));
         }
+        Ok(())
+    }
+
+    /// Typed wrapper over [`SdfReader::read_rows_bytes`] for f32 datasets.
+    pub fn read_rows_f32(&self, path: &str, first: u64, count: u64) -> Result<Vec<f32>> {
+        self.check_dtype(path, DataType::F32)?;
         let bytes = self.read_rows_bytes(path, first, count)?;
         Ok(bytes
             .chunks_exact(4)
@@ -461,13 +665,7 @@ impl SdfReader {
 
     /// Reads an `f32` dataset.
     pub fn read_f32(&self, path: &str) -> Result<Vec<f32>> {
-        let entry = self.entry(path)?;
-        if entry.layout.dtype != DataType::F32 {
-            return Err(SdfError::Usage(format!(
-                "dataset '{path}' has dtype {:?}, not F32",
-                entry.layout.dtype
-            )));
-        }
+        self.check_dtype(path, DataType::F32)?;
         let bytes = self.read_bytes(path)?;
         Ok(bytes
             .chunks_exact(4)
@@ -477,13 +675,7 @@ impl SdfReader {
 
     /// Reads an `f64` dataset.
     pub fn read_f64(&self, path: &str) -> Result<Vec<f64>> {
-        let entry = self.entry(path)?;
-        if entry.layout.dtype != DataType::F64 {
-            return Err(SdfError::Usage(format!(
-                "dataset '{path}' has dtype {:?}, not F64",
-                entry.layout.dtype
-            )));
-        }
+        self.check_dtype(path, DataType::F64)?;
         let bytes = self.read_bytes(path)?;
         Ok(bytes
             .chunks_exact(8)
@@ -492,26 +684,31 @@ impl SdfReader {
     }
 }
 
-/// The layout's size in bytes: what a dataset decodes to, and the limit
-/// every decode of it is given.
-fn logical_len(entry: &IndexEntry) -> Result<usize> {
-    usize::try_from(entry.layout.byte_size()).map_err(|_| {
-        SdfError::Corrupt(format!(
-            "layout of '{}' is larger than this platform can address",
-            entry.path
-        ))
-    })
+/// The length-prefixed path field of the entry at `entry_at`, as it lies
+/// in `index`.
+fn path_field(index: &[u8], entry_at: usize) -> &[u8] {
+    let mut end = entry_at;
+    header::read_raw(index, &mut end)
+        // invariant: called only on an entry `EntryRef::skim` accepted.
+        .expect("path field checked by skim");
+    &index[entry_at..end]
 }
 
-/// What one chunk of a chunked dataset of `total` bytes decodes to at most:
-/// `chunk_dim0` rows (the last chunk may hold fewer).
-fn chunk_len(entry: &IndexEntry, total: usize) -> usize {
-    match entry.layout.dims.first() {
-        Some(&dim0) if dim0 > 0 => (total as u64 / dim0)
-            .saturating_mul(entry.chunk_dim0)
-            .min(total as u64) as usize,
-        _ => total,
+/// The slot of `spec` in `pipelines` plus one, parsing it on first sight;
+/// 0 for no filter.
+fn filter_slot(pipelines: &mut Vec<ParsedFilter>, spec: &str) -> Result<u16> {
+    if spec.is_empty() {
+        return Ok(0);
     }
+    let slot = match pipelines.iter().position(|(s, _)| **s == *spec) {
+        Some(slot) => slot,
+        None => {
+            pipelines.push((spec.into(), Pipeline::from_spec(spec)));
+            pipelines.len() - 1
+        }
+    };
+    u16::try_from(slot + 1)
+        .map_err(|_| SdfError::Format("index holds more than 65 535 distinct filter specs".into()))
 }
 
 /// Reads and clamps a chunk-table count: each chunk length takes at least
@@ -575,6 +772,30 @@ mod tests {
         assert_eq!(info.attr("iteration").unwrap().as_i64(), Some(3));
         assert_eq!(info.attr("unit").unwrap().as_str(), Some("K"));
         assert_eq!(info.logical_len(), 512);
+        assert_eq!(r.layout_at(0), Some(Layout::new(DataType::F32, &[16, 8])));
+        assert_eq!(r.layout_at(1), Some(Layout::scalar(DataType::F64)));
+        assert_eq!(r.layout_at(2), None);
+    }
+
+    #[test]
+    fn shared_shapes_are_kept_once() {
+        let path = temp_path("shapes");
+        let mut w = SdfWriter::create(&path).unwrap();
+        let shapes: [&[u64]; 5] = [&[4], &[4], &[2, 2], &[], &[2, 2]];
+        for (i, dims) in shapes.iter().enumerate() {
+            let layout = Layout::new(DataType::U8, dims);
+            let data = vec![i as u8; layout.byte_size() as usize];
+            w.write_dataset_bytes(&format!("/d{i}"), &layout, &data, &DatasetOptions::plain())
+                .unwrap();
+        }
+        w.finish().unwrap();
+        let r = SdfReader::open(&path).unwrap();
+        assert_eq!(&r.dims[..], [4, 2, 2, 2, 2]);
+        for (i, dims) in shapes.iter().enumerate() {
+            assert_eq!(r.layout_at(i).unwrap().dims, *dims);
+            let len = r.read_bytes(&format!("/d{i}")).unwrap().len() as u64;
+            assert_eq!(len, dims.iter().product::<u64>());
+        }
     }
 
     #[test]
@@ -848,16 +1069,17 @@ mod tests {
         write_sample(&path, Some("lzss"), 4);
         let r = SdfReader::open(&path).unwrap();
         let section = r.query_section().unwrap().expect("new files carry a section");
-        assert_eq!(section.entries.len(), r.len());
+        assert_eq!(section.keys.len(), r.len());
         let h = crate::query::key_hash("theta", 3, crate::query::NO_COORD);
         assert!(section.bloom.contains(h));
         let cands = section.candidates(h);
         assert_eq!(cands.len(), 1);
-        assert_eq!(cands[0].variable, "theta");
+        assert_eq!(section.variable(&cands[0]), "theta");
         assert_eq!(cands[0].iteration, 3);
         // The ordinal round-trips to the same bytes as the by-path read.
         let via_ordinal = r.read_bytes_at(cands[0].ordinal as usize).unwrap();
         assert_eq!(via_ordinal, r.read_bytes("/iter-3/theta").unwrap());
+        assert_eq!(r.lookup_section().unwrap(), section);
     }
 
     #[test]
@@ -866,6 +1088,7 @@ mod tests {
         // region dropped (index moved flush against the footer).
         let path = temp_path("noqsec");
         let data = write_sample(&path, None, 0);
+        let written = SdfReader::open(&path).unwrap().query_section().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let flen = bytes.len() as u64;
         let (index_offset, index_len, index_crc) =
@@ -876,6 +1099,8 @@ mod tests {
         let r = SdfReader::open(&path).unwrap();
         assert_eq!(r.read_f32("/iter-3/theta").unwrap(), data);
         assert!(r.query_section().unwrap().is_none());
+        // The section built in memory is the one the writer wrote.
+        assert_eq!(Some(r.lookup_section().unwrap()), written);
     }
 
     #[test]
@@ -892,7 +1117,8 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         let r = SdfReader::open(&path).unwrap();
         assert!(r.query_section().is_err());
-        // Datasets stay readable through the scan path.
+        assert!(r.lookup_section().is_err(), "a corrupt section is not rebuilt");
+        // Datasets stay readable through the by-path reads.
         assert_eq!(r.read_f32("/iter-3/theta").unwrap(), data);
     }
 

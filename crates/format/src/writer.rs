@@ -376,7 +376,7 @@ impl SdfWriter {
         // between the index and the footer. The footer does not point at
         // it: old readers tolerate the extra bytes, new readers derive
         // its range as [index end, footer start).
-        let query_bytes = crate::query::QuerySection::build(&self.index).encode();
+        let query_bytes = crate::query::QuerySection::build(&self.index).encode(&self.index);
         self.raw_write(&query_bytes)?;
         let mut footer = Vec::new();
         header::write_footer(index_offset, index_len, index_crc, &mut footer);

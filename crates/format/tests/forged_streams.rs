@@ -3,7 +3,9 @@
 //! payload decodes to far more than its layout says. The reader must come
 //! back with a typed error having allocated no more than the layout's
 //! bytes for the output — measured, with a counting allocator, not assumed.
-//! (One `#[test]`: the counter is process-wide.)
+//! The same holds for the counts in the index: `open` must refuse one its
+//! bytes cannot hold before anything is sized by it. (One `#[test]`: the
+//! counter is process-wide.)
 
 use damaris_compress::varint;
 use damaris_format::header::{self, IndexEntry};
@@ -171,4 +173,47 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
     let result = reader.read_rows_bytes("/v", u64::MAX, 2).map(|v| v.len());
     assert!(matches!(result, Err(SdfError::Usage(_))), "{result:?}");
     std::fs::remove_file(reader.path()).unwrap();
+
+    // Counts in the index itself, believed before the bytes behind them
+    // were checked: a 58-byte file whose index claims 2²⁰ entries once
+    // made `open` reserve 142 MB before failing, and an entry claiming
+    // 4 096 attributes 229 KB. `open` must fail typed having allocated no
+    // more than the file's size and some error text.
+    let mut count = Vec::new();
+    varint::write_u64(1 << 20, &mut count);
+    count.resize(26, 0);
+    let mut attrs = Vec::new();
+    varint::write_u64(1, &mut attrs);
+    IndexEntry {
+        path: "/v".into(),
+        layout: Layout::new(DataType::U8, &[1]),
+        offset: header::SUPERBLOCK_LEN,
+        stored_len: 1,
+        crc: 0,
+        filter: String::new(),
+        chunk_dim0: 0,
+        attrs: Vec::new(),
+    }
+    .encode(&mut attrs);
+    attrs.pop();
+    varint::write_u64(4096, &mut attrs);
+    for (tag, index) in [("index-count", count), ("attr-count", attrs)] {
+        let mut bytes = Vec::new();
+        header::write_superblock(&mut bytes);
+        let index_offset = bytes.len() as u64;
+        bytes.extend_from_slice(&index);
+        header::write_footer(index_offset, index.len() as u64, crc32(&index), &mut bytes);
+        let path = std::env::temp_dir()
+            .join("damaris-format-tests")
+            .join(format!("forged-{tag}-{}.sdf", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let (result, grown) = peak_growth(|| SdfReader::open(&path).map(|r| r.len()));
+        assert!(matches!(result, Err(SdfError::Format(_))), "{tag}: {result:?}");
+        assert!(
+            grown <= bytes.len() + 1024,
+            "{tag}: open allocated {grown} bytes for a {}-byte file",
+            bytes.len()
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
 }

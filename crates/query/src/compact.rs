@@ -203,14 +203,14 @@ impl Compactor {
         let mut writer = SdfWriter::create(&tmp_path)?;
         for input in inputs {
             let reader = SdfReader::open(self.root.join(input))?;
-            for ordinal in 0..reader.len() {
-                let Some(info) = reader.info_at(ordinal) else {
-                    continue;
-                };
+            // Paths and attributes from one read of the index; a dataset
+            // whose entry cannot be read back fails the merge rather than
+            // dropping out of it.
+            for (ordinal, info) in reader.infos()?.into_iter().enumerate() {
                 let data = reader.read_bytes_at(ordinal)?;
                 let mut opts = DatasetOptions::plain();
-                for (name, value) in &info.attrs {
-                    opts = opts.with_attr(name.clone(), value.clone());
+                for (name, value) in info.attrs {
+                    opts = opts.with_attr(name, value);
                 }
                 // Chunk along dim 0 when the variable is big enough for
                 // a row-range read to skip at least one chunk.

@@ -19,12 +19,18 @@
 //! by `cargo run -p xtask -- analyze`): hash the ⟨variable, iteration,
 //! source⟩ key, consult each candidate file's bloom filter, binary-search
 //! its sparse index, and probe the [`BlockCache`]. On a cache hit nothing
-//! allocates and nothing blocks. Misses, legacy files without a query
-//! section, and every error constructor live behind `#[cold]`.
+//! allocates and nothing blocks. Misses and every error constructor live
+//! behind `#[cold]`.
+//!
+//! Every file is searched that one way. A file written before the query
+//! section existed gets the section its writer would have written, built
+//! in memory when the file is opened
+//! ([`SdfReader::lookup_section`]), so a file and its section-less twin
+//! answer every lookup and range query alike.
 
 use crate::cache::{Block, BlockCache, BlockId};
 use crate::QueryError;
-use damaris_format::{key_hash, AttrValue, DatasetInfo, Layout, QuerySection, SdfReader, NO_COORD};
+use damaris_format::{key_hash, Layout, QuerySection, SdfReader};
 use damaris_fs::Manifest;
 use damaris_obs::{Counter, EventKind, Recorder, Registry};
 use std::collections::{BTreeMap, HashMap};
@@ -46,9 +52,9 @@ impl Default for QueryConfig {
     }
 }
 
-/// One open, immutable SDF file: its reader, its parsed query section
-/// (absent for files written before the section existed), and the
-/// iteration range the manifest says it covers.
+/// One open, immutable SDF file: its reader, its query section (read from
+/// the file, or built from its index for a file written before sections
+/// existed), and the iteration range the manifest says it covers.
 pub struct FileHandle {
     /// Engine-assigned id, stable per relative path — the cache key.
     id: u64,
@@ -59,7 +65,7 @@ pub struct FileHandle {
     /// Inclusive iteration range covered (single iteration ⇒ lo == hi).
     range: (u32, u32),
     reader: SdfReader,
-    section: Option<QuerySection>,
+    section: QuerySection,
 }
 
 impl FileHandle {
@@ -284,7 +290,7 @@ impl QueryEngine {
                             }
                             Err(e) => return Err(e.into()),
                         };
-                        let section = reader.query_section()?;
+                        let section = reader.lookup_section()?;
                         let id = state.next_id;
                         state.next_id += 1;
                         Arc::new(FileHandle {
@@ -341,32 +347,18 @@ impl QueryEngine {
         let t = self.rec.begin();
         let hash = key_hash(variable, iteration, source);
         let mut found = Ok(None);
-        for handle in snap.files_for(iteration) {
-            match &handle.section {
-                Some(section) => {
-                    if !section.bloom.contains(hash) {
-                        continue;
-                    }
-                    let mut hit = false;
-                    for entry in section.candidates(hash) {
-                        if entry.iteration == iteration
-                            && entry.source == source
-                            && entry.variable.as_str() == variable
-                        {
-                            found = self.fetch(handle, entry.ordinal, iteration);
-                            hit = true;
-                            break;
-                        }
-                    }
-                    if hit {
-                        break;
-                    }
-                }
-                None => {
-                    found = self.lookup_legacy(handle, variable, iteration, source);
-                    if !matches!(found, Ok(None)) {
-                        break;
-                    }
+        'files: for handle in snap.files_for(iteration) {
+            let section = &handle.section;
+            if !section.bloom.contains(hash) {
+                continue;
+            }
+            for key in section.candidates(hash) {
+                if key.iteration == iteration
+                    && key.source == source
+                    && section.variable(key) == variable
+                {
+                    found = self.fetch(handle, key.ordinal, iteration);
+                    break 'files;
                 }
             }
         }
@@ -414,29 +406,6 @@ impl QueryEngine {
         Ok(block)
     }
 
-    /// Fallback for files written before the query section existed: a
-    /// linear scan of the main index, deriving each dataset's key the
-    /// same way the writer would have.
-    #[cold]
-    fn lookup_legacy(
-        &self,
-        handle: &FileHandle,
-        variable: &str,
-        iteration: u32,
-        source: u32,
-    ) -> Result<Option<Block>, QueryError> {
-        for ordinal in 0..handle.reader.len() {
-            let Some(info) = handle.reader.info_at(ordinal) else {
-                continue;
-            };
-            let (var, it, src) = derive_info_key(&info);
-            if var == variable && it == iteration && src == source {
-                return self.fetch(handle, ordinal as u32, iteration);
-            }
-        }
-        Ok(None)
-    }
-
     /// Range query: every block of `variable` within the iteration
     /// window (optionally restricted to sources / a row range), in
     /// deterministic ⟨iteration, source⟩ order. Blocks come from the
@@ -453,56 +422,23 @@ impl QueryEngine {
         let mut seen: HashMap<(u32, u32), ()> = HashMap::new();
         for iteration in lo..=hi {
             for handle in snap.files_for(iteration) {
-                match &handle.section {
-                    Some(section) => {
-                        for entry in &section.entries {
-                            if entry.iteration != iteration
-                                || entry.variable.as_str() != query.variable
-                            {
-                                continue;
-                            }
-                            if !source_selected(query.sources, entry.source) {
-                                continue;
-                            }
-                            if seen.insert((iteration, entry.source), ()).is_some() {
-                                continue;
-                            }
-                            if let Some(block) = self.fetch(handle, entry.ordinal, iteration)? {
-                                hits.push(self.shape_hit(
-                                    iteration,
-                                    entry.source,
-                                    &entry.layout,
-                                    block,
-                                    query.rows,
-                                )?);
-                            }
-                        }
+                let section = &handle.section;
+                for key in &section.keys {
+                    if key.iteration != iteration || section.variable(key) != query.variable {
+                        continue;
                     }
-                    None => {
-                        for ordinal in 0..handle.reader.len() {
-                            let Some(info) = handle.reader.info_at(ordinal) else {
-                                continue;
-                            };
-                            let (var, it, src) = derive_info_key(&info);
-                            if it != iteration || var != query.variable {
-                                continue;
-                            }
-                            if !source_selected(query.sources, src) {
-                                continue;
-                            }
-                            if seen.insert((iteration, src), ()).is_some() {
-                                continue;
-                            }
-                            if let Some(block) = self.fetch(handle, ordinal as u32, iteration)? {
-                                hits.push(self.shape_hit(
-                                    iteration,
-                                    src,
-                                    &info.layout,
-                                    block,
-                                    query.rows,
-                                )?);
-                            }
-                        }
+                    if !source_selected(query.sources, key.source) {
+                        continue;
+                    }
+                    if seen.insert((iteration, key.source), ()).is_some() {
+                        continue;
+                    }
+                    let Some(block) = self.fetch(handle, key.ordinal, iteration)? else {
+                        continue;
+                    };
+                    // The block was read, so the ordinal names a dataset.
+                    if let Some(layout) = handle.reader.layout_at(key.ordinal as usize) {
+                        hits.push(self.shape_hit(iteration, key.source, &layout, block, query.rows)?);
                     }
                 }
             }
@@ -567,37 +503,6 @@ fn source_selected(sources: Option<&[u32]>, source: u32) -> bool {
         None => true,
         Some(list) => list.contains(&source),
     }
-}
-
-/// Derives the lookup key from a [`DatasetInfo`] the way
-/// `damaris_format::derive_key` does from a raw index entry: attributes
-/// first, then `iter-N` / `rank-N` path components, then [`NO_COORD`].
-fn derive_info_key(info: &DatasetInfo) -> (String, u32, u32) {
-    let variable = info
-        .path
-        .rsplit('/')
-        .next()
-        .unwrap_or(info.path.as_str())
-        .to_string();
-    let from_attr = |name: &str| -> Option<u32> {
-        match info.attr(name) {
-            Some(AttrValue::I64(v)) if *v >= 0 && *v <= i64::from(u32::MAX) => Some(*v as u32),
-            _ => None,
-        }
-    };
-    let from_path = |prefix: &str| -> Option<u32> {
-        info.path
-            .split('/')
-            .filter_map(|seg| seg.strip_prefix(prefix))
-            .find_map(|digits| digits.parse::<u32>().ok())
-    };
-    let iteration = from_attr("iteration")
-        .or_else(|| from_path("iter-"))
-        .unwrap_or(NO_COORD);
-    let source = from_attr("source")
-        .or_else(|| from_path("rank-"))
-        .unwrap_or(NO_COORD);
-    (variable, iteration, source)
 }
 
 #[cfg(test)]
@@ -762,27 +667,30 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    #[test]
-    fn legacy_files_without_query_section_fall_back_to_scan() {
-        let root = scratch("legacy");
-        publish_file(&root, 0, 0, 2, 8);
-        // Strip the query section the way the format tests emulate old
-        // files: rewrite the file as [superblock..index] + fresh footer.
-        let rel = "node-0/iter-000000.sdf";
-        let path = root.join(rel);
-        let bytes = std::fs::read(&path).expect("read");
+    /// Rewrites `path` as a file written before the query section
+    /// existed, the way the format tests emulate one: [superblock..index]
+    /// plus a fresh footer.
+    fn strip_query_section(path: &Path) {
+        let bytes = std::fs::read(path).expect("read");
         let n = bytes.len();
         let (index_offset, index_len, index_crc) =
             damaris_format::header::read_footer(&bytes[n - 24..]).expect("footer");
         let mut stripped = bytes[..(index_offset + index_len) as usize].to_vec();
         damaris_format::header::write_footer(index_offset, index_len, index_crc, &mut stripped);
-        std::fs::write(&path, &stripped).expect("rewrite");
+        std::fs::write(path, &stripped).expect("rewrite");
+    }
+
+    #[test]
+    fn legacy_files_without_query_section_are_found() {
+        let root = scratch("legacy");
+        publish_file(&root, 0, 0, 2, 8);
+        strip_query_section(&root.join("node-0/iter-000000.sdf"));
         let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
         let snap = engine.snapshot();
         let block = engine
             .lookup(&snap, "field", 0, 1)
             .expect("lookup")
-            .expect("present via scan");
+            .expect("present through the section built at open");
         assert_eq!(f64s(&block), field(0, 1, 8));
         let hits = engine
             .range(
@@ -797,6 +705,68 @@ mod tests {
             .expect("range");
         assert_eq!(hits.len(), 2);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Publishes the format tests' `file_without_query_section_reads_fine`
+    /// fixture as iteration 3 — with its query section, or stripped of
+    /// it — plus `/iter-x/iter-3/v`, a path the scan's own key derivation
+    /// once read as iteration 3 where the writer's reads no iteration.
+    fn publish_twin(root: &Path, sectioned: bool) {
+        let rel = "node-0/iter-000003.sdf";
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("node dir");
+        let mut w = SdfWriter::create(&path).expect("create");
+        let theta: Vec<f32> = (0..128).map(|i| (i % 7) as f32).collect();
+        let opts = DatasetOptions::plain()
+            .with_attr("iteration", 3i64)
+            .with_attr("unit", "K");
+        w.write_dataset_f32_opts("/iter-3/theta", &Layout::new(DataType::F32, &[16, 8]), &theta, &opts)
+            .expect("theta");
+        w.write_dataset_f64("/iter-3/time", &Layout::scalar(DataType::F64), &[12.5])
+            .expect("time");
+        w.write_dataset_bytes("/iter-x/iter-3/v", &Layout::new(DataType::U8, &[4]), &[1, 2, 3, 4], &DatasetOptions::plain())
+            .expect("v");
+        let bytes = w.finish_synced().expect("finish");
+        if !sectioned {
+            strip_query_section(&path);
+        }
+        publish_iteration(root, 0, 3, rel, bytes).expect("publish");
+    }
+
+    #[test]
+    fn a_file_and_its_sectionless_twin_answer_alike() {
+        let (a, b) = (scratch("twin-sectioned"), scratch("twin-legacy"));
+        publish_twin(&a, true);
+        publish_twin(&b, false);
+        let (ea, eb) = (
+            QueryEngine::open(&a, QueryConfig::default()).expect("open sectioned"),
+            QueryEngine::open(&b, QueryConfig::default()).expect("open legacy"),
+        );
+        let (sa, sb) = (ea.snapshot(), eb.snapshot());
+        let coords = [0, 3, damaris_format::NO_COORD];
+        let mut found = 0;
+        for variable in ["theta", "time", "v", "nope", ""] {
+            for iteration in coords {
+                for source in coords {
+                    let x = ea.lookup(&sa, variable, iteration, source).expect("sectioned");
+                    let y = eb.lookup(&sb, variable, iteration, source).expect("legacy");
+                    assert_eq!(x, y, "lookup ⟨{variable}, {iteration}, {source}⟩");
+                    found += usize::from(x.is_some());
+                }
+            }
+            for rows in [None, Some((2, 3))] {
+                let query = RangeQuery { variable, iterations: (0, 3), sources: None, rows };
+                let shape = |hits: Vec<RangeHit>| -> Vec<(u32, u32, Layout, Block)> {
+                    hits.into_iter().map(|h| (h.iteration, h.source, h.layout, h.data)).collect()
+                };
+                let x = shape(ea.range(&sa, &query).expect("sectioned range"));
+                let y = shape(eb.range(&sb, &query).expect("legacy range"));
+                assert_eq!(x, y, "range of {variable} rows {rows:?}");
+            }
+        }
+        assert_eq!(found, 2, "⟨theta, 3, -⟩ and ⟨time, 3, -⟩ on both");
+        std::fs::remove_dir_all(&a).ok();
+        std::fs::remove_dir_all(&b).ok();
     }
 
     #[test]

@@ -15,7 +15,17 @@
 //!   subdomain × iteration-window [`range`](QueryEngine::range) queries
 //!   from any number of threads. Lookups ride the per-file sparse index +
 //!   bloom filter (`damaris_format::QuerySection`), so a probe for a key
-//!   that is not in a file touches no payload bytes at all.
+//!   that is not in a file touches no payload bytes at all. There is one
+//!   lookup path: a file written before the section existed gets the one
+//!   its writer would have written, built from its index when the file
+//!   is opened (`SdfReader::lookup_section`), and is searched the same
+//!   way.
+//!
+//! An open file costs the engine its reader's flat table and its section:
+//! one 40-byte record and one 24-byte key per dataset, the CRC-checked
+//! index bytes (paths and attributes, decoded only by the cold APIs), and
+//! a handful of per-file arenas — about 140 bytes and well under one
+//! allocation per dataset (`tests/resident_bytes.rs`).
 //! * [`BlockCache`] — a sharded LRU over decoded blocks with a
 //!   configurable byte budget. The hit path takes a `try_lock` on one
 //!   shard and clones an `Arc` — no allocation, no blocking — and is

@@ -132,7 +132,7 @@ fn main() {
         match reader.query_section() {
             Ok(Some(section)) => println!(
                 "query section: {} sparse entries, {} bloom bits (CRC OK)",
-                section.entries.len(),
+                section.keys.len(),
                 section.bloom.n_bits()
             ),
             Ok(None) => println!("query section: absent (pre-read-tier file)"),
