@@ -8,6 +8,8 @@
 //! * the shared event queue;
 //! * the codecs (§IV-D);
 //! * SDF dataset writes;
+//! * a reader's `refresh` poll, unchanged and after a publish, against the
+//!   number of files published;
 //! * mini-MPI collectives;
 //! * one mini-CM1 physics step.
 
@@ -127,6 +129,92 @@ fn bench_sdf(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// What a reader's poll costs against the number of files published: a
+/// `QueryEngine::refresh` that finds the manifest unchanged, and one that
+/// finds one more file published, at N = 100, 1 000 and 10 000 files.
+/// The no-op should stay flat in N; the publish grows by a pointer copy
+/// per file listed, not by an allocation or a file open.
+fn bench_refresh(c: &mut Criterion) {
+    use damaris_format::{DataType, Layout, SdfWriter};
+    use damaris_fs::manifest::MANIFEST_NAME;
+    use damaris_fs::{EntryKind, Manifest, ManifestEntry};
+    use damaris_query::{QueryConfig, QueryEngine};
+    use std::path::Path;
+    use std::time::{Duration, Instant};
+
+    /// Replaces `MANIFEST` with `m` the way a publish does, less the syncs.
+    fn publish(root: &Path, m: &Manifest) {
+        let next = root.join("MANIFEST.bench");
+        std::fs::write(&next, m.render()).expect("write manifest");
+        std::fs::rename(&next, root.join(MANIFEST_NAME)).expect("rename manifest");
+    }
+
+    let mut group = c.benchmark_group("refresh");
+    for n in [100u32, 1_000, 10_000] {
+        let root =
+            std::env::temp_dir().join(format!("damaris-bench-refresh-{n}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("node-0")).expect("mkdir");
+        let layout = Layout::new(DataType::F64, &[8]);
+        let entries: Vec<ManifestEntry> = (0..=n)
+            .map(|it| {
+                let file = format!("node-0/iter-{it:06}.sdf");
+                let mut w = SdfWriter::create(root.join(&file)).expect("create");
+                w.write_dataset_f64(
+                    &format!("/iter-{it}/rank-0/v"),
+                    &layout,
+                    &[f64::from(it); 8],
+                )
+                .expect("write");
+                let bytes = w.finish().expect("finish");
+                ManifestEntry {
+                    file,
+                    node: 0,
+                    kind: EntryKind::Iteration(it),
+                    bytes,
+                }
+            })
+            .collect();
+        // `n` files listed, and the same with one more appended.
+        let listed = Manifest {
+            generation: u64::from(n),
+            entries: entries[..n as usize].to_vec(),
+        };
+        let appended = Manifest {
+            generation: u64::from(n) + 1,
+            entries,
+        };
+        publish(&root, &listed);
+        let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
+
+        group.bench_function(BenchmarkId::new("noop", n), |b| {
+            b.iter(|| black_box(engine.refresh().expect("refresh")));
+        });
+
+        // Timed apart from its setup, which the stand-in's `iter` cannot
+        // do: back to `n` files (a whole rebuild, untimed), then the
+        // publish of one more and the poll that sees it (timed).
+        let rounds = 64u32;
+        let mut total = Duration::ZERO;
+        for _ in 0..rounds {
+            publish(&root, &listed);
+            engine.refresh().expect("back to n files");
+            publish(&root, &appended);
+            let t = Instant::now();
+            black_box(engine.refresh().expect("refresh"));
+            total += t.elapsed();
+        }
+        assert_eq!(engine.snapshot().files().len(), n as usize + 1);
+        println!(
+            "bench refresh/one_entry_publish/{n}: {:?}/iter",
+            total / rounds
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&root).ok();
+    }
+    group.finish();
+}
+
 fn bench_mpi(c: &mut Criterion) {
     use damaris_mpi::World;
     let mut group = c.benchmark_group("mini_mpi");
@@ -178,6 +266,7 @@ criterion_group!(
     bench_event_queue,
     bench_codecs,
     bench_sdf,
+    bench_refresh,
     bench_mpi,
     bench_cm1_step
 );

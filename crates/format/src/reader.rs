@@ -417,9 +417,9 @@ impl SdfReader {
                 self.path_of(record)
             )));
         }
-        // One `pread`: no lock, no seek, and the zeroed buffer is a `calloc`.
-        let mut stored = vec![0u8; record.stored_len as usize];
-        self.file.read_exact_at(&mut stored, record.offset)?;
+        // Positional reads: no lock, no seek, and no zeroing of bytes the
+        // read writes anyway.
+        let stored = read_at(&self.file, record.stored_len as usize, record.offset)?;
         if crc32(&stored) != record.crc {
             return Err(SdfError::Corrupt(format!(
                 "payload checksum mismatch for '{}'",
@@ -709,6 +709,60 @@ fn filter_slot(pipelines: &mut Vec<ParsedFilter>, spec: &str) -> Result<u16> {
     };
     u16::try_from(slot + 1)
         .map_err(|_| SdfError::Format("index holds more than 65 535 distinct filter specs".into()))
+}
+
+/// `len` bytes of `file` from `offset`, read into a buffer that is never
+/// zeroed first: `pread` writes into the vector's spare capacity, and the
+/// length grows by what each call wrote. A file that ends before
+/// `offset + len` is an `UnexpectedEof` error, and no bytes.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn read_at(file: &File, len: usize, offset: u64) -> std::io::Result<Vec<u8>> {
+    use std::io::{Error, ErrorKind};
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn pread(fd: i32, buf: *mut u8, count: usize, offset: i64) -> isize;
+    }
+    let mut buf = Vec::with_capacity(len);
+    while buf.len() < len {
+        let at = offset + buf.len() as u64;
+        let want = len - buf.len();
+        let spare = buf.spare_capacity_mut().as_mut_ptr();
+        // SAFETY: `spare` points at the vector's capacity past its length,
+        // at least `want` bytes it owns, so the kernel writes inside memory
+        // nothing else refers to; `file` is open for the call. `pread`
+        // returns how many of those bytes it wrote, never more than
+        // `want`: only those join the length.
+        let n = unsafe {
+            let n = pread(file.as_raw_fd(), spare.cast(), want, at as i64);
+            if n > 0 {
+                buf.set_len(buf.len() + n as usize);
+            }
+            n
+        };
+        match n {
+            0 => {
+                return Err(Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "file ends inside the range read",
+                ))
+            }
+            n if n < 0 => {
+                let e = Error::last_os_error();
+                if e.kind() != ErrorKind::Interrupted {
+                    return Err(e);
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(buf)
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn read_at(file: &File, len: usize, offset: u64) -> std::io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; len];
+    file.read_exact_at(&mut buf, offset)?;
+    Ok(buf)
 }
 
 /// Reads and clamps a chunk-table count: each chunk length takes at least

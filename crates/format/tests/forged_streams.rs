@@ -4,12 +4,13 @@
 //! back with a typed error having allocated no more than the layout's
 //! bytes for the output — measured, with a counting allocator, not assumed.
 //! The same holds for the counts in the index: `open` must refuse one its
-//! bytes cannot hold before anything is sized by it. (One `#[test]`: the
-//! counter is process-wide.)
+//! bytes cannot hold before anything is sized by it. And a file cut short
+//! after `open` must fail a block read typed, never hand back bytes the
+//! read did not write. (One `#[test]`: the counter is process-wide.)
 
 use damaris_compress::varint;
 use damaris_format::header::{self, IndexEntry};
-use damaris_format::{crc32, DataType, Layout, SdfError, SdfReader};
+use damaris_format::{crc32, DataType, DatasetOptions, Layout, SdfError, SdfReader, SdfWriter};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -216,4 +217,65 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         );
         std::fs::remove_file(&path).unwrap();
     }
+
+    truncated_after_open_fails_typed();
+}
+
+/// A file cut short after `open` checked it: a block read past the cut
+/// must fail with a typed I/O error and return no bytes, having allocated
+/// no more than the stored length the index gives (the read buffer is not
+/// zeroed first, so nothing of it may leak out of a short read).
+fn truncated_after_open_fails_typed() {
+    const BLOCK: usize = 64 << 10;
+    let path = std::env::temp_dir()
+        .join("damaris-format-tests")
+        .join(format!("truncated-{}.sdf", std::process::id()));
+    let mut writer = SdfWriter::create(&path).unwrap();
+    let layout = Layout::new(DataType::U8, &[BLOCK as u64]);
+    for (v, fill) in [("/a", 1u8), ("/b", 2u8)] {
+        writer
+            .write_dataset_bytes(v, &layout, &vec![fill; BLOCK], &DatasetOptions::plain())
+            .unwrap();
+    }
+    writer.finish().unwrap();
+    let reader = SdfReader::open(&path).unwrap();
+    // Cut inside `/b`'s payload: `/a` lies whole before the cut.
+    let cut = header::SUPERBLOCK_LEN + (BLOCK + BLOCK / 2) as u64;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+    assert_eq!(reader.read_bytes_at(0).unwrap(), vec![1u8; BLOCK]);
+    let (result, grown) = peak_growth(|| reader.read_bytes_at(1));
+    match result {
+        Err(SdfError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}"),
+        other => panic!("a read past the cut: {:?}", other.map(|b| b.len())),
+    }
+    assert!(
+        grown <= BLOCK + 1024,
+        "allocated {grown} bytes for a {BLOCK}-byte block"
+    );
+    let (result, grown) = peak_growth(|| reader.validate());
+    assert!(
+        matches!(&result, Err(SdfError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+        "validate: {result:?}"
+    );
+    assert!(grown <= BLOCK + 1024, "validate allocated {grown} bytes");
+    // Cut to nothing: no block is readable.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+    for ordinal in 0..2 {
+        let result = reader.read_bytes_at(ordinal).map(|b| b.len());
+        assert!(
+            matches!(result, Err(SdfError::Io(_))),
+            "{ordinal}: {result:?}"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
 }

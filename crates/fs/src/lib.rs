@@ -54,7 +54,10 @@ pub use backend::StorageBackend;
 pub use clock::{IoClock, VirtualClock, WallClock};
 pub use faulty::{FaultKind, FaultOp, FaultPlan, FaultyBackend};
 pub use local::LocalDirBackend;
-pub use manifest::{EntryKind, Manifest, ManifestEntry, ManifestError, ManifestLock};
+pub use manifest::{
+    EntryKind, EntryRef, Manifest, ManifestEntry, ManifestError, ManifestLock, ManifestReader,
+    ManifestView,
+};
 pub use model::{FsSpec, LockMode};
 pub use recovery::{recover, recover_dir, RecoveryReport};
 pub use sentinel::{is_no_space, is_no_space_io, no_space_error, DiskSentinel, PressureLevel};

@@ -22,6 +22,12 @@
 //! the name still points at the file it read — an optimistic read,
 //! validated and retried.
 //!
+//! One parser checks a text: [`ManifestView`], borrowed and
+//! allocation-free; [`Manifest::parse`] and [`Manifest::load`] are that
+//! check, owned. A reader that polls keeps a [`ManifestReader`], which
+//! recognises an unchanged manifest without reading its entries and
+//! checks again only the entry lines a publish appended.
+//!
 //! Format (text, CRC-guarded, one entry per line):
 //!
 //! ```text
@@ -188,114 +194,47 @@ pub struct Manifest {
 impl Manifest {
     /// Loads the manifest at `root`, or an empty generation-0 manifest if
     /// none exists yet. Corrupt bytes fail typed; allocation is bounded
-    /// by the actual file size.
+    /// by twice the actual file size.
     pub fn load(root: &Path) -> Result<Manifest> {
-        Self::load_with(&root.join(MANIFEST_NAME), read_named)
+        let (mut text, mut entries) = (Vec::new(), Vec::new());
+        let path = root.join(MANIFEST_NAME);
+        let checked = read_checked(&path, &mut text, b"", Some(&mut entries), read_named)?;
+        Ok(Manifest {
+            generation: checked.generation,
+            entries,
+        })
     }
 
-    /// [`load`](Self::load) over the function that reads the file (tests
-    /// hand it what a reader racing a publish would get): the bytes, and
-    /// whether the name still pointed at the file they came from once
-    /// they were read.
+    /// [`load`](Self::load) over a function that reads the whole file at
+    /// once, as tests hand it what a reader racing a publish would get:
+    /// the bytes, and whether the name still pointed at the file they
+    /// came from once they were read.
+    #[cfg(test)]
     fn load_with(
         path: &Path,
         mut read: impl FnMut(&Path) -> io::Result<(Vec<u8>, bool)>,
     ) -> Result<Manifest> {
-        let mut attempt = 1;
-        loop {
-            let parsed = match read(path) {
-                // The file this read opened has since been replaced. It
-                // is emptied then and *filled again* by the publish after,
-                // so its bytes can be a whole generation that is not
-                // published yet (and the next load would see an older
-                // one): whatever they say, they are not what the name
-                // says now.
-                Ok((_, false)) => Err(ManifestError::Corrupt("replaced while it was read".into())),
-                // A torn read can end inside a character, so the bytes
-                // are checked like the rest: by `parse`.
-                Ok((bytes, true)) => String::from_utf8(bytes)
-                    .map_err(|_| ManifestError::Corrupt("not UTF-8".into()))
-                    .and_then(|text| Self::parse(&text)),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Manifest::default()),
-                Err(e) => return Err(e.into()),
-            };
-            match parsed {
-                // The name points at a whole, current file again.
-                Err(ManifestError::Corrupt(_)) if attempt < LOAD_ATTEMPTS => attempt += 1,
-                done => return done,
-            }
-        }
+        let (mut text, mut entries) = (Vec::new(), Vec::new());
+        let checked = read_checked(path, &mut text, b"", Some(&mut entries), |path, buf| {
+            let (bytes, current) = read(path)?;
+            *buf = bytes;
+            Ok(current)
+        })?;
+        Ok(Manifest {
+            generation: checked.generation,
+            entries,
+        })
     }
 
-    /// Parses manifest text (exposed for corruption tests).
+    /// Parses manifest text (exposed for corruption tests): the
+    /// [`ManifestView`] of it, owned — taken in the pass that checks it.
     pub fn parse(text: &str) -> Result<Manifest> {
-        let corrupt = |m: String| ManifestError::Corrupt(m);
-        let crc_at = text
-            .rfind("crc ")
-            .ok_or_else(|| corrupt("missing crc line (torn write?)".into()))?;
-        // The CRC guards every byte before its own line.
-        let (body, crc_line) = text.split_at(crc_at);
-        let stored = crc_line
-            .trim_end()
-            .strip_prefix("crc ")
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| corrupt("malformed crc line".into()))?;
-        let actual = damaris_format::crc32(body.as_bytes());
-        if stored != actual {
-            return Err(corrupt(format!(
-                "checksum mismatch (stored {stored:08x}, computed {actual:08x})"
-            )));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(HEADER) {
-            return Err(corrupt("bad header".into()));
-        }
-        let generation = lines
-            .next()
-            .and_then(|l| l.strip_prefix("generation "))
-            .and_then(|g| g.parse::<u64>().ok())
-            .ok_or_else(|| corrupt("malformed generation line".into()))?;
         let mut entries = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut fields = line.split(' ');
-            let tag = fields.next().unwrap_or("");
-            let mut num = |what: &str| -> Result<u32> {
-                fields
-                    .next()
-                    .and_then(|f| f.parse::<u32>().ok())
-                    .ok_or_else(|| ManifestError::Corrupt(format!("malformed {what} in '{line}'")))
-            };
-            let (node, kind) = match tag {
-                "iter" => {
-                    let node = num("node")?;
-                    let it = num("iteration")?;
-                    (node, EntryKind::Iteration(it))
-                }
-                "span" => {
-                    let node = num("node")?;
-                    let lo = num("lo")?;
-                    let hi = num("hi")?;
-                    if lo > hi {
-                        return Err(corrupt(format!("inverted span {lo}..{hi}")));
-                    }
-                    (node, EntryKind::Compacted { lo, hi })
-                }
-                other => return Err(corrupt(format!("unknown entry tag '{other}'"))),
-            };
-            let bytes = fields
-                .next()
-                .and_then(|f| f.parse::<u64>().ok())
-                .ok_or_else(|| corrupt(format!("malformed byte count in '{line}'")))?;
-            let file: String = fields.collect::<Vec<_>>().join(" ");
-            if file.is_empty() || file.contains("..") || file.starts_with('/') {
-                return Err(corrupt(format!("implausible file path '{file}'")));
-            }
-            entries.push(ManifestEntry { file, node, kind, bytes });
-        }
-        Ok(Manifest { generation, entries })
+        let checked = check(text.as_bytes(), b"", Some(&mut entries))?;
+        Ok(Manifest {
+            generation: checked.generation,
+            entries,
+        })
     }
 
     /// Serializes to the text format.
@@ -417,18 +356,438 @@ impl Manifest {
     }
 }
 
-/// Reads the file `path` names, and tells whether `path` still named that
-/// file afterwards (see [`Manifest::load_with`]).
-fn read_named(path: &Path) -> io::Result<(Vec<u8>, bool)> {
+/// One entry of a [`ManifestView`]: a [`ManifestEntry`] whose path is
+/// borrowed from the manifest text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRef<'a> {
+    /// Path relative to the output root, `/`-separated.
+    pub file: &'a str,
+    /// Node (dedicated core) that produced the file.
+    pub node: u32,
+    /// What the file holds.
+    pub kind: EntryKind,
+    /// File size in bytes at seal time (advisory, 0 = unknown).
+    pub bytes: u64,
+}
+
+impl EntryRef<'_> {
+    /// The entry, owned.
+    pub(crate) fn to_entry(self) -> ManifestEntry {
+        ManifestEntry {
+            file: self.file.to_string(),
+            node: self.node,
+            kind: self.kind,
+            bytes: self.bytes,
+        }
+    }
+}
+
+/// A manifest text that passed every check there is — the CRC line, the
+/// header, the generation line, every entry line — borrowed. The one
+/// parser: [`Manifest::parse`] and [`Manifest::load`] are this view,
+/// owned, and checking a text allocates nothing unless it is corrupt.
+#[derive(Debug, Clone, Copy, Eq)]
+pub struct ManifestView<'a> {
+    generation: u64,
+    /// The entry lines: everything between the generation line and the
+    /// crc line, checked UTF-8.
+    entries: &'a [u8],
+}
+
+impl<'a> ManifestView<'a> {
+    /// Checks `text` whole.
+    pub fn parse(text: &'a str) -> Result<ManifestView<'a>> {
+        Ok(check(text.as_bytes(), b"", None)?.view(text.as_bytes()))
+    }
+
+    /// The generation counter.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Every entry, in publish order.
+    pub fn entries(&self) -> Entries<'a> {
+        Entries::of(self.entries)
+    }
+
+    /// The entries listed after every line of `earlier` when this view
+    /// starts with all of `earlier`'s entry lines, byte for byte — what a
+    /// publish of new files makes of a manifest; `None` when it does not
+    /// (an entry was replaced, removed or reordered).
+    pub fn entries_after(&self, earlier: &ManifestView<'_>) -> Option<Entries<'a>> {
+        extends(self.entries, earlier.entries)
+            .then(|| Entries::of(&self.entries[earlier.entries.len()..]))
+    }
+}
+
+/// Equal generations and entry lines; a view compared with itself costs
+/// no look at its lines.
+impl PartialEq for ManifestView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.generation == other.generation
+            && (std::ptr::eq(self.entries, other.entries) || self.entries == other.entries)
+    }
+}
+
+/// The entries of a [`ManifestView`], parsed as they are taken.
+#[derive(Debug, Clone)]
+pub struct Entries<'a>(std::str::Lines<'a>);
+
+impl<'a> Entries<'a> {
+    fn of(lines: &'a [u8]) -> Entries<'a> {
+        // The view's lines were checked UTF-8, and a slice of them starts
+        // at a line: an error here is unreachable, and lists nothing.
+        Entries(std::str::from_utf8(lines).unwrap_or_default().lines())
+    }
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = EntryRef<'a>;
+
+    fn next(&mut self) -> Option<EntryRef<'a>> {
+        // Every line was checked with the view: none fails here.
+        self.0
+            .by_ref()
+            .filter(|l| !l.is_empty())
+            .find_map(|l| parse_line(l).ok())
+    }
+}
+
+/// Where a checked text's view lies in it, apart from the text: what a
+/// retried read hands back once its buffer is no longer being filled.
+#[derive(Debug, Clone, Default)]
+struct Checked {
+    generation: u64,
+    entries: std::ops::Range<usize>,
+}
+
+impl Checked {
+    fn view<'a>(&self, text: &'a [u8]) -> ManifestView<'a> {
+        ManifestView {
+            generation: self.generation,
+            entries: text.get(self.entries.clone()).unwrap_or_default(),
+        }
+    }
+}
+
+/// True when `lines` starts with every line of `earlier`.
+fn extends(lines: &[u8], earlier: &[u8]) -> bool {
+    lines.starts_with(earlier) && (earlier.is_empty() || earlier.ends_with(b"\n"))
+}
+
+/// Checks `text` as a manifest. Entry lines it shares with `trusted` —
+/// the entry lines of a text checked before, when `text`'s start with all
+/// of them — are not parsed again: each line is checked on its own, and
+/// these passed. Into `owned`, when given, go the entries it parses,
+/// owned, in place of what it held.
+fn check(
+    text: &[u8],
+    trusted: &[u8],
+    mut owned: Option<&mut Vec<ManifestEntry>>,
+) -> Result<Checked> {
+    let corrupt = ManifestError::Corrupt;
+    let text = std::str::from_utf8(text).map_err(|_| corrupt("not UTF-8".into()))?;
+    let crc_at = text
+        .rfind("crc ")
+        .ok_or_else(|| corrupt("missing crc line (torn write?)".into()))?;
+    // The CRC guards every byte before its own line.
+    let (body, crc_line) = text.split_at(crc_at);
+    let stored = crc_line
+        .trim_end()
+        .strip_prefix("crc ")
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .ok_or_else(|| corrupt("malformed crc line".into()))?;
+    let actual = damaris_format::crc32(body.as_bytes());
+    if stored != actual {
+        return Err(corrupt(format!(
+            "checksum mismatch (stored {stored:08x}, computed {actual:08x})"
+        )));
+    }
+    let (header, rest) = first_line(body);
+    if header != Some(HEADER) {
+        return Err(corrupt("bad header".into()));
+    }
+    let (generation, entries) = first_line(rest);
+    let generation = generation
+        .and_then(|l| l.strip_prefix("generation "))
+        .and_then(|g| g.parse::<u64>().ok())
+        .ok_or_else(|| corrupt("malformed generation line".into()))?;
+    let unchecked = if extends(entries.as_bytes(), trusted) {
+        &entries[trusted.len()..]
+    } else {
+        entries
+    };
+    if let Some(owned) = owned.as_deref_mut() {
+        owned.clear();
+    }
+    for line in unchecked.lines().filter(|l| !l.is_empty()) {
+        let entry = parse_line(line)?;
+        if let Some(owned) = owned.as_deref_mut() {
+            owned.push(entry.to_entry());
+        }
+    }
+    Ok(Checked {
+        generation,
+        entries: crc_at - entries.len()..crc_at,
+    })
+}
+
+/// The first line of `text` as [`str::lines`] yields it, and the text
+/// after that line.
+fn first_line(text: &str) -> (Option<&str>, &str) {
+    if text.is_empty() {
+        return (None, text);
+    }
+    match text.find('\n') {
+        Some(end) => {
+            let line = &text[..end];
+            (
+                Some(line.strip_suffix('\r').unwrap_or(line)),
+                &text[end + 1..],
+            )
+        }
+        None => (Some(text), ""),
+    }
+}
+
+/// Parses one non-empty entry line; allocates only to say what is wrong.
+fn parse_line(line: &str) -> Result<EntryRef<'_>> {
+    let corrupt = ManifestError::Corrupt;
+    let tag = line.split(' ').next().unwrap_or("");
+    let numbers = match tag {
+        "iter" => 2,
+        "span" => 3,
+        other => return Err(corrupt(format!("unknown entry tag '{other}'"))),
+    };
+    // The tag, the numbers, the byte count, then the file: the rest of
+    // the line, spaces and all.
+    let mut fields = line.splitn(numbers + 3, ' ').skip(1);
+    let mut num = |what: &str| -> Result<u32> {
+        fields
+            .next()
+            .and_then(|f| f.parse::<u32>().ok())
+            .ok_or_else(|| corrupt(format!("malformed {what} in '{line}'")))
+    };
+    let node = num("node")?;
+    let kind = match numbers {
+        2 => EntryKind::Iteration(num("iteration")?),
+        _ => {
+            let lo = num("lo")?;
+            let hi = num("hi")?;
+            if lo > hi {
+                return Err(corrupt(format!("inverted span {lo}..{hi}")));
+            }
+            EntryKind::Compacted { lo, hi }
+        }
+    };
+    let bytes = fields
+        .next()
+        .and_then(|f| f.parse::<u64>().ok())
+        .ok_or_else(|| corrupt(format!("malformed byte count in '{line}'")))?;
+    let file = fields.next().unwrap_or("");
+    if file.is_empty() || file.contains("..") || file.starts_with('/') {
+        return Err(corrupt(format!("implausible file path '{file}'")));
+    }
+    Ok(EntryRef {
+        file,
+        node,
+        kind,
+        bytes,
+    })
+}
+
+/// Reads the manifest `path` names into `buf` and checks it (see
+/// [`check`]; `trusted` and `owned` as there): the optimistic read every
+/// reader makes.
+/// A read torn by a publish, or of a file a publish replaced meanwhile,
+/// is made again, up to [`LOAD_ATTEMPTS`] reads in all. No manifest at
+/// `path` is the empty generation 0.
+///
+/// `read` fills the buffer from the file `path` names and tells whether
+/// `path` still named that file once it was read ([`read_named`]).
+fn read_checked(
+    path: &Path,
+    buf: &mut Vec<u8>,
+    trusted: &[u8],
+    mut owned: Option<&mut Vec<ManifestEntry>>,
+    mut read: impl FnMut(&Path, &mut Vec<u8>) -> io::Result<bool>,
+) -> Result<Checked> {
+    let mut attempt = 1;
+    loop {
+        let checked = match read(path, buf) {
+            // The file this read opened has since been replaced. It is
+            // emptied then and *filled again* by the publish after, so its
+            // bytes can be a whole generation that is not published yet
+            // (and the next read would see an older one): whatever they
+            // say, they are not what the name says now.
+            Ok(false) => Err(ManifestError::Corrupt("replaced while it was read".into())),
+            // A torn read can end inside a character, so the bytes are
+            // checked like the rest: by `check`.
+            Ok(true) => check(buf, trusted, owned.as_deref_mut()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                buf.clear();
+                if let Some(owned) = owned {
+                    owned.clear();
+                }
+                return Ok(Checked::default());
+            }
+            Err(e) => return Err(e.into()),
+        };
+        match checked {
+            // The name points at a whole, current file again.
+            Err(ManifestError::Corrupt(_)) if attempt < LOAD_ATTEMPTS => attempt += 1,
+            done => return done,
+        }
+    }
+}
+
+/// Reads the file `path` names into `buf`, replacing what it held, and
+/// tells whether `path` still named that file afterwards. A buffer that
+/// is too small grows to twice the file, so a manifest growing a line per
+/// publish is not reallocated on every read.
+fn read_named(path: &Path, buf: &mut Vec<u8>) -> io::Result<bool> {
     use std::io::Read;
     let mut file = std::fs::File::open(path)?;
     let opened = file.metadata()?;
-    let mut bytes = Vec::with_capacity(opened.len() as usize);
-    file.read_to_end(&mut bytes)?;
+    let len = opened.len() as usize;
+    buf.clear();
+    if buf.capacity() <= len {
+        buf.reserve(len.saturating_mul(2));
+    }
+    file.read_to_end(buf)?;
     // A manifest is replaced, never removed: a name that cannot be looked
     // at again is reported like one that cannot be opened.
-    let current = same_file(&opened, &std::fs::metadata(path)?);
-    Ok((bytes, current))
+    Ok(same_file(&opened, &std::fs::metadata(path)?))
+}
+
+/// Reads one root's `MANIFEST` again and again into two buffers it keeps:
+/// the text it *accepted* last — the one its caller's state is built
+/// from — and the one it read last. What a read costs follows what
+/// changed: a manifest that still holds the accepted text is recognised
+/// from its length and first and last lines, without reading the rest;
+/// any other is read whole, but only the entry lines the accepted text
+/// does not already list are checked again; and nothing is allocated once
+/// the buffers are the manifest's size.
+#[derive(Debug)]
+pub struct ManifestReader {
+    path: std::path::PathBuf,
+    /// The text accepted last (empty when no manifest existed), and where
+    /// its view lies in it.
+    accepted: (Vec<u8>, Checked),
+    /// The buffer the next read fills, and what the last read found.
+    latest: (Vec<u8>, Latest),
+}
+
+/// What the last [`ManifestReader`] read found.
+#[derive(Debug, Clone)]
+enum Latest {
+    /// Nothing yet, or the read failed.
+    Nothing,
+    /// The accepted text, still in place.
+    Accepted,
+    /// Another text, read into the buffer and checked.
+    Read(Checked),
+}
+
+impl ManifestReader {
+    /// A reader of `root`'s manifest; what it has accepted is no manifest:
+    /// generation 0, no entries.
+    pub fn new(root: &Path) -> ManifestReader {
+        ManifestReader {
+            path: root.join(MANIFEST_NAME),
+            accepted: (Vec::new(), Checked::default()),
+            latest: (Vec::new(), Latest::Nothing),
+        }
+    }
+
+    /// Reads the manifest: finds the accepted text still in place, or
+    /// makes the optimistic read [`Manifest::load`] makes. See
+    /// [`views`](Self::views) for what it found.
+    pub fn read(&mut self) -> Result<()> {
+        if holds(&self.path, &self.accepted.0, &self.accepted.1) {
+            self.latest.1 = Latest::Accepted;
+            return Ok(());
+        }
+        self.read_with(read_named)
+    }
+
+    /// The optimistic read alone, over the function that fills the buffer
+    /// from the file the path names and tells whether the path still named
+    /// that file once it was read: tests hand it a generation of their
+    /// choosing.
+    pub fn read_with(
+        &mut self,
+        read: impl FnMut(&Path, &mut Vec<u8>) -> io::Result<bool>,
+    ) -> Result<()> {
+        let trusted = self.accepted.1.view(&self.accepted.0).entries;
+        let (text, latest) = &mut self.latest;
+        *latest = Latest::Nothing;
+        *latest = Latest::Read(read_checked(&self.path, text, trusted, None, read)?);
+        Ok(())
+    }
+
+    /// `(latest, accepted)`: the manifest the last read found — the
+    /// accepted one when it found no other — and the accepted one.
+    pub fn views(&self) -> (ManifestView<'_>, ManifestView<'_>) {
+        let accepted = self.accepted.1.view(&self.accepted.0);
+        match &self.latest.1 {
+            Latest::Read(checked) => (checked.view(&self.latest.0), accepted),
+            Latest::Nothing | Latest::Accepted => (accepted, accepted),
+        }
+    }
+
+    /// Makes the text the last successful read found the accepted one.
+    pub fn accept(&mut self) {
+        if let Latest::Read(checked) = std::mem::replace(&mut self.latest.1, Latest::Nothing) {
+            std::mem::swap(&mut self.accepted.0, &mut self.latest.0);
+            self.accepted.1 = checked;
+        }
+    }
+}
+
+/// True when the file `path` names still holds `text`, a text checked
+/// into `checked` (empty: no file) — found without reading its entries:
+/// the same length, the same header and generation line, the same crc
+/// line, which is a checksum of everything before it, and the name still
+/// pointing at the file those were read from. Every other outcome,
+/// errors included, is left to the whole read.
+///
+/// A file named `MANIFEST` when it was opened and holding `text` then is
+/// a published generation, so finding it is a read of that generation —
+/// even if a publish swapped another in while it was being read, as a
+/// whole read finishing just then would have found too. A refill of the
+/// file under way cannot pass: its length, its first lines or its last
+/// one differ, or a read comes back short.
+#[cfg(unix)]
+fn holds(path: &Path, text: &[u8], checked: &Checked) -> bool {
+    use std::os::unix::fs::FileExt;
+    const PROBE: usize = 64;
+    let file = match std::fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) => return e.kind() == io::ErrorKind::NotFound && text.is_empty(),
+    };
+    let (head, tail) = (&text[..checked.entries.start], &text[checked.entries.end..]);
+    let mut probe = [0u8; PROBE];
+    let mut matches = |bytes: &[u8], at: usize| {
+        let probe = &mut probe[..bytes.len()];
+        file.read_exact_at(probe, at as u64).is_ok() && *probe == *bytes
+    };
+    let Ok(opened) = file.metadata() else {
+        return false;
+    };
+    !text.is_empty()
+        && opened.len() == text.len() as u64
+        && head.len() <= PROBE
+        && tail.len() <= PROBE
+        && matches(head, 0)
+        && matches(tail, text.len() - tail.len())
+        && std::fs::metadata(path).is_ok_and(|now| same_file(&opened, &now))
+}
+
+/// Without positional reads the whole read decides.
+#[cfg(not(unix))]
+fn holds(_: &Path, _: &[u8], _: &Checked) -> bool {
+    false
 }
 
 #[cfg(unix)]
@@ -1057,5 +1416,222 @@ mod tests {
             }
             let _ = Manifest::parse(std::str::from_utf8(&t).expect("ascii"));
         }
+
+        // One parser: a rendered manifest reads back through the view,
+        // owned, as it was; and a publish of more files reads as the
+        // earlier text's entries followed by exactly the new ones.
+        #[test]
+        fn render_then_view_then_owned_round_trips(
+            m in arb_manifest(),
+            more in proptest::collection::vec(arb_entry(), 0..4),
+        ) {
+            let text = m.render();
+            let view = ManifestView::parse(&text).expect("a rendered manifest");
+            prop_assert_eq!(view.generation(), m.generation);
+            prop_assert_eq!(&owned(&view), &m);
+            prop_assert_eq!(Manifest::parse(&text).expect("parse"), m.clone());
+
+            let mut grown = m.clone();
+            let fresh: Vec<ManifestEntry> =
+                more.into_iter().filter(|e| !m.references(&e.file)).collect();
+            grown.upsert_all(fresh.clone());
+            let grown_text = grown.render();
+            let later = ManifestView::parse(&grown_text).expect("grown");
+            let appended: Vec<ManifestEntry> = later
+                .entries_after(&view)
+                .expect("a publish of new files only appends")
+                .map(|e| e.to_entry())
+                .collect();
+            prop_assert_eq!(appended, fresh);
+            // Checked against the earlier text, or whole: the same view.
+            let mut buf = Vec::new();
+            let checked = read_checked(Path::new("MANIFEST"), &mut buf, view.entries, None, |_, b| {
+                b.clear();
+                b.extend_from_slice(grown_text.as_bytes());
+                Ok(true)
+            })
+            .expect("checked after the earlier text");
+            prop_assert_eq!(checked.view(&buf), later);
+        }
+
+        // Any single-byte change is refused by the view and by `parse`
+        // alike, with the same variant — or, in the crc line alone (an
+        // upper-case hex digit, a trailing blank), read as the same
+        // manifest by both. Inside the CRC-guarded body it is refused.
+        #[test]
+        fn a_changed_byte_fails_the_view_and_parse_alike(
+            m in arb_manifest(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let text = m.render();
+            let mut bytes = text.clone().into_bytes();
+            let pos = at % bytes.len();
+            prop_assume!(bytes[pos] != byte);
+            bytes[pos] = byte;
+            let crc_at = text.rfind("crc ").expect("crc line");
+            let checked = check(&bytes, b"", None);
+            if pos < crc_at {
+                prop_assert!(matches!(checked, Err(ManifestError::Corrupt(_))), "{:?}", checked);
+            }
+            if let Ok(changed) = std::str::from_utf8(&bytes) {
+                let view = ManifestView::parse(changed).map(|v| owned(&v));
+                let parsed = Manifest::parse(changed);
+                match (&view, &parsed) {
+                    (Ok(a), Ok(b)) => {
+                        prop_assert_eq!(a, &m);
+                        prop_assert_eq!(b, &m);
+                    }
+                    (Err(a), Err(b)) => prop_assert_eq!(
+                        std::mem::discriminant(a),
+                        std::mem::discriminant(b)
+                    ),
+                    _ => prop_assert!(false, "view {:?} vs parse {:?}", view, parsed),
+                }
+            } else {
+                prop_assert!(matches!(checked, Err(ManifestError::Corrupt(_))));
+            }
+        }
+    }
+
+    /// The manifest `view` shows, owned.
+    fn owned(view: &ManifestView<'_>) -> Manifest {
+        let entries = view.entries().map(|e| e.to_entry()).collect();
+        Manifest {
+            generation: view.generation(),
+            entries,
+        }
+    }
+
+    fn arb_entry() -> impl Strategy<Value = ManifestEntry> {
+        let kind = prop_oneof![
+            any::<u32>().prop_map(EntryKind::Iteration),
+            (any::<u32>(), any::<u32>()).prop_map(|(a, b)| EntryKind::Compacted {
+                lo: a.min(b),
+                hi: a.max(b)
+            }),
+        ];
+        (
+            "[a-z0-9_-]{1,8}(/[a-z0-9 _-]{0,12}\\.sdf)?",
+            any::<u32>(),
+            kind,
+            any::<u64>(),
+        )
+            .prop_map(|(file, node, kind, bytes)| ManifestEntry {
+                file,
+                node,
+                kind,
+                bytes,
+            })
+    }
+
+    fn arb_manifest() -> impl Strategy<Value = Manifest> {
+        (any::<u64>(), proptest::collection::vec(arb_entry(), 0..8)).prop_map(
+            |(generation, entries)| Manifest {
+                generation,
+                entries,
+            },
+        )
+    }
+
+    #[test]
+    fn only_the_lines_a_text_shares_with_the_trusted_ones_go_unchecked() {
+        let earlier = sample().render();
+        let trusted = ManifestView::parse(&earlier).unwrap().entries;
+        let with_crc =
+            |body: &str| format!("{body}crc {:08x}\n", damaris_format::crc32(body.as_bytes()));
+        let body = &earlier[..earlier.rfind("crc ").unwrap()];
+        // A malformed line appended after the trusted ones, and one in
+        // place of the first trusted line: both CRC-valid, both refused.
+        let appended = with_crc(&format!("{body}iter 0 x 1 node-0/iter-000013.sdf\n"));
+        let replaced = with_crc(&body.replacen("iter 0 12 ", "iter 0 x ", 1));
+        for text in [appended, replaced] {
+            let checked = check(text.as_bytes(), trusted, None);
+            assert!(
+                matches!(checked, Err(ManifestError::Corrupt(_))),
+                "{text}: {checked:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reader_checks_and_returns_only_what_changed() {
+        let root = temp_root("reader");
+        let mut reader = ManifestReader::new(&root);
+        reader.read().unwrap();
+        let (latest, accepted) = reader.views();
+        assert_eq!(latest, accepted);
+        assert_eq!((latest.generation(), latest.entries().count()), (0, 0));
+        for it in 0..3 {
+            publish_iteration(&root, 0, it, &format!("node-0/iter-{it:06}.sdf"), 100).unwrap();
+        }
+        reader.read().unwrap();
+        let (latest, accepted) = reader.views();
+        assert_eq!(latest.generation(), 3);
+        assert_eq!(latest.entries_after(&accepted).unwrap().count(), 3);
+        reader.accept();
+        reader.read().unwrap();
+        let (latest, accepted) = reader.views();
+        assert_eq!(
+            latest, accepted,
+            "nothing published: the accepted text again"
+        );
+        assert!(holds(&reader.path, &reader.accepted.0, &reader.accepted.1));
+        publish_iteration(&root, 0, 3, "node-0/iter-000003.sdf", 100).unwrap();
+        assert!(!holds(&reader.path, &reader.accepted.0, &reader.accepted.1));
+        // The same length, the same first lines, another body: refused by
+        // its crc line.
+        let real = Manifest::load(&root).unwrap();
+        let mut other = real.clone();
+        other.entries[0].bytes = 101;
+        let (real, other) = (real.render(), other.render());
+        assert_eq!(real.len(), other.len());
+        let checked = check(real.as_bytes(), b"", None).unwrap();
+        std::fs::write(root.join(MANIFEST_NAME), &other).unwrap();
+        assert!(!holds(&reader.path, real.as_bytes(), &checked));
+        std::fs::write(root.join(MANIFEST_NAME), &real).unwrap();
+        assert!(holds(&reader.path, real.as_bytes(), &checked));
+        reader.read().unwrap();
+        let (latest, accepted) = reader.views();
+        let appended: Vec<_> = latest.entries_after(&accepted).unwrap().collect();
+        assert_eq!(appended.len(), 1);
+        assert_eq!(appended[0].file, "node-0/iter-000003.sdf");
+        reader.accept();
+        // An entry rewritten in place, or entries swapped for a span: no
+        // longer an append.
+        publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 7).unwrap();
+        reader.read().unwrap();
+        let (latest, accepted) = reader.views();
+        assert!(latest.entries_after(&accepted).is_none());
+        assert_eq!(latest.entries().count(), 4);
+        reader.accept();
+        let superseded: Vec<String> = (0..2)
+            .map(|it| format!("node-0/iter-{it:06}.sdf"))
+            .collect();
+        let span = ManifestEntry {
+            file: "node-0/compact-000000-000001.sdf".into(),
+            node: 0,
+            kind: EntryKind::Compacted { lo: 0, hi: 1 },
+            bytes: 200,
+        };
+        replace_entries(&root, &superseded, span).unwrap();
+        reader.read().unwrap();
+        let (latest, accepted) = reader.views();
+        assert!(latest.entries_after(&accepted).is_none());
+        assert_eq!(owned(&latest), Manifest::load(&root).unwrap());
+        // A read that fails leaves nothing to accept.
+        std::fs::write(root.join(MANIFEST_NAME), b"damaris-manifest v1\n").unwrap();
+        assert!(matches!(reader.read(), Err(ManifestError::Corrupt(_))));
+        reader.accept();
+        std::fs::remove_file(root.join(MANIFEST_NAME)).unwrap();
+        reader.read().unwrap();
+        let (latest, accepted) = reader.views();
+        assert_eq!((latest.generation(), latest.entries().count()), (0, 0));
+        assert_eq!(
+            accepted.generation(),
+            5,
+            "the last text accepted, not the failed read"
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -30,10 +30,12 @@
 
 use crate::cache::{Block, BlockCache, BlockId};
 use crate::QueryError;
-use damaris_format::{key_hash, Layout, QuerySection, SdfReader};
-use damaris_fs::Manifest;
+use damaris_format::{key_hash, Layout, QuerySection, SdfError, SdfReader};
+use damaris_fs::{EntryRef, ManifestReader};
 use damaris_obs::{Counter, EventKind, Recorder, Registry};
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -83,16 +85,117 @@ impl FileHandle {
     pub fn range(&self) -> (u32, u32) {
         self.range
     }
+
+    /// Where the file sorts in a snapshot: by node, then by covered
+    /// range, then by path.
+    fn order(&self) -> (u32, (u32, u32), &str) {
+        (self.node, self.range, &self.rel)
+    }
 }
 
+/// An open file, found in a set by its relative path — so the set needs
+/// no copy of the path.
+struct ByRel(Arc<FileHandle>);
+
+impl Borrow<str> for ByRel {
+    fn borrow(&self) -> &str {
+        &self.0.rel
+    }
+}
+
+impl Hash for ByRel {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.rel.hash(state);
+    }
+}
+
+impl PartialEq for ByRel {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.rel == other.0.rel
+    }
+}
+
+impl Eq for ByRel {}
+
 /// An immutable view of the output at one manifest generation.
+///
+/// Three flat arrays, whatever the number of files: every file, and for
+/// each iteration a file covers the file and, in a parallel array, the
+/// iteration — both sorted by (iteration, node, range, path), so the files
+/// of one iteration are one slice.
 pub struct Snapshot {
     generation: u64,
+    /// Every file, by (node, range, path).
     files: Vec<Arc<FileHandle>>,
-    by_iter: BTreeMap<u32, Vec<Arc<FileHandle>>>,
+    /// One slot per (iteration, file covering it).
+    by_iter: Vec<Arc<FileHandle>>,
+    /// The iteration of each `by_iter` slot.
+    iters: Vec<u32>,
 }
 
 impl Snapshot {
+    /// The snapshot of no files at generation 0. Allocates nothing.
+    fn empty() -> Snapshot {
+        Snapshot {
+            generation: 0,
+            files: Vec::new(),
+            by_iter: Vec::new(),
+            iters: Vec::new(),
+        }
+    }
+
+    /// This snapshot with `added` files too, at `generation`: the arrays
+    /// are copied once and each added file is merged in where it sorts,
+    /// so adding k files to N costs O(N + k log N) and a constant number
+    /// of allocations.
+    fn extend(&self, generation: u64, mut added: Vec<Arc<FileHandle>>) -> Snapshot {
+        added.sort_unstable_by(|a, b| a.order().cmp(&b.order()));
+        let mut files = Vec::with_capacity(self.files.len() + added.len());
+        let mut rest = &self.files[..];
+        for handle in &added {
+            let before = rest.partition_point(|h| h.order() <= handle.order());
+            let (head, tail) = rest.split_at(before);
+            files.extend_from_slice(head);
+            files.push(Arc::clone(handle));
+            rest = tail;
+        }
+        files.extend_from_slice(rest);
+
+        // The added files' slots, by (iteration, file): `added` is sorted
+        // by file, so its positions order the files of one iteration.
+        let mut slots: Vec<(u32, usize)> = added
+            .iter()
+            .enumerate()
+            .flat_map(|(at, h)| (h.range.0..=h.range.1).map(move |iteration| (iteration, at)))
+            .collect();
+        slots.sort_unstable();
+        let mut by_iter = Vec::with_capacity(self.by_iter.len() + slots.len());
+        let mut iters = Vec::with_capacity(by_iter.capacity());
+        let (mut rest_iters, mut rest_files) = (&self.iters[..], &self.by_iter[..]);
+        for (iteration, at) in slots {
+            let handle = &added[at];
+            let earlier = rest_iters.partition_point(|&it| it < iteration);
+            let same = rest_iters[earlier..].partition_point(|&it| it == iteration);
+            let before = earlier
+                + rest_files[earlier..earlier + same]
+                    .partition_point(|h| h.order() <= handle.order());
+            iters.extend_from_slice(&rest_iters[..before]);
+            by_iter.extend_from_slice(&rest_files[..before]);
+            iters.push(iteration);
+            by_iter.push(Arc::clone(handle));
+            rest_iters = &rest_iters[before..];
+            rest_files = &rest_files[before..];
+        }
+        iters.extend_from_slice(rest_iters);
+        by_iter.extend_from_slice(rest_files);
+        Snapshot {
+            generation,
+            files,
+            by_iter,
+            iters,
+        }
+    }
+
     /// Manifest generation this snapshot was built from.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -106,20 +209,24 @@ impl Snapshot {
     /// Files whose manifest range covers `iteration`.
     // ANALYZE: hot
     pub fn files_for(&self, iteration: u32) -> &[Arc<FileHandle>] {
-        match self.by_iter.get(&iteration) {
-            Some(v) => v.as_slice(),
+        let start = self.iters.partition_point(|&it| it < iteration);
+        let end = self.iters.partition_point(|&it| it <= iteration);
+        match self.by_iter.get(start..end) {
+            Some(files) => files,
             None => &[],
         }
     }
 
     /// Highest iteration any file covers, if any data exists.
     pub fn max_iteration(&self) -> Option<u32> {
-        self.by_iter.keys().next_back().copied()
+        self.iters.last().copied()
     }
 
     /// Iterations with at least one covering file, ascending.
     pub fn iterations(&self) -> Vec<u32> {
-        self.by_iter.keys().copied().collect()
+        let mut iterations = self.iters.clone();
+        iterations.dedup();
+        iterations
     }
 }
 
@@ -150,13 +257,16 @@ pub struct RangeHit {
     pub data: Block,
 }
 
-/// Mutable engine state behind one mutex: the open-file table and the
-/// current snapshot. Lookups never touch this — they work off an
-/// `Arc<Snapshot>` the caller already holds.
+/// Mutable engine state behind one mutex: the manifest reader, the
+/// open-file table and the current snapshot. Lookups never touch this —
+/// they work off an `Arc<Snapshot>` the caller already holds.
 struct EngineState {
     snapshot: Arc<Snapshot>,
+    /// `MANIFEST`, read into buffers kept across refreshes; the text it
+    /// accepted is the one `snapshot` was built from.
+    manifest: ManifestReader,
     /// Open files by relative path, reused across refreshes.
-    handles: HashMap<String, Arc<FileHandle>>,
+    handles: HashSet<ByRel>,
     next_id: u64,
 }
 
@@ -198,22 +308,20 @@ impl QueryEngine {
         registry: Arc<Registry>,
         rec: Recorder,
     ) -> Result<QueryEngine, QueryError> {
+        let root = root.as_ref().to_path_buf();
         let engine = QueryEngine {
-            root: root.as_ref().to_path_buf(),
             cache: BlockCache::new(config.cache_bytes, &registry),
             lookups: registry.counter("query.lookups"),
             block_reads: registry.counter("query.block_reads"),
             registry,
             rec,
             state: Mutex::new(EngineState {
-                snapshot: Arc::new(Snapshot {
-                    generation: 0,
-                    files: Vec::new(),
-                    by_iter: BTreeMap::new(),
-                }),
-                handles: HashMap::new(),
+                snapshot: Arc::new(Snapshot::empty()),
+                manifest: ManifestReader::new(&root),
+                handles: HashSet::new(),
                 next_id: 1,
             }),
+            root,
         };
         engine.refresh()?;
         Ok(engine)
@@ -241,92 +349,117 @@ impl QueryEngine {
 
     /// Re-reads the manifest and returns a snapshot of it, opening newly
     /// published files and dropping handles for files the compactor
-    /// superseded. Cheap when the generation has not moved. Readers call
-    /// this at their own cadence; they never block the EPE or compactor
-    /// (the manifest lock is a writer-writer lock only).
+    /// superseded. What it costs follows what changed (DESIGN §13.2): an
+    /// unchanged manifest allocates nothing, a publish of new files opens
+    /// and merges in only those. Readers call this at their own cadence;
+    /// they never block the EPE or compactor (the manifest lock is a
+    /// writer-writer lock only).
     pub fn refresh(&self) -> Result<Arc<Snapshot>, QueryError> {
-        self.refresh_with(Manifest::load(&self.root)?)
+        self.refresh_with(ManifestReader::read)
     }
 
-    /// [`refresh`](Self::refresh) from an already-loaded manifest.
+    /// [`refresh`](Self::refresh) over the function that reads `MANIFEST`
+    /// ([`ManifestReader::read`]; tests hand it a stale generation). Three
+    /// cases, one path:
+    ///
+    /// - the text is the one the snapshot was built from: the snapshot;
+    /// - it lists every entry of that text, then more: the new entries'
+    ///   files are opened and merged into a copy of the snapshot;
+    /// - anything else (a compaction, an entry rewritten in place, a
+    ///   recovery): every entry, the open handles reused.
     ///
     /// Opening a listed file can race the compactor: between our manifest
-    /// load and the `open`, a commit can supersede the file and the
+    /// read and the `open`, a commit can supersede the file and the
     /// post-commit gc delete it. A `NotFound` there is not an error —
-    /// it is a stale manifest. We reload and rebuild against the newer
-    /// generation (bounded), and only surface the error if the *current*
-    /// manifest still references the missing file.
-    fn refresh_with(&self, mut manifest: Manifest) -> Result<Arc<Snapshot>, QueryError> {
-        let mut state = lock_state(&self.state);
+    /// it is a stale manifest. We read it again and build against the
+    /// newer generation (bounded), and only surface the error if the
+    /// *current* manifest still references the missing file.
+    fn refresh_with(
+        &self,
+        mut read: impl FnMut(&mut ManifestReader) -> damaris_fs::manifest::Result<()>,
+    ) -> Result<Arc<Snapshot>, QueryError> {
+        let mut guard = lock_state(&self.state);
+        let state = &mut *guard;
         // Each retry requires the manifest generation to have actually
         // moved, so the bound only guards against a pathological storm of
         // concurrent compactions.
         let mut reloads = 8u32;
-        'rebuild: loop {
-            if manifest.generation == state.snapshot.generation && manifest.generation != 0 {
-                return Ok(Arc::clone(&state.snapshot));
-            }
-            let mut files = Vec::with_capacity(manifest.entries.len());
-            let mut live: HashMap<String, Arc<FileHandle>> = HashMap::new();
-            for entry in &manifest.entries {
-                let handle = match state.handles.get(&entry.file) {
-                    // Published files are immutable: reuse the open handle.
-                    Some(h) => Arc::clone(h),
-                    None => {
-                        let path = self.root.join(&entry.file);
-                        let reader = match SdfReader::open(&path) {
-                            Ok(r) => r,
-                            Err(e) if is_not_found(&e) && reloads > 0 => {
-                                reloads -= 1;
-                                let newer = Manifest::load(&self.root)?;
-                                if newer.generation != manifest.generation
-                                    && !newer.references(&entry.file)
-                                {
-                                    manifest = newer;
-                                    continue 'rebuild;
-                                }
-                                // Still referenced: genuinely missing data.
-                                return Err(e.into());
-                            }
-                            Err(e) => return Err(e.into()),
-                        };
-                        let section = reader.lookup_section()?;
-                        let id = state.next_id;
-                        state.next_id += 1;
-                        Arc::new(FileHandle {
-                            id,
-                            rel: entry.file.clone(),
-                            node: entry.node,
-                            range: entry.kind.range(),
-                            reader,
-                            section,
-                        })
-                    }
-                };
-                live.insert(entry.file.clone(), Arc::clone(&handle));
-                files.push(handle);
-            }
-            // Deterministic iteration order for range queries: by node,
-            // then by covered range, then by path.
-            files.sort_by(|a, b| {
-                (a.node, a.range, &a.rel).cmp(&(b.node, b.range, &b.rel))
-            });
-            let mut by_iter: BTreeMap<u32, Vec<Arc<FileHandle>>> = BTreeMap::new();
-            for handle in &files {
-                let (lo, hi) = handle.range;
-                for iteration in lo..=hi {
-                    by_iter.entry(iteration).or_default().push(Arc::clone(handle));
+        // The generation that listed a file found missing, the file, and
+        // the error opening it gave.
+        let mut missing: Option<(u64, String, SdfError)> = None;
+        'read: loop {
+            read(&mut state.manifest)?;
+            let (latest, accepted) = state.manifest.views();
+            if let Some((generation, file, e)) = missing.take() {
+                if latest.generation() == generation || latest.entries().any(|e| e.file == file) {
+                    // Still referenced: genuinely missing data.
+                    return Err(e.into());
                 }
             }
-            let snapshot = Arc::new(Snapshot {
-                generation: manifest.generation,
-                files,
-                by_iter,
-            });
-            state.handles = live;
-            state.snapshot = Arc::clone(&snapshot);
-            return Ok(snapshot);
+            if latest == accepted {
+                return Ok(Arc::clone(&state.snapshot));
+            }
+            let appended = latest.entries_after(&accepted);
+            let whole = appended.is_none();
+            let mut added = Vec::new();
+            for entry in appended.unwrap_or_else(|| latest.entries()) {
+                match self.handle(&mut state.handles, &mut state.next_id, entry) {
+                    Ok(handle) => added.push(handle),
+                    Err(e) if is_not_found(&e) && reloads > 0 => {
+                        reloads -= 1;
+                        missing = Some((latest.generation(), entry.file.to_string(), e));
+                        continue 'read;
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            let generation = latest.generation();
+            state.manifest.accept();
+            let snapshot = if whole {
+                let snapshot = Snapshot::empty().extend(generation, added);
+                // Drop the handles of files no longer listed.
+                state.handles = snapshot
+                    .files
+                    .iter()
+                    .map(|h| ByRel(Arc::clone(h)))
+                    .collect();
+                snapshot
+            } else {
+                state.snapshot.extend(generation, added)
+            };
+            state.snapshot = Arc::new(snapshot);
+            return Ok(Arc::clone(&state.snapshot));
         }
+    }
+
+    /// The open file `entry` lists: the handle already open for it when it
+    /// was opened for the same node and range (published files are
+    /// immutable), else the file opened now and its handle kept.
+    fn handle(
+        &self,
+        handles: &mut HashSet<ByRel>,
+        next_id: &mut u64,
+        entry: EntryRef<'_>,
+    ) -> Result<Arc<FileHandle>, SdfError> {
+        let range = entry.kind.range();
+        if let Some(ByRel(open)) = handles.get(entry.file) {
+            if (open.node, open.range) == (entry.node, range) {
+                return Ok(Arc::clone(open));
+            }
+        }
+        let reader = SdfReader::open(self.root.join(entry.file))?;
+        let section = reader.lookup_section()?;
+        let handle = Arc::new(FileHandle {
+            id: *next_id,
+            rel: entry.file.to_string(),
+            node: entry.node,
+            range,
+            reader,
+            section,
+        });
+        *next_id += 1;
+        handles.replace(ByRel(Arc::clone(&handle)));
+        Ok(handle)
     }
 
     /// Point lookup: the decoded payload of ⟨`variable`, `iteration`,
@@ -510,6 +643,7 @@ mod tests {
     use super::*;
     use damaris_format::{DataType, DatasetOptions, SdfWriter};
     use damaris_fs::manifest::publish_iteration;
+    use damaris_fs::Manifest;
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -531,6 +665,12 @@ mod tests {
     /// Writes `node-<node>/iter-<it>.sdf` with one `field` dataset per
     /// source and publishes it in the manifest.
     fn publish_file(root: &Path, node: u32, iteration: u32, sources: u32, n: usize) {
+        let (rel, bytes) = write_file(root, node, iteration, sources, n);
+        publish_iteration(root, node, iteration, &rel, bytes).expect("publish");
+    }
+
+    /// [`publish_file`]'s file, not published: its manifest path and size.
+    fn write_file(root: &Path, node: u32, iteration: u32, sources: u32, n: usize) -> (String, u64) {
         let rel = format!("node-{node}/iter-{iteration:06}.sdf");
         let path = root.join(&rel);
         std::fs::create_dir_all(path.parent().expect("parent")).expect("node dir");
@@ -550,7 +690,7 @@ mod tests {
                 .expect("write");
         }
         let bytes = writer.finish_synced().expect("finish");
-        publish_iteration(root, node, iteration, &rel, bytes).expect("publish");
+        (rel, bytes)
     }
 
     fn f64s(bytes: &[u8]) -> Vec<f64> {
@@ -829,7 +969,8 @@ mod tests {
             publish_file(&root, 0, it, 1, 16);
         }
         // The "slow reader" captures the manifest before compaction.
-        let stale = Manifest::load(&root).expect("stale load");
+        let stale =
+            std::fs::read(root.join(damaris_fs::manifest::MANIFEST_NAME)).expect("stale read");
         let compactor = crate::Compactor::new(
             &root,
             crate::CompactorConfig { min_batch: 2, hot_tail: 1, chunk_rows: 0 },
@@ -837,7 +978,17 @@ mod tests {
         let report = compactor.run_once().expect("compact");
         assert!(!report.batches.is_empty() && report.deleted > 0, "{report:?}");
         let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
-        let snap = engine.refresh_with(stale).expect("stale refresh must retry");
+        // Its first read gets the stale bytes, every later one the file.
+        let mut stale = Some(stale);
+        let snap = engine
+            .refresh_with(|reader| match stale.take() {
+                Some(bytes) => reader.read_with(|_, buf| {
+                    buf.clone_from(&bytes);
+                    Ok(true)
+                }),
+                None => reader.read(),
+            })
+            .expect("stale refresh must retry");
         assert_eq!(
             snap.generation(),
             Manifest::load(&root).expect("current").generation
@@ -848,6 +999,138 @@ mod tests {
                 "iteration {it} reachable after retry"
             );
         }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Everything a reader can ask of a snapshot, as plain values.
+    type Answers = (
+        u64,
+        Vec<(String, u32, (u32, u32))>,
+        Vec<(u32, Vec<String>)>,
+        Vec<Option<Block>>,
+        Vec<(u32, u32, Layout, Block)>,
+    );
+
+    fn answers(engine: &QueryEngine, snap: &Snapshot) -> Answers {
+        let listed = |files: &[Arc<FileHandle>]| -> Vec<String> {
+            files.iter().map(|h| h.rel().to_string()).collect()
+        };
+        let files = snap
+            .files()
+            .iter()
+            .map(|h| (h.rel().to_string(), h.node(), h.range()))
+            .collect();
+        let last = snap.max_iteration().map_or(0, |it| it + 1);
+        let by_iter = (0..=last)
+            .map(|it| (it, listed(snap.files_for(it))))
+            .collect();
+        let mut blocks = Vec::new();
+        for iteration in 0..=last {
+            for source in 0..3 {
+                for variable in ["field", "nope"] {
+                    blocks.push(
+                        engine
+                            .lookup(snap, variable, iteration, source)
+                            .expect("lookup"),
+                    );
+                }
+            }
+        }
+        let query = RangeQuery {
+            variable: "field",
+            iterations: (0, last),
+            sources: None,
+            rows: None,
+        };
+        let hits = engine
+            .range(snap, &query)
+            .expect("range")
+            .into_iter()
+            .map(|h| (h.iteration, h.source, h.layout, h.data))
+            .collect();
+        assert_eq!(
+            snap.iterations(),
+            (0..=last)
+                .filter(|&it| !snap.files_for(it).is_empty())
+                .collect::<Vec<_>>()
+        );
+        (snap.generation(), files, by_iter, blocks, hits)
+    }
+
+    /// The snapshot one long-lived engine keeps up to date, poll after
+    /// poll, answers exactly as one a fresh engine builds whole — after
+    /// single and batched publishes (the append case), an entry rewritten
+    /// in place, a second node, a compaction and its gc, and a stale read
+    /// racing that gc (the rebuild cases).
+    #[test]
+    fn an_engine_kept_up_to_date_answers_as_a_fresh_one() {
+        let root = scratch("differential");
+        let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
+        let agree = |step: &str| {
+            let kept = engine.refresh().expect("refresh");
+            let fresh = QueryEngine::open(&root, QueryConfig::default()).expect("fresh");
+            assert_eq!(
+                answers(&engine, &kept),
+                answers(&fresh, &fresh.snapshot()),
+                "after {step}"
+            );
+            kept
+        };
+        agree("nothing");
+        for it in 0..3 {
+            publish_file(&root, 0, it, 2, 8);
+            agree("a publish");
+        }
+        // A batch: three files in one generation swap.
+        let sealed: Vec<(u32, (String, u64))> = (3..6)
+            .map(|it| (it, write_file(&root, 0, it, 2, 8)))
+            .collect();
+        let batch: Vec<(u32, &str, u64)> = sealed
+            .iter()
+            .map(|(it, (rel, bytes))| (*it, rel.as_str(), *bytes))
+            .collect();
+        damaris_fs::manifest::publish_iterations(&root, 0, &batch).expect("batch");
+        let before = agree("a batch");
+        // Rewritten in place: the same file listed again with another size.
+        publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 1).expect("upsert");
+        let after = agree("an in-place upsert");
+        assert!(
+            Arc::ptr_eq(&before.files()[1], &after.files()[1]),
+            "the open handle is reused"
+        );
+        for it in 0..4 {
+            publish_file(&root, 1, it, 3, 8);
+            agree("a second node");
+        }
+        // The slow reader's manifest, read before the compaction below.
+        let stale = std::fs::read(root.join(damaris_fs::manifest::MANIFEST_NAME)).expect("stale");
+        let compactor = crate::Compactor::new(
+            &root,
+            crate::CompactorConfig {
+                min_batch: 2,
+                hot_tail: 1,
+                chunk_rows: 0,
+            },
+        );
+        let report = compactor.run_once().expect("compact");
+        assert!(
+            !report.batches.is_empty() && report.deleted > 0,
+            "{report:?}"
+        );
+        damaris_fs::manifest::gc_superseded(&root, None).expect("gc");
+        let mut stale = Some(stale);
+        engine
+            .refresh_with(|reader| match stale.take() {
+                Some(bytes) => reader.read_with(|_, buf| {
+                    buf.clone_from(&bytes);
+                    Ok(true)
+                }),
+                None => reader.read(),
+            })
+            .expect("stale refresh must retry");
+        agree("a compaction, gc and a stale read");
+        publish_file(&root, 0, 6, 2, 8);
+        agree("a publish after the compaction");
         std::fs::remove_dir_all(&root).ok();
     }
 

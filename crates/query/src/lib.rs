@@ -21,6 +21,17 @@
 //!   is opened (`SdfReader::lookup_section`), and is searched the same
 //!   way.
 //!
+//! A [`Snapshot`] is three flat arrays, whatever the number of files: the
+//! open files sorted by (node, iteration range, path), and one slot per
+//! (iteration, file covering it) — the file, and in a parallel array the
+//! iteration — sorted by (iteration, node, range, path), so
+//! [`Snapshot::files_for`] is a binary search that returns a slice.
+//! [`QueryEngine::refresh`] keeps the `MANIFEST` it read last
+//! (`damaris_fs::ManifestReader`): a poll that finds it unchanged returns
+//! the current snapshot and allocates nothing, a publish of new files
+//! opens only those and merges them into a copy of the arrays, and
+//! anything else rebuilds from every entry, reusing the open files.
+//!
 //! An open file costs the engine its reader's flat table and its section:
 //! one 40-byte record and one 24-byte key per dataset, the CRC-checked
 //! index bytes (paths and attributes, decoded only by the cold APIs), and
