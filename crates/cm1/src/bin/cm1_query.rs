@@ -182,8 +182,8 @@ fn main() -> ExitCode {
     }
     let stats = engine.cache_stats();
     println!(
-        "[cache] hits {} misses {} evictions {} resident {} B",
-        stats.hits, stats.misses, stats.evictions, stats.resident_bytes
+        "[cache] hits {} misses {} declined {} evictions {} resident {} B",
+        stats.hits, stats.misses, stats.declined, stats.evictions, stats.resident_bytes
     );
     std::fs::remove_dir_all(&dir).ok();
     ExitCode::SUCCESS

@@ -42,7 +42,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Tuning knobs for [`QueryEngine::open`].
 #[derive(Debug, Clone)]
 pub struct QueryConfig {
-    /// Total byte budget of the block cache.
+    /// Total byte budget of the block cache: a ceiling on the blocks it
+    /// holds plus the ids it remembers of blocks read once (a block is
+    /// cached on its second miss; see [`BlockCache`]).
     pub cache_bytes: u64,
 }
 
@@ -417,7 +419,17 @@ impl QueryEngine {
             state.manifest.accept();
             let snapshot = if whole {
                 let snapshot = Snapshot::empty().extend(generation, added);
-                // Drop the handles of files no longer listed.
+                // Drop the handles of files no longer listed, and what the
+                // cache holds of them.
+                let listed: HashSet<u64> = snapshot.files.iter().map(|h| h.id).collect();
+                let dropped: HashSet<u64> = state
+                    .snapshot
+                    .files
+                    .iter()
+                    .map(|h| h.id)
+                    .filter(|id| !listed.contains(id))
+                    .collect();
+                self.cache.forget_files(&dropped);
                 state.handles = snapshot
                     .files
                     .iter()
@@ -520,7 +532,8 @@ impl QueryEngine {
         }
     }
 
-    /// The miss path: decode the block from the file and cache it.
+    /// The miss path: decode the block from the file and offer it to the
+    /// cache (which admits it if this is its second miss).
     #[cold]
     fn read_block(
         &self,
@@ -543,7 +556,8 @@ impl QueryEngine {
     /// window (optionally restricted to sources / a row range), in
     /// deterministic ⟨iteration, source⟩ order. Blocks come from the
     /// same cache the point path uses; row slicing happens on the cached
-    /// decoded bytes, so repeated window scans over hot data do no I/O.
+    /// decoded bytes. A block is cached on its second miss, so repeated
+    /// window scans over hot data do no I/O from the third scan on.
     pub fn range(&self, snap: &Snapshot, query: &RangeQuery<'_>) -> Result<Vec<RangeHit>, QueryError> {
         let (lo, hi) = query.iterations;
         if hi < lo {
@@ -724,21 +738,96 @@ mod tests {
     }
 
     #[test]
-    fn second_lookup_hits_cache_without_block_read() {
+    fn second_read_admits_third_lookup_hits_cache_without_block_read() {
         let root = scratch("cache");
         publish_file(&root, 0, 0, 1, 32);
         let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
         let snap = engine.snapshot();
-        let a = engine.lookup(&snap, "field", 0, 0).expect("a").expect("hit");
-        let reads_after_first = engine.registry().counter("query.block_reads").get();
-        let b = engine.lookup(&snap, "field", 0, 0).expect("b").expect("hit");
+        let reads = engine.registry().counter("query.block_reads");
+        let first = engine
+            .lookup(&snap, "field", 0, 0)
+            .expect("first")
+            .expect("hit");
+        assert_eq!(
+            engine.cache_stats().resident_bytes,
+            0,
+            "read once: not cached"
+        );
+        let a = engine
+            .lookup(&snap, "field", 0, 0)
+            .expect("a")
+            .expect("hit");
+        assert_eq!(reads.get(), 2, "the second lookup reads the block again");
+        let reads_after_first = reads.get();
+        let b = engine
+            .lookup(&snap, "field", 0, 0)
+            .expect("b")
+            .expect("hit");
         assert_eq!(a, b);
+        assert_eq!(first, b);
         assert_eq!(
             engine.registry().counter("query.block_reads").get(),
             reads_after_first,
-            "second lookup must be served from cache"
+            "third lookup must be served from cache"
         );
         assert!(engine.cache_stats().hits >= 1);
+        assert_eq!(engine.cache_stats().declined, 1);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A compaction supersedes files; the refresh that stops listing them
+    /// drops their blocks, and keeps those of the files still listed.
+    #[test]
+    fn refresh_drops_the_cached_blocks_of_superseded_files() {
+        let root = scratch("cache-compacted");
+        for it in 0..6 {
+            publish_file(&root, 0, it, 1, 16);
+        }
+        let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
+        let snap = engine.snapshot();
+        let read_twice = |it: u32| {
+            for _ in 0..2 {
+                engine
+                    .lookup(&snap, "field", it, 0)
+                    .expect("lookup")
+                    .expect("hit");
+            }
+        };
+        // One block alone, then every file's one block.
+        read_twice(5);
+        let block = engine.cache_stats().resident_bytes;
+        assert!(block > 0);
+        (0..5).for_each(read_twice);
+        assert_eq!(engine.cache_stats().resident_bytes, 6 * block);
+        let compactor = crate::Compactor::new(
+            &root,
+            crate::CompactorConfig {
+                min_batch: 2,
+                hot_tail: 1,
+                chunk_rows: 0,
+            },
+        );
+        let report = compactor.run_once().expect("compact");
+        assert!(!report.batches.is_empty(), "{report:?}");
+        let fresh = engine.refresh().expect("refresh");
+        let still_listed = snap
+            .files()
+            .iter()
+            .filter(|old| fresh.files().iter().any(|h| Arc::ptr_eq(h, old)))
+            .count();
+        assert!(still_listed < snap.files().len());
+        assert_eq!(
+            engine.cache_stats().resident_bytes,
+            still_listed as u64 * block,
+            "no block of a superseded file stays cached"
+        );
+        for it in 0..6 {
+            let got = engine
+                .lookup(&fresh, "field", it, 0)
+                .expect("lookup")
+                .expect("hit");
+            assert_eq!(f64s(&got), field(it, 0, 16));
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

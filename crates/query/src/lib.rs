@@ -37,10 +37,13 @@
 //! index bytes (paths and attributes, decoded only by the cold APIs), and
 //! a handful of per-file arenas — about 140 bytes and well under one
 //! allocation per dataset (`tests/resident_bytes.rs`).
-//! * [`BlockCache`] — a sharded LRU over decoded blocks with a
-//!   configurable byte budget. The hit path takes a `try_lock` on one
-//!   shard and clones an `Arc` — no allocation, no blocking — and is
-//!   verified by `cargo run -p xtask -- analyze` (`// ANALYZE: hot`).
+//! * [`BlockCache`] — a sharded cache over decoded blocks with a
+//!   configurable byte budget that admits a block on its second miss: a
+//!   block read once leaves only its id behind, so readers that never
+//!   read a block again cost no block memory; blocks read again live in
+//!   a per-shard LRU. The hit path takes a `try_lock` on one shard and
+//!   clones an `Arc` — no allocation, no blocking — and is verified by
+//!   `cargo run -p xtask -- analyze` (`// ANALYZE: hot`).
 //! * [`Compactor`] — a background pass that merges per-iteration SDF
 //!   files into read-optimized, chunked `compact-<lo>-<hi>.sdf` datasets
 //!   and swaps them into the manifest at a single atomic commit point
