@@ -49,9 +49,7 @@ impl IoBackend for FppBackend {
         let name = format!("rank-{}/iter-{:06}.sdf", phase.rank, phase.iteration);
         let mut writer = self.backend.create_sdf(&name)?;
         for (var, data) in &phase.variables {
-            let mut opts = DatasetOptions::plain()
-                .with_attr("iteration", i64::from(phase.iteration))
-                .with_attr("source", phase.rank as i64);
+            let mut opts = DatasetOptions::plain().with_coords(phase.iteration, phase.rank as u32);
             if let Some(f) = &self.filter {
                 opts = opts.with_filter(f.clone());
             }

@@ -436,8 +436,7 @@ impl DamarisClient {
             layout,
             data,
             &damaris_format::DatasetOptions::plain()
-                .with_attr("iteration", i64::from(iteration))
-                .with_attr("source", i64::from(self.id))
+                .with_coords(iteration, self.id)
                 .with_attr("sync_fallback", 1i64),
         )?;
         let total = backend.commit_sdf(writer)?;

@@ -73,9 +73,7 @@ impl ArchivePlugin {
             for var in ctx.store.drain_iteration(iteration) {
                 let path =
                     format!("/iter-{}/rank-{}/{}", iteration, var.key.source, var.name);
-                let mut opts = DatasetOptions::plain()
-                    .with_attr("iteration", i64::from(iteration))
-                    .with_attr("source", i64::from(var.key.source));
+                let mut opts = DatasetOptions::plain().with_coords(iteration, var.key.source);
                 if let Some(f) = &self.filter {
                     opts = opts.with_filter(f.clone());
                 }

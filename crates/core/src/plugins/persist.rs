@@ -94,9 +94,7 @@ impl PersistPlugin {
         let mut writer = ctx.backend.begin_sdf(&it.file_name)?;
         for var in &it.variables {
             let path = format!("/iter-{}/rank-{}/{}", iteration, var.key.source, var.name);
-            let mut opts = DatasetOptions::plain()
-                .with_attr("iteration", i64::from(iteration))
-                .with_attr("source", i64::from(var.key.source));
+            let mut opts = DatasetOptions::plain().with_coords(iteration, var.key.source);
             if let Some(bitmap) = it.presence {
                 // Partial iteration (fenced clients): mark every dataset so
                 // the recovery scan can report which ranks are present.

@@ -50,7 +50,62 @@ fn single_client_roundtrip() {
     assert_eq!(reader.read_f64("/iter-0/rank-0/diag").unwrap(), diag);
     let info = reader.info("/iter-0/rank-0/theta").unwrap();
     assert_eq!(info.attr("unit").unwrap().as_str(), Some("K"));
-    assert_eq!(info.attr("iteration").unwrap().as_i64(), Some(0));
+    // The coordinates are index fields, not attributes.
+    assert!(info.attr("iteration").is_none() && info.attr("source").is_none());
+    let Ok(section) = reader.query_section();
+    let key = section.keys.iter().find(|k| section.variable(k) == "theta").unwrap();
+    assert_eq!((key.iteration, key.source), (0, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `smallvars` shape — 64 variables of 256 B from each of 4 clients —
+/// persists its coordinates as index fields: no dataset carries an
+/// `iteration` or `source` attribute, every one is found by its
+/// coordinates, and the index costs it little more than its path.
+#[test]
+fn small_datasets_carry_coordinates_as_fields() {
+    let names: Vec<String> = (0..64).map(|v| format!("v{v:02}")).collect();
+    let variables: String = names
+        .iter()
+        .map(|n| format!(r#"<variable name="{n}" layout="small"/>"#))
+        .collect();
+    let config = Config::from_xml(&format!(
+        r#"<damaris>
+             <buffer size="4194304" queue="512"/>
+             <layout name="small" type="double" dimensions="32"/>
+             {variables}
+           </damaris>"#
+    ))
+    .expect("valid config");
+    let dir = scratch("smallvars");
+    let runtime = NodeRuntime::start(config, 4, &dir).unwrap();
+    let block = |v: usize, rank: u32| vec![v as f64 + f64::from(rank) / 8.0; 32];
+    for client in runtime.clients() {
+        for (v, name) in names.iter().enumerate() {
+            client.write_f64(name, 0, &block(v, client.id())).unwrap();
+        }
+        client.end_iteration(0).unwrap();
+    }
+    runtime.finish().unwrap();
+
+    let file = dir.join("node-0/iter-000000.sdf");
+    let reader = SdfReader::open(&file).unwrap();
+    assert_eq!(reader.len(), 256);
+    for info in reader.infos().unwrap() {
+        assert!(info.attr("iteration").is_none() && info.attr("source").is_none(), "{}", info.path);
+    }
+    let Ok(section) = reader.query_section();
+    for (v, name) in names.iter().enumerate() {
+        for rank in 0..4u32 {
+            let keys = section.candidates(damaris_format::key_hash(name, 0, rank));
+            let key = keys.iter().find(|k| section.variable(k) == name).expect("found by coordinates");
+            let bytes = reader.read_bytes_at(key.ordinal as usize).unwrap();
+            let values: Vec<f64> = bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
+            assert_eq!(values, block(v, rank), "{name} of rank {rank}");
+        }
+    }
+    let overhead = std::fs::metadata(&file).unwrap().len() - 256 * 256;
+    assert!(overhead / 256 <= 40, "{overhead} B of metadata for 256 datasets");
     std::fs::remove_dir_all(&dir).ok();
 }
 

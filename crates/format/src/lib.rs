@@ -16,28 +16,34 @@
 //!   `damaris-compress` codecs (`"lzss"`, `"rle"`, `"precision16|lzss"`, …),
 //!   the analogue of HDF5's gzip filter that the file-per-process approach
 //!   enables and pHDF5 cannot (paper §II-B).
-//! * **Integrity** — CRC32 on every dataset payload, on the index, and on
-//!   the query section.
+//! * **Integrity** — CRC32 on every dataset payload and on the index.
 //! * **Shared-file mode** ([`shared`]) — multiple writers, pre-reserved byte
 //!   ranges, one index: the collective-I/O analogue.
-//! * **Query section** ([`query`]) — a bloom filter + sparse index over
-//!   ⟨variable, iteration, source⟩ keys, written at seal time so the read
-//!   tier (`damaris-query`) can answer point probes without scanning.
+//! * **Query section** ([`query`]) — a bloom filter + sorted key table over
+//!   ⟨variable, iteration, source⟩ keys, built by the reader at open from
+//!   the index, so the read tier (`damaris-query`) can answer point probes
+//!   without scanning.
 //!
 //! ## On-disk layout
 //!
 //! ```text
-//! [superblock][record][record]…[index][query section][footer]
+//! [superblock][record][record]…[index][footer]
+//!  └ "SDF1" version flags        └ per dataset: path, layout, offset,
+//!                                  length, crc, filter, chunk extent,
+//!                                  iteration, source, attributes
 //! ```
 //!
 //! Records are appended as datasets are written (streaming friendly — no
 //! seeks during data writes). `finish()` appends the index (a table of every
-//! object with its offset, layout, attributes and filter spec), the query
-//! section, and a fixed-size footer pointing back at the index. Readers
-//! locate the footer at `len-24`, then read the index; the query section's
-//! range is derived as `[index_end, footer_start)` — empty for files
-//! written before it existed, ignored by older readers — and individual
-//! dataset payloads are read lazily.
+//! object with its offset, layout, coordinates, attributes and filter spec)
+//! and a fixed-size footer pointing back at it. Readers locate the footer
+//! at `len-24`, then read the index; individual dataset payloads are read
+//! lazily. The superblock's flags word holds feature bits
+//! ([`header::Features`]): [`header::INCOMPAT_COORDS`], set in every file
+//! written now, says the entries carry coordinate fields and nothing lies
+//! between index and footer. A file without it — from before the fields —
+//! keys its datasets by their `iteration`/`source` attributes, and may
+//! hold a stored query section before its footer, which is ignored.
 //!
 //! ## Example
 //!

@@ -16,15 +16,19 @@
 //! `info_at`, so a caller walking the index by ordinal pays per entry,
 //! not per index. So a reader costs a few allocations per file and about
 //! 70 bytes per dataset, where an object per dataset cost seven
-//! allocations and 570 bytes.
+//! allocations and 570 bytes. The same pass builds the file's
+//! [`QuerySection`] from each entry's path and coordinates.
 
 use crate::checksum::crc32;
-use crate::header::{self, EntryRef, IndexEntry, FOOTER_LEN, MIN_ENTRY_LEN, SUPERBLOCK_LEN};
-use crate::query::QuerySection;
+use crate::header::{
+    self, EntryRef, IndexEntry, Superblock, FOOTER_LEN, MIN_ENTRY_LEN, SUPERBLOCK_LEN,
+};
+use crate::query::{QuerySection, SectionBuilder};
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
 use damaris_compress::{varint, CodecError, Pipeline};
 use std::borrow::Cow;
+use std::convert::Infallible;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -114,17 +118,21 @@ pub struct SdfReader {
     /// Start of the index — the exclusive upper bound of the data region
     /// every payload read is clamped against.
     index_offset: u64,
+    /// Its length.
+    index_len: u32,
     /// CRC of the whole index, checked at open; a cold re-read of all of
     /// it is held to it again.
     index_crc: u32,
-    /// Byte range of the query section, `[start, end)`; empty for files
-    /// written before the section existed. It starts where the index ends.
-    query_range: (u64, u64),
+    /// The entries carry coordinate fields (the superblock says so).
+    coords: bool,
+    /// Built at open from the index.
+    section: QuerySection,
 }
 
 impl SdfReader {
-    /// Opens and validates `path`: the superblock, the footer, the index's
-    /// CRC and every entry of it.
+    /// Opens and validates `path`: the superblock and its feature bits, the
+    /// footer, the index's CRC and every entry of it, building the query
+    /// section on the way.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
@@ -137,7 +145,9 @@ impl SdfReader {
 
         let mut sb = [0u8; SUPERBLOCK_LEN as usize];
         file.read_exact_at(&mut sb, 0)?;
-        header::check_superblock(&sb)?;
+        let sb = Superblock::validate(&sb)?;
+        sb.check_features(false)?;
+        let coords = sb.coords();
 
         let mut footer = [0u8; FOOTER_LEN as usize];
         file.read_exact_at(&mut footer, file_len - FOOTER_LEN)?;
@@ -153,6 +163,14 @@ impl SdfReader {
         if index_len > u64::from(u32::MAX) {
             return Err(SdfError::Format(format!(
                 "index of {index_len} bytes exceeds the 4 GiB a reader addresses"
+            )));
+        }
+        // A file from before the coordinate fields may hold a stored query
+        // section there, ignored; a newer one holds nothing.
+        let gap = file_len - FOOTER_LEN - (index_offset + index_len);
+        if coords && gap != 0 {
+            return Err(SdfError::Format(format!(
+                "{gap} bytes between the index and the footer"
             )));
         }
 
@@ -172,13 +190,15 @@ impl SdfReader {
             )));
         }
         let mut records: Vec<Record> = Vec::with_capacity(count as usize);
+        let mut section = SectionBuilder::new(count as usize);
         let mut dims = Vec::new();
         let mut pipelines = Vec::new();
         let mut paths_len = 0usize;
         for _ in 0..count {
             let entry_at = off;
             let first = dims.len();
-            let e = EntryRef::skim(&index, &mut off, &mut dims)?;
+            let e = EntryRef::skim(&index, &mut off, coords, &mut dims)?;
+            section.push(&e);
             let path_at = paths_len;
             paths_len += path_field(&index, entry_at).len();
             let rank = dims.len() - first;
@@ -223,35 +243,17 @@ impl SdfReader {
             dims: dims.into_boxed_slice(),
             pipelines,
             index_offset,
+            index_len: index_len as u32,
             index_crc,
-            query_range: (index_offset + index_len, file_len - FOOTER_LEN),
+            coords,
+            section: section.finish(),
         })
     }
 
-    /// Parses the query section (sparse block index + bloom filter), if
-    /// the file carries one. `Ok(None)` for files written before the
-    /// section existed; a typed error if the section bytes are corrupt
-    /// (the datasets themselves stay readable).
-    pub fn query_section(&self) -> Result<Option<QuerySection>> {
-        let (start, end) = self.query_range;
-        if start >= end {
-            return Ok(None);
-        }
-        let len = (end - start) as usize;
-        let mut bytes = vec![0u8; len];
-        self.file.read_exact_at(&mut bytes, start)?;
-        QuerySection::decode(&bytes).map(Some)
-    }
-
-    /// The section point lookups search: the file's own or, for a file
-    /// written before the section existed, the one its writer would have
-    /// written, built in memory from the index by the same
-    /// [`QuerySection::build`]. So every file is looked up one way.
-    pub fn lookup_section(&self) -> Result<QuerySection> {
-        match self.query_section()? {
-            Some(section) => Ok(section),
-            None => Ok(QuerySection::build(&self.entries()?)),
-        }
+    /// The query section (bloom filter + sorted keys) `open` built from
+    /// the index. It cannot fail: the error type is [`Infallible`].
+    pub fn query_section(&self) -> std::result::Result<&QuerySection, Infallible> {
+        Ok(&self.section)
     }
 
     /// Path of the underlying file.
@@ -334,7 +336,7 @@ impl SdfReader {
             None => self.index_len(),
         };
         let bytes = self.reread_index(record.entry_at as usize, end, record.entry_crc)?;
-        IndexEntry::decode(&bytes, &mut 0)
+        IndexEntry::decode(&bytes, &mut 0, self.coords)
     }
 
     /// Every entry, from one re-read of the whole index.
@@ -342,12 +344,12 @@ impl SdfReader {
         let index = self.reread_index(0, self.index_len(), self.index_crc)?;
         self.records
             .iter()
-            .map(|r| IndexEntry::decode(&index, &mut (r.entry_at as usize)))
+            .map(|r| IndexEntry::decode(&index, &mut (r.entry_at as usize), self.coords))
             .collect()
     }
 
     fn index_len(&self) -> usize {
-        (self.query_range.0 - self.index_offset) as usize
+        self.index_len as usize
     }
 
     /// The path of `record`.
@@ -505,15 +507,13 @@ impl SdfReader {
     }
 
     /// Verifies the stored checksum of *every* dataset payload (the index
-    /// and footer were already verified at open) and of the query section
-    /// if one is present. Decoding/filters are not exercised — this is
-    /// the cheap integrity pass a recovery scan runs over files found
-    /// after a crash.
+    /// and footer were already verified at open). Decoding/filters are not
+    /// exercised — this is the cheap integrity pass a recovery scan runs
+    /// over files found after a crash.
     pub fn validate(&self) -> Result<()> {
         for record in self.records.iter() {
             self.read_stored(record)?;
         }
-        self.query_section()?;
         Ok(())
     }
 
@@ -1046,6 +1046,8 @@ mod tests {
             crc: crc32(stored),
             filter: String::new(),
             chunk_dim0: 0,
+            iteration: crate::NO_COORD,
+            source: crate::NO_COORD,
             attrs: Vec::new(),
         }
     }
@@ -1118,62 +1120,29 @@ mod tests {
     }
 
     #[test]
-    fn query_section_roundtrips_through_file() {
+    fn query_section_is_built_at_open() {
         let path = temp_path("qsec");
-        write_sample(&path, Some("lzss"), 4);
+        let mut w = SdfWriter::create(&path).unwrap();
+        let layout = Layout::new(DataType::U8, &[4]);
+        let coords = DatasetOptions::plain().with_coords(3, 1);
+        w.write_dataset_bytes("/a/theta", &layout, &[1; 4], &coords).unwrap();
+        // An `iteration` attribute is a plain attribute: the path answers.
+        let attr = DatasetOptions::plain().with_attr("iteration", 9i64);
+        w.write_dataset_bytes("/iter-4/theta", &layout, &[2; 4], &attr).unwrap();
+        w.finish().unwrap();
         let r = SdfReader::open(&path).unwrap();
-        let section = r.query_section().unwrap().expect("new files carry a section");
+        let Ok(section) = r.query_section();
         assert_eq!(section.keys.len(), r.len());
-        let h = crate::query::key_hash("theta", 3, crate::query::NO_COORD);
-        assert!(section.bloom.contains(h));
-        let cands = section.candidates(h);
-        assert_eq!(cands.len(), 1);
-        assert_eq!(section.variable(&cands[0]), "theta");
-        assert_eq!(cands[0].iteration, 3);
-        // The ordinal round-trips to the same bytes as the by-path read.
-        let via_ordinal = r.read_bytes_at(cands[0].ordinal as usize).unwrap();
-        assert_eq!(via_ordinal, r.read_bytes("/iter-3/theta").unwrap());
-        assert_eq!(r.lookup_section().unwrap(), section);
-    }
-
-    #[test]
-    fn file_without_query_section_reads_fine() {
-        // Emulate an old-format file: rewrite a fresh file with the query
-        // region dropped (index moved flush against the footer).
-        let path = temp_path("noqsec");
-        let data = write_sample(&path, None, 0);
-        let written = SdfReader::open(&path).unwrap().query_section().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let flen = bytes.len() as u64;
-        let (index_offset, index_len, index_crc) =
-            header::read_footer(&bytes[(flen - FOOTER_LEN) as usize..]).unwrap();
-        let mut old = bytes[..(index_offset + index_len) as usize].to_vec();
-        header::write_footer(index_offset, index_len, index_crc, &mut old);
-        std::fs::write(&path, &old).unwrap();
-        let r = SdfReader::open(&path).unwrap();
-        assert_eq!(r.read_f32("/iter-3/theta").unwrap(), data);
-        assert!(r.query_section().unwrap().is_none());
-        // The section built in memory is the one the writer wrote.
-        assert_eq!(Some(r.lookup_section().unwrap()), written);
-    }
-
-    #[test]
-    fn corrupt_query_section_is_typed_and_leaves_data_readable() {
-        let path = temp_path("badqsec");
-        let data = write_sample(&path, None, 0);
-        let bytes = std::fs::read(&path).unwrap();
-        let flen = bytes.len() as u64;
-        let (index_offset, index_len, _) =
-            header::read_footer(&bytes[(flen - FOOTER_LEN) as usize..]).unwrap();
-        let qstart = (index_offset + index_len) as usize;
-        let mut bad = bytes.clone();
-        bad[qstart + 20] ^= 0xff; // inside the section payload
-        std::fs::write(&path, &bad).unwrap();
-        let r = SdfReader::open(&path).unwrap();
-        assert!(r.query_section().is_err());
-        assert!(r.lookup_section().is_err(), "a corrupt section is not rebuilt");
-        // Datasets stay readable through the by-path reads.
-        assert_eq!(r.read_f32("/iter-3/theta").unwrap(), data);
+        for (ordinal, iteration, source) in [(0, 3, 1), (1, 4, crate::NO_COORD)] {
+            let h = crate::query::key_hash("theta", iteration, source);
+            assert!(section.bloom.contains(h));
+            let cands = section.candidates(h);
+            assert_eq!(cands.len(), 1);
+            assert_eq!(section.variable(&cands[0]), "theta");
+            assert_eq!((cands[0].ordinal, cands[0].iteration, cands[0].source), (ordinal, iteration, source));
+            let via_ordinal = r.read_bytes_at(ordinal as usize).unwrap();
+            assert_eq!(via_ordinal, [ordinal as u8 + 1; 4]);
+        }
     }
 
     #[test]

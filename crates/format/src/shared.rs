@@ -113,6 +113,8 @@ impl SharedFilePlan {
                 crc: crc32(&payload),
                 filter: String::new(),
                 chunk_dim0: 0,
+                iteration: crate::NO_COORD,
+                source: crate::NO_COORD,
                 attrs: Vec::new(),
             });
         }

@@ -8,6 +8,7 @@
 
 use crate::checksum::{crc32, crc32_update};
 use crate::header::{self, IndexEntry};
+use crate::query::NO_COORD;
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
 use damaris_compress::Pipeline;
@@ -28,6 +29,9 @@ pub struct DatasetOptions {
     /// dataset contiguously. Chunking splits the payload into independently
     /// filtered chunks so partial reads don't decompress everything.
     pub chunk_dim0: u64,
+    /// The dataset's `(iteration, source)` coordinates, recorded as index
+    /// fields; either may be [`NO_COORD`]. `None` records neither.
+    pub coords: Option<(u32, u32)>,
     /// Attributes recorded in the index.
     pub attrs: Vec<(String, AttrValue)>,
 }
@@ -47,6 +51,13 @@ impl DatasetOptions {
     /// Adds an attribute.
     pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<AttrValue>) -> Self {
         self.attrs.push((name.into(), value.into()));
+        self
+    }
+
+    /// Sets the iteration and source coordinates the query section keys
+    /// the dataset by; either may be [`NO_COORD`].
+    pub fn with_coords(mut self, iteration: u32, source: u32) -> Self {
+        self.coords = Some((iteration, source));
         self
     }
 
@@ -238,6 +249,8 @@ impl SdfWriter {
             crc: crc_state ^ 0xFFFF_FFFF,
             filter: filter_spec,
             chunk_dim0: chunk_rows,
+            iteration: options.coords.map_or(NO_COORD, |(iteration, _)| iteration),
+            source: options.coords.map_or(NO_COORD, |(_, source)| source),
             attrs: options.attrs.clone(),
         };
         if corrupt {
@@ -352,7 +365,7 @@ impl SdfWriter {
         }
     }
 
-    /// Completes the file — index, query section and footer written, every
+    /// Completes the file — index and footer written, every
     /// byte handed to the kernel — without consuming the writer, which
     /// takes no more datasets; [`finish`](Self::finish) and
     /// [`finish_synced`](Self::finish_synced) then have only the sync left
@@ -372,12 +385,6 @@ impl SdfWriter {
         let index_crc = crc32(&index_bytes);
         let index_len = index_bytes.len() as u64;
         self.raw_write(&index_bytes)?;
-        // The query section (sparse block index + bloom filter) sits
-        // between the index and the footer. The footer does not point at
-        // it: old readers tolerate the extra bytes, new readers derive
-        // its range as [index end, footer start).
-        let query_bytes = crate::query::QuerySection::build(&self.index).encode(&self.index);
-        self.raw_write(&query_bytes)?;
         let mut footer = Vec::new();
         header::write_footer(index_offset, index_len, index_crc, &mut footer);
         self.raw_write(&footer)?;

@@ -4,13 +4,17 @@
 //! back with a typed error having allocated no more than the layout's
 //! bytes for the output — measured, with a counting allocator, not assumed.
 //! The same holds for the counts in the index: `open` must refuse one its
-//! bytes cannot hold before anything is sized by it. And a file cut short
+//! bytes cannot hold before anything is sized by it, and so for a feature
+//! bit it does not know, a coordinate field past `u32`, and bytes between
+//! the index and the footer of a file whose entries carry coordinate
+//! fields (a file from before them may hold its stored query section
+//! there). And a file cut short
 //! after `open` must fail a block read typed, never hand back bytes the
 //! read did not write. (One `#[test]`: the counter is process-wide.)
 
 use damaris_compress::varint;
 use damaris_format::header::{self, IndexEntry};
-use damaris_format::{crc32, DataType, DatasetOptions, Layout, SdfError, SdfReader, SdfWriter};
+use damaris_format::{crc32, DataType, DatasetOptions, Layout, SdfError, SdfReader, SdfWriter, NO_COORD};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,6 +69,8 @@ fn forge(tag: &str, payload: &[u8], layout: Layout, filter: &str, chunk_dim0: u6
         crc: crc32(payload),
         filter: filter.into(),
         chunk_dim0,
+        iteration: NO_COORD,
+        source: NO_COORD,
         attrs: Vec::new(),
     };
     bytes.extend_from_slice(payload);
@@ -179,12 +185,13 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
     // were checked: a 58-byte file whose index claims 2²⁰ entries once
     // made `open` reserve 142 MB before failing, and an entry claiming
     // 4 096 attributes 229 KB. `open` must fail typed having allocated no
-    // more than the file's size and some error text.
+    // more than the file's size and some error text. So must the other
+    // header and index fields it checks.
     let mut count = Vec::new();
     varint::write_u64(1 << 20, &mut count);
     count.resize(26, 0);
-    let mut attrs = Vec::new();
-    varint::write_u64(1, &mut attrs);
+    let mut one = Vec::new();
+    varint::write_u64(1, &mut one);
     IndexEntry {
         path: "/v".into(),
         layout: Layout::new(DataType::U8, &[1]),
@@ -193,23 +200,46 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         crc: 0,
         filter: String::new(),
         chunk_dim0: 0,
+        iteration: 0,
+        source: NO_COORD,
         attrs: Vec::new(),
     }
-    .encode(&mut attrs);
+    .encode(&mut one);
+    // The entry ends with its iteration field (1: iteration 0), its source
+    // field (0: absent) and its attribute count (0).
+    assert_eq!(one[one.len() - 3..], [1, 0, 0]);
+    let mut attrs = one.clone();
     attrs.pop();
     varint::write_u64(4096, &mut attrs);
-    for (tag, index) in [("index-count", count), ("attr-count", attrs)] {
+    let mut coord = one[..one.len() - 3].to_vec();
+    varint::write_u64(u64::from(u32::MAX) + 1, &mut coord);
+    coord.extend_from_slice(&[0, 0]);
+    let empty = [0u8];
+    let incompat = header::INCOMPAT_COORDS | 1 << 1;
+    let cases: [(&str, u16, &[u8], &[u8]); 5] = [
+        ("index count", header::INCOMPAT_COORDS, &count, &[]),
+        ("attr count", header::INCOMPAT_COORDS, &attrs, &[]),
+        ("exceeds u32", header::INCOMPAT_COORDS, &coord, &[]),
+        ("unknown incompat", incompat, &empty, &[]),
+        ("between the index and the footer", header::INCOMPAT_COORDS, &empty, &[0]),
+    ];
+    for (tag, flags, index, gap) in cases {
         let mut bytes = Vec::new();
         header::write_superblock(&mut bytes);
+        bytes[6..8].copy_from_slice(&flags.to_le_bytes());
         let index_offset = bytes.len() as u64;
-        bytes.extend_from_slice(&index);
-        header::write_footer(index_offset, index.len() as u64, crc32(&index), &mut bytes);
+        bytes.extend_from_slice(index);
+        bytes.extend_from_slice(gap);
+        header::write_footer(index_offset, index.len() as u64, crc32(index), &mut bytes);
         let path = std::env::temp_dir()
             .join("damaris-format-tests")
-            .join(format!("forged-{tag}-{}.sdf", std::process::id()));
+            .join(format!("forged-{}-{}.sdf", tag.replace(' ', "-"), std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         let (result, grown) = peak_growth(|| SdfReader::open(&path).map(|r| r.len()));
-        assert!(matches!(result, Err(SdfError::Format(_))), "{tag}: {result:?}");
+        assert!(
+            matches!(&result, Err(SdfError::Format(m)) if m.contains(tag)),
+            "{tag}: {result:?}"
+        );
         assert!(
             grown <= bytes.len() + 1024,
             "{tag}: open allocated {grown} bytes for a {}-byte file",
@@ -217,8 +247,15 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         );
         std::fs::remove_file(&path).unwrap();
     }
+    // The well-formed twins of the last two open.
+    let legacy = SdfReader::open(fixture("legacy.sdf")).expect("a stored section is ignored");
+    assert_eq!(legacy.len(), 3);
 
     truncated_after_open_fails_typed();
+}
+
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
 /// A file cut short after `open` checked it: a block read past the cut

@@ -1,15 +1,18 @@
-//! The on-disk format did not move: a fixed three-dataset SDF file —
-//! plain, `lzss`-filtered and chunked — must come out byte for byte as it
-//! did before the checksum kernels and the borrowing writer replaced the
-//! table loop and the payload copies. Payload, index and query-section
-//! CRCs, the chunk table and the footer are all inside the image.
+//! The on-disk format does not move unnoticed: a fixed three-dataset SDF
+//! file — plain, `lzss`-filtered and chunked — must come out byte for byte
+//! as pinned here. Payload and index CRCs, the superblock's feature bits,
+//! the coordinate fields, the chunk table and the footer are all inside
+//! the image. The same datasets as the format wrote them before coordinate
+//! fields (`tests/fixtures/legacy.sdf`: flags word 0, coordinates in
+//! attributes, a stored query section before the footer) must still read
+//! and answer alike.
 
 use damaris_format::{crc32, DataType, DatasetOptions, Layout, SdfReader, SdfWriter};
+use std::path::Path;
 
-/// The file's full byte image, captured at the commit before this test
-/// existed (PR 14, `006c10e`) by running this same test there.
+/// The file's full byte image.
 const GOLDEN_HEX: &str = concat!(
-    "53444631010000000b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e",
+    "53444631010001000b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e",
     "83a8cdf2173c6186abd0f51a3f6489aed3f81d42678cb1d6fb20456a8fb4d9fe",
     "23486d92b7dc01264b7095badf04294e7398bde2072c51769bc0e50a2f54799e",
     "c3e80d32577ca1c60800008c433b0402403f0402803f0402c03f0404008d3d04",
@@ -17,15 +20,11 @@ const GOLDEN_HEX: &str = concat!(
     "4374a7dc134c87c4034487cc135ca7f44394e73c93ec47a40364c72c93fc67d4",
     "43b4279c138c07840384078c139c27b443d467fc932cc76403a447ec933ce794",
     "43f4a75c13cc874403142f697465722d372f72616e6b2d302f706c61696e0001",
-    "6008609b70d4f800000109697465726174696f6e000700000000000000142f69",
-    "7465722d372f72616e6b2d302f746865746103020608681cefa9bac9046c7a73",
-    "73000104756e697402014b132f697465722d372f72616e6b2d312f6772696400",
-    "02080c8401640f39da2300030053445131010000006800000000000000400000",
-    "000000000007000000e88f41300022480204057468657461046c7a7373046772",
-    "696405706c61696e03cb1f8988bf25b81300070001681c0302060802001ccd68",
-    "3b9dadd423020701028401640002080c00034f9fd875cdf4ed2d030700000860",
-    "00016000009e148200e8000000000000008500000000000000f9808aaa534446",
-    "31",
+    "6008609b70d4f8000000000109697465726174696f6e00070000000000000014",
+    "2f697465722d372f72616e6b2d302f746865746103020608681cefa9bac9046c",
+    "7a73730000000104756e697402014b132f697465722d372f72616e6b2d312f67",
+    "7269640002080c8401640f39da230003080200e8000000000000008b00000000",
+    "00000027bbdb0553444631",
 );
 
 fn payloads() -> (Vec<u8>, Vec<f32>, Vec<u8>) {
@@ -59,7 +58,7 @@ fn write_fixture(path: &std::path::Path) {
         "/iter-7/rank-1/grid",
         &Layout::new(DataType::U8, &[8, 12]),
         &grid,
-        &DatasetOptions::plain().with_chunk_dim0(3),
+        &DatasetOptions::plain().with_chunk_dim0(3).with_coords(7, 1),
     )
     .unwrap();
     w.finish().unwrap();
@@ -69,16 +68,10 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-#[test]
-fn three_dataset_file_is_byte_identical_to_the_parent_commit() {
-    let path = std::env::temp_dir().join(format!("damaris-golden-{}.sdf", std::process::id()));
-    write_fixture(&path);
-    let image = std::fs::read(&path).unwrap();
-
-    // The image still reads back, so a format change that happened to
-    // keep these bytes would have to keep their meaning too.
+/// Every read of the three datasets, checked against their payloads.
+fn reads_back(path: &Path) -> SdfReader {
     let (plain, field, grid) = payloads();
-    let r = SdfReader::open(&path).unwrap();
+    let r = SdfReader::open(path).unwrap();
     r.validate().unwrap();
     assert_eq!(r.read_bytes("/iter-7/rank-0/plain").unwrap(), plain);
     assert_eq!(r.read_f32("/iter-7/rank-0/theta").unwrap(), field);
@@ -87,6 +80,22 @@ fn three_dataset_file_is_byte_identical_to_the_parent_commit() {
         r.read_rows_bytes("/iter-7/rank-1/grid", 2, 3).unwrap(),
         grid[24..60]
     );
+    r
+}
+
+fn temp(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("damaris-golden-{tag}-{}.sdf", std::process::id()))
+}
+
+#[test]
+fn three_dataset_file_is_byte_identical_to_the_pinned_image() {
+    let path = temp("image");
+    write_fixture(&path);
+    let image = std::fs::read(&path).unwrap();
+
+    // The image still reads back, so a format change that happened to
+    // keep these bytes would have to keep their meaning too.
+    reads_back(&path);
     std::fs::remove_file(&path).ok();
 
     assert_eq!(
@@ -96,4 +105,21 @@ fn three_dataset_file_is_byte_identical_to_the_parent_commit() {
         image.len(),
         crc32(&image)
     );
+}
+
+#[test]
+fn the_legacy_image_answers_as_the_new_one() {
+    let legacy = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy.sdf");
+    let path = temp("twin");
+    write_fixture(&path);
+    let (old, new) = (reads_back(&legacy), reads_back(&path));
+    std::fs::remove_file(&path).ok();
+    // Keys from attributes and paths there, from fields and paths here:
+    // the same section, so every lookup and range finds the same blocks.
+    let (Ok(a), Ok(b)) = (old.query_section(), new.query_section());
+    assert_eq!(a, b);
+    assert_eq!(old.infos().unwrap().len(), 3);
+    for ordinal in 0..3 {
+        assert_eq!(old.read_bytes_at(ordinal).unwrap(), new.read_bytes_at(ordinal).unwrap());
+    }
 }

@@ -1,13 +1,13 @@
 //! The reader answers as the object-per-dataset reader before it did: on
-//! three files — the golden image, a chunked + `lzss` file, and the golden
-//! image with its query section cut off (a file from before sections) —
+//! three files — the golden image, a chunked + `lzss` file, and the same
+//! datasets as the format wrote them before coordinate fields
+//! (`tests/fixtures/legacy.sdf`, with its stored query section) —
 //! every public read (`read_bytes_at`, `read_bytes`, `info_at`, `info`,
 //! `infos_under`, `dataset_names`, `read_rows_bytes`, `validate`) is
 //! written to a transcript, errors included, and compared with the one
 //! that reader wrote, pinned under `tests/reader_transcripts/`. On a
 //! mismatch the new transcript is left in the temp dir to diff against.
 
-use damaris_format::header::{self, FOOTER_LEN};
 use damaris_format::{crc32, DataType, DatasetOptions, Layout, SdfReader, SdfWriter};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -42,7 +42,7 @@ fn write_golden(path: &Path) {
         "/iter-7/rank-1/grid",
         &Layout::new(DataType::U8, &[8, 12]),
         &grid,
-        &DatasetOptions::plain().with_chunk_dim0(3),
+        &DatasetOptions::plain().with_chunk_dim0(3).with_coords(7, 1),
     )
     .unwrap();
     w.finish().unwrap();
@@ -76,18 +76,6 @@ fn write_chunked_lzss(path: &Path) {
     .unwrap();
     w.write_dataset_f64("/iter-12/time", &Layout::scalar(DataType::F64), &[3.75]).unwrap();
     w.finish().unwrap();
-}
-
-/// `path` without its query section: the index moved flush against the
-/// footer, as a file written before sections existed.
-fn strip_query_section(path: &Path) {
-    let bytes = std::fs::read(path).unwrap();
-    let n = bytes.len() as u64;
-    let (index_offset, index_len, index_crc) =
-        header::read_footer(&bytes[(n - FOOTER_LEN) as usize..]).unwrap();
-    let mut old = bytes[..(index_offset + index_len) as usize].to_vec();
-    header::write_footer(index_offset, index_len, index_crc, &mut old);
-    std::fs::write(path, &old).unwrap();
 }
 
 fn bytes<E: std::fmt::Display>(r: Result<Vec<u8>, E>) -> String {
@@ -148,12 +136,12 @@ fn reads_answer_as_the_object_per_dataset_reader_did() {
     let chunked = temp("chunked-lzss");
     write_chunked_lzss(&chunked);
     let legacy = temp("legacy");
-    write_golden(&legacy);
-    strip_query_section(&legacy);
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy.sdf");
+    std::fs::copy(fixture, &legacy).unwrap();
     let moved: Vec<PathBuf> = [
         moved("golden", include_str!("reader_transcripts/golden.txt"), &golden),
         moved("chunked_lzss", include_str!("reader_transcripts/chunked_lzss.txt"), &chunked),
-        // No read depends on the section: the same answers as the golden file.
+        // No read depends on the format's age: the same answers as the golden file.
         moved("legacy", include_str!("reader_transcripts/golden.txt"), &legacy),
     ]
     .into_iter()

@@ -33,7 +33,7 @@
 //! is a no-op.
 
 use crate::QueryError;
-use damaris_format::{DatasetOptions, SdfReader, SdfWriter};
+use damaris_format::{DatasetOptions, SdfReader, SdfWriter, NO_COORD};
 use damaris_fs::manifest::replace_entries;
 use damaris_fs::{DiskSentinel, EntryKind, Manifest, ManifestEntry};
 use std::collections::BTreeMap;
@@ -191,8 +191,11 @@ impl Compactor {
     }
 
     /// Writes the merged file for one batch: every dataset of every
-    /// input, re-chunked, same paths and attributes. Returns stored
-    /// bytes. Crash-safe via tmp + fsync + rename.
+    /// input, re-chunked, same paths and attributes, and as coordinate
+    /// fields the coordinates its input's section keyed it by — whether
+    /// they came from fields, attributes or the path — so it is found by
+    /// the same key. Returns stored bytes. Crash-safe via tmp + fsync +
+    /// rename.
     fn merge(&self, inputs: &[String], rel: &str) -> Result<u64, QueryError> {
         let final_path = self.root.join(rel);
         let tmp_path = final_path.with_extension("sdf.tmp");
@@ -203,12 +206,21 @@ impl Compactor {
         let mut writer = SdfWriter::create(&tmp_path)?;
         for input in inputs {
             let reader = SdfReader::open(self.root.join(input))?;
+            let Ok(section) = reader.query_section();
+            let mut coords = vec![(NO_COORD, NO_COORD); reader.len()];
+            for key in &section.keys {
+                if let Some(slot) = coords.get_mut(key.ordinal as usize) {
+                    *slot = (key.iteration, key.source);
+                }
+            }
             // Paths and attributes from one read of the index; a dataset
             // whose entry cannot be read back fails the merge rather than
             // dropping out of it.
-            for (ordinal, info) in reader.infos()?.into_iter().enumerate() {
+            for ((ordinal, info), (iteration, source)) in
+                reader.infos()?.into_iter().enumerate().zip(coords)
+            {
                 let data = reader.read_bytes_at(ordinal)?;
-                let mut opts = DatasetOptions::plain();
+                let mut opts = DatasetOptions::plain().with_coords(iteration, source);
                 for (name, value) in info.attrs {
                     opts = opts.with_attr(name, value);
                 }

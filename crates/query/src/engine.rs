@@ -22,15 +22,15 @@
 //! allocates and nothing blocks. Misses and every error constructor live
 //! behind `#[cold]`.
 //!
-//! Every file is searched that one way. A file written before the query
-//! section existed gets the section its writer would have written, built
-//! in memory when the file is opened
-//! ([`SdfReader::lookup_section`]), so a file and its section-less twin
-//! answer every lookup and range query alike.
+//! Every file is searched that one way: its section is built from its
+//! index when the file is opened ([`SdfReader::query_section`]), from the
+//! coordinate fields or, in a file from before them, the coordinate
+//! attributes, so a file of either age answers every lookup and range
+//! query alike.
 
 use crate::cache::{Block, BlockCache, BlockId};
 use crate::QueryError;
-use damaris_format::{key_hash, Layout, QuerySection, SdfError, SdfReader};
+use damaris_format::{key_hash, Layout, SdfError, SdfReader};
 use damaris_fs::{EntryRef, ManifestReader};
 use damaris_obs::{Counter, EventKind, Recorder, Registry};
 use std::borrow::Borrow;
@@ -56,9 +56,8 @@ impl Default for QueryConfig {
     }
 }
 
-/// One open, immutable SDF file: its reader, its query section (read from
-/// the file, or built from its index for a file written before sections
-/// existed), and the iteration range the manifest says it covers.
+/// One open, immutable SDF file: its reader (which holds its query
+/// section) and the iteration range the manifest says it covers.
 pub struct FileHandle {
     /// Engine-assigned id, stable per relative path — the cache key.
     id: u64,
@@ -69,7 +68,6 @@ pub struct FileHandle {
     /// Inclusive iteration range covered (single iteration ⇒ lo == hi).
     range: (u32, u32),
     reader: SdfReader,
-    section: QuerySection,
 }
 
 impl FileHandle {
@@ -460,14 +458,12 @@ impl QueryEngine {
             }
         }
         let reader = SdfReader::open(self.root.join(entry.file))?;
-        let section = reader.lookup_section()?;
         let handle = Arc::new(FileHandle {
             id: *next_id,
             rel: entry.file.to_string(),
             node: entry.node,
             range,
             reader,
-            section,
         });
         *next_id += 1;
         handles.replace(ByRel(Arc::clone(&handle)));
@@ -493,7 +489,7 @@ impl QueryEngine {
         let hash = key_hash(variable, iteration, source);
         let mut found = Ok(None);
         'files: for handle in snap.files_for(iteration) {
-            let section = &handle.section;
+            let Ok(section) = handle.reader.query_section();
             if !section.bloom.contains(hash) {
                 continue;
             }
@@ -569,7 +565,7 @@ impl QueryEngine {
         let mut seen: HashMap<(u32, u32), ()> = HashMap::new();
         for iteration in lo..=hi {
             for handle in snap.files_for(iteration) {
-                let section = &handle.section;
+                let Ok(section) = handle.reader.query_section();
                 for key in &section.keys {
                     if key.iteration != iteration || section.variable(key) != query.variable {
                         continue;
@@ -691,9 +687,7 @@ mod tests {
         let mut writer = SdfWriter::create(&path).expect("create");
         for source in 0..sources {
             let data = field(iteration, source, n);
-            let opts = DatasetOptions::plain()
-                .with_attr("iteration", i64::from(iteration))
-                .with_attr("source", i64::from(source));
+            let opts = DatasetOptions::plain().with_coords(iteration, source);
             writer
                 .write_dataset_f64_opts(
                     &format!("/iter-{iteration}/rank-{source}/field"),
@@ -896,51 +890,42 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// Rewrites `path` as a file written before the query section
-    /// existed, the way the format tests emulate one: [superblock..index]
-    /// plus a fresh footer.
-    fn strip_query_section(path: &Path) {
-        let bytes = std::fs::read(path).expect("read");
-        let n = bytes.len();
-        let (index_offset, index_len, index_crc) =
-            damaris_format::header::read_footer(&bytes[n - 24..]).expect("footer");
-        let mut stripped = bytes[..(index_offset + index_len) as usize].to_vec();
-        damaris_format::header::write_footer(index_offset, index_len, index_crc, &mut stripped);
-        std::fs::write(path, &stripped).expect("rewrite");
+    /// Publishes, as iteration 7, the format tests' legacy fixture: the
+    /// golden image's datasets as the format wrote them before coordinate
+    /// fields — `/iter-7/rank-0/plain` (with an `iteration` attribute),
+    /// `/iter-7/rank-0/theta` (f32, 6 × 8) and `/iter-7/rank-1/grid`.
+    fn publish_legacy(root: &Path) {
+        let rel = "node-0/iter-000007.sdf";
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("node dir");
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../format/tests/fixtures/legacy.sdf");
+        let bytes = std::fs::copy(fixture, &path).expect("copy fixture");
+        publish_iteration(root, 0, 7, rel, bytes).expect("publish");
     }
 
     #[test]
-    fn legacy_files_without_query_section_are_found() {
+    fn legacy_files_are_found_by_their_attributes_and_paths() {
         let root = scratch("legacy");
-        publish_file(&root, 0, 0, 2, 8);
-        strip_query_section(&root.join("node-0/iter-000000.sdf"));
+        publish_legacy(&root);
         let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
         let snap = engine.snapshot();
-        let block = engine
-            .lookup(&snap, "field", 0, 1)
-            .expect("lookup")
-            .expect("present through the section built at open");
-        assert_eq!(f64s(&block), field(0, 1, 8));
-        let hits = engine
-            .range(
-                &snap,
-                &RangeQuery {
-                    variable: "field",
-                    iterations: (0, 0),
-                    sources: None,
-                    rows: None,
-                },
-            )
-            .expect("range");
-        assert_eq!(hits.len(), 2);
+        for (variable, source, len) in [("plain", 0, 96), ("theta", 0, 192), ("grid", 1, 96)] {
+            let block = engine.lookup(&snap, variable, 7, source).expect("lookup");
+            assert_eq!(block.map(|b| b.len()), Some(len), "{variable}");
+        }
+        assert!(engine.lookup(&snap, "grid", 7, 0).expect("lookup").is_none());
+        let query = RangeQuery { variable: "theta", iterations: (0, 7), sources: None, rows: Some((1, 2)) };
+        let hits = engine.range(&snap, &query).expect("range");
+        assert_eq!(hits.len(), 1);
+        assert_eq!((hits[0].iteration, hits[0].source, hits[0].data.len()), (7, 0, 64));
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// Publishes the format tests' `file_without_query_section_reads_fine`
-    /// fixture as iteration 3 — with its query section, or stripped of
-    /// it — plus `/iter-x/iter-3/v`, a path the scan's own key derivation
-    /// once read as iteration 3 where the writer's reads no iteration.
-    fn publish_twin(root: &Path, sectioned: bool) {
+    /// Publishes iteration 3 as today's writers write it: `/iter-3/theta`
+    /// with a plain `iteration` attribute, `/iter-3/time` keyed by its path
+    /// alone, and `/iter-x/iter-3/v`, whose fields say ⟨3, 0⟩ where its
+    /// path reads no iteration.
+    fn publish_twin(root: &Path) {
         let rel = "node-0/iter-000003.sdf";
         let path = root.join(rel);
         std::fs::create_dir_all(path.parent().expect("parent")).expect("node dir");
@@ -953,49 +938,61 @@ mod tests {
             .expect("theta");
         w.write_dataset_f64("/iter-3/time", &Layout::scalar(DataType::F64), &[12.5])
             .expect("time");
-        w.write_dataset_bytes("/iter-x/iter-3/v", &Layout::new(DataType::U8, &[4]), &[1, 2, 3, 4], &DatasetOptions::plain())
+        let v = DatasetOptions::plain().with_coords(3, 0);
+        w.write_dataset_bytes("/iter-x/iter-3/v", &Layout::new(DataType::U8, &[4]), &[1, 2, 3, 4], &v)
             .expect("v");
         let bytes = w.finish_synced().expect("finish");
-        if !sectioned {
-            strip_query_section(&path);
-        }
         publish_iteration(root, 0, 3, rel, bytes).expect("publish");
     }
 
-    #[test]
-    fn a_file_and_its_sectionless_twin_answer_alike() {
-        let (a, b) = (scratch("twin-sectioned"), scratch("twin-legacy"));
-        publish_twin(&a, true);
-        publish_twin(&b, false);
-        let (ea, eb) = (
-            QueryEngine::open(&a, QueryConfig::default()).expect("open sectioned"),
-            QueryEngine::open(&b, QueryConfig::default()).expect("open legacy"),
-        );
-        let (sa, sb) = (ea.snapshot(), eb.snapshot());
-        let coords = [0, 3, damaris_format::NO_COORD];
-        let mut found = 0;
-        for variable in ["theta", "time", "v", "nope", ""] {
-            for iteration in coords {
-                for source in coords {
-                    let x = ea.lookup(&sa, variable, iteration, source).expect("sectioned");
-                    let y = eb.lookup(&sb, variable, iteration, source).expect("legacy");
-                    assert_eq!(x, y, "lookup ⟨{variable}, {iteration}, {source}⟩");
-                    found += usize::from(x.is_some());
+    /// Every lookup and range over the variables of [`publish_file`],
+    /// [`publish_twin`] and [`publish_legacy`], as plain values.
+    type Hits = Vec<(u32, u32, Layout, Block)>;
+
+    fn every_answer(engine: &QueryEngine) -> (usize, Vec<Option<Block>>, Vec<Hits>) {
+        let snap = engine.refresh().expect("refresh");
+        let variables = ["field", "theta", "time", "v", "plain", "grid", "nope"];
+        let iterations = (0..9).chain([damaris_format::NO_COORD]);
+        let mut blocks = Vec::new();
+        for variable in variables {
+            for iteration in iterations.clone() {
+                for source in [0, 1, damaris_format::NO_COORD] {
+                    blocks.push(engine.lookup(&snap, variable, iteration, source).expect("lookup"));
                 }
             }
-            for rows in [None, Some((2, 3))] {
-                let query = RangeQuery { variable, iterations: (0, 3), sources: None, rows };
-                let shape = |hits: Vec<RangeHit>| -> Vec<(u32, u32, Layout, Block)> {
-                    hits.into_iter().map(|h| (h.iteration, h.source, h.layout, h.data)).collect()
-                };
-                let x = shape(ea.range(&sa, &query).expect("sectioned range"));
-                let y = shape(eb.range(&sb, &query).expect("legacy range"));
-                assert_eq!(x, y, "range of {variable} rows {rows:?}");
+        }
+        let mut ranges = Vec::new();
+        for variable in variables {
+            for rows in [None, Some((1, 2))] {
+                let query = RangeQuery { variable, iterations: (0, 8), sources: None, rows };
+                let hits = engine.range(&snap, &query).expect("range");
+                ranges.push(hits.into_iter().map(|h| (h.iteration, h.source, h.layout, h.data)).collect());
             }
         }
-        assert_eq!(found, 2, "⟨theta, 3, -⟩ and ⟨time, 3, -⟩ on both");
-        std::fs::remove_dir_all(&a).ok();
-        std::fs::remove_dir_all(&b).ok();
+        (snap.files().len(), blocks, ranges)
+    }
+
+    #[test]
+    fn compaction_keeps_every_key() {
+        let root = scratch("compact-keys");
+        for iteration in [0, 1, 2, 4, 5, 6, 8] {
+            publish_file(&root, 0, iteration, 2, 8);
+        }
+        publish_twin(&root);
+        publish_legacy(&root);
+        let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
+        let (files, blocks, ranges) = every_answer(&engine);
+        assert_eq!(files, 9);
+        // 7 × 2 fields, theta/time/v at 3, plain/theta/grid at 7.
+        assert_eq!(blocks.iter().flatten().count(), 20);
+        let config = crate::CompactorConfig { min_batch: 2, hot_tail: 0, chunk_rows: 4 };
+        let report = crate::Compactor::new(&root, config).run_once().expect("compact");
+        assert_eq!(report.batches, [(0, 0, 7)]);
+        let (files, after, after_ranges) = every_answer(&engine);
+        assert_eq!(files, 2, "the merged file and iteration 8");
+        assert_eq!(after, blocks);
+        assert_eq!(after_ranges, ranges);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

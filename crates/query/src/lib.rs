@@ -13,13 +13,10 @@
 //!   an immutable [`Snapshot`], then answers
 //!   ⟨variable, iteration, source⟩ point lookups and
 //!   subdomain × iteration-window [`range`](QueryEngine::range) queries
-//!   from any number of threads. Lookups ride the per-file sparse index +
-//!   bloom filter (`damaris_format::QuerySection`), so a probe for a key
-//!   that is not in a file touches no payload bytes at all. There is one
-//!   lookup path: a file written before the section existed gets the one
-//!   its writer would have written, built from its index when the file
-//!   is opened (`SdfReader::lookup_section`), and is searched the same
-//!   way.
+//!   from any number of threads. Lookups ride the per-file sorted keys +
+//!   bloom filter (`damaris_format::QuerySection`) each reader builds from
+//!   its file's index at open (`SdfReader::query_section`), so a probe for
+//!   a key that is not in a file touches no payload bytes at all.
 //!
 //! A [`Snapshot`] is three flat arrays, whatever the number of files: the
 //! open files sorted by (node, iteration range, path), and one slot per

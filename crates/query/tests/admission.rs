@@ -44,8 +44,7 @@ fn publish() -> PathBuf {
                 v => format!("p{:02}", v - 1),
             };
             let opts = DatasetOptions::plain()
-                .with_attr("iteration", i64::from(iteration))
-                .with_attr("source", 0i64)
+                .with_coords(iteration, 0)
                 .with_filter("lzss");
             writer
                 .write_dataset_bytes(

@@ -43,8 +43,7 @@ fn build_output(root: &Path) {
                     &Layout::new(DataType::F64, &[POINTS as u64]),
                     &payload(iteration, source),
                     &DatasetOptions::plain()
-                        .with_attr("iteration", i64::from(iteration))
-                        .with_attr("source", i64::from(source)),
+                        .with_coords(iteration, source),
                 )
                 .expect("write");
         }
@@ -159,8 +158,7 @@ fn publish_gap_splits_batches_and_preserves_the_unpublished_file() {
                     &Layout::new(DataType::F64, &[POINTS as u64]),
                     &payload(iteration, source),
                     &DatasetOptions::plain()
-                        .with_attr("iteration", i64::from(iteration))
-                        .with_attr("source", i64::from(source)),
+                        .with_coords(iteration, source),
                 )
                 .expect("write");
         }
@@ -239,8 +237,7 @@ fn hot_tail_and_min_batch_gate_compaction() {
                 &Layout::new(DataType::F64, &[8]),
                 &payload(iteration, 0)[..8],
                 &DatasetOptions::plain()
-                    .with_attr("iteration", i64::from(iteration))
-                    .with_attr("source", 0i64),
+                    .with_coords(iteration, 0),
             )
             .expect("write");
         let bytes = writer.finish_synced().expect("finish");

@@ -43,8 +43,7 @@ fn build_output(root: &Path) {
                     &Layout::new(DataType::F64, &[16]),
                     &data,
                     &DatasetOptions::plain()
-                        .with_attr("iteration", i64::from(iteration))
-                        .with_attr("source", i64::from(source)),
+                        .with_coords(iteration, source),
                 )
                 .expect("write");
         }

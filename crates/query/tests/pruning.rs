@@ -37,8 +37,7 @@ fn absent_key_probes_prune_at_least_ninety_percent_of_block_reads() {
                         &Layout::new(DataType::F64, &[32]),
                         &data,
                         &DatasetOptions::plain()
-                            .with_attr("iteration", i64::from(iteration))
-                            .with_attr("source", i64::from(source)),
+                            .with_coords(iteration, source),
                     )
                     .expect("write");
             }

@@ -63,8 +63,7 @@ fn write_file(root: &Path, iteration: u32) -> (String, u64) {
     let data: Vec<f64> = (0..64).map(f64::from).collect();
     for rank in 0..RANKS {
         let opts = DatasetOptions::plain()
-            .with_attr("iteration", i64::from(iteration))
-            .with_attr("source", i64::from(rank));
+            .with_coords(iteration, rank);
         writer
             .write_dataset_f64_opts(
                 &format!("/iter-{iteration}/rank-{rank}/field"),

@@ -1,7 +1,7 @@
 //! What an open file costs a reader: a `QueryEngine` opened over 64
 //! published files of 256 datasets each — the `smallvars` benchmark
-//! shape, 64 variables × 4 ranks of 256 B with the persist plugin's two
-//! attributes — must hold at most 160 bytes per dataset and have made at
+//! shape, 64 variables × 4 ranks of 256 B with the persist plugin's
+//! coordinate fields — must hold at most 160 bytes per dataset and have made at
 //! most 32 allocations per file. Bytes are counted as malloc hands them
 //! out (request + 8, rounded up to 16, at least 32), so a thousand small
 //! objects cost what they cost in the resident set, not what they asked
@@ -101,8 +101,7 @@ fn publish(shape: &Shape) -> PathBuf {
                     .map(|b| ((b / 64) as u32 + v + rank) as u8)
                     .collect();
                 let mut opts = DatasetOptions::plain()
-                    .with_attr("iteration", i64::from(iteration))
-                    .with_attr("source", i64::from(rank));
+                    .with_coords(iteration, rank);
                 if let Some(filter) = shape.filter {
                     opts = opts.with_filter(filter);
                 }
