@@ -8,8 +8,8 @@
 //! * the shared event queue;
 //! * the codecs (§IV-D);
 //! * SDF dataset writes;
-//! * a reader's `refresh` poll, unchanged and after a publish, against the
-//!   number of files published;
+//! * a reader's `refresh` poll, unchanged and after a publish, and a
+//!   manifest publish, against the number of files published;
 //! * mini-MPI collectives;
 //! * one mini-CM1 physics step.
 
@@ -136,18 +136,10 @@ fn bench_sdf(c: &mut Criterion) {
 /// per file listed, not by an allocation or a file open.
 fn bench_refresh(c: &mut Criterion) {
     use damaris_format::{DataType, Layout, SdfWriter};
-    use damaris_fs::manifest::MANIFEST_NAME;
+    use damaris_fs::manifest::publish_iteration;
     use damaris_fs::{EntryKind, Manifest, ManifestEntry};
     use damaris_query::{QueryConfig, QueryEngine};
-    use std::path::Path;
     use std::time::{Duration, Instant};
-
-    /// Replaces `MANIFEST` with `m` the way a publish does, less the syncs.
-    fn publish(root: &Path, m: &Manifest) {
-        let next = root.join("MANIFEST.bench");
-        std::fs::write(&next, m.render()).expect("write manifest");
-        std::fs::rename(&next, root.join(MANIFEST_NAME)).expect("rename manifest");
-    }
 
     let mut group = c.benchmark_group("refresh");
     for n in [100u32, 1_000, 10_000] {
@@ -175,16 +167,13 @@ fn bench_refresh(c: &mut Criterion) {
                 }
             })
             .collect();
-        // `n` files listed, and the same with one more appended.
+        // `n` files listed; the one more is published by each round.
         let listed = Manifest {
             generation: u64::from(n),
             entries: entries[..n as usize].to_vec(),
         };
-        let appended = Manifest {
-            generation: u64::from(n) + 1,
-            entries,
-        };
-        publish(&root, &listed);
+        let last = &entries[n as usize];
+        listed.store(&root).expect("checkpoint");
         let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
 
         group.bench_function(BenchmarkId::new("noop", n), |b| {
@@ -192,14 +181,15 @@ fn bench_refresh(c: &mut Criterion) {
         });
 
         // Timed apart from its setup, which the stand-in's `iter` cannot
-        // do: back to `n` files (a whole rebuild, untimed), then the
-        // publish of one more and the poll that sees it (timed).
+        // do: back to `n` files (a checkpoint and a whole rebuild,
+        // untimed), then the publish of one more, appended, and the poll
+        // that sees it (timed).
         let rounds = 64u32;
         let mut total = Duration::ZERO;
         for _ in 0..rounds {
-            publish(&root, &listed);
+            listed.store(&root).expect("checkpoint");
             engine.refresh().expect("back to n files");
-            publish(&root, &appended);
+            publish_iteration(&root, 0, n, &last.file, last.bytes).expect("publish");
             let t = Instant::now();
             black_box(engine.refresh().expect("refresh"));
             total += t.elapsed();
@@ -213,6 +203,41 @@ fn bench_refresh(c: &mut Criterion) {
         std::fs::remove_dir_all(&root).ok();
     }
     group.finish();
+}
+
+/// What a publish costs against the number of files the manifest lists:
+/// `publish_iteration` of one more file onto a log checkpointed at N =
+/// 100, 1 000 and 10 000 entries. It appends one frame and syncs it, so
+/// it should stay flat in N, at about one `fdatasync`.
+fn bench_manifest(_: &mut Criterion) {
+    use damaris_fs::manifest::publish_iterations;
+    use std::time::Instant;
+
+    for n in [100u32, 1_000, 10_000] {
+        let root =
+            std::env::temp_dir().join(format!("damaris-bench-publish-{n}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let name = |it: u32| format!("node-0/iter-{it:06}.sdf");
+        let names: Vec<String> = (0..n + 32).map(name).collect();
+        let publish = |its: std::ops::Range<u32>| {
+            let sealed = its.map(|it| (it, names[it as usize].as_str(), 1 << 20));
+            let sealed: Vec<_> = sealed.collect();
+            publish_iterations(&root, 0, &sealed).expect("publish")
+        };
+        // The first publish writes the log's checkpoint.
+        publish(0..n);
+        let mut samples: Vec<_> = (n..n + 32)
+            .map(|it| {
+                let t = Instant::now();
+                black_box(publish(it..it + 1));
+                t.elapsed()
+            })
+            .collect();
+        samples.sort_unstable();
+        let median = samples[16];
+        println!("bench manifest/publish/{n}: {median:?}/iter (median of 32)");
+        std::fs::remove_dir_all(&root).ok();
+    }
 }
 
 fn bench_mpi(c: &mut Criterion) {
@@ -267,6 +292,7 @@ criterion_group!(
     bench_codecs,
     bench_sdf,
     bench_refresh,
+    bench_manifest,
     bench_mpi,
     bench_cm1_step
 );

@@ -17,7 +17,7 @@
 //! manifest publish listing them all — and only then released. A core
 //! that keeps up commits batches of one, the same system calls in the same
 //! order as a commit per iteration; a core that has fallen behind pays the
-//! directory sync and the manifest swap once per backlog instead of once
+//! directory sync and the manifest append once per backlog instead of once
 //! per iteration. No count, timer or thread bounds the batch: the shared
 //! buffer does, because clients block once parked iterations hold it all,
 //! and a blocked client is a quiet queue.
@@ -175,7 +175,7 @@ impl PersistPlugin {
             return failed;
         }
         // Seal/publish hook for the read tier: announce the committed
-        // files in the output manifest, all in one generation swap, so
+        // files in the output manifest, all in one appended frame, so
         // concurrent QueryEngine readers can snapshot them. Best-effort —
         // the data itself is already durable, and a missed publish is
         // healed by the recovery scan's adoption pass, so a manifest

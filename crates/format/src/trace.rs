@@ -96,8 +96,8 @@ pub enum EventKind {
     /// source bytes inside a `WriteCall`; on the dedicated core, the
     /// persist plugin's re-verification of one iteration's segments.
     Checksum = 21,
-    /// One manifest publish on the dedicated core (lock, load, upsert,
-    /// write + fsync + swap + directory sync). `bytes` is the number of
+    /// One manifest publish on the dedicated core (lock, one frame
+    /// appended and synced, or a checkpoint). `bytes` is the number of
     /// entries it published: 1 when the core keeps up, the size of the
     /// committed batch when it does not.
     ManifestPublish = 22,

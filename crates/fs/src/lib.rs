@@ -33,9 +33,8 @@
 //!   injected stalls ([`WallClock`] in production, [`VirtualClock`] in
 //!   tests so waits advance simulated time instead of blocking);
 //! * [`manifest`] — the `MANIFEST` snapshot protocol the read tier rides
-//!   on: the EPE publishes sealed files via atomic rename, readers load a
-//!   consistent set without locking, the compactor swaps entries at its
-//!   commit point;
+//!   on: a log to which the EPE appends a frame per publish and the
+//!   compactor one per commit point, read without locking;
 //! * [`recovery`] — the startup scan that deletes orphan `*.tmp` files and
 //!   quarantines torn `*.sdf` files, then reconciles the manifest against
 //!   what actually survived.
@@ -56,7 +55,6 @@ pub use faulty::{FaultKind, FaultOp, FaultPlan, FaultyBackend};
 pub use local::LocalDirBackend;
 pub use manifest::{
     EntryKind, EntryRef, Manifest, ManifestEntry, ManifestError, ManifestLock, ManifestReader,
-    ManifestView,
 };
 pub use model::{FsSpec, LockMode};
 pub use recovery::{recover, recover_dir, RecoveryReport};

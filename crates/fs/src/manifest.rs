@@ -1,62 +1,71 @@
 //! The output manifest: the read tier's snapshot protocol.
 //!
-//! The EPE appends SDF files with the PR-1 crash-consistency discipline
-//! (tmp + fsync + atomic rename), but a reader listing the directory can
-//! still race a rename or observe a file the writer is about to replace
-//! with a compacted run. The manifest closes that gap: a single
-//! `MANIFEST` file at the output root lists every *sealed* file, and is
-//! itself replaced atomically (write `MANIFEST.next` + fsync + swap the two
-//! names), so the name always points at a complete generation — never a
-//! half-written one.
+//! A single `MANIFEST` file at the output root lists every *sealed* SDF
+//! file, so a reader never races a rename or follows a file the compactor
+//! is about to replace. It is a log: a checkpoint frame (header,
+//! generation, every live entry), then one frame per publish or compactor
+//! replace, each closed by a `crc` line over its own bytes and synced
+//! before the lock is released. Frames are read in order up to the first
+//! that is not whole and CRC-valid: a bad last frame is a torn or
+//! in-progress append, not published; a bad frame with a whole one after
+//! it is corrupt. The file is only ever appended to: a torn tail, a failed
+//! append, or a log holding more than twice its live entries is answered
+//! with a fresh checkpoint under [`CHECKPOINT_TMP`], synced, renamed in,
+//! then the directory synced (DESIGN §13.2).
 //!
 //! Writers (EPE persist hooks, the compactor, recovery) serialize through
-//! a kernel `flock` on `MANIFEST.lock`; the kernel releases the lock when
-//! the holder's fd closes, so a crashed holder cannot wedge anyone and
-//! there is no stale-lock-breaking race. Readers never lock: they read
-//! the current `MANIFEST` and check its CRC. The file a publish replaces is
-//! emptied and written again by the publish after it (so publishing creates
-//! and deletes no file: see [`Manifest::store`]); a reader that opened it
-//! just before the swap can therefore read it cut short, fails the CRC and
-//! reads the name again; one that opened it a publish earlier can read it
-//! whole, refilled with a generation not published yet, and so checks that
-//! the name still points at the file it read — an optimistic read,
-//! validated and retried.
-//!
-//! One parser checks a text: [`ManifestView`], borrowed and
-//! allocation-free; [`Manifest::parse`] and [`Manifest::load`] are that
-//! check, owned. A reader that polls keeps a [`ManifestReader`], which
-//! recognises an unchanged manifest without reading its entries and
-//! checks again only the entry lines a publish appended.
-//!
-//! Format (text, CRC-guarded, one entry per line):
+//! a kernel `flock` on `MANIFEST.lock`, released when the holder's fd
+//! closes, so a crashed holder cannot wedge anyone. Readers never lock; a
+//! polling one keeps a [`ManifestReader`] and reads only what was appended.
 //!
 //! ```text
-//! damaris-manifest v1
+//! damaris-manifest v1 features 1 0 0
 //! generation 7
 //! iter 0 12 40968 node-0/iter-000012.sdf
 //! span 0 0 11 491616 node-0/compact-000000-000011.sdf
-//! crc 1a2b3c4d
+//! crc 1a2b3c4d 134
+//! iter 0 13 40968 node-0/iter-000013.sdf
+//! crc 5e6f7a8b 39
+//! drop node-0/iter-000012.sdf
+//! drop node-0/iter-000013.sdf
+//! span 0 12 13 81936 node-0/compact-000012-000013.sdf
+//! crc 9c0d1e2f 102
 //! ```
+//!
+//! A `crc` line holds the CRC-32 and the length of the bytes before it in
+//! its frame. The header's feature words (incompat, ro-compat, compat)
+//! go through [`Features::check`]; a checkpoint from before the log has a
+//! bare header and no length.
 
-use std::collections::HashMap;
+use damaris_format::header::{Access, Features};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
-use std::io;
-use std::path::Path;
+use std::fmt::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write as _};
+use std::os::unix::fs::{FileExt, MetadataExt};
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Manifest file name at the output root.
 pub const MANIFEST_NAME: &str = "MANIFEST";
-/// The file the next generation is written into; between publishes it is
-/// the emptied file of the generation before the current one.
-pub const MANIFEST_NEXT: &str = "MANIFEST.next";
 /// Lock file guarding manifest writers.
 pub const MANIFEST_LOCK: &str = "MANIFEST.lock";
-/// Times [`Manifest::load`] reads a manifest that fails its checks before
-/// it calls the file corrupt. A read torn by a publish succeeds on the
-/// next attempt unless another publish tears that one too.
-const LOAD_ATTEMPTS: u32 = 4;
-/// First line of every manifest.
+/// The name a checkpoint is written under before it is renamed to
+/// [`MANIFEST_NAME`]. A crash can leave it behind; the recovery scan
+/// deletes it with the other `*.tmp` files.
+pub const CHECKPOINT_TMP: &str = "MANIFEST.tmp";
+/// First line of every manifest, before its feature words.
 const HEADER: &str = "damaris-manifest v1";
+/// Incompat feature bit: frames follow the checkpoint.
+const INCOMPAT_LOG: u32 = 1;
+/// The feature words this build reads and writes.
+const KNOWN: Features = Features {
+    compat: 0,
+    ro_compat: 0,
+    incompat: INCOMPAT_LOG,
+};
 /// How long a writer waits for the lock before giving up.
 const LOCK_WAIT: Duration = Duration::from_secs(10);
 
@@ -67,39 +76,6 @@ const FLOCK_NB: i32 = 4;
 
 extern "C" {
     fn flock(fd: i32, operation: i32) -> i32;
-}
-
-/// Makes each of two existing names point at the other's file, atomically
-/// (`renameat2(RENAME_EXCHANGE)`, Linux 3.15). False when nothing moved:
-/// one of the names does not exist, or the file system cannot.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-fn swap_names(a: &Path, b: &Path) -> bool {
-    use std::ffi::CString;
-    use std::os::raw::c_char;
-    use std::os::unix::ffi::OsStrExt;
-    const AT_FDCWD: i32 = -100;
-    const RENAME_EXCHANGE: u32 = 2;
-    extern "C" {
-        fn renameat2(
-            olddirfd: i32,
-            oldpath: *const c_char,
-            newdirfd: i32,
-            newpath: *const c_char,
-            flags: u32,
-        ) -> i32;
-    }
-    let c_path = |p: &Path| CString::new(p.as_os_str().as_bytes());
-    let (Ok(a), Ok(b)) = (c_path(a), c_path(b)) else {
-        return false;
-    };
-    // SAFETY: both pointers come from `CString`s that outlive the call,
-    // so each is a NUL-terminated path; the call keeps neither.
-    unsafe { renameat2(AT_FDCWD, a.as_ptr(), AT_FDCWD, b.as_ptr(), RENAME_EXCHANGE) == 0 }
-}
-
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-fn swap_names(_: &Path, _: &Path) -> bool {
-    false
 }
 
 /// Errors from manifest operations.
@@ -140,6 +116,10 @@ impl From<io::Error> for ManifestError {
 
 /// Result alias for manifest operations.
 pub type Result<T> = std::result::Result<T, ManifestError>;
+
+fn corrupt<T>(what: impl Into<String>) -> Result<T> {
+    Err(ManifestError::Corrupt(what.into()))
+}
 
 /// What a manifest entry describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,8 +164,8 @@ pub struct ManifestEntry {
 /// A parsed manifest: generation counter + sealed-file entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
-    /// Monotonic, bumped on every store. Readers use it to cheaply detect
-    /// "nothing changed since my last snapshot".
+    /// Monotonic: one per entry published and one per replace. Readers use
+    /// it to cheaply detect "nothing changed since my last snapshot".
     pub generation: u64,
     /// Sealed files, in publish order.
     pub entries: Vec<ManifestEntry>,
@@ -193,119 +173,39 @@ pub struct Manifest {
 
 impl Manifest {
     /// Loads the manifest at `root`, or an empty generation-0 manifest if
-    /// none exists yet. Corrupt bytes fail typed; allocation is bounded
-    /// by twice the actual file size.
+    /// none exists yet. Corrupt framing fails typed having allocated only
+    /// the file's bytes: nothing is sized by a number the file states.
     pub fn load(root: &Path) -> Result<Manifest> {
-        let (mut text, mut entries) = (Vec::new(), Vec::new());
-        let path = root.join(MANIFEST_NAME);
-        let checked = read_checked(&path, &mut text, b"", Some(&mut entries), read_named)?;
-        Ok(Manifest {
-            generation: checked.generation,
-            entries,
-        })
+        Ok(load_log(root)?.0)
     }
 
-    /// [`load`](Self::load) over a function that reads the whole file at
-    /// once, as tests hand it what a reader racing a publish would get:
-    /// the bytes, and whether the name still pointed at the file they
-    /// came from once they were read.
-    #[cfg(test)]
-    fn load_with(
-        path: &Path,
-        mut read: impl FnMut(&Path) -> io::Result<(Vec<u8>, bool)>,
-    ) -> Result<Manifest> {
-        let (mut text, mut entries) = (Vec::new(), Vec::new());
-        let checked = read_checked(path, &mut text, b"", Some(&mut entries), |path, buf| {
-            let (bytes, current) = read(path)?;
-            *buf = bytes;
-            Ok(current)
-        })?;
-        Ok(Manifest {
-            generation: checked.generation,
-            entries,
-        })
-    }
-
-    /// Parses manifest text (exposed for corruption tests): the
-    /// [`ManifestView`] of it, owned — taken in the pass that checks it.
-    pub fn parse(text: &str) -> Result<Manifest> {
-        let mut entries = Vec::new();
-        let checked = check(text.as_bytes(), b"", Some(&mut entries))?;
-        Ok(Manifest {
-            generation: checked.generation,
-            entries,
-        })
-    }
-
-    /// Serializes to the text format.
+    /// Serializes to the text of a checkpoint.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
         // One buffer, sized for the lines it will hold (tag, four numbers
         // and separators fit in 48 bytes beside the file name).
         let lines: usize = self.entries.iter().map(|e| e.file.len() + 48).sum();
-        let mut out = String::with_capacity(HEADER.len() + 48 + lines);
+        let mut out = String::with_capacity(HEADER.len() + 64 + lines);
         // Writing to a `String` cannot fail.
-        let _ = writeln!(out, "{HEADER}\ngeneration {}", self.generation);
+        let _ = writeln!(
+            out,
+            "{HEADER} features {:x} {:x} {:x}\ngeneration {}",
+            KNOWN.incompat, KNOWN.ro_compat, KNOWN.compat, self.generation
+        );
         for e in &self.entries {
-            let _ = match e.kind {
-                EntryKind::Iteration(it) => {
-                    writeln!(out, "iter {} {} {} {}", e.node, it, e.bytes, e.file)
-                }
-                EntryKind::Compacted { lo, hi } => {
-                    writeln!(out, "span {} {} {} {} {}", e.node, lo, hi, e.bytes, e.file)
-                }
-            };
+            write_edit(&mut out, Edit::List(e.into()));
         }
-        let crc = damaris_format::crc32(out.as_bytes());
-        let _ = writeln!(out, "crc {crc:08x}");
+        close_frame(&mut out);
         out
     }
 
-    /// Atomically replaces the manifest at `root`: write `MANIFEST.next`,
-    /// fsync, swap it with `MANIFEST`, best-effort sync the directory,
-    /// empty the file that was replaced. Callers must hold the
-    /// [`ManifestLock`] (readers are lock-free; this serializes writers).
-    ///
-    /// Swapping instead of renaming over keeps both files, so a publish
-    /// per iteration allocates and frees no inode. That matters on ext4
-    /// without a journal, where every inode freed in the last 5–35 s is
-    /// one more that each file creation in the block group steps over: a
-    /// node freeing one per publish, 400 times a second, pays 550 µs
-    /// instead of 30 µs for each file it creates, or not, depending on
-    /// what else was deleted lately. The first store at a root, and any
-    /// store where the swap is not to be had, renames.
+    /// Replaces the manifest at `root` with a checkpoint of this one:
+    /// written under [`CHECKPOINT_TMP`], `sync_all`ed, renamed over
+    /// `MANIFEST`, then the directory synced. An error in any step is
+    /// returned: the frames appended after a checkpoint are only as
+    /// durable as its rename. Callers must hold the [`ManifestLock`]
+    /// (readers are lock-free; this serializes writers).
     pub fn store(&self, root: &Path) -> Result<()> {
-        use std::io::Write;
-        let next = root.join(MANIFEST_NEXT);
-        let final_path = root.join(MANIFEST_NAME);
-        std::fs::create_dir_all(root)?;
-        let open_emptied = || {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&next)
-        };
-        {
-            let mut f = open_emptied()?;
-            f.write_all(self.render().as_bytes())?;
-            f.sync_all()?;
-        }
-        let swapped = swap_names(&next, &final_path);
-        if !swapped {
-            std::fs::rename(&next, &final_path)?;
-        }
-        if let Ok(dir) = std::fs::File::open(root) {
-            let _ = dir.sync_all();
-        }
-        if swapped {
-            // `next` now names the generation just replaced: emptied, it
-            // holds no blocks until the next store fills it. Not before
-            // the directory sync — an emptying that reached the disk
-            // ahead of the swap would leave `MANIFEST` empty after a crash.
-            let _ = open_emptied();
-        }
-        Ok(())
+        checkpoint(root, self)
     }
 
     /// True when some entry references `file`.
@@ -319,45 +219,9 @@ impl Manifest {
             .iter()
             .any(|e| e.node == node && e.kind.covers(iteration))
     }
-
-    /// Highest iteration published for `node`, if any.
-    pub fn max_iteration(&self, node: u32) -> Option<u32> {
-        self.entries
-            .iter()
-            .filter(|e| e.node == node)
-            .map(|e| e.kind.range().1)
-            .max()
-    }
-
-    /// Adds or replaces (same `file`) an entry and bumps the generation.
-    pub fn upsert(&mut self, entry: ManifestEntry) {
-        self.upsert_all(vec![entry]);
-    }
-
-    /// [`upsert`](Self::upsert) for each entry of `batch`, in order, the
-    /// generation bumped once per entry — in one pass over what is
-    /// already listed, whatever the batch's size.
-    pub fn upsert_all(&mut self, batch: Vec<ManifestEntry>) {
-        self.generation += batch.len() as u64;
-        let by_file: HashMap<&str, usize> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.file.as_str(), i))
-            .collect();
-        let mut listed = vec![false; batch.len()];
-        for slot in &mut self.entries {
-            if let Some(&i) = by_file.get(slot.file.as_str()) {
-                *slot = batch[i].clone();
-                listed[i] = true;
-            }
-        }
-        let fresh = batch.into_iter().zip(listed).filter(|(_, listed)| !listed);
-        self.entries.extend(fresh.map(|(entry, _)| entry));
-    }
 }
 
-/// One entry of a [`ManifestView`]: a [`ManifestEntry`] whose path is
-/// borrowed from the manifest text.
+/// A [`ManifestEntry`] whose path is borrowed from the manifest text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryRef<'a> {
     /// Path relative to the output root, `/`-separated.
@@ -370,194 +234,244 @@ pub struct EntryRef<'a> {
     pub bytes: u64,
 }
 
-impl EntryRef<'_> {
-    /// The entry, owned.
-    pub(crate) fn to_entry(self) -> ManifestEntry {
-        ManifestEntry {
-            file: self.file.to_string(),
-            node: self.node,
-            kind: self.kind,
-            bytes: self.bytes,
+impl<'a> From<&'a ManifestEntry> for EntryRef<'a> {
+    fn from(e: &'a ManifestEntry) -> Self {
+        EntryRef {
+            file: &e.file,
+            node: e.node,
+            kind: e.kind,
+            bytes: e.bytes,
         }
     }
 }
 
-/// A manifest text that passed every check there is — the CRC line, the
-/// header, the generation line, every entry line — borrowed. The one
-/// parser: [`Manifest::parse`] and [`Manifest::load`] are this view,
-/// owned, and checking a text allocates nothing unless it is corrupt.
-#[derive(Debug, Clone, Copy, Eq)]
-pub struct ManifestView<'a> {
+/// One line of a frame: an entry listed (added, or replacing the entry
+/// of the same file), or a file dropped.
+#[derive(Debug, Clone, Copy)]
+enum Edit<'a> {
+    List(EntryRef<'a>),
+    Drop(&'a str),
+}
+
+/// The frames of a log applied in order: its live entries, borrowed from
+/// the text and the edits. The default is the log of no manifest.
+#[derive(Default)]
+struct Log<'a> {
     generation: u64,
-    /// The entry lines: everything between the generation line and the
-    /// crc line, checked UTF-8.
-    entries: &'a [u8],
+    /// Every entry listed, in the order it was first listed; `None` once
+    /// dropped.
+    slots: Vec<Option<EntryRef<'a>>>,
+    /// The slot of each live file.
+    live: HashMap<&'a str, usize>,
+    /// Entry and drop lines in the log, the checkpoint's included.
+    lines: usize,
+    /// Where the last whole frame ends.
+    end: usize,
+    /// The header has ro-compat features this build does not know.
+    read_only: bool,
 }
 
-impl<'a> ManifestView<'a> {
-    /// Checks `text` whole.
-    pub fn parse(text: &'a str) -> Result<ManifestView<'a>> {
-        Ok(check(text.as_bytes(), b"", None)?.view(text.as_bytes()))
+impl<'a> Log<'a> {
+    /// Reads `text` as a log: a checkpoint frame, then the appended frames
+    /// up to the first that is not whole and CRC-valid. The framing is
+    /// checked before anything is allocated.
+    fn parse(text: &'a [u8]) -> Result<Log<'a>> {
+        let end = whole_frames(text)?;
+        let mut frames = frames(&text[..end]);
+        let Some(checkpoint) = frames.next() else {
+            return corrupt("no whole checkpoint frame");
+        };
+        let mut lines = checkpoint.lines();
+        let access = header(lines.next())?
+            .check(KNOWN, false)
+            .map_err(|e| ManifestError::Corrupt(e.to_string()))?;
+        let generation = lines
+            .next()
+            .and_then(|l| l.strip_prefix("generation "))
+            .and_then(|g| g.parse::<u64>().ok());
+        let Some(generation) = generation else {
+            return corrupt("malformed generation line");
+        };
+        let mut log = Log {
+            end,
+            read_only: access == Access::ReadOnly,
+            // Sized from the bytes read (an entry line takes 13 or more),
+            // the map is not grown line by line.
+            live: HashMap::with_capacity(end / 64),
+            ..Log::default()
+        };
+        for line in lines.filter(|l| !l.is_empty()) {
+            log.apply(Edit::List(parse_line(line)?));
+        }
+        log.generation = generation;
+        for line in frames.flat_map(str::lines).filter(|l| !l.is_empty()) {
+            log.apply(parse_edit(line)?);
+        }
+        Ok(log)
     }
 
-    /// The generation counter.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// The log's state after `edit`: a listed entry counts one generation.
+    fn apply(&mut self, edit: Edit<'a>) {
+        self.lines += 1;
+        match edit {
+            Edit::List(entry) => {
+                self.generation += 1;
+                match self.live.entry(entry.file) {
+                    Entry::Occupied(at) => self.slots[*at.get()] = Some(entry),
+                    Entry::Vacant(at) => {
+                        at.insert(self.slots.len());
+                        self.slots.push(Some(entry));
+                    }
+                }
+            }
+            Edit::Drop(file) => {
+                if let Some(at) = self.live.remove(file) {
+                    self.slots[at] = None;
+                }
+            }
+        }
     }
 
-    /// Every entry, in publish order.
-    pub fn entries(&self) -> Entries<'a> {
-        Entries::of(self.entries)
-    }
-
-    /// The entries listed after every line of `earlier` when this view
-    /// starts with all of `earlier`'s entry lines, byte for byte — what a
-    /// publish of new files makes of a manifest; `None` when it does not
-    /// (an entry was replaced, removed or reordered).
-    pub fn entries_after(&self, earlier: &ManifestView<'_>) -> Option<Entries<'a>> {
-        extends(self.entries, earlier.entries)
-            .then(|| Entries::of(&self.entries[earlier.entries.len()..]))
-    }
-}
-
-/// Equal generations and entry lines; a view compared with itself costs
-/// no look at its lines.
-impl PartialEq for ManifestView<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.generation == other.generation
-            && (std::ptr::eq(self.entries, other.entries) || self.entries == other.entries)
-    }
-}
-
-/// The entries of a [`ManifestView`], parsed as they are taken.
-#[derive(Debug, Clone)]
-pub struct Entries<'a>(std::str::Lines<'a>);
-
-impl<'a> Entries<'a> {
-    fn of(lines: &'a [u8]) -> Entries<'a> {
-        // The view's lines were checked UTF-8, and a slice of them starts
-        // at a line: an error here is unreachable, and lists nothing.
-        Entries(std::str::from_utf8(lines).unwrap_or_default().lines())
-    }
-}
-
-impl<'a> Iterator for Entries<'a> {
-    type Item = EntryRef<'a>;
-
-    fn next(&mut self) -> Option<EntryRef<'a>> {
-        // Every line was checked with the view: none fails here.
-        self.0
-            .by_ref()
-            .filter(|l| !l.is_empty())
-            .find_map(|l| parse_line(l).ok())
-    }
-}
-
-/// Where a checked text's view lies in it, apart from the text: what a
-/// retried read hands back once its buffer is no longer being filled.
-#[derive(Debug, Clone, Default)]
-struct Checked {
-    generation: u64,
-    entries: std::ops::Range<usize>,
-}
-
-impl Checked {
-    fn view<'a>(&self, text: &'a [u8]) -> ManifestView<'a> {
-        ManifestView {
+    fn manifest(&self) -> Manifest {
+        Manifest {
             generation: self.generation,
-            entries: text.get(self.entries.clone()).unwrap_or_default(),
+            entries: (self.slots.iter().flatten())
+                .map(|e| ManifestEntry {
+                    file: e.file.to_string(),
+                    node: e.node,
+                    kind: e.kind,
+                    bytes: e.bytes,
+                })
+                .collect(),
         }
     }
 }
 
-/// True when `lines` starts with every line of `earlier`.
-fn extends(lines: &[u8], earlier: &[u8]) -> bool {
-    lines.starts_with(earlier) && (earlier.is_empty() || earlier.ends_with(b"\n"))
-}
-
-/// Checks `text` as a manifest. Entry lines it shares with `trusted` —
-/// the entry lines of a text checked before, when `text`'s start with all
-/// of them — are not parsed again: each line is checked on its own, and
-/// these passed. Into `owned`, when given, go the entries it parses,
-/// owned, in place of what it held.
-fn check(
-    text: &[u8],
-    trusted: &[u8],
-    mut owned: Option<&mut Vec<ManifestEntry>>,
-) -> Result<Checked> {
-    let corrupt = ManifestError::Corrupt;
-    let text = std::str::from_utf8(text).map_err(|_| corrupt("not UTF-8".into()))?;
-    let crc_at = text
-        .rfind("crc ")
-        .ok_or_else(|| corrupt("missing crc line (torn write?)".into()))?;
-    // The CRC guards every byte before its own line.
-    let (body, crc_line) = text.split_at(crc_at);
-    let stored = crc_line
-        .trim_end()
-        .strip_prefix("crc ")
-        .and_then(|h| u32::from_str_radix(h, 16).ok())
-        .ok_or_else(|| corrupt("malformed crc line".into()))?;
-    let actual = damaris_format::crc32(body.as_bytes());
-    if stored != actual {
-        return Err(corrupt(format!(
-            "checksum mismatch (stored {stored:08x}, computed {actual:08x})"
-        )));
-    }
-    let (header, rest) = first_line(body);
-    if header != Some(HEADER) {
-        return Err(corrupt("bad header".into()));
-    }
-    let (generation, entries) = first_line(rest);
-    let generation = generation
-        .and_then(|l| l.strip_prefix("generation "))
-        .and_then(|g| g.parse::<u64>().ok())
-        .ok_or_else(|| corrupt("malformed generation line".into()))?;
-    let unchecked = if extends(entries.as_bytes(), trusted) {
-        &entries[trusted.len()..]
-    } else {
-        entries
+/// The feature words of a checkpoint's header line; none in a checkpoint
+/// from before the log.
+fn header(line: Option<&str>) -> Result<Features> {
+    let words = match line.and_then(|l| l.strip_prefix(HEADER)) {
+        Some("") => Some([0; 3]),
+        Some(rest) => rest.strip_prefix(" features ").and_then(|rest| {
+            let mut words = rest.split(' ').map(|w| u32::from_str_radix(w, 16).ok());
+            let three = [words.next()??, words.next()??, words.next()??];
+            words.next().is_none().then_some(three)
+        }),
+        None => None,
     };
-    if let Some(owned) = owned.as_deref_mut() {
-        owned.clear();
-    }
-    for line in unchecked.lines().filter(|l| !l.is_empty()) {
-        let entry = parse_line(line)?;
-        if let Some(owned) = owned.as_deref_mut() {
-            owned.push(entry.to_entry());
-        }
-    }
-    Ok(Checked {
-        generation,
-        entries: crc_at - entries.len()..crc_at,
+    let Some([incompat, ro_compat, compat]) = words else {
+        return corrupt("bad header");
+    };
+    Ok(Features {
+        compat,
+        ro_compat,
+        incompat,
     })
 }
 
-/// The first line of `text` as [`str::lines`] yields it, and the text
-/// after that line.
-fn first_line(text: &str) -> (Option<&str>, &str) {
-    if text.is_empty() {
-        return (None, text);
-    }
-    match text.find('\n') {
-        Some(end) => {
-            let line = &text[..end];
-            (
-                Some(line.strip_suffix('\r').unwrap_or(line)),
-                &text[end + 1..],
-            )
+/// Where the whole, CRC-valid frames at the start of `text` end. A bad
+/// frame ends them when no whole frame follows it (found by the length
+/// its `crc` line states): a torn tail. When one does, the log is corrupt.
+/// Allocates nothing unless corrupt.
+fn whole_frames(text: &[u8]) -> Result<usize> {
+    let (mut end, mut torn, mut from) = (0, false, 0);
+    while let Some((at, next)) = crc_line(text, from) {
+        let begin = frame_crc(&text[at..next], at).and_then(|(crc, len)| {
+            let begin = at - len.unwrap_or(at);
+            let body = &text[begin..at];
+            let whole = damaris_format::crc32(body) == crc && std::str::from_utf8(body).is_ok();
+            whole.then_some(begin)
+        });
+        match begin {
+            Some(begin) if begin == end && !torn => end = next,
+            Some(begin) if begin >= end => {
+                return corrupt(format!("bad frame at byte {end} before a whole one"))
+            }
+            _ => torn = true,
         }
-        None => (Some(text), ""),
+        from = next;
+    }
+    Ok(end)
+}
+
+/// The first line from `from` on (a line start) that begins with `crc `
+/// and ends in a newline: its start and the offset after it.
+fn crc_line(text: &[u8], from: usize) -> Option<(usize, usize)> {
+    let mut at = from;
+    while at < text.len() {
+        let next = at + text[at..].iter().position(|&b| b == b'\n')? + 1;
+        if text[at..].starts_with(b"crc ") {
+            return Some((at, next));
+        }
+        at = next;
+    }
+    None
+}
+
+/// The CRC and the frame length (absent in a checkpoint from before the
+/// log) that a `crc` line at offset `at` states, if it parses: a length
+/// reaching back past the start of the text does not.
+fn frame_crc(line: &[u8], at: usize) -> Option<(u32, Option<usize>)> {
+    let line = std::str::from_utf8(line).ok()?.strip_suffix('\n')?;
+    let mut fields = line.strip_prefix("crc ")?.split(' ');
+    let crc = u32::from_str_radix(fields.next()?, 16).ok()?;
+    let len = match fields.next() {
+        Some(len) => Some(len.parse::<usize>().ok().filter(|&len| len <= at)?),
+        None => None,
+    };
+    fields.next().is_none().then_some((crc, len))
+}
+
+/// The bodies of the frames `text` holds, all whole (see
+/// [`whole_frames`]), without their `crc` lines.
+fn frames(text: &[u8]) -> impl Iterator<Item = &str> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let (at, next) = crc_line(text, start)?;
+        // Checked UTF-8 with its frame.
+        let body = std::str::from_utf8(&text[start..at]).unwrap_or_default();
+        start = next;
+        Some(body)
+    })
+}
+
+/// Appends `edit`'s line to `out`.
+fn write_edit(out: &mut String, edit: Edit<'_>) {
+    // Writing to a `String` cannot fail.
+    let _ = match edit {
+        Edit::List(e) => match e.kind {
+            EntryKind::Iteration(it) => {
+                writeln!(out, "iter {} {} {} {}", e.node, it, e.bytes, e.file)
+            }
+            EntryKind::Compacted { lo, hi } => {
+                writeln!(out, "span {} {} {} {} {}", e.node, lo, hi, e.bytes, e.file)
+            }
+        },
+        Edit::Drop(file) => writeln!(out, "drop {file}"),
+    };
+}
+
+/// Closes the frame `out` holds with its `crc` line.
+fn close_frame(out: &mut String) {
+    let crc = damaris_format::crc32(out.as_bytes());
+    let _ = writeln!(out, "crc {crc:08x} {}", out.len());
+}
+
+/// Parses one non-empty line of an appended frame.
+fn parse_edit(line: &str) -> Result<Edit<'_>> {
+    match line.strip_prefix("drop ") {
+        Some(file) => Ok(Edit::Drop(plausible(file)?)),
+        None => Ok(Edit::List(parse_line(line)?)),
     }
 }
 
 /// Parses one non-empty entry line; allocates only to say what is wrong.
 fn parse_line(line: &str) -> Result<EntryRef<'_>> {
-    let corrupt = ManifestError::Corrupt;
     let tag = line.split(' ').next().unwrap_or("");
     let numbers = match tag {
         "iter" => 2,
         "span" => 3,
-        other => return Err(corrupt(format!("unknown entry tag '{other}'"))),
+        other => return corrupt(format!("unknown entry tag '{other}'")),
     };
     // The tag, the numbers, the byte count, then the file: the rest of
     // the line, spaces and all.
@@ -566,7 +480,7 @@ fn parse_line(line: &str) -> Result<EntryRef<'_>> {
         fields
             .next()
             .and_then(|f| f.parse::<u32>().ok())
-            .ok_or_else(|| corrupt(format!("malformed {what} in '{line}'")))
+            .ok_or_else(|| ManifestError::Corrupt(format!("malformed {what} in '{line}'")))
     };
     let node = num("node")?;
     let kind = match numbers {
@@ -575,118 +489,253 @@ fn parse_line(line: &str) -> Result<EntryRef<'_>> {
             let lo = num("lo")?;
             let hi = num("hi")?;
             if lo > hi {
-                return Err(corrupt(format!("inverted span {lo}..{hi}")));
+                return corrupt(format!("inverted span {lo}..{hi}"));
             }
             EntryKind::Compacted { lo, hi }
         }
     };
-    let bytes = fields
-        .next()
-        .and_then(|f| f.parse::<u64>().ok())
-        .ok_or_else(|| corrupt(format!("malformed byte count in '{line}'")))?;
-    let file = fields.next().unwrap_or("");
-    if file.is_empty() || file.contains("..") || file.starts_with('/') {
-        return Err(corrupt(format!("implausible file path '{file}'")));
-    }
+    let Some(bytes) = fields.next().and_then(|f| f.parse::<u64>().ok()) else {
+        return corrupt(format!("malformed byte count in '{line}'"));
+    };
     Ok(EntryRef {
-        file,
+        file: plausible(fields.next().unwrap_or(""))?,
         node,
         kind,
         bytes,
     })
 }
 
-/// Reads the manifest `path` names into `buf` and checks it (see
-/// [`check`]; `trusted` and `owned` as there): the optimistic read every
-/// reader makes.
-/// A read torn by a publish, or of a file a publish replaced meanwhile,
-/// is made again, up to [`LOAD_ATTEMPTS`] reads in all. No manifest at
-/// `path` is the empty generation 0.
+/// `file` when it is a path under the output root.
+fn plausible(file: &str) -> Result<&str> {
+    if file.is_empty() || file.contains("..") || file.starts_with('/') {
+        return corrupt(format!("implausible file path '{file}'"));
+    }
+    Ok(file)
+}
+
+/// Fills `buf` with `file`'s bytes `from..to`, replacing what it held.
+fn read_at(file: &File, from: u64, to: u64, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.clear();
+    buf.resize(to.saturating_sub(from) as usize, 0);
+    file.read_exact_at(buf, from)
+}
+
+/// `file` read whole into `buf`: where its whole frames end, and the
+/// manifest they hold.
+fn whole(file: File, buf: &mut Vec<u8>) -> Result<(At, Manifest)> {
+    let meta = file.metadata()?;
+    read_at(&file, 0, meta.len(), buf)?;
+    let log = Log::parse(buf)?;
+    let at = At {
+        file: Some((file, (meta.dev(), meta.ino()))),
+        end: log.end as u64,
+        generation: log.generation,
+        lines: log.lines,
+        live: log.live.len(),
+        read_only: log.read_only,
+    };
+    Ok((at, log.manifest()))
+}
+
+/// The manifest at `root` (empty when there is none), and whether its
+/// log ends in a torn tail.
+pub(crate) fn load_log(root: &Path) -> Result<(Manifest, bool)> {
+    let file = match File::open(root.join(MANIFEST_NAME)) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Manifest::default(), false)),
+        Err(e) => return Err(e.into()),
+    };
+    let len = file.metadata()?.len();
+    let (at, manifest) = whole(file, &mut Vec::new())?;
+    Ok((manifest, at.end < len))
+}
+
+/// A durability step of the manifest writers, in the order taken: what a
+/// crash-state test replays to find what a crash can leave.
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'a> {
+    /// Bytes appended to `MANIFEST`, not yet synced.
+    Append(&'a [u8]),
+    /// `MANIFEST`'s appended bytes synced.
+    SyncData,
+    /// A checkpoint written and synced under [`CHECKPOINT_TMP`].
+    Checkpoint(&'a [u8]),
+    /// The checkpoint renamed to `MANIFEST`.
+    Rename,
+    /// The output root's directory synced.
+    SyncDir,
+}
+
+static WATCH: OnceLock<fn(&Path, Step<'_>)> = OnceLock::new();
+
+/// Hands `watch` each durability step this process's manifest writers
+/// take from now on, with the root. Set once per process.
+pub fn watch(watch: fn(&Path, Step<'_>)) {
+    let _ = WATCH.set(watch);
+}
+
+fn step(root: &Path, step: Step<'_>) {
+    if let Some(watch) = WATCH.get() {
+        watch(root, step);
+    }
+}
+
+fn sync_data(root: &Path, file: &File) -> io::Result<()> {
+    file.sync_data()?;
+    step(root, Step::SyncData);
+    Ok(())
+}
+
+fn sync_dir(root: &Path) -> io::Result<()> {
+    File::open(root)?.sync_all()?;
+    step(root, Step::SyncDir);
+    Ok(())
+}
+
+/// Writes `m` as `root`'s checkpoint (see [`Manifest::store`]).
+fn checkpoint(root: &Path, m: &Manifest) -> Result<()> {
+    std::fs::create_dir_all(root)?;
+    let tmp = root.join(CHECKPOINT_TMP);
+    let text = m.render();
+    let mut file = File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    step(root, Step::Checkpoint(text.as_bytes()));
+    std::fs::rename(&tmp, root.join(MANIFEST_NAME))?;
+    step(root, Step::Rename);
+    Ok(sync_dir(root)?)
+}
+
+/// The log this process last wrote, as far as it read it: a publish
+/// reads only what other writers appended since.
+static WRITER: Mutex<Option<ManifestReader>> = Mutex::new(None);
+
+/// Appends one frame of `edits` to `root`'s log under the lock and syncs
+/// it once. No log, a torn tail, a log that would hold more than twice its
+/// live entries, or a failed append is answered instead with a checkpoint
+/// of the whole frames with `edits` applied. Returns the new generation.
+fn append(root: &Path, edits: &[Edit<'_>]) -> Result<u64> {
+    let _lock = ManifestLock::acquire(root)?;
+    let kept = WRITER.lock().unwrap_or_else(PoisonError::into_inner).take();
+    let path = root.join(MANIFEST_NAME);
+    let mut log = kept
+        .filter(|log| log.path == path)
+        .unwrap_or_else(|| ManifestReader::new(root));
+    log.read()?;
+    log.accept();
+    let at = &mut log.accepted;
+    if at.read_only {
+        return corrupt("unknown ro-compat features: this build may read, not write");
+    }
+    let start = at.end;
+    let tail = at
+        .file
+        .as_ref()
+        .map(|(file, _)| file.metadata())
+        .transpose()?;
+    let whole = tail.is_some_and(|meta| meta.len() == start);
+    edits.iter().for_each(|&edit| at.count(edit));
+    if whole && at.lines <= 2 * at.live {
+        if let Ok(len) = append_frame(root, &path, edits) {
+            at.end += len;
+            let generation = at.generation;
+            *WRITER.lock().unwrap_or_else(PoisonError::into_inner) = Some(log);
+            return Ok(generation);
+        }
+    }
+    let mut text = Vec::new();
+    let mut log = match start {
+        0 => Log::default(),
+        _ => {
+            read_at(&File::open(&path)?, 0, start, &mut text)?;
+            Log::parse(&text)?
+        }
+    };
+    edits.iter().for_each(|&edit| log.apply(edit));
+    let m = log.manifest();
+    checkpoint(root, &m)?;
+    Ok(m.generation)
+}
+
+/// Appends one frame of `edits` to `path` and syncs it; returns its length.
+fn append_frame(root: &Path, path: &Path, edits: &[Edit<'_>]) -> io::Result<u64> {
+    let mut frame = String::new();
+    edits.iter().for_each(|&edit| write_edit(&mut frame, edit));
+    close_frame(&mut frame);
+    let mut file = OpenOptions::new().append(true).open(path)?;
+    file.write_all(frame.as_bytes())?;
+    step(root, Step::Append(frame.as_bytes()));
+    sync_data(root, &file)?;
+    Ok(frame.len() as u64)
+}
+
+/// Reads one root's `MANIFEST` again and again, each time only what is
+/// new. It keeps the file it read and the offset just past the last whole
+/// frame its caller accepted; a poll is one `stat` of the name:
 ///
-/// `read` fills the buffer from the file `path` names and tells whether
-/// `path` still named that file once it was read ([`read_named`]).
-fn read_checked(
-    path: &Path,
-    buf: &mut Vec<u8>,
-    trusted: &[u8],
-    mut owned: Option<&mut Vec<ManifestEntry>>,
-    mut read: impl FnMut(&Path, &mut Vec<u8>) -> io::Result<bool>,
-) -> Result<Checked> {
-    let mut attempt = 1;
-    loop {
-        let checked = match read(path, buf) {
-            // The file this read opened has since been replaced. It is
-            // emptied then and *filled again* by the publish after, so its
-            // bytes can be a whole generation that is not published yet
-            // (and the next read would see an older one): whatever they
-            // say, they are not what the name says now.
-            Ok(false) => Err(ManifestError::Corrupt("replaced while it was read".into())),
-            // A torn read can end inside a character, so the bytes are
-            // checked like the rest: by `check`.
-            Ok(true) => check(buf, trusted, owned.as_deref_mut()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                buf.clear();
-                if let Some(owned) = owned {
-                    owned.clear();
-                }
-                return Ok(Checked::default());
-            }
-            Err(e) => return Err(e.into()),
-        };
-        match checked {
-            // The name points at a whole, current file again.
-            Err(ManifestError::Corrupt(_)) if attempt < LOAD_ATTEMPTS => attempt += 1,
-            done => return done,
+/// - the same file at the same length: nothing read or allocated;
+/// - the same file, longer: only the bytes past the offset are read and
+///   checked, and frames that only list entries hand over just those;
+/// - a frame that drops an entry, another file (a checkpoint), or no file:
+///   the manifest is read whole.
+///
+/// [`accept`](Self::accept) makes what a read found the state the next
+/// read starts from.
+#[derive(Debug)]
+pub struct ManifestReader {
+    path: PathBuf,
+    accepted: At,
+    latest: Latest,
+    /// The bytes the last read took from the file.
+    buf: Vec<u8>,
+}
+
+/// A place in a log: its file (none: no `MANIFEST`) with device and
+/// inode, where its last whole frame ends, and the log up to there.
+#[derive(Debug, Default)]
+struct At {
+    file: Option<(File, (u64, u64))>,
+    end: u64,
+    generation: u64,
+    /// Entry and drop lines, and live entries: exact after a whole read;
+    /// past it, every listed line counts as a new file.
+    lines: usize,
+    live: usize,
+    /// The header has ro-compat features this build does not know.
+    read_only: bool,
+}
+
+impl At {
+    fn count(&mut self, edit: Edit<'_>) {
+        self.lines += 1;
+        match edit {
+            Edit::List(_) => (self.generation, self.live) = (self.generation + 1, self.live + 1),
+            Edit::Drop(_) => self.live = self.live.saturating_sub(1),
         }
     }
 }
 
-/// Reads the file `path` names into `buf`, replacing what it held, and
-/// tells whether `path` still named that file afterwards. A buffer that
-/// is too small grows to twice the file, so a manifest growing a line per
-/// publish is not reallocated on every read.
-fn read_named(path: &Path, buf: &mut Vec<u8>) -> io::Result<bool> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let opened = file.metadata()?;
-    let len = opened.len() as usize;
-    buf.clear();
-    if buf.capacity() <= len {
-        buf.reserve(len.saturating_mul(2));
-    }
-    file.read_to_end(buf)?;
-    // A manifest is replaced, never removed: a name that cannot be looked
-    // at again is reported like one that cannot be opened.
-    Ok(same_file(&opened, &std::fs::metadata(path)?))
-}
-
-/// Reads one root's `MANIFEST` again and again into two buffers it keeps:
-/// the text it *accepted* last — the one its caller's state is built
-/// from — and the one it read last. What a read costs follows what
-/// changed: a manifest that still holds the accepted text is recognised
-/// from its length and first and last lines, without reading the rest;
-/// any other is read whole, but only the entry lines the accepted text
-/// does not already list are checked again; and nothing is allocated once
-/// the buffers are the manifest's size.
 #[derive(Debug)]
-pub struct ManifestReader {
-    path: std::path::PathBuf,
-    /// The text accepted last (empty when no manifest existed), and where
-    /// its view lies in it.
-    accepted: (Vec<u8>, Checked),
-    /// The buffer the next read fills, and what the last read found.
-    latest: (Vec<u8>, Latest),
+enum Latest {
+    /// Nothing past what was accepted, or the read failed.
+    Unchanged,
+    /// `buf[..len]`: whole frames appended to the accepted file, listing
+    /// `lists` entries and dropping none.
+    Appended { len: usize, lists: usize },
+    /// The manifest read whole, and where.
+    Whole(At, Manifest),
 }
 
-/// What the last [`ManifestReader`] read found.
-#[derive(Debug, Clone)]
-enum Latest {
-    /// Nothing yet, or the read failed.
-    Nothing,
-    /// The accepted text, still in place.
-    Accepted,
-    /// Another text, read into the buffer and checked.
-    Read(Checked),
+/// What a [`ManifestReader`]'s last read found past what was accepted.
+#[derive(Debug)]
+pub struct Change<'a> {
+    /// The generation it reaches.
+    pub generation: u64,
+    /// True when `entries` is the whole manifest, false when it is what
+    /// was appended to the accepted one.
+    pub whole: bool,
+    /// The entries, in the order the log lists them.
+    pub entries: Vec<EntryRef<'a>>,
 }
 
 impl ManifestReader {
@@ -695,111 +744,98 @@ impl ManifestReader {
     pub fn new(root: &Path) -> ManifestReader {
         ManifestReader {
             path: root.join(MANIFEST_NAME),
-            accepted: (Vec::new(), Checked::default()),
-            latest: (Vec::new(), Latest::Nothing),
+            accepted: At::default(),
+            latest: Latest::Unchanged,
+            buf: Vec::new(),
         }
     }
 
-    /// Reads the manifest: finds the accepted text still in place, or
-    /// makes the optimistic read [`Manifest::load`] makes. See
-    /// [`views`](Self::views) for what it found.
+    /// Reads what the manifest holds past what was accepted; see
+    /// [`change`](Self::change) for what it found.
     pub fn read(&mut self) -> Result<()> {
-        if holds(&self.path, &self.accepted.0, &self.accepted.1) {
-            self.latest.1 = Latest::Accepted;
-            return Ok(());
-        }
-        self.read_with(read_named)
-    }
-
-    /// The optimistic read alone, over the function that fills the buffer
-    /// from the file the path names and tells whether the path still named
-    /// that file once it was read: tests hand it a generation of their
-    /// choosing.
-    pub fn read_with(
-        &mut self,
-        read: impl FnMut(&Path, &mut Vec<u8>) -> io::Result<bool>,
-    ) -> Result<()> {
-        let trusted = self.accepted.1.view(&self.accepted.0).entries;
-        let (text, latest) = &mut self.latest;
-        *latest = Latest::Nothing;
-        *latest = Latest::Read(read_checked(&self.path, text, trusted, None, read)?);
+        self.latest = Latest::Unchanged;
+        let named = match std::fs::metadata(&self.path) {
+            Ok(meta) => Some(meta),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        let at = &self.accepted;
+        let file = match (&at.file, named) {
+            (None, None) => return Ok(()),
+            (_, None) => None,
+            (Some((file, id)), Some(meta))
+                if *id == (meta.dev(), meta.ino()) && meta.len() >= at.end =>
+            {
+                if meta.len() == at.end {
+                    return Ok(());
+                }
+                read_at(file, at.end, meta.len(), &mut self.buf)?;
+                let len = whole_frames(&self.buf)?;
+                let (mut lists, mut drops) = (0, false);
+                let lines = frames(&self.buf[..len]).flat_map(str::lines);
+                for line in lines.filter(|l| !l.is_empty()) {
+                    match parse_edit(line)? {
+                        Edit::List(_) => lists += 1,
+                        Edit::Drop(_) => drops = true,
+                    }
+                }
+                if !drops {
+                    if len > 0 {
+                        self.latest = Latest::Appended { len, lists };
+                    }
+                    return Ok(());
+                }
+                Some(file.try_clone()?)
+            }
+            (_, Some(_)) => Some(File::open(&self.path)?),
+        };
+        let (at, manifest) = match file {
+            Some(file) => whole(file, &mut self.buf)?,
+            None => Default::default(),
+        };
+        self.latest = Latest::Whole(at, manifest);
         Ok(())
     }
 
-    /// `(latest, accepted)`: the manifest the last read found — the
-    /// accepted one when it found no other — and the accepted one.
-    pub fn views(&self) -> (ManifestView<'_>, ManifestView<'_>) {
-        let accepted = self.accepted.1.view(&self.accepted.0);
-        match &self.latest.1 {
-            Latest::Read(checked) => (checked.view(&self.latest.0), accepted),
-            Latest::Nothing | Latest::Accepted => (accepted, accepted),
-        }
+    /// What the last read found past what was accepted; `None` when it
+    /// found nothing new (or failed).
+    pub fn change(&self) -> Option<Change<'_>> {
+        let (generation, whole, entries) = match &self.latest {
+            Latest::Unchanged => return None,
+            Latest::Appended { len, lists } => {
+                // Whole frames: every line checked.
+                let lines = frames(&self.buf[..*len]).flat_map(str::lines);
+                let lines = lines.filter(|l| !l.is_empty());
+                let listed = lines.filter_map(|l| parse_line(l).ok()).collect();
+                (self.accepted.generation + *lists as u64, false, listed)
+            }
+            Latest::Whole(_, m) => (
+                m.generation,
+                true,
+                m.entries.iter().map(EntryRef::from).collect(),
+            ),
+        };
+        Some(Change {
+            generation,
+            whole,
+            entries,
+        })
     }
 
-    /// Makes the text the last successful read found the accepted one.
+    /// Makes what the last read found the state the next one starts from.
     pub fn accept(&mut self) {
-        if let Latest::Read(checked) = std::mem::replace(&mut self.latest.1, Latest::Nothing) {
-            std::mem::swap(&mut self.accepted.0, &mut self.latest.0);
-            self.accepted.1 = checked;
+        match std::mem::replace(&mut self.latest, Latest::Unchanged) {
+            Latest::Unchanged => {}
+            Latest::Appended { len, lists } => {
+                let at = &mut self.accepted;
+                at.end += len as u64;
+                at.generation += lists as u64;
+                at.lines += lists;
+                at.live += lists;
+            }
+            Latest::Whole(at, _) => self.accepted = at,
         }
     }
-}
-
-/// True when the file `path` names still holds `text`, a text checked
-/// into `checked` (empty: no file) — found without reading its entries:
-/// the same length, the same header and generation line, the same crc
-/// line, which is a checksum of everything before it, and the name still
-/// pointing at the file those were read from. Every other outcome,
-/// errors included, is left to the whole read.
-///
-/// A file named `MANIFEST` when it was opened and holding `text` then is
-/// a published generation, so finding it is a read of that generation —
-/// even if a publish swapped another in while it was being read, as a
-/// whole read finishing just then would have found too. A refill of the
-/// file under way cannot pass: its length, its first lines or its last
-/// one differ, or a read comes back short.
-#[cfg(unix)]
-fn holds(path: &Path, text: &[u8], checked: &Checked) -> bool {
-    use std::os::unix::fs::FileExt;
-    const PROBE: usize = 64;
-    let file = match std::fs::File::open(path) {
-        Ok(file) => file,
-        Err(e) => return e.kind() == io::ErrorKind::NotFound && text.is_empty(),
-    };
-    let (head, tail) = (&text[..checked.entries.start], &text[checked.entries.end..]);
-    let mut probe = [0u8; PROBE];
-    let mut matches = |bytes: &[u8], at: usize| {
-        let probe = &mut probe[..bytes.len()];
-        file.read_exact_at(probe, at as u64).is_ok() && *probe == *bytes
-    };
-    let Ok(opened) = file.metadata() else {
-        return false;
-    };
-    !text.is_empty()
-        && opened.len() == text.len() as u64
-        && head.len() <= PROBE
-        && tail.len() <= PROBE
-        && matches(head, 0)
-        && matches(tail, text.len() - tail.len())
-        && std::fs::metadata(path).is_ok_and(|now| same_file(&opened, &now))
-}
-
-/// Without positional reads the whole read decides.
-#[cfg(not(unix))]
-fn holds(_: &Path, _: &[u8], _: &Checked) -> bool {
-    false
-}
-
-#[cfg(unix)]
-fn same_file(a: &std::fs::Metadata, b: &std::fs::Metadata) -> bool {
-    use std::os::unix::fs::MetadataExt;
-    (a.dev(), a.ino()) == (b.dev(), b.ino())
-}
-
-/// Where files have no number to compare, names are not swapped either.
-#[cfg(not(unix))]
-fn same_file(_: &std::fs::Metadata, _: &std::fs::Metadata) -> bool {
-    true
 }
 
 /// Exclusive writer lock on a root's manifest: a kernel `flock` on a
@@ -875,25 +911,26 @@ pub fn publish_iteration(
 }
 
 /// Publishes `node`'s sealed iteration files, given as `(iteration, file,
-/// bytes)`, in one generation swap: lock, load, upsert each, store once.
-/// The EPE calls this after a commit renamed the files into place and
-/// synced their directory. Returns the new generation, which counts one
-/// per file; publishing the same files again lists nothing twice.
+/// bytes)`, in one frame. The EPE calls this after a commit renamed the
+/// files into place and synced their directory. Returns the new
+/// generation, which counts one per file; publishing the same files again
+/// lists nothing twice.
 pub fn publish_iterations(root: &Path, node: u32, sealed: &[(u32, &str, u64)]) -> Result<u64> {
-    let _lock = ManifestLock::acquire(root)?;
-    let mut m = Manifest::load(root)?;
-    let entry = |&(iteration, file, bytes): &(u32, &str, u64)| ManifestEntry {
-        file: file.to_string(),
-        node,
-        kind: EntryKind::Iteration(iteration),
-        bytes,
-    };
-    m.upsert_all(sealed.iter().map(entry).collect());
-    m.store(root)?;
-    Ok(m.generation)
+    let edits: Vec<Edit<'_>> = sealed
+        .iter()
+        .map(|&(iteration, file, bytes)| {
+            Edit::List(EntryRef {
+                file,
+                node,
+                kind: EntryKind::Iteration(iteration),
+                bytes,
+            })
+        })
+        .collect();
+    append(root, &edits)
 }
 
-/// Atomically swaps `superseded` entries for `replacement` — the
+/// Swaps `superseded` entries for `replacement` in one frame — the
 /// compactor's commit point. Idempotent: re-running after a crash (some
 /// entries already gone, replacement already present) converges to the
 /// same manifest.
@@ -902,15 +939,9 @@ pub fn replace_entries(
     superseded: &[String],
     replacement: ManifestEntry,
 ) -> Result<u64> {
-    let _lock = ManifestLock::acquire(root)?;
-    let mut m = Manifest::load(root)?;
-    m.entries.retain(|e| !superseded.contains(&e.file));
-    if !m.references(&replacement.file) {
-        m.entries.push(replacement);
-    }
-    m.generation += 1;
-    m.store(root)?;
-    Ok(m.generation)
+    let mut edits: Vec<Edit<'_>> = superseded.iter().map(|f| Edit::Drop(f)).collect();
+    edits.push(Edit::List((&replacement).into()));
+    append(root, &edits)
 }
 
 /// Storage-pressure garbage collection: deletes on-disk files that are
@@ -929,16 +960,22 @@ pub fn gc_superseded(
     root: &Path,
     sentinel: Option<&crate::sentinel::DiskSentinel>,
 ) -> Result<(usize, u64)> {
+    gc_superseded_each(root, sentinel, || Ok(()))
+}
+
+/// [`gc_superseded`], calling `before` ahead of each deletion: an error it
+/// returns ends the pass (the compactor's kill points).
+pub fn gc_superseded_each<E: From<ManifestError>>(
+    root: &Path,
+    sentinel: Option<&crate::sentinel::DiskSentinel>,
+    mut before: impl FnMut() -> std::result::Result<(), E>,
+) -> std::result::Result<(usize, u64), E> {
     let manifest = Manifest::load(root)?;
-    let mut deleted = 0usize;
-    let mut reclaimed = 0u64;
-    let node_dirs = match std::fs::read_dir(root) {
-        Ok(rd) => rd,
-        Err(_) => return Ok((0, 0)),
-    };
-    let mut remove = |path: &Path| -> io::Result<()> {
+    let (mut deleted, mut reclaimed) = (0usize, 0u64);
+    let mut remove = |path: &Path| -> std::result::Result<(), E> {
+        before()?;
         let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        std::fs::remove_file(path)?;
+        std::fs::remove_file(path).map_err(ManifestError::Io)?;
         if let Some(s) = sentinel {
             s.release(bytes);
         }
@@ -946,42 +983,28 @@ pub fn gc_superseded(
         reclaimed += bytes;
         Ok(())
     };
-    for dir_entry in node_dirs.flatten() {
-        let dir_name = dir_entry.file_name().to_string_lossy().into_owned();
-        let Some(node) = dir_name
-            .strip_prefix("node-")
-            .and_then(|d| d.parse::<u32>().ok())
-        else {
-            continue;
-        };
-        let files = match std::fs::read_dir(dir_entry.path()) {
-            Ok(rd) => rd,
-            Err(_) => continue,
-        };
-        for file_entry in files.flatten() {
-            let name = file_entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("compact-") && name.ends_with(".tmp") {
-                remove(&file_entry.path())?;
-                continue;
-            }
-            let Some(iteration) = name
-                .strip_prefix("iter-")
-                .and_then(|rest| rest.strip_suffix(".sdf"))
-                .and_then(|digits| digits.parse::<u32>().ok())
-            else {
-                continue;
-            };
+    for dir in std::fs::read_dir(root).into_iter().flatten().flatten() {
+        let dir_name = dir.file_name().to_string_lossy().into_owned();
+        for file in std::fs::read_dir(dir.path())
+            .into_iter()
+            .flatten()
+            .flatten()
+        {
+            let name = file.file_name().to_string_lossy().into_owned();
             let rel = format!("{dir_name}/{name}");
-            if manifest.references(&rel) {
-                continue;
-            }
-            let covered = manifest.entries.iter().any(|e| {
-                e.node == node
-                    && matches!(e.kind, EntryKind::Compacted { .. })
-                    && e.kind.covers(iteration)
-            });
-            if covered {
-                remove(&file_entry.path())?;
+            let orphan = dir_name.starts_with("node-")
+                && name.starts_with("compact-")
+                && name.ends_with(".tmp");
+            let superseded = !manifest.references(&rel)
+                && crate::recovery::parse_iteration_file(&rel).is_some_and(|(node, it)| {
+                    manifest.entries.iter().any(|e| {
+                        e.node == node
+                            && matches!(e.kind, EntryKind::Compacted { .. })
+                            && e.kind.covers(it)
+                    })
+                });
+            if orphan || superseded {
+                remove(&file.path())?;
             }
         }
     }
@@ -992,45 +1015,67 @@ pub fn gc_superseded(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn temp_root(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "damaris-manifest-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("damaris-manifest-{tag}-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
+    }
+
+    /// A log's text, read as [`Manifest::load`] reads the file.
+    fn parse(text: &str) -> Result<Manifest> {
+        Ok(Log::parse(text.as_bytes())?.manifest())
+    }
+
+    fn entry(file: &str, node: u32, kind: EntryKind, bytes: u64) -> ManifestEntry {
+        ManifestEntry {
+            file: file.into(),
+            node,
+            kind,
+            bytes,
+        }
     }
 
     fn sample() -> Manifest {
         Manifest {
             generation: 7,
             entries: vec![
-                ManifestEntry {
-                    file: "node-0/iter-000012.sdf".into(),
-                    node: 0,
-                    kind: EntryKind::Iteration(12),
-                    bytes: 40968,
-                },
-                ManifestEntry {
-                    file: "node-0/compact-000000-000011.sdf".into(),
-                    node: 0,
-                    kind: EntryKind::Compacted { lo: 0, hi: 11 },
-                    bytes: 491616,
-                },
+                entry("node-0/iter-000012.sdf", 0, EntryKind::Iteration(12), 40968),
+                entry(
+                    "node-0/compact-000000-000011.sdf",
+                    0,
+                    EntryKind::Compacted { lo: 0, hi: 11 },
+                    491616,
+                ),
             ],
         }
+    }
+
+    /// One appended frame of `edits`, as a publish or replace writes it.
+    fn frame(edits: &[Edit<'_>]) -> String {
+        let mut out = String::new();
+        edits.iter().for_each(|&edit| write_edit(&mut out, edit));
+        close_frame(&mut out);
+        out
+    }
+
+    fn len_of(root: &Path) -> u64 {
+        std::fs::metadata(root.join(MANIFEST_NAME)).unwrap().len()
+    }
+
+    fn ino_of(root: &Path) -> u64 {
+        std::fs::metadata(root.join(MANIFEST_NAME)).unwrap().ino()
     }
 
     #[test]
     fn text_roundtrip() {
         let m = sample();
-        assert_eq!(Manifest::parse(&m.render()).unwrap(), m);
+        assert_eq!(parse(&m.render()).unwrap(), m);
     }
 
     #[test]
@@ -1044,14 +1089,12 @@ mod tests {
     }
 
     #[test]
-    fn covers_and_max_iteration() {
+    fn covers_through_spans_and_iterations() {
         let m = sample();
         assert!(m.covers(0, 5)); // via the span
         assert!(m.covers(0, 12)); // via the iter entry
         assert!(!m.covers(0, 13));
         assert!(!m.covers(1, 5));
-        assert_eq!(m.max_iteration(0), Some(12));
-        assert_eq!(m.max_iteration(1), None);
     }
 
     #[test]
@@ -1064,138 +1107,76 @@ mod tests {
         assert_eq!(m.generation, 2);
 
         let superseded: Vec<String> = m.entries.iter().map(|e| e.file.clone()).collect();
-        replace_entries(
-            &root,
-            &superseded,
-            ManifestEntry {
-                file: "node-0/compact-000000-000001.sdf".into(),
-                node: 0,
-                kind: EntryKind::Compacted { lo: 0, hi: 1 },
-                bytes: 200,
-            },
-        )
-        .unwrap();
-        let m2 = Manifest::load(&root).unwrap();
-        assert_eq!(m2.entries.len(), 1);
-        assert!(m2.covers(0, 0) && m2.covers(0, 1));
-        // Idempotent re-run (crash between store and cleanup).
-        replace_entries(
-            &root,
-            &superseded,
-            ManifestEntry {
-                file: "node-0/compact-000000-000001.sdf".into(),
-                node: 0,
-                kind: EntryKind::Compacted { lo: 0, hi: 1 },
-                bytes: 200,
-            },
-        )
-        .unwrap();
-        assert_eq!(Manifest::load(&root).unwrap().entries.len(), 1);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    #[test]
-    fn publishing_creates_no_file_after_the_second() {
-        use std::os::unix::fs::MetadataExt;
-        let root = temp_root("recycle");
-        let ino = |name: &str| std::fs::metadata(root.join(name)).expect(name).ino();
-        publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
-        // The first store has nothing to swap with: it renames.
-        assert!(!root.join(MANIFEST_NEXT).exists());
-        publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 100).unwrap();
-        let pair = [ino(MANIFEST_NAME), ino(MANIFEST_NEXT)];
-        for it in 2..8u32 {
-            publish_iteration(&root, 0, it, &format!("node-0/iter-{it:06}.sdf"), 100).unwrap();
-            // The same two files, trading names; the one not current holds
-            // nothing.
-            assert_eq!(ino(MANIFEST_NAME), pair[((it + 1) % 2) as usize]);
-            assert_eq!(ino(MANIFEST_NEXT), pair[(it % 2) as usize]);
-            assert_eq!(std::fs::metadata(root.join(MANIFEST_NEXT)).unwrap().len(), 0);
-            assert_eq!(Manifest::load(&root).unwrap().generation, u64::from(it) + 1);
-        }
-        // A shorter manifest leaves no tail of the longer one it replaces.
-        Manifest::default().store(&root).unwrap();
-        assert_eq!(Manifest::load(&root).unwrap(), Manifest::default());
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn a_read_torn_by_a_publish_is_read_again() {
-        let whole = sample().render().into_bytes();
-        let cut = whole[..whole.len() / 2].to_vec();
-        // Emptied, then cut short, then whole: what a reader gets that
-        // opened the replaced file twice in a row.
-        let mut reads = vec![whole.clone(), cut.clone(), Vec::new()];
-        let loaded =
-            Manifest::load_with(Path::new("MANIFEST"), |_| Ok((reads.pop().unwrap(), true)));
-        assert_eq!(loaded.unwrap(), sample());
-        assert!(reads.is_empty());
-        // A file that stays bad is corrupt, after a bounded number of reads.
-        let mut count = 0;
-        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| {
-            count += 1;
-            Ok((cut.clone(), true))
-        });
-        assert!(
-            matches!(loaded, Err(ManifestError::Corrupt(_))),
-            "{loaded:?}"
+        let span = entry(
+            "node-0/compact-000000-000001.sdf",
+            0,
+            EntryKind::Compacted { lo: 0, hi: 1 },
+            200,
         );
-        assert_eq!(count, LOAD_ATTEMPTS);
+        assert_eq!(
+            replace_entries(&root, &superseded, span.clone()).unwrap(),
+            3
+        );
+        let m2 = Manifest::load(&root).unwrap();
+        assert_eq!(m2.entries, vec![span.clone()]);
+        assert!(m2.covers(0, 0) && m2.covers(0, 1));
+        // Idempotent re-run (crash between the replace and the cleanup).
+        replace_entries(&root, &superseded, span.clone()).unwrap();
+        assert_eq!(Manifest::load(&root).unwrap().entries, vec![span]);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn a_generation_read_before_its_swap_is_not_returned() {
-        // The reader opened `MANIFEST` at generation 7; a publish replaced
-        // that file and the publish after refilled it as `MANIFEST.next`
-        // with generation 9, whole and CRC-valid, before swapping it in.
-        // Those bytes are not the published manifest (8 is): the reader
-        // must read the name again, and gets 8 — never 9 and then 8.
-        let at = |generation| {
-            Manifest {
-                generation,
-                ..sample()
-            }
-            .render()
-            .into_bytes()
-        };
-        let mut reads = vec![(at(8), true), (at(9), false)];
-        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| Ok(reads.pop().unwrap()));
-        assert_eq!(loaded.unwrap().generation, 8);
-        assert!(reads.is_empty());
-        // Replaced under every read: an error, after the same bounded
-        // number of reads a torn file gets.
-        let mut count = 0;
-        let loaded = Manifest::load_with(Path::new("MANIFEST"), |_| {
-            count += 1;
-            Ok((at(9), false))
-        });
-        assert!(matches!(loaded, Err(ManifestError::Corrupt(_))), "{loaded:?}");
-        assert_eq!(count, LOAD_ATTEMPTS);
+    fn publishing_appends_one_frame_to_the_same_file() {
+        let root = temp_root("append");
+        let name = |it: u32| format!("node-0/iter-{it:06}.sdf");
+        // The first publish has no log to append to: it checkpoints.
+        publish_iteration(&root, 0, 0, &name(0), 100).unwrap();
+        let ino = ino_of(&root);
+        for it in 1..1000u32 {
+            let before = len_of(&root);
+            assert_eq!(
+                publish_iteration(&root, 0, it, &name(it), 100).unwrap(),
+                u64::from(it) + 1
+            );
+            let listed = entry(&name(it), 0, EntryKind::Iteration(it), 100);
+            let frame = frame(&[Edit::List((&listed).into())]);
+            let text = std::fs::read(root.join(MANIFEST_NAME)).unwrap();
+            assert_eq!(&text[before as usize..], frame.as_bytes(), "publish {it}");
+            assert_eq!(ino_of(&root), ino, "publish {it} replaced the file");
+        }
+        let mut names: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [MANIFEST_NAME, MANIFEST_LOCK]);
+        let m = Manifest::load(&root).unwrap();
+        assert_eq!((m.generation, m.entries.len()), (1000, 1000));
+        std::fs::remove_dir_all(&root).ok();
     }
 
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
     #[test]
-    fn a_batch_is_one_store_and_counts_every_file() {
-        use std::os::unix::fs::MetadataExt;
+    fn a_batch_is_one_frame_and_counts_every_file() {
         let root = temp_root("batch");
         let name = |it: u32| format!("node-0/iter-{it:06}.sdf");
         publish_iteration(&root, 0, 0, &name(0), 100).unwrap();
         publish_iteration(&root, 0, 1, &name(1), 100).unwrap();
-        let current = || std::fs::metadata(root.join(MANIFEST_NAME)).unwrap().ino();
-        let before = current();
         let names: Vec<String> = (2..5).map(name).collect();
         let sealed: Vec<(u32, &str, u64)> = (2..5)
             .zip(&names)
             .map(|(it, n)| (it, n.as_str(), 200))
             .collect();
+        let listed: Vec<ManifestEntry> = (2..5)
+            .zip(&names)
+            .map(|(it, n)| entry(n, 0, EntryKind::Iteration(it), 200))
+            .collect();
+        let edits: Vec<Edit<'_>> = listed.iter().map(|e| Edit::List(e.into())).collect();
+        let before = len_of(&root);
         assert_eq!(publish_iterations(&root, 0, &sealed).unwrap(), 5);
-        // One swap: the name points at the other file of the pair.
-        assert_ne!(current(), before);
-        assert_eq!(
-            std::fs::metadata(root.join(MANIFEST_NEXT)).unwrap().ino(),
-            before
-        );
+        // One frame: the batch's lines and one crc line.
+        let text = std::fs::read(root.join(MANIFEST_NAME)).unwrap();
+        assert_eq!(&text[before as usize..], frame(&edits).as_bytes());
         let m = Manifest::load(&root).unwrap();
         assert_eq!(m.generation, 5);
         let listed: Vec<_> = m.entries.iter().map(|e| (e.kind, e.bytes)).collect();
@@ -1210,12 +1191,73 @@ mod tests {
     }
 
     #[test]
+    fn a_log_past_twice_its_live_entries_is_checkpointed() {
+        let root = temp_root("threshold");
+        let name = |it: u32| format!("node-0/iter-{it:06}.sdf");
+        for it in 0..4 {
+            publish_iteration(&root, 0, it, &name(it), 100).unwrap();
+        }
+        let ino = ino_of(&root);
+        // Re-listing a file is appended: it counts as one more live entry
+        // until the log is next read whole.
+        publish_iteration(&root, 0, 3, &name(3), 101).unwrap();
+        assert_eq!(ino_of(&root), ino);
+        // Four entries replaced by one: ten lines for two live entries.
+        let superseded: Vec<String> = (0..4).map(name).collect();
+        let kind = EntryKind::Compacted { lo: 0, hi: 3 };
+        let span = entry("node-0/compact-000000-000003.sdf", 0, kind, 400);
+        assert_eq!(
+            replace_entries(&root, &superseded, span.clone()).unwrap(),
+            6
+        );
+        assert_ne!(ino_of(&root), ino, "rewritten as a checkpoint");
+        let m = Manifest::load(&root).unwrap();
+        assert_eq!(
+            m,
+            Manifest {
+                generation: 6,
+                entries: vec![span],
+            }
+        );
+        assert_eq!(m.render().len() as u64, len_of(&root));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_torn_tail_is_not_published_and_the_next_publish_checkpoints() {
+        let root = temp_root("torn");
+        publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
+        publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 100).unwrap();
+        let before = Manifest::load(&root).unwrap();
+        // Half a frame: what a crash during an append leaves.
+        let listed = entry("node-0/iter-000002.sdf", 0, EntryKind::Iteration(2), 100);
+        let torn = frame(&[Edit::List((&listed).into())]);
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(root.join(MANIFEST_NAME))
+            .unwrap();
+        file.write_all(&torn.as_bytes()[..torn.len() / 2]).unwrap();
+        assert_eq!(Manifest::load(&root).unwrap(), before);
+        assert!(load_log(&root).unwrap().1, "the tail is seen as torn");
+        let ino = ino_of(&root);
+        assert_eq!(
+            publish_iteration(&root, 0, 3, "node-0/iter-000003.sdf", 100).unwrap(),
+            3
+        );
+        assert_ne!(ino_of(&root), ino, "answered with a checkpoint");
+        let after = Manifest::load(&root).unwrap();
+        assert!(after.covers(0, 3) && !after.covers(0, 2));
+        assert!(!load_log(&root).unwrap().1);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn readers_racing_publishes_see_whole_generations() {
         let root = temp_root("race");
         publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
-            let reader = s.spawn(|| {
+            let loader = s.spawn(|| {
                 let (mut loads, mut last) = (0u64, 0u64);
                 while !done.load(Ordering::Acquire) {
                     let m = Manifest::load(&root).expect("a whole manifest");
@@ -1226,11 +1268,37 @@ mod tests {
                 }
                 loads
             });
+            // A polling reader: what it accepts, appended or whole, adds
+            // up to every file published so far, and never steps back.
+            let poller = s.spawn(|| {
+                let mut reader = ManifestReader::new(&root);
+                let (mut polls, mut listed, mut last) = (0u64, 0u64, 0u64);
+                while !done.load(Ordering::Acquire) {
+                    reader.read().expect("a whole manifest");
+                    if let Some(change) = reader.change() {
+                        let (generation, whole) = (change.generation, change.whole);
+                        let n = change.entries.len() as u64;
+                        listed = if whole { n } else { listed + n };
+                        assert_eq!(listed, generation);
+                        assert!(generation >= last, "{generation} after {last}");
+                        last = generation;
+                    }
+                    reader.accept();
+                    polls += 1;
+                }
+                polls
+            });
             for it in 1..400u32 {
                 publish_iteration(&root, 0, it, &format!("node-0/iter-{it:06}.sdf"), 100).unwrap();
+                if it == 200 {
+                    // A checkpoint mid-run: the same manifest, another file.
+                    let _lock = ManifestLock::acquire(&root).unwrap();
+                    Manifest::load(&root).unwrap().store(&root).unwrap();
+                }
             }
             done.store(true, Ordering::Release);
-            assert!(reader.join().expect("reader") > 0);
+            assert!(loader.join().expect("loader") > 0);
+            assert!(poller.join().expect("poller") > 0);
         });
         assert_eq!(Manifest::load(&root).unwrap().generation, 400);
         std::fs::remove_dir_all(&root).ok();
@@ -1285,17 +1353,22 @@ mod tests {
 
     #[test]
     fn publish_fails_midway_under_enospc_then_recovers() {
-        // Satellite: a full disk must not corrupt the manifest protocol.
-        // Simulate the write of the next generation failing mid-publish
-        // by planting a directory where `MANIFEST.next` goes — opening it
-        // fails just like it would on a full file system, after the lock
-        // is taken but before anything replaced the published manifest.
+        // A full disk must not corrupt the manifest protocol. A torn tail
+        // makes the next publish write a checkpoint, and a directory
+        // planted at the checkpoint's temporary name makes that fail just
+        // like a full file system would: after the lock is taken, before
+        // anything replaced the published log.
         let root = temp_root("publish-enospc");
         publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
         let before = Manifest::load(&root).unwrap();
         assert_eq!(before.generation, 1);
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(root.join(MANIFEST_NAME))
+            .unwrap();
+        file.write_all(b"iter 0 1 100 node-0/it").unwrap();
 
-        let tmp_blocker = root.join(MANIFEST_NEXT);
+        let tmp_blocker = root.join(CHECKPOINT_TMP);
         std::fs::create_dir(&tmp_blocker).unwrap();
         let err = publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 100).unwrap_err();
         assert!(matches!(err, ManifestError::Io(_)), "{err}");
@@ -1334,19 +1407,18 @@ mod tests {
         ] {
             std::fs::write(root.join("node-0").join(name), vec![0u8; 64]).unwrap();
         }
-        let mut m = Manifest::default();
-        m.upsert(ManifestEntry {
-            file: "node-0/compact-000000-000003.sdf".into(),
-            node: 0,
-            kind: EntryKind::Compacted { lo: 0, hi: 3 },
-            bytes: 64,
-        });
-        m.upsert(ManifestEntry {
-            file: "node-0/iter-000005.sdf".into(),
-            node: 0,
-            kind: EntryKind::Iteration(5),
-            bytes: 64,
-        });
+        let m = Manifest {
+            generation: 2,
+            entries: vec![
+                entry(
+                    "node-0/compact-000000-000003.sdf",
+                    0,
+                    EntryKind::Compacted { lo: 0, hi: 3 },
+                    64,
+                ),
+                entry("node-0/iter-000005.sdf", 0, EntryKind::Iteration(5), 64),
+            ],
+        };
         m.store(&root).unwrap();
 
         let sentinel = DiskSentinel::with_quota(1000);
@@ -1357,7 +1429,10 @@ mod tests {
         assert_eq!(sentinel.used(), 500 - 128);
         assert!(!root.join("node-0/iter-000000.sdf").exists());
         assert!(root.join("node-0/iter-000005.sdf").exists());
-        assert!(root.join("node-0/iter-000009.sdf").exists(), "unpublished file kept");
+        assert!(
+            root.join("node-0/iter-000009.sdf").exists(),
+            "unpublished file kept"
+        );
         // Idempotent: nothing left to collect.
         assert_eq!(gc_superseded(&root, None).unwrap(), (0, 0));
         std::fs::remove_dir_all(&root).ok();
@@ -1365,37 +1440,105 @@ mod tests {
 
     #[test]
     fn truncation_is_typed_corruption() {
+        // A checkpoint is written whole before it is renamed in: cut
+        // anywhere, it is corrupt, never a tail.
         let text = sample().render();
-        // Every cut that removes more than the trailing newline must fail
-        // typed (losing only the final '\n' is cosmetically fine).
-        for cut in 0..text.len() - 1 {
-            let t = &text[..cut];
-            match Manifest::parse(t) {
+        for cut in 0..text.len() {
+            match parse(&text[..cut]) {
                 Err(ManifestError::Corrupt(_)) => {}
                 other => panic!("cut at {cut}: expected Corrupt, got {other:?}"),
             }
         }
     }
 
+    #[test]
+    fn a_manifest_from_before_the_log_loads_and_takes_an_append() {
+        let root = temp_root("v1");
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/MANIFEST-v1");
+        std::fs::copy(&fixture, root.join(MANIFEST_NAME)).unwrap();
+        let span = EntryKind::Compacted { lo: 0, hi: 11 };
+        let mut expected = Manifest {
+            generation: 7,
+            entries: vec![
+                entry("node-0/compact-000000-000011.sdf", 0, span, 491616),
+                entry("node-0/iter-000012.sdf", 0, EntryKind::Iteration(12), 40968),
+                entry("node-1/iter-000012.sdf", 1, EntryKind::Iteration(12), 40968),
+            ],
+        };
+        assert_eq!(Manifest::load(&root).unwrap(), expected);
+        let (ino, len) = (ino_of(&root), len_of(&root));
+        assert_eq!(
+            publish_iteration(&root, 0, 13, "node-0/iter-000013.sdf", 40968).unwrap(),
+            8
+        );
+        assert_eq!(ino_of(&root), ino, "appended, not rewritten");
+        assert!(len_of(&root) > len);
+        expected.generation = 8;
+        let iter13 = entry("node-0/iter-000013.sdf", 0, EntryKind::Iteration(13), 40968);
+        expected.entries.push(iter13);
+        assert_eq!(Manifest::load(&root).unwrap(), expected);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A checkpoint of `sample()` whose header carries `features`.
+    fn with_features(features: &str) -> String {
+        let text = sample().render();
+        let body = text[..text.rfind("crc ").unwrap()].replacen("features 1 0 0", features, 1);
+        let crc = damaris_format::crc32(body.as_bytes());
+        format!("{body}crc {crc:08x} {}\n", body.len())
+    }
+
+    #[test]
+    fn unknown_features_refuse_to_be_read_or_written() {
+        // An incompat bit this build does not know: the layout moved.
+        let err = parse(&with_features("features 3 0 0")).unwrap_err();
+        assert!(
+            matches!(&err, ManifestError::Corrupt(m) if m.contains("incompat")),
+            "{err}"
+        );
+        // A ro-compat bit: read, but not written.
+        let root = temp_root("ro-compat");
+        std::fs::write(root.join(MANIFEST_NAME), with_features("features 1 4 0")).unwrap();
+        assert_eq!(Manifest::load(&root).unwrap(), sample());
+        let err = publish_iteration(&root, 0, 13, "node-0/iter-000013.sdf", 1).unwrap_err();
+        assert!(matches!(err, ManifestError::Corrupt(_)), "{err}");
+        // A compat bit changes nothing.
+        assert_eq!(parse(&with_features("features 1 0 8")).unwrap(), sample());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// `m`'s checkpoint followed by one frame per batch of `edits`, and
+    /// where each frame starts.
+    fn log_of(m: &Manifest, batches: &[Vec<Edit<'_>>]) -> (String, Vec<usize>) {
+        let mut text = m.render();
+        let mut starts = vec![0];
+        for batch in batches {
+            starts.push(text.len());
+            text.push_str(&frame(batch));
+        }
+        (text, starts)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        // Byte flips must never panic, and anything still accepted must
-        // parse to the *same* manifest (CRC32 catches every single-byte
-        // change to the guarded body; only cosmetic whitespace after the
-        // crc value can differ).
+        // Byte flips must never panic; what is still read is the whole
+        // log (a flip CRC-32 cannot see: the case of a hex digit in a crc
+        // line) or, for a flip in the last frame, the log without it.
         #[test]
         fn corrupt_manifest_never_panics(
             flip_pos in 0usize..4096,
             flip_mask in 1u8..255,
         ) {
-            let text = sample().render();
+            let listed = entry("node-0/iter-000013.sdf", 0, EntryKind::Iteration(13), 9);
+            let (text, starts) = log_of(&sample(), &[vec![Edit::List((&listed).into())]]);
             let mut bytes = text.clone().into_bytes();
             let pos = flip_pos % bytes.len();
             bytes[pos] ^= flip_mask;
             if let Ok(s) = String::from_utf8(bytes) {
-                if let Ok(m) = Manifest::parse(&s) {
-                    prop_assert_eq!(m, sample());
+                if let Ok(m) = parse(&s) {
+                    let whole = parse(&text).unwrap();
+                    prop_assert!(m == whole || (pos >= starts[1] && m == sample()), "{:?}", m);
                 }
             }
         }
@@ -1414,92 +1557,79 @@ mod tests {
                     t[pos] = b'\n';
                 }
             }
-            let _ = Manifest::parse(std::str::from_utf8(&t).expect("ascii"));
+            let _ = parse(std::str::from_utf8(&t).expect("ascii"));
         }
 
-        // One parser: a rendered manifest reads back through the view,
-        // owned, as it was; and a publish of more files reads as the
-        // earlier text's entries followed by exactly the new ones.
+        // A log reads as its checkpoint with every frame's edits applied:
+        // a listed file added or its entry replaced in place, a dropped
+        // one removed, one generation per listed entry.
         #[test]
-        fn render_then_view_then_owned_round_trips(
+        fn a_log_reads_as_its_edits_applied(
             m in arb_manifest(),
-            more in proptest::collection::vec(arb_entry(), 0..4),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((arb_entry(), any::<bool>()), 1..4),
+                0..4,
+            ),
         ) {
-            let text = m.render();
-            let view = ManifestView::parse(&text).expect("a rendered manifest");
-            prop_assert_eq!(view.generation(), m.generation);
-            prop_assert_eq!(&owned(&view), &m);
-            prop_assert_eq!(Manifest::parse(&text).expect("parse"), m.clone());
-
-            let mut grown = m.clone();
-            let fresh: Vec<ManifestEntry> =
-                more.into_iter().filter(|e| !m.references(&e.file)).collect();
-            grown.upsert_all(fresh.clone());
-            let grown_text = grown.render();
-            let later = ManifestView::parse(&grown_text).expect("grown");
-            let appended: Vec<ManifestEntry> = later
-                .entries_after(&view)
-                .expect("a publish of new files only appends")
-                .map(|e| e.to_entry())
+            let mut expected = m.clone();
+            let edits: Vec<Vec<Edit<'_>>> = batches
+                .iter()
+                .map(|batch| {
+                    batch
+                        .iter()
+                        .map(|(e, drop)| match drop {
+                            true => Edit::Drop(&e.file),
+                            false => Edit::List(e.into()),
+                        })
+                        .collect()
+                })
                 .collect();
-            prop_assert_eq!(appended, fresh);
-            // Checked against the earlier text, or whole: the same view.
-            let mut buf = Vec::new();
-            let checked = read_checked(Path::new("MANIFEST"), &mut buf, view.entries, None, |_, b| {
-                b.clear();
-                b.extend_from_slice(grown_text.as_bytes());
-                Ok(true)
-            })
-            .expect("checked after the earlier text");
-            prop_assert_eq!(checked.view(&buf), later);
+            for (e, drop) in batches.iter().flatten() {
+                match drop {
+                    true => expected.entries.retain(|x| x.file != e.file),
+                    false => {
+                        expected.generation += 1;
+                        match expected.entries.iter_mut().find(|x| x.file == e.file) {
+                            Some(slot) => *slot = e.clone(),
+                            None => expected.entries.push(e.clone()),
+                        }
+                    }
+                }
+            }
+            let (text, _) = log_of(&m, &edits);
+            prop_assert_eq!(parse(&text).expect("a whole log"), expected);
         }
 
-        // Any single-byte change is refused by the view and by `parse`
-        // alike, with the same variant — or, in the crc line alone (an
-        // upper-case hex digit, a trailing blank), read as the same
-        // manifest by both. Inside the CRC-guarded body it is refused.
+        // A changed byte in any frame but the last is corrupt; in the
+        // last, the log reads without that frame. Either way, a change
+        // CRC-32 cannot see (a hex digit's case in a crc line) reads as
+        // the log unchanged. Nothing panics.
         #[test]
-        fn a_changed_byte_fails_the_view_and_parse_alike(
+        fn a_changed_byte_is_corrupt_or_a_torn_tail(
             m in arb_manifest(),
+            more in proptest::collection::vec(arb_entry(), 1..4),
             at in any::<usize>(),
             byte in any::<u8>(),
         ) {
-            let text = m.render();
+            let batches: Vec<Vec<Edit<'_>>> =
+                more.iter().map(|e| vec![Edit::List(e.into())]).collect();
+            let (text, starts) = log_of(&m, &batches);
             let mut bytes = text.clone().into_bytes();
             let pos = at % bytes.len();
             prop_assume!(bytes[pos] != byte);
             bytes[pos] = byte;
-            let crc_at = text.rfind("crc ").expect("crc line");
-            let checked = check(&bytes, b"", None);
-            if pos < crc_at {
-                prop_assert!(matches!(checked, Err(ManifestError::Corrupt(_))), "{:?}", checked);
-            }
-            if let Ok(changed) = std::str::from_utf8(&bytes) {
-                let view = ManifestView::parse(changed).map(|v| owned(&v));
-                let parsed = Manifest::parse(changed);
-                match (&view, &parsed) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(a, &m);
-                        prop_assert_eq!(b, &m);
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(
-                        std::mem::discriminant(a),
-                        std::mem::discriminant(b)
-                    ),
-                    _ => prop_assert!(false, "view {:?} vs parse {:?}", view, parsed),
+            let whole = Log::parse(text.as_bytes()).expect("a whole log").manifest();
+            let last = *starts.last().expect("frames");
+            let without_last = Log::parse(&text.as_bytes()[..last]).expect("whole").manifest();
+            match Log::parse(&bytes).map(|log| log.manifest()) {
+                Ok(read) if read == whole => {}
+                Ok(read) => {
+                    prop_assert!(pos >= last, "a change at {} read as {:?}", pos, read);
+                    prop_assert_eq!(read, without_last);
                 }
-            } else {
-                prop_assert!(matches!(checked, Err(ManifestError::Corrupt(_))));
+                Err(ManifestError::Corrupt(_)) => prop_assert!(pos < last, "change at {}", pos),
+                Err(e) => prop_assert!(false, "untyped: {}", e),
             }
-        }
-    }
-
-    /// The manifest `view` shows, owned.
-    fn owned(view: &ManifestView<'_>) -> Manifest {
-        let entries = view.entries().map(|e| e.to_entry()).collect();
-        Manifest {
-            generation: view.generation(),
-            entries,
         }
     }
 
@@ -1525,113 +1655,136 @@ mod tests {
             })
     }
 
+    /// A manifest as one is kept: each file listed once.
     fn arb_manifest() -> impl Strategy<Value = Manifest> {
         (any::<u64>(), proptest::collection::vec(arb_entry(), 0..8)).prop_map(
-            |(generation, entries)| Manifest {
-                generation,
-                entries,
+            |(generation, mut entries)| {
+                let mut seen = std::collections::HashSet::new();
+                entries.retain(|e| seen.insert(e.file.clone()));
+                Manifest {
+                    generation: generation >> 8,
+                    entries,
+                }
             },
         )
     }
 
     #[test]
-    fn only_the_lines_a_text_shares_with_the_trusted_ones_go_unchecked() {
-        let earlier = sample().render();
-        let trusted = ManifestView::parse(&earlier).unwrap().entries;
-        let with_crc =
-            |body: &str| format!("{body}crc {:08x}\n", damaris_format::crc32(body.as_bytes()));
-        let body = &earlier[..earlier.rfind("crc ").unwrap()];
-        // A malformed line appended after the trusted ones, and one in
-        // place of the first trusted line: both CRC-valid, both refused.
-        let appended = with_crc(&format!("{body}iter 0 x 1 node-0/iter-000013.sdf\n"));
-        let replaced = with_crc(&body.replacen("iter 0 12 ", "iter 0 x ", 1));
-        for text in [appended, replaced] {
-            let checked = check(text.as_bytes(), trusted, None);
+    fn a_reader_checks_only_the_bytes_past_its_offset() {
+        let root = temp_root("offset");
+        publish_iteration(&root, 0, 0, "node-0/iter-000000.sdf", 100).unwrap();
+        let mut reader = ManifestReader::new(&root);
+        reader.read().unwrap();
+        reader.accept();
+        let append = |bytes: &[u8]| {
+            let path = root.join(MANIFEST_NAME);
+            let mut file = OpenOptions::new().append(true).open(path).unwrap();
+            file.write_all(bytes).unwrap();
+        };
+        // A byte of the accepted checkpoint changed in place, then a whole
+        // frame appended: the reader reads only the frame; a whole read
+        // finds the checkpoint corrupt.
+        let mut text = std::fs::read(root.join(MANIFEST_NAME)).unwrap();
+        text[HEADER.len() + 2] ^= 1;
+        std::fs::write(root.join(MANIFEST_NAME), &text).unwrap();
+        let listed = entry("node-0/iter-000001.sdf", 0, EntryKind::Iteration(1), 100);
+        append(frame(&[Edit::List((&listed).into())]).as_bytes());
+        reader.read().unwrap();
+        let change = reader.change().expect("the appended frame");
+        assert!(!change.whole);
+        assert_eq!(
+            change.entries.iter().map(|e| e.file).collect::<Vec<_>>(),
+            [listed.file.as_str()]
+        );
+        reader.accept();
+        assert!(matches!(
+            Manifest::load(&root),
+            Err(ManifestError::Corrupt(_))
+        ));
+        // A CRC-valid frame with a malformed line, and a bad frame with a
+        // whole one after it: both refused, and nothing to accept.
+        let malformed = "iter 0 x 1 node-0/iter-000002.sdf\n";
+        let crc = damaris_format::crc32(malformed.as_bytes());
+        let forged = format!("{malformed}crc {crc:08x} {}\n", malformed.len());
+        for bad in [
+            forged.clone(),
+            format!("{}{forged}", forged.replace("x 1", "9 1")),
+        ] {
+            let mut reread = ManifestReader::new(&root);
+            std::fs::write(root.join(MANIFEST_NAME), sample().render() + &bad).unwrap();
+            let checked = reread.read();
             assert!(
                 matches!(checked, Err(ManifestError::Corrupt(_))),
-                "{text}: {checked:?}"
+                "{bad}: {checked:?}"
             );
+            assert!(reread.change().is_none());
         }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn a_reader_checks_and_returns_only_what_changed() {
         let root = temp_root("reader");
+        let name = |it: u32| format!("node-0/iter-{it:06}.sdf");
+        let files = |change: Change<'_>| -> Vec<String> {
+            change.entries.iter().map(|e| e.file.to_string()).collect()
+        };
         let mut reader = ManifestReader::new(&root);
         reader.read().unwrap();
-        let (latest, accepted) = reader.views();
-        assert_eq!(latest, accepted);
-        assert_eq!((latest.generation(), latest.entries().count()), (0, 0));
+        assert!(reader.change().is_none(), "no manifest, as accepted");
         for it in 0..3 {
-            publish_iteration(&root, 0, it, &format!("node-0/iter-{it:06}.sdf"), 100).unwrap();
+            publish_iteration(&root, 0, it, &name(it), 100).unwrap();
         }
+        // A new file: read whole.
         reader.read().unwrap();
-        let (latest, accepted) = reader.views();
-        assert_eq!(latest.generation(), 3);
-        assert_eq!(latest.entries_after(&accepted).unwrap().count(), 3);
+        let change = reader.change().unwrap();
+        assert_eq!((change.generation, change.whole), (3, true));
+        assert_eq!(files(change), [name(0), name(1), name(2)]);
         reader.accept();
         reader.read().unwrap();
-        let (latest, accepted) = reader.views();
-        assert_eq!(
-            latest, accepted,
-            "nothing published: the accepted text again"
+        assert!(reader.change().is_none(), "nothing published");
+        // An append of a new file: just that entry.
+        publish_iteration(&root, 0, 3, &name(3), 100).unwrap();
+        reader.read().unwrap();
+        let change = reader.change().unwrap();
+        assert_eq!((change.generation, change.whole), (4, false));
+        assert_eq!(files(change), [name(3)]);
+        reader.accept();
+        // A torn tail past the offset: nothing new, and read again later.
+        let path = root.join(MANIFEST_NAME);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"iter 0 4 100 node-0/iter-0000").unwrap();
+        reader.read().unwrap();
+        assert!(reader.change().is_none());
+        // A replace (here answering the torn tail with a checkpoint): read
+        // whole.
+        let span = entry(
+            "node-0/compact-000000-000001.sdf",
+            0,
+            EntryKind::Compacted { lo: 0, hi: 1 },
+            200,
         );
-        assert!(holds(&reader.path, &reader.accepted.0, &reader.accepted.1));
-        publish_iteration(&root, 0, 3, "node-0/iter-000003.sdf", 100).unwrap();
-        assert!(!holds(&reader.path, &reader.accepted.0, &reader.accepted.1));
-        // The same length, the same first lines, another body: refused by
-        // its crc line.
-        let real = Manifest::load(&root).unwrap();
-        let mut other = real.clone();
-        other.entries[0].bytes = 101;
-        let (real, other) = (real.render(), other.render());
-        assert_eq!(real.len(), other.len());
-        let checked = check(real.as_bytes(), b"", None).unwrap();
-        std::fs::write(root.join(MANIFEST_NAME), &other).unwrap();
-        assert!(!holds(&reader.path, real.as_bytes(), &checked));
-        std::fs::write(root.join(MANIFEST_NAME), &real).unwrap();
-        assert!(holds(&reader.path, real.as_bytes(), &checked));
+        replace_entries(&root, &[name(0), name(1)], span.clone()).unwrap();
         reader.read().unwrap();
-        let (latest, accepted) = reader.views();
-        let appended: Vec<_> = latest.entries_after(&accepted).unwrap().collect();
-        assert_eq!(appended.len(), 1);
-        assert_eq!(appended[0].file, "node-0/iter-000003.sdf");
+        let change = reader.change().unwrap();
+        assert!(change.whole);
+        assert_eq!(files(change), [name(2), name(3), span.file.clone()]);
+        assert_eq!(
+            reader.change().unwrap().generation,
+            Manifest::load(&root).unwrap().generation
+        );
         reader.accept();
-        // An entry rewritten in place, or entries swapped for a span: no
-        // longer an append.
-        publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 7).unwrap();
-        reader.read().unwrap();
-        let (latest, accepted) = reader.views();
-        assert!(latest.entries_after(&accepted).is_none());
-        assert_eq!(latest.entries().count(), 4);
-        reader.accept();
-        let superseded: Vec<String> = (0..2)
-            .map(|it| format!("node-0/iter-{it:06}.sdf"))
-            .collect();
-        let span = ManifestEntry {
-            file: "node-0/compact-000000-000001.sdf".into(),
-            node: 0,
-            kind: EntryKind::Compacted { lo: 0, hi: 1 },
-            bytes: 200,
-        };
-        replace_entries(&root, &superseded, span).unwrap();
-        reader.read().unwrap();
-        let (latest, accepted) = reader.views();
-        assert!(latest.entries_after(&accepted).is_none());
-        assert_eq!(owned(&latest), Manifest::load(&root).unwrap());
-        // A read that fails leaves nothing to accept.
-        std::fs::write(root.join(MANIFEST_NAME), b"damaris-manifest v1\n").unwrap();
+        // A read that fails leaves nothing to accept; a manifest removed
+        // is the empty one.
+        std::fs::write(&path, b"damaris-manifest v1\n").unwrap();
         assert!(matches!(reader.read(), Err(ManifestError::Corrupt(_))));
+        assert!(reader.change().is_none());
         reader.accept();
-        std::fs::remove_file(root.join(MANIFEST_NAME)).unwrap();
+        std::fs::remove_file(&path).unwrap();
         reader.read().unwrap();
-        let (latest, accepted) = reader.views();
-        assert_eq!((latest.generation(), latest.entries().count()), (0, 0));
-        assert_eq!(
-            accepted.generation(),
-            5,
-            "the last text accepted, not the failed read"
-        );
+        let change = reader.change().unwrap();
+        assert_eq!((change.generation, change.whole), (0, true));
+        assert_eq!(change.entries.len(), 0);
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -156,8 +156,9 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
             return;
         }
     };
-    let mut m = match Manifest::load(root) {
-        Ok(m) => m,
+    // A torn tail is rewritten as a checkpoint, not quarantined.
+    let (mut m, mut changed) = match manifest::load_log(root) {
+        Ok(loaded) => loaded,
         Err(ManifestError::Corrupt(_)) => {
             let mut q = manifest_path.as_os_str().to_os_string();
             q.push(QUARANTINE_SUFFIX);
@@ -167,7 +168,7 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
                     .failed
                     .push((PathBuf::from(manifest::MANIFEST_NAME), format!("quarantine: {e}"))),
             }
-            Manifest::default()
+            (Manifest::default(), false)
         }
         Err(e) => {
             report
@@ -177,7 +178,6 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
         }
     };
 
-    let mut changed = false;
     // Drop entries pointing at files that no longer verify.
     let valid: std::collections::HashSet<&Path> =
         report.valid.iter().map(PathBuf::as_path).collect();
@@ -214,6 +214,7 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
         changed = true;
     }
     if changed {
+        // One generation for the reconcile: never a step back.
         m.generation += 1;
         if let Err(e) = m.store(root) {
             report
@@ -225,7 +226,7 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
 
 /// Parses `node-<n>/iter-<k>.sdf` (the persist plugin's naming scheme)
 /// into `(node, iteration)`.
-fn parse_iteration_file(rel: &str) -> Option<(u32, u32)> {
+pub(crate) fn parse_iteration_file(rel: &str) -> Option<(u32, u32)> {
     let (dir, file) = rel.split_once('/')?;
     let node = dir.strip_prefix("node-")?.parse::<u32>().ok()?;
     let iteration = file
@@ -493,6 +494,33 @@ mod tests {
         let report = recover(&b).unwrap();
         assert!(report.manifest_adopted.is_empty());
         assert!(!b.root().join(crate::manifest::MANIFEST_NAME).exists());
+    }
+
+    #[test]
+    fn a_torn_manifest_tail_is_checkpointed_not_quarantined() {
+        use std::io::Write;
+        let b = LocalDirBackend::scratch("recover-manifest-torn").unwrap();
+        write_valid(&b, "node-0/iter-000000.sdf");
+        crate::manifest::publish_iteration(b.root(), 0, 0, "node-0/iter-000000.sdf", 1).unwrap();
+        let mpath = b.root().join(crate::manifest::MANIFEST_NAME);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&mpath)
+            .unwrap();
+        file.write_all(b"iter 0 1 1 node-0/iter-0").unwrap();
+        let report = recover(&b).unwrap();
+        assert!(
+            report.quarantined.is_empty() && report.failed.is_empty(),
+            "{report:?}"
+        );
+        // Rewritten whole: the same entries, one generation on, no tail.
+        let (m, torn) = crate::manifest::load_log(b.root()).unwrap();
+        assert!(!torn);
+        assert_eq!((m.generation, m.entries.len()), (2, 1));
+        assert_eq!(
+            m.render().len() as u64,
+            std::fs::metadata(&mpath).unwrap().len()
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! * the merged file is written to `*.tmp` and renamed only after fsync —
 //!   a torn merge is invisible (recovery deletes the orphan tmp);
-//! * the manifest swap is one `replace_entries` call — readers see the
-//!   old batch or the new file, never a mix;
+//! * the manifest commit is one `replace_entries` frame — readers see
+//!   the old batch or the new file, never a mix;
 //! * superseded inputs are deleted only *after* the commit, and
 //!   [`replace_entries`] is idempotent, so re-running after a crash
 //!   converges. Data is reachable through the manifest at every point.
@@ -26,15 +26,15 @@
 //! # Write pressure
 //!
 //! The compactor holds the manifest lock only inside the commit call, so
-//! it never stalls the EPE's publish for longer than one small-file
-//! rename. Still, the merge itself competes for disk bandwidth, so the
-//! EPE (or bench harness) can share the [`Compactor::pause_flag`] and
-//! raise it during write bursts; a paused [`run_once`](Compactor::run_once)
-//! is a no-op.
+//! it never stalls the EPE's publish for longer than one appended frame
+//! (or, when one is due, a checkpoint). Still, the merge itself competes
+//! for disk bandwidth, so the EPE (or bench harness) can share the
+//! [`Compactor::pause_flag`] and raise it during write bursts; a paused
+//! [`run_once`](Compactor::run_once) is a no-op.
 
 use crate::QueryError;
 use damaris_format::{DatasetOptions, SdfReader, SdfWriter, NO_COORD};
-use damaris_fs::manifest::replace_entries;
+use damaris_fs::manifest::{gc_superseded_each, replace_entries};
 use damaris_fs::{DiskSentinel, EntryKind, Manifest, ManifestEntry};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -245,74 +245,13 @@ impl Compactor {
         Ok(bytes)
     }
 
-    /// Deletes on-disk iteration files that the manifest no longer
-    /// references *and* whose iteration a compacted span of the same
-    /// node covers — i.e. inputs a finished merge superseded (possibly
-    /// in a crashed earlier run). Files not covered by any span (e.g.
-    /// sealed-but-unpublished fresh iterations) are left for recovery's
-    /// adoption pass. Also removes orphan `compact-*.tmp` merges.
+    /// Deletes the inputs a finished merge superseded, possibly in a
+    /// crashed earlier run, and orphan merges
+    /// ([`gc_superseded`](damaris_fs::manifest::gc_superseded)), one kill
+    /// point before each deletion.
     fn gc(&self) -> Result<usize, QueryError> {
-        let manifest = Manifest::load(&self.root)?;
-        let mut deleted = 0usize;
-        let node_dirs = match std::fs::read_dir(&self.root) {
-            Ok(rd) => rd,
-            Err(_) => return Ok(0),
-        };
-        for dir_entry in node_dirs.flatten() {
-            let dir_name = dir_entry.file_name().to_string_lossy().into_owned();
-            let Some(node) = dir_name
-                .strip_prefix("node-")
-                .and_then(|d| d.parse::<u32>().ok())
-            else {
-                continue;
-            };
-            let files = match std::fs::read_dir(dir_entry.path()) {
-                Ok(rd) => rd,
-                Err(_) => continue,
-            };
-            for file_entry in files.flatten() {
-                let name = file_entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with("compact-") && name.ends_with(".tmp") {
-                    self.step()?;
-                    self.remove_and_release(&file_entry.path())?;
-                    deleted += 1;
-                    continue;
-                }
-                let Some(iteration) = name
-                    .strip_prefix("iter-")
-                    .and_then(|rest| rest.strip_suffix(".sdf"))
-                    .and_then(|digits| digits.parse::<u32>().ok())
-                else {
-                    continue;
-                };
-                let rel = format!("{dir_name}/{name}");
-                if manifest.references(&rel) {
-                    continue;
-                }
-                let covered = manifest.entries.iter().any(|e| {
-                    e.node == node
-                        && matches!(e.kind, EntryKind::Compacted { .. })
-                        && e.kind.covers(iteration)
-                });
-                if covered {
-                    self.step()?;
-                    self.remove_and_release(&file_entry.path())?;
-                    deleted += 1;
-                }
-            }
-        }
-        Ok(deleted)
-    }
-
-    /// Deletes a file and returns its bytes to the shared sentinel (if
-    /// any) so reclaimed space actually relieves storage pressure.
-    fn remove_and_release(&self, path: &Path) -> std::io::Result<()> {
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        std::fs::remove_file(path)?;
-        if let Some(sentinel) = &self.sentinel {
-            sentinel.release(bytes);
-        }
-        Ok(())
+        let sentinel = self.sentinel.as_deref();
+        Ok(gc_superseded_each(&self.root, sentinel, || self.step())?.0)
     }
 }
 

@@ -3,11 +3,11 @@
 //!
 //! # Snapshot protocol
 //!
-//! The EPE publishes each sealed iteration file into `MANIFEST` with an
-//! atomic rename ([`damaris_fs::manifest::publish_iteration`]); the
-//! compactor swaps batches the same way. [`QueryEngine::refresh`] reads
-//! the manifest (never taking the writers' lock), opens any files it has
-//! not seen, and freezes the result into an immutable [`Snapshot`]. A
+//! The EPE publishes each sealed iteration file by appending a frame to
+//! the `MANIFEST` log ([`damaris_fs::manifest::publish_iteration`]); the
+//! compactor commits its batches the same way. [`QueryEngine::refresh`] reads
+//! what the log gained (never taking the writers' lock), opens any files
+//! it has not seen, and freezes the result into an immutable [`Snapshot`]. A
 //! reader holds its `Arc<Snapshot>` for as long as it likes: files are
 //! immutable once published, so every answer computed against a snapshot
 //! stays byte-exact even while the EPE keeps appending and the compactor
@@ -262,8 +262,7 @@ pub struct RangeHit {
 /// they work off an `Arc<Snapshot>` the caller already holds.
 struct EngineState {
     snapshot: Arc<Snapshot>,
-    /// `MANIFEST`, read into buffers kept across refreshes; the text it
-    /// accepted is the one `snapshot` was built from.
+    /// `MANIFEST`, read up to where `snapshot` was built from.
     manifest: ManifestReader,
     /// Open files by relative path, reused across refreshes.
     handles: HashSet<ByRel>,
@@ -359,21 +358,21 @@ impl QueryEngine {
     }
 
     /// [`refresh`](Self::refresh) over the function that reads `MANIFEST`
-    /// ([`ManifestReader::read`]; tests hand it a stale generation). Three
-    /// cases, one path:
+    /// ([`ManifestReader::read`]; tests run a compaction between the read
+    /// and the opens). Three cases, one path:
     ///
-    /// - the text is the one the snapshot was built from: the snapshot;
-    /// - it lists every entry of that text, then more: the new entries'
-    ///   files are opened and merged into a copy of the snapshot;
-    /// - anything else (a compaction, an entry rewritten in place, a
-    ///   recovery): every entry, the open handles reused.
+    /// - nothing past what the snapshot was built from: the snapshot;
+    /// - frames listing files not listed yet: those files are opened and
+    ///   merged into a copy of the snapshot;
+    /// - anything else (a compaction, an entry listed again, a checkpoint,
+    ///   a recovery): every entry, the open handles reused.
     ///
     /// Opening a listed file can race the compactor: between our manifest
     /// read and the `open`, a commit can supersede the file and the
     /// post-commit gc delete it. A `NotFound` there is not an error —
     /// it is a stale manifest. We read it again and build against the
     /// newer generation (bounded), and only surface the error if the
-    /// *current* manifest still references the missing file.
+    /// manifest has not moved since.
     fn refresh_with(
         &self,
         mut read: impl FnMut(&mut ManifestReader) -> damaris_fs::manifest::Result<()>,
@@ -384,36 +383,43 @@ impl QueryEngine {
         // moved, so the bound only guards against a pathological storm of
         // concurrent compactions.
         let mut reloads = 8u32;
-        // The generation that listed a file found missing, the file, and
-        // the error opening it gave.
-        let mut missing: Option<(u64, String, SdfError)> = None;
+        // The generation that listed a file found missing, and the error
+        // opening it gave.
+        let mut missing: Option<(u64, SdfError)> = None;
         'read: loop {
             read(&mut state.manifest)?;
-            let (latest, accepted) = state.manifest.views();
-            if let Some((generation, file, e)) = missing.take() {
-                if latest.generation() == generation || latest.entries().any(|e| e.file == file) {
-                    // Still referenced: genuinely missing data.
+            let change = state.manifest.change();
+            if let Some((generation, e)) = missing.take() {
+                if change.as_ref().is_none_or(|c| c.generation == generation) {
+                    // Still listed: genuinely missing data.
                     return Err(e.into());
                 }
             }
-            if latest == accepted {
+            let Some(change) = change else {
                 return Ok(Arc::clone(&state.snapshot));
-            }
-            let appended = latest.entries_after(&accepted);
-            let whole = appended.is_none();
+            };
+            let (generation, mut whole) = (change.generation, change.whole);
+            // A file an appended frame lists again replaces its entry.
+            let mut relisted = false;
             let mut added = Vec::new();
-            for entry in appended.unwrap_or_else(|| latest.entries()) {
+            for entry in change.entries {
+                relisted |= !whole && state.handles.contains(entry.file);
                 match self.handle(&mut state.handles, &mut state.next_id, entry) {
                     Ok(handle) => added.push(handle),
                     Err(e) if is_not_found(&e) && reloads > 0 => {
                         reloads -= 1;
-                        missing = Some((latest.generation(), entry.file.to_string(), e));
+                        missing = Some((generation, e));
                         continue 'read;
                     }
                     Err(e) => return Err(e.into()),
                 }
             }
-            let generation = latest.generation();
+            if relisted {
+                // The open handles are the files listed, each in its
+                // latest entry.
+                added = state.handles.iter().map(|h| Arc::clone(&h.0)).collect();
+                whole = true;
+            }
             state.manifest.accept();
             let snapshot = if whole {
                 let snapshot = Snapshot::empty().extend(generation, added);
@@ -1043,37 +1049,23 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// The refresh/gc race, driven deterministically: a reader loads
-    /// manifest generation N, the compactor commits N+1 and deletes a
-    /// superseded input, and only then does the reader open files. The
-    /// stale build must fall through to the newer manifest instead of
+    /// The refresh/gc race, driven deterministically: a reader reads
+    /// frames listing files it has not opened yet, the compactor commits
+    /// and deletes those inputs, and only then does the reader open files.
+    /// The stale build must fall through to the newer manifest instead of
     /// surfacing `NotFound`.
     #[test]
     fn refresh_retries_when_gc_deletes_a_stale_manifest_entry() {
         let root = scratch("gc-race");
-        for it in 0..6 {
+        for it in 0..3 {
             publish_file(&root, 0, it, 1, 16);
         }
-        // The "slow reader" captures the manifest before compaction.
-        let stale =
-            std::fs::read(root.join(damaris_fs::manifest::MANIFEST_NAME)).expect("stale read");
-        let compactor = crate::Compactor::new(
-            &root,
-            crate::CompactorConfig { min_batch: 2, hot_tail: 1, chunk_rows: 0 },
-        );
-        let report = compactor.run_once().expect("compact");
-        assert!(!report.batches.is_empty() && report.deleted > 0, "{report:?}");
         let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
-        // Its first read gets the stale bytes, every later one the file.
-        let mut stale = Some(stale);
+        for it in 3..6 {
+            publish_file(&root, 0, it, 1, 16);
+        }
         let snap = engine
-            .refresh_with(|reader| match stale.take() {
-                Some(bytes) => reader.read_with(|_, buf| {
-                    buf.clone_from(&bytes);
-                    Ok(true)
-                }),
-                None => reader.read(),
-            })
+            .refresh_with(race_compaction(&root, false))
             .expect("stale refresh must retry");
         assert_eq!(
             snap.generation(),
@@ -1086,6 +1078,36 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A manifest read that lets a compaction (and, with `gc`, a gc pass)
+    /// commit between itself and the opens of what it found — once.
+    fn race_compaction(
+        root: &Path,
+        gc: bool,
+    ) -> impl FnMut(&mut ManifestReader) -> damaris_fs::manifest::Result<()> + '_ {
+        let mut raced = false;
+        move |reader| {
+            let read = reader.read();
+            if !std::mem::replace(&mut raced, true) {
+                let config = crate::CompactorConfig {
+                    min_batch: 2,
+                    hot_tail: 1,
+                    chunk_rows: 0,
+                };
+                let report = crate::Compactor::new(root, config)
+                    .run_once()
+                    .expect("compact");
+                assert!(
+                    !report.batches.is_empty() && report.deleted > 0,
+                    "{report:?}"
+                );
+                if gc {
+                    damaris_fs::manifest::gc_superseded(root, None).expect("gc");
+                }
+            }
+            read
+        }
     }
 
     /// Everything a reader can ask of a snapshot, as plain values.
@@ -1145,9 +1167,10 @@ mod tests {
 
     /// The snapshot one long-lived engine keeps up to date, poll after
     /// poll, answers exactly as one a fresh engine builds whole — after
-    /// single and batched publishes (the append case), an entry rewritten
-    /// in place, a second node, a compaction and its gc, and a stale read
-    /// racing that gc (the rebuild cases).
+    /// single and batched publishes (the append case), an entry listed
+    /// again, a second node, a compaction and its gc racing a read of
+    /// frames whose files they delete, and a checkpoint (the rebuild
+    /// cases).
     #[test]
     fn an_engine_kept_up_to_date_answers_as_a_fresh_one() {
         let root = scratch("differential");
@@ -1167,7 +1190,7 @@ mod tests {
             publish_file(&root, 0, it, 2, 8);
             agree("a publish");
         }
-        // A batch: three files in one generation swap.
+        // A batch: three files in one frame.
         let sealed: Vec<(u32, (String, u64))> = (3..6)
             .map(|it| (it, write_file(&root, 0, it, 2, 8)))
             .collect();
@@ -1177,46 +1200,36 @@ mod tests {
             .collect();
         damaris_fs::manifest::publish_iterations(&root, 0, &batch).expect("batch");
         let before = agree("a batch");
-        // Rewritten in place: the same file listed again with another size.
+        // The same file listed again with another size.
         publish_iteration(&root, 0, 1, "node-0/iter-000001.sdf", 1).expect("upsert");
         let after = agree("an in-place upsert");
         assert!(
             Arc::ptr_eq(&before.files()[1], &after.files()[1]),
             "the open handle is reused"
         );
-        for it in 0..4 {
+        for it in 0..2 {
             publish_file(&root, 1, it, 3, 8);
             agree("a second node");
         }
-        // The slow reader's manifest, read before the compaction below.
-        let stale = std::fs::read(root.join(damaris_fs::manifest::MANIFEST_NAME)).expect("stale");
-        let compactor = crate::Compactor::new(
-            &root,
-            crate::CompactorConfig {
-                min_batch: 2,
-                hot_tail: 1,
-                chunk_rows: 0,
-            },
-        );
-        let report = compactor.run_once().expect("compact");
-        assert!(
-            !report.batches.is_empty() && report.deleted > 0,
-            "{report:?}"
-        );
-        damaris_fs::manifest::gc_superseded(&root, None).expect("gc");
-        let mut stale = Some(stale);
+        // Files the engine has not opened yet, compacted and deleted
+        // between its read of their frames and its opens.
+        for it in 2..6 {
+            publish_file(&root, 1, it, 3, 8);
+        }
         engine
-            .refresh_with(|reader| match stale.take() {
-                Some(bytes) => reader.read_with(|_, buf| {
-                    buf.clone_from(&bytes);
-                    Ok(true)
-                }),
-                None => reader.read(),
-            })
+            .refresh_with(race_compaction(&root, true))
             .expect("stale refresh must retry");
         agree("a compaction, gc and a stale read");
         publish_file(&root, 0, 6, 2, 8);
         agree("a publish after the compaction");
+        // A checkpoint: the same manifest in another file.
+        let current = Manifest::load(&root).expect("load");
+        let lock = damaris_fs::ManifestLock::acquire(&root).expect("lock");
+        current.store(&root).expect("checkpoint");
+        drop(lock);
+        agree("a checkpoint");
+        publish_file(&root, 1, 6, 3, 8);
+        agree("a publish after the checkpoint");
         std::fs::remove_dir_all(&root).ok();
     }
 

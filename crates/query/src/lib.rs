@@ -8,8 +8,8 @@
 //!
 //! Three pieces:
 //!
-//! * [`QueryEngine`] — loads the output directory's `MANIFEST` (published
-//!   by the EPE through atomic renames, see `damaris_fs::manifest`) into
+//! * [`QueryEngine`] — loads the output directory's `MANIFEST` (a log the
+//!   EPE appends a frame to per publish, see `damaris_fs::manifest`) into
 //!   an immutable [`Snapshot`], then answers
 //!   ⟨variable, iteration, source⟩ point lookups and
 //!   subdomain × iteration-window [`range`](QueryEngine::range) queries
@@ -23,11 +23,11 @@
 //! (iteration, file covering it) — the file, and in a parallel array the
 //! iteration — sorted by (iteration, node, range, path), so
 //! [`Snapshot::files_for`] is a binary search that returns a slice.
-//! [`QueryEngine::refresh`] keeps the `MANIFEST` it read last
-//! (`damaris_fs::ManifestReader`): a poll that finds it unchanged returns
-//! the current snapshot and allocates nothing, a publish of new files
-//! opens only those and merges them into a copy of the arrays, and
-//! anything else rebuilds from every entry, reusing the open files.
+//! [`QueryEngine::refresh`] keeps its place in the `MANIFEST` log
+//! (`damaris_fs::ManifestReader`): a poll that finds nothing appended
+//! returns the current snapshot and allocates nothing, frames publishing
+//! new files open only those and merge them into a copy of the arrays,
+//! and anything else rebuilds from every entry, reusing the open files.
 //!
 //! An open file costs the engine its reader's flat table and its section:
 //! one 40-byte record and one 24-byte key per dataset, the CRC-checked
@@ -43,15 +43,15 @@
 //!   `cargo run -p xtask -- analyze` (`// ANALYZE: hot`).
 //! * [`Compactor`] — a background pass that merges per-iteration SDF
 //!   files into read-optimized, chunked `compact-<lo>-<hi>.sdf` datasets
-//!   and swaps them into the manifest at a single atomic commit point
+//!   and commits them to the manifest in one appended frame
 //!   ([`damaris_fs::manifest::replace_entries`]). It can be paused under
 //!   write pressure and survives being killed at *any* step: the manifest
 //!   stays readable and no data becomes unreachable (the kill-sweep test
 //!   proves this for every step index).
 //!
-//! Readers never take the manifest lock: they read the `MANIFEST` file
-//! that the last atomic rename published. Writers (EPE publish, compactor
-//! commit) serialize on `MANIFEST.lock`.
+//! Readers never take the manifest lock: they read the whole frames of
+//! the `MANIFEST` log. Writers (EPE publish, compactor commit) serialize
+//! on `MANIFEST.lock`.
 
 mod cache;
 mod compact;

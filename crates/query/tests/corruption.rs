@@ -5,7 +5,7 @@
 //!
 //! (The byte-level decoder suites live next to the decoders:
 //! `damaris-format` fuzzes the query section, `damaris-fs` fuzzes the
-//! manifest text and whole SDF files. This suite drives the same
+//! manifest log and whole SDF files. This suite drives the same
 //! corruptions through the *engine*'s public API.)
 
 use damaris_format::{DataType, DatasetOptions, Layout, SdfWriter};
@@ -52,6 +52,15 @@ fn build_output(root: &Path) {
     }
 }
 
+/// Where the checkpoint frame of a `MANIFEST` ends: just past its first
+/// `crc` line.
+fn checkpoint_len(manifest: &[u8]) -> usize {
+    let crc = manifest.windows(5).position(|w| w == b"\ncrc ");
+    let crc = crc.expect("crc line") + 1;
+    let newline = manifest[crc..].iter().position(|&b| b == b'\n');
+    crc + newline.expect("newline") + 1
+}
+
 /// Opening the engine and probing every key over a possibly-corrupt
 /// directory: must return, never panic; failures must be typed.
 fn exercise(root: &Path) {
@@ -78,31 +87,36 @@ fn exercise(root: &Path) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any single-byte change to the MANIFEST is caught (its CRC line
-    /// covers the whole body) — the engine reports a typed manifest
-    /// error instead of acting on a tampered file list.
+    /// Any single-byte change to the MANIFEST's checkpoint is caught (its
+    /// crc line covers it): the engine reports a typed manifest error
+    /// instead of acting on a tampered file list. A change to the frame
+    /// appended after it is a torn tail: that publish is not seen.
     #[test]
     fn flipped_manifest_byte_is_typed_error(position in 0usize..512, flip in 1u8..255) {
         let root = scratch("mflip");
         build_output(&root);
         let manifest_path = root.join("MANIFEST");
         let mut bytes = std::fs::read(&manifest_path).expect("read manifest");
+        let appended = checkpoint_len(&bytes);
         let position = position % bytes.len();
         bytes[position] ^= flip;
         std::fs::write(&manifest_path, &bytes).expect("write manifest");
         match QueryEngine::open(&root, QueryConfig::default()) {
-            // A flip that only changes case inside the CRC hex (or tail
-            // whitespace) may still parse — then the file list must be
-            // untouched. Anything touching the body is caught by CRC.
-            Ok(engine) => prop_assert_eq!(engine.snapshot().files().len(), 2),
-            Err(QueryError::Manifest(_)) => {}
+            // A flip that only changes case inside a CRC's hex may still
+            // parse — then the file list must be untouched.
+            Ok(engine) => {
+                let files = engine.snapshot().files().len();
+                prop_assert!(files == 2 || (position >= appended && files == 1), "{}", files);
+            }
+            Err(QueryError::Manifest(_)) => prop_assert!(position < appended),
             Err(other) => prop_assert!(false, "untyped failure at {}: {}", position, other),
         }
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// Any truncation of the MANIFEST (short of just dropping the final
-    /// newline) is a typed error, and the engine never panics on it.
+    /// Any truncation of the MANIFEST's checkpoint is a typed error, and
+    /// the engine never panics on it; one inside the frame appended after
+    /// it leaves a torn tail, and that publish unseen.
     #[test]
     fn truncated_manifest_is_typed_error(cut_fraction in 0.0f64..1.0) {
         let root = scratch("mcut");
@@ -111,11 +125,14 @@ proptest! {
         let bytes = std::fs::read(&manifest_path).expect("read manifest");
         let cut = ((bytes.len() - 1) as f64 * cut_fraction) as usize;
         std::fs::write(&manifest_path, &bytes[..cut]).expect("truncate");
-        let result = QueryEngine::open(&root, QueryConfig::default());
-        prop_assert!(
-            matches!(result, Err(QueryError::Manifest(_))),
-            "cut to {cut} bytes must be a typed manifest error"
-        );
+        match QueryEngine::open(&root, QueryConfig::default()) {
+            Err(QueryError::Manifest(_)) => prop_assert!(cut < checkpoint_len(&bytes)),
+            Ok(engine) => {
+                prop_assert!(cut >= checkpoint_len(&bytes), "cut to {} bytes read", cut);
+                prop_assert_eq!(engine.snapshot().files().len(), 1);
+            }
+            Err(other) => prop_assert!(false, "cut to {}: untyped failure {}", cut, other),
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 
