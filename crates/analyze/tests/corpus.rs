@@ -116,30 +116,30 @@ fn client_write_closure_is_strict_and_waiver_free() {
     );
 }
 
-/// The client write path reaches the checksum kernels across the crate
-/// boundary (`damaris_format::crc32(data)`): with the table lookup's
-/// `in-bounds` proof taken away, the lookup is a panic edge on it.
+/// The one CRC a payload gets is the dedicated core's, inside
+/// `SdfWriter::write_dataset_bytes` (`crc32_update` over the parts it
+/// writes): made a hot root here, its closure reaches the checksum
+/// kernels, and with the table lookup's `in-bounds` proof taken away the
+/// lookup is a panic edge on it.
 #[test]
-fn checksum_kernels_are_inside_the_write_closure() {
-    let client = read("crates/core/src/client.rs");
+fn checksum_kernels_are_inside_the_dataset_write_closure() {
+    let writer = dataset_write_root();
     let (path, checksum) = read("crates/format/src/checksum.rs");
     assert!(checksum.contains("// ANALYZE: in-bounds("));
     let stripped = checksum.replace("// ANALYZE: in-bounds(", "// (");
-    let r = analyze_sources(&[client, (path.clone(), stripped)]);
+    let r = analyze_sources(&[writer, (path.clone(), stripped)]);
     let f: Vec<_> = r
         .findings
         .iter()
         .filter(|f| f.rule == "hot-panic" && f.file == path)
         .collect();
     assert_eq!(f.len(), 1, "findings: {:?}", r.findings);
-    // Findings are reported once, under the first hot root that reaches
-    // them: the tail `write` calls straight into.
     assert_eq!(
         f[0].path.first().map(String::as_str),
-        Some("DamarisClient::copy_and_notify")
+        Some("SdfWriter::write_dataset_bytes")
     );
     assert!(
-        f[0].path.iter().any(|hop| hop == "crc32"),
+        f[0].path.iter().any(|hop| hop == "crc32_update"),
         "path: {:?}",
         f[0].path
     );
@@ -147,11 +147,12 @@ fn checksum_kernels_are_inside_the_write_closure() {
 }
 
 /// The wide kernel is inside the same closure: a panic edge planted in
-/// its main loop is a finding of `write`, reached through the dispatch
-/// (`crc32_update` → `update_wide` → the `#[target_feature]` kernel).
+/// its main loop is a finding of the dataset write, reached through the
+/// dispatch (`crc32_update` → `update_wide` → the `#[target_feature]`
+/// kernel).
 #[test]
-fn the_wide_checksum_kernel_is_inside_the_write_closure() {
-    let client = read("crates/core/src/client.rs");
+fn the_wide_checksum_kernel_is_inside_the_dataset_write_closure() {
+    let writer = dataset_write_root();
     let (path, checksum) = read("crates/format/src/checksum.rs");
     let needle = "let k6k7 = _mm256_set_epi64x(K7, K6, K7, K6);";
     assert!(checksum.contains(needle));
@@ -159,13 +160,13 @@ fn the_wide_checksum_kernel_is_inside_the_write_closure() {
         needle,
         "let k6k7 = Some(_mm256_set_epi64x(K7, K6, K7, K6)).unwrap();",
     );
-    let r = analyze_sources(&[client, (path.clone(), planted)]);
+    let r = analyze_sources(&[writer, (path.clone(), planted)]);
     let f: Vec<_> = r.findings.iter().filter(|f| f.file == path).collect();
     assert_eq!(f.len(), 1, "findings: {:?}", r.findings);
     assert_eq!(f[0].rule, "hot-panic");
     assert_eq!(
         f[0].path.first().map(String::as_str),
-        Some("DamarisClient::copy_and_notify")
+        Some("SdfWriter::write_dataset_bytes")
     );
     assert!(
         f[0].path.iter().any(|hop| hop == "update_wide"),
@@ -173,6 +174,33 @@ fn the_wide_checksum_kernel_is_inside_the_write_closure() {
         f[0].path
     );
     assert_eq!(f[0].path.last().map(String::as_str), Some("update_256"));
+}
+
+/// `crates/format/src/writer.rs` with `SdfWriter::write_dataset_bytes`
+/// annotated as a hot root.
+fn dataset_write_root() -> (String, String) {
+    let (path, writer) = read("crates/format/src/writer.rs");
+    let root = "    pub fn write_dataset_bytes(";
+    assert!(writer.contains(root));
+    let planted = writer.replace(root, &format!("    // ANALYZE: hot\n{root}"));
+    (path, planted)
+}
+
+/// The client no longer checksums: no checksum kernel is inside
+/// `write`'s strict closure, so the planted panic edge of
+/// [`checksum_kernels_are_inside_the_dataset_write_closure`] is a finding
+/// of no client root.
+#[test]
+fn checksum_kernels_are_outside_the_client_write_closure() {
+    let client = read("crates/core/src/client.rs");
+    let (path, checksum) = read("crates/format/src/checksum.rs");
+    let stripped = checksum.replace("// ANALYZE: in-bounds(", "// (");
+    let r = analyze_sources(&[client, (path.clone(), stripped)]);
+    assert!(
+        r.findings.iter().all(|f| f.file != path),
+        "findings: {:?}",
+        r.findings
+    );
 }
 
 /// `write` resolves its variable through the node's name index

@@ -1,7 +1,8 @@
 //! Observability overhead gate: what the always-on trace ring adds to a
 //! client write call, against a budget stated two ways — **100 ns per
-//! span** and **5 % of the call** (the same budget on the reference host,
-//! where a call is ≈ 11.5 µs and records five spans).
+//! span** and **5 % of the call** (the same budget on the reference host
+//! when a call was ≈ 11.5 µs and recorded five spans; a write records four
+//! since the client stopped checksumming).
 //!
 //! Runs the same 4-client single-node write workload with tracing enabled
 //! and disabled (`<observability enabled="false"/>` — the runtime branch,
@@ -50,10 +51,10 @@ const ITERATIONS: u32 = 60;
 const WRITES_PER_ITER: u32 = 4;
 const COMPUTE_PHASE: Duration = Duration::from_millis(2);
 const PAIRS: usize = 15;
-/// Spans one traced `write` records: `AllocWait`, `Checksum`, `Memcpy`,
-/// `QueuePush` and the enclosing `WriteCall` (the journal append is the
-/// dedicated core's, recorded on its own timeline).
-const SPANS_PER_WRITE: f64 = 5.0;
+/// Spans one traced `write` records: `AllocWait`, `Memcpy`, `QueuePush`
+/// and the enclosing `WriteCall` (the journal append is the dedicated
+/// core's, recorded on its own timeline).
+const SPANS_PER_WRITE: f64 = 4.0;
 const BUDGET_NS_PER_SPAN: f64 = 100.0;
 const BUDGET_SHARE: f64 = 0.05;
 

@@ -9,10 +9,14 @@
 //! | `df_signal(event, step)`       | [`DamarisClient::signal`]           |
 //! | `dc_alloc`/`dc_commit`         | [`DamarisClient::alloc`]/[`AllocatedRegion::commit`] |
 //!
-//! A `write` is one shared-memory reservation, one checksum, one `memcpy`,
-//! one notification — nothing else; the client returns to computation
+//! A `write` is one shared-memory reservation, one `memcpy`, one
+//! notification — nothing else; the client returns to computation
 //! immediately. The dedicated core journals the event when it takes it
-//! ([`crate::server::DedicatedCore::admit`]).
+//! ([`crate::server::DedicatedCore::admit`]), and the one checksum a
+//! payload gets is the one the SDF index stores, taken by the core as it
+//! writes the dataset. A rank killed mid-copy never posts its notice, so
+//! the core never reads a torn segment: what the rank leaves is a
+//! reservation no notice names, as after a kill at `alloc`.
 //!
 //! The same client serves both nodes. A threaded rank's notification is a
 //! queue push; a process rank's ([`DamarisClient::over_mapping`]) is a
@@ -444,11 +448,11 @@ impl DamarisClient {
         Ok(())
     }
 
-    /// Tail of the write paths — checksum of the source, memcpy into the
-    /// segment, notification — each under its trace span; a dynamic-shape
-    /// write's layout rides in the event. The spans chain: `t` is the
-    /// previous span's end timestamp, and the return value is the last
-    /// span's end, so the whole tail costs three clock reads instead of six.
+    /// Tail of the write paths — memcpy into the segment, notification —
+    /// each under its trace span; a dynamic-shape write's layout rides in
+    /// the event. The spans chain: `t` is the previous span's end
+    /// timestamp, and the return value is the last span's end, so the
+    /// tail costs two clock reads instead of four.
     // ANALYZE: hot
     fn copy_and_notify(
         &self,
@@ -459,13 +463,6 @@ impl DamarisClient {
         data: &[u8],
         t: u64,
     ) -> Result<u64, DamarisError> {
-        // CRC the *source* bytes before the copy: if the copy tears (rank
-        // killed mid-`memcpy`), the checksum still describes the intended
-        // payload, so the torn segment can never match it.
-        let data_crc = damaris_format::crc32(data);
-        let t = self
-            .rec
-            .end(EventKind::Checksum, iteration, data.len() as u64, t);
         segment.copy_from_slice(data);
         let t = self
             .rec
@@ -476,7 +473,6 @@ impl DamarisClient {
             source: self.id,
             segment,
             dynamic_layout,
-            data_crc,
         })?;
         Ok(self.rec.end(EventKind::QueuePush, iteration, 0, t))
     }
@@ -493,8 +489,8 @@ impl DamarisClient {
         self.renew_lease()?;
         // One timestamp opens both the WriteCall and AllocWait spans (the
         // nanoscale name lookup rides inside AllocWait); the inner spans
-        // chain end-to-start from here, so a fully traced write costs five
-        // clock reads, not ten.
+        // chain end-to-start from here, so a fully traced write costs four
+        // clock reads, not eight.
         let t_call = self.rec.begin();
         let (variable_id, expected) = self.lookup(variable)?;
         if data.len() as u64 != expected {
@@ -574,8 +570,7 @@ impl DamarisClient {
         dims: &[u64],
         data: &[f32],
     ) -> Result<(), DamarisError> {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.write_dynamic(variable, iteration, dims, &bytes)
+        self.write_dynamic(variable, iteration, dims, &le_bytes(data))
     }
 
     /// Typed convenience wrapper over [`DamarisClient::write`] for `f32`
@@ -586,8 +581,7 @@ impl DamarisClient {
         iteration: u32,
         data: &[f32],
     ) -> Result<(), DamarisError> {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.write(variable, iteration, &bytes)
+        self.write(variable, iteration, &le_bytes(data))
     }
 
     /// Typed convenience wrapper for `f64` variables.
@@ -597,8 +591,7 @@ impl DamarisClient {
         iteration: u32,
         data: &[f64],
     ) -> Result<(), DamarisError> {
-        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.write(variable, iteration, &bytes)
+        self.write(variable, iteration, &le_bytes(data))
     }
 
     /// `dc_alloc`: reserves the variable's segment for in-place production
@@ -673,41 +666,30 @@ impl DamarisClient {
         drop(segment);
         Ok(leaked)
     }
+}
 
-    /// Chaos hook: models this rank dying mid-`memcpy` with the
-    /// write-notification already issued — the event carries the
-    /// CRC-32 of the *intended* payload, but only the first half of the
-    /// bytes landed in shared memory. However the torn
-    /// window arises (killed DMA, unflushed stores, plain corruption),
-    /// the persist plugin's end-to-end CRC check must quarantine the
-    /// segment instead of writing it to storage.
-    pub fn die_during_write(
-        &self,
-        variable: &str,
-        iteration: u32,
-        data: &[u8],
-    ) -> Result<(), DamarisError> {
-        let (variable_id, expected) = self.lookup(variable)?;
-        if data.len() as u64 != expected {
-            return Err(DamarisError::LayoutMismatch {
-                variable: variable.to_string(),
-                expected,
-                actual: data.len() as u64,
-            });
-        }
-        let mut segment = self.reserve(data.len())?;
-        let data_crc = damaris_format::crc32(data);
-        // Only the first half of the payload lands before the "kill".
-        let torn = data.len() / 2;
-        segment.as_mut_slice()[..torn].copy_from_slice(&data[..torn]);
-        self.notify(Event::Write {
-            variable_id,
-            iteration,
-            source: self.id,
-            segment,
-            dynamic_layout: None,
-            data_crc,
-        })
+/// The element types of the typed writes: floats, which have no padding
+/// and no invalid bit patterns.
+trait Float: Copy {}
+impl Float for f32 {}
+impl Float for f64 {}
+
+/// `data` as the little-endian bytes a write stores: on a little-endian
+/// target the slice's own memory, borrowed — no allocation, no pass over
+/// the data; elsewhere a copy with each element's bytes reversed.
+fn le_bytes<T: Float>(data: &[T]) -> std::borrow::Cow<'_, [u8]> {
+    // SAFETY: `T` is `f32` or `f64` (the private `Float`): no padding,
+    // every byte initialized, and any byte is a valid `u8` at alignment
+    // 1; the length is exactly the slice's memory, borrowed for the
+    // slice's lifetime.
+    let bytes = unsafe {
+        std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
+    };
+    if cfg!(target_endian = "little") {
+        std::borrow::Cow::Borrowed(bytes)
+    } else {
+        let elements = bytes.chunks(std::mem::size_of::<T>());
+        std::borrow::Cow::Owned(elements.flat_map(|e| e.iter().rev()).copied().collect())
     }
 }
 
@@ -748,8 +730,7 @@ impl AllocatedRegion {
         }
     }
 
-    /// `dc_commit`: stamps the region's end-to-end CRC-32 and informs the
-    /// dedicated core that the data is ready.
+    /// `dc_commit`: informs the dedicated core that the data is ready.
     ///
     /// Fails with [`DamarisError::ClientFenced`] if the lease sweeper
     /// fenced this client while it was producing; the segment is then
@@ -763,18 +744,12 @@ impl AllocatedRegion {
         self.client.renew_lease()?;
         let rec = &self.client.rec;
         let t = rec.begin();
-        // The zero-copy path produced directly in shared memory, so the
-        // segment *is* the source: checksum what was actually committed.
-        let data_crc = damaris_format::crc32(segment.as_slice());
-        let len = segment.len() as u64;
-        let t = rec.end(EventKind::Checksum, self.iteration, len, t);
         self.client.notify(Event::Write {
             variable_id: self.variable_id,
             iteration: self.iteration,
             source: self.client.id,
             segment,
             dynamic_layout: None,
-            data_crc,
         })?;
         rec.end(EventKind::QueuePush, self.iteration, 0, t);
         Ok(())

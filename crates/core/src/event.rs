@@ -28,10 +28,6 @@ pub enum Event {
         /// Per-write shape for dynamic variables (particle arrays, §III-D);
         /// `None` for statically-declared layouts.
         dynamic_layout: Option<damaris_format::Layout>,
-        /// CRC-32 the client computed over its source bytes before the
-        /// `memcpy`; the persist plugin re-computes it over the segment to
-        /// quarantine torn shm writes end-to-end.
-        data_crc: u32,
     },
     /// A user-defined event (`df_signal`).
     User {
@@ -68,7 +64,6 @@ impl Event {
                 source,
                 segment,
                 dynamic_layout,
-                data_crc,
             } => JournalPayload::Write {
                 variable_id: *variable_id,
                 iteration: *iteration,
@@ -76,7 +71,6 @@ impl Event {
                 offset: segment.offset(),
                 len: segment.len(),
                 dynamic_layout: dynamic_layout.clone(),
-                data_crc: *data_crc,
             },
             Event::User {
                 name,
@@ -154,7 +148,6 @@ mod tests {
                 source: 0,
                 segment: seg,
                 dynamic_layout: None,
-                data_crc: damaris_format::crc32(&[7u8; 16]),
             })
             .ok()
             .unwrap();

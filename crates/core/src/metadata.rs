@@ -30,9 +30,6 @@ pub struct StoredVariable {
     /// segment's ring position, not this: a zero-copy region may be
     /// committed out of allocation order.)
     pub seq: u64,
-    /// End-to-end checksum: CRC-32 of the client's *source* bytes,
-    /// verified against the segment contents at persist time.
-    pub data_crc: u32,
 }
 
 impl StoredVariable {
@@ -172,7 +169,6 @@ mod tests {
             },
             name: format!("var-{var}"),
             layout: Layout::new(DataType::F64, &[1]),
-            data_crc: damaris_format::crc32(&[fill; 8]),
             segment: seg,
             seq: u64::from(it) * 100 + u64::from(src),
         }

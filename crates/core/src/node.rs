@@ -132,7 +132,6 @@ pub(crate) struct FaultStats {
     pub heartbeat_stale_observed: Counter,
     pub client_leases_expired: Counter,
     pub segments_reclaimed: Counter,
-    pub crc_quarantined: Counter,
     pub partial_iterations: Counter,
     pub shm_orphans_removed: Counter,
     pub shm_orphans_quarantined: Counter,
@@ -161,7 +160,6 @@ impl FaultStats {
             heartbeat_stale_observed: metrics.counter("node.heartbeat_stale_observed"),
             client_leases_expired: metrics.counter("node.client_leases_expired"),
             segments_reclaimed: metrics.counter("node.segments_reclaimed"),
-            crc_quarantined: metrics.counter("node.crc_quarantined"),
             partial_iterations: metrics.counter("node.partial_iterations"),
             shm_orphans_removed: metrics.counter("node.shm_orphans_removed"),
             shm_orphans_quarantined: metrics.counter("node.shm_orphans_quarantined"),
@@ -392,14 +390,12 @@ impl NodeShared {
                         iteration,
                         segment,
                         dynamic_layout: None,
-                        data_crc,
                         ..
                     } => Notice::Write {
                         variable: variable_id,
                         iteration,
                         offset: segment.offset() as u64,
                         len: segment.len() as u64,
-                        crc: data_crc,
                     },
                     Event::EndIteration { iteration, .. } => Notice::EndIteration { iteration },
                     Event::Abandon {
@@ -444,7 +440,6 @@ impl NodeShared {
                 iteration,
                 offset,
                 len,
-                crc,
             } => {
                 let def = self.config.variable(variable)?;
                 if self.config.layout_of(def).byte_size() != len {
@@ -456,7 +451,6 @@ impl NodeShared {
                     source: client,
                     segment: adopt(offset, len)?,
                     dynamic_layout: None,
-                    data_crc: crc,
                 }
             }
             Notice::EndIteration { iteration } => Event::EndIteration {
@@ -559,9 +553,9 @@ pub struct NodeReport {
     /// Shared-memory bytes reclaimed from fenced clients.
     /// metric: node.segments_reclaimed
     pub segments_reclaimed: u64,
-    /// Variables quarantined at persist time because the segment bytes no
-    /// longer matched the client's end-to-end CRC (torn shm write).
-    /// metric: node.crc_quarantined
+    /// Always 0: a write carries no client checksum to check a segment
+    /// against, and a rank killed mid-copy never posts its notice. Kept
+    /// while the benchmark's `core.crc_quarantined` row reads it.
     pub crc_quarantined: u64,
     /// Iterations persisted with a partial presence bitmap (some clients
     /// fenced before contributing) under the `partial` policy.
@@ -1145,12 +1139,10 @@ mod tests {
             iteration: 0,
             offset,
             len: 256,
-            crc,
         }) = take()
         else {
             panic!("write posts a Write");
         };
-        assert_eq!(crc, damaris_format::crc32(&written));
         assert_eq!(bytes_at(offset, 256).as_deref(), Some(&written[..]));
 
         let mut region = client.alloc("theta", 0).unwrap();
@@ -1166,12 +1158,10 @@ mod tests {
             iteration: 0,
             offset,
             len: 256,
-            crc,
         }) = take()
         else {
             panic!("commit posts a Write");
         };
-        assert_eq!(crc, damaris_format::crc32(&[9; 256]));
         assert_eq!(bytes_at(offset, 256).as_deref(), Some(&[9; 256][..]));
 
         drop(client.alloc("theta", 0).unwrap());

@@ -102,12 +102,6 @@ pub struct ActionContext<'a> {
 }
 
 impl ActionContext<'_> {
-    /// Schedules a consumed segment for release. `seq` is the journal
-    /// record of the stored variable, marked applied with the release.
-    pub fn release_segment(&mut self, source: u32, seq: u64, segment: Segment) {
-        self.pending_release.push((source, seq, segment));
-    }
-
     /// Releases everything a drained iteration produced.
     pub fn release_all(&mut self, drained: Vec<crate::metadata::StoredVariable>) {
         for v in drained {

@@ -281,32 +281,7 @@ impl Plugin for PersistPlugin {
         event: &EventInfo,
     ) -> Result<(), DamarisError> {
         let iteration = event.iteration;
-        let all = ctx.store.drain_iteration(iteration);
-        if all.is_empty() {
-            return Ok(());
-        }
-        // End-to-end integrity gate: re-compute each segment's CRC-32 and
-        // compare it against the checksum the client stamped over its
-        // *source* bytes at write time. A mismatch means the shared-memory
-        // copy tore (rank killed mid-`memcpy`) or the segment was
-        // corrupted in flight — quarantine it (skip persisting, count it,
-        // still release the memory) instead of writing garbage to storage.
-        let t_verify = ctx.rec.begin();
-        let verified: u64 = all.iter().map(|var| var.segment.len() as u64).sum();
-        let (drained, torn): (Vec<_>, Vec<_>) = all
-            .into_iter()
-            .partition(|var| damaris_format::crc32(var.data()) == var.data_crc);
-        ctx.rec
-            .end(EventKind::Checksum, iteration, verified, t_verify);
-        for var in torn {
-            FaultStats::bump(&ctx.stats.crc_quarantined);
-            eprintln!(
-                "[damaris node {}] iteration {iteration} rank {} variable '{}': \
-                 segment CRC mismatch — quarantined, not persisted",
-                ctx.node_id, var.key.source, var.name
-            );
-            ctx.release_segment(var.key.source, var.seq, var.segment);
-        }
+        let drained = ctx.store.drain_iteration(iteration);
         if drained.is_empty() {
             return Ok(());
         }

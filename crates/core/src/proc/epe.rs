@@ -503,7 +503,6 @@ mod tests {
             iteration: 0,
             offset: segment.offset() as u64,
             len: 64,
-            crc: damaris_format::crc32(&payload),
         };
         (node, write)
     }
@@ -526,13 +525,12 @@ mod tests {
         // What it cannot do is speak for rank 1: the ring a notice sits in
         // names its rank, and a notice carries no rank of its own to forge.
         let forged = |offset, len| {
-            let (variable, iteration, crc) = (0, 0, 0);
+            let (variable, iteration) = (0, 0);
             Notice::Write {
                 variable,
                 iteration,
                 offset,
                 len,
-                crc,
             }
             .encode()
         };

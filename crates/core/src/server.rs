@@ -262,7 +262,6 @@ impl DedicatedCore {
                     offset,
                     len,
                     dynamic_layout,
-                    data_crc,
                 } => {
                     if self.shared.config.variable(variable_id).is_none() {
                         self.shared.journal.mark_applied(seq);
@@ -290,7 +289,7 @@ impl DedicatedCore {
                         variable_id,
                         source,
                     };
-                    self.ingest_write(key, segment, dynamic_layout, seq, data_crc)?;
+                    self.ingest_write(key, segment, dynamic_layout, seq)?;
                 }
                 JournalPayload::EndIteration { iteration, source } => {
                     FaultStats::bump(&self.shared.stats.events_replayed);
@@ -369,14 +368,13 @@ impl DedicatedCore {
                 source,
                 segment,
                 dynamic_layout,
-                data_crc,
             } => {
                 let key = VariableKey {
                     iteration,
                     variable_id,
                     source,
                 };
-                self.ingest_write(key, segment, dynamic_layout, seq, data_crc)?;
+                self.ingest_write(key, segment, dynamic_layout, seq)?;
             }
             Event::User {
                 name,
@@ -542,7 +540,6 @@ impl DedicatedCore {
         segment: Segment,
         dynamic_layout: Option<damaris_format::Layout>,
         seq: u64,
-        data_crc: u32,
     ) -> Result<(), DamarisError> {
         let config = &self.shared.config;
         let def = config
@@ -557,7 +554,6 @@ impl DedicatedCore {
             },
             segment,
             seq,
-            data_crc,
         };
         let len = var.segment.len() as u64;
         self.report.variables_received += 1;
@@ -1111,15 +1107,7 @@ mod tests {
             .pending_iterations()
             .into_iter()
             .flat_map(|it| core.store.iteration_entries(it))
-            .map(|v| {
-                (
-                    v.key,
-                    v.seq,
-                    v.data_crc,
-                    v.segment.offset(),
-                    v.data().to_vec(),
-                )
-            })
+            .map(|v| (v.key, v.seq, v.segment.offset(), v.data().to_vec()))
             .collect();
         let held: Vec<_> = core
             .held

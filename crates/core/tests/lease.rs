@@ -1,14 +1,14 @@
 //! Client-rank failure containment (liveness leases): a rank that stops
 //! renewing its lease is fenced by the dedicated core's sweeper, its
-//! shared-memory partition is reclaimed, torn segments are quarantined by
-//! the end-to-end CRC, and the surviving ranks keep flowing under the
-//! configured `on_client_failure` policy.
+//! shared-memory partition is reclaimed — a segment torn by a kill
+//! mid-copy included, which no notice ever names — and the surviving
+//! ranks keep flowing under the configured `on_client_failure` policy.
 //!
 //! The sweeper's deadlines run on the backend's [`IoClock`], so these
 //! tests drive a [`VirtualClock`]: lease expiry costs no wall time and the
 //! kill points are deterministic.
 
-use damaris_core::{Config, DamarisError, NodeRuntime};
+use damaris_core::{Config, DamarisClient, DamarisError, NodeRuntime};
 use damaris_format::SdfReader;
 use damaris_fs::{recover_dir, FaultPlan, FaultyBackend, IoClock, LocalDirBackend, VirtualClock};
 use proptest::prelude::*;
@@ -37,11 +37,31 @@ fn resilient_config(policy: &str) -> Config {
 
 /// Per-(iteration, rank) payload — varying the bytes matters: a torn
 /// `memcpy` into a recycled partition slot could otherwise leave exactly
-/// the previous iteration's identical bytes behind and defeat the CRC.
+/// the previous iteration's identical bytes behind, and a torn segment
+/// that reached storage would read back as valid.
 fn payload(iteration: u32, rank: u32) -> Vec<f32> {
     (0..512)
         .map(|i| (iteration * 100_000 + rank * 1000 + i) as f32)
         .collect()
+}
+
+/// Leaves shared memory as a rank killed mid-copy of `theta` does: the
+/// segment reserved, the first half of the payload in it, and no notice
+/// — the copy comes before the post, so the post never happens. A dead
+/// process runs no destructor, so the region is forgotten, not dropped
+/// (a drop would post an `Abandon`). Returns the bytes reserved.
+fn die_mid_copy(client: &DamarisClient, iteration: u32) -> usize {
+    let bytes: Vec<u8> = payload(iteration, client.id())
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut region = client.alloc("theta", iteration).unwrap();
+    let torn = region.as_mut_slice();
+    let half = torn.len() / 2;
+    torn[..half].copy_from_slice(&bytes[..half]);
+    let reserved = torn.len();
+    std::mem::forget(region);
+    reserved
 }
 
 fn start_virtual(
@@ -131,12 +151,12 @@ fn abandoned_region_defers_release_to_the_dedicated_core() {
 }
 
 /// The tentpole E2E under `on_client_failure="partial"`: rank 1 of four
-/// dies mid-`memcpy` (torn segment, notification already out) and leaks an
+/// dies mid-`memcpy` (torn segment, no notification) and leaks an
 /// un-journaled reservation. The sweeper fences it within the lease
-/// window, reclaims its partition, the CRC gate quarantines the torn
-/// segment, the affected iterations persist partially with a presence
-/// bitmap the recovery scan reads back, and the survivors run a further
-/// full iteration without ever blocking on a full buffer.
+/// window, reclaims its partition — the torn segment with it — the
+/// affected iterations persist partially with a presence bitmap the
+/// recovery scan reads back, and the survivors run a further full
+/// iteration without ever blocking on a full buffer.
 #[test]
 fn dead_client_is_fenced_reclaimed_and_survivors_keep_flowing() {
     let dir = scratch("partial");
@@ -152,8 +172,7 @@ fn dead_client_is_fenced_reclaimed_and_survivors_keep_flowing() {
 
     // Iteration 1: rank 1 tears its write, leaks a reservation, and goes
     // silent; the other three complete normally.
-    let intended: Vec<u8> = payload(1, 1).iter().flat_map(|v| v.to_le_bytes()).collect();
-    clients[1].die_during_write("theta", 1, &intended).unwrap();
+    let torn = die_mid_copy(&clients[1], 1);
     let leaked = clients[1].die_during_alloc("theta").unwrap();
     assert!(leaked > 0);
     for c in survivors {
@@ -179,14 +198,14 @@ fn dead_client_is_fenced_reclaimed_and_survivors_keep_flowing() {
     let report = runtime.finish().unwrap();
     assert_eq!(report.iterations_persisted, 3);
     assert_eq!(report.client_leases_expired, 1);
-    assert_eq!(report.crc_quarantined, 1, "torn write must be quarantined");
     assert!(
         report.partial_iterations >= 2,
         "iterations 1 and 2 fired without rank 1: {report:?}"
     );
     assert!(
-        report.segments_reclaimed as usize >= leaked,
-        "reclaim ({}) must cover at least the leaked reservation ({leaked})",
+        report.segments_reclaimed as usize >= torn + leaked,
+        "reclaim ({}) must cover at least the torn segment ({torn}) and the \
+         leaked reservation ({leaked})",
         report.segments_reclaimed
     );
     // Zero leaked bytes: the whole buffer is back, including the dead
@@ -194,7 +213,7 @@ fn dead_client_is_fenced_reclaimed_and_survivors_keep_flowing() {
     assert_eq!(clients[0].buffer_in_use(), 0);
 
     // Iteration 0 holds all four ranks; iteration 1 lost rank 1's data to
-    // the quarantine but kept the survivors'.
+    // the kill but kept the survivors'.
     let it0 = SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
     assert_eq!(it0.read_f32("/iter-0/rank-1/theta").unwrap(), payload(0, 1));
     let it1 = SdfReader::open(dir.join("node-0/iter-000001.sdf")).unwrap();
@@ -275,14 +294,15 @@ fn assert_persisted_bit_exact(dir: &Path, valid: &[PathBuf]) {
 /// One cell of the CI client-kill matrix (kill phase × failure policy):
 /// rank 1 of two dies at iteration 1 of three in the given phase; the
 /// survivor completes all three. Asserts the per-policy containment
-/// contract — and, for every combination, that nothing CRC-invalid was
-/// persisted and no bytes leak beyond what the policy documents.
+/// contract — and, for every combination, that nothing torn was persisted
+/// and no bytes leak beyond what the policy documents. A kill mid-copy
+/// leaves what a kill after `alloc` leaves, a reservation no notice
+/// names, so the two phases share their expectations.
 fn client_kill_case(policy: &str, phase: usize) {
     let dir = scratch(&format!("matrix-{policy}-{phase}"));
     let (runtime, clock) = start_virtual(policy, 2, &dir);
     let clients = runtime.clients();
 
-    let mut torn = 0u64;
     let mut leaked = 0usize;
     for it in 0..3u32 {
         clients[0].write_f32("theta", it, &payload(it, 0)).unwrap();
@@ -293,12 +313,7 @@ fn client_kill_case(policy: &str, phase: usize) {
         } else if it == 1 {
             match phase {
                 0 => leaked = clients[1].die_during_alloc("theta").unwrap(),
-                1 => {
-                    let bytes: Vec<u8> =
-                        payload(it, 1).iter().flat_map(|v| v.to_le_bytes()).collect();
-                    clients[1].die_during_write("theta", it, &bytes).unwrap();
-                    torn = 1;
-                }
+                1 => leaked = die_mid_copy(&clients[1], it),
                 _ => clients[1].write_f32("theta", it, &payload(it, 1)).unwrap(),
             }
         }
@@ -311,15 +326,10 @@ fn client_kill_case(policy: &str, phase: usize) {
     }
     let report = runtime.finish().unwrap();
     assert_eq!(report.client_leases_expired, u64::from(sweeping));
-    // Under drop-iteration the torn segment is discarded with its
-    // iteration before persist ever sees it; the other policies must
-    // quarantine it at the CRC gate.
-    let expected_quarantine = if policy == "drop-iteration" { 0 } else { torn };
-    assert_eq!(report.crc_quarantined, expected_quarantine);
     // The wait policy's documented cost: an un-journaled reservation of a
     // dead rank stays leaked (nothing ever fences it). Every other
     // combination returns the full buffer.
-    let expected_leak = if !sweeping && phase == 0 { leaked } else { 0 };
+    let expected_leak = if !sweeping && phase <= 1 { leaked } else { 0 };
     assert_eq!(clients[0].buffer_in_use(), expected_leak, "policy {policy} phase {phase}");
 
     let scan = recover_dir(&dir).unwrap();
@@ -393,11 +403,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// S3: whatever the kill point — during `alloc` (leaked un-journaled
-    /// reservation), during `memcpy` (torn segment with the notification
-    /// out), or post-commit (valid data, rank dies before `end_iteration`)
-    /// — and whichever iteration it lands on, the node finishes with zero
-    /// leaked shared-memory bytes and never persists a CRC-invalid
-    /// segment.
+    /// reservation), during `memcpy` (torn segment, no notification), or
+    /// post-commit (valid data, rank dies before `end_iteration`) — and
+    /// whichever iteration it lands on, the node finishes with zero leaked
+    /// shared-memory bytes and never persists a torn segment.
     #[test]
     fn random_kill_points_never_leak_or_persist_torn_data(
         phase in 0usize..3,
@@ -407,7 +416,6 @@ proptest! {
         let (runtime, clock) = start_virtual("partial", 2, &dir);
         let clients = runtime.clients();
 
-        let mut torn_pushed = 0u64;
         for it in 0..3u32 {
             clients[0].write_f32("theta", it, &payload(it, 0)).unwrap();
             clients[0].end_iteration(it).unwrap();
@@ -420,12 +428,7 @@ proptest! {
                         clients[1].die_during_alloc("theta").unwrap();
                     }
                     1 => {
-                        let bytes: Vec<u8> = payload(it, 1)
-                            .iter()
-                            .flat_map(|v| v.to_le_bytes())
-                            .collect();
-                        clients[1].die_during_write("theta", it, &bytes).unwrap();
-                        torn_pushed = 1;
+                        die_mid_copy(&clients[1], it);
                     }
                     _ => {
                         // Post-commit kill: the write is whole and valid,
@@ -440,7 +443,6 @@ proptest! {
 
         let report = runtime.finish().unwrap();
         prop_assert_eq!(report.client_leases_expired, 1);
-        prop_assert_eq!(report.crc_quarantined, torn_pushed);
         prop_assert_eq!(clients[0].buffer_in_use(), 0);
 
         // Everything that reached storage is bit-exact — a torn segment

@@ -62,6 +62,65 @@ fn single_client_roundtrip() {
 /// persists its coordinates as index fields: no dataset carries an
 /// `iteration` or `source` attribute, every one is found by its
 /// coordinates, and the index costs it little more than its path.
+/// The typed writes pass an array's memory as it lies (on a little-endian
+/// target): `write_f32(x)` and `write(x's little-endian bytes)` store the
+/// same dataset bytes, for `f64` and dynamic shapes too.
+#[test]
+fn typed_writes_store_what_byte_writes_store() {
+    let cfg = Config::from_xml(
+        r#"<damaris>
+             <buffer size="1048576" queue="64"/>
+             <layout name="grid" type="real" dimensions="64"/>
+             <layout name="pairs" type="double" dimensions="8"/>
+             <layout name="cloud" type="real" dimensions="?"/>
+             <variable name="typed" layout="grid"/>
+             <variable name="raw" layout="grid"/>
+             <variable name="typed64" layout="pairs"/>
+             <variable name="raw64" layout="pairs"/>
+             <variable name="typed_dyn" layout="cloud"/>
+             <variable name="raw_dyn" layout="cloud"/>
+           </damaris>"#,
+    )
+    .unwrap();
+    let dir = scratch("typed");
+    let runtime = NodeRuntime::start(cfg, 1, &dir).unwrap();
+    let client = &runtime.clients()[0];
+    let x: Vec<f32> = (0..64).map(|i| (i as f32).sin() * 1e3 - 0.5).collect();
+    let y: Vec<f64> = (0..8).map(|i| f64::from(i) * -1.25e-300).collect();
+    let x_le: Vec<u8> = x.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let y_le: Vec<u8> = y.iter().flat_map(|v| v.to_le_bytes()).collect();
+    client.write_f32("typed", 0, &x).unwrap();
+    client.write("raw", 0, &x_le).unwrap();
+    client.write_f64("typed64", 0, &y).unwrap();
+    client.write("raw64", 0, &y_le).unwrap();
+    let dims = [4, 8];
+    client
+        .write_dynamic_f32("typed_dyn", 0, &dims, &x[..32])
+        .unwrap();
+    client
+        .write_dynamic("raw_dyn", 0, &dims, &x_le[..128])
+        .unwrap();
+    client.end_iteration(0).unwrap();
+    runtime.finish().unwrap();
+
+    let reader = SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
+    let path = |name: &str| format!("/iter-0/rank-0/{name}");
+    let pairs = [
+        ("typed", "raw"),
+        ("typed64", "raw64"),
+        ("typed_dyn", "raw_dyn"),
+    ];
+    for (typed, raw) in pairs {
+        let (typed, raw) = (path(typed), path(raw));
+        let bytes = |name: &str| reader.read_bytes(name).unwrap();
+        assert_eq!(bytes(&typed), bytes(&raw), "{typed}");
+        let layouts = (reader.info(&typed).unwrap(), reader.info(&raw).unwrap());
+        assert_eq!(layouts.0.layout, layouts.1.layout, "{typed}");
+    }
+    assert_eq!(reader.read_f32("/iter-0/rank-0/typed").unwrap(), x);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn small_datasets_carry_coordinates_as_fields() {
     let names: Vec<String> = (0..64).map(|v| format!("v{v:02}")).collect();

@@ -92,9 +92,9 @@ pub enum EventKind {
     /// (Normal → Degraded → ReadOnly and back). `bytes` encodes the new
     /// state's discriminant.
     PressureTransition = 20,
-    /// A CRC-32 pass over payload bytes: on a client, the checksum of the
-    /// source bytes inside a `WriteCall`; on the dedicated core, the
-    /// persist plugin's re-verification of one iteration's segments.
+    /// A CRC-32 pass over payload bytes. Nothing records it any more (a
+    /// write carries no checksum; the SDF index's CRC is taken inside
+    /// `BackendWrite`); the tag stays so older trace files still decode.
     Checksum = 21,
     /// One manifest publish on the dedicated core (lock, one frame
     /// appended and synced, or a checkpoint). `bytes` is the number of

@@ -274,10 +274,10 @@ struct Log<'a> {
 impl<'a> Log<'a> {
     /// Reads `text` as a log: a checkpoint frame, then the appended frames
     /// up to the first that is not whole and CRC-valid. The framing is
-    /// checked before anything is allocated.
+    /// checked before an entry is parsed.
     fn parse(text: &'a [u8]) -> Result<Log<'a>> {
-        let end = whole_frames(text)?;
-        let mut frames = frames(&text[..end]);
+        let (end, bodies) = whole_frames(text)?;
+        let mut frames = bodies.into_iter();
         let Some(checkpoint) = frames.next() else {
             return corrupt("no whole checkpoint frame");
         };
@@ -369,29 +369,36 @@ fn header(line: Option<&str>) -> Result<Features> {
     })
 }
 
-/// Where the whole, CRC-valid frames at the start of `text` end. A bad
-/// frame ends them when no whole frame follows it (found by the length
-/// its `crc` line states): a torn tail. When one does, the log is corrupt.
-/// Allocates nothing unless corrupt.
-fn whole_frames(text: &[u8]) -> Result<usize> {
+/// Where the whole, CRC-valid frames at the start of `text` end, and
+/// their bodies without the `crc` lines: one scan for the boundaries, and
+/// one UTF-8 check per frame. A bad frame ends them when no whole frame
+/// follows it (found by the length its `crc` line states): a torn tail.
+/// When one does, the log is corrupt.
+fn whole_frames(text: &[u8]) -> Result<(usize, Vec<&str>)> {
     let (mut end, mut torn, mut from) = (0, false, 0);
+    let mut bodies = Vec::new();
     while let Some((at, next)) = crc_line(text, from) {
-        let begin = frame_crc(&text[at..next], at).and_then(|(crc, len)| {
+        let frame = frame_crc(&text[at..next], at).and_then(|(crc, len)| {
             let begin = at - len.unwrap_or(at);
             let body = &text[begin..at];
-            let whole = damaris_format::crc32(body) == crc && std::str::from_utf8(body).is_ok();
-            whole.then_some(begin)
+            if damaris_format::crc32(body) != crc {
+                return None;
+            }
+            Some((begin, std::str::from_utf8(body).ok()?))
         });
-        match begin {
-            Some(begin) if begin == end && !torn => end = next,
-            Some(begin) if begin >= end => {
+        match frame {
+            Some((begin, body)) if begin == end && !torn => {
+                end = next;
+                bodies.push(body);
+            }
+            Some((begin, _)) if begin >= end => {
                 return corrupt(format!("bad frame at byte {end} before a whole one"))
             }
             _ => torn = true,
         }
         from = next;
     }
-    Ok(end)
+    Ok((end, bodies))
 }
 
 /// The first line from `from` on (a line start) that begins with `crc `
@@ -420,19 +427,6 @@ fn frame_crc(line: &[u8], at: usize) -> Option<(u32, Option<usize>)> {
         None => None,
     };
     fields.next().is_none().then_some((crc, len))
-}
-
-/// The bodies of the frames `text` holds, all whole (see
-/// [`whole_frames`]), without their `crc` lines.
-fn frames(text: &[u8]) -> impl Iterator<Item = &str> {
-    let mut start = 0;
-    std::iter::from_fn(move || {
-        let (at, next) = crc_line(text, start)?;
-        // Checked UTF-8 with its frame.
-        let body = std::str::from_utf8(&text[start..at]).unwrap_or_default();
-        start = next;
-        Some(body)
-    })
 }
 
 /// Appends `edit`'s line to `out`.
@@ -770,9 +764,9 @@ impl ManifestReader {
                     return Ok(());
                 }
                 read_at(file, at.end, meta.len(), &mut self.buf)?;
-                let len = whole_frames(&self.buf)?;
+                let (len, bodies) = whole_frames(&self.buf)?;
                 let (mut lists, mut drops) = (0, false);
-                let lines = frames(&self.buf[..len]).flat_map(str::lines);
+                let lines = bodies.into_iter().flat_map(str::lines);
                 for line in lines.filter(|l| !l.is_empty()) {
                     match parse_edit(line)? {
                         Edit::List(_) => lists += 1,
@@ -803,8 +797,11 @@ impl ManifestReader {
         let (generation, whole, entries) = match &self.latest {
             Latest::Unchanged => return None,
             Latest::Appended { len, lists } => {
-                // Whole frames: every line checked.
-                let lines = frames(&self.buf[..*len]).flat_map(str::lines);
+                // Whole frames, every line checked by `read`.
+                let bodies = whole_frames(&self.buf[..*len])
+                    .map(|(_, b)| b)
+                    .unwrap_or_default();
+                let lines = bodies.into_iter().flat_map(str::lines);
                 let lines = lines.filter(|l| !l.is_empty());
                 let listed = lines.filter_map(|l| parse_line(l).ok()).collect();
                 (self.accepted.generation + *lists as u64, false, listed)

@@ -39,8 +39,9 @@ pub enum ClientKillPhase {
     /// Dies after reserving a shared-memory segment, before writing or
     /// notifying — the reservation is abandoned un-journaled.
     Alloc,
-    /// Dies mid-`memcpy`: the write-notification is visible but the
-    /// segment holds a torn prefix (the persist-side CRC must catch it).
+    /// Dies mid-`memcpy`: the segment holds a torn prefix and no
+    /// notification names it — the post follows the copy — so, as after
+    /// `Alloc`, the lease sweep reclaims it unread.
     Memcpy,
     /// Dies after a complete, valid write but before ending the iteration
     /// — the iteration stays open until the lease sweeper fences the rank.

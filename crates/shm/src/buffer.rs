@@ -209,7 +209,9 @@ impl Segment {
     }
 
     /// Copies `src` into the segment — the paper's single `memcpy` from the
-    /// simulation's local array into shared memory.
+    /// simulation's local array into shared memory: streamed (`stream`)
+    /// from 4 KiB on where the CPU has AVX-512F, else (and in `--features
+    /// check` builds) `copy_nonoverlapping`.
     ///
     /// Panics if `src.len() != self.len()`; reserve exactly what you write.
     pub fn copy_from_slice(&mut self, src: &[u8]) {
@@ -221,14 +223,14 @@ impl Segment {
             src.len(),
             self.len
         );
-        // Declare the write to the race detector (no-op unless `check`).
-        self.buffer.tracker.write(self.offset, self.len);
-        // SAFETY: `&mut self` gives exclusive access to this segment, and the
-        // allocator guarantees no other live segment overlaps this range.
-        unsafe {
-            let dst = self.buffer.base().add(self.offset);
-            std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
+        let dst = self.as_mut_slice();
+        #[cfg(all(target_arch = "x86_64", not(feature = "check")))]
+        if src.len() >= stream::MIN_LEN && stream::available() {
+            // SAFETY: AVX-512F, the one target feature `stream::copy`
+            // enables, was detected just above.
+            return unsafe { stream::copy(dst, src) };
         }
+        dst.copy_from_slice(src);
     }
 
     /// Mutable view for in-place production (the `dc_alloc`/`dc_commit`
@@ -266,6 +268,80 @@ impl Segment {
         };
         self.len = at;
         tail
+    }
+}
+
+/// The streamed copy: a plain head copy up to the destination's next
+/// 64-byte boundary, four whole lines per step with unaligned 512-bit
+/// loads and non-temporal 512-bit stores, a plain tail copy, and an
+/// `sfence`. Streaming stores are weakly ordered — later stores may pass
+/// them — so the fence is what keeps the `Release` store that publishes
+/// the segment (the queue's `seq`, the notice ring's `head`) behind the
+/// data.
+#[cfg(all(target_arch = "x86_64", not(feature = "check")))]
+mod stream {
+    use std::arch::x86_64::{__m512i, _mm512_loadu_si512, _mm512_stream_si512, _mm_sfence};
+
+    /// Payloads from this many bytes on are streamed. A cached store
+    /// first reads its destination line for ownership, and a ring line was
+    /// last read by the dedicated core; a streaming store writes the whole
+    /// line without reading it. Below this the head and tail copies and
+    /// the fence cost more than the reads saved. `write` p50 on a 2-CPU
+    /// AVX-512 host:
+    ///
+    /// | payload | `copy_nonoverlapping` | streamed |
+    /// |---|---|---|
+    /// | 1 KiB | 1.08–1.09 µs | 1.15–1.23 µs |
+    /// | 4 KiB | 1.87–1.90 µs | 1.48–1.57 µs |
+    /// | 16 KiB | 3.59–3.72 µs | 3.05–3.31 µs |
+    /// | 64 KiB | 11.7–12.7 µs | 8.9–9.8 µs |
+    ///
+    /// 16-byte SSE2 streaming stores measured no better than the plain
+    /// copy (64 KiB copy phase 8.6–8.7 µs against 5.8–6.7 µs streamed), so
+    /// a CPU without AVX-512F copies plainly at every length.
+    pub(super) const MIN_LEN: usize = 4096;
+
+    /// Bytes per streamed step: four 64-byte lines.
+    const STEP: usize = 256;
+
+    /// Whether this CPU has AVX-512F (`is_x86_feature_detected!` caches
+    /// the answer: one load per call).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f")
+    }
+
+    /// Copies the first `min(dst.len(), src.len())` bytes of `src` into
+    /// `dst`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn copy(dst: &mut [u8], src: &[u8]) {
+        let len = src.len().min(dst.len());
+        let dst = dst.as_mut_ptr();
+        let head = dst.align_offset(64).min(len);
+        let lines = (len - head) / STEP * STEP;
+        // SAFETY: every pointer below stays inside the first `len` bytes
+        // of `src` or of `dst`, which are two slices and so do not
+        // overlap: `head + lines <= len`, and each step reads and writes
+        // `STEP` bytes at an offset below `head + lines`. The stores are
+        // 64-byte aligned: `dst + head` is.
+        unsafe {
+            std::ptr::copy_nonoverlapping(src.as_ptr(), dst, head);
+            let (mut from, mut to) = (src.as_ptr().add(head), dst.add(head));
+            let end = to.add(lines);
+            while to < end {
+                let a = _mm512_loadu_si512(from as *const __m512i);
+                let b = _mm512_loadu_si512(from.add(64) as *const __m512i);
+                let c = _mm512_loadu_si512(from.add(128) as *const __m512i);
+                let d = _mm512_loadu_si512(from.add(192) as *const __m512i);
+                _mm512_stream_si512(to as *mut __m512i, a);
+                _mm512_stream_si512(to.add(64) as *mut __m512i, b);
+                _mm512_stream_si512(to.add(128) as *mut __m512i, c);
+                _mm512_stream_si512(to.add(192) as *mut __m512i, d);
+                from = from.add(STEP);
+                to = to.add(STEP);
+            }
+            std::ptr::copy_nonoverlapping(from, to, len - head - lines);
+            _mm_sfence();
+        }
     }
 }
 
@@ -373,6 +449,89 @@ mod tests {
         let region = Arc::new(crate::backing::MapRegion::create(&path, 1024).unwrap());
         let _ = std::fs::remove_file(&path);
         let _ = SharedBuffer::from_region(region, 512, 1024);
+    }
+
+    /// The guard byte around every copy's window.
+    const GUARD: u8 = 0xA5;
+
+    /// Copies every length `0..=9_000` to every destination alignment
+    /// `0..64` from source offsets 0, 1 and 7 with `copy`, into a window of
+    /// `buf` fenced by 64 guard bytes on each side, and checks the window
+    /// holds exactly what `copy_nonoverlapping` leaves: the source bytes,
+    /// guards untouched.
+    fn check_copies(buf: &Arc<SharedBuffer>, copy: impl Fn(&mut Segment, &[u8])) {
+        const MAX: usize = 9_000;
+        let src: Vec<u8> = (0..MAX + 8).map(|i| (i * 131 + i / 255) as u8).collect();
+        let base = buf.base() as usize;
+        for dst_align in 0..64 {
+            // The segment starts 64 bytes or more into the buffer, at
+            // `dst_align` past a 64-byte boundary.
+            let offset = 64 + (dst_align + 64 - base % 64) % 64;
+            assert_eq!((base + offset) % 64, dst_align);
+            for src_offset in [0, 1, 7] {
+                for len in 0..=MAX {
+                    let mut window = buf.segment(offset - 64, len + 128);
+                    window.as_mut_slice().fill(GUARD);
+                    let src = &src[src_offset..src_offset + len];
+                    copy(&mut buf.segment(offset, len), src);
+                    let (before, rest) = window.as_slice().split_at(64);
+                    let (copied, after) = rest.split_at(len);
+                    assert!(
+                        copied == src && before == [GUARD; 64] && after == [GUARD; 64],
+                        "len {len}, destination at {dst_align} mod 64, source at +{src_offset}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A buffer with room for [`check_copies`]' largest window at every
+    /// alignment.
+    const CHECK_CAPACITY: usize = 9_000 + 256;
+
+    /// The streaming kernel itself, at every length (below the threshold
+    /// too), when this CPU has it.
+    #[test]
+    fn byte_identical_streamed_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        let streams = stream::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let streams = false;
+        println!(
+            "shm copy: avx512f={streams}; from 4096 B a write copies with {}",
+            if streams {
+                "the streamed kernel (64-byte non-temporal stores)"
+            } else {
+                "copy_nonoverlapping; streamed kernel not covered"
+            }
+        );
+        #[cfg(target_arch = "x86_64")]
+        if streams {
+            check_copies(&SharedBuffer::new(CHECK_CAPACITY), |seg, src| {
+                // SAFETY: AVX-512F, the kernel's target feature, was
+                // detected above.
+                unsafe { stream::copy(seg.as_mut_slice(), src) }
+            });
+        }
+    }
+
+    /// What a write runs — the dispatch — over the heap.
+    #[test]
+    fn byte_identical_segment_copy_on_the_heap() {
+        check_copies(&SharedBuffer::new(CHECK_CAPACITY), Segment::copy_from_slice);
+    }
+
+    /// What a write runs over a file mapping.
+    #[cfg(unix)]
+    #[test]
+    fn byte_identical_segment_copy_over_a_mapping() {
+        let dir = std::env::temp_dir().join("damaris-buffer-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("streamed-{}", crate::backing::this_pid()));
+        let region = crate::backing::MapRegion::create(&path, CHECK_CAPACITY + 64).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let buf = SharedBuffer::from_region(Arc::new(region), 64, CHECK_CAPACITY);
+        check_copies(&buf, Segment::copy_from_slice);
     }
 
     #[test]

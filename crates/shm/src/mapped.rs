@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! 0    magic        "DAMRSHM1" (0x44414D52_53484D31)
-//! 8    version      layout version (3)
+//! 8    version      layout version (4)
 //! 16   n_clients
 //! 24   data_capacity    bytes of buffer data after the header
 //! 32   data_offset      where the data starts (from the region base)
@@ -60,8 +60,9 @@ use std::path::Path;
 pub const MAGIC: u64 = 0x44414D52_53484D31;
 /// Bump on any layout change; `open` rejects mismatches. (2: the slot
 /// word at `+8` is the ring's `floor`. 3: per-client notice rings, the
-/// `done` word, a pid per client, and each block on two lines by writer.)
-pub const VERSION: u64 = 3;
+/// `done` word, a pid per client, and each block on two lines by writer.
+/// 4: a write notice carries no checksum.)
+pub const VERSION: u64 = 4;
 
 const OFF_MAGIC: usize = 0;
 const OFF_VERSION: usize = 8;

@@ -44,13 +44,12 @@ const KIND_ABANDON: u64 = 3;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Notice {
     /// `len` bytes of `variable` at `iteration` sit at `offset` of the
-    /// data window, checksummed `crc`.
+    /// data window.
     Write {
         variable: u32,
         iteration: u32,
         offset: u64,
         len: u64,
-        crc: u32,
     },
     /// The client finished `iteration`.
     EndIteration { iteration: u32 },
@@ -65,8 +64,8 @@ pub enum Notice {
 }
 
 impl Notice {
-    /// The slot words: `kind | iteration << 32`, `variable | crc << 32`,
-    /// `offset`, `len` (the second word 0 for an `Abandon`).
+    /// The slot words: `kind | iteration << 32`, `variable`, `offset`,
+    /// `len` (the second word 0 for an `Abandon`).
     pub fn encode(&self) -> [u64; NOTICE_WORDS] {
         match *self {
             Notice::Write {
@@ -74,10 +73,9 @@ impl Notice {
                 iteration,
                 offset,
                 len,
-                crc,
             } => [
                 KIND_WRITE | u64::from(iteration) << 32,
-                u64::from(variable) | u64::from(crc) << 32,
+                u64::from(variable),
                 offset,
                 len,
             ],
@@ -102,7 +100,6 @@ impl Notice {
                 iteration,
                 offset: words[2],
                 len: words[3],
-                crc: (words[1] >> 32) as u32,
             }),
             KIND_END_ITERATION => Some(Notice::EndIteration { iteration }),
             KIND_ABANDON => Some(Notice::Abandon {
@@ -193,7 +190,6 @@ mod tests {
                 iteration: u32::MAX,
                 offset: 1 << 40,
                 len: 65536,
-                crc: 0xDEAD_BEEF,
             },
             Notice::EndIteration { iteration: 99 },
             Notice::Abandon {

@@ -907,7 +907,6 @@ fn nth_notice(i: u64) -> Notice {
         iteration: 10 + i as u32,
         offset: 8 * i,
         len: 8,
-        crc: 0xC0 + i as u32,
     }
 }
 
