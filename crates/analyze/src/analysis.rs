@@ -232,7 +232,12 @@ fn find_waiver(waivers: &[&Waiver], rule: &str, file: &str, line: usize) -> Opti
         .position(|w| w.rule == rule && w.file == file && w.target_line == line)
 }
 
-fn build_path(parent: &HashMap<usize, usize>, fns: &[&FnItem], root: usize, i: usize) -> Vec<String> {
+fn build_path(
+    parent: &HashMap<usize, usize>,
+    fns: &[&FnItem],
+    root: usize,
+    i: usize,
+) -> Vec<String> {
     let mut rev = vec![i];
     let mut cur = i;
     while cur != root {
@@ -338,18 +343,22 @@ pub fn run(files: &[(String, ParsedFile)]) -> Report {
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut seen: HashSet<(String, String, usize)> = HashSet::new();
-    let mut push_finding =
-        |findings: &mut Vec<Finding>, rule: &str, file: &str, line: usize, msg: String, path: Vec<String>| {
-            if seen.insert((rule.to_string(), file.to_string(), line)) {
-                findings.push(Finding {
-                    rule: rule.to_string(),
-                    file: file.to_string(),
-                    line,
-                    message: msg,
-                    path,
-                });
-            }
-        };
+    let mut push_finding = |findings: &mut Vec<Finding>,
+                            rule: &str,
+                            file: &str,
+                            line: usize,
+                            msg: String,
+                            path: Vec<String>| {
+        if seen.insert((rule.to_string(), file.to_string(), line)) {
+            findings.push(Finding {
+                rule: rule.to_string(),
+                file: file.to_string(),
+                line,
+                message: msg,
+                path,
+            });
+        }
+    };
 
     // ---- rule family 1: hot-path purity ------------------------------
     let roots: Vec<usize> = (0..idx.fns.len())
@@ -586,9 +595,7 @@ pub fn run(files: &[(String, ParsedFile)]) -> Report {
         }
     }
 
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule))
-    });
+    findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     report.findings = findings;
     report
 }

@@ -165,22 +165,68 @@ pub struct ParsedFile {
 }
 
 const ATOMIC_RMW: &[&str] = &[
-    "fetch_add", "fetch_sub", "fetch_or", "fetch_and", "fetch_xor", "swap",
-    "compare_exchange", "compare_exchange_weak",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_or",
+    "fetch_and",
+    "fetch_xor",
+    "swap",
+    "compare_exchange",
+    "compare_exchange_weak",
 ];
 
 /// Method names too common to resolve by "unique method name" fallback.
 pub(crate) const COMMON_METHODS: &[&str] = &[
-    "new", "default", "clone", "len", "is_empty", "push", "pop", "get",
-    "insert", "remove", "iter", "next", "map", "and_then", "filter", "fmt",
-    "drop", "clear", "extend", "from", "into", "as_ref", "as_mut", "with",
-    "with_mut", "read", "write", "send", "recv", "lock", "load", "store",
-    "contains", "min", "max", "take", "replace", "source", "capacity",
+    "new",
+    "default",
+    "clone",
+    "len",
+    "is_empty",
+    "push",
+    "pop",
+    "get",
+    "insert",
+    "remove",
+    "iter",
+    "next",
+    "map",
+    "and_then",
+    "filter",
+    "fmt",
+    "drop",
+    "clear",
+    "extend",
+    "from",
+    "into",
+    "as_ref",
+    "as_mut",
+    "with",
+    "with_mut",
+    "read",
+    "write",
+    "send",
+    "recv",
+    "lock",
+    "load",
+    "store",
+    "contains",
+    "min",
+    "max",
+    "take",
+    "replace",
+    "source",
+    "capacity",
     // Atomic primitives: a bare `x.compare_exchange(...)` must never
     // resolve into scanned code (the `check` scheduler defines same-named
     // methods) — the receiver is always a facade atomic.
-    "fetch_add", "fetch_sub", "fetch_or", "fetch_and", "fetch_xor", "swap",
-    "compare_exchange", "compare_exchange_weak",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_or",
+    "fetch_and",
+    "fetch_xor",
+    "swap",
+    "compare_exchange",
+    "compare_exchange_weak",
 ];
 
 struct Parser<'a> {
@@ -499,9 +545,7 @@ impl Parser<'_> {
             // Field pattern at depth 1: ident ':' type… (',' | '}')
             if depth == 1 {
                 if let Some(fname) = self.ident_at(i).map(str::to_string) {
-                    if self.punct_at(i + 1) == Some(':')
-                        && self.punct_at(i + 2) != Some(':')
-                    {
+                    if self.punct_at(i + 1) == Some(':') && self.punct_at(i + 2) != Some(':') {
                         let (base, next) = self.parse_field_type(i + 2);
                         if let Some(base) = base {
                             fields.push((fname, base));
@@ -729,7 +773,14 @@ impl Parser<'_> {
     /// `recv.method(` at token index `k` (the method ident).
     fn method_site(&mut self, k: usize, m: &str, line: usize, item: &mut FnItem, end: usize) {
         // Facts by method name.
-        let alloc_m = ["clone", "to_owned", "to_string", "to_vec", "collect", "cloned"];
+        let alloc_m = [
+            "clone",
+            "to_owned",
+            "to_string",
+            "to_vec",
+            "collect",
+            "cloned",
+        ];
         let block_m = ["lock", "recv", "join", "park", "wait", "flush"];
         let panic_m = ["unwrap", "expect"];
         if alloc_m.contains(&m) {
@@ -752,7 +803,11 @@ impl Parser<'_> {
             });
         }
 
-        let chain = if k >= 2 { self.chain_before_dot(k - 2) } else { Vec::new() };
+        let chain = if k >= 2 {
+            self.chain_before_dot(k - 2)
+        } else {
+            Vec::new()
+        };
 
         // Lock site bookkeeping for the lock-order graph.
         if m == "lock" {
@@ -779,8 +834,12 @@ impl Parser<'_> {
             if let Some(field) = chain.last() {
                 let orderings = self.orderings_in_args(k + 1, end);
                 let rmw = ATOMIC_RMW.contains(&m);
-                let rel = orderings.iter().any(|o| o == "Release" || o == "AcqRel" || o == "SeqCst");
-                let acq = orderings.iter().any(|o| o == "Acquire" || o == "AcqRel" || o == "SeqCst");
+                let rel = orderings
+                    .iter()
+                    .any(|o| o == "Release" || o == "AcqRel" || o == "SeqCst");
+                let acq = orderings
+                    .iter()
+                    .any(|o| o == "Acquire" || o == "AcqRel" || o == "SeqCst");
                 if !orderings.is_empty() {
                     self.out.atomics.push(AtomicOp {
                         field: field.clone(),
@@ -810,9 +869,7 @@ impl Parser<'_> {
     /// `Path::method(` at token index `k` (the method ident).
     fn qualified_site(&mut self, k: usize, m: &str, line: usize, item: &mut FnItem) {
         // Walk back over `::` to the segment before the method.
-        let ty = if k >= 3
-            && self.punct_at(k - 1) == Some(':')
-            && self.punct_at(k - 2) == Some(':')
+        let ty = if k >= 3 && self.punct_at(k - 1) == Some(':') && self.punct_at(k - 2) == Some(':')
         {
             self.ident_at(k - 3).map(str::to_string)
         } else {
@@ -938,10 +995,9 @@ fn strip_sep(s: &str) -> String {
 
 fn is_keyword(w: &str) -> bool {
     [
-        "if", "else", "while", "loop", "for", "match", "return", "let", "mut",
-        "fn", "pub", "use", "mod", "impl", "struct", "enum", "trait", "where",
-        "in", "as", "move", "ref", "break", "continue", "unsafe", "const",
-        "static", "type", "crate", "super", "Self", "self", "dyn",
+        "if", "else", "while", "loop", "for", "match", "return", "let", "mut", "fn", "pub", "use",
+        "mod", "impl", "struct", "enum", "trait", "where", "in", "as", "move", "ref", "break",
+        "continue", "unsafe", "const", "static", "type", "crate", "super", "Self", "self", "dyn",
     ]
     .contains(&w)
 }
@@ -955,10 +1011,12 @@ mod tests {
     }
 
     fn fn_named<'a>(p: &'a ParsedFile, q: &str) -> &'a FnItem {
-        p.fns
-            .iter()
-            .find(|f| f.qname == q)
-            .unwrap_or_else(|| panic!("no fn {q} in {:?}", p.fns.iter().map(|f| &f.qname).collect::<Vec<_>>()))
+        p.fns.iter().find(|f| f.qname == q).unwrap_or_else(|| {
+            panic!(
+                "no fn {q} in {:?}",
+                p.fns.iter().map(|f| &f.qname).collect::<Vec<_>>()
+            )
+        })
     }
 
     #[test]
@@ -1085,7 +1143,9 @@ mod tests {
         assert!(
             matches!(&calls[1].callee, Callee::FieldChain(c, m) if c == &["self", "shared", "queue"] && m == "push_wait")
         );
-        assert!(matches!(&calls[2].callee, Callee::Qualified(t, m) if t == "Other" && m == "build"));
+        assert!(
+            matches!(&calls[2].callee, Callee::Qualified(t, m) if t == "Other" && m == "build")
+        );
         assert!(matches!(&calls[3].callee, Callee::Method(m) if m == "push_wait"));
         assert!(matches!(&calls[4].callee, Callee::Bare(f) if f == "free_fn"));
         // A module path in front of a free fn does not hide it.

@@ -24,7 +24,11 @@ fn fixture(path: &str, file: &str) -> damaris_analyze::Report {
 #[test]
 fn hidden_alloc_two_hops_fires_with_full_path() {
     let r = fixture("crates/core/src/fixture_hidden_alloc.rs", "hidden_alloc");
-    let f: Vec<_> = r.findings.iter().filter(|f| f.rule == "hot-alloc").collect();
+    let f: Vec<_> = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == "hot-alloc")
+        .collect();
     assert_eq!(f.len(), 1, "findings: {:?}", r.findings);
     assert_eq!(f[0].path, vec!["hot_root", "first_hop", "second_hop"]);
 }
@@ -57,14 +61,17 @@ fn unpaired_release_store_fires() {
 #[test]
 fn bogus_and_unused_waivers_fire() {
     let r = fixture("crates/core/src/fixture_bogus_waiver.rs", "bogus_waiver");
-    let bogus = r.findings.iter().filter(|f| f.rule == "bogus-waiver").count();
-    let unused = r.findings.iter().filter(|f| f.rule == "unused-waiver").count();
-    assert_eq!(
-        (bogus, unused),
-        (2, 1),
-        "findings: {:?}",
-        r.findings
-    );
+    let bogus = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == "bogus-waiver")
+        .count();
+    let unused = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unused-waiver")
+        .count();
+    assert_eq!((bogus, unused), (2, 1), "findings: {:?}", r.findings);
 }
 
 fn repo_root() -> &'static Path {

@@ -121,7 +121,8 @@ fn bench_sdf(c: &mut Criterion) {
             let path = dir.join(format!("bench-{n}.sdf"));
             n += 1;
             let mut w = SdfWriter::create(&path).expect("create");
-            w.write_dataset_f32("/v", &layout, black_box(&data)).expect("write");
+            w.write_dataset_f32("/v", &layout, black_box(&data))
+                .expect("write");
             black_box(w.finish().expect("finish"));
         });
     });

@@ -16,7 +16,12 @@ use serde_json::json;
 fn main() {
     let mut records = Vec::new();
     let cases = [
-        ("kraken", platform::kraken(), WorkloadSpec::cm1_kraken(), 2304usize),
+        (
+            "kraken",
+            platform::kraken(),
+            WorkloadSpec::cm1_kraken(),
+            2304usize,
+        ),
         (
             "grid5000",
             platform::grid5000_parapluie(),
@@ -80,11 +85,20 @@ fn main() {
         }
         print_table(
             &format!("Dedicated-core ratio sweep — {name}, {ncores} cores"),
-            &["dedicated/node", "run time", "io time", "ded. write", "spare %"],
+            &[
+                "dedicated/node",
+                "run time",
+                "io time",
+                "ded. write",
+                "spare %",
+            ],
             &rows,
         );
         if let Some((d, t)) = best {
-            println!("optimum on {name}: {d} dedicated core(s)/node at {}", fmt_s(t));
+            println!(
+                "optimum on {name}: {d} dedicated core(s)/node at {}",
+                fmt_s(t)
+            );
         }
     }
     println!(

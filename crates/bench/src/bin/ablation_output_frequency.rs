@@ -46,10 +46,14 @@ fn main() {
         }
     }
     print_table(
-        &format!(
-            "Output-frequency sweep — Kraken, {ncores} cores, {iterations} iterations"
-        ),
-        &["cadence", "strategy", "run time", "app io share", "ded. spare"],
+        &format!("Output-frequency sweep — Kraken, {ncores} cores, {iterations} iterations"),
+        &[
+            "cadence",
+            "strategy",
+            "run time",
+            "app io share",
+            "ded. spare",
+        ],
         &rows,
     );
     println!(

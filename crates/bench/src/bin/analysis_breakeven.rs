@@ -20,7 +20,12 @@ fn main() {
         rows.push(vec![
             n.to_string(),
             format!("{p:.2}%"),
-            if dedication_wins_model(n, 0.05) { "yes" } else { "no" }.to_string(),
+            if dedication_wins_model(n, 0.05) {
+                "yes"
+            } else {
+                "no"
+            }
+            .to_string(),
         ]);
         records.push(json!({ "cores_per_node": n, "breakeven_percent": p }));
     }
@@ -35,7 +40,14 @@ fn main() {
     // assumes W_ded = N·W_std, but the measured dedicated write time is far
     // smaller — the practical reason Damaris wins even on 12-core nodes.
     let (platform, workload) = kraken_setup();
-    let fpp = run_simulation(&platform, &workload, Strategy::FilePerProcess, 2304, 50, SEED);
+    let fpp = run_simulation(
+        &platform,
+        &workload,
+        Strategy::FilePerProcess,
+        2304,
+        50,
+        SEED,
+    );
     let dam = run_simulation(&platform, &workload, Strategy::damaris(), 2304, 50, SEED);
     let w_std = fpp.io_time;
     let w_ded = dam.dedicated_write_mean;

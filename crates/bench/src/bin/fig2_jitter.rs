@@ -62,8 +62,8 @@ fn main() {
         w.write_block(&samples).expect("trace block");
         w.finish().expect("trace trailer");
     }
-    let decoded = read_trace(std::fs::File::open(&trace_path).expect("open trace"))
-        .expect("decode trace");
+    let decoded =
+        read_trace(std::fs::File::open(&trace_path).expect("open trace")).expect("decode trace");
     assert!(decoded.clean_close, "trace trailer missing");
     let from_file = summarize_phase_samples(&decoded.records);
     assert_eq!(

@@ -7,9 +7,9 @@
 //! compression adds overhead on Kraken (CPU-bound) — a storage-vs-time
 //! trade-off.
 
-use damaris_bench::*;
 #[allow(unused_imports)]
 use damaris_bench::fmt_rate as _keep;
+use damaris_bench::*;
 use damaris_sim::strategies::DamarisOptions;
 use damaris_sim::workload::CompressionModel;
 use damaris_sim::{platform, PlatformSpec, Strategy, WorkloadSpec};
@@ -73,7 +73,12 @@ fn section(
     }
     print_table(
         title,
-        &["variant", "ded. write avg", "ded. write max", "write speedup"],
+        &[
+            "variant",
+            "ded. write avg",
+            "ded. write max",
+            "write speedup",
+        ],
         &rows,
     );
 }

@@ -40,8 +40,7 @@ pub const SEED: u64 = 20120924; // CLUSTER 2012, Beijing
 
 /// Where JSON records land.
 pub fn figures_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/figures");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
     std::fs::create_dir_all(&dir).expect("create target/figures");
     dir
 }
@@ -50,8 +49,12 @@ pub fn figures_dir() -> PathBuf {
 pub fn save_json(name: &str, value: &serde_json::Value) {
     let path = figures_dir().join(format!("{name}.json"));
     let mut f = std::fs::File::create(&path).expect("create json");
-    f.write_all(serde_json::to_string_pretty(value).expect("serialize").as_bytes())
-        .expect("write json");
+    f.write_all(
+        serde_json::to_string_pretty(value)
+            .expect("serialize")
+            .as_bytes(),
+    )
+    .expect("write json");
     eprintln!("(saved {})", path.display());
 }
 
@@ -202,7 +205,10 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         "{}",
         fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     );
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
+    );
     for row in rows {
         println!("{}", fmt_row(row));
     }

@@ -30,7 +30,10 @@ fn main() {
     let out_dir = PathBuf::from(
         std::env::var("CHAOS_SWEEP_OUT").unwrap_or_else(|_| "chaos-failures".to_string()),
     );
-    println!("chaos sweep: seeds {base}..{} (CHAOS_SEED={base})", base + count);
+    println!(
+        "chaos sweep: seeds {base}..{} (CHAOS_SEED={base})",
+        base + count
+    );
 
     let mut failures = 0u64;
     for seed in base..base + count {
@@ -67,7 +70,10 @@ fn main() {
     if failures == 0 {
         println!("chaos sweep: all {count} seeds passed");
     } else {
-        eprintln!("chaos sweep: {failures}/{count} seeds FAILED (artifacts in {})", out_dir.display());
+        eprintln!(
+            "chaos sweep: {failures}/{count} seeds FAILED (artifacts in {})",
+            out_dir.display()
+        );
     }
     std::process::exit(failures.min(101) as i32);
 }

@@ -206,8 +206,7 @@ fn run_in(scenario: &Scenario, dir: &PathBuf) -> Result<Transcript, String> {
                     files_expected += held_iterations.len() as u64;
                     let flushed = std::mem::take(&mut held_iterations);
                     wait_for("held iterations to flush", || {
-                        files_on_disk() == files_expected
-                            && flushed.iter().all(|&it| published(it))
+                        files_on_disk() == files_expected && flushed.iter().all(|&it| published(it))
                     })?;
                     t.lines.push(format!(
                         "lift@{iteration} state=normal files={files_expected}"
@@ -215,15 +214,17 @@ fn run_in(scenario: &Scenario, dir: &PathBuf) -> Result<Transcript, String> {
                 }
                 ActionKind::StartBrownout { factor } => {
                     backend.start_brownout(*factor);
-                    t.lines.push(format!("brownout@{iteration} factor={factor}"));
+                    t.lines
+                        .push(format!("brownout@{iteration} factor={factor}"));
                 }
                 ActionKind::LiftBrownout => {
                     backend.lift_brownout();
                     t.lines.push(format!("lift-brownout@{iteration}"));
                 }
                 ActionKind::TransientCommit { commit_ordinal } => {
-                    t.lines
-                        .push(format!("transient-commit@{iteration} ordinal={commit_ordinal}"));
+                    t.lines.push(format!(
+                        "transient-commit@{iteration} ordinal={commit_ordinal}"
+                    ));
                 }
                 ActionKind::StallCommit { commit_ordinal, ms } => {
                     t.lines.push(format!(
@@ -329,7 +330,10 @@ fn run_in(scenario: &Scenario, dir: &PathBuf) -> Result<Transcript, String> {
 
     // 1. Zero leaked shared memory.
     if let Err(e) = wait_for("shared memory to drain", || runtime.buffer_in_use() == 0) {
-        violations.push(format!("leaked shm: {e} ({} bytes)", runtime.buffer_in_use()));
+        violations.push(format!(
+            "leaked shm: {e} ({} bytes)",
+            runtime.buffer_in_use()
+        ));
     }
     // 2. Convergence.
     if runtime.pressure_state() != PressureState::Normal {
@@ -341,9 +345,7 @@ fn run_in(scenario: &Scenario, dir: &PathBuf) -> Result<Transcript, String> {
 
     // 3. Counters match the model to the digit.
     let injected = backend.injected();
-    let report = runtime
-        .finish()
-        .map_err(|e| format!("finish: {e}"))?;
+    let report = runtime.finish().map_err(|e| format!("finish: {e}"))?;
     let e = &scenario.expect;
     let mut check = |name: &str, got: u64, want: u64| {
         if got != want {
@@ -352,8 +354,16 @@ fn run_in(scenario: &Scenario, dir: &PathBuf) -> Result<Transcript, String> {
     };
     check("iterations_persisted", report.iterations_persisted, e.fired);
     check("files_created", report.files_created, e.files);
-    check("iterations_degraded", report.iterations_degraded, e.degraded);
-    check("storage_pressure_sheds", report.storage_pressure_sheds, e.sheds);
+    check(
+        "iterations_degraded",
+        report.iterations_degraded,
+        e.degraded,
+    );
+    check(
+        "storage_pressure_sheds",
+        report.storage_pressure_sheds,
+        e.sheds,
+    );
     check("persist_retries", report.persist_retries, e.persist_retries);
     check(
         "storage_pressure_degraded",
@@ -434,7 +444,10 @@ fn run_in(scenario: &Scenario, dir: &PathBuf) -> Result<Transcript, String> {
             continue;
         }
         for rank in 0..scenario.clients {
-            if scenario.kill.is_some_and(|(r, at)| r == rank && iteration >= at) {
+            if scenario
+                .kill
+                .is_some_and(|(r, at)| r == rank && iteration >= at)
+            {
                 continue;
             }
             let read = SdfReader::open(&path)

@@ -449,7 +449,11 @@ mod tests {
             assert_eq!(s.expect.degraded, s.expect.sheds, "seed {seed}");
             assert!(s.expect.sheds >= fail_fast, "seed {seed}");
             assert_eq!(
-                s.expect.fired as usize + s.outcomes.iter().filter(|o| matches!(o, IterationOutcome::Shed)).count(),
+                s.expect.fired as usize
+                    + s.outcomes
+                        .iter()
+                        .filter(|o| matches!(o, IterationOutcome::Shed))
+                        .count(),
                 s.outcomes.len(),
                 "seed {seed}"
             );

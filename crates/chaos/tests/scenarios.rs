@@ -141,8 +141,8 @@ fn pressure_pauses_compactor_gc_runs_and_queries_survive() {
     wait_for("phase-1 manifest", || {
         damaris_fs::Manifest::load(&dir).is_ok_and(|m| m.entries.len() == 8)
     });
-    let compactor = Compactor::new(&dir, CompactorConfig::default())
-        .with_sentinel(Arc::clone(&sentinel));
+    let compactor =
+        Compactor::new(&dir, CompactorConfig::default()).with_sentinel(Arc::clone(&sentinel));
     runtime.register_compactor_pause(compactor.pause_flag());
     let merged = compactor.run_once().unwrap();
     assert!(!merged.paused);
@@ -180,7 +180,10 @@ fn pressure_pauses_compactor_gc_runs_and_queries_survive() {
     });
     assert!(!orphan.exists(), "gc must collect the orphan merge tmp");
     assert!(
-        runtime.metrics_snapshot().counter("node.storage_pressure_gc_bytes") >= 4096,
+        runtime
+            .metrics_snapshot()
+            .counter("node.storage_pressure_gc_bytes")
+            >= 4096,
         "gc bytes unaccounted"
     );
     let paused = compactor.run_once().unwrap();
@@ -188,7 +191,10 @@ fn pressure_pauses_compactor_gc_runs_and_queries_survive() {
     assert!(paused.batches.is_empty());
     write_iteration(8);
     wait_for("shed", || {
-        runtime.metrics_snapshot().counter("node.storage_pressure_sheds") == 1
+        runtime
+            .metrics_snapshot()
+            .counter("node.storage_pressure_sheds")
+            == 1
     });
     probe("while read-only");
 

@@ -233,6 +233,10 @@ impl RangeTracker {
 
 impl std::fmt::Debug for RangeTracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RangeTracker({} accesses)", self.log.lock().unwrap().len())
+        write!(
+            f,
+            "RangeTracker({} accesses)",
+            self.log.lock().unwrap().len()
+        )
     }
 }

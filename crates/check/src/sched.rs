@@ -290,7 +290,10 @@ impl Scheduler {
             self.fail_locked(
                 &mut inner,
                 FailureKind::Deadlock,
-                format!("all live threads are blocked (lost wakeup?): {}", live.join(", ")),
+                format!(
+                    "all live threads are blocked (lost wakeup?): {}",
+                    live.join(", ")
+                ),
             );
             drop(inner);
             panic::panic_any(ExecAbort);

@@ -41,10 +41,16 @@ pub mod atomic {
 
     impl Ordering {
         fn acquires(self) -> bool {
-            matches!(self, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
+            matches!(
+                self,
+                Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst
+            )
         }
         fn releases(self) -> bool {
-            matches!(self, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
+            matches!(
+                self,
+                Ordering::Release | Ordering::AcqRel | Ordering::SeqCst
+            )
         }
     }
 
@@ -124,7 +130,11 @@ pub mod atomic {
                             let mut loc = self.loc.lock().unwrap();
                             let old = loc.val;
                             loc.val = f(old);
-                            let acq = if order.acquires() { loc.rel.clone() } else { None };
+                            let acq = if order.acquires() {
+                                loc.rel.clone()
+                            } else {
+                                None
+                            };
                             if order.releases() {
                                 // Extend (or start) the release sequence.
                                 let mut rel = loc.rel.take().unwrap_or_default();
@@ -164,7 +174,11 @@ pub mod atomic {
                             let old = loc.val;
                             if old == current {
                                 loc.val = new;
-                                let acq = if success.acquires() { loc.rel.clone() } else { None };
+                                let acq = if success.acquires() {
+                                    loc.rel.clone()
+                                } else {
+                                    None
+                                };
                                 if success.releases() {
                                     let mut rel = loc.rel.take().unwrap_or_default();
                                     rel.join(&my);
@@ -177,7 +191,11 @@ pub mod atomic {
                                 c.sched.bump_clock(c.tid);
                                 Ok(old)
                             } else {
-                                let acq = if failure.acquires() { loc.rel.clone() } else { None };
+                                let acq = if failure.acquires() {
+                                    loc.rel.clone()
+                                } else {
+                                    None
+                                };
                                 drop(loc);
                                 if let Some(rel) = acq {
                                     c.sched.join_clock(c.tid, &rel);
@@ -254,7 +272,10 @@ pub mod atomic {
             // bounded by the explorer's interleavings of the two values.
             loop {
                 let cur = self.0.load(Ordering::Relaxed);
-                if let Ok(prev) = self.0.compare_exchange(cur, v as u8, order, Ordering::Relaxed) {
+                if let Ok(prev) = self
+                    .0
+                    .compare_exchange(cur, v as u8, order, Ordering::Relaxed)
+                {
                     return prev != 0;
                 }
             }

@@ -3,11 +3,11 @@
 //! `Release` from `Relaxed`, and deadlocks/livelocks are reported rather
 //! than hung on.
 
-use damaris_check as check;
 use check::cell::{CheckCell, RangeTracker};
 use check::sync::atomic::{AtomicUsize, Ordering};
 use check::sync::{Arc, Mutex};
 use check::{Builder, FailureKind};
+use damaris_check as check;
 
 /// Two RMW increments always sum — and exploration visits both orders.
 #[test]
@@ -23,7 +23,11 @@ fn fetch_add_is_atomic() {
         assert_eq!(n.load(Ordering::Relaxed), 2);
     });
     // At minimum: child-first and parent-first schedules.
-    assert!(stats.executions >= 2, "only {} executions", stats.executions);
+    assert!(
+        stats.executions >= 2,
+        "only {} executions",
+        stats.executions
+    );
 }
 
 /// Seeded bug: a load+store "increment" is not atomic. The checker must

@@ -15,30 +15,28 @@ use damaris_check::{thread, Builder, FailureKind};
 /// the spin loops to a polynomial number of schedules.
 #[test]
 fn competing_spinners_terminate() {
-    let stats = Builder::new()
-        .preemption_bound(1)
-        .check(|| {
-            let n = Arc::new(AtomicUsize::new(0));
-            let mut handles = Vec::new();
-            for _ in 0..2 {
-                let n2 = Arc::clone(&n);
-                handles.push(thread::spawn(move || {
-                    n2.fetch_add(1, Ordering::AcqRel);
-                }));
-            }
-            for _ in 0..2 {
-                let n2 = Arc::clone(&n);
-                handles.push(thread::spawn(move || {
-                    while n2.load(Ordering::Acquire) == 0 {
-                        thread::yield_now();
-                    }
-                }));
-            }
-            for h in handles {
-                h.join();
-            }
-            assert_eq!(n.load(Ordering::Acquire), 2);
-        });
+    let stats = Builder::new().preemption_bound(1).check(|| {
+        let n = Arc::new(AtomicUsize::new(0));
+        let mut handles = Vec::new();
+        for _ in 0..2 {
+            let n2 = Arc::clone(&n);
+            handles.push(thread::spawn(move || {
+                n2.fetch_add(1, Ordering::AcqRel);
+            }));
+        }
+        for _ in 0..2 {
+            let n2 = Arc::clone(&n);
+            handles.push(thread::spawn(move || {
+                while n2.load(Ordering::Acquire) == 0 {
+                    thread::yield_now();
+                }
+            }));
+        }
+        for h in handles {
+            h.join();
+        }
+        assert_eq!(n.load(Ordering::Acquire), 2);
+    });
     assert!(stats.executions > 0);
 }
 

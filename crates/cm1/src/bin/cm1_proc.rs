@@ -63,9 +63,7 @@ fn run_launcher() -> ExitCode {
         let parsed = match arg.as_str() {
             "--dir" => val().map(|v| dir = Some(PathBuf::from(v))),
             "--clients" => val().and_then(|v| v.parse().map(|n| n_clients = n).map_err(|_| ())),
-            "--iterations" => {
-                val().and_then(|v| v.parse().map(|n| iterations = n).map_err(|_| ()))
-            }
+            "--iterations" => val().and_then(|v| v.parse().map(|n| iterations = n).map_err(|_| ())),
             "--policy" => val().and_then(|v| v.parse().map(|p| policy = Some(p)).map_err(|_| ())),
             "--kill-rank" => {
                 val().and_then(|v| v.parse().map(|n| kill_rank = Some(n)).map_err(|_| ()))
@@ -73,9 +71,7 @@ fn run_launcher() -> ExitCode {
             "--kill-phase" => {
                 val().and_then(|v| v.parse().map(|p| kill_phase = Some(p)).map_err(|_| ()))
             }
-            "--kill-iter" => {
-                val().and_then(|v| v.parse().map(|n| kill_iter = n).map_err(|_| ()))
-            }
+            "--kill-iter" => val().and_then(|v| v.parse().map(|n| kill_iter = n).map_err(|_| ())),
             "--kill-epe-after" => {
                 val().and_then(|v| v.parse().map(|n| kill_epe_after = Some(n)).map_err(|_| ()))
             }

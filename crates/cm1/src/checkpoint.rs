@@ -45,10 +45,7 @@ pub struct ProgState<'a> {
 }
 
 fn layout_of(f: &Field3) -> Layout {
-    Layout::new(
-        DataType::F32,
-        &[f.nx as u64, f.ny as u64, f.nz as u64],
-    )
+    Layout::new(DataType::F32, &[f.nx as u64, f.ny as u64, f.nz as u64])
 }
 
 /// Writes one rank's checkpoint. Uses the lossless gzip-analogue filter:
@@ -134,7 +131,11 @@ mod tests {
     fn checkpoint_roundtrip_is_bit_exact() {
         let dir = scratch("roundtrip");
         let policy = CheckpointPolicy::new(&dir, 5);
-        let (theta, qv, w) = (bubble(8, 6, 4, 0.0), bubble(8, 6, 4, 1.0), bubble(8, 6, 4, 2.0));
+        let (theta, qv, w) = (
+            bubble(8, 6, 4, 0.0),
+            bubble(8, 6, 4, 1.0),
+            bubble(8, 6, 4, 2.0),
+        );
         write_checkpoint(
             &policy,
             3,

@@ -53,8 +53,8 @@ impl Decomp2d {
                 best = Some((px, py));
             }
         }
-        let (px, py) =
-            best.ok_or_else(|| format!("no valid process grid for {nprocs} ranks over {gnx}×{gny}"))?;
+        let (px, py) = best
+            .ok_or_else(|| format!("no valid process grid for {nprocs} ranks over {gnx}×{gny}"))?;
         Self::new(px, py, gnx, gny, gnz)
     }
 

@@ -105,7 +105,11 @@ impl Field3 {
     pub fn extract_plane(&self, side: Side) -> Vec<f32> {
         match side {
             Side::West | Side::East => {
-                let i = if side == Side::West { 0 } else { self.nx as isize - 1 };
+                let i = if side == Side::West {
+                    0
+                } else {
+                    self.nx as isize - 1
+                };
                 let mut out = Vec::with_capacity(self.ny * self.nz);
                 for j in 0..self.ny as isize {
                     let base = self.idx(i, j, 0);
@@ -114,7 +118,11 @@ impl Field3 {
                 out
             }
             Side::South | Side::North => {
-                let j = if side == Side::South { 0 } else { self.ny as isize - 1 };
+                let j = if side == Side::South {
+                    0
+                } else {
+                    self.ny as isize - 1
+                };
                 let mut out = Vec::with_capacity(self.nx * self.nz);
                 for i in 0..self.nx as isize {
                     let base = self.idx(i, j, 0);
@@ -130,7 +138,11 @@ impl Field3 {
         match side {
             Side::West | Side::East => {
                 assert_eq!(plane.len(), self.ny * self.nz);
-                let i = if side == Side::West { -1 } else { self.nx as isize };
+                let i = if side == Side::West {
+                    -1
+                } else {
+                    self.nx as isize
+                };
                 let mut src = 0;
                 for j in 0..self.ny as isize {
                     let base = self.idx(i, j, 0);
@@ -140,7 +152,11 @@ impl Field3 {
             }
             Side::South | Side::North => {
                 assert_eq!(plane.len(), self.nx * self.nz);
-                let j = if side == Side::South { -1 } else { self.ny as isize };
+                let j = if side == Side::South {
+                    -1
+                } else {
+                    self.ny as isize
+                };
                 let mut src = 0;
                 for i in 0..self.nx as isize {
                     let base = self.idx(i, j, 0);

@@ -56,7 +56,10 @@ impl IoBackend for CollectiveBackend {
             let mut plan = SharedFilePlan::create(&path)?;
             for rank in 0..phase.nprocs {
                 for (var, _) in &phase.variables {
-                    plan.reserve(&WritePhase::dataset_path(phase.iteration, rank, var), &layout)?;
+                    plan.reserve(
+                        &WritePhase::dataset_path(phase.iteration, rank, var),
+                        &layout,
+                    )?;
                 }
             }
             self.plan = Some(plan);
@@ -66,8 +69,7 @@ impl IoBackend for CollectiveBackend {
         let superblock = damaris_format::SUPERBLOCK_LEN;
         let writer = SharedFileWriter::open(&path)?;
         for (vi, (var, data)) in phase.variables.iter().enumerate() {
-            let offset =
-                superblock + (phase.rank * nvars + vi) as u64 * var_bytes;
+            let offset = superblock + (phase.rank * nvars + vi) as u64 * var_bytes;
             let reservation = ReservedDataset {
                 path: WritePhase::dataset_path(phase.iteration, phase.rank, var),
                 layout: layout.clone(),

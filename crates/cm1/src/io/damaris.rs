@@ -175,7 +175,13 @@ impl DamarisDeployment {
         let bytes_per_iter = nx * ny * nz * 4 * n_variables * clients_per_node;
         let buffer = (bytes_per_iter * 2 + (1 << 20)).next_power_of_two();
         let xml = crate::variables::damaris_config_xml_full(
-            nx, ny, nz, n_variables, buffer, events_xml, resilience_xml,
+            nx,
+            ny,
+            nz,
+            n_variables,
+            buffer,
+            events_xml,
+            resilience_xml,
         );
         let config = Config::from_xml(&xml)?;
 
@@ -280,10 +286,7 @@ mod tests {
         assert_eq!(reports.len(), 2);
         for (node, report) in reports.iter().enumerate() {
             assert_eq!(report.iterations_persisted, 2, "node {node}");
-            assert_eq!(
-                report.variables_received,
-                2 * 2 * config.n_variables as u64
-            );
+            assert_eq!(report.variables_received, 2 * 2 * config.n_variables as u64);
         }
 
         // One file per node per write phase, holding both clients' data.
@@ -313,14 +316,9 @@ mod tests {
             run_rank(comm, &config, &mut io).unwrap().theta_checksum
         });
 
-        let deployment = DamarisDeployment::start(
-            2,
-            2,
-            decomp.local_extent(),
-            config.n_variables,
-            &dir_dam,
-        )
-        .unwrap();
+        let deployment =
+            DamarisDeployment::start(2, 2, decomp.local_extent(), config.n_variables, &dir_dam)
+                .unwrap();
         let dam_sums = World::run(2, |comm| {
             let mut io = deployment.backend_for(comm.rank());
             run_rank(comm, &config, &mut io).unwrap().theta_checksum
@@ -369,10 +367,11 @@ mod tests {
         .unwrap();
         // Iteration- and rank-distinct payloads: a torn copy into a
         // recycled slot must not reproduce the previous bytes.
-        let payload =
-            |it: u32, rank: usize| -> Vec<f32> {
-                (0..256).map(|i| (it * 10_000 + rank as u32 * 1000 + i) as f32).collect()
-            };
+        let payload = |it: u32, rank: usize| -> Vec<f32> {
+            (0..256)
+                .map(|i| (it * 10_000 + rank as u32 * 1000 + i) as f32)
+                .collect()
+        };
 
         let plan = FaultPlan::new().kill_client_at(1, 1, ClientKillPhase::Memcpy);
         let iterations = 4u32;
@@ -415,7 +414,11 @@ mod tests {
         // dead rank's partition are all back in the allocator.
         let probe = deployment.clients[0].clone();
         let reports = deployment.finish().unwrap();
-        assert_eq!(probe.buffer_in_use(), 0, "shared memory leaked past the lease sweep");
+        assert_eq!(
+            probe.buffer_in_use(),
+            0,
+            "shared memory leaked past the lease sweep"
+        );
         let report = &reports[0];
         assert_eq!(report.client_leases_expired, 1);
         assert_eq!(report.iterations_persisted, u64::from(iterations));
@@ -469,9 +472,8 @@ mod tests {
         let reports = deployment.finish().unwrap();
         assert!(reports.iter().all(|r| r.user_events == 1));
         for node in 0..2 {
-            let stats =
-                SdfReader::open(dir.join(format!("node-{node}/stats-iter-000000.sdf")))
-                    .expect("stats file per node");
+            let stats = SdfReader::open(dir.join(format!("node-{node}/stats-iter-000000.sdf")))
+                .expect("stats file per node");
             assert_eq!(stats.len(), 2); // two clients' theta stats
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -4,7 +4,7 @@
 //! gzip); enable it with [`FppBackend::with_filter`].
 
 use super::{IoBackend, IoError, WritePhase, WriteStats};
-use damaris_format::{DatasetOptions, DataType, Layout};
+use damaris_format::{DataType, DatasetOptions, Layout};
 use damaris_fs::LocalDirBackend;
 use damaris_mpi::Communicator;
 use std::path::Path;

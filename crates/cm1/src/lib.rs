@@ -44,8 +44,8 @@ pub mod postprocess;
 pub mod solver;
 pub mod variables;
 
+pub use checkpoint::CheckpointPolicy;
 pub use decomp::Decomp2d;
 pub use grid::Field3;
-pub use checkpoint::CheckpointPolicy;
 pub use solver::{run_rank, run_rank_with, Cm1Config, RankResult};
-pub use variables::{variable_names, damaris_config_xml};
+pub use variables::{damaris_config_xml, variable_names};

@@ -24,7 +24,9 @@ pub enum Organization {
     FilePerProcess,
     Collective,
     /// Damaris node files with `clients_per_node` ranks per node.
-    Damaris { clients_per_node: usize },
+    Damaris {
+        clients_per_node: usize,
+    },
 }
 
 /// Reads one rank's dataset for `variable` at `iteration`.
@@ -56,8 +58,7 @@ fn read_rank(
             ),
         ),
     };
-    let reader = SdfReader::open(&file)
-        .map_err(|e| IoError(format!("{}: {e}", file.display())))?;
+    let reader = SdfReader::open(&file).map_err(|e| IoError(format!("{}: {e}", file.display())))?;
     reader.read_f32(&dataset).map_err(IoError::from)
 }
 
@@ -156,7 +157,9 @@ mod tests {
         let b = read_global(&dir_cio, Organization::Collective, &decomp, 2, "theta").unwrap();
         let c = read_global(
             &dir_dam,
-            Organization::Damaris { clients_per_node: 2 },
+            Organization::Damaris {
+                clients_per_node: 2,
+            },
             &decomp,
             2,
             "theta",
@@ -206,10 +209,18 @@ mod tests {
 
     #[test]
     fn file_counts_match_the_papers_argument() {
-        assert_eq!(files_per_iteration(Organization::FilePerProcess, 9216), 9216);
+        assert_eq!(
+            files_per_iteration(Organization::FilePerProcess, 9216),
+            9216
+        );
         assert_eq!(files_per_iteration(Organization::Collective, 9216), 1);
         assert_eq!(
-            files_per_iteration(Organization::Damaris { clients_per_node: 11 }, 9216),
+            files_per_iteration(
+                Organization::Damaris {
+                    clients_per_node: 11
+                },
+                9216
+            ),
             838
         );
     }

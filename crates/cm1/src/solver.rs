@@ -72,12 +72,7 @@ pub struct RankResult {
 }
 
 /// Exchanges one field's halos with the four neighbours.
-fn halo_exchange(
-    comm: &Communicator,
-    decomp: &Decomp2d,
-    field: &mut Field3,
-    tag_base: u32,
-) {
+fn halo_exchange(comm: &Communicator, decomp: &Decomp2d, field: &mut Field3, tag_base: u32) {
     // Post all sends first (transport is buffered, so this cannot block),
     // then receive. Tag encodes the side the data was extracted from.
     for (s, side) in Side::ALL.iter().enumerate() {
@@ -136,7 +131,13 @@ pub fn run_rank_with(
 
     // Prognostic fields.
     let mut theta = Field3::new(nx, ny, nz, 1);
-    physics::init_warm_bubble(&mut theta, origin, config.global, p.theta0, config.bubble_amplitude);
+    physics::init_warm_bubble(
+        &mut theta,
+        origin,
+        config.global,
+        p.theta0,
+        config.bubble_amplitude,
+    );
     let mut qv = Field3::filled(nx, ny, nz, 1, 0.012);
     physics::init_warm_bubble(&mut qv, origin, config.global, 0.012, 0.004);
     // Diagnostics and background wind.
@@ -151,11 +152,15 @@ pub fn run_rank_with(
     // Restart: replace the prognostic state with the checkpointed one.
     let first_iteration = match restart_from {
         Some(iteration) => {
-            let policy = ckpt.ok_or_else(|| {
-                IoError("restart_from requires a checkpoint policy".into())
-            })?;
-            let (t, q, w) =
-                crate::checkpoint::read_checkpoint(policy, comm.rank(), iteration, (nx, ny, nz), 1)?;
+            let policy =
+                ckpt.ok_or_else(|| IoError("restart_from requires a checkpoint policy".into()))?;
+            let (t, q, w) = crate::checkpoint::read_checkpoint(
+                policy,
+                comm.rank(),
+                iteration,
+                (nx, ny, nz),
+                1,
+            )?;
             theta = t;
             qv = q;
             fields.insert("w", w);

@@ -119,10 +119,16 @@ mod tests {
         let config = damaris_core::Config::from_xml(&xml).unwrap();
         assert_eq!(config.variables.len(), 6);
         assert_eq!(config.buffer_size, 64 << 20);
-        let theta = config.variable(config.variable_id("theta").unwrap()).unwrap();
+        let theta = config
+            .variable(config.variable_id("theta").unwrap())
+            .unwrap();
         assert_eq!(config.layout_of(theta).byte_size(), 44 * 44 * 200 * 4);
         assert_eq!(
-            theta.attrs.iter().find(|(k, _)| k == "unit").map(|(_, v)| v.as_str()),
+            theta
+                .attrs
+                .iter()
+                .find(|(k, _)| k == "unit")
+                .map(|(_, v)| v.as_str()),
             Some("K")
         );
     }

@@ -288,7 +288,12 @@ mod tests {
         let mut data = vec![0u8; 9000];
         data.extend((0..1000).map(|i| (i % 7 + 1) as u8));
         let enc = Huffman.encode_vec(&data);
-        assert!(enc.len() < data.len() / 3, "{} vs {}", enc.len(), data.len());
+        assert!(
+            enc.len() < data.len() / 3,
+            "{} vs {}",
+            enc.len(),
+            data.len()
+        );
         assert_eq!(Huffman.decode_vec(&enc).unwrap(), data);
     }
 
@@ -355,7 +360,9 @@ mod tests {
 
     #[test]
     fn two_symbols_one_bit_each() {
-        let data: Vec<u8> = (0..1024).map(|i| if i % 3 == 0 { b'a' } else { b'b' }).collect();
+        let data: Vec<u8> = (0..1024)
+            .map(|i| if i % 3 == 0 { b'a' } else { b'b' })
+            .collect();
         let enc = Huffman.encode_vec(&data);
         // ~1 bit/symbol + header.
         assert!(enc.len() < 1024 / 8 + 300, "{}", enc.len());

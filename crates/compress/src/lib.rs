@@ -154,7 +154,6 @@ impl Codec for Identity {
         out.extend_from_slice(input);
         Ok(input.len())
     }
-
 }
 
 /// Compression ratio expressed the way the paper does: original size as a

@@ -121,7 +121,11 @@ fn common_prefix(a: &[u8], b: &[u8], max: usize) -> usize {
         }
         n += WORD;
     }
-    n + a_rest.iter().zip(b_rest).take_while(|(x, y)| x == y).count()
+    n + a_rest
+        .iter()
+        .zip(b_rest)
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// The match finder's tables, kept from one `encode` to the next on the
@@ -235,12 +239,10 @@ impl Finder<'_> {
             // The matches of real fields end inside the first word: one
             // `xor` measures them.
             let len = match (candidate.first_chunk::<WORD>(), tail_word) {
-                (Some(word), Some(tail_word)) => {
-                    match u64::from_le_bytes(*word) ^ tail_word {
-                        0 => WORD + common_prefix(&candidate[WORD..], &tail[WORD..], max - WORD),
-                        diff => first_difference(diff),
-                    }
-                }
+                (Some(word), Some(tail_word)) => match u64::from_le_bytes(*word) ^ tail_word {
+                    0 => WORD + common_prefix(&candidate[WORD..], &tail[WORD..], max - WORD),
+                    diff => first_difference(diff),
+                },
                 _ => common_prefix(candidate, tail, max),
             };
             if len > best_len {

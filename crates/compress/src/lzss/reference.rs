@@ -92,7 +92,10 @@ fn flush_literals(out: &mut Vec<u8>, lits: &[u8]) {
 
 impl Reference {
     pub(super) fn encode(&self, input: &[u8], out: &mut Vec<u8>) -> usize {
-        assert!(self.window.is_power_of_two(), "window must be a power of two");
+        assert!(
+            self.window.is_power_of_two(),
+            "window must be a power of two"
+        );
         let start_len = out.len();
         // head[h] = most recent position with hash h; prev[pos & mask] = the
         // position before it in the chain. Both store -1 for "none".
@@ -202,4 +205,3 @@ impl Reference {
         Ok(out.len() - start_len)
     }
 }
-

@@ -28,7 +28,12 @@ fn empty_and_tiny() {
 fn repeated_text_compresses() {
     let data = b"damaris damaris damaris damaris damaris ".repeat(50);
     let enc = Lzss::default().encode_vec(&data);
-    assert!(enc.len() < data.len() / 10, "{} vs {}", enc.len(), data.len());
+    assert!(
+        enc.len() < data.len() / 10,
+        "{} vs {}",
+        enc.len(),
+        data.len()
+    );
     assert_eq!(Lzss::default().decode_vec(&enc).unwrap(), data);
 }
 
@@ -58,7 +63,10 @@ fn smooth_field_data_compresses_well() {
     }
     let enc = Lzss::default().encode_vec(&bytes);
     let ratio = crate::paper_ratio_percent(bytes.len(), enc.len());
-    assert!(ratio > 187.0, "expected gzip-like compression, got {ratio:.0}%");
+    assert!(
+        ratio > 187.0,
+        "expected gzip-like compression, got {ratio:.0}%"
+    );
     assert_eq!(Lzss::default().decode_vec(&enc).unwrap(), bytes);
 }
 
@@ -156,7 +164,9 @@ fn decode_appends_after_what_the_buffer_holds() {
     let data = text(3000);
     let enc = Lzss::default().encode_vec(&data);
     let mut out = b"prefix".to_vec();
-    let n = Lzss::default().decode_into(&enc, &mut out, data.len()).unwrap();
+    let n = Lzss::default()
+        .decode_into(&enc, &mut out, data.len())
+        .unwrap();
     assert_eq!(n, data.len());
     assert_eq!(&out[..6], b"prefix");
     assert_eq!(&out[6..], &data[..]);
@@ -174,7 +184,14 @@ fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
 }
 
 fn text(len: usize) -> Vec<u8> {
-    let words: [&[u8]; 6] = [b"wind ", b"temp ", b"pressure ", b"0000", b"damaris ", b"qv "];
+    let words: [&[u8]; 6] = [
+        b"wind ",
+        b"temp ",
+        b"pressure ",
+        b"0000",
+        b"damaris ",
+        b"qv ",
+    ];
     let mut rng = StdRng::seed_from_u64(len as u64);
     let mut out = Vec::new();
     while out.len() < len {
@@ -271,7 +288,10 @@ fn encoder_appends_like_the_reference() {
     let mut got = b"head".to_vec();
     let mut expected = b"head".to_vec();
     let n = Lzss::default().encode(&data, &mut got);
-    assert_eq!(n, Reference::of(&Lzss::default()).encode(&data, &mut expected));
+    assert_eq!(
+        n,
+        Reference::of(&Lzss::default()).encode(&data, &mut expected)
+    );
     assert_eq!(got, expected);
 }
 
@@ -352,7 +372,11 @@ fn decoder_agrees_with_the_reference_on_every_mutation_and_truncation() {
     inputs.push(inputs[0][..90].repeat(3));
     for data in inputs {
         let stream = Lzss::default().encode_vec(&data);
-        assert!(stream.len() < 1200, "keep the sweep small: {}", stream.len());
+        assert!(
+            stream.len() < 1200,
+            "keep the sweep small: {}",
+            stream.len()
+        );
         for cut in 0..stream.len() {
             assert_same_verdict(&stream[..cut]);
         }

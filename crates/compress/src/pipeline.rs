@@ -298,13 +298,24 @@ mod tests {
     #[test]
     fn bounded_decode_takes_the_expected_length_and_nothing_less() {
         let data = field_bytes(2048);
-        for spec in ["lzss", "rle", "huff", "lzss|huff", "rle|lzss", "precision16|lzss|huff", ""] {
+        for spec in [
+            "lzss",
+            "rle",
+            "huff",
+            "lzss|huff",
+            "rle|lzss",
+            "precision16|lzss|huff",
+            "",
+        ] {
             let p = Pipeline::from_spec(spec).unwrap();
             let (enc, _) = p.encode(&data).unwrap();
             let back = p.decode_bounded(&enc, data.len()).unwrap();
             assert_eq!(back, p.decode(&enc).unwrap(), "spec '{spec}'");
             assert_eq!(back.len(), data.len());
-            assert!(p.decode_bounded(&enc, data.len() - 1).is_err(), "spec '{spec}'");
+            assert!(
+                p.decode_bounded(&enc, data.len() - 1).is_err(),
+                "spec '{spec}'"
+            );
         }
     }
 
@@ -337,7 +348,11 @@ mod tests {
             for input in &inputs {
                 let encoded = codec.encode_vec(input).len();
                 let bound = codec.max_encoded_len(input.len());
-                assert!(encoded <= bound, "{name}: {} -> {encoded} > {bound}", input.len());
+                assert!(
+                    encoded <= bound,
+                    "{name}: {} -> {encoded} > {bound}",
+                    input.len()
+                );
             }
         }
     }

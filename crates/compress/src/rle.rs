@@ -116,7 +116,11 @@ mod tests {
     fn all_same_compresses_hard() {
         let data = vec![7u8; 100_000];
         let enc = Rle.encode_vec(&data);
-        assert!(enc.len() < 8, "expected a single run packet, got {}", enc.len());
+        assert!(
+            enc.len() < 8,
+            "expected a single run packet, got {}",
+            enc.len()
+        );
         assert_eq!(Rle.decode_vec(&enc).unwrap(), data);
     }
 
@@ -144,7 +148,12 @@ mod tests {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
         let enc = Rle.encode_vec(&data);
         // Worst case: one literal packet covering everything.
-        assert!(enc.len() <= data.len() + 3, "{} vs {}", enc.len(), data.len());
+        assert!(
+            enc.len() <= data.len() + 3,
+            "{} vs {}",
+            enc.len(),
+            data.len()
+        );
     }
 
     #[test]
@@ -152,7 +161,7 @@ mod tests {
         // Run packet claiming bytes that are not there.
         assert!(Rle.decode_vec(&[0x03]).is_err()); // run of 1, missing byte
         assert!(Rle.decode_vec(&[0x08, b'a']).is_err()); // literal of 4, 1 present
-        // Truncated varint.
+                                                         // Truncated varint.
         assert!(Rle.decode_vec(&[0x80]).is_err());
     }
 

@@ -243,8 +243,10 @@ impl DamarisClient {
     fn reset_heartbeat_tracking(&self) {
         let word = pack_word(self.shared.heartbeat().observe());
         self.hb_word.store(word, Ordering::Relaxed);
-        self.hb_changed_ns
-            .store(self.hb_anchor.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.hb_changed_ns.store(
+            self.hb_anchor.elapsed().as_nanos() as u64,
+            Ordering::Relaxed,
+        );
     }
 
     /// Parks until the heartbeat moves again — a new epoch (supervisor
@@ -505,8 +507,12 @@ impl DamarisClient {
             None => {
                 // Policy consumed the payload (dropped or written through):
                 // the wait shows up as backpressure, not alloc time.
-                self.rec
-                    .end(EventKind::Backpressure, iteration, data.len() as u64, t_call);
+                self.rec.end(
+                    EventKind::Backpressure,
+                    iteration,
+                    data.len() as u64,
+                    t_call,
+                );
                 return Ok(());
             }
         };
@@ -514,8 +520,13 @@ impl DamarisClient {
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
         let t_end = self.copy_and_notify(variable_id, iteration, segment, None, data, t)?;
-        self.rec
-            .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
+        self.rec.span_at(
+            EventKind::WriteCall,
+            iteration,
+            data.len() as u64,
+            t_call,
+            t_end,
+        );
         Ok(())
     }
 
@@ -548,8 +559,12 @@ impl DamarisClient {
             Some(segment) => segment,
             None => {
                 // Policy consumed the payload (dropped or written through).
-                self.rec
-                    .end(EventKind::Backpressure, iteration, data.len() as u64, t_call);
+                self.rec.end(
+                    EventKind::Backpressure,
+                    iteration,
+                    data.len() as u64,
+                    t_call,
+                );
                 return Ok(());
             }
         };
@@ -557,8 +572,13 @@ impl DamarisClient {
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
         let t_end = self.copy_and_notify(variable_id, iteration, segment, Some(layout), data, t)?;
-        self.rec
-            .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
+        self.rec.span_at(
+            EventKind::WriteCall,
+            iteration,
+            data.len() as u64,
+            t_call,
+            t_end,
+        );
         Ok(())
     }
 
@@ -602,7 +622,8 @@ impl DamarisClient {
         let (variable_id, bytes) = self.lookup(variable)?;
         let t_alloc = self.rec.begin();
         let segment = self.reserve(bytes as usize)?;
-        self.rec.end(EventKind::AllocWait, iteration, bytes, t_alloc);
+        self.rec
+            .end(EventKind::AllocWait, iteration, bytes, t_alloc);
         self.held.fetch_add(1, Ordering::Relaxed);
         Ok(AllocatedRegion {
             client: self.clone(),
@@ -725,9 +746,7 @@ impl AllocatedRegion {
         assert_eq!(bytes.len() % 4, 0, "layout is not f32-sized");
         // SAFETY: alignment is guaranteed by the allocators' 8-byte
         // alignment; length checked above; f32 has no invalid bit patterns.
-        unsafe {
-            std::slice::from_raw_parts_mut(bytes.as_mut_ptr() as *mut f32, bytes.len() / 4)
-        }
+        unsafe { std::slice::from_raw_parts_mut(bytes.as_mut_ptr() as *mut f32, bytes.len() / 4) }
     }
 
     /// `dc_commit`: informs the dedicated core that the data is ready.

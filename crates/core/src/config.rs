@@ -295,8 +295,8 @@ pub struct Config {
 impl Config {
     /// Parses a configuration document.
     pub fn from_xml(xml: &str) -> Result<Self, DamarisError> {
-        let root = damaris_xml::parse(xml)
-            .map_err(|e| DamarisError::Config(format!("XML error: {e}")))?;
+        let root =
+            damaris_xml::parse(xml).map_err(|e| DamarisError::Config(format!("XML error: {e}")))?;
         Self::from_element(&root)
     }
 
@@ -351,7 +351,11 @@ impl Config {
                 }
                 "layout" => {
                     let def = LayoutDef::from_xml(e)?;
-                    if config.layouts.insert(def.name.clone(), def.clone()).is_some() {
+                    if config
+                        .layouts
+                        .insert(def.name.clone(), def.clone())
+                        .is_some()
+                    {
                         return Err(DamarisError::Config(format!(
                             "duplicate layout '{}'",
                             def.name
@@ -378,7 +382,11 @@ impl Config {
                     if config.variables.iter().any(|v| v.name == name) {
                         return Err(DamarisError::Config(format!("duplicate variable '{name}'")));
                     }
-                    config.variables.push(VariableDef { name, layout, attrs });
+                    config.variables.push(VariableDef {
+                        name,
+                        layout,
+                        attrs,
+                    });
                 }
                 "event" => {
                     let event = e
@@ -407,8 +415,7 @@ impl Config {
                     match e.attr("backpressure") {
                         None | Some("block") => {
                             r.backpressure = BackpressurePolicy::Block {
-                                timeout: timeout
-                                    .unwrap_or(Duration::from_secs(30)),
+                                timeout: timeout.unwrap_or(Duration::from_secs(30)),
                             }
                         }
                         Some("drop") => r.backpressure = BackpressurePolicy::DropIteration,
@@ -637,7 +644,11 @@ impl Config {
             .iter()
             .map(|v| {
                 let l = self.layout_of(v);
-                if l.dynamic { 0 } else { l.byte_size() }
+                if l.dynamic {
+                    0
+                } else {
+                    l.byte_size()
+                }
             })
             .sum();
         let per_iteration = static_bytes * n_clients as u64;
@@ -699,9 +710,15 @@ impl Config {
         }
         res.set_attr("persist_retries", r.persist_retries.to_string());
         res.set_attr("retry_base_ms", r.retry_base.as_millis().to_string());
-        res.set_attr("persist_deadline_ms", r.persist_deadline.as_millis().to_string());
+        res.set_attr(
+            "persist_deadline_ms",
+            r.persist_deadline.as_millis().to_string(),
+        );
         res.set_attr("plugin_quarantine", r.plugin_quarantine.to_string());
-        res.set_attr("recovery_scan", if r.recovery_scan { "true" } else { "false" });
+        res.set_attr(
+            "recovery_scan",
+            if r.recovery_scan { "true" } else { "false" },
+        );
         res.set_attr("epe_respawn", r.epe_respawn.to_string());
         res.set_attr(
             "heartbeat_timeout_ms",
@@ -834,8 +851,9 @@ mod tests {
 
     #[test]
     fn defaults_without_buffer_element() {
-        let c = Config::from_xml(r#"<damaris><layout name="l" type="real" dimensions="1"/></damaris>"#)
-            .unwrap();
+        let c =
+            Config::from_xml(r#"<damaris><layout name="l" type="real" dimensions="1"/></damaris>"#)
+                .unwrap();
         assert_eq!(c.buffer_size, 64 << 20);
     }
 
@@ -1028,10 +1046,9 @@ mod tests {
                 timeout: Duration::from_millis(250)
             }
         );
-        let c = Config::from_xml(
-            r#"<damaris><resilience backpressure="sync-fallback"/></damaris>"#,
-        )
-        .unwrap();
+        let c =
+            Config::from_xml(r#"<damaris><resilience backpressure="sync-fallback"/></damaris>"#)
+                .unwrap();
         assert_eq!(c.resilience.backpressure, BackpressurePolicy::SyncFallback);
     }
 
@@ -1097,10 +1114,8 @@ mod tests {
         assert_eq!(c.resilience.disk_low_pct, 50);
         assert_eq!(c.resilience.on_disk_full, OnDiskFull::DropIteration);
 
-        let c = Config::from_xml(
-            r#"<damaris><resilience on_disk_full="partial"/></damaris>"#,
-        )
-        .unwrap();
+        let c =
+            Config::from_xml(r#"<damaris><resilience on_disk_full="partial"/></damaris>"#).unwrap();
         assert_eq!(c.resilience.on_disk_full, OnDiskFull::Partial);
 
         let c2 = Config::from_xml(&c.to_xml()).unwrap();

@@ -52,16 +52,12 @@ impl EventProcessingEngine {
     /// "plugin provided by the user". Borrowed (not consumed) so the node
     /// supervisor can rebuild a fresh engine from the same factories after
     /// a dedicated-core crash.
-    pub fn build(
-        config: &Config,
-        extra: &[(String, PluginFactory)],
-    ) -> Result<Self, DamarisError> {
+    pub fn build(config: &Config, extra: &[(String, PluginFactory)]) -> Result<Self, DamarisError> {
         let extra: HashMap<&str, &PluginFactory> =
             extra.iter().map(|(n, f)| (n.as_str(), f)).collect();
         let mut bindings = Vec::new();
         for action in &config.actions {
-            let plugin: Box<dyn Plugin> = if let Some(factory) = extra.get(action.action.as_str())
-            {
+            let plugin: Box<dyn Plugin> = if let Some(factory) = extra.get(action.action.as_str()) {
                 factory(action)?
             } else {
                 plugins::builtin(action)?
@@ -258,10 +254,9 @@ mod tests {
 
     #[test]
     fn unknown_action_rejected() {
-        let c = Config::from_xml(
-            r#"<damaris><event name="e" action="launch_missiles"/></damaris>"#,
-        )
-        .unwrap();
+        let c =
+            Config::from_xml(r#"<damaris><event name="e" action="launch_missiles"/></damaris>"#)
+                .unwrap();
         assert!(EventProcessingEngine::build(&c, &[]).is_err());
     }
 
@@ -280,14 +275,11 @@ mod tests {
                 Ok(())
             }
         }
-        let c = Config::from_xml(
-            r#"<damaris><event name="e" action="persist"/></damaris>"#,
-        )
-        .unwrap();
+        let c =
+            Config::from_xml(r#"<damaris><event name="e" action="persist"/></damaris>"#).unwrap();
         let factory: PluginFactory =
             Box::new(|_b: &ActionBinding| Ok(Box::new(Nop) as Box<dyn Plugin>));
-        let epe =
-            EventProcessingEngine::build(&c, &[("persist".to_string(), factory)]).unwrap();
+        let epe = EventProcessingEngine::build(&c, &[("persist".to_string(), factory)]).unwrap();
         // One explicit binding + the default end_of_iteration persist.
         assert_eq!(epe.len(), 2);
     }

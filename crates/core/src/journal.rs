@@ -312,44 +312,56 @@ fn decode(body: &[u8]) -> Option<Stored> {
     let mut r = Fields(body);
     let seq = r.u64()?;
     let stored = match r.u8()? {
-        0 => Stored::Record(seq, JournalPayload::Write {
-            variable_id: r.u32()?,
-            iteration: r.u32()?,
-            source: r.u32()?,
-            offset: r.usize()?,
-            len: r.usize()?,
-            dynamic_layout: match r.u8() {
-                None => None,
-                Some(tag) => {
-                    let dims = r.0.chunks_exact(8);
-                    r.0 = dims.remainder();
-                    Some(Layout {
-                        dtype: DataType::from_tag(tag)?,
-                        dims: dims.map(|d| Fields(d).u64()).collect::<Option<_>>()?,
-                    })
-                }
+        0 => Stored::Record(
+            seq,
+            JournalPayload::Write {
+                variable_id: r.u32()?,
+                iteration: r.u32()?,
+                source: r.u32()?,
+                offset: r.usize()?,
+                len: r.usize()?,
+                dynamic_layout: match r.u8() {
+                    None => None,
+                    Some(tag) => {
+                        let dims = r.0.chunks_exact(8);
+                        r.0 = dims.remainder();
+                        Some(Layout {
+                            dtype: DataType::from_tag(tag)?,
+                            dims: dims.map(|d| Fields(d).u64()).collect::<Option<_>>()?,
+                        })
+                    }
+                },
             },
-        }),
+        ),
         1 => {
             // The name has no length of its own: it is what precedes the
             // two trailing words.
             let name = r.take(r.0.len().checked_sub(8)?)?;
-            Stored::Record(seq, JournalPayload::User {
-                name: String::from_utf8(name.to_vec()).ok()?,
+            Stored::Record(
+                seq,
+                JournalPayload::User {
+                    name: String::from_utf8(name.to_vec()).ok()?,
+                    iteration: r.u32()?,
+                    source: r.u32()?,
+                },
+            )
+        }
+        2 => Stored::Record(
+            seq,
+            JournalPayload::EndIteration {
                 iteration: r.u32()?,
                 source: r.u32()?,
-            })
-        }
-        2 => Stored::Record(seq, JournalPayload::EndIteration {
-            iteration: r.u32()?,
-            source: r.u32()?,
-        }),
-        3 => Stored::Record(seq, JournalPayload::Abandon {
-            iteration: r.u32()?,
-            source: r.u32()?,
-            offset: r.usize()?,
-            len: r.usize()?,
-        }),
+            },
+        ),
+        3 => Stored::Record(
+            seq,
+            JournalPayload::Abandon {
+                iteration: r.u32()?,
+                source: r.u32()?,
+                offset: r.usize()?,
+                len: r.usize()?,
+            },
+        ),
         TAG_APPLIED => Stored::Applied(seq),
         TAG_FENCE => Stored::Fence(r.u32()?),
         _ => return None,
@@ -412,11 +424,14 @@ impl EventJournal {
                 Some(Stored::Record(seq, payload)) => {
                     next_seq = next_seq.max(seq + 1);
                     let state = RecordState::Pending;
-                    history.insert(seq, ReplayEntry {
+                    history.insert(
                         seq,
-                        state,
-                        payload,
-                    });
+                        ReplayEntry {
+                            seq,
+                            state,
+                            payload,
+                        },
+                    );
                 }
                 Some(Stored::Applied(seq)) => {
                     if let Some(entry) = history.get_mut(&seq) {
@@ -476,13 +491,16 @@ impl EventJournal {
             store_frame(file, &header);
         }
         inner.next_seq += 1;
-        inner.records.insert(seq, JournalRecord {
+        inner.records.insert(
             seq,
-            epoch,
-            crc: damaris_format::crc32(&header),
-            payload,
-            state: RecordState::Pending,
-        });
+            JournalRecord {
+                seq,
+                epoch,
+                crc: damaris_format::crc32(&header),
+                payload,
+                state: RecordState::Pending,
+            },
+        );
         Ok(seq)
     }
 
@@ -501,14 +519,17 @@ impl EventJournal {
         len: usize,
         _data_crc: u32,
     ) -> Result<u64, Fenced> {
-        self.append(epoch, JournalPayload::Write {
-            variable_id,
-            iteration,
-            source,
-            offset,
-            len,
-            dynamic_layout: None,
-        })
+        self.append(
+            epoch,
+            JournalPayload::Write {
+                variable_id,
+                iteration,
+                source,
+                offset,
+                len,
+                dynamic_layout: None,
+            },
+        )
     }
 
     /// Fences `source`: all further appends from it fail. Idempotent.
@@ -586,7 +607,9 @@ impl EventJournal {
     pub fn compact(&self) -> usize {
         let mut inner = self.inner.lock();
         let before = inner.records.len();
-        inner.records.retain(|_, rec| rec.state != RecordState::Applied);
+        inner
+            .records
+            .retain(|_, rec| rec.state != RecordState::Applied);
         before - inner.records.len()
     }
 
@@ -628,10 +651,13 @@ mod tests {
         let j = EventJournal::new();
         let a = j.append(0, write_payload(0)).unwrap();
         let b = j
-            .append(0, JournalPayload::EndIteration {
-                iteration: 0,
-                source: 0,
-            })
+            .append(
+                0,
+                JournalPayload::EndIteration {
+                    iteration: 0,
+                    source: 0,
+                },
+            )
             .unwrap();
         assert!(b > a);
         assert_eq!(j.claim(a), Claim::Fresh);
@@ -647,11 +673,14 @@ mod tests {
         let a = j.append(0, write_payload(0)).unwrap();
         let b = j.append(0, write_payload(1)).unwrap();
         let c = j
-            .append(0, JournalPayload::User {
-                name: "snap".into(),
-                iteration: 0,
-                source: 1,
-            })
+            .append(
+                0,
+                JournalPayload::User {
+                    name: "snap".into(),
+                    iteration: 0,
+                    source: 1,
+                },
+            )
             .unwrap();
         j.claim(a);
         j.mark_applied(a);
@@ -701,8 +730,14 @@ mod tests {
         assert!(j.is_fenced(3));
         // The fenced source journals nothing more, on either entry point,
         // and a refusal takes no sequence number; others append on.
-        assert!(matches!(j.append(0, write_payload(3)), Err(Fenced { source: 3 })));
-        assert_eq!(j.append_write(0, 1, 0, 3, 0, 8, 0), Err(Fenced { source: 3 }));
+        assert!(matches!(
+            j.append(0, write_payload(3)),
+            Err(Fenced { source: 3 })
+        ));
+        assert_eq!(
+            j.append_write(0, 1, 0, 3, 0, 8, 0),
+            Err(Fenced { source: 3 })
+        );
         assert_eq!(j.append(0, write_payload(1)), Ok(a + 1));
         // What it journalled before the fence stays the core's.
         assert_eq!(j.len(), 2);
@@ -716,14 +751,17 @@ mod tests {
         assert_eq!(corrupt, 0);
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].seq, seq);
-        assert_eq!(entries[0].payload, JournalPayload::Write {
-            variable_id: 7,
-            iteration: 3,
-            source: 2,
-            offset: 4096,
-            len: 1024,
-            dynamic_layout: None,
-        });
+        assert_eq!(
+            entries[0].payload,
+            JournalPayload::Write {
+                variable_id: 7,
+                iteration: 3,
+                source: 2,
+                offset: 4096,
+                len: 1024,
+                dynamic_layout: None,
+            }
+        );
         assert_eq!(j.claim(seq), Claim::Fresh);
         assert_eq!(j.claim(seq), Claim::Stale);
     }
@@ -769,7 +807,10 @@ mod tests {
         // The fence holds on both append paths; seqs go on from the file's.
         assert!(j.is_fenced(2) && !j.is_fenced(1));
         assert_eq!(j.append(1, end(1, 2)), Err(Fenced { source: 2 }));
-        assert_eq!(j.append_write(1, 1, 0, 2, 0, 8, 0), Err(Fenced { source: 2 }));
+        assert_eq!(
+            j.append_write(1, 1, 0, 2, 0, 8, 0),
+            Err(Fenced { source: 2 })
+        );
         assert_eq!(j.append(1, end(1, 0)), Ok(c + 1));
         j.mark_applied(b);
         drop(j);
@@ -885,14 +926,17 @@ mod tests {
         let (_, history) = EventJournal::open(&path).unwrap();
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].seq, seq);
-        assert_eq!(history[0].payload, JournalPayload::Write {
-            variable_id: 7,
-            iteration: 3,
-            source: 2,
-            offset: 4096,
-            len: 1024,
-            dynamic_layout: None,
-        });
+        assert_eq!(
+            history[0].payload,
+            JournalPayload::Write {
+                variable_id: 7,
+                iteration: 3,
+                source: 2,
+                offset: 4096,
+                len: 1024,
+                dynamic_layout: None,
+            }
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -102,8 +102,10 @@ mod tests {
     #[test]
     fn parses_paper_example() {
         // The exact layout from the paper's §III-D example.
-        let e = parse(r#"<layout name="my_layout" type="real" dimensions="64,16,2" language="fortran"/>"#)
-            .unwrap();
+        let e = parse(
+            r#"<layout name="my_layout" type="real" dimensions="64,16,2" language="fortran"/>"#,
+        )
+        .unwrap();
         let l = LayoutDef::from_xml(&e).unwrap();
         assert_eq!(l.name, "my_layout");
         assert_eq!(l.dtype, DataType::F32);

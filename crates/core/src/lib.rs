@@ -73,8 +73,8 @@ pub mod server;
 
 pub use client::{AllocatedRegion, DamarisClient};
 pub use config::{
-    ActionBinding, BackpressurePolicy, Config, ObservabilityConfig,
-    OnClientFailure, OnDiskFull, ResilienceConfig, VariableDef,
+    ActionBinding, BackpressurePolicy, Config, ObservabilityConfig, OnClientFailure, OnDiskFull,
+    ResilienceConfig, VariableDef,
 };
 pub use error::DamarisError;
 pub use event::Event;

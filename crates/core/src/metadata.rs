@@ -110,10 +110,7 @@ impl MetadataStore {
     /// Removes and returns all entries of one iteration (the persistency
     /// action consumes them; their segments are then released).
     pub fn drain_iteration(&mut self, iteration: u32) -> Vec<StoredVariable> {
-        let keys: Vec<VariableKey> = self
-            .iteration_entries(iteration)
-            .map(|v| v.key)
-            .collect();
+        let keys: Vec<VariableKey> = self.iteration_entries(iteration).map(|v| v.key).collect();
         keys.iter()
             .map(|k| {
                 // invariant: `k` was collected from `entries` above and

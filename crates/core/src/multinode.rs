@@ -148,11 +148,9 @@ impl SmpNode {
                         scope: "local".to_string(),
                     },
                 );
-                if !cfg
-                    .actions
-                    .iter()
-                    .any(|a| a.event == crate::epe::END_OF_ITERATION && a.action != "forward_to_analysis")
-                {
+                if !cfg.actions.iter().any(|a| {
+                    a.event == crate::epe::END_OF_ITERATION && a.action != "forward_to_analysis"
+                }) {
                     cfg.actions.push(crate::config::ActionBinding {
                         event: crate::epe::END_OF_ITERATION.to_string(),
                         action: "persist".to_string(),
@@ -266,10 +264,7 @@ impl crate::Plugin for ForwardPlugin {
 /// The analysis core: consumes forwarded iterations, computes per-dataset
 /// statistics, and stores them in its own SDF files — data analysis fully
 /// off the I/O path, the paper's asymmetric use case.
-fn analysis_core(
-    rx: crossbeam::channel::Receiver<AnalysisMsg>,
-    dir: &Path,
-) -> AnalysisReport {
+fn analysis_core(rx: crossbeam::channel::Receiver<AnalysisMsg>, dir: &Path) -> AnalysisReport {
     // invariant: the analysis dir was created by `start`; failure here
     // means the filesystem vanished, which no report can survive.
     let backend = LocalDirBackend::new(dir).expect("analysis output dir");

@@ -303,7 +303,14 @@ impl NodeShared {
     ) -> NodeShared {
         let rings = PartitionAllocator::with_capacity(config.buffer_size, n_clients);
         let buffer = BufferManager::Partition(rings);
-        Self::over(config, n_clients, backend, node_id, buffer, EventJournal::new())
+        Self::over(
+            config,
+            n_clients,
+            backend,
+            node_id,
+            buffer,
+            EventJournal::new(),
+        )
     }
 
     /// The shared state of a node whose cores are processes: buffer,
@@ -626,18 +633,33 @@ impl NodeReport {
             ("epe_respawns", &mut self.epe_respawns),
             ("events_replayed", &mut self.events_replayed),
             ("stale_events_rejected", &mut self.stale_events_rejected),
-            ("heartbeat_stale_observed", &mut self.heartbeat_stale_observed),
+            (
+                "heartbeat_stale_observed",
+                &mut self.heartbeat_stale_observed,
+            ),
             ("client_leases_expired", &mut self.client_leases_expired),
             ("segments_reclaimed", &mut self.segments_reclaimed),
             ("crc_quarantined", &mut self.crc_quarantined),
             ("partial_iterations", &mut self.partial_iterations),
             ("shm_orphans_removed", &mut self.shm_orphans_removed),
             ("shm_orphans_quarantined", &mut self.shm_orphans_quarantined),
-            ("storage_pressure_degraded", &mut self.storage_pressure_degraded),
-            ("storage_pressure_readonly", &mut self.storage_pressure_readonly),
-            ("storage_pressure_recovered", &mut self.storage_pressure_recovered),
+            (
+                "storage_pressure_degraded",
+                &mut self.storage_pressure_degraded,
+            ),
+            (
+                "storage_pressure_readonly",
+                &mut self.storage_pressure_readonly,
+            ),
+            (
+                "storage_pressure_recovered",
+                &mut self.storage_pressure_recovered,
+            ),
             ("storage_pressure_sheds", &mut self.storage_pressure_sheds),
-            ("storage_pressure_gc_bytes", &mut self.storage_pressure_gc_bytes),
+            (
+                "storage_pressure_gc_bytes",
+                &mut self.storage_pressure_gc_bytes,
+            ),
             ("commit_batches", &mut self.commit_batches),
             ("manifest_publishes", &mut self.manifest_publishes),
         ]
@@ -669,7 +691,9 @@ impl NodeReport {
     pub fn from_key_values(text: &str) -> NodeReport {
         let mut report = NodeReport::default();
         for (key, slot) in report.fields() {
-            let line = text.lines().find_map(|l| l.strip_prefix(key)?.strip_prefix('='));
+            let line = text
+                .lines()
+                .find_map(|l| l.strip_prefix(key)?.strip_prefix('='));
             *slot = line.and_then(|v| v.trim().parse().ok()).unwrap_or(0);
         }
         report
@@ -961,7 +985,8 @@ mod tests {
         let text = report.to_key_values();
         assert_eq!(text.lines().count(), 31);
         assert_eq!(NodeReport::from_key_values(&text), report);
-        let sparse = NodeReport::from_key_values("bytes_stored=7\nnot_a_counter=1\ncommit_batches=x\n");
+        let sparse =
+            NodeReport::from_key_values("bytes_stored=7\nnot_a_counter=1\ncommit_batches=x\n");
         let expected = NodeReport {
             bytes_stored: 7,
             ..NodeReport::default()
@@ -1082,12 +1107,18 @@ mod tests {
         ));
         let wrong_kind = client.write("swarm", 0, &[0; 8]).unwrap_err();
         let wrong_kind = wrong_kind.to_string();
-        assert!(wrong_kind.contains("dynamic layout; use write_dynamic"), "{wrong_kind}");
+        assert!(
+            wrong_kind.contains("dynamic layout; use write_dynamic"),
+            "{wrong_kind}"
+        );
         let swarm = client.write_dynamic_f32("swarm", 0, &[2], &[1.0, 2.0]);
         assert!(swarm.is_ok(), "{swarm:?}");
         let static_kind = client.write_dynamic("theta", 0, &[32], &[0; 256]);
         let static_kind = static_kind.unwrap_err().to_string();
-        assert!(static_kind.contains("static layout; use write"), "{static_kind}");
+        assert!(
+            static_kind.contains("static layout; use write"),
+            "{static_kind}"
+        );
         let unknown = client.alloc("nope", 0).map(|_| ());
         assert!(matches!(unknown, Err(DamarisError::UnknownVariable(_))));
         let unknown = client.die_during_alloc("nope");
@@ -1106,8 +1137,14 @@ mod tests {
         assert!(buffer.adopt(1, offset, len).is_some());
         // What a forged write notice can say.
         assert!(buffer.adopt(1, usize::MAX - 1, 2).is_none(), "overflow");
-        assert!(buffer.adopt(0, offset, len).is_none(), "another rank's ring");
-        assert!(buffer.adopt(1, offset, 1032).is_none(), "longer than a ring");
+        assert!(
+            buffer.adopt(0, offset, len).is_none(),
+            "another rank's ring"
+        );
+        assert!(
+            buffer.adopt(1, offset, 1032).is_none(),
+            "longer than a ring"
+        );
         assert!(buffer.adopt(1, offset + 104, 100).is_none(), "beyond head");
         assert_eq!(buffer.in_use(2), 104);
         buffer.release(1, segment);

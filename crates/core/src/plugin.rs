@@ -133,8 +133,11 @@ pub trait Plugin: Send {
     fn name(&self) -> &str;
 
     /// Handles one event occurrence.
-    fn handle(&mut self, ctx: &mut ActionContext<'_>, event: &EventInfo)
-        -> Result<(), DamarisError>;
+    fn handle(
+        &mut self,
+        ctx: &mut ActionContext<'_>,
+        event: &EventInfo,
+    ) -> Result<(), DamarisError>;
 
     /// Called when the event queue went quiet with work parked: the
     /// dedicated core would otherwise idle, and under backpressure the

@@ -71,8 +71,7 @@ impl ArchivePlugin {
         let mut to_release = Vec::new();
         for iteration in pending {
             for var in ctx.store.drain_iteration(iteration) {
-                let path =
-                    format!("/iter-{}/rank-{}/{}", iteration, var.key.source, var.name);
+                let path = format!("/iter-{}/rank-{}/{}", iteration, var.key.source, var.name);
                 let mut opts = DatasetOptions::plain().with_coords(iteration, var.key.source);
                 if let Some(f) = &self.filter {
                     opts = opts.with_filter(f.clone());
@@ -174,10 +173,7 @@ mod tests {
 
         let a = SdfReader::open(dir.join("node-0/archive-upto-000002.sdf")).unwrap();
         assert_eq!(a.len(), 3 * 2); // 3 iterations × 2 clients
-        assert_eq!(
-            a.read_f32("/iter-1/rank-1/v").unwrap(),
-            vec![11.0; 256]
-        );
+        assert_eq!(a.read_f32("/iter-1/rank-1/v").unwrap(), vec![11.0; 256]);
         let b = SdfReader::open(dir.join("node-0/archive-upto-000005.sdf")).unwrap();
         assert_eq!(b.len(), 6);
         assert!(b.info("/iter-5/rank-0/v").is_some());
@@ -212,10 +208,7 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert!(
-            files.iter().any(|f| f.starts_with("archive-")),
-            "{files:?}"
-        );
+        assert!(files.iter().any(|f| f.starts_with("archive-")), "{files:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

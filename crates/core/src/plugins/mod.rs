@@ -27,9 +27,7 @@ pub fn builtin(binding: &ActionBinding) -> Result<Box<dyn Plugin>, DamarisError>
         "archive" => Ok(Box::new(archive::ArchivePlugin::from_spec(
             binding.using.as_deref().unwrap_or("1"),
         )?)),
-        "persist" => Ok(Box::new(persist::PersistPlugin::new(
-            binding.using.clone(),
-        ))),
+        "persist" => Ok(Box::new(persist::PersistPlugin::new(binding.using.clone()))),
         "stats" => Ok(Box::new(stats::StatsPlugin::new())),
         "schedule" => Ok(Box::new(schedule::SchedulePlugin::from_spec(
             binding.using.as_deref().unwrap_or(""),

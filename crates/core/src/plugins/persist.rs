@@ -81,7 +81,10 @@ impl PersistPlugin {
 
     /// Paper-style compression ratio achieved so far (100% = none).
     pub fn ratio_percent(&self) -> f64 {
-        damaris_compress::paper_ratio_percent(self.logical_bytes as usize, self.stored_bytes as usize)
+        damaris_compress::paper_ratio_percent(
+            self.logical_bytes as usize,
+            self.stored_bytes as usize,
+        )
     }
 
     /// Writes one iteration's file, whole, under its temporary name. On

@@ -78,7 +78,10 @@ impl Plugin for StatsPlugin {
         for var in ctx.store.iteration_entries(iteration) {
             if let Some(stats) = summarize(var.layout.dtype, var.data()) {
                 rows.push((
-                    format!("/iter-{}/rank-{}/{}.stats", iteration, var.key.source, var.name),
+                    format!(
+                        "/iter-{}/rank-{}/{}.stats",
+                        iteration, var.key.source, var.name
+                    ),
                     stats,
                 ));
             }
@@ -94,7 +97,10 @@ impl Plugin for StatsPlugin {
             writer.write_dataset_bytes(
                 &path,
                 &layout,
-                &stats.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>(),
+                &stats
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect::<Vec<u8>>(),
                 &DatasetOptions::plain(),
             )?;
         }
@@ -122,7 +128,10 @@ mod tests {
 
     #[test]
     fn summarize_integer_types() {
-        let bytes: Vec<u8> = [10i32, -5, 7].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let bytes: Vec<u8> = [10i32, -5, 7]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
         let [min, max, _] = summarize(DataType::I32, &bytes).unwrap();
         assert_eq!((min, max), (-5.0, 10.0));
         let [min, max, mean] = summarize(DataType::U8, &[0, 255, 1]).unwrap();

@@ -115,7 +115,10 @@ impl PressureMachine {
     pub fn register_pause_flag(&self, flag: Arc<AtomicBool>) {
         // invariant: the registry mutex is only held briefly here and in
         // set_paused; neither path can re-enter.
-        let mut flags = self.pause_flags.lock().expect("pause flag registry poisoned");
+        let mut flags = self
+            .pause_flags
+            .lock()
+            .expect("pause flag registry poisoned");
         // Relaxed: the flag is a control bit, not a publication — nothing
         // is transferred through it. The compactor may observe a raise a
         // beat late; its safety against concurrent gc comes from the
@@ -132,7 +135,10 @@ impl PressureMachine {
 
     fn set_paused(&self, paused: bool) {
         // invariant: see register_pause_flag.
-        let flags = self.pause_flags.lock().expect("pause flag registry poisoned");
+        let flags = self
+            .pause_flags
+            .lock()
+            .expect("pause flag registry poisoned");
         for flag in flags.iter() {
             // Relaxed: see register_pause_flag — a control bit, not a
             // publication.
@@ -220,13 +226,9 @@ impl PressureMachine {
                 PressureState::Normal if level != PressureLevel::Normal || hint => {
                     PressureState::Degraded
                 }
-                PressureState::Degraded if level == PressureLevel::Full => {
-                    PressureState::ReadOnly
-                }
+                PressureState::Degraded if level == PressureLevel::Full => PressureState::ReadOnly,
                 PressureState::Degraded if !hint && sentinel.below_low() => PressureState::Normal,
-                PressureState::ReadOnly if level != PressureLevel::Full => {
-                    PressureState::Degraded
-                }
+                PressureState::ReadOnly if level != PressureLevel::Full => PressureState::Degraded,
                 _ => break,
             };
             self.transition(node_id, cur, next, backend, stats, rec, iteration);
@@ -259,7 +261,12 @@ mod tests {
             .unwrap()
             .with_sentinel(Arc::clone(&sentinel));
         let registry = Registry::new();
-        (backend, sentinel, FaultStats::new(&registry), Recorder::disabled())
+        (
+            backend,
+            sentinel,
+            FaultStats::new(&registry),
+            Recorder::disabled(),
+        )
     }
 
     #[test]
@@ -284,15 +291,24 @@ mod tests {
         assert_eq!(m.poll(0, &backend, &stats, &rec, 0), PressureState::Normal);
 
         sentinel.charge(900); // past the high watermark
-        assert_eq!(m.poll(0, &backend, &stats, &rec, 1), PressureState::Degraded);
+        assert_eq!(
+            m.poll(0, &backend, &stats, &rec, 1),
+            PressureState::Degraded
+        );
         assert!(pause.load(Ordering::Acquire));
 
         sentinel.charge(100); // full
-        assert_eq!(m.poll(0, &backend, &stats, &rec, 2), PressureState::ReadOnly);
+        assert_eq!(
+            m.poll(0, &backend, &stats, &rec, 2),
+            PressureState::ReadOnly
+        );
         assert!(m.is_read_only());
 
         sentinel.release(200); // 800: under quota but above low watermark
-        assert_eq!(m.poll(0, &backend, &stats, &rec, 3), PressureState::Degraded);
+        assert_eq!(
+            m.poll(0, &backend, &stats, &rec, 3),
+            PressureState::Degraded
+        );
         assert!(pause.load(Ordering::Acquire), "hysteresis keeps the pause");
 
         sentinel.release(200); // 600: below the low watermark
@@ -310,7 +326,10 @@ mod tests {
         let m = PressureMachine::new();
         sentinel.charge(500);
         sentinel.set_quota(400); // chaos squeeze below current usage
-        assert_eq!(m.poll(0, &backend, &stats, &rec, 0), PressureState::ReadOnly);
+        assert_eq!(
+            m.poll(0, &backend, &stats, &rec, 0),
+            PressureState::ReadOnly
+        );
         assert_eq!(FaultStats::get(&stats.storage_pressure_degraded), 1);
         assert_eq!(FaultStats::get(&stats.storage_pressure_readonly), 1);
         sentinel.set_quota(u64::MAX); // lift: chains all the way back
@@ -323,7 +342,10 @@ mod tests {
         let (backend, _sentinel, stats, rec) = harness(1_000_000);
         let m = PressureMachine::new();
         m.note_no_space();
-        assert_eq!(m.poll(0, &backend, &stats, &rec, 0), PressureState::Degraded);
+        assert_eq!(
+            m.poll(0, &backend, &stats, &rec, 0),
+            PressureState::Degraded
+        );
         // Hint consumed; usage is far below low watermark, so the next
         // poll re-ascends.
         assert_eq!(m.poll(0, &backend, &stats, &rec, 1), PressureState::Normal);

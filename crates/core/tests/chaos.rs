@@ -95,7 +95,9 @@ fn cm1_workload_survives_fault_plan() {
         }
         client.end_iteration(it).unwrap();
     }
-    let report = runtime.finish().expect("run completes despite the fault plan");
+    let report = runtime
+        .finish()
+        .expect("run completes despite the fault plan");
 
     // Counters match the injected plan to the digit.
     assert_eq!(report.iterations_persisted, 6);
@@ -116,7 +118,9 @@ fn cm1_workload_survives_fault_plan() {
         let path = dir.join(format!("node-0/iter-{it:06}.sdf"));
         let reader = SdfReader::open(&path).unwrap();
         reader.validate().unwrap();
-        let theta = reader.read_f32(&format!("/iter-{it}/rank-0/theta")).unwrap();
+        let theta = reader
+            .read_f32(&format!("/iter-{it}/rank-0/theta"))
+            .unwrap();
         assert_eq!(theta[7], (it * 1000 + 7) as f32, "iteration {it}");
     }
     assert!(SdfReader::open(dir.join("node-0/iter-000002.sdf"))
@@ -443,20 +447,16 @@ fn fail_fast_default_converts_panic_to_error() {
     .unwrap();
     let dir = scratch("fail-fast-panic");
     let panicky: PluginFactory = Box::new(|_| Ok(Box::new(PanickyPlugin) as Box<dyn Plugin>));
-    let runtime =
-        NodeRuntime::start_with_backend(
-            cfg,
-            1,
-            Arc::new(LocalDirBackend::new(&dir).unwrap()),
-            0,
-            vec![("panicky".to_string(), panicky)],
-        )
-        .unwrap();
+    let runtime = NodeRuntime::start_with_backend(
+        cfg,
+        1,
+        Arc::new(LocalDirBackend::new(&dir).unwrap()),
+        0,
+        vec![("panicky".to_string(), panicky)],
+    )
+    .unwrap();
     runtime.clients()[0].signal("boom", 0).unwrap();
     let err = runtime.finish().unwrap_err();
-    assert!(
-        err.to_string().contains("synthetic plugin panic"),
-        "{err}"
-    );
+    assert!(err.to_string().contains("synthetic plugin panic"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -262,7 +262,10 @@ fn drop_iteration_policy_discards_incomplete_iterations() {
     assert_eq!(report.iterations_persisted, 1);
     assert_eq!(report.client_leases_expired, 1);
     assert!(report.iterations_degraded >= 1, "{report:?}");
-    assert_eq!(report.partial_iterations, 0, "drop policy never fires partially");
+    assert_eq!(
+        report.partial_iterations, 0,
+        "drop policy never fires partially"
+    );
     assert_eq!(clients[0].buffer_in_use(), 0);
 
     assert!(dir.join("node-0/iter-000000.sdf").exists());
@@ -330,7 +333,11 @@ fn client_kill_case(policy: &str, phase: usize) {
     // dead rank stays leaked (nothing ever fences it). Every other
     // combination returns the full buffer.
     let expected_leak = if !sweeping && phase <= 1 { leaked } else { 0 };
-    assert_eq!(clients[0].buffer_in_use(), expected_leak, "policy {policy} phase {phase}");
+    assert_eq!(
+        clients[0].buffer_in_use(),
+        expected_leak,
+        "policy {policy} phase {phase}"
+    );
 
     let scan = recover_dir(&dir).unwrap();
     assert!(scan.is_clean());

@@ -88,7 +88,10 @@ fn squeeze_sheds_then_reascends_under_drop_policy() {
     write_iteration(2);
     write_iteration(3);
     wait_for("sheds", || {
-        runtime.metrics_snapshot().counter("node.storage_pressure_sheds") == 2
+        runtime
+            .metrics_snapshot()
+            .counter("node.storage_pressure_sheds")
+            == 2
     });
     assert_eq!(backend.list_sdf_files().unwrap().len(), 2);
 
@@ -200,7 +203,10 @@ fn partial_policy_fails_fast_without_retry_spin() {
     client.write_f32("theta", 1, &[2.0; 256]).unwrap();
     client.end_iteration(1).unwrap();
     wait_for("fast degrade", || {
-        runtime.metrics_snapshot().counter("node.iterations_degraded") == 1
+        runtime
+            .metrics_snapshot()
+            .counter("node.iterations_degraded")
+            == 1
     });
     assert!(
         start.elapsed() < Duration::from_secs(30),
@@ -215,6 +221,9 @@ fn partial_policy_fails_fast_without_retry_spin() {
     assert_eq!(backend.list_sdf_files().unwrap().len(), 1);
     assert_eq!(report.iterations_degraded, 1);
     assert_eq!(report.storage_pressure_sheds, 1);
-    assert_eq!(report.persist_retries, 0, "permanent errors are not retried");
+    assert_eq!(
+        report.persist_retries, 0,
+        "permanent errors are not retried"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,7 +9,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("damaris-core-test-{tag}-{}-{n}", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "damaris-core-test-{tag}-{}-{n}",
+        std::process::id()
+    ))
 }
 
 /// 4 MiB split between the clients: 1 MiB each for up to four.
@@ -53,7 +56,11 @@ fn single_client_roundtrip() {
     // The coordinates are index fields, not attributes.
     assert!(info.attr("iteration").is_none() && info.attr("source").is_none());
     let Ok(section) = reader.query_section();
-    let key = section.keys.iter().find(|k| section.variable(k) == "theta").unwrap();
+    let key = section
+        .keys
+        .iter()
+        .find(|k| section.variable(k) == "theta")
+        .unwrap();
     assert_eq!((key.iteration, key.source), (0, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -151,20 +158,33 @@ fn small_datasets_carry_coordinates_as_fields() {
     let reader = SdfReader::open(&file).unwrap();
     assert_eq!(reader.len(), 256);
     for info in reader.infos().unwrap() {
-        assert!(info.attr("iteration").is_none() && info.attr("source").is_none(), "{}", info.path);
+        assert!(
+            info.attr("iteration").is_none() && info.attr("source").is_none(),
+            "{}",
+            info.path
+        );
     }
     let Ok(section) = reader.query_section();
     for (v, name) in names.iter().enumerate() {
         for rank in 0..4u32 {
             let keys = section.candidates(damaris_format::key_hash(name, 0, rank));
-            let key = keys.iter().find(|k| section.variable(k) == name).expect("found by coordinates");
+            let key = keys
+                .iter()
+                .find(|k| section.variable(k) == name)
+                .expect("found by coordinates");
             let bytes = reader.read_bytes_at(key.ordinal as usize).unwrap();
-            let values: Vec<f64> = bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
+            let values: Vec<f64> = bytes
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
             assert_eq!(values, block(v, rank), "{name} of rank {rank}");
         }
     }
     let overhead = std::fs::metadata(&file).unwrap().len() - 256 * 256;
-    assert!(overhead / 256 <= 40, "{overhead} B of metadata for 256 datasets");
+    assert!(
+        overhead / 256 <= 40,
+        "{overhead} B of metadata for 256 datasets"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -327,9 +347,7 @@ fn buffer_pressure_resolves_by_draining() {
             let gate = &gate;
             s.spawn(move || {
                 for it in 0..40u32 {
-                    client
-                        .write_f32("v", it, &vec![it as f32; 256])
-                        .unwrap();
+                    client.write_f32("v", it, &vec![it as f32; 256]).unwrap();
                     client.end_iteration(it).unwrap();
                     gate.wait();
                 }
@@ -489,14 +507,9 @@ fn custom_plugin_receives_events() {
     .unwrap();
     let dir = scratch("plugin");
     let factory: PluginFactory = Box::new(|_b| Ok(Box::new(Counter) as Box<dyn Plugin>));
-    let runtime = NodeRuntime::start_with(
-        cfg,
-        1,
-        &dir,
-        3,
-        vec![("count_ticks".to_string(), factory)],
-    )
-    .unwrap();
+    let runtime =
+        NodeRuntime::start_with(cfg, 1, &dir, 3, vec![("count_ticks".to_string(), factory)])
+            .unwrap();
     let client = &runtime.clients()[0];
     let _ = Arc::new(());
     for it in 0..5 {

@@ -116,7 +116,9 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
     for client in &clients {
         client.end_iteration(0).unwrap();
     }
-    let report = runtime.finish().expect("respawned server completes the run");
+    let report = runtime
+        .finish()
+        .expect("respawned server completes the run");
 
     // The poisoned event fired exactly once: it was journaled Applied
     // *before* dispatch, so the respawn did not re-fire it (at-most-once
@@ -453,8 +455,7 @@ fn panicked_epe_is_respawned_within_budget() {
     let report = runtime.finish().expect("respawn absorbs the panic");
     assert_eq!(report.epe_respawns, 1);
     assert_eq!(report.iterations_persisted, 1);
-    let reader =
-        damaris_format::SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
+    let reader = damaris_format::SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
     assert_eq!(reader.read_f32("/iter-0/rank-0/v").unwrap(), [5.0; 64]);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,7 +5,7 @@
 
 use crate::query::NO_COORD;
 use crate::types::{AttrValue, DataType, Layout};
-use crate::{SdfError, Result};
+use crate::{Result, SdfError};
 use damaris_compress::varint;
 
 /// File magic, first 4 bytes of every SDF file.
@@ -227,7 +227,11 @@ enum RawAttr<'a> {
 
 /// A coordinate field: the coordinate + 1, 0 when absent.
 fn write_coord(coord: u32, out: &mut Vec<u8>) {
-    let stored = if coord == NO_COORD { 0 } else { u64::from(coord) + 1 };
+    let stored = if coord == NO_COORD {
+        0
+    } else {
+        u64::from(coord) + 1
+    };
     varint::write_u64(stored, out);
 }
 
@@ -238,7 +242,9 @@ fn read_coord(bytes: &[u8], off: &mut usize, what: &str) -> Result<Option<u32>> 
     match stored.checked_sub(1) {
         None => Ok(None),
         Some(coord) if coord < u64::from(NO_COORD) => Ok(Some(coord as u32)),
-        Some(_) => Err(SdfError::Format(format!("{what} field {stored} exceeds u32"))),
+        Some(_) => Err(SdfError::Format(format!(
+            "{what} field {stored} exceeds u32"
+        ))),
     }
 }
 
@@ -296,14 +302,24 @@ impl<'a> EntryRef<'a> {
     /// `rank-N` path segment, else [`NO_COORD`].
     pub(crate) fn key(&self) -> (&'a str, u32, u32) {
         let path = self.path;
-        let variable = path.rsplit('/').next().filter(|s| !s.is_empty()).unwrap_or(path);
+        let variable = path
+            .rsplit('/')
+            .next()
+            .filter(|s| !s.is_empty())
+            .unwrap_or(path);
         let from_path = |prefix: &str| {
             path.split('/')
                 .find_map(|seg| seg.strip_prefix(prefix))
                 .and_then(|n| n.parse::<u32>().ok())
         };
-        let iteration = self.iteration.or_else(|| from_path("iter-")).unwrap_or(NO_COORD);
-        let source = self.source.or_else(|| from_path("rank-")).unwrap_or(NO_COORD);
+        let iteration = self
+            .iteration
+            .or_else(|| from_path("iter-"))
+            .unwrap_or(NO_COORD);
+        let source = self
+            .source
+            .or_else(|| from_path("rank-"))
+            .unwrap_or(NO_COORD);
         (variable, iteration, source)
     }
 
@@ -349,7 +365,10 @@ impl<'a> EntryRef<'a> {
         let chunk_dim0 = varint::read_u64(bytes, off)
             .ok_or_else(|| SdfError::Format("truncated chunk info".into()))?;
         let (iteration, source) = if coords {
-            (read_coord(bytes, off, "iteration")?, read_coord(bytes, off, "source")?)
+            (
+                read_coord(bytes, off, "iteration")?,
+                read_coord(bytes, off, "source")?,
+            )
         } else {
             (None, None)
         };
@@ -434,7 +453,10 @@ impl IndexEntry {
         })?;
         Ok(IndexEntry {
             path: e.path.to_string(),
-            layout: Layout { dtype: e.dtype, dims },
+            layout: Layout {
+                dtype: e.dtype,
+                dims,
+            },
             offset: e.offset,
             stored_len: e.stored_len,
             crc: e.crc,
@@ -485,13 +507,23 @@ mod tests {
     /// `e` as a file without coordinate fields stores it: both absent
     /// fields (a zero byte each, just before the attribute count) cut out.
     fn legacy_bytes(e: &IndexEntry) -> Vec<u8> {
-        let bare = IndexEntry { iteration: NO_COORD, source: NO_COORD, attrs: Vec::new(), ..e.clone() };
+        let bare = IndexEntry {
+            iteration: NO_COORD,
+            source: NO_COORD,
+            attrs: Vec::new(),
+            ..e.clone()
+        };
         let mut head = Vec::new();
         bare.encode(&mut head);
         let at = head.len() - 3;
         assert_eq!(head[at..], [0, 0, 0]);
         let mut full = Vec::new();
-        IndexEntry { iteration: NO_COORD, source: NO_COORD, ..e.clone() }.encode(&mut full);
+        IndexEntry {
+            iteration: NO_COORD,
+            source: NO_COORD,
+            ..e.clone()
+        }
+        .encode(&mut full);
         full.drain(at..at + 2);
         full
     }
@@ -569,7 +601,10 @@ mod tests {
         buf.pop();
         buf.extend_from_slice(&[3, 0, 2, 0, 0, 2]);
         let err = IndexEntry::decode(&buf, &mut 0, true).unwrap_err();
-        assert!(err.to_string().contains("implausible attr count 3"), "{err}");
+        assert!(
+            err.to_string().contains("implausible attr count 3"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -591,17 +626,30 @@ mod tests {
         assert!(!with(0).coords());
         assert_eq!(with(0).check_features(false).unwrap(), Access::ReadWrite);
         for bit in 1..8 {
-            let err = with(INCOMPAT_COORDS | 1 << bit).check_features(false).unwrap_err();
-            assert!(err.to_string().contains("unknown incompat"), "bit {bit}: {err}");
+            let err = with(INCOMPAT_COORDS | 1 << bit)
+                .check_features(false)
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("unknown incompat"),
+                "bit {bit}: {err}"
+            );
         }
         for bit in 8..12 {
             let sb = with(1 << bit);
-            assert_eq!(sb.check_features(false).unwrap(), Access::ReadOnly, "bit {bit}");
+            assert_eq!(
+                sb.check_features(false).unwrap(),
+                Access::ReadOnly,
+                "bit {bit}"
+            );
             let err = sb.check_features(true).unwrap_err();
             assert!(err.to_string().contains("ro-compat"), "bit {bit}: {err}");
         }
         for bit in 12..16 {
-            assert_eq!(with(1 << bit).check_features(true).unwrap(), Access::ReadWrite, "bit {bit}");
+            assert_eq!(
+                with(1 << bit).check_features(true).unwrap(),
+                Access::ReadWrite,
+                "bit {bit}"
+            );
         }
     }
 

@@ -60,7 +60,9 @@ impl BloomFilter {
     /// Sized for `n_keys` at ~10 bits/key, which puts the false-positive
     /// rate under 1%.
     pub fn with_capacity(n_keys: usize) -> Self {
-        let n_bits = ((n_keys as u64).saturating_mul(10)).next_multiple_of(64).max(64);
+        let n_bits = ((n_keys as u64).saturating_mul(10))
+            .next_multiple_of(64)
+            .max(64);
         let n_bits = n_bits.min(MAX_BLOOM_BITS);
         BloomFilter {
             n_bits,
@@ -238,7 +240,11 @@ impl<'a> SectionBuilder<'a> {
     /// variable — so the slot after the last entry's, and that one, are
     /// tried before the map.
     fn slot(&mut self, variable: &'a str) -> u32 {
-        let next = if self.last as usize + 1 < self.names.len() { self.last + 1 } else { 0 };
+        let next = if self.last as usize + 1 < self.names.len() {
+            self.last + 1
+        } else {
+            0
+        };
         for guess in [next, self.last] {
             if self.names.get(guess as usize) == Some(&variable) {
                 return guess;
@@ -312,7 +318,11 @@ mod tests {
                 offset: 8 + u64::from(i) * 512,
                 stored_len: 512,
                 crc: 0x1234_5678 ^ i,
-                filter: if i % 2 == 0 { String::new() } else { "lzss".into() },
+                filter: if i % 2 == 0 {
+                    String::new()
+                } else {
+                    "lzss".into()
+                },
                 chunk_dim0: 0,
                 iteration: i / 2,
                 source: i % 2,
@@ -337,10 +347,21 @@ mod tests {
     #[test]
     fn keys_are_sorted_and_names_kept_once() {
         let section = build(&sample_index(), 6);
-        assert!(section.keys.windows(2).all(|w| (w[0].key_hash, w[0].ordinal) < (w[1].key_hash, w[1].ordinal)));
-        assert_eq!(section.strings.ends.len(), 1, "one variable, filter specs not kept");
+        assert!(section
+            .keys
+            .windows(2)
+            .all(|w| (w[0].key_hash, w[0].ordinal) < (w[1].key_hash, w[1].ordinal)));
+        assert_eq!(
+            section.strings.ends.len(),
+            1,
+            "one variable, filter specs not kept"
+        );
         assert!(section.keys.iter().all(|k| section.variable(k) == "theta"));
-        assert_eq!(section.strings.get(9), "", "a slot past the table reads as empty");
+        assert_eq!(
+            section.strings.get(9),
+            "",
+            "a slot past the table reads as empty"
+        );
     }
 
     #[test]
@@ -365,7 +386,11 @@ mod tests {
             .encode(&mut index);
         }
         let section = build(&index, 600);
-        let order: Vec<(u64, u32)> = section.keys.iter().map(|k| (k.key_hash, k.ordinal)).collect();
+        let order: Vec<(u64, u32)> = section
+            .keys
+            .iter()
+            .map(|k| (k.key_hash, k.ordinal))
+            .collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]));
         for key in 0..300u32 {
             let cands = section.candidates(key_hash(&format!("v{}", key % 7), key / 7, 0));
@@ -404,7 +429,10 @@ mod tests {
             }
         }
         // 6 keys at 10 bits/key: false-positive rate ≈ 1%; allow 5%.
-        assert!(hits < probes / 20, "bloom passed {hits}/{probes} absent keys");
+        assert!(
+            hits < probes / 20,
+            "bloom passed {hits}/{probes} absent keys"
+        );
     }
 
     #[test]

@@ -273,7 +273,10 @@ impl SdfReader {
 
     /// All dataset paths, in write order.
     pub fn dataset_names(&self) -> Vec<String> {
-        self.records.iter().map(|r| self.path_of(r).to_string()).collect()
+        self.records
+            .iter()
+            .map(|r| self.path_of(r).to_string())
+            .collect()
     }
 
     /// Metadata for one dataset. `None` too if its index entry can no
@@ -286,13 +289,19 @@ impl SdfReader {
     /// Metadata for every dataset whose path starts with `prefix` (none if
     /// the index can no longer be read back as it was at open).
     pub fn infos_under(&self, prefix: &str) -> Vec<DatasetInfo> {
-        if !self.records.iter().any(|r| self.path_of(r).starts_with(prefix)) {
+        if !self
+            .records
+            .iter()
+            .any(|r| self.path_of(r).starts_with(prefix))
+        {
             return Vec::new();
         }
         let Ok(all) = self.infos() else {
             return Vec::new();
         };
-        all.into_iter().filter(|i| i.path.starts_with(prefix)).collect()
+        all.into_iter()
+            .filter(|i| i.path.starts_with(prefix))
+            .collect()
     }
 
     /// Metadata for every dataset, in index order, from one re-read of
@@ -310,14 +319,17 @@ impl SdfReader {
     /// Layout of the dataset at position `ordinal`, without reading its
     /// path or attributes.
     pub fn layout_at(&self, ordinal: usize) -> Option<Layout> {
-        self.records.get(ordinal).map(|r| Layout::new(r.dtype, self.dims_of(r)))
+        self.records
+            .get(ordinal)
+            .map(|r| Layout::new(r.dtype, self.dims_of(r)))
     }
 
     /// `[at, end)` of the index, read from the file again and held to
     /// `crc`, the checksum open took of the same bytes.
     fn reread_index(&self, at: usize, end: usize, crc: u32) -> Result<Vec<u8>> {
         let mut bytes = vec![0u8; end - at];
-        self.file.read_exact_at(&mut bytes, self.index_offset + at as u64)?;
+        self.file
+            .read_exact_at(&mut bytes, self.index_offset + at as u64)?;
         if crc32(&bytes) != crc {
             return Err(SdfError::Corrupt(format!(
                 "index bytes [{at}, {end}) changed since the file was opened"
@@ -328,9 +340,10 @@ impl SdfReader {
 
     /// The whole entry of the dataset at `ordinal`, re-read on its own.
     fn entry(&self, ordinal: usize) -> Result<IndexEntry> {
-        let record = self.records.get(ordinal).ok_or_else(|| {
-            SdfError::Usage(format!("ordinal {ordinal} out of range"))
-        })?;
+        let record = self
+            .records
+            .get(ordinal)
+            .ok_or_else(|| SdfError::Usage(format!("ordinal {ordinal} out of range")))?;
         let end = match self.records.get(ordinal + 1) {
             Some(next) => next.entry_at as usize,
             None => self.index_len(),
@@ -437,7 +450,10 @@ impl SdfReader {
             return Ok(None);
         };
         // invariant: `open` gave every filtered record the slot it parsed.
-        let (_, parsed) = self.pipelines.get(slot).expect("filter spec parsed at open");
+        let (_, parsed) = self
+            .pipelines
+            .get(slot)
+            .expect("filter spec parsed at open");
         match parsed {
             Ok(pipeline) => Ok(Some(pipeline)),
             Err(e) => Err(SdfError::Filter(e.to_string())),
@@ -528,9 +544,10 @@ impl SdfReader {
     /// the block-read path the query tier takes after a sparse-index hit,
     /// skipping the by-path lookup.
     pub fn read_bytes_at(&self, ordinal: usize) -> Result<Vec<u8>> {
-        let record = self.records.get(ordinal).ok_or_else(|| {
-            SdfError::Usage(format!("ordinal {ordinal} out of range"))
-        })?;
+        let record = self
+            .records
+            .get(ordinal)
+            .ok_or_else(|| SdfError::Usage(format!("ordinal {ordinal} out of range")))?;
         let stored = self.read_stored(record)?;
         self.decode_payload(record, stored)
     }
@@ -549,9 +566,9 @@ impl SdfReader {
             )));
         }
         let dims = self.dims_of(record);
-        let dim0 = *dims.first().ok_or_else(|| {
-            SdfError::Usage(format!("dataset '{path}' is scalar; has no rows"))
-        })?;
+        let dim0 = *dims
+            .first()
+            .ok_or_else(|| SdfError::Usage(format!("dataset '{path}' is scalar; has no rows")))?;
         let end_row = first.checked_add(count).ok_or_else(|| {
             SdfError::Usage(format!("rows [{first}, +{count}) overflow a row index"))
         })?;
@@ -606,7 +623,12 @@ impl SdfReader {
             .iter()
             .try_fold(off, |at, &len| at.checked_add(len))
             .ok_or_else(|| SdfError::Format("chunk out of bounds".into()))?;
-        for (ci, &len) in lens.iter().enumerate().take(last_chunk + 1).skip(first_chunk) {
+        for (ci, &len) in lens
+            .iter()
+            .enumerate()
+            .take(last_chunk + 1)
+            .skip(first_chunk)
+        {
             let end = data_off
                 .checked_add(len)
                 .filter(|&e| e <= stored.len())
@@ -858,7 +880,11 @@ mod tests {
             let path = temp_path("filt");
             let data = write_sample(&path, Some(filter), 0);
             let r = SdfReader::open(&path).unwrap();
-            assert_eq!(r.read_f32("/iter-3/theta").unwrap(), data, "filter {filter}");
+            assert_eq!(
+                r.read_f32("/iter-3/theta").unwrap(),
+                data,
+                "filter {filter}"
+            );
             let info = r.info("/iter-3/theta").unwrap();
             assert_eq!(info.filter, filter);
         }
@@ -866,7 +892,12 @@ mod tests {
 
     #[test]
     fn roundtrip_chunked() {
-        for (filter, chunk) in [(None, 4u64), (Some("lzss"), 4), (Some("rle"), 16), (None, 100)] {
+        for (filter, chunk) in [
+            (None, 4u64),
+            (Some("lzss"), 4),
+            (Some("rle"), 16),
+            (None, 100),
+        ] {
             let path = temp_path("chunk");
             let data = write_sample(&path, filter, chunk);
             let r = SdfReader::open(&path).unwrap();
@@ -885,7 +916,8 @@ mod tests {
         let layout = Layout::new(DataType::F32, &[64]);
         let data: Vec<f32> = (0..64).map(|i| 300.0 + i as f32 * 0.25).collect();
         let opts = DatasetOptions::plain().with_filter("precision16|lzss");
-        w.write_dataset_f32_opts("/v", &layout, &data, &opts).unwrap();
+        w.write_dataset_f32_opts("/v", &layout, &data, &opts)
+            .unwrap();
         w.finish().unwrap();
         let r = SdfReader::open(&path).unwrap();
         let back = r.read_f32("/v").unwrap();
@@ -899,7 +931,10 @@ mod tests {
         let path = temp_path("missing");
         write_sample(&path, None, 0);
         let r = SdfReader::open(&path).unwrap();
-        assert!(matches!(r.read_f32("/nope").unwrap_err(), SdfError::Usage(_)));
+        assert!(matches!(
+            r.read_f32("/nope").unwrap_err(),
+            SdfError::Usage(_)
+        ));
     }
 
     #[test]
@@ -936,8 +971,7 @@ mod tests {
         write_sample(&path, None, 0);
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
-        let (index_offset, _, _) =
-            header::read_footer(&bytes[n - FOOTER_LEN as usize..]).unwrap();
+        let (index_offset, _, _) = header::read_footer(&bytes[n - FOOTER_LEN as usize..]).unwrap();
         bytes[index_offset as usize + 10] ^= 0xff; // inside the index region
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
@@ -987,8 +1021,7 @@ mod tests {
             let row = 8; // elements per row (16×8 layout)
             for (first, count) in [(0u64, 1u64), (0, 16), (3, 5), (4, 4), (15, 1), (7, 9)] {
                 let rows = r.read_rows_f32("/iter-3/theta", first, count).unwrap();
-                let expect =
-                    &full[(first as usize * row)..((first + count) as usize * row)];
+                let expect = &full[(first as usize * row)..((first + count) as usize * row)];
                 assert_eq!(rows, expect, "filter {filter:?} rows [{first}, +{count})");
             }
             // Empty range is fine; out-of-range is not.
@@ -1062,7 +1095,10 @@ mod tests {
         entry.stored_len = u64::MAX / 2;
         forge_file(&path, &payload, entry);
         let r = SdfReader::open(&path).unwrap();
-        assert!(matches!(r.read_bytes("/v").unwrap_err(), SdfError::Corrupt(_)));
+        assert!(matches!(
+            r.read_bytes("/v").unwrap_err(),
+            SdfError::Corrupt(_)
+        ));
 
         // Same for an offset pointing past the data region.
         let path2 = temp_path("hugeoff");
@@ -1080,7 +1116,10 @@ mod tests {
         header::write_footer(index_offset, index_bytes.len() as u64, crc, &mut bytes);
         std::fs::write(&path2, &bytes).unwrap();
         let r2 = SdfReader::open(&path2).unwrap();
-        assert!(matches!(r2.read_bytes("/v").unwrap_err(), SdfError::Corrupt(_)));
+        assert!(matches!(
+            r2.read_bytes("/v").unwrap_err(),
+            SdfError::Corrupt(_)
+        ));
     }
 
     #[test]
@@ -1096,7 +1135,10 @@ mod tests {
         entry.chunk_dim0 = 4;
         forge_file(&path, &payload, entry);
         let r = SdfReader::open(&path).unwrap();
-        assert!(matches!(r.read_bytes("/v").unwrap_err(), SdfError::Corrupt(_)));
+        assert!(matches!(
+            r.read_bytes("/v").unwrap_err(),
+            SdfError::Corrupt(_)
+        ));
         assert!(matches!(
             r.read_rows_bytes("/v", 0, 2).unwrap_err(),
             SdfError::Corrupt(_)
@@ -1116,7 +1158,10 @@ mod tests {
         assert_eq!(r.info("/v").unwrap().filter, "lzss|nope");
         assert!(r.validate().is_ok(), "checksums do not need the filter");
         let err = r.read_bytes("/v").unwrap_err();
-        assert!(matches!(&err, SdfError::Filter(m) if m.contains("nope")), "{err}");
+        assert!(
+            matches!(&err, SdfError::Filter(m) if m.contains("nope")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1125,10 +1170,12 @@ mod tests {
         let mut w = SdfWriter::create(&path).unwrap();
         let layout = Layout::new(DataType::U8, &[4]);
         let coords = DatasetOptions::plain().with_coords(3, 1);
-        w.write_dataset_bytes("/a/theta", &layout, &[1; 4], &coords).unwrap();
+        w.write_dataset_bytes("/a/theta", &layout, &[1; 4], &coords)
+            .unwrap();
         // An `iteration` attribute is a plain attribute: the path answers.
         let attr = DatasetOptions::plain().with_attr("iteration", 9i64);
-        w.write_dataset_bytes("/iter-4/theta", &layout, &[2; 4], &attr).unwrap();
+        w.write_dataset_bytes("/iter-4/theta", &layout, &[2; 4], &attr)
+            .unwrap();
         w.finish().unwrap();
         let r = SdfReader::open(&path).unwrap();
         let Ok(section) = r.query_section();
@@ -1139,7 +1186,10 @@ mod tests {
             let cands = section.candidates(h);
             assert_eq!(cands.len(), 1);
             assert_eq!(section.variable(&cands[0]), "theta");
-            assert_eq!((cands[0].ordinal, cands[0].iteration, cands[0].source), (ordinal, iteration, source));
+            assert_eq!(
+                (cands[0].ordinal, cands[0].iteration, cands[0].source),
+                (ordinal, iteration, source)
+            );
             let via_ordinal = r.read_bytes_at(ordinal as usize).unwrap();
             assert_eq!(via_ordinal, [ordinal as u8 + 1; 4]);
         }

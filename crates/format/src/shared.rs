@@ -99,7 +99,10 @@ impl SharedFilePlan {
     /// finished (a barrier in MPI terms).
     pub fn seal(self) -> Result<u64> {
         use std::io::Read;
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.file_path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&self.file_path)?;
         let mut entries = Vec::with_capacity(self.reservations.len());
         for r in &self.reservations {
             file.seek(SeekFrom::Start(r.offset))?;
@@ -128,7 +131,12 @@ impl SharedFilePlan {
         file.seek(SeekFrom::Start(index_offset))?;
         file.write_all(&index_bytes)?;
         let mut footer = Vec::new();
-        header::write_footer(index_offset, index_bytes.len() as u64, index_crc, &mut footer);
+        header::write_footer(
+            index_offset,
+            index_bytes.len() as u64,
+            index_crc,
+            &mut footer,
+        );
         file.write_all(&footer)?;
         file.flush()?;
         Ok(index_offset + index_bytes.len() as u64 + header::FOOTER_LEN)

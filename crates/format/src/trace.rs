@@ -348,8 +348,7 @@ pub fn read_trace_bytes(data: &[u8]) -> crate::Result<TraceFile> {
                 break;
             }
             let _written = u64::from_le_bytes(data[pos..pos + 8].try_into().expect("8 bytes"));
-            file.dropped =
-                u64::from_le_bytes(data[pos + 8..pos + 16].try_into().expect("8 bytes"));
+            file.dropped = u64::from_le_bytes(data[pos + 8..pos + 16].try_into().expect("8 bytes"));
             file.clean_close = true;
             break;
         }

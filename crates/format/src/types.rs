@@ -241,7 +241,10 @@ mod tests {
 
     #[test]
     fn dimension_parsing() {
-        assert_eq!(Layout::parse_dimensions("64,16,2").unwrap(), vec![64, 16, 2]);
+        assert_eq!(
+            Layout::parse_dimensions("64,16,2").unwrap(),
+            vec![64, 16, 2]
+        );
         assert_eq!(Layout::parse_dimensions(" 4 , 5 ").unwrap(), vec![4, 5]);
         assert_eq!(Layout::parse_dimensions("").unwrap(), Vec::<u64>::new());
         assert!(Layout::parse_dimensions("4,x").is_err());

@@ -200,7 +200,11 @@ impl SdfWriter {
         let pipeline = if filter_spec.is_empty() {
             None
         } else {
-            if self.filter.as_ref().is_none_or(|(spec, _)| *spec != filter_spec) {
+            if self
+                .filter
+                .as_ref()
+                .is_none_or(|(spec, _)| *spec != filter_spec)
+            {
                 let parsed = Pipeline::from_spec(&filter_spec)
                     .map_err(|e| SdfError::Filter(e.to_string()))?;
                 self.filter = Some((filter_spec.clone(), parsed));
@@ -508,7 +512,8 @@ mod tests {
             .unwrap();
         assert_eq!(w.filter_encode_ns(), 0);
         let filtered = DatasetOptions::plain().with_filter("lzss");
-        w.write_dataset_bytes("/a", &layout, &data, &filtered).unwrap();
+        w.write_dataset_bytes("/a", &layout, &data, &filtered)
+            .unwrap();
         let one = w.filter_encode_ns();
         assert!(one > 0);
         w.write_dataset_bytes("/b", &layout, &data, &filtered.with_chunk_dim0(1024))

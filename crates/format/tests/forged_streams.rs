@@ -14,7 +14,9 @@
 
 use damaris_compress::varint;
 use damaris_format::header::{self, IndexEntry};
-use damaris_format::{crc32, DataType, DatasetOptions, Layout, SdfError, SdfReader, SdfWriter, NO_COORD};
+use damaris_format::{
+    crc32, DataType, DatasetOptions, Layout, SdfError, SdfReader, SdfWriter, NO_COORD,
+};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -148,7 +150,10 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         // The stored bytes are read whole, then the output may take up to
         // the layout's size; the rest is error text and bookkeeping.
         let allowance = payload.len() + LOGICAL + 1024;
-        assert!(grown <= allowance, "{tag}: allocated {grown} bytes for a {LOGICAL}-byte layout");
+        assert!(
+            grown <= allowance,
+            "{tag}: allocated {grown} bytes for a {LOGICAL}-byte layout"
+        );
         if chunk_dim0 > 0 {
             let (result, grown) = peak_growth(|| reader.read_rows_bytes("/v", 0, 8));
             assert!(matches!(result, Err(SdfError::Filter(_))), "{tag} rows");
@@ -221,7 +226,12 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         ("attr count", header::INCOMPAT_COORDS, &attrs, &[]),
         ("exceeds u32", header::INCOMPAT_COORDS, &coord, &[]),
         ("unknown incompat", incompat, &empty, &[]),
-        ("between the index and the footer", header::INCOMPAT_COORDS, &empty, &[0]),
+        (
+            "between the index and the footer",
+            header::INCOMPAT_COORDS,
+            &empty,
+            &[0],
+        ),
     ];
     for (tag, flags, index, gap) in cases {
         let mut bytes = Vec::new();
@@ -233,7 +243,11 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         header::write_footer(index_offset, index.len() as u64, crc32(index), &mut bytes);
         let path = std::env::temp_dir()
             .join("damaris-format-tests")
-            .join(format!("forged-{}-{}.sdf", tag.replace(' ', "-"), std::process::id()));
+            .join(format!(
+                "forged-{}-{}.sdf",
+                tag.replace(' ', "-"),
+                std::process::id()
+            ));
         std::fs::write(&path, &bytes).unwrap();
         let (result, grown) = peak_growth(|| SdfReader::open(&path).map(|r| r.len()));
         assert!(
@@ -255,7 +269,9 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
 }
 
 fn fixture(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
 /// A file cut short after `open` checked it: a block read past the cut

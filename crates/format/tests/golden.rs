@@ -120,6 +120,9 @@ fn the_legacy_image_answers_as_the_new_one() {
     assert_eq!(a, b);
     assert_eq!(old.infos().unwrap().len(), 3);
     for ordinal in 0..3 {
-        assert_eq!(old.read_bytes_at(ordinal).unwrap(), new.read_bytes_at(ordinal).unwrap());
+        assert_eq!(
+            old.read_bytes_at(ordinal).unwrap(),
+            new.read_bytes_at(ordinal).unwrap()
+        );
     }
 }

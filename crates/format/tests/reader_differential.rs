@@ -35,7 +35,9 @@ fn write_golden(path: &Path) {
         "/iter-7/rank-0/theta",
         &Layout::new(DataType::F32, &[6, 8]),
         &field,
-        &DatasetOptions::plain().with_filter("lzss").with_attr("unit", "K"),
+        &DatasetOptions::plain()
+            .with_filter("lzss")
+            .with_attr("unit", "K"),
     )
     .unwrap();
     w.write_dataset_bytes(
@@ -55,7 +57,9 @@ fn write_chunked_lzss(path: &Path) {
     for rank in 0..3u32 {
         let rows = 10 + u64::from(rank);
         let layout = Layout::new(DataType::F64, &[rows, 6]);
-        let data: Vec<f64> = (0..rows * 6).map(|i| 300.0 + (i / 6) as f64 * 0.25 + f64::from(rank)).collect();
+        let data: Vec<f64> = (0..rows * 6)
+            .map(|i| 300.0 + (i / 6) as f64 * 0.25 + f64::from(rank))
+            .collect();
         let opts = DatasetOptions::plain()
             .with_filter("lzss")
             .with_chunk_dim0(4)
@@ -71,10 +75,13 @@ fn write_chunked_lzss(path: &Path) {
         "/iter-12/rank-0/cube",
         &Layout::new(DataType::F32, &[4, 3, 2]),
         &cube,
-        &DatasetOptions::plain().with_filter("lzss").with_chunk_dim0(1),
+        &DatasetOptions::plain()
+            .with_filter("lzss")
+            .with_chunk_dim0(1),
     )
     .unwrap();
-    w.write_dataset_f64("/iter-12/time", &Layout::scalar(DataType::F64), &[3.75]).unwrap();
+    w.write_dataset_f64("/iter-12/time", &Layout::scalar(DataType::F64), &[3.75])
+        .unwrap();
     w.finish().unwrap();
 }
 
@@ -95,7 +102,12 @@ fn transcript(path: &Path) -> String {
     writeln!(t, "validate {:?}", r.validate().map_err(|e| e.to_string())).unwrap();
     for ordinal in 0..=r.len() {
         writeln!(t, "info_at({ordinal}) {:?}", r.info_at(ordinal)).unwrap();
-        writeln!(t, "read_bytes_at({ordinal}) {}", bytes(r.read_bytes_at(ordinal))).unwrap();
+        writeln!(
+            t,
+            "read_bytes_at({ordinal}) {}",
+            bytes(r.read_bytes_at(ordinal))
+        )
+        .unwrap();
     }
     let missing = "/iter-7/nope".to_string();
     for name in names.iter().chain([&missing]) {
@@ -139,13 +151,28 @@ fn reads_answer_as_the_object_per_dataset_reader_did() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy.sdf");
     std::fs::copy(fixture, &legacy).unwrap();
     let moved: Vec<PathBuf> = [
-        moved("golden", include_str!("reader_transcripts/golden.txt"), &golden),
-        moved("chunked_lzss", include_str!("reader_transcripts/chunked_lzss.txt"), &chunked),
+        moved(
+            "golden",
+            include_str!("reader_transcripts/golden.txt"),
+            &golden,
+        ),
+        moved(
+            "chunked_lzss",
+            include_str!("reader_transcripts/chunked_lzss.txt"),
+            &chunked,
+        ),
         // No read depends on the format's age: the same answers as the golden file.
-        moved("legacy", include_str!("reader_transcripts/golden.txt"), &legacy),
+        moved(
+            "legacy",
+            include_str!("reader_transcripts/golden.txt"),
+            &legacy,
+        ),
     ]
     .into_iter()
     .flatten()
     .collect();
-    assert!(moved.is_empty(), "the reader's answers moved; this run's transcripts: {moved:?}");
+    assert!(
+        moved.is_empty(),
+        "the reader's answers moved; this run's transcripts: {moved:?}"
+    );
 }

@@ -62,7 +62,8 @@ impl VirtualClock {
 
     /// Moves time forward without counting it as sleep (an external event).
     pub fn advance(&self, d: Duration) {
-        self.now_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.now_ns
+            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Total time spent in [`IoClock::sleep`] on this clock.

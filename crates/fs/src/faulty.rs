@@ -309,8 +309,7 @@ impl<B: StorageBackend> FaultyBackend<B> {
             .fetch_add(1, Ordering::Relaxed);
         let t = std::time::Instant::now();
         let out = self.inner.commit_sdf(writer);
-        self.clock
-            .sleep(t.elapsed().saturating_mul(factor - 1));
+        self.clock.sleep(t.elapsed().saturating_mul(factor - 1));
         out
     }
 }
@@ -321,7 +320,9 @@ impl<B: StorageBackend> StorageBackend for FaultyBackend<B> {
             Some(FaultKind::TransientError) => {
                 // Relaxed (here and below): pure test-assertion counters,
                 // read after the exercised threads are joined.
-                self.injected.transient_errors.fetch_add(1, Ordering::Relaxed);
+                self.injected
+                    .transient_errors
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(injected_io_error("begin_sdf", name));
             }
             Some(FaultKind::Stall(d)) => {
@@ -382,10 +383,15 @@ impl<B: StorageBackend> StorageBackend for FaultyBackend<B> {
     fn commit_sdf(&self, writer: SdfWriter) -> Result<u64> {
         match self.next_fault(FaultOp::Commit, &self.commit_calls) {
             Some(FaultKind::TransientError) => {
-                self.injected.transient_errors.fetch_add(1, Ordering::Relaxed);
+                self.injected
+                    .transient_errors
+                    .fetch_add(1, Ordering::Relaxed);
                 // The tmp file stays behind, exactly like a failed commit:
                 // recovery (or a retry writing the same name) deals with it.
-                Err(injected_io_error("commit_sdf", &writer.path().display().to_string()))
+                Err(injected_io_error(
+                    "commit_sdf",
+                    &writer.path().display().to_string(),
+                ))
             }
             Some(FaultKind::Stall(d)) => {
                 self.injected.stalls.fetch_add(1, Ordering::Relaxed);
@@ -569,7 +575,10 @@ mod tests {
         let b = FaultyBackend::new(inner, plan).with_clock(clock.clone());
         let t0 = std::time::Instant::now();
         write_one(&b, "virtslow.sdf").unwrap();
-        assert!(t0.elapsed() < Duration::from_secs(5), "stall hit the wall clock");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "stall hit the wall clock"
+        );
         assert_eq!(clock.slept(), Duration::from_secs(30));
         assert_eq!(b.injected().stalls.load(Ordering::SeqCst), 1);
         // The trait surface hands the same clock to upstream retry loops.

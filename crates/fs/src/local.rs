@@ -121,10 +121,8 @@ impl LocalDirBackend {
     pub fn scratch(tag: &str) -> std::io::Result<Self> {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "damaris-scratch-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("damaris-scratch-{tag}-{}-{n}", std::process::id()));
         Self::new(dir)
     }
 
@@ -482,7 +480,9 @@ mod tests {
         // A scan of the live directory takes the spare without calling
         // the directory dirty, and the backend carries on without it.
         std::fs::remove_file(backend.path_of("sub/c.sdf.tmp")).unwrap();
-        assert!(crate::recovery::recover_dir(backend.root()).unwrap().is_clean());
+        assert!(crate::recovery::recover_dir(backend.root())
+            .unwrap()
+            .is_clean());
         assert!(spares_in(backend.root()).is_empty());
         write("c.sdf", 3.0);
         assert_eq!(backend.files_created(), 3);

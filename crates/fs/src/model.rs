@@ -168,9 +168,7 @@ impl FsSpec {
     pub fn lock_cost(&self, conflicting_holders: usize) -> f64 {
         match self.lock {
             LockMode::None => 0.0,
-            LockMode::ExtentPerServer { acquire } => {
-                acquire * (1 + conflicting_holders) as f64
-            }
+            LockMode::ExtentPerServer { acquire } => acquire * (1 + conflicting_holders) as f64,
             LockMode::TokenManager { acquire, steal } => {
                 acquire + steal * conflicting_holders as f64
             }

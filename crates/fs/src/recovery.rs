@@ -163,10 +163,13 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
             let mut q = manifest_path.as_os_str().to_os_string();
             q.push(QUARANTINE_SUFFIX);
             match std::fs::rename(&manifest_path, PathBuf::from(q)) {
-                Ok(()) => report.quarantined.push(PathBuf::from(manifest::MANIFEST_NAME)),
-                Err(e) => report
-                    .failed
-                    .push((PathBuf::from(manifest::MANIFEST_NAME), format!("quarantine: {e}"))),
+                Ok(()) => report
+                    .quarantined
+                    .push(PathBuf::from(manifest::MANIFEST_NAME)),
+                Err(e) => report.failed.push((
+                    PathBuf::from(manifest::MANIFEST_NAME),
+                    format!("quarantine: {e}"),
+                )),
             }
             (Manifest::default(), false)
         }
@@ -203,7 +206,9 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
         if m.covers(node, iteration) {
             continue; // already reachable through a compacted span
         }
-        let bytes = std::fs::metadata(root.join(rel)).map(|md| md.len()).unwrap_or(0);
+        let bytes = std::fs::metadata(root.join(rel))
+            .map(|md| md.len())
+            .unwrap_or(0);
         m.entries.push(ManifestEntry {
             file: rel_str,
             node,
@@ -217,9 +222,10 @@ fn reconcile_manifest(root: &Path, report: &mut RecoveryReport) {
         // One generation for the reconcile: never a step back.
         m.generation += 1;
         if let Err(e) = m.store(root) {
-            report
-                .failed
-                .push((PathBuf::from(manifest::MANIFEST_NAME), format!("store: {e}")));
+            report.failed.push((
+                PathBuf::from(manifest::MANIFEST_NAME),
+                format!("store: {e}"),
+            ));
         }
     }
 }
@@ -424,7 +430,10 @@ mod tests {
         if !chmod_effective {
             // Still exercise the happy path under privileged runners.
             let report = recover(&b).unwrap();
-            assert_eq!(report.removed_tmp, vec![PathBuf::from("sub/orphan.sdf.tmp")]);
+            assert_eq!(
+                report.removed_tmp,
+                vec![PathBuf::from("sub/orphan.sdf.tmp")]
+            );
         }
     }
 

@@ -114,12 +114,10 @@ impl DiskSentinel {
         let mut cur = self.used.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_sub(bytes);
-            match self.used.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match self
+                .used
+                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => return,
                 Err(actual) => cur = actual,
             }

@@ -66,7 +66,9 @@ mod tests {
     use proptest::prelude::*;
 
     fn fs() -> FsSpec {
-        FsSpec::lustre(8).with_stripe_size(1024).with_stripe_count(4)
+        FsSpec::lustre(8)
+            .with_stripe_size(1024)
+            .with_stripe_count(4)
     }
 
     #[test]

@@ -211,11 +211,7 @@ impl Communicator {
         self.collective_span(|c| c.try_gather_inner(root, data))
     }
 
-    fn try_gather_inner(
-        &self,
-        root: usize,
-        data: Bytes,
-    ) -> Result<Option<Vec<Bytes>>, RecvError> {
+    fn try_gather_inner(&self, root: usize, data: Bytes) -> Result<Option<Vec<Bytes>>, RecvError> {
         assert!(root < self.size());
         let tag = self.next_coll_tag();
         if self.rank() == root {

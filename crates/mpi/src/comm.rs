@@ -214,7 +214,11 @@ impl Communicator {
         if self.fabric.faulty {
             let world_src = self.group[self.rank];
             let ordinal = self.fabric.next_ordinal(world_src, world_dest);
-            match self.fabric.plan.message_fault(world_src, world_dest, ordinal) {
+            match self
+                .fabric
+                .plan
+                .message_fault(world_src, world_dest, ordinal)
+            {
                 Some(MsgFault::Drop) => return,
                 Some(MsgFault::Delay(d)) => std::thread::sleep(d),
                 Some(MsgFault::Duplicate) => self.deliver(world_dest, env.clone()),
@@ -369,11 +373,7 @@ impl Communicator {
         let split_seq = self.split_seq.get();
         self.split_seq.set(split_seq + 1);
 
-        let my_entry = [
-            color.map_or(u64::MAX, |c| c),
-            key as u64,
-            self.rank as u64,
-        ];
+        let my_entry = [color.map_or(u64::MAX, |c| c), key as u64, self.rank as u64];
         // Simple allgather: everyone sends to everyone (sizes here are the
         // node count at most; fine for a split).
         let entries = self.collective_span(|c| {
@@ -393,10 +393,7 @@ impl Communicator {
         });
 
         let my_color = color?;
-        let mut members: Vec<[u64; 3]> = entries
-            .into_iter()
-            .filter(|e| e[0] == my_color)
-            .collect();
+        let mut members: Vec<[u64; 3]> = entries.into_iter().filter(|e| e[0] == my_color).collect();
         members.sort_by_key(|e| (e[1] as i64, e[2]));
         let group: Vec<usize> = members.iter().map(|e| self.group[e[2] as usize]).collect();
         let new_rank = members

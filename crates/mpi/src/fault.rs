@@ -113,7 +113,8 @@ impl FaultPlan {
 
     /// Delays the `nth` message from `src` to `dst` by `delay`.
     pub fn delay_nth(mut self, src: usize, dst: usize, nth: u64, delay: Duration) -> Self {
-        self.messages.insert((src, dst, nth), MsgFault::Delay(delay));
+        self.messages
+            .insert((src, dst, nth), MsgFault::Delay(delay));
         self
     }
 
@@ -135,7 +136,12 @@ impl FaultPlan {
     /// operation at iteration `at_iteration`, in the given phase: its next
     /// `Communicator::client_fail_point(i)` call with `i >= at_iteration`
     /// returns the phase and marks the rank dead on the fabric.
-    pub fn kill_client_at(mut self, rank: usize, at_iteration: u32, phase: ClientKillPhase) -> Self {
+    pub fn kill_client_at(
+        mut self,
+        rank: usize,
+        at_iteration: u32,
+        phase: ClientKillPhase,
+    ) -> Self {
         self.client_kills.insert(rank, (at_iteration, phase));
         self
     }

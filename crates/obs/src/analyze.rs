@@ -180,9 +180,15 @@ impl Analysis {
             );
         }
         if self.attribution.is_empty() {
-            let _ = writeln!(out, "\njitter attribution: needs >= 2 iterations with variance");
+            let _ = writeln!(
+                out,
+                "\njitter attribution: needs >= 2 iterations with variance"
+            );
         } else {
-            let _ = writeln!(out, "\njitter attribution (variance share of iteration duration):");
+            let _ = writeln!(
+                out,
+                "\njitter attribution (variance share of iteration duration):"
+            );
             for a in &self.attribution {
                 let _ = writeln!(out, "  {:<15} {:>6.1}%", a.kind.label(), a.share * 100.0);
             }
@@ -268,7 +274,10 @@ pub fn analyze(records: &[TraceRecord], dropped: u64) -> Analysis {
                     .map(|(pi, di)| (pi - p_mean) * (di - d_mean))
                     .sum::<f64>()
                     / n;
-                attribution.push(Attribution { kind, share: cov / var });
+                attribution.push(Attribution {
+                    kind,
+                    share: cov / var,
+                });
             }
             attribution.sort_by(|a, b| b.share.total_cmp(&a.share));
         }
@@ -388,9 +397,10 @@ pub fn load_traces<P: AsRef<Path>>(paths: &[P]) -> damaris_format::Result<Merged
         let f = std::fs::File::open(path).map_err(damaris_format::SdfError::Io)?;
         let t: TraceFile = read_trace(std::io::BufReader::new(f))?;
         if !t.clean_close {
-            merged
-                .warnings
-                .push(format!("{}: no clean trailer (producer died?)", path.display()));
+            merged.warnings.push(format!(
+                "{}: no clean trailer (producer died?)",
+                path.display()
+            ));
         }
         if t.corrupt_blocks > 0 {
             merged.warnings.push(format!(
@@ -512,7 +522,17 @@ mod tests {
         }
         let groups = summarize_phase_samples(&records);
         assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0], GroupSummary { rank: 0, bytes: 576, count: 3, sum_ns: 60, min_ns: 10, max_ns: 30 });
+        assert_eq!(
+            groups[0],
+            GroupSummary {
+                rank: 0,
+                bytes: 576,
+                count: 3,
+                sum_ns: 60,
+                min_ns: 10,
+                max_ns: 30
+            }
+        );
         assert_eq!(groups[1].sum_ns, 15);
         assert!((groups[0].mean_s() - 20e-9).abs() < 1e-18);
     }

@@ -25,7 +25,9 @@ pub struct Counter {
 
 impl Counter {
     fn new() -> Counter {
-        Counter { cell: Arc::new(AtomicU64::new(0)) }
+        Counter {
+            cell: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Adds one.
@@ -114,14 +116,20 @@ impl Histogram {
         // basics, and these are cold compared to the adds above.
         let mut cur = c.min.load(Ordering::Relaxed);
         while v < cur {
-            match c.min.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
+            match c
+                .min
+                .compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => break,
                 Err(seen) => cur = seen,
             }
         }
         let mut cur = c.max.load(Ordering::Relaxed);
         while v > cur {
-            match c.max.compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed) {
+            match c
+                .max
+                .compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => break,
                 Err(seen) => cur = seen,
             }
@@ -141,7 +149,11 @@ impl Histogram {
     /// Point-in-time copy of the histogram's state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let c = &self.cells;
-        let buckets: Vec<u64> = c.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let buckets: Vec<u64> = c
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         let count = c.count.load(Ordering::Relaxed);
         let min = c.min.load(Ordering::Relaxed);
         HistogramSnapshot {

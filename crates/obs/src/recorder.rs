@@ -46,7 +46,12 @@ impl Recorder {
             return Recorder::disabled();
         }
         Recorder {
-            inner: Some(Arc::new(RecInner { ring, anchor, rank, flags })),
+            inner: Some(Arc::new(RecInner {
+                ring,
+                anchor,
+                rank,
+                flags,
+            })),
         }
     }
 
@@ -191,7 +196,11 @@ mod tests {
         assert_eq!(out[0].iteration, 7);
         assert_eq!(out[0].bytes, 4096);
         assert_eq!(out[0].flags, 0x1);
-        assert!(out[0].dur_ns >= 1_000_000, "slept 2ms, recorded {}", out[0].dur_ns);
+        assert!(
+            out[0].dur_ns >= 1_000_000,
+            "slept 2ms, recorded {}",
+            out[0].dur_ns
+        );
         assert_eq!(out[1].event_kind(), Some(EventKind::QueuePush));
         assert_eq!(out[1].dur_ns, 1234);
     }

@@ -188,12 +188,7 @@ impl TraceRing {
                 // drop-oldest CAS fails while we copy.
                 if slot
                     .seq
-                    .compare_exchange(
-                        s,
-                        f.wrapping_add(2),
-                        Ordering::Acquire,
-                        Ordering::Relaxed,
-                    )
+                    .compare_exchange(s, f.wrapping_add(2), Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
                 {
                     // SAFETY: the claim CAS made us the unique reader; the
@@ -257,7 +252,10 @@ mod tests {
         }
         let mut out = Vec::new();
         assert_eq!(ring.flush_into(&mut out), 5);
-        assert_eq!(out.iter().map(|r| r.t_ns).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            out.iter().map(|r| r.t_ns).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.pushed(), 5);
         assert_eq!(ring.flush_into(&mut out), 0);

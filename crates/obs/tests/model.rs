@@ -96,7 +96,11 @@ fn ring_wraparound_drop_oldest() {
         // The final record cannot be dropped: nothing laps it.
         assert_eq!(out.last().expect("non-empty").t_ns, 4);
     });
-    assert!(stats.executions > 10, "only {} executions", stats.executions);
+    assert!(
+        stats.executions > 10,
+        "only {} executions",
+        stats.executions
+    );
 }
 
 /// Dropped-record accounting with two concurrent writers (the MPSC case:
@@ -137,7 +141,11 @@ fn ring_mpsc_accounting_is_exact() {
             assert!(seq.windows(2).all(|p| p[0] < p[1]), "writer {w}: {seq:?}");
         }
     });
-    assert!(stats.executions > 10, "only {} executions", stats.executions);
+    assert!(
+        stats.executions > 10,
+        "only {} executions",
+        stats.executions
+    );
 }
 
 /// Seeded bug: the writer's slot publication (`seq.store(p + 1)`)

@@ -128,8 +128,10 @@ impl Compactor {
     /// Arms the kill-sweep fault: the `n`-th side-effecting step aborts
     /// the run with [`QueryError::Injected`]. Steps already taken count.
     pub fn abort_after(&self, n: u64) {
-        self.abort_at
-            .store(self.steps.load(Ordering::Relaxed).saturating_add(n), Ordering::Relaxed);
+        self.abort_at.store(
+            self.steps.load(Ordering::Relaxed).saturating_add(n),
+            Ordering::Relaxed,
+        );
     }
 
     /// Disarms the fault hook.

@@ -52,7 +52,9 @@ impl Default for QueryConfig {
     fn default() -> Self {
         // 64 MiB: a few hundred typical blocks; the chaos and bench
         // workloads fit comfortably, big runs should size explicitly.
-        QueryConfig { cache_bytes: 64 << 20 }
+        QueryConfig {
+            cache_bytes: 64 << 20,
+        }
     }
 }
 
@@ -522,7 +524,10 @@ impl QueryEngine {
         ordinal: u32,
         iteration: u32,
     ) -> Result<Option<Block>, QueryError> {
-        let id = BlockId { file: handle.id, ordinal };
+        let id = BlockId {
+            file: handle.id,
+            ordinal,
+        };
         if let Some(block) = self.cache.get(id) {
             self.rec
                 .event(EventKind::CacheHit, iteration, block.len() as u64, 0);
@@ -547,8 +552,13 @@ impl QueryEngine {
         let bytes = handle.reader.read_bytes_at(ordinal as usize)?;
         let block: Block = Arc::new(bytes);
         self.block_reads.inc();
-        self.cache
-            .insert(BlockId { file: handle.id, ordinal }, Arc::clone(&block));
+        self.cache.insert(
+            BlockId {
+                file: handle.id,
+                ordinal,
+            },
+            Arc::clone(&block),
+        );
         self.rec
             .end(EventKind::BlockRead, iteration, block.len() as u64, t);
         Ok(block)
@@ -560,7 +570,11 @@ impl QueryEngine {
     /// same cache the point path uses; row slicing happens on the cached
     /// decoded bytes. A block is cached on its second miss, so repeated
     /// window scans over hot data do no I/O from the third scan on.
-    pub fn range(&self, snap: &Snapshot, query: &RangeQuery<'_>) -> Result<Vec<RangeHit>, QueryError> {
+    pub fn range(
+        &self,
+        snap: &Snapshot,
+        query: &RangeQuery<'_>,
+    ) -> Result<Vec<RangeHit>, QueryError> {
         let (lo, hi) = query.iterations;
         if hi < lo {
             // An inverted window matches nothing; rewriting it to a
@@ -587,7 +601,9 @@ impl QueryEngine {
                     };
                     // The block was read, so the ordinal names a dataset.
                     if let Some(layout) = handle.reader.layout_at(key.ordinal as usize) {
-                        hits.push(self.shape_hit(iteration, key.source, &layout, block, query.rows)?);
+                        hits.push(
+                            self.shape_hit(iteration, key.source, &layout, block, query.rows)?,
+                        );
                     }
                 }
             }
@@ -634,7 +650,10 @@ impl QueryEngine {
         Ok(RangeHit {
             iteration,
             source,
-            layout: Layout { dtype: layout.dtype, dims },
+            layout: Layout {
+                dtype: layout.dtype,
+                dims,
+            },
             data: Arc::new(slice.to_vec()),
         })
     }
@@ -663,10 +682,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "damaris-query-engine-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("damaris-query-engine-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("scratch dir");
         dir
@@ -732,8 +749,14 @@ mod tests {
                 assert_eq!(f64s(&block), field(it, src, 16));
             }
         }
-        assert!(engine.lookup(&snap, "nope", 0, 0).expect("lookup").is_none());
-        assert!(engine.lookup(&snap, "field", 7, 0).expect("lookup").is_none());
+        assert!(engine
+            .lookup(&snap, "nope", 0, 0)
+            .expect("lookup")
+            .is_none());
+        assert!(engine
+            .lookup(&snap, "field", 7, 0)
+            .expect("lookup")
+            .is_none());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -847,7 +870,10 @@ mod tests {
         // The old snapshot still answers for its own files.
         assert!(engine.lookup(&first, "field", 0, 0).expect("old").is_some());
         assert!(engine.lookup(&first, "field", 1, 0).expect("old").is_none());
-        assert!(engine.lookup(&second, "field", 1, 0).expect("new").is_some());
+        assert!(engine
+            .lookup(&second, "field", 1, 0)
+            .expect("new")
+            .is_some());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -872,7 +898,9 @@ mod tests {
             .expect("range");
         assert_eq!(hits.len(), 4, "2 iterations × 2 sources");
         assert_eq!(
-            hits.iter().map(|h| (h.iteration, h.source)).collect::<Vec<_>>(),
+            hits.iter()
+                .map(|h| (h.iteration, h.source))
+                .collect::<Vec<_>>(),
             vec![(1, 0), (1, 2), (2, 0), (2, 2)]
         );
         for hit in &hits {
@@ -904,7 +932,8 @@ mod tests {
         let rel = "node-0/iter-000007.sdf";
         let path = root.join(rel);
         std::fs::create_dir_all(path.parent().expect("parent")).expect("node dir");
-        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../format/tests/fixtures/legacy.sdf");
+        let fixture =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../format/tests/fixtures/legacy.sdf");
         let bytes = std::fs::copy(fixture, &path).expect("copy fixture");
         publish_iteration(root, 0, 7, rel, bytes).expect("publish");
     }
@@ -919,11 +948,22 @@ mod tests {
             let block = engine.lookup(&snap, variable, 7, source).expect("lookup");
             assert_eq!(block.map(|b| b.len()), Some(len), "{variable}");
         }
-        assert!(engine.lookup(&snap, "grid", 7, 0).expect("lookup").is_none());
-        let query = RangeQuery { variable: "theta", iterations: (0, 7), sources: None, rows: Some((1, 2)) };
+        assert!(engine
+            .lookup(&snap, "grid", 7, 0)
+            .expect("lookup")
+            .is_none());
+        let query = RangeQuery {
+            variable: "theta",
+            iterations: (0, 7),
+            sources: None,
+            rows: Some((1, 2)),
+        };
         let hits = engine.range(&snap, &query).expect("range");
         assert_eq!(hits.len(), 1);
-        assert_eq!((hits[0].iteration, hits[0].source, hits[0].data.len()), (7, 0, 64));
+        assert_eq!(
+            (hits[0].iteration, hits[0].source, hits[0].data.len()),
+            (7, 0, 64)
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -940,13 +980,23 @@ mod tests {
         let opts = DatasetOptions::plain()
             .with_attr("iteration", 3i64)
             .with_attr("unit", "K");
-        w.write_dataset_f32_opts("/iter-3/theta", &Layout::new(DataType::F32, &[16, 8]), &theta, &opts)
-            .expect("theta");
+        w.write_dataset_f32_opts(
+            "/iter-3/theta",
+            &Layout::new(DataType::F32, &[16, 8]),
+            &theta,
+            &opts,
+        )
+        .expect("theta");
         w.write_dataset_f64("/iter-3/time", &Layout::scalar(DataType::F64), &[12.5])
             .expect("time");
         let v = DatasetOptions::plain().with_coords(3, 0);
-        w.write_dataset_bytes("/iter-x/iter-3/v", &Layout::new(DataType::U8, &[4]), &[1, 2, 3, 4], &v)
-            .expect("v");
+        w.write_dataset_bytes(
+            "/iter-x/iter-3/v",
+            &Layout::new(DataType::U8, &[4]),
+            &[1, 2, 3, 4],
+            &v,
+        )
+        .expect("v");
         let bytes = w.finish_synced().expect("finish");
         publish_iteration(root, 0, 3, rel, bytes).expect("publish");
     }
@@ -963,16 +1013,29 @@ mod tests {
         for variable in variables {
             for iteration in iterations.clone() {
                 for source in [0, 1, damaris_format::NO_COORD] {
-                    blocks.push(engine.lookup(&snap, variable, iteration, source).expect("lookup"));
+                    blocks.push(
+                        engine
+                            .lookup(&snap, variable, iteration, source)
+                            .expect("lookup"),
+                    );
                 }
             }
         }
         let mut ranges = Vec::new();
         for variable in variables {
             for rows in [None, Some((1, 2))] {
-                let query = RangeQuery { variable, iterations: (0, 8), sources: None, rows };
+                let query = RangeQuery {
+                    variable,
+                    iterations: (0, 8),
+                    sources: None,
+                    rows,
+                };
                 let hits = engine.range(&snap, &query).expect("range");
-                ranges.push(hits.into_iter().map(|h| (h.iteration, h.source, h.layout, h.data)).collect());
+                ranges.push(
+                    hits.into_iter()
+                        .map(|h| (h.iteration, h.source, h.layout, h.data))
+                        .collect(),
+                );
             }
         }
         (snap.files().len(), blocks, ranges)
@@ -991,8 +1054,14 @@ mod tests {
         assert_eq!(files, 9);
         // 7 × 2 fields, theta/time/v at 3, plain/theta/grid at 7.
         assert_eq!(blocks.iter().flatten().count(), 20);
-        let config = crate::CompactorConfig { min_batch: 2, hot_tail: 0, chunk_rows: 4 };
-        let report = crate::Compactor::new(&root, config).run_once().expect("compact");
+        let config = crate::CompactorConfig {
+            min_batch: 2,
+            hot_tail: 0,
+            chunk_rows: 4,
+        };
+        let report = crate::Compactor::new(&root, config)
+            .run_once()
+            .expect("compact");
         assert_eq!(report.batches, [(0, 0, 7)]);
         let (files, after, after_ranges) = every_answer(&engine);
         assert_eq!(files, 2, "the merged file and iteration 8");
@@ -1019,7 +1088,11 @@ mod tests {
                 },
             )
             .expect("range");
-        assert!(hits.is_empty(), "hi < lo matches nothing, got {}", hits.len());
+        assert!(
+            hits.is_empty(),
+            "hi < lo matches nothing, got {}",
+            hits.len()
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1030,7 +1103,10 @@ mod tests {
         // Layout claims 10 f64 rows; the block only holds 5.
         let layout = Layout::new(DataType::F64, &[10]);
         let block: Block = Arc::new(
-            field(0, 0, 5).iter().flat_map(|v| v.to_le_bytes()).collect(),
+            field(0, 0, 5)
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect(),
         );
         let hit = engine
             .shape_hit(0, 0, &layout, Arc::clone(&block), Some((2, 6)))
@@ -1073,7 +1149,10 @@ mod tests {
         );
         for it in 0..6 {
             assert!(
-                engine.lookup(&snap, "field", it, 0).expect("lookup").is_some(),
+                engine
+                    .lookup(&snap, "field", it, 0)
+                    .expect("lookup")
+                    .is_some(),
                 "iteration {it} reachable after retry"
             );
         }
@@ -1254,7 +1333,10 @@ mod tests {
         let engine = QueryEngine::open(&root, QueryConfig::default()).expect("open");
         let snap = engine.snapshot();
         assert_eq!(snap.max_iteration(), None);
-        assert!(engine.lookup(&snap, "field", 0, 0).expect("lookup").is_none());
+        assert!(engine
+            .lookup(&snap, "field", 0, 0)
+            .expect("lookup")
+            .is_none());
         std::fs::remove_dir_all(&root).ok();
     }
 }

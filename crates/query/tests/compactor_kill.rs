@@ -14,10 +14,7 @@ const SOURCES: u32 = 2;
 const POINTS: usize = 512;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "damaris-query-kill-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("damaris-query-kill-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -42,8 +39,7 @@ fn build_output(root: &Path) {
                     &format!("/iter-{iteration}/rank-{source}/field"),
                     &Layout::new(DataType::F64, &[POINTS as u64]),
                     &payload(iteration, source),
-                    &DatasetOptions::plain()
-                        .with_coords(iteration, source),
+                    &DatasetOptions::plain().with_coords(iteration, source),
                 )
                 .expect("write");
         }
@@ -53,7 +49,11 @@ fn build_output(root: &Path) {
 }
 
 fn config() -> CompactorConfig {
-    CompactorConfig { min_batch: 4, hot_tail: 2, chunk_rows: 64 }
+    CompactorConfig {
+        min_batch: 4,
+        hot_tail: 2,
+        chunk_rows: 64,
+    }
 }
 
 /// Asserts every written block is reachable and byte-correct through a
@@ -67,14 +67,15 @@ fn assert_all_reachable(root: &Path, context: &str) {
             let block = engine
                 .lookup(&snap, "field", iteration, source)
                 .unwrap_or_else(|e| panic!("{context}: lookup it {iteration} src {source}: {e}"))
-                .unwrap_or_else(|| {
-                    panic!("{context}: it {iteration} src {source} unreachable")
-                });
+                .unwrap_or_else(|| panic!("{context}: it {iteration} src {source} unreachable"));
             let expected: Vec<u8> = payload(iteration, source)
                 .iter()
                 .flat_map(|v| v.to_le_bytes())
                 .collect();
-            assert_eq!(*block, expected, "{context}: it {iteration} src {source} bytes");
+            assert_eq!(
+                *block, expected,
+                "{context}: it {iteration} src {source} bytes"
+            );
         }
     }
 }
@@ -107,12 +108,17 @@ fn killing_the_compactor_at_any_step_loses_nothing() {
         // Invariant 1: the manifest is readable at every kill point.
         let manifest =
             Manifest::load(&root).unwrap_or_else(|e| panic!("kill {kill_at}: manifest: {e}"));
-        assert!(!manifest.entries.is_empty(), "kill {kill_at}: manifest not empty");
+        assert!(
+            !manifest.entries.is_empty(),
+            "kill {kill_at}: manifest not empty"
+        );
         // Invariant 2: every block is still reachable, byte-correct.
         assert_all_reachable(&root, &format!("kill {kill_at}"));
         // Invariant 3: a rerun converges to the compacted state.
         compactor.clear_fault();
-        compactor.run_once().unwrap_or_else(|e| panic!("kill {kill_at}: rerun: {e}"));
+        compactor
+            .run_once()
+            .unwrap_or_else(|e| panic!("kill {kill_at}: rerun: {e}"));
         assert_all_reachable(&root, &format!("kill {kill_at} after rerun"));
         let healed = Manifest::load(&root).expect("healed manifest");
         assert!(
@@ -129,7 +135,10 @@ fn killing_the_compactor_at_any_step_loses_nothing() {
                 !root.join(&rel).exists(),
                 "kill {kill_at}: superseded {rel} still on disk after rerun"
             );
-            assert!(!healed.references(&rel), "kill {kill_at}: {rel} still referenced");
+            assert!(
+                !healed.references(&rel),
+                "kill {kill_at}: {rel} still referenced"
+            );
         }
         std::fs::remove_dir_all(&root).ok();
     }
@@ -157,8 +166,7 @@ fn publish_gap_splits_batches_and_preserves_the_unpublished_file() {
                     &format!("/iter-{iteration}/rank-{source}/field"),
                     &Layout::new(DataType::F64, &[POINTS as u64]),
                     &payload(iteration, source),
-                    &DatasetOptions::plain()
-                        .with_coords(iteration, source),
+                    &DatasetOptions::plain().with_coords(iteration, source),
                 )
                 .expect("write");
         }
@@ -170,7 +178,11 @@ fn publish_gap_splits_batches_and_preserves_the_unpublished_file() {
 
     let compactor = Compactor::new(
         &root,
-        CompactorConfig { min_batch: 2, hot_tail: 2, chunk_rows: 64 },
+        CompactorConfig {
+            min_batch: 2,
+            hot_tail: 2,
+            chunk_rows: 64,
+        },
     );
     let report = compactor.run_once().expect("run");
     // cutoff = 9 - 2 = 7; eligible published iterations {0,1,2,3,5,6}
@@ -215,7 +227,9 @@ fn paused_compactor_is_a_no_op() {
     let manifest = Manifest::load(&root).expect("manifest");
     assert_eq!(manifest.entries.len(), ITERS as usize, "nothing touched");
     // The shared flag resumes it.
-    compactor.pause_flag().store(false, std::sync::atomic::Ordering::Release);
+    compactor
+        .pause_flag()
+        .store(false, std::sync::atomic::Ordering::Release);
     let report = compactor.run_once().expect("resumed run");
     assert_eq!(report.batches.len(), 1);
     std::fs::remove_dir_all(&root).ok();
@@ -236,8 +250,7 @@ fn hot_tail_and_min_batch_gate_compaction() {
                 &format!("/iter-{iteration}/rank-0/field"),
                 &Layout::new(DataType::F64, &[8]),
                 &payload(iteration, 0)[..8],
-                &DatasetOptions::plain()
-                    .with_coords(iteration, 0),
+                &DatasetOptions::plain().with_coords(iteration, 0),
             )
             .expect("write");
         let bytes = writer.finish_synced().expect("finish");

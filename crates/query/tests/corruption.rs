@@ -42,8 +42,7 @@ fn build_output(root: &Path) {
                     &format!("/iter-{iteration}/rank-{source}/field"),
                     &Layout::new(DataType::F64, &[16]),
                     &data,
-                    &DatasetOptions::plain()
-                        .with_coords(iteration, source),
+                    &DatasetOptions::plain().with_coords(iteration, source),
                 )
                 .expect("write");
         }

@@ -9,10 +9,8 @@ use damaris_query::{QueryConfig, QueryEngine};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "damaris-query-prune-{tag}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("damaris-query-prune-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -30,14 +28,15 @@ fn absent_key_probes_prune_at_least_ninety_percent_of_block_reads() {
         let mut writer = SdfWriter::create(&path).expect("create");
         for source in 0..8u32 {
             for variable in ["theta", "wind"] {
-                let data: Vec<f64> = (0..32).map(|i| f64::from(iteration + source) + i as f64).collect();
+                let data: Vec<f64> = (0..32)
+                    .map(|i| f64::from(iteration + source) + i as f64)
+                    .collect();
                 writer
                     .write_dataset_f64_opts(
                         &format!("/iter-{iteration}/rank-{source}/{variable}"),
                         &Layout::new(DataType::F64, &[32]),
                         &data,
-                        &DatasetOptions::plain()
-                            .with_coords(iteration, source),
+                        &DatasetOptions::plain().with_coords(iteration, source),
                     )
                     .expect("write");
             }

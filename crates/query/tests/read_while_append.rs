@@ -21,10 +21,8 @@ const READERS: usize = 8;
 const POINTS: usize = 64;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "damaris-query-chaos-{tag}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("damaris-query-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -58,7 +56,13 @@ fn readers_see_byte_identical_blocks_while_epe_appends() {
     let runtime = NodeRuntime::start(cfg, CLIENTS as usize, &dir).expect("runtime");
 
     let engine = Arc::new(
-        QueryEngine::open(&dir, QueryConfig { cache_bytes: 4 << 20 }).expect("engine"),
+        QueryEngine::open(
+            &dir,
+            QueryConfig {
+                cache_bytes: 4 << 20,
+            },
+        )
+        .expect("engine"),
     );
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -84,10 +88,12 @@ fn readers_see_byte_identical_blocks_while_epe_appends() {
                 // Point probe at a rotating coordinate.
                 let it = (round + reader_id as u32) % (max + 1);
                 let src = (round + reader_id as u32 / 2) % CLIENTS;
-                if let Some(block) =
-                    engine.lookup(&snap, "field", it, src).expect("lookup")
-                {
-                    seen.push(Seen { iteration: it, source: src, bytes: block.to_vec() });
+                if let Some(block) = engine.lookup(&snap, "field", it, src).expect("lookup") {
+                    seen.push(Seen {
+                        iteration: it,
+                        source: src,
+                        bytes: block.to_vec(),
+                    });
                 }
                 // Range probe over a small trailing window, all sources.
                 let lo = max.saturating_sub(2);

@@ -62,8 +62,7 @@ fn write_file(root: &Path, iteration: u32) -> (String, u64) {
     let mut writer = SdfWriter::create(&path).expect("create");
     let data: Vec<f64> = (0..64).map(f64::from).collect();
     for rank in 0..RANKS {
-        let opts = DatasetOptions::plain()
-            .with_coords(iteration, rank);
+        let opts = DatasetOptions::plain().with_coords(iteration, rank);
         writer
             .write_dataset_f64_opts(
                 &format!("/iter-{iteration}/rank-{rank}/field"),

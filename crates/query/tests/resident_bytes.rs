@@ -100,8 +100,7 @@ fn publish(shape: &Shape) -> PathBuf {
                 let data: Vec<u8> = (0..shape.block_bytes)
                     .map(|b| ((b / 64) as u32 + v + rank) as u8)
                     .collect();
-                let mut opts = DatasetOptions::plain()
-                    .with_coords(iteration, rank);
+                let mut opts = DatasetOptions::plain().with_coords(iteration, rank);
                 if let Some(filter) = shape.filter {
                     opts = opts.with_filter(filter);
                 }
@@ -134,9 +133,30 @@ fn open_cost(root: &Path) -> (QueryEngine, [usize; 4]) {
 #[test]
 fn an_open_file_costs_bytes_per_dataset_not_objects() {
     let shapes = [
-        Shape { name: "smallvars", variables: 64, dtype: DataType::F64, block_bytes: 256, filter: None, files: 64 },
-        Shape { name: "steady", variables: 4, dtype: DataType::F64, block_bytes: 64 << 10, filter: None, files: 16 },
-        Shape { name: "insitu", variables: 4, dtype: DataType::F32, block_bytes: 16 << 10, filter: Some("lzss"), files: 16 },
+        Shape {
+            name: "smallvars",
+            variables: 64,
+            dtype: DataType::F64,
+            block_bytes: 256,
+            filter: None,
+            files: 64,
+        },
+        Shape {
+            name: "steady",
+            variables: 4,
+            dtype: DataType::F64,
+            block_bytes: 64 << 10,
+            filter: None,
+            files: 16,
+        },
+        Shape {
+            name: "insitu",
+            variables: 4,
+            dtype: DataType::F32,
+            block_bytes: 16 << 10,
+            filter: Some("lzss"),
+            files: 16,
+        },
     ];
     let mut smallvars = None;
     for shape in &shapes {
@@ -162,6 +182,9 @@ fn an_open_file_costs_bytes_per_dataset_not_objects() {
         std::fs::remove_dir_all(&root).ok();
     }
     let (per_dataset, per_file) = smallvars.expect("smallvars measured");
-    assert!(per_dataset <= 160, "{per_dataset} B resident per dataset, budget 160");
+    assert!(
+        per_dataset <= 160,
+        "{per_dataset} B resident per dataset, budget 160"
+    );
     assert!(per_file <= 32, "{per_file} allocations per file, budget 32");
 }

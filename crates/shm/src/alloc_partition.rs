@@ -239,7 +239,7 @@ mod tests {
         let s1 = a.allocate(0, 100).unwrap(); // rounds to 104 @ pos 0
         let s2 = a.allocate(0, 100).unwrap(); // 104 @ pos 104
         a.release(0, s1); // tail = 104
-        // pos = 208; 104 doesn't fit in the 48 remaining → pad 48, start 0.
+                          // pos = 208; 104 doesn't fit in the 48 remaining → pad 48, start 0.
         let s3 = a.allocate(0, 100).unwrap();
         assert_eq!(s3.offset(), 0);
         assert_eq!(a.in_use(0), 104 + 48 + 104, "wrap padding counts as in use");

@@ -35,8 +35,14 @@ const ESRCH: i32 = 3;
 pub const SIGKILL: i32 = 9;
 
 extern "C" {
-    fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, offset: i64)
-        -> *mut c_void;
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: i32,
+        flags: i32,
+        fd: i32,
+        offset: i64,
+    ) -> *mut c_void;
     fn munmap(addr: *mut c_void, len: usize) -> i32;
     fn kill(pid: i32, sig: i32) -> i32;
     fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
@@ -56,7 +62,10 @@ struct Timespec {
 /// lease/heartbeat staleness math needs (a lease renewed by a client
 /// process must be datable by the EPE process).
 pub fn monotonic_now_ns() -> u64 {
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
     // SAFETY: `ts` is a valid, writable `timespec`; CLOCK_MONOTONIC is
     // always available on Linux, so the call cannot fail with a valid
     // pointer.
@@ -234,7 +243,12 @@ impl Drop for MapRegion {
 
 impl std::fmt::Debug for MapRegion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MapRegion({} bytes at {})", self.len, self.path.display())
+        write!(
+            f,
+            "MapRegion({} bytes at {})",
+            self.len,
+            self.path.display()
+        )
     }
 }
 

@@ -101,7 +101,10 @@ impl SharedBuffer {
             region.len()
         );
         Arc::new(SharedBuffer {
-            backing: Backing::Mapped { region, data_offset },
+            backing: Backing::Mapped {
+                region,
+                data_offset,
+            },
             capacity,
             tracker: RangeTracker::new(),
         })
@@ -116,7 +119,10 @@ impl SharedBuffer {
         match &self.backing {
             Backing::Heap(data) => data.as_ptr() as *mut u8,
             #[cfg(all(unix, not(feature = "check")))]
-            Backing::Mapped { region, data_offset } => {
+            Backing::Mapped {
+                region,
+                data_offset,
+            } => {
                 // SAFETY: `from_region` checked data_offset + capacity fits
                 // inside the mapping, so the offset stays in bounds.
                 unsafe { region.base().add(*data_offset) }
@@ -135,10 +141,17 @@ impl SharedBuffer {
     /// ([`crate::ring::ring_reserve`]). Callers must come through an
     /// allocator that guarantees disjointness; hence the crate-private
     /// visibility.
-    pub(crate) fn segment_at(self: &Arc<Self>, offset: usize, len: usize, position: u64) -> Segment {
+    pub(crate) fn segment_at(
+        self: &Arc<Self>,
+        offset: usize,
+        len: usize,
+        position: u64,
+    ) -> Segment {
         // ANALYZE: in-bounds(callers are allocators handing out ranges inside their region, which sits inside capacity; the assert is the contract check)
         assert!(
-            offset.checked_add(len).is_some_and(|end| end <= self.capacity),
+            offset
+                .checked_add(len)
+                .is_some_and(|end| end <= self.capacity),
             "segment [{offset}, {offset}+{len}) out of bounds for capacity {}",
             self.capacity
         );
@@ -239,9 +252,7 @@ impl Segment {
         // Declare the write to the race detector (no-op unless `check`).
         self.buffer.tracker.write(self.offset, self.len);
         // SAFETY: exclusive borrow of the segment + allocator disjointness.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.buffer.base().add(self.offset), self.len)
-        }
+        unsafe { std::slice::from_raw_parts_mut(self.buffer.base().add(self.offset), self.len) }
     }
 
     /// Shared read view (used by the server after the handle arrives through
@@ -251,9 +262,7 @@ impl Segment {
         self.buffer.tracker.read(self.offset, self.len);
         // SAFETY: `&self` prevents concurrent mutation through this handle;
         // no other handle aliases the range.
-        unsafe {
-            std::slice::from_raw_parts(self.buffer.base().add(self.offset), self.len)
-        }
+        unsafe { std::slice::from_raw_parts(self.buffer.base().add(self.offset), self.len) }
     }
 
     /// Splits off the tail, leaving `self` with the first `at` bytes.

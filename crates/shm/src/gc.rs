@@ -110,9 +110,8 @@ pub fn scan_orphans(
                 // CLOCK_MONOTONIC restarts at boot, so a stamp from a
                 // previous boot reads as "in the future"; treat that as
                 // expired too (saturating_sub would call it fresh).
-                let expired = stale_after_ns.is_some_and(|window| {
-                    h.beat_at_ns > now || now - h.beat_at_ns > window
-                });
+                let expired = stale_after_ns
+                    .is_some_and(|window| h.beat_at_ns > now || now - h.beat_at_ns > window);
                 if dead || expired {
                     std::fs::remove_file(&path)?;
                     report.removed += 1;
@@ -227,7 +226,8 @@ mod tests {
 
     #[test]
     fn missing_directory_is_empty_report() {
-        let report = scan_orphans(Path::new("/nonexistent-damaris-gc"), "node-", None, None).unwrap();
+        let report =
+            scan_orphans(Path::new("/nonexistent-damaris-gc"), "node-", None, None).unwrap();
         assert_eq!(report, GcReport::default());
     }
 }

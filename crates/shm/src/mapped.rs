@@ -166,11 +166,16 @@ impl MappedNode {
         // writing. Relaxed stores: nobody else can map the file yet
         // (create_new is exclusive and the magic is published last).
         node.word(OFF_VERSION).store(VERSION, Ordering::Relaxed);
-        node.word(OFF_N_CLIENTS).store(n_clients as u64, Ordering::Relaxed);
-        node.word(OFF_DATA_CAPACITY).store(data_capacity as u64, Ordering::Relaxed);
-        node.word(OFF_DATA_OFFSET).store(data_offset as u64, Ordering::Relaxed);
-        node.word(OFF_REGION_CAPACITY).store(region_capacity as u64, Ordering::Relaxed);
-        node.word(OFF_NOTICE_CAPACITY).store(notice_capacity as u64, Ordering::Relaxed);
+        node.word(OFF_N_CLIENTS)
+            .store(n_clients as u64, Ordering::Relaxed);
+        node.word(OFF_DATA_CAPACITY)
+            .store(data_capacity as u64, Ordering::Relaxed);
+        node.word(OFF_DATA_OFFSET)
+            .store(data_offset as u64, Ordering::Relaxed);
+        node.word(OFF_REGION_CAPACITY)
+            .store(region_capacity as u64, Ordering::Relaxed);
+        node.word(OFF_NOTICE_CAPACITY)
+            .store(notice_capacity as u64, Ordering::Relaxed);
         node.word(OFF_CREATOR_PID)
             .store(u64::from(crate::backing::this_pid()), Ordering::Relaxed);
         node.word(OFF_BEAT_AT_NS)
@@ -608,7 +613,10 @@ mod tests {
         assert!(node.adopt(&buf, 1, usize::MAX - 1, 2).is_none(), "overflow");
         assert!(node.adopt(&buf, 0, off, len).is_none(), "another ring");
         assert!(node.adopt(&buf, 2, off, len).is_none(), "no such client");
-        assert!(node.adopt(&buf, 1, off, 1025).is_none(), "longer than a ring");
+        assert!(
+            node.adopt(&buf, 1, off, 1025).is_none(),
+            "longer than a ring"
+        );
         assert!(node.adopt(&buf, 1, off + 1000, 100).is_none(), "straddles");
         assert!(node.adopt(&buf, 1, off + 104, 100).is_none(), "beyond head");
         node.release(1, off, len);

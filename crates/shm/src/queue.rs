@@ -181,8 +181,7 @@ impl<T> MpscQueue<T> {
                         // release-store of seq); the CAS made us the unique
                         // consumer of this slot, so the value is initialized
                         // and unaliased.
-                        let value =
-                            slot.value.with(|p| unsafe { (*p).assume_init_read() });
+                        let value = slot.value.with(|p| unsafe { (*p).assume_init_read() });
                         // Release: marks the slot free for the producer one
                         // lap ahead, ordering our read of the value before
                         // its overwrite.
@@ -255,7 +254,12 @@ impl<T> Drop for MpscQueue<T> {
 
 impl<T> std::fmt::Debug for MpscQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MpscQueue(capacity={}, len≈{})", self.capacity(), self.len())
+        write!(
+            f,
+            "MpscQueue(capacity={}, len≈{})",
+            self.capacity(),
+            self.len()
+        )
     }
 }
 

@@ -133,7 +133,11 @@ pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<Reserved, AllocError> {
     // Cannot underflow: the consumer only releases what we reserved, and
     // `floor` was a value of `head`, so both are below `h`.
     let used = h - t.max(ring.floor.load(Ordering::Relaxed));
-    let (pad, start) = if pos + need <= cap { (0, pos) } else { (cap - pos, 0) };
+    let (pad, start) = if pos + need <= cap {
+        (0, pos)
+    } else {
+        (cap - pos, 0)
+    };
     if used + pad + need > cap {
         return Err(AllocError::Full);
     }

@@ -80,7 +80,11 @@ fn mpmc_queue_two_by_two() {
         assert!(q.pop().is_none());
     });
     // Sanity: this scenario genuinely branches (hundreds of schedules).
-    assert!(stats.executions > 10, "only {} executions", stats.executions);
+    assert!(
+        stats.executions > 10,
+        "only {} executions",
+        stats.executions
+    );
 }
 
 /// Data written into a shared cell before `push` is visible after `pop` —
@@ -483,7 +487,11 @@ fn seeded_load_store_claim_double_processes() {
             for c in claimers {
                 c.join();
             }
-            assert_eq!(wins.load(Ordering::Relaxed), 1, "claim raced: double-processed");
+            assert_eq!(
+                wins.load(Ordering::Relaxed),
+                1,
+                "claim raced: double-processed"
+            );
         })
         .expect_err("load/store claim must double-process in some schedule");
     assert_eq!(failure.kind, FailureKind::Panic);

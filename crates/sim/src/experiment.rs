@@ -137,9 +137,7 @@ pub fn run_simulation(
         compute_time += it;
         window_since_write += it;
         if iter % workload.iterations_per_write == 0 {
-            let phase_seed = seed
-                .wrapping_mul(31)
-                .wrapping_add(u64::from(iter));
+            let phase_seed = seed.wrapping_mul(31).wrapping_add(u64::from(iter));
             let out = run_phase(platform, workload, &strategy, ncores, phase_seed);
             phase_durations.push(out.phase_duration);
             io_time += out.phase_duration;
@@ -157,8 +155,8 @@ pub fn run_simulation(
     let spare_fraction = if spare_times.is_empty() {
         0.0
     } else {
-        let total_window = compute_time / phase_durations.len().max(1) as f64
-            * phase_durations.len() as f64;
+        let total_window =
+            compute_time / phase_durations.len().max(1) as f64 * phase_durations.len() as f64;
         (spare_times.iter().sum::<f64>() / total_window).clamp(0.0, 1.0)
     };
     RunReport {
@@ -347,7 +345,12 @@ mod tests {
         let p = platform::kraken();
         let w = WorkloadSpec::cm1_kraken();
         let r = run_simulation(&p, &w, Strategy::damaris(), 1152, 50, 2);
-        assert!(r.io_time < 0.01 * r.total_time, "io {} total {}", r.io_time, r.total_time);
+        assert!(
+            r.io_time < 0.01 * r.total_time,
+            "io {} total {}",
+            r.io_time,
+            r.total_time
+        );
         assert!(r.spare_fraction > 0.5, "spare {}", r.spare_fraction);
         assert!(r.dedicated_write_mean > 0.0);
     }
@@ -387,10 +390,8 @@ mod tests {
             at_iteration: 25,
             detection_timeout: 5.0,
         };
-        let fpp =
-            run_simulation_with_failure(&p, &w, Strategy::FilePerProcess, 576, 50, 3, spec);
-        let cio =
-            run_simulation_with_failure(&p, &w, Strategy::CollectiveIo, 576, 50, 3, spec);
+        let fpp = run_simulation_with_failure(&p, &w, Strategy::FilePerProcess, 576, 50, 3, spec);
+        let cio = run_simulation_with_failure(&p, &w, Strategy::CollectiveIo, 576, 50, 3, spec);
 
         // The detection stall dominates an ordinary iteration: the failure
         // iteration is a visible jitter spike for every strategy.
@@ -411,8 +412,7 @@ mod tests {
         let disrupted = cio.disrupted_phase.expect("collective phase disrupted");
         assert!(disrupted >= 5.0);
         // Same seed, same spec → byte-identical accounting (determinism).
-        let again =
-            run_simulation_with_failure(&p, &w, Strategy::CollectiveIo, 576, 50, 3, spec);
+        let again = run_simulation_with_failure(&p, &w, Strategy::CollectiveIo, 576, 50, 3, spec);
         assert_eq!(again.run.total_time, cio.run.total_time);
     }
 

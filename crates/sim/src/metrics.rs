@@ -1,6 +1,5 @@
 //! Summary statistics and paper-style derived metrics.
 
-
 /// Summary of a sample set (write times, durations, …).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
@@ -127,9 +126,21 @@ mod tests {
         for n in [1usize, 2, 3, 5, 19, 20, 21, 99, 100, 101, 1000] {
             let samples: Vec<f64> = (1..=n).map(|i| i as f64).collect();
             let s = Stats::from(&samples);
-            assert_eq!(s.p50, (n * 50).div_ceil(100).max(1) as f64, "p50 of 1..={n}");
-            assert_eq!(s.p95, (n * 95).div_ceil(100).max(1) as f64, "p95 of 1..={n}");
-            assert_eq!(s.p99, (n * 99).div_ceil(100).max(1) as f64, "p99 of 1..={n}");
+            assert_eq!(
+                s.p50,
+                (n * 50).div_ceil(100).max(1) as f64,
+                "p50 of 1..={n}"
+            );
+            assert_eq!(
+                s.p95,
+                (n * 95).div_ceil(100).max(1) as f64,
+                "p95 of 1..={n}"
+            );
+            assert_eq!(
+                s.p99,
+                (n * 99).div_ceil(100).max(1) as f64,
+                "p99 of 1..={n}"
+            );
         }
         // Small sets: quantiles degrade to the extremes, never panic.
         let s = Stats::from(&[3.0, 9.0]);

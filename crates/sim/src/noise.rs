@@ -151,9 +151,7 @@ mod tests {
         };
         let mut rng = SimRng::new(9, 3);
         let n = 40_000;
-        let hits = (0..n)
-            .filter(|_| interf.sample(&mut rng) > 0.0)
-            .count();
+        let hits = (0..n).filter(|_| interf.sample(&mut rng) > 0.0).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "hit rate {rate}");
         assert_eq!(Interference::none().sample(&mut rng), 0.0);

@@ -96,10 +96,7 @@ impl ServerPool {
 
     /// Latest completion over the pool.
     pub fn last_free(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|s| s.free_at())
-            .fold(0.0, f64::max)
+        self.servers.iter().map(|s| s.free_at()).fold(0.0, f64::max)
     }
 }
 
@@ -280,7 +277,7 @@ mod tests {
         assert!((t1 - 2.0).abs() < 1e-12); // 1.0 switch + 1.0 transfer
         let t2 = d.serve_write(0.0, 1, 100, 0.0);
         assert!((t2 - 3.0).abs() < 1e-12); // no switch
-        // Different file: switch again.
+                                           // Different file: switch again.
         let t3 = d.serve_write(0.0, 2, 100, 0.0);
         assert!((t3 - 5.0).abs() < 1e-12);
         assert_eq!(d.switches(), 2);
@@ -319,7 +316,7 @@ mod tests {
     #[test]
     fn cache_quota_is_per_file_first_come() {
         let mut d = DataServer::new(100.0, 0.0, 0.0, 160, 16); // quota 10/file
-        // 16 files exhaust the cache; the 17th gets nothing.
+                                                               // 16 files exhaust the cache; the 17th gets nothing.
         for f in 0..16u64 {
             let t = d.serve_write(0.0, f, 10, 0.0);
             assert_eq!(t, 0.0, "file {f} should be absorbed");

@@ -46,8 +46,8 @@ pub(super) fn run(sim: &mut IoSim<'_>) -> PhaseOutcome {
     let shared_file: u64 = 0x5AFE;
 
     // The collective open: one metadata op plus a synchronizing broadcast.
-    let open_done = sim.mds.serve_any(0.0, sim.platform.fs.metadata_op_time)
-        + (procs as f64).log2() * 25.0e-6;
+    let open_done =
+        sim.mds.serve_any(0.0, sim.platform.fs.metadata_op_time) + (procs as f64).log2() * 25.0e-6;
 
     let (base_lock, steal, extent_locking) = match sim.platform.fs.lock {
         LockMode::None => (0.0, 0.0, false),
@@ -117,8 +117,7 @@ pub(super) fn run(sim: &mut IoSim<'_>) -> PhaseOutcome {
             let stripe = sim.platform.fs.stripe_size.max(1);
             for (server, bytes) in touched {
                 let pieces = bytes.div_ceil(stripe).saturating_sub(1);
-                let extra = sim.interference()
-                    + pieces as f64 * sim.platform.fs.request_latency;
+                let extra = sim.interference() + pieces as f64 * sim.platform.fs.request_latency;
                 let served = (bytes as f64 * amplification) as u64;
                 let done = sim.data[server].serve_write(lock_done, shared_file, served, extra);
                 write_done = write_done.max(done);
@@ -178,8 +177,16 @@ mod tests {
         let p = platform::kraken();
         let w = WorkloadSpec::cm1_kraken();
         let out = run_phase(&p, &w, &Strategy::CollectiveIo, 1152, 3);
-        let min = out.client_write_times.iter().cloned().fold(f64::MAX, f64::min);
-        let max = out.client_write_times.iter().cloned().fold(0.0f64, f64::max);
+        let min = out
+            .client_write_times
+            .iter()
+            .cloned()
+            .fold(f64::MAX, f64::min);
+        let max = out
+            .client_write_times
+            .iter()
+            .cloned()
+            .fold(0.0f64, f64::max);
         assert!((max - min) / max < 0.01, "CIO should synchronize clients");
     }
 

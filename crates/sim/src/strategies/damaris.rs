@@ -106,11 +106,7 @@ pub(super) fn run(sim: &mut IoSim<'_>, opts: &DamarisOptions) -> PhaseOutcome {
         // Compression runs first in the dedicated core; its cost is hidden
         // from the application but extends the dedicated core's busy time.
         let (comp_cpu, to_write) = match &opts.compression {
-            Some(model) => super::apply_compression(
-                model,
-                group_bytes,
-                1.0 + 0.1 * sim.rng.unit(),
-            ),
+            Some(model) => super::apply_compression(model, group_bytes, 1.0 + 0.1 * sim.rng.unit()),
             None => (0.0, group_bytes),
         };
         let slot_wait = slot_len * writer_id as f64;
@@ -217,8 +213,16 @@ mod tests {
         let p = platform::kraken();
         let w = WorkloadSpec::cm1_kraken();
         let out = run_phase(&p, &w, &Strategy::damaris(), 2304, 2);
-        let min = out.client_write_times.iter().cloned().fold(f64::MAX, f64::min);
-        let max = out.client_write_times.iter().cloned().fold(0.0f64, f64::max);
+        let min = out
+            .client_write_times
+            .iter()
+            .cloned()
+            .fold(f64::MAX, f64::min);
+        let max = out
+            .client_write_times
+            .iter()
+            .cloned()
+            .fold(0.0f64, f64::max);
         assert!(max - min < 0.15, "jitter {} too large", max - min);
     }
 
@@ -228,8 +232,15 @@ mod tests {
         let w = WorkloadSpec::cm1_kraken();
         let out = run_phase(&p, &w, &Strategy::damaris(), 1152, 3);
         assert_eq!(out.dedicated_write_times.len(), 96);
-        let max_ded = out.dedicated_write_times.iter().cloned().fold(0.0f64, f64::max);
-        assert!(max_ded > out.phase_duration, "async write longer than memcpy");
+        let max_ded = out
+            .dedicated_write_times
+            .iter()
+            .cloned()
+            .fold(0.0f64, f64::max);
+        assert!(
+            max_ded > out.phase_duration,
+            "async write longer than memcpy"
+        );
         assert_eq!(out.bytes_to_fs, out.bytes_logical);
     }
 
@@ -239,13 +250,7 @@ mod tests {
         let p = platform::kraken();
         let w = WorkloadSpec::cm1_kraken();
         let base = run_phase(&p, &w, &Strategy::damaris(), 2304, 4);
-        let sched = run_phase(
-            &p,
-            &w,
-            &damaris_with(|o| o.scheduled = true),
-            2304,
-            4,
-        );
+        let sched = run_phase(&p, &w, &damaris_with(|o| o.scheduled = true), 2304, 4);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(
             mean(&sched.dedicated_write_times) < 0.8 * mean(&base.dedicated_write_times),

@@ -151,8 +151,16 @@ mod tests {
         let p = platform::grid5000_parapluie();
         let w = WorkloadSpec::cm1_grid5000();
         let out = run_phase(&p, &w, &Strategy::FilePerProcess, 672, 5);
-        let min = out.client_write_times.iter().cloned().fold(f64::MAX, f64::min);
-        let max = out.client_write_times.iter().cloned().fold(0.0f64, f64::max);
+        let min = out
+            .client_write_times
+            .iter()
+            .cloned()
+            .fold(f64::MAX, f64::min);
+        let max = out
+            .client_write_times
+            .iter()
+            .cloned()
+            .fold(0.0f64, f64::max);
         assert!(max > 4.0 * min, "min {min:.2} max {max:.2}: no jitter?");
     }
 

@@ -180,11 +180,7 @@ pub fn run_phase(
 
 /// Client-side compression cost (used by FPP on BluePrint): returns
 /// (cpu_seconds, bytes_after).
-pub(crate) fn apply_compression(
-    model: &CompressionModel,
-    bytes: u64,
-    noise: f64,
-) -> (f64, u64) {
+pub(crate) fn apply_compression(model: &CompressionModel, bytes: u64, noise: f64) -> (f64, u64) {
     let cpu = bytes as f64 / model.rate * noise;
     let out = (bytes as f64 / model.ratio) as u64;
     (cpu, out)

@@ -121,7 +121,10 @@ mod tests {
     fn kraken_subdomain_totals_match() {
         let w = WorkloadSpec::cm1_kraken();
         // Per-node totals: 12×(44×44×200) == 11×(48×44×200).
-        assert_eq!(12 * w.points_per_core_n(), 11 * w.points_per_core_dedicated_n());
+        assert_eq!(
+            12 * w.points_per_core_n(),
+            11 * w.points_per_core_dedicated_n()
+        );
     }
 
     #[test]

@@ -288,9 +288,8 @@ impl<'a> Lexer<'a> {
                             }
                             self.skip_whitespace();
                             if self.peek() != Some(b'=') {
-                                return self.err(format!(
-                                    "expected '=' after attribute '{attr_name}'"
-                                ));
+                                return self
+                                    .err(format!("expected '=' after attribute '{attr_name}'"));
                             }
                             self.bump();
                             self.skip_whitespace();
@@ -421,7 +420,9 @@ mod tests {
 
     #[test]
     fn position_tracking_counts_lines() {
-        let err = Lexer::new("<a>\n\n  <b x=1/>\n</a>").tokenize().unwrap_err();
+        let err = Lexer::new("<a>\n\n  <b x=1/>\n</a>")
+            .tokenize()
+            .unwrap_err();
         assert_eq!(err.pos.line, 3);
     }
 

@@ -158,8 +158,7 @@ fn contains_word(code: &str, word: &str) -> bool {
         let at = start + pos;
         let before_ok = at == 0 || !(b[at - 1].is_ascii_alphanumeric() || b[at - 1] == b'_');
         let end = at + word.len();
-        let after_ok =
-            end >= b.len() || !(b[end].is_ascii_alphanumeric() || b[end] == b'_');
+        let after_ok = end >= b.len() || !(b[end].is_ascii_alphanumeric() || b[end] == b'_');
         if before_ok && after_ok {
             return true;
         }
@@ -171,8 +170,7 @@ fn contains_word(code: &str, word: &str) -> bool {
 /// Lints one file's source. `file` is the workspace-relative path (with
 /// forward slashes); it selects which rules apply.
 pub fn lint_source(file: &str, src: &str) -> Vec<Violation> {
-    let in_shm_or_core =
-        file.starts_with("crates/shm/src") || file.starts_with("crates/core/src");
+    let in_shm_or_core = file.starts_with("crates/shm/src") || file.starts_with("crates/core/src");
     let is_facade = file == "crates/shm/src/sync.rs";
     // The untagged-expect gate covers the crates whose panics take down
     // supervised threads: core (the dedicated-core server), mpi (the rank
@@ -193,7 +191,8 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Violation> {
     let in_check = file.starts_with("crates/check/");
     let in_xtask = file.starts_with("crates/xtask/");
     // Integration tests, benches, and examples are test code wholesale.
-    let test_file = file.contains("/tests/") || file.contains("/benches/") || file.contains("/examples/");
+    let test_file =
+        file.contains("/tests/") || file.contains("/benches/") || file.contains("/examples/");
 
     let mut out = Vec::new();
     let mut mode = Mode::Code;
@@ -283,7 +282,12 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Violation> {
                     .to_string(),
             });
         }
-        if !in_check && !in_xtask && !in_test && code.contains("Ordering::SeqCst") && !tag("seqcst:") {
+        if !in_check
+            && !in_xtask
+            && !in_test
+            && code.contains("Ordering::SeqCst")
+            && !tag("seqcst:")
+        {
             out.push(Violation {
                 file: file.to_string(),
                 line: line_no,
@@ -427,8 +431,14 @@ mod tests {
     #[test]
     fn raw_atomics_in_substrate_flagged() {
         let src = "use std::sync::atomic::AtomicUsize;\n";
-        assert_eq!(rules("crates/shm/src/queue.rs", src), ["raw-sync-primitives"]);
-        assert_eq!(rules("crates/core/src/node.rs", src), ["raw-sync-primitives"]);
+        assert_eq!(
+            rules("crates/shm/src/queue.rs", src),
+            ["raw-sync-primitives"]
+        );
+        assert_eq!(
+            rules("crates/core/src/node.rs", src),
+            ["raw-sync-primitives"]
+        );
         // The facade itself and unrelated crates may.
         assert!(rules("crates/shm/src/sync.rs", src).is_empty());
         assert!(rules("crates/fs/src/faulty.rs", src).is_empty());
@@ -449,7 +459,10 @@ mod tests {
     #[test]
     fn parking_lot_bypass_flagged() {
         let src = "use parking_lot::Mutex;\n";
-        assert_eq!(rules("crates/shm/src/alloc_partition.rs", src), ["raw-sync-primitives"]);
+        assert_eq!(
+            rules("crates/shm/src/alloc_partition.rs", src),
+            ["raw-sync-primitives"]
+        );
     }
 
     // -- rule 2: undocumented unsafe --------------------------------------
@@ -457,7 +470,10 @@ mod tests {
     #[test]
     fn undocumented_unsafe_flagged_documented_passes() {
         let bad = "let v = unsafe { *p };\n";
-        assert_eq!(rules("crates/shm/src/buffer.rs", bad), ["undocumented-unsafe"]);
+        assert_eq!(
+            rules("crates/shm/src/buffer.rs", bad),
+            ["undocumented-unsafe"]
+        );
         let good = "\
 // SAFETY: p is valid for reads; the allocator guarantees no
 // concurrent writer exists for this segment.
@@ -492,13 +508,19 @@ let value =
 let x = 1;
 let v = unsafe { *p };
 ";
-        assert_eq!(rules("crates/shm/src/buffer.rs", src), ["undocumented-unsafe"]);
+        assert_eq!(
+            rules("crates/shm/src/buffer.rs", src),
+            ["undocumented-unsafe"]
+        );
     }
 
     #[test]
     fn unsafe_impl_needs_safety_too() {
         let src = "unsafe impl Send for Foo {}\n";
-        assert_eq!(rules("crates/shm/src/queue.rs", src), ["undocumented-unsafe"]);
+        assert_eq!(
+            rules("crates/shm/src/queue.rs", src),
+            ["undocumented-unsafe"]
+        );
     }
 
     // -- rule 3: untagged expect/unwrap in core ---------------------------
@@ -561,7 +583,10 @@ let v = maybe.unwrap();
         // The read tier serves arbitrary reader threads while the EPE
         // writes: a panic there kills an analysis consumer mid-run.
         let src = "let v = maybe.unwrap();\n";
-        assert_eq!(rules("crates/query/src/engine.rs", src), ["untagged-expect"]);
+        assert_eq!(
+            rules("crates/query/src/engine.rs", src),
+            ["untagged-expect"]
+        );
         let tagged = "\
 // invariant: the snapshot's file table is non-empty by construction.
 let v = maybe.unwrap();
@@ -575,7 +600,10 @@ let v = maybe.unwrap();
         // The chaos harness adjudicates node correctness: a panic in the
         // runner reads as a node failure and poisons every seed's verdict.
         let src = "let v = maybe.unwrap();\n";
-        assert_eq!(rules("crates/chaos/src/runner.rs", src), ["untagged-expect"]);
+        assert_eq!(
+            rules("crates/chaos/src/runner.rs", src),
+            ["untagged-expect"]
+        );
         let tagged = "\
 // invariant: the scenario generator emits at least one iteration.
 let v = maybe.unwrap();

@@ -153,7 +153,10 @@ fn run_lint() -> ExitCode {
         for v in &violations {
             eprintln!("{v}");
         }
-        eprintln!("xtask lint: {} violation(s) in {scanned} files", violations.len());
+        eprintln!(
+            "xtask lint: {} violation(s) in {scanned} files",
+            violations.len()
+        );
         ExitCode::FAILURE
     }
 }

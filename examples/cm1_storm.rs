@@ -40,8 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tmp = std::env::temp_dir().join(format!("cm1-storm-{}", std::process::id()));
     println!(
         "mini-CM1: {}x{}x{} global domain, {} ranks, {} variables, write every {} iterations\n",
-        config.global.0, config.global.1, config.global.2,
-        RANKS, config.n_variables, config.write_every
+        config.global.0,
+        config.global.1,
+        config.global.2,
+        RANKS,
+        config.n_variables,
+        config.write_every
     );
 
     // --- file-per-process
@@ -53,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     report(
         "file-per-process",
-        results.iter().map(|r| r.write_stats.iter().map(|s| s.elapsed).collect()).collect(),
+        results
+            .iter()
+            .map(|r| r.write_stats.iter().map(|s| s.elapsed).collect())
+            .collect(),
         results[0].theta_checksum,
     );
 
@@ -66,7 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     report(
         "collective-io",
-        results.iter().map(|r| r.write_stats.iter().map(|s| s.elapsed).collect()).collect(),
+        results
+            .iter()
+            .map(|r| r.write_stats.iter().map(|s| s.elapsed).collect())
+            .collect(),
         results[0].theta_checksum,
     );
 

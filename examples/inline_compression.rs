@@ -16,9 +16,9 @@ const ITERATIONS: u32 = 4;
 
 fn run(label: &str, filter: Option<&str>) -> Result<(u64, u64, f64), Box<dyn std::error::Error>> {
     let event = match filter {
-        Some(spec) => format!(
-            r#"<event name="end_of_iteration" action="persist" using="{spec}"/>"#
-        ),
+        Some(spec) => {
+            format!(r#"<event name="end_of_iteration" action="persist" using="{spec}"/>"#)
+        }
         None => String::new(),
     };
     let xml = format!(
@@ -51,7 +51,8 @@ fn run(label: &str, filter: Option<&str>) -> Result<(u64, u64, f64), Box<dyn std
                         let data: Vec<f32> = (0..VALUES)
                             .map(|i| {
                                 h = h.wrapping_mul(0x0100_0193) ^ h.rotate_left(13);
-                                300.0 + ((i + it as usize) as f32 * 0.001).sin() * 4.0
+                                300.0
+                                    + ((i + it as usize) as f32 * 0.001).sin() * 4.0
                                     + 1.0e-4 * (h >> 16) as f32
                             })
                             .collect();

@@ -47,7 +47,10 @@ fn main() {
     );
 
     let baseline = baseline_compute_time(&platform, &workload, ncores, 50, 1);
-    println!("{:<18} {:>10} {:>10} {:>10} {:>12} {:>8}", "strategy", "phase avg", "phase max", "run time", "throughput", "S/N");
+    println!(
+        "{:<18} {:>10} {:>10} {:>10} {:>12} {:>8}",
+        "strategy", "phase avg", "phase max", "run time", "throughput", "S/N"
+    );
     for strategy in [
         Strategy::FilePerProcess,
         Strategy::CollectiveIo,

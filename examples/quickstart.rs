@@ -75,7 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = SdfReader::open(out_dir.join("node-0/stats-iter-000000.sdf"))?;
     for name in stats.dataset_names() {
         let row = stats.read_f64(&name)?;
-        println!("  {name}: min={:.2} max={:.2} mean={:.2}", row[0], row[1], row[2]);
+        println!(
+            "  {name}: min={:.2} max={:.2} mean={:.2}",
+            row[0], row[1], row[2]
+        );
     }
 
     std::fs::remove_dir_all(&out_dir).ok();

@@ -81,7 +81,10 @@ fn main() {
         } else {
             "coordinate attributes (written before coordinate fields)"
         };
-        println!("features: flags {:#06x}, datasets keyed by {keyed_by}", sb.flags);
+        println!(
+            "features: flags {:#06x}, datasets keyed by {keyed_by}",
+            sb.flags
+        );
     }
 
     let mut logical_total = 0u64;

@@ -46,7 +46,9 @@ fn drive(clients: Vec<damaris_repro::core::DamarisClient>, iterations: u32) {
         for client in clients {
             s.spawn(move || {
                 for it in 0..iterations {
-                    client.write_f32("theta", it, &field(client.id(), it)).unwrap();
+                    client
+                        .write_f32("theta", it, &field(client.id(), it))
+                        .unwrap();
                     client.end_iteration(it).unwrap();
                 }
             });
@@ -62,11 +64,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let node = SmpNode::start(config(""), 6, Topology::Symmetric { dedicated: 2 }, &dir)?;
     drive(node.clients(), 2);
     let report = node.finish()?;
-    println!("symmetric: {} dedicated cores, each persisted {} iterations of 3 clients",
-        report.io.len(), report.io[0].iterations_persisted);
+    println!(
+        "symmetric: {} dedicated cores, each persisted {} iterations of 3 clients",
+        report.io.len(),
+        report.io[0].iterations_persisted
+    );
     for (g, r) in report.io.iter().enumerate() {
-        println!("  group {g}: {} variables, {} bytes -> {} files",
-            r.variables_received, r.bytes_received, r.files_created);
+        println!(
+            "  group {g}: {} variables, {} bytes -> {} files",
+            r.variables_received, r.bytes_received, r.files_created
+        );
     }
 
     // --- Asymmetric: 1 I/O core + 1 analysis core.
@@ -80,7 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = SdfReader::open(dir.join("analysis/analysis-iter-000000.sdf"))?;
     for name in stats.dataset_names().iter().take(2) {
         let row = stats.read_f64(name)?;
-        println!("  {name}: min={:.2} max={:.2} mean={:.2}", row[0], row[1], row[2]);
+        println!(
+            "  {name}: min={:.2} max={:.2} mean={:.2}",
+            row[0], row[1], row[2]
+        );
     }
 
     // --- Inline visualization: the `visualize` action renders previews in
@@ -93,8 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runtime = NodeRuntime::start(cfg, 2, &dir)?;
     drive(runtime.clients(), 2);
     let report = runtime.finish()?;
-    println!("\nvisualization: persisted {} iterations and rendered previews:",
-        report.iterations_persisted);
+    println!(
+        "\nvisualization: persisted {} iterations and rendered previews:",
+        report.iterations_persisted
+    );
     let mut pgms: Vec<_> = walk(&dir, "pgm");
     pgms.sort();
     for p in &pgms {
@@ -104,7 +116,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let img = preview.read_bytes("/iter-0/rank-0-theta")?;
     println!(
         "  preview dataset /iter-0/rank-0-theta: {}x{} 8-bit, brightest pixel {}",
-        NY, NX, img.iter().max().unwrap()
+        NY,
+        NX,
+        img.iter().max().unwrap()
     );
 
     std::fs::remove_dir_all(&tmp).ok();

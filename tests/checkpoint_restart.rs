@@ -95,7 +95,11 @@ fn restart_writes_identical_output_files() {
         let b = SdfReader::open(dir_res.join(format!("rank-{rank}/iter-000008.sdf"))).unwrap();
         for var in ["theta", "u", "v", "w"] {
             let path = format!("/iter-8/rank-{rank}/{var}");
-            assert_eq!(a.read_f32(&path).unwrap(), b.read_f32(&path).unwrap(), "{path}");
+            assert_eq!(
+                a.read_f32(&path).unwrap(),
+                b.read_f32(&path).unwrap(),
+                "{path}"
+            );
         }
     }
     for d in [dir_ref, ckpt_dir, dir_res] {

@@ -37,8 +37,8 @@ fn collect_iteration(
                 "damaris2" => dir.join(format!("node-{}/iter-{iteration:06}.sdf", rank / 2)),
                 other => panic!("unknown organization {other}"),
             };
-            let reader = SdfReader::open(&file)
-                .unwrap_or_else(|e| panic!("open {}: {e}", file.display()));
+            let reader =
+                SdfReader::open(&file).unwrap_or_else(|e| panic!("open {}: {e}", file.display()));
             let data = match organization {
                 "damaris2" => reader
                     .read_f32(&format!("/iter-{iteration}/rank-{}/{var}", rank % 2))
@@ -131,7 +131,9 @@ fn damaris_compressed_run_roundtrips() {
     let reader = SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
     for (id, data) in expected.iter().enumerate() {
         assert_eq!(
-            &reader.read_f32(&format!("/iter-0/rank-{id}/theta")).unwrap(),
+            &reader
+                .read_f32(&format!("/iter-0/rank-{id}/theta"))
+                .unwrap(),
             data
         );
     }

@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("damaris-obs-e2e-{tag}-{}-{n}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("damaris-obs-e2e-{tag}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -81,7 +82,10 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
     // Commits happen once per fired iteration, in order, so the nth-commit
     // ordinal *is* the iteration number the stall lands in.
     let plan = FaultPlan::new().stall_nth(FaultOp::Commit, u64::from(STALL_ITER), STALL);
-    let faulty = Arc::new(FaultyBackend::new(LocalDirBackend::new(&out).unwrap(), plan));
+    let faulty = Arc::new(FaultyBackend::new(
+        LocalDirBackend::new(&out).unwrap(),
+        plan,
+    ));
     let runtime = NodeRuntime::start_with_backend(
         cfg,
         CLIENTS,
@@ -125,7 +129,10 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
         if fsyncs >= u64::from(ITERATIONS) {
             break snap;
         }
-        assert!(Instant::now() < deadline, "server never persisted all iterations");
+        assert!(
+            Instant::now() < deadline,
+            "server never persisted all iterations"
+        );
         std::thread::sleep(Duration::from_millis(10));
     };
     let report = runtime.finish().expect("clean shutdown");
@@ -137,7 +144,11 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
     // were sized for the workload).
     let merged = load_traces(&[&traces]).expect("trace dir readable");
     assert_eq!(merged.files, 1, "one node, one incarnation, one file");
-    assert!(merged.warnings.is_empty(), "warnings: {:?}", merged.warnings);
+    assert!(
+        merged.warnings.is_empty(),
+        "warnings: {:?}",
+        merged.warnings
+    );
     assert_eq!(merged.dropped, 0);
 
     let a = analyze(&merged.records, merged.dropped);
@@ -163,7 +174,11 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
     assert_eq!(a.iterations.len(), ITERATIONS as usize);
     let fsync = a.phase(EventKind::BackendFsync).expect("fsync traced");
     assert!(fsync.count >= u64::from(ITERATIONS));
-    for kind in [EventKind::QueueIdle, EventKind::EpeDispatch, EventKind::BackendWrite] {
+    for kind in [
+        EventKind::QueueIdle,
+        EventKind::EpeDispatch,
+        EventKind::BackendWrite,
+    ] {
         assert!(a.phase(kind).is_some(), "{kind:?} missing from trace");
     }
 
@@ -182,7 +197,10 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
     // and the stall shows up inside the fsync phase where it was injected.
     let stall_ns = STALL.as_nanos() as u64;
     let stalled = a.iterations[&STALL_ITER];
-    assert!(stalled >= stall_ns, "iteration {STALL_ITER} took {stalled} ns");
+    assert!(
+        stalled >= stall_ns,
+        "iteration {STALL_ITER} took {stalled} ns"
+    );
     assert_eq!(
         a.iterations.values().max().copied(),
         Some(stalled),
@@ -264,8 +282,15 @@ fn ring_overflow_is_accounted_in_the_trailer() {
     assert_eq!(report.iterations_persisted, u64::from(DROP_ITERS));
 
     let merged = load_traces(&[&traces]).expect("trace dir readable");
-    assert!(merged.warnings.is_empty(), "warnings: {:?}", merged.warnings);
-    assert!(merged.dropped > 0, "64-slot ring must overflow under 200 writes");
+    assert!(
+        merged.warnings.is_empty(),
+        "warnings: {:?}",
+        merged.warnings
+    );
+    assert!(
+        merged.dropped > 0,
+        "64-slot ring must overflow under 200 writes"
+    );
 
     // Conservation: every client push either reached the file or was
     // counted dropped. The trailer total also covers the server ring, so

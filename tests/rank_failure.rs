@@ -21,10 +21,8 @@ const DETECTION_WINDOW: Duration = Duration::from_millis(500);
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     let n = N.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "damaris-rankfail-{tag}-{}-{n}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("damaris-rankfail-{tag}-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -34,7 +32,11 @@ enum Outcome {
     /// The injected victim returned early at its fail point.
     Died { at: u32 },
     /// A survivor saw a typed peer failure at this iteration.
-    PeerFailed { at: u32, peer: usize, waited: Duration },
+    PeerFailed {
+        at: u32,
+        peer: usize,
+        waited: Duration,
+    },
     /// The rank completed every iteration without incident.
     Completed,
 }
@@ -86,9 +88,7 @@ fn run_iterations(
 #[test]
 fn killed_rank_surfaces_as_typed_peer_failure_within_window() {
     let plan = FaultPlan::new().kill_rank(KILLED, KILL_AT);
-    let outcomes = World::run_with_faults(RANKS, plan, |comm| {
-        run_iterations(comm, |_| Ok(()))
-    });
+    let outcomes = World::run_with_faults(RANKS, plan, |comm| run_iterations(comm, |_| Ok(())));
 
     assert_eq!(outcomes[KILLED], Outcome::Died { at: KILL_AT });
     for (rank, outcome) in outcomes.iter().enumerate() {
