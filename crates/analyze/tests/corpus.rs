@@ -247,7 +247,7 @@ fn the_journal_is_outside_the_write_closure() {
     let (path, journal) = read("crates/core/src/journal.rs");
     let (append, append_write) = (
         "let source = payload.source();",
-        "        self.append(epoch, JournalPayload::Write {",
+        "        self.append(\n            epoch,\n            JournalPayload::Write {",
     );
     assert!(journal.contains(append) && journal.contains(append_write));
     let planted = journal

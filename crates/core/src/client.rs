@@ -18,12 +18,13 @@
 //! the core never reads a torn segment: what the rank leaves is a
 //! reservation no notice names, as after a kill at `alloc`.
 //!
-//! The same client serves both nodes. A threaded rank's notification is a
-//! queue push; a process rank's ([`DamarisClient::over_mapping`]) is a
-//! notice posted into its own ring in the node's mapping, which a full
-//! ring makes wait like a full buffer. No notice kind carries a user event
-//! or a dynamic shape yet, so over a mapping `signal` and `write_dynamic`
-//! fail with [`DamarisError::NoNoticeKind`].
+//! Every call that tells the dedicated core something posts one notice
+//! into the client's own ring in the node's layout — a threaded rank's on
+//! the heap, a process rank's ([`DamarisClient::over_mapping`]) in the
+//! shared mapping — and a full ring makes it wait like a full buffer. A
+//! dynamic write carries its shape in front of its payload, in the same
+//! reservation; a signal names its event by its place in the
+//! configuration's event list.
 //!
 //! # Dedicated-core failure
 //!
@@ -38,13 +39,12 @@
 
 use crate::config::BackpressurePolicy;
 use crate::error::DamarisError;
-use crate::event::Event;
 use crate::names::Resolved;
-use crate::node::{FaultStats, NodeShared};
+use crate::node::{put_shape, shape_len, FaultStats, NodeShared};
 use crate::retry::Backoff;
 use damaris_obs::{EventKind, Recorder};
 use damaris_shm::sync::{Arc, AtomicU64, CachePadded, Ordering};
-use damaris_shm::{AllocError, Segment};
+use damaris_shm::{AllocError, Notice, Segment};
 use std::time::{Duration, Instant};
 #[cfg(unix)]
 use {crate::config::Config, crate::journal::EventJournal, damaris_shm::MappedNode};
@@ -159,7 +159,7 @@ impl DamarisClient {
             .map_err(|e| DamarisError::Storage(damaris_format::SdfError::Io(e)))?;
         node.register(rank as usize, damaris_shm::this_pid());
         let journal = EventJournal::new();
-        let shared = NodeShared::over_mapping(config, node, Arc::new(backend), 0, journal);
+        let shared = NodeShared::new(config, node, Arc::new(backend), 0, journal);
         Ok(DamarisClient::new(rank, Arc::new(shared)))
     }
 
@@ -194,7 +194,7 @@ impl DamarisClient {
     /// detector that stays usable after the runtime handle is consumed
     /// (zero at the end of a leak-free run, crashed-and-replayed or not).
     pub fn buffer_in_use(&self) -> usize {
-        self.shared.buffer.in_use(self.shared.clients)
+        self.shared.in_use()
     }
 
     /// A static variable's id and byte size, through the node's name
@@ -324,7 +324,7 @@ impl DamarisClient {
     fn reserve(&self, len: usize) -> Result<Segment, DamarisError> {
         let mut wait = None;
         loop {
-            match self.shared.buffer.allocate(self.id, len) {
+            match self.shared.node.reserve(self.id as usize, len) {
                 Ok(seg) => return Ok(seg),
                 Err(AllocError::Full) => self.await_room(&mut wait)?,
                 Err(e) => return Err(e.into()),
@@ -332,13 +332,13 @@ impl DamarisClient {
         }
     }
 
-    /// Hands `event` to the dedicated core ([`NodeShared::notify`]),
+    /// Posts `notice` to the dedicated core ([`NodeShared::notify`]),
     /// waiting out a full notice ring as [`reserve`](Self::reserve) waits
     /// out a full data ring.
-    fn notify(&self, event: Event) -> Result<(), DamarisError> {
+    fn notify(&self, notice: Notice) -> Result<(), DamarisError> {
         let mut wait = None;
         self.shared
-            .notify(self.id, event, || self.await_room(&mut wait))
+            .notify(self.id, notice, || self.await_room(&mut wait))
     }
 
     /// One blocking wait on a full ring, data or notice: the `block`
@@ -367,20 +367,23 @@ impl DamarisClient {
     /// the write is complete. `layout` is only needed for dynamic-shape
     /// writes (whose shape exists per write); static writes pass `None`
     /// and [`write_through`](Self::write_through) re-derives the layout
-    /// off the fast path in the rare case it diverts.
+    /// off the fast path in the rare case it diverts. The reservation is
+    /// `header` bytes longer than `data`: room for a dynamic shape.
     fn reserve_or_divert(
         &self,
         variable: &str,
         iteration: u32,
         layout: Option<&damaris_format::Layout>,
         data: &[u8],
+        header: usize,
     ) -> Result<Option<Segment>, DamarisError> {
+        let len = header + data.len();
         match self.shared.config.resilience.backpressure {
-            BackpressurePolicy::Block { .. } => self.reserve(data.len()).map(Some),
+            BackpressurePolicy::Block { .. } => self.reserve(len).map(Some),
             policy => {
                 let mut wait = FullWait::until(Instant::now() + LOSSY_GRACE);
                 let stop = loop {
-                    match self.shared.buffer.allocate(self.id, data.len()) {
+                    match self.shared.node.reserve(self.id as usize, len) {
                         Ok(seg) => return Ok(Some(seg)),
                         Err(AllocError::Full) => {
                             if let Some(stop) = self.wait_full(&mut wait)? {
@@ -450,32 +453,24 @@ impl DamarisClient {
         Ok(())
     }
 
-    /// Tail of the write paths — memcpy into the segment, notification —
-    /// each under its trace span; a dynamic-shape write's layout rides in
-    /// the event. The spans chain: `t` is the previous span's end
-    /// timestamp, and the return value is the last span's end, so the
-    /// tail costs two clock reads instead of four.
+    /// Tail of the write paths — memcpy of `data` into `segment`, the
+    /// `notice` — each under its trace span. The spans chain: `t` is the
+    /// previous span's end timestamp, and the return value is the last
+    /// span's end, so the tail costs two clock reads instead of four.
     // ANALYZE: hot
     fn copy_and_notify(
         &self,
-        variable_id: u32,
-        iteration: u32,
         mut segment: Segment,
-        dynamic_layout: Option<damaris_format::Layout>,
         data: &[u8],
+        notice: Notice,
+        iteration: u32,
         t: u64,
     ) -> Result<u64, DamarisError> {
         segment.copy_from_slice(data);
         let t = self
             .rec
             .end(EventKind::Memcpy, iteration, data.len() as u64, t);
-        self.notify(Event::Write {
-            variable_id,
-            iteration,
-            source: self.id,
-            segment,
-            dynamic_layout,
-        })?;
+        self.notify(notice)?;
         Ok(self.rec.end(EventKind::QueuePush, iteration, 0, t))
     }
 
@@ -502,7 +497,7 @@ impl DamarisClient {
                 data.len() as u64,
             ));
         }
-        let segment = match self.reserve_or_divert(variable, iteration, None, data)? {
+        let segment = match self.reserve_or_divert(variable, iteration, None, data, 0)? {
             Some(segment) => segment,
             None => {
                 // Policy consumed the payload (dropped or written through):
@@ -519,7 +514,13 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify(variable_id, iteration, segment, None, data, t)?;
+        let notice = Notice::Write {
+            variable: variable_id,
+            iteration,
+            offset: segment.offset() as u64,
+            len: expected,
+        };
+        let t_end = self.copy_and_notify(segment, data, notice, iteration, t)?;
         self.rec.span_at(
             EventKind::WriteCall,
             iteration,
@@ -531,8 +532,9 @@ impl DamarisClient {
     }
 
     /// Writes a *dynamic-shape* variable (declared with `dimensions="?"`):
-    /// the shape travels with the write — the paper's API for arrays
-    /// without a static shape, e.g. per-rank particle sets (§III-D).
+    /// the shape travels with the write, in front of the payload in the
+    /// same reservation — the paper's API for arrays without a static
+    /// shape, e.g. per-rank particle sets (§III-D).
     pub fn write_dynamic(
         &self,
         variable: &str,
@@ -541,7 +543,6 @@ impl DamarisClient {
         data: &[u8],
     ) -> Result<(), DamarisError> {
         self.renew_lease()?;
-        self.shared.require_queue("write_dynamic")?;
         let (variable_id, layout_def) = self.lookup_def(variable)?;
         if !layout_def.dynamic {
             return Err(DamarisError::wrong_layout_kind(variable, false));
@@ -555,7 +556,9 @@ impl DamarisClient {
             ));
         }
         let t_call = self.rec.begin();
-        let segment = match self.reserve_or_divert(variable, iteration, Some(&layout), data)? {
+        let header = shape_len(dims.len());
+        let reserved = self.reserve_or_divert(variable, iteration, Some(&layout), data, header)?;
+        let mut segment = match reserved {
             Some(segment) => segment,
             None => {
                 // Policy consumed the payload (dropped or written through).
@@ -571,7 +574,16 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify(variable_id, iteration, segment, Some(layout), data, t)?;
+        let payload = segment.split_off(header);
+        put_shape(segment.as_mut_slice(), dims);
+        let notice = Notice::WriteDynamic {
+            variable: variable_id,
+            ndims: dims.len() as u32,
+            iteration,
+            offset: segment.offset() as u64,
+            len: (header + data.len()) as u64,
+        };
+        let t_end = self.copy_and_notify(payload, data, notice, iteration, t)?;
         self.rec.span_at(
             EventKind::WriteCall,
             iteration,
@@ -637,14 +649,13 @@ impl DamarisClient {
     /// actions bound to it in the configuration.
     pub fn signal(&self, event: &str, iteration: u32) -> Result<(), DamarisError> {
         self.renew_lease()?;
-        self.shared.require_queue("signal")?;
-        if self.shared.config.bindings_for(event).is_empty() {
+        let actions = &self.shared.config.actions;
+        let Some(action) = actions.iter().position(|a| a.event == event) else {
             return Err(DamarisError::UnknownEvent(event.to_string()));
-        }
-        self.notify(Event::User {
-            name: event.to_string(),
+        };
+        self.notify(Notice::User {
+            action: action as u32,
             iteration,
-            source: self.id,
         })
     }
 
@@ -666,10 +677,7 @@ impl DamarisClient {
                 held,
             });
         }
-        self.notify(Event::EndIteration {
-            iteration,
-            source: self.id,
-        })
+        self.notify(Notice::EndIteration { iteration })
     }
 
     /// Chaos hook: models this rank dying right after `dc_alloc` — the
@@ -763,12 +771,11 @@ impl AllocatedRegion {
         self.client.renew_lease()?;
         let rec = &self.client.rec;
         let t = rec.begin();
-        self.client.notify(Event::Write {
-            variable_id: self.variable_id,
+        self.client.notify(Notice::Write {
+            variable: self.variable_id,
             iteration: self.iteration,
-            source: self.client.id,
-            segment,
-            dynamic_layout: None,
+            offset: segment.offset() as u64,
+            len: segment.len() as u64,
         })?;
         rec.end(EventKind::QueuePush, self.iteration, 0, t);
         Ok(())
@@ -800,10 +807,10 @@ impl Drop for AllocatedRegion {
         if client.renew_lease().is_ok() {
             // A notice that cannot get out (its ring full past the block
             // timeout) strands the bytes as a dead rank's would be.
-            let _ = client.notify(Event::Abandon {
+            let _ = client.notify(Notice::Abandon {
                 iteration: self.iteration,
-                source: client.id,
-                segment,
+                offset: segment.offset() as u64,
+                len: segment.len() as u64,
             });
         }
     }

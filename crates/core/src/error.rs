@@ -43,10 +43,6 @@ pub enum DamarisError {
     /// release the client's later segments past them, and its ring would
     /// hand their bytes out again. Commit or drop them first.
     RegionHeld { client: u32, held: u64 },
-    /// A process rank made a call no notice kind carries to the dedicated
-    /// core yet (`signal`, `write_dynamic`): refused before anything was
-    /// reserved or posted.
-    NoNoticeKind { call: &'static str },
 }
 
 /// Out-of-line constructors for the variants raised on hot paths. The
@@ -142,11 +138,6 @@ impl fmt::Display for DamarisError {
                 "client {client} holds {held} uncommitted region(s) from alloc; \
                  commit or drop them before ending the iteration"
             ),
-            DamarisError::NoNoticeKind { call } => write!(
-                f,
-                "{call} is not available to a process rank: no notice kind carries it \
-                 to the dedicated core yet"
-            ),
         }
     }
 }
@@ -240,7 +231,5 @@ mod tests {
         assert!(s.contains("client 3") && s.contains("node 1") && s.contains("fenced"));
         let s = DamarisError::RegionHeld { client: 2, held: 1 }.to_string();
         assert!(s.contains("client 2") && s.contains("1 uncommitted region"));
-        let s = DamarisError::NoNoticeKind { call: "signal" }.to_string();
-        assert!(s.starts_with("signal is not available"), "{s}");
     }
 }

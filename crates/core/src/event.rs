@@ -1,18 +1,21 @@
-//! Events flowing through the node's shared queue (paper §III-B).
+//! What the dedicated core handles (paper §III-B): a client's notice as
+//! [`crate::node::NodeShared::event_of`] reads it, or a user event from no
+//! client ([`crate::NodeRuntime::inject_event`]).
 //!
-//! A write-notification carries the shared-memory [`Segment`] itself: the
-//! queue's release/acquire handoff is exactly what makes the zero-copy
-//! transfer sound (the client's writes happen-before the server's reads).
+//! A write-notification carries the shared-memory [`Segment`] its notice
+//! names: the notice ring's release/acquire handoff is what makes the
+//! zero-copy transfer sound (the client's writes happen-before the
+//! server's reads).
 //!
-//! A client only posts its event. The dedicated core journals it as it
-//! takes it ([`crate::server::DedicatedCore::admit`], which journals the
-//! event's [`record`](Event::record)), so a restarted core can replay what
-//! the dead one took and never finished.
+//! The dedicated core journals each event as it takes it
+//! ([`crate::server::DedicatedCore::admit`], which journals the event's
+//! [`record`](Event::record)), so a restarted core can replay what the
+//! dead one took and never finished.
 
 use crate::journal::JournalPayload;
 use damaris_shm::Segment;
 
-/// One message from a client to the dedicated core.
+/// One message to the dedicated core.
 pub enum Event {
     /// A variable instance was written to shared memory.
     Write {
@@ -31,8 +34,8 @@ pub enum Event {
     },
     /// A user-defined event (`df_signal`).
     User {
-        /// Event name — small and infrequent, so sending the name itself
-        /// keeps the API simple (the configuration holds the bindings).
+        /// Event name (a notice names it by its place in the
+        /// configuration's event list).
         name: String,
         iteration: u32,
         source: u32,
@@ -49,15 +52,12 @@ pub enum Event {
         source: u32,
         segment: Segment,
     },
-    /// The runtime is shutting down; the server drains and exits.
-    Terminate,
 }
 
 impl Event {
-    /// The journal record of this event — its segment by coordinates;
-    /// `None` for `Terminate`, which is not journalled.
-    pub(crate) fn record(&self) -> Option<JournalPayload> {
-        Some(match self {
+    /// The journal record of this event — its segment by coordinates.
+    pub(crate) fn record(&self) -> JournalPayload {
+        match self {
             Event::Write {
                 variable_id,
                 iteration,
@@ -94,8 +94,7 @@ impl Event {
                 offset: segment.offset(),
                 len: segment.len(),
             },
-            Event::Terminate => return None,
-        })
+        }
     }
 }
 
@@ -125,7 +124,6 @@ impl std::fmt::Debug for Event {
                 source,
                 segment,
             } => write!(f, "Abandon{{it={iteration}, src={source}, {segment:?}}}"),
-            Event::Terminate => write!(f, "Terminate"),
         }
     }
 }
@@ -133,46 +131,6 @@ impl std::fmt::Debug for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use damaris_shm::PartitionAllocator;
-
-    #[test]
-    fn events_traverse_the_shared_queue() {
-        let alloc = PartitionAllocator::with_capacity(1024, 1);
-        let queue = damaris_shm::MpscQueue::<Event>::new(8);
-        let mut seg = alloc.allocate(0, 16).unwrap();
-        seg.copy_from_slice(&[7u8; 16]);
-        queue
-            .push(Event::Write {
-                variable_id: 3,
-                iteration: 1,
-                source: 0,
-                segment: seg,
-                dynamic_layout: None,
-            })
-            .ok()
-            .unwrap();
-        queue
-            .push(Event::User {
-                name: "snapshot".into(),
-                iteration: 1,
-                source: 0,
-            })
-            .ok()
-            .unwrap();
-        match queue.pop().unwrap() {
-            Event::Write {
-                variable_id,
-                segment,
-                ..
-            } => {
-                assert_eq!(variable_id, 3);
-                assert_eq!(segment.as_slice(), &[7u8; 16]);
-                alloc.release(0, segment);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(matches!(queue.pop().unwrap(), Event::User { .. }));
-    }
 
     #[test]
     fn debug_formatting_and_records() {
@@ -181,14 +139,12 @@ mod tests {
             source: 2,
         };
         assert_eq!(format!("{e:?}"), "EndIteration{it=4, src=2}");
-        assert_eq!(format!("{:?}", Event::Terminate), "Terminate");
         assert_eq!(
             e.record(),
-            Some(JournalPayload::EndIteration {
+            JournalPayload::EndIteration {
                 iteration: 4,
                 source: 2
-            })
+            }
         );
-        assert_eq!(Event::Terminate.record(), None);
     }
 }

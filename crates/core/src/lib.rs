@@ -8,7 +8,7 @@
 //! shared memory:
 //!
 //! * [`DamarisClient::write`] — one `memcpy` into a reserved shared-memory
-//!   segment plus a write-notification on the shared event queue; the
+//!   segment plus a write notice in the client's own ring; the
 //!   client returns to computation immediately.
 //! * [`DamarisClient::alloc`] / [`commit`](AllocatedRegion::commit) — the
 //!   zero-copy path: the simulation computes directly inside the shared

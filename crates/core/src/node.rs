@@ -1,6 +1,7 @@
 //! Node runtime: wires one dedicated-core server thread to K client
-//! handles over a shared buffer and event queue — one SMP node of the
-//! Damaris deployment (paper Fig. 1).
+//! handles over the node's layout — its rings, notice rings and words in
+//! one region of process memory ([`MappedNode::heap`]) — one SMP node of
+//! the Damaris deployment (paper Fig. 1).
 //!
 //! # Supervision
 //!
@@ -8,9 +9,9 @@
 //! epe_respawn="N">` a crashed server thread (error or panic) is respawned
 //! up to N times: each incarnation gets a new heartbeat epoch, replays the
 //! event journal (see [`crate::journal`]), re-adopts the shared-memory
-//! segments the dead incarnation held, and resumes serving the same queue.
-//! With the default `epe_respawn="0"` the crash simply surfaces at
-//! [`NodeRuntime::finish`], as before.
+//! segments the dead incarnation held, and resumes draining the same
+//! notice rings. With the default `epe_respawn="0"` the crash simply
+//! surfaces at [`NodeRuntime::finish`], as before.
 
 use crate::client::DamarisClient;
 use crate::config::Config;
@@ -23,87 +24,10 @@ use crate::plugin::PluginFactory;
 use crate::server;
 use damaris_fs::{LocalDirBackend, StorageBackend};
 use damaris_obs::{Counter, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_SERVER};
-use damaris_shm::sync::{Arc, CachePadded};
-use damaris_shm::{
-    AllocError, ClientLease, HeartbeatWord, LeaseTable, MpscQueue, PartitionAllocator, Segment,
-};
-#[cfg(unix)]
-use damaris_shm::{MappedNode, Notice, SharedBuffer};
+use damaris_shm::sync::{Arc, AtomicBool, Mutex, Ordering};
+use damaris_shm::{ClientLease, HeartbeatWord, MappedNode, Notice};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// The node's shared buffer: one ring per client (the paper's lock-free
-/// scheme, [`damaris_shm::ring`]), its words on the heap or, when the
-/// node's cores are processes, in the shared mapping.
-pub(crate) enum BufferManager {
-    Partition(PartitionAllocator),
-    /// The mapping, and its data window as the buffer segments point into.
-    #[cfg(unix)]
-    Mapped(MappedNode, Arc<SharedBuffer>),
-}
-
-impl BufferManager {
-    pub(crate) fn allocate(&self, client: u32, len: usize) -> Result<Segment, AllocError> {
-        match self {
-            BufferManager::Partition(a) => a.allocate(client as usize, len),
-            #[cfg(unix)]
-            BufferManager::Mapped(node, data) => node.reserve(data, client as usize, len),
-        }
-    }
-
-    pub(crate) fn release(&self, client: u32, segment: Segment) {
-        match self {
-            BufferManager::Partition(a) => a.release(client as usize, segment),
-            #[cfg(unix)]
-            BufferManager::Mapped(node, _) => {
-                node.release(client as usize, segment.offset(), segment.len())
-            }
-        }
-    }
-
-    /// Reissues the handle of a still-allocated range known only by its
-    /// coordinates — from the journal after a dedicated-core crash, or
-    /// from a client process's write notice. The allocator validates
-    /// them; `None` if the range is not a live allocation of `client`.
-    pub(crate) fn adopt(&self, client: u32, offset: usize, len: usize) -> Option<Segment> {
-        match self {
-            BufferManager::Partition(a) => a.adopt(client as usize, offset, len),
-            #[cfg(unix)]
-            BufferManager::Mapped(node, data) => node.adopt(data, client as usize, offset, len),
-        }
-    }
-
-    /// Terminal reclamation for a revoked client: advances its ring's tail
-    /// to its head, so everything it still has reserved comes back and the
-    /// ring simply goes idle — no other client can be handed those bytes.
-    /// Returns the bytes reclaimed. Every *known* segment of the client
-    /// must have been released, FIFO, before this call.
-    pub(crate) fn revoke_remaining(&self, client: u32) -> usize {
-        match self {
-            BufferManager::Partition(a) => a.revoke_remaining(client as usize),
-            #[cfg(unix)]
-            BufferManager::Mapped(node, _) => node.revoke_remaining(client as usize) as usize,
-        }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        match self {
-            BufferManager::Partition(a) => a.buffer().capacity(),
-            #[cfg(unix)]
-            BufferManager::Mapped(_, data) => data.capacity(),
-        }
-    }
-
-    /// Bytes currently reserved across the whole buffer (leak detector:
-    /// zero once every segment of a finished run was released).
-    pub(crate) fn in_use(&self, n_clients: usize) -> usize {
-        match self {
-            BufferManager::Partition(a) => (0..n_clients).map(|c| a.in_use(c)).sum(),
-            #[cfg(unix)]
-            BufferManager::Mapped(node, _) => node.total_in_use() as usize,
-        }
-    }
-}
 
 /// Failure/degradation counters shared across the node (and the persist
 /// path's two batch counters): clients bump the backpressure ones, the
@@ -248,18 +172,20 @@ impl NodeObs {
 
 /// State shared between the clients and the server of one node.
 ///
-/// Mostly read-mostly words. The ones written per call or per event are
-/// padded where they live — the queue's tickets, the journal's lock, the
-/// leases, the ring words, and `heartbeat` here — so
-/// that no write of one side shares a line with anything the other side
-/// reads on its own path (DESIGN.md §8, "Who writes which line").
+/// Mostly read-mostly words. The ones written per call or per event live
+/// in the node's layout, each writer's on lines of its own (DESIGN.md §8,
+/// "Who writes which line"); the journal's lock is padded where it lives.
 pub(crate) struct NodeShared {
     pub config: Config,
     /// `config`'s variables by name, built once at start: what a by-name
     /// client call resolves its variable through.
     pub names: NameIndex,
-    pub buffer: BufferManager,
-    pub queue: MpscQueue<Event>,
+    /// The node's layout: per client a data ring, a notice ring and a
+    /// lease; the heartbeat; and the data window the segments point into.
+    /// On the heap for a threaded node, in the shared mapping for a
+    /// process node (whose geometry then overrides `config`'s buffer
+    /// element).
+    pub node: MappedNode,
     pub clients: usize,
     pub node_id: u32,
     /// Storage target; a trait object so tests can decorate it with
@@ -276,16 +202,15 @@ pub(crate) struct NodeShared {
     /// dedicated core as it takes each one; outlives server incarnations,
     /// driving replay after a crash.
     pub journal: EventJournal,
-    /// Liveness word the dedicated core beats and clients observe — read
-    /// through [`heartbeat`](Self::heartbeat): over a mapping the word
-    /// that counts is the mapped one. The idle core beats it on every
-    /// empty poll, so it has a block of its own.
-    heartbeat: CachePadded<HeartbeatWord>,
-    /// Per-client liveness leases: each client renews its lease on every
-    /// API call; the dedicated core's sweeper revokes leases that stall
-    /// past `client_lease_timeout` and reclaims the client's resources.
-    /// Read through [`lease`](Self::lease), for the same reason.
-    leases: LeaseTable,
+    /// User events from no client ([`NodeRuntime::inject_event`]), each
+    /// with every client's [`posted`](damaris_shm::NoticeRing::posted)
+    /// mark when it was injected: the threaded core takes them once per
+    /// pass, after what the clients posted before them. No client call
+    /// touches it.
+    pub control: Mutex<Vec<(Event, Vec<u64>)>>,
+    /// Set once by [`NodeRuntime::finish`]: the threaded core ends after
+    /// its next pass that reads nothing.
+    pub finishing: AtomicBool,
     /// The storage-pressure state machine (dormant unless the backend has
     /// a [`damaris_fs::DiskSentinel`]); polled by the dedicated core,
     /// observed by embedders via [`NodeRuntime::pressure_state`].
@@ -293,67 +218,32 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeShared {
-    /// A node's shared state with nothing running on it yet: buffer and
-    /// queue sized from `config`, fresh journal, heartbeat and leases.
+    /// A node's shared state over `node`, with nothing running on it yet.
+    /// `journal` is fresh ([`EventJournal::new`]) for a threaded node, and
+    /// comes from [`EventJournal::open`] for a process node: what a
+    /// dedicated core built over it needs to survive its own death is then
+    /// all outside the process.
     pub(crate) fn new(
-        config: Config,
-        n_clients: usize,
-        backend: Arc<dyn StorageBackend>,
-        node_id: u32,
-    ) -> NodeShared {
-        let rings = PartitionAllocator::with_capacity(config.buffer_size, n_clients);
-        let buffer = BufferManager::Partition(rings);
-        Self::over(
-            config,
-            n_clients,
-            backend,
-            node_id,
-            buffer,
-            EventJournal::new(),
-        )
-    }
-
-    /// The shared state of a node whose cores are processes: buffer,
-    /// leases and heartbeat are `node`'s mapped words (so its geometry
-    /// overrides `config`'s buffer element), and `journal` comes from
-    /// [`EventJournal::open`]. What a dedicated core built over it needs
-    /// to survive its own death is then all outside the process.
-    #[cfg(unix)]
-    pub(crate) fn over_mapping(
         config: Config,
         node: MappedNode,
         backend: Arc<dyn StorageBackend>,
         node_id: u32,
         journal: EventJournal,
     ) -> NodeShared {
-        let n_clients = node.n_clients();
-        let data = node.buffer();
-        let buffer = BufferManager::Mapped(node, data);
-        Self::over(config, n_clients, backend, node_id, buffer, journal)
-    }
-
-    fn over(
-        config: Config,
-        n_clients: usize,
-        backend: Arc<dyn StorageBackend>,
-        node_id: u32,
-        buffer: BufferManager,
-        journal: EventJournal,
-    ) -> NodeShared {
         let metrics = Arc::new(Registry::new());
+        let clients = node.n_clients();
         NodeShared {
             names: NameIndex::new(&config),
-            buffer,
-            queue: MpscQueue::new(config.queue_capacity),
-            clients: n_clients,
+            node,
+            clients,
             node_id,
             backend,
             stats: FaultStats::new(&metrics),
             metrics,
-            obs: NodeObs::new(&config.observability, n_clients),
+            obs: NodeObs::new(&config.observability, clients),
             journal,
-            heartbeat: CachePadded::default(),
-            leases: LeaseTable::new(n_clients),
+            control: Mutex::new(Vec::new()),
+            finishing: AtomicBool::new(false),
             pressure: crate::pressure::PressureMachine::new(),
             config,
         }
@@ -361,85 +251,53 @@ impl NodeShared {
 
     /// The dedicated core's liveness word.
     pub(crate) fn heartbeat(&self) -> &HeartbeatWord {
-        match &self.buffer {
-            #[cfg(unix)]
-            BufferManager::Mapped(node, _) => node.heartbeat(),
-            _ => &self.heartbeat,
-        }
+        self.node.heartbeat()
     }
 
     /// The liveness lease of one client, if the id is in range.
     pub(crate) fn lease(&self, client: usize) -> Option<&ClientLease> {
-        match &self.buffer {
-            #[cfg(unix)]
-            BufferManager::Mapped(node, _) => (client < self.clients).then(|| node.lease(client)),
-            _ => self.leases.lease(client),
-        }
+        (client < self.clients).then(|| self.node.lease(client))
     }
 
-    /// Hands one of `client`'s events to the dedicated core, resolved like
-    /// [`heartbeat`](Self::heartbeat): onto the queue on the heap; over a
-    /// mapping, as a [`Notice`] into `client`'s own ring, calling `on_full`
-    /// each time the ring refuses it, to wait before the next try or give up.
+    /// Bytes currently reserved across the whole buffer (leak detector:
+    /// zero once every segment of a finished run was released).
+    pub(crate) fn in_use(&self) -> usize {
+        self.node.total_in_use() as usize
+    }
+
+    /// Posts `notice` into `client`'s own notice ring, calling `on_full`
+    /// each time the ring refuses it, to wait before the next try or give
+    /// up.
     // ANALYZE: hot
     pub(crate) fn notify(
         &self,
         client: u32,
-        event: Event,
+        notice: Notice,
         mut on_full: impl FnMut() -> Result<(), DamarisError>,
     ) -> Result<(), DamarisError> {
-        match &self.buffer {
-            #[cfg(unix)]
-            BufferManager::Mapped(node, _) => {
-                let notice = match event {
-                    Event::Write {
-                        variable_id,
-                        iteration,
-                        segment,
-                        dynamic_layout: None,
-                        ..
-                    } => Notice::Write {
-                        variable: variable_id,
-                        iteration,
-                        offset: segment.offset() as u64,
-                        len: segment.len() as u64,
-                    },
-                    Event::EndIteration { iteration, .. } => Notice::EndIteration { iteration },
-                    Event::Abandon {
-                        iteration, segment, ..
-                    } => Notice::Abandon {
-                        iteration,
-                        offset: segment.offset() as u64,
-                        len: segment.len() as u64,
-                    },
-                    // Refused up front (`require_queue`), or not a client's.
-                    Event::User { .. } | Event::Write { .. } | Event::Terminate => {
-                        return Err(DamarisError::NoNoticeKind { call: "notify" })
-                    }
-                };
-                let words = notice.encode();
-                let ring = node.notices(client as usize);
-                while !ring.post(words) {
-                    on_full()?;
-                }
-                Ok(())
-            }
-            _ => {
-                self.queue.push_wait(event);
-                Ok(())
-            }
+        let words = notice.encode();
+        let ring = self.node.notices(client as usize);
+        while !ring.post(words) {
+            on_full()?;
         }
+        Ok(())
     }
 
     /// The event a notice from `client`'s ring stands for, if it is
-    /// believable — its words come from another process: a write names a
-    /// configured variable and its size, and a range is live in `client`'s
-    /// ring ([`BufferManager::adopt`], checked arithmetic throughout).
-    #[cfg(unix)]
+    /// believable — its words come from a client, which may be another
+    /// process: a write names a configured variable of the layout kind its
+    /// notice says and its size, or a shape its segment carries ([`shape_of`]);
+    /// a user event names an entry of the configuration's event list; a
+    /// range is live in `client`'s ring ([`MappedNode::adopt`]). Checked
+    /// arithmetic throughout.
     pub(crate) fn event_of(&self, client: u32, notice: Notice) -> Option<Event> {
         let adopt = |offset: u64, len: u64| {
             let (offset, len) = (usize::try_from(offset).ok()?, usize::try_from(len).ok()?);
-            self.buffer.adopt(client, offset, len)
+            self.node.adopt(client as usize, offset, len)
+        };
+        let layout = |variable: u32, dynamic: bool| {
+            let layout = self.config.layout_of(self.config.variable(variable)?);
+            (layout.dynamic == dynamic).then_some(layout)
         };
         Some(match notice {
             Notice::Write {
@@ -448,8 +306,7 @@ impl NodeShared {
                 offset,
                 len,
             } => {
-                let def = self.config.variable(variable)?;
-                if self.config.layout_of(def).byte_size() != len {
+                if layout(variable, false)?.byte_size() != len {
                     return None;
                 }
                 Event::Write {
@@ -458,6 +315,31 @@ impl NodeShared {
                     source: client,
                     segment: adopt(offset, len)?,
                     dynamic_layout: None,
+                }
+            }
+            Notice::WriteDynamic {
+                variable,
+                ndims,
+                iteration,
+                offset,
+                len,
+            } => {
+                let dtype = layout(variable, true)?.dtype;
+                let mut segment = adopt(offset, len)?;
+                let (header, dims) = shape_of(segment.as_slice(), ndims)?;
+                let bytes = dims
+                    .iter()
+                    .try_fold(dtype.size() as u64, |n, &d| n.checked_mul(d))?;
+                if (header as u64).checked_add(bytes)? != len {
+                    return None;
+                }
+                let payload = segment.split_off(header);
+                Event::Write {
+                    variable_id: variable,
+                    iteration,
+                    source: client,
+                    segment: payload,
+                    dynamic_layout: Some(damaris_format::Layout::new(dtype, &dims)),
                 }
             }
             Notice::EndIteration { iteration } => Event::EndIteration {
@@ -473,18 +355,43 @@ impl NodeShared {
                 source: client,
                 segment: adopt(offset, len)?,
             },
+            Notice::User { action, iteration } => Event::User {
+                name: self.config.actions.get(action as usize)?.event.clone(),
+                iteration,
+                source: client,
+            },
         })
     }
+}
 
-    /// Refuses, over a mapping, a `call` whose event no notice kind
-    /// carries yet — before the call reserves or posts anything.
-    pub(crate) fn require_queue(&self, call: &'static str) -> Result<(), DamarisError> {
-        match self.buffer {
-            #[cfg(unix)]
-            BufferManager::Mapped(..) => Err(DamarisError::NoNoticeKind { call }),
-            _ => Ok(()),
-        }
+/// Bytes of a dynamic write's shape header for `ndims` dimensions: the
+/// rank, then each dim, one native-endian word each.
+pub(crate) fn shape_len(ndims: usize) -> usize {
+    (ndims + 1) * 8
+}
+
+/// Writes `dims`' shape header into `header`, [`shape_len`] bytes.
+pub(crate) fn put_shape(header: &mut [u8], dims: &[u64]) {
+    let words = std::iter::once(dims.len() as u64).chain(dims.iter().copied());
+    for (slot, word) in header.chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&word.to_ne_bytes());
     }
+}
+
+/// Reads the shape header a dynamic write's notice says has `ndims`
+/// dimensions off the front of its segment `bytes`: its length and the
+/// dims, if the header fits the segment and its rank word says `ndims`.
+fn shape_of(bytes: &[u8], ndims: u32) -> Option<(usize, Vec<u64>)> {
+    let len = usize::try_from(ndims)
+        .ok()?
+        .checked_add(1)?
+        .checked_mul(8)?;
+    let mut words = bytes.get(..len)?.chunks_exact(8).map(|word| {
+        let mut bytes = [0; 8];
+        bytes.copy_from_slice(word);
+        u64::from_ne_bytes(bytes)
+    });
+    (words.next()? == u64::from(ndims)).then(|| (len, words.collect()))
 }
 
 /// Final accounting returned by [`NodeRuntime::finish`].
@@ -758,7 +665,10 @@ impl NodeRuntime {
         // Built synchronously so configuration errors surface at start, not
         // from inside the supervisor.
         let epe = EventProcessingEngine::build(&config, &extra_plugins)?;
-        let shared = Arc::new(NodeShared::new(config, n_clients, backend, node_id));
+        let node = MappedNode::heap(n_clients, config.buffer_size, config.queue_capacity)
+            .map_err(|e| DamarisError::Config(format!("<buffer>: {e}")))?;
+        let journal = EventJournal::new();
+        let shared = Arc::new(NodeShared::new(config, node, backend, node_id, journal));
         if shared.config.resilience.recovery_scan {
             // Crash recovery before serving: anything a previous run (or a
             // previous fault) left half-written is removed or quarantined
@@ -820,13 +730,13 @@ impl NodeRuntime {
 
     /// Capacity of the node's shared buffer in bytes.
     pub fn buffer_capacity(&self) -> usize {
-        self.shared.buffer.capacity()
+        self.shared.node.data_capacity()
     }
 
     /// Bytes currently reserved in the shared buffer. Zero after `finish`
     /// on a leak-free run — including runs that crashed and replayed.
     pub fn buffer_in_use(&self) -> usize {
-        self.shared.buffer.in_use(self.shared.clients)
+        self.shared.in_use()
     }
 
     /// The current heartbeat epoch (0 until the first respawn).
@@ -872,39 +782,29 @@ impl NodeRuntime {
         if self.shared.config.bindings_for(event).is_empty() {
             return Err(DamarisError::UnknownEvent(event.to_string()));
         }
-        self.shared.queue.push_wait(Event::User {
+        let shared = &self.shared;
+        let marks = (0..shared.clients).map(|c| shared.node.notices(c).posted());
+        let event = Event::User {
             name: event.to_string(),
             iteration,
             source: crate::server::SERVER_SOURCE,
-        });
+        };
+        shared.control.lock().push((event, marks.collect()));
         Ok(())
     }
 
-    /// Sends the termination event and joins the dedicated core (through
-    /// its supervisor). Call after all client activity is done.
+    /// Asks the dedicated core to finish and joins it (through its
+    /// supervisor). Call after all client activity is done.
     pub fn finish(mut self) -> Result<NodeReport, DamarisError> {
         // invariant: `finish` consumes `self`, so the handle is present.
         let handle = self.supervisor.take().expect("finish called once");
-        terminate(&self.shared, &handle);
+        // Release: what the clients posted before this call is visible to
+        // the core that Acquire-loads the flag.
+        self.shared.finishing.store(true, Ordering::Release);
         match handle.join() {
             Ok(report) => report,
             Err(panic) => std::panic::resume_unwind(panic),
         }
-    }
-}
-
-/// Enqueues `Terminate` without parking forever: if the supervisor (and
-/// with it the last server incarnation) is already gone, a full queue
-/// would never drain and `push_wait` would hang the caller.
-fn terminate(
-    shared: &Arc<NodeShared>,
-    handle: &std::thread::JoinHandle<Result<NodeReport, DamarisError>>,
-) {
-    loop {
-        if shared.queue.push(Event::Terminate).is_ok() || handle.is_finished() {
-            return;
-        }
-        std::thread::yield_now();
     }
 }
 
@@ -963,7 +863,7 @@ fn supervise(
 impl Drop for NodeRuntime {
     fn drop(&mut self) {
         if let Some(handle) = self.supervisor.take() {
-            terminate(&self.shared, &handle);
+            self.shared.finishing.store(true, Ordering::Release);
             let _ = handle.join();
         }
     }
@@ -996,9 +896,9 @@ mod tests {
 
     const CLIENTS: usize = 4;
 
-    /// Both fixtures' configuration: a static and a dynamic variable; a
-    /// full ring is waited on for a second, a heartbeat still for 20 ms is
-    /// stale.
+    /// Both fixtures' configuration: a static and a dynamic variable, a
+    /// user event bound to a `mark` action; a full ring is waited on for a
+    /// second, a heartbeat still for 20 ms is stale.
     fn config() -> Config {
         Config::from_xml(
             r#"<damaris>
@@ -1007,6 +907,7 @@ mod tests {
                  <layout name="particles" type="real" dimensions="?"/>
                  <variable name="theta" layout="cell"/>
                  <variable name="swarm" layout="particles"/>
+                 <event name="snapshot" action="mark"/>
                  <resilience timeout_ms="1000" heartbeat_timeout_ms="20"/>
                </damaris>"#,
         )
@@ -1017,13 +918,13 @@ mod tests {
     fn threaded(tag: &str) -> (Arc<NodeShared>, PathBuf) {
         let dir = std::env::temp_dir().join(format!("damaris-node-{tag}-{}", std::process::id()));
         let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
-        let shared = NodeShared::new(config(), CLIENTS, backend, 0);
+        let node = MappedNode::heap(CLIENTS, 65536, 1024).unwrap();
+        let shared = NodeShared::new(config(), node, backend, 0, EventJournal::new());
         (Arc::new(shared), dir)
     }
 
     /// A fresh mapping of two clients, 1 KiB of data ring and four notice
     /// slots each, at a path of its own.
-    #[cfg(unix)]
     fn mapping(tag: &str) -> (MappedNode, PathBuf) {
         let path = std::env::temp_dir().join(format!("damaris-node-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -1032,18 +933,16 @@ mod tests {
 
     /// A process node's shared state over [`mapping`], as a rank process
     /// builds it, and the client of rank 1.
-    #[cfg(unix)]
     fn rank_over_mapping(tag: &str) -> (Arc<NodeShared>, DamarisClient, MappedNode, PathBuf) {
         let (node, path) = mapping(tag);
         let backend = Arc::new(LocalDirBackend::new(path.with_extension("out")).unwrap());
         let journal = EventJournal::new();
-        let shared = NodeShared::over_mapping(config(), node.clone(), backend, 0, journal);
+        let shared = NodeShared::new(config(), node.clone(), backend, 0, journal);
         let shared = Arc::new(shared);
         let client = DamarisClient::new(1, Arc::clone(&shared));
         (shared, client, node, path)
     }
 
-    #[cfg(unix)]
     fn remove_mapping(path: &Path) {
         std::fs::remove_file(path).unwrap();
         std::fs::remove_dir_all(path.with_extension("out")).ok();
@@ -1052,26 +951,24 @@ mod tests {
     #[test]
     fn no_word_a_client_writes_per_call_shares_a_block_with_one_the_core_writes_per_event() {
         let (shared, dir) = threaded("lines");
-        let BufferManager::Partition(rings) = &shared.buffer else {
-            panic!("a threaded node's rings are on the heap");
-        };
         fn addr<T>(word: &T) -> usize {
             word as *const T as usize
         }
-        let [enqueue_pos, dequeue_pos] = shared.queue.ticket_addrs();
-        // (word, writer): `None` for the words every client writes. No
-        // journal word is among them: the core journals what it pops.
-        let mut client = vec![("enqueue_pos", None, enqueue_pos)];
+        // (word, writer): every client word has one writer. No journal
+        // word is among them: the core journals what it takes.
+        let mut client = Vec::new();
         let mut core = vec![
-            ("dequeue_pos", dequeue_pos),
             ("journal", addr(&shared.journal)),
             ("heartbeat", addr(shared.heartbeat())),
         ];
         for c in 0..CLIENTS {
-            let [head, tail] = rings.ring_addrs(c).unwrap();
-            client.push(("lease", Some(c), addr(shared.lease(c).unwrap())));
-            client.push(("ring head", Some(c), head));
-            core.push(("ring tail", tail));
+            let (ring, notices) = (shared.node.ring(c), shared.node.notices(c));
+            client.push(("lease", c, addr(shared.lease(c).unwrap())));
+            client.push(("ring head", c, addr(ring.head)));
+            client.push(("ring floor", c, addr(ring.floor)));
+            client.push(("notice head", c, addr(notices.head)));
+            core.push(("ring tail", addr(ring.tail)));
+            core.push(("notice tail", addr(notices.tail)));
         }
         let block = |addr: usize| addr / 128;
         for &(word, writer, at) in &client {
@@ -1079,16 +976,16 @@ mod tests {
                 assert_ne!(
                     block(at),
                     block(at_other),
-                    "client-written {word} ({writer:?}) shares a block with core-written {other}"
+                    "client-written {word} ({writer}) shares a block with core-written {other}"
                 );
             }
             // And one rank's words are not another's neighbours either.
             for &(other, other_writer, at_other) in &client {
-                if writer.is_some() && other_writer.is_some() && writer != other_writer {
+                if writer != other_writer {
                     assert_ne!(
                         block(at),
                         block(at_other),
-                        "{word} {writer:?} beside {other} {other_writer:?}"
+                        "{word} {writer} beside {other} {other_writer}"
                     );
                 }
             }
@@ -1126,34 +1023,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn a_mapped_buffer_adopts_only_what_that_client_has_outstanding() {
-        let (node, path) = mapping("adopt");
-        let data = node.buffer();
-        let buffer = BufferManager::Mapped(node, data);
-        let segment = buffer.allocate(1, 100).unwrap();
-        let (offset, len) = (segment.offset(), segment.len());
-        assert!(buffer.adopt(1, offset, len).is_some());
-        // What a forged write notice can say.
-        assert!(buffer.adopt(1, usize::MAX - 1, 2).is_none(), "overflow");
-        assert!(
-            buffer.adopt(0, offset, len).is_none(),
-            "another rank's ring"
-        );
-        assert!(
-            buffer.adopt(1, offset, 1032).is_none(),
-            "longer than a ring"
-        );
-        assert!(buffer.adopt(1, offset + 104, 100).is_none(), "beyond head");
-        assert_eq!(buffer.in_use(2), 104);
-        buffer.release(1, segment);
-        assert_eq!(buffer.in_use(2), 0);
-        assert!(buffer.adopt(1, offset, len).is_none(), "released");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[cfg(unix)]
     #[test]
     fn a_client_over_a_mapping_posts_exactly_the_notice_of_each_call() {
         let (shared, client, node, path) = rank_over_mapping("notices");
@@ -1165,7 +1034,7 @@ mod tests {
         };
         // Where a notice says the bytes are, they are.
         let bytes_at = |offset: u64, len: u64| {
-            let segment = shared.buffer.adopt(1, offset as usize, len as usize);
+            let segment = shared.node.adopt(1, offset as usize, len as usize);
             segment.map(|segment| segment.as_slice().to_vec())
         };
 
@@ -1212,34 +1081,102 @@ mod tests {
         };
         assert!(bytes_at(offset, 256).is_some(), "reserved, for the core");
 
-        // No notice kind carries these: refused before anything is
-        // reserved, posted or queued.
-        let refused = [
-            client.signal("snapshot", 0),
-            client.write_dynamic_f32("swarm", 0, &[2], &[1.0, 2.0]),
-        ];
-        assert!(matches!(
-            refused,
-            [
-                Err(DamarisError::NoNoticeKind { call: "signal" }),
-                Err(DamarisError::NoNoticeKind {
-                    call: "write_dynamic"
-                }),
-            ]
-        ));
-        assert_eq!(shared.buffer.in_use(2), 3 * 256);
+        // A signal names its event by its place in the event list.
+        client.signal("snapshot", 0).unwrap();
+        assert_eq!(
+            take(),
+            Some(Notice::User {
+                action: 0,
+                iteration: 0
+            })
+        );
+        // A dynamic write's shape rides in front of its payload.
+        client
+            .write_dynamic_f32("swarm", 0, &[2], &[1.0, 2.0])
+            .unwrap();
+        let Some(Notice::WriteDynamic {
+            variable: 1,
+            ndims: 1,
+            iteration: 0,
+            offset,
+            len: 24,
+        }) = take()
+        else {
+            panic!("write_dynamic posts a WriteDynamic");
+        };
+        let mut expected = [1u64, 2].map(u64::to_ne_bytes).concat();
+        expected.extend([1.0f32, 2.0].map(f32::to_le_bytes).concat());
+        assert_eq!(bytes_at(offset, 24), Some(expected));
+        assert_eq!(shared.in_use(), 3 * 256 + 24);
 
         client.end_iteration(0).unwrap();
         assert_eq!(take(), Some(Notice::EndIteration { iteration: 0 }));
-        assert_eq!(take(), None, "one notice per call, nothing for a refusal");
-        assert!(shared.queue.pop().is_none(), "nothing goes onto the queue");
+        assert_eq!(take(), None, "one notice per call");
+        remove_mapping(&path);
+    }
+
+    /// A `mark` action counting the times it fires.
+    fn mark(fired: &Arc<damaris_shm::sync::AtomicU64>) -> (String, PluginFactory) {
+        struct Mark(Arc<damaris_shm::sync::AtomicU64>);
+        impl crate::plugin::Plugin for Mark {
+            fn name(&self) -> &str {
+                "mark"
+            }
+            fn handle(
+                &mut self,
+                _: &mut crate::plugin::ActionContext<'_>,
+                _: &crate::plugin::EventInfo,
+            ) -> Result<(), DamarisError> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+        let fired = Arc::clone(fired);
+        let factory: PluginFactory = Box::new(move |_| Ok(Box::new(Mark(Arc::clone(&fired)))));
+        ("mark".to_string(), factory)
+    }
+
+    /// The two calls with a notice kind of their own, end to end over a
+    /// file mapping: the core over the same file fires the signalled
+    /// action once and stores the dynamic write with the shape it carried.
+    #[test]
+    fn a_rank_over_a_mapping_signals_and_writes_a_dynamic_shape() {
+        let (shared, client, node, path) = rank_over_mapping("dynamic");
+        let rank0 = DamarisClient::new(0, Arc::clone(&shared));
+        client.signal("snapshot", 0).unwrap();
+        let particles = [1.5f32, 2.5, 3.5, 4.5, 5.5, 6.5];
+        client
+            .write_dynamic_f32("swarm", 0, &[2, 3], &particles)
+            .unwrap();
+        rank0.end_iteration(0).unwrap();
+        client.end_iteration(0).unwrap();
+
+        let out = path.with_extension("out");
+        let backend = Arc::new(LocalDirBackend::new(&out).unwrap());
+        let journal = EventJournal::new();
+        let core_shared = Arc::new(NodeShared::new(config(), node.clone(), backend, 0, journal));
+        let fired = Arc::new(damaris_shm::sync::AtomicU64::new(0));
+        let epe = EventProcessingEngine::build(&core_shared.config, &[mark(&fired)]).unwrap();
+        let mut core = server::DedicatedCore::new(core_shared, epe, 0);
+        while core.drain(&mut |_, _| {}).unwrap() {}
+        core.quiet().unwrap();
+
+        assert_eq!(fired.load(Ordering::Relaxed), 1);
+        let report = core.report();
+        assert_eq!((report.user_events, report.variables_received), (1, 1));
+        assert_eq!(report.stale_events_rejected, 0);
+        assert_eq!(node.total_in_use(), 0);
+        let file = out.join("node-0").join("iter-000000.sdf");
+        let reader = damaris_format::SdfReader::open(file).unwrap();
+        let swarm = "/iter-0/rank-1/swarm";
+        assert_eq!(reader.info(swarm).unwrap().layout.dims, [2, 3]);
+        assert_eq!(reader.read_f32(swarm).unwrap(), particles);
         remove_mapping(&path);
     }
 
     /// A full notice ring is a full buffer to the client: it waits, parks
     /// on a stale mapped heartbeat until a new epoch, goes on once the core
     /// takes a notice — and gives up, typed, when no core ever comes back.
-    #[cfg(unix)]
     #[test]
     fn a_full_notice_ring_is_waited_out_like_a_full_buffer() {
         let (shared, client, node, path) = rank_over_mapping("full-ring");

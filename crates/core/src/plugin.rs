@@ -14,12 +14,12 @@ use crate::error::DamarisError;
 use crate::journal::EventJournal;
 use crate::metadata::MetadataStore;
 use crate::metadata::StoredVariable;
-use crate::node::{BufferManager, FaultStats};
+use crate::node::FaultStats;
 use crate::retry::Backoff;
 use damaris_format::SdfWriter;
 use damaris_fs::StorageBackend;
 use damaris_obs::Recorder;
-use damaris_shm::Segment;
+use damaris_shm::{MappedNode, Segment};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -69,7 +69,8 @@ pub struct ActionContext<'a> {
     /// Storage behind the [`StorageBackend`] trait — usually a local
     /// directory, possibly decorated with fault injection under test.
     pub backend: &'a dyn StorageBackend,
-    pub(crate) buffer: &'a BufferManager,
+    /// The node's layout, whose rings the segments release into.
+    pub(crate) node: &'a MappedNode,
     /// Failure counters (persist retries, degraded iterations, …).
     pub(crate) stats: &'a FaultStats,
     /// The node's metrics registry, for what a plugin measures itself
@@ -86,7 +87,7 @@ pub struct ActionContext<'a> {
     /// (each source's ring releases FIFO).
     pub(crate) pending_release: &'a mut Vec<(u32, u64, Segment)>,
     /// Iterations written but not committed, in fire order; the persist
-    /// plugin parks them here and commits them when the queue goes quiet
+    /// plugin parks them here and commits them when the rings go quiet
     /// ([`Plugin::quiet`]). The core owns the queue because it owns the
     /// order of release: nothing is flushed while anything is parked.
     pub(crate) parked: &'a mut VecDeque<Parked>,
@@ -122,7 +123,8 @@ impl ActionContext<'_> {
             .sort_by_key(|(src, _, segment)| (*src, segment.position()));
         for (source, seq, segment) in self.pending_release.drain(..) {
             self.journal.mark_applied(seq);
-            self.buffer.release(source, segment);
+            self.node
+                .release(source as usize, segment.offset(), segment.len());
         }
     }
 }
@@ -139,7 +141,7 @@ pub trait Plugin: Send {
         event: &EventInfo,
     ) -> Result<(), DamarisError>;
 
-    /// Called when the event queue went quiet with work parked: the
+    /// Called when the notice rings went quiet with work parked: the
     /// dedicated core would otherwise idle, and under backpressure the
     /// clients are blocked on exactly the memory that work holds. Plugins
     /// that defer part of an event's handling finish it here.

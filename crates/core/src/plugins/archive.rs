@@ -62,7 +62,10 @@ impl ArchivePlugin {
     }
 
     fn flush(&mut self, ctx: &mut ActionContext<'_>, upto: u32) -> Result<(), DamarisError> {
-        let pending = ctx.store.pending_iterations();
+        // Only the iterations this archive is named for: a client that
+        // ran ahead has later ones resident too, not yet complete.
+        let mut pending = ctx.store.pending_iterations();
+        pending.retain(|&iteration| iteration <= upto);
         if pending.is_empty() {
             return Ok(());
         }

@@ -1,8 +1,8 @@
 //! The dedicated-core process: the node's one dedicated core
-//! ([`crate::server`]) fed from its clients' notice rings in the mapping
-//! instead of the in-process queue.
+//! ([`crate::server`]) over the node's layout in a file mapping, which its
+//! clients map too.
 //!
-//! [`run_epe`] is bootstrap, a pump, and a report:
+//! [`run_epe`] is bootstrap, a loop, and a report:
 //!
 //! 1. **Bootstrap.** Sweep the run directory for orphaned mappings of
 //!    dead prior runs ([`damaris_shm::scan_orphans`]); build the node's
@@ -12,31 +12,20 @@
 //!    ([`EventJournal::open`]) and fence in it every rank whose lease reads
 //!    revoked; build the node's shared state over the mapping (first
 //!    boot: wait for every rank to register its pid); build the core over
-//!    the shared state; replay (respawn).
-//! 2. **The pump.** Each pass beats and stamps the mapped heartbeat,
-//!    drains every client's notice ring, runs the core's `idle` pass, and
-//!    on a pass that read no notice its `quiet` pass (the rule
-//!    [`crate::server::run`] follows on an empty pop).
-//! 3. `Terminate`, `finish`, the `done` word the clients wait for, and the
-//!    report file the launcher reads.
+//!    the shared state, tell it what its predecessors retired, and replay
+//!    (respawn).
+//! 2. **The loop.** Each pass beats and stamps the mapped heartbeat, runs
+//!    the core's drain pass over every client's notice ring and its
+//!    `idle` pass, and on a pass that read no notice its `quiet` pass —
+//!    the pass the threaded node's loop runs too.
+//! 3. **The end.** There is no `Terminate` notice: the loop decides
+//!    ([`Pump::done`]). Then the core's `shutdown` and `finish`, the `done`
+//!    word the clients wait for, and the report file the launcher reads.
 //!
 //! Everything a payload byte meets between a client's notice and the
-//! disk — iteration completion, the lease sweep, failure policies, CRC
-//! verification, persist retry, group commit, `MANIFEST` publish, the
-//! plugin pipeline, spans — is the core's and is not repeated here. What
-//! the pump owns is what is transport:
-//!
-//! * **Order.** Each notice is validated, admitted (its journal record
-//!   durable), taken off its ring, then handled. No notice leaves a ring
-//!   before its record is durable, so a kill loses none; the one a kill
-//!   catches between the two is read again by the next incarnation and
-//!   refused as already seen, because the same range adopted twice would
-//!   be released twice.
-//! * **Validation.** A notice's words come from another process;
-//!   [`NodeShared::event_of`] says what it takes for one to be believed.
-//!   The ring it sits in names its rank.
-//! * **Termination.** There is no `Terminate` notice: the pump decides
-//!   ([`Pump::settled`]).
+//! disk — validation, dedup, iteration completion, the lease sweep,
+//! failure policies, persist retry, group commit, `MANIFEST` publish, the
+//! plugin pipeline, spans — is the core's and is not repeated here.
 //!
 //! The mid-drain kill (`DAMARIS_KILL_EPE_AFTER`) raises `SIGKILL` right
 //! after the core admitted a write — its record durable — and before the
@@ -48,13 +37,12 @@ use crate::config::OnClientFailure;
 use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::{EventJournal, JournalPayload, RecordState, ReplayEntry};
-use crate::node::{FaultStats, NodeReport, NodeShared};
+use crate::journal::{EventJournal, JournalPayload, ReplayEntry};
+use crate::node::{NodeReport, NodeShared};
 use crate::server::DedicatedCore;
 use damaris_fs::LocalDirBackend;
 use damaris_shm::sync::{Arc, Ordering};
-use damaris_shm::{monotonic_now_ns, pid_alive, scan_orphans, LeaseSnapshot, MappedNode, Notice};
-use std::collections::{BTreeSet, HashSet};
+use damaris_shm::{monotonic_now_ns, pid_alive, scan_orphans, LeaseSnapshot, MappedNode};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -207,7 +195,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
 
     let backend = Arc::new(LocalDirBackend::new(opts.dir.join(super::OUT_DIR))?);
     let engine = EventProcessingEngine::build(&config, &[]).map_err(core_err)?;
-    let shared = NodeShared::over_mapping(config, node.clone(), backend, 0, journal);
+    let shared = NodeShared::new(config, node.clone(), backend, 0, journal);
     let shared = Arc::new(shared);
     // What the dead incarnation left half-written goes before anything
     // new is written beside it (as `NodeRuntime` does at start).
@@ -219,7 +207,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         .shm_orphans_quarantined
         .add(gc.quarantined as u64);
 
-    let mut pump = Pump::new(opts, &shared, &node, &history);
+    let mut pump = Pump::new(opts, &node, &history);
     if opts.epoch == 0 {
         // The run begins when every rank has registered: a process still
         // being exec'd is not a dead rank, and the core's lease deadlines
@@ -231,26 +219,28 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         }
     }
     let mut core = DedicatedCore::new(Arc::clone(&shared), engine, opts.epoch);
+    core.recall(&history);
     if opts.epoch > 0 {
         core.replay().map_err(core_err)?;
     }
 
     loop {
         beat(&node);
-        let read_any = pump.drain(&mut core)?;
+        let read_any = core
+            .drain(&mut |core, event| pump.admitted(core, event))
+            .map_err(core_err)?;
         core.idle().map_err(core_err)?;
         if read_any {
             continue;
         }
-        pump.retired.extend(core.quiet().map_err(core_err)?);
-        if pump.done() {
+        core.quiet().map_err(core_err)?;
+        if pump.done(&core) {
             break;
         }
+        core.waiting();
         std::thread::sleep(Duration::from_micros(200));
     }
-    // No notice says `Terminate`; the core needs one to flush what never
-    // completed and let its plugins finish.
-    let _ = core.handle(0, Event::Terminate).map_err(core_err)?;
+    core.shutdown().map_err(core_err)?;
     let report = EpeReport {
         epoch: opts.epoch,
         node: core.finish(),
@@ -261,56 +251,11 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     Ok(report)
 }
 
-/// What tells a notice read again after an EPE kill (journalled, still on
-/// its ring) from news.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum Seen {
-    /// A write's or an abandoned region's range, as `(rank, iteration,
-    /// offset)`: taken twice, it would be released twice. A rewrite of a
-    /// variable in its iteration is news, and lands elsewhere: the earlier
-    /// range is not released before the iteration flushes. Neither the
-    /// variable nor the kind is in the key, so a forged notice that names
-    /// a taken range as another variable's, or as abandoned, is refused.
-    Range(u32, u32, usize),
-    /// An end of iteration, as `(rank, iteration)`: counted twice, it
-    /// would make the iteration look partial.
-    End(u32, u32),
-}
-
-impl Seen {
-    /// What identifies the notice `record` was journalled from; `None` for
-    /// a user event, which no notice carries.
-    fn of(record: &JournalPayload) -> Option<Seen> {
-        Some(match *record {
-            JournalPayload::Write {
-                iteration,
-                source,
-                offset,
-                ..
-            }
-            | JournalPayload::Abandon {
-                iteration,
-                source,
-                offset,
-                ..
-            } => Seen::Range(source, iteration, offset),
-            JournalPayload::EndIteration { iteration, source } => Seen::End(source, iteration),
-            JournalPayload::User { .. } => return None,
-        })
-    }
-}
-
-/// The transport half of the process node: what has to be remembered
-/// about the notices taken off the rings, by this incarnation or — through
-/// the journal's history — by the ones before it.
+/// What the process node's loop must know beyond the core: when the run
+/// is over, and where its chaos kill falls.
 struct Pump<'a> {
     opts: &'a EpeOptions,
-    shared: &'a NodeShared,
     node: &'a MappedNode,
-    /// Every notice ever journalled.
-    seen: HashSet<Seen>,
-    /// Iterations retired, by a predecessor or by us.
-    retired: BTreeSet<u32>,
     /// Ranks whose last end of iteration was taken.
     finished: Vec<bool>,
     /// Per rank, the lease word as last seen to move and when: without a
@@ -322,20 +267,11 @@ struct Pump<'a> {
 }
 
 impl<'a> Pump<'a> {
-    fn new(
-        opts: &'a EpeOptions,
-        shared: &'a NodeShared,
-        node: &'a MappedNode,
-        history: &[ReplayEntry],
-    ) -> Pump<'a> {
+    fn new(opts: &'a EpeOptions, node: &'a MappedNode, history: &[ReplayEntry]) -> Pump<'a> {
         let now = Instant::now();
-        let seen = history.iter().filter_map(|e| Seen::of(&e.payload));
         let mut pump = Pump {
             opts,
-            shared,
             node,
-            seen: seen.collect(),
-            retired: BTreeSet::new(),
             finished: vec![false; opts.n_clients],
             lease_seen: (0..opts.n_clients)
                 .map(|c| (node.lease(c).snapshot(), now))
@@ -345,12 +281,6 @@ impl<'a> Pump<'a> {
         for entry in history {
             if let JournalPayload::EndIteration { iteration, source } = entry.payload {
                 pump.note_end(source, iteration);
-                // The core retires an iteration by applying the
-                // end-notifications it counted, first of all; a fenced
-                // rank's are also applied when they are cancelled.
-                if entry.state == RecordState::Applied && !shared.journal.is_fenced(source) {
-                    pump.retired.insert(iteration);
-                }
             }
         }
         pump
@@ -378,9 +308,9 @@ impl<'a> Pump<'a> {
     }
 
     /// Notes which lease words moved since the last look (what `settled`
-    /// goes by); then, whether all `iterations` are retired, or every rank
-    /// is settled.
-    fn done(&mut self) -> bool {
+    /// goes by); then, whether `core` retired all `iterations`, or every
+    /// rank is settled.
+    fn done(&mut self, core: &DedicatedCore) -> bool {
         let now = Instant::now();
         for (rank, seen) in self.lease_seen.iter_mut().enumerate() {
             let snapshot = self.node.lease(rank).snapshot();
@@ -388,51 +318,14 @@ impl<'a> Pump<'a> {
                 *seen = (snapshot, now);
             }
         }
-        (0..self.opts.iterations).all(|it| self.retired.contains(&it))
+        (0..self.opts.iterations).all(|it| core.is_retired(it))
             || (0..self.opts.n_clients).all(|rank| self.settled(rank))
     }
 
-    /// Takes every notice waiting in every ring and hands what is believed
-    /// to the core; true if there was any notice at all.
-    fn drain(&mut self, core: &mut DedicatedCore) -> io::Result<bool> {
-        let node = self.node;
-        let mut read_any = false;
-        for rank in 0..self.opts.n_clients {
-            let ring = node.notices(rank);
-            while let Some(words) = ring.peek() {
-                read_any = true;
-                // A kind no client posts is forged.
-                let notice = Notice::decode(words);
-                let admitted = notice.and_then(|notice| self.take(rank as u32, notice, core));
-                // Journalled or refused: the slot is the client's again.
-                ring.advance();
-                match admitted {
-                    Some((seq, event)) => {
-                        let _ = core.handle(seq, event).map_err(core_err)?;
-                    }
-                    None => FaultStats::bump(&self.shared.stats.stale_events_rejected),
-                }
-            }
-        }
-        Ok(read_any)
-    }
-
-    /// A notice from `rank`'s ring becomes the event the core admits only
-    /// if [`NodeShared::event_of`] believes it and it is news: not of a
-    /// retired iteration, not [`Seen`] before. `None`: rejected, nothing
-    /// journalled.
-    fn take(&mut self, rank: u32, notice: Notice, core: &DedicatedCore) -> Option<(u64, Event)> {
-        let event = self.shared.event_of(rank, notice)?;
-        let record = event.record()?;
-        let seen = Seen::of(&record)?;
-        if self.retired.contains(&record.iteration()) || self.seen.contains(&seen) {
-            return None;
-        }
-        // A zombie — fenced, still posting — is refused here.
-        let seq = core.admit(&event)?;
-        self.seen.insert(seen);
-        match event {
-            Event::EndIteration { iteration, .. } => self.note_end(rank, iteration),
+    /// What the core admitted, before it leaves its ring.
+    fn admitted(&mut self, core: &DedicatedCore, event: &Event) {
+        match *event {
+            Event::EndIteration { iteration, source } => self.note_end(source, iteration),
             Event::Write { .. } => {
                 self.commits += 1;
                 if Some(self.commits) == self.opts.kill_after_commits {
@@ -449,7 +342,6 @@ impl<'a> Pump<'a> {
             }
             _ => {}
         }
-        Some((seq, event))
     }
 }
 
@@ -458,6 +350,8 @@ mod tests {
     use super::*;
     use crate::proc::{node_config, payload_for};
     use crate::DamarisClient;
+    use damaris_shm::Notice;
+    use std::collections::BTreeSet;
 
     /// The options of a one-iteration run of one 64-byte variable by two
     /// ranks in `dir`, under `wait`.
@@ -496,7 +390,7 @@ mod tests {
         node.register(rank as usize, damaris_shm::this_pid());
         assert!(node.lease(rank as usize).renew());
         let payload = payload_for(rank, 0, 0, 64);
-        let mut segment = node.reserve(&node.buffer(), rank as usize, 64).unwrap();
+        let mut segment = node.reserve(rank as usize, 64).unwrap();
         segment.copy_from_slice(&payload);
         let write = Notice::Write {
             variable: 0,
@@ -507,12 +401,45 @@ mod tests {
         (node, write)
     }
 
+    /// A dynamic write's notice over `len` bytes of rank 0's ring whose
+    /// shape header holds `header`: the header rank 0 would write for
+    /// `ndims` dimensions, if it told the truth.
+    fn forged_shape(node: &MappedNode, ndims: u32, header: &[u64], len: usize) -> [u64; 4] {
+        let mut segment = node.reserve(0, len).unwrap();
+        let words = header.iter().flat_map(|word| word.to_ne_bytes());
+        for (byte, word) in segment.as_mut_slice().iter_mut().zip(words) {
+            *byte = word;
+        }
+        let swarm = 1;
+        Notice::WriteDynamic {
+            variable: swarm,
+            ndims,
+            iteration: 0,
+            offset: segment.offset() as u64,
+            len: len as u64,
+        }
+        .encode()
+    }
+
     #[test]
     fn forged_commits_are_rejected_counted_and_never_journalled() {
         let dir = std::env::temp_dir().join(format!("damaris-pump-forged-{}", std::process::id()));
         let opts = small_run(&dir);
         let epe = std::thread::spawn(move || run_epe(&opts));
-        let (node, write0) = join(&dir, 0);
+        // Ranges rank 0 really reserved, whose shape headers lie — ahead of
+        // its real write in its ring, so releasing that one frees them.
+        let node = attach(&dir);
+        let shapes = [
+            // The header's rank is not the one its notice declares.
+            forged_shape(&node, 1, &[2, 16], 32),
+            // Its dims' product overflows.
+            forged_shape(&node, 2, &[2, u64::MAX, 2], 40),
+            // Header and payload are not the segment.
+            forged_shape(&node, 1, &[1, 16], 40),
+            // The header is longer than its segment.
+            forged_shape(&node, 8, &[8], 32),
+        ];
+        let (_, write0) = join(&dir, 0);
         let (_, write1) = join(&dir, 1);
         let Notice::Write { offset: mine, .. } = write0 else {
             unreachable!()
@@ -524,8 +451,8 @@ mod tests {
         // Rank 0 lies about where its data is, every way a notice can.
         // What it cannot do is speak for rank 1: the ring a notice sits in
         // names its rank, and a notice carries no rank of its own to forge.
-        let forged = |offset, len| {
-            let (variable, iteration) = (0, 0);
+        let forged = |variable, offset, len| {
+            let iteration = 0;
             Notice::Write {
                 variable,
                 iteration,
@@ -535,16 +462,24 @@ mod tests {
             .encode()
         };
         let ring = node.region_capacity() as u64;
+        let user = |action| Notice::User {
+            action,
+            iteration: 0,
+        };
+        let (var0, swarm) = (0, 1);
         let lies = [
-            forged(u64::MAX - 1, 2),  // the sum overflows
-            forged(u64::MAX - 1, 64), // and with the right length
-            forged(theirs, 64),       // rank 1's ring, and live there
-            forged(mine, ring + 8),   // longer than a ring
-            forged(mine + 64, 64),    // beyond what rank 0 reserved
-            [7, 0, 0, 0],             // a kind no notice has
+            forged(var0, u64::MAX - 1, 2),  // the sum overflows
+            forged(var0, u64::MAX - 1, 64), // and with the right length
+            forged(var0, theirs, 64),       // rank 1's ring, and live there
+            forged(var0, mine, ring + 8),   // longer than a ring
+            forged(var0, mine + 64, 64),    // beyond what rank 0 reserved
+            forged(swarm, mine, 1),         // a dynamic variable, as static
+            [7, 0, 0, 0],                   // a kind no notice has
+            user(1).encode(),               // past the one configured event
+            user(u32::MAX).encode(),
         ];
         let rank0 = node.notices(0);
-        for lie in lies {
+        for lie in lies.into_iter().chain(shapes) {
             assert!(rank0.post(lie));
         }
         // The pump keeps serving: the truth, behind the lies in the same
@@ -558,8 +493,10 @@ mod tests {
 
         let report = epe.join().unwrap().unwrap().node;
         assert!(node.done(), "the finished EPE says so");
-        assert_eq!(report.stale_events_rejected, lies.len() as u64);
+        let refused = (lies.len() + shapes.len()) as u64;
+        assert_eq!(report.stale_events_rejected, refused);
         assert_eq!(report.variables_received, 2);
+        assert_eq!(report.user_events, 0);
         assert_eq!(report.iterations_persisted, 1);
         assert_eq!(node.total_in_use(), 0);
         // Nothing of the lies reached the journal.

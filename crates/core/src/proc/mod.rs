@@ -127,7 +127,9 @@ pub const OUT_DIR: &str = "out";
 /// The configuration a process node of this shape runs under — what
 /// [`run_epe`] builds its dedicated core from, and what a threaded node
 /// must be given to produce the same files: `variables` byte arrays
-/// `var0..` of `payload_len` each, persisted at every end of iteration.
+/// `var0..` of `payload_len` each, persisted at every end of iteration;
+/// then `swarm`, a byte array of dynamic shape, and the user event
+/// `snapshot`, bound to `log`.
 pub fn node_config(
     variables: u32,
     payload_len: usize,
@@ -142,7 +144,10 @@ pub fn node_config(
         r#"<damaris>
              <buffer size="{data_capacity}" allocator="partition"/>
              <layout name="payload" type="byte" dimensions="{payload_len}"/>
+             <layout name="shape" type="byte" dimensions="?"/>
              {declared}
+             <variable name="swarm" layout="shape"/>
+             <event name="snapshot" action="log"/>
              <resilience on_client_failure="{}" client_lease_timeout_ms="{}"/>
            </damaris>"#,
         policy.as_str(),

@@ -1,25 +1,27 @@
 //! The dedicated core.
 //!
 //! Runs on the node's dedicated core — a thread of the threaded node, a
-//! process of its own in the process node: takes the node's events one at
-//! a time, maintains the metadata store, tracks per-iteration completion
-//! across the node's clients, and hands events to the EPE. Actual I/O
-//! happens inside plugins — asynchronously with respect to the compute
-//! cores, which is the whole point (§III).
+//! process of its own in the process node: takes its clients' notices,
+//! maintains the metadata store, tracks per-iteration completion across
+//! the node's clients, and hands events to the EPE. Actual I/O happens
+//! inside plugins — asynchronously with respect to the compute cores,
+//! which is the whole point (§III).
 //!
-//! The core is one value, [`DedicatedCore`], with six entry points:
+//! The core is one value, [`DedicatedCore`]. Its entry points:
 //! [`replay`](DedicatedCore::replay) rebuilds a dead predecessor's state
-//! from the journal, [`admit`](DedicatedCore::admit) journals one event
-//! as it is taken from its source, [`handle`](DedicatedCore::handle)
-//! applies it, [`idle`](DedicatedCore::idle) is the pressure → sweep →
-//! fire → reclaim → beat pass that runs after every event and whenever
-//! the queue is quiet, [`quiet`](DedicatedCore::quiet) commits what the
-//! fired iterations parked (the event source calls it when a poll comes
-//! back empty, before it blocks), and [`finish`](DedicatedCore::finish)
-//! closes the books. It has
-//! no notion of where events come from: [`run`] is the event source that
-//! feeds it from the in-process queue, and whoever else builds one over a
-//! [`NodeShared`] and calls the same six is another.
+//! from the journal; [`drain`](DedicatedCore::drain) is one pass over
+//! every client's notice ring, peek → validate → admit → advance → handle
+//! for each notice; [`idle`](DedicatedCore::idle) is the pressure → sweep →
+//! fire → reclaim → beat pass that runs after every event and whenever a
+//! pass reads nothing; [`quiet`](DedicatedCore::quiet) commits what the
+//! fired iterations parked (a loop calls it after a pass that read
+//! nothing); [`shutdown`](DedicatedCore::shutdown) and
+//! [`finish`](DedicatedCore::finish) close the books. Two loops call
+//! them: [`run`], the threaded node's, which also takes the user events
+//! [`crate::NodeRuntime::inject_event`] leaves in the node's control
+//! inbox, and [`crate::proc::run_epe`]'s. Both drain the same rings in
+//! the same layout ([`damaris_shm::MappedNode`]), on the heap or in a
+//! mapping.
 //!
 //! # Crash recovery
 //!
@@ -31,10 +33,11 @@
 //! only then publishes its epoch on the heartbeat word, so clients parked
 //! on a stale heartbeat resume against a consistent allocator and store.
 //!
-//! Exactly-once processing needs no arbitration: a queue entry is popped
-//! once. `admit` journals and claims an event before `handle` applies it,
-//! so replay covers what a dead incarnation took and had not applied, and
-//! what it never took is still in the queue for its successor.
+//! A notice leaves its ring only once `admit` has journalled it, so a core
+//! that dies loses none; the one a death catches between the two is read
+//! again by the successor and refused as [`Seen`], because the same range
+//! adopted twice would be released twice. What the dead core never took
+//! is still in the rings for its successor.
 
 use crate::config::{OnClientFailure, OnDiskFull};
 use crate::epe::{EventProcessingEngine, END_OF_ITERATION};
@@ -45,10 +48,10 @@ use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::plugin::{ActionContext, EventInfo, Parked};
 use damaris_obs::{EventKind, Histogram, Recorder, TraceRecord, TraceWriter};
-use damaris_shm::{LeaseSnapshot, Segment};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use damaris_shm::sync::{spin_loop, yield_now, Ordering};
+use damaris_shm::{LeaseSnapshot, Notice, Segment};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::BufWriter;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,9 +75,10 @@ fn presence_bits(counted: &[(u32, u64)], clients: usize) -> Option<u64> {
     Some(counted.iter().fold(0u64, |bits, (s, _)| bits | (1u64 << s)))
 }
 
-/// The dedicated-core event loop; returns the node's accounting when a
-/// `Terminate` event arrives. `epoch` is this incarnation's heartbeat
-/// epoch — nonzero means a predecessor crashed and the journal replays.
+/// The threaded node's dedicated core; returns the node's accounting once
+/// [`crate::NodeRuntime::finish`] has asked and a pass reads nothing.
+/// `epoch` is this incarnation's heartbeat epoch — nonzero means a
+/// predecessor crashed and the journal replays.
 pub(crate) fn run(
     shared: Arc<NodeShared>,
     epe: EventProcessingEngine,
@@ -89,13 +93,81 @@ pub(crate) fn run(
     // makes everything above visible to their Acquire observe).
     shared.heartbeat().begin_epoch(epoch);
     core.poll_pressure();
-    core.serve()?;
+    core.run_threaded()?;
+    core.shutdown()?;
     Ok(core.finish())
+}
+
+/// What tells a notice read again after a core death (journalled, still
+/// on its ring) from news, within its iteration.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Seen {
+    /// A write's or an abandoned region's range, as `(source, offset)`:
+    /// taken twice, it would be released twice. A rewrite of a variable in
+    /// its iteration is news, and lands elsewhere: the earlier range is not
+    /// released before the iteration flushes. Neither the variable nor the
+    /// kind is in the key, so a forged notice that names a taken range as
+    /// another variable's, or as abandoned, is refused.
+    Range(u32, usize),
+    /// An end of iteration, by its source: counted twice, it would make
+    /// the iteration look partial.
+    End(u32),
+}
+
+impl Seen {
+    /// The iteration and identity of the notice `record` journals; `None`
+    /// for a user event, which has none (see [`DedicatedCore::drain`]).
+    fn of(record: &JournalPayload) -> Option<(u32, Seen)> {
+        Some(match *record {
+            JournalPayload::Write {
+                iteration,
+                source,
+                offset,
+                ..
+            }
+            | JournalPayload::Abandon {
+                iteration,
+                source,
+                offset,
+                ..
+            } => (iteration, Seen::Range(source, offset)),
+            JournalPayload::EndIteration { iteration, source } => (iteration, Seen::End(source)),
+            JournalPayload::User { .. } => return None,
+        })
+    }
+}
+
+/// Iterations retired, as runs of consecutive ones (first → last): as
+/// long as the gaps in what retired, not as the run.
+#[derive(Debug, Default)]
+pub(crate) struct Retired(BTreeMap<u32, u32>);
+
+impl Retired {
+    pub(crate) fn contains(&self, iteration: u32) -> bool {
+        let run = self.0.range(..=iteration).next_back();
+        run.is_some_and(|(_, &last)| iteration <= last)
+    }
+
+    fn insert(&mut self, iteration: u32) {
+        if self.contains(iteration) {
+            return;
+        }
+        let first = match self.0.range(..iteration).next_back() {
+            Some((&first, &last)) if last + 1 == iteration => first,
+            _ => iteration,
+        };
+        let next = iteration.checked_add(1);
+        let last = next.and_then(|next| self.0.remove(&next));
+        self.0.insert(first, last.unwrap_or(iteration));
+    }
 }
 
 /// A segment the core must release without handing it to a plugin, as
 /// `(source, seq, segment)`: `seq` is the record to mark applied.
 type Held = (u32, u64, Segment);
+
+/// An event taken from its source, with the record that journals it.
+type Taken = (Event, JournalPayload);
 
 /// How an iteration leaves the core (see [`DedicatedCore::retire`]).
 enum Outcome {
@@ -116,7 +188,7 @@ enum DropCause {
 }
 
 /// One incarnation of the dedicated core: everything the server knows
-/// that dies with it (the journal, queue and buffer in [`NodeShared`]
+/// that dies with it (the journal and the node's layout in [`NodeShared`]
 /// outlive it and let the next incarnation [`replay`](Self::replay)).
 pub(crate) struct DedicatedCore {
     shared: Arc<NodeShared>,
@@ -172,9 +244,17 @@ pub(crate) struct DedicatedCore {
     /// client stalls its iterations forever (the original Damaris contract).
     sweeper_on: bool,
     lease_timeout: Duration,
-    /// Iterations taken out of the core, fired or dropped, in the order
-    /// they left, since the last [`quiet`](Self::quiet) handed them out.
-    retired: Vec<u32>,
+    /// Iterations taken out of the core, fired or dropped — by this
+    /// incarnation or, as [`recall`](Self::recall) and `replay` find, a
+    /// predecessor. A notice of one is refused.
+    retired: Retired,
+    /// Per unretired iteration, what was admitted of it (see [`Seen`]);
+    /// an iteration's entries go when it retires.
+    seen: HashMap<u32, HashSet<Seen>>,
+    /// Where the span of the wait for the next event starts: at the end
+    /// of the last one's handling (or of the commit after it), or when a
+    /// wait began with none handled since.
+    idle_from: Option<u64>,
     report: NodeReport,
 }
 
@@ -213,7 +293,9 @@ impl DedicatedCore {
             policy,
             sweeper_on: policy != OnClientFailure::Wait && shared.clients > 0,
             lease_timeout,
-            retired: Vec::new(),
+            retired: Retired::default(),
+            seen: HashMap::new(),
+            idle_from: None,
             report: NodeReport::default(),
             epe,
             shared,
@@ -239,6 +321,11 @@ impl DedicatedCore {
             payload,
         } in entries
         {
+            // The notice of a record may still be on its ring, if the
+            // dead core died between admitting it and taking it off.
+            if let Some((iteration, seen)) = Seen::of(&payload) {
+                self.seen.entry(iteration).or_default().insert(seen);
+            }
             // A reopened journal's records are all pending: claim them,
             // as `admit` claims what it journals.
             let pending = state == RecordState::Pending;
@@ -271,7 +358,7 @@ impl DedicatedCore {
                         );
                         continue;
                     }
-                    let Some(segment) = self.shared.buffer.adopt(source, offset, len) else {
+                    let Some(segment) = self.shared.node.adopt(source as usize, offset, len) else {
                         // Not adoptable: the dead server released it
                         // between persisting and marking the record
                         // applied. The data is already safe (or was
@@ -329,17 +416,39 @@ impl DedicatedCore {
         Ok(())
     }
 
-    /// Journals one event as the core takes it from its source and claims
-    /// the record: the sequence number to [`handle`](Self::handle) it
-    /// under. `None` refuses it — the journal says its source is fenced —
-    /// and the caller drops it and counts it in `stale_events_rejected`: a
-    /// refused `Write` or `Abandon` leaves its segment unreleased, for
-    /// `reclaim_fenced`'s `revoke_remaining`. `Terminate` is not
-    /// journalled; `handle` ignores the 0 it gets.
-    pub(crate) fn admit(&self, event: &Event) -> Option<u64> {
-        let Some(record) = event.record() else {
-            return Some(0);
-        };
+    /// Notes the iterations a predecessor retired, from the history of
+    /// the journal's file ([`crate::EventJournal::open`]): the core
+    /// retires an iteration by applying the end-notifications it counted,
+    /// first of all; a fenced source's are also applied when they are
+    /// cancelled.
+    pub(crate) fn recall(&mut self, history: &[ReplayEntry]) {
+        for entry in history {
+            if let JournalPayload::EndIteration { iteration, source } = entry.payload {
+                if entry.state == RecordState::Applied && !self.shared.journal.is_fenced(source) {
+                    self.retired.insert(iteration);
+                }
+            }
+        }
+    }
+
+    /// Whether `iteration` was taken out of the core, by it or by a
+    /// predecessor.
+    pub(crate) fn is_retired(&self, iteration: u32) -> bool {
+        self.retired.contains(iteration)
+    }
+
+    /// Journals one event's `record` as the core takes it from its source
+    /// and claims it: the sequence number to [`handle`](Self::handle) the
+    /// event under. `None` refuses it — the journal says its source is
+    /// fenced — and the caller drops it and counts it in
+    /// `stale_events_rejected`: a refused `Write` or `Abandon` leaves its
+    /// segment unreleased, for `reclaim_fenced`'s `revoke_remaining`.
+    pub(crate) fn admit(&mut self, record: JournalPayload) -> Option<u64> {
+        if let Some(t) = self.idle_from.take() {
+            // Tagged with the iteration we are presumably waiting for.
+            let waiting_for = self.last_fired.wrapping_add(1);
+            self.rec.end(EventKind::QueueIdle, waiting_for, 0, t);
+        }
         let t = self.rec.begin();
         let iteration = record.iteration();
         let journal = &self.shared.journal;
@@ -354,13 +463,7 @@ impl DedicatedCore {
     }
 
     /// Applies one event [`admit`](Self::admit) journalled as `seq`.
-    /// `Break` means `Terminate` was handled and only
-    /// [`finish`](Self::finish) remains.
-    pub(crate) fn handle(
-        &mut self,
-        seq: u64,
-        event: Event,
-    ) -> Result<ControlFlow<()>, DamarisError> {
+    pub(crate) fn handle(&mut self, seq: u64, event: Event) -> Result<(), DamarisError> {
         match event {
             Event::Write {
                 variable_id,
@@ -407,58 +510,213 @@ impl DedicatedCore {
                 // consumer) — hold it until the iteration retires.
                 self.hold(iteration, (source, seq, segment));
             }
-            Event::Terminate => {
-                self.shutdown()?;
-                return Ok(ControlFlow::Break(()));
-            }
         }
-        Ok(ControlFlow::Continue(()))
+        Ok(())
     }
 
-    /// The threaded node's event source: pops the shared queue until a
-    /// `Terminate` event has been handled.
-    fn serve(&mut self) -> Result<(), DamarisError> {
+    /// One pass over every client's notice ring, at most a ring's worth
+    /// of each. A notice that [`NodeShared::event_of`] believes and that is
+    /// news — not of a retired iteration, not [`Seen`] in its own — is
+    /// admitted, taken off its ring, handled, and followed by an
+    /// [`idle`](Self::idle) pass; any other is taken off and counted in
+    /// `stale_events_rejected`. `admitted` sees each admitted write, abandon
+    /// and end of iteration before it leaves its ring. True if there was
+    /// any notice at all.
+    ///
+    /// A user event ends its rank's visit and is handled at the end of the
+    /// pass, after a second visit to every other ring has taken what was
+    /// posted before it — the data a signal is about. It leaves its ring
+    /// before it is journalled: it is at most once ([`handle`](Self::handle)
+    /// retires its record before firing it), so a core that dies between
+    /// the two loses it rather than firing it again.
+    pub(crate) fn drain(
+        &mut self,
+        admitted: &mut impl FnMut(&DedicatedCore, &Event),
+    ) -> Result<bool, DamarisError> {
+        self.drain_before(&|_| u64::MAX, admitted)
+    }
+
+    /// [`drain`](Self::drain), taking of each `rank`'s ring only what was
+    /// posted before `mark(rank)` ([`damaris_shm::NoticeRing::posted`]).
+    fn drain_before(
+        &mut self,
+        mark: &dyn Fn(usize) -> u64,
+        admitted: &mut impl FnMut(&DedicatedCore, &Event),
+    ) -> Result<bool, DamarisError> {
         let shared = Arc::clone(&self.shared);
-        loop {
-            let ready = shared.queue.pop();
-            if ready.is_none() {
-                // The queue went quiet — the moment the core would idle, and
-                // under backpressure the moment clients are blocked on memory
-                // the parked iterations hold: commit them before blocking.
-                self.quiet()?;
+        let mut read_any = false;
+        let mut signals = Vec::new();
+        for rank in 0..shared.clients {
+            let (read, signal) = self.drain_ring(rank, mark(rank), admitted)?;
+            read_any |= read;
+            signals.extend(signal.map(|signal| (rank, signal)));
+        }
+        if signals.is_empty() {
+            return Ok(read_any);
+        }
+        // One more visit to every other ring, begun after the signals were
+        // seen, takes what was posted before them. A signal it meets stays
+        // on its ring for the next pass.
+        for rank in 0..shared.clients {
+            if signals.iter().all(|(signalled, _)| *signalled != rank) {
+                self.drain_ring(rank, mark(rank), admitted)?;
             }
-            let t_idle = self.rec.begin();
-            let event = match ready {
-                Some(event) => event,
-                // Manual poll instead of `pop_wait_with`: the sweeper must run
-                // precisely when the queue goes quiet — a dead client stops
-                // producing events, which is exactly what starves a blocking
-                // pop. The pressure machine polls here for the same reason: a
-                // quota lift (space returning) produces no event, yet held
-                // iterations must fire and the node must re-ascend to Normal.
-                None if self.sweeper_on || self.pressure_on => loop {
-                    if let Some(event) = shared.queue.pop() {
-                        break event;
-                    }
-                    self.idle()?;
-                    // `idle` may have fired an iteration nobody will follow.
-                    self.quiet()?;
-                    std::thread::sleep(Duration::from_micros(100));
-                },
-                None => shared.queue.pop_wait_with(|| shared.heartbeat().beat()),
+        }
+        for (rank, (event, record)) in signals {
+            shared.node.notices(rank).advance();
+            self.take(event, record)?;
+        }
+        Ok(read_any)
+    }
+
+    /// [`drain`](Self::drain)'s visit to `rank`'s ring, up to `mark`:
+    /// whether it read a notice, and the user event it stopped at, still
+    /// on the ring.
+    fn drain_ring(
+        &mut self,
+        rank: usize,
+        mark: u64,
+        admitted: &mut impl FnMut(&DedicatedCore, &Event),
+    ) -> Result<(bool, Option<Taken>), DamarisError> {
+        let shared = Arc::clone(&self.shared);
+        let ring = shared.node.notices(rank);
+        let most = ring
+            .untaken_before(mark)
+            .min(shared.node.notice_capacity() as u64);
+        let mut read_any = false;
+        for _ in 0..most {
+            let Some(words) = ring.peek() else {
+                break;
             };
-            // Tagged with the iteration we are presumably waiting to complete.
-            let waiting_for = self.last_fired.wrapping_add(1);
-            self.rec.end(EventKind::QueueIdle, waiting_for, 0, t_idle);
-            let Some(seq) = self.admit(&event) else {
+            read_any = true;
+            let Some(((event, record), seen)) = self.news(rank as u32, words) else {
+                ring.advance();
                 FaultStats::bump(&shared.stats.stale_events_rejected);
                 continue;
             };
-            if self.handle(seq, event)?.is_break() {
+            let Some((iteration, seen)) = seen else {
+                return Ok((true, Some((event, record))));
+            };
+            let Some(seq) = self.admit(record) else {
+                ring.advance();
+                FaultStats::bump(&shared.stats.stale_events_rejected);
+                continue;
+            };
+            self.seen.entry(iteration).or_default().insert(seen);
+            admitted(self, &event);
+            ring.advance();
+            self.handle(seq, event)?;
+            self.idle()?;
+            self.idle_from = Some(self.rec.begin());
+        }
+        Ok((read_any, None))
+    }
+
+    /// The event a notice from `rank`'s ring stands for, its record and
+    /// its identity, if it is believed and news.
+    fn news(
+        &self,
+        rank: u32,
+        words: [u64; damaris_shm::notice::NOTICE_WORDS],
+    ) -> Option<(Taken, Option<(u32, Seen)>)> {
+        let event = self.shared.event_of(rank, Notice::decode(words)?)?;
+        let record = event.record();
+        let seen = Seen::of(&record);
+        if let Some((iteration, seen)) = &seen {
+            let taken = self.seen.get(iteration).is_some_and(|s| s.contains(seen));
+            if taken || self.retired.contains(*iteration) {
+                return None;
+            }
+        }
+        Some(((event, record), seen))
+    }
+
+    /// Admits, handles and follows with an [`idle`](Self::idle) pass one
+    /// event no ring holds (any more); a refused one is counted.
+    fn take(&mut self, event: Event, record: JournalPayload) -> Result<(), DamarisError> {
+        let Some(seq) = self.admit(record) else {
+            FaultStats::bump(&self.shared.stats.stale_events_rejected);
+            return Ok(());
+        };
+        self.handle(seq, event)?;
+        self.idle()?;
+        self.idle_from = Some(self.rec.begin());
+        Ok(())
+    }
+
+    /// Starts the span of a wait for notices, unless one is on.
+    pub(crate) fn waiting(&mut self) {
+        if self.idle_from.is_none() {
+            self.idle_from = Some(self.rec.begin());
+        }
+    }
+
+    /// The threaded node's loop: passes over the control inbox and the
+    /// rings until [`crate::NodeRuntime::finish`] has asked and a pass
+    /// reads nothing. Between passes that read nothing it spins, then
+    /// yields, beating the heartbeat each time — unless the sweeper or the
+    /// pressure machine must run: a dead client stops posting, which is
+    /// exactly what starves a wait for notices, and a quota lift (space
+    /// returning) posts nothing, yet held iterations must fire and the
+    /// node must re-ascend to Normal. Then it sleeps 100 µs a pass.
+    fn run_threaded(&mut self) -> Result<(), DamarisError> {
+        let shared = Arc::clone(&self.shared);
+        let sleeps = self.sweeper_on || self.pressure_on;
+        let mut spins = 0u32;
+        let mut injected = VecDeque::new();
+        loop {
+            // Acquire: pairs with `finish`'s Release store. Read before the
+            // pass, so a pass that reads nothing after it has taken every
+            // notice posted before `finish` was called.
+            let finishing = shared.finishing.load(Ordering::Acquire);
+            injected.extend(std::mem::take(&mut *shared.control.lock()));
+            if let Some((event, marks)) = injected.pop_front() {
+                // An injected event goes after what every client posted
+                // before it was injected, and before what came after.
+                let mark = |rank: usize| marks[rank];
+                let behind = |rank| shared.node.notices(rank).untaken_before(mark(rank)) > 0;
+                while (0..shared.clients).any(behind) {
+                    self.drain_before(&mark, &mut |_, _| {})?;
+                }
+                let record = event.record();
+                self.take(event, record)?;
+                spins = 0;
+                continue;
+            }
+            if self.drain(&mut |_, _| {})? {
+                spins = 0;
+                continue;
+            }
+            // The rings went quiet — the moment the core would idle, and
+            // under backpressure the moment clients are blocked on memory
+            // the parked iterations hold: commit them before waiting.
+            self.quiet()?;
+            if finishing {
                 return Ok(());
             }
-            self.idle()?;
+            self.wait(sleeps, &mut spins)?;
         }
+    }
+
+    /// One wait between passes that read nothing (see
+    /// [`run_threaded`](Self::run_threaded)).
+    fn wait(&mut self, sleeps: bool, spins: &mut u32) -> Result<(), DamarisError> {
+        self.waiting();
+        if sleeps {
+            self.idle()?;
+            // `idle` may have fired an iteration nobody will follow.
+            self.quiet()?;
+            std::thread::sleep(Duration::from_micros(100));
+        } else {
+            self.shared.heartbeat().beat();
+            *spins += 1;
+            if *spins < 64 {
+                spin_loop();
+            } else {
+                yield_now();
+            }
+        }
+        Ok(())
     }
 
     /// The between-events pass, in one order everywhere it runs: advance
@@ -473,16 +731,12 @@ impl DedicatedCore {
         Ok(())
     }
 
-    /// The queue went quiet: commits what the fired iterations parked, as
+    /// The rings went quiet: commits what the fired iterations parked, as
     /// one batch, and releases their memory. Nothing parked, nothing done —
-    /// the event source calls this on every empty poll. Returns, oldest
-    /// first, the iterations retired since the last call, for an event
-    /// source that ends the run once every iteration has: with this pass
-    /// they are durable and their memory is released. Handing the list out empties
-    /// it, so it is as long as a backlog, not as the run — and the journal
+    /// a loop calls this after every pass that read nothing. The journal
     /// drops what the pass applied, so its record map is as long as what
     /// is still parked or unfired.
-    pub(crate) fn quiet(&mut self) -> Result<Vec<u32>, DamarisError> {
+    pub(crate) fn quiet(&mut self) -> Result<(), DamarisError> {
         if !self.parked.is_empty() {
             let last = self.last_fired;
             let t_epe = self.rec.begin();
@@ -491,8 +745,11 @@ impl DedicatedCore {
             self.rec.end(EventKind::EpeDispatch, last, 0, t_epe);
             self.close_open_span();
             self.obs_flush.drain(&self.shared);
+            if self.idle_from.is_some() {
+                self.idle_from = Some(self.rec.begin());
+            }
         }
-        Ok(std::mem::take(&mut self.retired))
+        Ok(())
     }
 
     /// Ends the span left open by the last fire, if one is, here and now.
@@ -512,7 +769,7 @@ impl DedicatedCore {
         self.last_fire_end = end;
     }
 
-    /// Closes the books after `Terminate`: compacts the journal, drains
+    /// Closes the books after [`shutdown`](Self::shutdown): compacts the journal, drains
     /// the trace rings one last time (so records from the tail of the run
     /// and the shutdown pass reach the histograms and the trace file) and
     /// returns the node's accounting.
@@ -576,7 +833,7 @@ impl DedicatedCore {
     /// that is no longer a live allocation was already released before the
     /// crash (or the fence): its record just retires.
     fn hold_journaled(&mut self, iteration: u32, source: u32, seq: u64, offset: usize, len: usize) {
-        match self.shared.buffer.adopt(source, offset, len) {
+        match self.shared.node.adopt(source as usize, offset, len) {
             Some(segment) => self.hold(iteration, (source, seq, segment)),
             None => self.shared.journal.mark_applied(seq),
         }
@@ -624,7 +881,7 @@ impl DedicatedCore {
             config: &shared.config,
             store: &mut self.store,
             backend: shared.backend.as_ref(),
-            buffer: &shared.buffer,
+            node: &shared.node,
             stats: &shared.stats,
             metrics: &shared.metrics,
             journal: &shared.journal,
@@ -672,7 +929,8 @@ impl DedicatedCore {
         for (_, seq) in counted {
             self.shared.journal.mark_applied(seq);
         }
-        self.retired.push(iteration);
+        self.retired.insert(iteration);
+        self.seen.remove(&iteration);
         let held = self.held.remove(&iteration).unwrap_or_default();
         match outcome {
             Outcome::Fire { presence } => {
@@ -772,9 +1030,10 @@ impl DedicatedCore {
         Ok(())
     }
 
-    /// `Terminate`: flushes what never completed, lets stateful plugins
-    /// write their residuals, and leaves no segment behind.
-    fn shutdown(&mut self) -> Result<(), DamarisError> {
+    /// The end of the run: flushes what never completed, lets stateful
+    /// plugins write their residuals, and leaves no segment behind. Only
+    /// [`finish`](Self::finish) follows.
+    pub(crate) fn shutdown(&mut self) -> Result<(), DamarisError> {
         // Iterations that never completed (e.g. a client crashed between
         // write and end_iteration): persist what we have rather than lose
         // it. Incomplete flushes get the presence stamp under the
@@ -893,9 +1152,9 @@ impl DedicatedCore {
             {
                 continue;
             }
-            let reclaimed = self.shared.buffer.revoke_remaining(cu);
+            let reclaimed = self.shared.node.revoke_remaining(cu as usize);
             if reclaimed > 0 {
-                self.shared.stats.segments_reclaimed.add(reclaimed as u64);
+                self.shared.stats.segments_reclaimed.add(reclaimed);
                 eprintln!(
                     "[damaris node {}] reclaimed {reclaimed}B of abandoned \
                      shared memory from fenced client {cu}",
@@ -1003,15 +1262,16 @@ impl ObsFlush {
 #[cfg(test)]
 mod tests {
     //! The core driven directly on the test thread: the test plays every
-    //! client (a `DamarisClient` call queues, or posts a notice, without
-    //! needing a server) and feeds what it made to `admit` and `handle` the
-    //! way the node's event source does.
+    //! client (a `DamarisClient` call posts a notice without needing a
+    //! server) and feeds what it made to `admit` and `handle` the way the
+    //! drain pass does.
 
     use super::*;
     use crate::client::DamarisClient;
     use crate::config::Config;
     use crate::journal::EventJournal;
     use damaris_fs::LocalDirBackend;
+    use damaris_shm::MappedNode;
 
     const XML: &str = r#"<damaris>
         <buffer size="65536" allocator="partition"/>
@@ -1021,17 +1281,17 @@ mod tests {
     </damaris>"#;
     const CLIENTS: usize = 2;
 
-    /// Where the node's shared state lives: on the heap, as in the
-    /// threaded node, or — the process node's — in a mapping and a journal
-    /// file, from which [`reopen`] builds a successor that shares no
-    /// memory with its predecessor. The core cannot tell them apart, and
-    /// every test here runs over both.
+    /// The two backings of the node's layout: the heap, as in the threaded
+    /// node, or — the process node's — a file mapping and a journal file,
+    /// from which [`reopen`] builds a successor that shares no memory with
+    /// its predecessor. The core cannot tell them apart, and every test
+    /// here runs over both.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Fixture {
         Heap,
-        Mapped,
+        File,
     }
-    const FIXTURES: [Fixture; 2] = [Fixture::Heap, Fixture::Mapped];
+    const FIXTURES: [Fixture; 2] = [Fixture::Heap, Fixture::File];
 
     fn dir(tag: &str, fixture: Fixture) -> std::path::PathBuf {
         let name = format!("damaris-core-{tag}-{fixture:?}-{}", std::process::id());
@@ -1042,8 +1302,8 @@ mod tests {
         let dir = dir(tag, fixture);
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        if fixture == Fixture::Mapped {
-            damaris_shm::MappedNode::create(&dir.join("node.shm"), CLIENTS, 65536, 1024).unwrap();
+        if fixture == Fixture::File {
+            MappedNode::create(&dir.join("node.shm"), CLIENTS, 65536, 1024).unwrap();
         }
         reopen(tag, fixture)
     }
@@ -1053,14 +1313,14 @@ mod tests {
         let dir = dir(tag, fixture);
         let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
         let config = Config::from_xml(XML).unwrap();
-        let shared = Arc::new(match fixture {
-            Fixture::Heap => NodeShared::new(config, CLIENTS, backend, 0),
-            Fixture::Mapped => {
-                let mapping = damaris_shm::MappedNode::open(&dir.join("node.shm")).unwrap();
-                let (journal, _) = EventJournal::open(&dir.join("journal")).unwrap();
-                NodeShared::over_mapping(config, mapping, backend, 0, journal)
-            }
-        });
+        let (node, journal) = match fixture {
+            Fixture::Heap => (MappedNode::heap(CLIENTS, 65536, 1024), EventJournal::new()),
+            Fixture::File => (
+                MappedNode::open(&dir.join("node.shm")),
+                EventJournal::open(&dir.join("journal")).unwrap().0,
+            ),
+        };
+        let shared = Arc::new(NodeShared::new(config, node.unwrap(), backend, 0, journal));
         let clients = (0..CLIENTS as u32)
             .map(|id| DamarisClient::new(id, Arc::clone(&shared)))
             .collect();
@@ -1072,30 +1332,26 @@ mod tests {
         DedicatedCore::new(Arc::clone(shared), epe, epoch)
     }
 
-    /// The oldest event a client made and no core took: off the queue on
-    /// the heap; over a mapping, the oldest notice of the first client's
-    /// ring that holds one, taken as the process pump takes it.
+    /// The oldest notice of the first client's ring that holds one, taken
+    /// off and read as the drain pass reads it.
     fn take(shared: &NodeShared) -> Option<Event> {
-        let crate::node::BufferManager::Mapped(node, _) = &shared.buffer else {
-            return shared.queue.pop();
-        };
         (0..shared.clients).find_map(|client| {
-            let ring = node.notices(client);
+            let ring = shared.node.notices(client);
             let notice = damaris_shm::Notice::decode(ring.peek()?).unwrap();
             ring.advance();
             Some(shared.event_of(client as u32, notice).unwrap())
         })
     }
 
-    /// Admits and handles up to `limit` client events, as the node's event
-    /// source would.
+    /// Admits and handles up to `limit` client events, a client's in the
+    /// order it posted them, as the drain pass would.
     fn pump(shared: &NodeShared, core: &mut DedicatedCore, limit: usize) {
         for _ in 0..limit {
             let Some(event) = take(shared) else {
                 return;
             };
-            let seq = core.admit(&event).expect("no client is fenced");
-            assert!(core.handle(seq, event).unwrap().is_continue());
+            let seq = core.admit(event.record()).expect("no client is fenced");
+            core.handle(seq, event).unwrap();
         }
     }
 
@@ -1177,7 +1433,7 @@ mod tests {
         let mut dead = core(&shared, 0);
         pump(&shared, &mut dead, 3);
         drop(dead);
-        if fixture == Fixture::Mapped {
+        if fixture == Fixture::File {
             (shared, clients) = reopen("replay-respawned", fixture);
         }
         let mut replayed = core(&shared, 1);
@@ -1200,7 +1456,7 @@ mod tests {
             core.quiet().unwrap();
             assert_eq!(core.report.iterations_persisted, 2);
             assert!(core.store.is_empty() && core.held.is_empty());
-            assert_eq!(shared.buffer.in_use(CLIENTS), 0);
+            assert_eq!(shared.in_use(), 0);
         }
         let written = files(&shared);
         assert_eq!(written.len(), 2);
@@ -1230,7 +1486,7 @@ mod tests {
         assert_eq!(core.parked.len(), 3);
         assert!(files(&shared).is_empty());
         assert_eq!(damaris_fs::Manifest::load(root).unwrap().generation, 0);
-        assert_eq!(shared.buffer.in_use(CLIENTS), 3 * 2 * 64);
+        assert_eq!(shared.in_use(), 3 * 2 * 64);
         shared.journal.compact();
         assert_eq!(shared.journal.len(), 6, "the write records, still resident");
 
@@ -1242,7 +1498,7 @@ mod tests {
         let stats = &shared.stats;
         assert_eq!(FaultStats::get(&stats.commit_batches), 1);
         assert_eq!(FaultStats::get(&stats.manifest_publishes), 1);
-        assert_eq!(shared.buffer.in_use(CLIENTS), 0);
+        assert_eq!(shared.in_use(), 0);
         shared.journal.compact();
         assert_eq!(shared.journal.len(), 0);
         // A second quiet call finds nothing to do.
@@ -1276,15 +1532,11 @@ mod tests {
             pump(&shared, &mut core, usize::MAX);
             core.idle().unwrap();
             assert_eq!(core.parked.len() as u32, it + 1);
-            assert_eq!(
-                shared.buffer.in_use(CLIENTS),
-                4 * 64,
-                "nothing released yet"
-            );
+            assert_eq!(shared.in_use(), 4 * 64, "nothing released yet");
         }
         assert_eq!(core.pending_release.len(), 1, "the displaced segment waits");
         core.quiet().unwrap();
-        assert_eq!(shared.buffer.in_use(CLIENTS), 0);
+        assert_eq!(shared.in_use(), 0);
         assert_eq!(files(&shared).len(), 2);
         // The ring is intact: client 0 can fill its whole partition again.
         for _ in 0..(65536 / CLIENTS / 64) {
@@ -1323,7 +1575,7 @@ mod tests {
                 pump(&shared, &mut core, usize::MAX);
                 core.idle().unwrap();
                 core.quiet().unwrap();
-                assert_eq!(shared.buffer.in_use(CLIENTS), 0, "drop_a={drop_a}");
+                assert_eq!(shared.in_use(), 0, "drop_a={drop_a}");
             }
             assert_eq!(core.report.iterations_persisted, 3);
             // The ring is intact: client 0 can fill all of it again.
@@ -1390,7 +1642,7 @@ mod tests {
                 "{tag}"
             );
             shared.journal.compact();
-            left_behind.push((shared.buffer.in_use(CLIENTS), shared.journal.len()));
+            left_behind.push((shared.in_use(), shared.journal.len()));
             let stats = &shared.stats;
             let counts = [
                 core.report.iterations_persisted,
@@ -1406,13 +1658,59 @@ mod tests {
         assert_eq!(left_behind, [(64, 1); 4]);
     }
 
-    /// The list of retired iterations exists for an event source that
-    /// counts them; the threaded one does not, and must not keep it
-    /// either: `quiet` hands it out, so after 1 000 iterations through
-    /// `serve` — the loop `run` runs — nothing of it is left. (It used to
-    /// grow by four bytes an iteration for the life of the incarnation.)
+    /// What tells a notice read again from news is bounded by what is in
+    /// flight: ranks that run an iteration ahead leave the entries of that
+    /// one iteration, and each iteration's go the moment it retires.
     #[test]
-    fn retired_list_does_not_outlive_the_quiet_that_hands_it_out() {
+    fn the_dedup_set_holds_only_unretired_iterations() {
+        FIXTURES.into_iter().for_each(dedup_bounded);
+    }
+
+    fn dedup_bounded(fixture: Fixture) {
+        const ITERATIONS: u32 = 200;
+        let (shared, clients) = node("dedup-bound", fixture);
+        let mut core = core(&shared, 0);
+        for it in 0..ITERATIONS {
+            for client in &clients {
+                client.write("a", it, &[it as u8; 64]).unwrap();
+                client.end_iteration(it).unwrap();
+                client.write("b", it + 1, &[it as u8; 64]).unwrap();
+            }
+            assert!(core.drain(&mut |_, _| {}).unwrap());
+            core.quiet().unwrap();
+            assert!(core.is_retired(it));
+            let kept: Vec<u32> = core.seen.keys().copied().collect();
+            assert_eq!(kept, [it + 1], "after iteration {it}");
+            assert_eq!(core.seen[&(it + 1)].len(), CLIENTS, "one range a rank");
+        }
+        assert_eq!(core.retired.0.len(), 1, "one run: {:?}", core.retired);
+        assert_eq!(FaultStats::get(&shared.stats.stale_events_rejected), 0);
+    }
+
+    /// Runs of retired iterations merge; a gap keeps them apart until it
+    /// retires too.
+    #[test]
+    fn retired_iterations_are_kept_as_runs() {
+        let mut retired = Retired::default();
+        for it in [3, 1, 2, 7, 5, 0, u32::MAX] {
+            retired.insert(it);
+        }
+        let runs: Vec<_> = retired.0.iter().map(|(&a, &b)| (a, b)).collect();
+        assert_eq!(runs, [(0, 3), (5, 5), (7, 7), (u32::MAX, u32::MAX)]);
+        retired.insert(6);
+        assert!(!retired.contains(4));
+        retired.insert(4);
+        retired.insert(4);
+        assert!((0..=7).all(|it| retired.contains(it)));
+        assert!(!retired.contains(8) && retired.contains(u32::MAX));
+        assert_eq!(retired.0.len(), 2);
+    }
+
+    /// Through the threaded node's loop — `run`'s — nothing of 1 000
+    /// iterations is left behind in the dedup set, and the retired ones
+    /// are one run.
+    #[test]
+    fn a_threaded_run_keeps_no_notice_of_retired_iterations() {
         const ITERATIONS: u32 = 1000;
         let (shared, clients) = node("retired-drains", Fixture::Heap);
         let mut core = core(&shared, 0);
@@ -1424,18 +1722,13 @@ mod tests {
                         client.end_iteration(it).unwrap();
                     }
                 }
-                // The last release is the last thing a `quiet` pass does
-                // before it hands the list out, and the core pops its next
-                // event only after that.
-                while shared.buffer.in_use(CLIENTS) != 0 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                assert!(shared.queue.push(Event::Terminate).is_ok());
+                shared.finishing.store(true, Ordering::Release);
             });
-            core.serve().unwrap();
+            core.run_threaded().unwrap();
         });
         assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
-        assert!(core.retired.is_empty(), "{} kept", core.retired.len());
+        assert!(core.seen.is_empty(), "{} kept", core.seen.len());
+        assert_eq!(core.retired.0.len(), 1, "{:?}", core.retired);
     }
 
     /// The same harness, paced: each iteration is written, ended and
@@ -1460,15 +1753,15 @@ mod tests {
                     }
                     // Released means committed: the pass that did it has
                     // applied every record of the iteration.
-                    while shared.buffer.in_use(CLIENTS) != 0 {
+                    while shared.in_use() != 0 {
                         std::thread::sleep(Duration::from_micros(100));
                     }
                     most = most.max((shared.journal.len(), it));
                 }
-                assert!(shared.queue.push(Event::Terminate).is_ok());
+                shared.finishing.store(true, Ordering::Release);
                 most
             });
-            core.serve().unwrap();
+            core.run_threaded().unwrap();
             ranks.join().unwrap()
         });
         let (kept, after) = most;

@@ -78,10 +78,44 @@ fn kill_once_factory(counter: &Arc<AtomicU64>) -> PluginFactory {
     })
 }
 
+/// Holds the dedicated core in two rendezvous on `gate`: the first tells
+/// the test the core is inside, and everything the clients post until the
+/// second is in their rings when the core goes on — so it takes all of it
+/// in one pass, without the rings going quiet in between, whatever the
+/// two threads' timing.
+struct Hold {
+    gate: Arc<std::sync::Barrier>,
+}
+
+impl Plugin for Hold {
+    fn name(&self) -> &str {
+        "hold"
+    }
+    fn handle(
+        &mut self,
+        _ctx: &mut ActionContext<'_>,
+        _event: &EventInfo,
+    ) -> Result<(), DamarisError> {
+        self.gate.wait();
+        self.gate.wait();
+        Ok(())
+    }
+}
+
+fn hold_factory(gate: &Arc<std::sync::Barrier>) -> PluginFactory {
+    let gate = Arc::clone(gate);
+    Box::new(move |_| {
+        Ok(Box::new(Hold {
+            gate: Arc::clone(&gate),
+        }) as Box<dyn Plugin>)
+    })
+}
+
 const SUP_XML: &str = r#"<damaris>
      <buffer size="1048576" allocator="partition" queue="64"/>
      <layout name="grid" type="real" dimensions="256"/>
      <variable name="theta" layout="grid" unit="K"/>
+     <event name="hold" action="hold"/>
      <event name="kill" action="kill-once"/>
      <resilience epe_respawn="1"/>
    </damaris>"#;
@@ -98,16 +132,25 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
     let dir = scratch("kill");
     let cfg = Config::from_xml(SUP_XML).unwrap();
     let fired = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(std::sync::Barrier::new(2));
     let runtime = NodeRuntime::start_with_backend(
         cfg,
         4,
         Arc::new(LocalDirBackend::new(&dir).unwrap()),
         0,
-        vec![("kill-once".to_string(), kill_once_factory(&fired))],
+        vec![
+            ("hold".to_string(), hold_factory(&gate)),
+            ("kill-once".to_string(), kill_once_factory(&fired)),
+        ],
     )
     .unwrap();
     let clients = runtime.clients();
-    // Queue order: w0 w1 w2 w3, K (server dies mid-event), e0 e1 e2 e3.
+    // Ring order, all taken in one pass once the core is let go: rank 0's
+    // ring holds w0, K, e0 — the core takes w0 and stops at K, which goes
+    // at the end of the pass — and ranks 1-3 hold w, e each. So the
+    // server dies at K with the four writes and three ends taken.
+    clients[0].signal("hold", 0).unwrap();
+    gate.wait();
     for client in &clients {
         let data: Vec<f32> = (0..256).map(|i| (client.id() * 1000 + i) as f32).collect();
         client.write_f32("theta", 0, &data).unwrap();
@@ -116,6 +159,7 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
     for client in &clients {
         client.end_iteration(0).unwrap();
     }
+    gate.wait();
     let report = runtime
         .finish()
         .expect("respawned server completes the run");
@@ -125,11 +169,11 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
     // for side-effecting user events).
     assert_eq!(fired.load(Ordering::SeqCst), 1);
     assert_eq!(report.epe_respawns, 1);
-    // Replay re-adopted the 4 resident writes. The 4 end-of-iteration
-    // notifications the dead incarnation never popped were never
-    // journalled either — the core journals what it takes — so they
-    // arrive by the queue, and nothing is stale.
-    assert_eq!(report.events_replayed, 4);
+    // Replay re-adopted the four resident writes and recounted the three
+    // ends. What the dead incarnation never took (e0) was never journalled
+    // either — the core journals what it takes — so it arrives by its
+    // ring, and nothing is stale.
+    assert_eq!(report.events_replayed, 7);
     assert_eq!(report.stale_events_rejected, 0);
     assert_eq!(report.variables_received, 4);
     assert_eq!(report.iterations_persisted, 1);
@@ -142,12 +186,16 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
     let control_dir = scratch("control");
     let cfg = Config::from_xml(SUP_XML).unwrap();
     let fired_control = Arc::new(AtomicU64::new(0));
+    let unused = Arc::new(std::sync::Barrier::new(2));
     let control = NodeRuntime::start_with_backend(
         cfg,
         4,
         Arc::new(LocalDirBackend::new(&control_dir).unwrap()),
         0,
-        vec![("kill-once".to_string(), kill_once_factory(&fired_control))],
+        vec![
+            ("hold".to_string(), hold_factory(&unused)),
+            ("kill-once".to_string(), kill_once_factory(&fired_control)),
+        ],
     )
     .unwrap();
     let control_clients = control.clients();
@@ -172,28 +220,6 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
     std::fs::remove_dir_all(&control_dir).ok();
 }
 
-/// Holds the dedicated core until the test lets go (and succeeds):
-/// everything the clients push meanwhile is in the queue when it returns,
-/// so the core handles it back to back, without the queue going quiet in
-/// between.
-struct Hold {
-    gate: Arc<std::sync::Barrier>,
-}
-
-impl Plugin for Hold {
-    fn name(&self) -> &str {
-        "hold"
-    }
-    fn handle(
-        &mut self,
-        _ctx: &mut ActionContext<'_>,
-        _event: &EventInfo,
-    ) -> Result<(), DamarisError> {
-        self.gate.wait();
-        Ok(())
-    }
-}
-
 /// The dedicated core dies with two iterations *parked*: fired, their
 /// files written under temporary names, nothing committed, published or
 /// released. All that is left of them is two `.tmp` files, the journal's
@@ -216,19 +242,13 @@ fn epe_killed_with_iterations_parked_replays_and_persists_them_again() {
     .unwrap();
     let fired = Arc::new(AtomicU64::new(0));
     let gate = Arc::new(std::sync::Barrier::new(2));
-    let held = Arc::clone(&gate);
-    let hold: PluginFactory = Box::new(move |_| {
-        Ok(Box::new(Hold {
-            gate: Arc::clone(&held),
-        }) as Box<dyn Plugin>)
-    });
     let runtime = NodeRuntime::start_with_backend(
         cfg,
         4,
         Arc::new(LocalDirBackend::new(&dir).unwrap()),
         0,
         vec![
-            ("hold".to_string(), hold),
+            ("hold".to_string(), hold_factory(&gate)),
             ("kill-once".to_string(), kill_once_factory(&fired)),
         ],
     )
@@ -239,10 +259,12 @@ fn epe_killed_with_iterations_parked_replays_and_persists_them_again() {
             .map(|i| (it * 10_000 + rank * 1000 + i) as f32)
             .collect()
     };
-    // Queue order: H (core held until the rest has landed), then both
-    // iterations whole, then K — handled without a quiet poll between
-    // them, so the core dies with iterations 0 and 1 parked.
+    // Ring order, all taken in one pass once the core is let go: both
+    // iterations whole in every ring, then K in rank 0's — a user event,
+    // handled at the end of the pass — with no quiet pass between, so the
+    // core dies with iterations 0 and 1 parked.
     clients[0].signal("hold", 0).unwrap();
+    gate.wait();
     for it in 0..2u32 {
         for client in &clients {
             client

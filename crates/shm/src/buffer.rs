@@ -22,27 +22,28 @@
 use crate::sync::{Arc, RangeTracker};
 use std::cell::UnsafeCell;
 
-/// Where a [`SharedBuffer`]'s bytes live.
+/// What keeps a [`SharedBuffer`]'s bytes alive.
 ///
-/// * `Heap` — one process-private allocation shared through `Arc`, the
-///   threads-as-cores topology every existing test uses.
-/// * `Mapped` — a window of a file-backed `MAP_SHARED` region
-///   ([`crate::MapRegion`]), the cross-process topology of the original
-///   Damaris: separate OS processes map the same file, and the bytes
-///   survive any one process being `kill -9`'d.
+/// * `Heap` — one process-private allocation shared through `Arc`.
+/// * `Mapped` — a file-backed `MAP_SHARED` region ([`crate::MapRegion`]):
+///   separate OS processes map the same file, and the bytes survive any
+///   one process being `kill -9`'d.
+/// * `Window` — a range of another buffer: a node layout's data, past its
+///   header and client blocks ([`crate::MappedNode`]).
 enum Backing {
     /// Backing store in 8-byte units so that segments handed out by the
     /// (8-byte-aligning) allocators can be viewed as f32/f64 slices.
-    Heap(Box<[UnsafeCell<u64>]>),
-    /// `data_offset` is where the buffer's byte 0 sits inside the region
-    /// (past the mapping header) — an offset, never a pointer, per the
-    /// offset-only invariant.
+    Heap { _words: Box<[UnsafeCell<u64>]> },
     #[cfg(all(unix, not(feature = "check")))]
-    Mapped {
-        region: Arc<crate::backing::MapRegion>,
-        data_offset: usize,
-    },
+    Mapped(Arc<crate::backing::MapRegion>),
+    #[cfg(not(feature = "check"))]
+    Window(Arc<SharedBuffer>),
 }
+
+/// The block a heap buffer's first byte is aligned to: the placement unit
+/// of a node's layout (`CachePadded`'s alignment), which a file mapping
+/// gets from its page alignment.
+const HEAP_ALIGN: usize = 128;
 
 /// A fixed-size byte buffer shared by all cores of one simulated SMP node.
 ///
@@ -50,6 +51,9 @@ enum Backing {
 /// full control over the resources allocated to Damaris", §III-B).
 pub struct SharedBuffer {
     backing: Backing,
+    /// Byte 0 of the buffer in this process — never stored in shared
+    /// memory (the offset-only invariant).
+    base: *mut u8,
     capacity: usize,
     /// Race detector for segment accesses; no-op unless `check`.
     tracker: RangeTracker,
@@ -59,24 +63,31 @@ pub struct SharedBuffer {
 // allocators guarantee to be disjoint while live (model-checked under
 // `--features check` via `tracker`). Cross-thread visibility is provided by
 // the release/acquire pair of whatever channel transfers the segment (the
-// event queue).
+// notice ring). `base` points into memory `backing` keeps alive.
 unsafe impl Sync for SharedBuffer {}
 // SAFETY: no thread affinity; see `Sync` argument above.
 unsafe impl Send for SharedBuffer {}
 
 impl SharedBuffer {
-    /// Allocates a zero-initialized heap buffer of `capacity` bytes. The
-    /// zeroes come from the allocator (`vec![0; n]` is `alloc_zeroed`, for
-    /// a large buffer fresh pages from the OS) and are never written here,
-    /// so capacity is committed on first touch, not at start.
+    /// Allocates a zero-initialized heap buffer of `capacity` bytes, its
+    /// first byte on a 128-byte boundary. The zeroes come from the
+    /// allocator (`vec![0; n]` is `alloc_zeroed`, for a large buffer fresh
+    /// pages from the OS) and are never written here, so capacity is
+    /// committed on first touch, not at start.
     pub fn new(capacity: usize) -> Arc<Self> {
-        let zeroed: Box<[u64]> = vec![0u64; capacity.div_ceil(8)].into_boxed_slice();
+        let words = (capacity + HEAP_ALIGN).div_ceil(8);
+        let zeroed: Box<[u64]> = vec![0u64; words].into_boxed_slice();
         // SAFETY: `UnsafeCell<u64>` is `repr(transparent)` over `u64` —
         // same size, alignment and validity — so the allocation keeps its
         // layout under the new type and the box frees it as it was made.
         let data = unsafe { Box::from_raw(Box::into_raw(zeroed) as *mut [UnsafeCell<u64>]) };
+        let start = data.as_ptr() as *mut u8;
+        // SAFETY: the allocation is `capacity + HEAP_ALIGN` bytes or more,
+        // so skipping fewer than `HEAP_ALIGN` leaves `capacity` in bounds.
+        let base = unsafe { start.add(start.align_offset(HEAP_ALIGN)) };
         Arc::new(SharedBuffer {
-            backing: Backing::Heap(data),
+            backing: Backing::Heap { _words: data },
+            base,
             capacity,
             tracker: RangeTracker::new(),
         })
@@ -100,11 +111,33 @@ impl SharedBuffer {
             "buffer window [{data_offset}, {data_offset}+{capacity}) exceeds region of {} bytes",
             region.len()
         );
+        // SAFETY: the window fits inside the mapping, checked just above.
+        let base = unsafe { region.base().add(data_offset) };
         Arc::new(SharedBuffer {
-            backing: Backing::Mapped {
-                region,
-                data_offset,
-            },
+            backing: Backing::Mapped(region),
+            base,
+            capacity,
+            tracker: RangeTracker::new(),
+        })
+    }
+
+    /// The `capacity` bytes of this buffer from `offset` on, as a buffer
+    /// of their own (which keeps this one alive). `offset` must be 8-byte
+    /// aligned and the window must fit.
+    #[cfg(not(feature = "check"))]
+    pub fn window(self: &Arc<Self>, offset: usize, capacity: usize) -> Arc<Self> {
+        assert_eq!(offset % 8, 0, "window offset must be 8-byte aligned");
+        assert!(
+            offset
+                .checked_add(capacity)
+                .is_some_and(|end| end <= self.capacity),
+            "buffer window [{offset}, {offset}+{capacity}) exceeds buffer of {} bytes",
+            self.capacity
+        );
+        Arc::new(SharedBuffer {
+            backing: Backing::Window(Arc::clone(self)),
+            // SAFETY: the window fits inside this buffer, checked above.
+            base: unsafe { self.base.add(offset) },
             capacity,
             tracker: RangeTracker::new(),
         })
@@ -115,19 +148,9 @@ impl SharedBuffer {
         self.capacity
     }
 
-    fn base(&self) -> *mut u8 {
-        match &self.backing {
-            Backing::Heap(data) => data.as_ptr() as *mut u8,
-            #[cfg(all(unix, not(feature = "check")))]
-            Backing::Mapped {
-                region,
-                data_offset,
-            } => {
-                // SAFETY: `from_region` checked data_offset + capacity fits
-                // inside the mapping, so the offset stays in bounds.
-                unsafe { region.base().add(*data_offset) }
-            }
-        }
+    /// Byte 0 of the buffer in this process.
+    pub(crate) fn base(&self) -> *mut u8 {
+        self.base
     }
 
     /// A segment view with no ring position (it is its offset), for tests
@@ -166,15 +189,13 @@ impl SharedBuffer {
 
 impl std::fmt::Debug for SharedBuffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SharedBuffer({} bytes, ", self.capacity)?;
         match &self.backing {
-            Backing::Heap(_) => write!(f, "SharedBuffer({} bytes, heap)", self.capacity),
+            Backing::Heap { .. } => write!(f, "heap)"),
             #[cfg(all(unix, not(feature = "check")))]
-            Backing::Mapped { region, .. } => write!(
-                f,
-                "SharedBuffer({} bytes, mapped at {})",
-                self.capacity,
-                region.path().display()
-            ),
+            Backing::Mapped(region) => write!(f, "mapped at {})", region.path().display()),
+            #[cfg(not(feature = "check"))]
+            Backing::Window(whole) => write!(f, "in {whole:?})"),
         }
     }
 }

@@ -31,10 +31,10 @@ fn pack(epoch: u32, beat: u32) -> u64 {
 /// The epoch + liveness word published by the dedicated core.
 ///
 /// `repr(transparent)` over one facade atomic so the word can live
-/// *anywhere* an `AtomicU64` fits — a heap struct in the threaded node,
-/// or a slot of a file-backed mapping in the cross-process node (see
-/// [`HeartbeatWord::from_word`]). Either way the protocol code here is
-/// the same, and the same code is what the model tests check.
+/// *anywhere* an `AtomicU64` fits — a slot of a node's layout (see
+/// [`HeartbeatWord::from_word`]), on the heap or in a file mapping, or a
+/// model test's own word. Either way the protocol code here is the same,
+/// and the same code is what the model tests check.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct HeartbeatWord {

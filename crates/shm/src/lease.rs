@@ -45,7 +45,7 @@
 //! pair and the mutual exclusion, and the seeded-bug twins prove the
 //! checker rejects a Relaxed renew and a blind (non-CAS) revoke.
 
-use crate::sync::{AtomicU64, CachePadded, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 /// Top bit of the lease word: set exactly once, by a successful revoke.
 const REVOKED: u64 = 1 << 63;
@@ -80,9 +80,9 @@ impl LeaseSnapshot {
 /// One client's liveness lease word.
 ///
 /// `repr(transparent)` over one facade atomic so the word can live in a
-/// heap [`LeaseTable`] (threaded node) or in a slot of a file-backed
-/// mapping (cross-process node, via [`ClientLease::from_word`]) while
-/// running exactly the model-checked protocol below.
+/// slot of a node's layout (via [`ClientLease::from_word`]), on the heap
+/// or in a file mapping, while running exactly the model-checked protocol
+/// below.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct ClientLease {
@@ -200,44 +200,6 @@ impl ClientLease {
     }
 }
 
-/// The node's lease words, one per client id, each on a block of its
-/// own: a client renews its lease on every call, and packed together one
-/// client's renewal cost the next client's a miss.
-#[derive(Debug, Default)]
-pub struct LeaseTable {
-    leases: Vec<CachePadded<ClientLease>>,
-}
-
-impl LeaseTable {
-    /// One fresh lease per client.
-    pub fn new(clients: usize) -> Self {
-        LeaseTable {
-            leases: (0..clients)
-                .map(|_| CachePadded::new(ClientLease::new()))
-                .collect(),
-        }
-    }
-
-    /// The lease of one client, if the id is in range.
-    pub fn lease(&self, client: usize) -> Option<&ClientLease> {
-        self.leases.get(client).map(|lease| &**lease)
-    }
-
-    /// Number of leases (== number of clients).
-    pub fn len(&self) -> usize {
-        self.leases.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
-    }
-
-    /// Iterate `(client, lease)` pairs — the sweeper's scan.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &ClientLease)> {
-        self.leases.iter().map(|lease| &**lease).enumerate()
-    }
-}
-
 // Plain-build unit tests; the ordering and the renew/revoke arbitration
 // are exercised by the model tests in `tests/model.rs` under
 // `--features check`.
@@ -307,17 +269,5 @@ mod tests {
         lease.word.store(pack(3, u32::MAX), Ordering::Release);
         assert!(lease.renew());
         assert_eq!(lease.observe(), (3, 0));
-    }
-
-    #[test]
-    fn table_hands_out_per_client_leases() {
-        let table = LeaseTable::new(3);
-        assert_eq!(table.len(), 3);
-        assert!(!table.is_empty());
-        assert!(table.lease(2).is_some());
-        assert!(table.lease(3).is_none());
-        table.lease(1).unwrap().renew();
-        let beats: Vec<u32> = table.iter().map(|(_, l)| l.observe().1).collect();
-        assert_eq!(beats, vec![0, 1, 0]);
     }
 }

@@ -3,36 +3,35 @@
 //! The node-local shared-memory substrate of the Damaris architecture
 //! (paper §III-B): a large buffer created by the dedicated core at start
 //! time, from which compute cores *reserve* segments, copy their data with a
-//! single `memcpy`, and notify the dedicated core through a shared event
-//! queue.
+//! single `memcpy`, and notify the dedicated core by posting a notice.
 //!
 //! Reservation is the paper's lock-free scheme: "the shared-memory buffer
 //! is split in as many parts as clients and each client uses its own
 //! region." Each region is a single-producer ring run by the protocol in
-//! [`ring`]; reservation is a handful of atomic operations. The rings'
-//! words live in [`PartitionAllocator`] on the heap, or in a
-//! [`MappedNode`] when the cores are processes. (The paper's other scheme,
-//! Boost's mutex-guarded free list, is deliberately not reproduced; see
-//! `DESIGN.md` §8.)
+//! [`ring`]; reservation is a handful of atomic operations, and a client
+//! notifies through its own single-producer [`NoticeRing`]. (The paper's
+//! other scheme, Boost's mutex-guarded free list, is deliberately not
+//! reproduced; see `DESIGN.md` §8.)
 //!
-//! In the original, the buffer lives in a POSIX shared-memory region mapped
-//! by separate MPI processes on the node. This reproduction supports both
-//! topologies: "cores" as threads of one process over a heap allocation
-//! shared through `Arc` (the default, and what the model checker explores),
-//! and — on unix — real separate processes over a file-backed `MAP_SHARED`
-//! mapping ([`MapRegion`]/[`MappedNode`]) whose bytes survive any one
-//! process being `kill -9`'d. The data path (reserve → memcpy → notify →
-//! process → release) and all of its concurrency hazards are identical;
-//! only the notification's carrier differs — the [`MpscQueue`] between
-//! threads, a per-client [`NoticeRing`] in the mapping between processes.
+//! A node has one layout, [`MappedNode`]: a header, a block of words per
+//! client, and the data rings. In the original it lives in a POSIX
+//! shared-memory region mapped by separate MPI processes on the node. Here
+//! it has two backings: zeroed process memory when the node's cores are
+//! threads ([`MappedNode::heap`]), and — on unix — a file-backed
+//! `MAP_SHARED` mapping ([`MapRegion`]) when they are separate processes,
+//! whose bytes survive any one process being `kill -9`'d. The data path
+//! (reserve → memcpy → post → process → release) and all of its
+//! concurrency hazards are the same over both. [`PartitionAllocator`] and
+//! [`MpscQueue`] run the ring and a bounded queue over words of their own;
+//! no node uses them.
 //!
 //! ## Safety model
 //!
 //! A [`Segment`] is an owned, exclusive view of a byte range: the allocator
 //! guarantees live segments never overlap (property-tested), writing goes
 //! through `&mut Segment`, and the happens-before edge between the client's
-//! writes and the server's reads is provided by the event queue's
-//! release/acquire pair when the segment handle is sent.
+//! writes and the server's reads is provided by the notice ring's
+//! release/acquire pair.
 //!
 //! ## Verification
 //!
@@ -51,7 +50,7 @@ mod buffer;
 pub mod gc;
 mod heartbeat;
 mod lease;
-#[cfg(all(unix, not(feature = "check")))]
+#[cfg(not(feature = "check"))]
 pub mod mapped;
 pub mod notice;
 mod queue;
@@ -65,8 +64,8 @@ pub use buffer::{Segment, SharedBuffer};
 #[cfg(all(unix, not(feature = "check")))]
 pub use gc::{scan_orphans, GcReport};
 pub use heartbeat::HeartbeatWord;
-pub use lease::{ClientLease, LeaseSnapshot, LeaseTable};
-#[cfg(all(unix, not(feature = "check")))]
+pub use lease::{ClientLease, LeaseSnapshot};
+#[cfg(not(feature = "check"))]
 pub use mapped::MappedNode;
 pub use notice::{Notice, NoticeRing};
 pub use queue::{MpscQueue, PushError};

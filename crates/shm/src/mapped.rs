@@ -1,11 +1,19 @@
-//! The cross-process node layout: one file-backed mapping holding every
-//! word two processes must agree on.
+//! The node layout: one region holding every word the compute cores and
+//! the dedicated core must agree on, and the buffer data — the paper's
+//! one shared-memory segment (§III). Two backings carry the same layout,
+//! built by the same geometry code:
+//!
+//! * [`MappedNode::heap`] — zeroed process memory, committed on first
+//!   touch: the threaded node, whose cores are threads of one process;
+//! * [`MappedNode::create`]/[`MappedNode::open`] (unix) — a file mapped
+//!   `MAP_SHARED` by every process of a process node, whose words survive
+//!   any one process being `kill -9`'d.
 //!
 //! ## Layout (all slots 8-byte, offsets from the region base)
 //!
 //! ```text
 //! 0    magic        "DAMRSHM1" (0x44414D52_53484D31)
-//! 8    version      layout version (4)
+//! 8    version      layout version (5)
 //! 16   n_clients
 //! 24   data_capacity    bytes of buffer data after the header
 //! 32   data_offset      where the data starts (from the region base)
@@ -25,11 +33,12 @@
 //!
 //! A word is grouped only with words of the same writer (DESIGN.md §8,
 //! "Who writes which line"): the client's per-call words and the core's
-//! per-event words never share a line.
+//! per-event words never share a line. Both backings start the region on
+//! a 128-byte boundary, so a line of the layout is a block of memory.
 //!
 //! ## The offset-only invariant
 //!
-//! The mapping lands at a different virtual address in every process, so
+//! A mapping lands at a different virtual address in every process, so
 //! **nothing in it may be a pointer** — only offsets, counters, and
 //! packed protocol words. Process-private state (the `Arc`s, journal
 //! handles, the base address itself) lives in per-process mirrors like
@@ -38,15 +47,15 @@
 //!
 //! ## Why the protocol is still the model-checked one
 //!
-//! Every stateful word above is operated on through the same facade
-//! types the threaded node uses: the heartbeat slot is viewed as
-//! [`HeartbeatWord`] via `from_word` (repr(transparent) cast), the lease
-//! slots as [`ClientLease`], the ring counters run the free-function
-//! protocol in [`crate::ring`], and the notice words the one in
-//! [`crate::notice`] — whose interleavings `tests/model.rs` explores
-//! under `--features check`. This module adds *placement*, not new
-//! concurrency.
+//! Every stateful word above is operated on through the facade types:
+//! the heartbeat slot is viewed as [`HeartbeatWord`] via `from_word`
+//! (repr(transparent) cast), the lease slots as [`ClientLease`], the ring
+//! counters run the free-function protocol in [`crate::ring`], and the
+//! notice words the one in [`crate::notice`] — whose interleavings
+//! `tests/model.rs` explores under `--features check`. This module adds
+//! *placement*, not new concurrency.
 
+#[cfg(unix)]
 use crate::backing::MapRegion;
 use crate::buffer::SharedBuffer;
 use crate::notice::{NoticeRing, NOTICE_BYTES, NOTICE_WORDS};
@@ -54,6 +63,7 @@ use crate::ring::{self, Ring};
 use crate::sync::{Arc, AtomicU64, Ordering};
 use crate::{AllocError, ClientLease, HeartbeatWord, Segment};
 use std::io;
+#[cfg(unix)]
 use std::path::Path;
 
 /// "DAMRSHM1" in big-endian bytes — identifies a Damaris node mapping.
@@ -61,8 +71,9 @@ pub const MAGIC: u64 = 0x44414D52_53484D31;
 /// Bump on any layout change; `open` rejects mismatches. (2: the slot
 /// word at `+8` is the ring's `floor`. 3: per-client notice rings, the
 /// `done` word, a pid per client, and each block on two lines by writer.
-/// 4: a write notice carries no checksum.)
-pub const VERSION: u64 = 4;
+/// 4: a write notice carries no checksum. 5: user-event and dynamic-write
+/// notices, a dynamic write's shape in its data segment.)
+pub const VERSION: u64 = 5;
 
 const OFF_MAGIC: usize = 0;
 const OFF_VERSION: usize = 8;
@@ -101,34 +112,23 @@ fn client_block(notice_capacity: usize) -> Option<usize> {
         .checked_add(SLOT_NOTICES)
 }
 
-/// One process's view of the shared node mapping — the per-process
-/// mirror: the `Arc`s and cached immutable geometry live here (private
-/// to this process); every mutable protocol word lives in the mapping.
-/// A clone is a second handle on the same view.
-#[derive(Clone)]
-pub struct MappedNode {
-    region: Arc<MapRegion>,
+/// The geometry words of a layout — what the header stores, and what
+/// `open` reads back and checks.
+#[derive(Clone, Copy)]
+struct Geometry {
     n_clients: usize,
     data_capacity: usize,
     data_offset: usize,
     region_capacity: usize,
     notice_capacity: usize,
-    client_block: usize,
 }
 
-impl MappedNode {
-    /// Creates the mapping file (EPE only — creation is exclusive),
-    /// writes the header, and stamps this process as the creator. Each
-    /// client gets `data_capacity / n_clients` bytes of ring, rounded down
-    /// to the ring alignment like `PartitionAllocator`, and
-    /// `queue_capacity / n_clients` notice slots, rounded down to a power
-    /// of two, at least 2.
-    pub fn create(
-        path: &Path,
-        n_clients: usize,
-        data_capacity: usize,
-        queue_capacity: usize,
-    ) -> io::Result<MappedNode> {
+impl Geometry {
+    /// The layout of `n_clients` rings of `data_capacity / n_clients`
+    /// bytes, rounded down to the ring alignment, and `queue_capacity /
+    /// n_clients` notice slots each, rounded down to a power of two, at
+    /// least 2.
+    fn new(n_clients: usize, data_capacity: usize, queue_capacity: usize) -> io::Result<Geometry> {
         assert!(n_clients > 0, "need at least one client");
         let align = ring::RING_ALIGN as usize;
         let region_capacity = (data_capacity / n_clients) / align * align;
@@ -140,103 +140,180 @@ impl MappedNode {
         }
         let per_client = (queue_capacity / n_clients).max(2);
         let notice_capacity = 1 << per_client.ilog2();
-        let geometry = client_block(notice_capacity).and_then(|block| {
-            let data_offset = n_clients.checked_mul(block)?.checked_add(CLIENT_BASE)?;
-            Some((block, data_offset, data_offset.checked_add(data_capacity)?))
-        });
-        let Some((client_block, data_offset, total)) = geometry else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "mapping size overflows",
-            ));
-        };
-        let region = Arc::new(MapRegion::create(path, total)?);
-        let node = MappedNode {
-            region,
+        let data_offset = client_block(notice_capacity)
+            .and_then(|block| n_clients.checked_mul(block)?.checked_add(CLIENT_BASE))
+            .filter(|offset| offset.checked_add(data_capacity).is_some())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "mapping size overflows"))?;
+        Ok(Geometry {
             n_clients,
             data_capacity,
             data_offset,
             region_capacity,
             notice_capacity,
-            client_block,
+        })
+    }
+
+    /// Whether a layout of this geometry fits a region of `len` bytes —
+    /// every product and sum of it checked, since `open` reads it from a
+    /// file.
+    fn fits(&self, len: usize) -> bool {
+        let consistent = || {
+            let block = client_block(self.notice_capacity)?;
+            let slots_end = self
+                .n_clients
+                .checked_mul(block)?
+                .checked_add(CLIENT_BASE)?;
+            let data_end = self.data_offset.checked_add(self.data_capacity)?;
+            let rings = self.n_clients.checked_mul(self.region_capacity)?;
+            Some(
+                self.n_clients > 0
+                    && self.region_capacity > 0
+                    && self.notice_capacity.is_power_of_two()
+                    && slots_end <= self.data_offset
+                    && self.data_offset.is_multiple_of(LINE)
+                    && data_end <= len
+                    && rings <= self.data_capacity,
+            )
         };
-        // A fresh mapping is all zeroes (ftruncate guarantees it), so the
-        // leases, heartbeat, ring and notice counters, pids and `done`
-        // start in their natural initial state; only the geometry needs
-        // writing. Relaxed stores: nobody else can map the file yet
-        // (create_new is exclusive and the magic is published last).
-        node.word(OFF_VERSION).store(VERSION, Ordering::Relaxed);
-        node.word(OFF_N_CLIENTS)
-            .store(n_clients as u64, Ordering::Relaxed);
-        node.word(OFF_DATA_CAPACITY)
-            .store(data_capacity as u64, Ordering::Relaxed);
-        node.word(OFF_DATA_OFFSET)
-            .store(data_offset as u64, Ordering::Relaxed);
-        node.word(OFF_REGION_CAPACITY)
-            .store(region_capacity as u64, Ordering::Relaxed);
-        node.word(OFF_NOTICE_CAPACITY)
-            .store(notice_capacity as u64, Ordering::Relaxed);
-        node.word(OFF_CREATOR_PID)
-            .store(u64::from(crate::backing::this_pid()), Ordering::Relaxed);
-        node.word(OFF_BEAT_AT_NS)
-            .store(crate::backing::monotonic_now_ns(), Ordering::Relaxed);
+        consistent() == Some(true)
+    }
+}
+
+/// One process's view of a node layout — the per-process mirror: the
+/// `Arc`s and cached immutable geometry live here (private to this
+/// process); every mutable protocol word lives in the region. A clone is
+/// a second handle on the same view.
+#[derive(Clone)]
+pub struct MappedNode {
+    /// The whole region, header included.
+    memory: Arc<SharedBuffer>,
+    /// Its data window, which the segments point into.
+    data: Arc<SharedBuffer>,
+    n_clients: usize,
+    region_capacity: usize,
+    notice_capacity: usize,
+    client_block: usize,
+}
+
+impl MappedNode {
+    /// The layout in zeroed process memory — the threaded node's. The
+    /// zero pages are committed as the words and rings are first touched,
+    /// so memory follows what is in flight, not the capacity. Geometry as
+    /// for [`create`](Self::create).
+    pub fn heap(
+        n_clients: usize,
+        data_capacity: usize,
+        queue_capacity: usize,
+    ) -> io::Result<MappedNode> {
+        let geometry = Geometry::new(n_clients, data_capacity, queue_capacity)?;
+        let total = geometry.data_offset + data_capacity;
+        Ok(Self::lay_out(SharedBuffer::new(total), geometry))
+    }
+
+    /// Creates the mapping file (EPE only — creation is exclusive),
+    /// writes the header, and stamps this process as the creator. Each
+    /// client gets `data_capacity / n_clients` bytes of ring, rounded down
+    /// to the ring alignment, and `queue_capacity / n_clients` notice
+    /// slots, rounded down to a power of two, at least 2.
+    #[cfg(unix)]
+    pub fn create(
+        path: &Path,
+        n_clients: usize,
+        data_capacity: usize,
+        queue_capacity: usize,
+    ) -> io::Result<MappedNode> {
+        let geometry = Geometry::new(n_clients, data_capacity, queue_capacity)?;
+        let total = geometry.data_offset + data_capacity;
+        let region = Arc::new(MapRegion::create(path, total)?);
+        Ok(Self::lay_out(
+            SharedBuffer::from_region(region, 0, total),
+            geometry,
+        ))
+    }
+
+    /// Writes `geometry`'s header into fresh, zeroed `memory`.
+    fn lay_out(memory: Arc<SharedBuffer>, geometry: Geometry) -> MappedNode {
+        let node = Self::over(memory, geometry);
+        // Fresh memory is all zeroes (ftruncate and the allocator
+        // guarantee it), so the leases, heartbeat, ring and notice
+        // counters, pids and `done` start in their natural initial state;
+        // only the geometry needs writing. Relaxed stores: nobody else can
+        // see the region yet (create_new is exclusive and the magic is
+        // published last).
+        let header = [
+            (OFF_VERSION, VERSION),
+            (OFF_N_CLIENTS, geometry.n_clients as u64),
+            (OFF_DATA_CAPACITY, geometry.data_capacity as u64),
+            (OFF_DATA_OFFSET, geometry.data_offset as u64),
+            (OFF_REGION_CAPACITY, geometry.region_capacity as u64),
+            (OFF_NOTICE_CAPACITY, geometry.notice_capacity as u64),
+            (OFF_CREATOR_PID, u64::from(std::process::id())),
+            (OFF_BEAT_AT_NS, now_ns()),
+        ];
+        for (off, value) in header {
+            node.word(off).store(value, Ordering::Relaxed);
+        }
         // Release: publishes the geometry above to any `open` that
         // Acquire-loads a valid magic.
         node.word(OFF_MAGIC).store(MAGIC, Ordering::Release);
-        Ok(node)
+        node
+    }
+
+    /// The view of a layout of `geometry`, which must fit `memory`.
+    fn over(memory: Arc<SharedBuffer>, geometry: Geometry) -> MappedNode {
+        let data = memory.window(geometry.data_offset, geometry.data_capacity);
+        MappedNode {
+            memory,
+            data,
+            n_clients: geometry.n_clients,
+            region_capacity: geometry.region_capacity,
+            notice_capacity: geometry.notice_capacity,
+            // invariant: `Geometry::new` and `fits` computed it.
+            client_block: client_block(geometry.notice_capacity).expect("checked geometry"),
+        }
     }
 
     /// Maps an existing node file (clients; a respawned EPE). Validates
     /// magic + version and reads the geometry, which comes from a file and
     /// is believed only if every product and sum of it fits and lands
     /// inside the mapping: anything else is `InvalidData`.
+    #[cfg(unix)]
     pub fn open(path: &Path) -> io::Result<MappedNode> {
         let region = Arc::new(MapRegion::open(path)?);
         if region.len() < CLIENT_BASE {
             return Err(bad_mapping("mapping shorter than the header"));
         }
+        let len = region.len();
+        let memory = SharedBuffer::from_region(region, 0, len);
         // Acquire: pairs with the creator's Release store of the magic,
         // ordering our geometry reads after its writes.
-        let magic = word_at(&region, OFF_MAGIC).load(Ordering::Acquire);
+        let magic = word_at(&memory, OFF_MAGIC).load(Ordering::Acquire);
         if magic != MAGIC {
             return Err(bad_mapping("bad magic (not a Damaris node mapping)"));
         }
-        let version = word_at(&region, OFF_VERSION).load(Ordering::Relaxed);
+        let version = word_at(&memory, OFF_VERSION).load(Ordering::Relaxed);
         if version != VERSION {
             return Err(bad_mapping("unsupported mapping layout version"));
         }
-        let read = |off| usize::try_from(word_at(&region, off).load(Ordering::Relaxed)).ok();
+        let read = |off| usize::try_from(word_at(&memory, off).load(Ordering::Relaxed)).ok();
         let geometry = (|| {
-            let notice_capacity = read(OFF_NOTICE_CAPACITY)?;
-            let node = MappedNode {
-                region: Arc::clone(&region),
+            Some(Geometry {
                 n_clients: read(OFF_N_CLIENTS)?,
                 data_capacity: read(OFF_DATA_CAPACITY)?,
                 data_offset: read(OFF_DATA_OFFSET)?,
                 region_capacity: read(OFF_REGION_CAPACITY)?,
-                notice_capacity,
-                client_block: client_block(notice_capacity)?,
-            };
-            let slots_end = node
-                .n_clients
-                .checked_mul(node.client_block)?
-                .checked_add(CLIENT_BASE)?;
-            let data_end = node.data_offset.checked_add(node.data_capacity)?;
-            let rings = node.n_clients.checked_mul(node.region_capacity)?;
-            let consistent = node.n_clients > 0
-                && node.region_capacity > 0
-                && node.notice_capacity.is_power_of_two()
-                && slots_end <= node.data_offset
-                && node.data_offset.is_multiple_of(LINE)
-                && data_end <= region.len()
-                && rings <= node.data_capacity;
-            consistent.then_some(node)
-        })();
-        geometry.ok_or_else(|| bad_mapping("inconsistent mapping geometry"))
+                notice_capacity: read(OFF_NOTICE_CAPACITY)?,
+            })
+        })()
+        .filter(|geometry| geometry.fits(len));
+        match geometry {
+            Some(geometry) => Ok(Self::over(memory, geometry)),
+            None => Err(bad_mapping("inconsistent mapping geometry")),
+        }
     }
 
     fn word(&self, off: usize) -> &AtomicU64 {
-        word_at(&self.region, off)
+        word_at(&self.memory, off)
     }
 
     fn client_word(&self, client: usize, slot: usize) -> &AtomicU64 {
@@ -252,7 +329,7 @@ impl MappedNode {
 
     /// Total buffer data bytes past the header.
     pub fn data_capacity(&self) -> usize {
-        self.data_capacity
+        self.data.capacity()
     }
 
     /// Per-client ring capacity in bytes.
@@ -263,11 +340,6 @@ impl MappedNode {
     /// Per-client notice slots.
     pub fn notice_capacity(&self) -> usize {
         self.notice_capacity
-    }
-
-    /// The underlying mapping.
-    pub fn region(&self) -> &Arc<MapRegion> {
-        &self.region
     }
 
     /// Pid of the EPE incarnation owning the mapping.
@@ -281,11 +353,11 @@ impl MappedNode {
     /// (so GC in *other* runs dates the mapping against the live pid).
     pub fn restamp_creator(&self) {
         self.word(OFF_CREATOR_PID)
-            .store(u64::from(crate::backing::this_pid()), Ordering::Relaxed);
+            .store(u64::from(std::process::id()), Ordering::Relaxed);
     }
 
     /// The node heartbeat word — the model-checked [`HeartbeatWord`]
-    /// protocol running over the mapped slot.
+    /// protocol running over the layout's slot.
     pub fn heartbeat(&self) -> &HeartbeatWord {
         HeartbeatWord::from_word(self.word(OFF_HEARTBEAT))
     }
@@ -325,13 +397,13 @@ impl MappedNode {
     }
 
     /// One client's lease word — the model-checked [`ClientLease`]
-    /// renew/revoke arbitration running over the mapped slot.
+    /// renew/revoke arbitration running over the layout's slot.
     pub fn lease(&self, client: usize) -> &ClientLease {
         ClientLease::from_word(self.client_word(client, SLOT_LEASE))
     }
 
     /// The client's ring: the [`crate::ring`] protocol's words, in the
-    /// mapping. Panics if `client` is out of range.
+    /// layout. Panics if `client` is out of range.
     pub fn ring(&self, client: usize) -> Ring<'_> {
         Ring {
             head: self.client_word(client, SLOT_HEAD),
@@ -342,16 +414,15 @@ impl MappedNode {
     }
 
     /// The client's notice ring: the [`crate::notice`] protocol's words,
-    /// in the mapping. Panics if `client` is out of range.
+    /// in the layout. Panics if `client` is out of range.
     pub fn notices(&self, client: usize) -> NoticeRing<'_> {
         let first = self.client_word(client, SLOT_NOTICES);
         let len = self.notice_capacity * NOTICE_WORDS;
         // SAFETY: `first` is the first of `len` consecutive 8-aligned
-        // words of this client's block, which `open`/`create` checked lies
-        // inside the mapping; the facade `AtomicU64` is the std atomic in
-        // this build (size 8, align 8, any bit pattern valid), and the
-        // slice cannot outlive the borrow of `self`, which holds the
-        // mapping.
+        // words of this client's block, which the geometry puts inside
+        // the region; the facade `AtomicU64` is the std atomic in this
+        // build (size 8, align 8, any bit pattern valid), and the slice
+        // cannot outlive the borrow of `self`, which holds the region.
         let slots = unsafe { std::slice::from_raw_parts(first as *const AtomicU64, len) };
         NoticeRing {
             head: self.client_word(client, SLOT_NOTICE_HEAD),
@@ -367,58 +438,40 @@ impl MappedNode {
         (pos < self.region_capacity).then_some(pos as u64)
     }
 
-    /// Views the data window as a [`SharedBuffer`] so the existing
-    /// `Segment` machinery (range tracking, split, CRC-able slices) works
-    /// unchanged over the mapping.
-    pub fn buffer(&self) -> Arc<SharedBuffer> {
-        SharedBuffer::from_region(
-            Arc::clone(&self.region),
-            self.data_offset,
-            self.data_capacity,
-        )
+    /// The data window as a [`SharedBuffer`], which the `Segment`s of
+    /// [`reserve`](Self::reserve) and [`adopt`](Self::adopt) point into.
+    pub fn buffer(&self) -> &Arc<SharedBuffer> {
+        &self.data
     }
 
     /// Reserves `len` bytes in `client`'s ring ([`ring::ring_reserve`]
-    /// over the mapped counters) and returns the segment over the shared
-    /// buffer `buffer` (which must come from [`MappedNode::buffer`] of
-    /// the same mapping). Client-side, single reserver per client.
-    pub fn reserve(
-        &self,
-        buffer: &Arc<SharedBuffer>,
-        client: usize,
-        len: usize,
-    ) -> Result<Segment, AllocError> {
+    /// over the layout's counters). Client-side, single reserver per
+    /// client.
+    pub fn reserve(&self, client: usize, len: usize) -> Result<Segment, AllocError> {
         if client >= self.n_clients {
             return Err(AllocError::BadClient);
         }
         let at = ring::ring_reserve(&self.ring(client), len as u64)?;
         let offset = client * self.region_capacity + at.start as usize;
-        Ok(buffer.segment_at(offset, len, at.position))
+        Ok(self.data.segment_at(offset, len, at.position))
     }
 
     /// Re-creates the handle of a range still reserved in `client`'s ring
-    /// — [`crate::PartitionAllocator::adopt`] over the mapped counters
     /// (consumer side: the caller owns `tail`). The coordinates come from
-    /// a journal record or from a notice, that is from outside this
-    /// process: `None` unless [`ring::ring_locate`] finds them live.
-    pub fn adopt(
-        &self,
-        buffer: &Arc<SharedBuffer>,
-        client: usize,
-        offset: usize,
-        len: usize,
-    ) -> Option<Segment> {
+    /// a journal record or from a notice, that is from outside the core:
+    /// `None` unless [`ring::ring_locate`] finds them live.
+    pub fn adopt(&self, client: usize, offset: usize, len: usize) -> Option<Segment> {
         if client >= self.n_clients {
             return None;
         }
         let position =
             ring::ring_locate(&self.ring(client), self.pos(client, offset)?, len as u64)?;
-        Some(buffer.segment_at(offset, len, position))
+        Some(self.data.segment_at(offset, len, position))
     }
 
     /// Releases the oldest live reservation of `client` (EPE side, FIFO;
-    /// [`ring::ring_release`] over the mapped counters). `offset` is the
-    /// segment's offset within the shared buffer.
+    /// [`ring::ring_release`] over the layout's counters): everything up
+    /// to the end of the `len` bytes at `offset` of the data window.
     pub fn release(&self, client: usize, offset: usize, len: usize) {
         let pos = self
             .pos(client, offset)
@@ -451,31 +504,41 @@ impl std::fmt::Debug for MappedNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "MappedNode({} clients × {} bytes, {} notices at {})",
-            self.n_clients,
-            self.region_capacity,
-            self.notice_capacity,
-            self.region.path().display()
+            "MappedNode({} clients × {} bytes, {} notices, {:?})",
+            self.n_clients, self.region_capacity, self.notice_capacity, self.memory
         )
     }
 }
 
-fn word_at(region: &MapRegion, off: usize) -> &AtomicU64 {
-    debug_assert_eq!(off % 8, 0);
-    debug_assert!(off + 8 <= region.len());
-    // SAFETY: the facade `AtomicU64` is the std atomic in this (non-check)
-    // build — size 8, align 8, valid for any bit pattern — and `off` is an
-    // 8-aligned in-bounds slot of a MAP_SHARED mapping whose lifetime the
-    // returned borrow cannot outlive. Concurrent access from other
-    // processes is exactly what the atomic type makes defined.
-    unsafe { &*(region.base().add(off) as *const AtomicU64) }
+/// The machine-wide monotonic clock where there is one to read.
+fn now_ns() -> u64 {
+    #[cfg(unix)]
+    return crate::backing::monotonic_now_ns();
+    #[cfg(not(unix))]
+    0
 }
 
+fn word_at(memory: &SharedBuffer, off: usize) -> &AtomicU64 {
+    debug_assert_eq!(off % 8, 0);
+    debug_assert!(off + 8 <= memory.capacity());
+    // SAFETY: the facade `AtomicU64` is the std atomic in this (non-check)
+    // build — size 8, align 8, valid for any bit pattern — and `off` is an
+    // 8-aligned in-bounds slot of the region (its base is 128-aligned on
+    // the heap, page-aligned in a mapping), whose lifetime the returned
+    // borrow cannot outlive. Both backings are memory written only
+    // through atomics and `Segment`s (`UnsafeCell` words on the heap, a
+    // `MAP_SHARED` mapping across processes), so concurrent access from
+    // other threads or processes is exactly what the atomic type makes
+    // defined.
+    unsafe { &*(memory.base().add(off) as *const AtomicU64) }
+}
+
+#[cfg(unix)]
 fn bad_mapping(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
     use crate::Notice;
@@ -502,7 +565,7 @@ mod tests {
         assert_eq!(opened.data_capacity(), 4096);
         assert_eq!(opened.region_capacity(), 1024);
         assert_eq!(opened.notice_capacity(), 16);
-        created.region().unlink().unwrap();
+        std::fs::remove_file(&path).unwrap();
         // A queue smaller than the client count still gives each two.
         let path = tmp("geometry-small");
         let small = MappedNode::create(&path, 4, 4096, 3).unwrap();
@@ -514,7 +577,7 @@ mod tests {
     fn each_block_keeps_the_clients_words_off_the_cores_line() {
         let path = tmp("lines");
         let node = MappedNode::create(&path, 3, 3072, 6).unwrap();
-        let base = node.region().base() as usize;
+        let base = node.memory.base() as usize;
         let line = |word: &AtomicU64| (word as *const AtomicU64 as usize - base) / LINE;
         for c in 0..3 {
             let client = [
@@ -531,7 +594,62 @@ mod tests {
             assert_eq!(line(&slots[0]), client[0] + 2);
             assert_eq!(slots.len(), 2 * NOTICE_WORDS);
         }
-        node.region().unlink().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The heap backing is the same layout: the same header words, every
+    /// protocol word at the offset a file puts it, the region on a
+    /// 128-byte boundary, and the same protocols over it.
+    #[test]
+    fn the_heap_backing_lays_out_what_a_file_does() {
+        let path = tmp("heap-twin");
+        let file = MappedNode::create(&path, 3, 3072, 6).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let heap = MappedNode::heap(3, 3072, 6).unwrap();
+        let layout = |node: &MappedNode| {
+            let base = node.memory.base() as usize;
+            let at = |word: &AtomicU64| word as *const AtomicU64 as usize - base;
+            let header = [
+                OFF_MAGIC,
+                OFF_VERSION,
+                OFF_N_CLIENTS,
+                OFF_DATA_CAPACITY,
+                OFF_DATA_OFFSET,
+                OFF_REGION_CAPACITY,
+                OFF_NOTICE_CAPACITY,
+            ];
+            let mut words: Vec<_> = header
+                .map(|off| node.word(off).load(Ordering::Relaxed) as usize)
+                .into();
+            words.extend([node.memory.capacity(), node.data.base() as usize - base]);
+            for c in 0..3 {
+                let (ring, notices) = (node.ring(c), node.notices(c));
+                words.extend([at(ring.head), at(ring.tail), at(ring.floor)]);
+                words.extend([at(notices.head), at(notices.tail), at(&notices.slots[0])]);
+                words.push(at(node.client_word(c, SLOT_LEASE)));
+            }
+            words
+        };
+        assert_eq!(layout(&heap), layout(&file));
+        assert_eq!(heap.memory.base() as usize % LINE, 0);
+
+        assert!(heap.lease(2).renew());
+        assert_eq!(heap.heartbeat().observe(), (0, 0));
+        let mut seg = heap.reserve(2, 100).unwrap();
+        seg.copy_from_slice(&[0xAB; 100]);
+        let write = Notice::Write {
+            variable: 0,
+            iteration: 0,
+            offset: seg.offset() as u64,
+            len: 100,
+        };
+        assert!(heap.notices(2).post(write.encode()));
+        assert_eq!(heap.notices(2).peek().and_then(Notice::decode), Some(write));
+        let adopted = heap.adopt(2, seg.offset(), 100).unwrap();
+        assert_eq!(adopted.as_slice(), &[0xAB; 100]);
+        assert_eq!(heap.total_in_use(), 104);
+        heap.release(2, adopted.offset(), adopted.len());
+        assert_eq!(heap.total_in_use(), 0);
     }
 
     #[test]
@@ -570,7 +688,7 @@ mod tests {
 
         epe.beat_at_ns().store(42, Ordering::Release);
         assert_eq!(client.beat_at_ns().load(Ordering::Acquire), 42);
-        epe.region().unlink().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -579,80 +697,73 @@ mod tests {
         let epe = MappedNode::create(&path, 2, 2048, 8).unwrap();
         let client = MappedNode::open(&path).unwrap();
 
-        let client_buf = client.buffer();
-        let mut seg = client.reserve(&client_buf, 1, 100).unwrap();
+        let mut seg = client.reserve(1, 100).unwrap();
         seg.copy_from_slice(&[0xEE; 100]);
         let (off, len) = (seg.offset(), seg.len());
         assert_eq!(off, client.region_capacity()); // client 1's ring base
         drop(seg);
 
         // The EPE view reads the same bytes through its own mapping.
-        let epe_buf = epe.buffer();
-        let view = epe_buf.segment(off, len);
+        let view = epe.buffer().segment(off, len);
         assert!(view.as_slice().iter().all(|&b| b == 0xEE));
         drop(view);
         assert_eq!(epe.in_use(1), 104); // rounded
         epe.release(1, off, len);
         assert_eq!(epe.total_in_use(), 0);
-        epe.region().unlink().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn adopt_takes_only_a_live_range_of_that_clients_ring() {
         let path = tmp("adopt");
         let node = MappedNode::create(&path, 2, 2048, 8).unwrap();
-        let buf = node.buffer();
-        let mut seg = node.reserve(&buf, 1, 100).unwrap();
+        let mut seg = node.reserve(1, 100).unwrap();
         seg.copy_from_slice(&[0xCD; 100]);
         let (off, len) = (seg.offset(), seg.len());
         drop(seg);
-        let adopted = node.adopt(&buf, 1, off, len).expect("range is reserved");
+        let adopted = node.adopt(1, off, len).expect("range is reserved");
         assert!(adopted.as_slice().iter().all(|&b| b == 0xCD));
 
         // What a forged or stale record can say, case by case.
-        assert!(node.adopt(&buf, 1, usize::MAX - 1, 2).is_none(), "overflow");
-        assert!(node.adopt(&buf, 0, off, len).is_none(), "another ring");
-        assert!(node.adopt(&buf, 2, off, len).is_none(), "no such client");
-        assert!(
-            node.adopt(&buf, 1, off, 1025).is_none(),
-            "longer than a ring"
-        );
-        assert!(node.adopt(&buf, 1, off + 1000, 100).is_none(), "straddles");
-        assert!(node.adopt(&buf, 1, off + 104, 100).is_none(), "beyond head");
+        assert!(node.adopt(1, usize::MAX - 1, 2).is_none(), "overflow");
+        assert!(node.adopt(0, off, len).is_none(), "another ring");
+        assert!(node.adopt(2, off, len).is_none(), "no such client");
+        assert!(node.adopt(1, off, 1025).is_none(), "longer than a ring");
+        assert!(node.adopt(1, off + 1000, 100).is_none(), "straddles");
+        assert!(node.adopt(1, off + 104, 100).is_none(), "beyond head");
         node.release(1, off, len);
-        assert!(node.adopt(&buf, 1, off, len).is_none(), "released");
+        assert!(node.adopt(1, off, len).is_none(), "released");
 
         // The ring (1024 bytes) is empty at position 104, so the next
         // reservation rewinds to 0 while the consumer's tail stays at 104
         // until it releases. A segment behind that padding is adopted; a
         // forged record inside the bytes the rewind skipped — between
         // `tail` and `head` as counters go — is not.
-        let long = node.reserve(&buf, 1, 800).unwrap();
+        let long = node.reserve(1, 800).unwrap();
         assert_eq!(long.offset(), off);
-        assert!(node.adopt(&buf, 1, off, 800).is_some());
-        assert!(node.adopt(&buf, 1, off + 900, 100).is_none(), "skipped");
-        assert!(node.adopt(&buf, 1, off + 104, 100).is_some(), "in the 800");
+        assert!(node.adopt(1, off, 800).is_some());
+        assert!(node.adopt(1, off + 900, 100).is_none(), "skipped");
+        assert!(node.adopt(1, off + 104, 100).is_some(), "in the 800");
         // Wrap padding, the other kind: 100 more at 800, the 800 released,
         // then 200 that no longer fit before the end and start over at 0.
-        let short = node.reserve(&buf, 1, 100).unwrap();
+        let short = node.reserve(1, 100).unwrap();
         node.release(1, long.offset(), long.len());
-        let wrapped = node.reserve(&buf, 1, 200).unwrap();
+        let wrapped = node.reserve(1, 200).unwrap();
         assert_eq!((short.offset(), wrapped.offset()), (off + 800, off));
-        assert!(node.adopt(&buf, 1, off, 200).is_some());
-        assert!(node.adopt(&buf, 1, off + 200, 8).is_none(), "beyond head");
-        node.region().unlink().unwrap();
+        assert!(node.adopt(1, off, 200).is_some());
+        assert!(node.adopt(1, off + 200, 8).is_none(), "beyond head");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn reclaim_fences_a_dead_clients_ring() {
         let path = tmp("reclaim");
         let node = MappedNode::create(&path, 1, 1024, 2).unwrap();
-        let buf = node.buffer();
-        let _abandoned = node.reserve(&buf, 0, 200).unwrap();
+        let _abandoned = node.reserve(0, 200).unwrap();
         assert_eq!(node.in_use(0), 200);
         assert_eq!(node.revoke_remaining(0), 200);
         assert_eq!(node.total_in_use(), 0);
-        node.region().unlink().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

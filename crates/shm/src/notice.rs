@@ -1,9 +1,9 @@
-//! The notice ring: how a compute process tells the dedicated core that a
-//! write landed, a region was abandoned or an iteration ended, without a
-//! system call — the process node's twin of the threaded node's event
-//! queue, one ring per client, its words wherever the caller lays them out
-//! ([`crate::mapped`] puts them in the shared mapping; `tests/model.rs` on
-//! the heap under `--features check`).
+//! The notice ring: how a compute core tells the dedicated core that a
+//! write landed, a region was abandoned, an iteration ended or a user
+//! event was signalled, without a lock or a system call — one ring per
+//! client, its words wherever the caller lays them out ([`crate::mapped`]
+//! puts them in the node's layout; `tests/model.rs` on the heap under
+//! `--features check`).
 //!
 //! A ring is `capacity` fixed-size slots of [`NOTICE_WORDS`] words and two
 //! monotonic counters, each with a single writer:
@@ -37,6 +37,8 @@ pub const NOTICE_BYTES: usize = NOTICE_WORDS * 8;
 const KIND_WRITE: u64 = 1;
 const KIND_END_ITERATION: u64 = 2;
 const KIND_ABANDON: u64 = 3;
+const KIND_USER: u64 = 4;
+const KIND_WRITE_DYNAMIC: u64 = 5;
 
 /// What a client tells the dedicated core. Its words come from another
 /// process: [`Notice::decode`] refuses an unknown kind, and what a known
@@ -61,11 +63,25 @@ pub enum Notice {
         offset: u64,
         len: u64,
     },
+    /// The client signalled the user event at index `action` of the
+    /// configuration's event list, for `iteration`.
+    User { action: u32, iteration: u32 },
+    /// A write of a variable without a static shape: the `len` bytes at
+    /// `offset` are a header of `ndims + 1` native-endian words — the
+    /// array's rank (`ndims` again), then its dims — and the payload.
+    WriteDynamic {
+        variable: u32,
+        ndims: u32,
+        iteration: u32,
+        offset: u64,
+        len: u64,
+    },
 }
 
 impl Notice {
-    /// The slot words: `kind | iteration << 32`, `variable`, `offset`,
-    /// `len` (the second word 0 for an `Abandon`).
+    /// The slot words: `kind | iteration << 32`, `variable` (with a
+    /// dynamic write's `ndims` in its upper half; an event's `action`),
+    /// `offset`, `len` (each 0 where the kind has no such field).
     pub fn encode(&self) -> [u64; NOTICE_WORDS] {
         match *self {
             Notice::Write {
@@ -87,6 +103,24 @@ impl Notice {
                 offset,
                 len,
             } => [KIND_ABANDON | u64::from(iteration) << 32, 0, offset, len],
+            Notice::User { action, iteration } => [
+                KIND_USER | u64::from(iteration) << 32,
+                u64::from(action),
+                0,
+                0,
+            ],
+            Notice::WriteDynamic {
+                variable,
+                ndims,
+                iteration,
+                offset,
+                len,
+            } => [
+                KIND_WRITE_DYNAMIC | u64::from(iteration) << 32,
+                u64::from(variable) | u64::from(ndims) << 32,
+                offset,
+                len,
+            ],
         }
     }
 
@@ -103,6 +137,17 @@ impl Notice {
             }),
             KIND_END_ITERATION => Some(Notice::EndIteration { iteration }),
             KIND_ABANDON => Some(Notice::Abandon {
+                iteration,
+                offset: words[2],
+                len: words[3],
+            }),
+            KIND_USER => Some(Notice::User {
+                action: words[1] as u32,
+                iteration,
+            }),
+            KIND_WRITE_DYNAMIC => Some(Notice::WriteDynamic {
+                variable: words[1] as u32,
+                ndims: (words[1] >> 32) as u32,
                 iteration,
                 offset: words[2],
                 len: words[3],
@@ -166,6 +211,19 @@ impl<'a> NoticeRing<'a> {
         Some(std::array::from_fn(|i| slot[i].load(Ordering::Relaxed)))
     }
 
+    /// Notices ever posted: a mark in the ring's order, from any thread.
+    pub fn posted(&self) -> u64 {
+        // Acquire: pairs with the client's Release in `post`.
+        self.head.load(Ordering::Acquire)
+    }
+
+    /// Notices posted before `mark` ([`posted`](Self::posted)) and not yet
+    /// taken. Core side, like `peek`.
+    pub fn untaken_before(&self, mark: u64) -> u64 {
+        // Relaxed: only the core writes `tail`.
+        mark.saturating_sub(self.tail.load(Ordering::Relaxed))
+    }
+
     /// Takes the notice [`peek`](Self::peek) returned, freeing its slot.
     pub fn advance(&self) {
         // Relaxed: only the core writes `tail`.
@@ -197,11 +255,22 @@ mod tests {
                 offset: 4096,
                 len: 512,
             },
+            Notice::User {
+                action: u32::MAX,
+                iteration: 12,
+            },
+            Notice::WriteDynamic {
+                variable: 5,
+                ndims: u32::MAX,
+                iteration: u32::MAX,
+                offset: 1 << 40,
+                len: 24 + 512,
+            },
         ] {
             assert_eq!(Notice::decode(notice.encode()), Some(notice));
         }
         assert_eq!(Notice::decode([0, 0, 0, 0]), None);
-        assert_eq!(Notice::decode([4 | 1 << 32, 0, 0, 0]), None);
+        assert_eq!(Notice::decode([6 | 1 << 32, 0, 0, 0]), None);
     }
 
     #[test]

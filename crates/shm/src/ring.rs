@@ -1,8 +1,8 @@
 //! The partition-ring protocol over *bare words* — the one implementation
-//! behind [`crate::PartitionAllocator`] (words in a process-private
-//! `Vec`) and [`crate::mapped`] (words **inside the shared mapping**, so a
-//! client's reservation survives the EPE being `kill -9`'d and vice
-//! versa). The model tests (`tests/model.rs`, `--features check`) run it
+//! behind [`crate::mapped`] (words in a node's layout — **inside the
+//! shared mapping** of a process node, so a client's reservation survives
+//! the EPE being `kill -9`'d and vice versa) and
+//! [`crate::PartitionAllocator`] (words in a process-private `Vec`). The model tests (`tests/model.rs`, `--features check`) run it
 //! over heap-allocated facade [`AtomicU64`]s.
 //!
 //! A ring is `cap` bytes and three monotonic counters, each with a single

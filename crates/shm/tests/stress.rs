@@ -226,7 +226,6 @@ fn streamed_payloads_are_whole_when_their_notice_is_taken() {
     let consumer = {
         let (node, pattern) = (node.clone(), Arc::clone(&pattern));
         thread::spawn(move || {
-            let buffer = node.buffer();
             let notices = node.notices(0);
             for i in 0..NOTICES {
                 let words = loop {
@@ -245,7 +244,7 @@ fn streamed_payloads_are_whole_when_their_notice_is_taken() {
                     panic!("notice {i} is not a write: {words:?}");
                 };
                 assert_eq!((iteration, len), (i, LEN as u64));
-                let segment = node.adopt(&buffer, 0, offset as usize, LEN).unwrap();
+                let segment = node.adopt(0, offset as usize, LEN).unwrap();
                 let expected = &pattern[i as usize % 251..][..LEN];
                 let (got, last) = (segment.as_slice(), LEN - 512..LEN);
                 if got[last.clone()] != expected[last] || got != expected {
@@ -257,12 +256,11 @@ fn streamed_payloads_are_whole_when_their_notice_is_taken() {
         })
     };
 
-    let buffer = node.buffer();
     let notices = node.notices(0);
     'post: for i in 0..NOTICES {
         let src = &pattern[i as usize % 251..][..LEN];
         let mut segment = loop {
-            match node.reserve(&buffer, 0, LEN) {
+            match node.reserve(0, LEN) {
                 Ok(segment) => break segment,
                 // Ring full: the consumer drains, unless it stopped.
                 Err(_) if !consumer.is_finished() => thread::yield_now(),
