@@ -278,7 +278,9 @@ pub struct Config {
     /// Shared-memory buffer size in bytes, split evenly between the
     /// node's clients: each reserves through a ring of its own (§III-B).
     pub buffer_size: usize,
-    /// Event-queue capacity.
+    /// Notice slots of the node (`<buffer queue=…>`), split between its
+    /// clients' notice rings: `queue / clients` each, rounded down to a
+    /// power of two, at least 2.
     pub queue_capacity: usize,
     /// Layout definitions by name.
     pub layouts: HashMap<String, LayoutDef>,
@@ -634,8 +636,8 @@ impl Config {
     /// per node. Returns human-readable warnings (empty = no concerns):
     /// the buffer must hold at least ~2 in-flight iterations (the server
     /// reclaims an iteration only once every client ends it), every
-    /// static variable must fit one client's share of it, and the event
-    /// queue should absorb a full iteration of notifications.
+    /// static variable must fit one client's share of it, and each
+    /// client's notice ring should absorb two iterations of its notices.
     pub fn diagnostics(&self, n_clients: usize) -> Vec<String> {
         use damaris_shm::ring::{ring_rounded, RING_ALIGN};
         let mut warnings = Vec::new();
@@ -660,7 +662,7 @@ impl Config {
                 self.buffer_size, per_iteration
             ));
         }
-        // The share `PartitionAllocator` gives each client's ring.
+        // The share `MappedNode` gives each client's ring.
         let region = (self.buffer_size / n_clients.max(1)) as u64 / RING_ALIGN * RING_ALIGN;
         for v in &self.variables {
             let l = self.layout_of(v);
@@ -674,11 +676,13 @@ impl Config {
                 ));
             }
         }
-        let events_per_iteration = (self.variables.len() + 1) * n_clients;
-        if self.queue_capacity < 2 * events_per_iteration {
+        // The slots `MappedNode` gives each client's notice ring.
+        let slots = 1 << (self.queue_capacity / n_clients.max(1)).max(2).ilog2();
+        let notices = self.variables.len() + 1;
+        if slots < 2 * notices {
             warnings.push(format!(
-                "event queue ({}) holds fewer than two iterations of \
-                 notifications ({events_per_iteration} per iteration)",
+                "each client's notice ring ({slots} slots of the event queue's {}) \
+                 holds fewer than two iterations of its notices ({notices} per iteration)",
                 self.queue_capacity
             ));
         }

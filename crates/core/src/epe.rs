@@ -1,6 +1,6 @@
 //! The Event Processing Engine (paper §III-B).
 //!
-//! Pulls events from the shared queue (that part lives in
+//! Takes events from the clients' notice rings (that part lives in
 //! [`crate::server`]) and dispatches them to plugins according to the
 //! event→action bindings of the configuration file. Multiple actions may
 //! bind to one event; they run in declaration order.
@@ -112,7 +112,7 @@ impl EventProcessingEngine {
         self.each_plugin(ctx, |plugin, ctx| plugin.finalize(ctx))
     }
 
-    /// The queue went quiet with work parked: lets every plugin finish
+    /// The rings went quiet with work parked: lets every plugin finish
     /// what it deferred ([`Plugin::quiet`]), under the same rules. Each
     /// call is a `PluginRun` span tagged with `iteration`, the last fired.
     pub(crate) fn quiet_all(

@@ -9,16 +9,15 @@
 //!
 //! * clients only post; the dedicated core journals each client-originated
 //!   event (`Write`, `User`, `EndIteration`, `Abandon`) as it takes it from
-//!   its source — the queue's pop, or a client's notice ring in the
-//!   process node's mapping —
+//!   its source — a client's notice ring in the node's layout —
 //!   and *claims* the record at once, before it applies the event
 //!   ([`crate::server::DedicatedCore::admit`]); it marks the record
 //!   *applied* once the side effects are durable (segment released,
 //!   iteration fired);
 //! * a respawned core replays every non-applied record in sequence order,
 //!   re-adopting the shared-memory segments the dead incarnation had
-//!   resident. What the dead core never took is still in the queue, and
-//!   is journalled when the successor takes it: an event is popped once.
+//!   resident. What the dead core never took is still in its ring, and
+//!   is journalled when the successor takes it.
 //!
 //! Records carry a CRC over their header (computed with the same
 //! `damaris-format` CRC-32 the SDF files use); a corrupted record is
@@ -28,7 +27,7 @@
 //!
 //! * Sequence numbers are assigned by one counter and never reused: the
 //!   journal's iteration order *is* the order the core took the events in,
-//!   and per client it matches queue order.
+//!   and per client it matches ring order.
 //! * A record moves `Pending → Resident → Applied`, never backwards; only
 //!   `claim` performs `Pending → Resident` and it succeeds exactly once.
 //! * A fenced source journals nothing more: [`EventJournal::append`]

@@ -11,7 +11,7 @@
 //!   data-analysis."
 //!
 //! [`SmpNode`] implements both. Symmetric mode partitions the clients into
-//! groups, each with its own shared buffer, event queue and server thread.
+//! groups, each with its own shared buffer, notice rings and server thread.
 //! Asymmetric mode runs one I/O core exactly like [`crate::NodeRuntime`]
 //! plus an *analysis core*: at each end-of-iteration the I/O core forwards
 //! the iteration's datasets to the analysis thread (which runs the

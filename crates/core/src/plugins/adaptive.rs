@@ -78,7 +78,7 @@ impl Plugin for AdaptiveCompressPlugin {
         event: &EventInfo,
     ) -> Result<(), DamarisError> {
         // Decide on what the previous iteration cost, its share of any
-        // commit included (commits run when the queue goes quiet).
+        // commit included (commits run when the rings go quiet).
         let share = self.spent.as_secs_f64() / self.window.as_secs_f64().max(1e-9);
         self.spent = Duration::ZERO;
         if share > HIGH_WATER && self.rung + 1 < LADDER.len() {

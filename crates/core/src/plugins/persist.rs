@@ -11,7 +11,7 @@
 //! When an iteration fires, its file is written under its temporary name
 //! and the iteration is *parked*: writer open, segments held (behind
 //! another parked one, the kernel is also asked to start writing the
-//! files out). When the event queue goes quiet
+//! files out). When the notice rings go quiet
 //! ([`Plugin::quiet`]) everything parked is committed as one batch — every
 //! file synced, then every file renamed, one directory sync, **one**
 //! manifest publish listing them all — and only then released. A core
@@ -20,7 +20,7 @@
 //! directory sync and the manifest append once per backlog instead of once
 //! per iteration. No count, timer or thread bounds the batch: the shared
 //! buffer does, because clients block once parked iterations hold it all,
-//! and a blocked client is a quiet queue.
+//! and a blocked client is a quiet ring.
 //!
 //! # Failure handling
 //!

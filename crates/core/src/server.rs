@@ -547,7 +547,7 @@ impl DedicatedCore {
         let mut read_any = false;
         let mut signals = Vec::new();
         for rank in 0..shared.clients {
-            let (read, signal) = self.drain_ring(rank, mark(rank), admitted)?;
+            let (read, signal) = self.drain_ring(&shared, rank, mark(rank), admitted)?;
             read_any |= read;
             signals.extend(signal.map(|signal| (rank, signal)));
         }
@@ -559,7 +559,7 @@ impl DedicatedCore {
         // on its ring for the next pass.
         for rank in 0..shared.clients {
             if signals.iter().all(|(signalled, _)| *signalled != rank) {
-                self.drain_ring(rank, mark(rank), admitted)?;
+                self.drain_ring(&shared, rank, mark(rank), admitted)?;
             }
         }
         for (rank, (event, record)) in signals {
@@ -574,11 +574,11 @@ impl DedicatedCore {
     /// on the ring.
     fn drain_ring(
         &mut self,
+        shared: &NodeShared,
         rank: usize,
         mark: u64,
         admitted: &mut impl FnMut(&DedicatedCore, &Event),
     ) -> Result<(bool, Option<Taken>), DamarisError> {
-        let shared = Arc::clone(&self.shared);
         let ring = shared.node.notices(rank);
         let most = ring
             .untaken_before(mark)
