@@ -24,7 +24,8 @@ use crate::plugin::PluginFactory;
 use crate::server;
 use damaris_fs::{LocalDirBackend, StorageBackend};
 use damaris_obs::{Counter, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_SERVER};
-use damaris_shm::sync::{Arc, AtomicBool, Mutex, Ordering};
+use damaris_shm::ring::Reach;
+use damaris_shm::sync::{Arc, AtomicBool, CachePadded, Mutex, Ordering};
 use damaris_shm::{ClientLease, HeartbeatWord, MappedNode, Notice};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -170,6 +171,10 @@ impl NodeObs {
     }
 }
 
+/// A user event from no client, with every client's notice ring's
+/// [`posted`](damaris_shm::NoticeRing::posted) mark when it was injected.
+pub(crate) type Injected = (Event, Vec<u64>);
+
 /// State shared between the clients and the server of one node.
 ///
 /// Mostly read-mostly words. The ones written per call or per event live
@@ -206,8 +211,9 @@ pub(crate) struct NodeShared {
     /// with every client's [`posted`](damaris_shm::NoticeRing::posted)
     /// mark when it was injected: the threaded core takes them once per
     /// pass, after what the clients posted before them. No client call
-    /// touches it.
-    pub control: Mutex<Vec<(Event, Vec<u64>)>>,
+    /// touches it; the core locks it every pass, so it has a block of its
+    /// own.
+    pub control: CachePadded<Mutex<Vec<Injected>>>,
     /// Set once by [`NodeRuntime::finish`]: the threaded core ends after
     /// its next pass that reads nothing.
     pub finishing: AtomicBool,
@@ -242,7 +248,7 @@ impl NodeShared {
             metrics,
             obs: NodeObs::new(&config.observability, clients),
             journal,
-            control: Mutex::new(Vec::new()),
+            control: CachePadded::new(Mutex::new(Vec::new())),
             finishing: AtomicBool::new(false),
             pressure: crate::pressure::PressureMachine::new(),
             config,
@@ -286,14 +292,15 @@ impl NodeShared {
     /// The event a notice from `client`'s ring stands for, if it is
     /// believable — its words come from a client, which may be another
     /// process: a write names a configured variable of the layout kind its
-    /// notice says and its size, or a shape its segment carries ([`shape_of`]);
-    /// a user event names an entry of the configuration's event list; a
-    /// range is live in `client`'s ring ([`MappedNode::adopt`]). Checked
-    /// arithmetic throughout.
-    pub(crate) fn event_of(&self, client: u32, notice: Notice) -> Option<Event> {
-        let adopt = |offset: u64, len: u64| {
+    /// notice says and its size, or a shape its segment carries
+    /// ([`shape_of`]); a user event names an entry of the configuration's
+    /// event list; a range is live in `client`'s ring
+    /// ([`MappedNode::adopt_within`], against `reach`, what the core keeps
+    /// of the ring). Checked arithmetic throughout.
+    pub(crate) fn event_of(&self, client: u32, notice: Notice, reach: &mut Reach) -> Option<Event> {
+        let mut adopt = |offset: u64, len: u64| {
             let (offset, len) = (usize::try_from(offset).ok()?, usize::try_from(len).ok()?);
-            self.node.adopt(client as usize, offset, len)
+            self.node.adopt_within(client as usize, offset, len, reach)
         };
         let layout = |variable: u32, dynamic: bool| {
             let layout = self.config.layout_of(self.config.variable(variable)?);

@@ -48,6 +48,7 @@ use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::plugin::{ActionContext, EventInfo, Parked};
 use damaris_obs::{EventKind, Histogram, Recorder, TraceRecord, TraceWriter};
+use damaris_shm::ring::Reach;
 use damaris_shm::sync::{spin_loop, yield_now, Ordering};
 use damaris_shm::{LeaseSnapshot, Notice, Segment};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -251,6 +252,8 @@ pub(crate) struct DedicatedCore {
     /// Per unretired iteration, what was admitted of it (see [`Seen`]);
     /// an iteration's entries go when it retires.
     seen: HashMap<u32, HashSet<Seen>>,
+    /// Per client, its ring's words as this core last read them.
+    reach: Vec<Reach>,
     /// Where the span of the wait for the next event starts: at the end
     /// of the last one's handling (or of the commit after it), or when a
     /// wait began with none handled since.
@@ -295,6 +298,7 @@ impl DedicatedCore {
             lease_timeout,
             retired: Retired::default(),
             seen: HashMap::new(),
+            reach: vec![Reach::default(); shared.clients],
             idle_from: None,
             report: NodeReport::default(),
             epe,
@@ -615,11 +619,12 @@ impl DedicatedCore {
     /// The event a notice from `rank`'s ring stands for, its record and
     /// its identity, if it is believed and news.
     fn news(
-        &self,
+        &mut self,
         rank: u32,
         words: [u64; damaris_shm::notice::NOTICE_WORDS],
     ) -> Option<(Taken, Option<(u32, Seen)>)> {
-        let event = self.shared.event_of(rank, Notice::decode(words)?)?;
+        let reach = &mut self.reach[rank as usize];
+        let event = self.shared.event_of(rank, Notice::decode(words)?, reach)?;
         let record = event.record();
         let seen = Seen::of(&record);
         if let Some((iteration, seen)) = &seen {
@@ -1339,7 +1344,8 @@ mod tests {
             let ring = shared.node.notices(client);
             let notice = damaris_shm::Notice::decode(ring.peek()?).unwrap();
             ring.advance();
-            Some(shared.event_of(client as u32, notice).unwrap())
+            let reach = &mut Reach::default();
+            Some(shared.event_of(client as u32, notice, reach).unwrap())
         })
     }
 

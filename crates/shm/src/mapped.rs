@@ -26,15 +26,18 @@
 //! 128  client blocks, one per client, each on 128-byte lines:
 //!        +0   the client's line: lease | ring floor | ring head
 //!                                | notice head | pid
-//!        +128 the core's line:   ring tail | notice tail
-//!        +256 notice_capacity notice slots of 32 bytes, padded to a line
+//!        +128 the core's line:   ring tail (written per release)
+//!        +256 the core's line:   notice tail (written per notice taken)
+//!        +384 notice_capacity notice slots of 64 bytes
 //! data_offset  buffer data, n_clients × region_capacity bytes
 //! ```
 //!
 //! A word is grouped only with words of the same writer (DESIGN.md §8,
 //! "Who writes which line"): the client's per-call words and the core's
-//! per-event words never share a line. Both backings start the region on
-//! a 128-byte boundary, so a line of the layout is a block of memory.
+//! per-event words never share a line, and the ring tail a reservation
+//! reads is apart from the notice tail the core moves per notice. Both
+//! backings start the region on a 128-byte boundary, so a line of the
+//! layout is a block of memory.
 //!
 //! ## The offset-only invariant
 //!
@@ -58,8 +61,8 @@
 #[cfg(unix)]
 use crate::backing::MapRegion;
 use crate::buffer::SharedBuffer;
-use crate::notice::{NoticeRing, NOTICE_BYTES, NOTICE_WORDS};
-use crate::ring::{self, Ring};
+use crate::notice::{NoticeRing, SLOT_BYTES, SLOT_WORDS};
+use crate::ring::{self, Reach, Ring};
 use crate::sync::{Arc, AtomicU64, Ordering};
 use crate::{AllocError, ClientLease, HeartbeatWord, Segment};
 use std::io;
@@ -72,7 +75,9 @@ pub const MAGIC: u64 = 0x44414D52_53484D31;
 /// word at `+8` is the ring's `floor`. 3: per-client notice rings, the
 /// `done` word, a pid per client, and each block on two lines by writer.
 /// 4: a write notice carries no checksum. 5: user-event and dynamic-write
-/// notices, a dynamic write's shape in its data segment.)
+/// notices, a dynamic write's shape in its data segment, a 64-byte slot a
+/// notice marked taken by a zero first word, the two tails on lines of
+/// their own.)
 pub const VERSION: u64 = 5;
 
 const OFF_MAGIC: usize = 0;
@@ -97,8 +102,8 @@ const SLOT_HEAD: usize = 16;
 const SLOT_NOTICE_HEAD: usize = 24;
 const SLOT_PID: usize = 32;
 const SLOT_TAIL: usize = LINE;
-const SLOT_NOTICE_TAIL: usize = LINE + 8;
-const SLOT_NOTICES: usize = 2 * LINE;
+const SLOT_NOTICE_TAIL: usize = 2 * LINE;
+const SLOT_NOTICES: usize = 3 * LINE;
 
 /// Size of the header region GC needs to inspect (see [`crate::gc`]).
 pub const HEADER_BYTES: usize = CLIENT_BASE;
@@ -107,7 +112,7 @@ pub const HEADER_BYTES: usize = CLIENT_BASE;
 /// a `usize`.
 fn client_block(notice_capacity: usize) -> Option<usize> {
     notice_capacity
-        .checked_mul(NOTICE_BYTES)?
+        .checked_mul(SLOT_BYTES)?
         .checked_next_multiple_of(LINE)?
         .checked_add(SLOT_NOTICES)
 }
@@ -187,8 +192,13 @@ impl Geometry {
 pub struct MappedNode {
     /// The whole region, header included.
     memory: Arc<SharedBuffer>,
-    /// Its data window, which the segments point into.
+    /// Its data window, which the segments of [`reserve`](Self::reserve)
+    /// point into.
     data: Arc<SharedBuffer>,
+    /// The same window for the segments of [`adopt`](Self::adopt): an
+    /// `Arc` of its own, so that the core taking a client's notice never
+    /// writes the line the clients' reference count lives on.
+    adopted: Arc<SharedBuffer>,
     n_clients: usize,
     region_capacity: usize,
     notice_capacity: usize,
@@ -262,9 +272,11 @@ impl MappedNode {
     /// The view of a layout of `geometry`, which must fit `memory`.
     fn over(memory: Arc<SharedBuffer>, geometry: Geometry) -> MappedNode {
         let data = memory.window(geometry.data_offset, geometry.data_capacity);
+        let adopted = memory.window(geometry.data_offset, geometry.data_capacity);
         MappedNode {
             memory,
             data,
+            adopted,
             n_clients: geometry.n_clients,
             region_capacity: geometry.region_capacity,
             notice_capacity: geometry.notice_capacity,
@@ -417,7 +429,7 @@ impl MappedNode {
     /// in the layout. Panics if `client` is out of range.
     pub fn notices(&self, client: usize) -> NoticeRing<'_> {
         let first = self.client_word(client, SLOT_NOTICES);
-        let len = self.notice_capacity * NOTICE_WORDS;
+        let len = self.notice_capacity * SLOT_WORDS;
         // SAFETY: `first` is the first of `len` consecutive 8-aligned
         // words of this client's block, which the geometry puts inside
         // the region; the facade `AtomicU64` is the std atomic in this
@@ -461,12 +473,25 @@ impl MappedNode {
     /// a journal record or from a notice, that is from outside the core:
     /// `None` unless [`ring::ring_locate`] finds them live.
     pub fn adopt(&self, client: usize, offset: usize, len: usize) -> Option<Segment> {
+        self.adopt_within(client, offset, len, &mut Reach::default())
+    }
+
+    /// [`adopt`](Self::adopt), checking the range against `reach` first
+    /// ([`ring::ring_locate_within`]): what the core keeps of each client
+    /// as it takes the client's notices.
+    pub fn adopt_within(
+        &self,
+        client: usize,
+        offset: usize,
+        len: usize,
+        reach: &mut Reach,
+    ) -> Option<Segment> {
         if client >= self.n_clients {
             return None;
         }
-        let position =
-            ring::ring_locate(&self.ring(client), self.pos(client, offset)?, len as u64)?;
-        Some(self.data.segment_at(offset, len, position))
+        let pos = self.pos(client, offset)?;
+        let position = ring::ring_locate_within(&self.ring(client), reach, pos, len as u64)?;
+        Some(self.adopted.segment_at(offset, len, position))
     }
 
     /// Releases the oldest live reservation of `client` (EPE side, FIFO;
@@ -589,10 +614,13 @@ mod tests {
             ];
             let core = [line(node.ring(c).tail), line(node.notices(c).tail)];
             assert!(client.iter().all(|&l| l == client[0]), "{client:?}");
-            assert!(core.iter().all(|&l| l == client[0] + 1), "{core:?}");
+            assert_eq!(core, [client[0] + 1, client[0] + 2]);
             let slots = node.notices(c).slots;
-            assert_eq!(line(&slots[0]), client[0] + 2);
-            assert_eq!(slots.len(), 2 * NOTICE_WORDS);
+            assert_eq!(line(&slots[0]), client[0] + 3);
+            assert_eq!(slots.len(), 2 * SLOT_WORDS);
+            // A slot to a 64-byte line: the second starts the next one.
+            let at = |word: &AtomicU64| word as *const AtomicU64 as usize - base;
+            assert_eq!(at(&slots[SLOT_WORDS]) - at(&slots[0]), 64);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -792,7 +820,7 @@ mod tests {
             word(OFF_VERSION, VERSION, bytes);
             word(OFF_N_CLIENTS, 2, bytes);
             word(OFF_DATA_CAPACITY, 1024, bytes);
-            word(OFF_DATA_OFFSET, 1024, bytes);
+            word(OFF_DATA_OFFSET, 1536, bytes);
             word(OFF_REGION_CAPACITY, 512, bytes);
             word(OFF_NOTICE_CAPACITY, 4, bytes);
         };

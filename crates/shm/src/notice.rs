@@ -5,12 +5,18 @@
 //! puts them in the node's layout; `tests/model.rs` on the heap under
 //! `--features check`).
 //!
-//! A ring is `capacity` fixed-size slots of [`NOTICE_WORDS`] words and two
-//! monotonic counters, each with a single writer:
+//! A ring is `capacity` slots of [`SLOT_WORDS`] words, a notice of
+//! [`NOTICE_WORDS`] at the front of each, and two monotonic counters,
+//! each with a single writer:
 //!
 //! * `head` — notices ever posted; written by the client that owns the
 //!   ring;
 //! * `tail` — notices ever taken; written by the dedicated core.
+//!
+//! A slot's first word is 0 while the slot is free (no encoded notice's
+//! first word is). Each side polls the one slot it works on next, never
+//! the other side's counter: the client's post and the core's take touch
+//! the slot's line and their own words.
 //!
 //! The ring a notice sits in names the client that posted it, so a notice
 //! carries no rank and cannot speak for another one; and with one
@@ -19,20 +25,23 @@
 //!
 //! ## Memory-ordering argument (verified under `--features check`)
 //!
-//! The client stores the slot words `Relaxed`, then `head` `Release`:
-//! that store publishes the slot words and every byte the client wrote
-//! before it — the payload copied into its data ring, as `MpscQueue`'s
-//! `seq` store does. The core Acquire-loads `head` before reading a slot,
-//! and stores `tail` `Release` once it no longer needs the slot; the
-//! client Acquire-loads `tail` before overwriting one, so it never
-//! overwrites a slot the core is still reading.
+//! The client stores the slot's other words `Relaxed`, then its first
+//! word `Release`: that store publishes the notice and every byte the
+//! client wrote before it — the payload copied into its data ring. The
+//! core Acquire-loads the first word before reading the others, and once
+//! it no longer needs the slot stores 0 there `Release`; the client
+//! Acquire-loads the first word before overwriting a slot, so it never
+//! overwrites one the core is still reading.
 
 use crate::sync::{AtomicU64, Ordering};
 
-/// Words per notice slot.
+/// Words of a notice.
 pub const NOTICE_WORDS: usize = 4;
-/// Bytes per notice slot.
-pub const NOTICE_BYTES: usize = NOTICE_WORDS * 8;
+/// Words per slot: a notice has a 64-byte line to itself, so the core
+/// taking one never costs the client posting the next a miss.
+pub const SLOT_WORDS: usize = 8;
+/// Bytes per slot.
+pub const SLOT_BYTES: usize = SLOT_WORDS * 8;
 
 const KIND_WRITE: u64 = 1;
 const KIND_END_ITERATION: u64 = 2;
@@ -158,7 +167,8 @@ impl Notice {
 }
 
 /// One client's notice ring, wherever its words live: `slots` holds
-/// `capacity × NOTICE_WORDS` words, `capacity` a power of two.
+/// `capacity × SLOT_WORDS` words, zero when the ring is new, `capacity` a
+/// power of two.
 #[derive(Clone, Copy)]
 pub struct NoticeRing<'a> {
     pub head: &'a AtomicU64,
@@ -168,30 +178,36 @@ pub struct NoticeRing<'a> {
 
 impl<'a> NoticeRing<'a> {
     fn slot(&self, position: u64) -> &'a [AtomicU64] {
-        let capacity = (self.slots.len() / NOTICE_WORDS) as u64;
-        let at = (position & (capacity - 1)) as usize * NOTICE_WORDS;
-        // ANALYZE: in-bounds(capacity = slots.len() / NOTICE_WORDS is a power of two, so at + NOTICE_WORDS <= capacity * NOTICE_WORDS = slots.len())
+        let capacity = (self.slots.len() / SLOT_WORDS) as u64;
+        let at = (position & (capacity - 1)) as usize * SLOT_WORDS;
+        // ANALYZE: in-bounds(capacity = slots.len() / SLOT_WORDS is a power of two, so at + NOTICE_WORDS <= capacity * SLOT_WORDS = slots.len())
         &self.slots[at..at + NOTICE_WORDS]
     }
 
     /// Posts one notice; `false` when the ring is full. Client side: only
-    /// the ring's owner may call it.
+    /// the ring's owner may call it. The first word must not be 0 (an
+    /// encoded notice's never is): 0 marks a free slot.
     pub fn post(&self, words: [u64; NOTICE_WORDS]) -> bool {
-        let capacity = (self.slots.len() / NOTICE_WORDS) as u64;
-        // Relaxed: only this client writes `head`. Acquire on `tail`:
-        // pairs with the core's Release in `advance`, ordering its reads
-        // of the slot before our overwrite of it.
+        let [first_word, other_words @ ..] = words;
+        debug_assert_ne!(first_word, 0, "a notice's first word is never 0");
+        // Relaxed: only this client writes `head`.
         let h = self.head.load(Ordering::Relaxed);
-        let t = self.tail.load(Ordering::Acquire);
-        if h.wrapping_sub(t) >= capacity {
+        let Some((first, others)) = self.slot(h).split_first() else {
+            return false;
+        };
+        // Acquire: pairs with the core's Release in `advance`, ordering
+        // its reads of the slot before our overwrite of it.
+        if first.load(Ordering::Acquire) != 0 {
             return false;
         }
-        for (word, value) in self.slot(h).iter().zip(words) {
-            // Relaxed: published by the Release store of `head` below.
+        for (word, value) in others.iter().zip(other_words) {
+            // Relaxed: published by the Release store of the first word.
             word.store(value, Ordering::Relaxed);
         }
-        // Release: publishes the slot words and everything this client
+        // Release: publishes the other words and everything this client
         // wrote before them (the payload) to the core's Acquire in `peek`.
+        first.store(first_word, Ordering::Release);
+        // Release: a thread that reads the count sees the notice.
         self.head.store(h + 1, Ordering::Release);
         true
     }
@@ -199,16 +215,20 @@ impl<'a> NoticeRing<'a> {
     /// The oldest notice not yet taken, left in place. Core side: only
     /// the ring's consumer may call it.
     pub fn peek(&self) -> Option<[u64; NOTICE_WORDS]> {
-        // Relaxed: only the core writes `tail`. Acquire on `head`: pairs
-        // with the client's Release in `post`.
+        // Relaxed: only the core writes `tail`.
         let t = self.tail.load(Ordering::Relaxed);
-        let h = self.head.load(Ordering::Acquire);
-        if h <= t {
+        let slot = self.slot(t);
+        // Acquire: pairs with the client's Release in `post`.
+        if slot.first()?.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let slot = self.slot(t);
-        // Relaxed: ordered after the client's stores by the Acquire above.
-        Some(std::array::from_fn(|i| slot[i].load(Ordering::Relaxed)))
+        // Relaxed: ordered after the client's stores by the Acquire above
+        // (the first word again too: it cannot change before `advance`).
+        let mut words = [0; NOTICE_WORDS];
+        for (value, word) in words.iter_mut().zip(slot) {
+            *value = word.load(Ordering::Relaxed);
+        }
+        Some(words)
     }
 
     /// Notices ever posted: a mark in the ring's order, from any thread.
@@ -229,8 +249,11 @@ impl<'a> NoticeRing<'a> {
         // Relaxed: only the core writes `tail`.
         let t = self.tail.load(Ordering::Relaxed);
         // Release: the slot is the client's again once our reads of it
-        // are done — pairs with the Acquire on `tail` in `post`.
-        self.tail.store(t + 1, Ordering::Release);
+        // are done — pairs with the Acquire of the first word in `post`.
+        if let Some(first) = self.slot(t).first() {
+            first.store(0, Ordering::Release);
+        }
+        self.tail.store(t + 1, Ordering::Relaxed);
     }
 }
 
@@ -276,17 +299,17 @@ mod tests {
     #[test]
     fn a_full_ring_refuses_until_the_core_takes_one() {
         let (head, tail) = (AtomicU64::new(0), AtomicU64::new(0));
-        let slots: Vec<AtomicU64> = (0..2 * NOTICE_WORDS).map(|_| AtomicU64::new(0)).collect();
+        let slots: Vec<AtomicU64> = (0..2 * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect();
         let ring = NoticeRing {
             head: &head,
             tail: &tail,
             slots: &slots,
         };
         assert_eq!(ring.peek(), None);
-        for i in 0..5u64 {
+        for i in 1..6u64 {
             assert!(ring.post([i, 0, 0, 0]));
             assert!(ring.post([i + 100, 0, 0, 0]));
-            assert!(!ring.post([0; NOTICE_WORDS]), "capacity 2");
+            assert!(!ring.post([7; NOTICE_WORDS]), "capacity 2");
             assert_eq!(ring.peek(), Some([i, 0, 0, 0]));
             assert_eq!(ring.peek(), Some([i, 0, 0, 0]), "peek leaves it");
             ring.advance();
@@ -294,5 +317,7 @@ mod tests {
             ring.advance();
             assert_eq!(ring.peek(), None);
         }
+        assert_eq!((head.load(Ordering::Relaxed), ring.posted()), (10, 10));
+        assert_eq!(ring.untaken_before(10), 0);
     }
 }

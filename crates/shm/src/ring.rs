@@ -227,25 +227,50 @@ pub fn ring_in_use(ring: &Ring<'_>) -> u64 {
 }
 
 /// Where `[pos, pos + len)` — an in-region offset and a length from a
-/// journal record or a `Commit` frame, so nothing about them is assumed —
-/// sits if it can be a live reservation: inside the ring without
-/// straddling its end, and, rounded and with the padding that leads up to
-/// it, within the live window. Returns the reservation's
-/// [`Reserved::position`]: the live window spans at most one lap, so the
-/// offset names one position in it. Consumer side (the window's lower
-/// edge must not move meanwhile).
+/// journal record or a notice, so nothing about them is assumed — sits if
+/// it can be a live reservation: inside the ring without straddling its
+/// end, and, rounded and with the padding that leads up to it, within the
+/// live window. Returns the reservation's [`Reserved::position`]: the
+/// live window spans at most one lap, so the offset names one position in
+/// it. Consumer side (the window's lower edge must not move meanwhile).
 pub fn ring_locate(ring: &Ring<'_>, pos: u64, len: u64) -> Option<u64> {
+    ring_locate_within(ring, &mut Reach::default(), pos, len)
+}
+
+/// The words of a ring its owner writes on every reservation, `head` and
+/// `floor`, as the consumer last read them. A reach read earlier accepts
+/// no range that is not live now: both words only grow, and a rewind,
+/// which moves `floor`, happens on an empty ring, so it leaves the
+/// consumer's `tail` at or past any earlier `head`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reach {
+    head: u64,
+    floor: u64,
+}
+
+/// [`ring_locate`], reading `head` and `floor` again only for a range not
+/// live as of `reach`, which then holds what it read: a consumer taking
+/// several of one client's notices in a row reads the line the client
+/// writes on every call once, not once a notice.
+pub fn ring_locate_within(ring: &Ring<'_>, reach: &mut Reach, pos: u64, len: u64) -> Option<u64> {
     let cap = ring.cap;
     if pos >= cap || pos.checked_add(len).is_none_or(|end| end > cap) {
         return None;
     }
-    // Acquire, `head` before `floor`: as in `ring_in_use`.
     let t = ring.tail.load(Ordering::Acquire);
-    let h = ring.head.load(Ordering::Acquire);
-    let base = t.max(ring.floor.load(Ordering::Acquire));
-    let start = (pos + cap - base % cap) % cap;
-    let live = h.checked_sub(base)?;
-    (start + ring_rounded(len) <= live).then_some(base + start)
+    let locate = |reach: Reach| {
+        let base = t.max(reach.floor);
+        let start = (pos + cap - base % cap) % cap;
+        let live = reach.head.checked_sub(base)?;
+        (start + ring_rounded(len) <= live).then_some(base + start)
+    };
+    locate(*reach).or_else(|| {
+        // Acquire, `head` before `floor`: as in `ring_in_use`.
+        let head = ring.head.load(Ordering::Acquire);
+        let floor = ring.floor.load(Ordering::Acquire);
+        *reach = Reach { head, floor };
+        locate(*reach)
+    })
 }
 
 // Sequential semantics; the concurrent interleavings are explored by the

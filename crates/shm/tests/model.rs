@@ -25,7 +25,7 @@
 
 use damaris_check::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use damaris_check::{model, thread, Builder, FailureKind};
-use damaris_shm::notice::NOTICE_WORDS;
+use damaris_shm::notice::SLOT_WORDS;
 use damaris_shm::ring::{ring_in_use, ring_reclaim, ring_release, ring_reserve, RingWords};
 use damaris_shm::sync::{Arc, ShmCell};
 use damaris_shm::{
@@ -894,7 +894,7 @@ impl NoticeWords {
         NoticeWords {
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
-            slots: (0..capacity * NOTICE_WORDS)
+            slots: (0..capacity * SLOT_WORDS)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
         }
