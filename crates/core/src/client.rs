@@ -40,7 +40,7 @@
 use crate::config::BackpressurePolicy;
 use crate::error::DamarisError;
 use crate::names::Resolved;
-use crate::node::{put_shape, shape_len, FaultStats, NodeShared};
+use crate::node::{FaultStats, NodeShared};
 use crate::retry::Backoff;
 use damaris_obs::{EventKind, Recorder};
 use damaris_shm::sync::{Arc, AtomicU64, CachePadded, Ordering};
@@ -556,7 +556,8 @@ impl DamarisClient {
             ));
         }
         let t_call = self.rec.begin();
-        let header = shape_len(dims.len());
+        // The shape goes in front: the rank, then the dims, a word each.
+        let header = 8 * (dims.len() + 1);
         let reserved = self.reserve_or_divert(variable, iteration, Some(&layout), data, header)?;
         let mut segment = match reserved {
             Some(segment) => segment,
@@ -575,7 +576,10 @@ impl DamarisClient {
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
         let payload = segment.split_off(header);
-        put_shape(segment.as_mut_slice(), dims);
+        let shape = std::iter::once(dims.len() as u64).chain(dims.iter().copied());
+        for (word, value) in segment.as_mut_slice().chunks_exact_mut(8).zip(shape) {
+            word.copy_from_slice(&value.to_ne_bytes());
+        }
         let notice = Notice::WriteDynamic {
             variable: variable_id,
             ndims: dims.len() as u32,

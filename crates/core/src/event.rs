@@ -98,47 +98,16 @@ impl Event {
     }
 }
 
-impl std::fmt::Debug for Event {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Event::Write {
-                variable_id,
-                iteration,
-                source,
-                segment,
-                ..
-            } => write!(
-                f,
-                "Write{{var={variable_id}, it={iteration}, src={source}, {segment:?}}}"
-            ),
-            Event::User {
-                name,
-                iteration,
-                source,
-            } => write!(f, "User{{'{name}', it={iteration}, src={source}}}"),
-            Event::EndIteration { iteration, source } => {
-                write!(f, "EndIteration{{it={iteration}, src={source}}}")
-            }
-            Event::Abandon {
-                iteration,
-                source,
-                segment,
-            } => write!(f, "Abandon{{it={iteration}, src={source}, {segment:?}}}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn debug_formatting_and_records() {
+    fn records() {
         let e = Event::EndIteration {
             iteration: 4,
             source: 2,
         };
-        assert_eq!(format!("{e:?}"), "EndIteration{it=4, src=2}");
         assert_eq!(
             e.record(),
             JournalPayload::EndIteration {

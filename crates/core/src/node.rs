@@ -171,8 +171,8 @@ impl NodeObs {
     }
 }
 
-/// A user event from no client, with every client's notice ring's
-/// [`posted`](damaris_shm::NoticeRing::posted) mark when it was injected.
+/// A user event from no client ([`NodeRuntime::inject_event`]), with each
+/// notice ring's [`posted`](damaris_shm::NoticeRing::posted) mark then.
 pub(crate) type Injected = (Event, Vec<u64>);
 
 /// State shared between the clients and the server of one node.
@@ -207,12 +207,8 @@ pub(crate) struct NodeShared {
     /// dedicated core as it takes each one; outlives server incarnations,
     /// driving replay after a crash.
     pub journal: EventJournal,
-    /// User events from no client ([`NodeRuntime::inject_event`]), each
-    /// with every client's [`posted`](damaris_shm::NoticeRing::posted)
-    /// mark when it was injected: the threaded core takes them once per
-    /// pass, after what the clients posted before them. No client call
-    /// touches it; the core locks it every pass, so it has a block of its
-    /// own.
+    /// User events from no client, which the threaded core takes once per
+    /// pass; it locks this every pass, so it has a block of its own.
     pub control: CachePadded<Mutex<Vec<Injected>>>,
     /// Set once by [`NodeRuntime::finish`]: the threaded core ends after
     /// its next pass that reads nothing.
@@ -290,13 +286,10 @@ impl NodeShared {
     }
 
     /// The event a notice from `client`'s ring stands for, if it is
-    /// believable — its words come from a client, which may be another
-    /// process: a write names a configured variable of the layout kind its
-    /// notice says and its size, or a shape its segment carries
-    /// ([`shape_of`]); a user event names an entry of the configuration's
-    /// event list; a range is live in `client`'s ring
-    /// ([`MappedNode::adopt_within`], against `reach`, what the core keeps
-    /// of the ring). Checked arithmetic throughout.
+    /// believable: a write names a variable of the layout kind its notice
+    /// says, and its size or a shape its segment carries ([`shape_of`]); a
+    /// user event an entry of the event list; a range is live in `client`'s
+    /// ring ([`MappedNode::adopt_within`]). Checked arithmetic throughout.
     pub(crate) fn event_of(&self, client: u32, notice: Notice, reach: &mut Reach) -> Option<Event> {
         let mut adopt = |offset: u64, len: u64| {
             let (offset, len) = (usize::try_from(offset).ok()?, usize::try_from(len).ok()?);
@@ -371,23 +364,10 @@ impl NodeShared {
     }
 }
 
-/// Bytes of a dynamic write's shape header for `ndims` dimensions: the
-/// rank, then each dim, one native-endian word each.
-pub(crate) fn shape_len(ndims: usize) -> usize {
-    (ndims + 1) * 8
-}
-
-/// Writes `dims`' shape header into `header`, [`shape_len`] bytes.
-pub(crate) fn put_shape(header: &mut [u8], dims: &[u64]) {
-    let words = std::iter::once(dims.len() as u64).chain(dims.iter().copied());
-    for (slot, word) in header.chunks_exact_mut(8).zip(words) {
-        slot.copy_from_slice(&word.to_ne_bytes());
-    }
-}
-
-/// Reads the shape header a dynamic write's notice says has `ndims`
-/// dimensions off the front of its segment `bytes`: its length and the
-/// dims, if the header fits the segment and its rank word says `ndims`.
+/// Reads the shape a dynamic write's notice says has `ndims` dimensions
+/// off the front of its segment `bytes` — the rank, then the dims, one
+/// native-endian word each: the header's length and the dims, if it fits
+/// the segment and its rank word says `ndims`.
 fn shape_of(bytes: &[u8], ndims: u32) -> Option<(usize, Vec<u64>)> {
     let len = usize::try_from(ndims)
         .ok()?
@@ -1165,7 +1145,7 @@ mod tests {
         let fired = Arc::new(damaris_shm::sync::AtomicU64::new(0));
         let epe = EventProcessingEngine::build(&core_shared.config, &[mark(&fired)]).unwrap();
         let mut core = server::DedicatedCore::new(core_shared, epe, 0);
-        while core.drain(&mut |_, _| {}).unwrap() {}
+        while core.drain(&[], &mut |_, _| {}).unwrap() {}
         core.quiet().unwrap();
 
         assert_eq!(fired.load(Ordering::Relaxed), 1);

@@ -37,7 +37,7 @@ use crate::config::OnClientFailure;
 use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::{EventJournal, JournalPayload, ReplayEntry};
+use crate::journal::EventJournal;
 use crate::node::{NodeReport, NodeShared};
 use crate::server::DedicatedCore;
 use damaris_fs::LocalDirBackend;
@@ -207,7 +207,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         .shm_orphans_quarantined
         .add(gc.quarantined as u64);
 
-    let mut pump = Pump::new(opts, &node, &history);
+    let mut pump = Pump::new(opts, &node);
     if opts.epoch == 0 {
         // The run begins when every rank has registered: a process still
         // being exec'd is not a dead rank, and the core's lease deadlines
@@ -227,7 +227,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     loop {
         beat(&node);
         let read_any = core
-            .drain(&mut |core, event| pump.admitted(core, event))
+            .drain(&[], &mut |core, event| pump.admitted(core, event))
             .map_err(core_err)?;
         core.idle().map_err(core_err)?;
         if read_any {
@@ -256,8 +256,6 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
 struct Pump<'a> {
     opts: &'a EpeOptions,
     node: &'a MappedNode,
-    /// Ranks whose last end of iteration was taken.
-    finished: Vec<bool>,
     /// Per rank, the lease word as last seen to move and when: without a
     /// sweeper, a rank whose process is gone is settled only once its word
     /// has been still for a lease timeout, as a sweeper would require.
@@ -267,28 +265,15 @@ struct Pump<'a> {
 }
 
 impl<'a> Pump<'a> {
-    fn new(opts: &'a EpeOptions, node: &'a MappedNode, history: &[ReplayEntry]) -> Pump<'a> {
+    fn new(opts: &'a EpeOptions, node: &'a MappedNode) -> Pump<'a> {
         let now = Instant::now();
-        let mut pump = Pump {
+        Pump {
             opts,
             node,
-            finished: vec![false; opts.n_clients],
             lease_seen: (0..opts.n_clients)
                 .map(|c| (node.lease(c).snapshot(), now))
                 .collect(),
             commits: 0,
-        };
-        for entry in history {
-            if let JournalPayload::EndIteration { iteration, source } = entry.payload {
-                pump.note_end(source, iteration);
-            }
-        }
-        pump
-    }
-
-    fn note_end(&mut self, rank: u32, iteration: u32) {
-        if iteration + 1 == self.opts.iterations {
-            self.finished[rank as usize] = true;
         }
     }
 
@@ -297,9 +282,10 @@ impl<'a> Pump<'a> {
     /// runs to fence it — its process is gone and its lease word has been
     /// still for one lease timeout (a word that never moved is a rank not
     /// started).
-    fn settled(&self, rank: usize) -> bool {
+    fn settled(&self, core: &DedicatedCore, rank: usize) -> bool {
         let (seen, since) = self.lease_seen[rank];
-        self.finished[rank]
+        let last = self.opts.iterations.saturating_sub(1);
+        core.ended(rank as u32, last)
             || self.node.lease(rank).is_revoked()
             || (self.opts.policy == OnClientFailure::Wait
                 && !pid_alive(self.node.client_pid(rank))
@@ -319,28 +305,24 @@ impl<'a> Pump<'a> {
             }
         }
         (0..self.opts.iterations).all(|it| core.is_retired(it))
-            || (0..self.opts.n_clients).all(|rank| self.settled(rank))
+            || (0..self.opts.n_clients).all(|rank| self.settled(core, rank))
     }
 
     /// What the core admitted, before it leaves its ring.
     fn admitted(&mut self, core: &DedicatedCore, event: &Event) {
-        match *event {
-            Event::EndIteration { iteration, source } => self.note_end(source, iteration),
-            Event::Write { .. } => {
-                self.commits += 1;
-                if Some(self.commits) == self.opts.kill_after_commits {
-                    // Chaos: die mid-drain. The record is durable; the
-                    // notice is still on its ring; the core has not heard
-                    // of it. The report is what it would have returned.
-                    let dying = EpeReport {
-                        epoch: self.opts.epoch,
-                        node: core.report(),
-                    };
-                    let _ = dying.write_to(&self.opts.report_path());
-                    damaris_shm::kill_self_hard();
-                }
+        if let Event::Write { .. } = event {
+            self.commits += 1;
+            if Some(self.commits) == self.opts.kill_after_commits {
+                // Chaos: die mid-drain. The record is durable; the notice
+                // is still on its ring; the core has not heard of it. The
+                // report is what it would have returned.
+                let dying = EpeReport {
+                    epoch: self.opts.epoch,
+                    node: core.report(),
+                };
+                let _ = dying.write_to(&self.opts.report_path());
+                damaris_shm::kill_self_hard();
             }
-            _ => {}
         }
     }
 }
@@ -348,6 +330,7 @@ impl<'a> Pump<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalPayload;
     use crate::proc::{node_config, payload_for};
     use crate::DamarisClient;
     use damaris_shm::Notice;

@@ -2,23 +2,19 @@
 //! shared mapping.
 //!
 //! The threaded node ([`crate::NodeRuntime`]) runs the paper's dedicated
-//! core as a thread; this module runs **the same core** the way the
-//! original Damaris did — as a separate process sharing POSIX shared
-//! memory with the compute processes. There is one dedicated core
-//! ([`crate::server`]) and two event sources: the in-process queue, and
-//! the pump in [`epe`] over the mapping's per-client notice rings. The
-//! processes share the mapping and nothing else: no socket, no pipe.
+//! core as a thread; this module runs **the same core**, over the same
+//! layout, the way the original Damaris did — as a separate process
+//! sharing POSIX shared memory with the compute processes, and nothing
+//! else: no socket, no pipe.
 //!
 //! * [`run_epe`] — the dedicated-core process: creates (or, respawned,
 //!   re-adopts) the `/dev/shm` mapping, sweeps orphans, opens the
-//!   journal's file, and feeds the notices its clients post to a
-//!   [`crate::server`] core built over the mapping.
+//!   journal's file, and runs a [`crate::server`] core over the mapping.
 //! * A compute-core process holds the one client API,
-//!   [`crate::DamarisClient::over_mapping`]: the threaded rank's client,
-//!   whose notifications are notices in its own ring — which outlives an
-//!   EPE death, so a client has nothing to say again to the next
-//!   incarnation. The rank's program is the embedder's (`cm1_proc`'s
-//!   `client` role is one), as a threaded rank's is.
+//!   [`crate::DamarisClient::over_mapping`], whose notices sit in its own
+//!   ring — which outlives an EPE death, so nothing is said again to the
+//!   next incarnation. The rank's program is the embedder's (`cm1_proc`'s
+//!   `client` role is one).
 //! * [`launcher`] — the supervisor: spawns both as children of one
 //!   launcher binary, delivers `kill -9` chaos at configured phases,
 //!   respawns a dead EPE with a bumped epoch, and audits the mapping for

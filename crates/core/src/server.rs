@@ -7,37 +7,27 @@
 //! inside plugins — asynchronously with respect to the compute cores,
 //! which is the whole point (§III).
 //!
-//! The core is one value, [`DedicatedCore`]. Its entry points:
-//! [`replay`](DedicatedCore::replay) rebuilds a dead predecessor's state
-//! from the journal; [`drain`](DedicatedCore::drain) is one pass over
-//! every client's notice ring, peek → validate → admit → advance → handle
-//! for each notice; [`idle`](DedicatedCore::idle) is the pressure → sweep →
-//! fire → reclaim → beat pass that runs after every event and whenever a
-//! pass reads nothing; [`quiet`](DedicatedCore::quiet) commits what the
-//! fired iterations parked (a loop calls it after a pass that read
-//! nothing); [`shutdown`](DedicatedCore::shutdown) and
-//! [`finish`](DedicatedCore::finish) close the books. Two loops call
-//! them: [`run`], the threaded node's, which also takes the user events
-//! [`crate::NodeRuntime::inject_event`] leaves in the node's control
-//! inbox, and [`crate::proc::run_epe`]'s. Both drain the same rings in
-//! the same layout ([`damaris_shm::MappedNode`]), on the heap or in a
-//! mapping.
+//! The core is one value, [`DedicatedCore`]: [`replay`](DedicatedCore::replay)
+//! rebuilds a dead predecessor's state from the journal,
+//! [`drain`](DedicatedCore::drain) is one pass over every client's notice
+//! ring (peek → validate → admit → advance → handle), [`idle`](DedicatedCore::idle)
+//! the pressure → sweep → fire → reclaim → beat pass after every event,
+//! [`quiet`](DedicatedCore::quiet) commits what fired iterations parked
+//! once a pass reads nothing, and [`shutdown`](DedicatedCore::shutdown)
+//! and [`finish`](DedicatedCore::finish) close the books. [`run`] is the
+//! threaded node's loop around them, [`crate::proc::run_epe`] the process
+//! node's: the same rings, in the same layout, on the heap or in a mapping.
 //!
 //! # Crash recovery
 //!
 //! [`run`] runs under the node supervisor (see [`crate::node`]): each
-//! incarnation gets a heartbeat *epoch*. Epoch 0 starts clean; a respawned
-//! epoch first **replays** the write-ahead journal — re-adopting the
-//! shared-memory segments the dead incarnation had resident, re-counting
-//! end-of-iteration notifications, firing still-pending user events — and
-//! only then publishes its epoch on the heartbeat word, so clients parked
-//! on a stale heartbeat resume against a consistent allocator and store.
-//!
-//! A notice leaves its ring only once `admit` has journalled it, so a core
-//! that dies loses none; the one a death catches between the two is read
-//! again by the successor and refused as [`Seen`], because the same range
-//! adopted twice would be released twice. What the dead core never took
-//! is still in the rings for its successor.
+//! incarnation gets a heartbeat *epoch*. A respawned epoch first
+//! **replays** the write-ahead journal — re-adopting the segments the dead
+//! incarnation had resident, re-counting end-of-iteration notifications,
+//! firing still-pending user events — and only then publishes its epoch,
+//! so clients parked on a stale heartbeat resume against rebuilt state. A
+//! notice leaves its ring only once `admit` journalled it; the one a death
+//! catches between the two is read again and refused as [`Seen`].
 
 use crate::config::{OnClientFailure, OnDiskFull};
 use crate::epe::{EventProcessingEngine, END_OF_ITERATION};
@@ -76,10 +66,8 @@ fn presence_bits(counted: &[(u32, u64)], clients: usize) -> Option<u64> {
     Some(counted.iter().fold(0u64, |bits, (s, _)| bits | (1u64 << s)))
 }
 
-/// The threaded node's dedicated core; returns the node's accounting once
-/// [`crate::NodeRuntime::finish`] has asked and a pass reads nothing.
-/// `epoch` is this incarnation's heartbeat epoch — nonzero means a
-/// predecessor crashed and the journal replays.
+/// The threaded node's dedicated core, incarnation `epoch` (nonzero: the
+/// journal replays); returns the node's accounting.
 pub(crate) fn run(
     shared: Arc<NodeShared>,
     epe: EventProcessingEngine,
@@ -100,18 +88,14 @@ pub(crate) fn run(
 }
 
 /// What tells a notice read again after a core death (journalled, still
-/// on its ring) from news, within its iteration.
+/// on its ring) from news, within its iteration: a write's or an abandoned
+/// region's range by `(source, offset)` — taken twice, it would be
+/// released twice; a rewrite lands elsewhere, and a forged notice naming a
+/// taken range as another variable's or as abandoned is refused — and an
+/// end by its source — counted twice, the iteration would look partial.
 #[derive(Debug, PartialEq, Eq, Hash)]
 enum Seen {
-    /// A write's or an abandoned region's range, as `(source, offset)`:
-    /// taken twice, it would be released twice. A rewrite of a variable in
-    /// its iteration is news, and lands elsewhere: the earlier range is not
-    /// released before the iteration flushes. Neither the variable nor the
-    /// kind is in the key, so a forged notice that names a taken range as
-    /// another variable's, or as abandoned, is refused.
     Range(u32, usize),
-    /// An end of iteration, by its source: counted twice, it would make
-    /// the iteration look partial.
     End(u32),
 }
 
@@ -138,8 +122,7 @@ impl Seen {
     }
 }
 
-/// Iterations retired, as runs of consecutive ones (first → last): as
-/// long as the gaps in what retired, not as the run.
+/// Iterations retired, as runs of consecutive ones (first → last).
 #[derive(Debug, Default)]
 pub(crate) struct Retired(BTreeMap<u32, u32>);
 
@@ -245,18 +228,13 @@ pub(crate) struct DedicatedCore {
     /// client stalls its iterations forever (the original Damaris contract).
     sweeper_on: bool,
     lease_timeout: Duration,
-    /// Iterations taken out of the core, fired or dropped — by this
-    /// incarnation or, as [`recall`](Self::recall) and `replay` find, a
-    /// predecessor. A notice of one is refused.
+    /// Iterations fired or dropped, here or by a predecessor.
     retired: Retired,
-    /// Per unretired iteration, what was admitted of it (see [`Seen`]);
-    /// an iteration's entries go when it retires.
+    /// Per unretired iteration, what was admitted of it.
     seen: HashMap<u32, HashSet<Seen>>,
     /// Per client, its ring's words as this core last read them.
     reach: Vec<Reach>,
-    /// Where the span of the wait for the next event starts: at the end
-    /// of the last one's handling (or of the commit after it), or when a
-    /// wait began with none handled since.
+    /// Where the span of the wait for the next event starts.
     idle_from: Option<u64>,
     report: NodeReport,
 }
@@ -325,8 +303,7 @@ impl DedicatedCore {
             payload,
         } in entries
         {
-            // The notice of a record may still be on its ring, if the
-            // dead core died between admitting it and taking it off.
+            // Its notice may still be on its ring.
             if let Some((iteration, seen)) = Seen::of(&payload) {
                 self.seen.entry(iteration).or_default().insert(seen);
             }
@@ -420,11 +397,9 @@ impl DedicatedCore {
         Ok(())
     }
 
-    /// Notes the iterations a predecessor retired, from the history of
-    /// the journal's file ([`crate::EventJournal::open`]): the core
-    /// retires an iteration by applying the end-notifications it counted,
-    /// first of all; a fenced source's are also applied when they are
-    /// cancelled.
+    /// Notes the iterations a predecessor retired, from the journal file's
+    /// history ([`crate::EventJournal::open`]): an applied end of an
+    /// unfenced source (a fenced one's are applied when cancelled).
     pub(crate) fn recall(&mut self, history: &[ReplayEntry]) {
         for entry in history {
             if let JournalPayload::EndIteration { iteration, source } = entry.payload {
@@ -435,10 +410,16 @@ impl DedicatedCore {
         }
     }
 
-    /// Whether `iteration` was taken out of the core, by it or by a
-    /// predecessor.
+    /// Whether `iteration` left the core, or a predecessor.
     pub(crate) fn is_retired(&self, iteration: u32) -> bool {
         self.retired.contains(iteration)
+    }
+
+    /// Whether `source`'s end of `iteration` was counted, or the iteration
+    /// left the core.
+    pub(crate) fn ended(&self, source: u32, iteration: u32) -> bool {
+        let counted = self.end_counts.get(&iteration);
+        self.is_retired(iteration) || counted.is_some_and(|c| c.iter().any(|(s, _)| *s == source))
     }
 
     /// Journals one event's `record` as the core takes it from its source
@@ -518,35 +499,22 @@ impl DedicatedCore {
         Ok(())
     }
 
-    /// One pass over every client's notice ring, at most a ring's worth
-    /// of each. A notice that [`NodeShared::event_of`] believes and that is
-    /// news — not of a retired iteration, not [`Seen`] in its own — is
-    /// admitted, taken off its ring, handled, and followed by an
-    /// [`idle`](Self::idle) pass; any other is taken off and counted in
-    /// `stale_events_rejected`. `admitted` sees each admitted write, abandon
-    /// and end of iteration before it leaves its ring. True if there was
-    /// any notice at all.
-    ///
-    /// A user event ends its rank's visit and is handled at the end of the
-    /// pass, after a second visit to every other ring has taken what was
-    /// posted before it — the data a signal is about. It leaves its ring
-    /// before it is journalled: it is at most once ([`handle`](Self::handle)
-    /// retires its record before firing it), so a core that dies between
-    /// the two loses it rather than firing it again.
+    /// One pass over every client's notice ring: at most a ring's worth of
+    /// each, and only what was posted before `marks[rank]` if given. A
+    /// notice [`NodeShared::event_of`] believes that is news — not of a
+    /// retired iteration, not [`Seen`] in it — is admitted, taken off its
+    /// ring (`admitted` sees it first), handled and followed by
+    /// [`idle`](Self::idle); any other is taken off and counted stale.
+    /// True if there was any notice. A user event ends its rank's visit
+    /// and goes at the end of the pass, after a second visit to every
+    /// other ring took what was posted before it; it leaves its ring
+    /// before it is journalled, so it is at most once.
     pub(crate) fn drain(
         &mut self,
+        marks: &[u64],
         admitted: &mut impl FnMut(&DedicatedCore, &Event),
     ) -> Result<bool, DamarisError> {
-        self.drain_before(&|_| u64::MAX, admitted)
-    }
-
-    /// [`drain`](Self::drain), taking of each `rank`'s ring only what was
-    /// posted before `mark(rank)` ([`damaris_shm::NoticeRing::posted`]).
-    fn drain_before(
-        &mut self,
-        mark: &dyn Fn(usize) -> u64,
-        admitted: &mut impl FnMut(&DedicatedCore, &Event),
-    ) -> Result<bool, DamarisError> {
+        let mark = |rank: usize| marks.get(rank).copied().unwrap_or(u64::MAX);
         let shared = Arc::clone(&self.shared);
         let mut read_any = false;
         let mut signals = Vec::new();
@@ -573,9 +541,8 @@ impl DedicatedCore {
         Ok(read_any)
     }
 
-    /// [`drain`](Self::drain)'s visit to `rank`'s ring, up to `mark`:
-    /// whether it read a notice, and the user event it stopped at, still
-    /// on the ring.
+    /// [`drain`](Self::drain)'s visit to `rank`'s ring: whether it read a
+    /// notice, and the user event it stopped at, still on the ring.
     fn drain_ring(
         &mut self,
         shared: &NodeShared,
@@ -593,7 +560,15 @@ impl DedicatedCore {
                 break;
             };
             read_any = true;
-            let Some(((event, record), seen)) = self.news(rank as u32, words) else {
+            let reach = &mut self.reach[rank];
+            let event = Notice::decode(words).and_then(|n| shared.event_of(rank as u32, n, reach));
+            let record = event.as_ref().map(Event::record);
+            let seen = record.as_ref().and_then(Seen::of);
+            let news = seen.as_ref().is_none_or(|(iteration, seen)| {
+                let taken = self.seen.get(iteration).is_some_and(|s| s.contains(seen));
+                !taken && !self.retired.contains(*iteration)
+            });
+            let Some((event, record)) = event.zip(record).filter(|_| news) else {
                 ring.advance();
                 FaultStats::bump(&shared.stats.stale_events_rejected);
                 continue;
@@ -616,26 +591,6 @@ impl DedicatedCore {
         Ok((read_any, None))
     }
 
-    /// The event a notice from `rank`'s ring stands for, its record and
-    /// its identity, if it is believed and news.
-    fn news(
-        &mut self,
-        rank: u32,
-        words: [u64; damaris_shm::notice::NOTICE_WORDS],
-    ) -> Option<(Taken, Option<(u32, Seen)>)> {
-        let reach = &mut self.reach[rank as usize];
-        let event = self.shared.event_of(rank, Notice::decode(words)?, reach)?;
-        let record = event.record();
-        let seen = Seen::of(&record);
-        if let Some((iteration, seen)) = &seen {
-            let taken = self.seen.get(iteration).is_some_and(|s| s.contains(seen));
-            if taken || self.retired.contains(*iteration) {
-                return None;
-            }
-        }
-        Some(((event, record), seen))
-    }
-
     /// Admits, handles and follows with an [`idle`](Self::idle) pass one
     /// event no ring holds (any more); a refused one is counted.
     fn take(&mut self, event: Event, record: JournalPayload) -> Result<(), DamarisError> {
@@ -656,19 +611,17 @@ impl DedicatedCore {
         }
     }
 
-    /// The threaded node's loop: passes over the control inbox and the
-    /// rings until [`crate::NodeRuntime::finish`] has asked and a pass
-    /// reads nothing. Between passes that read nothing it spins, then
-    /// yields, beating the heartbeat each time — unless the sweeper or the
-    /// pressure machine must run: a dead client stops posting, which is
-    /// exactly what starves a wait for notices, and a quota lift (space
-    /// returning) posts nothing, yet held iterations must fire and the
-    /// node must re-ascend to Normal. Then it sleeps 100 µs a pass.
+    /// The threaded node's loop: passes until [`crate::NodeRuntime::finish`]
+    /// has asked and a pass reads nothing. An injected event goes after
+    /// what every client posted before it was injected, and before what
+    /// came after. Between passes that read nothing it spins, then yields,
+    /// beating the heartbeat — or, while the sweeper or the pressure
+    /// machine must run, sleeps 100 µs: a dead client posts nothing, nor
+    /// does a quota lift, yet both must move the node on.
     fn run_threaded(&mut self) -> Result<(), DamarisError> {
         let shared = Arc::clone(&self.shared);
         let sleeps = self.sweeper_on || self.pressure_on;
-        let mut spins = 0u32;
-        let mut injected = VecDeque::new();
+        let (mut spins, mut injected) = (0u32, VecDeque::new());
         loop {
             // Acquire: pairs with `finish`'s Release store. Read before the
             // pass, so a pass that reads nothing after it has taken every
@@ -676,52 +629,37 @@ impl DedicatedCore {
             let finishing = shared.finishing.load(Ordering::Acquire);
             injected.extend(std::mem::take(&mut *shared.control.lock()));
             if let Some((event, marks)) = injected.pop_front() {
-                // An injected event goes after what every client posted
-                // before it was injected, and before what came after.
-                let mark = |rank: usize| marks[rank];
-                let behind = |rank| shared.node.notices(rank).untaken_before(mark(rank)) > 0;
+                let behind = |rank| shared.node.notices(rank).untaken_before(marks[rank]) > 0;
                 while (0..shared.clients).any(behind) {
-                    self.drain_before(&mark, &mut |_, _| {})?;
+                    self.drain(&marks, &mut |_, _| {})?;
                 }
                 let record = event.record();
                 self.take(event, record)?;
-                spins = 0;
+            } else if !self.drain(&[], &mut |_, _| {})? {
+                // Quiet: under backpressure clients wait on the memory
+                // parked iterations hold — commit them before waiting.
+                self.quiet()?;
+                if finishing {
+                    return Ok(());
+                }
+                self.waiting();
+                if sleeps {
+                    self.idle()?;
+                    self.quiet()?;
+                    std::thread::sleep(Duration::from_micros(100));
+                } else {
+                    shared.heartbeat().beat();
+                    spins += 1;
+                    if spins < 64 {
+                        spin_loop();
+                    } else {
+                        yield_now();
+                    }
+                }
                 continue;
             }
-            if self.drain(&mut |_, _| {})? {
-                spins = 0;
-                continue;
-            }
-            // The rings went quiet — the moment the core would idle, and
-            // under backpressure the moment clients are blocked on memory
-            // the parked iterations hold: commit them before waiting.
-            self.quiet()?;
-            if finishing {
-                return Ok(());
-            }
-            self.wait(sleeps, &mut spins)?;
+            spins = 0;
         }
-    }
-
-    /// One wait between passes that read nothing (see
-    /// [`run_threaded`](Self::run_threaded)).
-    fn wait(&mut self, sleeps: bool, spins: &mut u32) -> Result<(), DamarisError> {
-        self.waiting();
-        if sleeps {
-            self.idle()?;
-            // `idle` may have fired an iteration nobody will follow.
-            self.quiet()?;
-            std::thread::sleep(Duration::from_micros(100));
-        } else {
-            self.shared.heartbeat().beat();
-            *spins += 1;
-            if *spins < 64 {
-                spin_loop();
-            } else {
-                yield_now();
-            }
-        }
-        Ok(())
     }
 
     /// The between-events pass, in one order everywhere it runs: advance
@@ -1682,7 +1620,7 @@ mod tests {
                 client.end_iteration(it).unwrap();
                 client.write("b", it + 1, &[it as u8; 64]).unwrap();
             }
-            assert!(core.drain(&mut |_, _| {}).unwrap());
+            assert!(core.drain(&[], &mut |_, _| {}).unwrap());
             core.quiet().unwrap();
             assert!(core.is_retired(it));
             let kept: Vec<u32> = core.seen.keys().copied().collect();

@@ -19,7 +19,7 @@
 
 use crate::buffer::{Segment, SharedBuffer};
 use crate::ring::{self, Ring, RingWords};
-use crate::sync::{Arc, AtomicU64};
+use crate::sync::Arc;
 use crate::AllocError;
 
 /// Alignment granted to every segment.
@@ -82,19 +82,6 @@ impl PartitionAllocator {
         self.regions.first().map_or(0, |r| r.len)
     }
 
-    /// The underlying shared buffer.
-    pub fn buffer(&self) -> &Arc<SharedBuffer> {
-        &self.buffer
-    }
-
-    /// Addresses of `client`'s ring `[head, tail]`, for tests that pin
-    /// which cache lines the client and the consumer write.
-    #[doc(hidden)]
-    pub fn ring_addrs(&self, client: usize) -> Option<[usize; 2]> {
-        let ring = self.regions.get(client)?.ring();
-        Some([ring.head, ring.tail].map(|word| word as *const AtomicU64 as usize))
-    }
-
     /// Bytes currently reserved by `client` (including wrap padding).
     ///
     /// Callable from any thread; returns a consistent instantaneous value
@@ -112,20 +99,6 @@ impl PartitionAllocator {
         let at = ring::ring_reserve(&region.ring(), len as u64)?;
         let offset = region.offset + at.start as usize;
         Ok(self.buffer.segment_at(offset, len, at.position))
-    }
-
-    /// Re-creates the handle of a segment that is still reserved in
-    /// `client`'s region — crash recovery: the consumer died holding the
-    /// handle, the ring counters survived (they live here, not in the
-    /// consumer), and the journal's `(offset, len)` record is enough to
-    /// re-adopt the bytes so they can later be released in FIFO order.
-    /// Returns `None` for an out-of-range client/offset or a range outside
-    /// the bytes currently reserved (a stale or corrupt record;
-    /// [`ring::ring_locate`]).
-    pub fn adopt(&self, client: usize, offset: usize, len: usize) -> Option<Segment> {
-        let region = self.regions.get(client)?;
-        let position = ring::ring_locate(&region.ring(), region.pos(offset)?, len as u64)?;
-        Some(self.buffer.segment_at(offset, len, position))
     }
 
     /// Releases the **oldest** live segment of `client`.
@@ -265,38 +238,6 @@ mod tests {
         a.release(0, s6);
         a.release(0, s7);
         assert_eq!(a.in_use(0), 0);
-    }
-
-    #[test]
-    fn adopt_recovers_reserved_segment() {
-        let a = PartitionAllocator::with_capacity(512, 2);
-        let mut s = a.allocate(1, 64).unwrap();
-        s.as_mut_slice().fill(0xCD);
-        let (off, len) = (s.offset(), s.len());
-        // The crash: the consumer's handle dies without a release; the
-        // region counters (head advanced, tail not) survive.
-        drop(s);
-        assert_eq!(a.in_use(1), 64);
-        let adopted = a.adopt(1, off, len).expect("range is reserved");
-        assert!(adopted.as_slice().iter().all(|&b| b == 0xCD));
-        a.release(1, adopted);
-        assert_eq!(a.in_use(1), 0);
-    }
-
-    #[test]
-    fn adopt_rejects_stale_or_bad_records() {
-        let a = PartitionAllocator::with_capacity(512, 2);
-        // Nothing outstanding: nothing to adopt.
-        assert!(a.adopt(0, 0, 64).is_none());
-        // Bad client / wrong region / overlong.
-        let s = a.allocate(0, 64).unwrap();
-        let (off, len) = (s.offset(), s.len());
-        assert!(a.adopt(2, off, len).is_none());
-        assert!(a.adopt(1, off + 256, 64).is_none());
-        assert!(a.adopt(0, off, 512).is_none());
-        a.release(0, s);
-        // Released: the reservation is gone.
-        assert!(a.adopt(0, off, len).is_none());
     }
 
     #[test]

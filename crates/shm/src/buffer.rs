@@ -40,9 +40,7 @@ enum Backing {
     Window(Arc<SharedBuffer>),
 }
 
-/// The block a heap buffer's first byte is aligned to: the placement unit
-/// of a node's layout (`CachePadded`'s alignment), which a file mapping
-/// gets from its page alignment.
+/// A heap buffer's first byte is on a block boundary, as a mapping's is.
 const HEAP_ALIGN: usize = 128;
 
 /// A fixed-size byte buffer shared by all cores of one simulated SMP node.
@@ -93,30 +91,14 @@ impl SharedBuffer {
         })
     }
 
-    /// Views `capacity` bytes of a file-backed mapping, starting at
-    /// `data_offset`, as a shared buffer. `data_offset` must be 8-byte
-    /// aligned (the allocators hand out f64-viewable segments) and the
-    /// window must fit inside the region.
+    /// Views a whole file-backed mapping as a shared buffer
+    /// ([`window`](Self::window) for a part of it).
     #[cfg(all(unix, not(feature = "check")))]
-    pub fn from_region(
-        region: Arc<crate::backing::MapRegion>,
-        data_offset: usize,
-        capacity: usize,
-    ) -> Arc<Self> {
-        assert_eq!(data_offset % 8, 0, "data_offset must be 8-byte aligned");
-        assert!(
-            data_offset
-                .checked_add(capacity)
-                .is_some_and(|end| end <= region.len()),
-            "buffer window [{data_offset}, {data_offset}+{capacity}) exceeds region of {} bytes",
-            region.len()
-        );
-        // SAFETY: the window fits inside the mapping, checked just above.
-        let base = unsafe { region.base().add(data_offset) };
+    pub fn from_region(region: Arc<crate::backing::MapRegion>) -> Arc<Self> {
         Arc::new(SharedBuffer {
+            base: region.base(),
+            capacity: region.len(),
             backing: Backing::Mapped(region),
-            base,
-            capacity,
             tracker: RangeTracker::new(),
         })
     }
@@ -453,7 +435,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let region = Arc::new(crate::backing::MapRegion::create(&path, 4096).unwrap());
-            let buf = SharedBuffer::from_region(Arc::clone(&region), 64, 1024);
+            let buf = SharedBuffer::from_region(Arc::clone(&region)).window(64, 1024);
             assert_eq!(buf.capacity(), 1024);
             let mut seg = buf.segment(8, 4);
             seg.copy_from_slice(&[9, 8, 7, 6]);
@@ -462,7 +444,7 @@ mod tests {
         // The write landed in the file at data_offset + segment offset and
         // survived the unmap — the property kill -9 recovery relies on.
         let region = Arc::new(crate::backing::MapRegion::open(&path).unwrap());
-        let buf = SharedBuffer::from_region(region, 64, 1024);
+        let buf = SharedBuffer::from_region(region).window(64, 1024);
         let seg = buf.segment(8, 4);
         assert_eq!(seg.as_slice(), &[9, 8, 7, 6]);
         std::fs::remove_file(&path).unwrap();
@@ -470,7 +452,7 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    #[should_panic(expected = "exceeds region")]
+    #[should_panic(expected = "exceeds buffer")]
     fn mapped_backing_window_must_fit() {
         let dir = std::env::temp_dir().join("damaris-buffer-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -478,7 +460,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let region = Arc::new(crate::backing::MapRegion::create(&path, 1024).unwrap());
         let _ = std::fs::remove_file(&path);
-        let _ = SharedBuffer::from_region(region, 512, 1024);
+        let _ = SharedBuffer::from_region(region).window(512, 1024);
     }
 
     /// The guard byte around every copy's window.
@@ -560,7 +542,7 @@ mod tests {
         let path = dir.join(format!("streamed-{}", crate::backing::this_pid()));
         let region = crate::backing::MapRegion::create(&path, CHECK_CAPACITY + 64).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let buf = SharedBuffer::from_region(Arc::new(region), 64, CHECK_CAPACITY);
+        let buf = SharedBuffer::from_region(Arc::new(region)).window(64, CHECK_CAPACITY);
         check_copies(&buf, Segment::copy_from_slice);
     }
 

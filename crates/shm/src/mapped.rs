@@ -1,13 +1,10 @@
 //! The node layout: one region holding every word the compute cores and
 //! the dedicated core must agree on, and the buffer data — the paper's
-//! one shared-memory segment (§III). Two backings carry the same layout,
-//! built by the same geometry code:
-//!
-//! * [`MappedNode::heap`] — zeroed process memory, committed on first
-//!   touch: the threaded node, whose cores are threads of one process;
-//! * [`MappedNode::create`]/[`MappedNode::open`] (unix) — a file mapped
-//!   `MAP_SHARED` by every process of a process node, whose words survive
-//!   any one process being `kill -9`'d.
+//! one shared-memory segment (§III). It has two backings, laid out by the
+//! same code: zeroed process memory for a threaded node
+//! ([`MappedNode::heap`]), and a file every process of a process node maps
+//! `MAP_SHARED` (unix: [`MappedNode::create`]/[`MappedNode::open`]), whose
+//! words survive any one process being `kill -9`'d.
 //!
 //! ## Layout (all slots 8-byte, offsets from the region base)
 //!
@@ -32,30 +29,14 @@
 //! data_offset  buffer data, n_clients × region_capacity bytes
 //! ```
 //!
-//! A word is grouped only with words of the same writer (DESIGN.md §8,
-//! "Who writes which line"): the client's per-call words and the core's
-//! per-event words never share a line, and the ring tail a reservation
-//! reads is apart from the notice tail the core moves per notice. Both
-//! backings start the region on a 128-byte boundary, so a line of the
-//! layout is a block of memory.
-//!
-//! ## The offset-only invariant
-//!
-//! A mapping lands at a different virtual address in every process, so
-//! **nothing in it may be a pointer** — only offsets, counters, and
-//! packed protocol words. Process-private state (the `Arc`s, journal
-//! handles, the base address itself) lives in per-process mirrors like
-//! [`MappedNode`]. `xtask lint`'s `offset-only` rule guards the
-//! `#[repr(C)]` structs that describe mapped memory.
-//!
-//! ## Why the protocol is still the model-checked one
-//!
-//! Every stateful word above is operated on through the facade types:
-//! the heartbeat slot is viewed as [`HeartbeatWord`] via `from_word`
-//! (repr(transparent) cast), the lease slots as [`ClientLease`], the ring
-//! counters run the free-function protocol in [`crate::ring`], and the
-//! notice words the one in [`crate::notice`] — whose interleavings
-//! `tests/model.rs` explores under `--features check`. This module adds
+//! A line holds words of one writer only (DESIGN.md §8, "Who writes which
+//! line"); both backings start on a 128-byte boundary, so a line of the
+//! layout is a block of memory. A mapping lands at a different address in
+//! every process, so **nothing in it may be a pointer** — only offsets,
+//! counters and protocol words; process-private state lives in mirrors
+//! like [`MappedNode`] (`xtask lint`'s `offset-only` rule). Every stateful
+//! word runs a model-checked facade protocol — [`HeartbeatWord`],
+//! [`ClientLease`], [`crate::ring`], [`crate::notice`]: this module adds
 //! *placement*, not new concurrency.
 
 #[cfg(unix)]
@@ -71,13 +52,9 @@ use std::path::Path;
 
 /// "DAMRSHM1" in big-endian bytes — identifies a Damaris node mapping.
 pub const MAGIC: u64 = 0x44414D52_53484D31;
-/// Bump on any layout change; `open` rejects mismatches. (2: the slot
-/// word at `+8` is the ring's `floor`. 3: per-client notice rings, the
-/// `done` word, a pid per client, and each block on two lines by writer.
-/// 4: a write notice carries no checksum. 5: user-event and dynamic-write
-/// notices, a dynamic write's shape in its data segment, a 64-byte slot a
-/// notice marked taken by a zero first word, the two tails on lines of
-/// their own.)
+/// Bump on any layout change; `open` rejects mismatches. (5: user-event
+/// and dynamic-write notices, 64-byte notice slots freed by a zero first
+/// word, the two tails on lines of their own.)
 pub const VERSION: u64 = 5;
 
 const OFF_MAGIC: usize = 0;
@@ -129,10 +106,7 @@ struct Geometry {
 }
 
 impl Geometry {
-    /// The layout of `n_clients` rings of `data_capacity / n_clients`
-    /// bytes, rounded down to the ring alignment, and `queue_capacity /
-    /// n_clients` notice slots each, rounded down to a power of two, at
-    /// least 2.
+    /// The layout `create` documents.
     fn new(n_clients: usize, data_capacity: usize, queue_capacity: usize) -> io::Result<Geometry> {
         assert!(n_clients > 0, "need at least one client");
         let align = ring::RING_ALIGN as usize;
@@ -158,9 +132,8 @@ impl Geometry {
         })
     }
 
-    /// Whether a layout of this geometry fits a region of `len` bytes —
-    /// every product and sum of it checked, since `open` reads it from a
-    /// file.
+    /// Whether this geometry fits a region of `len` bytes, every product
+    /// and sum checked: `open` reads it from a file.
     fn fits(&self, len: usize) -> bool {
         let consistent = || {
             let block = client_block(self.notice_capacity)?;
@@ -206,10 +179,9 @@ pub struct MappedNode {
 }
 
 impl MappedNode {
-    /// The layout in zeroed process memory — the threaded node's. The
-    /// zero pages are committed as the words and rings are first touched,
-    /// so memory follows what is in flight, not the capacity. Geometry as
-    /// for [`create`](Self::create).
+    /// The layout in zeroed process memory — the threaded node's —
+    /// committed as it is first touched. Geometry as for
+    /// [`create`](Self::create).
     pub fn heap(
         n_clients: usize,
         data_capacity: usize,
@@ -217,7 +189,7 @@ impl MappedNode {
     ) -> io::Result<MappedNode> {
         let geometry = Geometry::new(n_clients, data_capacity, queue_capacity)?;
         let total = geometry.data_offset + data_capacity;
-        Ok(Self::lay_out(SharedBuffer::new(total), geometry))
+        Ok(Self::lay_out(SharedBuffer::new(total), geometry, 0))
     }
 
     /// Creates the mapping file (EPE only — creation is exclusive),
@@ -235,14 +207,16 @@ impl MappedNode {
         let geometry = Geometry::new(n_clients, data_capacity, queue_capacity)?;
         let total = geometry.data_offset + data_capacity;
         let region = Arc::new(MapRegion::create(path, total)?);
+        let beat_at_ns = crate::backing::monotonic_now_ns();
         Ok(Self::lay_out(
-            SharedBuffer::from_region(region, 0, total),
+            SharedBuffer::from_region(region),
             geometry,
+            beat_at_ns,
         ))
     }
 
     /// Writes `geometry`'s header into fresh, zeroed `memory`.
-    fn lay_out(memory: Arc<SharedBuffer>, geometry: Geometry) -> MappedNode {
+    fn lay_out(memory: Arc<SharedBuffer>, geometry: Geometry, beat_at_ns: u64) -> MappedNode {
         let node = Self::over(memory, geometry);
         // Fresh memory is all zeroes (ftruncate and the allocator
         // guarantee it), so the leases, heartbeat, ring and notice
@@ -258,7 +232,7 @@ impl MappedNode {
             (OFF_REGION_CAPACITY, geometry.region_capacity as u64),
             (OFF_NOTICE_CAPACITY, geometry.notice_capacity as u64),
             (OFF_CREATOR_PID, u64::from(std::process::id())),
-            (OFF_BEAT_AT_NS, now_ns()),
+            (OFF_BEAT_AT_NS, beat_at_ns),
         ];
         for (off, value) in header {
             node.word(off).store(value, Ordering::Relaxed);
@@ -296,7 +270,7 @@ impl MappedNode {
             return Err(bad_mapping("mapping shorter than the header"));
         }
         let len = region.len();
-        let memory = SharedBuffer::from_region(region, 0, len);
+        let memory = SharedBuffer::from_region(region);
         // Acquire: pairs with the creator's Release store of the magic,
         // ordering our geometry reads after its writes.
         let magic = word_at(&memory, OFF_MAGIC).load(Ordering::Acquire);
@@ -476,9 +450,8 @@ impl MappedNode {
         self.adopt_within(client, offset, len, &mut Reach::default())
     }
 
-    /// [`adopt`](Self::adopt), checking the range against `reach` first
-    /// ([`ring::ring_locate_within`]): what the core keeps of each client
-    /// as it takes the client's notices.
+    /// [`adopt`](Self::adopt) against the core's `reach` of the ring
+    /// ([`ring::ring_locate_within`]).
     pub fn adopt_within(
         &self,
         client: usize,
@@ -533,14 +506,6 @@ impl std::fmt::Debug for MappedNode {
             self.n_clients, self.region_capacity, self.notice_capacity, self.memory
         )
     }
-}
-
-/// The machine-wide monotonic clock where there is one to read.
-fn now_ns() -> u64 {
-    #[cfg(unix)]
-    return crate::backing::monotonic_now_ns();
-    #[cfg(not(unix))]
-    0
 }
 
 fn word_at(memory: &SharedBuffer, off: usize) -> &AtomicU64 {

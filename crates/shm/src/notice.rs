@@ -2,26 +2,17 @@
 //! write landed, a region was abandoned, an iteration ended or a user
 //! event was signalled, without a lock or a system call — one ring per
 //! client, its words wherever the caller lays them out ([`crate::mapped`]
-//! puts them in the node's layout; `tests/model.rs` on the heap under
-//! `--features check`).
+//! in the node's layout; `tests/model.rs` on the heap).
 //!
 //! A ring is `capacity` slots of [`SLOT_WORDS`] words, a notice of
-//! [`NOTICE_WORDS`] at the front of each, and two monotonic counters,
-//! each with a single writer:
-//!
-//! * `head` — notices ever posted; written by the client that owns the
-//!   ring;
-//! * `tail` — notices ever taken; written by the dedicated core.
-//!
-//! A slot's first word is 0 while the slot is free (no encoded notice's
-//! first word is). Each side polls the one slot it works on next, never
-//! the other side's counter: the client's post and the core's take touch
-//! the slot's line and their own words.
-//!
-//! The ring a notice sits in names the client that posted it, so a notice
-//! carries no rank and cannot speak for another one; and with one
-//! producer per ring there is no compare-and-swap, and each client's
-//! notices are taken in the order it posted them.
+//! [`NOTICE_WORDS`] at the front of each, and two monotonic counters with
+//! one writer each: `head` (notices posted, by the client) and `tail`
+//! (notices taken, by the core). A slot's first word is 0 while the slot
+//! is free (no encoded notice's is), so each side polls the slot it works
+//! on next, never the other side's counter. The ring names the client
+//! that posted into it, so a notice cannot speak for another one; with one
+//! producer per ring there is no compare-and-swap, and a client's notices
+//! are taken in the order it posted them.
 //!
 //! ## Memory-ordering argument (verified under `--features check`)
 //!
@@ -64,9 +55,8 @@ pub enum Notice {
     },
     /// The client finished `iteration`.
     EndIteration { iteration: u32 },
-    /// The client dropped the uncommitted region of `len` bytes at
-    /// `offset` it reserved for `iteration`: the core releases it in ring
-    /// order with the iteration's other segments.
+    /// The client dropped its uncommitted region of `len` bytes at
+    /// `offset`, reserved for `iteration`.
     Abandon {
         iteration: u32,
         offset: u64,
@@ -76,8 +66,8 @@ pub enum Notice {
     /// configuration's event list, for `iteration`.
     User { action: u32, iteration: u32 },
     /// A write of a variable without a static shape: the `len` bytes at
-    /// `offset` are a header of `ndims + 1` native-endian words — the
-    /// array's rank (`ndims` again), then its dims — and the payload.
+    /// `offset` are `ndims + 1` native-endian words — the rank again, then
+    /// the dims — and the payload.
     WriteDynamic {
         variable: u32,
         ndims: u32,
@@ -231,14 +221,13 @@ impl<'a> NoticeRing<'a> {
         Some(words)
     }
 
-    /// Notices ever posted: a mark in the ring's order, from any thread.
+    /// Notices ever posted: a mark in the ring's order.
     pub fn posted(&self) -> u64 {
         // Acquire: pairs with the client's Release in `post`.
         self.head.load(Ordering::Acquire)
     }
 
-    /// Notices posted before `mark` ([`posted`](Self::posted)) and not yet
-    /// taken. Core side, like `peek`.
+    /// Notices posted before `mark` and not yet taken. Core side.
     pub fn untaken_before(&self, mark: u64) -> u64 {
         // Relaxed: only the core writes `tail`.
         mark.saturating_sub(self.tail.load(Ordering::Relaxed))

@@ -1,18 +1,8 @@
-//! The shared event queue (paper §III-B): clients post write-notifications
-//! and user-defined events; the dedicated core's event processing engine
-//! pulls them.
-//!
-//! Implemented as a bounded multi-producer queue over a ring of slots with
-//! per-slot sequence numbers (Dmitry Vyukov's MPMC algorithm, as presented
-//! in *Rust Atomics and Locks*-style idioms). We use it in MPSC mode —
-//! many compute cores, one dedicated core — but the algorithm is safe for
-//! multiple consumers too, which the multi-dedicated-core deployments of
-//! §V-A need.
-//!
-//! The successful `push`/`pop` pair forms a release/acquire edge, which is
-//! what makes the zero-copy segment handoff in `damaris-core` sound: all
-//! writes a client performed into its shared-memory segment happen-before
-//! the server's reads.
+//! A bounded multi-producer queue over a ring of slots with per-slot
+//! sequence numbers (Dmitry Vyukov's MPMC algorithm). No node uses it —
+//! a node's clients post into notice rings of their own
+//! ([`crate::notice`]) — and it stays for the benchmark's layer row. The
+//! successful `push`/`pop` pair forms a release/acquire edge.
 //!
 //! ## Memory-ordering argument (verified under `--features check`)
 //!
@@ -28,7 +18,7 @@
 //! configuration, and the seeded-bug test shows the checker rejects this
 //! algorithm if the `seq` publication store is weakened to `Relaxed`.
 
-use crate::sync::{spin_loop, yield_now, AtomicUsize, CachePadded, Ordering, ShmCell};
+use crate::sync::{AtomicUsize, CachePadded, Ordering, ShmCell};
 use std::mem::MaybeUninit;
 
 /// Error returned by [`MpscQueue::push`] when the ring is full; gives the
@@ -85,16 +75,6 @@ impl<T> MpscQueue<T> {
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Addresses of `[enqueue_pos, dequeue_pos]`, for tests that pin which
-    /// cache lines the producers and the consumer write.
-    #[doc(hidden)]
-    pub fn ticket_addrs(&self) -> [usize; 2] {
-        [
-            &*self.enqueue_pos as *const AtomicUsize as usize,
-            &*self.dequeue_pos as *const AtomicUsize as usize,
-        ]
     }
 
     /// Approximate number of queued items (racy by nature).
@@ -198,51 +178,6 @@ impl<T> MpscQueue<T> {
             }
         }
     }
-
-    /// Spins (with `yield_now`) until an item arrives. Intended for the
-    /// dedicated core's event loop; in the paper that core is busy-polling
-    /// its queue anyway.
-    pub fn pop_wait(&self) -> T {
-        self.pop_wait_with(|| {})
-    }
-
-    /// [`pop_wait`](Self::pop_wait), invoking `on_idle` on every empty
-    /// poll. The dedicated core uses this to publish heartbeat beats while
-    /// it waits, so clients can tell "alive but idle" from "dead".
-    pub fn pop_wait_with(&self, mut on_idle: impl FnMut()) -> T {
-        let mut spins = 0u32;
-        loop {
-            if let Some(v) = self.pop() {
-                return v;
-            }
-            on_idle();
-            spins += 1;
-            if spins < 64 {
-                spin_loop();
-            } else {
-                yield_now();
-            }
-        }
-    }
-
-    /// Pushes, spinning until space is available.
-    pub fn push_wait(&self, mut value: T) {
-        let mut spins = 0u32;
-        loop {
-            match self.push(value) {
-                Ok(()) => return,
-                Err(PushError(v)) => {
-                    value = v;
-                    spins += 1;
-                    if spins < 64 {
-                        spin_loop();
-                    } else {
-                        yield_now();
-                    }
-                }
-            }
-        }
-    }
 }
 
 impl<T> Drop for MpscQueue<T> {
@@ -270,6 +205,24 @@ impl<T> std::fmt::Debug for MpscQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Pushes, yielding until there is room.
+    fn push_wait<T>(q: &MpscQueue<T>, mut value: T) {
+        while let Err(PushError(back)) = q.push(value) {
+            value = back;
+            std::thread::yield_now();
+        }
+    }
+
+    /// Pops, yielding until there is an item.
+    fn pop_wait<T>(q: &MpscQueue<T>) -> T {
+        loop {
+            if let Some(value) = q.pop() {
+                return value;
+            }
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn fifo_single_thread() {
@@ -318,7 +271,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 scope.spawn(move || {
                     for i in 0..per_producer {
-                        q.push_wait((p, i));
+                        push_wait(&q, (p, i));
                     }
                 });
             }
@@ -326,7 +279,7 @@ mod tests {
             scope.spawn(move || {
                 let mut next = vec![0usize; producers];
                 for _ in 0..producers * per_producer {
-                    let (p, i) = q.pop_wait();
+                    let (p, i) = pop_wait(&q);
                     assert_eq!(i, next[p], "producer {p} out of order");
                     next[p] += 1;
                 }
@@ -352,7 +305,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 scope.spawn(move || {
                     for i in 0..per_producer {
-                        q.push_wait(p * per_producer + i);
+                        push_wait(&q, p * per_producer + i);
                     }
                 });
             }
@@ -401,9 +354,9 @@ mod tests {
             let d2 = Arc::clone(&data);
             scope.spawn(move || {
                 d2.store(42, std::sync::atomic::Ordering::Relaxed);
-                q2.push_wait(());
+                push_wait(&q2, ());
             });
-            let () = q.pop_wait();
+            let () = pop_wait(&q);
             assert_eq!(data.load(std::sync::atomic::Ordering::Relaxed), 42);
         });
     }

@@ -237,21 +237,19 @@ pub fn ring_locate(ring: &Ring<'_>, pos: u64, len: u64) -> Option<u64> {
     ring_locate_within(ring, &mut Reach::default(), pos, len)
 }
 
-/// The words of a ring its owner writes on every reservation, `head` and
-/// `floor`, as the consumer last read them. A reach read earlier accepts
-/// no range that is not live now: both words only grow, and a rewind,
-/// which moves `floor`, happens on an empty ring, so it leaves the
-/// consumer's `tail` at or past any earlier `head`.
+/// A ring's `head` and `floor` as the consumer last read them. An older
+/// reach accepts no range not live now: both only grow, and a rewind (which
+/// moves `floor`) happens on an empty ring, leaving `tail` past any older
+/// `head`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Reach {
     head: u64,
     floor: u64,
 }
 
-/// [`ring_locate`], reading `head` and `floor` again only for a range not
-/// live as of `reach`, which then holds what it read: a consumer taking
-/// several of one client's notices in a row reads the line the client
-/// writes on every call once, not once a notice.
+/// [`ring_locate`], reading `head` and `floor` again (into `reach`) only
+/// for a range not live as of `reach`: a consumer reads the line a client
+/// writes every call once for a run of its notices, not once each.
 pub fn ring_locate_within(ring: &Ring<'_>, reach: &mut Reach, pos: u64, len: u64) -> Option<u64> {
     let cap = ring.cap;
     if pos >= cap || pos.checked_add(len).is_none_or(|end| end > cap) {

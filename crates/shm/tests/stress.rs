@@ -10,11 +10,29 @@
 
 #![cfg(not(feature = "check"))]
 
-use damaris_shm::{MpscQueue, PartitionAllocator};
+use damaris_shm::{MpscQueue, PartitionAllocator, PushError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+
+/// Pushes, yielding until there is room.
+fn push_wait<T>(q: &MpscQueue<T>, mut value: T) {
+    while let Err(PushError(back)) = q.push(value) {
+        value = back;
+        std::thread::yield_now();
+    }
+}
+
+/// Pops, yielding until there is an item.
+fn pop_wait<T>(q: &MpscQueue<T>) -> T {
+    loop {
+        if let Some(value) = q.pop() {
+            return value;
+        }
+        std::thread::yield_now();
+    }
+}
 
 /// The smallest ring the queue can build (capacity 2) crossing the
 /// full↔empty boundary on practically every operation: 4 producers race
@@ -32,7 +50,7 @@ fn capacity_two_queue_full_empty_churn() {
         let q = Arc::clone(&q);
         handles.push(thread::spawn(move || {
             for i in 0..PER_PRODUCER {
-                q.push_wait(p * PER_PRODUCER + i);
+                push_wait(&q, p * PER_PRODUCER + i);
             }
         }));
     }
@@ -45,7 +63,7 @@ fn capacity_two_queue_full_empty_churn() {
         consumers.push(thread::spawn(move || {
             let mut got = Vec::new();
             while taken.fetch_add(1, Ordering::Relaxed) < total {
-                got.push(q.pop_wait());
+                got.push(pop_wait(&q));
             }
             // The fetch_add overshot: hand the ticket back.
             taken.fetch_sub(1, Ordering::Relaxed);
@@ -110,14 +128,14 @@ fn mpmc_contended_exactly_once_over_tiny_ring() {
         let q = Arc::clone(&q);
         handles.push(thread::spawn(move || {
             for i in 0..PER_PRODUCER {
-                q.push_wait(p * PER_PRODUCER + i);
+                push_wait(&q, p * PER_PRODUCER + i);
             }
         }));
     }
     // Single consumer (the substrate's real shape: one dedicated core).
     let mut seen = vec![false; PRODUCERS * PER_PRODUCER];
     for _ in 0..PRODUCERS * PER_PRODUCER {
-        let v = q.pop_wait();
+        let v = pop_wait(&q);
         assert!(!seen[v], "item {v} delivered twice");
         seen[v] = true;
     }
