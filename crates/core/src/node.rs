@@ -494,7 +494,7 @@ pub struct NodeReport {
     /// metric: node.storage_pressure_gc_bytes
     pub storage_pressure_gc_bytes: u64,
     /// Commit batches the persist path ran: each syncs and renames the
-    /// files of every iteration parked since the queue last went quiet
+    /// files of every iteration parked since the rings last went quiet
     /// (retries of a failed file count too).
     /// metric: node.commit_batches
     pub commit_batches: u64,

@@ -229,7 +229,6 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         let read_any = core
             .drain(&[], &mut |core, event| pump.admitted(core, event))
             .map_err(core_err)?;
-        core.idle().map_err(core_err)?;
         if read_any {
             continue;
         }
@@ -465,7 +464,7 @@ mod tests {
         for lie in lies.into_iter().chain(shapes) {
             assert!(rank0.post(lie));
         }
-        // The pump keeps serving: the truth, behind the lies in the same
+        // The core keeps serving: the truth, behind the lies in the same
         // ring, is taken, and the iteration completes.
         assert!(rank0.post(write0.encode()));
         assert!(node.notices(1).post(write1.encode()));

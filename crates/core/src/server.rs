@@ -503,9 +503,9 @@ impl DedicatedCore {
     /// each, and only what was posted before `marks[rank]` if given. A
     /// notice [`NodeShared::event_of`] believes that is news — not of a
     /// retired iteration, not [`Seen`] in it — is admitted, taken off its
-    /// ring (`admitted` sees it first), handled and followed by
-    /// [`idle`](Self::idle); any other is taken off and counted stale.
-    /// True if there was any notice. A user event ends its rank's visit
+    /// ring (`admitted` sees it first) and handled, an end of iteration
+    /// followed by [`idle`](Self::idle); any other is taken off and counted
+    /// stale. The pass ends with `idle`. True if there was any notice. A user event ends its rank's visit
     /// and goes at the end of the pass, after a second visit to every
     /// other ring took what was posted before it; it leaves its ring
     /// before it is journalled, so it is at most once.
@@ -523,6 +523,7 @@ impl DedicatedCore {
             read_any |= read;
             signals.extend(signal.map(|signal| (rank, signal)));
         }
+        self.idle()?;
         if signals.is_empty() {
             return Ok(read_any);
         }
@@ -584,8 +585,12 @@ impl DedicatedCore {
             self.seen.entry(iteration).or_default().insert(seen);
             admitted(self, &event);
             ring.advance();
+            // Only an end of iteration can complete one: fire it at once.
+            let ends = matches!(event, Event::EndIteration { .. });
             self.handle(seq, event)?;
-            self.idle()?;
+            if ends {
+                self.idle()?;
+            }
             self.idle_from = Some(self.rec.begin());
         }
         Ok((read_any, None))
@@ -859,7 +864,7 @@ impl DedicatedCore {
     /// Takes one iteration out of the core. The counted end-notification
     /// records are retired *before* anything else: plugin side effects are
     /// at-most-once across crashes (a crash mid-fire does not re-fire the
-    /// iteration on replay — its data is still flushed at `Terminate`).
+    /// iteration on replay — its data is still flushed at shutdown).
     /// Either way every resident and held segment of the iteration
     /// releases in one flush; the outcomes differ in whether the plugins
     /// see the data first, and in what is counted.
