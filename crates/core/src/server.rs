@@ -11,7 +11,8 @@
 //! rebuilds a dead predecessor's state from the journal,
 //! [`drain`](DedicatedCore::drain) is one pass over every client's notice
 //! ring (peek → validate → admit → advance → handle), [`idle`](DedicatedCore::idle)
-//! the pressure → sweep → fire → reclaim → beat pass after every event,
+//! the pressure → sweep → fire → reclaim → beat pass after an end of
+//! iteration and every pass,
 //! [`quiet`](DedicatedCore::quiet) commits what fired iterations parked
 //! once a pass reads nothing, and [`shutdown`](DedicatedCore::shutdown)
 //! and [`finish`](DedicatedCore::finish) close the books. [`run`] is the
@@ -124,10 +125,10 @@ impl Seen {
 
 /// Iterations retired, as runs of consecutive ones (first → last).
 #[derive(Debug, Default)]
-pub(crate) struct Retired(BTreeMap<u32, u32>);
+struct Retired(BTreeMap<u32, u32>);
 
 impl Retired {
-    pub(crate) fn contains(&self, iteration: u32) -> bool {
+    fn contains(&self, iteration: u32) -> bool {
         let run = self.0.range(..=iteration).next_back();
         run.is_some_and(|(_, &last)| iteration <= last)
     }

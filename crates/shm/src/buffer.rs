@@ -107,7 +107,7 @@ impl SharedBuffer {
     /// of their own (which keeps this one alive). `offset` must be 8-byte
     /// aligned and the window must fit.
     #[cfg(not(feature = "check"))]
-    pub fn window(self: &Arc<Self>, offset: usize, capacity: usize) -> Arc<Self> {
+    pub(crate) fn window(self: &Arc<Self>, offset: usize, capacity: usize) -> Arc<Self> {
         assert_eq!(offset % 8, 0, "window offset must be 8-byte aligned");
         assert!(
             offset
