@@ -55,7 +55,8 @@ pub enum Event {
 }
 
 impl Event {
-    /// The journal record of this event — its segment by coordinates.
+    /// The journal record of this event — its segment by the coordinates
+    /// of its reservation ([`Segment::reservation`]).
     pub(crate) fn record(&self) -> JournalPayload {
         match self {
             Event::Write {
@@ -64,14 +65,17 @@ impl Event {
                 source,
                 segment,
                 dynamic_layout,
-            } => JournalPayload::Write {
-                variable_id: *variable_id,
-                iteration: *iteration,
-                source: *source,
-                offset: segment.offset(),
-                len: segment.len(),
-                dynamic_layout: dynamic_layout.clone(),
-            },
+            } => {
+                let (offset, len) = segment.reservation();
+                JournalPayload::Write {
+                    variable_id: *variable_id,
+                    iteration: *iteration,
+                    source: *source,
+                    offset,
+                    len,
+                    dynamic_layout: dynamic_layout.clone(),
+                }
+            }
             Event::User {
                 name,
                 iteration,
@@ -88,12 +92,15 @@ impl Event {
                 iteration,
                 source,
                 segment,
-            } => JournalPayload::Abandon {
-                iteration: *iteration,
-                source: *source,
-                offset: segment.offset(),
-                len: segment.len(),
-            },
+            } => {
+                let (offset, len) = segment.reservation();
+                JournalPayload::Abandon {
+                    iteration: *iteration,
+                    source: *source,
+                    offset,
+                    len,
+                }
+            }
         }
     }
 }

@@ -75,8 +75,10 @@ use std::path::Path;
 /// can re-adopt it from the allocator).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalPayload {
-    /// A write-notification: `offset`/`len` locate the payload in the
-    /// shared buffer for re-adoption after a crash.
+    /// A write-notification: `offset`/`len` locate its reservation in the
+    /// shared buffer for re-adoption after a crash — a dynamic write's
+    /// shape header ([`shape_len`](crate::node::shape_len) bytes for its
+    /// layout's rank) and payload.
     Write {
         variable_id: u32,
         iteration: u32,

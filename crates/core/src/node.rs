@@ -333,12 +333,15 @@ impl NodeShared {
                 if (header as u64).checked_add(bytes)? != len {
                     return None;
                 }
-                let payload = segment.split_off(header);
+                // The stored view is the payload, but what it releases and
+                // journals is the whole reservation: an empty payload ends
+                // where the reservation does, maybe at the ring's end.
+                segment.skip(header);
                 Event::Write {
                     variable_id: variable,
                     iteration,
                     source: client,
-                    segment: payload,
+                    segment,
                     dynamic_layout: Some(damaris_format::Layout::new(dtype, &dims)),
                 }
             }
@@ -369,16 +372,19 @@ impl NodeShared {
 /// native-endian word each: the header's length and the dims, if it fits
 /// the segment and its rank word says `ndims`.
 fn shape_of(bytes: &[u8], ndims: u32) -> Option<(usize, Vec<u64>)> {
-    let len = usize::try_from(ndims)
-        .ok()?
-        .checked_add(1)?
-        .checked_mul(8)?;
+    let len = shape_len(usize::try_from(ndims).ok()?)?;
     let mut words = bytes.get(..len)?.chunks_exact(8).map(|word| {
         let mut bytes = [0; 8];
         bytes.copy_from_slice(word);
         u64::from_ne_bytes(bytes)
     });
     (words.next()? == u64::from(ndims)).then(|| (len, words.collect()))
+}
+
+/// The length of the shape header in front of a dynamic write's payload
+/// of `ndims` dimensions: the rank's word and one per dimension.
+pub(crate) fn shape_len(ndims: usize) -> Option<usize> {
+    ndims.checked_add(1)?.checked_mul(8)
 }
 
 /// Final accounting returned by [`NodeRuntime::finish`].
@@ -1121,6 +1127,68 @@ mod tests {
         let fired = Arc::clone(fired);
         let factory: PluginFactory = Box::new(move |_| Ok(Box::new(Mark(Arc::clone(&fired)))));
         ("mark".to_string(), factory)
+    }
+
+    /// A `mark` action noting how many variables of its iteration are
+    /// resident each time it fires.
+    fn look(resident: &Arc<Mutex<Vec<usize>>>) -> (String, PluginFactory) {
+        struct Look(Arc<Mutex<Vec<usize>>>);
+        impl crate::plugin::Plugin for Look {
+            fn name(&self) -> &str {
+                "mark"
+            }
+            fn handle(
+                &mut self,
+                ctx: &mut crate::plugin::ActionContext<'_>,
+                event: &crate::plugin::EventInfo,
+            ) -> Result<(), DamarisError> {
+                let n = ctx.store.iteration_entries(event.iteration).count();
+                self.0.lock().push(n);
+                Ok(())
+            }
+        }
+        let resident = Arc::clone(resident);
+        let factory: PluginFactory = Box::new(move |_| Ok(Box::new(Look(Arc::clone(&resident)))));
+        ("mark".to_string(), factory)
+    }
+
+    /// A signal goes after what was posted before the core saw it and
+    /// before what was posted after: rank 0 ends iteration 0 and signals
+    /// it, and rank 1 ends it once the core has seen the signal. The
+    /// action runs with both ranks' data resident, and the iteration
+    /// fires on the next pass.
+    #[test]
+    fn a_signal_runs_before_an_end_posted_after_the_core_saw_it() {
+        let (shared, dir) = threaded("signal-order");
+        let ranks: Vec<_> = (0..CLIENTS as u32)
+            .map(|id| DamarisClient::new(id, Arc::clone(&shared)))
+            .collect();
+        ranks[0].write("theta", 0, &[0; 256]).unwrap();
+        ranks[0].end_iteration(0).unwrap();
+        ranks[0].signal("snapshot", 0).unwrap();
+        ranks[1].write("theta", 0, &[1; 256]).unwrap();
+        for rank in &ranks[2..] {
+            rank.end_iteration(0).unwrap();
+        }
+        let resident = Arc::new(Mutex::new(Vec::new()));
+        let epe = EventProcessingEngine::build(&shared.config, &[look(&resident)]).unwrap();
+        let mut core = server::DedicatedCore::new(Arc::clone(&shared), epe, 0);
+        // Rank 1 ends the iteration as the core takes its write, after
+        // the core read rank 0's ring and the signal on it.
+        let mut rank1_ends = |_: &server::DedicatedCore, event: &Event| {
+            if matches!(event, Event::Write { source: 1, .. }) {
+                ranks[1].end_iteration(0).unwrap();
+            }
+        };
+        assert!(core.drain(&[], &mut rank1_ends).unwrap());
+        assert_eq!(*resident.lock(), [2]);
+        assert_eq!(core.report().iterations_persisted, 0);
+
+        while core.drain(&[], &mut |_, _| {}).unwrap() {}
+        core.quiet().unwrap();
+        assert_eq!(core.report().iterations_persisted, 1);
+        assert_eq!(shared.in_use(), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The two calls with a notice kind of their own, end to end over a

@@ -123,8 +123,8 @@ impl ActionContext<'_> {
             .sort_by_key(|(src, _, segment)| (*src, segment.position()));
         for (source, seq, segment) in self.pending_release.drain(..) {
             self.journal.mark_applied(seq);
-            self.node
-                .release(source as usize, segment.offset(), segment.len());
+            let (offset, len) = segment.reservation();
+            self.node.release(source as usize, offset, len);
         }
     }
 }

@@ -340,7 +340,17 @@ impl DedicatedCore {
                         );
                         continue;
                     }
-                    let Some(segment) = self.shared.node.adopt(source as usize, offset, len) else {
+                    // A dynamic write's record names its whole reservation:
+                    // the payload is what follows the shape header.
+                    let header = dynamic_layout
+                        .as_ref()
+                        .map_or(Some(0), |layout| crate::node::shape_len(layout.rank()));
+                    let adopted = header.filter(|&header| header <= len).and_then(|header| {
+                        let mut segment = self.shared.node.adopt(source as usize, offset, len)?;
+                        segment.skip(header);
+                        Some(segment)
+                    });
+                    let Some(segment) = adopted else {
                         // Not adoptable: the dead server released it
                         // between persisting and marking the record
                         // applied. The data is already safe (or was
@@ -506,34 +516,50 @@ impl DedicatedCore {
     /// retired iteration, not [`Seen`] in it — is admitted, taken off its
     /// ring (`admitted` sees it first) and handled, an end of iteration
     /// followed by [`idle`](Self::idle); any other is taken off and counted
-    /// stale. The pass ends with `idle`. True if there was any notice. A user event ends its rank's visit
-    /// and goes at the end of the pass, after a second visit to every
-    /// other ring took what was posted before it; it leaves its ring
-    /// before it is journalled, so it is at most once.
+    /// stale. The pass ends with `idle`. True if there was any notice.
+    ///
+    /// A user event ends its rank's visit and goes at the end of the pass.
+    /// From the first one the core sees, the pass takes from each ring only
+    /// what was posted before it saw that one, and a second visit to every
+    /// other ring takes the rest of that: a signal goes after what was
+    /// posted before the core read it, and before what was posted after —
+    /// an end that would complete its iteration included. It leaves its
+    /// ring before it is journalled, so it is at most once.
     pub(crate) fn drain(
         &mut self,
         marks: &[u64],
         admitted: &mut impl FnMut(&DedicatedCore, &Event),
     ) -> Result<bool, DamarisError> {
-        let mark = |rank: usize| marks.get(rank).copied().unwrap_or(u64::MAX);
         let shared = Arc::clone(&self.shared);
+        // Each ring's posted count as the first signal was seen: empty,
+        // and no bound, until then.
+        let mut cut = Vec::new();
+        let mark = |cut: &[u64], rank: usize| {
+            let given = marks.get(rank).copied().unwrap_or(u64::MAX);
+            given.min(cut.get(rank).copied().unwrap_or(u64::MAX))
+        };
         let mut read_any = false;
         let mut signals = Vec::new();
         for rank in 0..shared.clients {
-            let (read, signal) = self.drain_ring(&shared, rank, mark(rank), admitted)?;
+            let (read, signal) = self.drain_ring(&shared, rank, mark(&cut, rank), admitted)?;
             read_any |= read;
-            signals.extend(signal.map(|signal| (rank, signal)));
+            if let Some(signal) = signal {
+                if signals.is_empty() {
+                    let posted = |rank| shared.node.notices(rank).posted();
+                    cut = (0..shared.clients).map(posted).collect();
+                }
+                signals.push((rank, signal));
+            }
         }
         self.idle()?;
         if signals.is_empty() {
             return Ok(read_any);
         }
-        // One more visit to every other ring, begun after the signals were
-        // seen, takes what was posted before them. A signal it meets stays
-        // on its ring for the next pass.
+        // One more visit to every other ring takes what was posted before
+        // the cut. A signal it meets stays on its ring for the next pass.
         for rank in 0..shared.clients {
             if signals.iter().all(|(signalled, _)| *signalled != rank) {
-                self.drain_ring(&shared, rank, mark(rank), admitted)?;
+                self.drain_ring(&shared, rank, mark(&cut, rank), admitted)?;
             }
         }
         for (rank, (event, record)) in signals {
@@ -1227,6 +1253,8 @@ mod tests {
         <layout name="v" type="real" dimensions="16"/>
         <variable name="a" layout="v"/>
         <variable name="b" layout="v"/>
+        <layout name="bytes" type="byte" dimensions="?"/>
+        <variable name="p" layout="bytes"/>
     </damaris>"#;
     const CLIENTS: usize = 2;
 
@@ -1411,6 +1439,57 @@ mod tests {
         let written = files(&shared);
         assert_eq!(written.len(), 2);
         assert_eq!(written, files(&live_shared));
+    }
+
+    /// An empty dynamic write reserves its shape header alone. The core
+    /// stores an empty payload and releases the whole reservation — live
+    /// or replayed, one at the start of its ring with a write behind it,
+    /// and one that ends at its ring's end.
+    #[test]
+    fn an_empty_dynamic_write_releases_its_whole_reservation() {
+        FIXTURES.into_iter().for_each(empty_dynamic);
+    }
+
+    fn empty_dynamic(fixture: Fixture) {
+        let (mut shared, mut clients) = node("empty-dynamic", fixture);
+        // A one-dimension shape header is 16 bytes: client 0 fills its
+        // ring up to the last 16, which the empty write then takes.
+        let cap = shared.node.region_capacity();
+        let fill = vec![7; cap - 2 * 16];
+        let c0 = &clients[0];
+        c0.write_dynamic("p", 0, &[fill.len() as u64], &fill)
+            .unwrap();
+        c0.write_dynamic("p", 1, &[0], &[]).unwrap();
+        clients[1].write_dynamic("p", 0, &[0], &[]).unwrap();
+        clients[1].write("a", 0, &[1; 64]).unwrap();
+        let mut dead = core(&shared, 0);
+        pump(&shared, &mut dead, usize::MAX);
+        let empty = dead.store.iteration_entries(1).next().unwrap();
+        assert_eq!(empty.data(), []);
+        assert_eq!(empty.segment.reservation(), (cap - 16, 16));
+        let before = state(&dead);
+        drop(dead);
+
+        if fixture == Fixture::File {
+            (shared, clients) = reopen("empty-dynamic", fixture);
+        }
+        let mut replayed = core(&shared, 1);
+        replayed.replay().unwrap();
+        assert_eq!(FaultStats::get(&shared.stats.events_replayed), 4);
+        assert_eq!(state(&replayed), before);
+        for client in &clients {
+            client.end_iteration(0).unwrap();
+            client.end_iteration(1).unwrap();
+        }
+        pump(&shared, &mut replayed, usize::MAX);
+        replayed.idle().unwrap();
+        replayed.quiet().unwrap();
+        assert_eq!(replayed.report.iterations_persisted, 2);
+        assert_eq!(shared.in_use(), 0);
+        let file = shared.backend.root().join("node-0/iter-000001.sdf");
+        let reader = damaris_format::SdfReader::open(file).unwrap();
+        let empty = reader.info("/iter-1/rank-0/p").unwrap();
+        assert_eq!(empty.layout.dims, [0]);
     }
 
     #[test]

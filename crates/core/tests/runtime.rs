@@ -128,6 +128,51 @@ fn typed_writes_store_what_byte_writes_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A dynamic write of nothing — an empty particle set — through the
+/// threaded node: its reservation is its shape header alone, the first
+/// ending at its ring's end, and the run gives every byte back and stores
+/// an empty dataset with the shape it carried.
+#[test]
+fn empty_dynamic_writes_store_their_shape_and_release_their_header() {
+    let cfg = Config::from_xml(
+        r#"<damaris>
+             <buffer size="4096"/>
+             <layout name="cloud" type="byte" dimensions="?"/>
+             <layout name="grid" type="real" dimensions="16"/>
+             <variable name="cloud" layout="cloud"/>
+             <variable name="fill" layout="cloud"/>
+             <variable name="grid" layout="grid"/>
+           </damaris>"#,
+    )
+    .unwrap();
+    let dir = scratch("empty-dyn");
+    let runtime = NodeRuntime::start(cfg, 1, &dir).unwrap();
+    let client = &runtime.clients()[0];
+    // Nothing is released before iteration 0 ends: a 16-byte header for
+    // the fill, the fill, then the empty write's 16 bytes end the ring.
+    let fill = vec![7; 4096 - 2 * 16];
+    client
+        .write_dynamic("fill", 0, &[fill.len() as u64], &fill)
+        .unwrap();
+    client.write_dynamic("cloud", 0, &[0], &[]).unwrap();
+    client.end_iteration(0).unwrap();
+    for it in 1..4u32 {
+        client.write_dynamic("cloud", it, &[0, 3], &[]).unwrap();
+        client.write_f32("grid", it, &[it as f32; 16]).unwrap();
+        client.end_iteration(it).unwrap();
+    }
+    let report = runtime.finish().unwrap();
+    assert_eq!(report.iterations_persisted, 4);
+    assert_eq!(client.buffer_in_use(), 0);
+    for it in 0..4u32 {
+        let reader = SdfReader::open(dir.join(format!("node-0/iter-{it:06}.sdf"))).unwrap();
+        let cloud = reader.info(&format!("/iter-{it}/rank-0/cloud")).unwrap();
+        let dims: &[u64] = if it == 0 { &[0] } else { &[0, 3] };
+        assert_eq!(cloud.layout.dims, dims);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn small_datasets_carry_coordinates_as_fields() {
     let names: Vec<String> = (0..64).map(|v| format!("v{v:02}")).collect();

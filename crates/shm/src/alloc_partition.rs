@@ -111,14 +111,14 @@ impl PartitionAllocator {
             "segment released to the wrong allocator"
         );
         let region = &self.regions[client];
+        let (offset, len) = segment.reservation();
         let pos = region
-            .pos(segment.offset())
+            .pos(offset)
             // invariant: segments carry the offset the allocator assigned;
             // a mismatch is caller misuse, not a runtime condition.
             .expect("segment does not belong to this client's region");
-        let len = segment.len() as u64;
         drop(segment);
-        ring::ring_release(&region.ring(), pos, len);
+        ring::ring_release(&region.ring(), pos, len as u64);
     }
 
     /// Reclaims **everything** still reserved in `client`'s region

@@ -165,6 +165,7 @@ impl SharedBuffer {
             offset,
             len,
             position,
+            lead: 0,
         }
     }
 }
@@ -194,6 +195,9 @@ pub struct Segment {
     offset: usize,
     len: usize,
     position: u64,
+    /// Bytes of the same reservation in front of `offset` that
+    /// [`skip`](Segment::skip) passed over.
+    lead: usize,
 }
 
 impl Segment {
@@ -277,9 +281,28 @@ impl Segment {
             offset: self.offset + at,
             len: self.len - at,
             position: self.position + at as u64,
+            lead: 0,
         };
         self.len = at;
         tail
+    }
+
+    /// Narrows the view past its first `n` bytes, which stay part of its
+    /// [`reservation`](Self::reservation): releasing the view frees them
+    /// too. How the dedicated core keeps a dynamic write's payload without
+    /// its shape header, whatever the payload's length.
+    pub fn skip(&mut self, n: usize) {
+        assert!(n <= self.len, "skip {n} beyond length {}", self.len);
+        self.offset += n;
+        self.len -= n;
+        self.lead += n;
+    }
+
+    /// The offset and length of the reservation the segment stands for,
+    /// the bytes [`skip`](Self::skip) passed over included: what a release
+    /// or a journal record names.
+    pub fn reservation(&self) -> (usize, usize) {
+        (self.offset - self.lead, self.lead + self.len)
     }
 }
 
@@ -409,6 +432,16 @@ mod tests {
         assert_eq!(seg.len(), 8);
         assert_eq!(tail.offset(), 12);
         assert_eq!(tail.len(), 4);
+    }
+
+    #[test]
+    fn skip_keeps_the_reservation() {
+        let buf = SharedBuffer::new(32);
+        let mut seg = buf.segment(8, 16);
+        seg.skip(16);
+        assert_eq!((seg.offset(), seg.len()), (24, 0));
+        assert_eq!(seg.reservation(), (8, 16));
+        assert_eq!(seg.position(), 8);
     }
 
     #[test]
