@@ -135,6 +135,27 @@ impl SharedBuffer {
         self.base
     }
 
+    /// [`prefetch_write`]s the first lines, at most eight, of a copy of
+    /// `len` bytes to `offset` still to come, if it goes through the cache
+    /// (below [`Segment::copy_from_slice`]'s streaming threshold): a cached
+    /// store into a line the core read last waits for the core to give it
+    /// up, and a small write's later stores queue behind it. Asked for
+    /// early, the wait overlaps the client's other work.
+    // ANALYZE: hot
+    #[cfg(not(feature = "check"))]
+    pub(crate) fn prefetch_copy(&self, offset: usize, len: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if len < stream::MIN_LEN {
+            let end = offset.saturating_add(len.min(512)).min(self.capacity);
+            let mut at = offset.saturating_sub((self.base as usize).wrapping_add(offset) % 64);
+            while at < end {
+                prefetch_write(self.base.wrapping_add(at));
+                at += 64;
+            }
+        }
+        let _ = (offset, len);
+    }
+
     /// A segment view with no ring position (it is its offset), for tests
     /// that look at the bytes without an allocator.
     #[cfg(all(test, not(feature = "check")))]
@@ -306,6 +327,29 @@ impl Segment {
     }
 }
 
+/// Asks the CPU for the cache line holding `at`, to write (`prefetchw`).
+/// A hint: no byte changes and no address faults; a no-op on a CPU
+/// without the instruction and in `check` builds.
+// ANALYZE: hot
+#[inline(always)]
+pub(crate) fn prefetch_write<T>(at: *const T) {
+    #[cfg(all(target_arch = "x86_64", not(feature = "check")))]
+    if *PREFETCHW {
+        // SAFETY: `prefetchw` moves a cache line and nothing else: it
+        // touches no memory the program sees and faults on no address. The
+        // CPU has it (`PREFETCHW`).
+        unsafe { std::arch::asm!("prefetchw [{0}]", in(reg) at, options(nostack, readonly)) };
+    }
+    let _ = at;
+}
+
+/// CPUID 8000_0001h, ECX bit 8: a CPU without `prefetchw` may fault on it.
+#[cfg(all(target_arch = "x86_64", not(feature = "check")))]
+static PREFETCHW: std::sync::LazyLock<bool> = std::sync::LazyLock::new(|| {
+    use std::arch::x86_64::__cpuid;
+    __cpuid(0x8000_0000).eax >= 0x8000_0001 && __cpuid(0x8000_0001).ecx & (1 << 8) != 0
+});
+
 /// The streamed copy: a plain head copy up to the destination's next
 /// 64-byte boundary, four whole lines per step with unaligned 512-bit
 /// loads and non-temporal 512-bit stores, a plain tail copy, and an
@@ -400,6 +444,20 @@ mod tests {
         assert_eq!(seg.as_slice(), &[1, 2, 3, 4]);
         assert_eq!(seg.offset(), 8);
         assert_eq!(seg.len(), 4);
+    }
+
+    /// A prefetch is a hint: at and past the buffer's end, and over a
+    /// window whose first byte is not on a line boundary, it changes no
+    /// byte and does not panic.
+    #[test]
+    fn a_prefetch_changes_no_byte() {
+        let buf = SharedBuffer::new(1024);
+        buf.segment(0, 1024).copy_from_slice(&[7; 1024]);
+        let window = buf.window(8, 1000);
+        for (offset, len) in [(0, 300), (990, 4000), (1000, 8), (usize::MAX - 4, 100)] {
+            window.prefetch_copy(offset, len);
+        }
+        assert!(buf.segment(0, 1024).as_slice().iter().all(|&b| b == 7));
     }
 
     #[test]

@@ -439,6 +439,11 @@ impl MappedNode {
         }
         let at = ring::ring_reserve(&self.ring(client), len as u64)?;
         let offset = client * self.region_capacity + at.start as usize;
+        // The client's next reservation starts where this one ends; ask
+        // for its lines now, up to what is free there, so that its copy
+        // does not wait for the core to give them up.
+        let next = offset + ring::ring_rounded(len as u64) as usize;
+        self.data.prefetch_copy(next, len.min(at.ahead as usize));
         Ok(self.data.segment_at(offset, len, at.position))
     }
 

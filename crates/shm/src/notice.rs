@@ -199,6 +199,11 @@ impl<'a> NoticeRing<'a> {
         first.store(first_word, Ordering::Release);
         // Release: a thread that reads the count sees the notice.
         self.head.store(h + 1, Ordering::Release);
+        // The next post writes the next slot, which the core wrote last
+        // (freeing it) or may be polling: ask for its line now.
+        if let Some(next) = self.slot(h + 1).first() {
+            crate::buffer::prefetch_write(next);
+        }
         true
     }
 

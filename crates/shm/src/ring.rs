@@ -99,6 +99,10 @@ pub struct Reserved {
     /// Positions order a ring's reservations as they were made — the
     /// order [`ring_release`] must follow.
     pub position: u64,
+    /// Free bytes right after it, up to the ring's end: where the next
+    /// reservation starts, as far as it can go without waiting for a
+    /// release or wrapping.
+    pub ahead: u64,
 }
 
 /// Reserves `len` bytes. Must only be called by the single owner of
@@ -128,6 +132,7 @@ pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<Reserved, AllocError> {
         return Ok(Reserved {
             start: 0,
             position: base,
+            ahead: cap - need,
         });
     }
     // Cannot underflow: the consumer only releases what we reserved, and
@@ -148,6 +153,7 @@ pub fn ring_reserve(ring: &Ring<'_>, len: u64) -> Result<Reserved, AllocError> {
     Ok(Reserved {
         start,
         position: h + pad,
+        ahead: (cap - used - pad - need).min(cap - start - need),
     })
 }
 
@@ -305,21 +311,25 @@ mod tests {
     fn wrap_padding_then_rewind() {
         let words = RingWords::default();
         let ring = words.ring(256);
-        let p1 = ring_reserve(&ring, 100).unwrap().start; // 104 @ 0
-        let p2 = ring_reserve(&ring, 100).unwrap().start; // 104 @ 104
+        let r1 = ring_reserve(&ring, 100).unwrap(); // 104 @ 0
+        let r2 = ring_reserve(&ring, 100).unwrap(); // 104 @ 104
+        assert_eq!((r1.ahead, r2.ahead), (152, 48), "free up to the ring's end");
+        let (p1, p2) = (r1.start, r2.start);
         ring_release(&ring, p1, 100); // tail = 104
 
         // Not empty: 104 bytes do not fit the 48 left, pad 48, wrap to 0.
-        let p3 = ring_reserve(&ring, 100).unwrap().start;
-        assert_eq!(p3, 0);
+        let r3 = ring_reserve(&ring, 100).unwrap();
+        assert_eq!((r3.start, r3.ahead), (0, 0), "free up to the live r2");
+        let p3 = r3.start;
         assert_eq!(ring_in_use(&ring), 104 + 48 + 104, "wrap padding is live");
         ring_release(&ring, p2, 100);
         ring_release(&ring, p3, 100); // pad 48 reclaimed, tail = head = 360
         assert_eq!(ring_in_use(&ring), 0);
         // Empty at position 104: the next reservation rewinds to 0 and has
         // the whole ring, which from 104 it would not have had.
-        let p4 = ring_reserve(&ring, 256).unwrap().start;
-        assert_eq!(p4, 0);
+        let r4 = ring_reserve(&ring, 256).unwrap();
+        assert_eq!((r4.start, r4.ahead), (0, 0));
+        let p4 = r4.start;
         assert_eq!(ring_in_use(&ring), 256, "rewind padding is not live");
         assert_eq!(ring_reserve(&ring, 8).unwrap_err(), AllocError::Full);
         ring_release(&ring, p4, 256); // skips the 152 bytes the rewind did
