@@ -235,58 +235,44 @@ fn the_name_lookup_is_inside_the_write_closure() {
     );
 }
 
-/// Clients only post; the dedicated core journals what it takes. No
-/// `EventJournal` function is inside `write`'s strict closure: panic edges
-/// planted in the journal's two appends are findings of no client root —
-/// and are as soon as an append is a hot root itself.
+/// Clients only post; the dedicated core keeps what it took in the
+/// notice ring and applies each notice once it is done with it. Neither
+/// apply function is inside `write`'s strict closure: panic edges planted
+/// in `NoticeRing::apply` and `DedicatedCore::apply` are findings of no
+/// client root — and are as soon as either is a hot root itself.
 #[test]
-fn the_journal_is_outside_the_write_closure() {
+fn applying_a_notice_is_outside_the_write_closure() {
     let client = read("crates/core/src/client.rs");
     let node = read("crates/core/src/node.rs");
     let event = read("crates/core/src/event.rs");
-    let (path, journal) = read("crates/core/src/journal.rs");
-    let (append, append_write) = (
-        "let source = payload.source();",
-        "        self.append(\n            epoch,\n            JournalPayload::Write {",
-    );
-    assert!(journal.contains(append) && journal.contains(append_write));
-    let planted = journal
-        .replace(append, "let source = Some(payload.source()).unwrap();")
-        .replace(
-            append_write,
-            &format!("        None::<()>.unwrap();\n{append_write}"),
-        );
-    let panics_in_journal = |journal: String| {
+    let (ring_path, ring) = read("crates/shm/src/notice.rs");
+    let (core_path, core) = read("crates/core/src/server.rs");
+    let ring_fn = "    pub fn apply(&self, position: u64) {";
+    let core_fn = "    fn apply(&self, source: u32, notice: u64) {";
+    assert!(ring.contains(ring_fn) && core.contains(core_fn));
+    let plant = |src: &str, f: &str| src.replace(f, &format!("{f}\n        None::<()>.unwrap();"));
+    let hot = |src: &str, f: &str| src.replace(f, &format!("    // ANALYZE: hot\n{f}"));
+    let panics = |ring: String, core: String| {
         let sources = [
             client.clone(),
             node.clone(),
             event.clone(),
-            (path.clone(), journal),
+            (ring_path.clone(), ring),
+            (core_path.clone(), core),
         ];
         let r = analyze_sources(&sources);
         let f = r.findings.into_iter();
-        f.filter(|f| f.file == path && f.rule == "hot-panic")
+        f.filter(|f| (f.file == ring_path || f.file == core_path) && f.rule == "hot-panic")
             .count()
     };
-    assert_eq!(panics_in_journal(planted.clone()), 0);
-    let root = |src: &str| {
-        src.replace(
-            "    pub fn append(",
-            "    // ANALYZE: hot\n    pub fn append(",
-        )
-    };
+    let (planted_ring, planted_core) = (plant(&ring, ring_fn), plant(&core, core_fn));
+    assert_eq!(panics(planted_ring.clone(), planted_core.clone()), 0);
     assert_eq!(
-        panics_in_journal(root(&planted)),
-        panics_in_journal(root(&journal)) + 1
+        panics(hot(&planted_ring, ring_fn), core.clone()),
+        panics(hot(&ring, ring_fn), core.clone()) + 1
     );
-    let root = |src: &str| {
-        src.replace(
-            "    pub fn append_write(",
-            "    // ANALYZE: hot\n    pub fn append_write(",
-        )
-    };
     assert_eq!(
-        panics_in_journal(root(&planted)),
-        panics_in_journal(root(&journal)) + 2
+        panics(ring.clone(), hot(&planted_core, core_fn)),
+        panics(ring.clone(), hot(&core, core_fn)) + 1
     );
 }

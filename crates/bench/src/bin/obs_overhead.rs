@@ -52,8 +52,7 @@ const WRITES_PER_ITER: u32 = 4;
 const COMPUTE_PHASE: Duration = Duration::from_millis(2);
 const PAIRS: usize = 15;
 /// Spans one traced `write` records: `AllocWait`, `Memcpy`, `QueuePush`
-/// and the enclosing `WriteCall` (the journal append is the dedicated
-/// core's, recorded on its own timeline).
+/// and the enclosing `WriteCall`.
 const SPANS_PER_WRITE: f64 = 4.0;
 const BUDGET_NS_PER_SPAN: f64 = 100.0;
 const BUDGET_SHARE: f64 = 0.05;

@@ -185,7 +185,7 @@ fn run_rank(dir: &Path, rank: u32) -> Result<(), Box<dyn Error>> {
     }
 
     // The one wait: for the EPE that finishes the run — after however
-    // many respawns and journal replays — to say so. Until then this rank
+    // many respawns and replays — to say so. Until then this rank
     // is alive, not done.
     let done_by = Instant::now() + Duration::from_secs(60);
     while !node.done() {

@@ -11,10 +11,10 @@
 //!
 //! A `write` is one shared-memory reservation, one `memcpy`, one
 //! notification — nothing else; the client returns to computation
-//! immediately. The dedicated core journals the event when it takes it
-//! ([`crate::server::DedicatedCore::admit`]), and the one checksum a
-//! payload gets is the one the SDF index stores, taken by the core as it
-//! writes the dataset. A rank killed mid-copy never posts its notice, so
+//! immediately. The notice is the only record of the event: its slot
+//! stays the dedicated core's until the core is done with it, and the one
+//! checksum a payload gets is the one the SDF index stores, taken by the
+//! core as it writes the dataset. A rank killed mid-copy never posts its notice, so
 //! the core never reads a torn segment: what the rank leaves is a
 //! reservation no notice names, as after a kill at `alloc`.
 //!
@@ -47,7 +47,7 @@ use damaris_shm::sync::{Arc, AtomicU64, CachePadded, Ordering};
 use damaris_shm::{AllocError, Notice, Segment};
 use std::time::{Duration, Instant};
 #[cfg(unix)]
-use {crate::config::Config, crate::journal::EventJournal, damaris_shm::MappedNode};
+use {crate::config::Config, damaris_shm::MappedNode};
 
 /// How long the lossy policies (`drop`, `sync-fallback`) still wait for
 /// space before giving up on shared memory — long enough to ride out a
@@ -158,8 +158,7 @@ impl DamarisClient {
         let backend = damaris_fs::LocalDirBackend::new(output_dir)
             .map_err(|e| DamarisError::Storage(damaris_format::SdfError::Io(e)))?;
         node.register(rank as usize, damaris_shm::this_pid());
-        let journal = EventJournal::new();
-        let shared = NodeShared::new(config, node, Arc::new(backend), 0, journal);
+        let shared = NodeShared::new(config, node, Arc::new(backend), 0);
         Ok(DamarisClient::new(rank, Arc::new(shared)))
     }
 

@@ -183,7 +183,8 @@ pub struct ResilienceConfig {
     /// torn `*.sdf`) before serving.
     pub recovery_scan: bool,
     /// How many times a crashed dedicated-core thread is respawned (each
-    /// respawn bumps the heartbeat epoch and replays the event journal).
+    /// respawn bumps the heartbeat epoch and replays the notices the dead
+    /// core took and did not apply).
     /// 0 = no supervision beyond the crash surfacing at `finish` — the
     /// pre-recovery behaviour, and the default.
     pub epe_respawn: u32,

@@ -7,12 +7,10 @@
 //! zero-copy transfer sound (the client's writes happen-before the
 //! server's reads).
 //!
-//! The dedicated core journals each event as it takes it
-//! ([`crate::server::DedicatedCore::admit`], which journals the event's
-//! [`record`](Event::record)), so a restarted core can replay what the
-//! dead one took and never finished.
+//! A client's notice stays in its slot until the dedicated core is done
+//! with it, so a restarted core reads again what the dead one took and
+//! never finished ([`crate::server::DedicatedCore::replay`]).
 
-use crate::journal::JournalPayload;
 use damaris_shm::Segment;
 
 /// One message to the dedicated core.
@@ -55,52 +53,14 @@ pub enum Event {
 }
 
 impl Event {
-    /// The journal record of this event — its segment by the coordinates
-    /// of its reservation ([`Segment::reservation`]).
-    pub(crate) fn record(&self) -> JournalPayload {
-        match self {
-            Event::Write {
-                variable_id,
-                iteration,
-                source,
-                segment,
-                dynamic_layout,
-            } => {
-                let (offset, len) = segment.reservation();
-                JournalPayload::Write {
-                    variable_id: *variable_id,
-                    iteration: *iteration,
-                    source: *source,
-                    offset,
-                    len,
-                    dynamic_layout: dynamic_layout.clone(),
-                }
-            }
-            Event::User {
-                name,
-                iteration,
-                source,
-            } => JournalPayload::User {
-                name: name.clone(),
-                iteration: *iteration,
-                source: *source,
-            },
-            &Event::EndIteration { iteration, source } => {
-                JournalPayload::EndIteration { iteration, source }
-            }
-            Event::Abandon {
-                iteration,
-                source,
-                segment,
-            } => {
-                let (offset, len) = segment.reservation();
-                JournalPayload::Abandon {
-                    iteration: *iteration,
-                    source: *source,
-                    offset,
-                    len,
-                }
-            }
+    /// The client that sent it ([`crate::server::SERVER_SOURCE`] for an
+    /// injected event).
+    pub fn source(&self) -> u32 {
+        match *self {
+            Event::Write { source, .. }
+            | Event::User { source, .. }
+            | Event::EndIteration { source, .. }
+            | Event::Abandon { source, .. } => source,
         }
     }
 }
@@ -110,17 +70,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records() {
-        let e = Event::EndIteration {
+    fn every_kind_names_its_source() {
+        let end = Event::EndIteration {
             iteration: 4,
             source: 2,
         };
-        assert_eq!(
-            e.record(),
-            JournalPayload::EndIteration {
-                iteration: 4,
-                source: 2
-            }
-        );
+        let user = Event::User {
+            name: "snap".into(),
+            iteration: 0,
+            source: u32::MAX,
+        };
+        assert_eq!((end.source(), user.source()), (2, u32::MAX));
     }
 }

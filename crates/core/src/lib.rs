@@ -78,7 +78,7 @@ pub use config::{
 };
 pub use error::DamarisError;
 pub use event::Event;
-pub use journal::{Claim, EventJournal, JournalPayload, RecordState};
+pub use journal::EventJournal;
 pub use layout::LayoutDef;
 pub use metadata::{MetadataStore, StoredVariable, VariableKey};
 pub use multinode::{AnalysisReport, SmpNode, SmpNodeReport, Topology};

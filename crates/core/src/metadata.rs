@@ -25,11 +25,11 @@ pub struct StoredVariable {
     pub name: String,
     pub layout: Layout,
     pub segment: Segment,
-    /// The write-notification's journal sequence number: the record to
-    /// mark applied when the segment is released. (Release order is the
-    /// segment's ring position, not this: a zero-copy region may be
+    /// The position of the write's notice in its client's notice ring:
+    /// the notice to apply when the segment is released. (Release order is
+    /// the segment's ring position, not this: a zero-copy region may be
     /// committed out of allocation order.)
-    pub seq: u64,
+    pub notice: u64,
 }
 
 impl StoredVariable {
@@ -67,8 +67,8 @@ impl MetadataStore {
     }
 
     /// Records a received variable. A duplicate tuple replaces the earlier
-    /// entry and returns it (caller releases its segment and retires its
-    /// journal record).
+    /// entry and returns it (caller releases its segment and applies its
+    /// notice).
     pub fn insert(&mut self, var: StoredVariable) -> Option<StoredVariable> {
         self.bytes_resident += var.segment.len();
         let prev = self.entries.insert(var.key, var);
@@ -167,7 +167,7 @@ mod tests {
             name: format!("var-{var}"),
             layout: Layout::new(DataType::F64, &[1]),
             segment: seg,
-            seq: u64::from(it) * 100 + u64::from(src),
+            notice: u64::from(it) * 100 + u64::from(src),
         }
     }
 

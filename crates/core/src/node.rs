@@ -7,10 +7,10 @@
 //!
 //! The dedicated core runs under a supervisor thread. With `<resilience
 //! epe_respawn="N">` a crashed server thread (error or panic) is respawned
-//! up to N times: each incarnation gets a new heartbeat epoch, replays the
-//! event journal (see [`crate::journal`]), re-adopts the shared-memory
-//! segments the dead incarnation held, and resumes draining the same
-//! notice rings. With the default `epe_respawn="0"` the crash simply
+//! up to N times: each incarnation gets a new heartbeat epoch, replays
+//! what the dead one took from the notice rings and did not finish (see
+//! [`crate::server`]), re-adopting the shared-memory segments it held,
+//! and resumes draining the same rings. With the default `epe_respawn="0"` the crash simply
 //! surfaces at [`NodeRuntime::finish`], as before.
 
 use crate::client::DamarisClient;
@@ -18,7 +18,6 @@ use crate::config::Config;
 use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::EventJournal;
 use crate::names::NameIndex;
 use crate::plugin::PluginFactory;
 use crate::server;
@@ -179,7 +178,7 @@ pub(crate) type Injected = (Event, Vec<u64>);
 ///
 /// Mostly read-mostly words. The ones written per call or per event live
 /// in the node's layout, each writer's on lines of its own (DESIGN.md §8,
-/// "Who writes which line"); the journal's lock is padded where it lives.
+/// "Who writes which line").
 pub(crate) struct NodeShared {
     pub config: Config,
     /// `config`'s variables by name, built once at start: what a by-name
@@ -203,10 +202,6 @@ pub(crate) struct NodeShared {
     pub metrics: Arc<Registry>,
     /// Trace rings + recorder plumbing (see [`NodeObs`]).
     pub obs: NodeObs,
-    /// Write-ahead journal of every client notification, written by the
-    /// dedicated core as it takes each one; outlives server incarnations,
-    /// driving replay after a crash.
-    pub journal: EventJournal,
     /// User events from no client, which the threaded core takes once per
     /// pass; it locks this every pass, so it has a block of its own.
     pub control: CachePadded<Mutex<Vec<Injected>>>,
@@ -221,16 +216,13 @@ pub(crate) struct NodeShared {
 
 impl NodeShared {
     /// A node's shared state over `node`, with nothing running on it yet.
-    /// `journal` is fresh ([`EventJournal::new`]) for a threaded node, and
-    /// comes from [`EventJournal::open`] for a process node: what a
-    /// dedicated core built over it needs to survive its own death is then
-    /// all outside the process.
+    /// Everything a dedicated core built over it needs to survive its own
+    /// death is in `node`: over a mapping, outside the process.
     pub(crate) fn new(
         config: Config,
         node: MappedNode,
         backend: Arc<dyn StorageBackend>,
         node_id: u32,
-        journal: EventJournal,
     ) -> NodeShared {
         let metrics = Arc::new(Registry::new());
         let clients = node.n_clients();
@@ -243,7 +235,6 @@ impl NodeShared {
             stats: FaultStats::new(&metrics),
             metrics,
             obs: NodeObs::new(&config.observability, clients),
-            journal,
             control: CachePadded::new(Mutex::new(Vec::new())),
             finishing: AtomicBool::new(false),
             pressure: crate::pressure::PressureMachine::new(),
@@ -334,7 +325,7 @@ impl NodeShared {
                     return None;
                 }
                 // The stored view is the payload, but what it releases and
-                // journals is the whole reservation: an empty payload ends
+                // names is the whole reservation: an empty payload ends
                 // where the reservation does, maybe at the ring's end.
                 segment.skip(header);
                 Event::Write {
@@ -445,10 +436,12 @@ pub struct NodeReport {
     /// Dedicated-core crashes recovered by the supervisor.
     /// metric: node.epe_respawns
     pub epe_respawns: u64,
-    /// Journal records replayed by respawned server incarnations.
+    /// Notices a respawned dedicated core read again from its clients'
+    /// rings — taken by a dead incarnation and not finished — and applied.
     /// metric: node.events_replayed
     pub events_replayed: u64,
-    /// Stale queue events rejected by claim arbitration after a replay.
+    /// Notices refused: not believable, from a fenced client, a second end
+    /// of one iteration, or naming a range another notice had named.
     /// metric: node.stale_events_rejected
     pub stale_events_rejected: u64,
     /// Times a client observed the heartbeat stale and degraded.
@@ -660,8 +653,7 @@ impl NodeRuntime {
         let epe = EventProcessingEngine::build(&config, &extra_plugins)?;
         let node = MappedNode::heap(n_clients, config.buffer_size, config.queue_capacity)
             .map_err(|e| DamarisError::Config(format!("<buffer>: {e}")))?;
-        let journal = EventJournal::new();
-        let shared = Arc::new(NodeShared::new(config, node, backend, node_id, journal));
+        let shared = Arc::new(NodeShared::new(config, node, backend, node_id));
         if shared.config.resilience.recovery_scan {
             // Crash recovery before serving: anything a previous run (or a
             // previous fault) left half-written is removed or quarantined
@@ -912,7 +904,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("damaris-node-{tag}-{}", std::process::id()));
         let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
         let node = MappedNode::heap(CLIENTS, 65536, 1024).unwrap();
-        let shared = NodeShared::new(config(), node, backend, 0, EventJournal::new());
+        let shared = NodeShared::new(config(), node, backend, 0);
         (Arc::new(shared), dir)
     }
 
@@ -929,8 +921,7 @@ mod tests {
     fn rank_over_mapping(tag: &str) -> (Arc<NodeShared>, DamarisClient, MappedNode, PathBuf) {
         let (node, path) = mapping(tag);
         let backend = Arc::new(LocalDirBackend::new(path.with_extension("out")).unwrap());
-        let journal = EventJournal::new();
-        let shared = NodeShared::new(config(), node.clone(), backend, 0, journal);
+        let shared = NodeShared::new(config(), node.clone(), backend, 0);
         let shared = Arc::new(shared);
         let client = DamarisClient::new(1, Arc::clone(&shared));
         (shared, client, node, path)
@@ -947,13 +938,9 @@ mod tests {
         fn addr<T>(word: &T) -> usize {
             word as *const T as usize
         }
-        // (word, writer): every client word has one writer. No journal
-        // word is among them: the core journals what it takes.
+        // (word, writer): every client word has one writer.
         let mut client = Vec::new();
-        let mut core = vec![
-            ("journal", addr(&shared.journal)),
-            ("heartbeat", addr(shared.heartbeat())),
-        ];
+        let mut core = vec![("heartbeat", addr(shared.heartbeat()))];
         for c in 0..CLIENTS {
             let (ring, notices) = (shared.node.ring(c), shared.node.notices(c));
             client.push(("lease", c, addr(shared.lease(c).unwrap())));
@@ -962,6 +949,8 @@ mod tests {
             client.push(("notice head", c, addr(notices.head)));
             core.push(("ring tail", addr(ring.tail)));
             core.push(("notice tail", addr(notices.tail)));
+            core.push(("applied", addr(notices.applied)));
+            core.push(("ended", addr(shared.node.ended(c))));
         }
         let block = |addr: usize| addr / 128;
         for &(word, writer, at) in &client {
@@ -1022,7 +1011,7 @@ mod tests {
         let ring = node.notices(1);
         let take = || {
             let words = ring.peek()?;
-            ring.advance();
+            ring.apply(ring.advance());
             Notice::decode(words)
         };
         // Where a notice says the bytes are, they are.
@@ -1208,8 +1197,7 @@ mod tests {
 
         let out = path.with_extension("out");
         let backend = Arc::new(LocalDirBackend::new(&out).unwrap());
-        let journal = EventJournal::new();
-        let core_shared = Arc::new(NodeShared::new(config(), node.clone(), backend, 0, journal));
+        let core_shared = Arc::new(NodeShared::new(config(), node.clone(), backend, 0));
         let fired = Arc::new(damaris_shm::sync::AtomicU64::new(0));
         let epe = EventProcessingEngine::build(&core_shared.config, &[mark(&fired)]).unwrap();
         let mut core = server::DedicatedCore::new(core_shared, epe, 0);
@@ -1241,7 +1229,8 @@ mod tests {
         let core = node.clone();
         let respawn = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
-            core.notices(1).advance();
+            let ring = core.notices(1);
+            ring.apply(ring.advance());
             core.heartbeat().begin_epoch(1);
         });
         client.end_iteration(4).unwrap();

@@ -11,7 +11,6 @@
 
 use crate::config::{ActionBinding, Config};
 use crate::error::DamarisError;
-use crate::journal::EventJournal;
 use crate::metadata::MetadataStore;
 use crate::metadata::StoredVariable;
 use crate::node::FaultStats;
@@ -35,10 +34,10 @@ pub struct EventInfo {
 
 /// An iteration whose file is written under its temporary name but not
 /// yet committed: the open writer, and the variables it was written from.
-/// Their segments and journal records are held until the rename is
-/// durable — a core that dies with iterations parked leaves only `.tmp`
-/// files behind, and its successor re-adopts the segments and persists
-/// them again. Dropping one releases nothing and publishes nothing.
+/// Their segments and notices are held until the rename is durable — a
+/// core that dies with iterations parked leaves only `.tmp` files behind,
+/// and its successor re-adopts the segments and persists them again.
+/// Dropping one releases nothing and publishes nothing.
 pub(crate) struct Parked {
     pub iteration: u32,
     /// Final name, relative to the backend's root.
@@ -76,15 +75,13 @@ pub struct ActionContext<'a> {
     /// The node's metrics registry, for what a plugin measures itself
     /// rather than through a trace span (`phase.filter_encode_ns`).
     pub(crate) metrics: &'a damaris_obs::Registry,
-    /// Write-ahead journal; releases retire the matching records.
-    pub(crate) journal: &'a EventJournal,
     /// The node's storage-pressure machine: persisting plugins flag
     /// permanent out-of-space errors here so the next loop pass escalates
     /// instead of the retry loop spinning on `ENOSPC`.
     pub(crate) pressure: &'a crate::pressure::PressureMachine,
-    /// Segments to release, as `(source, seq, segment)`; flushed by the
+    /// Segments to release, as `(source, notice, segment)`; flushed by the
     /// server after the action completes, in allocation order per source
-    /// (each source's ring releases FIFO).
+    /// (each source's ring releases FIFO), each applying its notice.
     pub(crate) pending_release: &'a mut Vec<(u32, u64, Segment)>,
     /// Iterations written but not committed, in fire order; the persist
     /// plugin parks them here and commits them when the rings go quiet
@@ -106,25 +103,28 @@ impl ActionContext<'_> {
     /// Releases everything a drained iteration produced.
     pub fn release_all(&mut self, drained: Vec<crate::metadata::StoredVariable>) {
         for v in drained {
-            self.pending_release.push((v.key.source, v.seq, v.segment));
+            self.pending_release
+                .push((v.key.source, v.notice, v.segment));
         }
     }
 
     pub(crate) fn flush_releases(&mut self) {
         // FIFO per source: sort by (source, ring position) then release in
-        // order. Not by seq — that is notification order, and a client
+        // order. Not by notice — that is notification order, and a client
         // may commit or drop its zero-copy regions in another order than
-        // it allocated them. The journal record is marked applied *before*
-        // the segment goes back to the allocator: a crash between the two
-        // strands one segment's bytes (bounded loss), while the reverse
-        // order would let a replay re-adopt a segment the allocator
-        // already reissued.
+        // it allocated them. The notice is applied *before* the segment
+        // goes back to its ring: a crash between the two strands one
+        // segment's bytes (the client's next FIFO release swallows them),
+        // while the reverse order would let a replay re-adopt a range the
+        // client already reused. A range two notices named — one forged —
+        // goes back once; the other is counted stale.
         self.pending_release
             .sort_by_key(|(src, _, segment)| (*src, segment.position()));
-        for (source, seq, segment) in self.pending_release.drain(..) {
-            self.journal.mark_applied(seq);
-            let (offset, len) = segment.reservation();
-            self.node.release(source as usize, offset, len);
+        for (source, notice, segment) in self.pending_release.drain(..) {
+            self.node.notices(source as usize).apply(notice);
+            if !self.node.release_segment(source as usize, &segment) {
+                FaultStats::bump(&self.stats.stale_events_rejected);
+            }
         }
     }
 }

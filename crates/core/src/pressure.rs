@@ -23,7 +23,7 @@
 //! * **ReadOnly** — the quota is exhausted. New iterations are *shed*
 //!   according to `<resilience on_disk_full=…>` (`block` holds them
 //!   resident, `drop-iteration` discards them, `partial` lets persist fail
-//!   fast); leases, heartbeats, the journal, and the query tier keep
+//!   fast); leases, heartbeats, the notice rings, and the query tier keep
 //!   serving throughout.
 //! * The descent is mirrored by a re-ascent: when space returns (files
 //!   gc'd, quota raised by an operator or a chaos scenario), the node steps

@@ -8,12 +8,11 @@
 //!    dead prior runs ([`damaris_shm::scan_orphans`]); build the node's
 //!    configuration; create the mapping (first incarnation, a notice ring
 //!    per client sized from the configuration's event queue) or re-adopt
-//!    it (respawn); publish the heartbeat epoch; open the journal's file
-//!    ([`EventJournal::open`]) and fence in it every rank whose lease reads
-//!    revoked; build the node's shared state over the mapping (first
-//!    boot: wait for every rank to register its pid); build the core over
-//!    the shared state, tell it what its predecessors retired, and replay
-//!    (respawn).
+//!    it (respawn); publish the heartbeat epoch; build the node's shared
+//!    state over the mapping (first boot: wait for every rank to register
+//!    its pid); build the core over the shared state — it reads its
+//!    fences from the lease words — and replay (respawn): the notice
+//!    rings hold all a predecessor left undone.
 //! 2. **The loop.** Each pass beats and stamps the mapped heartbeat, runs
 //!    the core's drain pass over every client's notice ring and its
 //!    `idle` pass, and on a pass that read no notice its `quiet` pass —
@@ -23,21 +22,20 @@
 //!    word the clients wait for, and the report file the launcher reads.
 //!
 //! Everything a payload byte meets between a client's notice and the
-//! disk — validation, dedup, iteration completion, the lease sweep,
+//! disk — validation, iteration completion, the lease sweep,
 //! failure policies, persist retry, group commit, `MANIFEST` publish, the
 //! plugin pipeline, spans — is the core's and is not repeated here.
 //!
 //! The mid-drain kill (`DAMARIS_KILL_EPE_AFTER`) raises `SIGKILL` right
-//! after the core admitted a write — its record durable — and before the
-//! notice leaves its ring and the core handles it: the worst spot, the
-//! next incarnation must recover the write from the journal file and the
-//! mapping alone.
+//! after the core took a write — its ring's `tail` past it — and before
+//! the core handles it: the worst spot, the next incarnation must recover
+//! the write from the mapping alone, as the notice in `[applied, tail)`
+//! that it names.
 
 use crate::config::OnClientFailure;
 use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::EventJournal;
 use crate::node::{NodeReport, NodeShared};
 use crate::server::DedicatedCore;
 use damaris_fs::LocalDirBackend;
@@ -50,7 +48,7 @@ use std::time::{Duration, Instant};
 /// Everything one EPE incarnation needs to run.
 #[derive(Debug, Clone)]
 pub struct EpeOptions {
-    /// Run directory: mapping, journal, reports, and `out/` live here.
+    /// Run directory: mapping, reports, and `out/` live here.
     pub dir: PathBuf,
     /// Number of client ranks.
     pub n_clients: usize,
@@ -68,8 +66,8 @@ pub struct EpeOptions {
     pub policy: OnClientFailure,
     /// Lease staleness bound.
     pub lease_timeout: Duration,
-    /// Chaos: raise `SIGKILL` on ourselves after draining this many
-    /// commits (mid-drain, record durable, nothing applied).
+    /// Chaos: raise `SIGKILL` on ourselves after taking this many writes
+    /// (mid-drain, the last one taken and not handled).
     pub kill_after_commits: Option<u64>,
 }
 
@@ -146,7 +144,6 @@ fn core_err(e: DamarisError) -> io::Error {
 pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     std::fs::create_dir_all(&opts.dir)?;
     let mapping_path = opts.dir.join(super::MAPPING_FILE);
-    let journal_path = opts.dir.join(super::JOURNAL_FILE);
 
     // Orphan sweep. A mapping is stale once its heartbeat stamp is
     // several lease windows old; our own file (respawn) is kept.
@@ -169,13 +166,8 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
             node
         }
         // First boot — or the mapping vanished with the machine state
-        // (tmpfs cleared under us). A fresh mapping has nothing a journal
-        // could describe: the two begin together.
+        // (tmpfs cleared under us), and with it all there was to replay.
         None => {
-            match std::fs::remove_file(&journal_path) {
-                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-                _ => {}
-            }
             let (clients, queue) = (opts.n_clients, config.queue_capacity);
             MappedNode::create(&mapping_path, clients, opts.data_capacity, queue)?
         }
@@ -185,17 +177,9 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     node.heartbeat().begin_epoch(opts.epoch + 1);
     beat(&node);
 
-    // Fences survive the core: a predecessor killed between revoking a
-    // lease and fencing its source left a rank the sweeper can neither
-    // renew nor revoke. Fenced here, replay cancels what it journalled.
-    let (journal, history) = EventJournal::open(&journal_path)?;
-    for rank in (0..opts.n_clients).filter(|&c| node.lease(c).is_revoked()) {
-        journal.fence(rank as u32);
-    }
-
     let backend = Arc::new(LocalDirBackend::new(opts.dir.join(super::OUT_DIR))?);
     let engine = EventProcessingEngine::build(&config, &[]).map_err(core_err)?;
-    let shared = NodeShared::new(config, node.clone(), backend, 0, journal);
+    let shared = NodeShared::new(config, node.clone(), backend, 0);
     let shared = Arc::new(shared);
     // What the dead incarnation left half-written goes before anything
     // new is written beside it (as `NodeRuntime` does at start).
@@ -219,7 +203,6 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         }
     }
     let mut core = DedicatedCore::new(Arc::clone(&shared), engine, opts.epoch);
-    core.recall(&history);
     if opts.epoch > 0 {
         core.replay().map_err(core_err)?;
     }
@@ -233,7 +216,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
             continue;
         }
         core.quiet().map_err(core_err)?;
-        if pump.done(&core) {
+        if pump.done() {
             break;
         }
         core.waiting();
@@ -259,7 +242,7 @@ struct Pump<'a> {
     /// sweeper, a rank whose process is gone is settled only once its word
     /// has been still for a lease timeout, as a sweeper would require.
     lease_seen: Vec<(LeaseSnapshot, Instant)>,
-    /// Commits accepted by this incarnation (the chaos kill counts them).
+    /// Writes taken by this incarnation (the chaos kill counts them).
     commits: u64,
 }
 
@@ -276,15 +259,16 @@ impl<'a> Pump<'a> {
         }
     }
 
-    /// Whether the run has nothing more to expect of `rank`: its last end
-    /// of iteration was taken, or it is fenced, or — only when no sweeper
-    /// runs to fence it — its process is gone and its lease word has been
-    /// still for one lease timeout (a word that never moved is a rank not
+    /// Whether the run has nothing more to expect of `rank`: a core took
+    /// its end of the last iteration (the mapped `ended` word, which
+    /// outlives the core), or it is fenced, or — only when no sweeper runs
+    /// to fence it — its process is gone and its lease word has been still
+    /// for one lease timeout (a word that never moved is a rank not
     /// started).
-    fn settled(&self, core: &DedicatedCore, rank: usize) -> bool {
+    fn settled(&self, rank: usize) -> bool {
         let (seen, since) = self.lease_seen[rank];
-        let last = self.opts.iterations.saturating_sub(1);
-        core.ended(rank as u32, last)
+        // Relaxed: a count that publishes nothing.
+        self.node.ended(rank).load(Ordering::Relaxed) >= u64::from(self.opts.iterations)
             || self.node.lease(rank).is_revoked()
             || (self.opts.policy == OnClientFailure::Wait
                 && !pid_alive(self.node.client_pid(rank))
@@ -293,9 +277,9 @@ impl<'a> Pump<'a> {
     }
 
     /// Notes which lease words moved since the last look (what `settled`
-    /// goes by); then, whether `core` retired all `iterations`, or every
-    /// rank is settled.
-    fn done(&mut self, core: &DedicatedCore) -> bool {
+    /// goes by); then, whether every rank is settled. The core retires an
+    /// iteration only once every rank ended it or is fenced.
+    fn done(&mut self) -> bool {
         let now = Instant::now();
         for (rank, seen) in self.lease_seen.iter_mut().enumerate() {
             let snapshot = self.node.lease(rank).snapshot();
@@ -303,18 +287,17 @@ impl<'a> Pump<'a> {
                 *seen = (snapshot, now);
             }
         }
-        (0..self.opts.iterations).all(|it| core.is_retired(it))
-            || (0..self.opts.n_clients).all(|rank| self.settled(core, rank))
+        (0..self.opts.n_clients).all(|rank| self.settled(rank))
     }
 
-    /// What the core admitted, before it leaves its ring.
+    /// What the core took, before it handles it.
     fn admitted(&mut self, core: &DedicatedCore, event: &Event) {
         if let Event::Write { .. } = event {
             self.commits += 1;
             if Some(self.commits) == self.opts.kill_after_commits {
-                // Chaos: die mid-drain. The record is durable; the notice
-                // is still on its ring; the core has not heard of it. The
-                // report is what it would have returned.
+                // Chaos: die mid-drain. The notice is taken and not
+                // applied: its slot still holds it; the core has not acted
+                // on it. The report is what it would have returned.
                 let dying = EpeReport {
                     epoch: self.opts.epoch,
                     node: core.report(),
@@ -329,11 +312,9 @@ impl<'a> Pump<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::JournalPayload;
     use crate::proc::{node_config, payload_for};
     use crate::DamarisClient;
     use damaris_shm::Notice;
-    use std::collections::BTreeSet;
 
     /// The options of a one-iteration run of one 64-byte variable by two
     /// ranks in `dir`, under `wait`.
@@ -404,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn forged_commits_are_rejected_counted_and_never_journalled() {
+    fn forged_notices_are_refused_counted_and_applied_at_once() {
         let dir = std::env::temp_dir().join(format!("damaris-pump-forged-{}", std::process::id()));
         let opts = small_run(&dir);
         let epe = std::thread::spawn(move || run_epe(&opts));
@@ -481,17 +462,13 @@ mod tests {
         assert_eq!(report.user_events, 0);
         assert_eq!(report.iterations_persisted, 1);
         assert_eq!(node.total_in_use(), 0);
-        // Nothing of the lies reached the journal.
-        let (_, history) = EventJournal::open(&dir.join(crate::proc::JOURNAL_FILE)).unwrap();
-        let writes = history.iter().filter_map(|entry| match entry.payload {
-            JournalPayload::Write { source, offset, .. } => Some((source, offset as u64)),
-            _ => None,
-        });
-        assert_eq!(
-            writes.collect::<BTreeSet<_>>(),
-            BTreeSet::from([(0, mine), (1, theirs)])
-        );
-        assert_eq!(history.len(), 4);
+        // Every notice, lie or truth, was applied: nothing is left for a
+        // successor to replay, and every slot is free again.
+        for rank in 0..2 {
+            let ring = node.notices(rank);
+            assert_eq!(ring.unapplied().len(), 0);
+            assert_eq!(ring.applied.load(Ordering::Relaxed), ring.posted());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,8 +12,8 @@
 //! When the EPE exits on a signal, the supervisor respawns it with a
 //! bumped epoch (and without the kill environment, so one configured
 //! kill fires once). The respawned process re-opens the mapping, replays
-//! the journal, drains the clients' notice rings from where the dead one
-//! stopped, and finishes the run. The clients never notice.
+//! what the dead one took from the clients' notice rings and did not
+//! apply, drains them from where it stopped, and finishes the run. The clients never notice.
 //!
 //! After every child has exited the launcher opens the mapping one last
 //! time and sums the per-client rings: **zero bytes still reserved** is
@@ -36,7 +36,7 @@ pub struct LaunchPlan {
     /// The role-dispatching binary to re-exec (usually
     /// `std::env::current_exe()`).
     pub exe: PathBuf,
-    /// Run directory (mapping, journal, reports, `out/`).
+    /// Run directory (mapping, reports, `out/`).
     pub dir: PathBuf,
     /// Client process count (total processes = this + 1 EPE).
     pub n_clients: usize,
@@ -193,7 +193,7 @@ pub fn launch(plan: &LaunchPlan) -> io::Result<LaunchReport> {
                     epe = None;
                 } else if status.signal().is_some() && report.epe_respawns < plan.max_epe_respawns {
                     // The dedicated core died hard. Its memory is gone;
-                    // the mapping, journal, and leases are not. Respawn.
+                    // the mapping, its rings and leases are not. Respawn.
                     report.epe_respawns += 1;
                     epoch += 1;
                     epe = Some(spawn_epe(plan, epoch)?);
@@ -268,7 +268,7 @@ pub fn launch(plan: &LaunchPlan) -> io::Result<LaunchReport> {
         report.sdf_files.sort();
     }
 
-    // The mapping is a per-run artifact; the journal, reports, and SDF
+    // The mapping is a per-run artifact; the reports and SDF
     // output stay for inspection.
     let _ = std::fs::remove_file(&mapping_path);
 

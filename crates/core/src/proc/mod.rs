@@ -8,8 +8,9 @@
 //! else: no socket, no pipe.
 //!
 //! * [`run_epe`] — the dedicated-core process: creates (or, respawned,
-//!   re-adopts) the `/dev/shm` mapping, sweeps orphans, opens the
-//!   journal's file, and runs a [`crate::server`] core over the mapping.
+//!   re-adopts) the `/dev/shm` mapping, sweeps orphans, and runs a
+//!   [`crate::server`] core over the mapping, which holds all a respawned
+//!   core replays.
 //! * A compute-core process holds the one client API,
 //!   [`crate::DamarisClient::over_mapping`], whose notices sit in its own
 //!   ring — which outlives an EPE death, so nothing is said again to the
@@ -26,7 +27,8 @@
 //! commit) — a real uncatchable kill, placed deterministically.
 //! `DAMARIS_KILL_RANK`, `DAMARIS_KILL_PHASE` (`alloc|memcpy|postcommit`),
 //! `DAMARIS_KILL_ITER` select the client kill; `DAMARIS_KILL_EPE_AFTER`
-//! kills the EPE after draining that many commits (mid-drain). A kill
+//! kills the EPE right after it took that many writes, before it handles
+//! the last (mid-drain). A kill
 //! variable that is set but malformed fails the process that reads it.
 
 pub mod epe;
@@ -51,7 +53,7 @@ pub const ENV_KILL_RANK: &str = "DAMARIS_KILL_RANK";
 pub const ENV_KILL_PHASE: &str = "DAMARIS_KILL_PHASE";
 /// Iteration at which the victim rank kills itself.
 pub const ENV_KILL_ITER: &str = "DAMARIS_KILL_ITER";
-/// Commits the EPE drains before killing itself mid-drain.
+/// Writes the EPE takes before killing itself mid-drain.
 pub const ENV_KILL_EPE_AFTER: &str = "DAMARIS_KILL_EPE_AFTER";
 /// Run directory shared by every process of a supervised run.
 pub const ENV_DIR: &str = "DAMARIS_PROC_DIR";
@@ -114,8 +116,6 @@ impl ClientKillSpec {
 /// Name of the node's mapping file inside the run directory. The GC
 /// sweep matches on the `damaris-node` prefix.
 pub const MAPPING_FILE: &str = "damaris-node.shm";
-/// Name of the event journal's file inside the run directory.
-pub const JOURNAL_FILE: &str = "epe.journal";
 /// Subdirectory the node's output (`MANIFEST`, `node-0/iter-*.sdf`)
 /// lands in.
 pub const OUT_DIR: &str = "out";

@@ -8,7 +8,7 @@
 //! which is the whole point (§III).
 //!
 //! The core is one value, [`DedicatedCore`]: [`replay`](DedicatedCore::replay)
-//! rebuilds a dead predecessor's state from the journal,
+//! rebuilds a dead predecessor's state from the notice rings,
 //! [`drain`](DedicatedCore::drain) is one pass over every client's notice
 //! ring (peek → validate → admit → advance → handle), [`idle`](DedicatedCore::idle)
 //! the pressure → sweep → fire → reclaim → beat pass after an end of
@@ -22,19 +22,23 @@
 //! # Crash recovery
 //!
 //! [`run`] runs under the node supervisor (see [`crate::node`]): each
-//! incarnation gets a heartbeat *epoch*. A respawned epoch first
-//! **replays** the write-ahead journal — re-adopting the segments the dead
-//! incarnation had resident, re-counting end-of-iteration notifications,
-//! firing still-pending user events — and only then publishes its epoch,
-//! so clients parked on a stale heartbeat resume against rebuilt state. A
-//! notice leaves its ring only once `admit` journalled it; the one a death
-//! catches between the two is read again and refused as [`Seen`].
+//! incarnation gets a heartbeat *epoch*. The notice ring is the log
+//! ([`damaris_shm::notice`]): taking a notice advances the ring's `tail`,
+//! and its slot stays the core's until the core *applies* it — a write or
+//! an abandoned region once its segment is released after commit, an end
+//! once its iteration retires (before the fire), a signal before its
+//! dispatch, a refused notice at once. A respawned epoch first
+//! **replays** what the dead one took and did not apply, `[applied,
+//! tail)` of every ring — re-adopting the segments it had resident,
+//! re-counting end-of-iteration notifications, firing signals it never
+//! dispatched — and only then publishes its epoch, so clients parked on a
+//! stale heartbeat resume against rebuilt state. What is at or past
+//! `tail` is news. A fence is the lease word's revoked bit.
 
 use crate::config::{OnClientFailure, OnDiskFull};
 use crate::epe::{EventProcessingEngine, END_OF_ITERATION};
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::{JournalPayload, RecordState, ReplayEntry};
 use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::plugin::{ActionContext, EventInfo, Parked};
@@ -42,7 +46,7 @@ use damaris_obs::{EventKind, Histogram, Recorder, TraceRecord, TraceWriter};
 use damaris_shm::ring::Reach;
 use damaris_shm::sync::{spin_loop, yield_now, Ordering};
 use damaris_shm::{LeaseSnapshot, Notice, Segment};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::BufWriter;
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,8 +71,8 @@ fn presence_bits(counted: &[(u32, u64)], clients: usize) -> Option<u64> {
     Some(counted.iter().fold(0u64, |bits, (s, _)| bits | (1u64 << s)))
 }
 
-/// The threaded node's dedicated core, incarnation `epoch` (nonzero: the
-/// journal replays); returns the node's accounting.
+/// The threaded node's dedicated core, incarnation `epoch` (nonzero: it
+/// replays); returns the node's accounting.
 pub(crate) fn run(
     shared: Arc<NodeShared>,
     epe: EventProcessingEngine,
@@ -88,71 +92,10 @@ pub(crate) fn run(
     Ok(core.finish())
 }
 
-/// What tells a notice read again after a core death (journalled, still
-/// on its ring) from news, within its iteration: a write's or an abandoned
-/// region's range by `(source, offset)` — taken twice, it would be
-/// released twice; a rewrite lands elsewhere, and a forged notice naming a
-/// taken range as another variable's or as abandoned is refused — and an
-/// end by its source — counted twice, the iteration would look partial.
-#[derive(Debug, PartialEq, Eq, Hash)]
-enum Seen {
-    Range(u32, usize),
-    End(u32),
-}
-
-impl Seen {
-    /// The iteration and identity of the notice `record` journals; `None`
-    /// for a user event, which has none (see [`DedicatedCore::drain`]).
-    fn of(record: &JournalPayload) -> Option<(u32, Seen)> {
-        Some(match *record {
-            JournalPayload::Write {
-                iteration,
-                source,
-                offset,
-                ..
-            }
-            | JournalPayload::Abandon {
-                iteration,
-                source,
-                offset,
-                ..
-            } => (iteration, Seen::Range(source, offset)),
-            JournalPayload::EndIteration { iteration, source } => (iteration, Seen::End(source)),
-            JournalPayload::User { .. } => return None,
-        })
-    }
-}
-
-/// Iterations retired, as runs of consecutive ones (first → last).
-#[derive(Debug, Default)]
-struct Retired(BTreeMap<u32, u32>);
-
-impl Retired {
-    fn contains(&self, iteration: u32) -> bool {
-        let run = self.0.range(..=iteration).next_back();
-        run.is_some_and(|(_, &last)| iteration <= last)
-    }
-
-    fn insert(&mut self, iteration: u32) {
-        if self.contains(iteration) {
-            return;
-        }
-        let first = match self.0.range(..iteration).next_back() {
-            Some((&first, &last)) if last + 1 == iteration => first,
-            _ => iteration,
-        };
-        let next = iteration.checked_add(1);
-        let last = next.and_then(|next| self.0.remove(&next));
-        self.0.insert(first, last.unwrap_or(iteration));
-    }
-}
-
 /// A segment the core must release without handing it to a plugin, as
-/// `(source, seq, segment)`: `seq` is the record to mark applied.
+/// `(source, notice, segment)`: `notice` is the position, in `source`'s
+/// notice ring, of the notice to apply when it is released.
 type Held = (u32, u64, Segment);
-
-/// An event taken from its source, with the record that journals it.
-type Taken = (Event, JournalPayload);
 
 /// How an iteration leaves the core (see [`DedicatedCore::retire`]).
 enum Outcome {
@@ -173,19 +116,18 @@ enum DropCause {
 }
 
 /// One incarnation of the dedicated core: everything the server knows
-/// that dies with it (the journal and the node's layout in [`NodeShared`]
-/// outlive it and let the next incarnation [`replay`](Self::replay)).
+/// that dies with it (the node's layout in [`NodeShared`] outlives it and
+/// lets the next incarnation [`replay`](Self::replay)).
 pub(crate) struct DedicatedCore {
     shared: Arc<NodeShared>,
     epe: EventProcessingEngine,
-    epoch: u32,
     store: MetadataStore,
-    /// End-notifications counted per iteration, as `(source, seq)` pairs:
-    /// the sources decide completion against the fenced set, and the seqnos
-    /// are marked applied when the iteration retires.
+    /// End-notifications counted per iteration, as `(source, notice)`
+    /// pairs: the sources decide completion against the fenced set, and
+    /// the notices are applied when the iteration retires.
     end_counts: HashMap<u32, Vec<(u32, u64)>>,
-    /// Fencing survives server crashes via the journal: a respawned epoch
-    /// starts from its predecessor's fenced set.
+    /// Clients whose lease was revoked. The lease words outlive the core:
+    /// a respawned epoch starts from its predecessor's fenced set.
     fenced: BTreeSet<u32>,
     /// Per-client `(last observation, expiry deadline)` on the backend's
     /// clock (virtual under test). The deadline refreshes whenever the
@@ -229,10 +171,6 @@ pub(crate) struct DedicatedCore {
     /// client stalls its iterations forever (the original Damaris contract).
     sweeper_on: bool,
     lease_timeout: Duration,
-    /// Iterations fired or dropped, here or by a predecessor.
-    retired: Retired,
-    /// Per unretired iteration, what was admitted of it.
-    seen: HashMap<u32, HashSet<Seen>>,
     /// Per client, its ring's words as this core last read them.
     reach: Vec<Reach>,
     /// Where the span of the wait for the next event starts.
@@ -252,11 +190,11 @@ impl DedicatedCore {
         let deadline = shared.backend.clock().now() + lease_timeout;
         let rec = shared.obs.server_recorder();
         DedicatedCore {
-            epoch,
             store: MetadataStore::new(),
             end_counts: HashMap::new(),
-            fenced: (0..shared.clients as u32)
-                .filter(|c| shared.journal.is_fenced(*c))
+            fenced: (0..shared.clients)
+                .filter(|&c| shared.node.lease(c).is_revoked())
+                .map(|c| c as u32)
                 .collect(),
             lease_track: (0..shared.clients)
                 .filter_map(|c| shared.lease(c))
@@ -275,8 +213,6 @@ impl DedicatedCore {
             policy,
             sweeper_on: policy != OnClientFailure::Wait && shared.clients > 0,
             lease_timeout,
-            retired: Retired::default(),
-            seen: HashMap::new(),
             reach: vec![Reach::default(); shared.clients],
             idle_from: None,
             report: NodeReport::default(),
@@ -285,181 +221,91 @@ impl DedicatedCore {
         }
     }
 
-    /// Journal replay: rebuilds the dead incarnation's state, then fires
-    /// the iterations the replayed notifications (or pre-crash fencing)
-    /// completed. Runs before the new epoch is published.
+    /// Replay: rebuilds the dead incarnation's state from what it took and
+    /// did not apply, `[applied, tail)` of each ring, then fires the
+    /// iterations the replayed ends (or pre-crash fencing) completed. Runs
+    /// before the new epoch is published, and before anything at or past
+    /// `tail` is taken. A replayed signal goes after every other replayed
+    /// notice: the dead core took them first.
     pub(crate) fn replay(&mut self) -> Result<(), DamarisError> {
-        let node_id = self.shared.node_id;
-        let (entries, corrupt) = self.shared.journal.replay_snapshot();
-        if corrupt > 0 {
-            eprintln!(
-                "[damaris node {node_id}] replay (epoch {}): skipped {corrupt} \
-                 CRC-corrupt journal record(s)",
-                self.epoch
-            );
-        }
-        for ReplayEntry {
-            seq,
-            state,
-            payload,
-        } in entries
-        {
-            // Its notice may still be on its ring.
-            if let Some((iteration, seen)) = Seen::of(&payload) {
-                self.seen.entry(iteration).or_default().insert(seen);
-            }
-            // A reopened journal's records are all pending: claim them,
-            // as `admit` claims what it journals.
-            let pending = state == RecordState::Pending;
-            if pending {
-                let _ = self.shared.journal.claim(seq);
-            }
-            // The dead epoch's sweeper fenced this client but may have
-            // crashed mid-cancel: finish the job. (An `Abandon` is already
-            // a cancellation and replays the same either way.)
-            if !matches!(payload, JournalPayload::Abandon { .. })
-                && self.fenced.contains(&payload.source())
-            {
-                self.cancel_fenced(seq, &payload);
-                continue;
-            }
-            match payload {
-                JournalPayload::Write {
-                    variable_id,
-                    iteration,
-                    source,
-                    offset,
-                    len,
-                    dynamic_layout,
-                } => {
-                    if self.shared.config.variable(variable_id).is_none() {
-                        self.shared.journal.mark_applied(seq);
-                        eprintln!(
-                            "[damaris node {node_id}] replay: unknown variable id \
-                             {variable_id} (seq {seq}); skipped"
-                        );
-                        continue;
-                    }
-                    // A dynamic write's record names its whole reservation:
-                    // the payload is what follows the shape header.
-                    let header = dynamic_layout
-                        .as_ref()
-                        .map_or(Some(0), |layout| crate::node::shape_len(layout.rank()));
-                    let adopted = header.filter(|&header| header <= len).and_then(|header| {
-                        let mut segment = self.shared.node.adopt(source as usize, offset, len)?;
-                        segment.skip(header);
-                        Some(segment)
-                    });
-                    let Some(segment) = adopted else {
-                        // Not adoptable: the dead server released it
-                        // between persisting and marking the record
-                        // applied. The data is already safe (or was
-                        // deliberately degraded) — retire the record.
-                        self.shared.journal.mark_applied(seq);
-                        eprintln!(
-                            "[damaris node {node_id}] replay: write seq {seq} \
-                             (src {source}, {len}B@{offset}) not adoptable; skipped"
-                        );
-                        continue;
-                    };
-                    FaultStats::bump(&self.shared.stats.events_replayed);
-                    let key = VariableKey {
-                        iteration,
-                        variable_id,
-                        source,
-                    };
-                    self.ingest_write(key, segment, dynamic_layout, seq)?;
+        let shared = Arc::clone(&self.shared);
+        let mut signals = Vec::new();
+        for rank in 0..shared.clients {
+            let ring = shared.node.notices(rank);
+            for (notice, words) in ring.unapplied() {
+                let reach = &mut self.reach[rank];
+                let event =
+                    Notice::decode(words).and_then(|n| shared.event_of(rank as u32, n, reach));
+                let Some(event) = event else {
+                    // Believed once; only a mapping changed under it says
+                    // otherwise now.
+                    ring.apply(notice);
+                    FaultStats::bump(&shared.stats.stale_events_rejected);
+                    continue;
+                };
+                if self.fenced.contains(&(rank as u32)) {
+                    // The dead epoch's sweeper fenced this client but may
+                    // have died mid-cancel: finish the job.
+                    self.cancel_fenced(notice, event);
+                    continue;
                 }
-                JournalPayload::EndIteration { iteration, source } => {
-                    FaultStats::bump(&self.shared.stats.events_replayed);
-                    self.end_counts
-                        .entry(iteration)
-                        .or_default()
-                        .push((source, seq));
-                }
-                JournalPayload::Abandon {
-                    iteration,
-                    source,
-                    offset,
-                    len,
-                } => {
-                    FaultStats::bump(&self.shared.stats.events_replayed);
-                    self.hold_journaled(iteration, source, seq, offset, len);
-                }
-                JournalPayload::User {
-                    name,
-                    iteration,
-                    source,
-                } => {
-                    self.shared.journal.mark_applied(seq);
-                    if !pending {
-                        // The dead epoch claimed it and may have run its
-                        // plugins: at-most-once forbids re-firing.
-                        continue;
-                    }
-                    FaultStats::bump(&self.shared.stats.events_replayed);
-                    self.report.user_events += 1;
-                    self.dispatch(name, iteration, source)?;
+                FaultStats::bump(&shared.stats.events_replayed);
+                match event {
+                    Event::User { .. } => signals.push((notice, event)),
+                    event => self.handle(notice, event)?,
                 }
             }
         }
-        self.fire_ready()?;
-        self.shared.journal.compact();
-        Ok(())
+        for (notice, event) in signals {
+            self.handle(notice, event)?;
+        }
+        self.fire_ready()
     }
 
-    /// Notes the iterations a predecessor retired, from the journal file's
-    /// history ([`crate::EventJournal::open`]): an applied end of an
-    /// unfenced source (a fenced one's are applied when cancelled).
-    pub(crate) fn recall(&mut self, history: &[ReplayEntry]) {
-        for entry in history {
-            if let JournalPayload::EndIteration { iteration, source } = entry.payload {
-                if entry.state == RecordState::Applied && !self.shared.journal.is_fenced(source) {
-                    self.retired.insert(iteration);
-                }
-            }
+    /// Applies the notice at position `notice` of `source`'s ring; a no-op
+    /// for an event from no ring.
+    fn apply(&self, source: u32, notice: u64) {
+        if (source as usize) < self.shared.clients {
+            self.shared.node.notices(source as usize).apply(notice);
         }
     }
 
-    /// Whether `iteration` left the core, or a predecessor.
-    pub(crate) fn is_retired(&self, iteration: u32) -> bool {
-        self.retired.contains(iteration)
-    }
-
-    /// Whether `source`'s end of `iteration` was counted, or the iteration
-    /// left the core.
-    pub(crate) fn ended(&self, source: u32, iteration: u32) -> bool {
-        let counted = self.end_counts.get(&iteration);
-        self.is_retired(iteration) || counted.is_some_and(|c| c.iter().any(|(s, _)| *s == source))
-    }
-
-    /// Journals one event's `record` as the core takes it from its source
-    /// and claims it: the sequence number to [`handle`](Self::handle) the
-    /// event under. `None` refuses it — the journal says its source is
-    /// fenced — and the caller drops it and counts it in
-    /// `stale_events_rejected`: a refused `Write` or `Abandon` leaves its
-    /// segment unreleased, for `reclaim_fenced`'s `revoke_remaining`.
-    pub(crate) fn admit(&mut self, record: JournalPayload) -> Option<u64> {
+    /// Whether the core takes an event of `source` it is about to handle:
+    /// not if `source` is fenced — the caller then applies its notice and
+    /// counts it in `stale_events_rejected`; a refused `Write` or
+    /// `Abandon` leaves its segment unreleased, for `reclaim_fenced`'s
+    /// `revoke_remaining`.
+    pub(crate) fn admit(&mut self, source: u32) -> bool {
         if let Some(t) = self.idle_from.take() {
             // Tagged with the iteration we are presumably waiting for.
             let waiting_for = self.last_fired.wrapping_add(1);
             self.rec.end(EventKind::QueueIdle, waiting_for, 0, t);
         }
-        let t = self.rec.begin();
-        let iteration = record.iteration();
-        let journal = &self.shared.journal;
-        let seq = journal
-            .append(self.shared.heartbeat().epoch(), record)
-            .ok()?;
-        // Nobody else sees it pending: a fence between the two is this
-        // core's own sweep, which runs between events.
-        let _ = journal.claim(seq);
-        self.rec.end(EventKind::JournalAppend, iteration, 0, t);
-        Some(seq)
+        !self.fenced.contains(&source)
     }
 
-    /// Applies one event [`admit`](Self::admit) journalled as `seq`.
-    pub(crate) fn handle(&mut self, seq: u64, event: Event) -> Result<(), DamarisError> {
+    /// Whether `event` writes an iteration whose end its client posted
+    /// before it (the `ended` word is past it): stored, it would fire that
+    /// iteration again. Checked as a notice is taken, never at replay —
+    /// the end may have been taken after the write.
+    fn late(&self, event: &Event) -> bool {
+        let Event::Write {
+            iteration, source, ..
+        } = *event
+        else {
+            return false;
+        };
+        // Relaxed: only this core writes the word.
+        self.shared
+            .node
+            .ended(source as usize)
+            .load(Ordering::Relaxed)
+            > u64::from(iteration)
+    }
+
+    /// Applies one event, taken as the notice at position `notice` of its
+    /// source's ring (any position for an injected event).
+    pub(crate) fn handle(&mut self, notice: u64, event: Event) -> Result<(), DamarisError> {
         match event {
             Event::Write {
                 variable_id,
@@ -473,16 +319,16 @@ impl DedicatedCore {
                     variable_id,
                     source,
                 };
-                self.ingest_write(key, segment, dynamic_layout, seq)?;
+                self.ingest_write(key, segment, dynamic_layout, notice)?;
             }
             Event::User {
                 name,
                 iteration,
                 source,
             } => {
-                // At-most-once: retire the record before firing, so a
-                // crash mid-plugin does not re-fire it on replay.
-                self.shared.journal.mark_applied(seq);
+                // At-most-once: apply the notice before firing, so a crash
+                // mid-plugin does not re-fire it on replay.
+                self.apply(source, notice);
                 self.report.user_events += 1;
                 let t_epe = self.rec.begin();
                 self.dispatch(name, iteration, source)?;
@@ -490,11 +336,22 @@ impl DedicatedCore {
             }
             Event::EndIteration { iteration, source } => {
                 // The fire itself happens in `idle`'s `fire_ready` pass,
-                // which also covers iterations completed by fencing.
-                self.end_counts
-                    .entry(iteration)
-                    .or_default()
-                    .push((source, seq));
+                // which also covers iterations completed by fencing. A
+                // second end of the same iteration is refused.
+                let counted = self.end_counts.entry(iteration).or_default();
+                if counted.iter().any(|(s, _)| *s == source) {
+                    self.apply(source, notice);
+                    FaultStats::bump(&self.shared.stats.stale_events_rejected);
+                    return Ok(());
+                }
+                counted.push((source, notice));
+                let ended = self.shared.node.ended(source as usize);
+                let next = u64::from(iteration) + 1;
+                // Relaxed: a count that publishes nothing, written by the
+                // core alone.
+                if ended.load(Ordering::Relaxed) < next {
+                    ended.store(next, Ordering::Relaxed);
+                }
             }
             Event::Abandon {
                 iteration,
@@ -504,7 +361,7 @@ impl DedicatedCore {
                 // A client handed back an uncommitted region. It may not
                 // release the segment itself (per-client FIFO, single
                 // consumer) — hold it until the iteration retires.
-                self.hold(iteration, (source, seq, segment));
+                self.hold(iteration, (source, notice, segment));
             }
         }
         Ok(())
@@ -512,19 +369,19 @@ impl DedicatedCore {
 
     /// One pass over every client's notice ring: at most a ring's worth of
     /// each, and only what was posted before `marks[rank]` if given. A
-    /// notice [`NodeShared::event_of`] believes that is news — not of a
-    /// retired iteration, not [`Seen`] in it — is admitted, taken off its
-    /// ring (`admitted` sees it first) and handled, an end of iteration
-    /// followed by [`idle`](Self::idle); any other is taken off and counted
-    /// stale. The pass ends with `idle`. True if there was any notice.
+    /// notice [`NodeShared::event_of`] believes, and that is not a
+    /// [`late`](Self::late) write, is admitted, taken off its
+    /// ring (`admitted` sees it then, before it is handled) and handled, an
+    /// end of iteration followed by [`idle`](Self::idle); any other is
+    /// taken off, applied and counted stale. The pass ends with `idle`.
+    /// True if there was any notice.
     ///
     /// A user event ends its rank's visit and goes at the end of the pass.
     /// From the first one the core sees, the pass takes from each ring only
     /// what was posted before it saw that one, and a second visit to every
     /// other ring takes the rest of that: a signal goes after what was
     /// posted before the core read it, and before what was posted after —
-    /// an end that would complete its iteration included. It leaves its
-    /// ring before it is journalled, so it is at most once.
+    /// an end that would complete its iteration included.
     pub(crate) fn drain(
         &mut self,
         marks: &[u64],
@@ -562,9 +419,9 @@ impl DedicatedCore {
                 self.drain_ring(&shared, rank, mark(&cut, rank), admitted)?;
             }
         }
-        for (rank, (event, record)) in signals {
-            shared.node.notices(rank).advance();
-            self.take(event, record)?;
+        for (rank, event) in signals {
+            let notice = shared.node.notices(rank).advance();
+            self.take(notice, event)?;
         }
         Ok(read_any)
     }
@@ -577,7 +434,7 @@ impl DedicatedCore {
         rank: usize,
         mark: u64,
         admitted: &mut impl FnMut(&DedicatedCore, &Event),
-    ) -> Result<(bool, Option<Taken>), DamarisError> {
+    ) -> Result<(bool, Option<Event>), DamarisError> {
         let ring = shared.node.notices(rank);
         let most = ring
             .untaken_before(mark)
@@ -590,31 +447,20 @@ impl DedicatedCore {
             read_any = true;
             let reach = &mut self.reach[rank];
             let event = Notice::decode(words).and_then(|n| shared.event_of(rank as u32, n, reach));
-            let record = event.as_ref().map(Event::record);
-            let seen = record.as_ref().and_then(Seen::of);
-            let news = seen.as_ref().is_none_or(|(iteration, seen)| {
-                let taken = self.seen.get(iteration).is_some_and(|s| s.contains(seen));
-                !taken && !self.retired.contains(*iteration)
-            });
-            let Some((event, record)) = event.zip(record).filter(|_| news) else {
-                ring.advance();
-                FaultStats::bump(&shared.stats.stale_events_rejected);
-                continue;
+            let event = match event {
+                Some(event @ Event::User { .. }) => return Ok((true, Some(event))),
+                Some(event) if self.admit(rank as u32) && !self.late(&event) => event,
+                _ => {
+                    ring.apply(ring.advance());
+                    FaultStats::bump(&shared.stats.stale_events_rejected);
+                    continue;
+                }
             };
-            let Some((iteration, seen)) = seen else {
-                return Ok((true, Some((event, record))));
-            };
-            let Some(seq) = self.admit(record) else {
-                ring.advance();
-                FaultStats::bump(&shared.stats.stale_events_rejected);
-                continue;
-            };
-            self.seen.entry(iteration).or_default().insert(seen);
+            let notice = ring.advance();
             admitted(self, &event);
-            ring.advance();
             // Only an end of iteration can complete one: fire it at once.
             let ends = matches!(event, Event::EndIteration { .. });
-            self.handle(seq, event)?;
+            self.handle(notice, event)?;
             if ends {
                 self.idle()?;
             }
@@ -624,13 +470,16 @@ impl DedicatedCore {
     }
 
     /// Admits, handles and follows with an [`idle`](Self::idle) pass one
-    /// event no ring holds (any more); a refused one is counted.
-    fn take(&mut self, event: Event, record: JournalPayload) -> Result<(), DamarisError> {
-        let Some(seq) = self.admit(record) else {
+    /// event taken as `notice` of its source's ring, or from no ring; a
+    /// refused one is applied and counted.
+    fn take(&mut self, notice: u64, event: Event) -> Result<(), DamarisError> {
+        let source = event.source();
+        if !self.admit(source) {
+            self.apply(source, notice);
             FaultStats::bump(&self.shared.stats.stale_events_rejected);
             return Ok(());
-        };
-        self.handle(seq, event)?;
+        }
+        self.handle(notice, event)?;
         self.idle()?;
         self.idle_from = Some(self.rec.begin());
         Ok(())
@@ -665,8 +514,7 @@ impl DedicatedCore {
                 while (0..shared.clients).any(behind) {
                     self.drain(&marks, &mut |_, _| {})?;
                 }
-                let record = event.record();
-                self.take(event, record)?;
+                self.take(0, event)?;
             } else if !self.drain(&[], &mut |_, _| {})? {
                 // Quiet: under backpressure clients wait on the memory
                 // parked iterations hold — commit them before waiting.
@@ -708,15 +556,13 @@ impl DedicatedCore {
 
     /// The rings went quiet: commits what the fired iterations parked, as
     /// one batch, and releases their memory. Nothing parked, nothing done —
-    /// a loop calls this after every pass that read nothing. The journal
-    /// drops what the pass applied, so its record map is as long as what
-    /// is still parked or unfired.
+    /// a loop calls this after every pass that read nothing. The commit
+    /// releases what it persisted, and applies the notices that named it.
     pub(crate) fn quiet(&mut self) -> Result<(), DamarisError> {
         if !self.parked.is_empty() {
             let last = self.last_fired;
             let t_epe = self.rec.begin();
             self.with_plugins(Vec::new(), |epe, ctx| epe.quiet_all(ctx, last))?;
-            self.shared.journal.compact();
             self.rec.end(EventKind::EpeDispatch, last, 0, t_epe);
             self.close_open_span();
             self.obs_flush.drain(&self.shared);
@@ -744,12 +590,11 @@ impl DedicatedCore {
         self.last_fire_end = end;
     }
 
-    /// Closes the books after [`shutdown`](Self::shutdown): compacts the journal, drains
-    /// the trace rings one last time (so records from the tail of the run
+    /// Closes the books after [`shutdown`](Self::shutdown): drains the
+    /// trace rings one last time (so records from the tail of the run
     /// and the shutdown pass reach the histograms and the trace file) and
     /// returns the node's accounting.
     pub(crate) fn finish(mut self) -> NodeReport {
-        self.shared.journal.compact();
         self.obs_flush.drain(&self.shared);
         self.obs_flush.finish(self.shared.node_id);
         self.report()
@@ -771,7 +616,7 @@ impl DedicatedCore {
         key: VariableKey,
         segment: Segment,
         dynamic_layout: Option<damaris_format::Layout>,
-        seq: u64,
+        notice: u64,
     ) -> Result<(), DamarisError> {
         let config = &self.shared.config;
         let def = config
@@ -785,7 +630,7 @@ impl DedicatedCore {
                 None => config.layout_of(def).storage_layout(),
             },
             segment,
-            seq,
+            notice,
         };
         let len = var.segment.len() as u64;
         self.report.variables_received += 1;
@@ -795,7 +640,10 @@ impl DedicatedCore {
             .peak_resident_bytes
             .max(self.store.bytes_resident() as u64 + len);
         if let Some(replaced) = self.store.insert(var) {
-            self.hold(key.iteration, (key.source, replaced.seq, replaced.segment));
+            self.hold(
+                key.iteration,
+                (key.source, replaced.notice, replaced.segment),
+            );
         }
         Ok(())
     }
@@ -804,37 +652,25 @@ impl DedicatedCore {
         self.held.entry(iteration).or_default().push(segment);
     }
 
-    /// Holds a segment known only by its journaled coordinates. A range
-    /// that is no longer a live allocation was already released before the
-    /// crash (or the fence): its record just retires.
-    fn hold_journaled(&mut self, iteration: u32, source: u32, seq: u64, offset: usize, len: usize) {
-        match self.shared.node.adopt(source as usize, offset, len) {
-            Some(segment) => self.hold(iteration, (source, seq, segment)),
-            None => self.shared.journal.mark_applied(seq),
-        }
-    }
-
-    /// Cancels one claimed notification of a fenced client. Its data never
-    /// persists, but a segment must still release in seq order when its
-    /// iteration retires; a signal or end-notification just retires
+    /// Cancels one replayed notice of a fenced client. Its data never
+    /// persists, but a segment must still release in ring order when its
+    /// iteration retires; a signal or end-notification is just applied
     /// (completion comes from the fenced set, not the count).
-    fn cancel_fenced(&mut self, seq: u64, payload: &JournalPayload) {
-        match *payload {
-            JournalPayload::Write {
+    fn cancel_fenced(&mut self, notice: u64, event: Event) {
+        match event {
+            Event::Write {
                 iteration,
                 source,
-                offset,
-                len,
+                segment,
                 ..
             }
-            | JournalPayload::Abandon {
+            | Event::Abandon {
                 iteration,
                 source,
-                offset,
-                len,
-            } => self.hold_journaled(iteration, source, seq, offset, len),
-            JournalPayload::User { .. } | JournalPayload::EndIteration { .. } => {
-                self.shared.journal.mark_applied(seq);
+                segment,
+            } => self.hold(iteration, (source, notice, segment)),
+            Event::User { source, .. } | Event::EndIteration { source, .. } => {
+                self.apply(source, notice);
             }
         }
     }
@@ -859,7 +695,6 @@ impl DedicatedCore {
             node: &shared.node,
             stats: &shared.stats,
             metrics: &shared.metrics,
-            journal: &shared.journal,
             pressure: &shared.pressure,
             pending_release: &mut self.pending_release,
             parked: &mut self.parked,
@@ -888,8 +723,8 @@ impl DedicatedCore {
         self.with_plugins(Vec::new(), |epe, ctx| epe.fire(ctx, &info))
     }
 
-    /// Takes one iteration out of the core. The counted end-notification
-    /// records are retired *before* anything else: plugin side effects are
+    /// Takes one iteration out of the core. The counted end-notifications
+    /// are applied *before* anything else: plugin side effects are
     /// at-most-once across crashes (a crash mid-fire does not re-fire the
     /// iteration on replay — its data is still flushed at shutdown).
     /// Either way every resident and held segment of the iteration
@@ -901,11 +736,9 @@ impl DedicatedCore {
         counted: Vec<(u32, u64)>,
         outcome: Outcome,
     ) -> Result<(), DamarisError> {
-        for (_, seq) in counted {
-            self.shared.journal.mark_applied(seq);
+        for (source, notice) in counted {
+            self.apply(source, notice);
         }
-        self.retired.insert(iteration);
-        self.seen.remove(&iteration);
         let held = self.held.remove(&iteration).unwrap_or_default();
         match outcome {
             Outcome::Fire { presence } => {
@@ -1024,9 +857,10 @@ impl DedicatedCore {
             self.retire(iteration, counted, Outcome::Fire { presence })?;
         }
         // End-notifications for iterations with no resident data have no
-        // further effect; retire their records.
-        for (_, seq) in self.end_counts.drain().flat_map(|(_, counted)| counted) {
-            self.shared.journal.mark_applied(seq);
+        // further effect; apply them.
+        let counted: Vec<_> = self.end_counts.drain().flat_map(|(_, c)| c).collect();
+        for (source, notice) in counted {
+            self.apply(source, notice);
         }
         // Belt and braces: every held segment belongs to an iteration the
         // flush-out above retired, so the map should be empty — but never
@@ -1062,9 +896,8 @@ impl DedicatedCore {
     /// lease unchanged past its deadline is revoked via compare-exchange
     /// against our stale observation — the CAS is the arbiter of the
     /// revoke-vs-late-renew race, so exactly one side wins. A successful
-    /// revoke fences the client's journal source: what it journalled
-    /// before stays the core's, what it posts after is refused by
-    /// [`admit`](Self::admit).
+    /// revoke fences the client: what the core took of it before stays the
+    /// core's, what it posts after is refused by [`admit`](Self::admit).
     fn sweep_leases(&mut self) {
         if !self.sweeper_on {
             return;
@@ -1097,7 +930,6 @@ impl DedicatedCore {
             let t_sweep = self.rec.begin();
             FaultStats::bump(&shared.stats.client_leases_expired);
             self.fenced.insert(cu);
-            shared.journal.fence(cu);
             eprintln!(
                 "[damaris node {}] client {cu} lease expired after {:?}; fenced",
                 shared.node_id, self.lease_timeout
@@ -1238,14 +1070,14 @@ impl ObsFlush {
 mod tests {
     //! The core driven directly on the test thread: the test plays every
     //! client (a `DamarisClient` call posts a notice without needing a
-    //! server) and feeds what it made to `admit` and `handle` the way the
-    //! drain pass does.
+    //! server), takes each notice off its ring and feeds it to `handle`
+    //! the way the drain pass does.
 
     use super::*;
     use crate::client::DamarisClient;
     use crate::config::Config;
-    use crate::journal::EventJournal;
     use damaris_fs::LocalDirBackend;
+    use damaris_shm::sync::Mutex;
     use damaris_shm::MappedNode;
 
     const XML: &str = r#"<damaris>
@@ -1255,14 +1087,15 @@ mod tests {
         <variable name="b" layout="v"/>
         <layout name="bytes" type="byte" dimensions="?"/>
         <variable name="p" layout="bytes"/>
+        <event name="look" action="log"/>
     </damaris>"#;
     const CLIENTS: usize = 2;
 
     /// The two backings of the node's layout: the heap, as in the threaded
-    /// node, or — the process node's — a file mapping and a journal file,
-    /// from which [`reopen`] builds a successor that shares no memory with
-    /// its predecessor. The core cannot tell them apart, and every test
-    /// here runs over both.
+    /// node, or — the process node's — a file mapping, from which
+    /// [`reopen`] builds a successor that shares no memory with its
+    /// predecessor. The core cannot tell them apart, and every test here
+    /// runs over both.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Fixture {
         Heap,
@@ -1290,14 +1123,11 @@ mod tests {
         let dir = dir(tag, fixture);
         let backend = Arc::new(LocalDirBackend::new(&dir).unwrap());
         let config = Config::from_xml(XML).unwrap();
-        let (node, journal) = match fixture {
-            Fixture::Heap => (MappedNode::heap(CLIENTS, 65536, 1024), EventJournal::new()),
-            Fixture::File => (
-                MappedNode::open(&dir.join("node.shm")),
-                EventJournal::open(&dir.join("journal")).unwrap().0,
-            ),
+        let node = match fixture {
+            Fixture::Heap => MappedNode::heap(CLIENTS, 65536, 1024),
+            Fixture::File => MappedNode::open(&dir.join("node.shm")),
         };
-        let shared = Arc::new(NodeShared::new(config, node.unwrap(), backend, 0, journal));
+        let shared = Arc::new(NodeShared::new(config, node.unwrap(), backend, 0));
         let clients = (0..CLIENTS as u32)
             .map(|id| DamarisClient::new(id, Arc::clone(&shared)))
             .collect();
@@ -1310,27 +1140,42 @@ mod tests {
     }
 
     /// The oldest notice of the first client's ring that holds one, taken
-    /// off and read as the drain pass reads it.
-    fn take(shared: &NodeShared) -> Option<Event> {
+    /// off and read as the drain pass reads it, with its position.
+    fn take(shared: &NodeShared) -> Option<(u64, Event)> {
         (0..shared.clients).find_map(|client| {
             let ring = shared.node.notices(client);
             let notice = damaris_shm::Notice::decode(ring.peek()?).unwrap();
-            ring.advance();
             let reach = &mut Reach::default();
-            Some(shared.event_of(client as u32, notice, reach).unwrap())
+            let event = shared.event_of(client as u32, notice, reach).unwrap();
+            Some((ring.advance(), event))
         })
     }
 
-    /// Admits and handles up to `limit` client events, a client's in the
+    /// Takes and handles up to `limit` client events, a client's in the
     /// order it posted them, as the drain pass would.
     fn pump(shared: &NodeShared, core: &mut DedicatedCore, limit: usize) {
         for _ in 0..limit {
-            let Some(event) = take(shared) else {
+            let Some((notice, event)) = take(shared) else {
                 return;
             };
-            let seq = core.admit(event.record()).expect("no client is fenced");
-            core.handle(seq, event).unwrap();
+            assert!(core.admit(event.source()), "no client is fenced");
+            core.handle(notice, event).unwrap();
         }
+    }
+
+    /// Notices taken and not yet applied, over every ring: what a
+    /// successor would replay.
+    fn unapplied(shared: &NodeShared) -> usize {
+        let rings = (0..shared.clients).map(|c| shared.node.notices(c));
+        rings.map(|ring| ring.unapplied().len()).sum()
+    }
+
+    /// Slots the core holds, taken or not, over every ring: what a client
+    /// cannot post into.
+    fn held_slots(shared: &NodeShared) -> u64 {
+        let ring = |c| shared.node.notices(c);
+        let held = |c| ring(c).posted() - ring(c).applied.load(Ordering::Relaxed);
+        (0..shared.clients).map(held).sum()
     }
 
     /// Everything a replay has to rebuild, in comparable form: resident
@@ -1341,14 +1186,14 @@ mod tests {
             .pending_iterations()
             .into_iter()
             .flat_map(|it| core.store.iteration_entries(it))
-            .map(|v| (v.key, v.seq, v.segment.offset(), v.data().to_vec()))
+            .map(|v| (v.key, v.notice, v.segment.offset(), v.data().to_vec()))
             .collect();
         let held: Vec<_> = core
             .held
             .iter()
             .flat_map(|(it, segments)| segments.iter().map(move |s| (*it, s)))
-            .map(|(it, (source, seq, segment))| {
-                (it, *source, *seq, segment.offset(), segment.len())
+            .map(|(it, (source, notice, segment))| {
+                (it, *source, *notice, segment.offset(), segment.len())
             })
             .collect();
         let mut ends: Vec<_> = core.end_counts.clone().into_iter().collect();
@@ -1400,12 +1245,11 @@ mod tests {
         pump(&live_shared, &mut live, usize::MAX);
 
         // The same notifications, but epoch 0 dies after handling three of
-        // them (those records are Resident; the rest were never journalled
-        // and are still queued) and epoch 1 rebuilds from the journal alone
-        // — over the mapping, from the journal's file in a node built anew,
-        // as a process that shares nothing with the dead one would. What
-        // the dead core never took is the successor's to take: over the
-        // mapping, the clients' notice rings still hold it.
+        // them (taken, not applied; the rest were never taken) and epoch 1
+        // rebuilds from the notice rings alone — over the mapping, in a
+        // node built anew, as a process that shares nothing with the dead
+        // one would. What the dead core never took is news to the
+        // successor.
         let (mut shared, mut clients) = node("replay-respawned", fixture);
         prefix(&clients);
         let mut dead = core(&shared, 0);
@@ -1516,8 +1360,10 @@ mod tests {
         assert!(files(&shared).is_empty());
         assert_eq!(damaris_fs::Manifest::load(root).unwrap().generation, 0);
         assert_eq!(shared.in_use(), 3 * 2 * 64);
-        shared.journal.compact();
-        assert_eq!(shared.journal.len(), 6, "the write records, still resident");
+        // The ends were applied as their iterations retired; the writes
+        // hold the front of each ring until they are released.
+        assert_eq!(unapplied(&shared), 6, "the writes, still resident");
+        assert_eq!(held_slots(&shared), 12);
 
         core.quiet().unwrap();
         assert!(core.parked.is_empty() && core.pending_release.is_empty());
@@ -1528,8 +1374,7 @@ mod tests {
         assert_eq!(FaultStats::get(&stats.commit_batches), 1);
         assert_eq!(FaultStats::get(&stats.manifest_publishes), 1);
         assert_eq!(shared.in_use(), 0);
-        shared.journal.compact();
-        assert_eq!(shared.journal.len(), 0);
+        assert_eq!(held_slots(&shared), 0);
         // A second quiet call finds nothing to do.
         core.quiet().unwrap();
         assert_eq!(FaultStats::get(&stats.commit_batches), 1);
@@ -1670,8 +1515,7 @@ mod tests {
                 core.held.is_empty() && core.pending_release.is_empty(),
                 "{tag}"
             );
-            shared.journal.compact();
-            left_behind.push((shared.in_use(), shared.journal.len()));
+            left_behind.push((shared.in_use(), unapplied(&shared)));
             let stats = &shared.stats;
             let counts = [
                 core.report.iterations_persisted,
@@ -1682,66 +1526,151 @@ mod tests {
             assert_eq!(counts, expect, "{tag}");
             assert_eq!(files(&shared).len() as u64, expect[0], "{tag}");
         }
-        // One segment and one journal record (iteration 1's) survive,
-        // whichever way iteration 0 left.
+        // One segment and its notice (iteration 1's) survive, whichever
+        // way iteration 0 left.
         assert_eq!(left_behind, [(64, 1); 4]);
     }
 
-    /// What tells a notice read again from news is bounded by what is in
-    /// flight: ranks that run an iteration ahead leave the entries of that
-    /// one iteration, and each iteration's go the moment it retires.
-    #[test]
-    fn the_dedup_set_holds_only_unretired_iterations() {
-        FIXTURES.into_iter().for_each(dedup_bounded);
+    /// A `look` action noting, each time it fires, its iteration and how
+    /// many variables of it are resident.
+    fn look(seen: &Arc<Mutex<Vec<(u32, usize)>>>) -> (String, crate::PluginFactory) {
+        struct Look(Arc<Mutex<Vec<(u32, usize)>>>);
+        impl crate::Plugin for Look {
+            fn name(&self) -> &str {
+                "look"
+            }
+            fn handle(
+                &mut self,
+                ctx: &mut ActionContext<'_>,
+                event: &EventInfo,
+            ) -> Result<(), DamarisError> {
+                let resident = ctx.store.iteration_entries(event.iteration).count();
+                self.0.lock().push((event.iteration, resident));
+                Ok(())
+            }
+        }
+        let seen = Arc::clone(seen);
+        let factory: crate::PluginFactory =
+            Box::new(move |_| Ok(Box::new(Look(Arc::clone(&seen)))));
+        ("log".to_string(), factory)
     }
 
-    fn dedup_bounded(fixture: Fixture) {
-        const ITERATIONS: u32 = 200;
-        let (shared, clients) = node("dedup-bound", fixture);
-        let mut core = core(&shared, 0);
-        for it in 0..ITERATIONS {
-            for client in &clients {
-                client.write("a", it, &[it as u8; 64]).unwrap();
-                client.end_iteration(it).unwrap();
-                client.write("b", it + 1, &[it as u8; 64]).unwrap();
-            }
-            assert!(core.drain(&[], &mut |_, _| {}).unwrap());
-            core.quiet().unwrap();
-            assert!(core.is_retired(it));
-            let kept: Vec<u32> = core.seen.keys().copied().collect();
-            assert_eq!(kept, [it + 1], "after iteration {it}");
-            assert_eq!(core.seen[&(it + 1)].len(), CLIENTS, "one range a rank");
+    /// The order a respawned core keeps: every replayed notice — taken by
+    /// the dead core, not applied — is handled before any news, a replayed
+    /// signal's action sees the writes posted before it and none posted
+    /// after, and an iteration the dead core retired does not fire again.
+    #[test]
+    fn a_respawned_core_replays_before_it_takes_news() {
+        FIXTURES.into_iter().for_each(replay_order);
+    }
+
+    fn replay_order(fixture: Fixture) {
+        let (mut shared, mut clients) = node("replay-order", fixture);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let build = |shared: &Arc<NodeShared>, epoch| {
+            let epe = EventProcessingEngine::build(&shared.config, &[look(&seen)]).unwrap();
+            DedicatedCore::new(Arc::clone(shared), epe, epoch)
+        };
+        // Iteration 0 goes all the way: fired, committed, applied.
+        let mut dead = build(&shared, 0);
+        for client in &clients {
+            client.write("a", 0, &[1; 64]).unwrap();
+            client.end_iteration(0).unwrap();
         }
-        assert_eq!(core.retired.0.len(), 1, "one run: {:?}", core.retired);
+        while dead.drain(&[], &mut |_, _| {}).unwrap() {}
+        dead.quiet().unwrap();
+        assert_eq!(held_slots(&shared), 0);
+        // Of iteration 1 the dead core handles both writes and takes the
+        // signal between them, and dies before it handles the signal.
+        let (c0, c1) = (&clients[0], &clients[1]);
+        c0.write("a", 1, &[2; 64]).unwrap();
+        c0.signal("look", 1).unwrap();
+        c1.write("a", 1, &[3; 64]).unwrap();
+        pump(&shared, &mut dead, 1);
+        let (signal, _) = take(&shared).unwrap();
+        pump(&shared, &mut dead, 1);
+        drop(dead);
+        assert_eq!(unapplied(&shared), 3);
+        // What is posted now is news to the successor.
+        c1.write("b", 1, &[4; 64]).unwrap();
+        c0.end_iteration(1).unwrap();
+        c1.end_iteration(1).unwrap();
+
+        if fixture == Fixture::File {
+            (shared, clients) = reopen("replay-order", fixture);
+        }
+        let mut successor = build(&shared, 1);
+        successor.replay().unwrap();
+        // Replayed: both writes and the signal, whose action saw the two
+        // writes taken before it and not the one posted after.
+        assert_eq!(FaultStats::get(&shared.stats.events_replayed), 3);
+        assert_eq!(*seen.lock(), [(1, 2)]);
+        assert_eq!(unapplied(&shared), 2, "the writes, resident again");
+        let ring0 = shared.node.notices(0);
+        assert!(ring0.applied.load(Ordering::Relaxed) <= signal);
+        let mut news = Vec::new();
+        while successor
+            .drain(&[], &mut |_, event| news.push(event.source()))
+            .unwrap()
+        {}
+        successor.quiet().unwrap();
+        assert_eq!(news, [0, 1, 1], "the ends and b: nothing replayed twice");
+        assert_eq!(
+            successor.report().iterations_persisted,
+            1,
+            "iteration 1 only"
+        );
+        assert_eq!(seen.lock().len(), 1, "the signal fired once");
+        assert_eq!((shared.in_use(), held_slots(&shared)), (0, 0));
+        let written = files(&shared);
+        assert_eq!(written.len(), 2);
+        let reader =
+            damaris_format::SdfReader::open(shared.backend.root().join(&written[1].0)).unwrap();
+        assert_eq!(reader.read_bytes("/iter-1/rank-1/b").unwrap(), [4; 64]);
+        drop(clients);
+    }
+
+    /// A notice's slot is free once applied, not once taken: a client
+    /// whose ring is full of taken, uncommitted notices waits, and goes on
+    /// once the commit applies them. Nothing a core took stays in a ring
+    /// past the commit.
+    #[test]
+    fn slots_come_back_at_commit_not_at_take() {
+        FIXTURES.into_iter().for_each(slots_at_commit);
+    }
+
+    fn slots_at_commit(fixture: Fixture) {
+        let (shared, clients) = node("slots-at-commit", fixture);
+        let slots = shared.node.notice_capacity() as u32;
+        let mut core = core(&shared, 0);
+        // Client 0 fills its ring: writes of iteration 0, then its end.
+        for v in 0..slots - 1 {
+            clients[0].write("a", v, &[v as u8; 64]).unwrap();
+        }
+        clients[0].end_iteration(0).unwrap();
+        while core.drain(&[], &mut |_, _| {}).unwrap() {}
+        assert_eq!(held_slots(&shared), u64::from(slots));
+        let ring = shared.node.notices(0);
+        let full = damaris_shm::Notice::EndIteration { iteration: 1 };
+        assert!(!ring.post(full.encode()), "taken is not free");
+        clients[1].end_iteration(0).unwrap();
+        while core.drain(&[], &mut |_, _| {}).unwrap() {}
+        core.quiet().unwrap();
+        // Iteration 0 committed and its notices applied; the other
+        // iterations' writes still hold their slots, and the end behind
+        // them too.
+        assert_eq!(held_slots(&shared), u64::from(slots - 1));
+        assert!(ring.post(full.encode()));
         assert_eq!(FaultStats::get(&shared.stats.stale_events_rejected), 0);
     }
 
-    /// Runs of retired iterations merge; a gap keeps them apart until it
-    /// retires too.
+    /// Through the threaded node's loop — `run`'s — 1 000 iterations go
+    /// through rings of 512 slots: every slot is applied and reused, and
+    /// none is held at the end.
     #[test]
-    fn retired_iterations_are_kept_as_runs() {
-        let mut retired = Retired::default();
-        for it in [3, 1, 2, 7, 5, 0, u32::MAX] {
-            retired.insert(it);
-        }
-        let runs: Vec<_> = retired.0.iter().map(|(&a, &b)| (a, b)).collect();
-        assert_eq!(runs, [(0, 3), (5, 5), (7, 7), (u32::MAX, u32::MAX)]);
-        retired.insert(6);
-        assert!(!retired.contains(4));
-        retired.insert(4);
-        retired.insert(4);
-        assert!((0..=7).all(|it| retired.contains(it)));
-        assert!(!retired.contains(8) && retired.contains(u32::MAX));
-        assert_eq!(retired.0.len(), 2);
-    }
-
-    /// Through the threaded node's loop — `run`'s — nothing of 1 000
-    /// iterations is left behind in the dedup set, and the retired ones
-    /// are one run.
-    #[test]
-    fn a_threaded_run_keeps_no_notice_of_retired_iterations() {
+    fn a_threaded_run_applies_every_notice_it_takes() {
         const ITERATIONS: u32 = 1000;
-        let (shared, clients) = node("retired-drains", Fixture::Heap);
+        let (shared, clients) = node("applied-drains", Fixture::Heap);
         let mut core = core(&shared, 0);
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -1756,22 +1685,21 @@ mod tests {
             core.run_threaded().unwrap();
         });
         assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
-        assert!(core.seen.is_empty(), "{} kept", core.seen.len());
-        assert_eq!(core.retired.0.len(), 1, "{:?}", core.retired);
+        assert_eq!(held_slots(&shared), 0);
+        let posted = shared.node.notices(0).posted();
+        assert!(posted > 2 * shared.node.notice_capacity() as u64);
     }
 
     /// The same harness, paced: each iteration is written, ended and
     /// committed before the next starts. After each committing pass the
-    /// journal holds at most that iteration's records — applied, and gone
-    /// the moment the pass compacts — not one per event of the run.
+    /// rings hold nothing the core took — not one slot per event of the
+    /// run.
     #[test]
-    fn the_journal_holds_what_is_not_committed_not_the_whole_run() {
+    fn the_rings_hold_what_is_not_committed_not_the_whole_run() {
         const ITERATIONS: u32 = 200;
-        // One write and one end-notification per client.
-        const PER_ITERATION: usize = 2 * CLIENTS;
-        let (shared, clients) = node("journal-bound", Fixture::Heap);
+        let (shared, clients) = node("rings-bound", Fixture::Heap);
         let mut core = core(&shared, 0);
-        // The most records seen after a pass, and the iteration it was.
+        // The most slots held after a commit, and the iteration it was.
         let most = std::thread::scope(|scope| {
             let ranks = scope.spawn(|| {
                 let mut most = (0, 0);
@@ -1781,11 +1709,11 @@ mod tests {
                         client.end_iteration(it).unwrap();
                     }
                     // Released means committed: the pass that did it has
-                    // applied every record of the iteration.
+                    // applied every notice of the iteration.
                     while shared.in_use() != 0 {
                         std::thread::sleep(Duration::from_micros(100));
                     }
-                    most = most.max((shared.journal.len(), it));
+                    most = most.max((held_slots(&shared), it));
                 }
                 shared.finishing.store(true, Ordering::Release);
                 most
@@ -1793,12 +1721,40 @@ mod tests {
             core.run_threaded().unwrap();
             ranks.join().unwrap()
         });
-        let (kept, after) = most;
-        assert!(
-            kept <= PER_ITERATION,
-            "{kept} records after iteration {after}"
+        assert_eq!(
+            most.0, 0,
+            "{} slots held after iteration {}",
+            most.0, most.1
         );
         assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
-        assert_eq!(shared.journal.len(), 0);
+    }
+
+    /// A write to an iteration its client already ended — after every rank
+    /// did and the iteration was persisted — is refused: stored, it would
+    /// fire the iteration again and write its file over with itself alone.
+    #[test]
+    fn a_write_after_its_clients_end_is_refused() {
+        FIXTURES.into_iter().for_each(late_write);
+    }
+
+    fn late_write(fixture: Fixture) {
+        let (shared, clients) = node("late-write", fixture);
+        let mut core = core(&shared, 0);
+        for client in &clients {
+            client.write("a", 0, &[1; 64]).unwrap();
+            client.end_iteration(0).unwrap();
+        }
+        while core.drain(&[], &mut |_, _| {}).unwrap() {}
+        core.quiet().unwrap();
+        let persisted = files(&shared);
+        clients[0].write("b", 0, &[9; 64]).unwrap();
+        clients[0].write("b", 1, &[2; 64]).unwrap();
+        while core.drain(&[], &mut |_, _| {}).unwrap() {}
+        core.shutdown().unwrap();
+        assert_eq!(FaultStats::get(&shared.stats.stale_events_rejected), 1);
+        assert_eq!(core.report.iterations_persisted, 2, "0 once, and 1");
+        let written = files(&shared);
+        assert_eq!(written[0], persisted[0], "iteration 0's file is untouched");
+        assert_eq!((written.len(), held_slots(&shared)), (2, 0));
     }
 }

@@ -113,7 +113,7 @@ fn wait_for_fence(
 /// must NOT release the segment from the compute core. An older write of
 /// the same rank is still resident on the server, so a client-side release
 /// is out of FIFO order — the old `Drop` impl panicked the partitioned
-/// allocator here. The fix journals an `Abandon` and ships the segment to
+/// allocator here. The fix posts an `Abandon` and ships the segment to
 /// the dedicated core, which releases it with the iteration's flush.
 #[test]
 fn abandoned_region_defers_release_to_the_dedicated_core() {
@@ -151,8 +151,8 @@ fn abandoned_region_defers_release_to_the_dedicated_core() {
 }
 
 /// The tentpole E2E under `on_client_failure="partial"`: rank 1 of four
-/// dies mid-`memcpy` (torn segment, no notification) and leaks an
-/// un-journaled reservation. The sweeper fences it within the lease
+/// dies mid-`memcpy` (torn segment, no notification) and leaks a
+/// reservation no notice names. The sweeper fences it within the lease
 /// window, reclaims its partition — the torn segment with it — the
 /// affected iterations persist partially with a presence bitmap the
 /// recovery scan reads back, and the survivors run a further full
@@ -329,7 +329,7 @@ fn client_kill_case(policy: &str, phase: usize) {
     }
     let report = runtime.finish().unwrap();
     assert_eq!(report.client_leases_expired, u64::from(sweeping));
-    // The wait policy's documented cost: an un-journaled reservation of a
+    // The wait policy's documented cost: a reservation no notice names, of a
     // dead rank stays leaked (nothing ever fences it). Every other
     // combination returns the full buffer.
     let expected_leak = if !sweeping && phase <= 1 { leaked } else { 0 };
@@ -360,7 +360,7 @@ fn client_kill_case(policy: &str, phase: usize) {
             );
         } else {
             // wait: iterations only fire complete (here: at shutdown,
-            // with the dead rank's journal state resolved) — no file
+            // with the dead rank's taken notices resolved) — no file
             // claims partiality.
             assert!(scan.partial.is_empty());
         }
@@ -409,8 +409,8 @@ fn kill_post_commit_under_drop() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// S3: whatever the kill point — during `alloc` (leaked un-journaled
-    /// reservation), during `memcpy` (torn segment, no notification), or
+    /// S3: whatever the kill point — during `alloc` (leaked, no notice
+    /// naming the reservation), during `memcpy` (torn segment, no notification), or
     /// post-commit (valid data, rank dies before `end_iteration`) — and
     /// whichever iteration it lands on, the node finishes with zero leaked
     /// shared-memory bytes and never persists a torn segment.

@@ -1,8 +1,9 @@
 //! Dedicated-core crash recovery acceptance tests: the supervisor respawns
-//! a dead event-processing engine, the write-ahead journal replays
-//! unprocessed events exactly once, re-adopted shared memory balances to
-//! zero, and clients watching the heartbeat degrade per their
-//! backpressure policy when no respawn arrives.
+//! a dead event-processing engine, the successor replays exactly once
+//! what the dead one took from the notice rings and did not apply,
+//! re-adopted shared memory balances to zero, and clients watching the
+//! heartbeat degrade per their backpressure policy when no respawn
+//! arrives.
 
 use damaris_core::{
     ActionContext, Config, DamarisError, EventInfo, NodeRuntime, Plugin, PluginFactory,
@@ -122,7 +123,7 @@ const SUP_XML: &str = r#"<damaris>
 
 /// The tentpole acceptance test: 4 clients on one node, the dedicated core
 /// is killed mid-queue by a poisoned event, the supervisor respawns it
-/// with a bumped epoch, and the journal replay re-adopts every resident
+/// with a bumped epoch, and the replay re-adopts every resident
 /// segment and replays every unprocessed notification exactly once — the
 /// persisted SDF file is byte-identical to an uninterrupted run's, and the
 /// allocator accounting balances back to zero.
@@ -164,15 +165,15 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
         .finish()
         .expect("respawned server completes the run");
 
-    // The poisoned event fired exactly once: it was journaled Applied
+    // The poisoned event fired exactly once: its notice was applied
     // *before* dispatch, so the respawn did not re-fire it (at-most-once
     // for side-effecting user events).
     assert_eq!(fired.load(Ordering::SeqCst), 1);
     assert_eq!(report.epe_respawns, 1);
     // Replay re-adopted the four resident writes and recounted the three
-    // ends. What the dead incarnation never took (e0) was never journalled
-    // either — the core journals what it takes — so it arrives by its
-    // ring, and nothing is stale.
+    // ends: the seven notices taken and not applied. What the dead
+    // incarnation never took (e0) is past its ring's tail, news to the
+    // successor, and nothing is read twice, so nothing is stale.
     assert_eq!(report.events_replayed, 7);
     assert_eq!(report.stale_events_rejected, 0);
     assert_eq!(report.variables_received, 4);
@@ -222,8 +223,8 @@ fn epe_kill_replays_exactly_once_and_output_is_byte_identical() {
 
 /// The dedicated core dies with two iterations *parked*: fired, their
 /// files written under temporary names, nothing committed, published or
-/// released. All that is left of them is two `.tmp` files, the journal's
-/// write records and the segments — the respawned core re-adopts those,
+/// released. All that is left of them is two `.tmp` files, the write
+/// notices, not applied, and the segments — the respawned core re-adopts those,
 /// persists both iterations again at shutdown (same names, over the stale
 /// temporaries) and leaks nothing.
 #[test]
@@ -284,8 +285,9 @@ fn epe_killed_with_iterations_parked_replays_and_persists_them_again() {
     assert_eq!(fired.load(Ordering::SeqCst), 1);
     assert_eq!(report.epe_respawns, 1);
     // The eight writes were resident when the core died and are adopted
-    // again; every end-of-iteration had been counted and retired (a fired
-    // iteration does not fire again on replay — `Terminate` flushes it).
+    // again; every end-of-iteration had been counted and applied as its
+    // iteration retired, before the fire (a fired iteration does not fire
+    // again on replay — shutdown flushes it).
     assert_eq!(report.events_replayed, 8);
     assert_eq!(report.stale_events_rejected, 0);
     // The dead core committed nothing: the only batch, and the only

@@ -58,7 +58,9 @@ pub enum EventKind {
     QueuePush = 4,
     /// Dedicated core waiting for the next event (per-event idle).
     QueueIdle = 5,
-    /// Journal append on the client path.
+    /// A journal append. Nothing records it since the notice ring became
+    /// the node's only record of an event; kept so that older trace files
+    /// still decode.
     JournalAppend = 6,
     /// One EPE dispatch (all plugins bound to one event).
     EpeDispatch = 7,

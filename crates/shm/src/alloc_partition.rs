@@ -129,7 +129,7 @@ impl PartitionAllocator {
     /// lease has been revoked. Contract:
     ///
     /// * called by the single consumer thread only (it owns `tail`);
-    /// * every *known* segment of the client (journaled, resident in the
+    /// * every *known* segment of the client (named by a notice, resident in the
     ///   metadata store, or held for deferred release) must have been
     ///   released in FIFO order first — this call then swallows whatever
     ///   untracked remainder the dead client reserved but never committed;

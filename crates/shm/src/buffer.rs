@@ -321,7 +321,7 @@ impl Segment {
 
     /// The offset and length of the reservation the segment stands for,
     /// the bytes [`skip`](Self::skip) passed over included: what a release
-    /// or a journal record names.
+    /// or a notice names.
     pub fn reservation(&self) -> (usize, usize) {
         (self.offset - self.lead, self.lead + self.len)
     }

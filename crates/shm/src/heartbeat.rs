@@ -17,7 +17,7 @@
 //! successor, which is itself a happens-before edge between the two
 //! writers). [`HeartbeatWord::begin_epoch`] and [`HeartbeatWord::beat`]
 //! store with `Release` so that everything the new server set up before
-//! announcing its epoch — journal replay, re-adopted segments — is
+//! announcing its epoch — notice replay, re-adopted segments — is
 //! visible to a client whose `Acquire` [`HeartbeatWord::observe`] sees
 //! the new epoch. The model test in `tests/model.rs` proves the pair,
 //! and its seeded-bug twin proves the checker rejects a `Relaxed` store.
@@ -69,7 +69,7 @@ impl HeartbeatWord {
     /// Announces a (re)started server: epoch `epoch`, beat reset to 0.
     /// Single-writer (see module docs): only the current server calls this.
     pub fn begin_epoch(&self, epoch: u32) {
-        // Release: publishes the new server's setup (journal replay,
+        // Release: publishes the new server's setup (notice replay,
         // re-adopted segments) to clients that Acquire-observe the epoch.
         self.word.store(pack(epoch, 0), Ordering::Release);
     }

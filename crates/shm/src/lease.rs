@@ -31,7 +31,9 @@
 //! region; an operation already past its entry renew may still store its
 //! ring `head` once (the classic lease grace window), which is why
 //! reclamation sweeps run repeatedly rather than once — see
-//! `PartitionAllocator::revoke_remaining`.
+//! [`crate::ring::ring_reclaim`]. The revoked bit is also the fence
+//! itself: it lives in the node's layout, so a respawned dedicated core
+//! reads which clients its predecessor fenced from the lease words.
 //!
 //! ## Memory-ordering argument (verified under `--features check`)
 //!
@@ -39,8 +41,8 @@
 //! the client wrote before renewing (the sweeper's Acquire observation of
 //! the new beat sees those writes); the Acquire half of a *failed* renew
 //! synchronizes with the sweeper's Release revoke, so a fenced client also
-//! observes whatever fencing state (journal fence, cancelled records) the
-//! sweeper published before revoking. `try_revoke` uses `AcqRel` for the
+//! observes whatever the sweeper published before revoking (the notices
+//! it applied, the segments it released). `try_revoke` uses `AcqRel` for the
 //! mirror-image reasons. The model tests in `tests/model.rs` prove the
 //! pair and the mutual exclusion, and the seeded-bug twins prove the
 //! checker rejects a Relaxed renew and a blind (non-CAS) revoke.

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! 0    magic        "DAMRSHM1" (0x44414D52_53484D31)
-//! 8    version      layout version (5)
+//! 8    version      layout version (6)
 //! 16   n_clients
 //! 24   data_capacity    bytes of buffer data after the header
 //! 32   data_offset      where the data starts (from the region base)
@@ -25,7 +25,9 @@
 //!                                | notice head | pid
 //!        +128 the core's line:   ring tail (written per release)
 //!        +256 the core's line:   notice tail (written per notice taken)
-//!        +384 notice_capacity notice slots of 64 bytes
+//!                                | applied (per notice done) | ended
+//!        +384 notice_capacity notice slots of 64 bytes, the last
+//!             words of each the core's stamp (see [`crate::notice`])
 //! data_offset  buffer data, n_clients × region_capacity bytes
 //! ```
 //!
@@ -52,10 +54,12 @@ use std::path::Path;
 
 /// "DAMRSHM1" in big-endian bytes — identifies a Damaris node mapping.
 pub const MAGIC: u64 = 0x44414D52_53484D31;
-/// Bump on any layout change; `open` rejects mismatches. (5: user-event
-/// and dynamic-write notices, 64-byte notice slots freed by a zero first
-/// word, the two tails on lines of their own.)
-pub const VERSION: u64 = 5;
+/// Bump on any layout change; `open` rejects mismatches. (6: a notice's
+/// slot is held until the core-written `applied` passes it, and the
+/// core's `ended` word; 5: user-event and dynamic-write notices, 64-byte
+/// notice slots freed by a zero first word, the two tails on lines of
+/// their own.)
+pub const VERSION: u64 = 6;
 
 const OFF_MAGIC: usize = 0;
 const OFF_VERSION: usize = 8;
@@ -80,6 +84,8 @@ const SLOT_NOTICE_HEAD: usize = 24;
 const SLOT_PID: usize = 32;
 const SLOT_TAIL: usize = LINE;
 const SLOT_NOTICE_TAIL: usize = 2 * LINE;
+const SLOT_APPLIED: usize = 2 * LINE + 8;
+const SLOT_ENDED: usize = 2 * LINE + 16;
 const SLOT_NOTICES: usize = 3 * LINE;
 
 /// Size of the header region GC needs to inspect (see [`crate::gc`]).
@@ -413,8 +419,16 @@ impl MappedNode {
         NoticeRing {
             head: self.client_word(client, SLOT_NOTICE_HEAD),
             tail: self.client_word(client, SLOT_NOTICE_TAIL),
+            applied: self.client_word(client, SLOT_APPLIED),
             slots,
         }
+    }
+
+    /// The core's count of `client`'s ends of iteration: the highest
+    /// iteration it took one of, plus one (0 before the first). In the
+    /// layout, so that it outlives the core that wrote it. Core side.
+    pub fn ended(&self, client: usize) -> &AtomicU64 {
+        self.client_word(client, SLOT_ENDED)
     }
 
     /// In-ring position of a buffer offset, if it falls in `client`'s ring.
@@ -449,7 +463,7 @@ impl MappedNode {
 
     /// Re-creates the handle of a range still reserved in `client`'s ring
     /// (consumer side: the caller owns `tail`). The coordinates come from
-    /// a journal record or from a notice, that is from outside the core:
+    /// a notice, that is from outside the core:
     /// `None` unless [`ring::ring_locate`] finds them live.
     pub fn adopt(&self, client: usize, offset: usize, len: usize) -> Option<Segment> {
         self.adopt_within(client, offset, len, &mut Reach::default())
@@ -482,6 +496,20 @@ impl MappedNode {
             // inside the client's ring; a mismatch is caller misuse.
             .expect("segment does not belong to this client's ring");
         ring::ring_release(&self.ring(client), pos, len as u64);
+    }
+
+    /// [`release`](Self::release) of the reservation `segment` stands for,
+    /// unless its position is behind the ring's `tail` — then it was given
+    /// back already, through another handle on the same range (two notices
+    /// named it: one was forged), and this returns `false`.
+    pub fn release_segment(&self, client: usize, segment: &Segment) -> bool {
+        // Relaxed: only the consumer, the caller, writes `tail`.
+        if segment.position() < self.ring(client).tail.load(Ordering::Relaxed) {
+            return false;
+        }
+        let (offset, len) = segment.reservation();
+        self.release(client, offset, len);
+        true
     }
 
     /// Reclaims everything still reserved in `client`'s ring (the
@@ -582,7 +610,10 @@ mod tests {
                 line(node.notices(c).head),
                 line(node.client_word(c, SLOT_PID)),
             ];
-            let core = [line(node.ring(c).tail), line(node.notices(c).tail)];
+            let notices = node.notices(c);
+            let core = [line(node.ring(c).tail), line(notices.tail)];
+            assert_eq!(line(notices.applied), core[1]);
+            assert_eq!(line(node.ended(c)), core[1]);
             assert!(client.iter().all(|&l| l == client[0]), "{client:?}");
             assert_eq!(core, [client[0] + 1, client[0] + 2]);
             let slots = node.notices(c).slots;
@@ -623,7 +654,8 @@ mod tests {
             for c in 0..3 {
                 let (ring, notices) = (node.ring(c), node.notices(c));
                 words.extend([at(ring.head), at(ring.tail), at(ring.floor)]);
-                words.extend([at(notices.head), at(notices.tail), at(&notices.slots[0])]);
+                words.extend([at(notices.head), at(notices.tail), at(notices.applied)]);
+                words.extend([at(&notices.slots[0]), at(node.ended(c))]);
                 words.push(at(node.client_word(c, SLOT_LEASE)));
             }
             words
@@ -677,8 +709,16 @@ mod tests {
         assert!(client.notices(1).post(end.encode()));
         assert_eq!(epe.notices(0).peek(), None, "rank 0's ring is its own");
         assert_eq!(epe.notices(1).peek().and_then(Notice::decode), Some(end));
-        epe.notices(1).advance();
+        let taken = epe.notices(1).advance();
         assert_eq!(client.notices(1).peek(), None);
+        // The slot is the core's record until it is applied: a successor
+        // core over the mapping reads it back.
+        let unapplied = client.notices(1).unapplied();
+        assert_eq!(unapplied, [(taken, end.encode())]);
+        epe.notices(1).apply(taken);
+        assert_eq!(client.notices(1).unapplied().len(), 0);
+        epe.ended(1).store(6, Ordering::Relaxed);
+        assert_eq!(client.ended(1).load(Ordering::Relaxed), 6);
 
         assert!(!client.done());
         epe.mark_done();
@@ -729,7 +769,12 @@ mod tests {
         assert!(node.adopt(1, off, 1025).is_none(), "longer than a ring");
         assert!(node.adopt(1, off + 1000, 100).is_none(), "straddles");
         assert!(node.adopt(1, off + 104, 100).is_none(), "beyond head");
-        node.release(1, off, len);
+        // Two handles on one range (two notices named it): the second
+        // release finds it behind the tail and gives nothing back.
+        let twin = node.adopt(1, off, len).unwrap();
+        assert!(node.release_segment(1, &adopted));
+        assert!(!node.release_segment(1, &twin), "given back once");
+        assert_eq!(node.in_use(1), 0);
         assert!(node.adopt(1, off, len).is_none(), "released");
 
         // The ring (1024 bytes) is empty at position 104, so the next

@@ -5,14 +5,27 @@
 //! in the node's layout; `tests/model.rs` on the heap).
 //!
 //! A ring is `capacity` slots of [`SLOT_WORDS`] words, a notice of
-//! [`NOTICE_WORDS`] at the front of each, and two monotonic counters with
-//! one writer each: `head` (notices posted, by the client) and `tail`
-//! (notices taken, by the core). A slot's first word is 0 while the slot
-//! is free (no encoded notice's is), so each side polls the slot it works
-//! on next, never the other side's counter. The ring names the client
-//! that posted into it, so a notice cannot speak for another one; with one
-//! producer per ring there is no compare-and-swap, and a client's notices
-//! are taken in the order it posted them.
+//! [`NOTICE_WORDS`] at the front of each, and three monotonic counters:
+//! `head` (notices posted, by the client), `tail` (notices taken, by the
+//! core) and `applied` (notices done, by the core; `applied <= tail`). A
+//! slot's first word is 0 while the slot is free (no encoded notice's is),
+//! so each side polls the slot it works on next, never the other side's
+//! counter. The ring names the client that posted into it, so a notice
+//! cannot speak for another one; with one producer per ring there is no
+//! compare-and-swap, and a client's notices are taken in the order it
+//! posted them.
+//!
+//! ## The ring is the log
+//!
+//! Taking a notice ([`NoticeRing::advance`]) leaves its slot as it is:
+//! the slot is the core's record of the notice until the core is done
+//! with it — a write's segment released, an end's iteration retired, a
+//! signal about to be dispatched, a refusal at once. Then the core stamps
+//! the slot's [`STAMP`] word ([`NoticeRing::apply`]), and `applied` moves
+//! over every stamped slot at its front, freeing each. A core that dies
+//! leaves `[applied, tail)` behind: its successor re-reads the notices not
+//! stamped there ([`NoticeRing::unapplied`]) before it takes anything at
+//! or past `tail`, which is news.
 //!
 //! ## Memory-ordering argument (verified under `--features check`)
 //!
@@ -20,9 +33,12 @@
 //! word `Release`: that store publishes the notice and every byte the
 //! client wrote before it — the payload copied into its data ring. The
 //! core Acquire-loads the first word before reading the others, and once
-//! it no longer needs the slot stores 0 there `Release`; the client
+//! `applied` passes the slot, stores 0 there `Release`; the client
 //! Acquire-loads the first word before overwriting a slot, so it never
-//! overwrites one the core is still reading.
+//! overwrites one the core is still reading. `tail`, `applied` and the
+//! stamp have one writer, the core, and a successor core is ordered after
+//! its predecessor from outside (a thread join; a process started after
+//! the kill).
 
 use crate::sync::{AtomicU64, Ordering};
 
@@ -33,6 +49,9 @@ pub const NOTICE_WORDS: usize = 4;
 pub const SLOT_WORDS: usize = 8;
 /// Bytes per slot.
 pub const SLOT_BYTES: usize = SLOT_WORDS * 8;
+/// The slot word the core stamps non-zero once it is done with the
+/// notice; the client never writes it.
+pub const STAMP: usize = NOTICE_WORDS;
 
 const KIND_WRITE: u64 = 1;
 const KIND_END_ITERATION: u64 = 2;
@@ -163,15 +182,32 @@ impl Notice {
 pub struct NoticeRing<'a> {
     pub head: &'a AtomicU64,
     pub tail: &'a AtomicU64,
+    pub applied: &'a AtomicU64,
     pub slots: &'a [AtomicU64],
 }
 
 impl<'a> NoticeRing<'a> {
+    fn capacity(&self) -> u64 {
+        (self.slots.len() / SLOT_WORDS) as u64
+    }
+
+    /// The whole slot of `position`: the notice's words, then the stamp.
     fn slot(&self, position: u64) -> &'a [AtomicU64] {
-        let capacity = (self.slots.len() / SLOT_WORDS) as u64;
-        let at = (position & (capacity - 1)) as usize * SLOT_WORDS;
-        // ANALYZE: in-bounds(capacity = slots.len() / SLOT_WORDS is a power of two, so at + NOTICE_WORDS <= capacity * SLOT_WORDS = slots.len())
-        &self.slots[at..at + NOTICE_WORDS]
+        let at = (position & (self.capacity() - 1)) as usize * SLOT_WORDS;
+        // ANALYZE: in-bounds(capacity = slots.len() / SLOT_WORDS is a power of two, so at + SLOT_WORDS <= capacity * SLOT_WORDS = slots.len())
+        &self.slots[at..at + SLOT_WORDS]
+    }
+
+    /// The notice's words in the slot of `position`.
+    fn words(&self, position: u64) -> [u64; NOTICE_WORDS] {
+        let mut words = [0; NOTICE_WORDS];
+        for (value, word) in words.iter_mut().zip(self.slot(position)) {
+            // Relaxed: ordered after the client's stores by an Acquire of
+            // the first word (`peek`'s, or the one the take was made
+            // under); none of them changes before `applied` passes it.
+            *value = word.load(Ordering::Relaxed);
+        }
+        words
     }
 
     /// Posts one notice; `false` when the ring is full. Client side: only
@@ -185,8 +221,8 @@ impl<'a> NoticeRing<'a> {
         let Some((first, others)) = self.slot(h).split_first() else {
             return false;
         };
-        // Acquire: pairs with the core's Release in `advance`, ordering
-        // its reads of the slot before our overwrite of it.
+        // Acquire: pairs with the core's Release in `apply`, ordering its
+        // reads of the slot before our overwrite of it.
         if first.load(Ordering::Acquire) != 0 {
             return false;
         }
@@ -210,20 +246,18 @@ impl<'a> NoticeRing<'a> {
     /// The oldest notice not yet taken, left in place. Core side: only
     /// the ring's consumer may call it.
     pub fn peek(&self) -> Option<[u64; NOTICE_WORDS]> {
-        // Relaxed: only the core writes `tail`.
+        // Relaxed: only the core writes `tail` and `applied`.
         let t = self.tail.load(Ordering::Relaxed);
+        if t.wrapping_sub(self.applied.load(Ordering::Relaxed)) >= self.capacity() {
+            // The slot of `t` still holds the notice a lap before it.
+            return None;
+        }
         let slot = self.slot(t);
         // Acquire: pairs with the client's Release in `post`.
         if slot.first()?.load(Ordering::Acquire) == 0 {
             return None;
         }
-        // Relaxed: ordered after the client's stores by the Acquire above
-        // (the first word again too: it cannot change before `advance`).
-        let mut words = [0; NOTICE_WORDS];
-        for (value, word) in words.iter_mut().zip(slot) {
-            *value = word.load(Ordering::Relaxed);
-        }
-        Some(words)
+        Some(self.words(t))
     }
 
     /// Notices ever posted: a mark in the ring's order.
@@ -238,16 +272,59 @@ impl<'a> NoticeRing<'a> {
         mark.saturating_sub(self.tail.load(Ordering::Relaxed))
     }
 
-    /// Takes the notice [`peek`](Self::peek) returned, freeing its slot.
-    pub fn advance(&self) {
+    /// Takes the notice [`peek`](Self::peek) returned and returns its
+    /// position. Its slot stays the core's until [`apply`](Self::apply)
+    /// is called with that position.
+    pub fn advance(&self) -> u64 {
         // Relaxed: only the core writes `tail`.
         let t = self.tail.load(Ordering::Relaxed);
-        // Release: the slot is the client's again once our reads of it
-        // are done — pairs with the Acquire of the first word in `post`.
-        if let Some(first) = self.slot(t).first() {
-            first.store(0, Ordering::Release);
-        }
         self.tail.store(t + 1, Ordering::Relaxed);
+        t
+    }
+
+    /// The core is done with the notice it took at `position`: stamps its
+    /// slot, then moves `applied` over every stamped slot at its front,
+    /// freeing each for the client. Idempotent: a position `applied`
+    /// passed already is left alone, its slot being another's now.
+    pub fn apply(&self, position: u64) {
+        // Relaxed: only the core writes the stamp, `applied` and (after
+        // the client's post) the first word.
+        let (mut a, t) = (
+            self.applied.load(Ordering::Relaxed),
+            self.tail.load(Ordering::Relaxed),
+        );
+        if position < a {
+            return;
+        }
+        self.slot(position)[STAMP].store(1, Ordering::Relaxed);
+        while a < t {
+            let slot = self.slot(a);
+            if slot[STAMP].load(Ordering::Relaxed) == 0 {
+                break;
+            }
+            slot[STAMP].store(0, Ordering::Relaxed);
+            // Release: the slot is the client's again once our reads of it
+            // are done — pairs with the Acquire of the first word in `post`.
+            slot[0].store(0, Ordering::Release);
+            a += 1;
+        }
+        self.applied.store(a, Ordering::Relaxed);
+    }
+
+    /// The notices taken and not yet stamped, oldest first, with their
+    /// positions: what a core that died left undone, for its successor to
+    /// replay. Read whole before any is applied, which may free slots.
+    pub fn unapplied(&self) -> Vec<(u64, [u64; NOTICE_WORDS])> {
+        // Relaxed: the core's own words, written by a predecessor that is
+        // ordered before this core.
+        let (a, t) = (
+            self.applied.load(Ordering::Relaxed),
+            self.tail.load(Ordering::Relaxed),
+        );
+        (a..t)
+            .filter(|&p| self.slot(p)[STAMP].load(Ordering::Relaxed) == 0)
+            .map(|p| (p, self.words(p)))
+            .collect()
     }
 }
 
@@ -291,13 +368,16 @@ mod tests {
     }
 
     #[test]
-    fn a_full_ring_refuses_until_the_core_takes_one() {
-        let (head, tail) = (AtomicU64::new(0), AtomicU64::new(0));
-        let slots: Vec<AtomicU64> = (0..2 * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect();
+    fn a_full_ring_refuses_until_the_core_applies_one() {
+        let words: Vec<AtomicU64> = (0..3 + 2 * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect();
+        let [head, tail, applied, slots @ ..] = &words[..] else {
+            unreachable!()
+        };
         let ring = NoticeRing {
-            head: &head,
-            tail: &tail,
-            slots: &slots,
+            head,
+            tail,
+            applied,
+            slots,
         };
         assert_eq!(ring.peek(), None);
         for i in 1..6u64 {
@@ -306,12 +386,35 @@ mod tests {
             assert!(!ring.post([7; NOTICE_WORDS]), "capacity 2");
             assert_eq!(ring.peek(), Some([i, 0, 0, 0]));
             assert_eq!(ring.peek(), Some([i, 0, 0, 0]), "peek leaves it");
-            ring.advance();
+            let first = ring.advance();
             assert_eq!(ring.peek(), Some([i + 100, 0, 0, 0]));
-            ring.advance();
+            let second = ring.advance();
             assert_eq!(ring.peek(), None);
+            // Taken is not free: both slots are the core's until applied,
+            // and `applied` passes only a stamped front.
+            assert!(!ring.post([7; NOTICE_WORDS]), "taken, not applied");
+            assert_eq!(ring.peek(), None, "a lap behind is not news");
+            let unapplied = ring.unapplied();
+            assert_eq!(
+                unapplied,
+                [(first, [i, 0, 0, 0]), (second, [i + 100, 0, 0, 0])]
+            );
+            ring.apply(second);
+            assert!(!ring.post([7; NOTICE_WORDS]), "the front is not applied");
+            assert_eq!(
+                ring.unapplied()
+                    .into_iter()
+                    .map(|(p, _)| p)
+                    .collect::<Vec<_>>(),
+                [first]
+            );
+            ring.apply(first);
+            ring.apply(first);
+            assert_eq!(applied.load(Ordering::Relaxed), second + 1);
+            assert_eq!(ring.unapplied().len(), 0);
         }
         assert_eq!((head.load(Ordering::Relaxed), ring.posted()), (10, 10));
         assert_eq!(ring.untaken_before(10), 0);
+        assert!(slots.iter().all(|word| word.load(Ordering::Relaxed) == 0));
     }
 }

@@ -233,7 +233,7 @@ pub fn ring_in_use(ring: &Ring<'_>) -> u64 {
 }
 
 /// Where `[pos, pos + len)` — an in-region offset and a length from a
-/// journal record or a notice, so nothing about them is assumed — sits if
+/// notice, so nothing about them is assumed — sits if
 /// it can be a live reservation: inside the ring without straddling its
 /// end, and, rounded and with the padding that leads up to it, within the
 /// live window. Returns the reservation's [`Reserved::position`]: the

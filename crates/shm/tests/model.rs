@@ -402,107 +402,6 @@ fn seeded_relaxed_epoch_store_is_a_data_race() {
 }
 
 // ---------------------------------------------------------------------------
-// Journal seqno handoff (claim arbitration, modeled at the shm level)
-// ---------------------------------------------------------------------------
-
-/// Replica of the event journal's exactly-once claim: a record's state
-/// word goes Pending(0) → Resident(1) by a single compare-exchange, and
-/// two claimers race for it. In every schedule exactly one must win, and
-/// the winner must see the payload the appender wrote before publishing
-/// the seqno.
-#[test]
-fn journal_claim_is_exactly_once_under_race() {
-    model(|| {
-        let state = Arc::new(AtomicUsize::new(0)); // 0 Pending, 1 Resident
-        let published = Arc::new(AtomicUsize::new(0));
-        let payload = Arc::new(ShmCell::new(0usize));
-        let wins = Arc::new(AtomicUsize::new(0));
-
-        // Appender: record the payload, then hand the seq over.
-        let (p2, pub2) = (Arc::clone(&payload), Arc::clone(&published));
-        let appender = thread::spawn(move || {
-            // SAFETY: written before the Release publication below.
-            p2.with_mut(|p| unsafe { *p = 0x5E9_usize });
-            pub2.store(1, Ordering::Release);
-        });
-
-        // Two claimers: exactly one CAS may succeed.
-        let mut claimers = Vec::new();
-        for _ in 0..2 {
-            let (st, pb, pl, w) = (
-                Arc::clone(&state),
-                Arc::clone(&published),
-                Arc::clone(&payload),
-                Arc::clone(&wins),
-            );
-            claimers.push(thread::spawn(move || {
-                while pb.load(Ordering::Acquire) == 0 {
-                    thread::yield_now();
-                }
-                if st
-                    .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    // SAFETY: the Acquire load of `published` orders this
-                    // read after the appender's write.
-                    assert_eq!(pl.with(|p| unsafe { *p }), 0x5E9_usize);
-                    w.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        appender.join();
-        for c in claimers {
-            c.join();
-        }
-        assert_eq!(
-            wins.load(Ordering::Relaxed),
-            1,
-            "exactly one of replay/pop may process a journaled event"
-        );
-    });
-}
-
-/// Seeded bug: claim implemented as load-then-store instead of one RMW.
-/// The checker must find the schedule where both claimers observe
-/// Pending and both "win" — the double-processing the journal's
-/// compare-exchange exists to prevent.
-#[test]
-fn seeded_load_store_claim_double_processes() {
-    let failure = Builder::new()
-        .check_result(|| {
-            let state = Arc::new(AtomicUsize::new(0));
-            let wins = Arc::new(AtomicUsize::new(0));
-            let mut claimers = Vec::new();
-            for _ in 0..2 {
-                let (st, w) = (Arc::clone(&state), Arc::clone(&wins));
-                claimers.push(thread::spawn(move || {
-                    // seeded bug: check-then-act with a window in between.
-                    if st.load(Ordering::Acquire) == 0 {
-                        thread::yield_now();
-                        st.store(1, Ordering::Release);
-                        w.fetch_add(1, Ordering::Relaxed);
-                    }
-                }));
-            }
-            for c in claimers {
-                c.join();
-            }
-            assert_eq!(
-                wins.load(Ordering::Relaxed),
-                1,
-                "claim raced: double-processed"
-            );
-        })
-        .expect_err("load/store claim must double-process in some schedule");
-    assert_eq!(failure.kind, FailureKind::Panic);
-    assert!(
-        failure.message.contains("double-processed"),
-        "unexpected message: {}",
-        failure.message
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Client liveness leases (renew/revoke arbitration)
 // ---------------------------------------------------------------------------
 
@@ -886,6 +785,7 @@ fn seeded_consumer_side_rewind_overlaps_a_live_segment() {
 struct NoticeWords {
     head: AtomicU64,
     tail: AtomicU64,
+    applied: AtomicU64,
     slots: Vec<AtomicU64>,
 }
 
@@ -894,6 +794,7 @@ impl NoticeWords {
         NoticeWords {
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
+            applied: AtomicU64::new(0),
             slots: (0..capacity * SLOT_WORDS)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -904,6 +805,7 @@ impl NoticeWords {
         NoticeRing {
             head: &self.head,
             tail: &self.tail,
+            applied: &self.applied,
             slots: &self.slots,
         }
     }
@@ -920,7 +822,8 @@ fn nth_notice(i: u64) -> Notice {
 
 /// One client posting three notices through a ring of two slots — so the
 /// third reuses the first's slot — against the dedicated core taking them
-/// as the pump does: peek, read what the notice points at, advance. In
+/// as the drain pass does: peek, read what the notice points at, advance,
+/// apply. In
 /// every schedule the core sees each notice's words whole and in order,
 /// and the payload byte the client wrote before posting it; the client
 /// never overwrites a slot the core is still reading (the words would
@@ -954,7 +857,8 @@ fn notice_ring_delivers_every_notice_across_a_wrap() {
             // SAFETY: ordered after the client's write by the Acquire
             // load of `head` in `peek`.
             assert_eq!(payload[i as usize].with(|p| unsafe { *p }), 0xA0 + i as u8);
-            ring.advance();
+            let taken = ring.advance();
+            ring.apply(taken);
         }
         client.join();
         assert_eq!(ring.peek(), None);
@@ -1001,4 +905,241 @@ fn seeded_relaxed_notice_head_is_a_data_race() {
         })
         .expect_err("a Relaxed head must be reported");
     assert_eq!(failure.kind, FailureKind::DataRace);
+}
+
+// ---------------------------------------------------------------------------
+// Respawn replay: the notice ring is the log
+// ---------------------------------------------------------------------------
+
+const RANKS: usize = 2;
+const POSTS: usize = 3;
+
+/// What `rank` posts at position `p` of its ring: a signal at 1 of rank 0,
+/// a write everywhere else. Each carries its position, so whoever reads a
+/// slot can tell which post it holds.
+fn nth_post(rank: usize, p: usize) -> Notice {
+    if (rank, p) == (0, 1) {
+        Notice::User {
+            action: p as u32,
+            iteration: 0,
+        }
+    } else {
+        Notice::Write {
+            variable: p as u32,
+            iteration: 0,
+            offset: 0,
+            len: 8,
+        }
+    }
+}
+
+/// What outlives a core, per notice: its write persisted (a file written
+/// under its final name: writing it again is the same effect), its action
+/// dispatched, and the times a core applied it.
+#[derive(Default)]
+struct Effects {
+    persisted: [[u32; POSTS]; RANKS],
+    fired: [[u32; POSTS]; RANKS],
+    applied: [[u32; POSTS]; RANKS],
+}
+
+/// A dedicated core reduced to the ring protocol: it takes, handles
+/// (a signal is applied before its dispatch; a write stays resident),
+/// commits what is resident and then applies it. `budget` counts the
+/// schedule points of that protocol it lives through (`None`: all of
+/// them). `apply_at_take` is the seeded bug.
+struct ModelCore<'a> {
+    rings: [NoticeRing<'a>; RANKS],
+    resident: Vec<(usize, usize)>,
+    budget: Option<usize>,
+    apply_at_take: bool,
+}
+
+impl ModelCore<'_> {
+    /// Passes one schedule point of the protocol: `false` once the core
+    /// is dead.
+    fn step(&mut self) -> bool {
+        match &mut self.budget {
+            Some(0) => false,
+            Some(left) => {
+                *left -= 1;
+                true
+            }
+            None => true,
+        }
+    }
+
+    fn apply(&self, fx: &mut Effects, rank: usize, p: u64) {
+        fx.applied[rank][p as usize] += 1;
+        self.rings[rank].apply(p);
+    }
+
+    /// Handles the notice at `p` of `rank`'s ring, which must be the one
+    /// posted there: a slot the client reused before `applied` passed it
+    /// would hold a later post.
+    fn handle(&mut self, fx: &mut Effects, rank: usize, p: u64, words: [u64; 4]) -> bool {
+        let notice = Notice::decode(words);
+        assert_eq!(notice, Some(nth_post(rank, p as usize)), "slot {p} reused");
+        match notice {
+            Some(Notice::User { .. }) => {
+                if !self.apply_at_take {
+                    self.apply(fx, rank, p);
+                }
+                if !self.step() {
+                    return false;
+                }
+                fx.fired[rank][p as usize] += 1;
+            }
+            _ => self.resident.push((rank, p as usize)),
+        }
+        true
+    }
+
+    /// A successor's first act: what its predecessor took and did not
+    /// finish, ring by ring.
+    fn replay(&mut self, fx: &mut Effects) -> bool {
+        for rank in 0..RANKS {
+            for (p, words) in self.rings[rank].unapplied() {
+                if !self.step() || !self.handle(fx, rank, p, words) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Passes over both rings until every post is applied; `false` if the
+    /// core died first.
+    fn serve(&mut self, fx: &mut Effects) -> bool {
+        loop {
+            let mut took = false;
+            for rank in 0..RANKS {
+                let ring = self.rings[rank];
+                let Some(words) = ring.peek() else {
+                    continue;
+                };
+                if !self.step() {
+                    return false;
+                }
+                let p = ring.advance();
+                took = true;
+                if self.apply_at_take {
+                    self.apply(fx, rank, p);
+                }
+                if !self.step() || !self.handle(fx, rank, p, words) {
+                    return false;
+                }
+            }
+            while let Some(&(rank, p)) = self.resident.first() {
+                if !self.step() {
+                    return false;
+                }
+                fx.persisted[rank][p] = 1;
+                if !self.step() {
+                    return false;
+                }
+                if !self.apply_at_take {
+                    self.apply(fx, rank, p as u64);
+                }
+                self.resident.remove(0);
+            }
+            let posts = POSTS as u64;
+            if self
+                .rings
+                .iter()
+                .all(|r| r.applied.load(Ordering::Relaxed) == posts)
+            {
+                return true;
+            }
+            if !took {
+                thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Schedule points an undisturbed core passes: a take, its handle, and a
+/// write's commit and apply or a signal's dispatch.
+const CORE_STEPS: usize = 5 * 4 + 3;
+
+/// Two ranks post three notices each through rings of two slots (the
+/// third reuses the first's slot only once `applied` passes it) while a
+/// core serves them; the core dies after `kill_at` of its schedule points
+/// and a successor replays `[applied, tail)`, then serves on. Fails the
+/// model if a write is lost, a notice is applied other than once, a
+/// signal fires twice, or a slot is read after its reuse.
+fn respawn_replay(
+    kill_at: usize,
+    apply_at_take: bool,
+) -> Result<damaris_check::Stats, damaris_check::Failure> {
+    // One preemption: two pass too, in two minutes instead of seconds.
+    Builder::new().preemption_bound(1).check_result(move || {
+        let words = Arc::new([NoticeWords::new(2), NoticeWords::new(2)]);
+        // One thread posts for both ranks, each into its own ring: two
+        // posters that both wait on a full ring would each wait for the
+        // other to step first.
+        let w2 = Arc::clone(&words);
+        let clients = thread::spawn(move || {
+            for p in 0..POSTS {
+                for (rank, words) in w2.iter().enumerate() {
+                    while !words.ring().post(nth_post(rank, p).encode()) {
+                        thread::yield_now(); // full: wait for `applied`
+                    }
+                }
+            }
+        });
+        let mut fx = Effects::default();
+        let core = |budget| ModelCore {
+            rings: [words[0].ring(), words[1].ring()],
+            resident: Vec::new(),
+            budget,
+            apply_at_take,
+        };
+        if !core(Some(kill_at)).serve(&mut fx) {
+            let mut successor = core(None);
+            assert!(successor.replay(&mut fx) && successor.serve(&mut fx));
+        }
+        clients.join();
+        for rank in 0..RANKS {
+            for p in 0..POSTS {
+                assert_eq!(fx.applied[rank][p], 1, "notice {rank}/{p} applied once");
+                if let Notice::User { .. } = nth_post(rank, p) {
+                    assert!(fx.fired[rank][p] <= 1, "signal {rank}/{p} fired twice");
+                } else {
+                    assert_eq!(fx.persisted[rank][p], 1, "write {rank}/{p} lost");
+                }
+            }
+        }
+    })
+}
+
+/// The core killed at every schedule point of take → handle → commit →
+/// apply, under every explored interleaving with the two clients: every
+/// write takes effect exactly once, the signal at most once, and no slot
+/// is reused before `applied` passes it.
+#[test]
+fn respawn_replays_exactly_what_was_taken_and_not_applied() {
+    let mut executions = 0;
+    for kill_at in 0..=CORE_STEPS {
+        executions += respawn_replay(kill_at, false)
+            .unwrap_or_else(|failure| panic!("killed at {kill_at}: {failure}"))
+            .executions;
+    }
+    println!(
+        "{executions} executions over {} kill points",
+        CORE_STEPS + 1
+    );
+    assert!(executions > 100, "only {executions} executions");
+}
+
+/// Seeded bug: a core that advances `applied` as it takes a notice. A
+/// core killed between the take and the commit leaves its successor
+/// nothing to replay, and the checker must find the write that was lost.
+#[test]
+fn seeded_apply_at_take_loses_a_write() {
+    let failure = (0..=CORE_STEPS)
+        .find_map(|kill_at| respawn_replay(kill_at, true).err())
+        .expect("applying at take must lose a write at some kill point");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(failure.message.contains("lost"), "{}", failure.message);
 }

@@ -269,7 +269,8 @@ fn streamed_payloads_are_whole_when_their_notice_is_taken() {
                     panic!("notice {i}: its segment held stale bytes when it was taken");
                 }
                 node.release(0, segment.offset(), LEN);
-                notices.advance();
+                let taken = notices.advance();
+                notices.apply(taken);
             }
         })
     };
