@@ -237,9 +237,11 @@ fn the_name_lookup_is_inside_the_write_closure() {
 
 /// Clients only post; the dedicated core keeps what it took in the
 /// notice ring and applies each notice once it is done with it. Neither
-/// apply function is inside `write`'s strict closure: panic edges planted
-/// in `NoticeRing::apply` and `DedicatedCore::apply` are findings of no
-/// client root — and are as soon as either is a hot root itself.
+/// the ring's freeing of applied slots nor the core's apply is inside
+/// `write`'s strict closure: panic edges planted in `NoticeRing::free_front`
+/// (under `apply`, `refuse` and `recover`) and `DedicatedCore::apply` are
+/// findings of no client root — and are as soon as either is a hot root
+/// itself.
 #[test]
 fn applying_a_notice_is_outside_the_write_closure() {
     let client = read("crates/core/src/client.rs");
@@ -247,7 +249,7 @@ fn applying_a_notice_is_outside_the_write_closure() {
     let event = read("crates/core/src/event.rs");
     let (ring_path, ring) = read("crates/shm/src/notice.rs");
     let (core_path, core) = read("crates/core/src/server.rs");
-    let ring_fn = "    pub fn apply(&self, position: u64) {";
+    let ring_fn = "    fn free_front(&self, alive: &mut impl FnMut() -> bool) -> bool {";
     let core_fn = "    fn apply(&self, source: u32, notice: u64) {";
     assert!(ring.contains(ring_fn) && core.contains(core_fn));
     let plant = |src: &str, f: &str| src.replace(f, &format!("{f}\n        None::<()>.unwrap();"));

@@ -677,13 +677,12 @@ impl Config {
                 ));
             }
         }
-        // The slots `MappedNode` gives each client's notice ring.
-        let slots = 1 << (self.queue_capacity / n_clients.max(1)).max(2).ilog2();
-        let notices = self.variables.len() + 1;
+        let (slots, notices) = (self.notice_slots(n_clients), self.variables.len() + 1);
         if slots < 2 * notices {
             warnings.push(format!(
                 "each client's notice ring ({slots} slots of the event queue's {}) \
-                 holds fewer than two iterations of its notices ({notices} per iteration)",
+                 holds fewer than two iterations of its notices ({notices} per iteration); \
+                 a client may wait for the previous iteration's commit",
                 self.queue_capacity
             ));
         }
@@ -694,6 +693,30 @@ impl Config {
             ));
         }
         warnings
+    }
+
+    /// The slots `MappedNode` gives each client's notice ring.
+    fn notice_slots(&self, n_clients: usize) -> usize {
+        1 << (self.queue_capacity / n_clients.max(1)).max(2).ilog2()
+    }
+
+    /// Refuses an event queue whose per-client notice ring cannot hold one
+    /// iteration's notices, a write of each variable and the end. A slot
+    /// is held until its iteration commits, so such a client would fill
+    /// its ring with writes, could not post the end that commits them,
+    /// and would fail once its backpressure wait ran out.
+    pub fn check_notice_ring(&self, n_clients: usize) -> Result<(), DamarisError> {
+        let (slots, notices) = (self.notice_slots(n_clients), self.variables.len() + 1);
+        if slots >= notices {
+            return Ok(());
+        }
+        Err(DamarisError::Config(format!(
+            "<buffer queue=\"{}\">: each of {n_clients} clients gets {slots} notice slots, \
+             fewer than one iteration's {notices} notices ({} variables and the end); \
+             a client would block on its full ring and fail",
+            self.queue_capacity,
+            self.variables.len()
+        )))
     }
 
     /// Serializes back to the XML schema (compact form).
@@ -969,6 +992,30 @@ mod tests {
         )
         .unwrap();
         assert!(c.diagnostics(4).is_empty());
+    }
+
+    #[test]
+    fn a_queue_that_cannot_hold_one_iteration_is_refused() {
+        let c = Config::from_xml(
+            r#"<damaris>
+                 <buffer size="1048576" queue="16"/>
+                 <layout name="l" type="real" dimensions="4"/>
+                 <variable name="a" layout="l"/>
+                 <variable name="b" layout="l"/>
+                 <variable name="c" layout="l"/>
+               </damaris>"#,
+        )
+        .unwrap();
+        // 4 slots each for 4 clients: three writes and the end fit.
+        assert!(c.check_notice_ring(4).is_ok());
+        assert!(c
+            .diagnostics(4)
+            .iter()
+            .any(|w| w.contains("previous iteration")));
+        // 2 slots each for 8 clients do not.
+        let err = c.check_notice_ring(8).unwrap_err().to_string();
+        assert!(err.contains("2 notice slots"), "{err}");
+        assert!(err.contains("4 notices (3 variables and the end)"), "{err}");
     }
 
     #[test]

@@ -440,8 +440,9 @@ pub struct NodeReport {
     /// rings — taken by a dead incarnation and not finished — and applied.
     /// metric: node.events_replayed
     pub events_replayed: u64,
-    /// Notices refused: not believable, from a fenced client, a second end
-    /// of one iteration, or naming a range another notice had named.
+    /// Notices refused: not believable, from a fenced client, a write or
+    /// end of an iteration its client already ended, or naming a range
+    /// another notice had named.
     /// metric: node.stale_events_rejected
     pub stale_events_rejected: u64,
     /// Times a client observed the heartbeat stale and degraded.
@@ -650,6 +651,7 @@ impl NodeRuntime {
         }
         // Built synchronously so configuration errors surface at start, not
         // from inside the supervisor.
+        config.check_notice_ring(n_clients)?;
         let epe = EventProcessingEngine::build(&config, &extra_plugins)?;
         let node = MappedNode::heap(n_clients, config.buffer_size, config.queue_capacity)
             .map_err(|e| DamarisError::Config(format!("<buffer>: {e}")))?;

@@ -168,6 +168,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         // First boot — or the mapping vanished with the machine state
         // (tmpfs cleared under us), and with it all there was to replay.
         None => {
+            config.check_notice_ring(opts.n_clients).map_err(core_err)?;
             let (clients, queue) = (opts.n_clients, config.queue_capacity);
             MappedNode::create(&mapping_path, clients, opts.data_capacity, queue)?
         }

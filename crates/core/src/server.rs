@@ -221,7 +221,8 @@ impl DedicatedCore {
         }
     }
 
-    /// Replay: rebuilds the dead incarnation's state from what it took and
+    /// Replay: finishes a free the dead incarnation was killed in
+    /// (`NoticeRing::recover`), rebuilds its state from what it took and
     /// did not apply, `[applied, tail)` of each ring, then fires the
     /// iterations the replayed ends (or pre-crash fencing) completed. Runs
     /// before the new epoch is published, and before anything at or past
@@ -232,6 +233,7 @@ impl DedicatedCore {
         let mut signals = Vec::new();
         for rank in 0..shared.clients {
             let ring = shared.node.notices(rank);
+            ring.recover();
             for (notice, words) in ring.unapplied() {
                 let reach = &mut self.reach[rank];
                 let event =
@@ -284,14 +286,17 @@ impl DedicatedCore {
         !self.fenced.contains(&source)
     }
 
-    /// Whether `event` writes an iteration whose end its client posted
-    /// before it (the `ended` word is past it): stored, it would fire that
-    /// iteration again. Checked as a notice is taken, never at replay —
-    /// the end may have been taken after the write.
+    /// Whether `event` writes or ends an iteration whose end its client
+    /// posted before it (the `ended` word is past it): taken, it would
+    /// fire that iteration again or count its end twice. Checked as a
+    /// notice is taken, never at replay — the end may have been taken
+    /// after the write, and a refused notice is never replayed
+    /// (`NoticeRing::refuse`).
     fn late(&self, event: &Event) -> bool {
-        let Event::Write {
+        let (Event::Write {
             iteration, source, ..
-        } = *event
+        }
+        | Event::EndIteration { iteration, source }) = *event
         else {
             return false;
         };
@@ -337,13 +342,8 @@ impl DedicatedCore {
             Event::EndIteration { iteration, source } => {
                 // The fire itself happens in `idle`'s `fire_ready` pass,
                 // which also covers iterations completed by fencing. A
-                // second end of the same iteration is refused.
+                // second end of an iteration was refused as `late`.
                 let counted = self.end_counts.entry(iteration).or_default();
-                if counted.iter().any(|(s, _)| *s == source) {
-                    self.apply(source, notice);
-                    FaultStats::bump(&self.shared.stats.stale_events_rejected);
-                    return Ok(());
-                }
                 counted.push((source, notice));
                 let ended = self.shared.node.ended(source as usize);
                 let next = u64::from(iteration) + 1;
@@ -370,7 +370,7 @@ impl DedicatedCore {
     /// One pass over every client's notice ring: at most a ring's worth of
     /// each, and only what was posted before `marks[rank]` if given. A
     /// notice [`NodeShared::event_of`] believes, and that is not a
-    /// [`late`](Self::late) write, is admitted, taken off its
+    /// [`late`](Self::late) write or end, is admitted, taken off its
     /// ring (`admitted` sees it then, before it is handled) and handled, an
     /// end of iteration followed by [`idle`](Self::idle); any other is
     /// taken off, applied and counted stale. The pass ends with `idle`.
@@ -451,7 +451,7 @@ impl DedicatedCore {
                 Some(event @ Event::User { .. }) => return Ok((true, Some(event))),
                 Some(event) if self.admit(rank as u32) && !self.late(&event) => event,
                 _ => {
-                    ring.apply(ring.advance());
+                    ring.refuse();
                     FaultStats::bump(&shared.stats.stale_events_rejected);
                     continue;
                 }
@@ -1732,6 +1732,8 @@ mod tests {
     /// A write to an iteration its client already ended — after every rank
     /// did and the iteration was persisted — is refused: stored, it would
     /// fire the iteration again and write its file over with itself alone.
+    /// So is an end its client posted before, retired or not: counted, it
+    /// could fire the iteration again.
     #[test]
     fn a_write_after_its_clients_end_is_refused() {
         FIXTURES.into_iter().for_each(late_write);
@@ -1747,11 +1749,19 @@ mod tests {
         while core.drain(&[], &mut |_, _| {}).unwrap() {}
         core.quiet().unwrap();
         let persisted = files(&shared);
+        // Iteration 0 retired: a write to it and its end again are late.
         clients[0].write("b", 0, &[9; 64]).unwrap();
+        clients[0].end_iteration(0).unwrap();
+        // So is a second end of an iteration that has not retired.
         clients[0].write("b", 1, &[2; 64]).unwrap();
+        clients[0].end_iteration(1).unwrap();
+        clients[0].end_iteration(1).unwrap();
+        while core.drain(&[], &mut |_, _| {}).unwrap() {}
+        assert_eq!(core.report.iterations_persisted, 1, "1 waits for rank 1");
+        clients[1].end_iteration(1).unwrap();
         while core.drain(&[], &mut |_, _| {}).unwrap() {}
         core.shutdown().unwrap();
-        assert_eq!(FaultStats::get(&shared.stats.stale_events_rejected), 1);
+        assert_eq!(FaultStats::get(&shared.stats.stale_events_rejected), 3);
         assert_eq!(core.report.iterations_persisted, 2, "0 once, and 1");
         let written = files(&shared);
         assert_eq!(written[0], persisted[0], "iteration 0's file is untouched");

@@ -367,6 +367,38 @@ fn oversized_variable_rejected_not_deadlocked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A notice is held until its iteration commits, so a client whose ring
+/// cannot hold one iteration's notices would block on it until its
+/// backpressure wait failed: the node refuses such a queue at start.
+#[test]
+fn a_queue_too_small_for_one_iteration_is_refused_at_start() {
+    let cfg = Config::from_xml(
+        r#"<damaris>
+             <buffer size="1048576" queue="8"/>
+             <layout name="l" type="real" dimensions="4"/>
+             <variable name="a" layout="l"/>
+             <variable name="b" layout="l"/>
+           </damaris>"#,
+    )
+    .unwrap();
+    let dir = scratch("small-queue");
+    // 2 slots each for 4 clients; a write of each variable and the end
+    // need 3.
+    match NodeRuntime::start(cfg.clone(), 4, &dir) {
+        Err(DamarisError::Config(msg)) => assert!(msg.contains("2 notice slots"), "{msg}"),
+        other => panic!("expected a config error, got {:?}", other.err()),
+    }
+    // 4 slots each for 2 clients are enough.
+    let runtime = NodeRuntime::start(cfg, 2, &dir).unwrap();
+    for client in runtime.clients() {
+        client.write_f32("a", 0, &[1.0; 4]).unwrap();
+        client.write_f32("b", 0, &[2.0; 4]).unwrap();
+        client.end_iteration(0).unwrap();
+    }
+    assert_eq!(runtime.finish().unwrap().iterations_persisted, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn buffer_pressure_resolves_by_draining() {
     // Each client's half of the buffer fits 4 variables; write 40 per

@@ -26,8 +26,8 @@
 //!        +128 the core's line:   ring tail (written per release)
 //!        +256 the core's line:   notice tail (written per notice taken)
 //!                                | applied (per notice done) | ended
-//!        +384 notice_capacity notice slots of 64 bytes, the last
-//!             words of each the core's stamp (see [`crate::notice`])
+//!        +384 notice_capacity notice slots of 64 bytes (see
+//!             [`crate::notice`])
 //! data_offset  buffer data, n_clients × region_capacity bytes
 //! ```
 //!

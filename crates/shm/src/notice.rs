@@ -20,12 +20,15 @@
 //! Taking a notice ([`NoticeRing::advance`]) leaves its slot as it is:
 //! the slot is the core's record of the notice until the core is done
 //! with it — a write's segment released, an end's iteration retired, a
-//! signal about to be dispatched, a refusal at once. Then the core stamps
-//! the slot's [`STAMP`] word ([`NoticeRing::apply`]), and `applied` moves
-//! over every stamped slot at its front, freeing each. A core that dies
-//! leaves `[applied, tail)` behind: its successor re-reads the notices not
-//! stamped there ([`NoticeRing::unapplied`]) before it takes anything at
-//! or past `tail`, which is news.
+//! signal about to be dispatched, a refusal at once. Then the core marks
+//! the slot ([`NoticeRing::apply`]: its first word becomes a mark no
+//! notice encodes to), and `applied` moves over every marked slot at its
+//! front, zeroing each behind it, which frees it. A core that dies leaves
+//! `[applied, tail)` behind: its successor finishes a free it was killed
+//! in ([`NoticeRing::recover`]), re-reads the notices not marked there
+//! ([`NoticeRing::unapplied`]), and only then takes anything at or past
+//! `tail`, which is news. Every step is one store, and a kill between
+//! any two leaves a ring that `recover` reads the same way.
 //!
 //! ## Memory-ordering argument (verified under `--features check`)
 //!
@@ -36,9 +39,9 @@
 //! `applied` passes the slot, stores 0 there `Release`; the client
 //! Acquire-loads the first word before overwriting a slot, so it never
 //! overwrites one the core is still reading. `tail`, `applied` and the
-//! stamp have one writer, the core, and a successor core is ordered after
-//! its predecessor from outside (a thread join; a process started after
-//! the kill).
+//! marks have one writer, the core, and a successor core is ordered
+//! after its predecessor from outside (a thread join; a process started
+//! after the kill).
 
 use crate::sync::{AtomicU64, Ordering};
 
@@ -49,15 +52,22 @@ pub const NOTICE_WORDS: usize = 4;
 pub const SLOT_WORDS: usize = 8;
 /// Bytes per slot.
 pub const SLOT_BYTES: usize = SLOT_WORDS * 8;
-/// The slot word the core stamps non-zero once it is done with the
-/// notice; the client never writes it.
-pub const STAMP: usize = NOTICE_WORDS;
 
 const KIND_WRITE: u64 = 1;
 const KIND_END_ITERATION: u64 = 2;
 const KIND_ABANDON: u64 = 3;
 const KIND_USER: u64 = 4;
 const KIND_WRITE_DYNAMIC: u64 = 5;
+/// The kind of [`applied_mark`]'s words, which no notice has.
+const KIND_APPLIED: u64 = u32::MAX as u64;
+
+/// The first word the core leaves in the slot of `position` once it is
+/// done with that notice: never 0, never a notice's (the client posts
+/// only into a zero slot, so never writes one), and naming the position
+/// (its low half), so the mark of one lap is not the next one's.
+fn applied_mark(position: u64) -> u64 {
+    KIND_APPLIED | position << 32
+}
 
 /// What a client tells the dedicated core. Its words come from another
 /// process: [`Notice::decode`] refuses an unknown kind, and what a known
@@ -191,11 +201,18 @@ impl<'a> NoticeRing<'a> {
         (self.slots.len() / SLOT_WORDS) as u64
     }
 
-    /// The whole slot of `position`: the notice's words, then the stamp.
+    /// The whole slot of `position`.
     fn slot(&self, position: u64) -> &'a [AtomicU64] {
         let at = (position & (self.capacity() - 1)) as usize * SLOT_WORDS;
         // ANALYZE: in-bounds(capacity = slots.len() / SLOT_WORDS is a power of two, so at + SLOT_WORDS <= capacity * SLOT_WORDS = slots.len())
         &self.slots[at..at + SLOT_WORDS]
+    }
+
+    /// The first word of the slot of `position`: 0, a notice's, or the
+    /// core's mark.
+    fn first(&self, position: u64) -> &'a AtomicU64 {
+        // ANALYZE: in-bounds(a slot is SLOT_WORDS >= 1 words)
+        &self.slot(position)[0]
     }
 
     /// The notice's words in the slot of `position`.
@@ -204,7 +221,8 @@ impl<'a> NoticeRing<'a> {
         for (value, word) in words.iter_mut().zip(self.slot(position)) {
             // Relaxed: ordered after the client's stores by an Acquire of
             // the first word (`peek`'s, or the one the take was made
-            // under); none of them changes before `applied` passes it.
+            // under); the client changes none of them before the slot is
+            // freed.
             *value = word.load(Ordering::Relaxed);
         }
         words
@@ -221,8 +239,8 @@ impl<'a> NoticeRing<'a> {
         let Some((first, others)) = self.slot(h).split_first() else {
             return false;
         };
-        // Acquire: pairs with the core's Release in `apply`, ordering its
-        // reads of the slot before our overwrite of it.
+        // Acquire: pairs with the core's Release as it frees the slot,
+        // ordering its reads of the slot before our overwrite of it.
         if first.load(Ordering::Acquire) != 0 {
             return false;
         }
@@ -282,38 +300,92 @@ impl<'a> NoticeRing<'a> {
         t
     }
 
-    /// The core is done with the notice it took at `position`: stamps its
-    /// slot, then moves `applied` over every stamped slot at its front,
+    /// Takes the notice [`peek`](Self::peek) returned and applies it at
+    /// once: a refusal. The slot is marked before `tail` passes it, so a
+    /// core killed in between leaves its successor no refused notice to
+    /// replay, only a mark at `tail`, which decodes as no notice.
+    pub fn refuse(&self) {
+        // Relaxed: only the core writes `tail` and the mark.
+        let t = self.tail.load(Ordering::Relaxed);
+        self.first(t).store(applied_mark(t), Ordering::Relaxed);
+        self.tail.store(t + 1, Ordering::Relaxed);
+        self.free_front(&mut || true);
+    }
+
+    /// The core is done with the notice it took at `position`: marks its
+    /// slot, then moves `applied` over every marked slot at its front,
     /// freeing each for the client. Idempotent: a position `applied`
     /// passed already is left alone, its slot being another's now.
     pub fn apply(&self, position: u64) {
-        // Relaxed: only the core writes the stamp, `applied` and (after
-        // the client's post) the first word.
-        let (mut a, t) = (
-            self.applied.load(Ordering::Relaxed),
-            self.tail.load(Ordering::Relaxed),
-        );
-        if position < a {
-            return;
-        }
-        self.slot(position)[STAMP].store(1, Ordering::Relaxed);
-        while a < t {
-            let slot = self.slot(a);
-            if slot[STAMP].load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            slot[STAMP].store(0, Ordering::Relaxed);
-            // Release: the slot is the client's again once our reads of it
-            // are done — pairs with the Acquire of the first word in `post`.
-            slot[0].store(0, Ordering::Release);
-            a += 1;
-        }
-        self.applied.store(a, Ordering::Relaxed);
+        self.apply_stepwise(position, &mut || true);
     }
 
-    /// The notices taken and not yet stamped, oldest first, with their
+    /// [`apply`](Self::apply), asking `alive` before each of its stores
+    /// and stopping at the first `false`: a core killed between any two
+    /// of them, as `tests/model.rs` kills one. Whether it made them all.
+    pub fn apply_stepwise(&self, position: u64, alive: &mut impl FnMut() -> bool) -> bool {
+        // Relaxed: only the core writes `applied`.
+        if position < self.applied.load(Ordering::Relaxed) {
+            return true;
+        }
+        if !alive() {
+            return false;
+        }
+        // Relaxed: the slot is the core's until `free_front` zeroes it.
+        self.first(position)
+            .store(applied_mark(position), Ordering::Relaxed);
+        self.free_front(alive)
+    }
+
+    /// Moves `applied` over the marked slots at the ring's front, a slot
+    /// at a time: `applied` passes it, then its first word is zeroed. A
+    /// core killed between the two leaves the mark of `applied - 1`,
+    /// which [`recover`](Self::recover) zeroes; no order of the two
+    /// stores lets a successor zero a slot the client posted into since.
+    fn free_front(&self, alive: &mut impl FnMut() -> bool) -> bool {
+        // Relaxed: only the core writes `tail`, `applied` and the marks.
+        let mut a = self.applied.load(Ordering::Relaxed);
+        let t = self.tail.load(Ordering::Relaxed);
+        while a < t && self.first(a).load(Ordering::Relaxed) == applied_mark(a) {
+            if !alive() {
+                return false;
+            }
+            self.applied.store(a + 1, Ordering::Relaxed);
+            if !alive() {
+                return false;
+            }
+            // Release: the slot is the client's again once our reads of it
+            // are done — pairs with the Acquire of the first word in `post`.
+            self.first(a).store(0, Ordering::Release);
+            a += 1;
+        }
+        true
+    }
+
+    /// A successor's first act on the ring: finishes a free its
+    /// predecessor was killed in — zeroes the mark `applied` passed, and
+    /// moves `applied` over a marked front — so that
+    /// [`unapplied`](Self::unapplied) is what is left to replay.
+    pub fn recover(&self) {
+        // Relaxed: the core's own words, written by a predecessor that is
+        // ordered before this core.
+        let a = self.applied.load(Ordering::Relaxed);
+        if let Some(passed) = a.checked_sub(1) {
+            let first = self.first(passed);
+            // Relaxed: a client's concurrent post writes a notice here,
+            // never the mark, and only once the slot is zero.
+            if first.load(Ordering::Relaxed) == applied_mark(passed) {
+                // Release: as in `free_front`.
+                first.store(0, Ordering::Release);
+            }
+        }
+        self.free_front(&mut || true);
+    }
+
+    /// The notices taken and not yet marked, oldest first, with their
     /// positions: what a core that died left undone, for its successor to
-    /// replay. Read whole before any is applied, which may free slots.
+    /// replay after [`recover`](Self::recover). Read whole before any is
+    /// applied, which may free slots.
     pub fn unapplied(&self) -> Vec<(u64, [u64; NOTICE_WORDS])> {
         // Relaxed: the core's own words, written by a predecessor that is
         // ordered before this core.
@@ -322,7 +394,7 @@ impl<'a> NoticeRing<'a> {
             self.tail.load(Ordering::Relaxed),
         );
         (a..t)
-            .filter(|&p| self.slot(p)[STAMP].load(Ordering::Relaxed) == 0)
+            .filter(|&p| self.first(p).load(Ordering::Relaxed) != applied_mark(p))
             .map(|p| (p, self.words(p)))
             .collect()
     }
@@ -365,6 +437,7 @@ mod tests {
         }
         assert_eq!(Notice::decode([0, 0, 0, 0]), None);
         assert_eq!(Notice::decode([6 | 1 << 32, 0, 0, 0]), None);
+        assert_eq!(Notice::decode([applied_mark(3), 0, 0, 0]), None);
     }
 
     #[test]
@@ -415,6 +488,45 @@ mod tests {
         }
         assert_eq!((head.load(Ordering::Relaxed), ring.posted()), (10, 10));
         assert_eq!(ring.untaken_before(10), 0);
+        assert!(slots.iter().all(|word| word.load(Ordering::Relaxed) == 0));
+    }
+
+    #[test]
+    fn a_core_killed_inside_apply_leaves_what_recover_finishes() {
+        let words: Vec<AtomicU64> = (0..3 + 2 * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect();
+        let [head, tail, applied, slots @ ..] = &words[..] else {
+            unreachable!()
+        };
+        let ring = NoticeRing {
+            head,
+            tail,
+            applied,
+            slots,
+        };
+        assert!(ring.post([1, 0, 0, 0]) && ring.post([2, 0, 0, 0]));
+        let (first, _) = (ring.advance(), ring.advance());
+        // Killed after `applied` passed the first slot, before its zero.
+        let mut stores = 0;
+        assert!(!ring.apply_stepwise(first, &mut || {
+            stores += 1;
+            stores <= 2
+        }));
+        assert_eq!(applied.load(Ordering::Relaxed), 1);
+        assert!(!ring.post([3, 0, 0, 0]), "the mark holds the slot");
+        ring.recover();
+        assert_eq!(ring.unapplied(), [(1, [2, 0, 0, 0])]);
+        assert!(ring.post([3, 0, 0, 0]));
+        // A second successor leaves the client's post where the mark was.
+        ring.recover();
+        ring.apply(1);
+        assert_eq!(ring.peek(), Some([3, 0, 0, 0]));
+        // A refusal is marked before `tail` passes it: nothing to replay.
+        ring.refuse();
+        assert_eq!(
+            (tail.load(Ordering::Relaxed), ring.unapplied().len()),
+            (3, 0)
+        );
+        assert_eq!(applied.load(Ordering::Relaxed), 3);
         assert!(slots.iter().all(|word| word.load(Ordering::Relaxed) == 0));
     }
 }

@@ -943,35 +943,59 @@ struct Effects {
     applied: [[u32; POSTS]; RANKS],
 }
 
+/// The seeded bugs of [`respawn_replay`].
+#[derive(Clone, Copy, PartialEq)]
+enum Bug {
+    /// `applied` advances as a notice is taken.
+    ApplyAtTake,
+    /// The successor skips `NoticeRing::recover`.
+    NoRecover,
+}
+
 /// A dedicated core reduced to the ring protocol: it takes, handles
 /// (a signal is applied before its dispatch; a write stays resident),
 /// commits what is resident and then applies it. `budget` counts the
 /// schedule points of that protocol it lives through (`None`: all of
-/// them). `apply_at_take` is the seeded bug.
+/// them), each store inside `NoticeRing::apply` among them.
 struct ModelCore<'a> {
     rings: [NoticeRing<'a>; RANKS],
     resident: Vec<(usize, usize)>,
     budget: Option<usize>,
-    apply_at_take: bool,
+    bug: Option<Bug>,
+}
+
+/// Passes one schedule point of a core with `budget` left: `false` once
+/// the core is dead.
+fn step(budget: &mut Option<usize>) -> bool {
+    match budget {
+        Some(0) => false,
+        Some(left) => {
+            *left -= 1;
+            true
+        }
+        None => true,
+    }
 }
 
 impl ModelCore<'_> {
-    /// Passes one schedule point of the protocol: `false` once the core
-    /// is dead.
     fn step(&mut self) -> bool {
-        match &mut self.budget {
-            Some(0) => false,
-            Some(left) => {
-                *left -= 1;
-                true
-            }
-            None => true,
-        }
+        step(&mut self.budget)
     }
 
-    fn apply(&self, fx: &mut Effects, rank: usize, p: u64) {
-        fx.applied[rank][p as usize] += 1;
-        self.rings[rank].apply(p);
+    /// Applies the notice at `p` of `rank`'s ring, dying at whichever of
+    /// its stores the budget runs out: `false` then. It counts as applied
+    /// once its mark is stored, the first of them.
+    fn apply(&mut self, fx: &mut Effects, rank: usize, p: u64) -> bool {
+        let (budget, mut marked) = (&mut self.budget, None);
+        let lived = self.rings[rank].apply_stepwise(p, &mut || {
+            let alive = step(budget);
+            marked.get_or_insert(alive);
+            alive
+        });
+        if marked == Some(true) {
+            fx.applied[rank][p as usize] += 1;
+        }
+        lived
     }
 
     /// Handles the notice at `p` of `rank`'s ring, which must be the one
@@ -982,8 +1006,8 @@ impl ModelCore<'_> {
         assert_eq!(notice, Some(nth_post(rank, p as usize)), "slot {p} reused");
         match notice {
             Some(Notice::User { .. }) => {
-                if !self.apply_at_take {
-                    self.apply(fx, rank, p);
+                if self.bug != Some(Bug::ApplyAtTake) && !self.apply(fx, rank, p) {
+                    return false;
                 }
                 if !self.step() {
                     return false;
@@ -999,6 +1023,9 @@ impl ModelCore<'_> {
     /// finish, ring by ring.
     fn replay(&mut self, fx: &mut Effects) -> bool {
         for rank in 0..RANKS {
+            if self.bug != Some(Bug::NoRecover) {
+                self.rings[rank].recover();
+            }
             for (p, words) in self.rings[rank].unapplied() {
                 if !self.step() || !self.handle(fx, rank, p, words) {
                     return false;
@@ -1023,8 +1050,8 @@ impl ModelCore<'_> {
                 }
                 let p = ring.advance();
                 took = true;
-                if self.apply_at_take {
-                    self.apply(fx, rank, p);
+                if self.bug == Some(Bug::ApplyAtTake) && !self.apply(fx, rank, p) {
+                    return false;
                 }
                 if !self.step() || !self.handle(fx, rank, p, words) {
                     return false;
@@ -1035,11 +1062,8 @@ impl ModelCore<'_> {
                     return false;
                 }
                 fx.persisted[rank][p] = 1;
-                if !self.step() {
+                if self.bug != Some(Bug::ApplyAtTake) && !self.apply(fx, rank, p as u64) {
                     return false;
-                }
-                if !self.apply_at_take {
-                    self.apply(fx, rank, p as u64);
                 }
                 self.resident.remove(0);
             }
@@ -1058,21 +1082,23 @@ impl ModelCore<'_> {
     }
 }
 
-/// Schedule points an undisturbed core passes: a take, its handle, and a
-/// write's commit and apply or a signal's dispatch.
-const CORE_STEPS: usize = 5 * 4 + 3;
+/// Schedule points an undisturbed core passes, six per notice: its take,
+/// its handle, a write's commit or a signal's dispatch, and in `apply`
+/// its mark and the two stores that free its slot.
+const CORE_STEPS: usize = RANKS * POSTS * 6;
 
 /// Two ranks post three notices each through rings of two slots (the
 /// third reuses the first's slot only once `applied` passes it) while a
 /// core serves them; the core dies after `kill_at` of its schedule points
-/// and a successor replays `[applied, tail)`, then serves on. Fails the
-/// model if a write is lost, a notice is applied other than once, a
-/// signal fires twice, or a slot is read after its reuse.
+/// and a successor recovers and replays `[applied, tail)`, then serves
+/// on. Fails the model if a write is lost, a notice is applied other than
+/// once, a signal fires twice, a slot is read after its reuse, or a ring
+/// is left with a slot that is not free.
 fn respawn_replay(
     kill_at: usize,
-    apply_at_take: bool,
+    bug: Option<Bug>,
 ) -> Result<damaris_check::Stats, damaris_check::Failure> {
-    // One preemption: two pass too, in two minutes instead of seconds.
+    // One preemption: two pass too, in minutes instead of seconds.
     Builder::new().preemption_bound(1).check_result(move || {
         let words = Arc::new([NoticeWords::new(2), NoticeWords::new(2)]);
         // One thread posts for both ranks, each into its own ring: two
@@ -1093,7 +1119,7 @@ fn respawn_replay(
             rings: [words[0].ring(), words[1].ring()],
             resident: Vec::new(),
             budget,
-            apply_at_take,
+            bug,
         };
         if !core(Some(kill_at)).serve(&mut fx) {
             let mut successor = core(None);
@@ -1109,19 +1135,23 @@ fn respawn_replay(
                     assert_eq!(fx.persisted[rank][p], 1, "write {rank}/{p} lost");
                 }
             }
+            let mut firsts = words[rank].slots.iter().step_by(SLOT_WORDS);
+            let free = firsts.all(|w| w.load(Ordering::Relaxed) == 0);
+            assert!(free, "ring {rank} holds a slot after the run");
         }
     })
 }
 
 /// The core killed at every schedule point of take → handle → commit →
-/// apply, under every explored interleaving with the two clients: every
-/// write takes effect exactly once, the signal at most once, and no slot
-/// is reused before `applied` passes it.
+/// apply, each store of `apply` included, under every explored
+/// interleaving with the two clients: every write takes effect exactly
+/// once, the signal at most once, no slot is reused before `applied`
+/// passes it, and every slot is free at the end.
 #[test]
 fn respawn_replays_exactly_what_was_taken_and_not_applied() {
     let mut executions = 0;
     for kill_at in 0..=CORE_STEPS {
-        executions += respawn_replay(kill_at, false)
+        executions += respawn_replay(kill_at, None)
             .unwrap_or_else(|failure| panic!("killed at {kill_at}: {failure}"))
             .executions;
     }
@@ -1135,11 +1165,26 @@ fn respawn_replays_exactly_what_was_taken_and_not_applied() {
 /// Seeded bug: a core that advances `applied` as it takes a notice. A
 /// core killed between the take and the commit leaves its successor
 /// nothing to replay, and the checker must find the write that was lost.
+/// (Killed inside that early `apply`, before its mark, the core leaves a
+/// write its successor replays and never applies: a livelock.)
 #[test]
 fn seeded_apply_at_take_loses_a_write() {
-    let failure = (0..=CORE_STEPS)
-        .find_map(|kill_at| respawn_replay(kill_at, true).err())
-        .expect("applying at take must lose a write at some kill point");
-    assert_eq!(failure.kind, FailureKind::Panic);
+    let lost = (0..=CORE_STEPS)
+        .filter_map(|kill_at| respawn_replay(kill_at, Some(Bug::ApplyAtTake)).err())
+        .find(|failure| failure.kind == FailureKind::Panic);
+    let failure = lost.expect("applying at take must lose a write at some kill point");
     assert!(failure.message.contains("lost"), "{}", failure.message);
+}
+
+/// Seeded bug: a successor that does not `recover`. A core killed after
+/// `applied` passed a slot and before it zeroed it leaves the slot marked,
+/// and the checker must find the successor reading the mark as a notice
+/// once `tail` comes round to it.
+#[test]
+fn seeded_replay_without_recover_reads_a_mark() {
+    let failure = (0..=CORE_STEPS)
+        .find_map(|kill_at| respawn_replay(kill_at, Some(Bug::NoRecover)).err())
+        .expect("skipping recover must leave a mark at some kill point");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(failure.message.contains("reused"), "{}", failure.message);
 }
