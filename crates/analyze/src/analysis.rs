@@ -603,12 +603,13 @@ pub fn run(files: &[(String, ParsedFile)]) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::split_lines;
     use crate::parser::parse_file;
 
     fn analyze(sources: &[(&str, &str)]) -> Report {
         let parsed: Vec<(String, ParsedFile)> = sources
             .iter()
-            .map(|(f, s)| (f.to_string(), parse_file(f, s)))
+            .map(|(f, s)| (f.to_string(), parse_file(f, split_lines(s))))
             .collect();
         run(&parsed)
     }

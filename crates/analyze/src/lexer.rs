@@ -1,10 +1,11 @@
 //! Source preparation for the analysis pass: a line-oriented Rust lexer
-//! (the same comment/string/raw-string state machine the xtask lint uses)
-//! that, unlike the lint's, *keeps* the line-comment text — the `ANALYZE:`
-//! annotation grammar lives in comments — plus a token stream over the
-//! stripped code with line numbers preserved, so multi-line expressions
-//! (a `compare_exchange` split across four lines, a receiver chain broken
-//! before its method) parse the same as single-line ones.
+//! that keeps each line's comment apart from its code — the `ANALYZE:`
+//! annotations and the tag rules' justifications live in comments, and a
+//! string, raw string or block comment that spans lines is never code —
+//! plus a token stream over the stripped code with line numbers
+//! preserved, so multi-line expressions (a `compare_exchange` split across
+//! four lines, a receiver chain broken before its method) parse the same
+//! as single-line ones.
 
 /// Lexer state carried across lines.
 #[derive(Clone, Copy, PartialEq)]
@@ -20,10 +21,17 @@ enum Mode {
 }
 
 /// One source line split into its code part (string/char literals hollowed
-/// out, comments removed) and its line-comment text (without the `//`).
+/// out, comments removed) and its line comment (from its `//` on).
 pub struct Line {
     pub code: String,
     pub comment: String,
+}
+
+impl Line {
+    /// The comment's text, without its `//`/`///` marker.
+    pub fn comment_text(&self) -> &str {
+        self.comment.trim_start_matches('/').trim()
+    }
 }
 
 /// Splits `src` into per-line code and comment parts.
@@ -86,9 +94,10 @@ fn strip_line(raw: &str, mut mode: Mode) -> (String, String, Mode) {
             }
             Mode::Code => match b[i] {
                 b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                    // Line comment: capture the text (annotations live here)
-                    // and stop lexing code for this line.
-                    comment.push_str(raw[i + 2..].trim_start_matches('/'));
+                    // Line comment: capture it, marker included (tags and
+                    // annotations live here; a bare `//` still counts as a
+                    // comment line), and stop lexing code for this line.
+                    comment.push_str(&raw[i..]);
                     i = b.len();
                 }
                 b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {

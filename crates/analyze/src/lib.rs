@@ -1,10 +1,12 @@
 //! damaris-analyze: dependency-free offline static analysis for the
-//! hot-path discipline the paper's jitter-free claim rests on.
+//! hot-path discipline the paper's jitter-free claim rests on, and the
+//! repo's one source checker.
 //!
 //! Driven by `cargo run -p xtask -- analyze`. The pipeline:
 //!
 //! ```text
-//! split_lines/tokenize (lexer)  →  parse_file (parser)  →  run (analysis)
+//! split_lines (lexer) ─┬→ tags::check                      (every .rs file)
+//!                      └→ tokenize → parse_file → run      (shipped code)
 //! ```
 //!
 //! See DESIGN.md §11 for rule semantics, the annotation grammar, the
@@ -14,65 +16,70 @@
 pub mod analysis;
 pub mod lexer;
 pub mod parser;
+pub mod tags;
 
 use std::path::Path;
 
 pub use analysis::{ClosureReport, ColdBoundary, Finding, Report, WaiverRecord};
+use lexer::split_lines;
 
-/// Analyzes in-memory `(path, source)` pairs. Paths should be
-/// repo-relative (`crates/<name>/src/...`) — crate scoping for the
-/// lock-order and atomic-pairing rules is derived from them.
+/// Runs the call-graph rules over in-memory `(path, source)` pairs. Paths
+/// should be repo-relative (`crates/<name>/src/...`) — crate scoping for
+/// the lock-order and atomic-pairing rules is derived from them.
 pub fn analyze_sources(sources: &[(String, String)]) -> Report {
     let parsed: Vec<(String, parser::ParsedFile)> = sources
         .iter()
-        .map(|(f, s)| (f.clone(), parser::parse_file(f, s)))
+        .map(|(f, s)| (f.clone(), parser::parse_file(f, split_lines(s))))
         .collect();
     analysis::run(&parsed)
 }
 
-/// Crates outside the production I/O path, excluded from the repo scan:
-/// `check` *implements* the model-checked sync substrate (its scheduler
-/// allocates, locks, and panics by design and is swapped in only under
-/// `--features check`); `xtask` and `analyze` are dev tooling.
+/// Crates outside the production I/O path, excluded from the call-graph
+/// rules: `check` *implements* the model-checked sync substrate (its
+/// scheduler allocates, locks, and panics by design and is swapped in only
+/// under `--features check`); `xtask` and `analyze` are dev tooling.
 const NON_PRODUCTION_CRATES: &[&str] = &["check", "xtask", "analyze"];
 
-/// Scans `crates/*/src/**/*.rs` under the workspace root and analyzes it.
-/// Fixture/test/bench trees are deliberately out of scope: the analyzer
-/// audits shipped code, and its own seeded-violation corpus must not
-/// pollute the repo report.
+/// Is `file` shipped code, `crates/<crate>/src/**`, of a production crate?
+/// Fixture/test/bench trees are out of the call-graph rules' scope: they
+/// audit shipped code, and the analyzer's own seeded-violation corpus must
+/// not pollute the repo report.
+fn shipped(file: &str) -> bool {
+    let mut parts = file.split('/');
+    parts.next() == Some("crates")
+        && parts
+            .next()
+            .is_some_and(|c| !NON_PRODUCTION_CRATES.contains(&c))
+        && parts.next() == Some("src")
+}
+
+/// Scans every `.rs` file under `<root>/crates` (build trees skipped): the
+/// tag rules read them all, the call-graph rules the [`shipped`] ones.
 pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     let mut sources = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<_> = std::fs::read_dir(&crates_dir)?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_dir()
-                && !p
-                    .file_name()
-                    .is_some_and(|n| NON_PRODUCTION_CRATES.iter().any(|c| n == *c))
-        })
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let src = dir.join("src");
-        if src.is_dir() {
-            collect_rs(&src, root, &mut sources)?;
+    collect_rs(&root.join("crates"), root, &mut sources)?;
+    sources.sort();
+    let mut tagged = Vec::new();
+    let mut parsed = Vec::new();
+    for (file, src) in &sources {
+        let lines = split_lines(src);
+        tagged.extend(tags::check(file, &lines));
+        if shipped(file) {
+            parsed.push((file.clone(), parser::parse_file(file, lines)));
         }
     }
-    sources.sort();
-    Ok(analyze_sources(&sources))
+    let mut report = analysis::run(&parsed);
+    report.files_scanned = sources.len();
+    report.findings.extend(tagged);
+    Ok(report)
 }
 
 fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .flatten()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
+    for path in std::fs::read_dir(dir)?.flatten().map(|e| e.path()) {
         if path.is_dir() {
-            collect_rs(&path, root, out)?;
+            if !path.ends_with("target") {
+                collect_rs(&path, root, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
@@ -180,8 +187,8 @@ impl Report {
         )
     }
 
-    /// Human-readable lines in the `file:line: [rule] message` shape the
-    /// xtask lint already prints, plus the hot call path when known.
+    /// Human-readable `file:line: [rule] message` lines, plus the hot call
+    /// path when known.
     pub fn render_findings(&self) -> Vec<String> {
         self.findings
             .iter()

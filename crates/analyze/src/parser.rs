@@ -6,10 +6,10 @@
 //! This is deliberately not a full Rust parser. It understands exactly as
 //! much structure as fact propagation needs: brace nesting, `impl Type`
 //! regions, `#[cfg(test)]` regions (excluded from analysis, as in the
-//! lint), and statement-shaped token patterns. Known approximations are
+//! tag rules), and statement-shaped token patterns. Known approximations are
 //! documented in DESIGN.md §11 under "false-negative limits".
 
-use crate::lexer::{split_lines, tokenize, Line, SpannedTok, Tok};
+use crate::lexer::{tokenize, Line, SpannedTok, Tok};
 
 /// Rule families a waiver may name.
 pub const RULES: &[&str] = &[
@@ -237,8 +237,8 @@ struct Parser<'a> {
     out: ParsedFile,
 }
 
-pub fn parse_file(file: &str, src: &str) -> ParsedFile {
-    let lines = split_lines(src);
+/// Parses one file from its [`split_lines`](crate::lexer::split_lines) output.
+pub fn parse_file(file: &str, lines: Vec<Line>) -> ParsedFile {
     let toks = tokenize(&lines);
     let krate = file
         .strip_prefix("crates/")
@@ -276,8 +276,8 @@ impl Parser<'_> {
     /// first code-bearing line at or below the comment.
     fn collect_annotations(&mut self) {
         for idx in 0..self.lines.len() {
-            let comment = self.lines[idx].comment.clone();
-            let Some(rest) = comment.trim().strip_prefix("ANALYZE:") else {
+            let comment = self.lines[idx].comment_text().to_string();
+            let Some(rest) = comment.strip_prefix("ANALYZE:") else {
                 continue;
             };
             let rest = rest.trim();
@@ -374,7 +374,7 @@ impl Parser<'_> {
             if is_attr && code.contains("cold") {
                 cold.get_or_insert_with(|| "#[cold]".to_string());
             }
-            if let Some(rest) = l.comment.trim().strip_prefix("ANALYZE:") {
+            if let Some(rest) = l.comment_text().strip_prefix("ANALYZE:") {
                 let rest = rest.trim();
                 if rest == "hot" {
                     hot = Some(false);
@@ -1007,7 +1007,10 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file("crates/core/src/test_input.rs", src)
+        parse_file(
+            "crates/core/src/test_input.rs",
+            crate::lexer::split_lines(src),
+        )
     }
 
     fn fn_named<'a>(p: &'a ParsedFile, q: &str) -> &'a FnItem {

@@ -21,7 +21,12 @@
 //! grows exponentially in the spin length even though every individual
 //! execution terminates. Fair yielding forces the writer the spinners
 //! wait on to make progress in every branch, so spin loops contribute
-//! O(threads) schedule points instead of O(3^spins).
+//! O(threads) schedule points instead of O(3^spins). When every enabled
+//! thread has yielded and none is owed a step yet (a taker and posters
+//! each waiting on the other), they all become candidates again, but the
+//! thread that just yielded is not one of them: re-picking it repeats the
+//! fruitless check it just made, and as the DFS's first branch it would
+//! do so forever.
 
 use crate::clock::VClock;
 use std::panic;
@@ -194,6 +199,7 @@ impl Scheduler {
     /// Candidates that could run next: runnable threads plus yielded
     /// threads whose fairness debt is paid. If *only* unsatisfied yielded
     /// threads remain (mutual yield), they all become candidates — the
+    /// forced switch then skips the thread that just yielded, and the
     /// step budget catches genuine livelocks.
     fn candidates(inner: &Inner) -> Vec<usize> {
         let cands: Vec<usize> = inner
@@ -309,9 +315,13 @@ impl Scheduler {
             let mut o = vec![me];
             o.extend(cands.iter().copied().filter(|&c| c != me));
             o
+        } else if cands.len() > 1 {
+            // `me` is yielding/blocking/finishing: a forced switch, to
+            // anyone but `me`. Offered first, the thread that just yielded
+            // would be re-picked by the first branch of every mutual yield.
+            cands.into_iter().filter(|&c| c != me).collect()
         } else {
-            // `me` is yielding/blocking/finishing: a forced switch. If it
-            // is still a candidate (sole yielded thread), keep it.
+            // The sole candidate (a lone yielded thread) keeps running.
             cands
         };
 

@@ -82,3 +82,46 @@ fn formatted_panic_message_is_preserved() {
         failure.message
     );
 }
+
+/// When only yielded threads whose fairness debt is unpaid remain, the
+/// forced switch used to offer the thread that had just yielded as its
+/// first option, so the DFS's first branch re-picked it forever and the
+/// check failed as `Livelock` — here after 45 executions, although a
+/// taker or a poster can always move. One taker and two posters of two
+/// items each spin-yield over a slot that holds one item.
+#[test]
+fn mutual_yielders_are_not_a_livelock() {
+    let stats = Builder::new().preemption_bound(2).check(|| {
+        let slot = Arc::new(AtomicUsize::new(0));
+        let posters: Vec<_> = (0..2)
+            .map(|_| {
+                let slot = Arc::clone(&slot);
+                thread::spawn(move || {
+                    for _ in 0..2 {
+                        while slot
+                            .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+                            .is_err()
+                        {
+                            thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut taken = 0;
+        while taken < 4 {
+            if slot
+                .compare_exchange(1, 0, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                taken += 1;
+            } else {
+                thread::yield_now();
+            }
+        }
+        for p in posters {
+            p.join();
+        }
+    });
+    println!("mutual yielders: {} executions", stats.executions);
+}

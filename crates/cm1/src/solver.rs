@@ -49,12 +49,6 @@ impl Cm1Config {
             bubble_amplitude: 5.0,
         }
     }
-
-    /// Output bytes per rank per write phase.
-    pub fn bytes_per_rank(&self, decomp: &Decomp2d) -> u64 {
-        let (nx, ny, nz) = decomp.local_extent();
-        (nx * ny * nz * 4 * self.n_variables) as u64
-    }
 }
 
 /// Per-rank result of a run.

@@ -98,18 +98,6 @@ impl Pipeline {
         Ok(Pipeline { stages })
     }
 
-    /// Appends a lossless codec stage.
-    pub fn then_codec(mut self, codec: Box<dyn Codec>) -> Self {
-        self.stages.push(Stage::Codec(codec));
-        self
-    }
-
-    /// Appends the precision-reduction stage.
-    pub fn then_precision16(mut self) -> Self {
-        self.stages.push(Stage::Precision16);
-        self
-    }
-
     /// Number of stages.
     pub fn len(&self) -> usize {
         self.stages.len()

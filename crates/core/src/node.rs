@@ -384,7 +384,7 @@ pub(crate) fn shape_len(ndims: usize) -> Option<usize> {
 /// registry counter (its `metric:` tag names it — the same total is live
 /// under [`NodeRuntime::metrics_snapshot`]) or computed by the server
 /// loop / backend at shutdown (`metric: report-only`). New counters go in
-/// the registry, not here as bare fields — `xtask lint` enforces the tag.
+/// the registry, not here as bare fields — `xtask analyze` enforces the tag.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeReport {
     /// Iterations whose data was persisted.
@@ -715,20 +715,10 @@ impl NodeRuntime {
         &self.shared.backend
     }
 
-    /// Capacity of the node's shared buffer in bytes.
-    pub fn buffer_capacity(&self) -> usize {
-        self.shared.node.data_capacity()
-    }
-
     /// Bytes currently reserved in the shared buffer. Zero after `finish`
     /// on a leak-free run — including runs that crashed and replayed.
     pub fn buffer_in_use(&self) -> usize {
         self.shared.in_use()
-    }
-
-    /// The current heartbeat epoch (0 until the first respawn).
-    pub fn heartbeat_epoch(&self) -> u32 {
-        self.shared.heartbeat().epoch()
     }
 
     /// The node's current storage-pressure state (always `Normal` when

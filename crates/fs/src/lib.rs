@@ -1,27 +1,9 @@
 //! # damaris-fs
 //!
-//! Parallel file system substrates for the Damaris reproduction.
+//! The storage layer of the real runtime: everything here touches real
+//! files. (The simulator's cost model of a parallel file system, with its
+//! striping, lives in `damaris-sim`.) This crate provides:
 //!
-//! The paper evaluates on three machines with three different parallel file
-//! systems, and attributes distinct bottlenecks to each (§I, §II-B):
-//!
-//! * **Lustre** (Kraken) — a *single metadata server*: simultaneous file
-//!   creations are serialized, so the file-per-process approach suffers a
-//!   metadata storm; shared files suffer extent-lock contention on OSTs.
-//! * **PVFS** (Grid'5000) — distributed metadata over the I/O servers, no
-//!   client-side locking; less sensitive to file counts.
-//! * **GPFS** (BluePrint) — byte-range locking through a token manager and
-//!   few NSD servers; shared-file writes pay token steals.
-//!
-//! This crate provides:
-//!
-//! * [`FsSpec`] — a parameterized cost/structure model of such a file
-//!   system (metadata serialization, striping, lock semantics), consumed by
-//!   the discrete-event simulator in `damaris-sim`, with calibrated
-//!   constructors [`FsSpec::lustre`], [`FsSpec::pvfs`], [`FsSpec::gpfs`];
-//! * [`striping`] — deterministic mapping of byte ranges of a file onto
-//!   data servers (round-robin stripes, hashed first server), shared by all
-//!   three models;
 //! * [`local`] — a *real* backend that writes SDF files into a local
 //!   directory, used by the threaded (non-simulated) runtime;
 //! * [`backend`] — the [`StorageBackend`] trait the runtime writes
@@ -44,10 +26,8 @@ pub mod clock;
 pub mod faulty;
 pub mod local;
 pub mod manifest;
-pub mod model;
 pub mod recovery;
 pub mod sentinel;
-pub mod striping;
 
 pub use backend::StorageBackend;
 pub use clock::{IoClock, VirtualClock, WallClock};
@@ -56,7 +36,5 @@ pub use local::LocalDirBackend;
 pub use manifest::{
     EntryKind, EntryRef, Manifest, ManifestEntry, ManifestError, ManifestLock, ManifestReader,
 };
-pub use model::{FsSpec, LockMode};
 pub use recovery::{recover, recover_dir, RecoveryReport};
 pub use sentinel::{is_no_space, is_no_space_io, no_space_error, DiskSentinel, PressureLevel};
-pub use striping::{stripes_for, StripeSlice};

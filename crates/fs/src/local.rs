@@ -284,17 +284,6 @@ impl LocalDirBackend {
         Ok((tmp, total))
     }
 
-    /// Deletes a published file and returns its space to the sentinel.
-    /// Used by gc paths so reclaimed bytes actually relieve pressure.
-    pub fn delete_file(&self, path: &Path) -> std::io::Result<u64> {
-        let bytes = std::fs::metadata(path)?.len();
-        std::fs::remove_file(path)?;
-        if let Some(sentinel) = &self.sentinel {
-            sentinel.release(bytes);
-        }
-        Ok(bytes)
-    }
-
     /// Records that `bytes` were persisted (writers call this on finish).
     pub fn account_bytes(&self, bytes: u64) {
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);

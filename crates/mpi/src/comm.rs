@@ -145,11 +145,6 @@ impl Communicator {
         self.group.len()
     }
 
-    /// World rank backing a local rank (useful for debugging/metrics).
-    pub fn world_rank_of(&self, local: usize) -> usize {
-        self.group[local]
-    }
-
     /// Sets the window after which a blocking receive gives up, for this
     /// communicator only (children of later [`Communicator::split`] calls
     /// inherit it). Failure-aware callers shrink this so a dead peer

@@ -203,7 +203,7 @@ impl MapRegion {
     /// Base address of the mapping in *this* process. Never store this
     /// (or anything derived from it) inside the mapping — addresses are
     /// process-private; only offsets are shared (the offset-only
-    /// invariant, linted by `xtask lint` rule `offset-only`).
+    /// invariant, checked by `xtask analyze` rule `pointer-in-shm-struct`).
     pub fn base(&self) -> *mut u8 {
         self.ptr
     }

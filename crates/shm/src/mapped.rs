@@ -36,7 +36,7 @@
 //! layout is a block of memory. A mapping lands at a different address in
 //! every process, so **nothing in it may be a pointer** — only offsets,
 //! counters and protocol words; process-private state lives in mirrors
-//! like [`MappedNode`] (`xtask lint`'s `offset-only` rule). Every stateful
+//! like [`MappedNode`] (`xtask analyze`'s `pointer-in-shm-struct` rule). Every stateful
 //! word runs a model-checked facade protocol — [`HeartbeatWord`],
 //! [`ClientLease`], [`crate::ring`], [`crate::notice`]: this module adds
 //! *placement*, not new concurrency.

@@ -9,7 +9,7 @@
 //!   deterministic explorer (see `crates/check`), and the model tests in
 //!   `tests/model.rs` exhaustively verify the queue and allocators.
 //!
-//! The `cargo run -p xtask -- lint` pass enforces the import rule; CI runs
+//! `cargo run -p xtask -- analyze` enforces the import rule; CI runs
 //! both builds. [`CachePadded`], the one padding type, lives here too, so
 //! every padded word is a facade word in either build.
 

@@ -1101,9 +1101,9 @@ fn respawn_replay(
     // One preemption: two pass too, in minutes instead of seconds.
     Builder::new().preemption_bound(1).check_result(move || {
         let words = Arc::new([NoticeWords::new(2), NoticeWords::new(2)]);
-        // One thread posts for both ranks, each into its own ring: two
-        // posters that both wait on a full ring would each wait for the
-        // other to step first.
+        // One thread posts for both ranks, each into its own ring. A
+        // poster thread per rank passes too, but explores four times the
+        // schedules (20 516 executions, 43 s in a debug build).
         let w2 = Arc::clone(&words);
         let clients = thread::spawn(move || {
             for p in 0..POSTS {

@@ -13,7 +13,8 @@
 //!   contention", §II-B).
 //! * **Parallel file system** — metadata server queue(s), data server
 //!   queues with per-request latency and stream-switch (seek) costs,
-//!   striping and lock disciplines from `damaris-fs`.
+//!   striping ([`striping`]) and lock disciplines ([`fs_model::FsSpec`],
+//!   calibrated as Lustre, PVFS and GPFS).
 //! * **Jitter sources** (§II-A): OS noise on compute phases (cause 3),
 //!   cross-application interference as random extra busy time on shared
 //!   servers (cause 4); contention among the application's own
@@ -38,11 +39,13 @@
 pub mod analysis;
 pub mod engine;
 pub mod experiment;
+pub mod fs_model;
 pub mod metrics;
 pub mod noise;
 pub mod platform;
 pub mod resources;
 pub mod strategies;
+pub mod striping;
 pub mod workload;
 
 pub use experiment::{

@@ -7,8 +7,8 @@
 //! reports (see EXPERIMENTS.md for paper-vs-measured); none of them encode
 //! the *results*, only machine-level properties.
 
+use crate::fs_model::FsSpec;
 use crate::noise::{Interference, OsNoise};
-use damaris_fs::FsSpec;
 
 /// One cluster: node shape, interconnect, file system, jitter environment.
 #[derive(Debug, Clone)]

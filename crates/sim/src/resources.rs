@@ -88,16 +88,6 @@ impl ServerPool {
     pub fn serve_on(&mut self, server: usize, arrival: SimTime, service: f64) -> SimTime {
         self.servers[server].serve(arrival, service)
     }
-
-    /// Aggregate busy time over the pool.
-    pub fn total_busy(&self) -> f64 {
-        self.servers.iter().map(|s| s.busy_time()).sum()
-    }
-
-    /// Latest completion over the pool.
-    pub fn last_free(&self) -> SimTime {
-        self.servers.iter().map(|s| s.free_at()).fold(0.0, f64::max)
-    }
 }
 
 /// A data server with a per-file write-back cache and stream-context

@@ -27,7 +27,7 @@
 //! amplification — reproducing the 800 s → 1600 s blow-up (§IV-C1).
 
 use super::{IoSim, PhaseOutcome};
-use damaris_fs::LockMode;
+use crate::fs_model::LockMode;
 
 /// Collective buffer size per aggregator per round (ROMIO `cb_buffer_size`).
 const CB_BYTES: u64 = 16 << 20;

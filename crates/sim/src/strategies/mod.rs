@@ -150,7 +150,7 @@ impl<'a> IoSim<'a> {
     /// per-server byte totals (one request per server per chunk).
     pub fn server_bytes(&self, file_id: u64, offset: u64, bytes: u64) -> Vec<(usize, u64)> {
         let mut per_server: std::collections::BTreeMap<usize, u64> = Default::default();
-        for slice in damaris_fs::stripes_for(&self.platform.fs, file_id, offset, bytes) {
+        for slice in crate::striping::stripes_for(&self.platform.fs, file_id, offset, bytes) {
             *per_server.entry(slice.server).or_default() += slice.bytes;
         }
         per_server.into_iter().collect()

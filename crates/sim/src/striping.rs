@@ -7,7 +7,7 @@
 //! the whole stripe set (good), while many small files each hammer a few
 //! servers chosen at random (the paper's file-per-process pattern).
 
-use crate::model::FsSpec;
+use crate::fs_model::FsSpec;
 
 /// A contiguous portion of a write landing on one data server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

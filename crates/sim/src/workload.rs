@@ -87,12 +87,6 @@ impl WorkloadSpec {
         (self.points_per_core_n() as f64 * self.bytes_per_point) as u64
     }
 
-    /// Output bytes per *client* core per write phase under Damaris with
-    /// one dedicated core (the paper's published decomposition).
-    pub fn bytes_per_dedicated_client(&self) -> u64 {
-        (self.points_per_core_dedicated_n() as f64 * self.bytes_per_point) as u64
-    }
-
     /// Grid points per client core when `dedicated` of the node's
     /// `cores_per_node` cores are dedicated: the per-node total is
     /// preserved (§IV-B "making the total problem size equivalent").

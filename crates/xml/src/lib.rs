@@ -138,11 +138,6 @@ impl Element {
         self.child_elements().find(|e| e.name == name)
     }
 
-    /// Returns all child elements with the given tag name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.child_elements().filter(move |e| e.name == name)
-    }
-
     /// Concatenated text content of this element's direct text children.
     pub fn text(&self) -> String {
         let mut out = String::new();
