@@ -33,8 +33,8 @@
 //! the dedicated core is presumed dead and the backpressure policy
 //! degrades accordingly: the lossy policies divert immediately (`drop`
 //! counts the loss, `sync-fallback` writes through to storage), while
-//! `block` parks until a new heartbeat epoch appears — the supervisor
-//! respawning the server — and fails with
+//! `block` parks until a new heartbeat epoch appears — a respawned
+//! core — and fails with
 //! [`DamarisError::EpeUnavailable`] if none does within its timeout.
 
 use crate::config::BackpressurePolicy;
@@ -248,8 +248,8 @@ impl DamarisClient {
         );
     }
 
-    /// Parks until the heartbeat moves again — a new epoch (supervisor
-    /// respawned the server) or a resumed beat (false alarm: the old
+    /// Parks until the heartbeat moves again — a new epoch (a respawned
+    /// core) or a resumed beat (false alarm: the old
     /// server was busy, not dead). Fails with `EpeUnavailable` at
     /// `deadline`.
     // ANALYZE: cold — parked waiting out a server respawn; the stall is the failure mode, not jitter

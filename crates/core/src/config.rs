@@ -157,7 +157,7 @@ pub enum OnDiskFull {
 /// <resilience backpressure="block" timeout_ms="30000"
 ///             persist_retries="2" retry_base_ms="10"
 ///             persist_deadline_ms="2000"
-///             plugin_quarantine="3" recovery_scan="true"
+///             plugin_quarantine="3"
 ///             epe_respawn="1" heartbeat_timeout_ms="1000"
 ///             on_client_failure="partial" client_lease_timeout_ms="500"
 ///             disk_quota_bytes="1073741824" disk_high_pct="85"
@@ -179,14 +179,10 @@ pub struct ResilienceConfig {
     /// EPE keeps running). 0 = fail fast: the first plugin error aborts the
     /// run — the pre-resilience behaviour, and the default.
     pub plugin_quarantine: u32,
-    /// Run the startup recovery scan (delete `*.tmp` orphans, quarantine
-    /// torn `*.sdf`) before serving.
-    pub recovery_scan: bool,
-    /// How many times a crashed dedicated-core thread is respawned (each
-    /// respawn bumps the heartbeat epoch and replays the notices the dead
-    /// core took and did not apply).
-    /// 0 = no supervision beyond the crash surfacing at `finish` — the
-    /// pre-recovery behaviour, and the default.
+    /// How many times a dead dedicated core is respawned (each respawn
+    /// replays the notices the dead core took and did not apply, then
+    /// bumps the heartbeat epoch).
+    /// 0 = no respawn: the crash surfaces at `finish` — the default.
     pub epe_respawn: u32,
     /// How long the heartbeat word may stay unchanged before clients treat
     /// the dedicated core as dead and degrade per `backpressure`. Must
@@ -227,7 +223,6 @@ impl Default for ResilienceConfig {
             retry_base: Duration::from_millis(10),
             persist_deadline: Duration::from_secs(2),
             plugin_quarantine: 0,
-            recovery_scan: true,
             epe_respawn: 0,
             heartbeat_timeout: Duration::from_secs(1),
             on_client_failure: OnClientFailure::Wait,
@@ -488,15 +483,11 @@ impl Config {
                         }
                         r.client_lease_timeout = Duration::from_millis(ms);
                     }
-                    match e.attr("recovery_scan") {
-                        None => {}
-                        Some("true") => r.recovery_scan = true,
-                        Some("false") => r.recovery_scan = false,
-                        Some(other) => {
-                            return Err(DamarisError::Config(format!(
-                                "recovery_scan must be true or false, got '{other}'"
-                            )))
-                        }
+                    // Every node scans its output at boot; configurations
+                    // that spell the scan out still parse.
+                    if let Some(other) = e.attr("recovery_scan").filter(|v| *v != "true") {
+                        let refused = format!("recovery_scan=\"{other}\": the scan always runs");
+                        return Err(DamarisError::Config(refused));
                     }
                     if let Some(q) = e
                         .attr_parse::<u64>("disk_quota_bytes")
@@ -743,10 +734,6 @@ impl Config {
             r.persist_deadline.as_millis().to_string(),
         );
         res.set_attr("plugin_quarantine", r.plugin_quarantine.to_string());
-        res.set_attr(
-            "recovery_scan",
-            if r.recovery_scan { "true" } else { "false" },
-        );
         res.set_attr("epe_respawn", r.epe_respawn.to_string());
         res.set_attr(
             "heartbeat_timeout_ms",
@@ -1049,7 +1036,6 @@ mod tests {
             }
         );
         assert_eq!(c.resilience.plugin_quarantine, 0);
-        assert!(c.resilience.recovery_scan);
 
         assert_eq!(c.resilience.on_client_failure, OnClientFailure::Wait);
         assert_eq!(c.resilience.client_lease_timeout, Duration::from_secs(5));
@@ -1058,7 +1044,7 @@ mod tests {
             r#"<damaris>
                  <resilience backpressure="drop" persist_retries="5"
                              retry_base_ms="7" persist_deadline_ms="900"
-                             plugin_quarantine="3" recovery_scan="false"
+                             plugin_quarantine="3" recovery_scan="true"
                              epe_respawn="2" heartbeat_timeout_ms="350"
                              on_client_failure="partial"
                              client_lease_timeout_ms="450"/>
@@ -1070,7 +1056,6 @@ mod tests {
         assert_eq!(c.resilience.retry_base, Duration::from_millis(7));
         assert_eq!(c.resilience.persist_deadline, Duration::from_millis(900));
         assert_eq!(c.resilience.plugin_quarantine, 3);
-        assert!(!c.resilience.recovery_scan);
         assert_eq!(c.resilience.epe_respawn, 2);
         assert_eq!(c.resilience.heartbeat_timeout, Duration::from_millis(350));
         assert_eq!(c.resilience.on_client_failure, OnClientFailure::Partial);
@@ -1123,6 +1108,12 @@ mod tests {
         ] {
             assert!(Config::from_xml(bad).is_err(), "{bad}");
         }
+        // The scan always runs: turning it off is refused, typed.
+        let off = Config::from_xml(r#"<damaris><resilience recovery_scan="false"/></damaris>"#);
+        assert!(
+            matches!(&off, Err(DamarisError::Config(m)) if m.contains("always runs")),
+            "{off:?}"
+        );
     }
 
     /// One parser for every place a policy name arrives: each name reads

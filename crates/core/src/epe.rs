@@ -50,8 +50,8 @@ impl EventProcessingEngine {
     /// Instantiates plugins for every configured binding. `extra` factories
     /// (action name → factory) take precedence over built-ins — the paper's
     /// "plugin provided by the user". Borrowed (not consumed) so the node
-    /// supervisor can rebuild a fresh engine from the same factories after
-    /// a dedicated-core crash.
+    /// can rebuild a fresh engine from the same factories after a
+    /// dedicated-core crash.
     pub fn build(config: &Config, extra: &[(String, PluginFactory)]) -> Result<Self, DamarisError> {
         let extra: HashMap<&str, &PluginFactory> =
             extra.iter().map(|(n, f)| (n.as_str(), f)).collect();

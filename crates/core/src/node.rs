@@ -1,17 +1,17 @@
-//! Node runtime: wires one dedicated-core server thread to K client
-//! handles over the node's layout — its rings, notice rings and words in
-//! one region of process memory ([`MappedNode::heap`]) — one SMP node of
-//! the Damaris deployment (paper Fig. 1).
+//! Node runtime: wires one dedicated-core thread to K client handles over
+//! the node's layout — its rings, notice rings and words in one region of
+//! process memory ([`MappedNode::heap`]) — one SMP node of the Damaris
+//! deployment (paper Fig. 1).
 //!
-//! # Supervision
+//! # Respawn
 //!
-//! The dedicated core runs under a supervisor thread. With `<resilience
-//! epe_respawn="N">` a crashed server thread (error or panic) is respawned
-//! up to N times: each incarnation gets a new heartbeat epoch, replays
-//! what the dead one took from the notice rings and did not finish (see
-//! [`crate::server`]), re-adopting the shared-memory segments it held,
-//! and resumes draining the same rings. With the default `epe_respawn="0"` the crash simply
-//! surfaces at [`NodeRuntime::finish`], as before.
+//! The thread runs [`server::run`], the incarnation both nodes run. With
+//! `<resilience epe_respawn="N">` an incarnation that dies (error or
+//! panic) is respawned in place, on the same thread, up to N times: each
+//! replays what the dead one took from the notice rings and did not
+//! finish, re-adopting the shared-memory segments it held, then publishes
+//! a new heartbeat epoch and resumes draining the same rings. With the
+//! default `epe_respawn="0"` the death surfaces at [`NodeRuntime::finish`].
 
 use crate::client::DamarisClient;
 use crate::config::Config;
@@ -26,6 +26,7 @@ use damaris_obs::{Counter, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_
 use damaris_shm::ring::Reach;
 use damaris_shm::sync::{Arc, AtomicBool, CachePadded, Mutex, Ordering};
 use damaris_shm::{ClientLease, HeartbeatWord, MappedNode, Notice};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -39,7 +40,7 @@ use std::time::Instant;
 /// visible through [`NodeRuntime::metrics_snapshot`] — `NodeReport` stays
 /// the stable end-of-run snapshot view. A `Counter` bump is one Relaxed
 /// `fetch_add`: nothing is published under these counters, and `get` runs
-/// after the server-thread join orders every bump (same reasoning that
+/// after the dedicated-core join orders every bump (same reasoning that
 /// previously justified Relaxed on the raw `AtomicU64`s).
 #[derive(Debug)]
 pub(crate) struct FaultStats {
@@ -202,11 +203,12 @@ pub(crate) struct NodeShared {
     pub metrics: Arc<Registry>,
     /// Trace rings + recorder plumbing (see [`NodeObs`]).
     pub obs: NodeObs,
-    /// User events from no client, which the threaded core takes once per
-    /// pass; it locks this every pass, so it has a block of its own.
+    /// User events from no client, which the core takes once per pass
+    /// (none on a process node); it locks this every pass, so it has a
+    /// block of its own.
     pub control: CachePadded<Mutex<Vec<Injected>>>,
-    /// Set once by [`NodeRuntime::finish`]: the threaded core ends after
-    /// its next pass that reads nothing.
+    /// Set once by [`NodeRuntime::finish`]: the threaded node's core ends
+    /// after its next pass that reads nothing.
     pub finishing: AtomicBool,
     /// The storage-pressure state machine (dormant unless the backend has
     /// a [`damaris_fs::DiskSentinel`]); polled by the dedicated core,
@@ -256,6 +258,25 @@ impl NodeShared {
     /// zero once every segment of a finished run was released).
     pub(crate) fn in_use(&self) -> usize {
         self.node.total_in_use() as usize
+    }
+
+    /// The recovery scan each node runs at boot, before its core serves:
+    /// what a previous run, or a dead incarnation, left half-written is
+    /// removed or quarantined, so nothing new is written beside it.
+    pub(crate) fn recover(&self) -> Result<(), DamarisError> {
+        let scan = damaris_fs::recover(self.backend.as_ref())
+            .map_err(|e| DamarisError::Storage(damaris_format::SdfError::Io(e)))?;
+        if !scan.is_clean() {
+            eprintln!(
+                "[damaris node {}] recovery: removed {} orphan tmp file(s), \
+                 quarantined {} torn file(s)",
+                self.node_id,
+                scan.removed_tmp.len(),
+                scan.quarantined.len()
+            );
+        }
+        self.stats.recovery_actions.add(scan.actions());
+        Ok(())
     }
 
     /// Posts `notice` into `client`'s own notice ring, calling `on_full`
@@ -433,7 +454,7 @@ pub struct NodeReport {
     /// quarantines) taken before serving.
     /// metric: node.recovery_actions
     pub recovery_actions: u64,
-    /// Dedicated-core crashes recovered by the supervisor.
+    /// Dedicated-core deaths recovered by a respawn.
     /// metric: node.epe_respawns
     pub epe_respawns: u64,
     /// Notices a respawned dedicated core read again from its clients'
@@ -594,12 +615,12 @@ impl NodeReport {
     }
 }
 
-/// One running Damaris node: a supervised dedicated-core server thread
-/// plus client handles for the compute cores.
+/// One running Damaris node: a dedicated-core thread plus client handles
+/// for the compute cores.
 pub struct NodeRuntime {
     shared: Arc<NodeShared>,
     clients: Option<Vec<DamarisClient>>,
-    supervisor: Option<std::thread::JoinHandle<Result<NodeReport, DamarisError>>>,
+    core: Option<std::thread::JoinHandle<Result<NodeReport, DamarisError>>>,
 }
 
 impl NodeRuntime {
@@ -650,46 +671,33 @@ impl NodeRuntime {
             return Err(DamarisError::Config("need at least one client".into()));
         }
         // Built synchronously so configuration errors surface at start, not
-        // from inside the supervisor.
+        // from inside the dedicated core.
         config.check_notice_ring(n_clients)?;
         let epe = EventProcessingEngine::build(&config, &extra_plugins)?;
         let node = MappedNode::heap(n_clients, config.buffer_size, config.queue_capacity)
             .map_err(|e| DamarisError::Config(format!("<buffer>: {e}")))?;
         let shared = Arc::new(NodeShared::new(config, node, backend, node_id));
-        if shared.config.resilience.recovery_scan {
-            // Crash recovery before serving: anything a previous run (or a
-            // previous fault) left half-written is removed or quarantined
-            // so this run starts from a consistent directory.
-            let scan = damaris_fs::recover(shared.backend.as_ref())
-                .map_err(|e| DamarisError::Storage(damaris_format::SdfError::Io(e)))?;
-            if !scan.is_clean() {
-                eprintln!(
-                    "[damaris node {node_id}] recovery: removed {} orphan tmp file(s), \
-                     quarantined {} torn file(s)",
-                    scan.removed_tmp.len(),
-                    scan.quarantined.len()
-                );
-            }
-            shared.stats.recovery_actions.add(scan.actions());
-        }
+        shared.recover()?;
 
         let clients = (0..n_clients as u32)
             .map(|id| DamarisClient::new(id, Arc::clone(&shared)))
             .collect();
 
-        let sup_shared = Arc::clone(&shared);
-        let supervisor = std::thread::Builder::new()
-            .name(format!("damaris-sup-{node_id}"))
-            .spawn(move || supervise(sup_shared, epe, extra_plugins, node_id))
+        // Spawned here, before `start` returns: the thread inherits the
+        // caller's CPU affinity, which is how an embedder pins the core.
+        let core_shared = Arc::clone(&shared);
+        let core = std::thread::Builder::new()
+            .name(format!("damaris-ded-{node_id}"))
+            .spawn(move || dedicated_core(core_shared, epe, extra_plugins))
             // invariant: thread spawn only fails on resource exhaustion at
             // process scale; a node that cannot start its dedicated core
             // cannot run at all.
-            .expect("spawn supervisor thread");
+            .expect("spawn dedicated-core thread");
 
         Ok(NodeRuntime {
             shared,
             clients: Some(clients),
-            supervisor: Some(supervisor),
+            core: Some(core),
         })
     }
 
@@ -770,11 +778,11 @@ impl NodeRuntime {
         Ok(())
     }
 
-    /// Asks the dedicated core to finish and joins it (through its
-    /// supervisor). Call after all client activity is done.
+    /// Asks the dedicated core to finish and joins its thread. Call after
+    /// all client activity is done.
     pub fn finish(mut self) -> Result<NodeReport, DamarisError> {
         // invariant: `finish` consumes `self`, so the handle is present.
-        let handle = self.supervisor.take().expect("finish called once");
+        let handle = self.core.take().expect("finish called once");
         // Release: what the clients posted before this call is visible to
         // the core that Acquire-loads the flag.
         self.shared.finishing.store(true, Ordering::Release);
@@ -785,61 +793,42 @@ impl NodeRuntime {
     }
 }
 
-/// The supervisor loop: (re)spawns the dedicated-core thread, each time
-/// with the next heartbeat epoch, until it terminates cleanly or the
-/// respawn budget is exhausted.
-fn supervise(
+/// The dedicated core's thread: runs [`server::run`] until it ends the
+/// run, and respawns a dead incarnation (error or panic) in place, up to
+/// `epe_respawn` times, each with fresh plugin instances — the dead one's
+/// plugin state is unrecoverable mid-panic anyway. Past the budget the
+/// error is returned, or the panic resumed for [`NodeRuntime::finish`].
+fn dedicated_core(
     shared: Arc<NodeShared>,
-    first_epe: EventProcessingEngine,
+    mut epe: EventProcessingEngine,
     factories: Vec<(String, PluginFactory)>,
-    node_id: u32,
 ) -> Result<NodeReport, DamarisError> {
     let budget = shared.config.resilience.epe_respawn;
-    let mut epoch: u32 = 0;
-    let mut engine = Some(first_epe);
+    let mut incarnation = 0;
     loop {
-        let epe = match engine.take() {
-            Some(e) => e,
-            // Fresh plugin instances for the new incarnation (the dead
-            // one's plugin state is unrecoverable mid-panic anyway).
-            None => EventProcessingEngine::build(&shared.config, &factories)?,
-        };
-        let srv_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("damaris-ded-{node_id}"))
-            .spawn(move || server::run(srv_shared, epe, epoch))
-            // invariant: thread spawn only fails on resource exhaustion at
-            // process scale.
-            .expect("spawn dedicated-core thread");
-        match handle.join() {
+        // Acquire: pairs with `finish`'s Release store.
+        let done = || shared.finishing.load(Ordering::Acquire);
+        let run = || server::run(Arc::clone(&shared), epe, incarnation, done, |_, _| {});
+        let death = match std::panic::catch_unwind(AssertUnwindSafe(run)) {
             Ok(Ok(report)) => return Ok(report),
-            Ok(Err(error)) => {
-                if epoch >= budget {
-                    return Err(error);
-                }
-                eprintln!(
-                    "[damaris node {node_id}] dedicated core (epoch {epoch}) died: \
-                     {error}; respawning"
-                );
-            }
-            Err(panic) => {
-                if epoch >= budget {
-                    std::panic::resume_unwind(panic);
-                }
-                eprintln!(
-                    "[damaris node {node_id}] dedicated core (epoch {epoch}) \
-                     panicked; respawning"
-                );
-            }
-        }
-        epoch += 1;
+            Ok(Err(error)) if incarnation >= budget => return Err(error),
+            Err(panic) if incarnation >= budget => std::panic::resume_unwind(panic),
+            Ok(Err(error)) => format!("died: {error}"),
+            Err(_) => "panicked".to_string(),
+        };
+        eprintln!(
+            "[damaris node {}] dedicated core (incarnation {incarnation}) {death}; respawning",
+            shared.node_id
+        );
+        incarnation += 1;
         FaultStats::bump(&shared.stats.epe_respawns);
+        epe = EventProcessingEngine::build(&shared.config, &factories)?;
     }
 }
 
 impl Drop for NodeRuntime {
     fn drop(&mut self) {
-        if let Some(handle) = self.supervisor.take() {
+        if let Some(handle) = self.core.take() {
             self.shared.finishing.store(true, Ordering::Release);
             let _ = handle.join();
         }

@@ -2,24 +2,23 @@
 //! ([`crate::server`]) over the node's layout in a file mapping, which its
 //! clients map too.
 //!
-//! [`run_epe`] is bootstrap, a loop, and a report:
+//! [`run_epe`] is what belongs to a process around [`server::run`], the
+//! incarnation both nodes run:
 //!
-//! 1. **Bootstrap.** Sweep the run directory for orphaned mappings of
-//!    dead prior runs ([`damaris_shm::scan_orphans`]); build the node's
-//!    configuration; create the mapping (first incarnation, a notice ring
-//!    per client sized from the configuration's event queue) or re-adopt
-//!    it (respawn); publish the heartbeat epoch; build the node's shared
-//!    state over the mapping (first boot: wait for every rank to register
-//!    its pid); build the core over the shared state — it reads its
-//!    fences from the lease words — and replay (respawn): the notice
-//!    rings hold all a predecessor left undone.
-//! 2. **The loop.** Each pass beats and stamps the mapped heartbeat, runs
-//!    the core's drain pass over every client's notice ring and its
-//!    `idle` pass, and on a pass that read no notice its `quiet` pass —
-//!    the pass the threaded node's loop runs too.
-//! 3. **The end.** There is no `Terminate` notice: the loop decides
-//!    ([`Pump::done`]). Then the core's `shutdown` and `finish`, the `done`
-//!    word the clients wait for, and the report file the launcher reads.
+//! 1. **Boot.** Sweep the run directory for orphaned mappings of dead
+//!    prior runs ([`damaris_shm::scan_orphans`]); build the node's
+//!    configuration and engine; create the mapping (first incarnation, a
+//!    notice ring per client sized from the configuration's event queue)
+//!    or re-adopt it (respawn); build the node's shared state over it and
+//!    run the recovery scan; at first boot, wait for every rank to
+//!    register its pid.
+//! 2. **The core.** `server::run` replays (respawn), publishes the epoch
+//!    and drains until its `done` holds. Asked before each pass, `done`
+//!    stamps the mapped heartbeat for the orphan sweeps of other runs and
+//!    asks [`Pump::done`]: there is no `Terminate` notice. Its `admitted`
+//!    hook is the chaos kill.
+//! 3. **The end.** The `done` word the clients wait for, and the report
+//!    file the launcher reads.
 //!
 //! Everything a payload byte meets between a client's notice and the
 //! disk — validation, iteration completion, the lease sweep,
@@ -37,7 +36,7 @@ use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
 use crate::event::Event;
 use crate::node::{NodeReport, NodeShared};
-use crate::server::DedicatedCore;
+use crate::server::{self, DedicatedCore};
 use damaris_fs::LocalDirBackend;
 use damaris_shm::sync::{Arc, Ordering};
 use damaris_shm::{monotonic_now_ns, pid_alive, scan_orphans, LeaseSnapshot, MappedNode};
@@ -158,6 +157,8 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         opts.policy,
         opts.lease_timeout,
     );
+    config.check_notice_ring(opts.n_clients).map_err(core_err)?;
+    let engine = EventProcessingEngine::build(&config, &[]).map_err(core_err)?;
     // Create or re-adopt the mapping.
     let adopted = (opts.epoch > 0).then(|| MappedNode::open(&mapping_path).ok());
     let node = match adopted.flatten() {
@@ -168,24 +169,13 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
         // First boot — or the mapping vanished with the machine state
         // (tmpfs cleared under us), and with it all there was to replay.
         None => {
-            config.check_notice_ring(opts.n_clients).map_err(core_err)?;
             let (clients, queue) = (opts.n_clients, config.queue_capacity);
             MappedNode::create(&mapping_path, clients, opts.data_capacity, queue)?
         }
     };
-    // Heartbeat epoch = incarnation + 1 so even the first incarnation is
-    // distinguishable from an all-zero fresh mapping.
-    node.heartbeat().begin_epoch(opts.epoch + 1);
-    beat(&node);
-
     let backend = Arc::new(LocalDirBackend::new(opts.dir.join(super::OUT_DIR))?);
-    let engine = EventProcessingEngine::build(&config, &[]).map_err(core_err)?;
-    let shared = NodeShared::new(config, node.clone(), backend, 0);
-    let shared = Arc::new(shared);
-    // What the dead incarnation left half-written goes before anything
-    // new is written beside it (as `NodeRuntime` does at start).
-    let scan = damaris_fs::recover(shared.backend.as_ref())?;
-    shared.stats.recovery_actions.add(scan.actions());
+    let shared = Arc::new(NodeShared::new(config, node.clone(), backend, 0));
+    shared.recover().map_err(core_err)?;
     shared.stats.shm_orphans_removed.add(gc.removed as u64);
     shared
         .stats
@@ -203,30 +193,30 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    let mut core = DedicatedCore::new(Arc::clone(&shared), engine, opts.epoch);
-    if opts.epoch > 0 {
-        core.replay().map_err(core_err)?;
-    }
-
-    loop {
+    let mut commits = 0;
+    let done = || {
         beat(&node);
-        let read_any = core
-            .drain(&[], &mut |core, event| pump.admitted(core, event))
-            .map_err(core_err)?;
-        if read_any {
-            continue;
+        pump.done()
+    };
+    let admitted = |core: &DedicatedCore, event: &Event| {
+        if let Event::Write { .. } = event {
+            commits += 1;
+            if Some(commits) == opts.kill_after_commits {
+                // Chaos: die mid-drain. The notice is taken and not
+                // applied: its slot still holds it; the core has not acted
+                // on it. The report is what it would have returned.
+                let dying = EpeReport {
+                    epoch: opts.epoch,
+                    node: core.report(),
+                };
+                let _ = dying.write_to(&opts.report_path());
+                damaris_shm::kill_self_hard();
+            }
         }
-        core.quiet().map_err(core_err)?;
-        if pump.done() {
-            break;
-        }
-        core.waiting();
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    core.shutdown().map_err(core_err)?;
+    };
     let report = EpeReport {
         epoch: opts.epoch,
-        node: core.finish(),
+        node: server::run(shared, engine, opts.epoch, done, admitted).map_err(core_err)?,
     };
     node.mark_done();
     beat(&node);
@@ -234,8 +224,8 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     Ok(report)
 }
 
-/// What the process node's loop must know beyond the core: when the run
-/// is over, and where its chaos kill falls.
+/// When the process node's run is over: it has no [`crate::NodeRuntime::finish`]
+/// to ask, so the core's `done` looks at the ranks.
 struct Pump<'a> {
     opts: &'a EpeOptions,
     node: &'a MappedNode,
@@ -243,8 +233,6 @@ struct Pump<'a> {
     /// sweeper, a rank whose process is gone is settled only once its word
     /// has been still for a lease timeout, as a sweeper would require.
     lease_seen: Vec<(LeaseSnapshot, Instant)>,
-    /// Writes taken by this incarnation (the chaos kill counts them).
-    commits: u64,
 }
 
 impl<'a> Pump<'a> {
@@ -256,7 +244,6 @@ impl<'a> Pump<'a> {
             lease_seen: (0..opts.n_clients)
                 .map(|c| (node.lease(c).snapshot(), now))
                 .collect(),
-            commits: 0,
         }
     }
 
@@ -289,24 +276,6 @@ impl<'a> Pump<'a> {
             }
         }
         (0..self.opts.n_clients).all(|rank| self.settled(rank))
-    }
-
-    /// What the core took, before it handles it.
-    fn admitted(&mut self, core: &DedicatedCore, event: &Event) {
-        if let Event::Write { .. } = event {
-            self.commits += 1;
-            if Some(self.commits) == self.opts.kill_after_commits {
-                // Chaos: die mid-drain. The notice is taken and not
-                // applied: its slot still holds it; the core has not acted
-                // on it. The report is what it would have returned.
-                let dying = EpeReport {
-                    epoch: self.opts.epoch,
-                    node: core.report(),
-                };
-                let _ = dying.write_to(&self.opts.report_path());
-                damaris_shm::kill_self_hard();
-            }
-        }
     }
 }
 
@@ -470,6 +439,42 @@ mod tests {
             assert_eq!(ring.unapplied().len(), 0);
             assert_eq!(ring.applied.load(Ordering::Relaxed), ring.posted());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A respawned EPE publishes its epoch only once it has replayed: a
+    /// rank that sees the new epoch sees the `ended` word of the end the
+    /// dead EPE took and never handled.
+    #[test]
+    fn a_respawned_epe_publishes_its_epoch_after_its_replay() {
+        let dir = std::env::temp_dir().join(format!("damaris-pump-epoch-{}", std::process::id()));
+        let mut opts = small_run(&dir);
+        let config = node_config(1, 64, opts.data_capacity, opts.policy, opts.lease_timeout);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(crate::proc::MAPPING_FILE);
+        let queue = config.queue_capacity;
+        let node = MappedNode::create(&path, 2, opts.data_capacity, queue).unwrap();
+        // Incarnation 0 published its epoch, took rank 0's end, and died
+        // before it handled it. Rank 1's end is news.
+        node.heartbeat().begin_epoch(1);
+        let end = Notice::EndIteration { iteration: 0 }.encode();
+        for rank in 0..2 {
+            assert!(node.notices(rank).post(end));
+        }
+        node.notices(0).advance();
+        opts.epoch = 1;
+        let epe = std::thread::spawn(move || run_epe(&opts));
+        let published_by = Instant::now() + Duration::from_secs(20);
+        while node.heartbeat().epoch() == 1 {
+            assert!(Instant::now() < published_by, "no new epoch");
+            std::hint::spin_loop();
+        }
+        // Relaxed: the Acquire read of the epoch orders it.
+        let ended = node.ended(0).load(Ordering::Relaxed);
+        assert_eq!(ended, 1, "epoch 2 is out, the end it replays is not");
+        let report = epe.join().unwrap().unwrap();
+        assert_eq!(report.node.events_replayed, 1);
+        assert_eq!(node.heartbeat().epoch(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

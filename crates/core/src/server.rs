@@ -15,19 +15,19 @@
 //! iteration and every pass,
 //! [`quiet`](DedicatedCore::quiet) commits what fired iterations parked
 //! once a pass reads nothing, and [`shutdown`](DedicatedCore::shutdown)
-//! and [`finish`](DedicatedCore::finish) close the books. [`run`] is the
-//! threaded node's loop around them, [`crate::proc::run_epe`] the process
-//! node's: the same rings, in the same layout, on the heap or in a mapping.
+//! and [`finish`](DedicatedCore::finish) close the books. [`run`] is one
+//! incarnation of it, from boot to report, on both nodes: a thread of
+//! [`crate::NodeRuntime`], or [`crate::proc::run_epe`]'s process, over
+//! the same rings in the same layout, on the heap or in a mapping.
 //!
 //! # Crash recovery
 //!
-//! [`run`] runs under the node supervisor (see [`crate::node`]): each
-//! incarnation gets a heartbeat *epoch*. The notice ring is the log
+//! Each incarnation gets a heartbeat *epoch*. The notice ring is the log
 //! ([`damaris_shm::notice`]): taking a notice advances the ring's `tail`,
 //! and its slot stays the core's until the core *applies* it — a write or
 //! an abandoned region once its segment is released after commit, an end
 //! once its iteration retires (before the fire), a signal before its
-//! dispatch, a refused notice at once. A respawned epoch first
+//! dispatch, a refused notice at once. A respawned incarnation first
 //! **replays** what the dead one took and did not apply, `[applied,
 //! tail)` of every ring — re-adopting the segments it had resident,
 //! re-counting end-of-iteration notifications, firing signals it never
@@ -71,23 +71,69 @@ fn presence_bits(counted: &[(u32, u64)], clients: usize) -> Option<u64> {
     Some(counted.iter().fold(0u64, |bits, (s, _)| bits | (1u64 << s)))
 }
 
-/// The threaded node's dedicated core, incarnation `epoch` (nonzero: it
-/// replays); returns the node's accounting.
+/// One incarnation of the dedicated core, on either node: replays what a
+/// dead predecessor left (`incarnation > 0`), and only then publishes
+/// epoch `incarnation + 1` (a fresh layout's zero word is no epoch), so a
+/// client that sees it sees the rebuilt state; drains until `done` holds
+/// before a pass that reads nothing; closes the books. `admitted` is
+/// [`DedicatedCore::drain`]'s hook. An injected event
+/// ([`NodeShared::control`]) goes after what every client posted before
+/// it was injected. Between passes that read nothing the core spins, then
+/// yields, beating — or, while the sweeper or the pressure machine must
+/// run, sleeps 100 µs: a dead client posts nothing, nor does a quota
+/// lift, yet both must move the node on.
 pub(crate) fn run(
     shared: Arc<NodeShared>,
     epe: EventProcessingEngine,
-    epoch: u32,
+    incarnation: u32,
+    mut done: impl FnMut() -> bool,
+    mut admitted: impl FnMut(&DedicatedCore, &Event),
 ) -> Result<NodeReport, DamarisError> {
-    let mut core = DedicatedCore::new(Arc::clone(&shared), epe, epoch);
-    if epoch > 0 {
+    let mut core = DedicatedCore::new(Arc::clone(&shared), epe, incarnation);
+    if incarnation > 0 {
         core.replay()?;
     }
-    // Publish this epoch only after replay: clients parked on a stale
-    // heartbeat resume against fully-rebuilt state (the Release store
-    // makes everything above visible to their Acquire observe).
-    shared.heartbeat().begin_epoch(epoch);
-    core.poll_pressure();
-    core.run_threaded()?;
+    shared.heartbeat().begin_epoch(incarnation + 1);
+    let sleeps = core.sweeper_on || core.pressure_on;
+    let (mut spins, mut injected) = (0u32, VecDeque::new());
+    loop {
+        // Asked before the pass, so a pass that reads nothing after it
+        // has taken every notice posted before `done` held.
+        let finishing = done();
+        injected.extend(std::mem::take(&mut *shared.control.lock()));
+        if let Some((event, marks)) = injected.pop_front() {
+            let behind = |rank| shared.node.notices(rank).untaken_before(marks[rank]) > 0;
+            while (0..shared.clients).any(behind) {
+                core.drain(&marks, &mut admitted)?;
+            }
+            core.take(0, event)?;
+        } else if !core.drain(&[], &mut admitted)? {
+            // Quiet: under backpressure clients wait on the memory
+            // parked iterations hold — commit them before waiting.
+            core.quiet()?;
+            if finishing {
+                break;
+            }
+            if core.idle_from.is_none() {
+                core.idle_from = Some(core.rec.begin());
+            }
+            if sleeps {
+                core.idle()?;
+                core.quiet()?;
+                std::thread::sleep(Duration::from_micros(100));
+            } else {
+                shared.heartbeat().beat();
+                spins += 1;
+                if spins < 64 {
+                    spin_loop();
+                } else {
+                    yield_now();
+                }
+            }
+            continue;
+        }
+        spins = 0;
+    }
     core.shutdown()?;
     Ok(core.finish())
 }
@@ -136,8 +182,8 @@ pub(crate) struct DedicatedCore {
     /// Segments that release without persisting — displaced by a
     /// same-(iteration, variable, source) rewrite, abandoned by their
     /// client, or cancelled by a fence — held until their iteration
-    /// retires. Releasing them on the spot is NOT safe: the partitioned
-    /// allocator requires per-client FIFO release, and a client that ran
+    /// retires. Releasing them on the spot is NOT safe: each client's data
+    /// ring releases in FIFO order, and a client that ran
     /// ahead still has retained segments from *earlier* iterations that
     /// were allocated first. Deferring lets `flush_releases`'s
     /// (source, position) sort restore allocation order. (Found by the
@@ -483,63 +529,6 @@ impl DedicatedCore {
         self.idle()?;
         self.idle_from = Some(self.rec.begin());
         Ok(())
-    }
-
-    /// Starts the span of a wait for notices, unless one is on.
-    pub(crate) fn waiting(&mut self) {
-        if self.idle_from.is_none() {
-            self.idle_from = Some(self.rec.begin());
-        }
-    }
-
-    /// The threaded node's loop: passes until [`crate::NodeRuntime::finish`]
-    /// has asked and a pass reads nothing. An injected event goes after
-    /// what every client posted before it was injected, and before what
-    /// came after. Between passes that read nothing it spins, then yields,
-    /// beating the heartbeat — or, while the sweeper or the pressure
-    /// machine must run, sleeps 100 µs: a dead client posts nothing, nor
-    /// does a quota lift, yet both must move the node on.
-    fn run_threaded(&mut self) -> Result<(), DamarisError> {
-        let shared = Arc::clone(&self.shared);
-        let sleeps = self.sweeper_on || self.pressure_on;
-        let (mut spins, mut injected) = (0u32, VecDeque::new());
-        loop {
-            // Acquire: pairs with `finish`'s Release store. Read before the
-            // pass, so a pass that reads nothing after it has taken every
-            // notice posted before `finish` was called.
-            let finishing = shared.finishing.load(Ordering::Acquire);
-            injected.extend(std::mem::take(&mut *shared.control.lock()));
-            if let Some((event, marks)) = injected.pop_front() {
-                let behind = |rank| shared.node.notices(rank).untaken_before(marks[rank]) > 0;
-                while (0..shared.clients).any(behind) {
-                    self.drain(&marks, &mut |_, _| {})?;
-                }
-                self.take(0, event)?;
-            } else if !self.drain(&[], &mut |_, _| {})? {
-                // Quiet: under backpressure clients wait on the memory
-                // parked iterations hold — commit them before waiting.
-                self.quiet()?;
-                if finishing {
-                    return Ok(());
-                }
-                self.waiting();
-                if sleeps {
-                    self.idle()?;
-                    self.quiet()?;
-                    std::thread::sleep(Duration::from_micros(100));
-                } else {
-                    shared.heartbeat().beat();
-                    spins += 1;
-                    if spins < 64 {
-                        spin_loop();
-                    } else {
-                        yield_now();
-                    }
-                }
-                continue;
-            }
-            spins = 0;
-        }
     }
 
     /// The between-events pass, in one order everywhere it runs: advance
@@ -1531,11 +1520,16 @@ mod tests {
         assert_eq!(left_behind, [(64, 1); 4]);
     }
 
-    /// A `look` action noting, each time it fires, its iteration and how
-    /// many variables of it are resident.
-    fn look(seen: &Arc<Mutex<Vec<(u32, usize)>>>) -> (String, crate::PluginFactory) {
-        struct Look(Arc<Mutex<Vec<(u32, usize)>>>);
-        impl crate::Plugin for Look {
+    /// What a `look` action notes each time it fires.
+    type Note<T> = fn(&ActionContext<'_>, &EventInfo) -> T;
+
+    /// A `look` action noting, each time it fires, what `note` reads.
+    fn look<T: Send + 'static>(
+        seen: &Arc<Mutex<Vec<T>>>,
+        note: Note<T>,
+    ) -> (String, crate::PluginFactory) {
+        struct Look<T>(Arc<Mutex<Vec<T>>>, Note<T>);
+        impl<T: Send> crate::Plugin for Look<T> {
             fn name(&self) -> &str {
                 "look"
             }
@@ -1544,14 +1538,14 @@ mod tests {
                 ctx: &mut ActionContext<'_>,
                 event: &EventInfo,
             ) -> Result<(), DamarisError> {
-                let resident = ctx.store.iteration_entries(event.iteration).count();
-                self.0.lock().push((event.iteration, resident));
+                let noted = (self.1)(ctx, event);
+                self.0.lock().push(noted);
                 Ok(())
             }
         }
         let seen = Arc::clone(seen);
         let factory: crate::PluginFactory =
-            Box::new(move |_| Ok(Box::new(Look(Arc::clone(&seen)))));
+            Box::new(move |_| Ok(Box::new(Look(Arc::clone(&seen), note))));
         ("log".to_string(), factory)
     }
 
@@ -1567,9 +1561,14 @@ mod tests {
     fn replay_order(fixture: Fixture) {
         let (mut shared, mut clients) = node("replay-order", fixture);
         let seen = Arc::new(Mutex::new(Vec::new()));
+        // Each fire's iteration, and how many variables of it are resident.
+        let resident: Note<_> = |ctx, event| {
+            let entries = ctx.store.iteration_entries(event.iteration);
+            (event.iteration, entries.count())
+        };
         let build = |shared: &Arc<NodeShared>, epoch| {
-            let epe = EventProcessingEngine::build(&shared.config, &[look(&seen)]).unwrap();
-            DedicatedCore::new(Arc::clone(shared), epe, epoch)
+            let epe = EventProcessingEngine::build(&shared.config, &[look(&seen, resident)]);
+            DedicatedCore::new(Arc::clone(shared), epe.unwrap(), epoch)
         };
         // Iteration 0 goes all the way: fired, committed, applied.
         let mut dead = build(&shared, 0);
@@ -1630,6 +1629,34 @@ mod tests {
         drop(clients);
     }
 
+    /// A respawned core publishes its epoch only once it has replayed: the
+    /// action of a signal the dead core took runs under the dead core's
+    /// epoch, so a client that sees the new one sees what it did.
+    #[test]
+    fn a_respawned_core_publishes_its_epoch_after_its_replay() {
+        FIXTURES.into_iter().for_each(epoch_after_replay);
+    }
+
+    fn epoch_after_replay(fixture: Fixture) {
+        let (mut shared, mut clients) = node("epoch-order", fixture);
+        // Incarnation 0 published its epoch, took the signal, and died
+        // before it handled it.
+        shared.heartbeat().begin_epoch(1);
+        clients[0].signal("look", 0).unwrap();
+        take(&shared).unwrap();
+        if fixture == Fixture::File {
+            (shared, clients) = reopen("epoch-order", fixture);
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let epoch: Note<_> = |ctx, _| ctx.node.heartbeat().epoch();
+        let epe = EventProcessingEngine::build(&shared.config, &[look(&seen, epoch)]).unwrap();
+        let report = run(Arc::clone(&shared), epe, 1, || true, |_, _| {}).unwrap();
+        assert_eq!(report.events_replayed, 1);
+        assert_eq!(*seen.lock(), [1], "the replayed action ran under epoch 1");
+        assert_eq!(shared.heartbeat().epoch(), 2);
+        drop(clients);
+    }
+
     /// A notice's slot is free once applied, not once taken: a client
     /// whose ring is full of taken, uncommitted notices waits, and goes on
     /// once the commit applies them. Nothing a core took stays in a ring
@@ -1664,15 +1691,22 @@ mod tests {
         assert_eq!(FaultStats::get(&shared.stats.stale_events_rejected), 0);
     }
 
-    /// Through the threaded node's loop — `run`'s — 1 000 iterations go
-    /// through rings of 512 slots: every slot is applied and reused, and
-    /// none is held at the end.
+    /// [`run`] until `shared.finishing` is set, as the threaded node runs
+    /// its first incarnation.
+    fn run_until_finishing(shared: &Arc<NodeShared>) -> NodeReport {
+        let epe = EventProcessingEngine::build(&shared.config, &[]).unwrap();
+        let done = || shared.finishing.load(Ordering::Acquire);
+        run(Arc::clone(shared), epe, 0, done, |_, _| {}).unwrap()
+    }
+
+    /// Through the core's loop — `run`'s — 1 000 iterations go through
+    /// rings of 512 slots: every slot is applied and reused, and none is
+    /// held at the end.
     #[test]
     fn a_threaded_run_applies_every_notice_it_takes() {
         const ITERATIONS: u32 = 1000;
         let (shared, clients) = node("applied-drains", Fixture::Heap);
-        let mut core = core(&shared, 0);
-        std::thread::scope(|scope| {
+        let report = std::thread::scope(|scope| {
             scope.spawn(|| {
                 for it in 0..ITERATIONS {
                     for client in &clients {
@@ -1682,9 +1716,9 @@ mod tests {
                 }
                 shared.finishing.store(true, Ordering::Release);
             });
-            core.run_threaded().unwrap();
+            run_until_finishing(&shared)
         });
-        assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
+        assert_eq!(report.iterations_persisted, u64::from(ITERATIONS));
         assert_eq!(held_slots(&shared), 0);
         let posted = shared.node.notices(0).posted();
         assert!(posted > 2 * shared.node.notice_capacity() as u64);
@@ -1698,9 +1732,8 @@ mod tests {
     fn the_rings_hold_what_is_not_committed_not_the_whole_run() {
         const ITERATIONS: u32 = 200;
         let (shared, clients) = node("rings-bound", Fixture::Heap);
-        let mut core = core(&shared, 0);
         // The most slots held after a commit, and the iteration it was.
-        let most = std::thread::scope(|scope| {
+        let (most, report) = std::thread::scope(|scope| {
             let ranks = scope.spawn(|| {
                 let mut most = (0, 0);
                 for it in 0..ITERATIONS {
@@ -1718,15 +1751,15 @@ mod tests {
                 shared.finishing.store(true, Ordering::Release);
                 most
             });
-            core.run_threaded().unwrap();
-            ranks.join().unwrap()
+            let report = run_until_finishing(&shared);
+            (ranks.join().unwrap(), report)
         });
         assert_eq!(
             most.0, 0,
             "{} slots held after iteration {}",
             most.0, most.1
         );
-        assert_eq!(core.report.iterations_persisted, u64::from(ITERATIONS));
+        assert_eq!(report.iterations_persisted, u64::from(ITERATIONS));
     }
 
     /// A write to an iteration its client already ended — after every rank

@@ -1,5 +1,5 @@
-//! Dedicated-core crash recovery acceptance tests: the supervisor respawns
-//! a dead event-processing engine, the successor replays exactly once
+//! Dedicated-core crash recovery acceptance tests: the node respawns a
+//! dead dedicated core, the successor replays exactly once
 //! what the dead one took from the notice rings and did not apply,
 //! re-adopted shared memory balances to zero, and clients watching the
 //! heartbeat degrade per their backpressure policy when no respawn
@@ -8,10 +8,12 @@
 use damaris_core::{
     ActionContext, Config, DamarisError, EventInfo, NodeRuntime, Plugin, PluginFactory,
 };
-use damaris_fs::LocalDirBackend;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use damaris_fs::{FaultPlan, FaultyBackend, IoClock, LocalDirBackend, WallClock};
+use std::panic::AssertUnwindSafe;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -48,8 +50,8 @@ impl Plugin for KillOnce {
     }
 }
 
-/// Panics (instead of erroring) on first invocation — exercises the
-/// supervisor's catch-the-poisoned-thread respawn path.
+/// Panics (instead of erroring) on first invocation: the EPE catches the
+/// panic and fails the core with a plugin error.
 struct PanicOnce {
     fired: Arc<AtomicU64>,
 }
@@ -122,8 +124,8 @@ const SUP_XML: &str = r#"<damaris>
    </damaris>"#;
 
 /// The tentpole acceptance test: 4 clients on one node, the dedicated core
-/// is killed mid-queue by a poisoned event, the supervisor respawns it
-/// with a bumped epoch, and the replay re-adopts every resident
+/// is killed mid-queue by a poisoned event, the node respawns it with a
+/// bumped epoch, and the replay re-adopts every resident
 /// segment and replays every unprocessed notification exactly once — the
 /// persisted SDF file is byte-identical to an uninterrupted run's, and the
 /// allocator accounting balances back to zero.
@@ -360,7 +362,7 @@ fn stale_heartbeat_block_policy_reports_epe_unavailable() {
     match err {
         DamarisError::EpeUnavailable { node_id, epoch } => {
             assert_eq!(node_id, 0);
-            assert_eq!(epoch, 0);
+            assert_eq!(epoch, 1);
         }
         other => panic!("expected EpeUnavailable, got {other}"),
     }
@@ -399,8 +401,19 @@ fn stale_heartbeat_sync_fallback_diverts_and_counts() {
     )
     .unwrap();
     let client = runtime.clients().remove(0);
-    client.signal("boom", 0).unwrap(); // server dies, heartbeat freezes
+    client.signal("boom", 0).unwrap();
     client.write_f32("a", 0, &[1.0; 768]).unwrap(); // fills the buffer
+
+    // The core beats until it enters the action, and never after: it dies
+    // at the action's return. Wait for the word to be final, or the first
+    // write could sample it before the core's last beat, and the second
+    // would see that beat as a live core's.
+    let frozen_by = std::time::Instant::now() + Duration::from_secs(20);
+    while fired.load(Ordering::SeqCst) == 0 {
+        let now = std::time::Instant::now();
+        assert!(now < frozen_by, "the core never took the signal");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // How each write was diverted, as (written through, of those because
     // the heartbeat was stale). The second number moves only on the arm a
@@ -442,10 +455,11 @@ fn stale_heartbeat_sync_fallback_diverts_and_counts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A *panicking* (not erroring) dedicated core is also respawned, and the
-/// run completes: the supervisor's poisoned-thread path works too.
+/// A panicking plugin is an error to its core: the EPE catches the panic
+/// as [`DamarisError::Plugin`], the core dies of it, and is respawned
+/// like any core that errs; the run completes.
 #[test]
-fn panicked_epe_is_respawned_within_budget() {
+fn a_panicking_plugin_kills_its_core_as_an_error_and_is_respawned() {
     let cfg = Config::from_xml(
         r#"<damaris>
              <buffer size="262144"/>
@@ -474,12 +488,83 @@ fn panicked_epe_is_respawned_within_budget() {
     .unwrap();
     let client = runtime.clients().remove(0);
     client.write_f32("v", 0, &[5.0; 64]).unwrap();
-    client.signal("panic", 0).unwrap(); // thread dies by panic
+    client.signal("panic", 0).unwrap(); // the core dies of the plugin's panic
     client.end_iteration(0).unwrap();
     let report = runtime.finish().expect("respawn absorbs the panic");
     assert_eq!(report.epe_respawns, 1);
     assert_eq!(report.iterations_persisted, 1);
     let reader = damaris_format::SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
     assert_eq!(reader.read_f32("/iter-0/rank-0/v").unwrap(), [5.0; 64]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An `IoClock` that panics on its first reading and tells wall time
+/// after: the node's dedicated core reads it as it is built, outside
+/// every plugin, so its first incarnation dies of a panic no EPE
+/// catches.
+#[derive(Debug, Default)]
+struct PanicsOnFirstReading {
+    read: AtomicBool,
+}
+
+impl IoClock for PanicsOnFirstReading {
+    fn now(&self) -> Duration {
+        if !self.read.swap(true, Ordering::SeqCst) {
+            panic!("synthetic dedicated-core panic");
+        }
+        WallClock.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        WallClock.sleep(d);
+    }
+}
+
+/// A one-client node whose dedicated core panics as it is first built.
+fn node_whose_core_panics(dir: &Path, resilience: &str) -> NodeRuntime {
+    let cfg = Config::from_xml(&format!(
+        r#"<damaris>
+             <buffer size="262144"/>
+             <layout name="grid" type="real" dimensions="64"/>
+             <variable name="v" layout="grid"/>
+             <resilience {resilience}/>
+           </damaris>"#
+    ))
+    .unwrap();
+    let clock = Arc::new(PanicsOnFirstReading::default());
+    let inner = LocalDirBackend::new(dir).unwrap();
+    let backend = FaultyBackend::new(inner, FaultPlan::new()).with_clock(clock);
+    NodeRuntime::start_with_backend(cfg, 1, Arc::new(backend), 0, Vec::new()).unwrap()
+}
+
+/// A core that panics outside any plugin is respawned within its budget,
+/// and the run completes.
+#[test]
+fn a_panicked_core_is_respawned_within_budget() {
+    let dir = scratch("core-panic-respawn");
+    let runtime = node_whose_core_panics(&dir, r#"epe_respawn="1""#);
+    let client = runtime.clients().remove(0);
+    client.write_f32("v", 0, &[5.0; 64]).unwrap();
+    client.end_iteration(0).unwrap();
+    let report = runtime.finish().expect("the respawn absorbs the panic");
+    assert_eq!(report.epe_respawns, 1);
+    assert_eq!(report.iterations_persisted, 1);
+    let reader = damaris_format::SdfReader::open(dir.join("node-0/iter-000000.sdf")).unwrap();
+    assert_eq!(reader.read_f32("/iter-0/rank-0/v").unwrap(), [5.0; 64]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Past its budget — none, by default — a core's panic is not swallowed:
+/// `finish` raises it again.
+#[test]
+fn a_core_panic_past_the_budget_is_raised_again_at_finish() {
+    let dir = scratch("core-panic-raised");
+    let runtime = node_whose_core_panics(&dir, "");
+    let raised = std::panic::catch_unwind(AssertUnwindSafe(|| runtime.finish()));
+    let panic = raised.expect_err("finish raises the core's panic");
+    assert_eq!(
+        panic.downcast_ref::<&str>(),
+        Some(&"synthetic dedicated-core panic")
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

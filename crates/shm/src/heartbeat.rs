@@ -1,8 +1,8 @@
 //! The dedicated core's liveness word.
 //!
-//! One shared word, written only by the current server thread, packing a
-//! 32-bit **epoch** (bumped each time a supervisor respawns the event
-//! processing engine) and a 32-bit **beat** counter (bumped by the server
+//! One shared word, written only by the current dedicated core, packing a
+//! 32-bit **epoch** (a new one for each incarnation of the core, published
+//! after its replay) and a 32-bit **beat** counter (bumped by the server
 //! between events and on every idle poll of its queue). Clients observe
 //! the word while they wait on a full buffer: a beat that stops advancing
 //! for longer than the configured window means the dedicated core is dead
@@ -12,10 +12,11 @@
 //!
 //! ## Memory-ordering argument (verified under `--features check`)
 //!
-//! The word is single-writer: exactly one server thread is alive at a
-//! time (the supervisor joins the dead server before spawning its
-//! successor, which is itself a happens-before edge between the two
-//! writers). [`HeartbeatWord::begin_epoch`] and [`HeartbeatWord::beat`]
+//! The word is single-writer: exactly one incarnation of the dedicated
+//! core is alive at a time, and the two writers are ordered. In a thread,
+//! the dead incarnation unwinds on the thread its successor then runs on;
+//! a successor process starts only after the launcher has reaped its
+//! predecessor. [`HeartbeatWord::begin_epoch`] and [`HeartbeatWord::beat`]
 //! store with `Release` so that everything the new server set up before
 //! announcing its epoch — notice replay, re-adopted segments — is
 //! visible to a client whose `Acquire` [`HeartbeatWord::observe`] sees
