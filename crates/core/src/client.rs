@@ -438,9 +438,8 @@ impl DamarisClient {
         );
         let backend = &self.shared.backend;
         let mut writer = backend.begin_sdf(&name)?;
-        let path = format!("/iter-{iteration}/rank-{}/{variable}", self.id);
-        writer.write_dataset_bytes(
-            &path,
+        writer.write_variable_bytes(
+            variable,
             layout,
             data,
             &damaris_format::DatasetOptions::plain()

@@ -365,6 +365,13 @@ impl Config {
                         .attr("name")
                         .ok_or_else(|| DamarisError::Config("<variable> missing 'name'".into()))?
                         .to_string();
+                    // The name is a path segment and a query key: stored
+                    // files refuse an empty one, and `/` would split it.
+                    if name.is_empty() || name.contains('/') {
+                        return Err(DamarisError::Config(format!(
+                            "variable name {name:?} must be non-empty and hold no '/'"
+                        )));
+                    }
                     let layout = e
                         .attr("layout")
                         .ok_or_else(|| {
@@ -887,6 +894,17 @@ mod tests {
             r#"<damaris><buffer size="abc"/></damaris>"#,
         ] {
             assert!(Config::from_xml(bad).is_err(), "{bad}");
+        }
+        // A variable name is one path segment: not empty, no `/`.
+        for name in ["", "a/b"] {
+            let refused = Config::from_xml(&format!(
+                r#"<damaris><layout name="l" type="real" dimensions="1"/>
+                   <variable name="{name}" layout="l"/></damaris>"#
+            ));
+            assert!(
+                matches!(&refused, Err(DamarisError::Config(m)) if m.contains("variable name")),
+                "{name:?}: {refused:?}"
+            );
         }
         // The per-client ring is the only reservation scheme, under either
         // of its names; the mutex free list is gone.

@@ -175,8 +175,8 @@ mod tests {
         // or their length, and (asserted below) names sharing a bucket.
         let names: Vec<String> = (0..1000)
             .map(|i| match i % 4 {
-                0 => format!("atmosphere/boundary_layer/theta_{i}"),
-                1 => format!("atmosphere/boundary_layer/theta_{i}_"),
+                0 => format!("atmosphere.boundary_layer.theta_{i}"),
+                1 => format!("atmosphere.boundary_layer.theta_{i}_"),
                 2 => format!("q{i}"),
                 _ => format!("{}{i}", "x".repeat(i % 23)),
             })
@@ -223,7 +223,8 @@ mod tests {
         /// names it holds and names it does not.
         #[test]
         fn the_index_agrees_with_a_linear_scan(
-            names in proptest::collection::vec("[a-z_/0-9]{1,20}", 0..200),
+            // A declared name holds no `/`; a probe may.
+            names in proptest::collection::vec("[a-z_.0-9]{1,20}", 0..200),
             probes in proptest::collection::vec("[a-z_/0-9]{0,20}", 0..50),
         ) {
             // A configuration declares each name once.

@@ -74,12 +74,11 @@ impl ArchivePlugin {
         let mut to_release = Vec::new();
         for iteration in pending {
             for var in ctx.store.drain_iteration(iteration) {
-                let path = format!("/iter-{}/rank-{}/{}", iteration, var.key.source, var.name);
                 let mut opts = DatasetOptions::plain().with_coords(iteration, var.key.source);
                 if let Some(f) = &self.filter {
                     opts = opts.with_filter(f.clone());
                 }
-                writer.write_dataset_bytes(&path, &var.layout, var.data(), &opts)?;
+                writer.write_variable_bytes(&var.name, &var.layout, var.data(), &opts)?;
                 to_release.push(var);
             }
         }

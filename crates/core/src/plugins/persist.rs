@@ -96,7 +96,6 @@ impl PersistPlugin {
         let t_write = ctx.rec.begin();
         let mut writer = ctx.backend.begin_sdf(&it.file_name)?;
         for var in &it.variables {
-            let path = format!("/iter-{}/rank-{}/{}", iteration, var.key.source, var.name);
             let mut opts = DatasetOptions::plain().with_coords(iteration, var.key.source);
             if let Some(bitmap) = it.presence {
                 // Partial iteration (fenced clients): mark every dataset so
@@ -114,7 +113,7 @@ impl PersistPlugin {
             if let Some(filter) = &it.filter {
                 opts = opts.with_filter(filter.clone());
             }
-            writer.write_dataset_bytes(&path, &var.layout, var.data(), &opts)?;
+            writer.write_variable_bytes(&var.name, &var.layout, var.data(), &opts)?;
             total_bytes += var.segment.len() as u64;
         }
         writer.seal()?;

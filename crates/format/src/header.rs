@@ -1,12 +1,30 @@
-//! On-disk encoding: superblock, footer, and the index entry wire format.
+//! On-disk encoding: superblock, footer, and the index's wire format.
 //!
 //! All integers are little-endian. Variable-length integers use the shared
 //! varint from `damaris-compress`. Strings are varint-length-prefixed UTF-8.
+//!
+//! The index of a file written now ([`INCOMPAT_COORDS`] and
+//! [`INCOMPAT_NAMES`] set) is
+//!
+//! ```text
+//! [name count][name]…[entry count][entry]…
+//! entry = path field, dtype, rank, dims…, stored length, crc, filter,
+//!         chunk extent, iteration, source, attribute count, attributes…
+//! ```
+//!
+//! A name is a variable name, once per file: non-empty, without `/`. An
+//! entry whose path is `/iter-{iteration}/rank-{source}/{name}` of its own
+//! coordinate fields stores a reference to its name, `id << 1 | 1`, in
+//! its path field; any other path is `len << 1` and the bytes. No entry
+//! stores an offset: payloads lie end to end from the superblock in entry
+//! order, so each offset is the sum of the stored lengths before it, and
+//! the sum of all of them ends exactly where the index starts.
 
 use crate::query::NO_COORD;
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
 use damaris_compress::varint;
+use std::collections::{HashMap, HashSet};
 
 /// File magic, first 4 bytes of every SDF file.
 pub const MAGIC: &[u8; 4] = b"SDF1";
@@ -24,24 +42,30 @@ pub const SUPERBLOCK_LEN: u64 = 8;
 /// sets it, so a reader that predates it refuses the file instead of
 /// misparsing its entries.
 pub const INCOMPAT_COORDS: u16 = 1;
+/// Incompat feature bit: the index opens with the file's name table, an
+/// entry's path may be a reference into it, and no entry stores an
+/// offset (the module docs give the layout). Set in every file written
+/// now, always beside [`INCOMPAT_COORDS`].
+pub const INCOMPAT_NAMES: u16 = 2;
 /// What this build reads of the superblock's flags word. The word holds
 /// incompat bits in its low byte, ro-compat bits in the next four and
 /// compat bits in the top four.
 const SDF_KNOWN: Features = Features {
     compat: 0,
     ro_compat: 0,
-    incompat: INCOMPAT_COORDS as u32,
+    incompat: (INCOMPAT_COORDS | INCOMPAT_NAMES) as u32,
 };
 /// The fewest bytes an encoded index entry takes: one each for the path
-/// length, dtype, rank, offset, stored length, filter length, chunk extent
-/// and attribute count, and four for the CRC (an entry of a file without
-/// coordinate fields; one with them takes two more). An index count the
-/// bytes behind it cannot hold at this size is refused before anything is
-/// sized by it.
+/// field, dtype, rank, stored length, filter length, chunk extent and
+/// attribute count, four for the CRC, and one for the offset or the two
+/// coordinate fields' one more. An index count the bytes behind it cannot
+/// hold at this size is refused before anything is sized by it.
 pub(crate) const MIN_ENTRY_LEN: usize = 12;
 /// The fewest bytes an encoded attribute takes: name length, tag, and a
 /// one-byte value (an empty string).
 const MIN_ATTR_LEN: usize = 3;
+/// The fewest bytes a name of the table takes: its length and one byte.
+const MIN_NAME_LEN: usize = 2;
 
 /// The feature words of a persisted header, under the ext4 superblock's
 /// discipline: a reader first validates the header (magic, version,
@@ -89,7 +113,7 @@ impl Features {
 pub fn write_superblock(out: &mut Vec<u8>) {
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&INCOMPAT_COORDS.to_le_bytes());
+    out.extend_from_slice(&(INCOMPAT_COORDS | INCOMPAT_NAMES).to_le_bytes());
 }
 
 /// A validated SDF superblock.
@@ -122,18 +146,51 @@ impl Superblock {
     /// Checks the flags word's feature bits against what this build reads.
     pub fn check_features(self, writable: bool) -> Result<Access> {
         let flags = u32::from(self.flags);
-        Features {
+        let access = Features {
             compat: flags >> 12,
             ro_compat: (flags >> 8) & 0xf,
             incompat: flags & 0xff,
         }
-        .check(SDF_KNOWN, writable)
+        .check(SDF_KNOWN, writable)?;
+        if self.names() && !self.coords() {
+            return Err(SdfError::Format(
+                "a name table without coordinate fields".into(),
+            ));
+        }
+        Ok(access)
     }
 
     /// True when the file's index entries carry coordinate fields.
     pub fn coords(self) -> bool {
         self.flags & INCOMPAT_COORDS != 0
     }
+
+    /// True when the file's index opens with a name table and derives its
+    /// offsets.
+    pub fn names(self) -> bool {
+        self.flags & INCOMPAT_NAMES != 0
+    }
+
+    /// How the index's entries are laid out.
+    pub(crate) fn shape(self) -> Shape {
+        match (self.coords(), self.names()) {
+            (_, true) => Shape::Names,
+            (true, false) => Shape::Fields,
+            (false, false) => Shape::Attrs,
+        }
+    }
+}
+
+/// How a file's index entries are laid out, by its superblock's bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// Neither bit (a file from before the coordinate fields): offsets
+    /// stored, coordinates in `iteration`/`source` attributes.
+    Attrs,
+    /// [`INCOMPAT_COORDS`]: offsets stored, coordinates as fields.
+    Fields,
+    /// Both bits: a name table, coordinate fields, offsets derived.
+    Names,
 }
 
 /// Encodes the footer.
@@ -158,21 +215,30 @@ pub fn read_footer(bytes: &[u8]) -> Result<(u64, u64, u32)> {
     Ok((offset, len, crc))
 }
 
-/// One index entry describing a stored dataset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexEntry {
-    /// Full `/`-separated path.
-    pub path: String,
+/// What an entry's path field holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathField<'a> {
+    /// A free-form path.
+    Free(&'a str),
+    /// The id of a name in the file's table: the path is
+    /// `/iter-{iteration}/rank-{source}/{name}` of the entry's fields.
+    Name(u32),
+}
+
+/// One index entry, borrowed from what the writer holds: the one encoder
+/// of an entry.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry<'a> {
+    /// Its path, or its name's id.
+    pub path: PathField<'a>,
     /// Logical layout of the (uncompressed) data.
-    pub layout: Layout,
-    /// Byte offset of the payload within the file.
-    pub offset: u64,
+    pub layout: &'a Layout,
     /// Stored (possibly compressed) payload length in bytes.
     pub stored_len: u64,
     /// CRC32 of the stored payload bytes.
     pub crc: u32,
     /// Filter pipeline spec applied at write time (`""` = none).
-    pub filter: String,
+    pub filter: &'a str,
     /// Chunk size in elements along dimension 0 (0 = contiguous).
     pub chunk_dim0: u64,
     /// Iteration coordinate ([`NO_COORD`] when absent).
@@ -180,7 +246,74 @@ pub struct IndexEntry {
     /// Source (client rank) coordinate ([`NO_COORD`] when absent).
     pub source: u32,
     /// Attributes.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: &'a [(String, AttrValue)],
+}
+
+impl Entry<'_> {
+    /// Serializes this entry as a file written now lays it out.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self.path {
+            PathField::Free(path) => {
+                varint::write_u64((path.len() as u64) << 1, out);
+                out.extend_from_slice(path.as_bytes());
+            }
+            PathField::Name(id) => {
+                varint::write_u64(u64::from(id) << 1 | 1, out);
+            }
+        }
+        out.push(self.layout.dtype.tag());
+        varint::write_u64(self.layout.dims.len() as u64, out);
+        for &d in &self.layout.dims {
+            varint::write_u64(d, out);
+        }
+        varint::write_u64(self.stored_len, out);
+        out.extend_from_slice(&self.crc.to_le_bytes());
+        write_str(self.filter, out);
+        varint::write_u64(self.chunk_dim0, out);
+        write_coord(self.iteration, out);
+        write_coord(self.source, out);
+        varint::write_u64(self.attrs.len() as u64, out);
+        for (name, value) in self.attrs {
+            write_str(name, out);
+            out.push(value.tag());
+            match value {
+                AttrValue::I64(v) => out.extend_from_slice(&v.to_le_bytes()),
+                AttrValue::F64(v) => out.extend_from_slice(&v.to_le_bytes()),
+                AttrValue::Str(s) => write_str(s, out),
+            }
+        }
+    }
+}
+
+/// True for a name the table may hold: non-empty, without `/`.
+pub(crate) fn valid_name(name: &str) -> bool {
+    !name.is_empty() && !name.contains('/')
+}
+
+/// The path of variable `name` at `(iteration, source)`.
+pub(crate) fn canonical_path(name: &str, iteration: u32, source: u32) -> String {
+    format!("/iter-{iteration}/rank-{source}/{name}")
+}
+
+/// `(name, iteration, source)` when `path` is exactly what
+/// [`canonical_path`] renders of them, with both coordinates present.
+pub(crate) fn parse_canonical(path: &str) -> Option<(&str, u32, u32)> {
+    fn coord(digits: &str) -> Option<u32> {
+        let canonical = digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'));
+        digits.parse().ok().filter(|&c| canonical && c != NO_COORD)
+    }
+    let (iteration, rest) = path.strip_prefix("/iter-")?.split_once('/')?;
+    let (source, name) = rest.strip_prefix("rank-")?.split_once('/')?;
+    valid_name(name).then_some((name, coord(iteration)?, coord(source)?))
+}
+
+/// The last segment of `path`: the variable a query keys it by.
+pub(crate) fn variable_of(path: &str) -> &str {
+    path.rsplit('/')
+        .next()
+        .filter(|s| !s.is_empty())
+        .unwrap_or(path)
 }
 
 fn write_str(s: &str, out: &mut Vec<u8>) {
@@ -188,10 +321,8 @@ fn write_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// A length-prefixed byte string, borrowed from `bytes`.
-pub(crate) fn read_raw<'a>(bytes: &'a [u8], off: &mut usize) -> Result<&'a [u8]> {
-    let len = varint::read_u64(bytes, off)
-        .ok_or_else(|| SdfError::Format("truncated string length".into()))?;
+/// The next `len` bytes of `bytes`, borrowed.
+fn take<'a>(bytes: &'a [u8], off: &mut usize, len: u64) -> Result<&'a [u8]> {
     let end = usize::try_from(len)
         .ok()
         .and_then(|len| off.checked_add(len))
@@ -202,10 +333,20 @@ pub(crate) fn read_raw<'a>(bytes: &'a [u8], off: &mut usize) -> Result<&'a [u8]>
     Ok(raw)
 }
 
+/// A length-prefixed byte string, borrowed from `bytes`.
+pub(crate) fn read_raw<'a>(bytes: &'a [u8], off: &mut usize) -> Result<&'a [u8]> {
+    let len = varint::read_u64(bytes, off)
+        .ok_or_else(|| SdfError::Format("truncated string length".into()))?;
+    take(bytes, off, len)
+}
+
+fn utf8(raw: &[u8]) -> Result<&str> {
+    std::str::from_utf8(raw).map_err(|_| SdfError::Format("invalid UTF-8 in string".into()))
+}
+
 /// A length-prefixed UTF-8 string, borrowed from `bytes`.
 fn read_str<'a>(bytes: &'a [u8], off: &mut usize) -> Result<&'a str> {
-    std::str::from_utf8(read_raw(bytes, off)?)
-        .map_err(|_| SdfError::Format("invalid UTF-8 in string".into()))
+    utf8(read_raw(bytes, off)?)
 }
 
 fn read_le8(bytes: &[u8], off: &mut usize, what: &str) -> Result<[u8; 8]> {
@@ -218,11 +359,49 @@ fn read_le8(bytes: &[u8], off: &mut usize, what: &str) -> Result<[u8; 8]> {
     Ok(v)
 }
 
+/// The name table that opens an index under [`INCOMPAT_NAMES`], each name
+/// checked (non-empty, without `/`; [`SectionBuilder`] refuses a name
+/// twice). A count its bytes cannot hold is refused before anything is
+/// sized by it.
+///
+/// [`SectionBuilder`]: crate::query::SectionBuilder
+pub(crate) fn read_names<'a>(bytes: &'a [u8], off: &mut usize) -> Result<Vec<&'a str>> {
+    let count = varint::read_u64(bytes, off)
+        .ok_or_else(|| SdfError::Format("truncated name count".into()))?;
+    let left = bytes.len() - *off;
+    if count > (left / MIN_NAME_LEN) as u64 {
+        return Err(SdfError::Format(format!(
+            "name count {count} exceeds what its {left} bytes can hold"
+        )));
+    }
+    let mut names = Vec::new();
+    for _ in 0..count {
+        let name = read_str(bytes, off)?;
+        if !valid_name(name) {
+            return Err(SdfError::Format(format!(
+                "name {name:?} of the table is empty or holds '/'"
+            )));
+        }
+        names.push(name);
+    }
+    Ok(names)
+}
+
 /// An attribute value as it lies in the index bytes.
-enum RawAttr<'a> {
+pub(crate) enum RawAttr<'a> {
     I64(i64),
     F64(f64),
     Str(&'a str),
+}
+
+impl RawAttr<'_> {
+    pub(crate) fn owned(self) -> AttrValue {
+        match self {
+            RawAttr::I64(v) => AttrValue::I64(v),
+            RawAttr::F64(v) => AttrValue::F64(v),
+            RawAttr::Str(s) => AttrValue::Str(s.to_string()),
+        }
+    }
 }
 
 /// A coordinate field: the coordinate + 1, 0 when absent.
@@ -248,15 +427,15 @@ fn read_coord(bytes: &[u8], off: &mut usize, what: &str) -> Result<Option<u32>> 
     }
 }
 
-/// An index entry as it lies in the index bytes, every field checked as
-/// [`IndexEntry::decode`] checks it. Nothing is copied but the extents,
-/// which go to the caller's arena, so skimming an index allocates nothing
-/// per entry.
+/// An index entry as it lies in the index bytes, every field checked.
+/// Nothing is copied but the extents, which go to the caller's arena, so
+/// skimming an index allocates nothing per entry.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EntryRef<'a> {
-    pub path: &'a str,
+    pub path: PathField<'a>,
     pub dtype: DataType,
-    pub offset: u64,
+    /// The stored offset; `None` where offsets are derived.
+    pub offset: Option<u64>,
     pub stored_len: u64,
     pub crc: u32,
     pub filter: &'a str,
@@ -270,21 +449,21 @@ pub(crate) struct EntryRef<'a> {
 
 impl<'a> EntryRef<'a> {
     /// Checks the entry at `off` and advances past it, appending its
-    /// extents to `dims`. `coords` says the file's entries carry
-    /// coordinate fields; where they do not, the `iteration` and `source`
-    /// attributes stand in for them, and every attribute is checked and
-    /// skipped.
+    /// extents to `dims`. Where the entries carry no coordinate fields
+    /// (`Shape::Attrs`), the `iteration` and `source` attributes stand
+    /// in for them, and every attribute is checked and skipped.
     pub(crate) fn skim(
         bytes: &'a [u8],
         off: &mut usize,
-        coords: bool,
+        shape: Shape,
         dims: &mut Vec<u64>,
     ) -> Result<Self> {
+        let fields = shape != Shape::Attrs;
         let (mut iteration, mut source) = (None, None);
-        let mut e = Self::parse(bytes, off, coords, dims, |name, value| {
+        let mut e = Self::parse(bytes, off, shape, dims, |name, value| {
             let slot = match name {
-                "iteration" if !coords => &mut iteration,
-                "source" if !coords => &mut source,
+                "iteration" if !fields => &mut iteration,
+                "source" if !fields => &mut source,
                 _ => return,
             };
             if let RawAttr::I64(v) = value {
@@ -296,44 +475,49 @@ impl<'a> EntryRef<'a> {
         Ok(e)
     }
 
-    /// The lookup key `⟨variable, iteration, source⟩`: the variable is the
-    /// last path segment; each coordinate is the entry's own (field, or
+    /// The coordinates the lookup key takes: the entry's own (field, or
     /// attribute in a file without fields), else the first `iter-N` /
-    /// `rank-N` path segment, else [`NO_COORD`].
-    pub(crate) fn key(&self) -> (&'a str, u32, u32) {
-        let path = self.path;
-        let variable = path
-            .rsplit('/')
-            .next()
-            .filter(|s| !s.is_empty())
-            .unwrap_or(path);
-        let from_path = |prefix: &str| {
-            path.split('/')
+    /// `rank-N` segment of a free-form path, else [`NO_COORD`]. (A
+    /// reference to a name always has both fields.)
+    pub(crate) fn coords(&self) -> (u32, u32) {
+        let from_path = |prefix: &str| match self.path {
+            PathField::Free(path) => path
+                .split('/')
                 .find_map(|seg| seg.strip_prefix(prefix))
-                .and_then(|n| n.parse::<u32>().ok())
+                .and_then(|n| n.parse::<u32>().ok()),
+            PathField::Name(_) => None,
         };
-        let iteration = self
-            .iteration
-            .or_else(|| from_path("iter-"))
-            .unwrap_or(NO_COORD);
-        let source = self
-            .source
-            .or_else(|| from_path("rank-"))
-            .unwrap_or(NO_COORD);
-        (variable, iteration, source)
+        let iteration = self.iteration.or_else(|| from_path("iter-"));
+        let source = self.source.or_else(|| from_path("rank-"));
+        (iteration.unwrap_or(NO_COORD), source.unwrap_or(NO_COORD))
     }
 
-    /// Parses the entry at `off`, advancing past it: appends its extents
-    /// to `dims`, reads the coordinate fields when `coords`, hands each
-    /// attribute to `attr`, and returns the rest.
-    fn parse(
+    /// Parses the entry at `off` as `shape` lays it out, advancing past
+    /// it: appends its extents to `dims`, hands each attribute to `attr`,
+    /// and returns the rest.
+    pub(crate) fn parse(
         bytes: &'a [u8],
         off: &mut usize,
-        coords: bool,
+        shape: Shape,
         dims: &mut Vec<u64>,
         mut attr: impl FnMut(&'a str, RawAttr<'a>),
     ) -> Result<Self> {
-        let path = read_str(bytes, off)?;
+        let path = if shape == Shape::Names {
+            let field = varint::read_u64(bytes, off)
+                .ok_or_else(|| SdfError::Format("truncated path field".into()))?;
+            match (field & 1, u32::try_from(field >> 1)) {
+                (0, _) => PathField::Free(utf8(take(bytes, off, field >> 1)?)?),
+                (_, Ok(id)) => PathField::Name(id),
+                (_, Err(_)) => {
+                    return Err(SdfError::Format(format!(
+                        "name reference {} exceeds u32",
+                        field >> 1
+                    )))
+                }
+            }
+        } else {
+            PathField::Free(read_str(bytes, off)?)
+        };
         let dtype_tag = *bytes
             .get(*off)
             .ok_or_else(|| SdfError::Format("truncated dtype".into()))?;
@@ -351,8 +535,13 @@ impl<'a> EntryRef<'a> {
                     .ok_or_else(|| SdfError::Format("truncated dims".into()))?,
             );
         }
-        let offset = varint::read_u64(bytes, off)
-            .ok_or_else(|| SdfError::Format("truncated offset".into()))?;
+        let offset = match shape {
+            Shape::Names => None,
+            Shape::Attrs | Shape::Fields => Some(
+                varint::read_u64(bytes, off)
+                    .ok_or_else(|| SdfError::Format("truncated offset".into()))?,
+            ),
+        };
         let stored_len = varint::read_u64(bytes, off)
             .ok_or_else(|| SdfError::Format("truncated stored_len".into()))?;
         let crc_end = off
@@ -364,14 +553,21 @@ impl<'a> EntryRef<'a> {
         let filter = read_str(bytes, off)?;
         let chunk_dim0 = varint::read_u64(bytes, off)
             .ok_or_else(|| SdfError::Format("truncated chunk info".into()))?;
-        let (iteration, source) = if coords {
+        let (iteration, source) = if shape == Shape::Attrs {
+            (None, None)
+        } else {
             (
                 read_coord(bytes, off, "iteration")?,
                 read_coord(bytes, off, "source")?,
             )
-        } else {
-            (None, None)
         };
+        if let (PathField::Name(id), None, _) | (PathField::Name(id), _, None) =
+            (path, iteration, source)
+        {
+            return Err(SdfError::Format(format!(
+                "name reference {id} without both coordinate fields"
+            )));
+        }
         let n_attrs = varint::read_u64(bytes, off)
             .ok_or_else(|| SdfError::Format("truncated attr count".into()))?;
         let left = bytes.len() - *off;
@@ -408,154 +604,270 @@ impl<'a> EntryRef<'a> {
     }
 }
 
-impl IndexEntry {
-    /// Serializes this entry.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        write_str(&self.path, out);
-        out.push(self.layout.dtype.tag());
-        varint::write_u64(self.layout.dims.len() as u64, out);
-        for &d in &self.layout.dims {
-            varint::write_u64(d, out);
+/// An index as a writer builds it, one dataset at a time: the name table
+/// and the entries, each encoded as its dataset is written, and what
+/// keeps two datasets from one path.
+#[derive(Debug, Default)]
+pub(crate) struct IndexBuf {
+    /// The name table's names, encoded end to end.
+    names: Vec<u8>,
+    /// Each name's id.
+    ids: HashMap<Box<str>, u32>,
+    /// `(name id, iteration, source)` of each dataset stored by name.
+    named: HashSet<(u32, u32, u32)>,
+    /// Each free-form path.
+    free: HashSet<Box<str>>,
+    /// The entries, encoded end to end.
+    entries: Vec<u8>,
+    count: usize,
+}
+
+impl IndexBuf {
+    /// Claims `/iter-{iteration}/rank-{source}/{name}` for a dataset
+    /// stored by name, and returns the name's id.
+    pub(crate) fn claim_name(&mut self, name: &str, iteration: u32, source: u32) -> Result<u32> {
+        if !valid_name(name) {
+            return Err(SdfError::Usage(format!(
+                "variable name {name:?} must be non-empty and hold no '/'"
+            )));
         }
-        varint::write_u64(self.offset, out);
-        varint::write_u64(self.stored_len, out);
-        out.extend_from_slice(&self.crc.to_le_bytes());
-        write_str(&self.filter, out);
-        varint::write_u64(self.chunk_dim0, out);
-        write_coord(self.iteration, out);
-        write_coord(self.source, out);
-        varint::write_u64(self.attrs.len() as u64, out);
-        for (name, value) in &self.attrs {
-            write_str(name, out);
-            out.push(value.tag());
-            match value {
-                AttrValue::I64(v) => out.extend_from_slice(&v.to_le_bytes()),
-                AttrValue::F64(v) => out.extend_from_slice(&v.to_le_bytes()),
-                AttrValue::Str(s) => write_str(s, out),
+        if iteration == NO_COORD || source == NO_COORD {
+            return Err(SdfError::Usage(format!(
+                "a dataset of '{name}' stored by name needs both coordinates"
+            )));
+        }
+        let duplicate = || {
+            let path = canonical_path(name, iteration, source);
+            SdfError::Usage(format!("duplicate dataset path '{path}'"))
+        };
+        // A free-form path can spell the same path: rendered only in the
+        // rare file that holds both kinds.
+        if !self.free.is_empty()
+            && self
+                .free
+                .contains(canonical_path(name, iteration, source).as_str())
+        {
+            return Err(duplicate());
+        }
+        let id = match self.ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = self.ids.len() as u32;
+                write_str(name, &mut self.names);
+                self.ids.insert(name.into(), id);
+                id
             }
+        };
+        if !self.named.insert((id, iteration, source)) {
+            return Err(duplicate());
         }
+        Ok(id)
     }
 
-    /// Deserializes one entry, advancing `off`. `coords` says the entry
-    /// carries coordinate fields (its file's superblock sets
-    /// [`INCOMPAT_COORDS`]); an entry without them decodes with both
-    /// coordinates [`NO_COORD`].
-    pub fn decode(bytes: &[u8], off: &mut usize, coords: bool) -> Result<Self> {
-        let mut dims = Vec::new();
-        let mut attrs = Vec::new();
-        let e = EntryRef::parse(bytes, off, coords, &mut dims, |name, value| {
-            let value = match value {
-                RawAttr::I64(v) => AttrValue::I64(v),
-                RawAttr::F64(v) => AttrValue::F64(v),
-                RawAttr::Str(s) => AttrValue::Str(s.to_string()),
-            };
-            attrs.push((name.to_string(), value));
-        })?;
-        Ok(IndexEntry {
-            path: e.path.to_string(),
-            layout: Layout {
-                dtype: e.dtype,
-                dims,
-            },
-            offset: e.offset,
-            stored_len: e.stored_len,
-            crc: e.crc,
-            filter: e.filter.to_string(),
-            chunk_dim0: e.chunk_dim0,
-            iteration: e.iteration.unwrap_or(NO_COORD),
-            source: e.source.unwrap_or(NO_COORD),
-            attrs,
-        })
+    /// Claims the free-form `path`.
+    pub(crate) fn claim_path(&mut self, path: &str) -> Result<()> {
+        let named = parse_canonical(path)
+            .and_then(|(name, iteration, source)| Some((*self.ids.get(name)?, iteration, source)));
+        if named.is_some_and(|key| self.named.contains(&key)) || !self.free.insert(path.into()) {
+            return Err(SdfError::Usage(format!("duplicate dataset path '{path}'")));
+        }
+        Ok(())
+    }
+
+    /// Appends the entry of a dataset whose path was claimed.
+    pub(crate) fn push(&mut self, entry: &Entry<'_>) {
+        entry.encode(&mut self.entries);
+        self.count += 1;
+    }
+
+    /// Entries pushed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Hands the index's bytes to `sink`, in order, in parts.
+    pub(crate) fn write(&self, mut sink: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        let mut count = Vec::new();
+        varint::write_u64(self.ids.len() as u64, &mut count);
+        sink(&count)?;
+        sink(&self.names)?;
+        count.clear();
+        varint::write_u64(self.count as u64, &mut count);
+        sink(&count)?;
+        sink(&self.entries)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_entry() -> IndexEntry {
-        IndexEntry {
-            path: "/iter-3/rank-7/theta".into(),
-            layout: Layout::new(DataType::F32, &[44, 44, 200]),
-            offset: 12345,
+    fn layout() -> Layout {
+        Layout::new(DataType::F32, &[44, 44, 200])
+    }
+
+    fn attrs() -> Attrs {
+        vec![
+            ("iteration".into(), AttrValue::I64(3)),
+            ("unit".into(), AttrValue::Str("K".into())),
+            ("dx".into(), AttrValue::F64(500.0)),
+        ]
+    }
+
+    fn sample<'a>(layout: &'a Layout, attrs: &'a [(String, AttrValue)]) -> Entry<'a> {
+        Entry {
+            path: PathField::Free("/iter-3/rank-7/theta"),
+            layout,
             stored_len: 6789,
             crc: 0xDEADBEEF,
-            filter: "precision16|lzss".into(),
+            filter: "precision16|lzss",
             chunk_dim0: 0,
             iteration: 3,
             source: NO_COORD,
-            attrs: vec![
-                ("iteration".into(), AttrValue::I64(3)),
-                ("unit".into(), AttrValue::Str("K".into())),
-                ("dx".into(), AttrValue::F64(500.0)),
-            ],
+            attrs,
         }
+    }
+
+    type Attrs = Vec<(String, AttrValue)>;
+
+    /// `e` parsed back: the entry, its extents and its attributes.
+    fn decode(bytes: &[u8], shape: Shape) -> Result<(EntryRef<'_>, Vec<u64>, Attrs)> {
+        let (mut dims, mut attrs) = (Vec::new(), Vec::new());
+        let mut off = 0;
+        let e = EntryRef::parse(bytes, &mut off, shape, &mut dims, |n, v| {
+            attrs.push((n.to_string(), v.owned()))
+        })?;
+        assert_eq!(off, bytes.len(), "the whole entry is read");
+        Ok((e, dims, attrs))
+    }
+
+    /// `e` as a file of `shape` (`Attrs` or `Fields`) stores it: a plain
+    /// path, the offset after the extents, fields only under `Fields`.
+    pub(crate) fn old_bytes(e: &Entry<'_>, offset: u64, shape: Shape) -> Vec<u8> {
+        let PathField::Free(path) = e.path else {
+            panic!("old shapes store paths")
+        };
+        let mut out = Vec::new();
+        write_str(path, &mut out);
+        out.push(e.layout.dtype.tag());
+        varint::write_u64(e.layout.dims.len() as u64, &mut out);
+        for &d in &e.layout.dims {
+            varint::write_u64(d, &mut out);
+        }
+        varint::write_u64(offset, &mut out);
+        varint::write_u64(e.stored_len, &mut out);
+        out.extend_from_slice(&e.crc.to_le_bytes());
+        write_str(e.filter, &mut out);
+        varint::write_u64(e.chunk_dim0, &mut out);
+        if shape == Shape::Fields {
+            write_coord(e.iteration, &mut out);
+            write_coord(e.source, &mut out);
+        }
+        // The attributes end the entry in every shape.
+        let (mut with, mut without) = (Vec::new(), Vec::new());
+        e.encode(&mut with);
+        Entry { attrs: &[], ..*e }.encode(&mut without);
+        out.extend_from_slice(&with[without.len() - 1..]);
+        out
     }
 
     #[test]
     fn entry_roundtrip() {
-        let e = sample_entry();
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
-        let mut off = 0;
-        let back = IndexEntry::decode(&buf, &mut off, true).unwrap();
-        assert_eq!(back, e);
-        assert_eq!(off, buf.len());
+        let (layout, attrs) = (layout(), attrs());
+        let e = sample(&layout, &attrs);
+        for path in [PathField::Free("/iter-3/rank-7/theta"), PathField::Name(5)] {
+            let e = Entry {
+                path,
+                source: 7,
+                ..e
+            };
+            let mut buf = Vec::new();
+            e.encode(&mut buf);
+            let (r, dims, back) = decode(&buf, Shape::Names).unwrap();
+            assert_eq!(r.path, path);
+            assert_eq!(dims, layout.dims);
+            assert_eq!(back, attrs);
+            assert_eq!(
+                (r.dtype, r.offset, r.stored_len, r.crc, r.filter),
+                (DataType::F32, None, 6789, 0xDEADBEEF, "precision16|lzss")
+            );
+            assert_eq!((r.iteration, r.source), (Some(3), Some(7)));
+        }
+        // A reference to a name costs one byte where the path cost 21.
+        let lens: Vec<usize> = [PathField::Free("/iter-3/rank-7/theta"), PathField::Name(5)]
+            .map(|path| {
+                let mut buf = Vec::new();
+                Entry { path, ..e }.encode(&mut buf);
+                buf.len()
+            })
+            .to_vec();
+        assert_eq!(lens[0] - lens[1], 20);
     }
 
-    /// `e` as a file without coordinate fields stores it: both absent
-    /// fields (a zero byte each, just before the attribute count) cut out.
-    fn legacy_bytes(e: &IndexEntry) -> Vec<u8> {
-        let bare = IndexEntry {
-            iteration: NO_COORD,
-            source: NO_COORD,
-            attrs: Vec::new(),
-            ..e.clone()
+    #[test]
+    fn a_name_reference_needs_both_coordinate_fields() {
+        let layout = layout();
+        let e = Entry {
+            path: PathField::Name(0),
+            ..sample(&layout, &[])
         };
-        let mut head = Vec::new();
-        bare.encode(&mut head);
-        let at = head.len() - 3;
-        assert_eq!(head[at..], [0, 0, 0]);
-        let mut full = Vec::new();
-        IndexEntry {
-            iteration: NO_COORD,
-            source: NO_COORD,
-            ..e.clone()
-        }
-        .encode(&mut full);
-        full.drain(at..at + 2);
-        full
+        let mut buf = Vec::new();
+        e.encode(&mut buf);
+        let err = decode(&buf, Shape::Names).unwrap_err();
+        assert!(err.to_string().contains("without both"), "{err}");
     }
 
     #[test]
     fn coordinates_come_from_the_field_then_the_attribute_then_the_path() {
-        let mut e = sample_entry();
-        e.attrs.push(("source".into(), AttrValue::I64(9)));
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
+        let layout = layout();
+        let mut attrs = attrs();
+        attrs.push(("source".into(), AttrValue::I64(9)));
+        let e = sample(&layout, &attrs);
+        fn skim(bytes: &[u8], shape: Shape) -> (&str, (u32, u32)) {
+            let r = EntryRef::skim(bytes, &mut 0, shape, &mut Vec::new()).unwrap();
+            let PathField::Free(path) = r.path else {
+                panic!("a free path")
+            };
+            (variable_of(path), r.coords())
+        }
         // With fields the attributes are plain: source falls to the path.
-        let r = EntryRef::skim(&buf, &mut 0, true, &mut Vec::new()).unwrap();
-        assert_eq!(r.key(), ("theta", 3, 7));
-        // Without fields the attributes stand in, then the path.
-        let old = legacy_bytes(&e);
-        let r = EntryRef::skim(&old, &mut 0, false, &mut Vec::new()).unwrap();
-        assert_eq!(r.key(), ("theta", 3, 9));
-        // The owned decode keeps fields and attributes apart.
-        let back = IndexEntry::decode(&old, &mut 0, false).unwrap();
-        assert_eq!((back.iteration, back.source), (NO_COORD, NO_COORD));
-        assert_eq!(back.attrs, e.attrs);
-        e.attrs.clear();
-        let bare = legacy_bytes(&e);
-        let r = EntryRef::skim(&bare, &mut 0, false, &mut Vec::new()).unwrap();
-        assert_eq!(r.key(), ("theta", 3, 7));
-        // Neither field nor path segment: no coordinate.
-        e.path = "/iter-x/v".into();
-        e.iteration = NO_COORD;
         let mut buf = Vec::new();
         e.encode(&mut buf);
-        let r = EntryRef::skim(&buf, &mut 0, true, &mut Vec::new()).unwrap();
-        assert_eq!(r.key(), ("v", NO_COORD, NO_COORD));
+        assert_eq!(skim(&buf, Shape::Names), ("theta", (3, 7)));
+        assert_eq!(
+            skim(&old_bytes(&e, 8, Shape::Fields), Shape::Fields),
+            ("theta", (3, 7))
+        );
+        // Without fields the attributes stand in, then the path.
+        let no_fields = Entry {
+            iteration: NO_COORD,
+            ..e
+        };
+        let old = old_bytes(&no_fields, 8, Shape::Attrs);
+        assert_eq!(skim(&old, Shape::Attrs), ("theta", (3, 9)));
+        // The owned decode keeps fields and attributes apart.
+        let (r, _, back) = decode(&old, Shape::Attrs).unwrap();
+        assert_eq!((r.iteration, r.source, r.offset), (None, None, Some(8)));
+        assert_eq!(back, attrs);
+        let bare = old_bytes(
+            &Entry {
+                attrs: &[],
+                ..no_fields
+            },
+            8,
+            Shape::Attrs,
+        );
+        assert_eq!(skim(&bare, Shape::Attrs), ("theta", (3, 7)));
+        // Neither field nor path segment: no coordinate.
+        let odd = Entry {
+            path: PathField::Free("/iter-x/v"),
+            iteration: NO_COORD,
+            ..e
+        };
+        buf.clear();
+        odd.encode(&mut buf);
+        assert_eq!(skim(&buf, Shape::Names), ("v", (NO_COORD, NO_COORD)));
     }
 
     #[test]
@@ -574,37 +886,95 @@ mod tests {
     }
 
     #[test]
-    fn skim_reads_what_decode_reads() {
-        let e = sample_entry();
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
-        let mut off = 0;
-        let mut dims = vec![9];
-        let r = EntryRef::skim(&buf, &mut off, true, &mut dims).unwrap();
-        assert_eq!(off, buf.len());
-        assert_eq!(dims, [9, 44, 44, 200]);
-        assert_eq!((r.path, r.filter), (e.path.as_str(), e.filter.as_str()));
-        assert_eq!(
-            (r.dtype, r.offset, r.stored_len, r.crc, r.chunk_dim0),
-            (e.layout.dtype, e.offset, e.stored_len, e.crc, e.chunk_dim0)
-        );
-        assert_eq!((r.iteration, r.source), (Some(3), None));
+    fn only_the_exact_rendering_is_canonical() {
+        for (name, it, src) in [("theta", 0, 0), ("v07", 12, 3), ("a.b", NO_COORD - 1, 9)] {
+            let path = canonical_path(name, it, src);
+            assert_eq!(parse_canonical(&path), Some((name, it, src)), "{path}");
+        }
+        for odd in [
+            "/iter-01/rank-0/v",
+            "/iter-+1/rank-0/v",
+            "/iter-1/rank-0/",
+            "/iter-1/rank-0/a/b",
+            "/iter-1/rank-/v",
+            "/iter-4294967295/rank-0/v",
+            "/iter-4294967296/rank-0/v",
+            "/x/iter-1/rank-0/v",
+            "/iter-1/v",
+        ] {
+            assert_eq!(parse_canonical(odd), None, "{odd}");
+        }
     }
 
     #[test]
     fn attr_count_is_held_to_the_bytes_left() {
         // Three attributes claimed, room for one of the smallest.
-        let mut e = sample_entry();
-        e.attrs.clear();
+        let layout = layout();
         let mut buf = Vec::new();
-        e.encode(&mut buf);
+        sample(&layout, &[]).encode(&mut buf);
         buf.pop();
         buf.extend_from_slice(&[3, 0, 2, 0, 0, 2]);
-        let err = IndexEntry::decode(&buf, &mut 0, true).unwrap_err();
+        let err = decode(&buf, Shape::Names).unwrap_err();
         assert!(
             err.to_string().contains("implausible attr count 3"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn the_name_table_is_checked_and_held_to_its_bytes() {
+        let table = |count: u64, names: &[&str]| {
+            let mut buf = Vec::new();
+            varint::write_u64(count, &mut buf);
+            for n in names {
+                write_str(n, &mut buf);
+            }
+            buf
+        };
+        let ok = table(2, &["theta", "v00"]);
+        let mut off = 0;
+        assert_eq!(read_names(&ok, &mut off).unwrap(), ["theta", "v00"]);
+        assert_eq!(off, ok.len());
+        for (bytes, what) in [
+            (table(9, &["theta"]), "name count 9"),
+            (table(2, &["", "abc"]), "empty or holds"),
+            (table(1, &["a/b"]), "empty or holds"),
+            (table(2, &["theta"]), "truncated"),
+        ] {
+            let err = read_names(&bytes, &mut 0).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_index_buffer_claims_each_path_once() {
+        let mut index = IndexBuf::default();
+        assert_eq!(index.claim_name("v", 1, 2).unwrap(), 0);
+        assert_eq!(index.claim_name("w", 1, 2).unwrap(), 1);
+        assert_eq!(index.claim_name("v", 1, 3).unwrap(), 0);
+        for err in [
+            index.claim_name("v", 1, 2).unwrap_err(),
+            index.claim_path("/iter-1/rank-2/v").unwrap_err(),
+            index.claim_name("", 1, 2).unwrap_err(),
+            index.claim_name("a/b", 1, 2).unwrap_err(),
+            index.claim_name("x", NO_COORD, 2).unwrap_err(),
+        ] {
+            assert!(matches!(err, SdfError::Usage(_)), "{err}");
+        }
+        index.claim_path("/iter-9/rank-2/v").unwrap();
+        index.claim_path("/free").unwrap();
+        assert!(index.claim_path("/free").is_err());
+        let err = index.claim_name("v", 9, 2).unwrap_err();
+        assert!(err.to_string().contains("'/iter-9/rank-2/v'"), "{err}");
+        let mut bytes = Vec::new();
+        index
+            .write(|part| {
+                bytes.extend_from_slice(part);
+                Ok(())
+            })
+            .unwrap();
+        // Two names, then no entries: none was pushed.
+        assert_eq!(bytes, [2, 1, b'v', 1, b'w', 0]);
     }
 
     #[test]
@@ -613,7 +983,8 @@ mod tests {
         write_superblock(&mut buf);
         assert_eq!(buf.len() as u64, SUPERBLOCK_LEN);
         let sb = Superblock::validate(&buf).unwrap();
-        assert!(sb.coords());
+        assert!(sb.coords() && sb.names());
+        assert_eq!(sb.shape(), Shape::Names);
         assert_eq!(sb.check_features(true).unwrap(), Access::ReadWrite);
         buf[0] = b'X';
         assert!(Superblock::validate(&buf).is_err());
@@ -622,18 +993,34 @@ mod tests {
     #[test]
     fn feature_bits_refuse_restrict_or_pass_by_class() {
         let with = |flags: u16| Superblock { flags };
-        // A file from before the coordinate fields: no bit set.
-        assert!(!with(0).coords());
+        // Files from before the coordinate fields, and before the names.
+        assert_eq!(with(0).shape(), Shape::Attrs);
+        assert_eq!(with(INCOMPAT_COORDS).shape(), Shape::Fields);
         assert_eq!(with(0).check_features(false).unwrap(), Access::ReadWrite);
-        for bit in 1..8 {
-            let err = with(INCOMPAT_COORDS | 1 << bit)
-                .check_features(false)
-                .unwrap_err();
+        let err = with(INCOMPAT_NAMES).check_features(false).unwrap_err();
+        assert!(err.to_string().contains("without coordinate"), "{err}");
+        let known = INCOMPAT_COORDS | INCOMPAT_NAMES;
+        for bit in 2..8 {
+            let err = with(known | 1 << bit).check_features(false).unwrap_err();
             assert!(
                 err.to_string().contains("unknown incompat"),
                 "bit {bit}: {err}"
             );
         }
+        // A build that knows only the coordinate fields refuses a file
+        // with a name table.
+        let coords_only = Features {
+            compat: 0,
+            ro_compat: 0,
+            incompat: u32::from(INCOMPAT_COORDS),
+        };
+        let err = Features {
+            incompat: u32::from(known),
+            ..coords_only
+        }
+        .check(coords_only, false)
+        .unwrap_err();
+        assert!(err.to_string().contains("0x2"), "{err}");
         for bit in 8..12 {
             let sb = with(1 << bit);
             assert_eq!(
@@ -665,13 +1052,19 @@ mod tests {
 
     #[test]
     fn truncated_entries_error() {
-        let e = sample_entry();
+        let (layout, attrs) = (layout(), attrs());
         let mut buf = Vec::new();
-        e.encode(&mut buf);
+        sample(&layout, &attrs).encode(&mut buf);
         for cut in [1, 5, buf.len() / 2, buf.len() - 1] {
-            let mut off = 0;
             assert!(
-                IndexEntry::decode(&buf[..cut], &mut off, true).is_err(),
+                EntryRef::parse(
+                    &buf[..cut],
+                    &mut 0,
+                    Shape::Names,
+                    &mut Vec::new(),
+                    |_, _| {}
+                )
+                .is_err(),
                 "cut at {cut} should fail"
             );
         }
@@ -683,31 +1076,37 @@ mod tests {
         #[test]
         fn arbitrary_entry_roundtrip(
             path in "[a-z/]{1,32}",
+            name in proptest::option::of(0u32..1 << 20),
             dims in proptest::collection::vec(0u64..1000, 0..5),
-            offset in any::<u64>(),
             stored_len in any::<u64>(),
             crc in any::<u32>(),
-            iteration in any::<u32>(),
-            source in any::<u32>(),
+            iteration in 0..NO_COORD,
+            source in 0..NO_COORD,
             attr_i in any::<i64>(),
             attr_s in "[ -~]{0,16}",
         ) {
-            let e = IndexEntry {
+            let layout = Layout::new(DataType::F64, &dims);
+            let attrs = vec![("i".into(), AttrValue::I64(attr_i)), ("s".into(), AttrValue::Str(attr_s))];
+            let path = name.map_or(PathField::Free(&path), PathField::Name);
+            let e = Entry {
                 path,
-                layout: Layout::new(DataType::F64, &dims),
-                offset,
+                layout: &layout,
                 stored_len,
                 crc,
-                filter: String::new(),
+                filter: "",
                 chunk_dim0: 0,
                 iteration,
                 source,
-                attrs: vec![("i".into(), AttrValue::I64(attr_i)), ("s".into(), AttrValue::Str(attr_s))],
+                attrs: &attrs,
             };
             let mut buf = Vec::new();
             e.encode(&mut buf);
-            let mut off = 0;
-            prop_assert_eq!(IndexEntry::decode(&buf, &mut off, true).unwrap(), e);
+            let (r, back_dims, back_attrs) = decode(&buf, Shape::Names).unwrap();
+            prop_assert_eq!(r.path, path);
+            prop_assert_eq!(back_dims, dims);
+            prop_assert_eq!((r.stored_len, r.crc), (stored_len, crc));
+            prop_assert_eq!((r.iteration, r.source), (Some(iteration), Some(source)));
+            prop_assert_eq!(back_attrs, attrs);
         }
     }
 }

@@ -27,23 +27,28 @@
 //! ## On-disk layout
 //!
 //! ```text
-//! [superblock][record][record]…[index][footer]
-//!  └ "SDF1" version flags        └ per dataset: path, layout, offset,
-//!                                  length, crc, filter, chunk extent,
-//!                                  iteration, source, attributes
+//! [superblock][payload][payload]…[index][footer]
+//!  └ "SDF1" version flags         └ the variable names, once each; then
+//!                                   per dataset: path or name reference,
+//!                                   layout, stored length, crc, filter,
+//!                                   chunk extent, iteration, source,
+//!                                   attributes
 //! ```
 //!
-//! Records are appended as datasets are written (streaming friendly — no
-//! seeks during data writes). `finish()` appends the index (a table of every
-//! object with its offset, layout, coordinates, attributes and filter spec)
-//! and a fixed-size footer pointing back at it. Readers locate the footer
-//! at `len-24`, then read the index; individual dataset payloads are read
-//! lazily. The superblock's flags word holds feature bits
-//! ([`header::Features`]): [`header::INCOMPAT_COORDS`], set in every file
-//! written now, says the entries carry coordinate fields and nothing lies
-//! between index and footer. A file without it — from before the fields —
-//! keys its datasets by their `iteration`/`source` attributes, and may
-//! hold a stored query section before its footer, which is ignored.
+//! Payloads are appended as datasets are written (streaming friendly — no
+//! seeks during data writes), end to end, so no entry stores an offset:
+//! each is the sum of the stored lengths before it. `finish()` appends the
+//! index and a fixed-size footer pointing back at it. Readers locate the
+//! footer at `len-24`, then read the index; individual dataset payloads
+//! are read lazily. A dataset whose path is
+//! `/iter-{iteration}/rank-{source}/{name}` of its own coordinates stores
+//! a reference to its name instead ([`header`] gives the bytes). The
+//! superblock's flags word holds feature bits ([`header::Features`]):
+//! [`header::INCOMPAT_COORDS`] and [`header::INCOMPAT_NAMES`], both set in
+//! every file written now. A file with only the first stores each path
+//! and offset; one with neither — from before coordinate fields — keys
+//! its datasets by their `iteration`/`source` attributes, and may hold a
+//! stored query section before its footer, which is ignored.
 //!
 //! ## Example
 //!

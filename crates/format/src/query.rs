@@ -3,16 +3,18 @@
 //! and a binary search instead of a scan of every dataset.
 //!
 //! Nothing of it is stored. [`SdfReader::open`](crate::SdfReader::open)
-//! builds it in the pass that checks the index, from each entry's path and
-//! coordinates, so it can never disagree with the index it describes. A
-//! file written before sections were dropped still holds one between its
-//! index and its footer; the reader ignores those bytes.
+//! builds it in the pass that checks the index, from each entry's name or
+//! path and coordinates, so it can never disagree with the index it
+//! describes. A file written before sections were dropped still holds one
+//! between its index and its footer; the reader ignores those bytes.
 //!
 //! In memory a section is the bloom filter, one fixed-size [`QueryKey`]
 //! per dataset sorted by `(key_hash, ordinal)`, and the distinct variable
-//! names end to end in one buffer.
+//! names end to end in one buffer: the file's name table first, each name
+//! in the slot of its id, then the last segments of free-form paths.
 
-use crate::header::EntryRef;
+use crate::header::{variable_of, EntryRef, PathField};
+use crate::{Result, SdfError};
 use std::collections::HashMap;
 
 /// Sentinel for "this dataset has no iteration/source coordinate".
@@ -192,6 +194,11 @@ impl QuerySection {
     pub fn variable(&self, key: &QueryKey) -> &str {
         self.strings.get(key.variable)
     }
+
+    /// The name in `slot`: the name of id `slot` of the file's table.
+    pub(crate) fn name(&self, slot: u32) -> &str {
+        self.strings.get(slot)
+    }
 }
 
 /// Builds a file's section one index entry at a time, as
@@ -200,8 +207,10 @@ impl QuerySection {
 pub(crate) struct SectionBuilder<'a> {
     bloom: BloomFilter,
     keys: Vec<QueryKey>,
-    /// Each distinct variable name, by slot.
+    /// Each distinct variable name, by slot: the name table's first.
     names: Vec<&'a str>,
+    /// How many of `names` the file's table holds.
+    table: u32,
     /// The slot of each name in `names`.
     slots: HashMap<&'a str, u32>,
     /// The last entry's slot.
@@ -209,23 +218,44 @@ pub(crate) struct SectionBuilder<'a> {
 }
 
 impl<'a> SectionBuilder<'a> {
-    /// A builder for an index of `count` entries.
-    pub(crate) fn new(count: usize) -> Self {
-        SectionBuilder {
+    /// A builder for an index of `count` entries whose name table is
+    /// `table` (empty without one). A name the table holds twice is
+    /// refused.
+    pub(crate) fn new(count: usize, table: Vec<&'a str>) -> Result<Self> {
+        let mut slots = HashMap::with_capacity(count.max(table.len()));
+        for (id, &name) in table.iter().enumerate() {
+            if slots.insert(name, id as u32).is_some() {
+                return Err(SdfError::Format(format!(
+                    "name {name:?} twice in the name table"
+                )));
+            }
+        }
+        Ok(SectionBuilder {
             bloom: BloomFilter::with_capacity(count),
             keys: Vec::with_capacity(count),
-            names: Vec::with_capacity(count),
-            slots: HashMap::with_capacity(count),
+            table: table.len() as u32,
+            names: table,
+            slots,
             last: 0,
-        }
+        })
     }
 
-    /// Adds `entry`, the index's next one.
-    pub(crate) fn push(&mut self, entry: &EntryRef<'a>) {
-        let (variable, iteration, source) = entry.key();
-        let hash = key_hash(variable, iteration, source);
+    /// Adds `entry`, the index's next one. A reference past the name
+    /// table is refused.
+    pub(crate) fn push(&mut self, entry: &EntryRef<'a>) -> Result<()> {
+        self.last = match entry.path {
+            PathField::Name(id) if id < self.table => id,
+            PathField::Name(id) => {
+                return Err(SdfError::Format(format!(
+                    "name reference {id} past the table's {} names",
+                    self.table
+                )))
+            }
+            PathField::Free(path) => self.slot(variable_of(path)),
+        };
+        let (iteration, source) = entry.coords();
+        let hash = key_hash(self.names[self.last as usize], iteration, source);
         self.bloom.insert(hash);
-        self.last = self.slot(variable);
         self.keys.push(QueryKey {
             key_hash: hash,
             ordinal: self.keys.len() as u32,
@@ -233,6 +263,7 @@ impl<'a> SectionBuilder<'a> {
             source,
             variable: self.last,
         });
+        Ok(())
     }
 
     /// The slot of `variable`, a new one if it is new. Writers repeat
@@ -304,41 +335,45 @@ impl<'a> SectionBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::IndexEntry;
+    use crate::header::{Entry, Shape};
     use crate::types::{DataType, Layout};
 
     /// Six datasets over two sources and three iterations, half of them
-    /// filtered, with coordinate fields.
+    /// filtered, with coordinate fields: the first of each source by free
+    /// path, the rest by reference to the table's one name.
     fn sample_index() -> Vec<u8> {
         let mut bytes = Vec::new();
+        let layout = Layout::new(DataType::F32, &[16, 8]);
         for i in 0..6u32 {
-            IndexEntry {
-                path: format!("/iter-{}/rank-{}/theta", i / 2, i % 2),
-                layout: Layout::new(DataType::F32, &[16, 8]),
-                offset: 8 + u64::from(i) * 512,
+            let path = format!("/iter-{}/rank-{}/theta", i / 2, i % 2);
+            Entry {
+                path: if i < 2 {
+                    PathField::Free(&path)
+                } else {
+                    PathField::Name(0)
+                },
+                layout: &layout,
                 stored_len: 512,
                 crc: 0x1234_5678 ^ i,
-                filter: if i % 2 == 0 {
-                    String::new()
-                } else {
-                    "lzss".into()
-                },
+                filter: if i % 2 == 0 { "" } else { "lzss" },
                 chunk_dim0: 0,
                 iteration: i / 2,
                 source: i % 2,
-                attrs: Vec::new(),
+                attrs: &[],
             }
             .encode(&mut bytes);
         }
         bytes
     }
 
-    /// The section of the entries end to end in `index`.
-    fn build(index: &[u8], count: usize) -> QuerySection {
-        let mut builder = SectionBuilder::new(count);
+    /// The section of the entries end to end in `index`, under a table of
+    /// `table`.
+    fn build(index: &[u8], count: usize, table: &[&str]) -> QuerySection {
+        let mut builder = SectionBuilder::new(count, table.to_vec()).unwrap();
         let mut off = 0;
         for _ in 0..count {
-            builder.push(&EntryRef::skim(index, &mut off, true, &mut Vec::new()).unwrap());
+            let entry = EntryRef::skim(index, &mut off, Shape::Names, &mut Vec::new()).unwrap();
+            builder.push(&entry).unwrap();
         }
         assert_eq!(off, index.len());
         builder.finish()
@@ -346,7 +381,7 @@ mod tests {
 
     #[test]
     fn keys_are_sorted_and_names_kept_once() {
-        let section = build(&sample_index(), 6);
+        let section = build(&sample_index(), 6, &["theta"]);
         assert!(section
             .keys
             .windows(2)
@@ -369,23 +404,24 @@ mod tests {
         // 600 entries, each key twice (under `/a/` and `/b/`): enough for
         // the bucket pass to have several keys in some buckets.
         let mut index = Vec::new();
+        let layout = Layout::new(DataType::U8, &[1]);
         for i in 0..600u32 {
             let key = i % 300;
-            IndexEntry {
-                path: format!("/{}/v{}", if i < 300 { "a" } else { "b" }, key % 7),
-                layout: Layout::new(DataType::U8, &[1]),
-                offset: 8,
+            let path = format!("/{}/v{}", if i < 300 { "a" } else { "b" }, key % 7);
+            Entry {
+                path: PathField::Free(&path),
+                layout: &layout,
                 stored_len: 1,
                 crc: 0,
-                filter: String::new(),
+                filter: "",
                 chunk_dim0: 0,
                 iteration: key / 7,
                 source: 0,
-                attrs: Vec::new(),
+                attrs: &[],
             }
             .encode(&mut index);
         }
-        let section = build(&index, 600);
+        let section = build(&index, 600, &[]);
         let order: Vec<(u64, u32)> = section
             .keys
             .iter()
@@ -401,7 +437,7 @@ mod tests {
 
     #[test]
     fn lookup_finds_every_key() {
-        let section = build(&sample_index(), 6);
+        let section = build(&sample_index(), 6, &["theta"]);
         for it in 0..3u32 {
             for src in 0..2u32 {
                 let h = key_hash("theta", it, src);
@@ -420,7 +456,7 @@ mod tests {
 
     #[test]
     fn bloom_prunes_absent_keys() {
-        let section = build(&sample_index(), 6);
+        let section = build(&sample_index(), 6, &["theta"]);
         let mut hits = 0u32;
         let probes = 10_000u32;
         for i in 0..probes {
@@ -436,8 +472,31 @@ mod tests {
     }
 
     #[test]
+    fn the_table_is_held_to_its_names() {
+        let twice = SectionBuilder::new(1, vec!["v", "w", "v"]).err().unwrap();
+        assert!(twice.to_string().contains("twice"), "{twice}");
+        let mut index = Vec::new();
+        Entry {
+            path: PathField::Name(2),
+            layout: &Layout::new(DataType::U8, &[1]),
+            stored_len: 1,
+            crc: 0,
+            filter: "",
+            chunk_dim0: 0,
+            iteration: 0,
+            source: 0,
+            attrs: &[],
+        }
+        .encode(&mut index);
+        let mut builder = SectionBuilder::new(1, vec!["v", "w"]).unwrap();
+        let entry = EntryRef::skim(&index, &mut 0, Shape::Names, &mut Vec::new()).unwrap();
+        let past = builder.push(&entry).unwrap_err();
+        assert!(past.to_string().contains("past the table"), "{past}");
+    }
+
+    #[test]
     fn empty_section() {
-        let section = build(&[], 0);
+        let section = build(&[], 0, &[]);
         assert!(section.keys.is_empty());
         // Probing an empty filter must not panic; the verdict itself is
         // unspecified (blooms may false-positive).

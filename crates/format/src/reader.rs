@@ -8,22 +8,26 @@
 //! needs: payload offset, stored length, CRC, chunk extent, dtype, filter
 //! slot, where its extents and path lie, and where its index entry lies
 //! with the CRC of that entry's bytes — beside per-file arenas for the
-//! paths, the extents and the parsed filter pipelines. Open checks the
-//! whole index (its CRC, then every entry) and keeps nothing else of it.
+//! extents, the free-form paths and the parsed filter pipelines. A path
+//! stored as a reference to the file's name table is rendered when asked
+//! for, from its name and coordinates in the query section, which holds
+//! the table. Open checks the whole index (its CRC, the table, then every
+//! entry, and that the stored lengths end at the index) and keeps nothing
+//! else of it.
 //! Attributes and filter specs are needed only by the cold APIs (`info`,
 //! `info_at`, `infos_under`, `infos`): they re-read the entries from the
 //! file and hold them to the CRCs taken at open — one entry for
 //! `info_at`, so a caller walking the index by ordinal pays per entry,
 //! not per index. So a reader costs a few allocations per file and about
-//! 70 bytes per dataset, where an object per dataset cost seven
-//! allocations and 570 bytes. The same pass builds the file's
-//! [`QuerySection`] from each entry's path and coordinates.
+//! 50 bytes per dataset (and a free-form path's bytes), where an object
+//! per dataset cost seven allocations and 570 bytes. The same pass builds the file's
+//! [`QuerySection`] from each entry's name or path and coordinates.
 
 use crate::checksum::crc32;
 use crate::header::{
-    self, EntryRef, IndexEntry, Superblock, FOOTER_LEN, MIN_ENTRY_LEN, SUPERBLOCK_LEN,
+    self, EntryRef, PathField, Shape, Superblock, FOOTER_LEN, MIN_ENTRY_LEN, SUPERBLOCK_LEN,
 };
-use crate::query::{QuerySection, SectionBuilder};
+use crate::query::{key_hash, QueryKey, QuerySection, SectionBuilder};
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
 use damaris_compress::{varint, CodecError, Pipeline};
@@ -56,19 +60,6 @@ impl DatasetInfo {
     }
 }
 
-impl From<IndexEntry> for DatasetInfo {
-    fn from(e: IndexEntry) -> Self {
-        DatasetInfo {
-            path: e.path,
-            layout: e.layout,
-            stored_len: e.stored_len,
-            filter: e.filter,
-            chunk_dim0: e.chunk_dim0,
-            attrs: e.attrs,
-        }
-    }
-}
-
 /// One dataset as an open reader keeps it: what a block read needs,
 /// fixed-size and `Copy` (48 bytes).
 #[derive(Debug, Clone, Copy)]
@@ -82,8 +73,10 @@ struct Record {
     /// CRC of the entry's bytes, taken at open from the checked index: a
     /// cold read of the entry is held to it.
     entry_crc: u32,
-    /// Where its length-prefixed path starts in the paths arena.
-    path_at: u32,
+    /// Where its path comes from: `key << 1 | 1` for a dataset stored by
+    /// name (the path renders from the section's key at `key`), `at << 1`
+    /// for a free-form path, length-prefixed at `at` in the paths arena.
+    path: u32,
     /// Where its `rank` extents start in the extents arena.
     dims_at: u32,
     rank: u8,
@@ -105,8 +98,7 @@ pub struct SdfReader {
     path: PathBuf,
     /// One record per dataset, in index order.
     records: Box<[Record]>,
-    /// Every dataset's path, length-prefixed as the index has it, end to
-    /// end: by-path lookups and error messages read them here.
+    /// Every free-form path, length-prefixed, end to end.
     paths: Box<[u8]>,
     /// Every record's extents. Consecutive datasets of one shape share
     /// theirs.
@@ -123,16 +115,17 @@ pub struct SdfReader {
     /// CRC of the whole index, checked at open; a cold re-read of all of
     /// it is held to it again.
     index_crc: u32,
-    /// The entries carry coordinate fields (the superblock says so).
-    coords: bool,
-    /// Built at open from the index.
+    /// How the entries are laid out (the superblock says).
+    shape: Shape,
+    /// Built at open from the index; its first names are the file's name
+    /// table.
     section: QuerySection,
 }
 
 impl SdfReader {
     /// Opens and validates `path`: the superblock and its feature bits, the
-    /// footer, the index's CRC and every entry of it, building the query
-    /// section on the way.
+    /// footer, the index's CRC, its name table and every entry of it,
+    /// building the query section on the way.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
@@ -147,7 +140,7 @@ impl SdfReader {
         file.read_exact_at(&mut sb, 0)?;
         let sb = Superblock::validate(&sb)?;
         sb.check_features(false)?;
-        let coords = sb.coords();
+        let shape = sb.shape();
 
         let mut footer = [0u8; FOOTER_LEN as usize];
         file.read_exact_at(&mut footer, file_len - FOOTER_LEN)?;
@@ -168,7 +161,7 @@ impl SdfReader {
         // A file from before the coordinate fields may hold a stored query
         // section there, ignored; a newer one holds nothing.
         let gap = file_len - FOOTER_LEN - (index_offset + index_len);
-        if coords && gap != 0 {
+        if shape != Shape::Attrs && gap != 0 {
             return Err(SdfError::Format(format!(
                 "{gap} bytes between the index and the footer"
             )));
@@ -181,6 +174,10 @@ impl SdfReader {
         }
 
         let mut off = 0usize;
+        let table = match shape {
+            Shape::Names => header::read_names(&index, &mut off)?,
+            Shape::Attrs | Shape::Fields => Vec::new(),
+        };
         let count = varint::read_u64(&index, &mut off)
             .ok_or_else(|| SdfError::Format("truncated index count".into()))?;
         let left = index.len() - off;
@@ -190,17 +187,40 @@ impl SdfReader {
             )));
         }
         let mut records: Vec<Record> = Vec::with_capacity(count as usize);
-        let mut section = SectionBuilder::new(count as usize);
+        let mut section = SectionBuilder::new(count as usize, table)?;
         let mut dims = Vec::new();
+        let mut paths = Vec::new();
         let mut pipelines = Vec::new();
-        let mut paths_len = 0usize;
+        // Where the next payload starts, where offsets are derived.
+        let mut next = SUPERBLOCK_LEN;
         for _ in 0..count {
             let entry_at = off;
             let first = dims.len();
-            let e = EntryRef::skim(&index, &mut off, coords, &mut dims)?;
-            section.push(&e);
-            let path_at = paths_len;
-            paths_len += path_field(&index, entry_at).len();
+            let e = EntryRef::skim(&index, &mut off, shape, &mut dims)?;
+            section.push(&e)?;
+            let offset = match e.offset {
+                Some(offset) => offset,
+                None => {
+                    let offset = next;
+                    next = next.checked_add(e.stored_len).ok_or_else(|| {
+                        SdfError::Format("stored lengths overflow a file offset".into())
+                    })?;
+                    offset
+                }
+            };
+            let path = match e.path {
+                // The key's position is known once the section is sorted.
+                PathField::Name(_) => 1,
+                PathField::Free(path) => {
+                    let at = u32::try_from(paths.len())
+                        .ok()
+                        .filter(|&at| at < 1 << 31)
+                        .ok_or_else(|| SdfError::Format("paths exceed 2 GiB".into()))?;
+                    varint::write_u64(path.len() as u64, &mut paths);
+                    paths.extend_from_slice(path.as_bytes());
+                    at << 1
+                }
+            };
             let rank = dims.len() - first;
             let dims_at = match records.last() {
                 // Consecutive datasets mostly share one shape: keep it once.
@@ -214,13 +234,13 @@ impl SdfReader {
                 _ => first as u32,
             };
             records.push(Record {
-                offset: e.offset,
+                offset,
                 stored_len: e.stored_len,
                 chunk_dim0: e.chunk_dim0,
                 crc: e.crc,
                 entry_at: entry_at as u32,
                 entry_crc: crc32(&index[entry_at..off]),
-                path_at: path_at as u32,
+                path,
                 dims_at,
                 rank: rank as u8,
                 dtype: e.dtype,
@@ -230,9 +250,17 @@ impl SdfReader {
         if off != index.len() {
             return Err(SdfError::Format("trailing garbage in index".into()));
         }
-        let mut paths = Vec::with_capacity(paths_len);
-        for record in &records {
-            paths.extend_from_slice(path_field(&index, record.entry_at as usize));
+        if shape == Shape::Names && next != index_offset {
+            return Err(SdfError::Format(format!(
+                "stored lengths sum to offset {next}, the index starts at {index_offset}"
+            )));
+        }
+        let section = section.finish();
+        for (at, key) in section.keys.iter().enumerate() {
+            let record = &mut records[key.ordinal as usize];
+            if record.path & 1 == 1 {
+                record.path = (at as u32) << 1 | 1;
+            }
         }
 
         Ok(SdfReader {
@@ -245,8 +273,8 @@ impl SdfReader {
             index_offset,
             index_len: index_len as u32,
             index_crc,
-            coords,
-            section: section.finish(),
+            shape,
+            section,
         })
     }
 
@@ -275,15 +303,14 @@ impl SdfReader {
     pub fn dataset_names(&self) -> Vec<String> {
         self.records
             .iter()
-            .map(|r| self.path_of(r).to_string())
+            .map(|r| self.path_of(r).into_owned())
             .collect()
     }
 
     /// Metadata for one dataset. `None` too if its index entry can no
     /// longer be read back as it was at open.
     pub fn info(&self, path: &str) -> Option<DatasetInfo> {
-        let ordinal = self.position(path).ok()?;
-        self.entry(ordinal).ok().map(Into::into)
+        self.info_at(self.position(path).ok()?)
     }
 
     /// Metadata for every dataset whose path starts with `prefix` (none if
@@ -307,13 +334,25 @@ impl SdfReader {
     /// Metadata for every dataset, in index order, from one re-read of
     /// the index held to the CRC open checked.
     pub fn infos(&self) -> Result<Vec<DatasetInfo>> {
-        Ok(self.entries()?.into_iter().map(Into::into).collect())
+        let index = self.reread_index(0, self.index_len(), self.index_crc)?;
+        self.records
+            .iter()
+            .map(|r| self.decode_info(&index, r.entry_at as usize))
+            .collect()
     }
 
     /// Metadata for the dataset at position `ordinal` in the index. `None`
     /// too if its entry can no longer be read back as it was at open.
     pub fn info_at(&self, ordinal: usize) -> Option<DatasetInfo> {
-        self.entry(ordinal).ok().map(Into::into)
+        let record = self.records.get(ordinal)?;
+        let end = match self.records.get(ordinal + 1) {
+            Some(next) => next.entry_at as usize,
+            None => self.index_len(),
+        };
+        let bytes = self
+            .reread_index(record.entry_at as usize, end, record.entry_crc)
+            .ok()?;
+        self.decode_info(&bytes, 0).ok()
     }
 
     /// Layout of the dataset at position `ordinal`, without reading its
@@ -338,48 +377,87 @@ impl SdfReader {
         Ok(bytes)
     }
 
-    /// The whole entry of the dataset at `ordinal`, re-read on its own.
-    fn entry(&self, ordinal: usize) -> Result<IndexEntry> {
-        let record = self
-            .records
-            .get(ordinal)
-            .ok_or_else(|| SdfError::Usage(format!("ordinal {ordinal} out of range")))?;
-        let end = match self.records.get(ordinal + 1) {
-            Some(next) => next.entry_at as usize,
-            None => self.index_len(),
-        };
-        let bytes = self.reread_index(record.entry_at as usize, end, record.entry_crc)?;
-        IndexEntry::decode(&bytes, &mut 0, self.coords)
-    }
-
-    /// Every entry, from one re-read of the whole index.
-    fn entries(&self) -> Result<Vec<IndexEntry>> {
-        let index = self.reread_index(0, self.index_len(), self.index_crc)?;
-        self.records
-            .iter()
-            .map(|r| IndexEntry::decode(&index, &mut (r.entry_at as usize), self.coords))
-            .collect()
+    /// The entry at `at` of `bytes`, re-read from the index, as metadata.
+    fn decode_info(&self, bytes: &[u8], mut at: usize) -> Result<DatasetInfo> {
+        let (mut dims, mut attrs) = (Vec::new(), Vec::new());
+        let e = EntryRef::parse(bytes, &mut at, self.shape, &mut dims, |name, value| {
+            attrs.push((name.to_string(), value.owned()))
+        })?;
+        let (iteration, source) = e.coords();
+        Ok(DatasetInfo {
+            path: match e.path {
+                PathField::Free(path) => path.to_string(),
+                PathField::Name(id) => {
+                    header::canonical_path(self.section.name(id), iteration, source)
+                }
+            },
+            layout: Layout {
+                dtype: e.dtype,
+                dims,
+            },
+            stored_len: e.stored_len,
+            filter: e.filter.to_string(),
+            chunk_dim0: e.chunk_dim0,
+            attrs,
+        })
     }
 
     fn index_len(&self) -> usize {
         self.index_len as usize
     }
 
-    /// The path of `record`.
-    fn path_of(&self, record: &Record) -> &str {
-        header::read_raw(&self.paths, &mut (record.path_at as usize))
+    /// The section's key of `record` when it is stored by name.
+    fn named_key(&self, record: &Record) -> Option<&QueryKey> {
+        (record.path & 1 == 1).then(|| &self.section.keys[(record.path >> 1) as usize])
+    }
+
+    /// The free-form path of `record`; `None` when it is stored by name.
+    fn free_path(&self, record: &Record) -> Option<&str> {
+        if record.path & 1 == 1 {
+            return None;
+        }
+        let raw = header::read_raw(&self.paths, &mut ((record.path >> 1) as usize))
             .ok()
             .and_then(|raw| std::str::from_utf8(raw).ok())
             // invariant: `open` copied each path here from the checked
             // index, whole and UTF-8, and the arena does not change.
-            .expect("path checked at open")
+            .expect("path checked at open");
+        Some(raw)
     }
 
-    /// The position of the dataset at `path`.
+    /// The path of `record`, rendered if it is stored by name.
+    fn path_of(&self, record: &Record) -> Cow<'_, str> {
+        match self.named_key(record) {
+            Some(key) => Cow::Owned(header::canonical_path(
+                self.section.variable(key),
+                key.iteration,
+                key.source,
+            )),
+            None => Cow::Borrowed(self.free_path(record).unwrap_or_default()),
+        }
+    }
+
+    /// The position of the dataset at `path`: the first in the index, of
+    /// the one stored by name that renders to it (found through the
+    /// section) and the free-form ones.
     fn position(&self, path: &str) -> Result<usize> {
-        self.records
+        let named = header::parse_canonical(path).and_then(|(name, iteration, source)| {
+            self.section
+                .candidates(key_hash(name, iteration, source))
+                .iter()
+                .filter(|k| {
+                    (k.iteration, k.source) == (iteration, source)
+                        && self.section.variable(k) == name
+                        && self.records[k.ordinal as usize].path & 1 == 1
+                })
+                .map(|k| k.ordinal as usize)
+                .min()
+        });
+        let before = named.unwrap_or(self.records.len());
+        self.records[..before]
             .iter()
-            .position(|r| self.path_of(r) == path)
+            .position(|r| self.free_path(r) == Some(path))
+            .or(named)
             .ok_or_else(|| SdfError::Usage(format!("no dataset at '{path}'")))
     }
 
@@ -706,16 +784,6 @@ impl SdfReader {
     }
 }
 
-/// The length-prefixed path field of the entry at `entry_at`, as it lies
-/// in `index`.
-fn path_field(index: &[u8], entry_at: usize) -> &[u8] {
-    let mut end = entry_at;
-    header::read_raw(index, &mut end)
-        // invariant: called only on an entry `EntryRef::skim` accepted.
-        .expect("path field checked by skim");
-    &index[entry_at..end]
-}
-
 /// The slot of `spec` in `pipelines` plus one, parsing it on first sight;
 /// 0 for no filter.
 fn filter_slot(pipelines: &mut Vec<ParsedFilter>, spec: &str) -> Result<u16> {
@@ -805,6 +873,7 @@ fn read_chunk_count(stored: &[u8], off: &mut usize) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::Entry;
     use crate::writer::{DatasetOptions, SdfWriter};
     use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1051,75 +1120,80 @@ mod tests {
         assert!(r.dataset_names().is_empty());
     }
 
-    /// Builds a raw SDF file from hand-forged index entries (bypassing
-    /// the writer's invariants) so corrupt-but-CRC-consistent indexes can
-    /// be exercised.
-    fn forge_file(path: &Path, payload: &[u8], mut entry: IndexEntry) -> u64 {
+    /// Builds a raw SDF file of one hand-forged entry (bypassing the
+    /// writer's invariants) so corrupt-but-CRC-consistent indexes can be
+    /// exercised: laid out as files are now, or, given a stored `offset`,
+    /// as a file with coordinate fields and no name table.
+    fn forge_file(path: &Path, payload: &[u8], entry: Entry<'_>, offset: Option<u64>) {
         let mut bytes = Vec::new();
         header::write_superblock(&mut bytes);
-        entry.offset = bytes.len() as u64;
         bytes.extend_from_slice(payload);
         let index_offset = bytes.len() as u64;
-        let mut index_bytes = Vec::new();
-        varint::write_u64(1, &mut index_bytes);
-        entry.encode(&mut index_bytes);
-        let crc = crc32(&index_bytes);
-        bytes.extend_from_slice(&index_bytes);
-        header::write_footer(index_offset, index_bytes.len() as u64, crc, &mut bytes);
+        let mut index = Vec::new();
+        match offset {
+            None => {
+                index.extend_from_slice(&[0, 1]);
+                entry.encode(&mut index);
+            }
+            Some(offset) => {
+                bytes[6..8].copy_from_slice(&header::INCOMPAT_COORDS.to_le_bytes());
+                index.push(1);
+                index.extend(header::tests::old_bytes(&entry, offset, Shape::Fields));
+            }
+        }
+        let crc = crc32(&index);
+        bytes.extend_from_slice(&index);
+        header::write_footer(index_offset, index.len() as u64, crc, &mut bytes);
         std::fs::write(path, &bytes).unwrap();
-        index_offset
     }
 
-    fn forged_entry(stored: &[u8]) -> IndexEntry {
-        IndexEntry {
-            path: "/v".into(),
-            layout: Layout::new(DataType::U8, &[stored.len() as u64]),
-            offset: 0,
+    fn forged_entry<'a>(stored: &[u8], layout: &'a Layout) -> Entry<'a> {
+        Entry {
+            path: PathField::Free("/v"),
+            layout,
             stored_len: stored.len() as u64,
             crc: crc32(stored),
-            filter: String::new(),
+            filter: "",
             chunk_dim0: 0,
             iteration: crate::NO_COORD,
             source: crate::NO_COORD,
-            attrs: Vec::new(),
+            attrs: &[],
         }
     }
 
     #[test]
     fn forged_stored_len_is_bounded_corruption_error() {
         // A CRC-consistent index whose entry claims a payload far larger
-        // than the file: the reader must fail typed *before* allocating.
+        // than the file: a file that derives its offsets refuses it at
+        // open, as its lengths no longer end at the index.
         let path = temp_path("hugelen");
         let payload = [7u8; 16];
-        let mut entry = forged_entry(&payload);
-        entry.stored_len = u64::MAX / 2;
-        forge_file(&path, &payload, entry);
-        let r = SdfReader::open(&path).unwrap();
-        assert!(matches!(
-            r.read_bytes("/v").unwrap_err(),
-            SdfError::Corrupt(_)
-        ));
+        let layout = Layout::new(DataType::U8, &[16]);
+        let huge = Entry {
+            stored_len: u64::MAX / 2,
+            ..forged_entry(&payload, &layout)
+        };
+        forge_file(&path, &payload, huge, None);
+        let err = SdfReader::open(&path).unwrap_err();
+        assert!(
+            matches!(&err, SdfError::Format(m) if m.contains("sum to")),
+            "{err}"
+        );
 
-        // Same for an offset pointing past the data region.
-        let path2 = temp_path("hugeoff");
-        let mut entry2 = forged_entry(&payload);
-        entry2.offset = u64::MAX - 8;
-        let mut bytes = Vec::new();
-        header::write_superblock(&mut bytes);
-        bytes.extend_from_slice(&payload);
-        let index_offset = bytes.len() as u64;
-        let mut index_bytes = Vec::new();
-        varint::write_u64(1, &mut index_bytes);
-        entry2.encode(&mut index_bytes);
-        let crc = crc32(&index_bytes);
-        bytes.extend_from_slice(&index_bytes);
-        header::write_footer(index_offset, index_bytes.len() as u64, crc, &mut bytes);
-        std::fs::write(&path2, &bytes).unwrap();
-        let r2 = SdfReader::open(&path2).unwrap();
-        assert!(matches!(
-            r2.read_bytes("/v").unwrap_err(),
-            SdfError::Corrupt(_)
-        ));
+        // A file that stores its offsets opens, and the read must fail
+        // typed *before* allocating; so for an offset past the data region.
+        for (tag, entry, offset) in [
+            ("hugelen-stored", huge, header::SUPERBLOCK_LEN),
+            ("hugeoff", forged_entry(&payload, &layout), u64::MAX - 8),
+        ] {
+            let path = temp_path(tag);
+            forge_file(&path, &payload, entry, Some(offset));
+            let r = SdfReader::open(&path).unwrap();
+            assert!(matches!(
+                r.read_bytes("/v").unwrap_err(),
+                SdfError::Corrupt(_)
+            ));
+        }
     }
 
     #[test]
@@ -1130,10 +1204,12 @@ mod tests {
         let path = temp_path("hugechunks");
         let mut payload = Vec::new();
         varint::write_u64(1 << 40, &mut payload);
-        let mut entry = forged_entry(&payload);
-        entry.layout = Layout::new(DataType::U8, &[64]);
-        entry.chunk_dim0 = 4;
-        forge_file(&path, &payload, entry);
+        let layout = Layout::new(DataType::U8, &[64]);
+        let entry = Entry {
+            chunk_dim0: 4,
+            ..forged_entry(&payload, &layout)
+        };
+        forge_file(&path, &payload, entry, None);
         let r = SdfReader::open(&path).unwrap();
         assert!(matches!(
             r.read_bytes("/v").unwrap_err(),
@@ -1151,9 +1227,12 @@ mod tests {
         // still surface where it always did — reading that dataset.
         let path = temp_path("badspec");
         let payload = [7u8; 16];
-        let mut entry = forged_entry(&payload);
-        entry.filter = "lzss|nope".into();
-        forge_file(&path, &payload, entry);
+        let layout = Layout::new(DataType::U8, &[16]);
+        let entry = Entry {
+            filter: "lzss|nope",
+            ..forged_entry(&payload, &layout)
+        };
+        forge_file(&path, &payload, entry, None);
         let r = SdfReader::open(&path).unwrap();
         assert_eq!(r.info("/v").unwrap().filter, "lzss|nope");
         assert!(r.validate().is_ok(), "checksums do not need the filter");

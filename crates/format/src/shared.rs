@@ -18,11 +18,10 @@
 //! compress (§II-B: "none of today's data formats offers compression
 //! features using this approach").
 
-use crate::checksum::crc32;
-use crate::header::{self, IndexEntry};
+use crate::checksum::{crc32, crc32_update};
+use crate::header::{self, Entry, IndexBuf, PathField};
 use crate::types::Layout;
 use crate::{Result, SdfError};
-use damaris_compress::varint;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -36,10 +35,13 @@ pub struct ReservedDataset {
     pub offset: u64,
 }
 
-/// Collective plan for a shared SDF file.
+/// Collective plan for a shared SDF file. Reservations lie end to end
+/// from the superblock, so the file's index is the one every SDF file
+/// has: offsets derived from the lengths.
 pub struct SharedFilePlan {
     file_path: PathBuf,
     reservations: Vec<ReservedDataset>,
+    index: IndexBuf,
     next_offset: u64,
 }
 
@@ -57,6 +59,7 @@ impl SharedFilePlan {
         Ok(SharedFilePlan {
             file_path,
             reservations: Vec::new(),
+            index: IndexBuf::default(),
             next_offset: sb.len() as u64,
         })
     }
@@ -68,9 +71,7 @@ impl SharedFilePlan {
         if !path.starts_with('/') || path.ends_with('/') || path.contains("//") {
             return Err(SdfError::Usage(format!("bad dataset path '{path}'")));
         }
-        if self.reservations.iter().any(|r| r.path == path) {
-            return Err(SdfError::Usage(format!("duplicate dataset path '{path}'")));
-        }
+        self.index.claim_path(path)?;
         let r = ReservedDataset {
             path: path.to_string(),
             layout: layout.clone(),
@@ -97,49 +98,41 @@ impl SharedFilePlan {
     /// Finalizes the file: recomputes per-dataset checksums from the
     /// written bytes, appends the index and footer. Call after all writers
     /// finished (a barrier in MPI terms).
-    pub fn seal(self) -> Result<u64> {
+    pub fn seal(mut self) -> Result<u64> {
         use std::io::Read;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&self.file_path)?;
-        let mut entries = Vec::with_capacity(self.reservations.len());
         for r in &self.reservations {
             file.seek(SeekFrom::Start(r.offset))?;
             let mut payload = vec![0u8; r.layout.byte_size() as usize];
             file.read_exact(&mut payload)?;
-            entries.push(IndexEntry {
-                path: r.path.clone(),
-                layout: r.layout.clone(),
-                offset: r.offset,
+            self.index.push(&Entry {
+                path: PathField::Free(&r.path),
+                layout: &r.layout,
                 stored_len: payload.len() as u64,
                 crc: crc32(&payload),
-                filter: String::new(),
+                filter: "",
                 chunk_dim0: 0,
                 iteration: crate::NO_COORD,
                 source: crate::NO_COORD,
-                attrs: Vec::new(),
+                attrs: &[],
             });
         }
         let index_offset = self.next_offset;
-        let mut index_bytes = Vec::new();
-        varint::write_u64(entries.len() as u64, &mut index_bytes);
-        for e in &entries {
-            e.encode(&mut index_bytes);
-        }
-        let index_crc = crc32(&index_bytes);
         file.seek(SeekFrom::Start(index_offset))?;
-        file.write_all(&index_bytes)?;
+        let (mut index_len, mut crc) = (0u64, 0xFFFF_FFFF);
+        self.index.write(|part| {
+            crc = crc32_update(crc, part);
+            index_len += part.len() as u64;
+            Ok(file.write_all(part)?)
+        })?;
         let mut footer = Vec::new();
-        header::write_footer(
-            index_offset,
-            index_bytes.len() as u64,
-            index_crc,
-            &mut footer,
-        );
+        header::write_footer(index_offset, index_len, crc ^ 0xFFFF_FFFF, &mut footer);
         file.write_all(&footer)?;
         file.flush()?;
-        Ok(index_offset + index_bytes.len() as u64 + header::FOOTER_LEN)
+        Ok(index_offset + index_len + header::FOOTER_LEN)
     }
 }
 

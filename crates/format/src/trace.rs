@@ -354,12 +354,15 @@ pub fn read_trace_bytes(data: &[u8]) -> crate::Result<TraceFile> {
             file.clean_close = true;
             break;
         }
-        let len = count as usize * TRACE_RECORD_SIZE;
-        if pos + len > data.len() {
-            // Torn tail block — the crash case.
-            file.corrupt_blocks += 1;
-            break;
-        }
+        // A count the bytes left cannot hold is a torn tail block — the
+        // crash case — however large it claims to be.
+        let len = match (count as usize).checked_mul(TRACE_RECORD_SIZE) {
+            Some(len) if len <= data.len() - pos => len,
+            _ => {
+                file.corrupt_blocks += 1;
+                break;
+            }
+        };
         let payload = &data[pos..pos + len];
         if crc32(payload) != crc {
             // Bit rot inside one block: skip it, keep scanning — block

@@ -1,19 +1,19 @@
 //! Sequential SDF writer.
 //!
 //! Datasets stream to disk as they are written (append-only, no seeking);
-//! the index is held in memory and flushed by [`SdfWriter::finish`]. This
+//! each one's index entry is encoded into one buffer as it is written, and
+//! [`SdfWriter::finish`] flushes that buffer behind the name table. This
 //! append-only discipline is what lets a Damaris dedicated core interleave
 //! writes from many clients into one large file without coordination — the
 //! paper's "gathering data into large files" (§III).
 
-use crate::checksum::{crc32, crc32_update};
-use crate::header::{self, IndexEntry};
+use crate::checksum::crc32_update;
+use crate::header::{self, Entry, IndexBuf, PathField};
 use crate::query::NO_COORD;
 use crate::types::{AttrValue, DataType, Layout};
 use crate::{Result, SdfError};
 use damaris_compress::Pipeline;
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -109,13 +109,21 @@ fn encode<'a>(
     }
 }
 
+/// What a dataset is written under.
+#[derive(Clone, Copy)]
+enum Target<'a> {
+    /// A path, stored as it is.
+    Path(&'a str),
+    /// A variable name at the dataset's coordinates.
+    Name(&'a str),
+}
+
 /// Streaming writer for a new SDF file.
 pub struct SdfWriter {
     file: BufWriter<File>,
     path: PathBuf,
     offset: u64,
-    index: Vec<IndexEntry>,
-    seen_paths: HashSet<String>,
+    index: IndexBuf,
     finished: bool,
     writeback_started: bool,
     fault_hook: Option<WriteFaultHook>,
@@ -140,8 +148,7 @@ impl SdfWriter {
             file: BufWriter::new(file),
             path,
             offset: 0,
-            index: Vec::new(),
-            seen_paths: HashSet::new(),
+            index: IndexBuf::default(),
             finished: false,
             writeback_started: false,
             fault_hook: None,
@@ -165,22 +172,47 @@ impl SdfWriter {
         Ok(())
     }
 
-    fn validate_path(&mut self, path: &str) -> Result<()> {
-        if !path.starts_with('/') || path.ends_with('/') || path.contains("//") {
-            return Err(SdfError::Usage(format!(
-                "dataset path '{path}' must be absolute, non-empty and normalized"
-            )));
-        }
-        if !self.seen_paths.insert(path.to_string()) {
-            return Err(SdfError::Usage(format!("duplicate dataset path '{path}'")));
-        }
-        Ok(())
-    }
-
     /// Writes a dataset from raw little-endian bytes matching `layout`.
+    /// A path that is exactly `/iter-{i}/rank-{s}/{name}` of the
+    /// coordinates in `options` is stored as [`write_variable_bytes`]
+    /// stores it.
+    ///
+    /// [`write_variable_bytes`]: Self::write_variable_bytes
     pub fn write_dataset_bytes(
         &mut self,
         path: &str,
+        layout: &Layout,
+        data: &[u8],
+        options: &DatasetOptions,
+    ) -> Result<()> {
+        let target = match header::parse_canonical(path) {
+            Some((name, iteration, source)) if options.coords == Some((iteration, source)) => {
+                Target::Name(name)
+            }
+            _ => Target::Path(path),
+        };
+        self.write(target, layout, data, options)
+    }
+
+    /// Writes a dataset of variable `name` at the coordinates
+    /// `options` gives (both required): its path is
+    /// `/iter-{iteration}/rank-{source}/{name}`, and the file stores the
+    /// name once, in its table, and a reference to it per dataset (one
+    /// byte for the table's first 64 names). `name` must be non-empty and
+    /// hold no `/`.
+    pub fn write_variable_bytes(
+        &mut self,
+        name: &str,
+        layout: &Layout,
+        data: &[u8],
+        options: &DatasetOptions,
+    ) -> Result<()> {
+        self.write(Target::Name(name), layout, data, options)
+    }
+
+    fn write(
+        &mut self,
+        target: Target<'_>,
         layout: &Layout,
         data: &[u8],
         options: &DatasetOptions,
@@ -194,20 +226,28 @@ impl SdfWriter {
         }
         let corrupt = matches!(fault, Some(WriteFault::Corrupt));
         layout.check_bytes(data.len())?;
-        self.validate_path(path)?;
+        let (iteration, source) = options.coords.unwrap_or((NO_COORD, NO_COORD));
+        let path = match target {
+            Target::Name(name) => PathField::Name(self.index.claim_name(name, iteration, source)?),
+            Target::Path(path) => {
+                if !path.starts_with('/') || path.ends_with('/') || path.contains("//") {
+                    return Err(SdfError::Usage(format!(
+                        "dataset path '{path}' must be absolute, non-empty and normalized"
+                    )));
+                }
+                self.index.claim_path(path)?;
+                PathField::Free(path)
+            }
+        };
 
-        let filter_spec = options.filter.clone().unwrap_or_default();
-        let pipeline = if filter_spec.is_empty() {
+        let filter = options.filter.as_deref().unwrap_or("");
+        let pipeline = if filter.is_empty() {
             None
         } else {
-            if self
-                .filter
-                .as_ref()
-                .is_none_or(|(spec, _)| *spec != filter_spec)
-            {
-                let parsed = Pipeline::from_spec(&filter_spec)
-                    .map_err(|e| SdfError::Filter(e.to_string()))?;
-                self.filter = Some((filter_spec.clone(), parsed));
+            if self.filter.as_ref().is_none_or(|(spec, _)| spec != filter) {
+                let parsed =
+                    Pipeline::from_spec(filter).map_err(|e| SdfError::Filter(e.to_string()))?;
+                self.filter = Some((filter.to_string(), parsed));
             }
             self.filter.as_ref().map(|(_, parsed)| parsed)
         };
@@ -245,17 +285,16 @@ impl SdfWriter {
         let crc_state = parts
             .iter()
             .fold(0xFFFF_FFFF, |state, part| crc32_update(state, part));
-        let entry = IndexEntry {
-            path: path.to_string(),
-            layout: layout.clone(),
-            offset: self.offset,
+        let entry = Entry {
+            path,
+            layout,
             stored_len: parts.iter().map(|p| p.len() as u64).sum(),
             crc: crc_state ^ 0xFFFF_FFFF,
-            filter: filter_spec,
+            filter,
             chunk_dim0: chunk_rows,
-            iteration: options.coords.map_or(NO_COORD, |(iteration, _)| iteration),
-            source: options.coords.map_or(NO_COORD, |(_, source)| source),
-            attrs: options.attrs.clone(),
+            iteration,
+            source,
+            attrs: &options.attrs,
         };
         if corrupt {
             // Torn-copy injection: the index keeps the checksum of the
@@ -269,7 +308,7 @@ impl SdfWriter {
         for part in &parts {
             self.raw_write(part)?;
         }
-        self.index.push(entry);
+        self.index.push(&entry);
         Ok(())
     }
 
@@ -381,14 +420,14 @@ impl SdfWriter {
             return Ok(self.offset);
         }
         let index_offset = self.offset;
-        let mut index_bytes = Vec::new();
-        damaris_compress::varint::write_u64(self.index.len() as u64, &mut index_bytes);
-        for entry in &self.index {
-            entry.encode(&mut index_bytes);
-        }
-        let index_crc = crc32(&index_bytes);
-        let index_len = index_bytes.len() as u64;
-        self.raw_write(&index_bytes)?;
+        let mut crc = 0xFFFF_FFFF;
+        self.index.write(|part| {
+            crc = crc32_update(crc, part);
+            self.file.write_all(part)?;
+            self.offset += part.len() as u64;
+            Ok(())
+        })?;
+        let (index_len, index_crc) = (self.offset - index_offset, crc ^ 0xFFFF_FFFF);
         let mut footer = Vec::new();
         header::write_footer(index_offset, index_len, index_crc, &mut footer);
         self.raw_write(&footer)?;

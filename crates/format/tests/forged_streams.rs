@@ -5,15 +5,19 @@
 //! bytes for the output — measured, with a counting allocator, not assumed.
 //! The same holds for the counts in the index: `open` must refuse one its
 //! bytes cannot hold before anything is sized by it, and so for a feature
-//! bit it does not know, a coordinate field past `u32`, and bytes between
+//! bit it does not know, a coordinate field past `u32`, bytes between
 //! the index and the footer of a file whose entries carry coordinate
 //! fields (a file from before them may hold its stored query section
-//! there). And a file cut short
-//! after `open` must fail a block read typed, never hand back bytes the
-//! read did not write. (One `#[test]`: the counter is process-wide.)
+//! there), a name table that is malformed or referenced past its end, and
+//! stored lengths that do not end where the index starts. And a file cut
+//! short after `open` must fail a block read typed, never hand back bytes
+//! the read did not write. A DTRC trace forged the same ways must come
+//! back as a typed error or a counted corrupt block, within its own
+//! bytes. (One `#[test]`: the counter is process-wide.)
 
 use damaris_compress::varint;
-use damaris_format::header::{self, IndexEntry};
+use damaris_format::header::{self, Entry, PathField};
+use damaris_format::trace::{read_trace_bytes, TraceRecord, TraceWriter, TRACE_RECORD_SIZE};
 use damaris_format::{
     crc32, DataType, DatasetOptions, Layout, SdfError, SdfReader, SdfWriter, NO_COORD,
 };
@@ -63,22 +67,21 @@ fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
 fn forge(tag: &str, payload: &[u8], layout: Layout, filter: &str, chunk_dim0: u64) -> SdfReader {
     let mut bytes = Vec::new();
     header::write_superblock(&mut bytes);
-    let entry = IndexEntry {
-        path: "/v".into(),
-        layout,
-        offset: bytes.len() as u64,
+    let entry = Entry {
+        path: PathField::Free("/v"),
+        layout: &layout,
         stored_len: payload.len() as u64,
         crc: crc32(payload),
-        filter: filter.into(),
+        filter,
         chunk_dim0,
         iteration: NO_COORD,
         source: NO_COORD,
-        attrs: Vec::new(),
+        attrs: &[],
     };
     bytes.extend_from_slice(payload);
     let index_offset = bytes.len() as u64;
-    let mut index = Vec::new();
-    varint::write_u64(1, &mut index);
+    // No names, one entry.
+    let mut index = vec![0, 1];
     entry.encode(&mut index);
     bytes.extend_from_slice(&index);
     header::write_footer(index_offset, index.len() as u64, crc32(&index), &mut bytes);
@@ -192,24 +195,41 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
     // 4 096 attributes 229 KB. `open` must fail typed having allocated no
     // more than the file's size and some error text. So must the other
     // header and index fields it checks.
-    let mut count = Vec::new();
+    let names = |names: &[&str]| {
+        let mut index = Vec::new();
+        varint::write_u64(names.len() as u64, &mut index);
+        for name in names {
+            varint::write_u64(name.len() as u64, &mut index);
+            index.extend_from_slice(name.as_bytes());
+        }
+        index
+    };
+    let mut count = names(&[]);
     varint::write_u64(1 << 20, &mut count);
     count.resize(26, 0);
-    let mut one = Vec::new();
-    varint::write_u64(1, &mut one);
-    IndexEntry {
-        path: "/v".into(),
-        layout: Layout::new(DataType::U8, &[1]),
-        offset: header::SUPERBLOCK_LEN,
+    let mut name_count = Vec::new();
+    varint::write_u64(1 << 20, &mut name_count);
+    name_count.resize(26, 0);
+    let layout = Layout::new(DataType::U8, &[1]);
+    let entry = Entry {
+        path: PathField::Free("/v"),
+        layout: &layout,
         stored_len: 1,
         crc: 0,
-        filter: String::new(),
+        filter: "",
         chunk_dim0: 0,
         iteration: 0,
         source: NO_COORD,
-        attrs: Vec::new(),
-    }
-    .encode(&mut one);
+        attrs: &[],
+    };
+    // `table`, then one entry.
+    let index = |table: &[&str], entry: Entry<'_>| {
+        let mut index = names(table);
+        index.push(1);
+        entry.encode(&mut index);
+        index
+    };
+    let one = index(&[], entry);
     // The entry ends with its iteration field (1: iteration 0), its source
     // field (0: absent) and its attribute count (0).
     assert_eq!(one[one.len() - 3..], [1, 0, 0]);
@@ -219,24 +239,61 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
     let mut coord = one[..one.len() - 3].to_vec();
     varint::write_u64(u64::from(u32::MAX) + 1, &mut coord);
     coord.extend_from_slice(&[0, 0]);
+    let named = Entry {
+        path: PathField::Name(1),
+        source: 0,
+        ..entry
+    };
+    let past = index(&["v"], named);
+    let empty_name = index(&["", "v"], named);
+    let slash = index(&["v", "a/b"], named);
+    let twice = index(&["v", "v"], named);
+    // Sixteen payload bytes; lengths that sum to one byte short, or over.
+    let payload = [7u8; 16];
+    let short = index(
+        &[],
+        Entry {
+            stored_len: 15,
+            ..entry
+        },
+    );
+    let over = index(
+        &[],
+        Entry {
+            stored_len: 17,
+            ..entry
+        },
+    );
     let empty = [0u8];
-    let incompat = header::INCOMPAT_COORDS | 1 << 1;
-    let cases: [(&str, u16, &[u8], &[u8]); 5] = [
-        ("index count", header::INCOMPAT_COORDS, &count, &[]),
-        ("attr count", header::INCOMPAT_COORDS, &attrs, &[]),
-        ("exceeds u32", header::INCOMPAT_COORDS, &coord, &[]),
-        ("unknown incompat", incompat, &empty, &[]),
+    let flags = header::INCOMPAT_COORDS | header::INCOMPAT_NAMES;
+    // What the error says; flags; payload, index and gap bytes.
+    type Case<'a> = (&'a str, u16, &'a [u8], &'a [u8], &'a [u8]);
+    let cases: [Case<'_>; 13] = [
+        ("index count", flags, &[], &count, &[]),
+        ("name count", flags, &[], &name_count, &[]),
+        ("attr count", flags, &[], &attrs, &[]),
+        ("exceeds u32", flags, &[], &coord, &[]),
+        ("past the table's 1 names", flags, &[], &past, &[]),
+        ("empty or holds", flags, &[], &empty_name, &[]),
+        ("empty or holds", flags, &[], &slash, &[]),
+        ("twice in the name table", flags, &[], &twice, &[]),
+        ("sum to offset 23", flags, &payload, &short, &[]),
+        ("sum to offset 25", flags, &payload, &over, &[]),
+        ("unknown incompat", flags | 1 << 2, &[], &empty, &[]),
         (
-            "between the index and the footer",
-            header::INCOMPAT_COORDS,
+            "without coordinate fields",
+            header::INCOMPAT_NAMES,
+            &[],
             &empty,
-            &[0],
+            &[],
         ),
+        ("between the index and the footer", flags, &[], &empty, &[0]),
     ];
-    for (tag, flags, index, gap) in cases {
+    for (tag, flags, payload, index, gap) in cases {
         let mut bytes = Vec::new();
         header::write_superblock(&mut bytes);
         bytes[6..8].copy_from_slice(&flags.to_le_bytes());
+        bytes.extend_from_slice(payload);
         let index_offset = bytes.len() as u64;
         bytes.extend_from_slice(index);
         bytes.extend_from_slice(gap);
@@ -261,11 +318,71 @@ fn forged_streams_fail_typed_within_the_layouts_bytes() {
         );
         std::fs::remove_file(&path).unwrap();
     }
-    // The well-formed twins of the last two open.
+    // The well-formed twins of the last two open: a file from before the
+    // coordinate fields with its stored section, and one from before the
+    // name table.
     let legacy = SdfReader::open(fixture("legacy.sdf")).expect("a stored section is ignored");
     assert_eq!(legacy.len(), 3);
+    let coords = SdfReader::open(fixture("coords.sdf")).expect("stored offsets are read");
+    assert_eq!(coords.len(), 3);
 
+    forged_traces_stay_within_their_bytes();
     truncated_after_open_fails_typed();
+}
+
+/// DTRC, the last format the bounded-allocation audit covers: a block
+/// count near `u32::MAX` is a counted torn block, a header it does not
+/// know a typed error, a trailer whose CRC fails a counted corrupt block
+/// with the blocks before it kept — each within the input's own bytes.
+fn forged_traces_stay_within_their_bytes() {
+    let record = |i: u64| TraceRecord {
+        t_ns: i,
+        dur_ns: 1,
+        ..TraceRecord::default()
+    };
+    let mut clean = Vec::new();
+    let mut w = TraceWriter::new(&mut clean).unwrap();
+    w.write_block(&[record(1), record(2)]).unwrap();
+    w.finish().unwrap();
+    let trailer = 16 + 8 + 2 * TRACE_RECORD_SIZE;
+
+    let mut huge = clean[..16].to_vec();
+    huge.extend_from_slice(&(u32::MAX - 1).to_le_bytes());
+    huge.extend_from_slice(&[0; 4 + TRACE_RECORD_SIZE]);
+    let mut version = clean.clone();
+    version[4] = 2;
+    let mut record_size = clean.clone();
+    record_size[6] = 41;
+    let mut bad_trailer = clean.clone();
+    bad_trailer[trailer + 4] ^= 1;
+    for (tag, bytes) in [
+        ("huge count", &huge),
+        ("version", &version),
+        ("record size", &record_size),
+        ("trailer crc", &bad_trailer),
+    ] {
+        let (result, grown) = peak_growth(|| read_trace_bytes(bytes));
+        match (tag, result) {
+            ("huge count", Ok(f)) => {
+                assert_eq!((f.records.len(), f.corrupt_blocks), (0, 1), "{tag}");
+                assert!(!f.clean_close, "{tag}");
+            }
+            ("version" | "record size", Err(SdfError::Format(m))) => {
+                assert!(m.contains(tag), "{tag}: {m}")
+            }
+            ("trailer crc", Ok(f)) => {
+                assert_eq!(f.records, [record(1), record(2)], "{tag}");
+                assert_eq!(f.corrupt_blocks, 1, "{tag}");
+                assert!(!f.clean_close, "{tag}");
+            }
+            (tag, other) => panic!("{tag}: {other:?}"),
+        }
+        assert!(
+            grown <= bytes.len() + 1024,
+            "{tag}: allocated {grown} bytes for a {}-byte trace",
+            bytes.len()
+        );
+    }
 }
 
 fn fixture(name: &str) -> std::path::PathBuf {

@@ -1,30 +1,31 @@
 //! The on-disk format does not move unnoticed: a fixed three-dataset SDF
 //! file — plain, `lzss`-filtered and chunked — must come out byte for byte
 //! as pinned here. Payload and index CRCs, the superblock's feature bits,
-//! the coordinate fields, the chunk table and the footer are all inside
-//! the image. The same datasets as the format wrote them before coordinate
+//! the name table (the chunked dataset is stored by name), the coordinate
+//! fields, the chunk table and the footer are all inside the image. The
+//! same datasets as the format wrote them before must still read and
+//! answer alike: before the name table (`tests/fixtures/coords.sdf`:
+//! flags word 1, every path stored, offsets stored) and before coordinate
 //! fields (`tests/fixtures/legacy.sdf`: flags word 0, coordinates in
-//! attributes, a stored query section before the footer) must still read
-//! and answer alike.
+//! attributes, a stored query section before the footer).
 
 use damaris_format::{crc32, DataType, DatasetOptions, Layout, SdfReader, SdfWriter};
 use std::path::Path;
 
 /// The file's full byte image.
 const GOLDEN_HEX: &str = concat!(
-    "53444631010001000b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e",
+    "53444631010003000b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e",
     "83a8cdf2173c6186abd0f51a3f6489aed3f81d42678cb1d6fb20456a8fb4d9fe",
     "23486d92b7dc01264b7095badf04294e7398bde2072c51769bc0e50a2f54799e",
     "c3e80d32577ca1c60800008c433b0402403f0402803f0402c03f0404008d3d04",
     "02403d04032424180304070c131c27344354677c93acc7e40324476c93bce714",
     "4374a7dc134c87c4034487cc135ca7f44394e73c93ec47a40364c72c93fc67d4",
     "43b4279c138c07840384078c139c27b443d467fc932cc76403a447ec933ce794",
-    "43f4a75c13cc874403142f697465722d372f72616e6b2d302f706c61696e0001",
-    "6008609b70d4f8000000000109697465726174696f6e00070000000000000014",
-    "2f697465722d372f72616e6b2d302f746865746103020608681cefa9bac9046c",
-    "7a73730000000104756e697402014b132f697465722d372f72616e6b2d312f67",
-    "7269640002080c8401640f39da230003080200e8000000000000008b00000000",
-    "00000027bbdb0553444631",
+    "43f4a75c13cc874401046772696403282f697465722d372f72616e6b2d302f70",
+    "6c61696e000160609b70d4f8000000000109697465726174696f6e0007000000",
+    "00000000282f697465722d372f72616e6b2d302f7468657461030206081cefa9",
+    "bac9046c7a73730000000104756e697402014b010002080c640f39da23000308",
+    "0200e8000000000000007a00000000000000dfef23ef53444631",
 );
 
 fn payloads() -> (Vec<u8>, Vec<f32>, Vec<u8>) {
@@ -107,22 +108,43 @@ fn three_dataset_file_is_byte_identical_to_the_pinned_image() {
     );
 }
 
+/// A section's keys, in order, each with its variable's name (the slots
+/// of the names are the file's own).
+type Answers = Vec<(u64, u32, u32, u32, String)>;
+
+fn answers(r: &SdfReader) -> Answers {
+    let Ok(section) = r.query_section();
+    section
+        .keys
+        .iter()
+        .map(|k| {
+            let name = section.variable(k).to_string();
+            (k.key_hash, k.ordinal, k.iteration, k.source, name)
+        })
+        .collect()
+}
+
 #[test]
 fn the_legacy_image_answers_as_the_new_one() {
-    let legacy = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy.sdf");
     let path = temp("twin");
     write_fixture(&path);
-    let (old, new) = (reads_back(&legacy), reads_back(&path));
+    let new = reads_back(&path);
     std::fs::remove_file(&path).ok();
-    // Keys from attributes and paths there, from fields and paths here:
-    // the same section, so every lookup and range finds the same blocks.
-    let (Ok(a), Ok(b)) = (old.query_section(), new.query_section());
-    assert_eq!(a, b);
-    assert_eq!(old.infos().unwrap().len(), 3);
-    for ordinal in 0..3 {
-        assert_eq!(
-            old.read_bytes_at(ordinal).unwrap(),
-            new.read_bytes_at(ordinal).unwrap()
-        );
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for fixture in ["coords.sdf", "legacy.sdf"] {
+        let old = reads_back(&dir.join(fixture));
+        // Keys from attributes, fields, names and paths: the same keys,
+        // so every lookup and range finds the same blocks.
+        assert_eq!(answers(&old), answers(&new), "{fixture}");
+        let (Ok(a), Ok(b)) = (old.query_section(), new.query_section());
+        assert_eq!(a.bloom, b.bloom, "{fixture}");
+        assert_eq!(old.dataset_names(), new.dataset_names(), "{fixture}");
+        assert_eq!(old.infos().unwrap().len(), 3);
+        for ordinal in 0..3 {
+            assert_eq!(
+                old.read_bytes_at(ordinal).unwrap(),
+                new.read_bytes_at(ordinal).unwrap()
+            );
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The reader answers as the object-per-dataset reader before it did: on
-//! three files — the golden image, a chunked + `lzss` file, and the same
-//! datasets as the format wrote them before coordinate fields
+//! four files — the golden image, a chunked + `lzss` file, and the same
+//! datasets as the format wrote them before the name table
+//! (`tests/fixtures/coords.sdf`) and before coordinate fields
 //! (`tests/fixtures/legacy.sdf`, with its stored query section) —
 //! every public read (`read_bytes_at`, `read_bytes`, `info_at`, `info`,
 //! `infos_under`, `dataset_names`, `read_rows_bytes`, `validate`) is
@@ -147,9 +148,10 @@ fn reads_answer_as_the_object_per_dataset_reader_did() {
     write_golden(&golden);
     let chunked = temp("chunked-lzss");
     write_chunked_lzss(&chunked);
-    let legacy = temp("legacy");
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy.sdf");
-    std::fs::copy(fixture, &legacy).unwrap();
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let (coords, legacy) = (temp("coords"), temp("legacy"));
+    std::fs::copy(fixtures.join("coords.sdf"), &coords).unwrap();
+    std::fs::copy(fixtures.join("legacy.sdf"), &legacy).unwrap();
     let moved: Vec<PathBuf> = [
         moved(
             "golden",
@@ -162,6 +164,11 @@ fn reads_answer_as_the_object_per_dataset_reader_did() {
             &chunked,
         ),
         // No read depends on the format's age: the same answers as the golden file.
+        moved(
+            "coords",
+            include_str!("reader_transcripts/golden.txt"),
+            &coords,
+        ),
         moved(
             "legacy",
             include_str!("reader_transcripts/golden.txt"),

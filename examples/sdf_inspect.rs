@@ -76,10 +76,10 @@ fn main() {
         .ok()
         .and_then(|()| Superblock::validate(&sb).ok());
     if let Some(sb) = sb {
-        let keyed_by = if sb.coords() {
-            "coordinate fields"
-        } else {
-            "coordinate attributes (written before coordinate fields)"
+        let keyed_by = match (sb.coords(), sb.names()) {
+            (true, true) => "coordinate fields, variable names once per file",
+            (true, false) => "coordinate fields (written before the name table)",
+            _ => "coordinate attributes (written before coordinate fields)",
         };
         println!(
             "features: flags {:#06x}, datasets keyed by {keyed_by}",
